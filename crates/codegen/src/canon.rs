@@ -152,14 +152,14 @@ pub fn canonicalize(
     // 1. Bind arrays and scalars.
     let mut arrays: Vec<ArrayBind> = Vec::new();
     let mut array_rename: Vec<(String, String)> = Vec::new();
+    let written = visit::arrays_written(&kernel.body);
     for (p, a) in kernel.params.iter().zip(&launch.args) {
         match (p, a) {
             (Param::Array { name, .. }, ResolvedArg::Array(actual)) => {
                 array_rename.push((name.clone(), actual.clone()));
-                let written = visit::arrays_written(&kernel.body).contains(name);
                 arrays.push(ArrayBind {
                     actual: actual.clone(),
-                    written,
+                    written: written.contains(name),
                 });
             }
             (Param::Scalar { name, .. }, ResolvedArg::Scalar(v)) => {

@@ -99,124 +99,460 @@ pub(crate) struct ReadOffset {
     pub(crate) vert: bool,
 }
 
+/// A staged array before a block shape sizes its tile.
+#[derive(Debug)]
+struct Tile {
+    array: String,
+    rx: i64,
+    ry: i64,
+    /// Producing member index for flow arrays; `None` = read-only staging.
+    producer: Option<usize>,
+}
+
+/// How the members combine, with what each form needs at emit time.
+#[derive(Debug)]
+enum Form {
+    /// All members share one vertical sweep; `ranges` holds each member's
+    /// `[k_lo, k_hi)`.
+    Merged {
+        ranges: Vec<(i64, i64)>,
+        tiles: Vec<Tile>,
+    },
+    /// Sweep-after-sweep concatenation: per member, whether its body
+    /// contains a barrier, and the shared memory the members declare
+    /// themselves (the generator adds none).
+    Concat {
+        has_barrier: Vec<bool>,
+        member_smem: usize,
+    },
+}
+
+/// Everything about a fusion group that does not depend on the thread-block
+/// shape: canonicalized members, flow arrays, staging radii, and every
+/// block-independent legality rule, checked once in [`GroupAnalysis::new`].
+/// What remains per block is the tile footprint and three legality rules
+/// ([`GroupAnalysis::smem_bytes`]) and the code itself
+/// ([`GroupAnalysis::emit`]), so the tuner can price every candidate block
+/// without generating a kernel for it.
+#[derive(Debug)]
+pub struct GroupAnalysis {
+    name: String,
+    mode: CodegenMode,
+    smem_limit: usize,
+    cms: Vec<CanonMember>,
+    /// The fused kernel's parameters and the arguments binding them.
+    params: Vec<Param>,
+    args: Vec<ResolvedArg>,
+    /// Some array flows between members (complex fusion).
+    complex: bool,
+    /// Thread coverage the members' own launches need.
+    need_x: i64,
+    need_y: i64,
+    form: Form,
+}
+
+/// Bytes of an `f64` tile covering `block` plus `rx`/`ry` halo cells per side.
+pub(crate) fn tile_bytes(block: Dim3, rx: i64, ry: i64) -> usize {
+    ((block.x as i64 + 2 * rx) * (block.y as i64 + 2 * ry) * 8) as usize
+}
+
+/// The fused launch grid for `block`, and the thread coverage after
+/// rounding it up — guards must be emitted against the coverage, or a
+/// retuned (larger) block would run threads past the domain.
+pub(crate) fn grid_and_cover(need_x: i64, need_y: i64, block: Dim3) -> (Dim3, i64, i64) {
+    let grid = Dim3::new(
+        (need_x as u32).div_ceil(block.x),
+        (need_y as u32).div_ceil(block.y),
+        1,
+    );
+    (grid, (grid.x * block.x) as i64, (grid.y * block.y) as i64)
+}
+
 /// Fuse an ordered group of members into one kernel.
 ///
 /// `members` pairs each kernel with the launch that invokes it, in host
 /// (OEG-compatible) order. `smem_limit` is the device's maximum static
 /// shared memory per block.
 pub fn fuse_group(
-    members: &[(&Kernel, LaunchRecord)],
+    members: &[(&Kernel, &LaunchRecord)],
     block: Dim3,
     mode: CodegenMode,
     name: &str,
     smem_limit: usize,
 ) -> Result<FusedKernel, CodegenError> {
-    if members.len() < 2 {
-        return Err(CodegenError("fusion group needs at least 2 members".into()));
-    }
-    let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
-    let mut cms: Vec<CanonMember> = Vec::new();
-    for (idx, (k, l)) in members.iter().enumerate() {
-        cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
-    }
+    GroupAnalysis::new(members, mode, name, smem_limit)?.emit(block)
+}
 
-    let need_x = cms.iter().map(|m| m.launch_x).max().unwrap_or(1);
-    let need_y = cms.iter().map(|m| m.launch_y).max().unwrap_or(1);
-    let grid = Dim3::new(
-        (need_x as u32).div_ceil(block.x),
-        (need_y as u32).div_ceil(block.y),
-        1,
-    );
-    // Actual thread coverage after rounding the grid up — guards must be
-    // emitted against this, or a retuned (larger) block would run threads
-    // past the domain.
-    let cover_x = (grid.x * block.x) as i64;
-    let cover_y = (grid.y * block.y) as i64;
+impl GroupAnalysis {
+    /// Canonicalize the members and check every legality rule that holds or
+    /// fails regardless of the block shape.
+    pub fn new(
+        members: &[(&Kernel, &LaunchRecord)],
+        mode: CodegenMode,
+        name: &str,
+        smem_limit: usize,
+    ) -> Result<GroupAnalysis, CodegenError> {
+        if members.len() < 2 {
+            return Err(CodegenError("fusion group needs at least 2 members".into()));
+        }
+        let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
+        let mut cms: Vec<CanonMember> = Vec::new();
+        for (idx, (k, l)) in members.iter().enumerate() {
+            cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
+        }
 
-    // Which members write / read each actual array (any sweep).
-    let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let mut readers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (mi, m) in cms.iter().enumerate() {
-        let mut w = BTreeSet::new();
-        let mut r = BTreeSet::new();
-        for sweep in &m.ka.sweeps {
-            for acc in &sweep.accesses {
-                if acc.is_write {
-                    w.insert(acc.array.clone());
-                } else {
-                    r.insert(acc.array.clone());
+        // Which members write / read each actual array (any sweep).
+        let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        let mut readers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (mi, m) in cms.iter().enumerate() {
+            let mut w = BTreeSet::new();
+            let mut r = BTreeSet::new();
+            for sweep in &m.ka.sweeps {
+                for acc in &sweep.accesses {
+                    if acc.is_write {
+                        w.insert(acc.array.clone());
+                    } else {
+                        r.insert(acc.array.clone());
+                    }
                 }
             }
+            for a in w {
+                writers.entry(a).or_default().push(mi);
+            }
+            for a in r {
+                readers.entry(a).or_default().push(mi);
+            }
         }
-        for a in w {
-            writers.entry(a).or_default().push(mi);
-        }
-        for a in r {
-            readers.entry(a).or_default().push(mi);
-        }
-    }
 
-    // Flow arrays: written by one member, read by a *later* member. A read
-    // by an *earlier* member would observe pre-launch values in the
-    // original program but mid-launch values here — the caller must order
-    // members producer-first (anti-ordered groups are unfusable).
-    let mut flow_arrays: BTreeMap<String, usize> = BTreeMap::new();
-    for (a, ws) in &writers {
-        if let Some(rs) = readers.get(a) {
-            for &w in ws {
-                if rs.iter().any(|&r| r < w) {
-                    return Err(CodegenError(format!(
-                        "member {w} overwrites `{a}` read by an earlier member;                          anti-ordered group is unfusable"
-                    )));
-                }
-                if rs.iter().any(|&r| r > w) {
-                    if ws.len() > 1 {
+        // Flow arrays: written by one member, read by a *later* member. A read
+        // by an *earlier* member would observe pre-launch values in the
+        // original program but mid-launch values here — the caller must order
+        // members producer-first (anti-ordered groups are unfusable).
+        let mut flow_arrays: BTreeMap<String, usize> = BTreeMap::new();
+        for (a, ws) in &writers {
+            if let Some(rs) = readers.get(a) {
+                for &w in ws {
+                    if rs.iter().any(|&r| r < w) {
                         return Err(CodegenError(format!(
-                            "array `{a}` produced by multiple members; unfusable"
+                            "member {w} overwrites `{a}` read by an earlier member; \
+                             anti-ordered group is unfusable"
                         )));
                     }
-                    flow_arrays.insert(a.clone(), w);
+                    if rs.iter().any(|&r| r > w) {
+                        if ws.len() > 1 {
+                            return Err(CodegenError(format!(
+                                "array `{a}` produced by multiple members; unfusable"
+                            )));
+                        }
+                        flow_arrays.insert(a.clone(), w);
+                    }
                 }
+            }
+        }
+
+        let merged_possible = cms.iter().all(|m| {
+            matches!(
+                &m.structure,
+                MemberStructure::SingleSweep { has_inner, .. }
+                    if mode == CodegenMode::Manual || !has_inner
+            )
+        });
+        let form = if merged_possible {
+            analyze_merged(&cms, &flow_arrays, &readers, &writers)?
+        } else {
+            analyze_concat(&cms, &flow_arrays)?
+        };
+        let (params, args) = build_params(&cms, &canon_scalars);
+        Ok(GroupAnalysis {
+            name: name.into(),
+            mode,
+            smem_limit,
+            need_x: cms.iter().map(|m| m.launch_x).max().unwrap_or(1),
+            need_y: cms.iter().map(|m| m.launch_y).max().unwrap_or(1),
+            complex: !flow_arrays.is_empty(),
+            cms,
+            params,
+            args,
+            form,
+        })
+    }
+
+    /// Static shared memory of the kernel [`GroupAnalysis::emit`] generates
+    /// for `block` — `Σ (bx+2rx)(by+2ry)·8` over the staged tiles — or the
+    /// block-dependent legality rule `block` breaks: a halo wider than half
+    /// the block, a footprint over the device cap, or a member whose
+    /// barriers would need a bounds guard under the padded coverage.
+    pub fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
+        match &self.form {
+            Form::Merged { tiles, .. } => {
+                let (bx, by) = (block.x as i64, block.y as i64);
+                // Halo must fit in half a block on each side.
+                for t in tiles {
+                    if t.rx * 2 > bx || t.ry * 2 > by {
+                        return Err(CodegenError(format!(
+                            "halo radius of `{}` too large for block {}x{}",
+                            t.array, bx, by
+                        )));
+                    }
+                }
+                let smem_bytes: usize = tiles.iter().map(|t| tile_bytes(block, t.rx, t.ry)).sum();
+                if smem_bytes > self.smem_limit {
+                    return Err(CodegenError(format!(
+                        "group needs {smem_bytes} B shared memory, device limit {} B",
+                        self.smem_limit
+                    )));
+                }
+                Ok(smem_bytes)
+            }
+            Form::Concat {
+                has_barrier,
+                member_smem,
+            } => {
+                let (_, cover_x, cover_y) = grid_and_cover(self.need_x, self.need_y, block);
+                for (m, &barrier) in self.cms.iter().zip(has_barrier) {
+                    // A barrier cannot live inside a guard (it would
+                    // diverge), and without the guard a padded coverage
+                    // would run threads out of bounds.
+                    if barrier && m.guard.condition(cover_x, cover_y).is_some() {
+                        return Err(CodegenError(format!(
+                            "member `{}` contains barriers but needs a bounds guard under \
+                             the fused coverage; unfusable",
+                            m.name
+                        )));
+                    }
+                }
+                Ok(*member_smem)
             }
         }
     }
 
-    let merged_possible = cms.iter().all(|m| {
-        matches!(
-            &m.structure,
-            MemberStructure::SingleSweep { has_inner, .. }
-                if mode == CodegenMode::Manual || !has_inner
-        )
-    });
-
-    if !merged_possible {
-        return fallback_concat(
-            &cms,
-            &flow_arrays,
-            canon_scalars,
-            block,
+    /// Generate the fused kernel for one block shape.
+    pub fn emit(&self, block: Dim3) -> Result<FusedKernel, CodegenError> {
+        let smem_bytes = self.smem_bytes(block)?;
+        let (grid, cover_x, cover_y) = grid_and_cover(self.need_x, self.need_y, block);
+        let members = self.cms.iter().map(|m| m.seq).collect();
+        let (body, report) = match &self.form {
+            Form::Merged { ranges, tiles } => {
+                let staged: Vec<StagedArray> = tiles
+                    .iter()
+                    .map(|t| StagedArray {
+                        array: t.array.clone(),
+                        rx: t.rx,
+                        ry: t.ry,
+                        tile_bytes: tile_bytes(block, t.rx, t.ry),
+                        flow: t.producer.is_some(),
+                        producer: t.producer,
+                    })
+                    .collect();
+                let body = self.merged_body(ranges, &staged, block, cover_x, cover_y)?;
+                let report = FusionReport {
+                    members,
+                    complex: self.complex,
+                    merged: true,
+                    smem_bytes,
+                    notes: vec![format!(
+                        "{} fusion of {} members; {} staged arrays, {} B shared memory",
+                        if self.complex { "complex" } else { "simple" },
+                        self.cms.len(),
+                        staged.len(),
+                        smem_bytes
+                    )],
+                    staged,
+                };
+                (body, report)
+            }
+            Form::Concat { .. } => {
+                let report = FusionReport {
+                    members,
+                    staged: Vec::new(),
+                    complex: self.complex,
+                    merged: false,
+                    smem_bytes: 0,
+                    notes: vec![
+                        "members concatenated sweep-after-sweep (structures not mergeable); \
+                         launch overhead saved but no inter-member reuse"
+                            .into(),
+                    ],
+                };
+                (self.concat_body(cover_x, cover_y), report)
+            }
+        };
+        Ok(FusedKernel {
+            kernel: Kernel {
+                name: self.name.clone(),
+                params: self.params.clone(),
+                body,
+            },
             grid,
-            name,
-            cover_x,
-            cover_y,
-        );
+            block,
+            args: self.args.clone(),
+            report,
+        })
     }
-    merged_fuse(
-        &cms,
-        &flow_arrays,
-        &readers,
-        &writers,
-        canon_scalars,
-        block,
-        grid,
-        mode,
-        name,
-        smem_limit,
-        cover_x,
-        cover_y,
-        need_x,
-        need_y,
-    )
+
+    /// Concatenated body: each member's full sweeps, one after another.
+    fn concat_body(&self, cover_x: i64, cover_y: i64) -> Vec<Stmt> {
+        let mut body = b::thread_mapping_2d();
+        for m in &self.cms {
+            // Re-impose the member's evaluated guard against the (possibly
+            // padded) fused coverage: the member's own textual guard may
+            // assume an exact-fit launch. (`smem_bytes` rejected the blocks
+            // under which a member with barriers would need one.)
+            match m.guard.condition(cover_x, cover_y) {
+                Some(cond) => body.push(Stmt::If {
+                    cond,
+                    then_body: m.full_body.clone(),
+                    else_body: Vec::new(),
+                }),
+                None => body.extend(m.full_body.iter().cloned()),
+            }
+        }
+        body
+    }
+
+    /// Merged body: prologue, tile declarations, and the shared vertical
+    /// loop with staging loads, member segments and barriers.
+    fn merged_body(
+        &self,
+        ranges: &[(i64, i64)],
+        staged: &[StagedArray],
+        block: Dim3,
+        cover_x: i64,
+        cover_y: i64,
+    ) -> Result<Vec<Stmt>, CodegenError> {
+        let (cms, mode) = (&self.cms, self.mode);
+        let (bx, by) = (block.x as i64, block.y as i64);
+        // Shared vertical range.
+        let k_lo = ranges.iter().map(|r| r.0).min().expect("non-empty group");
+        let k_hi = ranges.iter().map(|r| r.1).max().expect("non-empty group");
+
+        // Array extents for bounds clamping come from the canonical accesses
+        // at traffic time; codegen clamps against the member coverage instead
+        // (arrays in the supported class span the full domain).
+        let mut body: Vec<Stmt> = b::thread_mapping_2d();
+        body.push(decl_int("tx", Expr::Builtin(Builtin::ThreadIdx(Axis::X))));
+        body.push(decl_int("ty", Expr::Builtin(Builtin::ThreadIdx(Axis::Y))));
+        for m in cms {
+            body.extend(m.hoisted.iter().cloned());
+        }
+        for st in staged {
+            body.push(Stmt::SharedDecl {
+                name: tile_name(&st.array),
+                ty: ScalarType::F64,
+                extents: vec![(by + 2 * st.ry) as usize, (bx + 2 * st.rx) as usize],
+            });
+        }
+
+        let mut loop_body: Vec<Stmt> = Vec::new();
+
+        // Stage read-only shared arrays.
+        let read_staged: Vec<&StagedArray> = staged.iter().filter(|s| !s.flow).collect();
+        for st in &read_staged {
+            loop_body.extend(stage_loads(st, bx, by, self.need_x, self.need_y));
+        }
+        if !read_staged.is_empty() {
+            loop_body.push(Stmt::SyncThreads);
+        }
+
+        // Member segments.
+        let mut pending: Vec<(Option<Expr>, Vec<Stmt>)> = Vec::new();
+        let flush_pending = |pending: &mut Vec<(Option<Expr>, Vec<Stmt>)>, out: &mut Vec<Stmt>| {
+            for (cond, stmts) in pending.drain(..) {
+                match cond {
+                    Some(c) => out.push(Stmt::If {
+                        cond: c,
+                        then_body: stmts,
+                        else_body: Vec::new(),
+                    }),
+                    None => out.extend(stmts),
+                }
+            }
+        };
+
+        for (mi, m) in cms.iter().enumerate() {
+            let MemberStructure::SingleSweep { body: sbody, .. } = &m.structure else {
+                unreachable!("merged form requires single sweeps")
+            };
+            let (m_klo, m_khi) = ranges[mi];
+            // Transform the sweep body: tile reads, producer instrumentation.
+            let mut seg = sbody.clone();
+            // Producer instrumentation first (operates on global-read form).
+            let mut halo_stmts: Vec<Stmt> = Vec::new();
+            for st in staged.iter().filter(|s| s.flow && s.producer == Some(mi)) {
+                instrument_producer(&mut seg, st, mi, m, bx, by, &mut halo_stmts)?;
+            }
+            // Tile-read rewriting (all staged arrays this member consumes).
+            for st in staged {
+                // A producer's own segment must not read its tile (it writes
+                // it this iteration); consumers after the barrier may.
+                if st.producer == Some(mi) {
+                    continue;
+                }
+                rewrite_tile_reads(&mut seg, st);
+            }
+
+            let mut cond_parts = Vec::new();
+            if let Some(g) = m.guard.condition(cover_x, cover_y) {
+                cond_parts.push(g);
+            }
+            if m_klo > k_lo {
+                cond_parts.push(b::ge(b::var("k"), b::int(m_klo)));
+            }
+            if m_khi < k_hi {
+                cond_parts.push(b::lt(b::var("k"), b::int(m_khi)));
+            }
+            let cond = if cond_parts.is_empty() {
+                None
+            } else {
+                Some(b::all(cond_parts))
+            };
+
+            let is_producer =
+                !halo_stmts.is_empty() || staged.iter().any(|s| s.flow && s.producer == Some(mi));
+
+            match mode {
+                CodegenMode::Manual => {
+                    // Merge into the previous pending segment when the guard
+                    // is identical and no barrier intervenes.
+                    if let Some((prev_cond, prev_stmts)) = pending.last_mut() {
+                        if *prev_cond == cond {
+                            prev_stmts.extend(seg);
+                        } else {
+                            pending.push((cond.clone(), seg));
+                        }
+                    } else {
+                        pending.push((cond.clone(), seg));
+                    }
+                }
+                CodegenMode::Auto => pending.push((cond.clone(), seg)),
+            }
+
+            if is_producer {
+                flush_pending(&mut pending, &mut loop_body);
+                loop_body.extend(halo_stmts);
+                loop_body.push(Stmt::SyncThreads);
+            }
+        }
+        flush_pending(&mut pending, &mut loop_body);
+
+        // Close the k-iteration with a barrier: the next iteration's staging
+        // (or producer) writes overwrite tile cells the consumer segments
+        // just read, and without this sync that is a cross-warp
+        // write-after-read race on real hardware — invisible to lockstep
+        // value comparison, but flagged by the interpreter's hazard detector.
+        if !staged.is_empty() && !matches!(loop_body.last(), Some(Stmt::SyncThreads)) {
+            loop_body.push(Stmt::SyncThreads);
+        }
+
+        body.push(Stmt::For {
+            var: "k".into(),
+            init: b::int(k_lo),
+            cond: b::lt(b::var("k"), b::int(k_hi)),
+            step: b::int(1),
+            body: loop_body,
+        });
+        Ok(body)
+    }
 }
 
 /// Classify a member's reads of `array` across its sweeps.
@@ -269,21 +605,11 @@ pub(crate) fn classify_3d(pats: &[IdxPat]) -> Option<ReadOffset> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Fallback: sweep-after-sweep concatenation
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn fallback_concat(
+/// Block-independent legality of sweep-after-sweep concatenation.
+fn analyze_concat(
     cms: &[CanonMember],
     flow_arrays: &BTreeMap<String, usize>,
-    canon_scalars: BTreeMap<String, HostValue>,
-    block: Dim3,
-    grid: Dim3,
-    name: &str,
-    cover_x: i64,
-    cover_y: i64,
-) -> Result<FusedKernel, CodegenError> {
+) -> Result<Form, CodegenError> {
     // Safety: inter-member flow is only column-local (di == dj == 0), since
     // members execute their full sweeps one after another per thread.
     for (a, &producer) in flow_arrays {
@@ -302,96 +628,37 @@ fn fallback_concat(
             }
         }
     }
-    let mut body = b::thread_mapping_2d();
-    for m in cms {
-        // Re-impose the member's evaluated guard against the (possibly
-        // padded) fused coverage: the member's own textual guard may assume
-        // an exact-fit launch. Members containing barriers cannot be
-        // wrapped (the barrier would become divergent).
-        let mut has_barrier = false;
-        visit::walk_stmts(&m.full_body, &mut |s| {
-            if matches!(s, Stmt::SyncThreads) {
-                has_barrier = true;
+    let mut has_barrier = vec![false; cms.len()];
+    let mut member_smem = 0;
+    for (m, barrier) in cms.iter().zip(&mut has_barrier) {
+        visit::walk_stmts(&m.full_body, &mut |s| match s {
+            Stmt::SyncThreads => *barrier = true,
+            Stmt::SharedDecl { ty, extents, .. } => {
+                member_smem += extents.iter().product::<usize>() * ty.size_bytes();
             }
+            _ => {}
         });
-        match m.guard.condition(cover_x, cover_y) {
-            Some(cond) if !has_barrier => body.push(Stmt::If {
-                cond,
-                then_body: m.full_body.clone(),
-                else_body: Vec::new(),
-            }),
-            Some(_) => {
-                // A barrier cannot live inside a guard (it would diverge),
-                // and without the guard a padded coverage would run threads
-                // out of bounds.
-                return Err(CodegenError(format!(
-                    "member `{}` contains barriers but needs a bounds guard under \
-                     the fused coverage; unfusable",
-                    m.name
-                )));
-            }
-            None => body.extend(m.full_body.iter().cloned()),
-        }
     }
-    let (params, args) = build_params(cms, &canon_scalars);
-    let report = FusionReport {
-        members: cms.iter().map(|m| m.seq).collect(),
-        staged: Vec::new(),
-        complex: !flow_arrays.is_empty(),
-        merged: false,
-        smem_bytes: 0,
-        notes: vec![
-            "members concatenated sweep-after-sweep (structures not mergeable); \
-             launch overhead saved but no inter-member reuse"
-                .into(),
-        ],
-    };
-    Ok(FusedKernel {
-        kernel: Kernel {
-            name: name.into(),
-            params,
-            body,
-        },
-        grid,
-        block,
-        args,
-        report,
+    Ok(Form::Concat {
+        has_barrier,
+        member_smem,
     })
 }
 
-// ---------------------------------------------------------------------
-// Merged fusion
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn merged_fuse(
+/// Block-independent legality and staging decisions of merged fusion.
+fn analyze_merged(
     cms: &[CanonMember],
     flow_arrays: &BTreeMap<String, usize>,
     readers: &BTreeMap<String, Vec<usize>>,
     writers: &BTreeMap<String, Vec<usize>>,
-    canon_scalars: BTreeMap<String, HostValue>,
-    block: Dim3,
-    grid: Dim3,
-    mode: CodegenMode,
-    name: &str,
-    smem_limit: usize,
-    cover_x: i64,
-    cover_y: i64,
-    need_x: i64,
-    need_y: i64,
-) -> Result<FusedKernel, CodegenError> {
-    let (bx, by) = (block.x as i64, block.y as i64);
-
-    // Shared vertical range.
+) -> Result<Form, CodegenError> {
     let ranges: Vec<(i64, i64)> = cms
         .iter()
         .map(|m| match &m.structure {
             MemberStructure::SingleSweep { k_lo, k_hi, .. } => (*k_lo, *k_hi),
-            MemberStructure::Fallback => unreachable!("merged_fuse requires single sweeps"),
+            MemberStructure::Fallback => unreachable!("merged form requires single sweeps"),
         })
         .collect();
-    let k_lo = ranges.iter().map(|r| r.0).min().expect("non-empty group");
-    let k_hi = ranges.iter().map(|r| r.1).max().expect("non-empty group");
 
     // ----- legality of flow (complex fusion) -----
     for (a, &p) in flow_arrays {
@@ -464,7 +731,7 @@ fn merged_fuse(
     }
 
     // ----- staging decisions -----
-    let mut staged: Vec<StagedArray> = Vec::new();
+    let mut tiles: Vec<Tile> = Vec::new();
     let lateral_radius = |a: &str| -> Result<(i64, i64), CodegenError> {
         let mut rx = 0;
         let mut ry = 0;
@@ -482,7 +749,10 @@ fn merged_fuse(
     for (a, &p) in flow_arrays {
         let needs_tile = cms.iter().enumerate().skip(p + 1).any(|(_, m)| {
             read_offsets(m, a)
-                .map(|rs| rs.iter().any(|r| r.vert && r.dk == 0 && (r.di != 0 || r.dj != 0)))
+                .map(|rs| {
+                    rs.iter()
+                        .any(|r| r.vert && r.dk == 0 && (r.di != 0 || r.dj != 0))
+                })
                 .unwrap_or(false)
         });
         if needs_tile {
@@ -507,24 +777,23 @@ fn merged_fuse(
             // That includes the staged array itself: an in-place producer
             // (`a = f(a)`) races with neighboring blocks' global updates
             // when its halo sites are re-evaluated.
-            let written_in_group: BTreeSet<&String> = writers.keys().collect();
             for sweep in &cms[p].ka.sweeps {
                 for acc in &sweep.accesses {
-                    if !acc.is_write && written_in_group.contains(&acc.array) {
+                    if !acc.is_write && writers.contains_key(&acc.array) {
                         return Err(CodegenError(format!(
-                            "producer `{}` of staged flow array `{a}` reads                              group-written array `{}`; halo recomputation would                              cross block boundaries — unfusable",
+                            "producer `{}` of staged flow array `{a}` reads \
+                             group-written array `{}`; halo recomputation would \
+                             cross block boundaries — unfusable",
                             cms[p].name, acc.array
                         )));
                     }
                 }
             }
             let (rx, ry) = lateral_radius(a)?;
-            staged.push(StagedArray {
+            tiles.push(Tile {
                 array: a.clone(),
                 rx,
                 ry,
-                tile_bytes: ((bx + 2 * rx) * (by + 2 * ry) * 8) as usize,
-                flow: true,
                 producer: Some(p),
             });
         }
@@ -544,196 +813,22 @@ fn merged_fuse(
                     .all(|acc| acc.pats.len() == 3 && classify_3d(&acc.pats).is_some())
             })
         });
-        let any_current_plane = cms
-            .iter()
-            .any(|m| {
-                read_offsets(m, a)
-                    .map(|rs| rs.iter().any(|r| r.vert && r.dk == 0))
-                    .unwrap_or(false)
-            });
+        let any_current_plane = cms.iter().any(|m| {
+            read_offsets(m, a)
+                .map(|rs| rs.iter().any(|r| r.vert && r.dk == 0))
+                .unwrap_or(false)
+        });
         if stageable && any_current_plane {
             let (rx, ry) = lateral_radius(a)?;
-            staged.push(StagedArray {
+            tiles.push(Tile {
                 array: a.clone(),
                 rx,
                 ry,
-                tile_bytes: ((bx + 2 * rx) * (by + 2 * ry) * 8) as usize,
-                flow: false,
                 producer: None,
             });
         }
     }
-    // Halo must fit in half a block on each side.
-    for st in &staged {
-        if st.rx * 2 > bx || st.ry * 2 > by {
-            return Err(CodegenError(format!(
-                "halo radius of `{}` too large for block {}x{}",
-                st.array, bx, by
-            )));
-        }
-    }
-    let smem_bytes: usize = staged.iter().map(|s| s.tile_bytes).sum();
-    if smem_bytes > smem_limit {
-        return Err(CodegenError(format!(
-            "group needs {smem_bytes} B shared memory, device limit {smem_limit} B"
-        )));
-    }
-
-    // Array extents for bounds clamping come from the canonical accesses at
-    // traffic time; codegen clamps against the member coverage instead
-    // (arrays in the supported class span the full domain).
-
-    // ----- body generation -----
-    let mut body: Vec<Stmt> = b::thread_mapping_2d();
-    body.push(decl_int("tx", Expr::Builtin(Builtin::ThreadIdx(Axis::X))));
-    body.push(decl_int("ty", Expr::Builtin(Builtin::ThreadIdx(Axis::Y))));
-    for m in cms {
-        body.extend(m.hoisted.iter().cloned());
-    }
-    for st in &staged {
-        body.push(Stmt::SharedDecl {
-            name: tile_name(&st.array),
-            ty: ScalarType::F64,
-            extents: vec![(by + 2 * st.ry) as usize, (bx + 2 * st.rx) as usize],
-        });
-    }
-
-    let mut loop_body: Vec<Stmt> = Vec::new();
-
-    // Stage read-only shared arrays.
-    let read_staged: Vec<&StagedArray> = staged.iter().filter(|s| !s.flow).collect();
-    for st in &read_staged {
-        loop_body.extend(stage_loads(st, bx, by, need_x, need_y));
-    }
-    if !read_staged.is_empty() {
-        loop_body.push(Stmt::SyncThreads);
-    }
-
-    // Member segments.
-    let mut pending: Vec<(Option<Expr>, Vec<Stmt>)> = Vec::new();
-    let flush_pending = |pending: &mut Vec<(Option<Expr>, Vec<Stmt>)>, out: &mut Vec<Stmt>| {
-        for (cond, stmts) in pending.drain(..) {
-            match cond {
-                Some(c) => out.push(Stmt::If {
-                    cond: c,
-                    then_body: stmts,
-                    else_body: Vec::new(),
-                }),
-                None => out.extend(stmts),
-            }
-        }
-    };
-
-    for (mi, m) in cms.iter().enumerate() {
-        let MemberStructure::SingleSweep { body: sbody, .. } = &m.structure else {
-            unreachable!()
-        };
-        let (m_klo, m_khi) = ranges[mi];
-        // Transform the sweep body: tile reads, producer instrumentation.
-        let mut seg = sbody.clone();
-        // Producer instrumentation first (operates on global-read form).
-        let mut halo_stmts: Vec<Stmt> = Vec::new();
-        for st in staged.iter().filter(|s| s.flow && s.producer == Some(mi)) {
-            instrument_producer(&mut seg, st, mi, m, bx, by, &mut halo_stmts)?;
-        }
-        // Tile-read rewriting (all staged arrays this member consumes).
-        for st in &staged {
-            // A producer's own segment must not read its tile (it writes it
-            // this iteration); consumers after the barrier may.
-            if st.producer == Some(mi) {
-                continue;
-            }
-            rewrite_tile_reads(&mut seg, st);
-        }
-
-        let mut cond_parts = Vec::new();
-        if let Some(g) = m.guard.condition(cover_x, cover_y) {
-            cond_parts.push(g);
-        }
-        if m_klo > k_lo {
-            cond_parts.push(b::ge(b::var("k"), b::int(m_klo)));
-        }
-        if m_khi < k_hi {
-            cond_parts.push(b::lt(b::var("k"), b::int(m_khi)));
-        }
-        let cond = if cond_parts.is_empty() {
-            None
-        } else {
-            Some(b::all(cond_parts))
-        };
-
-        let is_producer = !halo_stmts.is_empty()
-            || staged.iter().any(|s| s.flow && s.producer == Some(mi));
-
-        match mode {
-            CodegenMode::Manual => {
-                // Merge into the previous pending segment when the guard is
-                // identical and no barrier intervenes.
-                if let Some((prev_cond, prev_stmts)) = pending.last_mut() {
-                    if *prev_cond == cond {
-                        prev_stmts.extend(seg);
-                    } else {
-                        pending.push((cond.clone(), seg));
-                    }
-                } else {
-                    pending.push((cond.clone(), seg));
-                }
-            }
-            CodegenMode::Auto => pending.push((cond.clone(), seg)),
-        }
-
-        if is_producer {
-            flush_pending(&mut pending, &mut loop_body);
-            loop_body.extend(halo_stmts);
-            loop_body.push(Stmt::SyncThreads);
-        }
-    }
-    flush_pending(&mut pending, &mut loop_body);
-
-    // Close the k-iteration with a barrier: the next iteration's staging
-    // (or producer) writes overwrite tile cells the consumer segments just
-    // read, and without this sync that is a cross-warp write-after-read
-    // race on real hardware — invisible to lockstep value comparison, but
-    // flagged by the interpreter's hazard detector.
-    if !staged.is_empty() && !matches!(loop_body.last(), Some(Stmt::SyncThreads)) {
-        loop_body.push(Stmt::SyncThreads);
-    }
-
-    body.push(Stmt::For {
-        var: "k".into(),
-        init: b::int(k_lo),
-        cond: b::lt(b::var("k"), b::int(k_hi)),
-        step: b::int(1),
-        body: loop_body,
-    });
-
-    let (params, args) = build_params(cms, &canon_scalars);
-    let complex = !flow_arrays.is_empty();
-    let report = FusionReport {
-        members: cms.iter().map(|m| m.seq).collect(),
-        staged: staged.clone(),
-        complex,
-        merged: true,
-        smem_bytes,
-        notes: vec![format!(
-            "{} fusion of {} members; {} staged arrays, {} B shared memory",
-            if complex { "complex" } else { "simple" },
-            cms.len(),
-            staged.len(),
-            smem_bytes
-        )],
-    };
-    Ok(FusedKernel {
-        kernel: Kernel {
-            name: name.into(),
-            params,
-            body,
-        },
-        grid,
-        block,
-        args,
-        report,
-    })
+    Ok(Form::Merged { ranges, tiles })
 }
 
 pub(crate) fn tile_name(array: &str) -> String {
@@ -774,18 +869,26 @@ fn build_params(
         })
         .collect();
     let mut args: Vec<ResolvedArg> = order.iter().map(|a| ResolvedArg::Array(a.clone())).collect();
-    for (name, v) in canon_scalars {
+    let (scalar_params, scalar_args) = scalar_params(canon_scalars);
+    params.extend(scalar_params);
+    args.extend(scalar_args);
+    (params, args)
+}
+
+/// The shared scalar environment as trailing kernel parameters and the
+/// launch arguments binding them.
+pub(crate) fn scalar_params(
+    canon_scalars: &BTreeMap<String, HostValue>,
+) -> (Vec<Param>, Vec<ResolvedArg>) {
+    let param = |(name, v): (&String, &HostValue)| {
         let ty = match v {
             HostValue::Int(_) => ScalarType::I32,
             HostValue::Float(_) => ScalarType::F64,
         };
-        params.push(Param::Scalar {
-            name: name.clone(),
-            ty,
-        });
-        args.push(ResolvedArg::Scalar(*v));
-    }
-    (params, args)
+        let name = name.clone();
+        (Param::Scalar { name, ty }, ResolvedArg::Scalar(*v))
+    };
+    canon_scalars.iter().map(param).unzip()
 }
 
 /// Bounds-clamped global read `(0 <= idx < cover) ? A[kk][jj][ii] : 0.0`.
@@ -827,6 +930,38 @@ pub(crate) fn clamped_read(
     }
 }
 
+/// The up-to-eight halo bands of a `wx`×`wy` halo around a `bx`×`by` block,
+/// edges before corners, as `(cx, cy, conds)`: the band's side per axis (−1,
+/// 0, +1) and the thread-index conditions selecting the block-edge threads
+/// that fill it. Every halo cell has exactly one writer.
+pub(crate) fn halo_bands(wx: i64, wy: i64, bx: i64, by: i64) -> Vec<(i64, i64, Vec<Expr>)> {
+    let side = |t: &str, c: i64, w: i64, extent: i64| match c {
+        0 => None,
+        c if c < 0 => Some(b::lt(b::var(t), b::int(w))),
+        _ => Some(b::ge(b::var(t), b::int(extent - w))),
+    };
+    const SIDES: [(i64, i64); 8] = [
+        (-1, 0),
+        (1, 0),
+        (0, -1),
+        (0, 1),
+        (-1, -1),
+        (-1, 1),
+        (1, -1),
+        (1, 1),
+    ];
+    SIDES
+        .into_iter()
+        .filter(|&(cx, cy)| (cx == 0 || wx > 0) && (cy == 0 || wy > 0))
+        .map(|(cx, cy)| {
+            let conds = side("tx", cx, wx, bx)
+                .into_iter()
+                .chain(side("ty", cy, wy, by));
+            (cx, cy, conds.collect())
+        })
+        .collect()
+}
+
 /// Staging loads (main + halo) for one read-only shared array.
 pub(crate) fn stage_loads(
     st: &StagedArray,
@@ -835,147 +970,42 @@ pub(crate) fn stage_loads(
     cover_x: i64,
     cover_y: i64,
 ) -> Vec<Stmt> {
-    let tile = tile_name(&st.array);
     let (rx, ry) = (st.rx, st.ry);
-    let mut out = Vec::new();
-
-    let store = |sy: Expr, sx: Expr, val: Expr| Stmt::Assign {
+    // `s[ty+ry+cy·ry][tx+rx+cx·rx] = A[k][j+cy·ry][i+cx·rx]`, clamped on the
+    // sides of the grid that site can fall off.
+    let load = |cx: i64, cy: i64, clamp: (bool, bool, bool, bool)| Stmt::Assign {
         target: LValue::Index {
-            array: tile.clone(),
-            indices: vec![sy, sx],
+            array: tile_name(&st.array),
+            indices: vec![
+                b::offset(b::var("ty"), (cy + 1) * ry),
+                b::offset(b::var("tx"), (cx + 1) * rx),
+            ],
         },
         op: AssignOp::Assign,
-        value: val,
-    };
-    let guard_if = |cond: Expr, stmts: Vec<Stmt>| Stmt::If {
-        cond,
-        then_body: stmts,
-        else_body: Vec::new(),
-    };
-
-    // Main load: s[ty+ry][tx+rx] = A[k][j][i] (clamped at the grid edge).
-    out.push(store(
-        b::offset(b::var("ty"), ry),
-        b::offset(b::var("tx"), rx),
-        clamped_read(
+        value: clamped_read(
             &st.array,
             b::var("k"),
-            b::var("j"),
-            b::var("i"),
+            b::offset(b::var("j"), cy * ry),
+            b::offset(b::var("i"), cx * rx),
             cover_x,
             cover_y,
-            (false, true, false, true),
+            clamp,
         ),
-    ));
-    if rx > 0 {
-        out.push(guard_if(
-            b::lt(b::var("tx"), b::int(rx)),
-            vec![store(
-                b::offset(b::var("ty"), ry),
-                b::var("tx"),
-                clamped_read(
-                    &st.array,
-                    b::var("k"),
-                    b::var("j"),
-                    b::offset(b::var("i"), -rx),
-                    cover_x,
-                    cover_y,
-                    (true, false, false, true),
-                ),
-            )],
-        ));
-        out.push(guard_if(
-            b::ge(b::var("tx"), b::int(bx - rx)),
-            vec![store(
-                b::offset(b::var("ty"), ry),
-                b::offset(b::var("tx"), 2 * rx),
-                clamped_read(
-                    &st.array,
-                    b::var("k"),
-                    b::var("j"),
-                    b::offset(b::var("i"), rx),
-                    cover_x,
-                    cover_y,
-                    (false, true, false, true),
-                ),
-            )],
-        ));
-    }
-    if ry > 0 {
-        out.push(guard_if(
-            b::lt(b::var("ty"), b::int(ry)),
-            vec![store(
-                b::var("ty"),
-                b::offset(b::var("tx"), rx),
-                clamped_read(
-                    &st.array,
-                    b::var("k"),
-                    b::offset(b::var("j"), -ry),
-                    b::var("i"),
-                    cover_x,
-                    cover_y,
-                    (false, true, true, false),
-                ),
-            )],
-        ));
-        out.push(guard_if(
-            b::ge(b::var("ty"), b::int(by - ry)),
-            vec![store(
-                b::offset(b::var("ty"), 2 * ry),
-                b::offset(b::var("tx"), rx),
-                clamped_read(
-                    &st.array,
-                    b::var("k"),
-                    b::offset(b::var("j"), ry),
-                    b::var("i"),
-                    cover_x,
-                    cover_y,
-                    (false, true, false, true),
-                ),
-            )],
-        ));
-    }
-    if rx > 0 && ry > 0 {
-        for (cx, cy) in [(-1i64, -1i64), (-1, 1), (1, -1), (1, 1)] {
-            let cond = b::and(
-                if cx < 0 {
-                    b::lt(b::var("tx"), b::int(rx))
-                } else {
-                    b::ge(b::var("tx"), b::int(bx - rx))
-                },
-                if cy < 0 {
-                    b::lt(b::var("ty"), b::int(ry))
-                } else {
-                    b::ge(b::var("ty"), b::int(by - ry))
-                },
-            );
-            let sx = if cx < 0 {
-                b::var("tx")
-            } else {
-                b::offset(b::var("tx"), 2 * rx)
-            };
-            let sy = if cy < 0 {
-                b::var("ty")
-            } else {
-                b::offset(b::var("ty"), 2 * ry)
-            };
-            out.push(guard_if(
-                cond,
-                vec![store(
-                    sy,
-                    sx,
-                    clamped_read(
-                        &st.array,
-                        b::var("k"),
-                        b::offset(b::var("j"), cy * ry),
-                        b::offset(b::var("i"), cx * rx),
-                        cover_x,
-                        cover_y,
-                        (true, true, true, true),
-                    ),
-                )],
-            ));
-        }
+    };
+    let mut out = vec![load(0, 0, (false, true, false, true))];
+    for (cx, cy, conds) in halo_bands(rx, ry, bx, by) {
+        let corner = cx != 0 && cy != 0;
+        let clamp = (
+            cx < 0 || corner,
+            cx >= 0 || corner,
+            cy < 0 || corner,
+            cy >= 0 || corner,
+        );
+        out.push(Stmt::If {
+            cond: b::all(conds),
+            then_body: vec![load(cx, cy, clamp)],
+            else_body: Vec::new(),
+        });
     }
     out
 }
@@ -1074,30 +1104,7 @@ fn instrument_producer(
         _ => {}
     });
     let mut rhs = rhs;
-    for _ in 0..=local_defs.len() {
-        let mut still = false;
-        visit::rewrite_expr(&mut rhs, &mut |e| {
-            if let Expr::Var(n) = e {
-                if reassigned.contains(n) {
-                    return None;
-                }
-                if let Some((_, def)) = local_defs.iter().find(|(name, _)| name == n) {
-                    return Some(def.clone());
-                }
-            }
-            None
-        });
-        visit::walk_expr(&rhs, &mut |e| {
-            if let Expr::Var(n) = e {
-                if !reassigned.contains(n) && local_defs.iter().any(|(name, _)| name == n) {
-                    still = true;
-                }
-            }
-        });
-        if !still {
-            break;
-        }
-    }
+    inline_locals(&mut rhs, &local_defs, &reassigned);
     let mut unresolved = None;
     visit::walk_expr(&rhs, &mut |e| {
         if let Expr::Var(n) = e {
@@ -1119,8 +1126,9 @@ fn instrument_producer(
     // Halo recomputation: for each halo region, recompute the producer RHS
     // at the shifted site when that site is inside the producer's domain.
     let g = &m.guard;
-    let mut region = |cond: Expr, sy: Expr, sx: Expr, dj: i64, di: i64| {
-        let shifted = shift_expr(&rhs, di, dj);
+    let (rx, ry) = (st.rx, st.ry);
+    for (cx, cy, conds) in halo_bands(rx, ry, bx, by) {
+        let (di, dj) = (cx * rx, cy * ry);
         let ii = b::offset(b::var("i"), di);
         let jj = b::offset(b::var("j"), dj);
         let dom = b::all(vec![
@@ -1131,83 +1139,48 @@ fn instrument_producer(
         ]);
         let val = Expr::Ternary {
             cond: Box::new(dom),
-            then_val: Box::new(shifted),
+            then_val: Box::new(shift_expr(&rhs, di, dj)),
             else_val: Box::new(b::flt(0.0)),
         };
         halo_out.push(Stmt::If {
-            cond,
+            cond: b::all(conds),
             then_body: vec![Stmt::Assign {
                 target: LValue::Index {
                     array: tile_name(&st.array),
-                    indices: vec![sy, sx],
+                    indices: vec![
+                        b::offset(b::var("ty"), (cy + 1) * ry),
+                        b::offset(b::var("tx"), (cx + 1) * rx),
+                    ],
                 },
                 op: AssignOp::Assign,
                 value: val,
             }],
             else_body: Vec::new(),
         });
-    };
-    let (rx, ry) = (st.rx, st.ry);
-    if rx > 0 {
-        region(
-            b::lt(b::var("tx"), b::int(rx)),
-            b::offset(b::var("ty"), ry),
-            b::var("tx"),
-            0,
-            -rx,
-        );
-        region(
-            b::ge(b::var("tx"), b::int(bx - rx)),
-            b::offset(b::var("ty"), ry),
-            b::offset(b::var("tx"), 2 * rx),
-            0,
-            rx,
-        );
-    }
-    if ry > 0 {
-        region(
-            b::lt(b::var("ty"), b::int(ry)),
-            b::var("ty"),
-            b::offset(b::var("tx"), rx),
-            -ry,
-            0,
-        );
-        region(
-            b::ge(b::var("ty"), b::int(by - ry)),
-            b::offset(b::var("ty"), 2 * ry),
-            b::offset(b::var("tx"), rx),
-            ry,
-            0,
-        );
-    }
-    if rx > 0 && ry > 0 {
-        for (cx, cy) in [(-1i64, -1i64), (-1, 1), (1, -1), (1, 1)] {
-            let cond = b::and(
-                if cx < 0 {
-                    b::lt(b::var("tx"), b::int(rx))
-                } else {
-                    b::ge(b::var("tx"), b::int(bx - rx))
-                },
-                if cy < 0 {
-                    b::lt(b::var("ty"), b::int(ry))
-                } else {
-                    b::ge(b::var("ty"), b::int(by - ry))
-                },
-            );
-            let sx = if cx < 0 {
-                b::var("tx")
-            } else {
-                b::offset(b::var("tx"), 2 * rx)
-            };
-            let sy = if cy < 0 {
-                b::var("ty")
-            } else {
-                b::offset(b::var("ty"), 2 * ry)
-            };
-            region(cond, sy, sx, cy * ry, cx * rx);
-        }
     }
     Ok(())
+}
+
+/// Substitute local definitions into `rhs`, transitively, leaving
+/// `reassigned` locals alone (their declaration is not their value).
+pub(crate) fn inline_locals(rhs: &mut Expr, local_defs: &[(String, Expr)], reassigned: &[String]) {
+    let def_of = |n: &String| {
+        let def = local_defs.iter().find(|(name, _)| name == n);
+        def.filter(|_| !reassigned.contains(n)).map(|(_, def)| def)
+    };
+    for _ in 0..=local_defs.len() {
+        visit::rewrite_expr(rhs, &mut |e| match e {
+            Expr::Var(n) => def_of(n).cloned(),
+            _ => None,
+        });
+        let mut still = false;
+        visit::walk_expr(rhs, &mut |e| {
+            still |= matches!(e, Expr::Var(n) if def_of(n).is_some());
+        });
+        if !still {
+            break;
+        }
+    }
 }
 
 pub(crate) fn find_write(stmts: &[Stmt], array: &str, rhs: &mut Option<Expr>, count: &mut usize) {

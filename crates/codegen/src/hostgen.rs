@@ -21,6 +21,7 @@ use sf_minicuda::host::{
 };
 use sf_minicuda::visit;
 use sf_plan::{BlockDims, MemberRef, PrecedenceClass, TransformPlan};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a fusion attempt for one group failed.
@@ -88,6 +89,23 @@ struct EmittedLaunch {
     args: Vec<ResolvedArg>,
     ctx: Option<LoopCtx>,
 }
+
+impl EmittedLaunch {
+    /// A member launch emitted as recorded (unfused).
+    fn of(l: LaunchRecord, ctx: Option<LoopCtx>) -> EmittedLaunch {
+        EmittedLaunch {
+            kernel: l.kernel,
+            grid: l.grid,
+            block: l.block,
+            args: l.args,
+            ctx,
+        }
+    }
+}
+
+/// A resolved group member: the original kernel and launch, borrowed unless
+/// fission or instance renaming had to build new ones.
+type Member<'a> = (Cow<'a, Kernel>, Cow<'a, LaunchRecord>);
 
 /// One rung of the per-group degradation ladder, highest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,73 +221,77 @@ pub fn transform_program_with(
             format!("{name}__i{inst}")
         }
     };
-    // Rewrite a launch's array arguments to the instance storages.
-    let apply_instances = |kernel: &Kernel, launch: &mut LaunchRecord| {
+    // Rewrite a launch's array arguments to the instance storages; the
+    // launch is cloned only if some argument actually moves.
+    let apply_instances = |kernel: &Kernel, launch: &mut Cow<'_, LaunchRecord>| {
         let Some(ddg) = &ddg else { return };
         let written = visit::arrays_written(&kernel.body);
-        for (p, a) in kernel.params.iter().zip(launch.args.iter_mut()) {
-            if let (Param::Array { name, .. }, ResolvedArg::Array(actual)) = (p, a) {
-                let inst = if written.contains(name) {
-                    ddg.write_instance
-                        .get(&(launch.seq, actual.clone()))
-                        .copied()
-                        .unwrap_or(0)
-                } else {
-                    ddg.read_instance
-                        .get(&(launch.seq, actual.clone()))
-                        .copied()
-                        .unwrap_or(0)
-                };
-                *actual = storage(actual, inst);
+        for (pi, p) in kernel.params.iter().enumerate().take(launch.args.len()) {
+            let (Param::Array { name, .. }, ResolvedArg::Array(actual)) = (p, &launch.args[pi])
+            else {
+                continue;
+            };
+            let instances = if written.contains(name) {
+                &ddg.write_instance
+            } else {
+                &ddg.read_instance
+            };
+            let inst = instances
+                .get(&(launch.seq, actual.clone()))
+                .copied()
+                .unwrap_or(0);
+            let stored = storage(actual, inst);
+            if stored != *actual {
+                launch.to_mut().args[pi] = ResolvedArg::Array(stored);
             }
         }
     };
 
-    // Fission products, computed lazily per kernel name.
+    // Fission products, computed lazily per kernel name. Members borrow the
+    // original kernels and launches; only fission products are owned.
     let mut fissions: BTreeMap<String, Vec<FissionProduct>> = BTreeMap::new();
-    let mut resolve =
-        |mref: &MemberRef| -> Result<(Kernel, LaunchRecord), CodegenError> {
-            let launch = plan
-                .launches
-                .get(mref.seq)
-                .ok_or_else(|| CodegenError(format!("unknown launch seq {}", mref.seq)))?;
-            let kernel = original
-                .kernel(&launch.kernel)
-                .ok_or_else(|| CodegenError(format!("unknown kernel `{}`", launch.kernel)))?;
-            match mref.fission_component {
-                None => {
-                    let mut l = launch.clone();
-                    apply_instances(kernel, &mut l);
-                    Ok((kernel.clone(), l))
-                }
-                Some(c) => {
-                    let prods = fissions
-                        .entry(kernel.name.clone())
-                        .or_insert_with(|| fission_kernel(kernel).unwrap_or_default());
-                    let p = prods.get(c).ok_or_else(|| {
-                        CodegenError(format!(
-                            "kernel `{}` has no fission component {c}",
-                            kernel.name
-                        ))
-                    })?;
-                    let args: Vec<ResolvedArg> = p
-                        .kept_params
-                        .iter()
-                        .map(|&i| launch.args[i].clone())
-                        .collect();
-                    let mut l = LaunchRecord {
-                        seq: launch.seq,
-                        kernel: p.kernel.name.clone(),
-                        grid: launch.grid,
-                        block: launch.block,
-                        args,
-                        repeat: launch.repeat,
-                    };
-                    apply_instances(&p.kernel, &mut l);
-                    Ok((p.kernel.clone(), l))
-                }
+    let mut resolve = |mref: &MemberRef| -> Result<Member<'_>, CodegenError> {
+        let launch = plan
+            .launches
+            .get(mref.seq)
+            .ok_or_else(|| CodegenError(format!("unknown launch seq {}", mref.seq)))?;
+        let kernel = original
+            .kernel(&launch.kernel)
+            .ok_or_else(|| CodegenError(format!("unknown kernel `{}`", launch.kernel)))?;
+        match mref.fission_component {
+            None => {
+                let mut l = Cow::Borrowed(launch);
+                apply_instances(kernel, &mut l);
+                Ok((Cow::Borrowed(kernel), l))
             }
-        };
+            Some(c) => {
+                let prods = fissions
+                    .entry(kernel.name.clone())
+                    .or_insert_with(|| fission_kernel(kernel).unwrap_or_default());
+                let p = prods.get(c).ok_or_else(|| {
+                    CodegenError(format!(
+                        "kernel `{}` has no fission component {c}",
+                        kernel.name
+                    ))
+                })?;
+                let args: Vec<ResolvedArg> = p
+                    .kept_params
+                    .iter()
+                    .map(|&i| launch.args[i].clone())
+                    .collect();
+                let mut l = Cow::Owned(LaunchRecord {
+                    seq: launch.seq,
+                    kernel: p.kernel.name.clone(),
+                    grid: launch.grid,
+                    block: launch.block,
+                    args,
+                    repeat: launch.repeat,
+                });
+                apply_instances(&p.kernel, &mut l);
+                Ok((Cow::Owned(p.kernel.clone()), l))
+            }
+        }
+    };
 
     let mut new_kernels: Vec<Kernel> = Vec::new();
     let mut new_launches: Vec<EmittedLaunch> = Vec::new();
@@ -282,9 +304,9 @@ pub fn transform_program_with(
     // group with what the generator actually emitted.
     let mut exec_plan = tplan.clone();
 
-    let push_kernel = |kernels: &mut Vec<Kernel>, k: Kernel| {
+    let push_kernel = |kernels: &mut Vec<Kernel>, k: Cow<'_, Kernel>| {
         if !kernels.iter().any(|e| e.name == k.name) {
-            kernels.push(k);
+            kernels.push(k.into_owned());
         }
     };
 
@@ -298,13 +320,7 @@ pub fn transform_program_with(
                 .get(&group.members[0].seq)
                 .map(|&li| LoopCtx::Plain { loop_id: li });
             push_kernel(&mut new_kernels, k);
-            new_launches.push(EmittedLaunch {
-                kernel: l.kernel.clone(),
-                grid: l.grid,
-                block: l.block,
-                args: l.args.clone(),
-                ctx,
-            });
+            new_launches.push(EmittedLaunch::of(l.into_owned(), ctx));
             continue;
         }
         // Multi-member group: fuse. A group may not straddle a host time
@@ -322,13 +338,13 @@ pub fn transform_program_with(
             )));
         }
         let group_loop: Option<usize> = member_loops.into_iter().next().flatten();
-        let resolved: Vec<(Kernel, LaunchRecord)> = group
+        let resolved: Vec<Member<'_>> = group
             .members
             .iter()
             .map(&mut resolve)
             .collect::<Result<_, _>>()?;
-        let member_refs: Vec<(&Kernel, LaunchRecord)> =
-            resolved.iter().map(|(k, l)| (k, l.clone())).collect();
+        let member_refs: Vec<(&Kernel, &LaunchRecord)> =
+            resolved.iter().map(|(k, l)| (&**k, &**l)).collect();
         let name = format!("fused_{gi}");
         let initial_block = resolved[0].1.block;
         // Preconditions for temporal folding: the group must cover an
@@ -493,7 +509,7 @@ pub fn transform_program_with(
                         shadow_allocs.push((sname.clone(), extents.clone()));
                     }
                 }
-                push_kernel(&mut new_kernels, tk.kernel);
+                push_kernel(&mut new_kernels, Cow::Owned(tk.kernel));
                 new_launches.push(EmittedLaunch {
                     kernel: name,
                     grid: tk.grid,
@@ -529,7 +545,7 @@ pub fn transform_program_with(
                 if let Some(n) = note {
                     tuning.push(n);
                 }
-                push_kernel(&mut new_kernels, fk.kernel);
+                push_kernel(&mut new_kernels, Cow::Owned(fk.kernel));
                 new_launches.push(EmittedLaunch {
                     kernel: name,
                     grid: fk.grid,
@@ -559,13 +575,7 @@ pub fn transform_program_with(
                         .get(&l.seq)
                         .map(|&li| LoopCtx::Plain { loop_id: li });
                     push_kernel(&mut new_kernels, k);
-                    new_launches.push(EmittedLaunch {
-                        kernel: l.kernel.clone(),
-                        grid: l.grid,
-                        block: l.block,
-                        args: l.args,
-                        ctx,
-                    });
+                    new_launches.push(EmittedLaunch::of(l.into_owned(), ctx));
                 }
             }
         }

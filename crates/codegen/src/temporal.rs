@@ -26,12 +26,11 @@
 
 use crate::canon::{self, CanonMember, MemberStructure};
 use crate::fuse::{
-    affine_off, decl_int, shift_expr, stage_loads, tile_name, CodegenError, FusionReport,
-    StagedArray,
+    affine_off, decl_int, grid_and_cover, halo_bands, inline_locals, scalar_params, shift_expr,
+    stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
 };
-use crate::tuning::kernel_occupancy;
+use crate::tuning::{tune_block, TuneNote};
 use sf_gpusim::device::DeviceSpec;
-use sf_gpusim::occupancy;
 use sf_minicuda::ast::*;
 use sf_minicuda::builder as b;
 use sf_minicuda::host::{AllocInfo, Dim3, HostValue, LaunchRecord, ResolvedArg};
@@ -70,334 +69,334 @@ struct Step {
     k_hi: i64,
 }
 
+/// Everything about a temporal group that does not depend on the
+/// thread-block shape — member steps, accumulated halo, every
+/// block-independent legality rule — computed once by [`Self::new`]. Per
+/// block there remain the tile footprint with its two legality rules
+/// ([`Self::smem_bytes`]) and the code ([`Self::emit`]).
+pub struct TemporalAnalysis {
+    name: String,
+    fold: u32,
+    smem_limit: usize,
+    /// Launch sequence numbers of the members, in chain order.
+    members: Vec<usize>,
+    /// Parameters (touched arrays, an `__out` per written array, scalars)
+    /// and their arguments on the odd (originals → shadows) and even launches.
+    params: Vec<Param>,
+    args_a: Vec<ResolvedArg>,
+    args_b: Vec<ResolvedArg>,
+    /// Arrays some member writes, in first-use order.
+    written: Vec<String>,
+    /// The uniform `[kz, ny, nx]` extents of every touched array, and the
+    /// shadow arrays of that shape the host must allocate.
+    domain: [i64; 3],
+    shadows: Vec<(String, Vec<usize>)>,
+    steps: Vec<Step>,
+    /// Accumulated halo `D = T · Σ r` per axis.
+    dx: i64,
+    dy: i64,
+    /// Launch coverage: the write-out must reach the full domain even when
+    /// a member's own launch under-covered it.
+    need_x: i64,
+    need_y: i64,
+}
+
 /// Fold `fold` iterations of the member chain into one kernel.
 ///
 /// `members` is the loop body in host order; `allocs` supplies the concrete
 /// domain extents for staging clamps and write-out guards.
 pub fn fuse_group_temporal(
-    members: &[(&Kernel, LaunchRecord)],
+    members: &[(&Kernel, &LaunchRecord)],
     block: Dim3,
     name: &str,
     smem_limit: usize,
     fold: u32,
     allocs: &[AllocInfo],
 ) -> Result<TemporalKernel, CodegenError> {
-    if members.len() < 2 {
-        return Err(CodegenError(
-            "temporal group needs at least 2 members".into(),
-        ));
-    }
-    if fold < 2 {
-        return Err(CodegenError(format!(
-            "temporal fold degree must be >= 2, got {fold}"
-        )));
-    }
-    let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
-    let mut cms: Vec<CanonMember> = Vec::new();
-    for (idx, (k, l)) in members.iter().enumerate() {
-        cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
-    }
-
-    // Touched arrays in first-use order; written subset.
-    let mut touched: Vec<String> = Vec::new();
-    let mut written: Vec<String> = Vec::new();
-    for m in &cms {
-        for ab in &m.arrays {
-            if !touched.contains(&ab.actual) {
-                touched.push(ab.actual.clone());
-            }
-            if ab.written && !written.contains(&ab.actual) {
-                written.push(ab.actual.clone());
-            }
-        }
-    }
-
-    // Uniform rank-3 extents across every touched array.
-    let mut extents: Option<Vec<usize>> = None;
-    for a in &touched {
-        let info = allocs
-            .iter()
-            .find(|al| &al.name == a)
-            .ok_or_else(|| CodegenError(format!("no allocation for array `{a}`")))?;
-        if info.extents.len() != 3 {
-            return Err(CodegenError(format!(
-                "array `{a}` is rank-{}; temporal folding needs rank-3 domains",
-                info.extents.len()
-            )));
-        }
-        match &extents {
-            None => extents = Some(info.extents.clone()),
-            Some(e) if *e == info.extents => {}
-            Some(e) => {
-                return Err(CodegenError(format!(
-                    "array `{a}` extents {:?} differ from {:?}; temporal folding \
-                     needs a uniform domain",
-                    info.extents, e
-                )))
-            }
-        }
-    }
-    let extents = extents.expect("non-empty group");
-    let (kz, ny, nx) = (extents[0] as i64, extents[1] as i64, extents[2] as i64);
-    for a in &written {
-        let shadow = format!("{a}__tb");
-        if allocs.iter().any(|al| al.name == shadow) {
-            return Err(CodegenError(format!(
-                "shadow array name `{shadow}` collides with an existing allocation"
-            )));
-        }
-    }
-
-    // Extract each member's step form.
-    let steps: Vec<Step> = cms
-        .iter()
-        .map(|m| extract_step(m, &written, &canon_scalars, kz))
-        .collect::<Result<_, _>>()?;
-
-    let (bx, by) = (block.x as i64, block.y as i64);
-    let dx: i64 = i64::from(fold) * steps.iter().map(|s| s.rx).sum::<i64>();
-    let dy: i64 = i64::from(fold) * steps.iter().map(|s| s.ry).sum::<i64>();
-    if 2 * dx > bx || 2 * dy > by {
-        return Err(CodegenError(format!(
-            "accumulated temporal halo {dx}x{dy} too large for block {bx}x{by}"
-        )));
-    }
-    let tile_bytes = ((bx + 2 * dx) * (by + 2 * dy) * 8) as usize;
-    let smem_bytes = written.len() * tile_bytes;
-    if smem_bytes > smem_limit {
-        return Err(CodegenError(format!(
-            "temporal group needs {smem_bytes} B shared memory, device limit {smem_limit} B"
-        )));
-    }
-
-    // Launch coverage: the write-out must reach the full domain even when a
-    // member's own launch under-covered it.
-    let need_x = cms.iter().map(|m| m.launch_x).max().unwrap_or(1).max(nx);
-    let need_y = cms.iter().map(|m| m.launch_y).max().unwrap_or(1).max(ny);
-    let grid = Dim3::new(
-        (need_x as u32).div_ceil(block.x),
-        (need_y as u32).div_ceil(block.y),
-        1,
-    );
-
-    let staged: Vec<StagedArray> = written
-        .iter()
-        .map(|a| StagedArray {
-            array: a.clone(),
-            rx: dx,
-            ry: dy,
-            tile_bytes,
-            flow: true,
-            producer: None,
-        })
-        .collect();
-
-    // ----- body -----
-    let mut body: Vec<Stmt> = b::thread_mapping_2d();
-    body.push(decl_int("tx", Expr::Builtin(Builtin::ThreadIdx(Axis::X))));
-    body.push(decl_int("ty", Expr::Builtin(Builtin::ThreadIdx(Axis::Y))));
-    for st in &staged {
-        body.push(Stmt::SharedDecl {
-            name: tile_name(&st.array),
-            ty: ScalarType::F64,
-            extents: vec![(by + 2 * dy) as usize, (bx + 2 * dx) as usize],
-        });
-    }
-
-    let mut loop_body: Vec<Stmt> = Vec::new();
-    // Stage every written array's entry state, clamped at the true domain.
-    for st in &staged {
-        loop_body.extend(stage_loads(st, bx, by, nx, ny));
-    }
-    loop_body.push(Stmt::SyncThreads);
-
-    // Per-step halo widths: step s must produce values out to the sum of
-    // all *later* steps' tile-read radii.
-    let total_steps = fold as usize * steps.len();
-    let step_r = |s: usize| -> (i64, i64) {
-        let m = &steps[s % steps.len()];
-        (m.rx, m.ry)
-    };
-    let width = |s: usize| -> (i64, i64) {
-        let mut wx = 0;
-        let mut wy = 0;
-        for t in (s + 1)..total_steps {
-            let (rx, ry) = step_r(t);
-            wx += rx;
-            wy += ry;
-        }
-        (wx, wy)
-    };
-
-    for s in 0..total_steps {
-        let step = &steps[s % steps.len()];
-        let (wx, wy) = width(s);
-        loop_body.extend(emit_step(step, &written, wx, wy, dx, dy, bx, by, kz));
-        loop_body.push(Stmt::SyncThreads);
-    }
-
-    // Write-out: tile centers hold the folded state (or the staged entry
-    // value at sites every guard excluded — exact passthrough).
-    let mut writes = Vec::new();
-    for a in &written {
-        writes.push(Stmt::Assign {
-            target: LValue::Index {
-                array: format!("{a}__out"),
-                indices: vec![b::var("k"), b::var("j"), b::var("i")],
-            },
-            op: AssignOp::Assign,
-            value: Expr::Index {
-                array: tile_name(a),
-                indices: vec![b::offset(b::var("ty"), dy), b::offset(b::var("tx"), dx)],
-            },
-        });
-    }
-    loop_body.push(Stmt::If {
-        cond: b::and(b::lt(b::var("i"), b::int(nx)), b::lt(b::var("j"), b::int(ny))),
-        then_body: writes,
-        else_body: Vec::new(),
-    });
-    // The next plane's staging overwrites the cells this plane consumed.
-    loop_body.push(Stmt::SyncThreads);
-
-    body.push(Stmt::For {
-        var: "k".into(),
-        init: b::int(0),
-        cond: b::lt(b::var("k"), b::int(kz)),
-        step: b::int(1),
-        body: loop_body,
-    });
-
-    // ----- params and ping-pong args -----
-    let mut params: Vec<Param> = touched
-        .iter()
-        .map(|a| Param::Array {
-            name: a.clone(),
-            elem: ScalarType::F64,
-            is_const: true,
-        })
-        .collect();
-    for a in &written {
-        params.push(Param::Array {
-            name: format!("{a}__out"),
-            elem: ScalarType::F64,
-            is_const: false,
-        });
-    }
-    let mut args_a: Vec<ResolvedArg> = touched.iter().map(|a| ResolvedArg::Array(a.clone())).collect();
-    let mut args_b: Vec<ResolvedArg> = touched
-        .iter()
-        .map(|a| {
-            if written.contains(a) {
-                ResolvedArg::Array(format!("{a}__tb"))
-            } else {
-                ResolvedArg::Array(a.clone())
-            }
-        })
-        .collect();
-    for a in &written {
-        args_a.push(ResolvedArg::Array(format!("{a}__tb")));
-        args_b.push(ResolvedArg::Array(a.clone()));
-    }
-    for (sname, v) in &canon_scalars {
-        let ty = match v {
-            HostValue::Int(_) => ScalarType::I32,
-            HostValue::Float(_) => ScalarType::F64,
-        };
-        params.push(Param::Scalar {
-            name: sname.clone(),
-            ty,
-        });
-        args_a.push(ResolvedArg::Scalar(*v));
-        args_b.push(ResolvedArg::Scalar(*v));
-    }
-
-    let shadows: Vec<(String, Vec<usize>)> = written
-        .iter()
-        .map(|a| (format!("{a}__tb"), extents.clone()))
-        .collect();
-    let report = FusionReport {
-        members: cms.iter().map(|m| m.seq).collect(),
-        staged: staged.clone(),
-        complex: true,
-        merged: true,
-        smem_bytes,
-        notes: vec![format!(
-            "temporal fold of degree {fold} over {} members; halo {dx}x{dy}, \
-             {} staged arrays, {smem_bytes} B shared memory",
-            cms.len(),
-            staged.len(),
-        )],
-    };
-    Ok(TemporalKernel {
-        kernel: Kernel {
-            name: name.into(),
-            params,
-            body,
-        },
-        grid,
-        block,
-        args_a,
-        args_b,
-        shadows,
-        report,
-    })
+    TemporalAnalysis::new(members, name, smem_limit, fold, allocs)?.emit(block)
 }
 
-/// Generate the temporal kernel at the occupancy-optimal block size,
-/// mirroring [`crate::tuning::fuse_group_tuned`].
+/// Generate the temporal kernel at the occupancy-optimal block size.
 pub fn fuse_group_temporal_tuned(
-    members: &[(&Kernel, LaunchRecord)],
+    members: &[(&Kernel, &LaunchRecord)],
     initial_block: Dim3,
     name: &str,
     device: &DeviceSpec,
     fold: u32,
     allocs: &[AllocInfo],
-) -> Result<(TemporalKernel, crate::tuning::TuneNote), CodegenError> {
-    let base = fuse_group_temporal(
-        members,
+) -> Result<(TemporalKernel, TuneNote), CodegenError> {
+    let group = TemporalAnalysis::new(members, name, device.smem_per_block_max, fold, allocs)?;
+    tune_block(
         initial_block,
-        name,
-        device.smem_per_block_max,
-        fold,
-        allocs,
-    )?;
-    let occ_before = kernel_occupancy(&base.kernel, initial_block, device)?;
-    let mut best = base;
-    let mut best_occ = occ_before;
-    let mut best_block = initial_block;
-    for cand in occupancy::candidate_blocks(device) {
-        if cand == initial_block {
-            continue;
+        device,
+        |block| group.smem_bytes(block),
+        |block| group.emit(block),
+        |fused| &fused.kernel,
+    )
+}
+
+impl TemporalAnalysis {
+    /// Canonicalize the members, extract their step forms and check every
+    /// legality rule that holds or fails regardless of the block shape.
+    pub fn new(
+        members: &[(&Kernel, &LaunchRecord)],
+        name: &str,
+        smem_limit: usize,
+        fold: u32,
+        allocs: &[AllocInfo],
+    ) -> Result<TemporalAnalysis, CodegenError> {
+        if members.len() < 2 {
+            return Err(CodegenError(
+                "temporal group needs at least 2 members".into(),
+            ));
         }
-        let Ok(tk) = fuse_group_temporal(
-            members,
-            cand,
+        if fold < 2 {
+            return Err(CodegenError(format!(
+                "temporal fold degree must be >= 2, got {fold}"
+            )));
+        }
+        let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
+        let mut cms: Vec<CanonMember> = Vec::new();
+        for (idx, (k, l)) in members.iter().enumerate() {
+            cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
+        }
+
+        // Touched arrays in first-use order; written subset.
+        let mut touched: Vec<String> = Vec::new();
+        let mut written: Vec<String> = Vec::new();
+        for m in &cms {
+            for ab in &m.arrays {
+                if !touched.contains(&ab.actual) {
+                    touched.push(ab.actual.clone());
+                }
+                if ab.written && !written.contains(&ab.actual) {
+                    written.push(ab.actual.clone());
+                }
+            }
+        }
+
+        // Uniform rank-3 extents across every touched array.
+        let mut extents: Option<Vec<usize>> = None;
+        for a in &touched {
+            let info = allocs
+                .iter()
+                .find(|al| &al.name == a)
+                .ok_or_else(|| CodegenError(format!("no allocation for array `{a}`")))?;
+            if info.extents.len() != 3 {
+                return Err(CodegenError(format!(
+                    "array `{a}` is rank-{}; temporal folding needs rank-3 domains",
+                    info.extents.len()
+                )));
+            }
+            match &extents {
+                None => extents = Some(info.extents.clone()),
+                Some(e) if *e == info.extents => {}
+                Some(e) => {
+                    return Err(CodegenError(format!(
+                        "array `{a}` extents {:?} differ from {:?}; temporal folding \
+                         needs a uniform domain",
+                        info.extents, e
+                    )))
+                }
+            }
+        }
+        let extents = extents.expect("non-empty group");
+        let (kz, ny, nx) = (extents[0] as i64, extents[1] as i64, extents[2] as i64);
+        for a in &written {
+            let shadow = format!("{a}__tb");
+            if allocs.iter().any(|al| al.name == shadow) {
+                return Err(CodegenError(format!(
+                    "shadow array name `{shadow}` collides with an existing allocation"
+                )));
+            }
+        }
+
+        // Extract each member's step form.
+        let steps: Vec<Step> = cms
+            .iter()
+            .map(|m| extract_step(m, &written, &canon_scalars, kz))
+            .collect::<Result<_, _>>()?;
+
+        let array = |name: String, is_const| Param::Array {
             name,
-            device.smem_per_block_max,
+            elem: ScalarType::F64,
+            is_const,
+        };
+        let shadow = |a: &String| format!("{a}__tb");
+        let entry_b = |a: &String| {
+            if written.contains(a) {
+                shadow(a)
+            } else {
+                a.clone()
+            }
+        };
+        let (scalar_params, scalar_args) = scalar_params(&canon_scalars);
+        let mut params: Vec<Param> = touched.iter().map(|a| array(a.clone(), true)).collect();
+        params.extend(written.iter().map(|a| array(format!("{a}__out"), false)));
+        params.extend(scalar_params);
+        let args = |entry: Vec<String>, out: Vec<String>| -> Vec<ResolvedArg> {
+            let arrays = entry.into_iter().chain(out).map(ResolvedArg::Array);
+            arrays.chain(scalar_args.iter().cloned()).collect()
+        };
+
+        Ok(TemporalAnalysis {
+            name: name.into(),
             fold,
-            allocs,
-        ) else {
-            continue;
-        };
-        let Ok(occ) = kernel_occupancy(&tk.kernel, cand, device) else {
-            continue;
-        };
-        if occ > best_occ + 1e-9 {
-            best = tk;
-            best_occ = occ;
-            best_block = cand;
-        }
+            smem_limit,
+            members: cms.iter().map(|m| m.seq).collect(),
+            dx: i64::from(fold) * steps.iter().map(|s| s.rx).sum::<i64>(),
+            dy: i64::from(fold) * steps.iter().map(|s| s.ry).sum::<i64>(),
+            need_x: cms.iter().map(|m| m.launch_x).max().unwrap_or(1).max(nx),
+            need_y: cms.iter().map(|m| m.launch_y).max().unwrap_or(1).max(ny),
+            params,
+            args_a: args(touched.clone(), written.iter().map(shadow).collect()),
+            args_b: args(touched.iter().map(entry_b).collect(), written.clone()),
+            shadows: written
+                .iter()
+                .map(|a| (shadow(a), extents.clone()))
+                .collect(),
+            written,
+            domain: [kz, ny, nx],
+            steps,
+        })
     }
-    let note = crate::tuning::TuneNote {
-        kernel: name.to_string(),
-        occupancy_before: occ_before,
-        occupancy_after: best_occ,
-        block_before: initial_block,
-        block_after: best_block,
-        tuned: best_block != initial_block,
-    };
-    Ok((best, note))
+
+    /// Static shared memory of the kernel [`TemporalAnalysis::emit`]
+    /// generates for `block` — one `(bx+2dx)(by+2dy)·8` tile per written
+    /// array — or the block-dependent legality rule `block` breaks: an
+    /// accumulated halo wider than half the block, or a footprint over the
+    /// device cap.
+    pub fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
+        let (bx, by) = (block.x as i64, block.y as i64);
+        let (dx, dy) = (self.dx, self.dy);
+        if 2 * dx > bx || 2 * dy > by {
+            return Err(CodegenError(format!(
+                "accumulated temporal halo {dx}x{dy} too large for block {bx}x{by}"
+            )));
+        }
+        let smem_bytes = self.written.len() * tile_bytes(block, dx, dy);
+        if smem_bytes > self.smem_limit {
+            return Err(CodegenError(format!(
+                "temporal group needs {smem_bytes} B shared memory, device limit {} B",
+                self.smem_limit
+            )));
+        }
+        Ok(smem_bytes)
+    }
+
+    /// Generate the temporal kernel for one block shape.
+    pub fn emit(&self, block: Dim3) -> Result<TemporalKernel, CodegenError> {
+        let smem_bytes = self.smem_bytes(block)?;
+        let (fold, written, steps) = (self.fold, &self.written, &self.steps);
+        let (dx, dy) = (self.dx, self.dy);
+        let (bx, by) = (block.x as i64, block.y as i64);
+        let [kz, ny, nx] = self.domain;
+        let (grid, _, _) = grid_and_cover(self.need_x, self.need_y, block);
+
+        let staged: Vec<StagedArray> = written
+            .iter()
+            .map(|a| StagedArray {
+                array: a.clone(),
+                rx: dx,
+                ry: dy,
+                tile_bytes: tile_bytes(block, dx, dy),
+                flow: true,
+                producer: None,
+            })
+            .collect();
+
+        // ----- body -----
+        let mut body: Vec<Stmt> = b::thread_mapping_2d();
+        body.push(decl_int("tx", Expr::Builtin(Builtin::ThreadIdx(Axis::X))));
+        body.push(decl_int("ty", Expr::Builtin(Builtin::ThreadIdx(Axis::Y))));
+        for st in &staged {
+            body.push(Stmt::SharedDecl {
+                name: tile_name(&st.array),
+                ty: ScalarType::F64,
+                extents: vec![(by + 2 * dy) as usize, (bx + 2 * dx) as usize],
+            });
+        }
+
+        let mut loop_body: Vec<Stmt> = Vec::new();
+        // Stage every written array's entry state, clamped at the true domain.
+        for st in &staged {
+            loop_body.extend(stage_loads(st, bx, by, nx, ny));
+        }
+        loop_body.push(Stmt::SyncThreads);
+
+        // Per-step halo widths: step s must produce values out to the sum of
+        // all *later* steps' tile-read radii — what is left of the
+        // accumulated halo after its own.
+        let (mut wx, mut wy) = (dx, dy);
+        for s in 0..fold as usize * steps.len() {
+            let step = &steps[s % steps.len()];
+            (wx, wy) = (wx - step.rx, wy - step.ry);
+            loop_body.extend(emit_step(step, written, wx, wy, dx, dy, bx, by, kz));
+            loop_body.push(Stmt::SyncThreads);
+        }
+
+        // Write-out: tile centers hold the folded state (or the staged entry
+        // value at sites every guard excluded — exact passthrough).
+        let mut writes = Vec::new();
+        for a in written {
+            writes.push(Stmt::Assign {
+                target: LValue::Index {
+                    array: format!("{a}__out"),
+                    indices: vec![b::var("k"), b::var("j"), b::var("i")],
+                },
+                op: AssignOp::Assign,
+                value: Expr::Index {
+                    array: tile_name(a),
+                    indices: vec![b::offset(b::var("ty"), dy), b::offset(b::var("tx"), dx)],
+                },
+            });
+        }
+        loop_body.push(Stmt::If {
+            cond: b::and(
+                b::lt(b::var("i"), b::int(nx)),
+                b::lt(b::var("j"), b::int(ny)),
+            ),
+            then_body: writes,
+            else_body: Vec::new(),
+        });
+        // The next plane's staging overwrites the cells this plane consumed.
+        loop_body.push(Stmt::SyncThreads);
+
+        body.push(Stmt::For {
+            var: "k".into(),
+            init: b::int(0),
+            cond: b::lt(b::var("k"), b::int(kz)),
+            step: b::int(1),
+            body: loop_body,
+        });
+
+        let report = FusionReport {
+            members: self.members.clone(),
+            staged: staged.clone(),
+            complex: true,
+            merged: true,
+            smem_bytes,
+            notes: vec![format!(
+                "temporal fold of degree {fold} over {} members; halo {dx}x{dy}, \
+                 {} staged arrays, {smem_bytes} B shared memory",
+                self.members.len(),
+                staged.len(),
+            )],
+        };
+        Ok(TemporalKernel {
+            kernel: Kernel {
+                name: self.name.clone(),
+                params: self.params.clone(),
+                body,
+            },
+            grid,
+            block,
+            args_a: self.args_a.clone(),
+            args_b: self.args_b.clone(),
+            shadows: self.shadows.clone(),
+            report,
+        })
+    }
 }
 
 /// Validate one member against the temporal legality rules and extract its
@@ -532,29 +531,8 @@ fn extract_step(
             }
         }
     }
-    // Inline locals transitively.
     let mut rhs = value.clone();
-    for _ in 0..=local_defs.len() {
-        let mut still = false;
-        visit::rewrite_expr(&mut rhs, &mut |e| {
-            if let Expr::Var(n) = e {
-                if let Some((_, def)) = local_defs.iter().find(|(name, _)| name == n) {
-                    return Some(def.clone());
-                }
-            }
-            None
-        });
-        visit::walk_expr(&rhs, &mut |e| {
-            if let Expr::Var(n) = e {
-                if local_defs.iter().any(|(name, _)| name == n) {
-                    still = true;
-                }
-            }
-        });
-        if !still {
-            break;
-        }
-    }
+    inline_locals(&mut rhs, &local_defs, &[]);
     // The inlined RHS may reference only the canonical site variables,
     // shared scalars, and array reads; anything else cannot be shifted.
     let mut bad: Option<String> = None;
@@ -664,31 +642,10 @@ fn emit_step(
 ) -> Vec<Stmt> {
     let mut out = Vec::new();
     // (x-shift, y-shift, thread-side conditions selecting the region's
-    // writer threads). Each region has a unique writer per tile cell.
-    let mut regions: Vec<(i64, i64, Vec<Expr>)> = vec![(0, 0, Vec::new())];
-    if wx > 0 {
-        regions.push((-wx, 0, vec![b::lt(b::var("tx"), b::int(wx))]));
-        regions.push((wx, 0, vec![b::ge(b::var("tx"), b::int(bx - wx))]));
-    }
-    if wy > 0 {
-        regions.push((0, -wy, vec![b::lt(b::var("ty"), b::int(wy))]));
-        regions.push((0, wy, vec![b::ge(b::var("ty"), b::int(by - wy))]));
-    }
-    if wx > 0 && wy > 0 {
-        for (cx, cy) in [(-1i64, -1i64), (-1, 1), (1, -1), (1, 1)] {
-            let tx_cond = if cx < 0 {
-                b::lt(b::var("tx"), b::int(wx))
-            } else {
-                b::ge(b::var("tx"), b::int(bx - wx))
-            };
-            let ty_cond = if cy < 0 {
-                b::lt(b::var("ty"), b::int(wy))
-            } else {
-                b::ge(b::var("ty"), b::int(by - wy))
-            };
-            regions.push((cx * wx, cy * wy, vec![tx_cond, ty_cond]));
-        }
-    }
+    // writer threads): the main region, then the halo bands.
+    let bands = halo_bands(wx, wy, bx, by).into_iter();
+    let regions = std::iter::once((0, 0, Vec::new()))
+        .chain(bands.map(|(cx, cy, conds)| (cx * wx, cy * wy, conds)));
 
     let g = &step.guard;
     for (sx, sy, thread_conds) in regions {
@@ -809,12 +766,12 @@ void host() {{
         (p, plan)
     }
 
-    fn group<'a>(p: &'a Program, plan: &ExecutablePlan) -> Vec<(&'a Kernel, LaunchRecord)> {
+    fn group<'a>(p: &'a Program, plan: &'a ExecutablePlan) -> Vec<(&'a Kernel, &'a LaunchRecord)> {
         plan.loops[0]
             .seqs
             .iter()
             .map(|&s| {
-                let l = plan.launches[s].clone();
+                let l = &plan.launches[s];
                 (p.kernel(&l.kernel).unwrap(), l)
             })
             .collect()

@@ -124,42 +124,40 @@ pub fn candidate_blocks(device: &DeviceSpec) -> Vec<Dim3> {
 }
 
 /// Pick the block size with the highest occupancy for the given per-thread
-/// register and per-block shared-memory usage, where shared memory may
-/// depend on the block shape (tile = block + halo). The original block is
-/// kept unless a candidate *strictly* improves occupancy — occupancy is a
-/// utilization proxy, not performance (§4.2), and a same-occupancy shape
-/// change can inflate per-block halo traffic.
+/// register use, where shared memory depends on the block shape (tile =
+/// block + halo) and `smem_of_block` answers `None` for a shape the kernel
+/// cannot be generated for. The original block is kept unless a candidate
+/// *strictly* improves occupancy — occupancy is a utilization proxy, not
+/// performance (§4.2), and a same-occupancy shape change can inflate
+/// per-block halo traffic. The occupancy is `None` only when neither the
+/// original nor any candidate can launch.
 pub fn best_block_size(
     device: &DeviceSpec,
     original: Dim3,
     regs_per_thread: u32,
-    smem_of_block: &dyn Fn(Dim3) -> usize,
-) -> (Dim3, OccupancyResult) {
-    let orig_occ = occupancy(
-        device,
-        (original.count() as u32).max(1),
-        regs_per_thread,
-        smem_of_block(original),
-    );
-    let mut best: Option<(Dim3, OccupancyResult)> = orig_occ.map(|o| (original, o));
-    for cand in candidate_blocks(device) {
-        let Some(occ) = occupancy(
+    smem_of_block: impl Fn(Dim3) -> Option<usize>,
+) -> (Dim3, Option<OccupancyResult>) {
+    let occupancy_at = |block: Dim3| {
+        occupancy(
             device,
-            cand.x * cand.y,
+            block.count() as u32,
             regs_per_thread,
-            smem_of_block(cand),
-        ) else {
+            smem_of_block(block)?,
+        )
+    };
+    let mut best = (original, occupancy_at(original));
+    for cand in candidate_blocks(device) {
+        let Some(occ) = occupancy_at(cand) else {
             continue;
         };
-        let better = match &best {
-            None => true,
-            Some((_, cur_occ)) => occ.occupancy > cur_occ.occupancy + 1e-9,
-        };
-        if better {
-            best = Some((cand, occ));
+        if best
+            .1
+            .is_none_or(|cur| occ.occupancy > cur.occupancy + 1e-9)
+        {
+            best = (cand, Some(occ));
         }
     }
-    best.expect("at least one candidate block size must be launchable")
+    best
 }
 
 #[cfg(test)]
@@ -203,8 +201,8 @@ mod tests {
     fn tuner_improves_poor_block_choice() {
         let d = DeviceSpec::k20x();
         // An 8x2 block (16 threads) wastes thread slots badly.
-        let (best, occ) = best_block_size(&d, Dim3::new(8, 2, 1), 32, &|_| 0);
-        assert!(occ.occupancy > 0.9);
+        let (best, occ) = best_block_size(&d, Dim3::new(8, 2, 1), 32, |_| Some(0));
+        assert!(occ.unwrap().occupancy > 0.9);
         assert!(best.count() >= 128);
     }
 
@@ -213,9 +211,25 @@ mod tests {
         let d = DeviceSpec::k20x();
         // Tile of (bx+2)(by+2) doubles: large blocks pay more shared memory.
         let smem = |b: Dim3| ((b.x + 2) * (b.y + 2) * 8 * 3) as usize;
-        let (best, occ) = best_block_size(&d, Dim3::new(32, 4, 1), 40, &smem);
-        assert!(occ.occupancy > 0.0);
+        let (best, occ) = best_block_size(&d, Dim3::new(32, 4, 1), 40, |b| Some(smem(b)));
+        assert!(occ.unwrap().occupancy > 0.0);
         assert!(smem(best) <= d.smem_per_block_max);
+    }
+
+    #[test]
+    fn tuner_skips_illegal_shapes() {
+        let d = DeviceSpec::k20x();
+        // Only 16-wide blocks can be generated: the pick is one of them.
+        let (best, occ) =
+            best_block_size(&d, Dim3::new(16, 1, 1), 32, |b| (b.x == 16).then_some(0));
+        assert_eq!(best.x, 16);
+        assert!(occ.unwrap().occupancy > 0.2);
+        // Nothing can be generated: the original stays, with no occupancy.
+        let original = Dim3::new(16, 8, 1);
+        assert_eq!(
+            best_block_size(&d, original, 32, |_| None),
+            (original, None)
+        );
     }
 
     #[test]
@@ -354,7 +368,8 @@ mod props {
                 regs,
                 smem(original),
             );
-            let (best, occ) = best_block_size(&d, original, regs, &smem);
+            let (best, occ) = best_block_size(&d, original, regs, |b| Some(smem(b)));
+            let occ = occ.expect("a one-warp candidate always launches");
             prop_assert!(best.count() as u32 <= d.max_threads_per_block);
             prop_assert!(smem(best) <= d.smem_per_block_max);
             prop_assert!(occ.active_warps_per_sm <= d.max_warps_per_sm());
