@@ -1,24 +1,28 @@
-//! Search-stage throughput: the serial GGA vs the supervised island
-//! search, on the same synthetic ~50-kernel program the projection bench
-//! uses, and writes `results/BENCH_search.json`.
+//! Search-stage throughput: the one search driver at `islands = 1` (the
+//! serial GGA) vs sharded across 4 islands, on the same synthetic
+//! ~50-kernel program the projection bench uses, and writes
+//! `results/BENCH_search.json`.
 //!
 //! ## Methodology
 //!
-//! Both searches run the identical budget (same population, generations,
-//! seed, operators) over the identical space; the island run shards the
-//! population across 4 supervised islands that only synchronize at
-//! migration epochs. Three numbers are reported:
+//! Both runs go through the same loop (`sf_search::search_islands`) with
+//! the identical budget (same population, generations, seed, operators)
+//! over the identical space; the island run shards the population across
+//! 4 supervised islands that only synchronize at migration epochs. Three
+//! numbers are reported:
 //!
-//! - `serial_wall_ms` — measured wall time of `sf_search::search`;
+//! - `serial_wall_ms` — measured wall time of `sf_search::search`, i.e.
+//!   the driver at `islands = 1`;
 //! - `island_measured_wall_ms` — measured wall time of `search_islands`
 //!   on *this* host, whatever its core count (on a single-core CI box the
 //!   islands timeslice and this is ≈ serial);
 //! - `island_critical_path_ms` — `max` of the per-island busy times
-//!   reported by the search, plus every millisecond the driver spent
+//!   reported by the search (accumulated in microseconds, so epochs
+//!   shorter than a millisecond count), plus every millisecond the driver spent
 //!   outside the islands (migration, canonical merge, spawn/clone
 //!   overhead, attributed *in full* to the critical path). This is the
 //!   search-stage wall time on a machine with one free worker per island,
-//!   which is the deployment the island mode exists for.
+//!   which is the deployment `islands > 1` exists for.
 //!
 //! `speedup` is `serial_wall_ms / island_critical_path_ms`; the measured
 //! single-host ratio is recorded alongside as

@@ -22,7 +22,7 @@ use sf_gpusim::profiler::Profiler;
 use sf_gpusim::DeviceRegistry;
 use sf_minicuda::host::ExecutablePlan;
 use sf_search::objective::projected_time_us;
-use sf_search::{raise_plan, search, search_seeded, SearchSpace};
+use sf_search::{raise_plan, search, search_islands, IslandOptions, SearchSpace};
 use serde_json::json;
 
 /// Build the search space for one app on one device.
@@ -81,7 +81,11 @@ fn main() {
             // Port: seeded search under a hard third of the scratch budget.
             let mut port_cfg = search_cfg.clone().for_port();
             port_cfg.max_evaluations = (scratch.evaluations / 3).max(1);
-            let port = search_seeded(&space, &port_cfg, std::slice::from_ref(&raised));
+            let opts = IslandOptions {
+                seeds: vec![raised],
+                ..IslandOptions::default()
+            };
+            let port = search_islands(&space, &port_cfg, &opts).result;
 
             let eval_ratio = port.evaluations as f64 / scratch.evaluations.max(1) as f64;
             let gflops_ratio = port.best_gflops / scratch.best_gflops.max(1e-9);

@@ -147,7 +147,8 @@ usage: sfc INPUT.cu [options]
                       final plan is byte-identical for a given seed
                       regardless of RAYON_NUM_THREADS
   --checkpoint FILE   atomically snapshot the search state to FILE at every
-                      migration epoch (crash-safe: temp + fsync + rename)
+                      migration epoch (crash-safe: temp + fsync + rename);
+                      works at any --islands and never changes the plan
   --resume FILE       resume a killed search from FILE (and keep
                       checkpointing there); the resumed run converges to
                       the byte-identical plan the uninterrupted run would

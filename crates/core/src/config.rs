@@ -104,8 +104,8 @@ pub struct PipelineConfig {
     /// Deterministic fault injection at stage boundaries (testing only;
     /// `None` disables the injector entirely).
     pub faults: Option<crate::faults::FaultPlan>,
-    /// Write a search checkpoint here at every migration epoch (island
-    /// search). Deliberately *not* part of [`Self::cache_fingerprint`]:
+    /// Write a search checkpoint here at every migration epoch (at any
+    /// island count). Deliberately *not* part of [`Self::cache_fingerprint`]:
     /// where a run checkpoints cannot change the plan it produces.
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Resume the search from this checkpoint when it exists and verifies

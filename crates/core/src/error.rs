@@ -297,8 +297,8 @@ impl From<sf_codegen::CodegenError> for PipelineError {
 }
 
 /// Budget exhaustion defaults to degradable: the driver walks the resource
-/// rung of the degradation ladder (shrink the search budget → serial
-/// fallback → unfused copies) instead of failing. Admission checks that run
+/// rung of the degradation ladder (shrink the search budget → reduce the
+/// search to one island → unfused copies) instead of failing. Admission checks that run
 /// before any fallback exists (a compile bomb caught at the front door)
 /// re-class with [`PipelineError::fatal`]; both keep the structured
 /// used/limit attribution.

@@ -50,7 +50,8 @@ pub struct FaultPlan {
     pub cache: sf_cache::CacheFaults,
     /// Faults injected into the supervised island search (island panic,
     /// island stall, torn checkpoint, kill-after-checkpoint) — consumed by
-    /// the search stage when `islands > 1` or checkpointing is on.
+    /// the search stage on every run, `islands = 1` included (a torn
+    /// checkpoint needs a checkpoint path to bite).
     pub islands: sf_search::IslandFaults,
 }
 

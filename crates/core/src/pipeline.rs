@@ -26,23 +26,11 @@ use sf_graphs::{dot, Ddg, Oeg};
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use sf_search::{
-    raise_plan, search_islands, search_with_faults_seeded, Individual, IslandOptions, SearchConfig,
-    SearchResult, SearchSpace,
+    raise_plan, search_islands, Individual, IslandOptions, SearchConfig, SearchResult, SearchSpace,
 };
 
 /// An intervention hook amending one stage artifact in place.
 pub type Hook<'a, T> = Option<Box<dyn Fn(&mut T) + 'a>>;
-
-/// What the island supervisor reported for the search stage (everything in
-/// [`sf_search::IslandSearchResult`] except the merged result itself).
-struct SearchSupervision {
-    degradations: Vec<sf_search::SearchDegradation>,
-    islands: usize,
-    epochs_run: usize,
-    checkpoints_written: usize,
-    resumed_from_epoch: Option<usize>,
-    killed_at_epoch: Option<usize>,
-}
 
 /// Programmer intervention hooks, applied to each stage's artifact before
 /// the next stage consumes it (§3.2: "the programmer can intervene by
@@ -563,7 +551,7 @@ impl Pipeline {
             }
             // Governed search admission: exhaustion here walks its own
             // rungs of the degradation ladder instead of failing — rung 1
-            // shrinks the GA budget, rung 2 drops island parallelism and
+            // shrinks the GA budget, rung 2 reduces the search to one island and
             // halves the population, rung 3 skips the search entirely and
             // keeps the original program. Strict mode surfaces the first
             // tripped rung as a structured error.
@@ -618,7 +606,7 @@ impl Pipeline {
                     gov_report.degrade(
                         "search budget",
                         format!(
-                            "fell back to a serial search ({} islands → 1)",
+                            "reduced the search to one island ({} islands → 1)",
                             search_cfg.islands
                         ),
                         e.to_string(),
@@ -681,59 +669,35 @@ impl Pipeline {
                 reports.push(r);
                 seeds.push(seed);
             }
-            // Dispatch: the supervised island search runs when the
-            // population is sharded or checkpointing is requested; the
-            // classic serial loop otherwise.
-            let island_mode = search_cfg.islands > 1
-                || cfg.checkpoint_path.is_some()
-                || cfg.resume_path.is_some();
-            let (result, supervision) = if island_mode {
-                let opts = IslandOptions {
-                    poison: injector.poison_evaluations().clone(),
-                    faults: injector.island_faults().clone(),
-                    checkpoint_path: cfg.checkpoint_path.clone(),
-                    resume_path: cfg.resume_path.clone(),
-                    seeds: seeds.clone(),
-                };
-                let ir = search_islands(&space, &search_cfg, &opts);
-                if strict {
-                    if let Some(d) = ir.degradations.first() {
-                        return Err(PipelineError::degradable(
-                            Stage::Search,
-                            ErrorKind::Panic(format!("{}: {} ({})", d.scope, d.action, d.reason)),
-                        ));
-                    }
-                }
-                let supervision = SearchSupervision {
-                    degradations: ir.degradations,
-                    islands: ir.islands,
-                    epochs_run: ir.epochs_run,
-                    checkpoints_written: ir.checkpoints_written,
-                    resumed_from_epoch: ir.resumed_from_epoch,
-                    killed_at_epoch: ir.killed_at_epoch,
-                };
-                (ir.result, Some(supervision))
-            } else {
-                (
-                    search_with_faults_seeded(
-                        &space,
-                        &search_cfg,
-                        injector.poison_evaluations(),
-                        &seeds,
-                    ),
-                    None,
-                )
+            // One driver for every run: `islands = 1` is the classic serial
+            // GGA, under the same supervision, budgets and checkpointing.
+            let opts = IslandOptions {
+                poison: injector.poison_evaluations().clone(),
+                faults: injector.island_faults().clone(),
+                checkpoint_path: cfg.checkpoint_path.clone(),
+                resume_path: cfg.resume_path.clone(),
+                seeds,
             };
+            let supervised = search_islands(&space, &search_cfg, &opts);
+            let result = &supervised.result;
             // The population is resident only while the search runs.
             governor.credit(ResourceKind::PopulationBytes, search_population_bytes);
-            if strict && result.poisoned_evaluations > 0 {
-                return Err(PipelineError::degradable(
-                    Stage::Search,
-                    ErrorKind::Panic(format!(
-                        "{} candidate evaluation(s) panicked and were scored as poisoned",
-                        result.poisoned_evaluations
-                    )),
-                ));
+            if strict {
+                if let Some(d) = supervised.degradations.first() {
+                    return Err(PipelineError::degradable(
+                        Stage::Search,
+                        ErrorKind::Panic(format!("{}: {} ({})", d.scope, d.action, d.reason)),
+                    ));
+                }
+                if result.poisoned_evaluations > 0 {
+                    return Err(PipelineError::degradable(
+                        Stage::Search,
+                        ErrorKind::Panic(format!(
+                            "{} candidate evaluation(s) panicked and were scored as poisoned",
+                            result.poisoned_evaluations
+                        )),
+                    ));
+                }
             }
             {
                 let mut r = StageReport::new(Stage::Search);
@@ -761,21 +725,19 @@ impl Pipeline {
                 if result.best_gflops <= result.baseline_gflops * 1.001 {
                     r.hint("search found no grouping better than the original program");
                 }
-                if let Some(sup) = &supervision {
-                    r.line(format!(
-                        "supervised island search: {} island(s), {} epoch(s), \
-                         {} checkpoint(s) written",
-                        sup.islands, sup.epochs_run, sup.checkpoints_written
-                    ));
-                    if let Some(e) = sup.resumed_from_epoch {
-                        r.line(format!("resumed from the epoch-{e} checkpoint"));
-                    }
-                    if let Some(e) = sup.killed_at_epoch {
-                        r.line(format!("stopped by an injected kill after epoch {e}"));
-                    }
-                    for d in &sup.degradations {
-                        r.degrade(d.scope.clone(), d.action.clone(), d.reason.clone());
-                    }
+                r.line(format!(
+                    "supervised island search: {} island(s), {} epoch(s), \
+                     {} checkpoint(s) written",
+                    supervised.islands, supervised.epochs_run, supervised.checkpoints_written
+                ));
+                if let Some(e) = supervised.resumed_from_epoch {
+                    r.line(format!("resumed from the epoch-{e} checkpoint"));
+                }
+                if let Some(e) = supervised.killed_at_epoch {
+                    r.line(format!("stopped by an injected kill after epoch {e}"));
+                }
+                for d in &supervised.degradations {
+                    r.degrade(d.scope.clone(), d.action.clone(), d.reason.clone());
                 }
                 if result.poisoned_evaluations > 0 {
                     r.degrade(
@@ -789,6 +751,7 @@ impl Pipeline {
                 }
                 reports.push(r);
             }
+            let result = supervised.result;
             let mut tplan = result.plan.clone();
             if stop_after(Stage::Search) {
                 let mut out = self.partial(reports, Some(metadata), decisions, original_profile);
@@ -1385,6 +1348,59 @@ void host() {
             "resume must converge to the uninterrupted plan"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn island_faults_reach_one_island_runs() {
+        let p = parse_program(APP).unwrap();
+        let run = |islands: sf_search::IslandFaults| {
+            let faults = FaultPlan {
+                islands,
+                ..FaultPlan::default()
+            };
+            let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults);
+            Pipeline::new(p.clone(), cfg).unwrap().run().unwrap()
+        };
+        let island_degradations = |r: &TransformResult| {
+            r.degradations()
+                .iter()
+                .filter(|d| d.stage == Stage::Search && d.scope == "island 0")
+                .count()
+        };
+
+        // The only island dies before scoring anything: the baseline plan
+        // (all singletons) is the result, so the original kernels are kept.
+        let r = run(sf_search::IslandFaults {
+            panic_at: [(0, 0)].into_iter().collect(),
+            ..sf_search::IslandFaults::default()
+        });
+        assert_eq!(island_degradations(&r), 1);
+        assert!(r.search.as_ref().unwrap().best.fusion_groups().is_empty());
+        assert_eq!(r.program.kernels, p.kernels);
+
+        // A stall after one completed epoch: the last-good elites merge,
+        // and they already beat the baseline.
+        let interval = SearchConfig::quick().migration_interval;
+        let r = run(sf_search::IslandFaults {
+            stall_at: [(0, interval + 1)].into_iter().collect(),
+            ..sf_search::IslandFaults::default()
+        });
+        assert_eq!(island_degradations(&r), 1);
+        let search = r.search.as_ref().unwrap();
+        assert_eq!(search.generations_run, interval);
+        assert!(search.best_gflops > search.baseline_gflops);
+        assert!(r.verification.as_ref().unwrap().passed());
+
+        // A kill is a budget stop with the best plan so far, not a fault.
+        let r = run(sf_search::IslandFaults {
+            kill_at_epoch: Some(0),
+            ..sf_search::IslandFaults::default()
+        });
+        assert_eq!(island_degradations(&r), 0);
+        let search = r.search.as_ref().unwrap();
+        assert_eq!(search.stop_reason, sf_search::StopReason::BudgetExhausted);
+        search.plan.validate(3).expect("killed run's plan is valid");
+        assert!(r.verification.as_ref().unwrap().passed());
     }
 
     #[test]

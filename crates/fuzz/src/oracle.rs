@@ -715,8 +715,8 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     Ok(())
 }
 
-/// Opt-in island check: the supervised parallel search must keep every
-/// promise the serial search makes, plus its own three. Determinism: two
+/// Opt-in island check: a sharded (`islands = 2`) search must keep every
+/// promise the one-island search makes, plus its own three. Determinism: two
 /// island runs with the same seed agree byte for byte (the canonical
 /// merge makes the thread schedule unobservable). Supervision: a run
 /// whose islands panic/stall/get killed by the seed's fault plan must

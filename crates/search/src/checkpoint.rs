@@ -15,48 +15,29 @@
 //! plan is byte-identical, which `tests/island_search.rs` pins by killing
 //! a run at every epoch and diffing the emitted plans.
 //!
+//! What a snapshot *means* includes the loop's ranking rules (which
+//! individual is an elite, which is the champion), so a change to those
+//! bumps [`CHECKPOINT_VERSION`] just like a layout change does: an older
+//! checkpoint is rejected with its version named and the run restarts.
+//!
 //! A checkpoint is bound to its run by a fingerprint over the search
 //! configuration and the search space; resuming against a different
 //! program, device, or configuration is rejected (and the caller starts
 //! fresh, reporting the degradation) rather than silently continuing an
 //! unrelated search.
 
-use crate::genome::Individual;
-use crate::gga::StopReason;
-use crate::islands::SearchDegradation;
+use crate::islands::{IslandState, SearchDegradation};
 use serde::{Deserialize, Serialize};
-use sf_cache::{atomic_write, decode, encode, CacheError, CacheKey};
+use sf_cache::{atomic_write, decode, encode, CacheError, CacheKey, DecodeFailure};
 use std::path::Path;
 
-/// Checkpoint payload schema version; bumped on incompatible layout
-/// changes so an old-format checkpoint is rejected, not misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Serialized state of one island.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[allow(missing_docs)] // mirrors the live island state field for field
-pub struct IslandSnapshot {
-    pub index: usize,
-    pub alive: bool,
-    /// Raw xoshiro256** words of the island's RNG stream.
-    pub rng_state: Vec<u64>,
-    pub population: Vec<Individual>,
-    pub scores: Vec<f64>,
-    /// Island-local evaluation count (the watchdog charges each island
-    /// only for its own work).
-    pub evaluations: u64,
-    pub eval_budget: u64,
-    pub wall_spent_ms: u64,
-    pub poisoned: u64,
-    pub generations_run: usize,
-    pub history: Vec<f64>,
-    pub fission_moves: u64,
-    pub retained_fissions: u64,
-    pub stagnant: usize,
-    pub stop: Option<StopReason>,
-    pub elite_scores: Vec<f64>,
-    pub elites: Vec<Individual>,
-}
+/// Checkpoint payload schema version; bumped on incompatible changes to
+/// the layout *or* to the loop rules a snapshot is replayed under, so an
+/// old checkpoint is rejected, not misread. History: 1 = per-island
+/// mirror struct, millisecond wall counter, genome-order in-island
+/// ranking; 2 = the island state itself, microsecond wall counter, the
+/// serial GGA's score-only in-island ranking.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The complete search state written at a migration epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -78,7 +59,7 @@ pub struct CheckpointState {
     /// carried so a resumed run still reports them.
     pub degradations: Vec<SearchDegradation>,
     /// Every island's state, in island order.
-    pub islands: Vec<IslandSnapshot>,
+    pub islands: Vec<IslandState>,
 }
 
 /// Outcome of [`load_checkpoint`].
@@ -94,7 +75,17 @@ pub enum CheckpointLoad {
 }
 
 fn checkpoint_key(fingerprint: &str) -> CacheKey {
-    CacheKey::derive(fingerprint, "search-checkpoint", "ckpt-v1")
+    CacheKey::derive(
+        fingerprint,
+        "search-checkpoint",
+        &format!("ckpt-v{CHECKPOINT_VERSION}"),
+    )
+}
+
+/// Just the version field of a payload of any schema version.
+#[derive(Deserialize)]
+struct VersionProbe {
+    version: u32,
 }
 
 /// Atomically commit `state` to `path`. `torn` injects a torn write (the
@@ -126,23 +117,34 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CheckpointLoad::Missing,
         Err(e) => return CheckpointLoad::Rejected(format!("unreadable checkpoint: {e}")),
     };
-    // The entry envelope checks version first, then the payload checksum,
-    // then the key — so skew, tearing, and a checkpoint from a different
-    // (config, space) are each named precisely.
-    let entry = match decode(&bytes, Some(&checkpoint_key(fingerprint))) {
+    // The entry envelope checks its own version first, then the payload
+    // checksum; then the payload's schema version (the key tag carries it
+    // too, so it must be named before the key is compared), then the key —
+    // so skew, tearing, an old-format checkpoint, and a checkpoint from a
+    // different (config, space) are each named precisely.
+    let entry = match decode(&bytes, None) {
         Ok(entry) => entry,
         Err(reason) => return CheckpointLoad::Rejected(reason.to_string()),
     };
+    match serde_json::from_str::<VersionProbe>(&entry.payload) {
+        Ok(probe) if probe.version == CHECKPOINT_VERSION => {}
+        Ok(probe) => {
+            return CheckpointLoad::Rejected(format!(
+                "checkpoint schema version {} (this build speaks {CHECKPOINT_VERSION})",
+                probe.version
+            ))
+        }
+        Err(e) => return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}")),
+    }
+    if entry.key != checkpoint_key(fingerprint) {
+        return CheckpointLoad::Rejected(
+            DecodeFailure::KeyMismatch { found: entry.key }.to_string(),
+        );
+    }
     let state: CheckpointState = match serde_json::from_str(&entry.payload) {
         Ok(s) => s,
         Err(e) => return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}")),
     };
-    if state.version != CHECKPOINT_VERSION {
-        return CheckpointLoad::Rejected(format!(
-            "checkpoint schema version {} (this build speaks {CHECKPOINT_VERSION})",
-            state.version
-        ));
-    }
     if state.fingerprint != fingerprint {
         return CheckpointLoad::Rejected(
             "checkpoint belongs to a different search configuration".into(),
@@ -152,10 +154,24 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::genome::Individual;
+    use crate::gga::StopReason;
+    use crate::islands::IslandRng;
+    use rand::rngs::SmallRng;
     use std::collections::{BTreeMap, BTreeSet};
     use std::path::PathBuf;
+
+    /// A checkpoint exactly as schema version 1 wrote it (frozen bytes:
+    /// v1 payload layout under the v1 key tag), for `fingerprint`.
+    pub(crate) fn write_v1_checkpoint(path: &Path, fingerprint: &str) {
+        let payload = format!(
+            r#"{{"version":1,"fingerprint":"{fingerprint}","epoch":0,"prior_hits":4,"prior_misses":2,"degradations":[],"islands":[{{"index":0,"alive":true,"rng_state":[1,2,3,4],"population":[{{"fissioned":[],"group_of":[[0,0],[1,1]]}}],"scores":[1.25],"evaluations":7,"eval_budget":0,"wall_spent_ms":3,"poisoned":0,"generations_run":4,"history":[1.0,1.25],"fission_moves":0,"retained_fissions":0,"stagnant":0,"stop":null,"elite_scores":[1.25],"elites":[{{"fissioned":[],"group_of":[[0,0],[1,1]]}}]}}]}}"#
+        );
+        let key = CacheKey::derive(fingerprint, "search-checkpoint", "ckpt-v1");
+        std::fs::write(path, encode(&key, &payload)).unwrap();
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -183,15 +199,15 @@ mod tests {
                 action: "quarantined island; retained last-good elites".into(),
                 reason: "panicked: injected".into(),
             }],
-            islands: vec![IslandSnapshot {
+            islands: vec![IslandState {
                 index: 0,
                 alive: true,
-                rng_state: vec![1, 2, 3, 4],
+                rng: IslandRng(SmallRng::from_state([1, 2, 3, 4])),
                 population: vec![ind.clone()],
                 scores: vec![1.25],
                 evaluations: 7,
                 eval_budget: 100,
-                wall_spent_ms: 0,
+                wall_spent_us: 0,
                 poisoned: 0,
                 generations_run: 16,
                 history: vec![1.0, 1.25],
@@ -251,6 +267,36 @@ mod tests {
             CheckpointLoad::Rejected(reason) => {
                 assert!(reason.contains("key"), "{reason}")
             }
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_checkpoint_is_rejected_with_its_version_named() {
+        let dir = scratch("v1");
+        let path = dir.join("search.ckpt");
+        write_v1_checkpoint(&path, "fp");
+        match load_checkpoint(&path, "fp") {
+            CheckpointLoad::Rejected(reason) => {
+                assert!(reason.contains("schema version 1"), "{reason}");
+                assert!(reason.contains("speaks 2"), "{reason}");
+            }
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_malformed_rng_never_resumes() {
+        let dir = scratch("rng");
+        let path = dir.join("search.ckpt");
+        let payload = serde_json::to_string(&sample())
+            .unwrap()
+            .replace("[1,2,3,4]", "[1,2,3]");
+        std::fs::write(&path, encode(&checkpoint_key("fp"), &payload)).unwrap();
+        match load_checkpoint(&path, "fp") {
+            CheckpointLoad::Rejected(reason) => assert!(reason.contains("four"), "{reason}"),
             other => panic!("expected rejection, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

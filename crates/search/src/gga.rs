@@ -1,25 +1,25 @@
-//! The grouped genetic algorithm (§5.4).
+//! The grouped genetic algorithm (§5.4): operators, result type, lowering.
 //!
 //! Falkenauer-style GGA: chromosomes are partitions; crossover injects
 //! whole groups from one parent into the other with repair; mutations
 //! merge/split/move at group granularity; fission/defission moves realize
-//! the lazy-fission relaxation. Objective evaluation — >90% of the
-//! search runtime in the paper — is parallelized with rayon (the paper's
-//! implementation is OpenMP-parallel).
+//! the lazy-fission relaxation. The generation loop that drives these
+//! operators lives in [`crate::islands`] — one loop for every run, the
+//! classic serial search being its `islands = 1` case. Objective
+//! evaluation — >90% of the search runtime in the paper, OpenMP-parallel
+//! there — is parallel across islands (one worker per island per epoch),
+//! serial inside one.
 
 use crate::genome::Individual;
-use crate::objective::{self, Penalty};
+use crate::islands::{search_islands, IslandOptions};
+use crate::objective;
 use crate::params::SearchConfig;
 use crate::projection::{ProjectionEngine, ProjectionStats};
 use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use sf_gpusim::isolate::isolated;
+use rand::Rng;
 use sf_plan::{CodegenMode, GroupPlan, GroupProjection, PrecedenceClass, TransformPlan};
-use std::collections::BTreeSet;
-use std::time::Instant;
 
 /// Why the search stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -82,190 +82,10 @@ pub struct SearchResult {
     pub poisoned_evaluations: u64,
 }
 
-/// Run the search.
+/// Run the search: [`search_islands`] with no faults, checkpoint or seeds,
+/// keeping only the merged result.
 pub fn search(space: &SearchSpace, config: &SearchConfig) -> SearchResult {
-    search_with_faults(space, config, &BTreeSet::new())
-}
-
-/// Run the search with fault injection: evaluations whose global index is in
-/// `poison` panic inside the (isolated) objective, exercising the poisoned-
-/// candidate path deterministically. Production callers use [`search`].
-pub fn search_with_faults(
-    space: &SearchSpace,
-    config: &SearchConfig,
-    poison: &BTreeSet<u64>,
-) -> SearchResult {
-    search_with_faults_seeded(space, config, poison, &[])
-}
-
-/// Run the search with elite seed individuals injected into the initial
-/// population — the plan-port path: a plan lowered on one device is raised
-/// to a genome and planted here, so the search starts from a known-good
-/// grouping instead of from scratch. Seeds that are infeasible in this
-/// space (or duplicates) are skipped; the remainder of the population is
-/// filled exactly like an unseeded run, so determinism per
-/// (seed, device, seeds) is preserved.
-pub fn search_seeded(
-    space: &SearchSpace,
-    config: &SearchConfig,
-    seeds: &[Individual],
-) -> SearchResult {
-    search_with_faults_seeded(space, config, &BTreeSet::new(), seeds)
-}
-
-/// [`search_seeded`] with fault injection (see [`search_with_faults`]).
-pub fn search_with_faults_seeded(
-    space: &SearchSpace,
-    config: &SearchConfig,
-    poison: &BTreeSet<u64>,
-    seeds: &[Individual],
-) -> SearchResult {
-    let started = Instant::now();
-    // The temporal ceiling lives on the space (feasibility and projection
-    // both consult it); stamp the configured value before anything reads
-    // it. At the default of 1 the space is untouched — the temporal
-    // dimension vanishes and the run is identical to a pre-temporal one.
-    let stamped;
-    let space = if space.max_temporal == config.max_temporal {
-        space
-    } else {
-        stamped = SearchSpace {
-            max_temporal: config.max_temporal,
-            ..space.clone()
-        };
-        &stamped
-    };
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let penalty = Penalty {
-        soft: config.penalty_soft,
-        hard: config.penalty_hard,
-        ..Penalty::default()
-    };
-    let eligible = space.eligible_originals();
-    // One projection engine for the whole run: the timing model is built
-    // once, and group costs are memoized across individuals/generations.
-    let engine = ProjectionEngine::new(space);
-
-    // ---- initial population ----
-    let singles = Individual::singletons(space);
-    // The baseline is isolated like any other evaluation; a poisoned
-    // baseline scores 0 (no projection improvement claimed over it).
-    let baseline_gflops =
-        isolated(|| objective::fitness_with(&engine, &singles, &penalty)).unwrap_or(0.0);
-    let mut population: Vec<Individual> = Vec::with_capacity(config.population);
-    population.push(singles.clone());
-    // Elite injection: feasible, non-duplicate seeds enter ahead of the
-    // random fill (never displacing the all-singletons baseline).
-    for seed in seeds {
-        if population.len() >= config.population {
-            break;
-        }
-        if seed.feasible(space) && !population.contains(seed) {
-            population.push(seed.clone());
-        }
-    }
-    while population.len() < config.population {
-        let mut ind = singles.clone();
-        for _ in 0..config.init_merges {
-            mutate_merge(space, &mut ind, &eligible, &mut rng);
-        }
-        population.push(ind);
-    }
-
-    let mut evaluations = 0u64;
-    let mut poisoned = 0u64;
-    let eval = |population: &[Individual], evaluations: &mut u64, poisoned: &mut u64| {
-        evaluate(
-            &engine,
-            population,
-            &penalty,
-            evaluations,
-            poison,
-            config.eval_retries,
-            poisoned,
-        )
-    };
-    let mut scores: Vec<f64> = eval(&population, &mut evaluations, &mut poisoned);
-    let mut history = Vec::with_capacity(config.generations);
-    let mut fission_moves = 0u64;
-    let mut retained_fissions = 0u64;
-    let mut best_idx = argmax(&scores);
-    let mut stagnant = 0usize;
-    let mut generations_run = 0usize;
-    let mut stop_reason = StopReason::Converged;
-
-    // Watchdog budgets, checked at generation boundaries only so the
-    // trajectory for a given seed is unchanged — just where it stops.
-    let out_of_budget = |evaluations: u64| {
-        (config.max_wall_ms > 0 && started.elapsed().as_millis() as u64 >= config.max_wall_ms)
-            || (config.max_evaluations > 0 && evaluations >= config.max_evaluations)
-    };
-
-    for _gen in 0..config.generations {
-        if out_of_budget(evaluations) {
-            stop_reason = StopReason::BudgetExhausted;
-            break;
-        }
-        generations_run += 1;
-        let prev_best = scores[best_idx];
-
-        // Elites survive unchanged.
-        let mut order: Vec<usize> = (0..population.len()).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite fitness"));
-        let mut next: Vec<Individual> = order
-            .iter()
-            .take(config.elites.min(population.len()))
-            .map(|&i| population[i].clone())
-            .collect();
-
-        while next.len() < config.population {
-            next.push(breed(
-                &engine,
-                config,
-                &eligible,
-                &population,
-                &scores,
-                &mut rng,
-                &mut fission_moves,
-            ));
-        }
-        population = next;
-        scores = eval(&population, &mut evaluations, &mut poisoned);
-        best_idx = argmax(&scores);
-        history.push(scores[best_idx]);
-        retained_fissions += population[best_idx].fissioned.len() as u64;
-
-        if config.stagnation_window > 0 {
-            if scores[best_idx] <= prev_best + 1e-12 {
-                stagnant += 1;
-                if stagnant >= config.stagnation_window {
-                    stop_reason = StopReason::Plateaued;
-                    break;
-                }
-            } else {
-                stagnant = 0;
-            }
-        }
-    }
-
-    let best = population[best_idx].clone();
-    let best_gflops = scores[best_idx];
-    let mut plan = lower_plan(&engine, &best, config.mode, config.block_tuning);
-    plan.projected_gflops = Some(best_gflops);
-    SearchResult {
-        best,
-        plan,
-        projection: engine.stats(),
-        history,
-        baseline_gflops,
-        best_gflops,
-        fissions_per_generation: retained_fissions as f64 / generations_run.max(1) as f64,
-        fission_moves_per_generation: fission_moves as f64 / generations_run.max(1) as f64,
-        generations_run,
-        evaluations,
-        stop_reason,
-        poisoned_evaluations: poisoned,
-    }
+    search_islands(space, config, &IslandOptions::default()).result
 }
 
 /// Lower an individual to the typed [`TransformPlan`] IR: fusion groups in
@@ -327,66 +147,12 @@ pub fn lower_plan(
     plan
 }
 
-/// Evaluate a population in parallel, isolating panics per candidate.
-///
-/// Every evaluation gets a global index (for deterministic fault
-/// injection); a candidate whose evaluation panics is retried serially up
-/// to `retries` times (fresh indices, so injected transient faults clear),
-/// then scored [`POISONED_FITNESS`].
-fn evaluate(
-    engine: &ProjectionEngine<'_>,
-    population: &[Individual],
-    penalty: &Penalty,
-    evaluations: &mut u64,
-    poison: &BTreeSet<u64>,
-    retries: u32,
-    poisoned: &mut u64,
-) -> Vec<f64> {
-    let one = |idx: u64, ind: &Individual| -> Result<f64, String> {
-        isolated(|| {
-            if poison.contains(&idx) {
-                panic!("injected poisoned candidate at evaluation {idx}");
-            }
-            objective::fitness_with(engine, ind, penalty)
-        })
-    };
-    let base = *evaluations;
-    *evaluations += population.len() as u64;
-    let indexed: Vec<(u64, &Individual)> = population
-        .iter()
-        .enumerate()
-        .map(|(i, ind)| (base + i as u64, ind))
-        .collect();
-    let raw: Vec<Result<f64, String>> =
-        indexed.par_iter().map(|&(idx, ind)| one(idx, ind)).collect();
-    raw.into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Ok(s) => s,
-            Err(_) => {
-                for _ in 0..retries {
-                    let idx = *evaluations;
-                    *evaluations += 1;
-                    if let Ok(s) = one(idx, &population[i]) {
-                        return s;
-                    }
-                }
-                *poisoned += 1;
-                POISONED_FITNESS
-            }
-        })
-        .collect()
-}
-
 /// Breed one offspring: tournament selection, optional group-injection
 /// crossover, then the fixed mutation sequence. The exact draw order is
-/// load-bearing — both the serial loop and every island step through this
-/// one function, so a given RNG stream always yields the same child.
-#[allow(clippy::too_many_arguments)]
+/// load-bearing: a given RNG stream always yields the same child.
 pub(crate) fn breed(
     engine: &ProjectionEngine<'_>,
     config: &SearchConfig,
-    eligible: &[usize],
     population: &[Individual],
     scores: &[f64],
     rng: &mut SmallRng,
@@ -402,7 +168,7 @@ pub(crate) fn breed(
     };
     // Mutations.
     if rng.gen_bool(config.p_merge) {
-        mutate_merge(space, &mut child, eligible, rng);
+        mutate_merge(space, &mut child, rng);
     }
     if rng.gen_bool(config.p_split) {
         mutate_split(space, &mut child, rng);
@@ -423,6 +189,7 @@ pub(crate) fn breed(
     child
 }
 
+/// Index of the best score — the *last* maximum on exact ties.
 pub(crate) fn argmax(scores: &[f64]) -> usize {
     scores
         .iter()
@@ -474,12 +241,7 @@ fn crossover(
     }
 }
 
-pub(crate) fn mutate_merge(
-    space: &SearchSpace,
-    ind: &mut Individual,
-    _eligible: &[usize],
-    rng: &mut SmallRng,
-) {
+pub(crate) fn mutate_merge(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
     let active: Vec<usize> = ind
         .active_units()
         .into_iter()
@@ -627,6 +389,7 @@ fn mutate_defission(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRn
 mod tests {
     use super::*;
     use crate::space::tests::space_for;
+    use std::collections::BTreeSet;
 
     const CHAIN4: &str = r#"
 __global__ void k1(const double* __restrict__ u, double* a, int nx, int ny, int nz) {
@@ -762,6 +525,29 @@ void host() {
     }
 
     #[test]
+    fn wall_clock_budget_counts_sub_millisecond_epochs() {
+        let space = space_for(CHAIN4);
+        // Population 8 at four generations per epoch: in an optimized build
+        // every epoch is far shorter than a millisecond, so a watchdog that
+        // truncates each epoch to whole milliseconds never fires and the
+        // full 100 000 generation schedule runs (a debug build's slower
+        // epochs round up often enough to hide that).
+        let cfg = SearchConfig {
+            population: 8,
+            generations: 100_000,
+            migration_interval: 4,
+            stagnation_window: 0,
+            max_wall_ms: 5,
+            ..SearchConfig::default()
+        };
+        let r = search_islands(&space, &cfg, &IslandOptions::default());
+        assert_eq!(r.result.stop_reason, StopReason::BudgetExhausted);
+        assert!(r.result.generations_run < cfg.generations);
+        assert!(r.island_wall_ms[0] >= cfg.max_wall_ms);
+        assert!(r.result.best.feasible(&space));
+    }
+
+    #[test]
     fn generous_budgets_do_not_misfire() {
         let space = space_for(CHAIN4);
         let cfg = SearchConfig {
@@ -802,8 +588,11 @@ void host() {
         let space = space_for(CHAIN4);
         // Poison every index any retry could reach: every candidate scores
         // POISONED_FITNESS, yet the search must run to a normal stop.
-        let poison: BTreeSet<u64> = (0..20_000).collect();
-        let r = search_with_faults(&space, &SearchConfig::quick(), &poison);
+        let opts = IslandOptions {
+            poison: (0..20_000).collect(),
+            ..IslandOptions::default()
+        };
+        let r = search_islands(&space, &SearchConfig::quick(), &opts).result;
         assert!(r.poisoned_evaluations > 0);
         assert!(r.best.feasible(&space));
         assert_eq!(r.history.len(), r.generations_run);
@@ -815,9 +604,12 @@ void host() {
         // A handful of poisoned indices: retries land on fresh indices and
         // succeed, so no candidate ends up poisoned and the outcome matches
         // the clean run.
-        let poison: BTreeSet<u64> = [1u64, 7, 13].into_iter().collect();
+        let opts = IslandOptions {
+            poison: BTreeSet::from([1u64, 7, 13]),
+            ..IslandOptions::default()
+        };
         let clean = search(&space, &SearchConfig::quick());
-        let faulty = search_with_faults(&space, &SearchConfig::quick(), &poison);
+        let faulty = search_islands(&space, &SearchConfig::quick(), &opts).result;
         assert_eq!(faulty.poisoned_evaluations, 0);
         assert_eq!(faulty.best, clean.best);
         assert_eq!(faulty.best_gflops, clean.best_gflops);
@@ -891,7 +683,7 @@ void host() {
         let mut ind = Individual::singletons(&space);
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..50 {
-            mutate_merge(&space, &mut ind, &space.eligible_originals(), &mut rng);
+            mutate_merge(&space, &mut ind, &mut rng);
             assert!(ind.feasible(&space));
         }
         // With 4 eligible independent units, merges must have happened.

@@ -1,37 +1,42 @@
-//! Supervised parallel island search.
+//! The search driver: the GGA generation loop, run as supervised islands.
 //!
-//! The population is sharded into islands that evolve independently and
-//! exchange elites at fixed migration epochs. The design commits to three
-//! properties the serial search cannot offer at once:
+//! This is the only generation loop in the crate. The population is
+//! sharded into `config.islands` islands that evolve independently and
+//! exchange elites at fixed migration epochs; the classic serial search is
+//! the `islands = 1` case of the same loop (one island, no migration), so
+//! budgets, poison retry, supervision and checkpointing behave the same
+//! whether or not the run is sharded.
 //!
 //! 1. **Parallel wall-clock.** Islands step through a whole migration
 //!    epoch concurrently (`rayon`), with objective evaluation *serial
-//!    inside* each island — one thread spawn per island per epoch instead
-//!    of one per generation, which is where the measured search-stage
-//!    speedup comes from.
+//!    inside* each island — the paper's parallel objective evaluation is
+//!    the `islands > 1` case: one worker per island per epoch, never a
+//!    thread spawn per generation for ~1 µs evaluations.
 //! 2. **Supervision.** Every island epoch runs under
 //!    [`sf_gpusim::isolate::isolated`]. An island that panics or stalls
 //!    is *quarantined*: its epoch-start state is frozen, its last-good
 //!    elites still enter the final merge, and the incident is reported as
-//!    a [`SearchDegradation`] — the search degrades to fewer islands
-//!    instead of aborting.
-//! 3. **Determinism.** Each island owns a private RNG stream (seeded by
-//!    mixing the run seed with the island index), migration is a pure
-//!    serial function of the post-epoch states, and the final merge
-//!    scans islands in index order breaking fitness ties by the genome's
-//!    total order. The winning plan is therefore byte-identical for a
-//!    given seed regardless of `RAYON_NUM_THREADS` (the wall-clock
-//!    watchdog, when enabled, is the one documented exception — as in
-//!    the serial search, *where* a run stops may vary, never *how* it
-//!    got there).
+//!    a [`SearchDegradation`] — the search degrades to fewer islands (at
+//!    `islands = 1`: to the last-good elites, or the untransformed
+//!    baseline) instead of aborting.
+//! 3. **Determinism.** Island `i` owns the RNG stream
+//!    `seed ^ finalize(i·φ)` — island 0 continues the run seed's own
+//!    stream, so a one-island run is the plain seeded GGA. Inside an
+//!    island the rules are that GGA's: elites come from a stable
+//!    score-only sort, the generation's best is [`gga::argmax`] (the last
+//!    maximum) — goldens and cached plans pin both. The genome's total order
+//!    breaks fitness ties only where islands meet — migration and the
+//!    final merge — so the winning plan is byte-identical for a given
+//!    seed regardless of `RAYON_NUM_THREADS` (the wall-clock watchdog,
+//!    when enabled, is the one documented exception: *where* a run stops
+//!    may vary, never *how* it got there).
 //!
 //! At every migration epoch the full search state can be checkpointed
 //! ([`crate::checkpoint`]); a killed run resumed from its last checkpoint
 //! replays the exact trajectory of the uninterrupted run.
 
 use crate::checkpoint::{
-    load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, IslandSnapshot,
-    CHECKPOINT_VERSION,
+    load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, CHECKPOINT_VERSION,
 };
 use crate::genome::Individual;
 use crate::gga::{self, SearchResult, StopReason};
@@ -42,7 +47,7 @@ use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use sf_gpusim::isolate::isolated;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -91,9 +96,10 @@ impl IslandFaults {
 /// Knobs for one supervised island run.
 #[derive(Debug, Clone, Default)]
 pub struct IslandOptions {
-    /// Evaluation indices whose objective call panics (see
-    /// [`gga::search_with_faults`]); island evaluations are indexed
-    /// `(island << 40) | island-local-count`.
+    /// Evaluation indices whose objective call panics inside the isolated
+    /// objective, exercising the poisoned-candidate path deterministically.
+    /// Evaluations are indexed `(island << 40) | island-local-count`, so a
+    /// one-island run's indices are simply its evaluation count.
     pub poison: BTreeSet<u64>,
     /// Seeded island faults.
     pub faults: IslandFaults,
@@ -102,9 +108,13 @@ pub struct IslandOptions {
     /// Resume from this checkpoint if it exists and verifies.
     pub resume_path: Option<PathBuf>,
     /// Elite seed individuals injected into island 0's initial population
-    /// (the plan-port path; see [`gga::search_seeded`]). Part of the run
-    /// fingerprint, so a checkpoint from a differently-seeded run is
-    /// rejected rather than silently continued.
+    /// — the plan-port path: a plan lowered on one device is raised to a
+    /// genome and planted here, so the search starts from a known-good
+    /// grouping instead of from scratch. Seeds that are infeasible in this
+    /// space (or duplicates) are skipped; the rest of the population is
+    /// filled exactly like an unseeded run. Part of the run fingerprint, so
+    /// a checkpoint from a differently-seeded run is rejected rather than
+    /// silently continued.
     pub seeds: Vec<Individual>,
 }
 
@@ -125,8 +135,9 @@ pub struct IslandSearchResult {
     pub resumed_from_epoch: Option<usize>,
     /// Set when an injected kill fault stopped the run early.
     pub killed_at_epoch: Option<usize>,
-    /// Per-island busy time (milliseconds spent inside `advance_epoch`),
-    /// indexed by island. The island critical path — `max` of these plus
+    /// Per-island busy time (whole milliseconds of the microseconds spent
+    /// inside `advance_epoch`), indexed by island. The island critical
+    /// path — `max` of these plus
     /// whatever the driver spends migrating/merging/checkpointing — is the
     /// search-stage wall time on a machine with one free worker per
     /// island; the benchmark harness uses it to report island speedup
@@ -134,94 +145,76 @@ pub struct IslandSearchResult {
     pub island_wall_ms: Vec<u64>,
 }
 
-/// The live state of one island. Mirrors [`IslandSnapshot`] field for
-/// field so a checkpoint captures everything the epoch loop reads.
+/// An island's private RNG stream. Serializes as the generator's four raw
+/// xoshiro256** words, which fully determine the stream.
 #[derive(Debug, Clone)]
-struct IslandState {
-    index: usize,
+pub(crate) struct IslandRng(pub(crate) SmallRng);
+
+impl PartialEq for IslandRng {
+    fn eq(&self, other: &IslandRng) -> bool {
+        self.0.state() == other.0.state()
+    }
+}
+
+impl Serialize for IslandRng {
+    fn serialize(&self) -> Content {
+        self.0.state().to_vec().serialize()
+    }
+}
+
+impl Deserialize for IslandRng {
+    fn deserialize(content: &Content) -> Result<IslandRng, DeError> {
+        let words: [u64; 4] = Vec::<u64>::deserialize(content)?
+            .try_into()
+            .map_err(|_| DeError::custom("an island RNG is exactly four state words"))?;
+        Ok(IslandRng(SmallRng::from_state(words)))
+    }
+}
+
+/// The state of one island — everything the epoch loop reads, which is
+/// also exactly what a checkpoint stores per island.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct IslandState {
+    pub(crate) index: usize,
     /// False once quarantined; a dead island never advances again.
-    alive: bool,
-    rng: SmallRng,
-    population: Vec<Individual>,
+    pub(crate) alive: bool,
+    pub(crate) rng: IslandRng,
+    pub(crate) population: Vec<Individual>,
     /// Empty until the island's first epoch evaluates the initial
     /// population.
-    scores: Vec<f64>,
+    pub(crate) scores: Vec<f64>,
     /// Island-local evaluation count; doubles as the next local
     /// evaluation index for deterministic poison injection.
-    evaluations: u64,
+    pub(crate) evaluations: u64,
     /// This island's share of `max_evaluations` (0 = unlimited); the
-    /// shares of all islands sum exactly to the serial budget.
-    eval_budget: u64,
-    wall_spent_ms: u64,
-    poisoned: u64,
-    generations_run: usize,
-    history: Vec<f64>,
-    fission_moves: u64,
-    retained_fissions: u64,
-    stagnant: usize,
+    /// shares of all islands sum exactly to the configured budget.
+    pub(crate) eval_budget: u64,
+    /// Busy time inside `advance_epoch`, in microseconds — what the
+    /// wall-clock watchdog charges against `max_wall_ms`.
+    pub(crate) wall_spent_us: u64,
+    pub(crate) poisoned: u64,
+    pub(crate) generations_run: usize,
+    pub(crate) history: Vec<f64>,
+    pub(crate) fission_moves: u64,
+    pub(crate) retained_fissions: u64,
+    pub(crate) stagnant: usize,
     /// A *normal* stop (schedule done, plateau, budget). Distinct from
     /// quarantine: a stopped island still migrates and merges live state.
-    stop: Option<StopReason>,
+    pub(crate) stop: Option<StopReason>,
     /// Last-good elites, refreshed after every completed epoch; all a
     /// quarantined island contributes to the merge.
-    elite_scores: Vec<f64>,
-    elites: Vec<Individual>,
+    pub(crate) elite_scores: Vec<f64>,
+    pub(crate) elites: Vec<Individual>,
 }
 
-impl IslandState {
-    fn to_snapshot(&self) -> IslandSnapshot {
-        IslandSnapshot {
-            index: self.index,
-            alive: self.alive,
-            rng_state: self.rng.state().to_vec(),
-            population: self.population.clone(),
-            scores: self.scores.clone(),
-            evaluations: self.evaluations,
-            eval_budget: self.eval_budget,
-            wall_spent_ms: self.wall_spent_ms,
-            poisoned: self.poisoned,
-            generations_run: self.generations_run,
-            history: self.history.clone(),
-            fission_moves: self.fission_moves,
-            retained_fissions: self.retained_fissions,
-            stagnant: self.stagnant,
-            stop: self.stop,
-            elite_scores: self.elite_scores.clone(),
-            elites: self.elites.clone(),
-        }
-    }
-
-    fn from_snapshot(snap: &IslandSnapshot) -> Option<IslandState> {
-        let words: [u64; 4] = snap.rng_state.clone().try_into().ok()?;
-        Some(IslandState {
-            index: snap.index,
-            alive: snap.alive,
-            rng: SmallRng::from_state(words),
-            population: snap.population.clone(),
-            scores: snap.scores.clone(),
-            evaluations: snap.evaluations,
-            eval_budget: snap.eval_budget,
-            wall_spent_ms: snap.wall_spent_ms,
-            poisoned: snap.poisoned,
-            generations_run: snap.generations_run,
-            history: snap.history.clone(),
-            fission_moves: snap.fission_moves,
-            retained_fissions: snap.retained_fissions,
-            stagnant: snap.stagnant,
-            stop: snap.stop,
-            elite_scores: snap.elite_scores.clone(),
-            elites: snap.elites.clone(),
-        })
-    }
-}
-
-/// splitmix64-style mix of the run seed and the island index: each island
-/// gets an independent, reproducible RNG stream.
+/// The run seed xor the splitmix64 finalizer of `island·φ`: each island
+/// gets an independent, reproducible RNG stream, and island 0 (whose mix
+/// is 0) continues the run seed's own stream.
 fn island_seed(seed: u64, island: u64) -> u64 {
-    let mut z = seed ^ island.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut z = island.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    seed ^ z ^ (z >> 31)
 }
 
 /// Split `total` into `n` shares that sum to `total` exactly (earlier
@@ -249,8 +242,17 @@ fn run_fingerprint(space: &SearchSpace, config: &SearchConfig, seeds: &[Individu
     )
 }
 
-/// Rank population indices best-first: score descending, fitness ties
-/// broken by the genome's total order (smaller wins). Scheduling-free.
+/// Rank population indices best-first inside one island: a stable sort on
+/// the score alone, so ties keep population order (the GGA's elite rule).
+fn by_score(scores: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite fitness"));
+    order
+}
+
+/// Rank population indices best-first where islands meet (migration):
+/// score descending, fitness ties broken by the genome's total order
+/// (smaller wins).
 fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| {
@@ -262,9 +264,11 @@ fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
     order
 }
 
-/// Evaluate `state.population` serially, isolating panics per candidate
-/// exactly like the serial search: bounded retry on fresh island-local
-/// indices, then [`gga::POISONED_FITNESS`].
+/// Evaluate `state.population` serially, isolating panics per candidate:
+/// every evaluation gets an island-local index (for deterministic fault
+/// injection); a candidate whose evaluation panics is retried up to
+/// `retries` times on fresh indices (so injected transient faults clear),
+/// then scored [`gga::POISONED_FITNESS`].
 fn evaluate_island(
     engine: &ProjectionEngine<'_>,
     penalty: &Penalty,
@@ -306,41 +310,41 @@ fn evaluate_island(
 /// Advance one island through up to `gens` generations (one migration
 /// epoch). Runs inside the supervisor; an `Err` is a detected stall, a
 /// panic is caught by the caller's `isolated` wrapper — both quarantine.
-#[allow(clippy::too_many_arguments)] // the epoch loop's full read set, by design
 fn advance_epoch(
     engine: &ProjectionEngine<'_>,
     config: &SearchConfig,
-    eligible: &[usize],
     penalty: &Penalty,
-    poison: &BTreeSet<u64>,
-    faults: &IslandFaults,
+    opts: &IslandOptions,
     state: &mut IslandState,
     gens: usize,
 ) -> Result<(), String> {
     let started = Instant::now();
+    let poison = &opts.poison;
     if state.scores.is_empty() {
         state.scores = evaluate_island(engine, penalty, poison, config.eval_retries, state);
     }
-    let out_of_budget = |state: &IslandState, started: &Instant| {
-        let wall = state.wall_spent_ms + started.elapsed().as_millis() as u64;
+    // Watchdog budgets, checked at generation boundaries only so the
+    // trajectory for a given seed is unchanged — just where it stops.
+    let out_of_budget = |state: &IslandState| {
+        let wall_us = state.wall_spent_us + started.elapsed().as_micros() as u64;
         (state.eval_budget > 0 && state.evaluations >= state.eval_budget)
-            || (config.max_wall_ms > 0 && wall >= config.max_wall_ms)
+            || (config.max_wall_ms > 0 && wall_us >= config.max_wall_ms.saturating_mul(1000))
     };
     for _ in 0..gens {
         if state.stop.is_some() {
             break;
         }
-        if out_of_budget(state, &started) {
+        if out_of_budget(state) {
             state.stop = Some(StopReason::BudgetExhausted);
             break;
         }
-        if faults.stall_at.get(&state.index) == Some(&state.generations_run) {
+        if opts.faults.stall_at.get(&state.index) == Some(&state.generations_run) {
             return Err(format!(
                 "island {} stalled at generation {} and blew its supervision budget (injected)",
                 state.index, state.generations_run
             ));
         }
-        if faults.panic_at.get(&state.index) == Some(&state.generations_run) {
+        if opts.faults.panic_at.get(&state.index) == Some(&state.generations_run) {
             panic!(
                 "injected island fault: panic at generation {}",
                 state.generations_run
@@ -348,28 +352,27 @@ fn advance_epoch(
         }
 
         state.generations_run += 1;
-        let order = rank_desc(&state.scores, &state.population);
-        let prev_best = state.scores[order[0]];
-        let mut next: Vec<Individual> = order
-            .iter()
+        let prev_best = state.scores[gga::argmax(&state.scores)];
+        // Elites survive unchanged.
+        let mut next: Vec<Individual> = by_score(&state.scores)
+            .into_iter()
             .take(config.elites.min(state.population.len()))
-            .map(|&i| state.population[i].clone())
+            .map(|i| state.population[i].clone())
             .collect();
         let shard = state.population.len();
         while next.len() < shard {
             next.push(gga::breed(
                 engine,
                 config,
-                eligible,
                 &state.population,
                 &state.scores,
-                &mut state.rng,
+                &mut state.rng.0,
                 &mut state.fission_moves,
             ));
         }
         state.population = next;
         state.scores = evaluate_island(engine, penalty, poison, config.eval_retries, state);
-        let best = rank_desc(&state.scores, &state.population)[0];
+        let best = gga::argmax(&state.scores);
         state.history.push(state.scores[best]);
         state.retained_fissions += state.population[best].fissioned.len() as u64;
 
@@ -383,11 +386,11 @@ fn advance_epoch(
                 state.stagnant = 0;
             }
         }
-        if state.stop.is_none() && state.generations_run >= config.generations {
-            state.stop = Some(StopReason::Converged);
-        }
     }
-    state.wall_spent_ms += started.elapsed().as_millis() as u64;
+    if state.stop.is_none() && state.generations_run >= config.generations {
+        state.stop = Some(StopReason::Converged);
+    }
+    state.wall_spent_us += started.elapsed().as_micros() as u64;
     Ok(())
 }
 
@@ -397,7 +400,7 @@ fn refresh_elites(config: &SearchConfig, state: &mut IslandState) {
         return;
     }
     let keep = config.elites.max(1).min(state.population.len());
-    let order = rank_desc(&state.scores, &state.population);
+    let order = by_score(&state.scores);
     state.elite_scores = order.iter().take(keep).map(|&i| state.scores[i]).collect();
     state.elites = order
         .iter()
@@ -450,17 +453,19 @@ fn migrate(config: &SearchConfig, states: &mut [IslandState]) {
     }
 }
 
-/// Run the supervised island search. With `config.islands == 1` this is a
-/// single supervised island (useful for checkpointing a serial-shaped
-/// run); the classic serial path is [`gga::search`].
+/// Run the search: `config.islands` supervised islands (1 = the classic
+/// serial GGA, as one island with nothing to migrate to). [`gga::search`]
+/// is this with default options.
 pub fn search_islands(
     space: &SearchSpace,
     config: &SearchConfig,
     opts: &IslandOptions,
 ) -> IslandSearchResult {
-    // Stamp the configured temporal ceiling onto the space before anything
-    // consults it (feasibility, projection, fingerprint) — mirrors
-    // [`gga::search_with_faults_seeded`].
+    // The temporal ceiling lives on the space (feasibility, projection and
+    // the fingerprint all consult it); stamp the configured value before
+    // anything reads it. At the default of 1 the space is untouched — the
+    // temporal dimension vanishes and the run is identical to a
+    // pre-temporal one.
     let stamped;
     let space = if space.max_temporal == config.max_temporal {
         space
@@ -477,9 +482,13 @@ pub fn search_islands(
         hard: config.penalty_hard,
         ..Penalty::default()
     };
-    let eligible = space.eligible_originals();
+    // One projection engine for the whole run: the timing model is built
+    // once, and group costs are memoized across individuals, generations
+    // and islands.
     let engine = ProjectionEngine::new(space);
     let singles = Individual::singletons(space);
+    // The baseline is isolated like any other evaluation; a poisoned
+    // baseline scores 0 (no projection improvement claimed over it).
     let baseline_gflops =
         isolated(|| objective::fitness_with(&engine, &singles, &penalty)).unwrap_or(0.0);
 
@@ -507,26 +516,19 @@ pub fn search_islands(
                 action: "ignored unusable checkpoint; restarted the search from scratch".into(),
                 reason,
             }),
-            CheckpointLoad::Resumed(ckpt) => {
-                let restored: Option<Vec<IslandState>> =
-                    ckpt.islands.iter().map(IslandState::from_snapshot).collect();
-                match restored {
-                    Some(islands) if islands.len() == n => {
-                        start_epoch = ckpt.epoch + 1;
-                        resumed_from_epoch = Some(ckpt.epoch);
-                        prior_hits = ckpt.prior_hits;
-                        prior_misses = ckpt.prior_misses;
-                        degradations = ckpt.degradations.clone();
-                        states = Some(islands);
-                    }
-                    _ => degradations.push(SearchDegradation {
-                        scope: "search checkpoint".into(),
-                        action: "ignored unusable checkpoint; restarted the search from scratch"
-                            .into(),
-                        reason: "checkpoint island state is malformed".into(),
-                    }),
-                }
+            CheckpointLoad::Resumed(ckpt) if ckpt.islands.len() == n => {
+                start_epoch = ckpt.epoch + 1;
+                resumed_from_epoch = Some(ckpt.epoch);
+                prior_hits = ckpt.prior_hits;
+                prior_misses = ckpt.prior_misses;
+                degradations = ckpt.degradations;
+                states = Some(ckpt.islands);
             }
+            CheckpointLoad::Resumed(_) => degradations.push(SearchDegradation {
+                scope: "search checkpoint".into(),
+                action: "ignored unusable checkpoint; restarted the search from scratch".into(),
+                reason: "checkpoint island state is malformed".into(),
+            }),
         }
     }
 
@@ -557,19 +559,19 @@ pub fn search_islands(
                 while population.len() < shard {
                     let mut ind = singles.clone();
                     for _ in 0..config.init_merges {
-                        gga::mutate_merge(space, &mut ind, &eligible, &mut rng);
+                        gga::mutate_merge(space, &mut ind, &mut rng);
                     }
                     population.push(ind);
                 }
                 IslandState {
                     index: i,
                     alive: true,
-                    rng,
+                    rng: IslandRng(rng),
                     population,
                     scores: Vec::new(),
                     evaluations: 0,
                     eval_budget: budgets[i],
-                    wall_spent_ms: 0,
+                    wall_spent_us: 0,
                     poisoned: 0,
                     generations_run: 0,
                     history: Vec::new(),
@@ -608,17 +610,8 @@ pub fn search_islands(
                 }
                 let attempt = isolated(|| {
                     let mut next = s.clone();
-                    advance_epoch(
-                        &engine,
-                        config,
-                        &eligible,
-                        &penalty,
-                        &opts.poison,
-                        &opts.faults,
-                        &mut next,
-                        gens,
-                    )
-                    .map(|()| next)
+                    advance_epoch(&engine, config, &penalty, opts, &mut next, gens)
+                        .map(|()| next)
                 });
                 match attempt {
                     Ok(Ok(next)) => Ok(next),
@@ -663,7 +656,7 @@ pub fn search_islands(
                 prior_hits: prior_hits + stats.hits,
                 prior_misses: prior_misses + stats.misses,
                 degradations: degradations.clone(),
-                islands: states.iter().map(IslandState::to_snapshot).collect(),
+                islands: states.clone(),
             };
             let torn = opts.faults.torn_checkpoint_at_epoch == Some(epoch);
             match save_checkpoint(path, &snapshot, torn) {
@@ -682,28 +675,34 @@ pub fn search_islands(
     }
 
     // ---- canonical merge ----
-    // Scan islands in index order; alive islands contribute their live
-    // population, quarantined ones their last-good elites. Strictly
-    // greater score wins; exact ties fall to the smaller genome.
-    let mut best: Option<(f64, Individual)> = None;
+    // Scan islands in index order; a live island contributes its champion
+    // (the generation's best), a quarantined one its last-good elites. Across
+    // islands a strictly greater score wins; exact ties fall to the
+    // smaller genome.
+    let mut best: Option<(f64, &Individual)> = None;
     for s in &states {
         let pool: Vec<(f64, &Individual)> = if s.alive {
-            s.scores.iter().copied().zip(s.population.iter()).collect()
+            // `max_by` keeps the last maximum, exactly like `gga::argmax`.
+            let scored = s.scores.iter().copied().zip(s.population.iter());
+            scored
+                .max_by(|a, b| a.0.partial_cmp(&b.0).expect("finite fitness"))
+                .into_iter()
+                .collect()
         } else {
             s.elite_scores.iter().copied().zip(s.elites.iter()).collect()
         };
         for (score, ind) in pool {
-            let better = match &best {
+            let better = match best {
                 None => true,
-                Some((bs, bi)) => score > *bs || (score == *bs && ind < bi),
+                Some((bs, bi)) => score > bs || (score == bs && ind < bi),
             };
             if better {
-                best = Some((score, ind.clone()));
+                best = Some((score, ind));
             }
         }
     }
     let (best_gflops, best) = match best {
-        Some((s, i)) => (s, i),
+        Some((s, i)) => (s, i.clone()),
         // Every island died before producing elites: fall back to the
         // untransformed baseline rather than failing the stage.
         None => (baseline_gflops, singles.clone()),
@@ -769,7 +768,7 @@ pub fn search_islands(
         checkpoints_written,
         resumed_from_epoch,
         killed_at_epoch,
-        island_wall_ms: states.iter().map(|s| s.wall_spent_ms).collect(),
+        island_wall_ms: states.iter().map(|s| s.wall_spent_us / 1000).collect(),
     }
 }
 
@@ -935,18 +934,23 @@ void host() {
     fn kill_and_resume_reproduces_the_uninterrupted_plan_at_every_epoch(
     ) {
         let space = space_for(CHAIN4);
-        let cfg = island_config(3);
-        let dir = scratch("kill-resume");
+        for islands in [1, 3] {
+            kill_and_resume_at_every_epoch(&space, &island_config(islands));
+        }
+    }
 
-        let golden = search_islands(&space, &cfg, &IslandOptions::default());
+    fn kill_and_resume_at_every_epoch(space: &SearchSpace, cfg: &SearchConfig) {
+        let dir = scratch(&format!("kill-resume-{}", cfg.islands));
+
+        let golden = search_islands(space, cfg, &IslandOptions::default());
         let golden_bytes = plan_bytes(&golden);
         assert_eq!(golden.epochs_run, 3);
 
         for epoch in 0..golden.epochs_run {
             let ckpt = dir.join(format!("epoch{epoch}.ckpt"));
             let killed = search_islands(
-                &space,
-                &cfg,
+                space,
+                cfg,
                 &IslandOptions {
                     checkpoint_path: Some(ckpt.clone()),
                     faults: IslandFaults {
@@ -960,8 +964,8 @@ void host() {
             assert!(ckpt.exists(), "epoch {epoch}: checkpoint written");
 
             let resumed = search_islands(
-                &space,
-                &cfg,
+                space,
+                cfg,
                 &IslandOptions {
                     checkpoint_path: Some(ckpt.clone()),
                     resume_path: Some(ckpt.clone()),
@@ -1050,6 +1054,45 @@ void host() {
         assert_eq!(r.degradations.len(), 1);
         assert!(r.degradations[0].reason.contains("key"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_checkpoint_restarts_from_scratch_with_the_version_named() {
+        let space = space_for(CHAIN4);
+        let cfg = island_config(1);
+        let dir = scratch("v1");
+        let ckpt = dir.join("search.ckpt");
+        crate::checkpoint::tests::write_v1_checkpoint(&ckpt, "any run");
+
+        let golden = search_islands(&space, &cfg, &IslandOptions::default());
+        let resumed = search_islands(
+            &space,
+            &cfg,
+            &IslandOptions {
+                resume_path: Some(ckpt.clone()),
+                ..IslandOptions::default()
+            },
+        );
+        assert_eq!(resumed.resumed_from_epoch, None);
+        assert_eq!(resumed.degradations.len(), 1);
+        assert_eq!(resumed.degradations[0].scope, "search checkpoint");
+        assert!(resumed.degradations[0].action.contains("restarted the search from scratch"));
+        assert!(resumed.degradations[0].reason.contains("schema version 1"));
+        assert_eq!(plan_bytes(&resumed), plan_bytes(&golden));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn search_is_the_one_island_run() {
+        let space = space_for(CHAIN4);
+        let cfg = island_config(1);
+        let r = search_islands(&space, &cfg, &IslandOptions::default());
+        assert_eq!(r.islands, 1);
+        assert!(r.degradations.is_empty());
+        let plain = gga::search(&space, &cfg);
+        assert_eq!(r.result.best, plain.best);
+        assert_eq!(r.result.plan, plain.plan);
+        assert_eq!(r.result.history, plain.history);
     }
 
     #[test]

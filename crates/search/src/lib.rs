@@ -21,9 +21,11 @@
 //!   ([`gga`]) uses Falkenauer-style group-level operators with
 //!   feasibility-preserving repair.
 //!
-//! For parallel runs the population shards into supervised islands
-//! ([`islands`]): panic-isolated epochs, seeded migration, a canonical
-//! deterministic merge, and crash checkpoint/resume ([`checkpoint`]).
+//! There is one search driver, [`search_islands`]: the population shards
+//! into `islands` supervised islands ([`islands`]) — panic-isolated
+//! epochs, seeded migration, a canonical deterministic merge, and crash
+//! checkpoint/resume ([`checkpoint`]). The classic serial GGA is its
+//! `islands = 1` case, and [`search`] is the driver with default options.
 
 pub mod checkpoint;
 pub mod genome;
@@ -36,17 +38,14 @@ pub mod projection;
 pub mod space;
 
 pub use checkpoint::{
-    load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, IslandSnapshot,
-    CHECKPOINT_VERSION,
+    load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, CHECKPOINT_VERSION,
 };
 pub use genome::Individual;
-pub use gga::{
-    lower_plan, search, search_seeded, search_with_faults, search_with_faults_seeded,
-    SearchResult, StopReason,
-};
+pub use gga::{lower_plan, search, SearchResult, StopReason};
 pub use port::raise_plan;
 pub use islands::{
-    search_islands, IslandFaults, IslandOptions, IslandSearchResult, SearchDegradation,
+    search_islands, IslandFaults, IslandOptions, IslandSearchResult, IslandState,
+    SearchDegradation,
 };
 pub use params::SearchConfig;
 pub use projection::{GroupKey, ProjectionEngine, ProjectionStats};

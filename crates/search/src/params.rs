@@ -54,14 +54,14 @@ pub struct SearchConfig {
     pub mode: CodegenMode,
     /// Whether the lowered plan requests block-size tuning from codegen.
     pub block_tuning: bool,
-    /// Number of parallel islands the population is sharded into. 1 keeps
-    /// the classic serial search; >1 runs the supervised island model
-    /// (`crate::islands`) with per-island RNG streams, seeded migration,
-    /// and a canonical merge — deterministic per seed regardless of the
-    /// worker thread count.
+    /// Number of islands the population is sharded into. Every run goes
+    /// through the one supervised island loop (`crate::islands`): 1 is the
+    /// classic GGA as a single island on the run seed's own RNG stream;
+    /// more add per-island streams, seeded migration and a canonical merge
+    /// — deterministic per seed regardless of the worker thread count.
     pub islands: usize,
-    /// Generations per migration epoch in island mode: islands exchange
-    /// elites (and checkpoints are written) every this many generations.
+    /// Generations per migration epoch: islands exchange elites (and
+    /// checkpoints are written) every this many generations.
     pub migration_interval: usize,
     /// Elites each island sends to its ring neighbor at a migration epoch.
     pub migrants: usize,
@@ -136,7 +136,8 @@ impl SearchConfig {
         self
     }
 
-    /// Shard the population across `n` supervised islands (1 = serial).
+    /// Shard the population across `n` supervised islands (1 = the whole
+    /// population on one island, the classic GGA).
     pub fn with_islands(mut self, n: usize) -> SearchConfig {
         self.islands = n.max(1);
         self
@@ -196,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn island_defaults_are_serial() {
+    fn island_defaults_are_one_island() {
         let c = SearchConfig::default();
         assert_eq!(c.islands, 1);
         assert!(c.migration_interval > 0);

@@ -8,8 +8,7 @@
 //! sustain (e.g. a shared-memory budget the wavefront-64 part does not
 //! have) are simply skipped, so the raised genome is always feasible. The
 //! result is elite-injected into the initial population
-//! ([`crate::gga::search_seeded`] / [`crate::islands::IslandOptions::seeds`]),
-//! and a reduced-budget search ([`crate::params::SearchConfig::for_port`])
+//! ([`crate::islands::IslandOptions::seeds`]), and a reduced-budget search ([`crate::params::SearchConfig::for_port`])
 //! re-tunes from there instead of from scratch.
 
 use crate::genome::Individual;
@@ -58,7 +57,8 @@ pub fn raise_plan(space: &SearchSpace, plan: &TransformPlan) -> Individual {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gga::{lower_plan, search_seeded};
+    use crate::gga::lower_plan;
+    use crate::islands::{search_islands, IslandOptions};
     use crate::params::SearchConfig;
     use crate::projection::ProjectionEngine;
     use crate::space::tests::space_for;
@@ -121,8 +121,12 @@ void host() {
             assert_eq!(raised.fusion_groups().len(), 1, "lost group on {}", dev.name);
             // Seeded search accepts and keeps determinism.
             let cfg = SearchConfig::quick().for_port();
-            let a = search_seeded(&space, &cfg, std::slice::from_ref(&raised));
-            let b = search_seeded(&space, &cfg, std::slice::from_ref(&raised));
+            let opts = IslandOptions {
+                seeds: vec![raised],
+                ..IslandOptions::default()
+            };
+            let a = search_islands(&space, &cfg, &opts).result;
+            let b = search_islands(&space, &cfg, &opts).result;
             assert_eq!(a.plan, b.plan, "nondeterministic port on {}", dev.name);
         }
     }

@@ -104,16 +104,6 @@ pub struct SearchSpace {
 }
 
 impl SearchSpace {
-    /// Ids of units eligible for fusion (originals only; products inherit
-    /// their parent's eligibility).
-    pub fn eligible_originals(&self) -> Vec<usize> {
-        self.units
-            .iter()
-            .filter(|u| u.parent.is_none() && u.eligible)
-            .map(|u| u.id)
-            .collect()
-    }
-
     /// If `members` is a temporal-fold candidate — at least two original
     /// units that exactly cover one recorded host time loop, with the
     /// temporal dimension enabled — return the loop index.

@@ -101,8 +101,9 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
                 // Cache faults live in the store, not the pipeline; the
                 // batch/fuzz harnesses exercise them (tests/plan_cache.rs).
                 cache: sf_cache::CacheFaults::none(),
-                // Island faults only bite in island mode; the island
-                // harnesses exercise them (tests/island_search.rs).
+                // Island faults reach every run (one search loop), but the
+                // island harnesses own them (tests/island_search.rs); here
+                // only the seeded plans below carry them.
                 islands: sf_search::IslandFaults::default(),
             },
         )

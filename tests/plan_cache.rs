@@ -370,6 +370,50 @@ fn warm_batch_replay_is_byte_identical_to_cold() {
 }
 
 #[test]
+fn checkpoint_placement_shares_one_cache_entry() {
+    // Checkpoint placement is deliberately outside the cache key, so a
+    // request compiled with `checkpoint_dir` and one compiled without must
+    // publish — and be served — the very same bytes.
+    let dir = scratch_dir("ckpt-key");
+    let ckpts = scratch_dir("ckpt-key-files");
+    std::fs::create_dir_all(&ckpts).expect("checkpoint dir");
+    // An app analog, not SMALL_APP: its search has ties to break, so the
+    // plan is sensitive to the loop's ranking rules.
+    let app = sf_apps::mitgcm::build(&sf_apps::AppConfig::test());
+    let source = sf_minicuda::printer::print_program(&app.program);
+    let run = |store: &PathBuf, checkpoint_dir: Option<PathBuf>| {
+        let options = BatchOptions {
+            checkpoint_dir,
+            ..BatchOptions::default()
+        };
+        let mut driver = BatchDriver::new(store, quick_config(), options).expect("driver");
+        driver
+            .submit(BatchRequest::new("mitgcm", source.as_str()))
+            .expect("admitted");
+        driver.run().outcomes.remove(0)
+    };
+
+    let cold = run(&dir, Some(ckpts.clone()));
+    assert_eq!(cold.status, BatchStatus::Compiled);
+    assert!(ckpts.join("mitgcm.ckpt").exists(), "the cold run checkpointed");
+    let warm = run(&dir, None);
+    assert_eq!(warm.status, BatchStatus::Hit);
+    assert_eq!(warm.plan_json, cold.plan_json);
+    assert_eq!(warm.output, cold.output);
+
+    // And a from-scratch compile that never checkpointed agrees with both.
+    let other = scratch_dir("ckpt-key-plain");
+    let plain = run(&other, None);
+    assert_eq!(plain.status, BatchStatus::Compiled);
+    assert_eq!(plain.plan_json, cold.plan_json);
+    assert_eq!(plain.output, cold.output);
+
+    for d in [dir, ckpts, other] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+#[test]
 fn admission_is_bounded_and_rejects_with_backpressure() {
     let dir = scratch_dir("admission");
     let mut driver = BatchDriver::new(
