@@ -3,8 +3,8 @@
 //! execute functionally on the simulator from identical seeded inputs and
 //! every device array is compared.
 
-use sf_core::{Accounted, ResourceError, ResourceGovernor, ResourceKind};
-use sf_gpusim::{GlobalMemory, Interpreter};
+use sf_core::{Accounted, Limits, ResourceError, ResourceGovernor, ResourceKind};
+use sf_gpusim::{ExecErrorKind, GlobalMemory, Interpreter};
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use std::sync::Arc;
@@ -94,21 +94,17 @@ fn run_governed(
                 .map_err(VerifyFailure::Exhausted)?;
             Ok(stats.into_iter().flat_map(|s| s.hazards).collect())
         }
-        Err(e) => {
-            let msg = e.to_string();
-            if msg.contains("interpreter step budget exhausted") {
-                Err(VerifyFailure::Exhausted(ResourceError {
-                    resource: ResourceKind::InterpreterSteps,
-                    used: governor.used(ResourceKind::InterpreterSteps).saturating_add(used),
-                    limit: governor
-                        .limits()
-                        .limit(ResourceKind::InterpreterSteps)
-                        .unwrap_or(u64::MAX),
-                }))
-            } else {
-                Err(VerifyFailure::Failed(format!("{label}: {msg}")))
-            }
-        }
+        Err(e) => Err(match e.1 {
+            ExecErrorKind::StepBudget { .. } => VerifyFailure::Exhausted(ResourceError {
+                resource: ResourceKind::InterpreterSteps,
+                used: governor.used(ResourceKind::InterpreterSteps).saturating_add(used),
+                limit: governor
+                    .limits()
+                    .limit(ResourceKind::InterpreterSteps)
+                    .unwrap_or(u64::MAX),
+            }),
+            ExecErrorKind::Trap => VerifyFailure::Failed(format!("{label}: {e}")),
+        }),
     }
 }
 
@@ -116,8 +112,7 @@ fn run_governed(
 /// are charged as accounted heap bytes *before* either is materialized,
 /// and both interpreter runs draw from the scope's step budget.
 /// Exhaustion is a structured [`VerifyFailure::Exhausted`], never an OOM
-/// or a hang. With an unlimited governor this is behavior-identical to
-/// the ungoverned verifier.
+/// or a hang.
 pub fn verify_equivalence_governed(
     original: &Program,
     transformed: &Program,
@@ -149,37 +144,15 @@ pub fn verify_equivalence_governed(
     Ok(compare_images(mem_a, mem_b, hazards))
 }
 
-/// Run both programs with identical seeded inputs and compare all arrays.
+/// Run both programs with identical seeded inputs and compare all arrays:
+/// [`verify_equivalence_governed`] with nothing capped.
 pub fn verify_equivalence(
     original: &Program,
     transformed: &Program,
     seed: u64,
 ) -> Result<Verification, String> {
-    let plan_a = ExecutablePlan::from_program(original).map_err(|e| e.to_string())?;
-    let plan_b = ExecutablePlan::from_program(transformed).map_err(|e| e.to_string())?;
-    let mut mem_a = GlobalMemory::from_plan(&plan_a);
-    let mut mem_b = GlobalMemory::from_plan(&plan_b);
-    mem_a.seed_all(seed);
-    mem_b.seed_all(seed);
-
-    let mut hazards = Vec::new();
-    let mut interp_a = Interpreter::new(original);
-    interp_a.detect_hazards = true;
-    for s in interp_a
-        .run_plan(&plan_a, &mut mem_a)
-        .map_err(|e| format!("original: {e}"))?
-    {
-        hazards.extend(s.hazards);
-    }
-    let mut interp_b = Interpreter::new(transformed);
-    interp_b.detect_hazards = true;
-    for s in interp_b
-        .run_plan(&plan_b, &mut mem_b)
-        .map_err(|e| format!("transformed: {e}"))?
-    {
-        hazards.extend(s.hazards);
-    }
-    Ok(compare_images(&mem_a, &mem_b, hazards))
+    let unlimited = ResourceGovernor::new(Limits::unlimited());
+    verify_equivalence_governed(original, transformed, seed, &unlimited).map_err(|e| e.to_string())
 }
 
 /// Fold two finished memory images into a [`Verification`] verdict.
@@ -388,6 +361,17 @@ void host() {
             panic!("expected exhaustion, got {err:?}");
         };
         assert_eq!(e.resource, ResourceKind::InterpreterSteps);
+        // The second block of the first run is the one that does not fit.
+        assert_eq!((e.used, e.limit), (64, 50));
+
+        // A trap is a failed run, not exhaustion.
+        let trapping = parse_program(&src.replace("a[i] * 2.0", "a[i + 64]")).unwrap();
+        let g = ResourceGovernor::new(Limits::unlimited());
+        let err = verify_equivalence_governed(&p, &trapping, 3, &g).unwrap_err();
+        let VerifyFailure::Failed(why) = err else {
+            panic!("expected a failed run, got {err:?}");
+        };
+        assert!(why.starts_with("transformed: execution error: out-of-bounds"), "{why}");
     }
 
     /// Mutation test: swap the array bindings of one launch and assert the

@@ -9,9 +9,22 @@
 //! active masks and are counted per warp for the divergence statistics the
 //! timing model consumes.
 //!
-//! Kernels are compiled ([`crate::compile`]) to slot-resolved form before
-//! execution, so the hot path performs no name lookups; bound arrays are
-//! checked out of [`GlobalMemory`] for the duration of a launch.
+//! Kernels are compiled ([`crate::compile`]) to slot-resolved, slot-typed
+//! form before execution, and each statement executes in two halves:
+//!
+//! - its **column program** — the pure-int guard and index subtrees, which
+//!   touch no counter, hazard log, memory cell or trap — runs once over
+//!   all lanes of the block as tight loops on `i64` columns (int slots are
+//!   stored as columns, `threadIdx` is a table built once per launch);
+//! - everything observable — loads, stores, flop and access counters, the
+//!   hazard logs, traps, two-phase commit — runs **per thread in thread
+//!   order** in the one evaluator ([`Machine::eval`]), reading the integer
+//!   results from the columns.
+//!
+//! There is no unchecked mode: bounds, hazard and race checks run on every
+//! access at this speed. Block-sized state (columns, masks, tiles, the
+//! hazard logs) is pooled across statements, blocks and launches; bound
+//! arrays are checked out of [`GlobalMemory`] for the duration of a launch.
 //!
 //! The interpreter also performs the checks the paper relies on:
 //! - output verification — callers compare memory images of original vs
@@ -22,7 +35,7 @@
 //!   different block in the same launch — invalid inter-block communication
 //!   that temporal blocking must avoid).
 
-use crate::compile::{compile, CExpr, CStmt, CompiledKernel};
+use crate::compile::{compile, CExpr, CStmt, ColOp, ColSrc, CompiledKernel, SlotRef};
 use crate::memory::{DeviceArray, GlobalMemory};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg};
@@ -31,9 +44,27 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-/// A runtime error during simulated execution.
+/// What went wrong in an [`ExecError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecErrorKind {
+    /// The program or its launch is at fault: an out-of-bounds access, a
+    /// division by zero, a barrier in divergent control flow, bad
+    /// arguments.
+    Trap,
+    /// [`Interpreter::step_limit`] ran out: `used` steps were needed.
+    #[allow(missing_docs)] // fields carry descriptive names
+    StepBudget { used: u64, limit: u64 },
+}
+
+/// A runtime error during simulated execution: the message and its kind.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ExecError(pub String);
+pub struct ExecError(pub String, pub ExecErrorKind);
+
+impl ExecError {
+    pub(crate) fn trap(message: impl Into<String>) -> ExecError {
+        ExecError(message.into(), ExecErrorKind::Trap)
+    }
+}
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -62,7 +93,7 @@ impl Value {
     fn as_i64(self) -> Result<i64, ExecError> {
         match self {
             Value::I(v) => Ok(v),
-            Value::F(v) => Err(ExecError(format!("expected integer value, got {v}"))),
+            Value::F(v) => Err(ExecError::trap(format!("expected integer value, got {v}"))),
         }
     }
 
@@ -130,12 +161,13 @@ pub struct Interpreter<'p> {
     /// Step budget across every launch this interpreter runs: one step
     /// per (block × thread) unit of work, charged before the block
     /// executes. `None` = unbounded. Exhaustion is a structured
-    /// [`ExecError`] (message contains `step budget exhausted`), never a
-    /// hang — the resource governor's defense-in-depth against
-    /// compile-bomb domains that slip past the static admission checks.
+    /// [`ExecError`] of kind [`ExecErrorKind::StepBudget`], never a hang —
+    /// the resource governor's defense-in-depth against compile-bomb
+    /// domains that slip past the static admission checks.
     pub step_limit: Option<u64>,
     steps_used: std::cell::Cell<u64>,
     compiled: RefCell<HashMap<String, Rc<CompiledKernel>>>,
+    pools: RefCell<Pools>,
 }
 
 impl<'p> Interpreter<'p> {
@@ -148,6 +180,7 @@ impl<'p> Interpreter<'p> {
             step_limit: None,
             steps_used: std::cell::Cell::new(0),
             compiled: RefCell::new(HashMap::new()),
+            pools: RefCell::new(Pools::default()),
         }
     }
 
@@ -160,9 +193,10 @@ impl<'p> Interpreter<'p> {
         let used = self.steps_used.get().saturating_add(amount);
         self.steps_used.set(used);
         match self.step_limit {
-            Some(limit) if used > limit => Err(ExecError(format!(
-                "interpreter step budget exhausted: {used} steps needed, limit {limit}"
-            ))),
+            Some(limit) if used > limit => Err(ExecError(
+                format!("interpreter step budget exhausted: {used} steps needed, limit {limit}"),
+                ExecErrorKind::StepBudget { used, limit },
+            )),
             _ => Ok(()),
         }
     }
@@ -174,7 +208,7 @@ impl<'p> Interpreter<'p> {
         let kernel = self
             .program
             .kernel(name)
-            .ok_or_else(|| ExecError(format!("unknown kernel `{name}`")))?;
+            .ok_or_else(|| ExecError::trap(format!("unknown kernel `{name}`")))?;
         let c = Rc::new(compile(kernel)?);
         self.compiled
             .borrow_mut()
@@ -207,16 +241,19 @@ impl<'p> Interpreter<'p> {
     ) -> Result<LaunchStats, ExecError> {
         let ck = self.compiled_kernel(&launch.kernel)?;
         if ck.array_params.len() + ck.scalar_param_slots.len() != launch.args.len() {
-            return Err(ExecError(format!(
+            return Err(ExecError::trap(format!(
                 "kernel `{}` takes {} params, launch passes {}",
                 launch.kernel,
                 ck.array_params.len() + ck.scalar_param_slots.len(),
                 launch.args.len()
             )));
         }
-        // Bind arguments: scalars into the base slot image, arrays checked
-        // out of global memory.
-        let mut base_slots = vec![Value::F(0.0); ck.nslots];
+        // Bind arguments: scalars into the base slot images (an unset slot
+        // is the zero of its kind), arrays checked out of global memory.
+        let mut base = BaseSlots {
+            ints: vec![0; ck.int_slots],
+            vals: vec![Value::F(0.0); ck.nslots - ck.int_slots],
+        };
         let mut bound: Vec<(String, DeviceArray)> = Vec::with_capacity(ck.array_params.len());
         let mut scalar_iter = ck.scalar_param_slots.iter();
         let mut ok: Result<(), ExecError> = Ok(());
@@ -224,7 +261,7 @@ impl<'p> Interpreter<'p> {
             match a {
                 ResolvedArg::Array(actual) => {
                     if bound.iter().any(|(n, _)| n == actual) {
-                        ok = Err(ExecError(format!(
+                        ok = Err(ExecError::trap(format!(
                             "array `{actual}` passed twice to `{}` (aliasing is not \
                              supported)",
                             launch.kernel
@@ -234,30 +271,37 @@ impl<'p> Interpreter<'p> {
                     match memory.take(actual) {
                         Some(arr) => bound.push((actual.clone(), arr)),
                         None => {
-                            ok = Err(ExecError(format!("unknown array `{actual}`")));
+                            ok = Err(ExecError::trap(format!("unknown array `{actual}`")));
                             break;
                         }
                     }
                 }
                 ResolvedArg::Scalar(v) => {
                     let Some(&(slot, ty)) = scalar_iter.next() else {
-                        ok = Err(ExecError(format!(
+                        ok = Err(ExecError::trap(format!(
                             "too many scalar args for `{}`",
                             launch.kernel
                         )));
                         break;
                     };
-                    base_slots[slot as usize] = match (ty, v) {
+                    let v = match (ty, v) {
                         (ScalarType::I32, HostValue::Int(i)) => Value::I(*i),
                         (ScalarType::I32, HostValue::Float(f)) => Value::I(*f as i64),
                         (_, v) => Value::F(v.as_f64()),
                     };
+                    match (slot, v) {
+                        (SlotRef::Int(c), Value::I(i)) => base.ints[c as usize] = i,
+                        (SlotRef::Int(_), Value::F(_)) => {
+                            unreachable!("an int slot's every declaration is `int`")
+                        }
+                        (SlotRef::Val(s), v) => base.vals[s as usize] = v,
+                    }
                 }
             }
         }
 
         let result = match ok {
-            Ok(()) => self.exec_launch(&ck, launch, &base_slots, &mut bound),
+            Ok(()) => self.exec_launch(&ck, launch, &base, &mut bound),
             Err(e) => Err(e),
         };
         for (name, arr) in bound {
@@ -270,60 +314,60 @@ impl<'p> Interpreter<'p> {
         &self,
         ck: &CompiledKernel,
         launch: &LaunchRecord,
-        base_slots: &[Value],
+        base: &BaseSlots,
         bound: &mut [(String, DeviceArray)],
     ) -> Result<LaunchStats, ExecError> {
         let mut stats = LaunchStats {
             threads: launch.grid.count() * launch.block.count(),
             ..LaunchStats::default()
         };
-        let mut writers: HashMap<(u16, usize), u64> = HashMap::new();
-        let nthreads = launch.block.count() as usize;
+        let lanes = launch.block.count() as usize;
+        let mut pools = self.pools.take();
+        pools.prepare_launch(ck, launch.block, bound.len());
 
         let mut machine = Machine {
             ck,
             kernel_name: &launch.kernel,
             arrays: bound,
             stats: &mut stats,
-            writers: &mut writers,
             block_linear: 0,
-            block_idx: Dim3::new(0, 0, 0),
-            block_dim: launch.block,
-            grid_dim: launch.grid,
-            slots: Vec::new(),
-            alive: Vec::new(),
-            tiles: Vec::new(),
-            epoch: 0,
-            shared_writes: HashMap::new(),
-            shared_reads_log: HashMap::new(),
+            geom: Geometry {
+                block_idx: Dim3::new(0, 0, 0),
+                block_dim: launch.block,
+                grid_dim: launch.grid,
+            },
+            lanes,
+            nvals: base.vals.len(),
+            p: pools,
+            any_returned: false,
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
             track_footprint: self.track_footprint,
             detect_hazards: self.detect_hazards,
-            scratch: Vec::new(),
         };
 
-        let mut block_linear = 0u64;
-        for bz in 0..launch.grid.z {
-            for by in 0..launch.grid.y {
-                for bx in 0..launch.grid.x {
-                    self.charge_steps(nthreads as u64)?;
-                    machine.reset_block(
-                        Dim3::new(bx, by, bz),
-                        block_linear,
-                        nthreads,
-                        base_slots,
-                    );
-                    let mask = vec![true; nthreads];
-                    machine.exec_stmts(&ck.body, &mask, true)?;
-                    if machine.track_footprint {
-                        machine.flush_footprint();
+        let mut run = || {
+            let mut block_linear = 0u64;
+            for bz in 0..launch.grid.z {
+                for by in 0..launch.grid.y {
+                    for bx in 0..launch.grid.x {
+                        self.charge_steps(lanes as u64)?;
+                        machine.reset_block(Dim3::new(bx, by, bz), block_linear, base);
+                        let full = std::mem::take(&mut machine.p.full);
+                        machine.exec_stmts(&ck.body, &full, true)?;
+                        machine.p.full = full;
+                        if machine.track_footprint {
+                            machine.flush_footprint();
+                        }
+                        block_linear += 1;
                     }
-                    block_linear += 1;
                 }
             }
-        }
-        Ok(stats)
+            Ok::<(), ExecError>(())
+        };
+        let result = run();
+        self.pools.replace(machine.p);
+        result.map(|()| stats)
     }
 }
 
@@ -344,82 +388,333 @@ fn merge_stats(into: &mut LaunchStats, from: LaunchStats) {
     }
 }
 
-/// Execution engine; fields are reused across blocks of one launch.
+/// What every thread's scalar slots hold when a block starts: the launch's
+/// scalar arguments, zero elsewhere.
+struct BaseSlots {
+    ints: Vec<i64>,
+    vals: Vec<Value>,
+}
+
+/// One `i64` per lane: a constant, or a column.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    Const(i64),
+    Col(&'a [i64]),
+}
+
+impl Lanes<'_> {
+    #[inline]
+    fn at(self, t: usize) -> i64 {
+        match self {
+            Lanes::Const(c) => c,
+            Lanes::Col(col) => col[t],
+        }
+    }
+}
+
+/// `dst[t] = f(a[t])` for every lane.
+fn map1(dst: &mut [i64], a: Lanes<'_>, f: impl Fn(i64) -> i64) {
+    match a {
+        Lanes::Const(x) => dst.fill(f(x)),
+        Lanes::Col(a) => {
+            for (d, &x) in dst.iter_mut().zip(a) {
+                *d = f(x);
+            }
+        }
+    }
+}
+
+/// `dst[t] = f(a[t], b[t])` for every lane; a constant operand is never
+/// materialised as a column.
+fn map2(dst: &mut [i64], a: Lanes<'_>, b: Lanes<'_>, f: impl Fn(i64, i64) -> i64) {
+    match (a, b) {
+        (Lanes::Col(a), Lanes::Col(b)) => {
+            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                *d = f(x, y);
+            }
+        }
+        (Lanes::Col(a), Lanes::Const(y)) => map1(dst, Lanes::Col(a), |x| f(x, y)),
+        (Lanes::Const(x), b) => map1(dst, b, |y| f(x, y)),
+    }
+}
+
+/// Where in the grid the executing block sits.
+#[derive(Clone, Copy)]
+struct Geometry {
+    block_idx: Dim3,
+    block_dim: Dim3,
+    grid_dim: Dim3,
+}
+
+impl Geometry {
+    /// A builtin's value in every lane; `tid` is the launch's `threadIdx`
+    /// table (x, y and z columns, one after the other).
+    fn builtin<'a>(&self, b: Builtin, tid: &'a [i64]) -> Lanes<'a> {
+        let pick = |d: Dim3, axis| {
+            Lanes::Const(match axis {
+                Axis::X => d.x,
+                Axis::Y => d.y,
+                Axis::Z => d.z,
+            } as i64)
+        };
+        match b {
+            Builtin::ThreadIdx(axis) => {
+                let lanes = tid.len() / 3;
+                Lanes::Col(&tid[axis as usize * lanes..][..lanes])
+            }
+            Builtin::BlockIdx(axis) => pick(self.block_idx, axis),
+            Builtin::BlockDim(axis) => pick(self.block_dim, axis),
+            Builtin::GridDim(axis) => pick(self.grid_dim, axis),
+        }
+    }
+}
+
+/// A shared-memory access log entry: the barrier epoch and warp of the last
+/// access to a tile cell. Epochs start at 1, so the default never matches.
+type LastAccess = (u64, u32);
+
+/// Block-sized buffers, reused across statements, blocks and launches so
+/// the per-statement path allocates nothing once they are warm.
+#[derive(Default)]
+struct Pools {
+    /// Int slots, one column each: `icols[slot * lanes + t]`.
+    icols: Vec<i64>,
+    /// Value slots, thread-major: `vals[t * nvals + slot]`.
+    vals: Vec<Value>,
+    /// Column registers: `regs[reg * lanes + t]`.
+    regs: Vec<i64>,
+    /// `threadIdx.x`, `.y`, `.z` of every lane, built once per launch.
+    tid: Vec<i64>,
+    alive: Vec<bool>,
+    /// The all-true block mask.
+    full: Vec<bool>,
+    /// Free list of mask buffers.
+    masks: Vec<Vec<bool>>,
+    tiles: Vec<Vec<f64>>,
+    /// Last writer / last reader of every tile cell.
+    shared_writes: Vec<Vec<LastAccess>>,
+    shared_reads: Vec<Vec<LastAccess>>,
+    /// Barrier epoch, monotonic over the interpreter's life: a new block is
+    /// a new epoch, so the logs above are never cleared.
+    epoch: u64,
+    /// Per bound array, `1 + block_linear` of the last block that wrote
+    /// each element this launch (0 = none); empty until the first write.
+    writers: Vec<Vec<u64>>,
+    /// Two-phase store scratch: (offset, value).
+    scratch: Vec<(usize, f64)>,
+}
+
+impl Pools {
+    fn prepare_launch(&mut self, ck: &CompiledKernel, block: Dim3, arrays: usize) {
+        let lanes = block.count() as usize;
+        self.icols.resize(ck.int_slots * lanes, 0);
+        self.regs.resize(ck.col_regs * lanes, 0);
+        self.full.clear();
+        self.full.resize(lanes, true);
+        self.tid.clear();
+        for axis in [Axis::X, Axis::Y, Axis::Z] {
+            for z in 0..block.z {
+                for y in 0..block.y {
+                    for x in 0..block.x {
+                        self.tid.push(match axis {
+                            Axis::X => x,
+                            Axis::Y => y,
+                            Axis::Z => z,
+                        } as i64);
+                    }
+                }
+            }
+        }
+        self.tiles.resize_with(ck.tiles.len(), Vec::new);
+        self.shared_writes.resize_with(ck.tiles.len(), Vec::new);
+        self.shared_reads.resize_with(ck.tiles.len(), Vec::new);
+        for (n, (_, len)) in ck.tiles.iter().enumerate() {
+            self.shared_writes[n].resize(*len, LastAccess::default());
+            self.shared_reads[n].resize(*len, LastAccess::default());
+        }
+        self.writers.resize_with(arrays, Vec::new);
+        for w in &mut self.writers {
+            w.clear();
+        }
+    }
+}
+
+/// Execution engine for one launch.
 struct Machine<'a> {
     ck: &'a CompiledKernel,
     kernel_name: &'a str,
     arrays: &'a mut [(String, DeviceArray)],
     stats: &'a mut LaunchStats,
-    writers: &'a mut HashMap<(u16, usize), u64>,
     block_linear: u64,
-    block_idx: Dim3,
-    block_dim: Dim3,
-    grid_dim: Dim3,
-    /// Flat per-thread slots: `slots[t * nslots + s]`.
-    slots: Vec<Value>,
-    alive: Vec<bool>,
-    tiles: Vec<Vec<f64>>,
-    epoch: u64,
-    shared_writes: HashMap<(u16, usize), (u64, usize)>,
-    shared_reads_log: HashMap<(u16, usize), (u64, usize)>,
+    geom: Geometry,
+    lanes: usize,
+    /// Value slots per thread.
+    nvals: usize,
+    p: Pools,
+    /// Some thread of this block has executed `return`.
+    any_returned: bool,
     fp_read: HashSet<(u16, usize)>,
     fp_write: HashSet<(u16, usize)>,
     track_footprint: bool,
     detect_hazards: bool,
-    /// Two-phase store scratch: (thread, offset, value).
-    scratch: Vec<(usize, usize, f64)>,
 }
 
 impl Machine<'_> {
-    fn reset_block(
-        &mut self,
-        block_idx: Dim3,
-        block_linear: u64,
-        nthreads: usize,
-        base_slots: &[Value],
-    ) {
-        self.block_idx = block_idx;
+    fn reset_block(&mut self, block_idx: Dim3, block_linear: u64, base: &BaseSlots) {
+        self.geom.block_idx = block_idx;
         self.block_linear = block_linear;
-        self.alive.clear();
-        self.alive.resize(nthreads, true);
-        self.slots.clear();
-        self.slots.reserve(nthreads * base_slots.len());
-        for _ in 0..nthreads {
-            self.slots.extend_from_slice(base_slots);
+        self.p.alive.clear();
+        self.p.alive.resize(self.lanes, true);
+        self.any_returned = false;
+        for (c, &v) in base.ints.iter().enumerate() {
+            self.p.icols[c * self.lanes..][..self.lanes].fill(v);
         }
-        self.tiles.clear();
-        for (_, len) in &self.ck.tiles {
-            self.tiles.push(vec![0.0; *len]);
+        self.p.vals.clear();
+        for _ in 0..self.lanes {
+            self.p.vals.extend_from_slice(&base.vals);
         }
-        self.epoch = 0;
-        self.shared_writes.clear();
-        self.shared_reads_log.clear();
+        for (tile, (_, len)) in self.p.tiles.iter_mut().zip(&self.ck.tiles) {
+            tile.clear();
+            tile.resize(*len, 0.0);
+        }
+        self.p.epoch += 1;
     }
 
     #[inline]
-    fn slot(&self, t: usize, s: u16) -> Value {
-        self.slots[t * self.ck.nslots + s as usize]
+    fn slot(&self, t: usize, s: SlotRef) -> Value {
+        match s {
+            SlotRef::Int(c) => Value::I(self.p.icols[c as usize * self.lanes + t]),
+            SlotRef::Val(s) => self.p.vals[t * self.nvals + s as usize],
+        }
     }
 
     #[inline]
-    fn set_slot(&mut self, t: usize, s: u16, v: Value) {
-        self.slots[t * self.ck.nslots + s as usize] = v;
+    fn set_slot(&mut self, t: usize, s: SlotRef, v: Value) {
+        match s {
+            // The typing rule the columns rely on: every assignment to an
+            // `int`-declared name is coerced to its declared type first.
+            SlotRef::Int(c) => match v {
+                Value::I(i) => self.p.icols[c as usize * self.lanes + t] = i,
+                Value::F(_) => unreachable!("int slot assigned {v:?}"),
+            },
+            SlotRef::Val(s) => self.p.vals[t * self.nvals + s as usize] = v,
+        }
     }
 
-    fn tid3(&self, t: usize) -> (u32, u32, u32) {
-        let x = (t as u32) % self.block_dim.x;
-        let y = (t as u32 / self.block_dim.x) % self.block_dim.y;
-        let z = t as u32 / (self.block_dim.x * self.block_dim.y);
-        (x, y, z)
+    fn take_mask(&mut self) -> Vec<bool> {
+        let mut m = self.p.masks.pop().unwrap_or_default();
+        m.clear();
+        m
+    }
+
+    /// Run a statement's column program: every op over every lane,
+    /// masked or not — nothing here can trap or be observed, and an unset
+    /// slot reads as 0.
+    fn run_cols(&mut self, ops: &[ColOp]) {
+        use BinaryOp::*;
+        let n = self.lanes;
+        let geom = self.geom;
+        let Pools {
+            icols, regs, tid, ..
+        } = &mut self.p;
+        for op in ops {
+            let (ColOp::Copy { dst, .. }
+            | ColOp::Not { dst, .. }
+            | ColOp::Bin { dst, .. }
+            | ColOp::Select { dst, .. }) = *op;
+            let dst = dst as usize;
+            // Operands live in registers above `dst` (compile.rs).
+            let (lo, hi) = regs.split_at_mut((dst + 1) * n);
+            let d = &mut lo[dst * n..];
+            let src = |s: ColSrc| match s {
+                ColSrc::Const(c) => Lanes::Const(c),
+                ColSrc::Slot(c) => Lanes::Col(&icols[c as usize * n..][..n]),
+                ColSrc::Builtin(b) => geom.builtin(b, tid),
+                ColSrc::Reg(r) => Lanes::Col(&hi[(r as usize - dst - 1) * n..][..n]),
+            };
+            match *op {
+                ColOp::Copy { a, .. } => map1(d, src(a), |x| x),
+                ColOp::Not { a, .. } => map1(d, src(a), |x| (x == 0) as i64),
+                ColOp::Bin { op, a, b, .. } => {
+                    let (a, b) = (src(a), src(b));
+                    match op {
+                        Add => map2(d, a, b, i64::wrapping_add),
+                        Sub => map2(d, a, b, i64::wrapping_sub),
+                        Mul => map2(d, a, b, i64::wrapping_mul),
+                        Lt => map2(d, a, b, |x, y| (x < y) as i64),
+                        Le => map2(d, a, b, |x, y| (x <= y) as i64),
+                        Gt => map2(d, a, b, |x, y| (x > y) as i64),
+                        Ge => map2(d, a, b, |x, y| (x >= y) as i64),
+                        Eq => map2(d, a, b, |x, y| (x == y) as i64),
+                        Ne => map2(d, a, b, |x, y| (x != y) as i64),
+                        And => map2(d, a, b, |x, y| (x != 0 && y != 0) as i64),
+                        Or => map2(d, a, b, |x, y| (x != 0 || y != 0) as i64),
+                        Div | Rem => unreachable!("`/` and `%` trap: never column ops"),
+                    }
+                }
+                ColOp::Select { c, t, e, .. } => {
+                    let (c, t, e) = (src(c), src(t), src(e));
+                    for (lane, d) in d.iter_mut().enumerate() {
+                        *d = if c.at(lane) != 0 {
+                            t.at(lane)
+                        } else {
+                            e.at(lane)
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[t] = among[t] && cond(t)`: a column condition in one pass,
+    /// anything else per thread in thread order.
+    fn truth(
+        &mut self,
+        cond: &CExpr,
+        among: &[bool],
+        out: &mut Vec<bool>,
+    ) -> Result<(), ExecError> {
+        out.clear();
+        if let CExpr::Col(r) = cond {
+            let col = &self.p.regs[*r as usize * self.lanes..][..self.lanes];
+            out.extend(among.iter().zip(col).map(|(&a, &c)| a && c != 0));
+        } else {
+            for (t, &a) in among.iter().enumerate() {
+                out.push(a && self.eval(cond, t)?.truthy());
+            }
+        }
+        Ok(())
+    }
+
+    /// `slot = e` coerced to `ty`, in the active lanes.
+    fn assign(
+        &mut self,
+        slot: SlotRef,
+        ty: ScalarType,
+        e: &CExpr,
+        active: &[bool],
+    ) -> Result<(), ExecError> {
+        if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, e) {
+            let n = self.lanes;
+            let dst = &mut self.p.icols[c as usize * n..][..n];
+            let src = &self.p.regs[*r as usize * n..][..n];
+            for ((d, &s), &a) in dst.iter_mut().zip(src).zip(active) {
+                if a {
+                    *d = s;
+                }
+            }
+            return Ok(());
+        }
+        for t in (0..active.len()).filter(|&t| active[t]) {
+            let v = coerce(self.eval(e, t)?, ty);
+            self.set_slot(t, slot, v);
+        }
+        Ok(())
     }
 
     fn count_warp_issue(&mut self, mask: &[bool]) {
-        let ws = 32usize;
-        for w in 0..mask.len().div_ceil(ws) {
-            if mask[w * ws..((w + 1) * ws).min(mask.len())]
-                .iter()
-                .any(|&m| m)
-            {
+        for warp in mask.chunks(32) {
+            if warp.iter().any(|&m| m) {
                 self.stats.warp_instructions += 1;
             }
         }
@@ -427,22 +722,15 @@ impl Machine<'_> {
 
     /// Record whether a branch diverged within any warp.
     fn record_branch(&mut self, active: &[bool], taken: &[bool]) -> bool {
-        let ws = 32usize;
         let mut any_div = false;
-        for w in 0..active.len().div_ceil(ws) {
-            let range = w * ws..((w + 1) * ws).min(active.len());
+        for (active, taken) in active.chunks(32).zip(taken.chunks(32)) {
             let mut saw_active = false;
             let mut saw_taken = false;
             let mut saw_not = false;
-            for t in range {
-                if active[t] {
-                    saw_active = true;
-                    if taken[t] {
-                        saw_taken = true;
-                    } else {
-                        saw_not = true;
-                    }
-                }
+            for (&a, &t) in active.iter().zip(taken) {
+                saw_active |= a;
+                saw_taken |= a && t;
+                saw_not |= a && !t;
             }
             if saw_active {
                 self.stats.branch_evals += 1;
@@ -469,58 +757,66 @@ impl Machine<'_> {
         uniform: bool,
     ) -> Result<(), ExecError> {
         for s in stmts {
-            self.exec_stmt(s, mask, uniform)?;
+            // Combine the control mask with liveness (identical until some
+            // thread returns).
+            if self.any_returned {
+                let mut active = self.take_mask();
+                active.extend(mask.iter().zip(&self.p.alive).map(|(&m, &a)| m && a));
+                let done = self.exec_stmt(s, &active, uniform);
+                self.p.masks.push(active);
+                done?;
+            } else {
+                self.exec_stmt(s, mask, uniform)?;
+            }
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, s: &CStmt, mask: &[bool], uniform: bool) -> Result<(), ExecError> {
-        // Combine the control mask with liveness.
-        let active: Vec<bool> = mask
-            .iter()
-            .zip(&self.alive)
-            .map(|(&m, &a)| m && a)
-            .collect();
+    fn exec_stmt(&mut self, s: &CStmt, active: &[bool], uniform: bool) -> Result<(), ExecError> {
         if !active.iter().any(|&a| a) {
             return Ok(());
         }
         match s {
-            CStmt::SetSlot { slot, ty, e } => {
-                self.count_warp_issue(&active);
-                for t in (0..active.len()).filter(|&t| active[t]) {
-                    let v = match e {
-                        Some(e) => coerce(self.eval(e, t)?, *ty),
-                        None => Value::F(0.0),
-                    };
-                    self.set_slot(t, *slot, v);
-                }
+            CStmt::SetSlot { slot, ty, cols, e } => {
+                self.count_warp_issue(active);
+                self.run_cols(cols);
+                self.assign(*slot, *ty, e, active)?;
             }
-            CStmt::StoreGlobal { array, idx, op, e } => {
-                self.count_warp_issue(&active);
-                self.store_global(*array, idx, *op, e, &active)?;
+            CStmt::StoreGlobal {
+                array,
+                idx,
+                op,
+                cols,
+                e,
+            } => {
+                self.count_warp_issue(active);
+                self.run_cols(cols);
+                self.store_global(*array, idx, *op, e, active)?;
             }
-            CStmt::StoreShared { tile, idx, op, e } => {
-                self.count_warp_issue(&active);
-                self.store_shared(*tile, idx, *op, e, &active)?;
+            CStmt::StoreShared {
+                tile,
+                idx,
+                op,
+                cols,
+                e,
+            } => {
+                self.count_warp_issue(active);
+                self.run_cols(cols);
+                self.store_shared(*tile, idx, *op, e, active)?;
             }
             CStmt::If {
+                cols,
                 cond,
                 then_body,
                 else_body,
             } => {
-                self.count_warp_issue(&active);
-                let mut then_mask = vec![false; active.len()];
-                let mut else_mask = vec![false; active.len()];
-                for t in 0..active.len() {
-                    if active[t] {
-                        if self.eval(cond, t)?.truthy() {
-                            then_mask[t] = true;
-                        } else {
-                            else_mask[t] = true;
-                        }
-                    }
-                }
-                let divergent = self.record_branch(&active, &then_mask);
+                self.count_warp_issue(active);
+                self.run_cols(cols);
+                let mut then_mask = self.take_mask();
+                self.truth(cond, active, &mut then_mask)?;
+                let mut else_mask = self.take_mask();
+                else_mask.extend(active.iter().zip(&then_mask).map(|(&a, &t)| a && !t));
+                let divergent = self.record_branch(active, &then_mask);
                 let sub_uniform = uniform && !divergent;
                 if then_mask.iter().any(|&m| m) {
                     self.exec_stmts(then_body, &then_mask, sub_uniform)?;
@@ -528,69 +824,92 @@ impl Machine<'_> {
                 if else_mask.iter().any(|&m| m) {
                     self.exec_stmts(else_body, &else_mask, sub_uniform)?;
                 }
+                self.p.masks.push(then_mask);
+                self.p.masks.push(else_mask);
             }
             CStmt::For {
                 slot,
+                init_cols,
                 init,
+                cond_cols,
                 cond,
+                step_cols,
                 step,
                 body,
             } => {
-                self.count_warp_issue(&active);
-                for t in (0..active.len()).filter(|&t| active[t]) {
-                    let v = self.eval(init, t)?;
-                    self.set_slot(t, *slot, v);
-                }
+                self.count_warp_issue(active);
+                self.run_cols(init_cols);
+                self.assign(*slot, ScalarType::I32, init, active)?;
                 // A new top-level sweep: reset the footprint window.
                 if uniform && self.track_footprint {
                     self.flush_footprint();
                 }
-                let mut live = active.clone();
+                // Lanes still looping, and those of them running this
+                // iteration.
+                let mut live = self.take_mask();
+                live.extend_from_slice(active);
+                let mut iter_mask = self.take_mask();
                 loop {
-                    let mut iter_mask = vec![false; live.len()];
-                    let mut any = false;
-                    for t in 0..live.len() {
-                        if live[t] && self.alive[t] {
-                            if self.eval(cond, t)?.truthy() {
-                                iter_mask[t] = true;
-                                any = true;
-                            } else {
-                                live[t] = false;
-                            }
+                    if self.any_returned {
+                        for (l, &a) in live.iter_mut().zip(&self.p.alive) {
+                            *l &= a;
                         }
                     }
-                    let divergent = self.record_branch(&active, &iter_mask);
-                    if !any {
+                    self.run_cols(cond_cols);
+                    self.truth(cond, &live, &mut iter_mask)?;
+                    let divergent = self.record_branch(active, &iter_mask);
+                    if !iter_mask.iter().any(|&m| m) {
                         break;
                     }
                     self.exec_stmts(body, &iter_mask, uniform && !divergent)?;
-                    for t in (0..iter_mask.len()).filter(|&t| iter_mask[t]) {
-                        if self.alive[t] {
-                            let d = self.eval(step, t)?.as_i64()?;
-                            let cur = self.slot(t, *slot).as_i64()?;
-                            self.set_slot(t, *slot, Value::I(cur + d));
-                        }
-                    }
+                    std::mem::swap(&mut live, &mut iter_mask);
+                    self.run_cols(step_cols);
+                    self.step(*slot, step, &live)?;
                 }
+                self.p.masks.push(live);
+                self.p.masks.push(iter_mask);
                 if uniform && self.track_footprint {
                     self.flush_footprint();
                 }
             }
             CStmt::Sync => {
                 if !uniform {
-                    return Err(ExecError(
-                        "__syncthreads() reached in divergent control flow".into(),
+                    return Err(ExecError::trap(
+                        "__syncthreads() reached in divergent control flow",
                     ));
                 }
-                self.count_warp_issue(&active);
-                self.epoch += 1;
+                self.count_warp_issue(active);
+                self.p.epoch += 1;
             }
             CStmt::Return => {
-                for (t, &a) in active.iter().enumerate() {
-                    if a {
-                        self.alive[t] = false;
-                    }
+                for (alive, &a) in self.p.alive.iter_mut().zip(active) {
+                    *alive &= !a;
                 }
+                self.any_returned = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// `slot += step` in the lanes that ran the iteration and did not
+    /// return from it.
+    fn step(&mut self, slot: SlotRef, step: &CExpr, ran: &[bool]) -> Result<(), ExecError> {
+        let n = self.lanes;
+        if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, step) {
+            let var = &mut self.p.icols[c as usize * n..][..n];
+            let by = &self.p.regs[*r as usize * n..][..n];
+            for (((v, &d), &ran), &alive) in var.iter_mut().zip(by).zip(ran).zip(&self.p.alive) {
+                if ran && alive {
+                    *v = v.wrapping_add(d);
+                }
+            }
+            return Ok(());
+        }
+        for t in (0..n).filter(|&t| ran[t]) {
+            if self.p.alive[t] {
+                let d = self.eval(step, t)?.as_i64()?;
+                let cur = self.slot(t, slot).as_i64()?;
+                self.set_slot(t, slot, Value::I(cur.wrapping_add(d)));
             }
         }
         Ok(())
@@ -600,14 +919,14 @@ impl Machine<'_> {
         // Evaluate up to 4 indices without allocating.
         let mut vals = [0i64; 4];
         if idx.len() > 4 {
-            return Err(ExecError("arrays of rank > 4 are not supported".into()));
+            return Err(ExecError::trap("arrays of rank > 4 are not supported"));
         }
         for (n, e) in idx.iter().enumerate() {
-            vals[n] = self.eval_imm(e, t)?.as_i64()?;
+            vals[n] = self.eval(e, t)?.as_i64()?;
         }
         let arr = &self.arrays[array as usize].1;
         arr.offset(&vals[..idx.len()]).ok_or_else(|| {
-            ExecError(format!(
+            ExecError::trap(format!(
                 "out-of-bounds access {}{:?} (extents {:?}) in `{}`",
                 self.arrays[array as usize].0,
                 &vals[..idx.len()],
@@ -618,18 +937,19 @@ impl Machine<'_> {
     }
 
     fn shared_offset(&mut self, tile: u16, idx: &[CExpr], t: usize) -> Result<usize, ExecError> {
-        let extents = &self.ck.tiles[tile as usize].0;
+        let ck = self.ck;
+        let extents = &ck.tiles[tile as usize].0;
         if idx.len() != extents.len() {
-            return Err(ExecError(format!(
+            return Err(ExecError::trap(format!(
                 "shared tile rank mismatch in `{}`",
                 self.kernel_name
             )));
         }
         let mut off = 0usize;
         for (e, &extent) in idx.iter().zip(extents) {
-            let i = self.eval_imm(e, t)?.as_i64()?;
+            let i = self.eval(e, t)?.as_i64()?;
             if i < 0 || i as usize >= extent {
-                return Err(ExecError(format!(
+                return Err(ExecError::trap(format!(
                     "out-of-bounds shared access index {i} (extent {extent}) in `{}`",
                     self.kernel_name
                 )));
@@ -648,7 +968,7 @@ impl Machine<'_> {
         e: &CExpr,
         active: &[bool],
     ) -> Result<(), ExecError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.p.scratch);
         scratch.clear();
         for t in (0..active.len()).filter(|&t| active[t]) {
             let rhs = self.eval(e, t)?;
@@ -660,19 +980,25 @@ impl Machine<'_> {
                 self.note_global_read(array, off);
                 apply_assign(op, old, rhs.as_f64())
             };
-            scratch.push((t, off, v));
+            scratch.push((off, v));
         }
-        for &(_, off, v) in &scratch {
-            if self.detect_hazards {
-                self.writers.insert((array, off), self.block_linear);
+        let data = &mut self.arrays[array as usize].1.data;
+        if self.detect_hazards {
+            let writers = &mut self.p.writers[array as usize];
+            writers.resize(data.len(), 0);
+            for &(off, _) in &scratch {
+                writers[off] = self.block_linear + 1;
             }
-            if self.track_footprint {
-                self.fp_write.insert((array, off));
-            }
-            self.arrays[array as usize].1.data[off] = v;
-            self.stats.global_writes += 1;
         }
-        self.scratch = scratch;
+        if self.track_footprint {
+            self.fp_write
+                .extend(scratch.iter().map(|&(off, _)| (array, off)));
+        }
+        for &(off, v) in &scratch {
+            data[off] = v;
+        }
+        self.stats.global_writes += scratch.len() as u64;
+        self.p.scratch = scratch;
         Ok(())
     }
 
@@ -685,7 +1011,7 @@ impl Machine<'_> {
         e: &CExpr,
         active: &[bool],
     ) -> Result<(), ExecError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.p.scratch);
         scratch.clear();
         for t in (0..active.len()).filter(|&t| active[t]) {
             let rhs = self.eval(e, t)?;
@@ -695,41 +1021,37 @@ impl Machine<'_> {
             } else {
                 self.stats.shared_reads += 1;
                 self.note_shared_read(tile, off, t);
-                apply_assign(op, self.tiles[tile as usize][off], rhs.as_f64())
+                apply_assign(op, self.p.tiles[tile as usize][off], rhs.as_f64())
             };
             // Same-epoch write from a different warp → race.
-            let warp = t / 32;
-            if let Some(&(epoch, w)) = self.shared_writes.get(&(tile, off)) {
-                if epoch == self.epoch && w != warp {
-                    self.stats.add_hazard(format!(
-                        "shared write-write race on tile {tile}[{off}] in `{}`",
-                        self.kernel_name
-                    ));
-                }
+            let here: LastAccess = (self.p.epoch, (t / 32) as u32);
+            let last_write = &mut self.p.shared_writes[tile as usize][off];
+            if last_write.0 == here.0 && last_write.1 != here.1 {
+                self.stats.add_hazard(format!(
+                    "shared write-write race on tile {tile}[{off}] in `{}`",
+                    self.kernel_name
+                ));
             }
+            *last_write = here;
             // Same-epoch *read* by a different warp → write-after-read race.
             // This is the cross-step direction of the hazard: a folded or
             // multi-phase kernel that overwrites a tile cell some other
             // warp consumed since the last barrier is racing on real
             // hardware even though lockstep execution sees the old value.
-            if self.detect_hazards {
-                if let Some(&(epoch, w)) = self.shared_reads_log.get(&(tile, off)) {
-                    if epoch == self.epoch && w != warp {
-                        self.stats.add_hazard(format!(
-                            "shared write-after-read without barrier on tile {tile}[{off}] in `{}`",
-                            self.kernel_name
-                        ));
-                    }
-                }
+            let last_read = self.p.shared_reads[tile as usize][off];
+            if self.detect_hazards && last_read.0 == here.0 && last_read.1 != here.1 {
+                self.stats.add_hazard(format!(
+                    "shared write-after-read without barrier on tile {tile}[{off}] in `{}`",
+                    self.kernel_name
+                ));
             }
-            self.shared_writes.insert((tile, off), (self.epoch, warp));
-            scratch.push((t, off, v));
+            scratch.push((off, v));
         }
-        for &(_, off, v) in &scratch {
-            self.tiles[tile as usize][off] = v;
-            self.stats.shared_writes += 1;
+        for &(off, v) in &scratch {
+            self.p.tiles[tile as usize][off] = v;
         }
-        self.scratch = scratch;
+        self.stats.shared_writes += scratch.len() as u64;
+        self.p.scratch = scratch;
         Ok(())
     }
 
@@ -742,27 +1064,30 @@ impl Machine<'_> {
         if !self.detect_hazards {
             return;
         }
-        if let Some(&(epoch, w)) = self.shared_writes.get(&(tile, off)) {
-            if epoch == self.epoch && w != t / 32 {
-                self.stats.add_hazard(format!(
-                    "shared read-after-write without barrier on tile {tile}[{off}] in `{}`",
-                    self.kernel_name
-                ));
-            }
+        let here: LastAccess = (self.p.epoch, (t / 32) as u32);
+        let last_write = self.p.shared_writes[tile as usize][off];
+        if last_write.0 == here.0 && last_write.1 != here.1 {
+            self.stats.add_hazard(format!(
+                "shared read-after-write without barrier on tile {tile}[{off}] in `{}`",
+                self.kernel_name
+            ));
         }
-        self.shared_reads_log.insert((tile, off), (self.epoch, t / 32));
+        self.p.shared_reads[tile as usize][off] = here;
     }
 
     fn note_global_read(&mut self, array: u16, off: usize) {
         self.stats.global_reads += 1;
         if self.detect_hazards {
-            if let Some(&writer) = self.writers.get(&(array, off)) {
-                if writer != self.block_linear {
-                    self.stats.add_hazard(format!(
-                        "cross-block read-after-write hazard on {}[{off}] in `{}`",
-                        self.arrays[array as usize].0, self.kernel_name
-                    ));
-                }
+            // An array nobody wrote this launch has an empty table.
+            let writer = self.p.writers[array as usize]
+                .get(off)
+                .copied()
+                .unwrap_or(0);
+            if writer != 0 && writer != self.block_linear + 1 {
+                self.stats.add_hazard(format!(
+                    "cross-block read-after-write hazard on {}[{off}] in `{}`",
+                    self.arrays[array as usize].0, self.kernel_name
+                ));
             }
         }
         if self.track_footprint {
@@ -770,36 +1095,16 @@ impl Machine<'_> {
         }
     }
 
-    /// Evaluate without side effects on counters other than reads/flops —
-    /// used for index expressions (integer math is free anyway).
-    #[inline]
-    fn eval_imm(&mut self, e: &CExpr, t: usize) -> Result<Value, ExecError> {
-        self.eval(e, t)
-    }
-
+    /// The one evaluator: thread `t`'s value of `e`, with every load,
+    /// counter, hazard check and trap in evaluation order.
     fn eval(&mut self, e: &CExpr, t: usize) -> Result<Value, ExecError> {
         Ok(match e {
             CExpr::I(v) => Value::I(*v),
             CExpr::F(v) => Value::F(*v),
-            CExpr::Slot(s) => self.slot(t, *s),
-            CExpr::Builtin(b) => {
-                let (tx, ty, tz) = self.tid3(t);
-                let v = match b {
-                    Builtin::ThreadIdx(Axis::X) => tx,
-                    Builtin::ThreadIdx(Axis::Y) => ty,
-                    Builtin::ThreadIdx(Axis::Z) => tz,
-                    Builtin::BlockIdx(Axis::X) => self.block_idx.x,
-                    Builtin::BlockIdx(Axis::Y) => self.block_idx.y,
-                    Builtin::BlockIdx(Axis::Z) => self.block_idx.z,
-                    Builtin::BlockDim(Axis::X) => self.block_dim.x,
-                    Builtin::BlockDim(Axis::Y) => self.block_dim.y,
-                    Builtin::BlockDim(Axis::Z) => self.block_dim.z,
-                    Builtin::GridDim(Axis::X) => self.grid_dim.x,
-                    Builtin::GridDim(Axis::Y) => self.grid_dim.y,
-                    Builtin::GridDim(Axis::Z) => self.grid_dim.z,
-                };
-                Value::I(v as i64)
-            }
+            CExpr::Slot(s) => self.slot(t, SlotRef::Val(*s)),
+            CExpr::ISlot(c) => self.slot(t, SlotRef::Int(*c)),
+            CExpr::Col(r) => Value::I(self.p.regs[*r as usize * self.lanes + t]),
+            CExpr::Builtin(b) => Value::I(self.geom.builtin(*b, &self.p.tid).at(t)),
             CExpr::Global { array, idx } => {
                 let off = self.global_offset(*array, idx, t)?;
                 let v = self.arrays[*array as usize].1.data[off];
@@ -810,7 +1115,7 @@ impl Machine<'_> {
                 let off = self.shared_offset(*tile, idx, t)?;
                 self.stats.shared_reads += 1;
                 self.note_shared_read(*tile, off, t);
-                Value::F(self.tiles[*tile as usize][off])
+                Value::F(self.p.tiles[*tile as usize][off])
             }
             CExpr::Un { op, e } => {
                 let v = self.eval(e, t)?;
@@ -868,13 +1173,13 @@ impl Machine<'_> {
                 Mul => Value::I(x.wrapping_mul(y)),
                 Div => {
                     if y == 0 {
-                        return Err(ExecError("integer division by zero".into()));
+                        return Err(ExecError::trap("integer division by zero"));
                     }
                     Value::I(x / y)
                 }
                 Rem => {
                     if y == 0 {
-                        return Err(ExecError("integer remainder by zero".into()));
+                        return Err(ExecError::trap("integer remainder by zero"));
                     }
                     Value::I(x % y)
                 }
@@ -905,7 +1210,7 @@ impl Machine<'_> {
             Ge => Value::I((x >= y) as i64),
             Eq => Value::I((x == y) as i64),
             Ne => Value::I((x != y) as i64),
-            And | Or => return Err(ExecError("logical op on float".into())),
+            And | Or => return Err(ExecError::trap("logical op on float")),
         })
     }
 }
@@ -1321,6 +1626,351 @@ void host() {
         let err = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap_err();
         assert!(err.0.contains("aliasing"), "{err}");
         assert!(mem.get("a").is_some());
+    }
+}
+
+#[cfg(test)]
+mod typing_and_column_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sf_minicuda::parse_program;
+
+    fn run(src: &str) -> Result<(GlobalMemory, Vec<LaunchStats>), ExecError> {
+        let p = parse_program(src).unwrap();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let mut mem = GlobalMemory::from_plan(&plan);
+        let mut interp = Interpreter::new(&p);
+        interp.detect_hazards = true;
+        let stats = interp.run_plan(&plan, &mut mem)?;
+        Ok((mem, stats))
+    }
+
+    /// One block of 32 threads over `double* a` of 64 elements.
+    fn kernel_on_a(body: &str) -> String {
+        format!(
+            "__global__ void k(double* a, int n) {{\n  int i = threadIdx.x;\n{body}\n}}\n\
+             void host() {{\n  int n = 64;\n  double* a = cudaAlloc1D(n);\n  k<<<1, 32>>>(a, n);\n}}\n"
+        )
+    }
+
+    /// Assigning to an `int` local used to make it a float
+    /// (`expected integer value, got 1`).
+    #[test]
+    fn assigning_to_an_int_local_keeps_it_an_int() {
+        let (mem, _) = run(&kernel_on_a("  int m = 0;\n  m = i + 1;\n  a[m] = 7.0;")).unwrap();
+        let a = &mem.get("a").unwrap().data;
+        assert_eq!((a[0], a[1], a[32], a[33]), (0.0, 7.0, 7.0, 0.0));
+
+        // Per-thread right-hand sides (a trap-capable `/`, a truncated
+        // float) are coerced to the declared type too.
+        let (mem, _) = run(&kernel_on_a(
+            "  int h = 9;\n  h = h / 2;\n  h += 1.75;\n  h *= 2;\n  a[h] = 1.0 + i;",
+        ))
+        .unwrap();
+        assert_eq!(
+            mem.get("a").unwrap().data[10],
+            32.0,
+            "h = ((9 / 2) + 1) * 2"
+        );
+    }
+
+    /// `int m;` used to hold `F(0.0)` (`expected integer value, got 0`).
+    #[test]
+    fn an_uninitialised_int_is_integer_zero() {
+        let (mem, _) = run(&kernel_on_a("  int m;\n  a[m + i] = 3.0;")).unwrap();
+        assert_eq!(mem.get("a").unwrap().data[31], 3.0);
+    }
+
+    #[test]
+    fn compound_assignment_to_a_double_stays_float() {
+        let (mem, stats) = run(&kernel_on_a(
+            "  double acc;\n  acc += 0.5;\n  acc *= 3;\n  a[i] = acc;",
+        ))
+        .unwrap();
+        assert_eq!(mem.get("a").unwrap().data[5], 1.5);
+        assert_eq!(stats[0].flops, 2 * 32, "both updates are float arithmetic");
+    }
+
+    /// A name declared with two types keeps each declaration's type for
+    /// its own assignments (and is evaluated per thread).
+    #[test]
+    fn a_name_declared_with_two_types_follows_each_declaration() {
+        let (mem, _) = run(&kernel_on_a(
+            "  int m = 1;\n  m = 2.75;\n  a[m] = 5.0;\n  double m = 0.25;\n  m += 1;\n  a[i + 32] = m;",
+        ))
+        .unwrap();
+        let a = &mem.get("a").unwrap().data;
+        assert_eq!(a[2], 5.0, "the int declaration truncates 2.75");
+        assert_eq!(a[40], 1.25, "the double declaration does not");
+    }
+
+    /// An index that is out of bounds under an arm the thread does not take
+    /// is computed (columns run for every lane) but never accessed.
+    #[test]
+    fn out_of_bounds_under_a_false_ternary_arm_does_not_trap() {
+        let (mem, stats) = run(&kernel_on_a(
+            "  a[i] = (i > 0) ? a[i - 1] + 1.0 : -1.0;\n  if (i >= 31) { a[i + 1] = (i + 33 < n) ? a[i + 33] : 9.0; }",
+        ))
+        .unwrap();
+        let a = &mem.get("a").unwrap().data;
+        assert_eq!((a[0], a[1], a[32]), (-1.0, 1.0, 9.0));
+        assert_eq!(stats[0].global_reads, 31, "only the taken arms load");
+    }
+
+    /// Two threads fault in one statement: the report is the lowest
+    /// thread's, as thread-major evaluation always made it.
+    #[test]
+    fn out_of_bounds_reports_the_lowest_faulting_thread() {
+        let err = run(&kernel_on_a(
+            "  if (i == 7 || i == 20) { a[i + 100] = 1.0; }",
+        ))
+        .unwrap_err();
+        assert_eq!(err.0, "out-of-bounds access a[107] (extents [64]) in `k`");
+        assert_eq!(err.1, ExecErrorKind::Trap);
+        // A trapping `/` ahead of the index faults first within its thread
+        // and the lowest thread still wins across threads.
+        let err = run(&kernel_on_a("  a[i + 60] = 1 / (i - 2);")).unwrap_err();
+        assert_eq!(err.0, "integer division by zero");
+    }
+
+    #[test]
+    fn hazard_and_trap_strings_are_exact() {
+        let shared = |body: &str| {
+            format!(
+                "__global__ void k(const double* __restrict__ a, double* b, int n) {{\n  \
+                 __shared__ double s[64];\n  int i = threadIdx.x;\n{body}\n}}\n\
+                 void host() {{\n  int n = 64;\n  double* a = cudaAlloc1D(n);\n  \
+                 double* b = cudaAlloc1D(n);\n  k<<<1, 64>>>(a, b, n);\n}}\n"
+            )
+        };
+        let hazards = |src: &str| run(src).unwrap().1.remove(0).hazards;
+        assert_eq!(
+            hazards(&shared("  s[i] = a[i];\n  b[i] = s[63 - i];")),
+            (48..64)
+                .rev()
+                .map(|c| format!("shared read-after-write without barrier on tile 0[{c}] in `k`"))
+                .collect::<Vec<_>>(),
+            "in thread order, capped at 16"
+        );
+        assert_eq!(
+            hazards(&shared(
+                "  s[i] = a[i];\n  __syncthreads();\n  double t = s[63 - i];\n  s[i] = t + 1.0;"
+            ))[0],
+            "shared write-after-read without barrier on tile 0[0] in `k`"
+        );
+        assert_eq!(
+            hazards(&shared(
+                "  s[i % 32] = a[i];\n  __syncthreads();\n  b[i] = s[i % 32];"
+            )),
+            (0..16)
+                .map(|c| format!("shared write-write race on tile 0[{c}] in `k`"))
+                .collect::<Vec<_>>(),
+            "one report per raced cell, capped at 16"
+        );
+        let cross = "__global__ void haz(double* a, int n) {\n  \
+                     int i = blockIdx.x * blockDim.x + threadIdx.x;\n  a[i] = a[(i + 32) % n];\n}\n\
+                     void host() {\n  int n = 64;\n  double* a = cudaAlloc1D(n);\n  haz<<<2, 32>>>(a, n);\n}\n";
+        assert_eq!(
+            hazards(cross)[0],
+            "cross-block read-after-write hazard on a[0] in `haz`"
+        );
+        let err = run(&shared("  if (i < 16) { __syncthreads(); }")).unwrap_err();
+        assert_eq!(err.0, "__syncthreads() reached in divergent control flow");
+        assert_eq!(err.to_string(), format!("execution error: {}", err.0));
+    }
+
+    #[test]
+    fn step_budget_exhaustion_is_structured() {
+        let src = kernel_on_a("  a[i] = 1.0;").replace("k<<<1, 32>>>", "k<<<2, 32>>>");
+        let p = parse_program(&src).unwrap();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let mut mem = GlobalMemory::from_plan(&plan);
+        let mut interp = Interpreter::new(&p);
+        interp.step_limit = Some(40);
+        let err = interp.run_plan(&plan, &mut mem).unwrap_err();
+        assert_eq!(
+            err.1,
+            ExecErrorKind::StepBudget {
+                used: 64,
+                limit: 40
+            }
+        );
+        assert_eq!(
+            err.0,
+            "interpreter step budget exhausted: 64 steps needed, limit 40"
+        );
+        assert_eq!(interp.steps_used(), 64);
+    }
+
+    /// A deterministic stream for the generator below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Mostly small (so comparisons go both ways), sometimes extreme
+        /// (so `+ - *` wrap).
+        fn value(&mut self) -> i64 {
+            match self.below(8) {
+                0 => i64::MAX - self.below(3) as i64,
+                1 => i64::MIN + self.below(3) as i64,
+                _ => self.below(9) as i64 - 4,
+            }
+        }
+    }
+
+    const PARAMS: [&str; 4] = ["p0", "p1", "p2", "p3"];
+
+    /// A random pure-int tree over the four `int` parameters.
+    fn pure_tree(rng: &mut Rng, depth: u32) -> Expr {
+        use BinaryOp::*;
+        if depth == 0 || rng.below(5) == 0 {
+            return match rng.below(4) {
+                0 => Expr::Int(rng.value()),
+                1 => {
+                    let axis = [Axis::X, Axis::Y, Axis::Z][rng.below(3) as usize];
+                    Expr::Builtin(match rng.below(4) {
+                        0 => Builtin::ThreadIdx(axis),
+                        1 => Builtin::BlockIdx(axis),
+                        2 => Builtin::BlockDim(axis),
+                        _ => Builtin::GridDim(axis),
+                    })
+                }
+                _ => Expr::Var(PARAMS[rng.below(4) as usize].into()),
+            };
+        }
+        let shape = rng.below(13);
+        let mut sub = || Box::new(pure_tree(rng, depth - 1));
+        match shape {
+            0 => Expr::Unary {
+                op: UnaryOp::Not,
+                operand: sub(),
+            },
+            1 => Expr::Ternary {
+                cond: sub(),
+                then_val: sub(),
+                else_val: sub(),
+            },
+            n => Expr::Binary {
+                op: [Add, Sub, Mul, Lt, Le, Gt, Ge, Eq, Ne, And, Or][n as usize - 2],
+                lhs: sub(),
+                rhs: sub(),
+            },
+        }
+    }
+
+    /// The tree as the compiler resolves it, before any column lowering.
+    fn resolved(e: &Expr) -> CExpr {
+        let sub = |e: &Expr| Box::new(resolved(e));
+        match e {
+            Expr::Int(v) => CExpr::I(*v),
+            Expr::Builtin(b) => CExpr::Builtin(*b),
+            Expr::Var(name) => CExpr::ISlot(PARAMS.iter().position(|p| p == name).unwrap() as u16),
+            Expr::Unary { op, operand } => CExpr::Un {
+                op: *op,
+                e: sub(operand),
+            },
+            Expr::Binary { op, lhs, rhs } => CExpr::Bin {
+                op: *op,
+                l: sub(lhs),
+                r: sub(rhs),
+            },
+            Expr::Ternary {
+                cond,
+                then_val,
+                else_val,
+            } => CExpr::Ternary {
+                c: sub(cond),
+                t: sub(then_val),
+                e: sub(else_val),
+            },
+            other => unreachable!("not generated: {other:?}"),
+        }
+    }
+
+    proptest! {
+        /// Column evaluation of a pure-int tree equals the per-thread
+        /// evaluator on the unlowered tree in *every* lane — the columns
+        /// ignore the mask — and the masked assignment touches exactly the
+        /// active lanes.
+        #[test]
+        fn columns_agree_with_the_per_thread_evaluator(seed in 0u64..400) {
+            let mut rng = Rng(seed);
+            let tree = pure_tree(&mut rng, 5);
+            let kernel = Kernel {
+                name: "k".into(),
+                params: PARAMS
+                    .iter()
+                    .map(|p| Param::Scalar { name: p.to_string(), ty: ScalarType::I32 })
+                    .collect(),
+                body: vec![Stmt::VarDecl {
+                    name: "r".into(),
+                    ty: ScalarType::I32,
+                    init: Some(tree.clone()),
+                }],
+            };
+            let ck = compile(&kernel).unwrap();
+            let CStmt::SetSlot { slot, ty, cols, e } = &ck.body[0] else {
+                panic!("expected `int r = ...`, got {:?}", ck.body[0]);
+            };
+            prop_assert_eq!(e, &CExpr::Col(0), "a pure-int tree is one column");
+
+            let block = Dim3::new(1 + rng.below(7) as u32, 1 + rng.below(5) as u32, 1 + rng.below(2) as u32);
+            let lanes = block.count() as usize;
+            let mut pools = Pools::default();
+            pools.prepare_launch(&ck, block, 0);
+            let mut stats = LaunchStats::default();
+            let mut m = Machine {
+                ck: &ck,
+                kernel_name: "k",
+                arrays: &mut [],
+                stats: &mut stats,
+                block_linear: 0,
+                geom: Geometry {
+                    block_idx: Dim3::new(0, 0, 0),
+                    block_dim: block,
+                    grid_dim: Dim3::new(3, 2, 2),
+                },
+                lanes,
+                nvals: 0,
+                p: pools,
+                any_returned: false,
+                fp_read: HashSet::new(),
+                fp_write: HashSet::new(),
+                track_footprint: false,
+                detect_hazards: true,
+            };
+            let base = BaseSlots { ints: vec![0; ck.int_slots], vals: Vec::new() };
+            m.reset_block(Dim3::new(2, 1, 1), 0, &base);
+            for v in &mut m.p.icols[..PARAMS.len() * lanes] {
+                *v = rng.value();
+            }
+            let mask: Vec<bool> = (0..lanes).map(|_| rng.below(3) != 0).collect();
+
+            let plain = resolved(&tree);
+            let scalar: Vec<i64> = (0..lanes)
+                .map(|t| m.eval(&plain, t).unwrap().as_i64().unwrap())
+                .collect();
+            m.run_cols(cols);
+            prop_assert_eq!(&m.p.regs[..lanes], &scalar[..], "tree {:?}", tree);
+
+            m.assign(*slot, *ty, e, &mask).unwrap();
+            for t in 0..lanes {
+                let want = if mask[t] { scalar[t] } else { 0 };
+                prop_assert_eq!(m.slot(t, *slot), Value::I(want), "lane {}", t);
+            }
+            prop_assert_eq!(m.stats.flops, 0, "integer math is never a flop");
+        }
     }
 }
 

@@ -43,7 +43,7 @@ pub mod timing;
 
 pub use device::DeviceSpec;
 pub use registry::DeviceRegistry;
-pub use interp::{ExecError, Interpreter, LaunchStats};
+pub use interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
 pub use memory::GlobalMemory;
 pub use noise::NoiseModel;
 pub use occupancy::OccupancyResult;
