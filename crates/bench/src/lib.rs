@@ -2,8 +2,8 @@
 //! # sf-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section (§6), plus criterion micro-benchmarks for the
-//! framework components.
+//! evaluation section (§6). The compiler's own speed is measured by the
+//! benchmark of record under `benchmark/`, not here.
 //!
 //! | binary        | reproduces |
 //! |---------------|------------|

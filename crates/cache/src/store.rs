@@ -397,26 +397,34 @@ impl PlanStore {
                 .for_key(*key)
                 .at_path(tmp_path));
         }
-        if self.short_write_armed.swap(false, Ordering::Relaxed) {
-            // The disk filled mid-write: a strict prefix reaches the temp
-            // file, which then leaks like a crash would (swept next open).
+        let written = if self.short_write_armed.swap(false, Ordering::Relaxed) {
+            // The disk filled mid-write: a strict prefix reached the temp
+            // file before the write call failed.
             let keep = bytes.len() / 2;
             let _ = fs::write(&tmp_path, &bytes[..keep]);
-            return Err(CacheError::io(format!(
+            Err(CacheError::io(format!(
                 "injected short write: {keep} of {} bytes before the disk filled",
                 bytes.len()
             ))
-            .for_key(*key)
-            .at_path(tmp_path));
+            .at_path(tmp_path.clone()))
+        } else {
+            // Steps 2–6 of the protocol are the shared atomic-commit
+            // primitive; the step hook keeps the kill-at-step fault
+            // injection working at every protocol point.
+            crate::atomic::atomic_write_with(&tmp_path, &entry_path, &bytes, &mut |what| {
+                self.step(what)
+            })
+        };
+        if let Err(e) = written {
+            // A write that failed under a live process is that process's to
+            // clean up: a full disk must not also keep the partial temp
+            // file. Only a (simulated) crash leaks it, for the next open's
+            // sweep.
+            if e.kind != CacheErrorKind::Killed {
+                let _ = fs::remove_file(&tmp_path);
+            }
+            return Err(e.for_key(*key));
         }
-
-        // Steps 2–6 of the protocol are the shared atomic-commit primitive;
-        // the step hook keeps the kill-at-step fault injection working at
-        // every protocol point.
-        crate::atomic::atomic_write_with(&tmp_path, &entry_path, &bytes, &mut |what| {
-            self.step(what)
-        })
-        .map_err(|e| e.for_key(*key))?;
 
         self.stored.fetch_add(1, Ordering::Relaxed);
 
@@ -983,16 +991,16 @@ mod tests {
             assert_eq!(store.lookup(&committed).unwrap().payload(), Some("committed"));
             let (_, quarantined) = store.verify_integrity().unwrap();
             assert_eq!(quarantined, 0, "{tag}: disk-full tore an entry");
+            // The writer outlived its failed write, so it removed the
+            // partial temp file itself — nothing waits for the next open.
+            let leftovers = fs::read_dir(dir.join("tmp")).unwrap().count();
+            assert_eq!(leftovers, 0, "{tag}: a failed write left a temp file");
 
             // The fault is one-shot and the lock was released: a retry
             // (disk freed) succeeds.
             assert_eq!(store.publish(&victim, "doomed").unwrap(), Published::Stored);
         }
 
-        // The short write's partial temp file is swept at the next open.
-        let _ = PlanStore::open(&dir).unwrap();
-        let leftovers = fs::read_dir(dir.join("tmp")).unwrap().count();
-        assert_eq!(leftovers, 0, "partial temp files must be swept");
         let _ = fs::remove_dir_all(&dir);
     }
 

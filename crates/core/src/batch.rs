@@ -38,12 +38,13 @@
 
 use crate::config::{PipelineConfig, Stage};
 use crate::error::PipelineError;
-use crate::pipeline::{Interventions, Pipeline};
+use crate::pipeline::{Interventions, Pipeline, TransformResult};
 use rayon::prelude::*;
 use sf_cache::{CacheKey, Lookup, PlanStore, Published, StoreOptions};
 use sf_codegen::TransformPlan;
 use sf_core::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use sf_gpusim::device::DeviceSpec;
+use sf_minicuda::Program;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
@@ -519,142 +520,169 @@ fn process(
 ) -> BatchOutcome {
     let mut outcome = BatchOutcome {
         name: request.name.clone(),
-        status: BatchStatus::Compiled,
+        status: BatchStatus::Failed,
         plan_json: None,
         output: None,
         speedup: 1.0,
         error: None,
         cache_note: None,
     };
-
     // Parse + canonicalize: the cache key hashes the *printed* program, so
     // formatting-only differences in the submitted text still hit.
     let program = match sf_minicuda::parse_program(&request.source) {
         Ok(p) => p,
         Err(e) => {
-            outcome.status = BatchStatus::Failed;
             outcome.error = Some(e.into());
             return outcome;
         }
     };
     let canonical = sf_minicuda::printer::print_program(&program);
     let key = CacheKey::derive(&canonical, device, fingerprint);
+    let served = compile_through_cache(
+        cache_enabled.then_some((store, &key)),
+        program,
+        base,
+        publish_retry,
+    );
+    outcome.status = served.status;
+    outcome.plan_json = served.plan_json;
+    if !served.notes.is_empty() {
+        outcome.cache_note = Some(served.notes.join("; "));
+    }
+    match served.result {
+        Ok(result) => {
+            outcome.output = Some(sf_minicuda::printer::print_program(&result.program));
+            outcome.speedup = result.speedup;
+        }
+        Err(e) => outcome.error = Some(e),
+    }
+    outcome
+}
 
+/// What [`compile_through_cache`] did for one program.
+#[derive(Debug)]
+pub struct Served {
+    /// The run behind the output: a warm replay or a cold compile.
+    pub result: Result<TransformResult, PipelineError>,
+    /// [`BatchStatus::Hit`], [`BatchStatus::Compiled`] or
+    /// [`BatchStatus::Recovered`]; [`BatchStatus::Failed`] exactly when
+    /// `result` is an error.
+    pub status: BatchStatus,
+    /// The transform plan JSON as served (warm) or published (cold).
+    pub plan_json: Option<String>,
+    /// Non-fatal cache observations, in the order they happened (quarantined
+    /// entry, failed replay, publish retry, lost race, publish failure).
+    pub notes: Vec<String>,
+}
+
+/// The cache rung of the degradation ladder, shared by `sfd`'s batch driver
+/// and `sfc --cache-dir`: *cache hit → cache recompile → normal pipeline*.
+/// A hit replays the cached plan through the stage-skipping path; a miss, a
+/// quarantined entry or a plan that will not replay compiles cold and
+/// publishes the result (retrying transient store trouble, re-reading after
+/// a lost race). No cache misfortune fails the compile — it becomes a note.
+/// `cache` is `None` when the run is not cacheable or no store is open.
+pub fn compile_through_cache(
+    cache: Option<(&PlanStore, &CacheKey)>,
+    program: Program,
+    config: &PipelineConfig,
+    publish_retry: RetryPolicy,
+) -> Served {
+    let run = |program: Program, config: PipelineConfig| {
+        Pipeline::new(program, config).and_then(|p| p.run_with(&Interventions::default()))
+    };
+    let mut notes = Vec::new();
     let mut recovery: Option<String> = None;
-    if cache_enabled {
-        match store.lookup(&key) {
+    if let Some((store, key)) = cache {
+        match store.lookup(key) {
             Ok(Lookup::Hit(entry)) => match TransformPlan::from_json(&entry.payload) {
-                Ok(plan) => {
-                    // Warm path: replay through the stage-skipping path.
-                    let warm = base.clone().with_plan(plan);
-                    match Pipeline::new(program.clone(), warm)
-                        .and_then(|p| p.run_with(&Interventions::default()))
-                    {
-                        Ok(result) => {
-                            outcome.status = BatchStatus::Hit;
-                            outcome.plan_json = Some(entry.payload);
-                            outcome.output =
-                                Some(sf_minicuda::printer::print_program(&result.program));
-                            outcome.speedup = result.speedup;
-                            return outcome;
-                        }
-                        Err(e) => {
-                            // Cache recompile rung: the plan was served but
-                            // would not replay; fall through to a cold
-                            // compile rather than failing the request.
-                            recovery = Some("replay".into());
-                            outcome.cache_note =
-                                Some(format!("cached plan failed to replay: {e}"));
+                // Warm path: replay through the stage-skipping path.
+                Ok(plan) => match run(program.clone(), config.clone().with_plan(plan)) {
+                    Ok(result) => {
+                        return Served {
+                            result: Ok(result),
+                            status: BatchStatus::Hit,
+                            plan_json: Some(entry.payload),
+                            notes,
                         }
                     }
-                }
+                    // Cache recompile rung: the plan was served but would
+                    // not replay; fall through to a cold compile rather
+                    // than failing the request.
+                    Err(e) => {
+                        recovery = Some("replay".into());
+                        notes.push(format!("cached plan failed to replay: {e}"));
+                    }
+                },
+                // Checksum-valid bytes that are not a plan this build
+                // understands (e.g. plan-version skew inside a valid
+                // entry). Recompile; the slot will be overwritten.
                 Err(e) => {
-                    // Checksum-valid bytes that are not a plan this build
-                    // understands (e.g. plan-version skew inside a valid
-                    // entry). Recompile; the slot will be overwritten.
                     recovery = Some("plan-parse".into());
-                    outcome.cache_note = Some(format!("cached plan rejected: {e}"));
+                    notes.push(format!("cached plan rejected: {e}"));
                 }
             },
             Ok(Lookup::Miss) => {}
             Ok(Lookup::Recovered { reason, .. }) => {
                 recovery = Some(reason.label().to_string());
-                outcome.cache_note = Some(format!("quarantined cache entry: {reason}"));
+                notes.push(format!("quarantined cache entry: {reason}"));
             }
-            Err(e) => {
-                // Store-level I/O trouble must not abort the batch either:
-                // note it and compile without the cache.
-                outcome.cache_note = Some(format!("cache lookup failed: {e}"));
-            }
+            // Store-level I/O trouble must not abort the batch either:
+            // note it and compile without the cache.
+            Err(e) => notes.push(format!("cache lookup failed: {e}")),
         }
     }
 
     // Cold path: full pipeline.
-    let result = match Pipeline::new(program, base.clone())
-        .and_then(|p| p.run_with(&Interventions::default()))
-    {
+    let result = match run(program, config.clone()) {
         Ok(r) => r,
         Err(e) => {
-            outcome.status = BatchStatus::Failed;
-            outcome.error = Some(e);
-            return outcome;
-        }
-    };
-    outcome.output = Some(sf_minicuda::printer::print_program(&result.program));
-    outcome.speedup = result.speedup;
-    outcome.status = match recovery {
-        Some(label) => BatchStatus::Recovered(label),
-        None => BatchStatus::Compiled,
-    };
-
-    if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
-        let payload = plan.to_json();
-        if cache_enabled {
-            // Transient store trouble (lock I/O) retries on the shared
-            // ladder; deterministic failures short-circuit.
-            let retried = publish_retry.run(
-                |_| store.publish(&key, &payload),
-                sf_cache::CacheError::is_transient,
-            );
-            if retried.attempts > 1 {
-                append_note(
-                    &mut outcome.cache_note,
-                    &format!(
-                        "publish retried {} time(s) ({} µs virtual backoff)",
-                        retried.attempts - 1,
-                        retried.virtual_backoff_us
-                    ),
-                );
-            }
-            match retried.result {
-                Ok(Published::Stored | Published::AlreadyPresent) => {}
-                Ok(Published::LostRace) => {
-                    // First writer wins; we just re-read to confirm the
-                    // winner committed (and keep our own plan regardless).
-                    let note = match store.lookup(&key) {
-                        Ok(Lookup::Hit(_)) => "lost publish race; winner's entry verified",
-                        _ => "lost publish race; winner not committed yet",
-                    };
-                    append_note(&mut outcome.cache_note, note);
-                }
-                Err(e) => {
-                    // Publish failures (injected crash, disk trouble) never
-                    // fail the request — the compile already succeeded.
-                    append_note(&mut outcome.cache_note, &format!("publish failed: {e}"));
-                }
+            return Served {
+                result: Err(e),
+                status: BatchStatus::Failed,
+                plan_json: None,
+                notes,
             }
         }
-        outcome.plan_json = Some(payload);
+    };
+    let plan_json = result
+        .executed_plan()
+        .or_else(|| result.planned())
+        .map(|plan| plan.to_json());
+    if let (Some((store, key)), Some(payload)) = (cache, &plan_json) {
+        // Transient store trouble (lock I/O) retries on the shared
+        // ladder; deterministic failures short-circuit.
+        let retried = publish_retry.run(
+            |_| store.publish(key, payload),
+            sf_cache::CacheError::is_transient,
+        );
+        if retried.attempts > 1 {
+            notes.push(format!(
+                "publish retried {} time(s) ({} µs virtual backoff)",
+                retried.attempts - 1,
+                retried.virtual_backoff_us
+            ));
+        }
+        match retried.result {
+            Ok(Published::Stored | Published::AlreadyPresent) => {}
+            // First writer wins; we just re-read to confirm the winner
+            // committed (and keep our own plan regardless).
+            Ok(Published::LostRace) => notes.push(
+                match store.lookup(key) {
+                    Ok(Lookup::Hit(_)) => "lost publish race; winner's entry verified",
+                    _ => "lost publish race; winner not committed yet",
+                }
+                .to_string(),
+            ),
+            // Publish failures (injected crash, disk trouble) never fail
+            // the request — the compile already succeeded.
+            Err(e) => notes.push(format!("publish failed: {e}")),
+        }
     }
-    outcome
-}
-
-fn append_note(slot: &mut Option<String>, note: &str) {
-    match slot {
-        Some(existing) => {
-            existing.push_str("; ");
-            existing.push_str(note);
-        }
-        None => *slot = Some(note.to_string()),
+    Served {
+        result: Ok(result),
+        status: recovery.map_or(BatchStatus::Compiled, BatchStatus::Recovered),
+        plan_json,
+        notes,
     }
 }

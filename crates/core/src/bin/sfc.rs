@@ -29,10 +29,13 @@
 //! | 9    | plan/device mismatch: the replayed plan targets  |
 //! |      | a different device than this run is configured   |
 //! |      | for (re-target explicitly with --port-plan)      |
+//! | 10   | a resource budget (`--mem-budget`) was exhausted;|
+//! |      | stderr names the budget and its used/limit pair  |
 
-use sf_cache::{CacheKey, Lookup, PlanStore, Published};
+use sf_cache::{CacheKey, PlanStore};
 use sf_gpusim::DeviceRegistry;
-use stencilfuse::{ErrorKind, Interventions, Pipeline, PipelineConfig, PipelineError, Stage};
+use stencilfuse::batch::compile_through_cache;
+use stencilfuse::{BatchStatus, ErrorKind, PipelineConfig, PipelineError, Stage};
 
 const EXIT_USAGE: i32 = 2;
 const EXIT_PARSE: i32 = 3;
@@ -509,72 +512,41 @@ fn main() {
         );
     }
 
-    // Plan cache: consult before running, publish after. Only runs that
-    // reach codegen produce a replayable plan, and an explicit --from-plan
-    // already carries one — both fall back to plain compilation. Every
-    // cache misfortune degrades (recompile, warn) rather than failing; the
-    // final exit code 8 reports that a recovery happened.
-    let mut cache: Option<(PlanStore, CacheKey)> = None;
-    let mut cache_recovered = false;
-    let mut cached_plan: Option<sf_codegen::TransformPlan> = None;
+    // Plan cache: the same ladder `sfd` runs (lookup → replay → recompile →
+    // publish with retry). Only runs that reach codegen produce a
+    // replayable plan, and an explicit --from-plan already carries one —
+    // both fall back to plain compilation, as does a store that will not
+    // open. Every cache misfortune is a note on stderr, never a failure;
+    // the final exit code 8 reports that a recovery happened.
     let cacheable = config.preloaded_plan.is_none()
         && config.run_until.is_none_or(|s| s >= Stage::Codegen);
-    if let Some(dir) = args.cache_dir.as_ref().filter(|_| cacheable) {
-        match PlanStore::open(dir) {
-            Ok(store) => {
-                let canonical = sf_minicuda::printer::print_program(&program);
-                let key = CacheKey::derive(
-                    &canonical,
-                    &config.device.fingerprint(),
-                    &config.cache_fingerprint(),
-                );
-                match store.lookup(&key) {
-                    Ok(Lookup::Hit(entry)) => {
-                        match sf_codegen::TransformPlan::from_json(&entry.payload) {
-                            Ok(plan) => cached_plan = Some(plan),
-                            Err(e) => {
-                                eprintln!("sfc: cached plan rejected ({e}); recompiling");
-                                cache_recovered = true;
-                            }
-                        }
-                    }
-                    Ok(Lookup::Miss) => {}
-                    Ok(Lookup::Recovered { reason, .. }) => {
-                        eprintln!("sfc: quarantined a bad cache entry ({reason}); recompiling");
-                        cache_recovered = true;
-                    }
-                    Err(e) => eprintln!("sfc: cache lookup failed ({e}); compiling without it"),
-                }
-                cache = Some((store, key));
-            }
-            Err(e) => eprintln!("sfc: cannot open cache at {dir} ({e}); compiling without it"),
-        }
+    let cache = args.cache_dir.as_ref().filter(|_| cacheable).and_then(|dir| {
+        let store = PlanStore::open(dir)
+            .map_err(|e| eprintln!("sfc: cannot open cache at {dir} ({e}); compiling without it"))
+            .ok()?;
+        let key = CacheKey::derive(
+            &sf_minicuda::printer::print_program(&program),
+            &config.device.fingerprint(),
+            &config.cache_fingerprint(),
+        );
+        Some((store, key))
+    });
+    let served = compile_through_cache(
+        cache.as_ref().map(|(store, key)| (store, key)),
+        program,
+        &config,
+        sf_core::RetryPolicy::default(),
+    );
+    for note in &served.notes {
+        eprintln!("sfc: {note}");
     }
-
-    let run = |config: PipelineConfig| {
-        Pipeline::new(program.clone(), config).and_then(|p| p.run_with(&Interventions::default()))
-    };
-    let run_or_exit = |config: PipelineConfig| match run(config) {
+    let cache_recovered = matches!(served.status, BatchStatus::Recovered(_));
+    let result = match served.result {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sfc: {e}");
             std::process::exit(exit_code_for(&e));
         }
-    };
-    let mut served_from_cache = false;
-    let result = match cached_plan {
-        Some(plan) => match run(config.clone().with_plan(plan)) {
-            Ok(r) => {
-                served_from_cache = true;
-                r
-            }
-            Err(e) => {
-                eprintln!("sfc: cached plan failed to replay ({e}); recompiling");
-                cache_recovered = true;
-                run_or_exit(config.clone())
-            }
-        },
-        None => run_or_exit(config.clone()),
     };
 
     // Degradations always go to stderr, with or without --report: the run
@@ -638,20 +610,6 @@ fn main() {
                 v.hazards
             );
             std::process::exit(EXIT_VERIFY);
-        }
-    }
-
-    // Publish the plan for the next run — only after verification passed,
-    // and only for fresh compiles (a served entry is already on disk).
-    // Publish trouble never fails the run; the compile already succeeded.
-    if let Some((store, key)) = &cache {
-        if !served_from_cache {
-            if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
-                match store.publish(key, &plan.to_json()) {
-                    Ok(Published::Stored | Published::AlreadyPresent | Published::LostRace) => {}
-                    Err(e) => eprintln!("sfc: cache publish failed ({e}); plan not cached"),
-                }
-            }
         }
     }
 

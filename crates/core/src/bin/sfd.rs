@@ -128,9 +128,11 @@ fn parse_args() -> Result<Args, String> {
             .cloned()
             .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
     };
-    let parse_num = |what: &str, v: String| -> Result<u64, String> {
+    // Parses into the flag's own type, so a value that does not fit is a
+    // usage error rather than a silent wrap.
+    fn parse_num<T: std::str::FromStr>(what: &str, v: String) -> Result<T, String> {
         v.parse().map_err(|_| format!("bad {what} `{v}`"))
-    };
+    }
     while i < argv.len() {
         match argv[i].as_str() {
             "--cache-dir" => args.cache_dir = take(&mut i)?,
@@ -138,16 +140,16 @@ fn parse_args() -> Result<Args, String> {
             "--device" => scoped_device = Some(take(&mut i)?),
             "--device-file" => args.device_files.push(take(&mut i)?),
             "--quick" => args.quick = true,
-            "--jobs" => args.jobs = Some(parse_num("job count", take(&mut i)?)? as usize),
+            "--jobs" => args.jobs = Some(parse_num("job count", take(&mut i)?)?),
             "--islands" => {
-                let n = parse_num("island count", take(&mut i)?)? as usize;
+                let n: usize = parse_num("island count", take(&mut i)?)?;
                 if n == 0 {
                     return Err("island count must be at least 1".into());
                 }
                 args.islands = Some(n);
             }
             "--max-temporal" => {
-                let n = parse_num("temporal degree", take(&mut i)?)? as u32;
+                let n: u32 = parse_num("temporal degree", take(&mut i)?)?;
                 if n == 0 {
                     return Err("temporal degree must be at least 1".into());
                 }
@@ -155,7 +157,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--checkpoint-dir" => args.checkpoint_dir = Some(take(&mut i)?),
             "--queue-limit" => {
-                args.queue_limit = Some(parse_num("queue limit", take(&mut i)?)? as usize)
+                args.queue_limit = Some(parse_num("queue limit", take(&mut i)?)?)
             }
             "--budget-secs" => args.budget_secs = Some(parse_num("budget", take(&mut i)?)?),
             "--mem-budget" => {
@@ -171,7 +173,7 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--breaker" => {
-                let n = parse_num("breaker threshold", take(&mut i)?)? as u32;
+                let n: u32 = parse_num("breaker threshold", take(&mut i)?)?;
                 if n == 0 {
                     return Err("breaker threshold must be at least 1".into());
                 }

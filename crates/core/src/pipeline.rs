@@ -6,9 +6,16 @@
 //! degradation ladder (complex fusion → simple fusion → unfused copies →
 //! original program) and every step is recorded in the stage reports;
 //! [`DegradePolicy::Strict`] surfaces the first degradable error instead.
+//!
+//! [`Pipeline::run_with`] is a loop over [`Stage::ALL`] calling one function
+//! per stage, all of one signature, over one private run context (`Run`)
+//! that owns everything a run threads between its stages. The loop — not
+//! the stages — owns the stop check, the preloaded-plan skip of stages 2–5
+//! and the single exit, `Run::finish`, the only place a
+//! [`TransformResult`] is built.
 
 use crate::config::{DegradePolicy, PipelineConfig, Stage};
-use crate::error::{ErrorKind, PipelineError};
+use crate::error::{ErrorKind, PipelineError, Recoverability};
 use crate::faults::FaultInjector;
 use crate::report::StageReport;
 use crate::verify::{verify_equivalence_governed, Verification, VerifyFailure};
@@ -20,14 +27,16 @@ use sf_codegen::{
 };
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
-use sf_gpusim::robust::RobustProfiler;
+use sf_gpusim::robust::{RobustProfile, RobustProfiler};
 use sf_graphs::build::all_accesses_with_allocs;
 use sf_graphs::{dot, Ddg, Oeg};
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use sf_search::{
-    raise_plan, search_islands, Individual, IslandOptions, SearchConfig, SearchResult, SearchSpace,
+    raise_plan, search_islands, IslandOptions, IslandSearchResult, SearchConfig, SearchResult,
+    SearchSpace,
 };
+use std::sync::Arc;
 
 /// An intervention hook amending one stage artifact in place.
 pub type Hook<'a, T> = Option<Box<dyn Fn(&mut T) + 'a>>;
@@ -137,43 +146,6 @@ fn validate_metadata(metadata: &MetadataBundle, launches: usize) -> Result<(), S
     Ok(())
 }
 
-/// Profile with bounded retry for transient failures (including injected
-/// ones). Returns the profile and how many retries were needed. A
-/// deterministic (non-transient) profile error short-circuits: retrying an
-/// unknown kernel or an unlaunchable configuration cannot help.
-fn profile_with_retry<T>(
-    profile: impl Fn() -> Result<T, ProfileError>,
-    injector: &FaultInjector,
-    retries: u32,
-    stage: Stage,
-) -> Result<(T, u32), PipelineError> {
-    // The shared retry ladder (sf_core::retry) — the same policy the
-    // robust profiler and the batch driver's publish path run on.
-    let policy = sf_core::RetryPolicy {
-        max_retries: retries,
-        ..sf_core::RetryPolicy::default()
-    };
-    let outcome = policy.run(
-        |_| {
-            let injected = injector.take_profiler_failure();
-            let result = if injected {
-                Err(ProfileError::transient("injected transient profiler failure"))
-            } else {
-                profile()
-            };
-            result.map_err(|e| {
-                if injected {
-                    PipelineError::transient(stage, ErrorKind::Injected(e.to_string()))
-                } else {
-                    PipelineError::from(e).at(stage)
-                }
-            })
-        },
-        |err| err.class == crate::error::Recoverability::Transient,
-    );
-    outcome.result.map(|p| (p, outcome.attempts - 1))
-}
-
 impl Pipeline {
     /// Create a pipeline for a program.
     pub fn new(program: Program, config: PipelineConfig) -> Result<Pipeline, PipelineError> {
@@ -196,81 +168,317 @@ impl Pipeline {
         self.run_with(&Interventions::default())
     }
 
-    /// Run with programmer interventions.
+    /// Run with programmer interventions: the paper's Figure-2 workflow as
+    /// a loop. Three rules belong to the loop and to no stage:
+    ///
+    /// 1. **replay** — a preloaded plan stands in for stages 2–5 (they do
+    ///    not run, so `run_until` cannot name one of them);
+    /// 2. **stop** — the run ends after the stage `run_until` names;
+    /// 3. **one exit** — however the run ends (ran to completion, stopped
+    ///    early, or a keep-original rung fired), `Run::finish` builds the
+    ///    result from the artifacts the context holds by then.
     pub fn run_with(&self, hooks: &Interventions) -> Result<TransformResult, PipelineError> {
-        let cfg = &self.config;
-        let strict = cfg.degrade == DegradePolicy::Strict;
-        let injector = match &cfg.faults {
-            Some(plan) => FaultInjector::new(plan.clone()),
-            None => FaultInjector::inactive(),
-        };
-        let mut reports = Vec::new();
-        let stop_after = |s: Stage| cfg.run_until.is_some_and(|u| u <= s);
+        let mut run = Run::new(self, hooks);
+        let mut kept_original = false;
+        for stage in Stage::ALL {
+            if let Some(plan) = &self.config.preloaded_plan {
+                if (Stage::Filter..=Stage::NewGraphs).contains(&stage) {
+                    if stage == Stage::NewGraphs {
+                        run.replay(plan)?;
+                    }
+                    continue;
+                }
+            }
+            let mut report = StageReport::new(stage);
+            let next = match stage {
+                Stage::Metadata => run.metadata(&mut report),
+                Stage::Filter => run.filter(&mut report),
+                Stage::Graphs => run.graphs(&mut report),
+                Stage::Search => run.search(&mut report),
+                Stage::NewGraphs => run.new_graphs(&mut report),
+                Stage::Codegen => run.codegen(&mut report),
+            }?;
+            run.reports.push(report);
+            kept_original = matches!(next, Next::KeepOriginal);
+            if kept_original || self.config.run_until.is_some_and(|until| until <= stage) {
+                break;
+            }
+        }
+        Ok(run.finish(kept_original))
+    }
+}
 
-        // ---------------- admission: the resource governor ----------------
-        // One request-scoped child of the process-wide governor per run.
-        // Every size this run is about to commit to is checked *before* the
-        // corresponding stage allocates or recurses, so a compile bomb
-        // (thousand-launch loop, near-u32::MAX domain, pathologically deep
-        // chain) is rejected with structured attribution instead of
-        // exhausting the process. With the default unlimited budget every
-        // check below is a no-op.
-        let governor = ResourceGovernor::process().child(cfg.budget);
-        let exhausted = |e: sf_core::ResourceError| ErrorKind::ResourceExhausted {
-            resource: e.resource.name().to_string(),
-            used: e.used,
-            limit: e.limit,
-        };
-        governor
-            .record_peak(ResourceKind::Launches, self.plan.trace.len() as u64)
-            .map_err(|e| PipelineError::fatal(Stage::Metadata, exhausted(e)))?;
-        governor
-            .record_peak(ResourceKind::IrStatements, self.program.statement_count())
-            .map_err(|e| PipelineError::fatal(Stage::Metadata, exhausted(e)))?;
-        governor
-            .record_peak(
-                ResourceKind::DomainCells,
-                sf_gpusim::GlobalMemory::plan_cells(&self.plan),
-            )
-            .map_err(|e| PipelineError::fatal(Stage::Metadata, exhausted(e)))?;
+/// What a stage tells the driver loop.
+enum Next {
+    /// The stage's artifacts are in the context; go on.
+    Continue,
+    /// The last rung of the ladder fired: everything learned so far is
+    /// kept, but the emitted program is the unchanged original.
+    KeepOriginal,
+}
 
-        // ---------------- stage 1: metadata ----------------
+/// An artifact an earlier stage left in the context (the loop runs the
+/// stages in order, so a missing one is a bug in the driver).
+fn made<T>(artifact: &Option<T>) -> &T {
+    artifact
+        .as_ref()
+        .expect("an earlier stage produced this artifact")
+}
+
+/// Everything one run threads between its stages: the run-scoped services
+/// and the artifacts, as they appear.
+struct Run<'a> {
+    program: &'a Program,
+    plan: &'a ExecutablePlan,
+    cfg: &'a PipelineConfig,
+    hooks: &'a Interventions<'a>,
+    injector: FaultInjector,
+    /// One request-scoped child of the process-wide governor per run.
+    /// Every size this run is about to commit to is checked *before* the
+    /// corresponding stage allocates or recurses, so a compile bomb
+    /// (thousand-launch loop, near-u32::MAX domain, pathologically deep
+    /// chain) is rejected with structured attribution instead of
+    /// exhausting the process. With the default unlimited budget every
+    /// check is a no-op.
+    governor: Arc<ResourceGovernor>,
+    /// Owns repetition, noise injection, retry with virtual backoff, and
+    /// median+MAD aggregation. With one rep, no noise, and no injected rep
+    /// failures it is a strict passthrough. Both programs are profiled
+    /// through it, so the original/transformed comparison is apples to
+    /// apples: both sides see the same measurement conditions.
+    robust: RobustProfiler,
+    reports: Vec<StageReport>,
+    original_profile: Option<ProgramProfile>,
+    metadata: Option<MetadataBundle>,
+    decisions: Vec<FilterDecision>,
+    ddg_dot: String,
+    oeg_dot: String,
+    new_oeg_dot: String,
+    oeg: Option<Oeg>,
+    search: Option<SearchResult>,
+    /// The plan codegen executes: lowered by the search (and possibly
+    /// amended), or preloaded.
+    tplan: Option<TransformPlan>,
+    transform: Option<TransformOutput>,
+    transformed_profile: Option<ProgramProfile>,
+    verification: Option<Verification>,
+}
+
+impl<'a> Run<'a> {
+    fn new(pipeline: &'a Pipeline, hooks: &'a Interventions<'a>) -> Run<'a> {
+        let cfg = &pipeline.config;
+        let injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
         let profiler = if cfg.functional_profile {
             Profiler::new(cfg.device.clone())
         } else {
             Profiler::analytic(cfg.device.clone())
         };
-        // The robust wrapper owns repetition, noise injection, retry with
-        // virtual backoff, and median+MAD aggregation. With one rep, no
-        // noise, and no injected rep failures it is a strict passthrough.
         let robust = RobustProfiler::new(
-            profiler.clone(),
+            profiler,
             cfg.profile_reps,
             cfg.noise
                 .clone()
                 .or_else(|| injector.noise_seed().map(NoiseModel::standard)),
         )
         .with_forced_transients(injector.rep_failures());
-        let mut meta_report = StageReport::new(Stage::Metadata);
+        Run {
+            program: &pipeline.program,
+            plan: &pipeline.plan,
+            cfg,
+            hooks,
+            injector,
+            governor: ResourceGovernor::process().child(cfg.budget),
+            robust,
+            reports: Vec::new(),
+            original_profile: None,
+            metadata: None,
+            decisions: Vec::new(),
+            ddg_dot: String::new(),
+            oeg_dot: String::new(),
+            new_oeg_dot: String::new(),
+            oeg: None,
+            search: None,
+            tplan: None,
+            transform: None,
+            transformed_profile: None,
+            verification: None,
+        }
+    }
+
+    /// The single exit. The transformed program is adopted only when
+    /// codegen committed its artifacts and no keep-original rung fired;
+    /// every other ending — stopped early, no profile, search budget gone,
+    /// codegen or verification failed, transform modeled slower — returns
+    /// the original program at the original's time with whatever artifacts
+    /// exist by then.
+    fn finish(self, kept_original: bool) -> TransformResult {
+        let original_time = self
+            .original_profile
+            .as_ref()
+            .map_or(0.0, |p| p.total_runtime_us);
+        let (program, transformed_time, speedup) =
+            match (&self.transform, &self.transformed_profile) {
+                (Some(t), Some(p)) if !kept_original => {
+                    let time = p.total_runtime_us;
+                    (t.program.clone(), time, original_time / time.max(1e-12))
+                }
+                _ => (self.program.clone(), original_time, 1.0),
+            };
+        TransformResult {
+            program,
+            original_time_us: original_time,
+            transformed_time_us: transformed_time,
+            speedup,
+            verification: self.verification,
+            reports: self.reports,
+            metadata: self.metadata,
+            decisions: self.decisions,
+            ddg_dot: self.ddg_dot,
+            oeg_dot: self.oeg_dot,
+            new_oeg_dot: self.new_oeg_dot,
+            search: self.search,
+            transform: self.transform,
+            original_profile: self.original_profile,
+            transformed_profile: self.transformed_profile,
+        }
+    }
+
+    /// The one degrade-or-fail rule. A degradable failure is the run's
+    /// error under [`DegradePolicy::Strict`]; under `Degrade` it is a
+    /// recorded step down the ladder and the stage carries on at the lower
+    /// rung.
+    fn degrade_or_fail(
+        &self,
+        r: &mut StageReport,
+        err: PipelineError,
+        scope: &str,
+        action: impl Into<String>,
+        reason: impl Into<String>,
+    ) -> Result<(), PipelineError> {
+        self.fail_if_strict(err)?;
+        r.degrade(scope, action, reason);
+        Ok(())
+    }
+
+    /// The policy half of [`Self::degrade_or_fail`], for the one lower rung
+    /// that is taken without a record.
+    fn fail_if_strict(&self, err: PipelineError) -> Result<(), PipelineError> {
+        match self.cfg.degrade {
+            DegradePolicy::Strict => Err(err),
+            DegradePolicy::Degrade => Ok(()),
+        }
+    }
+
+    /// The last rung: record why and tell the loop to finish with the
+    /// original program.
+    fn fall_back_to_original(
+        &self,
+        r: &mut StageReport,
+        err: PipelineError,
+        what: &str,
+        reason: String,
+    ) -> Result<Next, PipelineError> {
+        let action = format!("kept the original program ({what})");
+        self.degrade_or_fail(r, err, "pipeline", action, reason)?;
+        Ok(Next::KeepOriginal)
+    }
+
+    /// Admission: record a size this run is about to commit to, or reject
+    /// the run — nothing has been built yet that a lower rung could keep.
+    fn admit(&self, stage: Stage, kind: ResourceKind, n: u64) -> Result<(), PipelineError> {
+        self.governor.record_peak(kind, n).map_err(|e| PipelineError {
+            class: Recoverability::Fatal,
+            ..PipelineError::from(e).at(stage)
+        })
+    }
+
+    /// Profile with bounded retry for transient failures (including injected
+    /// ones). A deterministic (non-transient) profile error short-circuits:
+    /// retrying an unknown kernel or an unlaunchable configuration cannot
+    /// help. Without a profile the only valid result is the original
+    /// program: `Ok(None)` is that keep-original rung, recorded in `r`.
+    fn profile(
+        &self,
+        r: &mut StageReport,
+        what: &str,
+        profile: impl Fn() -> Result<RobustProfile, ProfileError>,
+    ) -> Result<Option<RobustProfile>, PipelineError> {
+        let stage = r.stage;
+        // The shared retry ladder (sf_core::retry) — the same policy the
+        // robust profiler and the batch driver's publish path run on.
+        let policy = sf_core::RetryPolicy {
+            max_retries: self.cfg.profile_retries,
+            ..sf_core::RetryPolicy::default()
+        };
+        let outcome = policy.run(
+            |_| {
+                let injected = self.injector.take_profiler_failure();
+                let result = if injected {
+                    Err(ProfileError::transient("injected transient profiler failure"))
+                } else {
+                    profile()
+                };
+                result.map_err(|e| {
+                    if injected {
+                        PipelineError::transient(stage, ErrorKind::Injected(e.to_string()))
+                    } else {
+                        PipelineError::from(e).at(stage)
+                    }
+                })
+            },
+            |err| err.class == Recoverability::Transient,
+        );
+        match outcome.result {
+            Ok(profiled) => {
+                if outcome.attempts > 1 {
+                    r.line(format!(
+                        "profiler recovered after {} transient failure(s)",
+                        outcome.attempts - 1
+                    ));
+                }
+                Ok(Some(profiled))
+            }
+            Err(e) => {
+                let why = e.to_string();
+                self.fall_back_to_original(r, e, what, why).map(|_| None)
+            }
+        }
+    }
+
+    /// Close `r` into the run's reports and start a fresh one for the same
+    /// stage (the search stage writes up to three).
+    fn seal(&mut self, r: &mut StageReport) {
+        let fresh = StageReport::new(r.stage);
+        self.reports.push(std::mem::replace(r, fresh));
+    }
+
+    // ---------------- stage 1: metadata ----------------
+    fn metadata(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
+        let (program, plan, cfg) = (self.program, self.plan, self.cfg);
+        self.admit(r.stage, ResourceKind::Launches, plan.trace.len() as u64)?;
+        self.admit(r.stage, ResourceKind::IrStatements, program.statement_count())?;
+        let cells = sf_gpusim::GlobalMemory::plan_cells(plan);
+        self.admit(r.stage, ResourceKind::DomainCells, cells)?;
+
         let original_profile = match &cfg.preloaded_metadata {
             // "Execute from" the metadata stage: trust the (possibly
             // programmer-amended) bundle and reconstruct the end-to-end
             // time from its per-launch runtimes.
             Some(bundle) => {
-                if bundle.perf.len() != self.plan.launches.len() {
+                if bundle.perf.len() != plan.launches.len() {
                     return Err(PipelineError::fatal(
                         Stage::Metadata,
                         ErrorKind::Config(format!(
                             "preloaded metadata describes {} launches, program has {}",
                             bundle.perf.len(),
-                            self.plan.launches.len()
+                            plan.launches.len()
                         )),
                     ));
                 }
                 let total: f64 = bundle
                     .perf
                     .iter()
-                    .zip(&self.plan.launches)
+                    .zip(&plan.launches)
                     .map(|(p, l)| p.runtime_us * l.repeat as f64)
                     .sum();
                 ProgramProfile {
@@ -281,291 +489,211 @@ impl Pipeline {
                 }
             }
             None => {
-                let attempt = profile_with_retry(
-                    || robust.profile_with_plan(&self.program, &self.plan),
-                    &injector,
-                    cfg.profile_retries,
-                    Stage::Metadata,
-                );
-                match attempt {
-                    Ok((rp, used)) => {
-                        if used > 0 {
-                            meta_report.line(format!(
-                                "profiler recovered after {used} transient failure(s)"
-                            ));
-                        }
-                        if robust.is_active() {
-                            meta_report.line(format!(
-                                "robust profiling: {} repetition(s), {} lost, \
-                                 {} transient rep failure(s) retried ({} µs virtual backoff)",
-                                rp.reps, rp.lost_reps, rp.transient_failures, rp.virtual_backoff_us
-                            ));
-                            let (stable, noisy, unreliable) = rp.confidence_counts();
-                            meta_report.line(format!(
-                                "measurement confidence: {stable} stable, {noisy} noisy, \
-                                 {unreliable} unreliable"
-                            ));
-                            if unreliable > 0 {
-                                meta_report.hint(format!(
-                                    "{unreliable} launch(es) with unreliable measurements \
-                                     will be quarantined from the fusion space"
-                                ));
-                            }
-                        }
-                        rp.profile
-                    }
-                    Err(e) => {
-                        if strict {
-                            return Err(e);
-                        }
-                        // Last rung of the ladder: with no profile at all,
-                        // the only valid result is the original program.
-                        meta_report.degrade(
-                            "pipeline",
-                            "kept the original program (no profile available)",
-                            e.to_string(),
-                        );
-                        reports.push(meta_report);
-                        return Ok(TransformResult {
-                            program: self.program.clone(),
-                            original_time_us: 0.0,
-                            transformed_time_us: 0.0,
-                            speedup: 1.0,
-                            verification: None,
-                            reports,
-                            metadata: None,
-                            decisions: Vec::new(),
-                            ddg_dot: String::new(),
-                            oeg_dot: String::new(),
-                            new_oeg_dot: String::new(),
-                            search: None,
-                            transform: None,
-                            original_profile: None,
-                            transformed_profile: None,
-                        });
+                let profile = || self.robust.profile_with_plan(program, plan);
+                let Some(rp) = self.profile(r, "no profile available", profile)? else {
+                    return Ok(Next::KeepOriginal);
+                };
+                if self.robust.is_active() {
+                    r.line(format!(
+                        "robust profiling: {} repetition(s), {} lost, \
+                         {} transient rep failure(s) retried ({} µs virtual backoff)",
+                        rp.reps, rp.lost_reps, rp.transient_failures, rp.virtual_backoff_us
+                    ));
+                    let (stable, noisy, unreliable) = rp.confidence_counts();
+                    r.line(format!(
+                        "measurement confidence: {stable} stable, {noisy} noisy, \
+                         {unreliable} unreliable"
+                    ));
+                    if unreliable > 0 {
+                        r.hint(format!(
+                            "{unreliable} launch(es) with unreliable measurements \
+                             will be quarantined from the fusion space"
+                        ));
                     }
                 }
+                rp.profile
             }
         };
         let mut metadata = original_profile.metadata.clone();
-        if let Some(f) = &hooks.amend_metadata {
+        if let Some(f) = &self.hooks.amend_metadata {
             f(&mut metadata);
         }
-        let corrupted_by_injection = injector.corrupt_metadata(&mut metadata);
-        if let Err(why) = validate_metadata(&metadata, self.plan.launches.len()) {
+        let corrupted_by_injection = self.injector.corrupt_metadata(&mut metadata);
+        if let Err(why) = validate_metadata(&metadata, plan.launches.len()) {
             let kind = if corrupted_by_injection {
                 ErrorKind::Injected(why.clone())
             } else {
                 ErrorKind::Config(why.clone())
             };
-            if strict {
-                return Err(PipelineError::degradable(Stage::Metadata, kind));
-            }
-            // Degrade: discard the corrupt amendments and restore the
-            // bundle the profiler produced.
-            metadata = original_profile.metadata.clone();
-            if let Err(still_bad) = validate_metadata(&metadata, self.plan.launches.len()) {
-                return Err(PipelineError::fatal(
-                    Stage::Metadata,
-                    ErrorKind::Config(still_bad),
-                ));
-            }
-            meta_report.degrade(
+            self.degrade_or_fail(
+                r,
+                PipelineError::degradable(Stage::Metadata, kind),
                 "metadata bundle",
                 "discarded corrupt metadata; restored the profiled bundle",
                 why,
-            );
+            )?;
+            // Discard the corrupt amendments and restore the bundle the
+            // profiler produced.
+            metadata = original_profile.metadata.clone();
+            validate_metadata(&metadata, plan.launches.len())
+                .map_err(|bad| PipelineError::fatal(Stage::Metadata, ErrorKind::Config(bad)))?;
         }
-        meta_report.line(format!(
+        r.line(format!(
             "{} kernel invocations profiled on {}; modeled device time {:.1} µs",
             metadata.perf.len(),
             metadata.device.name,
             original_profile.total_runtime_us
         ));
         for h in &original_profile.hazards {
-            meta_report.hint(format!("hazard in original program: {h}"));
+            r.hint(format!("hazard in original program: {h}"));
         }
-        reports.push(meta_report);
-        if stop_after(Stage::Metadata) {
-            return Ok(self.partial(reports, Some(metadata), Vec::new(), original_profile));
-        }
+        self.metadata = Some(metadata);
+        self.original_profile = Some(original_profile);
+        Ok(Next::Continue)
+    }
 
-        // Stages 2–5 lower the winning grouping to a transform plan; a
-        // preloaded plan replays straight into codegen instead, so a prior
-        // run can be reproduced without re-searching.
-        let (decisions, ddg_dot, oeg_dot, new_oeg_dot, search_result, tplan) = if let Some(pplan) =
-            &cfg.preloaded_plan
-        {
-            pplan.validate(self.plan.launches.len()).map_err(|e| {
-                PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string()))
-            })?;
-            // Replaying a plan on a different device would silently project
-            // and codegen with the wrong device model; reject it as a
-            // structured mismatch (the port path re-targets explicitly).
-            let configured = cfg.device.fingerprint();
-            if pplan.device_fingerprint != configured {
-                return Err(PipelineError::fatal(
-                    Stage::NewGraphs,
-                    ErrorKind::DeviceMismatch {
-                        plan: pplan.device_fingerprint.clone(),
-                        configured,
-                    },
-                ));
-            }
-            let mut r = StageReport::new(Stage::NewGraphs);
-            r.line(format!(
-                "replaying preloaded transform plan: {}",
-                pplan.summary()
+    /// Stages 2–5 lower the winning grouping to a transform plan; a
+    /// preloaded plan replays straight into codegen instead, so a prior run
+    /// can be reproduced without re-searching.
+    fn replay(&mut self, pplan: &TransformPlan) -> Result<(), PipelineError> {
+        pplan
+            .validate(self.plan.launches.len())
+            .map_err(|e| PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string())))?;
+        // Replaying a plan on a different device would silently project
+        // and codegen with the wrong device model; reject it as a
+        // structured mismatch (the port path re-targets explicitly).
+        let configured = self.cfg.device.fingerprint();
+        if pplan.device_fingerprint != configured {
+            return Err(PipelineError::fatal(
+                Stage::NewGraphs,
+                ErrorKind::DeviceMismatch {
+                    plan: pplan.device_fingerprint.clone(),
+                    configured,
+                },
             ));
-            reports.push(r);
-            (
-                Vec::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                None,
-                pplan.clone(),
-            )
-        } else {
-            // ---------------- stage 2: filter ----------------
-            let mut decisions =
-                identify_targets(&metadata.perf, &metadata.ops, &metadata.device, &cfg.filter);
-            if let Some(f) = &hooks.amend_decisions {
-                f(&mut decisions);
-            }
-            {
-                let mut r = StageReport::new(Stage::Filter);
-                let targets = decisions.iter().filter(|d| d.is_target()).count();
+        }
+        let mut r = StageReport::new(Stage::NewGraphs);
+        r.line(format!(
+            "replaying preloaded transform plan: {}",
+            pplan.summary()
+        ));
+        self.reports.push(r);
+        self.tplan = Some(pplan.clone());
+        Ok(())
+    }
+
+    // ---------------- stage 2: filter ----------------
+    fn filter(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
+        let metadata = made(&self.metadata);
+        let mut decisions = identify_targets(
+            &metadata.perf,
+            &metadata.ops,
+            &metadata.device,
+            &self.cfg.filter,
+        );
+        if let Some(f) = &self.hooks.amend_decisions {
+            f(&mut decisions);
+        }
+        let targets = decisions.iter().filter(|d| d.is_target()).count();
+        r.line(format!(
+            "{targets} of {} invocations are fusion targets",
+            decisions.len()
+        ));
+        for d in &decisions {
+            if !d.is_target() {
                 r.line(format!(
-                    "{targets} of {} invocations are fusion targets",
-                    decisions.len()
+                    "excluded {}#{}: {:?} (OI {:.3})",
+                    d.kernel, d.seq, d.reason, d.oi
                 ));
-                for d in &decisions {
-                    if !d.is_target() {
-                        r.line(format!(
-                            "excluded {}#{}: {:?} (OI {:.3})",
-                            d.kernel, d.seq, d.reason, d.oi
-                        ));
-                    }
-                }
-                // Inefficiency hint: suspiciously slow memory-bound kernels.
-                for (d, p) in decisions.iter().zip(&metadata.perf) {
-                    if d.is_target()
-                        && sf_analysis::roofline::is_latency_bound(p, &metadata.device, 4.0)
-                    {
-                        r.hint(format!(
-                            "{}#{} may be latency-bound (runtime far above roofline bound); \
+            }
+        }
+        // Inefficiency hint: suspiciously slow memory-bound kernels.
+        for (d, p) in decisions.iter().zip(&metadata.perf) {
+            if d.is_target() && sf_analysis::roofline::is_latency_bound(p, &metadata.device, 4.0) {
+                r.hint(format!(
+                    "{}#{} may be latency-bound (runtime far above roofline bound); \
                          consider excluding it in guided mode",
-                            d.kernel, d.seq
-                        ));
-                    }
-                }
-                reports.push(r);
+                    d.kernel, d.seq
+                ));
             }
-            if stop_after(Stage::Filter) {
-                return Ok(self.partial(reports, Some(metadata), decisions, original_profile));
-            }
+        }
+        self.decisions = decisions;
+        Ok(Next::Continue)
+    }
 
-            // ---------------- stage 3: graphs ----------------
-            let accesses = all_accesses_with_allocs(&self.program, &self.plan)
-                .map_err(|e| PipelineError::fatal(Stage::Graphs, ErrorKind::Graph(e)))?;
-            let ddg = Ddg::build(&accesses);
-            let kernel_names: Vec<String> = self
-                .plan
-                .launches
-                .iter()
-                .map(|l| l.kernel.clone())
-                .collect();
-            let oeg = Oeg::build(kernel_names.clone(), &accesses, &ddg, &self.plan.transfers);
-            let name_of = |seq: usize| kernel_names[seq].clone();
-            let ddg_dot = dot::ddg_to_dot(&ddg, &name_of);
-            let oeg_dot = dot::oeg_to_dot(&oeg.transitive_reduction(), None);
-            // Longest precedence chain in the OEG (in launches). Edges run
-            // i < j, so ascending key order is already topological for the
-            // DP; a hostile deep-chain program trips the budget here,
-            // before the search builds a space over it.
-            let precedence_depth = {
-                let mut depth = vec![1u64; oeg.len()];
-                for &(i, j) in oeg.edges.keys() {
-                    depth[j] = depth[j].max(depth[i] + 1);
-                }
-                depth.into_iter().max().unwrap_or(0)
-            };
-            governor
-                .record_peak(ResourceKind::PrecedenceDepth, precedence_depth)
-                .map_err(|e| PipelineError::fatal(Stage::Graphs, exhausted(e)))?;
-            {
-                let mut r = StageReport::new(Stage::Graphs);
-                r.line(format!(
-                    "longest precedence chain: {precedence_depth} launch(es)"
-                ));
-                r.line(format!(
-                    "DDG: {} kernel nodes, {} array nodes, {} edges; OEG: {} edges",
-                    ddg.kernel_count(),
-                    ddg.array_count(),
-                    ddg.edges.len(),
-                    oeg.edges.len()
-                ));
-                r.line(format!(
-                    "{} array sharing sets",
-                    ddg.array_sharing_sets().len()
-                ));
-                for line in &ddg.report {
-                    r.line(format!("graph optimization: {line}"));
-                }
-                reports.push(r);
+    // ---------------- stage 3: graphs ----------------
+    fn graphs(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
+        let accesses = all_accesses_with_allocs(self.program, self.plan)
+            .map_err(|e| PipelineError::fatal(Stage::Graphs, ErrorKind::Graph(e)))?;
+        let ddg = Ddg::build(&accesses);
+        let kernel_names: Vec<String> = self
+            .plan
+            .launches
+            .iter()
+            .map(|l| l.kernel.clone())
+            .collect();
+        let oeg = Oeg::build(kernel_names.clone(), &accesses, &ddg, &self.plan.transfers);
+        let name_of = |seq: usize| kernel_names[seq].clone();
+        self.ddg_dot = dot::ddg_to_dot(&ddg, &name_of);
+        self.oeg_dot = dot::oeg_to_dot(&oeg.transitive_reduction(), None);
+        // Longest precedence chain in the OEG (in launches). Edges run
+        // i < j, so ascending key order is already topological for the
+        // DP; a hostile deep-chain program trips the budget here,
+        // before the search builds a space over it.
+        let precedence_depth = {
+            let mut depth = vec![1u64; oeg.len()];
+            for &(i, j) in oeg.edges.keys() {
+                depth[j] = depth[j].max(depth[i] + 1);
             }
-            if stop_after(Stage::Graphs) {
-                let mut out = self.partial(reports, Some(metadata), decisions, original_profile);
-                out.ddg_dot = ddg_dot;
-                out.oeg_dot = oeg_dot;
-                return Ok(out);
-            }
+            depth.into_iter().max().unwrap_or(0)
+        };
+        self.admit(r.stage, ResourceKind::PrecedenceDepth, precedence_depth)?;
+        r.line(format!(
+            "longest precedence chain: {precedence_depth} launch(es)"
+        ));
+        r.line(format!(
+            "DDG: {} kernel nodes, {} array nodes, {} edges; OEG: {} edges",
+            ddg.kernel_count(),
+            ddg.array_count(),
+            ddg.edges.len(),
+            oeg.edges.len()
+        ));
+        r.line(format!(
+            "{} array sharing sets",
+            ddg.array_sharing_sets().len()
+        ));
+        for line in &ddg.report {
+            r.line(format!("graph optimization: {line}"));
+        }
+        self.oeg = Some(oeg);
+        Ok(Next::Continue)
+    }
 
-            // ---------------- stage 4: search ----------------
-            // The search consumes the (possibly programmer-amended) metadata.
-            let search_profile = ProgramProfile {
-                metadata: metadata.clone(),
-                costs: original_profile.costs.clone(),
-                total_runtime_us: original_profile.total_runtime_us,
-                hazards: Vec::new(),
-            };
-            let space = SearchSpace::build(
-                &self.program,
-                &self.plan,
-                &search_profile,
-                &decisions,
-                cfg.device.clone(),
-            )
-            .map_err(|e| PipelineError::from(e).at(Stage::Search))?;
-            let mut search_cfg = cfg.search.clone();
-            // The plan the search lowers must reflect this run's codegen
-            // settings.
-            search_cfg.mode = cfg.mode;
-            search_cfg.block_tuning = cfg.block_tuning;
-            if !cfg.enable_fission {
-                search_cfg = search_cfg.without_fission();
-            }
-            if let Some(f) = &hooks.amend_search_config {
-                f(&mut search_cfg);
-            }
-            // Governed search admission: exhaustion here walks its own
-            // rungs of the degradation ladder instead of failing — rung 1
-            // shrinks the GA budget, rung 2 reduces the search to one island and
-            // halves the population, rung 3 skips the search entirely and
-            // keeps the original program. Strict mode surfaces the first
-            // tripped rung as a structured error.
-            let mut gov_report = StageReport::new(Stage::Search);
-            let targets = decisions.iter().filter(|d| d.is_target()).count() as u64;
-            // 2^(t-1) ordered chains is a cheap lower bound on the grouping
-            // space over t fusion targets — when even the bound blows the
-            // cap, the configured GA budget is oversized for this scope.
-            let candidate_estimate = 1u64 << targets.saturating_sub(1).min(63);
-            if let Some(e) = governor.would_exceed(ResourceKind::CandidateSet, candidate_estimate)
-            {
-                if strict {
-                    return Err(PipelineError::degradable(Stage::Search, exhausted(e)));
-                }
+    /// Governed search admission: exhaustion here walks its own rungs of
+    /// the degradation ladder instead of failing — rung 1 shrinks the GA
+    /// budget, rung 2 reduces the search to one island and halves the
+    /// population, rung 3 (`None`) skips the search entirely. Returns the
+    /// population bytes charged while the search runs.
+    fn admit_search(
+        &self,
+        r: &mut StageReport,
+        search_cfg: &mut SearchConfig,
+    ) -> Result<Option<u64>, PipelineError> {
+        let budget = |e: sf_core::ResourceError| {
+            let reason = e.to_string();
+            (PipelineError::from(e).at(Stage::Search), reason)
+        };
+        let targets = self.decisions.iter().filter(|d| d.is_target()).count() as u64;
+        // 2^(t-1) ordered chains is a cheap lower bound on the grouping
+        // space over t fusion targets — when even the bound blows the
+        // cap, the configured GA budget is oversized for this scope.
+        let candidate_estimate = 1u64 << targets.saturating_sub(1).min(63);
+        match self
+            .governor
+            .would_exceed(ResourceKind::CandidateSet, candidate_estimate)
+        {
+            Some(e) => {
+                let (err, reason) = budget(e);
                 let before = (
                     search_cfg.population,
                     search_cfg.generations,
@@ -574,354 +702,275 @@ impl Pipeline {
                 search_cfg.population = search_cfg.population.min(16);
                 search_cfg.generations = search_cfg.generations.min(8);
                 search_cfg.max_evaluations = search_cfg.max_evaluations.min(256);
-                gov_report.degrade(
-                    "search budget",
-                    format!(
-                        "shrank the GA budget: population {} → {}, generations {} → {}, \
-                         max evaluations {} → {}",
-                        before.0,
-                        search_cfg.population,
-                        before.1,
-                        search_cfg.generations,
-                        before.2,
-                        search_cfg.max_evaluations
-                    ),
-                    e.to_string(),
+                let shrunk = format!(
+                    "shrank the GA budget: population {} → {}, generations {} → {}, \
+                     max evaluations {} → {}",
+                    before.0,
+                    search_cfg.population,
+                    before.1,
+                    search_cfg.generations,
+                    before.2,
+                    search_cfg.max_evaluations
                 );
+                self.degrade_or_fail(r, err, "search budget", shrunk, reason)?;
+            }
+            None => {
+                let _ = self
+                    .governor
+                    .record_peak(ResourceKind::CandidateSet, candidate_estimate);
+            }
+        }
+        // Rung 2: estimated resident population bytes across islands. Only
+        // giving up islands is a recorded step; halving the population of
+        // a one-island search is not.
+        let genome_bytes = 48u64 * self.plan.launches.len() as u64;
+        let over = |cfg: &SearchConfig| {
+            let bytes = cfg.population as u64 * genome_bytes * cfg.islands.max(1) as u64;
+            (bytes, self.governor.would_exceed(ResourceKind::PopulationBytes, bytes))
+        };
+        if let (_, Some(e)) = over(search_cfg) {
+            let (err, reason) = budget(e);
+            if search_cfg.islands > 1 {
+                let one_island = format!(
+                    "reduced the search to one island ({} islands → 1)",
+                    search_cfg.islands
+                );
+                self.degrade_or_fail(r, err, "search budget", one_island, reason)?;
+                search_cfg.islands = 1;
             } else {
-                let _ = governor.record_peak(ResourceKind::CandidateSet, candidate_estimate);
+                self.fail_if_strict(err)?;
             }
-            // Rung 2: estimated resident population bytes across islands.
-            let genome_bytes = 48u64 * self.plan.launches.len() as u64;
-            let pop_bytes =
-                |pop: usize, islands: usize| pop as u64 * genome_bytes * islands.max(1) as u64;
-            if let Some(e) = governor.would_exceed(
-                ResourceKind::PopulationBytes,
-                pop_bytes(search_cfg.population, search_cfg.islands),
-            ) {
-                if strict {
-                    return Err(PipelineError::degradable(Stage::Search, exhausted(e)));
-                }
-                if search_cfg.islands > 1 {
-                    gov_report.degrade(
-                        "search budget",
-                        format!(
-                            "reduced the search to one island ({} islands → 1)",
-                            search_cfg.islands
-                        ),
-                        e.to_string(),
-                    );
-                    search_cfg.islands = 1;
-                }
-                while search_cfg.population > 8
-                    && governor
-                        .would_exceed(
-                            ResourceKind::PopulationBytes,
-                            pop_bytes(search_cfg.population, search_cfg.islands),
-                        )
-                        .is_some()
-                {
-                    search_cfg.population /= 2;
-                }
+            while search_cfg.population > 8 && over(search_cfg).1.is_some() {
+                search_cfg.population /= 2;
             }
-            // Rung 3: even the minimum viable search exceeds the budget —
-            // skip the search; the original program is the valid result.
-            let search_population_bytes = pop_bytes(search_cfg.population, search_cfg.islands);
-            if let Some(e) =
-                governor.would_exceed(ResourceKind::PopulationBytes, search_population_bytes)
-            {
-                if strict {
-                    return Err(PipelineError::degradable(Stage::Search, exhausted(e)));
-                }
-                gov_report.degrade(
-                    "pipeline",
-                    "kept the original program (search budget exhausted)",
-                    e.to_string(),
-                );
-                reports.push(gov_report);
-                let mut out = self.partial(reports, Some(metadata), decisions, original_profile);
-                out.ddg_dot = ddg_dot;
-                out.oeg_dot = oeg_dot;
-                return Ok(out);
-            }
-            governor
-                .charge(ResourceKind::PopulationBytes, search_population_bytes)
-                .map_err(|e| PipelineError::degradable(Stage::Search, exhausted(e)))?;
-            if !gov_report.degradations.is_empty() || !gov_report.lines.is_empty() {
-                reports.push(gov_report);
-            }
-            // Plan-port seeding: raise the source plan's grouping onto this
-            // device's search space (repairing anything infeasible here) and
-            // inject it into the initial population as an elite.
-            let mut seeds: Vec<Individual> = Vec::new();
-            if let Some(port) = &cfg.port_plan {
-                port.validate(self.plan.launches.len()).map_err(|e| {
-                    PipelineError::fatal(Stage::Search, ErrorKind::Config(e.to_string()))
-                })?;
-                let seed = raise_plan(&space, port);
-                let mut r = StageReport::new(Stage::Search);
-                r.line(format!(
-                    "porting plan from device `{}`: seeded search with its raised genome \
-                     ({} fusion groups)",
-                    port.device_fingerprint,
-                    seed.groups().len()
-                ));
-                reports.push(r);
-                seeds.push(seed);
-            }
-            // One driver for every run: `islands = 1` is the classic serial
-            // GGA, under the same supervision, budgets and checkpointing.
-            let opts = IslandOptions {
-                poison: injector.poison_evaluations().clone(),
-                faults: injector.island_faults().clone(),
-                checkpoint_path: cfg.checkpoint_path.clone(),
-                resume_path: cfg.resume_path.clone(),
-                seeds,
-            };
-            let supervised = search_islands(&space, &search_cfg, &opts);
-            let result = &supervised.result;
-            // The population is resident only while the search runs.
-            governor.credit(ResourceKind::PopulationBytes, search_population_bytes);
-            if strict {
-                if let Some(d) = supervised.degradations.first() {
-                    return Err(PipelineError::degradable(
-                        Stage::Search,
-                        ErrorKind::Panic(format!("{}: {} ({})", d.scope, d.action, d.reason)),
-                    ));
-                }
-                if result.poisoned_evaluations > 0 {
-                    return Err(PipelineError::degradable(
-                        Stage::Search,
-                        ErrorKind::Panic(format!(
-                            "{} candidate evaluation(s) panicked and were scored as poisoned",
-                            result.poisoned_evaluations
-                        )),
-                    ));
-                }
-            }
-            {
-                let mut r = StageReport::new(Stage::Search);
-                r.line(format!(
-                    "GGA ran {} generations, {} evaluations; projection {:.2} → {:.2} GFLOPS",
-                    result.generations_run,
-                    result.evaluations,
-                    result.baseline_gflops,
-                    result.best_gflops
-                ));
-                r.line(format!(
-                    "{} fusion groups; {:.3} fissions per generation; stop reason: {}",
-                    result.best.fusion_groups().len(),
-                    result.fissions_per_generation,
-                    result.stop_reason.name()
-                ));
-                r.line(format!("lowered plan: {}", result.plan.summary()));
-                r.line(format!(
-                    "projection cache: {} hits / {} misses ({:.1}% hit rate, {} distinct groups)",
-                    result.projection.hits,
-                    result.projection.misses,
-                    result.projection.hit_rate() * 100.0,
-                    result.projection.entries
-                ));
-                if result.best_gflops <= result.baseline_gflops * 1.001 {
-                    r.hint("search found no grouping better than the original program");
-                }
-                r.line(format!(
-                    "supervised island search: {} island(s), {} epoch(s), \
-                     {} checkpoint(s) written",
-                    supervised.islands, supervised.epochs_run, supervised.checkpoints_written
-                ));
-                if let Some(e) = supervised.resumed_from_epoch {
-                    r.line(format!("resumed from the epoch-{e} checkpoint"));
-                }
-                if let Some(e) = supervised.killed_at_epoch {
-                    r.line(format!("stopped by an injected kill after epoch {e}"));
-                }
-                for d in &supervised.degradations {
-                    r.degrade(d.scope.clone(), d.action.clone(), d.reason.clone());
-                }
-                if result.poisoned_evaluations > 0 {
-                    r.degrade(
-                        "candidate evaluations",
-                        format!(
-                            "scored {} poisoned candidate(s) with penalty fitness",
-                            result.poisoned_evaluations
-                        ),
-                        "objective evaluation panicked (caught at the isolation boundary)",
-                    );
-                }
-                reports.push(r);
-            }
-            let result = supervised.result;
-            let mut tplan = result.plan.clone();
-            if stop_after(Stage::Search) {
-                let mut out = self.partial(reports, Some(metadata), decisions, original_profile);
-                out.search = Some(result);
-                out.ddg_dot = ddg_dot;
-                out.oeg_dot = oeg_dot;
-                return Ok(out);
-            }
+        }
+        // Rung 3: even the minimum viable search exceeds the budget.
+        let (bytes, exceeded) = over(search_cfg);
+        if let Some(e) = exceeded {
+            let (err, reason) = budget(e);
+            self.fall_back_to_original(r, err, "search budget exhausted", reason)?;
+            return Ok(None);
+        }
+        self.governor
+            .charge(ResourceKind::PopulationBytes, bytes)
+            .map_err(|e| PipelineError::from(e).at(Stage::Search))?;
+        Ok(Some(bytes))
+    }
 
-            // ---------------- stage 5: new graphs ----------------
-            if let Some(f) = &hooks.amend_plan {
-                f(&mut tplan);
-                tplan.validate(self.plan.launches.len()).map_err(|e| {
-                    PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string()))
-                })?;
-            }
-            // Render the new OEG: original nodes with fusion clusters.
-            let new_oeg_dot = {
-                let mut group_of: Vec<usize> = (0..self.plan.launches.len()).collect();
-                for (gi, g) in tplan.groups.iter().enumerate() {
-                    for m in &g.members {
-                        group_of[m.seq] = self.plan.launches.len() + gi;
-                    }
-                }
-                dot::oeg_to_dot(&oeg.transitive_reduction(), Some(&group_of))
-            };
-            {
-                let mut r = StageReport::new(Stage::NewGraphs);
-                r.line(format!(
-                    "new program: {} launches ({} in the original)",
-                    tplan.groups.len(),
-                    self.plan.launches.len()
-                ));
-                reports.push(r);
-            }
-            if stop_after(Stage::NewGraphs) {
-                let mut out = self.partial(reports, Some(metadata), decisions, original_profile);
-                out.search = Some(result);
-                out.ddg_dot = ddg_dot;
-                out.oeg_dot = oeg_dot;
-                out.new_oeg_dot = new_oeg_dot;
-                return Ok(out);
-            }
-            (
-                decisions,
-                ddg_dot,
-                oeg_dot,
-                new_oeg_dot,
-                Some(result),
-                tplan,
-            )
+    // ---------------- stage 4: search ----------------
+    fn search(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
+        let (program, plan, cfg) = (self.program, self.plan, self.cfg);
+        // The search consumes the (possibly programmer-amended) metadata.
+        let original_profile = made(&self.original_profile);
+        let search_profile = ProgramProfile {
+            metadata: made(&self.metadata).clone(),
+            costs: original_profile.costs.clone(),
+            total_runtime_us: original_profile.total_runtime_us,
+            hazards: Vec::new(),
         };
+        let space = SearchSpace::build(
+            program,
+            plan,
+            &search_profile,
+            &self.decisions,
+            cfg.device.clone(),
+        )
+        .map_err(|e| PipelineError::from(e).at(Stage::Search))?;
+        let mut search_cfg = cfg.search.clone();
+        // The plan the search lowers must reflect this run's codegen
+        // settings.
+        search_cfg.mode = cfg.mode;
+        search_cfg.block_tuning = cfg.block_tuning;
+        if !cfg.enable_fission {
+            search_cfg = search_cfg.without_fission();
+        }
+        if let Some(f) = &self.hooks.amend_search_config {
+            f(&mut search_cfg);
+        }
+        let Some(population_bytes) = self.admit_search(r, &mut search_cfg)? else {
+            return Ok(Next::KeepOriginal);
+        };
+        if !r.degradations.is_empty() {
+            self.seal(r);
+        }
+        // Plan-port seeding: raise the source plan's grouping onto this
+        // device's search space (repairing anything infeasible here) and
+        // inject it into the initial population as an elite.
+        let mut seeds = Vec::new();
+        if let Some(port) = &cfg.port_plan {
+            port.validate(plan.launches.len()).map_err(|e| {
+                PipelineError::fatal(Stage::Search, ErrorKind::Config(e.to_string()))
+            })?;
+            let seed = raise_plan(&space, port);
+            r.line(format!(
+                "porting plan from device `{}`: seeded search with its raised genome \
+                 ({} fusion groups)",
+                port.device_fingerprint,
+                seed.groups().len()
+            ));
+            self.seal(r);
+            seeds.push(seed);
+        }
+        // One driver for every run: `islands = 1` is the classic serial
+        // GGA, under the same supervision, budgets and checkpointing.
+        let opts = IslandOptions {
+            poison: self.injector.poison_evaluations().clone(),
+            faults: self.injector.island_faults().clone(),
+            checkpoint_path: cfg.checkpoint_path.clone(),
+            resume_path: cfg.resume_path.clone(),
+            seeds,
+        };
+        let supervised = search_islands(&space, &search_cfg, &opts);
+        // The population is resident only while the search runs.
+        self.governor
+            .credit(ResourceKind::PopulationBytes, population_bytes);
+        self.report_search(r, &supervised)?;
+        self.search = Some(supervised.result);
+        Ok(Next::Continue)
+    }
 
-        // ---------------- stage 6: codegen ----------------
+    fn report_search(
+        &self,
+        r: &mut StageReport,
+        supervised: &IslandSearchResult,
+    ) -> Result<(), PipelineError> {
+        let result = &supervised.result;
+        r.line(format!(
+            "GGA ran {} generations, {} evaluations; projection {:.2} → {:.2} GFLOPS",
+            result.generations_run, result.evaluations, result.baseline_gflops, result.best_gflops
+        ));
+        r.line(format!(
+            "{} fusion groups; {:.3} fissions per generation; stop reason: {}",
+            result.best.fusion_groups().len(),
+            result.fissions_per_generation,
+            result.stop_reason.name()
+        ));
+        r.line(format!("lowered plan: {}", result.plan.summary()));
+        r.line(format!(
+            "projection cache: {} hits / {} misses ({:.1}% hit rate, {} distinct groups)",
+            result.projection.hits,
+            result.projection.misses,
+            result.projection.hit_rate() * 100.0,
+            result.projection.entries
+        ));
+        if result.best_gflops <= result.baseline_gflops * 1.001 {
+            r.hint("search found no grouping better than the original program");
+        }
+        r.line(format!(
+            "supervised island search: {} island(s), {} epoch(s), \
+             {} checkpoint(s) written",
+            supervised.islands, supervised.epochs_run, supervised.checkpoints_written
+        ));
+        if let Some(e) = supervised.resumed_from_epoch {
+            r.line(format!("resumed from the epoch-{e} checkpoint"));
+        }
+        if let Some(e) = supervised.killed_at_epoch {
+            r.line(format!("stopped by an injected kill after epoch {e}"));
+        }
+        let panic = |what: String| PipelineError::degradable(Stage::Search, ErrorKind::Panic(what));
+        for d in &supervised.degradations {
+            let err = panic(format!("{}: {} ({})", d.scope, d.action, d.reason));
+            self.degrade_or_fail(r, err, &d.scope, d.action.clone(), d.reason.clone())?;
+        }
+        if result.poisoned_evaluations > 0 {
+            let n = result.poisoned_evaluations;
+            self.degrade_or_fail(
+                r,
+                panic(format!(
+                    "{n} candidate evaluation(s) panicked and were scored as poisoned"
+                )),
+                "candidate evaluations",
+                format!("scored {n} poisoned candidate(s) with penalty fitness"),
+                "objective evaluation panicked (caught at the isolation boundary)",
+            )?;
+        }
+        Ok(())
+    }
+
+    // ---------------- stage 5: new graphs ----------------
+    fn new_graphs(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
+        let launches = self.plan.launches.len();
+        let mut tplan = made(&self.search).plan.clone();
+        if let Some(f) = &self.hooks.amend_plan {
+            f(&mut tplan);
+            tplan.validate(launches).map_err(|e| {
+                PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string()))
+            })?;
+        }
+        // Render the new OEG: original nodes with fusion clusters.
+        let mut group_of: Vec<usize> = (0..launches).collect();
+        for (gi, g) in tplan.groups.iter().enumerate() {
+            for m in &g.members {
+                group_of[m.seq] = launches + gi;
+            }
+        }
+        self.new_oeg_dot = dot::oeg_to_dot(&made(&self.oeg).transitive_reduction(), Some(&group_of));
+        r.line(format!(
+            "new program: {} launches ({} in the original)",
+            tplan.groups.len(),
+            launches
+        ));
+        self.tplan = Some(tplan);
+        Ok(Next::Continue)
+    }
+
+    // ---------------- stage 6: codegen ----------------
+    fn codegen(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
         let cg_faults = CodegenFaults {
-            reject_groups: injector.reject_groups().clone(),
-            panic_groups: injector.panic_groups().clone(),
-            reject_tuned_groups: injector.reject_tuned_groups().clone(),
+            reject_groups: self.injector.reject_groups().clone(),
+            panic_groups: self.injector.panic_groups().clone(),
+            reject_tuned_groups: self.injector.reject_tuned_groups().clone(),
         };
-        let mut cg_report = StageReport::new(Stage::Codegen);
-        // The keep-original rung: everything the pipeline learned so far is
-        // preserved, but the emitted program is the unchanged original.
-        let keep_original = |mut cg_report: StageReport,
-                             mut reports: Vec<StageReport>,
-                             search: Option<SearchResult>,
-                             scope: &str,
-                             action: &str,
-                             reason: String|
-         -> TransformResult {
-            cg_report.degrade(scope, action, reason);
-            reports.push(cg_report);
-            let mut out = self.partial(
-                reports,
-                Some(metadata.clone()),
-                decisions.clone(),
-                original_profile.clone(),
-            );
-            out.search = search;
-            out.ddg_dot = ddg_dot.clone();
-            out.oeg_dot = oeg_dot.clone();
-            out.new_oeg_dot = new_oeg_dot.clone();
-            out
-        };
-
-        let transform = match transform_program_with(&self.program, &self.plan, &tplan, &cg_faults)
-        {
-            Ok(t) => t,
-            Err(e) => {
-                let err = PipelineError::from(e);
-                if strict {
-                    return Err(err);
+        let transform =
+            match transform_program_with(self.program, self.plan, made(&self.tplan), &cg_faults) {
+                Ok(t) => t,
+                Err(e) => {
+                    let err = PipelineError::from(e);
+                    let why = err.to_string();
+                    return self.fall_back_to_original(r, err, "code generation failed", why);
                 }
-                return Ok(keep_original(
-                    cg_report,
-                    reports,
-                    search_result,
-                    "pipeline",
-                    "kept the original program (code generation failed)",
-                    err.to_string(),
-                ));
-            }
-        };
+            };
         // Per-group degradation-ladder steps recorded by the generator.
         for d in &transform.degradations {
-            if strict {
-                let kind = match d.failure {
-                    GroupFailure::Panicked => ErrorKind::Panic(d.reason.clone()),
-                    GroupFailure::Rejected => {
-                        ErrorKind::Codegen(sf_codegen::CodegenError(d.reason.clone()))
-                    }
-                };
-                return Err(PipelineError::degradable(Stage::Codegen, kind).for_group(d.group));
-            }
-            cg_report.degrade(
-                format!("group {}", d.group),
+            let kind = match d.failure {
+                GroupFailure::Panicked => ErrorKind::Panic(d.reason.clone()),
+                GroupFailure::Rejected => {
+                    ErrorKind::Codegen(sf_codegen::CodegenError(d.reason.clone()))
+                }
+            };
+            self.degrade_or_fail(
+                r,
+                PipelineError::degradable(Stage::Codegen, kind).for_group(d.group),
+                &format!("group {}", d.group),
                 d.action.clone(),
                 d.reason.clone(),
-            );
+            )?;
         }
 
-        // Re-profile under the same robust wrapper (same noise model, same
-        // rep count) so the original/transformed comparison is apples to
-        // apples: both sides see the same measurement conditions.
-        let transformed_profile = match profile_with_retry(
-            || robust.profile(&transform.program),
-            &injector,
-            cfg.profile_retries,
-            Stage::Codegen,
-        ) {
-            Ok((rp, used)) => {
-                if used > 0 {
-                    cg_report.line(format!(
-                        "profiler recovered after {used} transient failure(s)"
-                    ));
-                }
-                if robust.is_active() && rp.transient_failures > 0 {
-                    cg_report.line(format!(
-                        "robust re-profiling: {} transient rep failure(s) retried \
-                         ({} µs virtual backoff)",
-                        rp.transient_failures, rp.virtual_backoff_us
-                    ));
-                }
-                rp.profile
-            }
-            Err(e) => {
-                if strict {
-                    return Err(e);
-                }
-                return Ok(keep_original(
-                    cg_report,
-                    reports,
-                    search_result,
-                    "pipeline",
-                    "kept the original program (transformed program could not be profiled)",
-                    e.to_string(),
-                ));
-            }
+        let what = "transformed program could not be profiled";
+        let Some(rp) = self.profile(r, what, || self.robust.profile(&transform.program))? else {
+            return Ok(Next::KeepOriginal);
         };
-        cg_report.line(format!(
+        if self.robust.is_active() && rp.transient_failures > 0 {
+            r.line(format!(
+                "robust re-profiling: {} transient rep failure(s) retried \
+                 ({} µs virtual backoff)",
+                rp.transient_failures, rp.virtual_backoff_us
+            ));
+        }
+        let transformed_profile = rp.profile;
+        r.line(format!(
             "{} new kernels generated; modeled device time {:.1} µs",
             transform.new_kernel_count, transformed_profile.total_runtime_us
         ));
         for (gi, why) in &transform.fallbacks {
-            cg_report.hint(format!(
+            r.hint(format!(
                 "group {gi} could not be fused and fell back to unfused members: {why}"
             ));
         }
         for rep in &transform.reports {
             if !rep.merged {
-                cg_report.hint(format!(
+                r.hint(format!(
                     "group {:?} was concatenated without sweep merging (deep nested \
                      loops / mismatched structure): no inter-member reuse generated",
                     rep.members
@@ -930,157 +979,85 @@ impl Pipeline {
         }
         for t in &transform.tuning {
             if t.tuned {
-                cg_report.line(format!(
+                r.line(format!(
                     "tuned `{}` block {} → {} (occupancy {:.2} → {:.2})",
                     t.kernel, t.block_before, t.block_after, t.occupancy_before, t.occupancy_after
                 ));
             }
         }
 
-        let verification = if cfg.verify {
-            // The governed verifier charges both memory images as accounted
-            // heap bytes before materializing either, and both interpreter
-            // runs draw from the scope's step budget — a hostile program
-            // can neither OOM nor hang the verification.
-            let outcome = if injector.interpreter_trap() {
-                Err(VerifyFailure::Failed(
-                    "injected interpreter trap during verification".to_string(),
-                ))
-            } else {
-                verify_equivalence_governed(&self.program, &transform.program, 99, &governor)
-            };
-            match outcome {
-                Ok(v) if v.passed() => Some(v),
-                Ok(v) => {
-                    let why = format!(
-                        "output mismatch: {}",
-                        v.failure().unwrap_or_else(|| "unknown".into())
-                    );
-                    if strict {
-                        return Err(PipelineError::degradable(
-                            Stage::Codegen,
-                            ErrorKind::Verify(why),
-                        ));
-                    }
-                    return Ok(keep_original(
-                        cg_report,
-                        reports,
-                        search_result,
-                        "pipeline",
-                        "kept the original program (verification failed)",
-                        why,
-                    ));
-                }
-                Err(VerifyFailure::Exhausted(e)) => {
-                    if strict {
-                        return Err(PipelineError::degradable(Stage::Codegen, exhausted(e)));
-                    }
-                    return Ok(keep_original(
-                        cg_report,
-                        reports,
-                        search_result,
-                        "pipeline",
-                        "kept the original program (verification budget exhausted)",
-                        e.to_string(),
-                    ));
-                }
-                Err(VerifyFailure::Failed(msg)) => {
-                    let kind = if injector.interpreter_trap() {
-                        ErrorKind::Injected(msg.clone())
-                    } else {
-                        ErrorKind::Verify(msg.clone())
-                    };
-                    if strict {
-                        return Err(PipelineError::degradable(Stage::Codegen, kind));
-                    }
-                    return Ok(keep_original(
-                        cg_report,
-                        reports,
-                        search_result,
-                        "pipeline",
-                        "kept the original program (verification could not run)",
-                        msg,
-                    ));
-                }
+        let verification = if self.cfg.verify {
+            match self.verify(r, &transform.program)? {
+                Some(v) => Some(v),
+                None => return Ok(Next::KeepOriginal),
             }
         } else {
             None
         };
 
-        let original_time = original_profile.total_runtime_us;
+        // From here on the transform, its profile and its verification are
+        // artifacts of the run whichever program is adopted.
+        let original_time = made(&self.original_profile).total_runtime_us;
         let transformed_time = transformed_profile.total_runtime_us;
-        if !strict && transformed_time > original_time {
+        self.transform = Some(transform);
+        self.transformed_profile = Some(transformed_profile);
+        self.verification = verification;
+        if self.cfg.degrade == DegradePolicy::Degrade && transformed_time > original_time {
             // Always-valid invariant: never adopt a transform whose modeled
-            // time is worse than the original's. The verified transform and
-            // its profile stay available as artifacts.
-            cg_report.degrade(
+            // time is worse than the original's.
+            r.degrade(
                 "pipeline",
                 "kept the original program (transform modeled slower)",
                 format!("{transformed_time:.1} µs vs original {original_time:.1} µs"),
             );
-            reports.push(cg_report);
-            return Ok(TransformResult {
-                program: self.program.clone(),
-                original_time_us: original_time,
-                transformed_time_us: original_time,
-                speedup: 1.0,
-                verification,
-                reports,
-                metadata: Some(metadata),
-                decisions,
-                ddg_dot,
-                oeg_dot,
-                new_oeg_dot,
-                search: search_result,
-                transform: Some(transform),
-                original_profile: Some(original_profile),
-                transformed_profile: Some(transformed_profile),
-            });
+            return Ok(Next::KeepOriginal);
         }
-        reports.push(cg_report);
-        Ok(TransformResult {
-            program: transform.program.clone(),
-            original_time_us: original_time,
-            transformed_time_us: transformed_time,
-            speedup: original_time / transformed_time.max(1e-12),
-            verification,
-            reports,
-            metadata: Some(metadata),
-            decisions,
-            ddg_dot,
-            oeg_dot,
-            new_oeg_dot,
-            search: search_result,
-            transform: Some(transform),
-            original_profile: Some(original_profile),
-            transformed_profile: Some(transformed_profile),
-        })
+        Ok(Next::Continue)
     }
 
-    fn partial(
+    /// Check the transformed program's output against the original's. The
+    /// governed verifier charges both memory images as accounted heap bytes
+    /// before materializing either, and both interpreter runs draw from the
+    /// scope's step budget — a hostile program can neither OOM nor hang the
+    /// verification. `Ok(None)` is a keep-original rung, recorded in `r`.
+    fn verify(
         &self,
-        reports: Vec<StageReport>,
-        metadata: Option<MetadataBundle>,
-        decisions: Vec<FilterDecision>,
-        original_profile: ProgramProfile,
-    ) -> TransformResult {
-        TransformResult {
-            program: self.program.clone(),
-            original_time_us: original_profile.total_runtime_us,
-            transformed_time_us: original_profile.total_runtime_us,
-            speedup: 1.0,
-            verification: None,
-            reports,
-            metadata,
-            decisions,
-            ddg_dot: String::new(),
-            oeg_dot: String::new(),
-            new_oeg_dot: String::new(),
-            search: None,
-            transform: None,
-            original_profile: Some(original_profile),
-            transformed_profile: None,
-        }
+        r: &mut StageReport,
+        transformed: &Program,
+    ) -> Result<Option<Verification>, PipelineError> {
+        let trapped = self.injector.interpreter_trap();
+        let outcome = if trapped {
+            Err(VerifyFailure::Failed(
+                "injected interpreter trap during verification".to_string(),
+            ))
+        } else {
+            verify_equivalence_governed(self.program, transformed, 99, &self.governor)
+        };
+        let failed = |kind| PipelineError::degradable(Stage::Codegen, kind);
+        let (err, what, why) = match outcome {
+            Ok(v) if v.passed() => return Ok(Some(v)),
+            Ok(v) => {
+                let why = format!(
+                    "output mismatch: {}",
+                    v.failure().unwrap_or_else(|| "unknown".into())
+                );
+                (failed(ErrorKind::Verify(why.clone())), "verification failed", why)
+            }
+            Err(VerifyFailure::Exhausted(e)) => {
+                let why = e.to_string();
+                let err = PipelineError::from(e).at(Stage::Codegen);
+                (err, "verification budget exhausted", why)
+            }
+            Err(VerifyFailure::Failed(msg)) => {
+                let kind = if trapped {
+                    ErrorKind::Injected(msg.clone())
+                } else {
+                    ErrorKind::Verify(msg.clone())
+                };
+                (failed(kind), "verification could not run", msg)
+            }
+        };
+        self.fall_back_to_original(r, err, what, why).map(|_| None)
     }
 }
 

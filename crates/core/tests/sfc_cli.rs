@@ -272,3 +272,64 @@ fn noisy_profiling_is_deterministic_across_cli_runs() {
         .expect("sfc runs");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// `--cache-dir` runs the batch driver's ladder: a cold run publishes, a
+/// warm run replays the same bytes, a damaged entry is quarantined and
+/// recompiled (exit 8), and a store that cannot be opened only costs the
+/// cache, never the compile.
+#[test]
+fn cache_dir_serves_recovers_and_degrades() {
+    let input = tmp("cache_demo.cu");
+    std::fs::write(&input, DEMO).unwrap();
+    let cache = tmp("cache_demo_store");
+    let _ = std::fs::remove_dir_all(&cache);
+    let compile = |tag: &str, cache_dir: &std::path::Path| {
+        let out = tmp(&format!("cache_demo_{tag}.cu"));
+        let plan = tmp(&format!("cache_demo_{tag}.json"));
+        let run = sfc()
+            .args([input.to_str().unwrap(), "--quick", "--cache-dir"])
+            .arg(cache_dir)
+            .arg("-o")
+            .arg(&out)
+            .arg("--emit-plan")
+            .arg(&plan)
+            .output()
+            .expect("sfc runs");
+        let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+        let bytes = (std::fs::read(&out).unwrap(), std::fs::read(&plan).unwrap());
+        (run.status.code(), bytes, stderr)
+    };
+
+    let (code, cold, stderr) = compile("cold", &cache);
+    assert_eq!(code, Some(0), "{stderr}");
+    let entries: Vec<_> = std::fs::read_dir(cache.join("entries"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "the cold run published one entry");
+
+    let (code, warm, stderr) = compile("warm", &cache);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(warm, cold, "a warm run replays the cold run's bytes");
+
+    // Flip one bit in the middle of the entry: checksum-detected, the
+    // entry is quarantined and the program recompiled to the same bytes.
+    let mut bytes = std::fs::read(&entries[0]).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x01;
+    std::fs::write(&entries[0], bytes).unwrap();
+    let (code, recovered, stderr) = compile("flipped", &cache);
+    assert_eq!(code, Some(8), "{stderr}");
+    assert!(stderr.contains("sfc: quarantined cache entry"), "{stderr}");
+    assert_eq!(recovered, cold);
+    assert_eq!(std::fs::read_dir(cache.join("quarantine")).unwrap().count(), 1);
+    // The recompile republished: the next run is a clean hit again.
+    let (code, again, _) = compile("again", &cache);
+    assert_eq!((code, again), (Some(0), cold.clone()));
+
+    // A store path under a regular file cannot be created.
+    let (code, uncached, stderr) = compile("nostore", &input.join("store"));
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("sfc: cannot open cache"), "{stderr}");
+    assert_eq!(uncached, cold);
+}

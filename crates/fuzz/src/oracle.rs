@@ -677,19 +677,47 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
             Ok(s) => s,
             Err(e) => return fail("cache-fault-open", format!("faulted store did not open: {e}")),
         };
-        match store.publish(&key, &payload) {
-            Ok(_) => {}
-            Err(e) if e.kind == CacheErrorKind::Killed => {} // simulated crash
-            Err(e) => return fail("cache-fault-publish", format!("publish failed fatally: {e}")),
-        }
+        // A publish that fails under a live process (a full disk) is an
+        // environment condition, not a serving failure: the batch driver
+        // notes it on a request that still succeeds. What must hold instead
+        // is that the failed write left nothing behind. A simulated crash
+        // is different — it leaves every file exactly where it was.
+        let failed_alive = match store.publish(&key, &payload) {
+            Ok(_) => false,
+            Err(e) => e.kind != CacheErrorKind::Killed,
+        };
         // Whatever the fault left behind, a lookup must not error and must
         // not serve bytes that differ from the published payload.
         match store.lookup(&key) {
             Ok(Lookup::Hit(entry)) if entry.payload != payload => {
                 return fail("cache-fault-integrity", "corrupted payload served as a hit".into())
             }
+            Ok(Lookup::Recovered { reason, .. }) if failed_alive => {
+                return fail(
+                    "cache-fault-publish",
+                    format!("a failed publish left a bad entry behind: {reason}"),
+                )
+            }
             Ok(_) => {}
             Err(e) => return fail("cache-fault-lookup", format!("lookup errored: {e}")),
+        }
+        if failed_alive {
+            match store.verify_integrity() {
+                Ok((_, 0)) => {}
+                other => {
+                    return fail(
+                        "cache-fault-publish",
+                        format!("store does not verify after a failed publish: {other:?}"),
+                    )
+                }
+            }
+            let orphans = std::fs::read_dir(dir.join("tmp")).map_or(0, |files| files.count());
+            if orphans > 0 {
+                return fail(
+                    "cache-fault-publish",
+                    format!("a failed publish left {orphans} file(s) under tmp/"),
+                );
+            }
         }
     }
     // "Reboot" clean (breaking any crash-leaked lock) and recover the slot.
