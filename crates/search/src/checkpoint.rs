@@ -160,7 +160,6 @@ pub(crate) mod tests {
     use crate::gga::StopReason;
     use crate::islands::IslandRng;
     use rand::rngs::SmallRng;
-    use std::collections::{BTreeMap, BTreeSet};
     use std::path::PathBuf;
 
     /// A checkpoint exactly as schema version 1 wrote it (frozen bytes:
@@ -184,10 +183,7 @@ pub(crate) mod tests {
     }
 
     fn sample() -> CheckpointState {
-        let ind = Individual {
-            fissioned: BTreeSet::from([3]),
-            group_of: BTreeMap::from([(0, 0), (1, 0), (4, 2)]),
-        };
+        let ind = Individual::from_parts([3], [(0, 0), (1, 0), (4, 2)]);
         CheckpointState {
             version: CHECKPOINT_VERSION,
             fingerprint: "fp".into(),

@@ -5,16 +5,23 @@
 //! merge/split/move at group granularity; fission/defission moves realize
 //! the lazy-fission relaxation. The generation loop that drives these
 //! operators lives in [`crate::islands`] — one loop for every run, the
-//! classic serial search being its `islands = 1` case. Objective
-//! evaluation — >90% of the search runtime in the paper, OpenMP-parallel
-//! there — is parallel across islands (one worker per island per epoch),
-//! serial inside one.
+//! classic serial search being its `islands = 1` case.
+//!
+//! The paper spends >90 % of its search in the objective. Here the
+//! projection is memoized (two cache probes per evaluation), so the
+//! operators — above all the feasibility check behind every move — are
+//! the search's cost. They therefore work in place on the flat genome
+//! over an island's reusable [`Quotient`]: a move is applied, checked, and
+//! on failure undone by writing back the few group ids it changed, with
+//! no genome clone and no allocation beyond the child itself. Every
+//! operator draws from the RNG in a fixed order, including draws whose
+//! result is then rejected: a given stream always yields the same child.
 
-use crate::genome::Individual;
+use crate::genome::{Groups, Individual, Quotient};
 use crate::islands::{search_islands, IslandOptions};
 use crate::objective;
 use crate::params::SearchConfig;
-use crate::projection::{ProjectionEngine, ProjectionStats};
+use crate::projection::{Pricer, ProjectionEngine, ProjectionStats};
 use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -100,19 +107,20 @@ pub fn lower_plan(
     block_tuning: bool,
 ) -> TransformPlan {
     let space = engine.space();
-    let order = ind
-        .topo_order(space)
+    let mut pricer = engine.pricer(0);
+    let mut q = Quotient::new(space);
+    let order = q
+        .topo_order(ind)
         .expect("winning individual must be feasible");
-    let groups_by_id = ind.groups();
     let groups = order
         .iter()
-        .map(|g| {
-            let members = &groups_by_id[g];
+        .map(|&k| {
+            let members = q.groups.members(k);
             // The best temporal degree for this group (1 = no folding) and
             // the cost projected at that degree — the same argmin the
             // fitness function saw, so the plan records the decision the
             // search actually optimized for.
-            let (fold, cost) = engine.best_fold(members);
+            let (fold, cost) = pricer.best_fold(members);
             // Members must be in *execution* order: products carry their
             // parent's seq (unit ids do not reflect host order).
             let mut mrefs: Vec<_> = members.iter().map(|&u| space.units[u].mref).collect();
@@ -143,7 +151,11 @@ pub fn lower_plan(
         })
         .collect();
     let mut plan = TransformPlan::new(space.device.clone(), mode, block_tuning, groups);
-    plan.projected_time_us = Some(objective::projected_time_us_with(engine, ind));
+    plan.projected_time_us = Some(objective::projected_time_us_with(
+        &mut pricer,
+        &mut q.groups,
+        ind,
+    ));
     plan
 }
 
@@ -151,41 +163,41 @@ pub fn lower_plan(
 /// crossover, then the fixed mutation sequence. The exact draw order is
 /// load-bearing: a given RNG stream always yields the same child.
 pub(crate) fn breed(
-    engine: &ProjectionEngine<'_>,
+    pricer: &mut Pricer<'_>,
+    q: &mut Quotient<'_>,
     config: &SearchConfig,
     population: &[Individual],
     scores: &[f64],
     rng: &mut SmallRng,
     fission_moves: &mut u64,
 ) -> Individual {
-    let space = engine.space();
     let a = tournament(scores, config.tournament, rng);
     let mut child = if rng.gen_bool(config.crossover_rate) {
         let b = tournament(scores, config.tournament, rng);
-        crossover(space, &population[a], &population[b], rng)
+        crossover(q, &population[a], &population[b], rng)
     } else {
         population[a].clone()
     };
     // Mutations.
     if rng.gen_bool(config.p_merge) {
-        mutate_merge(space, &mut child, rng);
+        mutate_merge(q, &mut child, rng);
     }
     if rng.gen_bool(config.p_split) {
-        mutate_split(space, &mut child, rng);
+        mutate_split(q, &mut child, rng);
     }
     if rng.gen_bool(config.p_move) {
-        mutate_move(space, &mut child, rng);
+        mutate_move(q, &mut child, rng);
     }
     if config.p_fission > 0.0
         && rng.gen_bool(config.p_fission)
-        && mutate_fission(engine, &mut child, rng)
+        && mutate_fission(pricer, q, &mut child, rng)
     {
         *fission_moves += 1;
     }
     if config.p_defission > 0.0 && rng.gen_bool(config.p_defission) {
-        mutate_defission(space, &mut child, rng);
+        mutate_defission(q, &mut child, rng);
     }
-    debug_assert!(child.feasible(space));
+    debug_assert!(q.feasible(&child));
     child
 }
 
@@ -210,97 +222,102 @@ fn tournament(scores: &[f64], k: usize, rng: &mut SmallRng) -> usize {
     best
 }
 
+/// A uniformly drawn fusion group (two or more members) of `groups`, as a
+/// group index; `None`, and no draw, when there is none.
+fn draw_fusion(groups: &Groups, rng: &mut SmallRng) -> Option<usize> {
+    let fusions = groups.fusions().count();
+    if fusions == 0 {
+        return None;
+    }
+    groups.fusions().nth(rng.gen_range(0..fusions))
+}
+
 /// Group-injection crossover: clone A, then try to impose a random fusion
 /// group of B onto the clone (re-grouping those members together when
 /// every one of them is active and the result stays feasible).
 fn crossover(
-    space: &SearchSpace,
+    q: &mut Quotient<'_>,
     a: &Individual,
     b: &Individual,
     rng: &mut SmallRng,
 ) -> Individual {
     let mut child = a.clone();
-    let b_groups = b.fusion_groups();
-    if b_groups.is_empty() {
+    q.groups.regroup(b);
+    let Some(donor) = draw_fusion(&q.groups, rng) else {
         return child;
-    }
-    let donor = &b_groups[rng.gen_range(0..b_groups.len())];
+    };
+    let donor = q.groups.members(donor);
     // All donor members must be active in the child (same fission state).
-    if !donor.iter().all(|u| child.group_of.contains_key(u)) {
+    if !donor.iter().all(|&u| child.group(u).is_some()) {
         return child;
     }
-    let saved = child.clone();
+    q.picks.clear();
+    q.picks.extend_from_slice(donor);
     let g = child.fresh_group_id();
-    for &u in donor {
-        child.group_of.insert(u, g);
+    for &u in &q.picks {
+        child.set_group(u, g);
     }
-    if child.feasible(space) {
-        child
-    } else {
-        saved
+    if !q.feasible(&child) {
+        for &u in &q.picks {
+            child.set_group(u, a.group(u).expect("donor members are active"));
+        }
     }
+    child
 }
 
-pub(crate) fn mutate_merge(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let active: Vec<usize> = ind
-        .active_units()
-        .into_iter()
-        .filter(|&u| space.units[u].eligible)
-        .collect();
-    if active.len() < 2 {
+pub(crate) fn mutate_merge(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+    let space = q.space();
+    q.picks.clear();
+    let eligible = ind.pairs().map(|(u, _)| u).filter(|&u| space.units[u].eligible);
+    q.picks.extend(eligible);
+    let active = q.picks.len();
+    if active < 2 {
         return;
     }
     // A few attempts to find a feasible merge.
     for _ in 0..4 {
-        let x = active[rng.gen_range(0..active.len())];
-        let y = active[rng.gen_range(0..active.len())];
-        if x != y && ind.try_merge(space, x, y) {
+        let x = q.picks[rng.gen_range(0..active)];
+        let y = q.picks[rng.gen_range(0..active)];
+        if x != y && q.try_merge(ind, x, y) {
             return;
         }
     }
 }
 
-fn mutate_split(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let groups = ind.fusion_groups();
-    if groups.is_empty() {
+fn mutate_split(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+    q.groups.regroup(ind);
+    let Some(k) = draw_fusion(&q.groups, rng) else {
         return;
-    }
-    let g = &groups[rng.gen_range(0..groups.len())];
+    };
     // Move a random member out into a fresh singleton. Splitting the middle
     // of a flow chain out of its group creates a quotient cycle (the two
     // remaining halves wrap around the singleton), so check and revert.
-    let &victim = g.choose(rng).expect("non-empty group");
-    let saved = ind.group_of.get(&victim).copied();
-    let fresh = ind.fresh_group_id();
-    ind.group_of.insert(victim, fresh);
-    if !ind.feasible(space) {
-        if let Some(old) = saved {
-            ind.group_of.insert(victim, old);
-        }
+    let &victim = q.groups.members(k).choose(rng).expect("non-empty group");
+    let old = q.groups.gid(k);
+    ind.set_group(victim, ind.fresh_group_id());
+    if !q.feasible(ind) {
+        ind.set_group(victim, old);
     }
 }
 
-fn mutate_move(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let groups = ind.fusion_groups();
-    if groups.is_empty() {
+fn mutate_move(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+    let space = q.space();
+    q.groups.regroup(ind);
+    let Some(k) = draw_fusion(&q.groups, rng) else {
+        return;
+    };
+    let &victim = q.groups.members(k).choose(rng).expect("non-empty group");
+    let old = q.groups.gid(k);
+    q.picks.clear();
+    let others = ind.pairs().map(|(u, _)| u).filter(|&u| u != victim);
+    q.picks.extend(others.filter(|&u| space.units[u].eligible));
+    if q.picks.is_empty() {
         return;
     }
-    let g = &groups[rng.gen_range(0..groups.len())];
-    let &victim = g.choose(rng).expect("non-empty group");
-    let active: Vec<usize> = ind
-        .active_units()
-        .into_iter()
-        .filter(|&u| u != victim && space.units[u].eligible)
-        .collect();
-    if active.is_empty() {
-        return;
-    }
-    let target = active[rng.gen_range(0..active.len())];
-    let saved = ind.group_of.clone();
-    let fresh = ind.fresh_group_id();
-    ind.group_of.insert(victim, fresh);
-    if !ind.try_merge(space, victim, target) {
-        ind.group_of = saved;
+    let target = q.picks[rng.gen_range(0..q.picks.len())];
+    ind.set_group(victim, ind.fresh_group_id());
+    if !q.try_merge(ind, victim, target) {
+        ind.set_group(victim, old);
     }
 }
 
@@ -308,70 +325,58 @@ fn mutate_move(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
 /// shared-memory demand violates the capacity constraint (the dynamic
 /// penalty's relaxation); falls back to a random fissionable unit.
 fn mutate_fission(
-    engine: &ProjectionEngine<'_>,
+    pricer: &mut Pricer<'_>,
+    q: &mut Quotient<'_>,
     ind: &mut Individual,
     rng: &mut SmallRng,
 ) -> bool {
-    let space = engine.space();
+    let space = q.space();
+    let splittable = |&u: &usize| space.units[u].parent.is_none() && space.units[u].fissionable();
     // Find violating groups first.
-    let mut candidates: Vec<usize> = Vec::new();
-    for (_, members) in ind.groups() {
-        let cost = engine.group_cost(&members);
-        if cost.smem_violation {
-            for &m in &members {
-                if space.units[m].parent.is_none() && space.units[m].fissionable() {
-                    candidates.push(m);
-                }
-            }
+    q.groups.regroup(ind);
+    q.picks.clear();
+    for k in 0..q.groups.len() {
+        let members = q.groups.members(k);
+        if pricer.group_cost(members).smem_violation {
+            q.picks.extend(members.iter().copied().filter(splittable));
         }
     }
-    if candidates.is_empty() {
-        candidates = ind
-            .active_units()
-            .into_iter()
-            .filter(|&u| space.units[u].parent.is_none() && space.units[u].fissionable())
-            .collect();
+    if q.picks.is_empty() {
+        q.picks.extend(ind.pairs().map(|(u, _)| u).filter(splittable));
     }
-    if candidates.is_empty() {
+    if q.picks.is_empty() {
         return false;
     }
-    let victim = candidates[rng.gen_range(0..candidates.len())];
+    let victim = q.picks[rng.gen_range(0..q.picks.len())];
     // Remember the victim's group so products can rejoin it.
-    let old_group = ind.group_of.get(&victim).copied();
+    let old_group = ind.group(victim);
     let saved = ind.clone();
     ind.fission(space, victim);
-    if !ind.feasible(space) {
+    if !q.feasible(ind) {
         *ind = saved;
         return false;
     }
     // Try to put each product back into the old group (keeps the locality
     // the group had, minus the separable parts).
-    if let Some(g) = old_group {
-        if let Some(rep) = ind
-            .group_of
-            .iter()
-            .find(|(_, &gg)| gg == g)
-            .map(|(&u, _)| u)
-        {
-            let products = space.units[victim].products.clone();
-            for p in products {
-                let _ = ind.try_merge(space, rep, p);
-            }
+    let rep = ind.pairs().find(|&(_, g)| Some(g) == old_group);
+    if let Some((rep, _)) = rep {
+        for &p in &space.units[victim].products {
+            let _ = q.try_merge(ind, rep, p);
         }
     }
     true
 }
 
-fn mutate_defission(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRng) {
-    let fissioned: Vec<usize> = ind.fissioned.iter().copied().collect();
-    if fissioned.is_empty() {
+fn mutate_defission(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+    let space = q.space();
+    if ind.fissioned().is_empty() {
         return;
     }
-    let victim = fissioned[rng.gen_range(0..fissioned.len())];
+    let victim = ind.fissioned()[rng.gen_range(0..ind.fissioned().len())];
     // Only when all products are singletons (nothing is lost).
-    let all_single = space.units[victim].products.iter().all(|p| {
-        let g = ind.group_of[p];
-        ind.group_of.values().filter(|&&x| x == g).count() == 1
+    let all_single = space.units[victim].products.iter().all(|&p| {
+        let g = ind.group(p).expect("products of a fissioned unit are active");
+        ind.pairs().filter(|&(_, x)| x == g).count() == 1
     });
     if all_single {
         // The reunified original carries the union of its products' edges,
@@ -379,7 +384,7 @@ fn mutate_defission(space: &SearchSpace, ind: &mut Individual, rng: &mut SmallRn
         // and revert.
         let saved = ind.clone();
         ind.defission(space, victim);
-        if !ind.feasible(space) {
+        if !q.feasible(ind) {
             *ind = saved;
         }
     }
@@ -487,7 +492,7 @@ void host() {
         let space = space_for(CHAIN4);
         let result = search(&space, &SearchConfig::quick().without_fission());
         assert_eq!(result.fissions_per_generation, 0.0);
-        assert!(result.best.fissioned.is_empty());
+        assert!(result.best.fissioned().is_empty());
     }
 
     #[test]
@@ -665,16 +670,17 @@ void host() {
         let mut b = Individual::singletons(&space);
         assert!(b.try_merge(&space, 2, 3)); // donor group {p3, p4}
         let mut rng = SmallRng::seed_from_u64(1);
-        let child = crossover(&space, &a, &b, &mut rng);
+        let mut q = Quotient::new(&space);
+        let child = crossover(&mut q, &a, &b, &mut rng);
         assert!(child.feasible(&space));
-        assert_eq!(child.group_of[&2], child.group_of[&3]);
+        assert_eq!(child.group(2), child.group(3));
         // Crossover must not disturb unrelated units.
-        assert_ne!(child.group_of[&0], child.group_of[&1]);
+        assert_ne!(child.group(0), child.group(1));
         // And it is not destructive of the recipient's own groups:
         assert!(a.try_merge(&space, 0, 1));
-        let child2 = crossover(&space, &a, &b, &mut rng);
-        assert_eq!(child2.group_of[&0], child2.group_of[&1]);
-        assert_eq!(child2.group_of[&2], child2.group_of[&3]);
+        let child2 = crossover(&mut q, &a, &b, &mut rng);
+        assert_eq!(child2.group(0), child2.group(1));
+        assert_eq!(child2.group(2), child2.group(3));
     }
 
     #[test]
@@ -682,8 +688,9 @@ void host() {
         let space = space_for(PAIRS);
         let mut ind = Individual::singletons(&space);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut q = Quotient::new(&space);
         for _ in 0..50 {
-            mutate_merge(&space, &mut ind, &mut rng);
+            mutate_merge(&mut q, &mut ind, &mut rng);
             assert!(ind.feasible(&space));
         }
         // With 4 eligible independent units, merges must have happened.
@@ -697,8 +704,9 @@ void host() {
         assert!(ind.try_merge(&space, 0, 1));
         assert!(ind.try_merge(&space, 2, 3));
         let mut rng = SmallRng::seed_from_u64(5);
+        let mut q = Quotient::new(&space);
         for _ in 0..20 {
-            mutate_split(&space, &mut ind, &mut rng);
+            mutate_split(&mut q, &mut ind, &mut rng);
             assert!(ind.feasible(&space));
         }
     }

@@ -11,7 +11,10 @@
 //!    epoch concurrently (`rayon`), with objective evaluation *serial
 //!    inside* each island — the paper's parallel objective evaluation is
 //!    the `islands > 1` case: one worker per island per epoch, never a
-//!    thread spawn per generation for ~1 µs evaluations.
+//!    thread spawn per generation for ~1 µs evaluations. A worker owns
+//!    its island's cost cache and scratch buffers for the whole epoch
+//!    (one lock, taken before the first generation), so islands share
+//!    nothing mutable while they run.
 //! 2. **Supervision.** Every island epoch runs under
 //!    [`sf_gpusim::isolate::isolated`]. An island that panics or stalls
 //!    is *quarantined*: its epoch-start state is frozen, its last-good
@@ -38,11 +41,11 @@
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, CHECKPOINT_VERSION,
 };
-use crate::genome::Individual;
+use crate::genome::{Groups, Individual, Quotient};
 use crate::gga::{self, SearchResult, StopReason};
 use crate::objective::{self, Penalty};
 use crate::params::SearchConfig;
-use crate::projection::{ProjectionEngine, ProjectionStats};
+use crate::projection::{Pricer, ProjectionEngine, ProjectionStats};
 use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -270,7 +273,8 @@ fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
 /// `retries` times on fresh indices (so injected transient faults clear),
 /// then scored [`gga::POISONED_FITNESS`].
 fn evaluate_island(
-    engine: &ProjectionEngine<'_>,
+    pricer: &mut Pricer<'_>,
+    groups: &mut Groups,
     penalty: &Penalty,
     poison: &BTreeSet<u64>,
     retries: u32,
@@ -278,14 +282,14 @@ fn evaluate_island(
 ) -> Vec<f64> {
     let tag = (state.index as u64) << 40;
     let population = std::mem::take(&mut state.population);
-    let one = |state: &mut IslandState, ind: &Individual| -> Result<f64, String> {
+    let mut one = |state: &mut IslandState, ind: &Individual| -> Result<f64, String> {
         let idx = tag | state.evaluations;
         state.evaluations += 1;
         isolated(|| {
             if poison.contains(&idx) {
                 panic!("injected poisoned candidate at evaluation {idx}");
             }
-            objective::fitness_with(engine, ind, penalty)
+            objective::fitness_with(pricer, groups, ind, penalty)
         })
     };
     let scores = population
@@ -320,8 +324,13 @@ fn advance_epoch(
 ) -> Result<(), String> {
     let started = Instant::now();
     let poison = &opts.poison;
+    // The island's cost cache and scratch buffers, held for the whole
+    // epoch: the generation loop below takes no lock.
+    let mut pricer = engine.pricer(state.index);
+    let mut q = Quotient::new(engine.space());
+    let retries = config.eval_retries;
     if state.scores.is_empty() {
-        state.scores = evaluate_island(engine, penalty, poison, config.eval_retries, state);
+        state.scores = evaluate_island(&mut pricer, &mut q.groups, penalty, poison, retries, state);
     }
     // Watchdog budgets, checked at generation boundaries only so the
     // trajectory for a given seed is unchanged — just where it stops.
@@ -362,7 +371,8 @@ fn advance_epoch(
         let shard = state.population.len();
         while next.len() < shard {
             next.push(gga::breed(
-                engine,
+                &mut pricer,
+                &mut q,
                 config,
                 &state.population,
                 &state.scores,
@@ -371,10 +381,10 @@ fn advance_epoch(
             ));
         }
         state.population = next;
-        state.scores = evaluate_island(engine, penalty, poison, config.eval_retries, state);
+        state.scores = evaluate_island(&mut pricer, &mut q.groups, penalty, poison, retries, state);
         let best = gga::argmax(&state.scores);
         state.history.push(state.scores[best]);
-        state.retained_fissions += state.population[best].fissioned.len() as u64;
+        state.retained_fissions += state.population[best].fissioned().len() as u64;
 
         if config.stagnation_window > 0 {
             if state.scores[best] <= prev_best + 1e-12 {
@@ -482,21 +492,23 @@ pub fn search_islands(
         hard: config.penalty_hard,
         ..Penalty::default()
     };
-    // One projection engine for the whole run: the timing model is built
-    // once, and group costs are memoized across individuals, generations
-    // and islands.
-    let engine = ProjectionEngine::new(space);
-    let singles = Individual::singletons(space);
-    // The baseline is isolated like any other evaluation; a poisoned
-    // baseline scores 0 (no projection improvement claimed over it).
-    let baseline_gflops =
-        isolated(|| objective::fitness_with(&engine, &singles, &penalty)).unwrap_or(0.0);
-
     // Clamp so every island holds at least two individuals.
     let n = config
         .islands
         .max(1)
         .min((config.population / 2).max(1));
+    // One projection engine for the whole run: the timing model is built
+    // once, and group costs are memoized across individuals and
+    // generations, per island. The driver prices through island 0's cache.
+    let engine = ProjectionEngine::with_islands(space, n);
+    let mut q = Quotient::new(space);
+    let singles = Individual::singletons(space);
+    // The baseline is isolated like any other evaluation; a poisoned
+    // baseline scores 0 (no projection improvement claimed over it).
+    let baseline_gflops = isolated(|| {
+        objective::fitness_with(&mut engine.pricer(0), &mut q.groups, &singles, &penalty)
+    })
+    .unwrap_or(0.0);
     let interval = config.migration_interval.max(1);
     let total_epochs = config.generations.div_ceil(interval).max(1);
 
@@ -551,7 +563,7 @@ pub fn search_islands(
                         if population.len() >= shard {
                             break;
                         }
-                        if seed.feasible(space) && !population.contains(seed) {
+                        if q.feasible(seed) && !population.contains(seed) {
                             population.push(seed.clone());
                         }
                     }
@@ -559,7 +571,7 @@ pub fn search_islands(
                 while population.len() < shard {
                     let mut ind = singles.clone();
                     for _ in 0..config.init_merges {
-                        gga::mutate_merge(space, &mut ind, &mut rng);
+                        gga::mutate_merge(&mut q, &mut ind, &mut rng);
                     }
                     population.push(ind);
                 }
@@ -1111,5 +1123,71 @@ void host() {
         assert_eq!(r.result.best, Individual::singletons(&space));
         assert_eq!(r.result.best_gflops, r.result.baseline_gflops);
         r.result.plan.validate(4).expect("baseline plan lowers");
+    }
+
+    #[test]
+    fn island_cache_counts_are_a_function_of_the_seed() {
+        // Each island prices through its own cache, so the counters (which
+        // every checkpoint carries as `prior_hits` / `prior_misses`) no
+        // longer depend on which worker reached a shared entry first.
+        let space = space_for(CHAIN4);
+        let cfg = island_config(3);
+        let first = search_islands(&space, &cfg, &IslandOptions::default());
+        for _ in 0..3 {
+            let again = search_islands(&space, &cfg, &IslandOptions::default());
+            assert_eq!(again.result.projection, first.result.projection);
+        }
+        // Same groups priced as on one shared cache; only who missed moved.
+        let one = search_islands(&space, &island_config(1), &IslandOptions::default());
+        assert!(first.result.projection.misses > one.result.projection.misses);
+    }
+
+    /// The fingerprint binds every checkpoint to its run, and it is built
+    /// from `Debug` text — the genome's included, for a seeded
+    /// (`--port-plan`) run. These are the strings the build before the
+    /// flat genome produced; a change here orphans every checkpoint on
+    /// disk as "belongs to a different search configuration".
+    #[test]
+    fn run_fingerprint_text_is_pinned() {
+        const K20X: &str = " | device DeviceSpec { name: \"K20X\", sm_count: 14, warp_size: 32, \
+             max_threads_per_sm: 2048, max_blocks_per_sm: 16, max_threads_per_block: 1024, \
+             regs_per_sm: 65536, max_regs_per_thread: 255, reg_alloc_granularity: 256, \
+             smem_per_sm: 49152, smem_per_block_max: 49152, smem_alloc_granularity: 256, \
+             peak_dp_gflops: 1310.0, mem_bw_gbps: 250.0, launch_overhead_us: 6.0, \
+             bw_saturation_occupancy: 0.5, bw_efficiency: 0.75, issue_latency_us: 0.0009, \
+             dram_latency_us: 0.35, divergence_flop_cost: 256.0 }";
+        let space = space_for(CHAIN4);
+        let unseeded = "search SearchConfig { population: 16, generations: 12, tournament: 3, \
+             elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, p_move: 0.25, \
+             p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, penalty_hard: 0.4, \
+             init_merges: 3, seed: 20150615, stagnation_window: 0, max_wall_ms: 0, \
+             max_evaluations: 0, eval_retries: 1, mode: Auto, block_tuning: false, \
+             islands: 2, migration_interval: 4, migrants: 1, \
+             max_temporal: 1 } | units 4 edges 2 smem 49152";
+        assert_eq!(
+            run_fingerprint(&space, &island_config(2), &[]),
+            format!("{unseeded}{K20X} | seeds []")
+        );
+
+        // A seeded run: one original fissioned, a product fused downstream.
+        let space = space_for(crate::space::tests::SRC);
+        let mut split = Individual::singletons(&space);
+        split.fission(&space, 0);
+        let product = space.units[0].products[0];
+        assert!(split.try_merge(&space, product, 1));
+        let seeds = [Individual::singletons(&space), split];
+        let seeded = "search SearchConfig { population: 24, generations: 20, tournament: 3, \
+             elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, p_move: 0.25, \
+             p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, penalty_hard: 0.4, \
+             init_merges: 3, seed: 20150615, stagnation_window: 6, max_wall_ms: 0, \
+             max_evaluations: 0, eval_retries: 1, mode: Auto, block_tuning: false, \
+             islands: 1, migration_interval: 8, migrants: 2, \
+             max_temporal: 1 } | units 4 edges 2 smem 49152";
+        let genomes = "[Individual { fissioned: {}, group_of: {0: 0, 1: 1} }, \
+             Individual { fissioned: {0}, group_of: {1: 2, 2: 2, 3: 3} }]";
+        assert_eq!(
+            run_fingerprint(&space, &SearchConfig::quick().for_port(), &seeds),
+            format!("{seeded}{K20X} | seeds {genomes}")
+        );
     }
 }

@@ -12,8 +12,8 @@
 //! fission can free the capacity), while violations with no fission escape
 //! are penalized hard.
 
-use crate::genome::Individual;
-use crate::projection::ProjectionEngine;
+use crate::genome::{Groups, Individual};
+use crate::projection::{Pricer, ProjectionEngine};
 use crate::space::SearchSpace;
 use sf_gpusim::timing::{LaunchProfile, TimingModel};
 
@@ -298,21 +298,32 @@ pub fn staged_arrays(space: &SearchSpace, members: &[usize]) -> Vec<String> {
         .collect()
 }
 
+/// Host repeat weight of a group: its most-repeated member's.
+fn repeat_of(space: &SearchSpace, members: &[usize]) -> f64 {
+    let repeats = members.iter().map(|&m| space.units[m].repeat);
+    repeats.max().unwrap_or(1) as f64
+}
+
 /// The penalized fitness of an individual: projected GFLOPS of the whole
 /// program under this grouping, scaled down per constraint violation.
-/// Group costs come from the engine's cache when available.
-pub fn fitness_with(engine: &ProjectionEngine<'_>, ind: &Individual, penalty: &Penalty) -> f64 {
-    let space = engine.space();
+/// Groups are priced in ascending group id (the sums below are `f64`:
+/// their order is part of the result) through the island's `pricer`;
+/// `groups` is the caller's scratch.
+pub fn fitness_with(
+    pricer: &mut Pricer<'_>,
+    groups: &mut Groups,
+    ind: &Individual,
+    penalty: &Penalty,
+) -> f64 {
+    let space = pricer.space();
     let mut total_flops = 0.0f64;
     let mut total_time = 0.0f64;
     let mut scale = 1.0f64;
-    for (_, members) in ind.groups() {
-        let repeat = members
-            .iter()
-            .map(|&m| space.units[m].repeat)
-            .max()
-            .unwrap_or(1) as f64;
-        let cost = engine.group_cost(&members);
+    groups.regroup(ind);
+    for k in 0..groups.len() {
+        let members = groups.members(k);
+        let repeat = repeat_of(space, members);
+        let cost = pricer.group_cost(members);
         total_flops += cost.flops as f64 * repeat;
         total_time += cost.time_us * repeat;
         if cost.smem_violation {
@@ -340,28 +351,31 @@ pub fn fitness_with(engine: &ProjectionEngine<'_>, ind: &Individual, penalty: &P
 /// Uncached convenience wrapper around [`fitness_with`] for one-off
 /// evaluations; the search proper shares one engine across the whole run.
 pub fn fitness(space: &SearchSpace, ind: &Individual, penalty: &Penalty) -> f64 {
-    fitness_with(&ProjectionEngine::new(space), ind, penalty)
+    let engine = ProjectionEngine::new(space);
+    let mut pricer = engine.pricer(0);
+    fitness_with(&mut pricer, &mut Groups::default(), ind, penalty)
 }
 
 /// Projected end-to-end runtime (µs) of an individual, ignoring penalties.
-pub fn projected_time_us_with(engine: &ProjectionEngine<'_>, ind: &Individual) -> f64 {
-    let space = engine.space();
-    ind.groups()
-        .values()
-        .map(|members| {
-            let repeat = members
-                .iter()
-                .map(|&m| space.units[m].repeat)
-                .max()
-                .unwrap_or(1) as f64;
-            engine.group_cost(members).time_us * repeat
-        })
-        .sum()
+pub fn projected_time_us_with(
+    pricer: &mut Pricer<'_>,
+    groups: &mut Groups,
+    ind: &Individual,
+) -> f64 {
+    let space = pricer.space();
+    groups.regroup(ind);
+    let times = (0..groups.len()).map(|k| {
+        let members = groups.members(k);
+        pricer.group_cost(members).time_us * repeat_of(space, members)
+    });
+    times.sum()
 }
 
 /// Uncached convenience wrapper around [`projected_time_us_with`].
 pub fn projected_time_us(space: &SearchSpace, ind: &Individual) -> f64 {
-    projected_time_us_with(&ProjectionEngine::new(space), ind)
+    let engine = ProjectionEngine::new(space);
+    let mut pricer = engine.pricer(0);
+    projected_time_us_with(&mut pricer, &mut Groups::default(), ind)
 }
 
 #[cfg(test)]

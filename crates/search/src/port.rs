@@ -43,7 +43,7 @@ pub fn raise_plan(space: &SearchSpace, plan: &TransformPlan) -> Individual {
             .members
             .iter()
             .filter_map(|m| by_mref.get(m).copied())
-            .filter(|u| ind.group_of.contains_key(u))
+            .filter(|&u| ind.group(u).is_some())
             .collect();
         if let Some((&first, rest)) = units.split_first() {
             for &u in rest {

@@ -118,21 +118,21 @@ impl SearchSpace {
             return None;
         }
         let li = self.units[members[0]].loop_id?;
-        let mut sorted = members.to_vec();
-        sorted.sort_unstable();
-        let mut loop_units = self.loops[li].units.clone();
-        loop_units.sort_unstable();
-        (sorted == loop_units).then_some(li)
+        // Equal as multisets: same length, and every member as often in the
+        // loop body as in the group.
+        let body = &self.loops[li].units;
+        let count = |xs: &[usize], x: usize| xs.iter().filter(|&&y| y == x).count();
+        let covers = members.len() == body.len()
+            && members.iter().all(|&m| count(members, m) == count(body, m));
+        covers.then_some(li)
     }
 
     /// Temporal degrees worth projecting for loop `li`: each `T` in
     /// `2..=max_temporal` whose ping-pong pair divides the trip count.
     /// (Geometry — halo growth vs block size — is the cost model's job.)
-    pub fn temporal_degrees(&self, li: usize) -> Vec<u32> {
+    pub fn temporal_degrees(&self, li: usize) -> impl Iterator<Item = u32> {
         let count = self.loops[li].count;
-        (2..=self.max_temporal)
-            .filter(|&t| count.is_multiple_of(2 * u64::from(t)))
-            .collect()
+        (2..=self.max_temporal).filter(move |&t| count.is_multiple_of(2 * u64::from(t)))
     }
 
     /// Build the space from a profiled program and its filter decisions.
@@ -182,11 +182,12 @@ impl SearchSpace {
         for launch in &plan.launches {
             let seq = launch.seq;
             let kernel = program.kernel(&launch.kernel).expect("kernel exists");
-            let can_split = decisions[seq].is_target()
-                && sf_codegen::fission_kernel(kernel).is_some();
-            if can_split {
-                let n = sf_codegen::fission_kernel(kernel).expect("checked").len();
-                for c in 0..n {
+            let components = decisions[seq]
+                .is_target()
+                .then(|| sf_codegen::fission_kernel(kernel))
+                .flatten();
+            if let Some(components) = components {
+                for c in 0..components.len() {
                     fission_groups.push(GroupPlan::singleton(MemberRef::product(seq, c)));
                     product_owner.push(Some((seq, c)));
                 }
@@ -379,7 +380,7 @@ pub(crate) mod tests {
     use sf_analysis::filter::{identify_targets, FilterConfig};
     use sf_minicuda::parse_program;
 
-    const SRC: &str = r#"
+    pub(crate) const SRC: &str = r#"
 __global__ void pair(const double* __restrict__ x, const double* __restrict__ y,
                      double* a, double* b, int nx, int ny, int nz) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;
@@ -471,5 +472,114 @@ void host() {
         let space = space_for(SRC);
         assert!(space.edges.contains_key(&(0, 1)));
         assert!(!space.edges[&(0, 1)].hard);
+    }
+
+    /// A space with hand-made structure, for tests of the graph rules
+    /// alone: `originals` eligible launches, `families[i] = (parent, n)`
+    /// giving `parent` `n` fission products (ids appended in order, as
+    /// `build` does), the given `(from, to, hard)` edges, and one host
+    /// time loop per entry of `loops` over the listed originals. Every
+    /// unit carries the metadata of one real launch, which the graph rules
+    /// never read.
+    pub(crate) fn synthetic_space(
+        originals: usize,
+        families: &[(usize, usize)],
+        edges: &[(usize, usize, bool)],
+        loops: &[Vec<usize>],
+    ) -> SearchSpace {
+        static TEMPLATE: std::sync::OnceLock<SearchSpace> = std::sync::OnceLock::new();
+        let template = TEMPLATE.get_or_init(|| space_for(SRC));
+        let loop_of = |u: usize| loops.iter().position(|l| l.contains(&u));
+        let mut units: Vec<Unit> = (0..originals)
+            .map(|id| Unit {
+                id,
+                mref: MemberRef::original(id),
+                parent: None,
+                products: Vec::new(),
+                eligible: true,
+                loop_id: loop_of(id),
+                ..template.units[1].clone()
+            })
+            .collect();
+        for &(parent, n) in families {
+            for component in 0..n {
+                let id = units.len();
+                units[parent].products.push(id);
+                units.push(Unit {
+                    id,
+                    mref: MemberRef::product(parent, component),
+                    parent: Some(parent),
+                    loop_id: units[parent].loop_id,
+                    ..units[parent].clone()
+                });
+                units[id].products.clear();
+            }
+        }
+        SearchSpace {
+            units,
+            edges: edges
+                .iter()
+                .map(|&(a, b, hard)| ((a, b), UnitEdge { hard }))
+                .collect(),
+            loops: loops
+                .iter()
+                .map(|l| LoopSpan {
+                    count: 8,
+                    units: l.clone(),
+                })
+                .collect(),
+            ..template.clone()
+        }
+    }
+
+    /// `temporal_group` as it was before it stopped allocating: sort both
+    /// sides, compare.
+    fn temporal_group_by_sorting(space: &SearchSpace, members: &[usize]) -> Option<usize> {
+        if space.max_temporal < 2 || members.len() < 2 {
+            return None;
+        }
+        if members
+            .iter()
+            .any(|&m| space.units[m].mref.fission_component.is_some())
+        {
+            return None;
+        }
+        let li = space.units[members[0]].loop_id?;
+        let mut sorted = members.to_vec();
+        sorted.sort_unstable();
+        let mut loop_units = space.loops[li].units.clone();
+        loop_units.sort_unstable();
+        (sorted == loop_units).then_some(li)
+    }
+
+    proptest::proptest! {
+        /// Any member list — unsorted, with repeats, with products, short
+        /// or long of the loop body — gets the answer sorting gave.
+        #[test]
+        fn temporal_group_answers_as_the_sorting_version_did(
+            members in proptest::collection::vec(0usize..9, 0..7),
+            body_a in proptest::collection::vec(0usize..7, 0..5),
+            cap in 1u32..4,
+        ) {
+            // Loop 0 over `body_a` (repeats and all), loop 1 over the
+            // originals it left out; unit 6 has two products (7, 8).
+            let body_b: Vec<usize> = (0..7).filter(|u| !body_a.contains(u)).collect();
+            let mut space = synthetic_space(7, &[(6, 2)], &[], &[body_a, body_b]);
+            space.max_temporal = cap;
+            proptest::prop_assert_eq!(
+                space.temporal_group(&members),
+                temporal_group_by_sorting(&space, &members)
+            );
+            for body in [space.loops[0].units.clone(), space.loops[1].units.clone()] {
+                let mut reversed = body.clone();
+                reversed.reverse();
+                for candidate in [body, reversed] {
+                    proptest::prop_assert_eq!(
+                        space.temporal_group(&candidate),
+                        temporal_group_by_sorting(&space, &candidate)
+                    );
+                }
+            }
+        }
     }
 }

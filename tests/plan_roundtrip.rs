@@ -55,7 +55,7 @@ fn random_individual(space: &SearchSpace, seed: u64) -> Individual {
                     .collect();
                 if !originals.is_empty() {
                     let v = originals[rng.gen_range(0..originals.len())];
-                    if ind.group_of.contains_key(&v) {
+                    if ind.group(v).is_some() {
                         ind.fission(space, v);
                     }
                 }
@@ -66,7 +66,7 @@ fn random_individual(space: &SearchSpace, seed: u64) -> Individual {
                     let g = &groups[rng.gen_range(0..groups.len())];
                     let victim = g[rng.gen_range(0..g.len())];
                     let fresh = ind.fresh_group_id();
-                    ind.group_of.insert(victim, fresh);
+                    ind.set_group(victim, fresh);
                 }
             }
         }

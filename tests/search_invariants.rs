@@ -99,20 +99,20 @@ proptest! {
                         .collect();
                     if !originals.is_empty() {
                         let v = originals[rng.gen_range(0..originals.len())];
-                        if ind.group_of.contains_key(&v) {
+                        if ind.group(v).is_some() {
                             ind.fission(&space, v);
                         }
                     }
                 }
                 2 => {
-                    let fissioned: Vec<usize> = ind.fissioned.iter().copied().collect();
+                    let fissioned = ind.fissioned().to_vec();
                     if !fissioned.is_empty() {
                         let v = fissioned[rng.gen_range(0..fissioned.len())];
                         // Defission only when products are singletons.
                         let singles = space.units[v].products.iter().all(|p| {
-                            ind.group_of.get(p).map(|g| {
-                                ind.group_of.values().filter(|&&x| x == *g).count() == 1
-                            }).unwrap_or(false)
+                            ind.group(*p).is_some_and(|g| {
+                                ind.pairs().filter(|&(_, x)| x == g).count() == 1
+                            })
                         });
                         if singles {
                             ind.defission(&space, v);
@@ -126,7 +126,7 @@ proptest! {
                         let g = &groups[rng.gen_range(0..groups.len())];
                         let victim = g[rng.gen_range(0..g.len())];
                         let fresh = ind.fresh_group_id();
-                        ind.group_of.insert(victim, fresh);
+                        ind.set_group(victim, fresh);
                     }
                 }
             }
