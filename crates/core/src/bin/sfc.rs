@@ -11,8 +11,15 @@
 //!     --emit-metadata metadata.json --params ga_params.json --report
 //! ```
 //!
+//! Every flag is one [`Opt`] item below (or in [`cli::SHARED`], for the
+//! seven `sfd` shares), and `--help` is generated from the same items.
+//! Where a setting can come from more than one place the order is the one
+//! [`cli::pipeline_config`] states: the preset (`--quick`) < the parameter
+//! file (`--params`, then the port run's reduced budget) < explicit flags.
+//!
 //! Exit codes identify the failure class so scripted callers can react
-//! without scraping stderr:
+//! without scraping stderr (the constants and the error → code mapping
+//! live in `stencilfuse::error`):
 //!
 //! | code | meaning                                          |
 //! |------|--------------------------------------------------|
@@ -33,342 +40,224 @@
 //! |      | stderr names the budget and its used/limit pair  |
 
 use sf_cache::{CacheKey, PlanStore};
-use sf_gpusim::DeviceRegistry;
+use sf_codegen::TransformPlan;
+use sf_gpusim::device::DeviceSpec;
+use std::fmt::Display;
 use stencilfuse::batch::compile_through_cache;
-use stencilfuse::{BatchStatus, ErrorKind, PipelineConfig, PipelineError, Stage};
+use stencilfuse::cli::{self, Opt, Parsed};
+use stencilfuse::error::{EXIT_CACHE_RECOVERED, EXIT_PARSE, EXIT_USAGE, EXIT_VERIFY};
+use stencilfuse::{BatchStatus, PipelineConfig, Stage};
 
-const EXIT_USAGE: i32 = 2;
-const EXIT_PARSE: i32 = 3;
-const EXIT_ANALYSIS: i32 = 4;
-const EXIT_SEARCH: i32 = 5;
-const EXIT_CODEGEN: i32 = 6;
-const EXIT_VERIFY: i32 = 7;
-/// The run *succeeded*, but only after the plan cache misbehaved: a
-/// corrupt/torn/version-skewed entry was quarantined, or a cached plan
-/// failed to replay and the program was recompiled. Scripted callers can
-/// treat this as success while still counting cache incidents.
-const EXIT_CACHE_RECOVERED: i32 = 8;
-/// A preloaded plan (`--from-plan` or a cache entry) targets a different
-/// device than this run is configured for; replaying it would silently
-/// project with the wrong device model, so the run is rejected instead.
-const EXIT_DEVICE_MISMATCH: i32 = 9;
-/// A resource budget (`--mem-budget`) was exhausted: the program is a
-/// compile bomb for the configured limits, or the limits are too tight.
-/// The error on stderr names the exact budget (`launches`, `domain-cells`,
-/// `heap-bytes`, ...) with its used/limit pair.
-const EXIT_RESOURCE: i32 = 10;
+stencilfuse::option_table! {
+    /// The flags only `sfc` has (or that mean something else to `sfd`).
+    SFC {
+        OUTPUT = Opt::valued("-o", "FILE", "output file",
+            "write the transformed program (default: stdout)");
+        DEVICE = Opt::valued("--device", "NAME", "device",
+            "target device from the registry (default k20x);\n\
+             built-ins: k20x, k40, hawaii, v100");
+        MODE = Opt::valued("--mode", "auto|manual", "mode", "code generator flavor (default auto)");
+        NO_FISSION = Opt::switch("--no-fission", "disable the lazy-fission moves (fusion only)");
+        NO_TUNING = Opt::switch("--no-tuning", "disable thread-block-size tuning");
+        UNTIL = Opt::valued("--until", "STAGE", "stage",
+            "stop after metadata|filter|graphs|search|new-graphs");
+        PARAMS = Opt::valued("--params", "FILE", "parameter file",
+            "GA parameter file (JSON; see --emit-params); it\n\
+             replaces the preset's search budget, and explicit\n\
+             flags (--islands, --max-temporal, ...) override it");
+        EMIT_PARAMS = Opt::valued("--emit-params", "FILE", "parameter file",
+            "write the default GA parameter file and exit");
+        EMIT_DDG = Opt::valued("--emit-ddg", "FILE", "DDG",
+            "write the data dependency graph as DOT");
+        EMIT_OEG = Opt::valued("--emit-oeg", "FILE", "OEG",
+            "write the order-of-execution graph as DOT");
+        EMIT_NEW_OEG = Opt::valued("--emit-new-oeg", "FILE", "new OEG",
+            "write the post-search OEG (fusion clusters) as DOT");
+        EMIT_METADATA = Opt::valued("--emit-metadata", "FILE", "metadata",
+            "write the metadata bundle as JSON");
+        METADATA = Opt::valued("--metadata", "FILE", "metadata file",
+            "skip profiling; run from this (amended) metadata file");
+        EMIT_PLAN = Opt::valued("--emit-plan", "FILE", "plan",
+            "write the transform plan as JSON (`-` for stdout); a\n\
+             full run emits the as-executed plan, `--until search`\n\
+             emits the search's lowered plan");
+        FROM_PLAN = Opt::valued("--from-plan", "FILE", "plan file",
+            "replay a transform plan (`-` for stdin): skips the\n\
+             analysis/search stages and reproduces the run exactly;\n\
+             the plan must target this run's --device (exit code 9\n\
+             otherwise — use --port-plan to re-target)");
+        PORT_PLAN = Opt::valued("--port-plan", "FILE", "plan file",
+            "port a transform plan to --device: re-runs block-size\n\
+             tuning and a short search seeded with the old plan's\n\
+             grouping (elite injection), byte-deterministic per\n\
+             (seed, device)");
+        CACHE_DIR = Opt::valued("--cache-dir", "DIR", "cache directory",
+            "consult (and populate) a persistent plan cache: a hit\n\
+             replays the cached plan like --from-plan, a miss runs\n\
+             the pipeline and publishes the plan; corruption is\n\
+             quarantined and recompiled (exit code 8 reports it)");
+        PROFILE_REPS = Opt::valued("--profile-reps", "N", "repetition count",
+            "profile with N repetitions and robust (median + MAD)\n\
+             aggregation; reports per-kernel measurement confidence");
+        NOISE_SEED = Opt::valued("--noise-seed", "N", "noise seed",
+            "inject the standard seeded measurement-noise model\n\
+             (jitter, outliers, dropped counters, transients); the\n\
+             same seed reproduces the same measurements exactly");
+        CHECKPOINT = Opt::valued("--checkpoint", "FILE", "checkpoint file",
+            "atomically snapshot the search state to FILE at every\n\
+             migration epoch (crash-safe: temp + fsync + rename);\n\
+             works at any --islands and never changes the plan");
+        RESUME = Opt::valued("--resume", "FILE", "checkpoint file",
+            "resume a killed search from FILE (and keep\n\
+             checkpointing there, unless --checkpoint redirects\n\
+             it); the resumed run converges to the byte-identical\n\
+             plan the uninterrupted run would have produced");
+        KILL_AT_EPOCH = Opt::valued("--kill-at-epoch", "N", "epoch",
+            "chaos testing: abort the search right after the\n\
+             checkpoint of migration epoch N commits, simulating\n\
+             a crash for --resume to recover from");
+        REPORT = Opt::switch("--report", "print per-stage reports to stderr");
+    }
+}
+const TABLES: &[&[Opt]] = &[SFC, cli::SHARED, &[cli::HELP]];
 
-/// Map a structured pipeline error to the exit-code taxonomy: the error
-/// kind wins when it names a failure class, the stage decides otherwise.
-fn exit_code_for(e: &PipelineError) -> i32 {
-    match (&e.kind, e.stage) {
-        (ErrorKind::Parse(_) | ErrorKind::HostEval(_), _) => EXIT_PARSE,
-        (ErrorKind::Verify(_), _) => EXIT_VERIFY,
-        (ErrorKind::DeviceMismatch { .. }, _) => EXIT_DEVICE_MISMATCH,
-        (ErrorKind::ResourceExhausted { .. }, _) => EXIT_RESOURCE,
-        (_, Stage::Metadata | Stage::Filter | Stage::Graphs) => EXIT_ANALYSIS,
-        (_, Stage::Search) => EXIT_SEARCH,
-        (_, Stage::NewGraphs | Stage::Codegen) => EXIT_CODEGEN,
+fn usage() -> String {
+    cli::usage("sfc INPUT.cu [options]", TABLES, cli::PRECEDENCE)
+}
+
+/// A file, device or plan the run needs is unusable: say so and exit 2.
+fn fail(message: impl Display) -> ! {
+    eprintln!("sfc: {message}");
+    std::process::exit(EXIT_USAGE);
+}
+
+/// The command line itself is wrong: say so, print the usage, exit 2.
+fn usage_error(message: impl Display) -> ! {
+    fail(format_args!("{message}\n{}", usage()));
+}
+
+fn read_file(path: &str, what: &str) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format_args!("cannot read {what} {path}: {e}")))
+}
+
+fn read_json<T: serde::Deserialize>(path: &str, what: &str) -> T {
+    serde_json::from_str(&read_file(path, what))
+        .unwrap_or_else(|e| fail(format_args!("bad {what} {path}: {e}")))
+}
+
+/// A transform plan from `path`, or from stdin when the flag allows `-`.
+fn read_plan(path: &str, stdin_allowed: bool) -> TransformPlan {
+    let text = if stdin_allowed && path == "-" {
+        std::io::read_to_string(std::io::stdin())
+            .unwrap_or_else(|e| fail(format_args!("cannot read plan from stdin: {e}")))
+    } else {
+        read_file(path, FROM_PLAN.what)
+    };
+    TransformPlan::from_json(&text)
+        .unwrap_or_else(|e| fail(format_args!("bad plan file {path}: {e}")))
+}
+
+/// Write an artifact where its `--emit-*` flag says to, if it was given.
+fn emit(args: &Parsed, opt: &Opt, contents: &str) {
+    if let Some(path) = args.value(opt) {
+        std::fs::write(path, contents)
+            .unwrap_or_else(|e| fail(format_args!("cannot write {} to {path}: {e}", opt.what)));
     }
 }
 
-struct Args {
-    input: Option<String>,
-    output: Option<String>,
-    device: Option<String>,
-    device_files: Vec<String>,
-    manual: bool,
-    no_fission: bool,
-    no_tuning: bool,
-    until: Option<Stage>,
-    emit_ddg: Option<String>,
-    emit_oeg: Option<String>,
-    emit_new_oeg: Option<String>,
-    emit_metadata: Option<String>,
-    load_metadata: Option<String>,
-    emit_plan: Option<String>,
-    from_plan: Option<String>,
-    port_plan: Option<String>,
-    cache_dir: Option<String>,
-    params: Option<String>,
-    report: bool,
-    no_verify: bool,
-    quick: bool,
-    strict: bool,
-    profile_reps: Option<u32>,
-    noise_seed: Option<u64>,
-    islands: Option<usize>,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    kill_at_epoch: Option<usize>,
-    max_temporal: Option<u32>,
-    mem_budget: Option<u64>,
-}
-
-const USAGE: &str = "\
-usage: sfc INPUT.cu [options]
-  -o FILE             write the transformed program (default: stdout)
-  --device NAME       target device from the registry (default k20x);
-                      built-ins: k20x, k40, hawaii, v100
-  --device-file FILE  extend the device registry with JSON descriptors
-                      (one DeviceSpec object or an array; repeatable);
-                      a descriptor may also override a built-in by name
-  --mode auto|manual  code generator flavor (default auto)
-  --no-fission        disable the lazy-fission moves (fusion only)
-  --no-tuning         disable thread-block-size tuning
-  --until STAGE       stop after metadata|filter|graphs|search|new-graphs
-  --params FILE       GA parameter file (JSON; see --emit-params)
-  --emit-params FILE  write the default GA parameter file and exit
-  --emit-ddg FILE     write the data dependency graph as DOT
-  --emit-oeg FILE     write the order-of-execution graph as DOT
-  --emit-new-oeg FILE write the post-search OEG (fusion clusters) as DOT
-  --emit-metadata FILE write the metadata bundle as JSON
-  --metadata FILE     skip profiling; run from this (amended) metadata file
-  --emit-plan FILE    write the transform plan as JSON (`-` for stdout); a
-                      full run emits the as-executed plan, `--until search`
-                      emits the search's lowered plan
-  --from-plan FILE    replay a transform plan (`-` for stdin): skips the
-                      analysis/search stages and reproduces the run exactly;
-                      the plan must target this run's --device (exit code 9
-                      otherwise — use --port-plan to re-target)
-  --port-plan FILE    port a transform plan to --device: re-runs block-size
-                      tuning and a short search seeded with the old plan's
-                      grouping (elite injection), byte-deterministic per
-                      (seed, device)
-  --cache-dir DIR     consult (and populate) a persistent plan cache: a hit
-                      replays the cached plan like --from-plan, a miss runs
-                      the pipeline and publishes the plan; corruption is
-                      quarantined and recompiled (exit code 8 reports it)
-  --profile-reps N    profile with N repetitions and robust (median + MAD)
-                      aggregation; reports per-kernel measurement confidence
-  --noise-seed N      inject the standard seeded measurement-noise model
-                      (jitter, outliers, dropped counters, transients); the
-                      same seed reproduces the same measurements exactly
-  --islands N         shard the search population across N supervised
-                      islands evaluated in parallel; a panicked island is
-                      quarantined (search degrades, never aborts) and the
-                      final plan is byte-identical for a given seed
-                      regardless of RAYON_NUM_THREADS
-  --checkpoint FILE   atomically snapshot the search state to FILE at every
-                      migration epoch (crash-safe: temp + fsync + rename);
-                      works at any --islands and never changes the plan
-  --resume FILE       resume a killed search from FILE (and keep
-                      checkpointing there); the resumed run converges to
-                      the byte-identical plan the uninterrupted run would
-                      have produced
-  --kill-at-epoch N   chaos testing: abort the search right after the
-                      checkpoint of migration epoch N commits, simulating
-                      a crash for --resume to recover from
-  --max-temporal N    allow temporal blocking up to degree N for fusion
-                      groups covering a whole recorded host time loop
-                      (default 1 = disabled; at 1 the run makes the same
-                      decisions as a build without temporal support)
-  --mem-budget SIZE   enforce resource budgets: the service limits (IR
-                      size, launch count, precedence depth, domain cells,
-                      search-space caps, interpreter steps) with the
-                      accounted-heap cap set to SIZE (digits with an
-                      optional K/M/G suffix). A program that exceeds a
-                      budget is rejected with exit code 10 and a
-                      structured `resource-exhausted` error naming the
-                      budget — never an OOM or a hang
-  --report            print per-stage reports to stderr
-  --no-verify         skip output verification
-  --quick             scaled-down search budget (for quick experiments)
-  --strict            fail on the first degradable error instead of
-                      walking the degradation ladder
-";
-
-fn parse_stage(s: &str) -> Option<Stage> {
-    Some(match s {
-        "metadata" => Stage::Metadata,
-        "filter" => Stage::Filter,
-        "graphs" => Stage::Graphs,
-        "search" => Stage::Search,
-        "new-graphs" => Stage::NewGraphs,
-        "codegen" => Stage::Codegen,
-        _ => return None,
-    })
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        input: None,
-        output: None,
-        device: None,
-        device_files: Vec::new(),
-        manual: false,
-        no_fission: false,
-        no_tuning: false,
-        until: None,
-        emit_ddg: None,
-        emit_oeg: None,
-        emit_new_oeg: None,
-        emit_metadata: None,
-        load_metadata: None,
-        emit_plan: None,
-        from_plan: None,
-        port_plan: None,
-        cache_dir: None,
-        params: None,
-        report: false,
-        no_verify: false,
-        quick: false,
-        strict: false,
-        profile_reps: None,
-        noise_seed: None,
-        islands: None,
-        checkpoint: None,
-        resume: None,
-        kill_at_epoch: None,
-        max_temporal: None,
-        mem_budget: None,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-o" => args.output = Some(take(&mut i)?),
-            "--device" => args.device = Some(take(&mut i)?),
-            "--device-file" => args.device_files.push(take(&mut i)?),
-            "--mode" => {
-                let m = take(&mut i)?;
-                args.manual = match m.as_str() {
-                    "manual" => true,
-                    "auto" => false,
-                    _ => return Err(format!("unknown mode `{m}`")),
-                };
-            }
-            "--no-fission" => args.no_fission = true,
-            "--no-tuning" => args.no_tuning = true,
-            "--until" => {
-                let s = take(&mut i)?;
-                args.until = Some(parse_stage(&s).ok_or_else(|| format!("unknown stage `{s}`"))?);
-            }
-            "--params" => args.params = Some(take(&mut i)?),
-            "--emit-params" => {
-                let path = take(&mut i)?;
-                let text = serde_json::to_string_pretty(&sf_search::SearchConfig::default())
-                    .expect("serializable");
-                std::fs::write(&path, text).map_err(|e| format!("write {path}: {e}"))?;
-                println!("default GA parameter file written to {path}");
-                std::process::exit(0);
-            }
-            "--emit-ddg" => args.emit_ddg = Some(take(&mut i)?),
-            "--emit-oeg" => args.emit_oeg = Some(take(&mut i)?),
-            "--emit-new-oeg" => args.emit_new_oeg = Some(take(&mut i)?),
-            "--emit-metadata" => args.emit_metadata = Some(take(&mut i)?),
-            "--metadata" => args.load_metadata = Some(take(&mut i)?),
-            "--emit-plan" => args.emit_plan = Some(take(&mut i)?),
-            "--from-plan" => args.from_plan = Some(take(&mut i)?),
-            "--port-plan" => args.port_plan = Some(take(&mut i)?),
-            "--cache-dir" => args.cache_dir = Some(take(&mut i)?),
-            "--profile-reps" => {
-                let n = take(&mut i)?;
-                args.profile_reps = Some(
-                    n.parse()
-                        .map_err(|_| format!("bad repetition count `{n}`"))?,
-                );
-            }
-            "--noise-seed" => {
-                let n = take(&mut i)?;
-                args.noise_seed =
-                    Some(n.parse().map_err(|_| format!("bad noise seed `{n}`"))?);
-            }
-            "--islands" => {
-                let n = take(&mut i)?;
-                let n: usize = n.parse().map_err(|_| format!("bad island count `{n}`"))?;
-                if n == 0 {
-                    return Err("island count must be at least 1".into());
-                }
-                args.islands = Some(n);
-            }
-            "--checkpoint" => args.checkpoint = Some(take(&mut i)?),
-            "--resume" => args.resume = Some(take(&mut i)?),
-            "--kill-at-epoch" => {
-                let n = take(&mut i)?;
-                args.kill_at_epoch =
-                    Some(n.parse().map_err(|_| format!("bad epoch `{n}`"))?);
-            }
-            "--max-temporal" => {
-                let n = take(&mut i)?;
-                let n: u32 = n
-                    .parse()
-                    .map_err(|_| format!("bad temporal degree `{n}`"))?;
-                if n == 0 {
-                    return Err("temporal degree must be at least 1".into());
-                }
-                args.max_temporal = Some(n);
-            }
-            "--mem-budget" => {
-                let n = take(&mut i)?;
-                args.mem_budget = Some(
-                    sf_core::parse_bytes(&n)
-                        .ok_or_else(|| format!("bad size `{n}` (digits with optional K/M/G)"))?,
-                );
-            }
-            "--report" => args.report = true,
-            "--no-verify" => args.no_verify = true,
-            "--quick" => args.quick = true,
-            "--strict" => args.strict = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && args.input.is_none() => {
-                args.input = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+/// The run's configuration: [`cli::pipeline_config`] for the preset and
+/// the shared flags, with `sfc`'s parameter-file layer in the middle and
+/// its own explicit flags on top. An `Err` is a usage error.
+fn configure(args: &Parsed, device: DeviceSpec) -> Result<PipelineConfig, String> {
+    let mut config = cli::pipeline_config(args, device, |mut config| {
+        if let Some(path) = args.value(&PARAMS) {
+            config.search = read_json(path, PARAMS.what);
         }
-        i += 1;
+        // A port run re-applies its reduced budget on top of the file.
+        match args.value(&PORT_PLAN) {
+            Some(path) => config.with_port_plan(read_plan(path, false)),
+            None => config,
+        }
+    })?;
+    match args.value(&MODE) {
+        None | Some("auto") => {}
+        Some("manual") => config = config.manual_oracle(),
+        Some(mode) => return Err(format!("unknown mode `{mode}`")),
     }
-    Ok(args)
+    if args.has(&NO_FISSION) {
+        config = config.without_fission();
+    }
+    if args.has(&NO_TUNING) {
+        config = config.without_tuning();
+    }
+    if let Some(reps) = args.at_least_one(&PROFILE_REPS)? {
+        config = config.with_profile_reps(reps);
+    }
+    if let Some(seed) = args.number(&NOISE_SEED)? {
+        config = config.with_noise_seed(seed);
+    }
+    // --resume first: it also arms checkpointing at the same path, and an
+    // explicit --checkpoint then redirects where new snapshots land.
+    if let Some(path) = args.value(&RESUME) {
+        config = config.with_resume(path);
+    }
+    if let Some(path) = args.value(&CHECKPOINT) {
+        config = config.with_checkpoint(path);
+    }
+    if let Some(epoch) = args.number(&KILL_AT_EPOCH)? {
+        let mut faults = config.faults.take().unwrap_or_default();
+        faults.islands.kill_at_epoch = Some(epoch);
+        config = config.with_faults(faults);
+    }
+    if let Some(name) = args.value(&UNTIL) {
+        let stage = Stage::ALL.into_iter().find(|stage| stage.name() == name);
+        config.run_until = Some(stage.ok_or_else(|| format!("unknown stage `{name}`"))?);
+    }
+    if let Some(path) = args.value(&METADATA) {
+        config.preloaded_metadata = Some(read_json(path, METADATA.what));
+    }
+    if let Some(path) = args.value(&FROM_PLAN) {
+        config.preloaded_plan = Some(read_plan(path, true));
+    }
+    Ok(config)
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sfc: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
+    let args = cli::parse(std::env::args().skip(1), TABLES).unwrap_or_else(|e| usage_error(e));
+    if args.has(&cli::HELP) {
+        print!("{}", usage());
+        return;
+    }
+    if let Some(path) = args.value(&EMIT_PARAMS) {
+        let text = serde_json::to_string_pretty(&sf_search::SearchConfig::default())
+            .expect("serializable");
+        std::fs::write(path, text).unwrap_or_else(|e| usage_error(format_args!("write {path}: {e}")));
+        println!("default GA parameter file written to {path}");
+        return;
+    }
+    let mut inputs = args.positionals();
+    let Some(input) = inputs.next() else {
+        usage_error("no input file");
     };
-    let Some(input) = &args.input else {
-        eprintln!("sfc: no input file\n{USAGE}");
-        std::process::exit(2);
-    };
-    if args.from_plan.is_some() && args.port_plan.is_some() {
-        eprintln!("sfc: --from-plan (exact replay) and --port-plan (re-target) are exclusive");
-        std::process::exit(2);
+    if let Some(second) = inputs.next() {
+        usage_error(format_args!(
+            "takes one input file, got `{input}` and `{second}`"
+        ));
+    }
+    if args.has(&FROM_PLAN) && args.has(&PORT_PLAN) {
+        fail("--from-plan (exact replay) and --port-plan (re-target) are exclusive");
     }
     // Device registry: built-ins plus any user descriptor files, resolved
     // case-insensitively. Unknown names report the available devices.
-    let mut registry = DeviceRegistry::builtin();
-    for path in &args.device_files {
-        if let Err(e) = registry.load_file(std::path::Path::new(path)) {
-            eprintln!("sfc: {e}");
-            std::process::exit(2);
-        }
-    }
-    let device = match registry.resolve(args.device.as_deref().unwrap_or("k20x")) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("sfc: {e}");
-            std::process::exit(2);
-        }
-    };
-    let source = match std::fs::read_to_string(input) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sfc: cannot read {input}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let registry = cli::device_registry(&args).unwrap_or_else(|e| fail(e));
+    let device = registry
+        .resolve(args.value(&DEVICE).unwrap_or("k20x"))
+        .unwrap_or_else(|e| fail(e));
+    // Every flag is checked before the input is read.
+    let config = configure(&args, device).unwrap_or_else(|e| usage_error(e));
+    let source = std::fs::read_to_string(input)
+        .unwrap_or_else(|e| fail(format_args!("cannot read {input}: {e}")));
     let program = match sf_minicuda::parse_program(&source) {
         Ok(p) => p,
         Err(e) => {
@@ -378,140 +267,6 @@ fn main() {
         }
     };
 
-    let mut config = if args.quick {
-        PipelineConfig::quick(device.clone())
-    } else {
-        PipelineConfig::automated(device)
-    };
-    if args.manual {
-        config = config.manual_oracle();
-    }
-    if args.no_fission {
-        config = config.without_fission();
-    }
-    if args.no_tuning {
-        config = config.without_tuning();
-    }
-    if args.no_verify {
-        config.verify = false;
-    }
-    if args.strict {
-        config = config.strict();
-    }
-    if let Some(reps) = args.profile_reps {
-        config = config.with_profile_reps(reps);
-    }
-    if let Some(seed) = args.noise_seed {
-        config = config.with_noise_seed(seed);
-    }
-    if let Some(n) = args.islands {
-        config = config.with_islands(n);
-    }
-    // --resume first: it also arms checkpointing at the same path, and an
-    // explicit --checkpoint then redirects where new snapshots land.
-    if let Some(path) = &args.resume {
-        config = config.with_resume(path);
-    }
-    if let Some(path) = &args.checkpoint {
-        config = config.with_checkpoint(path);
-    }
-    if let Some(epoch) = args.kill_at_epoch {
-        let mut faults = config.faults.take().unwrap_or_default();
-        faults.islands.kill_at_epoch = Some(epoch);
-        config = config.with_faults(faults);
-    }
-    config.run_until = args.until;
-    if let Some(path) = &args.load_metadata {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sfc: cannot read metadata file {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match serde_json::from_str(&text) {
-            Ok(bundle) => config.preloaded_metadata = Some(bundle),
-            Err(e) => {
-                eprintln!("sfc: bad metadata file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = &args.from_plan {
-        let text = if path == "-" {
-            use std::io::Read;
-            let mut s = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut s) {
-                eprintln!("sfc: cannot read plan from stdin: {e}");
-                std::process::exit(2);
-            }
-            s
-        } else {
-            match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sfc: cannot read plan file {path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        };
-        match sf_codegen::TransformPlan::from_json(&text) {
-            Ok(plan) => config.preloaded_plan = Some(plan),
-            Err(e) => {
-                eprintln!("sfc: bad plan file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = &args.port_plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sfc: cannot read plan file {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match sf_codegen::TransformPlan::from_json(&text) {
-            Ok(plan) => config = config.with_port_plan(plan),
-            Err(e) => {
-                eprintln!("sfc: bad plan file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = &args.params {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("sfc: cannot read parameter file {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        match serde_json::from_str::<sf_search::SearchConfig>(&text) {
-            // A port run re-applies its reduced budget on top of the file.
-            Ok(sc) => {
-                config.search = if config.port_plan.is_some() {
-                    sc.for_port()
-                } else {
-                    sc
-                }
-            }
-            Err(e) => {
-                eprintln!("sfc: bad parameter file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // After --params so the explicit flag overrides the parameter file.
-    if let Some(n) = args.max_temporal {
-        config = config.with_max_temporal(n);
-    }
-    if let Some(bytes) = args.mem_budget {
-        config = config.with_budget(
-            sf_core::Limits::service().cap(sf_core::ResourceKind::HeapBytes, bytes),
-        );
-    }
-
     // Plan cache: the same ladder `sfd` runs (lookup → replay → recompile →
     // publish with retry). Only runs that reach codegen produce a
     // replayable plan, and an explicit --from-plan already carries one —
@@ -520,7 +275,7 @@ fn main() {
     // the final exit code 8 reports that a recovery happened.
     let cacheable = config.preloaded_plan.is_none()
         && config.run_until.is_none_or(|s| s >= Stage::Codegen);
-    let cache = args.cache_dir.as_ref().filter(|_| cacheable).and_then(|dir| {
+    let cache = args.value(&CACHE_DIR).filter(|_| cacheable).and_then(|dir| {
         let store = PlanStore::open(dir)
             .map_err(|e| eprintln!("sfc: cannot open cache at {dir} ({e}); compiling without it"))
             .ok()?;
@@ -545,7 +300,7 @@ fn main() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sfc: {e}");
-            std::process::exit(exit_code_for(&e));
+            std::process::exit(e.exit_code());
         }
     };
 
@@ -555,7 +310,7 @@ fn main() {
         eprintln!("sfc: degraded: {d}");
     }
 
-    if args.report {
+    if args.has(&REPORT) {
         for r in &result.reports {
             eprint!("{r}");
         }
@@ -565,40 +320,25 @@ fn main() {
         );
     }
 
-    let write_file = |path: &Option<String>, contents: &str, what: &str| {
-        if let Some(p) = path {
-            if let Err(e) = std::fs::write(p, contents) {
-                eprintln!("sfc: cannot write {what} to {p}: {e}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    };
-    write_file(&args.emit_ddg, &result.ddg_dot, "DDG");
-    write_file(&args.emit_oeg, &result.oeg_dot, "OEG");
-    write_file(&args.emit_new_oeg, &result.new_oeg_dot, "new OEG");
-    if let Some(p) = &args.emit_metadata {
+    emit(&args, &EMIT_DDG, &result.ddg_dot);
+    emit(&args, &EMIT_OEG, &result.oeg_dot);
+    emit(&args, &EMIT_NEW_OEG, &result.new_oeg_dot);
+    if args.has(&EMIT_METADATA) {
         let text = result
             .metadata
             .as_ref()
             .map(|m| serde_json::to_string_pretty(m).expect("serializable"))
             .unwrap_or_default();
-        if let Err(e) = std::fs::write(p, text) {
-            eprintln!("sfc: cannot write metadata to {p}: {e}");
-            std::process::exit(EXIT_USAGE);
-        }
+        emit(&args, &EMIT_METADATA, &text);
     }
 
-    if let Some(p) = &args.emit_plan {
+    if let Some(path) = args.value(&EMIT_PLAN) {
         let Some(plan) = result.executed_plan().or_else(|| result.planned()) else {
-            eprintln!("sfc: no transform plan to emit (stopped before the search stage?)");
-            std::process::exit(EXIT_USAGE);
+            fail("no transform plan to emit (stopped before the search stage?)");
         };
-        let text = plan.to_json();
-        if p == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(p, &text) {
-            eprintln!("sfc: cannot write plan to {p}: {e}");
-            std::process::exit(EXIT_USAGE);
+        match path {
+            "-" => print!("{}", plan.to_json()),
+            _ => emit(&args, &EMIT_PLAN, &plan.to_json()),
         }
     }
 
@@ -614,13 +354,9 @@ fn main() {
     }
 
     let text = sf_minicuda::printer::print_program(&result.program);
-    match &args.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("sfc: cannot write {path}: {e}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
+    match args.value(&OUTPUT) {
+        Some(path) => std::fs::write(path, &text)
+            .unwrap_or_else(|e| fail(format_args!("cannot write {path}: {e}"))),
         None => print!("{text}"),
     }
 
@@ -629,5 +365,38 @@ fn main() {
         use std::io::Write;
         let _ = std::io::stdout().flush();
         std::process::exit(EXIT_CACHE_RECOVERED);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The accepted flag set is the one the parent commit's hand-written
+    /// usage listed, every flag is in the generated usage with its
+    /// metavar, and every flag parses with a sample value.
+    #[test]
+    fn the_option_tables_are_the_whole_surface() {
+        let mut parent = [
+            "-o", "--device", "--device-file", "--mode", "--no-fission", "--no-tuning", "--until",
+            "--params", "--emit-params", "--emit-ddg", "--emit-oeg", "--emit-new-oeg",
+            "--emit-metadata", "--metadata", "--emit-plan", "--from-plan", "--port-plan",
+            "--cache-dir", "--profile-reps", "--noise-seed", "--islands", "--checkpoint",
+            "--resume", "--kill-at-epoch", "--max-temporal", "--mem-budget", "--report",
+            "--no-verify", "--quick", "--strict",
+        ];
+        let mut flags: Vec<&str> = SFC.iter().chain(cli::SHARED).map(|o| o.flag).collect();
+        parent.sort_unstable();
+        flags.sort_unstable();
+        assert_eq!(flags, parent);
+        let usage = usage();
+        for opt in SFC.iter().chain(cli::SHARED) {
+            let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
+            assert_eq!(usage.matches(head.trim_end()).count(), 1, "{} in:\n{usage}", opt.flag);
+            let argv = [opt.flag].into_iter().chain(opt.value.map(|_| "1"));
+            let args = cli::parse(argv.map(String::from), TABLES).expect(opt.flag);
+            assert!(args.has(opt), "{}", opt.flag);
+        }
+        assert!(usage.ends_with(cli::PRECEDENCE));
     }
 }

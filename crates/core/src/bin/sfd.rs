@@ -14,344 +14,198 @@
 //! cmp out/mitgcm.plan.json out2/mitgcm.plan.json   # warm == cold
 //! ```
 //!
-//! Exit codes: 0 all requests succeeded; 1 a request failed or ran over
-//! budget; 2 usage / file I/O error; 3 a graceful shutdown (SIGINT /
-//! SIGTERM) cancelled part of the batch — everything that started drained
-//! cleanly, the rest is reported as cancelled and safe to resubmit.
+//! Every flag is one [`Opt`] item below (or in [`cli::SHARED`], for the
+//! seven `sfc` shares); `--help` is generated from the same items, and the
+//! shared flags reach the configuration through [`cli::pipeline_config`].
+//!
+//! Exit codes (the constants live in `stencilfuse::error`): 0 all requests
+//! succeeded; 1 a request failed or ran over budget; 2 usage / file I/O
+//! error; 3 a graceful shutdown (SIGINT / SIGTERM) cancelled part of the
+//! batch — everything that started drained cleanly, the rest is reported
+//! as cancelled and safe to resubmit.
 
-use sf_gpusim::DeviceRegistry;
+use std::fmt::Display;
 use std::path::Path;
 use std::time::{Duration, Instant};
-use stencilfuse::{BatchDriver, BatchOptions, BatchRequest, BatchStatus, PipelineConfig};
+use stencilfuse::cli::{self, Opt};
+use stencilfuse::error::{EXIT_FAILED, EXIT_SHUTDOWN, EXIT_USAGE};
+use stencilfuse::{BatchDriver, BatchOptions, BatchRequest, BatchStatus};
 
-const EXIT_SHUTDOWN: i32 = 3;
+stencilfuse::option_table! {
+    /// The flags only `sfd` has (or that mean something else to `sfc`).
+    SFD {
+        CACHE_DIR = Opt::valued("--cache-dir", "DIR", "cache directory",
+            "plan cache directory (created if missing; default .sf-cache)");
+        OUT_DIR = Opt::valued("--out-dir", "DIR", "output directory",
+            "write <stem>.fused.cu and <stem>.plan.json per input");
+        DEVICE = Opt::valued("--device", "NAME", "device",
+            "registry device for the inputs that follow it (default\n\
+             k20x; built-ins: k20x, k40, hawaii, v100). The flag is\n\
+             positional: each input compiles for the most recent\n\
+             --device, so one batch can mix targets —\n\
+             `sfd a.cu --device v100 b.cu` compiles a.cu for k20x\n\
+             and b.cu for v100. Cache entries key on the device\n\
+             fingerprint and never cross devices.");
+        JOBS = Opt::valued("--jobs", "N", "job count",
+            "cap concurrent workers (sets RAYON_NUM_THREADS)");
+        CHECKPOINT_DIR = Opt::valued("--checkpoint-dir", "D", "checkpoint directory",
+            "checkpoint every request's search to D/<stem>.ckpt at\n\
+             each migration epoch and auto-resume from it: a killed\n\
+             batch continues where it stopped, byte-identically");
+        QUEUE_LIMIT = Opt::valued("--queue-limit", "N", "queue limit",
+            "bounded admission: reject submissions past N pending");
+        BUDGET_SECS = Opt::valued("--budget-secs", "N", "budget",
+            "per-request wall-clock budget (default 120)");
+        CACHE_QUOTA = Opt::valued("--cache-quota", "SIZE", "cache quota",
+            "bound the plan store at SIZE bytes (K/M/G suffixes):\n\
+             past it, least-recently-used entries are evicted on\n\
+             publish; committed entries are never corrupted");
+        BREAKER = Opt::valued("--breaker", "N", "breaker threshold",
+            "trip a failure class's circuit breaker after N\n\
+             failures in a minute; tripped classes reject new\n\
+             submissions with a retry-after hint until the\n\
+             cooldown and a half-open probe pass");
+        BREAKER_COOLDOWN_MS = Opt::valued("--breaker-cooldown-ms", "MS", "breaker cooldown",
+            "how long a tripped class stays open (default 10000)");
+        VERIFY_STORE = Opt::switch("--verify-store",
+            "integrity-scan the cache (quarantining bad entries),\n\
+             print the result, and exit");
+        REPORT = Opt::switch("--report", "per-request status lines to stderr");
+    }
+}
+const TABLES: &[&[Opt]] = &[SFD, cli::SHARED, &[cli::HELP]];
 
-const USAGE: &str = "\
-usage: sfd --cache-dir DIR [options] INPUT.cu [INPUT.cu ...]
-  --cache-dir DIR     plan cache directory (created if missing; default .sf-cache)
-  --out-dir DIR       write <stem>.fused.cu and <stem>.plan.json per input
-  --device NAME       registry device for the inputs that follow it (default
-                      k20x; built-ins: k20x, k40, hawaii, v100). The flag is
-                      positional: each input compiles for the most recent
-                      --device, so one batch can mix targets —
-                      `sfd a.cu --device v100 b.cu` compiles a.cu for k20x
-                      and b.cu for v100. Cache entries key on the device
-                      fingerprint and never cross devices.
-  --device-file FILE  extend the device registry with JSON descriptors
-                      (one DeviceSpec object or an array; repeatable)
-  --quick             scaled-down search budget
-  --jobs N            cap concurrent workers (sets RAYON_NUM_THREADS)
-  --islands N         shard each request's search into N supervised islands
-  --max-temporal N    allow temporal blocking up to degree N for whole-loop
-                      fusion groups (default 1 = disabled)
-  --checkpoint-dir D  checkpoint every request's search to D/<stem>.ckpt at
-                      each migration epoch and auto-resume from it: a killed
-                      batch continues where it stopped, byte-identically
-  --queue-limit N     bounded admission: reject submissions past N pending
-  --budget-secs N     per-request wall-clock budget (default 120)
-  --mem-budget SIZE   run every request under the service resource budget
-                      with its heap allowance capped at SIZE (K/M/G
-                      suffixes). Hostile inputs are rejected with a
-                      structured resource-exhausted error, never an OOM or
-                      a hang
-  --cache-quota SIZE  bound the plan store at SIZE bytes (K/M/G suffixes):
-                      past it, least-recently-used entries are evicted on
-                      publish; committed entries are never corrupted
-  --breaker N         trip a failure class's circuit breaker after N
-                      failures in a minute; tripped classes reject new
-                      submissions with a retry-after hint until the
-                      cooldown and a half-open probe pass
-  --breaker-cooldown-ms MS
-                      how long a tripped class stays open (default 10000)
-  --no-verify         skip output verification
-  --strict            fail on the first degradable error
-  --verify-store      integrity-scan the cache (quarantining bad entries),
-                      print the result, and exit
-  --report            per-request status lines to stderr
-
+const ON_SIGNAL: &str = "
 On SIGINT/SIGTERM the driver stops admitting work, drains in-flight
 requests within their budgets (cache publishes stay atomic), reports every
 request's status, and exits 3.
 ";
 
-struct Args {
-    cache_dir: String,
-    out_dir: Option<String>,
-    device_files: Vec<String>,
-    quick: bool,
-    jobs: Option<usize>,
-    islands: Option<usize>,
-    max_temporal: Option<u32>,
-    checkpoint_dir: Option<String>,
-    queue_limit: Option<usize>,
-    budget_secs: Option<u64>,
-    mem_budget: Option<u64>,
-    cache_quota: Option<u64>,
-    breaker: Option<u32>,
-    breaker_cooldown_ms: Option<u64>,
-    no_verify: bool,
-    strict: bool,
-    verify_store: bool,
-    report: bool,
-    /// (input path, device name in scope at that position — None = base).
-    inputs: Vec<(String, Option<String>)>,
+fn usage() -> String {
+    let synopsis = "sfd --cache-dir DIR [options] INPUT.cu [INPUT.cu ...]";
+    cli::usage(synopsis, TABLES, ON_SIGNAL)
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        cache_dir: ".sf-cache".into(),
-        out_dir: None,
-        device_files: Vec::new(),
-        quick: false,
-        jobs: None,
-        islands: None,
-        max_temporal: None,
-        checkpoint_dir: None,
-        queue_limit: None,
-        budget_secs: None,
-        mem_budget: None,
-        cache_quota: None,
-        breaker: None,
-        breaker_cooldown_ms: None,
-        no_verify: false,
-        strict: false,
-        verify_store: false,
-        report: false,
-        inputs: Vec::new(),
-    };
-    let mut scoped_device: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let take = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    // Parses into the flag's own type, so a value that does not fit is a
-    // usage error rather than a silent wrap.
-    fn parse_num<T: std::str::FromStr>(what: &str, v: String) -> Result<T, String> {
-        v.parse().map_err(|_| format!("bad {what} `{v}`"))
-    }
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cache-dir" => args.cache_dir = take(&mut i)?,
-            "--out-dir" => args.out_dir = Some(take(&mut i)?),
-            "--device" => scoped_device = Some(take(&mut i)?),
-            "--device-file" => args.device_files.push(take(&mut i)?),
-            "--quick" => args.quick = true,
-            "--jobs" => args.jobs = Some(parse_num("job count", take(&mut i)?)?),
-            "--islands" => {
-                let n: usize = parse_num("island count", take(&mut i)?)?;
-                if n == 0 {
-                    return Err("island count must be at least 1".into());
-                }
-                args.islands = Some(n);
-            }
-            "--max-temporal" => {
-                let n: u32 = parse_num("temporal degree", take(&mut i)?)?;
-                if n == 0 {
-                    return Err("temporal degree must be at least 1".into());
-                }
-                args.max_temporal = Some(n);
-            }
-            "--checkpoint-dir" => args.checkpoint_dir = Some(take(&mut i)?),
-            "--queue-limit" => {
-                args.queue_limit = Some(parse_num("queue limit", take(&mut i)?)?)
-            }
-            "--budget-secs" => args.budget_secs = Some(parse_num("budget", take(&mut i)?)?),
-            "--mem-budget" => {
-                let v = take(&mut i)?;
-                args.mem_budget = Some(
-                    sf_core::parse_bytes(&v).ok_or_else(|| format!("bad memory budget `{v}`"))?,
-                );
-            }
-            "--cache-quota" => {
-                let v = take(&mut i)?;
-                args.cache_quota = Some(
-                    sf_core::parse_bytes(&v).ok_or_else(|| format!("bad cache quota `{v}`"))?,
-                );
-            }
-            "--breaker" => {
-                let n: u32 = parse_num("breaker threshold", take(&mut i)?)?;
-                if n == 0 {
-                    return Err("breaker threshold must be at least 1".into());
-                }
-                args.breaker = Some(n);
-            }
-            "--breaker-cooldown-ms" => {
-                args.breaker_cooldown_ms = Some(parse_num("breaker cooldown", take(&mut i)?)?)
-            }
-            "--no-verify" => args.no_verify = true,
-            "--strict" => args.strict = true,
-            "--verify-store" => args.verify_store = true,
-            "--report" => args.report = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') => args
-                .inputs
-                .push((other.to_string(), scoped_device.clone())),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    Ok(args)
+/// A file, directory or device the batch needs is unusable: exit 2.
+fn fail(message: impl Display) -> ! {
+    eprintln!("sfd: {message}");
+    std::process::exit(EXIT_USAGE);
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sfd: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+/// The command line itself is wrong: say so, print the usage, exit 2.
+fn usage_error(message: impl Display) -> ! {
+    fail(format_args!("{message}\n{}", usage()));
+}
 
-    if let Some(jobs) = args.jobs {
-        // The vendored rayon shim sizes its per-call worker set from this,
-        // like upstream's global pool.
-        std::env::set_var("RAYON_NUM_THREADS", jobs.max(1).to_string());
-    }
-
-    let mut registry = DeviceRegistry::builtin();
-    for path in &args.device_files {
-        if let Err(e) = registry.load_file(Path::new(path)) {
-            eprintln!("sfd: {e}");
-            std::process::exit(2);
-        }
-    }
-    // The driver's base config always targets the default device; inputs
-    // scoped under a --device flag carry a per-request override (with its
-    // own fingerprint-derived cache key), so one batch can mix targets.
-    let base_device = match registry.resolve("k20x") {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("sfd: {e}");
-            std::process::exit(2);
-        }
-    };
-
-    let mut config = if args.quick {
-        PipelineConfig::quick(base_device.clone())
-    } else {
-        PipelineConfig::automated(base_device.clone())
-    };
-    if args.no_verify {
-        config.verify = false;
-    }
-    if args.strict {
-        config = config.strict();
-    }
-    if let Some(n) = args.islands {
-        config = config.with_islands(n);
-    }
-    if let Some(n) = args.max_temporal {
-        config = config.with_max_temporal(n);
-    }
-    if let Some(bytes) = args.mem_budget {
-        config = config.with_budget(
-            sf_core::Limits::service().cap(sf_core::ResourceKind::HeapBytes, bytes),
-        );
-    }
-
+/// The batch options the flags ask for. An `Err` is a usage error.
+fn batch_options(args: &cli::Parsed) -> Result<BatchOptions, String> {
     let mut options = BatchOptions::default();
-    if let Some(limit) = args.queue_limit {
+    if let Some(limit) = args.number(&QUEUE_LIMIT)? {
         options.queue_limit = limit;
     }
-    if let Some(secs) = args.budget_secs {
+    if let Some(secs) = args.number(&BUDGET_SECS)? {
         options.request_budget = Duration::from_secs(secs);
     }
-    if let Some(dir) = &args.checkpoint_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("sfd: cannot create checkpoint dir {dir}: {e}");
-            std::process::exit(2);
-        }
-        options.checkpoint_dir = Some(dir.into());
-    }
-    options.cache_quota = args.cache_quota;
-    if args.breaker.is_some() || args.breaker_cooldown_ms.is_some() {
-        let mut breaker = sf_core::BreakerConfig::default();
-        if let Some(threshold) = args.breaker {
-            breaker.threshold = threshold;
-        }
-        if let Some(cooldown) = args.breaker_cooldown_ms {
-            breaker.cooldown_ms = cooldown;
-        }
-        options.breaker = Some(breaker);
+    options.checkpoint_dir = args.value(&CHECKPOINT_DIR).map(Into::into);
+    options.cache_quota = args.bytes(&CACHE_QUOTA)?;
+    let threshold = args.at_least_one(&BREAKER)?;
+    let cooldown_ms = args.number(&BREAKER_COOLDOWN_MS)?;
+    if threshold.is_some() || cooldown_ms.is_some() {
+        let default = sf_core::BreakerConfig::default();
+        options.breaker = Some(sf_core::BreakerConfig {
+            threshold: threshold.unwrap_or(default.threshold),
+            cooldown_ms: cooldown_ms.unwrap_or(default.cooldown_ms),
+            ..default
+        });
     }
     // Graceful shutdown: SIGINT/SIGTERM stop admission, drain in-flight
     // work, and report everything (exit code 3).
     options.honor_shutdown = true;
+    Ok(options)
+}
+
+fn main() {
+    let args = cli::parse(std::env::args().skip(1), TABLES).unwrap_or_else(|e| usage_error(e));
+    if args.has(&cli::HELP) {
+        print!("{}", usage());
+        return;
+    }
+    if let Some(jobs) = args.at_least_one::<usize>(&JOBS).unwrap_or_else(|e| usage_error(e)) {
+        // The vendored rayon shim sizes its per-call worker set from this,
+        // like upstream's global pool.
+        std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
+    }
+
+    let registry = cli::device_registry(&args).unwrap_or_else(|e| fail(e));
+    // The driver's base config always targets the default device; inputs
+    // scoped under a --device flag carry a per-request override (with its
+    // own fingerprint-derived cache key), so one batch can mix targets.
+    let base_device = registry.resolve("k20x").unwrap_or_else(|e| fail(e));
+    // Positional --device scope: every name is resolved where it stands
+    // (a trailing or misspelt one is an error even with no input after
+    // it), and only inputs whose in-scope device differs from the base
+    // carry an override (and their own key).
+    let mut scope = None;
+    let mut inputs = Vec::new();
+    for (opt, text) in args.iter() {
+        match opt {
+            None => inputs.push((text, scope.clone())),
+            Some(opt) if *opt == DEVICE => {
+                let device = registry.resolve(text).unwrap_or_else(|e| fail(e));
+                scope = Some(device).filter(|d| d.fingerprint() != base_device.fingerprint());
+            }
+            Some(_) => {}
+        }
+    }
+    let config = cli::pipeline_config(&args, base_device, |preset| preset)
+        .unwrap_or_else(|e| usage_error(e));
+    let options = batch_options(&args).unwrap_or_else(|e| usage_error(e));
+    if let Some(dir) = &options.checkpoint_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
+            fail(format_args!("cannot create checkpoint dir {}: {e}", dir.display()))
+        });
+    }
     stencilfuse::install_signal_handlers();
 
-    let mut driver = match BatchDriver::new(&args.cache_dir, config, options) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("sfd: cannot open cache at {}: {e}", args.cache_dir);
-            std::process::exit(2);
-        }
-    };
+    let cache_dir = args.value(&CACHE_DIR).unwrap_or(".sf-cache");
+    let mut driver = BatchDriver::new(cache_dir, config, options)
+        .unwrap_or_else(|e| fail(format_args!("cannot open cache at {cache_dir}: {e}")));
 
-    if args.verify_store {
+    if args.has(&VERIFY_STORE) {
         match driver.store().verify_integrity() {
             Ok((valid, quarantined)) => {
-                println!("cache {}: {valid} valid entries, {quarantined} quarantined", args.cache_dir);
-                std::process::exit(0);
+                println!("cache {cache_dir}: {valid} valid entries, {quarantined} quarantined");
+                return;
             }
-            Err(e) => {
-                eprintln!("sfd: integrity scan failed: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(format_args!("integrity scan failed: {e}")),
         }
     }
 
-    if args.inputs.is_empty() {
-        eprintln!("sfd: no input files\n{USAGE}");
-        std::process::exit(2);
+    if inputs.is_empty() {
+        usage_error("no input files");
     }
-    if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("sfd: cannot create {dir}: {e}");
-            std::process::exit(2);
-        }
+    let out_dir = args.value(&OUT_DIR);
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(format_args!("cannot create {dir}: {e}")));
     }
 
-    for (input, device_name) in &args.inputs {
+    for (input, device) in inputs {
         if stencilfuse::shutdown_requested() {
             eprintln!("sfd: shutdown requested; not admitting {input}");
             continue;
         }
-        let source = match std::fs::read_to_string(input) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sfd: cannot read {input}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let source = std::fs::read_to_string(input)
+            .unwrap_or_else(|e| fail(format_args!("cannot read {input}: {e}")));
         let name = Path::new(input)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| input.clone());
+            .unwrap_or_else(|| input.to_string());
         let mut request = BatchRequest::new(name, source);
-        // Positional --device scope: only inputs whose in-scope device
-        // differs from the base carry an override (and their own key).
-        if let Some(dname) = device_name {
-            let device = match registry.resolve(dname) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("sfd: {e}");
-                    std::process::exit(2);
-                }
-            };
-            if device.fingerprint() != base_device.fingerprint() {
-                request = request.with_device(device);
-            }
+        if let Some(device) = device {
+            request = request.with_device(device);
         }
         if let Err(rejected) = driver.submit(request) {
-            eprintln!("sfd: {rejected}");
-            std::process::exit(2);
+            fail(rejected);
         }
     }
 
@@ -362,7 +216,7 @@ fn main() {
     let mut failed = false;
     let mut cancelled = false;
     for outcome in &report.outcomes {
-        if args.report {
+        if args.has(&REPORT) {
             let mut line = format!(
                 "{}: {} (speedup {:.3}x)",
                 outcome.name,
@@ -393,14 +247,13 @@ fn main() {
             }
             _ => {}
         }
-        if let Some(dir) = &args.out_dir {
+        if let Some(dir) = out_dir {
             let write = |suffix: &str, contents: &Option<String>| {
                 if let Some(text) = contents {
                     let path = Path::new(dir).join(format!("{}{suffix}", outcome.name));
-                    if let Err(e) = std::fs::write(&path, text) {
-                        eprintln!("sfd: cannot write {}: {e}", path.display());
-                        std::process::exit(2);
-                    }
+                    std::fs::write(&path, text).unwrap_or_else(|e| {
+                        fail(format_args!("cannot write {}: {e}", path.display()))
+                    });
                 }
             };
             write(".fused.cu", &outcome.output);
@@ -412,7 +265,7 @@ fn main() {
         "sfd: {} in {:.2}s ({} store: {} hits, {} misses, {} recovered, {} stored, {} evicted)",
         report.summary(),
         elapsed.as_secs_f64(),
-        args.cache_dir,
+        cache_dir,
         report.stats.hits,
         report.stats.misses,
         report.stats.recovered,
@@ -423,10 +276,41 @@ fn main() {
         cancelled = true;
     }
     std::process::exit(if failed {
-        1
+        EXIT_FAILED
     } else if cancelled {
         EXIT_SHUTDOWN
     } else {
         0
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The accepted flag set is the one the parent commit's hand-written
+    /// usage listed, every flag is in the generated usage with its
+    /// metavar, and every flag parses with a sample value.
+    #[test]
+    fn the_option_tables_are_the_whole_surface() {
+        let mut parent = [
+            "--cache-dir", "--out-dir", "--device", "--device-file", "--quick", "--jobs",
+            "--islands", "--max-temporal", "--checkpoint-dir", "--queue-limit", "--budget-secs",
+            "--mem-budget", "--cache-quota", "--breaker", "--breaker-cooldown-ms", "--no-verify",
+            "--strict", "--verify-store", "--report",
+        ];
+        let mut flags: Vec<&str> = SFD.iter().chain(cli::SHARED).map(|o| o.flag).collect();
+        parent.sort_unstable();
+        flags.sort_unstable();
+        assert_eq!(flags, parent);
+        let usage = usage();
+        for opt in SFD.iter().chain(cli::SHARED) {
+            let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
+            assert_eq!(usage.matches(head.trim_end()).count(), 1, "{} in:\n{usage}", opt.flag);
+            let argv = [opt.flag].into_iter().chain(opt.value.map(|_| "1"));
+            let args = cli::parse(argv.map(String::from), TABLES).expect(opt.flag);
+            assert!(args.has(opt), "{}", opt.flag);
+        }
+        assert!(usage.ends_with(ON_SIGNAL));
+    }
 }

@@ -5,6 +5,27 @@
 //! known, (c) a [`Recoverability`] class that tells the driver how to react,
 //! and (d) an [`ErrorKind`] that preserves the typed source error losslessly
 //! (reachable through [`std::error::Error::source`]).
+//!
+//! # Exit codes
+//!
+//! One table for every binary ([`PipelineError::exit_code`] maps an error
+//! onto it). `sfc` uses all of them; `sfd` reports a batch, so it uses 0,
+//! [`EXIT_FAILED`] (a request failed or ran over budget), [`EXIT_USAGE`]
+//! and [`EXIT_SHUTDOWN`].
+//!
+//! | code | meaning                                                    |
+//! |------|------------------------------------------------------------|
+//! | 0    | success                                                    |
+//! | 1    | unclassified failure; `sfd`: a request failed              |
+//! | 2    | usage error or file I/O failure                            |
+//! | 3    | `sfc`: the input did not parse / evaluate; `sfd`: shutdown |
+//! | 4    | analysis failed (metadata, filter, graphs)                 |
+//! | 5    | the search failed                                          |
+//! | 6    | code generation failed                                     |
+//! | 7    | output verification failed                                 |
+//! | 8    | success after a cache recovery                             |
+//! | 9    | plan/device mismatch                                       |
+//! | 10   | a resource budget was exhausted                            |
 
 use crate::config::Stage;
 use std::fmt;
@@ -52,8 +73,6 @@ pub enum ErrorKind {
     Codegen(sf_codegen::CodegenError),
     /// DDG/OEG construction failed.
     Graph(String),
-    /// The search could not run or returned no usable grouping.
-    Search(String),
     /// Output verification could not run or flagged a mismatch.
     Verify(String),
     /// The configuration is inconsistent with the program.
@@ -95,7 +114,7 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// Short label for the failure class (stable; used by `sfc` exit codes).
+    /// Short label for the failure class (stable; printed in every error).
     pub fn label(&self) -> &'static str {
         match self {
             ErrorKind::Parse(_) => "parse",
@@ -103,7 +122,6 @@ impl ErrorKind {
             ErrorKind::Profile(_) => "profile",
             ErrorKind::Codegen(_) => "codegen",
             ErrorKind::Graph(_) => "graph",
-            ErrorKind::Search(_) => "search",
             ErrorKind::Verify(_) => "verify",
             ErrorKind::Config(_) => "config",
             ErrorKind::DeviceMismatch { .. } => "device-mismatch",
@@ -135,7 +153,6 @@ impl ErrorKind {
                  raise the budget or shrink the program"
             ),
             ErrorKind::Graph(s)
-            | ErrorKind::Search(s)
             | ErrorKind::Verify(s)
             | ErrorKind::Config(s)
             | ErrorKind::Injected(s)
@@ -143,6 +160,40 @@ impl ErrorKind {
         }
     }
 }
+
+/// Unclassified failure; for `sfd`, a request failed or ran over budget.
+pub const EXIT_FAILED: i32 = 1;
+/// Usage error or file I/O failure.
+pub const EXIT_USAGE: i32 = 2;
+/// The input program did not parse, or its host code did not evaluate.
+pub const EXIT_PARSE: i32 = 3;
+/// `sfd` only: a graceful shutdown (SIGINT / SIGTERM) cancelled part of the
+/// batch — everything that started drained cleanly, the rest is safe to
+/// resubmit. Shares its number with [`EXIT_PARSE`], which `sfd` never
+/// returns (a request that does not parse is a failed request).
+pub const EXIT_SHUTDOWN: i32 = 3;
+/// Analysis failed (metadata, filter, graphs).
+pub const EXIT_ANALYSIS: i32 = 4;
+/// The search failed.
+pub const EXIT_SEARCH: i32 = 5;
+/// Code generation failed.
+pub const EXIT_CODEGEN: i32 = 6;
+/// Output verification failed.
+pub const EXIT_VERIFY: i32 = 7;
+/// The run *succeeded*, but only after the plan cache misbehaved: a
+/// corrupt/torn/version-skewed entry was quarantined, or a cached plan
+/// failed to replay and the program was recompiled. Scripted callers can
+/// treat this as success while still counting cache incidents.
+pub const EXIT_CACHE_RECOVERED: i32 = 8;
+/// A preloaded plan (`--from-plan` or a cache entry) targets a different
+/// device than this run is configured for; replaying it would silently
+/// project with the wrong device model, so the run is rejected instead.
+pub const EXIT_DEVICE_MISMATCH: i32 = 9;
+/// A resource budget (`--mem-budget`) was exhausted: the program is a
+/// compile bomb for the configured limits, or the limits are too tight.
+/// The error on stderr names the exact budget (`launches`, `domain-cells`,
+/// `heap-bytes`, ...) with its used/limit pair.
+pub const EXIT_RESOURCE: i32 = 10;
 
 /// A structured pipeline failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,6 +263,29 @@ impl PipelineError {
     pub fn for_array(mut self, array: impl Into<String>) -> PipelineError {
         self.array = Some(array.into());
         self
+    }
+
+    /// The exit code of a run that ended in this error: the kind wins when
+    /// it names a failure class, the stage decides otherwise. Exhaustive
+    /// over [`ErrorKind`], so a new kind does not compile without a row.
+    pub fn exit_code(&self) -> i32 {
+        match &self.kind {
+            ErrorKind::Parse(_) | ErrorKind::HostEval(_) => EXIT_PARSE,
+            ErrorKind::Verify(_) => EXIT_VERIFY,
+            ErrorKind::DeviceMismatch { .. } => EXIT_DEVICE_MISMATCH,
+            ErrorKind::ResourceExhausted { .. } => EXIT_RESOURCE,
+            ErrorKind::Profile(_)
+            | ErrorKind::Codegen(_)
+            | ErrorKind::Graph(_)
+            | ErrorKind::Config(_)
+            | ErrorKind::Cache(_)
+            | ErrorKind::Injected(_)
+            | ErrorKind::Panic(_) => match self.stage {
+                Stage::Metadata | Stage::Filter | Stage::Graphs => EXIT_ANALYSIS,
+                Stage::Search => EXIT_SEARCH,
+                Stage::NewGraphs | Stage::Codegen => EXIT_CODEGEN,
+            },
+        }
     }
 }
 
@@ -422,6 +496,40 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("`launches` budget exhausted"), "{text}");
         assert!(text.contains("1600 needed, limit 512"), "{text}");
+    }
+
+    #[test]
+    fn every_kind_at_every_stage_has_its_exit_code() {
+        use sf_cache::{CacheError, CacheErrorKind};
+        // One row per `ErrorKind` variant (`exit_code` matches exhaustively,
+        // so a variant cannot lack a code; this pins which one it gets),
+        // one column per stage in `Stage::ALL` order.
+        let staged = [4, 4, 4, 5, 6, 6];
+        let rows = [
+            (ErrorKind::Parse(sf_minicuda::ParseError::new("expected `;`", 1, 1)), [3; 6]),
+            (ErrorKind::HostEval(sf_minicuda::HostEvalError("unbound `n`".into())), [3; 6]),
+            (ErrorKind::Profile(Box::new(sf_gpusim::profiler::ProfileError::msg("lost"))), staged),
+            (ErrorKind::Codegen(sf_codegen::CodegenError("bad group".into())), staged),
+            (ErrorKind::Graph("cycle".into()), staged),
+            (ErrorKind::Verify("mismatch".into()), [7; 6]),
+            (ErrorKind::Config("empty".into()), staged),
+            (ErrorKind::DeviceMismatch { plan: "a".into(), configured: "b".into() }, [9; 6]),
+            (ErrorKind::Cache(Box::new(CacheError::new(CacheErrorKind::Io, "disk full"))), staged),
+            (
+                ErrorKind::ResourceExhausted { resource: "launches".into(), used: 2, limit: 1 },
+                [10; 6],
+            ),
+            (ErrorKind::Injected("fault".into()), staged),
+            (ErrorKind::Panic("boom".into()), staged),
+        ];
+        let labels: std::collections::BTreeSet<_> = rows.iter().map(|r| r.0.label()).collect();
+        assert_eq!(labels.len(), rows.len(), "one row per variant");
+        for (kind, codes) in rows {
+            for (stage, code) in Stage::ALL.into_iter().zip(codes) {
+                let e = PipelineError::fatal(stage, kind.clone());
+                assert_eq!(e.exit_code(), code, "{e}");
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! A [`FaultPlan`] describes *which* faults to inject; it is plain data, so a
 //! failing run can be reproduced exactly by re-running with the same plan
 //! (and the same seed when the plan was derived with [`FaultPlan::seeded`]).
-//! The pipeline consults a [`FaultInjector`] at each stage boundary; under
+//! The pipeline reads the plan at each stage boundary (the only run-time
+//! state is its count of profiler failures left to fire); under
 //! [`crate::config::DegradePolicy::Degrade`] every injected fault must
 //! degrade into a valid result — either a verified transformed program or
 //! the original program unchanged — never a panic or an invalid program.
 
 use sf_analysis::metadata::MetadataBundle;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// A deterministic set of faults to inject into one pipeline run.
@@ -64,6 +64,18 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         *self == FaultPlan::default()
+    }
+
+    /// Corrupt `metadata` in place when the plan asks for it. Returns true
+    /// when a corruption was applied.
+    pub(crate) fn corrupt(&self, metadata: &mut MetadataBundle) -> bool {
+        if self.corrupt_metadata {
+            for p in &mut metadata.perf {
+                p.runtime_us = f64::NAN;
+                p.occupancy = -1.0;
+            }
+        }
+        self.corrupt_metadata
     }
 
     /// Derive a pseudo-random fault mix from a seed. Same seed, same plan —
@@ -136,106 +148,6 @@ impl FaultPlan {
             plan.islands.kill_at_epoch = Some(((island_kill >> 8) % 4) as usize);
         }
         plan
-    }
-}
-
-/// Runtime side of a [`FaultPlan`]: tracks how many injections have fired.
-/// Interior mutability keeps the pipeline driver's `&self` signature.
-#[derive(Debug)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    profiler_failures_left: Cell<u32>,
-}
-
-impl FaultInjector {
-    /// Arm an injector for one run.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
-        let left = plan.profiler_failures;
-        FaultInjector {
-            plan,
-            profiler_failures_left: Cell::new(left),
-        }
-    }
-
-    /// Disarmed injector (no faults).
-    pub fn inactive() -> FaultInjector {
-        FaultInjector::new(FaultPlan::none())
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Should the next profiler invocation fail? Consumes one budgeted
-    /// failure per call, so bounded retry eventually succeeds.
-    pub fn take_profiler_failure(&self) -> bool {
-        let left = self.profiler_failures_left.get();
-        if left > 0 {
-            self.profiler_failures_left.set(left - 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Corrupt `metadata` in place when the plan asks for it. Returns true
-    /// when a corruption was applied.
-    pub fn corrupt_metadata(&self, metadata: &mut MetadataBundle) -> bool {
-        if !self.plan.corrupt_metadata {
-            return false;
-        }
-        for p in metadata.perf.iter_mut() {
-            p.runtime_us = f64::NAN;
-            p.occupancy = -1.0;
-        }
-        true
-    }
-
-    /// Group indices whose codegen must be rejected.
-    pub fn reject_groups(&self) -> &BTreeSet<usize> {
-        &self.plan.reject_groups
-    }
-
-    /// Group indices whose codegen must panic.
-    pub fn panic_groups(&self) -> &BTreeSet<usize> {
-        &self.plan.panic_groups
-    }
-
-    /// Group indices whose tuned fusion attempt alone must be rejected.
-    pub fn reject_tuned_groups(&self) -> &BTreeSet<usize> {
-        &self.plan.reject_tuned_groups
-    }
-
-    /// Evaluation indices whose objective evaluation must panic.
-    pub fn poison_evaluations(&self) -> &BTreeSet<u64> {
-        &self.plan.poison_evaluations
-    }
-
-    /// Should verification trap?
-    pub fn interpreter_trap(&self) -> bool {
-        self.plan.interpreter_trap
-    }
-
-    /// Seed for the injected measurement-noise model, if any.
-    pub fn noise_seed(&self) -> Option<u64> {
-        self.plan.noise_seed
-    }
-
-    /// Profiling repetitions to fail transiently per profiling invocation.
-    pub fn rep_failures(&self) -> u32 {
-        self.plan.rep_failures
-    }
-
-    /// Faults to arm the plan-cache store with (consumed by the batch
-    /// driver / fuzz oracle when they open a store, not by the pipeline).
-    pub fn cache_faults(&self) -> sf_cache::CacheFaults {
-        self.plan.cache
-    }
-
-    /// Faults to arm the supervised island search with.
-    pub fn island_faults(&self) -> &sf_search::IslandFaults {
-        &self.plan.islands
     }
 }
 
@@ -339,24 +251,5 @@ mod tests {
                 prop_assert!(p.islands.kill_at_epoch.is_none_or(|e| e < 4));
             }
         }
-    }
-
-    #[test]
-    fn profiler_failures_are_consumed() {
-        let inj = FaultInjector::new(FaultPlan {
-            profiler_failures: 2,
-            ..FaultPlan::default()
-        });
-        assert!(inj.take_profiler_failure());
-        assert!(inj.take_profiler_failure());
-        assert!(!inj.take_profiler_failure());
-    }
-
-    #[test]
-    fn inactive_injects_nothing() {
-        let inj = FaultInjector::inactive();
-        assert!(!inj.take_profiler_failure());
-        assert!(!inj.interpreter_trap());
-        assert!(inj.plan().is_empty());
     }
 }

@@ -39,6 +39,7 @@
 //! ```
 
 pub mod batch;
+pub mod cli;
 pub mod config;
 pub mod error;
 pub mod faults;
@@ -52,7 +53,7 @@ pub use batch::{
 };
 pub use config::{DegradePolicy, PipelineConfig, Stage};
 pub use error::{ErrorKind, PipelineError, Recoverability};
-pub use faults::{FaultInjector, FaultPlan};
+pub use faults::FaultPlan;
 pub use pipeline::{Interventions, Pipeline, TransformResult};
 pub use report::{Degradation, StageReport};
 pub use shutdown::{

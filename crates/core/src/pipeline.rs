@@ -16,7 +16,7 @@
 
 use crate::config::{DegradePolicy, PipelineConfig, Stage};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
-use crate::faults::FaultInjector;
+use crate::faults::FaultPlan;
 use crate::report::StageReport;
 use crate::verify::{verify_equivalence_governed, Verification, VerifyFailure};
 use sf_core::{ResourceGovernor, ResourceKind};
@@ -28,6 +28,7 @@ use sf_codegen::{
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_gpusim::robust::{RobustProfile, RobustProfiler};
+use sf_gpusim::Interpreter;
 use sf_graphs::build::all_accesses_with_allocs;
 use sf_graphs::{dot, Ddg, Oeg};
 use sf_minicuda::host::ExecutablePlan;
@@ -36,6 +37,7 @@ use sf_search::{
     raise_plan, search_islands, IslandOptions, IslandSearchResult, SearchConfig, SearchResult,
     SearchSpace,
 };
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// An intervention hook amending one stage artifact in place.
@@ -232,7 +234,10 @@ struct Run<'a> {
     plan: &'a ExecutablePlan,
     cfg: &'a PipelineConfig,
     hooks: &'a Interventions<'a>,
-    injector: FaultInjector,
+    faults: FaultPlan,
+    /// Injected transient profiler failures still to fire; each profiler
+    /// invocation consumes one, so bounded retry eventually succeeds.
+    profiler_failures_left: Cell<u32>,
     /// One request-scoped child of the process-wide governor per run.
     /// Every size this run is about to commit to is checked *before* the
     /// corresponding stage allocates or recurses, so a compile bomb
@@ -267,7 +272,7 @@ struct Run<'a> {
 impl<'a> Run<'a> {
     fn new(pipeline: &'a Pipeline, hooks: &'a Interventions<'a>) -> Run<'a> {
         let cfg = &pipeline.config;
-        let injector = FaultInjector::new(cfg.faults.clone().unwrap_or_default());
+        let faults = cfg.faults.clone().unwrap_or_default();
         let profiler = if cfg.functional_profile {
             Profiler::new(cfg.device.clone())
         } else {
@@ -278,15 +283,16 @@ impl<'a> Run<'a> {
             cfg.profile_reps,
             cfg.noise
                 .clone()
-                .or_else(|| injector.noise_seed().map(NoiseModel::standard)),
+                .or_else(|| faults.noise_seed.map(NoiseModel::standard)),
         )
-        .with_forced_transients(injector.rep_failures());
+        .with_forced_transients(faults.rep_failures);
         Run {
             program: &pipeline.program,
             plan: &pipeline.plan,
             cfg,
             hooks,
-            injector,
+            profiler_failures_left: Cell::new(faults.profiler_failures),
+            faults,
             governor: ResourceGovernor::process().child(cfg.budget),
             robust,
             reports: Vec::new(),
@@ -385,11 +391,35 @@ impl<'a> Run<'a> {
 
     /// Admission: record a size this run is about to commit to, or reject
     /// the run — nothing has been built yet that a lower rung could keep.
+    /// A level kind records its peak; a balance (interpreter steps) is
+    /// charged, so the runs that follow draw on what is left.
     fn admit(&self, stage: Stage, kind: ResourceKind, n: u64) -> Result<(), PipelineError> {
-        self.governor.record_peak(kind, n).map_err(|e| PipelineError {
+        let admitted = if kind.is_level() {
+            self.governor.record_peak(kind, n)
+        } else {
+            self.governor.charge(kind, n)
+        };
+        admitted.map_err(|e| PipelineError {
             class: Recoverability::Fatal,
             ..PipelineError::from(e).at(stage)
         })
+    }
+
+    /// The interpreter steps profiling `plan` executes: its static count
+    /// under a functional profile, none under an analytic one.
+    fn profile_steps(&self, plan: &ExecutablePlan) -> u64 {
+        if self.cfg.functional_profile {
+            Interpreter::plan_steps(plan)
+        } else {
+            0
+        }
+    }
+
+    /// Should the next profiler invocation fail by injection?
+    fn take_profiler_failure(&self) -> bool {
+        let left = self.profiler_failures_left.get();
+        self.profiler_failures_left.set(left.saturating_sub(1));
+        left > 0
     }
 
     /// Profile with bounded retry for transient failures (including injected
@@ -412,7 +442,7 @@ impl<'a> Run<'a> {
         };
         let outcome = policy.run(
             |_| {
-                let injected = self.injector.take_profiler_failure();
+                let injected = self.take_profiler_failure();
                 let result = if injected {
                     Err(ProfileError::transient("injected transient profiler failure"))
                 } else {
@@ -489,6 +519,12 @@ impl<'a> Run<'a> {
                 }
             }
             None => {
+                // Profiling executes the program, and its step count is
+                // static: a grid no budget could finish is turned away
+                // here rather than discovered by running it. (A preloaded
+                // bundle, the other arm, executes nothing.)
+                let steps = self.profile_steps(plan);
+                self.admit(r.stage, ResourceKind::InterpreterSteps, steps)?;
                 let profile = || self.robust.profile_with_plan(program, plan);
                 let Some(rp) = self.profile(r, "no profile available", profile)? else {
                     return Ok(Next::KeepOriginal);
@@ -518,7 +554,7 @@ impl<'a> Run<'a> {
         if let Some(f) = &self.hooks.amend_metadata {
             f(&mut metadata);
         }
-        let corrupted_by_injection = self.injector.corrupt_metadata(&mut metadata);
+        let corrupted_by_injection = self.faults.corrupt(&mut metadata);
         if let Err(why) = validate_metadata(&metadata, plan.launches.len()) {
             let kind = if corrupted_by_injection {
                 ErrorKind::Injected(why.clone())
@@ -814,8 +850,8 @@ impl<'a> Run<'a> {
         // One driver for every run: `islands = 1` is the classic serial
         // GGA, under the same supervision, budgets and checkpointing.
         let opts = IslandOptions {
-            poison: self.injector.poison_evaluations().clone(),
-            faults: self.injector.island_faults().clone(),
+            poison: self.faults.poison_evaluations.clone(),
+            faults: self.faults.islands.clone(),
             checkpoint_path: cfg.checkpoint_path.clone(),
             resume_path: cfg.resume_path.clone(),
             seeds,
@@ -917,9 +953,9 @@ impl<'a> Run<'a> {
     // ---------------- stage 6: codegen ----------------
     fn codegen(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
         let cg_faults = CodegenFaults {
-            reject_groups: self.injector.reject_groups().clone(),
-            panic_groups: self.injector.panic_groups().clone(),
-            reject_tuned_groups: self.injector.reject_tuned_groups().clone(),
+            reject_groups: self.faults.reject_groups.clone(),
+            panic_groups: self.faults.panic_groups.clone(),
+            reject_tuned_groups: self.faults.reject_tuned_groups.clone(),
         };
         let transform =
             match transform_program_with(self.program, self.plan, made(&self.tplan), &cg_faults) {
@@ -947,8 +983,23 @@ impl<'a> Run<'a> {
             )?;
         }
 
+        // The re-profile executes the transformed program, so its steps are
+        // charged first; a budget the stage-1 profile left too little of
+        // keeps the original, as an exhausted verification does.
+        let tplan = ExecutablePlan::from_program(&transform.program)
+            .map_err(|e| ProfileError::msg(e.to_string()));
+        let steps = tplan.as_ref().map_or(0, |tplan| self.profile_steps(tplan));
+        if let Err(e) = self.governor.charge(ResourceKind::InterpreterSteps, steps) {
+            let why = e.to_string();
+            let err = PipelineError::from(e).at(Stage::Codegen);
+            return self.fall_back_to_original(r, err, "re-profile budget exhausted", why);
+        }
+        let reprofile = || {
+            let tplan = tplan.as_ref().map_err(ProfileError::clone)?;
+            self.robust.profile_with_plan(&transform.program, tplan)
+        };
         let what = "transformed program could not be profiled";
-        let Some(rp) = self.profile(r, what, || self.robust.profile(&transform.program))? else {
+        let Some(rp) = self.profile(r, what, reprofile)? else {
             return Ok(Next::KeepOriginal);
         };
         if self.robust.is_active() && rp.transient_failures > 0 {
@@ -1017,15 +1068,16 @@ impl<'a> Run<'a> {
 
     /// Check the transformed program's output against the original's. The
     /// governed verifier charges both memory images as accounted heap bytes
-    /// before materializing either, and both interpreter runs draw from the
-    /// scope's step budget — a hostile program can neither OOM nor hang the
-    /// verification. `Ok(None)` is a keep-original rung, recorded in `r`.
+    /// before materializing either, and both interpreter runs draw from what
+    /// the two profiles left of the scope's step budget — a hostile program
+    /// can neither OOM nor hang the verification. `Ok(None)` is a
+    /// keep-original rung, recorded in `r`.
     fn verify(
         &self,
         r: &mut StageReport,
         transformed: &Program,
     ) -> Result<Option<Verification>, PipelineError> {
-        let trapped = self.injector.interpreter_trap();
+        let trapped = self.faults.interpreter_trap;
         let outcome = if trapped {
             Err(VerifyFailure::Failed(
                 "injected interpreter trap during verification".to_string(),
@@ -1456,6 +1508,41 @@ void host() {
             print_program(&base.program),
             print_program(&governed.program),
             "service limits must not change a legitimate transform"
+        );
+    }
+
+    #[test]
+    fn injected_profiler_failures_are_consumed() {
+        let p = parse_program(APP).unwrap();
+        let faults = FaultPlan {
+            profiler_failures: 2,
+            ..FaultPlan::default()
+        };
+        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults);
+        let pipeline = Pipeline::new(p, cfg).unwrap();
+        let hooks = Interventions::default();
+        let run = Run::new(&pipeline, &hooks);
+        assert!(run.take_profiler_failure());
+        assert!(run.take_profiler_failure());
+        assert!(!run.take_profiler_failure());
+    }
+
+    #[test]
+    fn a_run_without_a_fault_plan_injects_nothing() {
+        let p = parse_program(APP).unwrap();
+        let pipeline = Pipeline::new(p, PipelineConfig::quick(DeviceSpec::k20x())).unwrap();
+        let hooks = Interventions::default();
+        let run = Run::new(&pipeline, &hooks);
+        assert!(run.faults.is_empty());
+        assert!(!run.take_profiler_failure());
+        assert!(!run.faults.interpreter_trap);
+        assert!(!run.robust.is_active(), "no injected noise or rep failures");
+        let mut metadata = pipeline.run().unwrap().metadata.unwrap();
+        let pristine = metadata.clone();
+        assert!(!run.faults.corrupt(&mut metadata));
+        assert_eq!(
+            serde_json::to_string(&metadata).unwrap(),
+            serde_json::to_string(&pristine).unwrap()
         );
     }
 

@@ -333,3 +333,93 @@ fn cache_dir_serves_recovers_and_degrades() {
     assert!(stderr.contains("sfc: cannot open cache"), "{stderr}");
     assert_eq!(uncached, cold);
 }
+
+/// One precedence rule: the preset (`--quick`) < the parameter file
+/// (`--params`) < explicit flags, wherever on the command line each sits.
+/// The `--islands` case ran the file's one island before the front end
+/// had a single config builder.
+#[test]
+fn explicit_flags_override_the_parameter_file_which_overrides_quick() {
+    let input = tmp("demo_precedence.cu");
+    std::fs::write(&input, DEMO).unwrap();
+    // The default parameter file with a budget neither preset has.
+    let params = tmp("demo_precedence_ga.json");
+    let file = sf_search::SearchConfig {
+        generations: 7,
+        stagnation_window: 0,
+        max_temporal: 2,
+        ..sf_search::SearchConfig::default()
+    };
+    std::fs::write(&params, serde_json::to_string_pretty(&file).unwrap()).unwrap();
+    // The report names the islands and generations that ran; the search
+    // checkpoint's fingerprint renders the whole resolved `SearchConfig`.
+    let ckpt = tmp("demo_precedence.ckpt");
+    let resolved = |flags: &[&str]| {
+        let out = sfc()
+            .args([input.to_str().unwrap(), "--until", "search", "--report", "-o", "/dev/null"])
+            .args(["--checkpoint", ckpt.to_str().unwrap()])
+            .args(flags)
+            .output()
+            .expect("sfc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+        stderr + &std::fs::read_to_string(&ckpt).expect("a checkpoint was written")
+    };
+    let params = params.to_str().unwrap();
+
+    // --params alone still overrides --quick's search budget.
+    let seen = resolved(&["--quick", "--params", params]);
+    assert!(seen.contains("GGA ran 7 generations"), "{seen}");
+    assert!(seen.contains("search: 1 island(s)"), "{seen}");
+    assert!(seen.contains("population: 100, generations: 7,"), "{seen}");
+    assert!(seen.contains("max_temporal: 2 }"), "{seen}");
+
+    // Explicit flags win over the file, before or after it.
+    for flags in [
+        ["--quick", "--islands", "3", "--params", params],
+        ["--quick", "--params", params, "--islands", "3"],
+    ] {
+        let seen = resolved(&flags);
+        assert!(seen.contains("search: 3 island(s)"), "{flags:?}: {seen}");
+        assert!(seen.contains("GGA ran 7 generations"), "{flags:?}: {seen}");
+    }
+    let seen = resolved(&["--max-temporal", "4", "--no-fission", "--params", params]);
+    assert!(seen.contains("max_temporal: 4 }"), "{seen}");
+    assert!(seen.contains("p_fission: 0.0, p_defission: 0.0,"), "{seen}");
+    assert!(seen.contains("generations: 7,"), "{seen}");
+}
+
+/// Front-end validation says the same thing for every flag of a kind, and
+/// says it before the input is read.
+#[test]
+fn zero_counts_extra_inputs_and_bad_sizes_are_usage_errors() {
+    for (args, complaint) in [
+        (&["never-read.cu", "--profile-reps", "0"][..], "sfc: repetition count must be at least 1\n"),
+        (&["never-read.cu", "--islands", "0"], "sfc: island count must be at least 1\n"),
+        (&["a.cu", "--quick", "b.cu"], "sfc: takes one input file, got `a.cu` and `b.cu`\n"),
+        (
+            &["never-read.cu", "--mem-budget", "12Q"],
+            "sfc: bad memory budget `12Q` (digits with optional K/M/G)\n",
+        ),
+        (&["never-read.cu", "--device"], "sfc: missing value for --device\n"),
+    ] {
+        let out = sfc().args(args).output().expect("sfc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(complaint), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: sfc INPUT.cu"), "{args:?}: {stderr}");
+    }
+}
+
+/// `--help` is generated from the option tables: it exits 0 before an
+/// input is required and documents every flag.
+#[test]
+fn help_lists_every_flag_and_the_precedence_rule() {
+    let out = sfc().args(["--help", "--no-such-flag"]).output().expect("sfc runs");
+    assert_eq!(out.status.code(), Some(0));
+    let help = String::from_utf8_lossy(&out.stdout);
+    for flag in ["-o FILE", "--params FILE", "--islands N", "--mem-budget SIZE", "--strict"] {
+        assert!(help.contains(&format!("\n  {flag}")), "{flag}: {help}");
+    }
+    assert!(help.contains("the preset (--quick) < the parameter file"), "{help}");
+}

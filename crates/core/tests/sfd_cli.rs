@@ -46,3 +46,41 @@ fn out_of_range_numeric_flags_are_usage_errors() {
     assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
     let _ = std::fs::remove_dir_all(&store);
 }
+
+/// Every flag is checked where it is parsed, in the words `sfc` uses: a
+/// zero count is not clamped, a size error keeps the suffix hint, and a
+/// `--device` is resolved even when no input follows it (it used to be
+/// looked up only when an input needed it, so a misspelt trailing one
+/// exited 0).
+#[test]
+fn zero_jobs_bad_sizes_and_unused_device_names_are_usage_errors() {
+    let store = std::env::temp_dir().join(format!("sfd-cli-devices-{}", std::process::id()));
+    for (args, complaint) in [
+        (&["--jobs", "0", "never-read.cu"][..], "sfd: job count must be at least 1\n"),
+        (
+            &["--mem-budget", "12Q", "never-read.cu"],
+            "sfd: bad memory budget `12Q` (digits with optional K/M/G)\n",
+        ),
+        (
+            &["--cache-quota", "lots", "never-read.cu"],
+            "sfd: bad cache quota `lots` (digits with optional K/M/G)\n",
+        ),
+        (
+            &["never-read.cu", "--device", "nosuch"],
+            "sfd: unknown device `nosuch` (available: k20x, k40, hawaii, v100)\n",
+        ),
+        (&["--verify-store", "--device", "nosuch"], "sfd: unknown device `nosuch`"),
+        (&["never-read.cu", "--device"], "sfd: missing value for --device\n"),
+    ] {
+        let run = Command::new(env!("CARGO_BIN_EXE_sfd"))
+            .arg("--cache-dir")
+            .arg(&store)
+            .args(args)
+            .output()
+            .expect("sfd runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(complaint), "{args:?}: {stderr}");
+    }
+    assert!(!store.exists(), "nothing was opened on a usage error");
+}

@@ -8,7 +8,10 @@
 //! and asserts the contract:
 //!
 //! - a bomb fails with [`ErrorKind::ResourceExhausted`] naming the exact
-//!   budget it tripped (never an OOM, a hang, or an unstructured error);
+//!   budget it tripped (never an OOM, a hang, or an unstructured error) —
+//!   and fails *fast*: every archetype is turned away from a static count
+//!   (chain depth, trace length, cells, launch geometry), not by running
+//!   it until a budget is gone;
 //! - a degenerate-but-legal program (the 1-cell domain) runs to completion.
 //!
 //! `sf-fuzz --hostile` drives every archetype; `sf-fuzz --emit-hostile N`
@@ -16,7 +19,7 @@
 //! assert the resource exit code (10) end to end.
 
 use sf_core::ResourceKind;
-use sf_minicuda::ast::{Kernel, Program};
+use sf_minicuda::ast::{Dim3Expr, HostStmt, Kernel, Program};
 use sf_minicuda::builder as b;
 use sf_minicuda::printer::print_program;
 use stencilfuse::{ErrorKind, Pipeline};
@@ -36,6 +39,12 @@ pub enum Archetype {
     /// footprint must be rejected at admission, before the profiler or
     /// verifier would try to materialize it.
     HugeDomain,
+    /// 64 cells of data under a 65535 × 65535 grid of 32 × 32 blocks:
+    /// 8.8·10¹² guarded threads, all but 128 of them idle. No array is
+    /// large and nothing is deep, so only the interpreter-step budget can
+    /// turn it away — at admission, from the launch geometry, before the
+    /// functional profile would spend hours executing it.
+    HugeGrid,
     /// The opposite pole: a degenerate 1×1×1 domain. Legal, tiny, and the
     /// pipeline must *survive* it (no division-by-zero, no empty-domain
     /// panic) — rejecting it would be a governor false positive.
@@ -43,10 +52,11 @@ pub enum Archetype {
 }
 
 /// Every archetype, in the order `--hostile` checks them.
-pub const ARCHETYPES: [Archetype; 4] = [
+pub const ARCHETYPES: [Archetype; 5] = [
     Archetype::DeepChain,
     Archetype::ThousandLaunches,
     Archetype::HugeDomain,
+    Archetype::HugeGrid,
     Archetype::OneCellDomain,
 ];
 
@@ -57,6 +67,7 @@ impl Archetype {
             Archetype::DeepChain => "deep-chain",
             Archetype::ThousandLaunches => "thousand-launches",
             Archetype::HugeDomain => "huge-domain",
+            Archetype::HugeGrid => "huge-grid",
             Archetype::OneCellDomain => "one-cell-domain",
         }
     }
@@ -73,6 +84,7 @@ impl Archetype {
             Archetype::DeepChain => Some(ResourceKind::PrecedenceDepth),
             Archetype::ThousandLaunches => Some(ResourceKind::Launches),
             Archetype::HugeDomain => Some(ResourceKind::DomainCells),
+            Archetype::HugeGrid => Some(ResourceKind::InterpreterSteps),
             Archetype::OneCellDomain => None,
         }
     }
@@ -153,6 +165,25 @@ pub fn program(archetype: Archetype) -> Program {
                 (65_536, 65_536, 1),
                 (16, 8),
             );
+            Program { kernels, host }
+        }
+        Archetype::HugeGrid => {
+            let kernels = vec![
+                chain_kernel("fill", "a", "b"),
+                chain_kernel("relax", "b", "c"),
+            ];
+            let mut host = b::simple_host(
+                &["a", "b", "c"],
+                &[("fill", vec!["a", "b"]), ("relax", vec!["b", "c"])],
+                (8, 8, 1),
+                (32, 32),
+            );
+            // The domain needs one block; launch the largest 2-D grid.
+            for stmt in &mut host {
+                if let HostStmt::Launch { grid, .. } = stmt {
+                    *grid = Dim3Expr::literal(65_535, 65_535, 1);
+                }
+            }
             Program { kernels, host }
         }
         Archetype::OneCellDomain => {
@@ -252,6 +283,11 @@ mod tests {
         for a in ARCHETYPES {
             check(a).unwrap_or_else(|detail| panic!("{detail}"));
         }
+        // The grid bomb is turned away from its geometry, not by running
+        // it until the budget is gone.
+        let started = std::time::Instant::now();
+        check(Archetype::HugeGrid).expect("rejected");
+        assert!(started.elapsed().as_secs() < 5, "huge-grid took {:?}", started.elapsed());
     }
 
     #[test]

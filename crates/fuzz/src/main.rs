@@ -14,69 +14,60 @@
 //! written / soak violation / hostile contract broken), 2 = usage error.
 
 use sf_fuzz::{fuzz_seed_with, Archetype, GenConfig, OracleOptions, SoakConfig, ARCHETYPES};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
+use stencilfuse::cli::{self, Opt, Parsed};
 
-struct Args {
-    seeds: Vec<u64>,
-    repro_dir: PathBuf,
-    max_wall_secs: u64,
-    noise: bool,
-    cache: bool,
-    islands: bool,
-    devices: bool,
-    temporal: bool,
-    hostile: bool,
-    emit_hostile: Option<Archetype>,
-    soak: bool,
-    soak_rounds: usize,
-    soak_dir: Option<PathBuf>,
+stencilfuse::option_table! {
+    /// Every flag of `sf-fuzz`.
+    FUZZ {
+        SEED = Opt::valued("--seed", "N", "seed",
+            "check seed N (repeatable; the first one seeds --soak)");
+        SEED_RANGE = Opt::valued("--seed-range", "A..B", "range",
+            "check every seed of the half-open range A..B");
+        REPRO_DIR = Opt::valued("--repro-dir", "DIR", "reproducer directory",
+            "write shrunk reproducers here (default tests/repros)");
+        MAX_WALL_SECS = Opt::valued("--max-wall-secs", "S", "duration",
+            "stop starting new seeds (or soak rounds) after S seconds");
+        NOISE = Opt::switch("--noise", "add the noisy-profiling checks");
+        CACHE = Opt::switch("--cache", "add the plan-cache checks (seeded store faults)");
+        ISLANDS = Opt::switch("--islands", "add the island-search checks (faults, kill/resume)");
+        DEVICES = Opt::switch("--devices", "add the cross-device replay/port checks");
+        TEMPORAL = Opt::switch("--temporal",
+            "fuzz the time-loop corpus with the temporal-blocking checks");
+        HOSTILE = Opt::switch("--hostile",
+            "check every compile-bomb archetype's contract and exit");
+        EMIT_HOSTILE = Opt::valued("--emit-hostile", "ARCHETYPE", "archetype",
+            "print one archetype's source and exit; one of: deep-chain,\n\
+             thousand-launches, huge-domain, huge-grid, one-cell-domain");
+        SOAK = Opt::switch("--soak", "run the seeded chaos soak over the batch driver");
+        SOAK_ROUNDS = Opt::valued("--soak-rounds", "R", "round count", "soak for at most R rounds");
+        SOAK_DIR = Opt::valued("--soak-dir", "DIR", "soak directory",
+            "keep the soak's store here (default: a temp dir, removed on success)");
+    }
 }
+const TABLES: &[&[Opt]] = &[FUZZ];
 
-fn usage(err: &str) -> ExitCode {
+const SYNOPSIS: &str = "sf-fuzz [--seed N]... [--seed-range A..B] [--repro-dir DIR] \
+[--max-wall-secs S] [--noise] [--cache] [--islands] [--devices] [--temporal]
+     | sf-fuzz --hostile
+     | sf-fuzz --emit-hostile ARCHETYPE
+     | sf-fuzz --soak [--seed N] [--soak-rounds R] [--soak-dir DIR] [--max-wall-secs S]";
+
+fn usage_error(err: &str) -> ExitCode {
     eprintln!("error: {err}");
-    eprintln!(
-        "usage: sf-fuzz [--seed N]... [--seed-range A..B] \
-         [--repro-dir DIR] [--max-wall-secs S] [--noise] [--cache] [--islands] [--devices] [--temporal]\n\
-       | sf-fuzz --hostile\n\
-       | sf-fuzz --emit-hostile ARCHETYPE   (one of: deep-chain, thousand-launches, huge-domain, one-cell-domain)\n\
-       | sf-fuzz --soak [--seed N] [--soak-rounds R] [--soak-dir DIR] [--max-wall-secs S]"
-    );
+    eprint!("{}", cli::usage(SYNOPSIS, TABLES, ""));
     ExitCode::from(2)
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        seeds: Vec::new(),
-        repro_dir: PathBuf::from("tests/repros"),
-        max_wall_secs: 0,
-        noise: false,
-        cache: false,
-        islands: false,
-        devices: false,
-        temporal: false,
-        hostile: false,
-        emit_hostile: None,
-        soak: false,
-        soak_rounds: 0,
-        soak_dir: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--seed" => {
-                let v = value("--seed")?;
-                args.seeds
-                    .push(v.parse().map_err(|_| format!("bad seed `{v}`"))?);
-            }
-            "--seed-range" => {
-                let v = value("--seed-range")?;
+/// The seeds the command line names, in command-line order.
+fn seeds(args: &Parsed) -> Result<Vec<u64>, String> {
+    let mut seeds = Vec::new();
+    for (opt, v) in args.iter() {
+        match opt {
+            Some(opt) if *opt == SEED => seeds.push(SEED.parse(v)?),
+            Some(opt) if *opt == SEED_RANGE => {
                 let (a, b) = v
                     .split_once("..")
                     .ok_or_else(|| format!("bad range `{v}` (want A..B)"))?;
@@ -85,38 +76,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if a >= b {
                     return Err(format!("empty range `{v}`"));
                 }
-                args.seeds.extend(a..b);
+                seeds.extend(a..b);
             }
-            "--noise" => args.noise = true,
-            "--cache" => args.cache = true,
-            "--islands" => args.islands = true,
-            "--devices" => args.devices = true,
-            "--temporal" => args.temporal = true,
-            "--repro-dir" => args.repro_dir = PathBuf::from(value("--repro-dir")?),
-            "--max-wall-secs" => {
-                let v = value("--max-wall-secs")?;
-                args.max_wall_secs = v.parse().map_err(|_| format!("bad duration `{v}`"))?;
-            }
-            "--hostile" => args.hostile = true,
-            "--emit-hostile" => {
-                let v = value("--emit-hostile")?;
-                args.emit_hostile = Some(
-                    Archetype::from_name(&v).ok_or_else(|| format!("unknown archetype `{v}`"))?,
-                );
-            }
-            "--soak" => args.soak = true,
-            "--soak-rounds" => {
-                let v = value("--soak-rounds")?;
-                args.soak_rounds = v.parse().map_err(|_| format!("bad round count `{v}`"))?;
-            }
-            "--soak-dir" => args.soak_dir = Some(PathBuf::from(value("--soak-dir")?)),
-            other => return Err(format!("unknown flag `{other}`")),
+            Some(_) => {}
+            None => return Err(format!("unknown argument `{v}`")),
         }
     }
-    if args.seeds.is_empty() && !args.hostile && args.emit_hostile.is_none() && !args.soak {
-        return Err("no seeds given (use --seed or --seed-range)".into());
-    }
-    Ok(args)
+    Ok(seeds)
 }
 
 /// `--hostile`: run every archetype's contract check under the service
@@ -145,18 +111,18 @@ fn run_hostile() -> ExitCode {
 
 /// `--soak`: run the seeded chaos soak and report the outcome. The soak
 /// directory is kept on failure (CI uploads it as the evidence artifact).
-fn run_soak_cli(args: &Args) -> ExitCode {
-    let seed = args.seeds.first().copied().unwrap_or(1);
+fn run_soak_cli(seed: u64, rounds: usize, max_wall_secs: u64, soak_dir: Option<&str>) -> ExitCode {
     // An explicit --soak-dir is kept even on success (CI verifies the
     // store afterwards and uploads it on failure); the temp-dir default
     // is cleaned up on success.
-    let explicit_dir = args.soak_dir.is_some();
-    let dir = args.soak_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("sf-soak-{}", std::process::id()))
-    });
+    let explicit_dir = soak_dir.is_some();
+    let dir = soak_dir.map_or_else(
+        || std::env::temp_dir().join(format!("sf-soak-{}", std::process::id())),
+        PathBuf::from,
+    );
     let mut cfg = SoakConfig::new(seed, dir.clone());
-    cfg.rounds = args.soak_rounds;
-    cfg.max_wall_secs = args.max_wall_secs;
+    cfg.rounds = rounds;
+    cfg.max_wall_secs = max_wall_secs;
     match sf_fuzz::run_soak(&cfg) {
         Ok(report) => {
             println!("sf-fuzz: soak clean (seed {seed}): {}", report.summary());
@@ -182,47 +148,57 @@ fn run_soak_cli(args: &Args) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(e) => return usage(&e),
-    };
+/// Everything the command line asks for; an `Err` is a usage error, and
+/// every value is checked before any mode starts.
+fn run(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = cli::parse(argv, TABLES)?;
+    let seeds = seeds(&args)?;
+    let max_wall_secs: u64 = args.number(&MAX_WALL_SECS)?.unwrap_or(0);
+    let soak_rounds = args.number(&SOAK_ROUNDS)?.unwrap_or(0);
+    let emit_hostile = args
+        .value(&EMIT_HOSTILE)
+        .map(|v| Archetype::from_name(v).ok_or_else(|| format!("unknown archetype `{v}`")))
+        .transpose()?;
 
-    if let Some(archetype) = args.emit_hostile {
+    if let Some(archetype) = emit_hostile {
         print!("{}", sf_fuzz::hostile::source(archetype));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    if args.hostile {
-        return run_hostile();
+    if args.has(&HOSTILE) {
+        return Ok(run_hostile());
     }
-    if args.soak {
-        return run_soak_cli(&args);
+    if args.has(&SOAK) {
+        let seed = seeds.first().copied().unwrap_or(1);
+        return Ok(run_soak_cli(seed, soak_rounds, max_wall_secs, args.value(&SOAK_DIR)));
     }
+    if seeds.is_empty() {
+        return Err("no seeds given (use --seed or --seed-range)".into());
+    }
+    let repro_dir = Path::new(args.value(&REPRO_DIR).unwrap_or("tests/repros"));
 
     // `--temporal` switches both the corpus (every program carries a host
     // time loop) and the oracle (the `temporal-*` checks).
-    let cfg = if args.temporal {
+    let cfg = if args.has(&TEMPORAL) {
         GenConfig::temporal()
     } else {
         GenConfig::default()
     };
     let opts = OracleOptions {
-        noise: args.noise,
-        cache: args.cache,
-        islands: args.islands,
-        devices: args.devices,
-        temporal: args.temporal,
+        noise: args.has(&NOISE),
+        cache: args.has(&CACHE),
+        islands: args.has(&ISLANDS),
+        devices: args.has(&DEVICES),
+        temporal: args.has(&TEMPORAL),
     };
     let start = Instant::now();
     let mut checked = 0usize;
     let mut failures = 0usize;
     let mut capped = false;
-    for &seed in &args.seeds {
+    for &seed in &seeds {
         // The wall cap stops *launching* new seeds; a seed in flight always
         // finishes, so the corpus prefix that did run is deterministic
         // per seed even under the cap.
-        if args.max_wall_secs > 0 && start.elapsed().as_secs() >= args.max_wall_secs {
+        if max_wall_secs > 0 && start.elapsed().as_secs() >= max_wall_secs {
             capped = true;
             break;
         }
@@ -233,7 +209,7 @@ fn main() -> ExitCode {
         failures += 1;
         eprintln!("seed {seed}: FAIL [{}] {}", failure.check, failure.detail);
         match sf_fuzz::write_repro(
-            &args.repro_dir,
+            repro_dir,
             seed,
             failure.check,
             &failure.detail,
@@ -245,7 +221,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let skipped = args.seeds.len() - checked;
+    let skipped = seeds.len() - checked;
     println!(
         "sf-fuzz: {checked} seed(s) checked, {failures} failure(s){}",
         if capped {
@@ -254,83 +230,89 @@ fn main() -> ExitCode {
             String::new()
         }
     );
-    if failures > 0 {
+    Ok(if failures > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
+}
+
+fn main() -> ExitCode {
+    run(std::env::args().skip(1).collect()).unwrap_or_else(|e| usage_error(&e))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::*;
 
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|s| s.to_string()).collect()
+    fn parse(s: &[&str]) -> Parsed {
+        cli::parse(s.iter().map(|s| s.to_string()), TABLES).unwrap()
+    }
+
+    fn run_err(s: &[&str]) -> String {
+        run(s.iter().map(|s| s.to_string()).collect()).unwrap_err()
     }
 
     #[test]
     fn parses_seeds_and_ranges() {
-        let a = parse_args(&argv(&["--seed", "7", "--seed-range", "0..3"])).unwrap();
-        assert_eq!(a.seeds, vec![7, 0, 1, 2]);
+        let a = parse(&["--seed", "7", "--seed-range", "0..3"]);
+        assert_eq!(seeds(&a).unwrap(), vec![7, 0, 1, 2]);
+        let a = parse(&["--seed-range", "0..3", "--seed", "7"]);
+        assert_eq!(seeds(&a).unwrap(), vec![0, 1, 2, 7], "command-line order");
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&argv(&[])).is_err());
-        assert!(parse_args(&argv(&["--seed"])).is_err());
-        assert!(parse_args(&argv(&["--seed-range", "5..5"])).is_err());
-        assert!(parse_args(&argv(&["--frobnicate"])).is_err());
+        assert_eq!(run_err(&[]), "no seeds given (use --seed or --seed-range)");
+        assert_eq!(run_err(&["--seed"]), "missing value for --seed");
+        assert_eq!(run_err(&["--seed", "x"]), "bad seed `x`");
+        assert_eq!(run_err(&["--seed-range", "5..5"]), "empty range `5..5`");
+        assert_eq!(run_err(&["--frobnicate"]), "unknown argument `--frobnicate`");
+        assert_eq!(run_err(&["stray"]), "unknown argument `stray`");
+        // sf-fuzz has no --help: its usage is what every error prints.
+        assert_eq!(run_err(&["--help"]), "unknown argument `--help`");
+        // A bad value is an error whichever mode would have read it.
+        assert_eq!(run_err(&["--seed", "1", "--soak-rounds", "x"]), "bad round count `x`");
+        assert_eq!(run_err(&["--hostile", "--max-wall-secs", "-1"]), "bad duration `-1`");
     }
 
     #[test]
     fn parses_noise_flag() {
-        let a = parse_args(&argv(&["--seed", "1", "--noise"])).unwrap();
-        assert!(a.noise);
-        let a = parse_args(&argv(&["--seed", "1"])).unwrap();
-        assert!(!a.noise);
+        assert!(parse(&["--seed", "1", "--noise"]).has(&NOISE));
+        assert!(!parse(&["--seed", "1"]).has(&NOISE));
     }
 
     #[test]
     fn parses_cache_flag() {
-        let a = parse_args(&argv(&["--seed", "1", "--cache"])).unwrap();
-        assert!(a.cache);
-        let a = parse_args(&argv(&["--seed", "1"])).unwrap();
-        assert!(!a.cache);
+        assert!(parse(&["--seed", "1", "--cache"]).has(&CACHE));
+        assert!(!parse(&["--seed", "1"]).has(&CACHE));
     }
 
     #[test]
     fn parses_islands_flag() {
-        let a = parse_args(&argv(&["--seed", "1", "--islands"])).unwrap();
-        assert!(a.islands);
-        let a = parse_args(&argv(&["--seed", "1"])).unwrap();
-        assert!(!a.islands);
+        assert!(parse(&["--seed", "1", "--islands"]).has(&ISLANDS));
+        assert!(!parse(&["--seed", "1"]).has(&ISLANDS));
     }
 
     #[test]
     fn parses_devices_flag() {
-        let a = parse_args(&argv(&["--seed", "1", "--devices"])).unwrap();
-        assert!(a.devices);
-        let a = parse_args(&argv(&["--seed", "1"])).unwrap();
-        assert!(!a.devices);
+        assert!(parse(&["--seed", "1", "--devices"]).has(&DEVICES));
+        assert!(!parse(&["--seed", "1"]).has(&DEVICES));
     }
 
     #[test]
     fn parses_temporal_flag() {
-        let a = parse_args(&argv(&["--seed", "1", "--temporal"])).unwrap();
-        assert!(a.temporal);
-        let a = parse_args(&argv(&["--seed", "1"])).unwrap();
-        assert!(!a.temporal);
+        assert!(parse(&["--seed", "1", "--temporal"]).has(&TEMPORAL));
+        assert!(!parse(&["--seed", "1"]).has(&TEMPORAL));
     }
 
     #[test]
     fn parses_hostile_and_soak_modes() {
-        let a = parse_args(&argv(&["--hostile"])).unwrap();
-        assert!(a.hostile);
-        let a = parse_args(&argv(&["--emit-hostile", "deep-chain"])).unwrap();
-        assert_eq!(a.emit_hostile, Some(sf_fuzz::Archetype::DeepChain));
-        assert!(parse_args(&argv(&["--emit-hostile", "nope"])).is_err());
-        let a = parse_args(&argv(&[
+        assert!(parse(&["--hostile"]).has(&HOSTILE));
+        let a = parse(&["--emit-hostile", "deep-chain"]);
+        assert_eq!(a.value(&EMIT_HOSTILE).and_then(Archetype::from_name), Some(Archetype::DeepChain));
+        assert_eq!(run_err(&["--emit-hostile", "nope"]), "unknown archetype `nope`");
+        let a = parse(&[
             "--soak",
             "--seed",
             "9",
@@ -340,27 +322,51 @@ mod tests {
             "/tmp/soak",
             "--max-wall-secs",
             "300",
-        ]))
-        .unwrap();
-        assert!(a.soak);
-        assert_eq!(a.soak_rounds, 4);
-        assert_eq!(a.soak_dir, Some(std::path::PathBuf::from("/tmp/soak")));
+        ]);
+        assert!(a.has(&SOAK));
+        assert_eq!(a.number::<usize>(&SOAK_ROUNDS), Ok(Some(4)));
+        assert_eq!(a.value(&SOAK_DIR), Some("/tmp/soak"));
         // The soak/hostile modes do not require seeds.
-        assert!(parse_args(&argv(&["--soak"])).is_ok());
+        assert_eq!(seeds(&parse(&["--soak"])), Ok(vec![]));
     }
 
     #[test]
     fn parses_cap_and_dir() {
-        let a = parse_args(&argv(&[
+        let a = parse(&["--seed", "1", "--repro-dir", "/tmp/x", "--max-wall-secs", "60"]);
+        assert_eq!(a.number::<u64>(&MAX_WALL_SECS), Ok(Some(60)));
+        assert_eq!(a.value(&REPRO_DIR), Some("/tmp/x"));
+    }
+
+    /// The accepted flag set is the parent's, every flag is documented in
+    /// the generated usage, and every flag parses with a sample value.
+    #[test]
+    fn the_option_table_is_the_whole_surface() {
+        let parent = [
             "--seed",
-            "1",
+            "--seed-range",
             "--repro-dir",
-            "/tmp/x",
             "--max-wall-secs",
-            "60",
-        ]))
-        .unwrap();
-        assert_eq!(a.max_wall_secs, 60);
-        assert_eq!(a.repro_dir, std::path::PathBuf::from("/tmp/x"));
+            "--noise",
+            "--cache",
+            "--islands",
+            "--devices",
+            "--temporal",
+            "--hostile",
+            "--emit-hostile",
+            "--soak",
+            "--soak-rounds",
+            "--soak-dir",
+        ];
+        assert_eq!(FUZZ.iter().map(|o| o.flag).collect::<Vec<_>>(), parent);
+        let usage = cli::usage(SYNOPSIS, TABLES, "");
+        for opt in FUZZ {
+            let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
+            assert!(usage.contains(head.trim_end()), "{} undocumented:\n{usage}", opt.flag);
+            let argv: Vec<&str> = [opt.flag].into_iter().chain(opt.value.map(|_| "1")).collect();
+            assert!(parse(&argv).has(opt), "{} does not parse", opt.flag);
+        }
+        for archetype in ARCHETYPES {
+            assert!(usage.contains(archetype.name()), "{} not listed", archetype.name());
+        }
     }
 }

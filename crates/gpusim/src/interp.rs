@@ -189,6 +189,18 @@ impl<'p> Interpreter<'p> {
         self.steps_used.get()
     }
 
+    /// The steps a complete [`Self::run_plan`] of `plan` charges, without
+    /// executing anything: one per thread of every block of every launch
+    /// in the dynamic trace. The count is static, so a caller with a step
+    /// budget can turn an oversized grid away before running it.
+    pub fn plan_steps(plan: &ExecutablePlan) -> u64 {
+        plan.trace
+            .iter()
+            .map(|&seq| &plan.launches[seq])
+            .map(|launch| launch.grid.count().saturating_mul(launch.block.count()))
+            .fold(0, u64::saturating_add)
+    }
+
     fn charge_steps(&self, amount: u64) -> Result<(), ExecError> {
         let used = self.steps_used.get().saturating_add(amount);
         self.steps_used.set(used);
@@ -1800,6 +1812,33 @@ mod typing_and_column_tests {
             "interpreter step budget exhausted: 64 steps needed, limit 40"
         );
         assert_eq!(interp.steps_used(), 64);
+    }
+
+    #[test]
+    fn plan_steps_is_what_a_full_run_charges() {
+        // Two launch shapes inside a host loop: the static count covers
+        // the dynamic trace, not the static launch list.
+        let src = r#"
+__global__ void k(double* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { a[i] = a[i] + 1.0; }
+}
+void host() {
+  int n = 64;
+  double* a = cudaAlloc1D(n);
+  for (int t = 0; t < 3; t++) {
+    k<<<2, 32>>>(a, n);
+    k<<<1, 32>>>(a, n);
+  }
+}
+"#;
+        let p = parse_program(src).unwrap();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        assert_eq!(Interpreter::plan_steps(&plan), 3 * (64 + 32));
+        let mut mem = GlobalMemory::from_plan(&plan);
+        let interp = Interpreter::new(&p);
+        interp.run_plan(&plan, &mut mem).unwrap();
+        assert_eq!(interp.steps_used(), Interpreter::plan_steps(&plan));
     }
 
     /// A deterministic stream for the generator below.

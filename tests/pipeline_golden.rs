@@ -20,7 +20,10 @@
 //!
 //! The fixture was generated at the commit *before* `run_with` became a
 //! loop over stage functions, so a restructuring of the driver that is
-//! meant to keep behaviour must leave it untouched.
+//! meant to keep behaviour must leave it untouched. (One intended change
+//! since: the `cap-interpreter-steps-8-*` rows became the stage-1
+//! rejection when the functional profiles joined that budget; the rungs
+//! they used to reach are pinned in `tests/resource_governance.rs`.)
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`

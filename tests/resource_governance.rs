@@ -9,17 +9,23 @@
 //! - the chaos soak holds all of its invariants in-process (the CI job
 //!   runs the long wall-capped version through the binary);
 //! - budget exhaustion surfaces through the batch driver as a structured
-//!   failure that feeds the `resource-exhausted` breaker class.
+//!   failure that feeds the `resource-exhausted` breaker class;
+//! - the `interpreter-steps` budget covers every functional run, not only
+//!   the verifier's: too small for the original's profile is a front-door
+//!   rejection, too small for the runs after it keeps the original.
 
 use sf_apps::{all_apps, AppConfig};
 use sf_core::{BreakerConfig, Limits, ResourceKind};
 use sf_fuzz::{hostile, Archetype, SoakConfig, ARCHETYPES};
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::Interpreter;
+use sf_minicuda::host::ExecutablePlan;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use stencilfuse::{
     BatchDriver, BatchOptions, BatchRequest, BatchStatus, ErrorKind, Pipeline, PipelineConfig,
+    Recoverability, Stage,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -219,4 +225,105 @@ void host() {
     );
     assert!(!matches!(ra.outcomes[0].status, BatchStatus::Failed));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 3-D producer→consumer pair that fuses into one kernel.
+const FUSABLE_PAIR: &str = r#"
+__global__ void scale(const double* __restrict__ u, double* a, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz; k++) { a[k][j][i] = u[k][j][i] * 2.0; } }
+}
+__global__ void shift(const double* __restrict__ a, double* b, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz; k++) { b[k][j][i] = a[k][j][i] + 1.0; } }
+}
+void host() {
+  int nx = 64; int ny = 32; int nz = 2;
+  double* u = cudaAlloc3D(nz, ny, nx);
+  double* a = cudaAlloc3D(nz, ny, nx);
+  double* b = cudaAlloc3D(nz, ny, nx);
+  cudaMemcpyH2D(u);
+  scale<<<dim3(4, 4), dim3(16, 8)>>>(u, a, nx, ny, nz);
+  shift<<<dim3(4, 4), dim3(16, 8)>>>(a, b, nx, ny, nz);
+  cudaMemcpyD2H(b);
+}
+"#;
+
+/// The steps one functional run of `program` executes.
+fn static_steps(program: &sf_minicuda::Program) -> u64 {
+    Interpreter::plan_steps(&ExecutablePlan::from_program(program).expect("host code evaluates"))
+}
+
+fn steps_capped(cap: u64) -> PipelineConfig {
+    let budget = Limits::unlimited().cap(ResourceKind::InterpreterSteps, cap);
+    PipelineConfig::quick(DeviceSpec::k20x()).with_budget(budget)
+}
+
+#[test]
+fn a_step_budget_below_the_original_profile_is_rejected_at_the_front_door() {
+    let program = sf_minicuda::parse_program(FUSABLE_PAIR).unwrap();
+    let steps = static_steps(&program);
+    assert_eq!(steps, 2 * 16 * 128, "two launches of 16 blocks x 128 threads");
+    for config in [steps_capped(steps - 1), steps_capped(steps - 1).strict()] {
+        let err = Pipeline::new(program.clone(), config).unwrap().run().unwrap_err();
+        assert_eq!((err.stage, err.class), (Stage::Metadata, Recoverability::Fatal), "{err}");
+        assert_eq!(
+            err.kind,
+            ErrorKind::ResourceExhausted {
+                resource: "interpreter-steps".into(),
+                used: steps,
+                limit: steps - 1,
+            }
+        );
+        assert_eq!(err.exit_code(), 10);
+    }
+    // Nothing executes without a functional profile, so nothing is charged
+    // at admission: the same cap stops the verifier instead, which keeps
+    // the original program.
+    let mut analytic = steps_capped(steps - 1);
+    analytic.functional_profile = false;
+    let kept = Pipeline::new(program.clone(), analytic).unwrap().run().unwrap();
+    assert_eq!(kept.program, program);
+    assert!(kept.degradations().iter().any(|d| d.action.contains("verification budget")));
+}
+
+#[test]
+fn a_step_budget_the_original_profile_uses_up_keeps_the_original_program() {
+    let program = sf_minicuda::parse_program(FUSABLE_PAIR).unwrap();
+    let free = Pipeline::new(program.clone(), steps_capped(u64::MAX)).unwrap().run().unwrap();
+    assert_ne!(free.program, program, "the pair fuses when nothing is capped");
+    let (original, transformed) = (static_steps(&program), static_steps(&free.program));
+    // Exactly what all four functional runs need is enough ...
+    let all = 2 * (original + transformed);
+    let enough = Pipeline::new(program.clone(), steps_capped(all)).unwrap().run().unwrap();
+    assert_eq!(enough.program, free.program);
+    assert!(enough.degradations().is_empty(), "{:?}", enough.degradations());
+    // ... and one step less stops at whichever run no longer fits: the
+    // re-profile, or either side of the verification.
+    for (cap, rung) in [
+        (original, "re-profile budget exhausted"),
+        (original + transformed, "verification budget exhausted"),
+        (all - 1, "verification budget exhausted"),
+    ] {
+        let kept = Pipeline::new(program.clone(), steps_capped(cap)).unwrap().run().unwrap();
+        assert_eq!(kept.program, program, "cap {cap}");
+        assert_eq!(kept.speedup, 1.0, "cap {cap}");
+        let degradations = kept.degradations();
+        assert_eq!(degradations.len(), 1, "cap {cap}: {degradations:?}");
+        assert!(degradations[0].action.contains(rung), "cap {cap}: {}", degradations[0].action);
+        assert!(degradations[0].reason.contains("interpreter-steps"), "cap {cap}");
+
+        let err = Pipeline::new(program.clone(), steps_capped(cap).strict())
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert_eq!((err.stage, err.class), (Stage::Codegen, Recoverability::Degradable), "{err}");
+        assert!(
+            matches!(&err.kind, ErrorKind::ResourceExhausted { resource, limit, .. }
+                if resource == "interpreter-steps" && *limit == cap),
+            "cap {cap}: {err}"
+        );
+    }
 }
