@@ -166,165 +166,6 @@ impl ArrayDependenceGraph {
     }
 }
 
-/// Why a kernel can participate in temporal blocking, and with what halo
-/// footprint. Produced by [`temporal_eligibility`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TemporalEligibility {
-    /// Maximum absolute lateral read offset along x (`i ± rx`).
-    pub rx: i64,
-    /// Maximum absolute lateral read offset along y (`j ± ry`).
-    pub ry: i64,
-}
-
-/// `i` / `i + c` / `i - c` against the expected base variable.
-fn lateral_offset(e: &Expr, base: &str) -> Option<i64> {
-    match e {
-        Expr::Var(n) if n == base => Some(0),
-        Expr::Binary { op, lhs, rhs } => {
-            let (Expr::Var(n), Expr::Int(c)) = (lhs.as_ref(), rhs.as_ref()) else {
-                return None;
-            };
-            if n != base {
-                return None;
-            }
-            match op {
-                BinaryOp::Add => Some(*c),
-                BinaryOp::Sub => Some(-c),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Decide whether one kernel is a legal member of a temporally-folded
-/// group, per the paper-extension rules (DESIGN.md §13):
-///
-/// - exactly one array is written, by plain `=` stores at `[k][j][i]` —
-///   compound assignment is a cross-timestep reduction and is rejected;
-/// - the written array is never read by the same kernel (no in-place
-///   update: a folded step would consume its own half-written output);
-/// - every array read is a rank-3 access `A[k][j ± ry][i ± rx]` on the
-///   current k-plane — vertical offsets or fixed-plane (boundary) accesses
-///   make the fold's per-plane staging unsound;
-/// - no shared memory, barriers, `if/else` branches, or reassigned locals
-///   (the fold must be able to inline the step into a pure expression).
-///
-/// Boundary-excluded interior guards are *allowed*: the fold writes tile
-/// passthrough values outside the guard, which reproduces serial semantics
-/// exactly (the redundant-safe case). Whether the guard margin actually
-/// covers the grown halo is a geometric check the code generator performs
-/// with concrete launch bounds.
-///
-/// Returns the lateral radii on success and the first disqualifying reason
-/// otherwise.
-pub fn temporal_eligibility(kernel: &Kernel) -> Result<TemporalEligibility, String> {
-    let arrays: BTreeSet<String> = kernel
-        .array_params()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-    let mut reason: Option<String> = None;
-    fn note(reason: &mut Option<String>, r: String) {
-        if reason.is_none() {
-            *reason = Some(r);
-        }
-    }
-
-    let mut written: BTreeSet<String> = BTreeSet::new();
-    let mut write_count = 0usize;
-    visit::walk_stmts(&kernel.body, &mut |s| match s {
-        Stmt::Assign {
-            target: LValue::Index { array, indices },
-            op,
-            ..
-        } if arrays.contains(array) => {
-            written.insert(array.clone());
-            write_count += 1;
-            if *op != AssignOp::Assign {
-                note(&mut reason, format!(
-                    "compound assignment to `{array}` is a cross-timestep reduction"
-                ));
-            }
-            let canonical = indices.len() == 3
-                && indices[0] == Expr::Var("k".into())
-                && indices[1] == Expr::Var("j".into())
-                && indices[2] == Expr::Var("i".into());
-            if !canonical {
-                note(&mut reason, format!(
-                    "write to `{array}` is not a canonical `[k][j][i]` store \
-                     (boundary-plane or irregular writes cannot fold)"
-                ));
-            }
-        }
-        Stmt::Assign {
-            target: LValue::Var(n),
-            ..
-        } => note(&mut reason, format!("local `{n}` is reassigned")),
-        Stmt::SharedDecl { .. } | Stmt::SyncThreads => {
-            note(&mut reason, "kernel already uses shared memory / barriers".into())
-        }
-        Stmt::If { else_body, .. } if !else_body.is_empty() => {
-            note(&mut reason, "kernel has an `else` branch".into())
-        }
-        _ => {}
-    });
-    if written.len() != 1 {
-        return Err(format!(
-            "kernel writes {} arrays (temporal folding needs exactly one)",
-            written.len()
-        ));
-    }
-    if write_count != 1 {
-        return Err(format!(
-            "kernel has {write_count} array stores (temporal folding needs exactly one)"
-        ));
-    }
-    if let Some(r) = reason {
-        return Err(r);
-    }
-    let target = written.iter().next().expect("one written array").clone();
-
-    let mut rx = 0i64;
-    let mut ry = 0i64;
-    visit::walk_exprs(&kernel.body, &mut |e| {
-        let Expr::Index { array, indices } = e else { return };
-        if !arrays.contains(array) {
-            return;
-        }
-        if *array == target {
-            note(&mut reason, format!("`{array}` is updated in place (read and written)"));
-            return;
-        }
-        if indices.len() != 3 {
-            note(&mut reason, format!("read of `{array}` is not rank-3"));
-            return;
-        }
-        if indices[0] != Expr::Var("k".into()) {
-            note(&mut reason, format!(
-                "read of `{array}` leaves the current k-plane \
-                 (vertical or fixed-plane access)"
-            ));
-            return;
-        }
-        match (
-            lateral_offset(&indices[1], "j"),
-            lateral_offset(&indices[2], "i"),
-        ) {
-            (Some(dj), Some(di)) => {
-                ry = ry.max(dj.abs());
-                rx = rx.max(di.abs());
-            }
-            _ => note(&mut reason, format!("read of `{array}` has a non-affine lateral index")),
-        }
-    });
-    match reason {
-        Some(r) => Err(r),
-        None => Ok(TemporalEligibility { rx, ry }),
-    }
-}
-
 /// Arrays that influence the value of `e`, directly or through tainted
 /// locals.
 pub fn expr_sources(
@@ -437,124 +278,6 @@ __global__ void k(const double* __restrict__ a, double* b, int n) {
         let g = ArrayDependenceGraph::build(&k);
         assert!(!g.is_separable());
         assert_eq!(g.components(), vec![vec!["u".to_string(), "v".to_string()]]);
-    }
-
-    const LATERAL: &str = r#"
-__global__ void lat(const double* __restrict__ a, double* b, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 2 && i < nx - 2 && j >= 1 && j < ny - 1) {
-    for (int k = 0; k < nz; k++) {
-      b[k][j][i] = 0.5 * a[k][j][i] + 0.1 * (a[k][j][i - 2] + a[k][j][i + 2])
-                 + 0.2 * (a[k][j - 1][i] + a[k][j + 1][i]);
-    }
-  }
-}
-"#;
-
-    #[test]
-    fn lateral_stencil_is_temporally_eligible() {
-        let k = parse_kernel(LATERAL).unwrap();
-        let e = temporal_eligibility(&k).unwrap();
-        assert_eq!(e, TemporalEligibility { rx: 2, ry: 1 });
-    }
-
-    #[test]
-    fn pointwise_consumer_is_eligible_with_zero_radius() {
-        let k = parse_kernel(
-            r#"
-__global__ void pw(const double* __restrict__ b, double* a, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      double t = b[k][j][i] * 2.0;
-      a[k][j][i] = t + 1.0;
-    }
-  }
-}
-"#,
-        )
-        .unwrap();
-        assert_eq!(
-            temporal_eligibility(&k).unwrap(),
-            TemporalEligibility { rx: 0, ry: 0 }
-        );
-    }
-
-    #[test]
-    fn temporal_rejects_the_known_hard_cases() {
-        // In-place update: reads and writes the same array.
-        let inplace = parse_kernel(
-            r#"
-__global__ void ip(double* a, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1) {
-    for (int k = 0; k < nz; k++) {
-      a[k][j][i] = 0.5 * a[k][j][i - 1] + 0.5 * a[k][j][i + 1];
-    }
-  }
-}
-"#,
-        )
-        .unwrap();
-        let err = temporal_eligibility(&inplace).unwrap_err();
-        assert!(err.contains("in place"), "{err}");
-
-        // Compound assignment: a cross-timestep reduction.
-        let reduce = parse_kernel(
-            r#"
-__global__ void rd(const double* __restrict__ a, double* b, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) { b[k][j][i] += a[k][j][i]; }
-  }
-}
-"#,
-        )
-        .unwrap();
-        let err = temporal_eligibility(&reduce).unwrap_err();
-        assert!(err.contains("reduction"), "{err}");
-
-        // Vertical (volumetric) stencil: leaves the k-plane.
-        let k = sf_minicuda::builder::jacobi3d_kernel("j", "u", "v");
-        let err = temporal_eligibility(&k).unwrap_err();
-        assert!(err.contains("k-plane"), "{err}");
-
-        // Boundary-plane kernel: fixed-plane write.
-        let bc = parse_kernel(
-            r#"
-__global__ void bc(double* a, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) { a[0][j][i] = 1.5; }
-}
-"#,
-        )
-        .unwrap();
-        let err = temporal_eligibility(&bc).unwrap_err();
-        assert!(err.contains("[k][j][i]"), "{err}");
-
-        // Two written arrays.
-        let two = parse_kernel(
-            r#"
-__global__ void tw(const double* __restrict__ a, double* b, double* c, int nx, int ny, int nz) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      b[k][j][i] = a[k][j][i];
-      c[k][j][i] = a[k][j][i] * 2.0;
-    }
-  }
-}
-"#,
-        )
-        .unwrap();
-        let err = temporal_eligibility(&two).unwrap_err();
-        assert!(err.contains("2 arrays"), "{err}");
     }
 
     #[test]

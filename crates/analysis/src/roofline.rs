@@ -28,35 +28,6 @@ pub fn attainable_gflops(oi: f64, device: &DeviceMetadata) -> f64 {
     (oi * device.mem_bw_gbps).min(device.peak_dp_gflops)
 }
 
-/// Operational intensity of a temporal fold of degree `fold` over a
-/// launch's per-iteration counters: useful flops multiply by the degree
-/// while staged reads are paid once per fold (inflated by the tile-halo
-/// area ratio) and writes land once. This is the quantity that moves a
-/// traffic-bound stencil rightward along the roofline as the degree grows.
-pub fn temporal_oi(perf: &PerfMetadata, fold: u32, halo_read_ratio: f64) -> f64 {
-    let useful = perf.flops as f64 * f64::from(fold.max(1));
-    let bytes =
-        perf.dram_read_bytes as f64 * halo_read_ratio.max(1.0) + perf.dram_write_bytes as f64;
-    useful / bytes.max(1.0)
-}
-
-/// Attainable *useful* GFLOPS of a temporal fold: the roofline evaluated at
-/// the folded intensity, with the compute roof derated by the redundant
-/// halo-recompute ratio (recomputed flops occupy the ALUs but do not count
-/// as useful work). The break-even structure per device falls out directly:
-/// folding helps while the launch sits on the bandwidth slope and stops
-/// helping once recompute pushes it against the derated compute roof.
-pub fn temporal_attainable_gflops(
-    perf: &PerfMetadata,
-    device: &DeviceMetadata,
-    fold: u32,
-    halo_read_ratio: f64,
-    recompute_ratio: f64,
-) -> f64 {
-    let oi = temporal_oi(perf, fold, halo_read_ratio);
-    (oi * device.mem_bw_gbps).min(device.peak_dp_gflops / recompute_ratio.max(1.0))
-}
-
 /// A kernel is *latency-bound* when its measured runtime is much larger
 /// than both its bandwidth-bound and compute-bound time estimates: neither
 /// resource is saturated, so the kernel is limited by dependency stalls and
@@ -133,28 +104,6 @@ mod tests {
         let d = device();
         assert!((attainable_gflops(1.0, &d) - 250.0).abs() < 1e-9);
         assert!((attainable_gflops(100.0, &d) - 1310.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn temporal_fold_climbs_the_bandwidth_slope() {
-        let d = device();
-        let p = perf(1_000_000, 1_000_000, 100.0); // memory-bound, OI = 1
-        let base = attainable_gflops(p.operational_intensity(), &d);
-        let t2 = temporal_attainable_gflops(&p, &d, 2, 1.2, 1.3);
-        let t4 = temporal_attainable_gflops(&p, &d, 4, 1.5, 1.6);
-        assert!(t2 > base, "{t2} !> {base}");
-        assert!(t4 > t2, "{t4} !> {t2}");
-        // Degree 1 with no halo is exactly the classical roofline point.
-        assert!((temporal_attainable_gflops(&p, &d, 1, 1.0, 1.0) - base).abs() < 1e-9);
-    }
-
-    #[test]
-    fn temporal_fold_is_capped_by_the_derated_compute_roof() {
-        let d = device();
-        let p = perf(1_000_000, 1_000_000, 100.0);
-        // An absurd degree saturates against peak / recompute, not above it.
-        let capped = temporal_attainable_gflops(&p, &d, 10_000, 1.1, 2.0);
-        assert!((capped - d.peak_dp_gflops / 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::fuse::{fuse_group, CodegenError, FusedKernel, FusionReport};
 use crate::temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
 use crate::tuning::{fuse_group_tuned, TuneNote};
 use sf_gpusim::isolate::isolated;
-use sf_graphs::build::all_accesses_with_allocs;
-use sf_graphs::Ddg;
+use sf_graphs::{Ddg, Precedence};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{
     Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg, TransferRecord,
@@ -154,25 +153,29 @@ pub struct TransformOutput {
     pub plan: TransformPlan,
 }
 
-/// Apply a transformation plan to a program.
+/// Apply a transformation plan to a program, deriving the instance
+/// numbering from the program itself.
 pub fn transform_program(
     original: &Program,
     plan: &ExecutablePlan,
     tplan: &TransformPlan,
 ) -> Result<TransformOutput, CodegenError> {
-    transform_program_with(original, plan, tplan, &CodegenFaults::default())
+    let instances = Precedence::instances(original, plan).map_err(CodegenError)?;
+    transform_program_with(original, plan, tplan, &instances, &CodegenFaults::default())
 }
 
-/// Apply a transformation plan, with fault injection at the per-group
-/// isolation boundary. Each multi-member group walks the degradation
-/// ladder: complex (tuned) fusion → simple (untuned) fusion → unfused
-/// members; a panic or rejection on one rung drops to the next, and every
-/// descent is recorded in [`TransformOutput::degradations`]. The emitted
-/// program is always valid.
+/// Apply a transformation plan under the array-instance numbering of
+/// `instances` (the program's DDG, as [`Precedence`] builds it), with fault
+/// injection at the per-group isolation boundary. Each multi-member group
+/// walks the degradation ladder: complex (tuned) fusion → simple (untuned)
+/// fusion → unfused members; a panic or rejection on one rung drops to the
+/// next, and every descent is recorded in
+/// [`TransformOutput::degradations`]. The emitted program is always valid.
 pub fn transform_program_with(
     original: &Program,
     plan: &ExecutablePlan,
     tplan: &TransformPlan,
+    instances: &Ddg,
     faults: &CodegenFaults,
 ) -> Result<TransformOutput, CodegenError> {
     tplan
@@ -195,24 +198,17 @@ pub fn transform_program_with(
     // Redundant array instances (§3.2.3): the DDG's instance numbering is
     // materialized as real allocations so relaxed anti/output dependences
     // stay sound. The *last* instance keeps the base name, so host D2H
-    // copies (and verification) observe the final values unchanged.
-    //
-    // Instance renaming is a reordering enabler and is unsound under host
-    // time loops: a loop-carried anti-dependence would freeze readers onto
-    // a stale instance of the previous iteration's value. With loops
-    // present every array is pinned to its base name.
-    let ddg = if plan.loops.is_empty() {
-        let accesses = all_accesses_with_allocs(original, plan).map_err(CodegenError)?;
-        Some(Ddg::build(&accesses))
-    } else {
-        None
-    };
+    // copies (and verification) observe the final values unchanged. Which
+    // arrays have more than one instance is decided where the numbering is
+    // built (`sf_graphs::precedence`), not here.
     let mut max_inst: BTreeMap<String, usize> = BTreeMap::new();
-    if let Some(ddg) = &ddg {
-        for ((_, name), &inst) in ddg.read_instance.iter().chain(ddg.write_instance.iter()) {
-            let e = max_inst.entry(name.clone()).or_insert(0);
-            *e = (*e).max(inst);
-        }
+    for ((_, name), &inst) in instances
+        .read_instance
+        .iter()
+        .chain(instances.write_instance.iter())
+    {
+        let e = max_inst.entry(name.clone()).or_insert(0);
+        *e = (*e).max(inst);
     }
     let storage = |name: &str, inst: usize| -> String {
         if max_inst.get(name).copied().unwrap_or(0) == inst {
@@ -224,19 +220,18 @@ pub fn transform_program_with(
     // Rewrite a launch's array arguments to the instance storages; the
     // launch is cloned only if some argument actually moves.
     let apply_instances = |kernel: &Kernel, launch: &mut Cow<'_, LaunchRecord>| {
-        let Some(ddg) = &ddg else { return };
         let written = visit::arrays_written(&kernel.body);
         for (pi, p) in kernel.params.iter().enumerate().take(launch.args.len()) {
             let (Param::Array { name, .. }, ResolvedArg::Array(actual)) = (p, &launch.args[pi])
             else {
                 continue;
             };
-            let instances = if written.contains(name) {
-                &ddg.write_instance
+            let instance_of = if written.contains(name) {
+                &instances.write_instance
             } else {
-                &ddg.read_instance
+                &instances.read_instance
             };
-            let inst = instances
+            let inst = instance_of
                 .get(&(launch.seq, actual.clone()))
                 .copied()
                 .unwrap_or(0);

@@ -809,53 +809,96 @@ void host() {{
 
     #[test]
     fn rejects_inplace_and_oversized_folds() {
-        let src = r#"
-__global__ void inplace(double* a, const double* __restrict__ c, int nx, int ny, int nz) {
+        // Every member shape the fold cannot inline into a pure per-plane
+        // step — kernel-level declarations and the body of the guarded
+        // k-sweep of the loop's first kernel — with what the rejection names.
+        let illegal_first_members = [
+            ("", "a[k][j][i] = a[k][j][i - 1] + c[k][j][i];", "in place"),
+            ("", "a[k][j][i] += c[k][j][i];", "compound assignment"),
+            (
+                "",
+                "a[k][j][i] = c[k - 1][j][i] + c[k + 1][j][i];",
+                "off the current k-plane",
+            ),
+            ("", "a[k][j][i] = c[0][j][i];", "off the current k-plane"),
+            (
+                "",
+                "a[0][j][i] = c[k][j][i];",
+                "off the canonical [k][j][i] site",
+            ),
+            (
+                "",
+                "a[k][j][i] = c[k][j][i]; a[k][j][i] = 2.0 * c[k][j][i];",
+                "multiple array stores",
+            ),
+            (
+                "",
+                "double t = c[k][j][i]; t = t * 2.0; a[k][j][i] = t;",
+                "reassigns local",
+            ),
+            (
+                "",
+                "if (c[k][j][i] > 0.0) { a[k][j][i] = 1.0; } else { a[k][j][i] = 2.0; }",
+                "needs flat stencil bodies",
+            ),
+            (
+                "__shared__ double tile[8][16];",
+                "tile[threadIdx.y][threadIdx.x] = c[k][j][i]; __syncthreads(); \
+                 a[k][j][i] = tile[threadIdx.y][threadIdx.x];",
+                "needs flat members",
+            ),
+        ];
+        for (decls, body, why) in illegal_first_members {
+            let src = format!(
+                r#"
+__global__ void first(double* a, const double* __restrict__ c, int nx, int ny, int nz) {{
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i >= 1 && i < nx - 1 && j < ny) {
-    for (int k = 0; k < nz; k++) {
-      a[k][j][i] = a[k][j][i - 1] + c[k][j][i];
-    }
-  }
-}
-__global__ void copy(const double* __restrict__ a, double* d, int nx, int ny, int nz) {
+  {decls}
+  if (i >= 1 && i < nx - 1 && j < ny) {{ for (int k = 1; k < nz - 1; k++) {{ {body} }} }}
+}}
+__global__ void copy(const double* __restrict__ a, double* d, int nx, int ny, int nz) {{
   int i = blockIdx.x * blockDim.x + threadIdx.x;
   int j = blockIdx.y * blockDim.y + threadIdx.y;
-  if (i < nx && j < ny) {
-    for (int k = 0; k < nz; k++) {
+  if (i < nx && j < ny) {{
+    for (int k = 0; k < nz; k++) {{
       d[k][j][i] = a[k][j][i];
-    }
-  }
-}
-void host() {
-  int nx = 32; int ny = 16; int nz = 2;
+    }}
+  }}
+}}
+void host() {{
+  int nx = 32; int ny = 16; int nz = 4;
   double* a = cudaAlloc3D(nz, ny, nx);
   double* c = cudaAlloc3D(nz, ny, nx);
   double* d = cudaAlloc3D(nz, ny, nx);
   cudaMemcpyH2D(a);
   cudaMemcpyH2D(c);
-  for (int t = 0; t < 4; t++) {
-    inplace<<<dim3(2, 2), dim3(16, 8)>>>(a, c, nx, ny, nz);
+  for (int t = 0; t < 4; t++) {{
+    first<<<dim3(2, 2), dim3(16, 8)>>>(a, c, nx, ny, nz);
     copy<<<dim3(2, 2), dim3(16, 8)>>>(a, d, nx, ny, nz);
-  }
+  }}
   cudaMemcpyD2H(a);
   cudaMemcpyD2H(d);
-}
-"#;
-        let p = parse_program(src).unwrap();
-        let plan = ExecutablePlan::from_program(&p).unwrap();
-        let members = group(&p, &plan);
-        let err = fuse_group_temporal(
-            &members,
-            Dim3::new(16, 8, 1),
-            "temporal_0",
-            48 * 1024,
-            2,
-            &plan.allocs,
-        )
-        .unwrap_err();
-        assert!(err.0.contains("in place"), "{err}");
+}}
+"#
+            );
+            let p = parse_program(&src).unwrap();
+            let plan = ExecutablePlan::from_program(&p).unwrap();
+            let members = group(&p, &plan);
+            let err = fuse_group_temporal(
+                &members,
+                Dim3::new(16, 8, 1),
+                "temporal_0",
+                48 * 1024,
+                2,
+                &plan.allocs,
+            )
+            .unwrap_err();
+            assert!(
+                err.0.contains(why),
+                "`{body}`: expected `{why}`, got: {err}"
+            );
+        }
 
         // A fold whose accumulated halo exceeds half the block is rejected.
         let (p, plan) = setup(16);

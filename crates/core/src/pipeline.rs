@@ -23,20 +23,21 @@ use sf_core::{ResourceGovernor, ResourceKind};
 use sf_analysis::filter::{identify_targets, FilterDecision};
 use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{
-    transform_program_with, CodegenFaults, GroupFailure, TransformOutput, TransformPlan,
+    transform_program_with, CodegenError, CodegenFaults, GroupFailure, TransformOutput,
+    TransformPlan,
 };
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_gpusim::robust::{RobustProfile, RobustProfiler};
 use sf_gpusim::Interpreter;
-use sf_graphs::build::all_accesses_with_allocs;
-use sf_graphs::{dot, Ddg, Oeg};
+use sf_graphs::{dot, Precedence};
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use sf_search::{
     raise_plan, search_islands, IslandOptions, IslandSearchResult, SearchConfig, SearchResult,
     SearchSpace,
 };
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -259,7 +260,9 @@ struct Run<'a> {
     ddg_dot: String,
     oeg_dot: String,
     new_oeg_dot: String,
-    oeg: Option<Oeg>,
+    /// Stage 3's precedence model — access sets, DDG, OEG — the one the
+    /// search, the new OEG and code generation all read.
+    precedence: Option<Precedence>,
     search: Option<SearchResult>,
     /// The plan codegen executes: lowered by the search (and possibly
     /// amended), or preloaded.
@@ -302,7 +305,7 @@ impl<'a> Run<'a> {
             ddg_dot: String::new(),
             oeg_dot: String::new(),
             new_oeg_dot: String::new(),
-            oeg: None,
+            precedence: None,
             search: None,
             tplan: None,
             transform: None,
@@ -629,6 +632,17 @@ impl<'a> Run<'a> {
         );
         if let Some(f) = &self.hooks.amend_decisions {
             f(&mut decisions);
+            // One decision per launch is what every later stage indexes by.
+            if decisions.len() != self.plan.launches.len() {
+                return Err(PipelineError::fatal(
+                    Stage::Filter,
+                    ErrorKind::Config(format!(
+                        "amended filter decisions describe {} launches, program has {}",
+                        decisions.len(),
+                        self.plan.launches.len()
+                    )),
+                ));
+            }
         }
         let targets = decisions.iter().filter(|d| d.is_target()).count();
         r.line(format!(
@@ -659,18 +673,11 @@ impl<'a> Run<'a> {
 
     // ---------------- stage 3: graphs ----------------
     fn graphs(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
-        let accesses = all_accesses_with_allocs(self.program, self.plan)
+        let precedence = Precedence::build(self.program, self.plan)
             .map_err(|e| PipelineError::fatal(Stage::Graphs, ErrorKind::Graph(e)))?;
-        let ddg = Ddg::build(&accesses);
-        let kernel_names: Vec<String> = self
-            .plan
-            .launches
-            .iter()
-            .map(|l| l.kernel.clone())
-            .collect();
-        let oeg = Oeg::build(kernel_names.clone(), &accesses, &ddg, &self.plan.transfers);
-        let name_of = |seq: usize| kernel_names[seq].clone();
-        self.ddg_dot = dot::ddg_to_dot(&ddg, &name_of);
+        let Precedence { ddg, oeg, .. } = &precedence;
+        let name_of = |seq: usize| oeg.kernels[seq].clone();
+        self.ddg_dot = dot::ddg_to_dot(ddg, &name_of);
         self.oeg_dot = dot::oeg_to_dot(&oeg.transitive_reduction(), None);
         // Longest precedence chain in the OEG (in launches). Edges run
         // i < j, so ascending key order is already topological for the
@@ -701,7 +708,7 @@ impl<'a> Run<'a> {
         for line in &ddg.report {
             r.line(format!("graph optimization: {line}"));
         }
-        self.oeg = Some(oeg);
+        self.precedence = Some(precedence);
         Ok(Next::Continue)
     }
 
@@ -804,12 +811,13 @@ impl<'a> Run<'a> {
             total_runtime_us: original_profile.total_runtime_us,
             hazards: Vec::new(),
         };
-        let space = SearchSpace::build(
+        let space = SearchSpace::from_precedence(
             program,
             plan,
             &search_profile,
             &self.decisions,
             cfg.device.clone(),
+            made(&self.precedence),
         )
         .map_err(|e| PipelineError::from(e).at(Stage::Search))?;
         let mut search_cfg = cfg.search.clone();
@@ -940,7 +948,8 @@ impl<'a> Run<'a> {
                 group_of[m.seq] = launches + gi;
             }
         }
-        self.new_oeg_dot = dot::oeg_to_dot(&made(&self.oeg).transitive_reduction(), Some(&group_of));
+        let oeg = &made(&self.precedence).oeg;
+        self.new_oeg_dot = dot::oeg_to_dot(&oeg.transitive_reduction(), Some(&group_of));
         r.line(format!(
             "new program: {} launches ({} in the original)",
             tplan.groups.len(),
@@ -957,22 +966,31 @@ impl<'a> Run<'a> {
             panic_groups: self.faults.panic_groups.clone(),
             reject_tuned_groups: self.faults.reject_tuned_groups.clone(),
         };
-        let transform =
-            match transform_program_with(self.program, self.plan, made(&self.tplan), &cg_faults) {
-                Ok(t) => t,
-                Err(e) => {
-                    let err = PipelineError::from(e);
-                    let why = err.to_string();
-                    return self.fall_back_to_original(r, err, "code generation failed", why);
-                }
-            };
+        // Instance numbering is stage 3's. A replay ran no stage 3, so it
+        // builds that half of the artifact (and no OEG, which it never reads).
+        let instances = match &self.precedence {
+            Some(precedence) => Ok(Cow::Borrowed(&precedence.ddg)),
+            None => Precedence::instances(self.program, self.plan)
+                .map(Cow::Owned)
+                .map_err(CodegenError),
+        };
+        let transform = instances.and_then(|instances| {
+            let tplan = made(&self.tplan);
+            transform_program_with(self.program, self.plan, tplan, &instances, &cg_faults)
+        });
+        let transform = match transform {
+            Ok(t) => t,
+            Err(e) => {
+                let err = PipelineError::from(e);
+                let why = err.to_string();
+                return self.fall_back_to_original(r, err, "code generation failed", why);
+            }
+        };
         // Per-group degradation-ladder steps recorded by the generator.
         for d in &transform.degradations {
             let kind = match d.failure {
                 GroupFailure::Panicked => ErrorKind::Panic(d.reason.clone()),
-                GroupFailure::Rejected => {
-                    ErrorKind::Codegen(sf_codegen::CodegenError(d.reason.clone()))
-                }
+                GroupFailure::Rejected => ErrorKind::Codegen(CodegenError(d.reason.clone())),
             };
             self.degrade_or_fail(
                 r,

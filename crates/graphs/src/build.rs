@@ -20,9 +20,9 @@ pub struct LaunchAccesses {
 }
 
 impl LaunchAccesses {
-    /// All arrays touched.
-    pub fn touched(&self) -> BTreeSet<String> {
-        self.reads.union(&self.writes).cloned().collect()
+    /// Whether the launch reads or writes `array`.
+    pub fn touches(&self, array: &str) -> bool {
+        self.reads.contains(array) || self.writes.contains(array)
     }
 }
 

@@ -10,8 +10,12 @@
 //!   instances to relax dependencies.
 //! - [`oeg`] — the Order-of-Execution Graph: kernel invocations with the
 //!   precedence edges that must not be violated, each tagged by why it
-//!   exists (flow/anti/output dependence, host transfer). The quotient
-//!   feasibility check used by the optimization algorithm lives here.
+//!   exists (flow/anti/output dependence, host transfer), decided by the
+//!   one pairwise dependence rule, [`oeg::EdgeInfo::between`].
+//! - [`precedence`] — the artifact the graphs stage hands on: access sets,
+//!   DDG and OEG from one analysis pass, and the decision when instance
+//!   relaxation applies. The search and code generation read it instead of
+//!   deriving their own.
 //! - [`dot`] — DOT emission (for GraphViz, as in the paper's Figure 1) and
 //!   a parser for the emitted format so a programmer-amended OEG can be
 //!   read back (§3.2.4).
@@ -20,7 +24,9 @@ pub mod build;
 pub mod ddg;
 pub mod dot;
 pub mod oeg;
+pub mod precedence;
 
 pub use build::launch_accesses;
 pub use ddg::{Ddg, DdgNode};
-pub use oeg::{EdgeKind, Oeg};
+pub use oeg::{EdgeInfo, EdgeKind, Oeg};
+pub use precedence::Precedence;

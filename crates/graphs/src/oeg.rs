@@ -11,10 +11,11 @@
 //! - `transfer`: a host D2H/H2D copy pins the order — kernels on opposite
 //!   sides cannot fuse.
 //!
-//! The grouped GA consults [`Oeg::quotient_feasible`]: a candidate grouping
-//! is legal iff no hard edge joins two members of one group and the
-//! quotient graph stays acyclic (fusing across a path through an outside
-//! kernel would deadlock the order).
+//! [`EdgeInfo::between`] is the one dependence rule: [`Oeg::build`] runs it
+//! per launch pair and the search space per unit pair, so a fusion the
+//! search proposes is never one these edges forbid. What a grouping must
+//! satisfy over them — no hard edge inside a group, an acyclic quotient —
+//! is the grouped GA's own check (`sf_search::genome::Quotient`).
 
 use crate::build::LaunchAccesses;
 use crate::ddg::Ddg;
@@ -69,11 +70,55 @@ impl EdgeInfo {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.flow.is_empty()
-            && self.anti.is_empty()
-            && self.output.is_empty()
-            && self.transfer.is_empty()
+    /// The dependence rule: what orders the later of two launches after
+    /// the earlier one, `None` when nothing does. Each side is a host
+    /// position (launch seq) and the access sets asked about there — the
+    /// launch's own, or a fission product's at its parent's position.
+    /// Dependences hold at the DDG's array-instance granularity (instances
+    /// are numbered per host position), so a redundant instance relaxes the
+    /// false ones; a host transfer between the two positions pins every
+    /// array both sides touch.
+    pub fn between(
+        ddg: &Ddg,
+        transfers: &[TransferRecord],
+        (i, earlier): (usize, &LaunchAccesses),
+        (j, later): (usize, &LaunchAccesses),
+    ) -> Option<EdgeInfo> {
+        let instance = |of: &BTreeMap<(usize, String), usize>, seq: usize, a: &String| {
+            of.get(&(seq, a.clone())).copied().unwrap_or(0)
+        };
+        let read = |seq, a| instance(&ddg.read_instance, seq, a);
+        let write = |seq, a| instance(&ddg.write_instance, seq, a);
+        let mut info = EdgeInfo::default();
+        // Flow: the earlier writes the instance the later reads.
+        for a in earlier.writes.intersection(&later.reads) {
+            if write(i, a) == read(j, a) {
+                info.flow.insert(a.clone());
+            }
+        }
+        // Anti: the earlier reads the instance the later overwrites.
+        for a in earlier.reads.intersection(&later.writes) {
+            if read(i, a) == write(j, a) {
+                info.anti.insert(a.clone());
+            }
+        }
+        // Output: both write the same instance.
+        for a in earlier.writes.intersection(&later.writes) {
+            if write(i, a) == write(j, a) {
+                info.output.insert(a.clone());
+            }
+        }
+        for t in transfers {
+            let (array, pos) = match t {
+                TransferRecord::ToDevice { array, before_seq } => (array, *before_seq),
+                TransferRecord::ToHost { array, after_seq } => (array, *after_seq),
+            };
+            if i < pos && pos <= j && earlier.touches(array) && later.touches(array) {
+                info.transfer.insert(array.clone());
+            }
+        }
+        let ordered = !info.flow.is_empty() || info.is_hard();
+        ordered.then_some(info)
     }
 }
 
@@ -98,80 +143,23 @@ impl Oeg {
     }
 
     /// Build the OEG from access sets (at DDG array-instance granularity so
-    /// redundant instances relax false dependences) and host transfers.
+    /// redundant instances relax false dependences) and host transfers:
+    /// [`EdgeInfo::between`] for every launch pair in host order.
     pub fn build(
         kernels: Vec<String>,
         accesses: &[LaunchAccesses],
         ddg: &Ddg,
         transfers: &[TransferRecord],
     ) -> Oeg {
-        let n = accesses.len();
-        assert_eq!(kernels.len(), n);
-        let mut edges: BTreeMap<(usize, usize), EdgeInfo> = BTreeMap::new();
-
-        let read_inst = |seq: usize, a: &String| {
-            ddg.read_instance
-                .get(&(seq, a.clone()))
-                .copied()
-                .unwrap_or(0)
-        };
-        let write_inst = |seq: usize, a: &String| {
-            ddg.write_instance
-                .get(&(seq, a.clone()))
-                .copied()
-                .unwrap_or(0)
-        };
-
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let mut info = EdgeInfo::default();
-                // Flow: i writes instance that j reads.
-                for a in accesses[i].writes.intersection(&accesses[j].reads) {
-                    if write_inst(i, a) == read_inst(j, a) {
-                        info.flow.insert(a.clone());
-                    }
-                }
-                // Anti: i reads instance that j overwrites.
-                for a in accesses[i].reads.intersection(&accesses[j].writes) {
-                    if read_inst(i, a) == write_inst(j, a) {
-                        info.anti.insert(a.clone());
-                    }
-                }
-                // Output: both write the same instance.
-                for a in accesses[i].writes.intersection(&accesses[j].writes) {
-                    if write_inst(i, a) == write_inst(j, a) {
-                        info.output.insert(a.clone());
-                    }
-                }
-                if !info.is_empty() {
+        assert_eq!(kernels.len(), accesses.len());
+        let mut edges = BTreeMap::new();
+        for (i, earlier) in accesses.iter().enumerate() {
+            for (j, later) in accesses.iter().enumerate().skip(i + 1) {
+                if let Some(info) = EdgeInfo::between(ddg, transfers, (i, earlier), (j, later)) {
                     edges.insert((i, j), info);
                 }
             }
         }
-
-        // Transfers pin order across the copy point.
-        for t in transfers {
-            let (array, pos) = match t {
-                TransferRecord::ToDevice { array, before_seq } => (array, *before_seq),
-                TransferRecord::ToHost { array, after_seq } => (array, *after_seq),
-            };
-            for i in 0..pos.min(n) {
-                if !accesses[i].touched().contains(array) {
-                    continue;
-                }
-                for (j, access) in accesses.iter().enumerate().skip(pos) {
-                    if !access.touched().contains(array) {
-                        continue;
-                    }
-                    edges
-                        .entry((i, j))
-                        .or_default()
-                        .transfer
-                        .insert(array.clone());
-                }
-            }
-        }
-
         Oeg { kernels, edges }
     }
 
@@ -209,61 +197,6 @@ impl Oeg {
         false
     }
 
-    /// Check a grouping for fusion legality. `group_of[seq]` assigns every
-    /// node to a group id. Legal iff (a) no hard edge joins two nodes of
-    /// one group, and (b) the quotient graph is acyclic.
-    pub fn quotient_feasible(&self, group_of: &[usize]) -> bool {
-        assert_eq!(group_of.len(), self.len());
-        for (&(i, j), info) in &self.edges {
-            if group_of[i] == group_of[j] && info.is_hard() {
-                return false;
-            }
-        }
-        self.quotient_topo_order(group_of).is_some()
-    }
-
-    /// Topological order of the quotient graph's groups; `None` if cyclic.
-    /// Ties break by smallest member seq, giving a deterministic host order
-    /// for the rewritten program.
-    pub fn quotient_topo_order(&self, group_of: &[usize]) -> Option<Vec<usize>> {
-        assert_eq!(group_of.len(), self.len());
-        let groups: BTreeSet<usize> = group_of.iter().copied().collect();
-        let gidx: BTreeMap<usize, usize> =
-            groups.iter().enumerate().map(|(i, &g)| (g, i)).collect();
-        let m = groups.len();
-        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
-        let mut indeg = vec![0usize; m];
-        for &(i, j) in self.edges.keys() {
-            let (gi, gj) = (gidx[&group_of[i]], gidx[&group_of[j]]);
-            if gi != gj && adj[gi].insert(gj) {
-                indeg[gj] += 1;
-            }
-        }
-        // Smallest member seq per group, for deterministic tie-breaking.
-        let mut min_seq = vec![usize::MAX; m];
-        for (seq, &g) in group_of.iter().enumerate() {
-            let gi = gidx[&g];
-            min_seq[gi] = min_seq[gi].min(seq);
-        }
-        let group_ids: Vec<usize> = groups.into_iter().collect();
-        let mut ready: BTreeSet<(usize, usize)> = (0..m)
-            .filter(|&g| indeg[g] == 0)
-            .map(|g| (min_seq[g], g))
-            .collect();
-        let mut order = Vec::with_capacity(m);
-        while let Some(&(ms, g)) = ready.iter().next() {
-            ready.remove(&(ms, g));
-            order.push(group_ids[g]);
-            for &s in &adj[g] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.insert((min_seq[s], s));
-                }
-            }
-        }
-        (order.len() == m).then_some(order)
-    }
-
     /// Transitive reduction (for readable DOT output): drop an edge i→j if
     /// another path i ⇝ j exists.
     pub fn transitive_reduction(&self) -> Oeg {
@@ -277,14 +210,6 @@ impl Oeg {
             }
         }
         reduced
-    }
-
-    /// Arrays flowing from node `i` to node `j`, if an edge exists.
-    pub fn flow_arrays(&self, i: usize, j: usize) -> BTreeSet<String> {
-        self.edges
-            .get(&(i, j))
-            .map(|e| e.flow.clone())
-            .unwrap_or_default()
     }
 }
 
@@ -307,30 +232,38 @@ mod tests {
         Oeg::build(names, &accs, &ddg, &[])
     }
 
+    /// The rule asked about launches 0 and 1 of `accs` directly.
+    fn between(accs: &[LaunchAccesses], transfers: &[TransferRecord]) -> Option<EdgeInfo> {
+        let ddg = Ddg::build(accs);
+        EdgeInfo::between(&ddg, transfers, (0, &accs[0]), (1, &accs[1]))
+    }
+
     #[test]
-    fn flow_edge_detected() {
-        let oeg = build(vec![acc(&["u"], &["v"]), acc(&["v"], &["w"])]);
-        let e = &oeg.edges[&(0, 1)];
-        assert!(e.is_flow_only());
+    fn flow_edge_is_fusable() {
+        let e = between(&[acc(&["u"], &["v"]), acc(&["v"], &["w"])], &[]).unwrap();
+        assert!(e.is_flow_only() && !e.is_hard());
         assert!(e.flow.contains("v"));
+        assert_eq!(e.kind(), EdgeKind::Flow);
     }
 
     #[test]
     fn independent_kernels_have_no_edge() {
-        let oeg = build(vec![acc(&["u"], &["v"]), acc(&["u"], &["w"])]);
-        assert!(oeg.edges.is_empty());
-        // Fusing them is legal.
-        assert!(oeg.quotient_feasible(&[0, 0]));
+        assert_eq!(
+            between(&[acc(&["u"], &["v"]), acc(&["u"], &["w"])], &[]),
+            None
+        );
     }
 
     #[test]
-    fn anti_edge_is_hard() {
-        let oeg = build(vec![acc(&["x"], &["y"]), acc(&["z", "x"], &["x"])]);
+    fn anti_and_output_edges_are_hard() {
         // k1 reads and writes x (accumulate): same instance → anti vs k0.
-        let e = &oeg.edges[&(0, 1)];
-        assert!(e.is_hard());
-        assert!(!oeg.quotient_feasible(&[0, 0]));
-        assert!(oeg.quotient_feasible(&[0, 1]));
+        let e = between(&[acc(&["x"], &["y"]), acc(&["z", "x"], &["x"])], &[]).unwrap();
+        assert!(e.is_hard() && e.anti.contains("x"));
+        assert_eq!(e.kind(), EdgeKind::Anti);
+        // Both accumulate into s: output (and flow, and anti) on one instance.
+        let e = between(&[acc(&["s"], &["s"]), acc(&["s"], &["s"])], &[]).unwrap();
+        assert!(e.is_hard() && e.output.contains("s") && !e.is_flow_only());
+        assert_eq!(e.kind(), EdgeKind::Output);
     }
 
     #[test]
@@ -349,45 +282,55 @@ mod tests {
     }
 
     #[test]
-    fn path_through_outsider_blocks_fusion() {
-        // k0 → k1 → k2 (flow chain). Fusing {k0, k2} leaving k1 out would
-        // create a cycle in the quotient.
-        let oeg = build(vec![
-            acc(&["a"], &["b"]),
-            acc(&["b"], &["c"]),
-            acc(&["c"], &["d"]),
-        ]);
-        assert!(!oeg.quotient_feasible(&[0, 1, 0]));
-        // Fusing the whole chain is fine (flow edges only).
-        assert!(oeg.quotient_feasible(&[0, 0, 0]));
+    fn without_full_writes_scratch_reuse_stays_hard() {
+        // The same three launches with no write offered as a full overwrite
+        // (what `Precedence` does under a host time loop): one instance, so
+        // the output and anti dependences on tmp stand.
+        let mut accs = vec![
+            acc(&["a"], &["tmp"]),
+            acc(&["tmp"], &["b"]),
+            acc(&["c"], &["tmp"]),
+        ];
+        for a in &mut accs {
+            a.full_writes.clear();
+        }
+        let oeg = build(accs);
+        assert!(oeg.edges[&(0, 2)].output.contains("tmp"));
+        assert!(oeg.edges[&(1, 2)].anti.contains("tmp"));
+    }
+
+    #[test]
+    fn a_product_asks_at_its_parents_position_with_its_own_sets() {
+        // Launch 0 writes a and b, launch 1 reads a. The product of launch 0
+        // that owns only b has no edge to launch 1; the one owning a has the
+        // parent's flow edge.
+        let accs = [acc(&["x", "y"], &["a", "b"]), acc(&["a"], &["c"])];
+        let ddg = Ddg::build(&accs);
+        let ask =
+            |product: &LaunchAccesses| EdgeInfo::between(&ddg, &[], (0, product), (1, &accs[1]));
+        assert_eq!(ask(&acc(&["y"], &["b"])), None);
+        assert!(ask(&acc(&["x"], &["a"])).unwrap().is_flow_only());
     }
 
     #[test]
     fn transfer_pins_order() {
-        let accs = vec![acc(&["a"], &["b"]), acc(&["a"], &["c"])];
-        let names = vec!["k0".to_string(), "k1".to_string()];
-        let ddg = Ddg::build(&accs);
+        let accs = [acc(&["a"], &["b"]), acc(&["a"], &["c"])];
         // D2H copy of `a` between the launches — both touch `a`.
-        let transfers = vec![TransferRecord::ToHost {
+        let between_them = [TransferRecord::ToHost {
             array: "a".into(),
             after_seq: 1,
         }];
-        let oeg = Oeg::build(names, &accs, &ddg, &transfers);
-        let e = &oeg.edges[&(0, 1)];
-        assert!(e.transfer.contains("a"));
-        assert!(!oeg.quotient_feasible(&[0, 0]));
-    }
-
-    #[test]
-    fn topo_order_respects_edges_and_ties() {
-        let oeg = build(vec![
-            acc(&["a"], &["b"]),
-            acc(&["b"], &["c"]),
-            acc(&["a"], &["d"]),
-        ]);
-        let order = oeg.quotient_topo_order(&[0, 1, 2]).unwrap();
-        // k0 before k1; k2 anywhere — deterministic order by min seq.
-        assert_eq!(order, vec![0, 1, 2]);
+        let e = between(&accs, &between_them).unwrap();
+        assert!(e.is_hard() && e.transfer.contains("a"));
+        assert_eq!(e.kind(), EdgeKind::Transfer);
+        // The same copy after both launches (or before both) orders nothing.
+        for pos in [0, 2] {
+            let outside = [TransferRecord::ToHost {
+                array: "a".into(),
+                after_seq: pos,
+            }];
+            assert_eq!(between(&accs, &outside), None);
+        }
     }
 
     #[test]
@@ -414,71 +357,5 @@ mod tests {
         ]);
         assert!(oeg.has_path(0, 2));
         assert!(!oeg.has_path(2, 0));
-    }
-}
-
-#[cfg(test)]
-mod quotient_property_tests {
-    use super::*;
-    use crate::build::LaunchAccesses;
-    use crate::ddg::Ddg;
-    use proptest::prelude::*;
-
-    fn acc(reads: &[usize], writes: &[usize]) -> LaunchAccesses {
-        LaunchAccesses {
-            reads: reads.iter().map(|i| format!("a{i}")).collect(),
-            writes: writes.iter().map(|i| format!("a{i}")).collect(),
-            full_writes: writes.iter().map(|i| format!("a{i}")).collect(),
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// For random small dependence structures: the all-singleton
-        /// grouping is always feasible, the all-one-group grouping is
-        /// feasible iff no hard edge exists, and feasibility of a random
-        /// grouping implies a valid topological order whose positions
-        /// respect every edge.
-        #[test]
-        fn quotient_feasibility_invariants(
-            edges in proptest::collection::vec((0usize..5, 0usize..5), 0..8),
-            grouping in proptest::collection::vec(0usize..3, 6),
-        ) {
-            // Build a 6-launch program: launch i writes a{i}; dependence
-            // (i, j) with i < j is induced by making j read a{i}.
-            let mut accs: Vec<(Vec<usize>, Vec<usize>)> =
-                (0..6).map(|i| (vec![], vec![i])).collect();
-            for (x, y) in &edges {
-                let (i, j) = (*x.min(y), *x.max(y) + 1);
-                if j < 6 && i != j {
-                    accs[j].0.push(i);
-                }
-            }
-            let accesses: Vec<LaunchAccesses> = accs
-                .iter()
-                .map(|(r, w)| acc(r, w))
-                .collect();
-            let ddg = Ddg::build(&accesses);
-            let names = (0..6).map(|i| format!("k{i}")).collect();
-            let oeg = Oeg::build(names, &accesses, &ddg, &[]);
-
-            // Singletons always feasible.
-            let singles: Vec<usize> = (0..6).collect();
-            prop_assert!(oeg.quotient_feasible(&singles));
-
-            // If a random grouping is feasible, its topological order must
-            // respect every edge at group granularity.
-            if oeg.quotient_feasible(&grouping) {
-                let order = oeg.quotient_topo_order(&grouping).expect("feasible ⇒ ordered");
-                let pos = |g: usize| order.iter().position(|&x| x == g).expect("present");
-                for &(i, j) in oeg.edges.keys() {
-                    let (gi, gj) = (grouping[i], grouping[j]);
-                    if gi != gj {
-                        prop_assert!(pos(gi) < pos(gj), "edge {i}->{j} violated");
-                    }
-                }
-            }
-        }
     }
 }

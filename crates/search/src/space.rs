@@ -9,18 +9,18 @@
 
 use sf_analysis::filter::FilterDecision;
 use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
-use sf_codegen::transform_program;
+use sf_codegen::{transform_program_with, CodegenFaults};
 use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
-use sf_graphs::build::{all_accesses, all_accesses_with_allocs, LaunchAccesses};
-use sf_graphs::Ddg;
+use sf_graphs::build::{all_accesses, LaunchAccesses};
+use sf_graphs::{EdgeInfo, Precedence};
 use sf_minicuda::ast::Program;
 use sf_minicuda::host::ExecutablePlan;
 use std::collections::BTreeMap;
 
 /// One schedulable unit: an original launch or a fission product.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct Unit {
     /// Index in `SearchSpace::units`.
@@ -73,7 +73,8 @@ fn debase(name: &str) -> String {
 /// A precedence edge between units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitEdge {
-    /// Fusing across this edge is impossible (anti/output/transfer).
+    /// Fusing across this edge is impossible: the dependence is hard
+    /// (`EdgeInfo::is_hard`) or the pair straddles a host time loop boundary.
     pub hard: bool,
 }
 
@@ -135,7 +136,8 @@ impl SearchSpace {
         (2..=self.max_temporal).filter(move |&t| count.is_multiple_of(2 * u64::from(t)))
     }
 
-    /// Build the space from a profiled program and its filter decisions.
+    /// Build the space from a profiled program and its filter decisions,
+    /// analysing the program's precedence first.
     ///
     /// `decisions` must be parallel to `plan.launches`.
     pub fn build(
@@ -145,8 +147,25 @@ impl SearchSpace {
         decisions: &[FilterDecision],
         device: DeviceSpec,
     ) -> Result<SearchSpace, ProfileError> {
+        let precedence = Precedence::build(program, plan).map_err(ProfileError::msg)?;
+        Self::from_precedence(program, plan, profile, decisions, device, &precedence)
+    }
+
+    /// Build the space over the precedence model the graphs stage made of
+    /// `(program, plan)`: units take its access sets, unit edges its
+    /// dependence rule.
+    ///
+    /// `decisions` must be parallel to `plan.launches`.
+    pub fn from_precedence(
+        program: &Program,
+        plan: &ExecutablePlan,
+        profile: &ProgramProfile,
+        decisions: &[FilterDecision],
+        device: DeviceSpec,
+        precedence: &Precedence,
+    ) -> Result<SearchSpace, ProfileError> {
         assert_eq!(decisions.len(), plan.launches.len());
-        let accesses = all_accesses_with_allocs(program, plan).map_err(ProfileError::msg)?;
+        let accesses = &precedence.accesses;
         let loop_of: BTreeMap<usize, usize> = plan
             .loops
             .iter()
@@ -200,8 +219,14 @@ impl SearchSpace {
         if any_products {
             let tplan =
                 TransformPlan::new(device.clone(), CodegenMode::Auto, false, fission_groups);
-            let out = transform_program(program, plan, &tplan)
-                .map_err(|e| ProfileError::msg(e.0))?;
+            let out = transform_program_with(
+                program,
+                plan,
+                &tplan,
+                &precedence.ddg,
+                &CodegenFaults::default(),
+            )
+            .map_err(|e| ProfileError::msg(e.0))?;
             let fission_plan = ExecutablePlan::from_program(&out.program)
                 .map_err(|e| ProfileError::msg(e.to_string()))?;
             let fission_profile =
@@ -257,99 +282,32 @@ impl SearchSpace {
         }
 
         // ---- unit-level precedence graph ----
-        // Pairwise dependence over units, ordered by original launch seq
-        // (fission products occupy their parent's position). A parent and
-        // its own products — or two siblings — are never simultaneously
-        // active, so those pairs carry no edge. A full DDG/OEG build over
-        // all units would mis-apply the redundant-instance optimization to
-        // the parent/product aliases, so the pairwise form is used here.
+        // The dependence rule over unit pairs in host order: a fission
+        // product stands at its parent's position with its own access sets
+        // (a full DDG/OEG build over all units would mis-apply the
+        // redundant-instance optimization to the parent/product aliases).
+        // A parent and its own products — or two siblings — are never
+        // simultaneously active, so those pairs carry no edge. The space's
+        // own rule on top: a fusion group may not straddle a host time loop
+        // boundary, so units of different loop membership are pinned apart.
         let seq_of = |u: &Unit| u.parent.unwrap_or(u.mref.seq);
-        // Array-instance numbering at original-launch granularity: the
-        // DDG's redundant-instance optimization (§3.2.3) relaxes the false
-        // anti/output dependences created by scratch-array reuse. Products
-        // inherit their parent's instances.
-        let base_ddg = Ddg::build(&accesses);
-        let read_inst = |u: &Unit, a: &str| {
-            base_ddg
-                .read_instance
-                .get(&(seq_of(u), a.to_string()))
-                .copied()
-                .unwrap_or(0)
-        };
-        let write_inst = |u: &Unit, a: &str| {
-            base_ddg
-                .write_instance
-                .get(&(seq_of(u), a.to_string()))
-                .copied()
-                .unwrap_or(0)
-        };
         let mut edges = BTreeMap::new();
-        for a in 0..units.len() {
-            for b in 0..units.len() {
-                let (ua, ub) = (&units[a], &units[b]);
+        for (a, ua) in units.iter().enumerate() {
+            for (b, ub) in units.iter().enumerate() {
                 let (sa, sb) = (seq_of(ua), seq_of(ub));
                 if sa >= sb {
-                    continue; // products share their parent's seq: no intra-family edges
-                }
-                let flow = ua
-                    .accesses
-                    .writes
-                    .intersection(&ub.accesses.reads)
-                    .any(|x| write_inst(ua, x) == read_inst(ub, x));
-                let anti = ua
-                    .accesses
-                    .reads
-                    .intersection(&ub.accesses.writes)
-                    .any(|x| read_inst(ua, x) == write_inst(ub, x));
-                let output = ua
-                    .accesses
-                    .writes
-                    .intersection(&ub.accesses.writes)
-                    .any(|x| write_inst(ua, x) == write_inst(ub, x));
-                if flow || anti || output {
-                    edges.insert(
-                        (a, b),
-                        UnitEdge {
-                            hard: anti || output,
-                        },
-                    );
-                }
-            }
-        }
-        // Host transfers pin order across the copy point.
-        for t in &plan.transfers {
-            let (array, pos) = match t {
-                sf_minicuda::host::TransferRecord::ToDevice { array, before_seq } => {
-                    (array, *before_seq)
-                }
-                sf_minicuda::host::TransferRecord::ToHost { array, after_seq } => {
-                    (array, *after_seq)
-                }
-            };
-            for a in 0..units.len() {
-                if seq_of(&units[a]) >= pos || !units[a].accesses.touched().contains(array) {
                     continue;
                 }
-                for (b, unit) in units.iter().enumerate() {
-                    if seq_of(unit) < pos || !unit.accesses.touched().contains(array) {
-                        continue;
-                    }
-                    edges.insert((a, b), UnitEdge { hard: true });
+                let hard = if ua.loop_id != ub.loop_id {
+                    Some(true)
+                } else {
+                    let (earlier, later) = ((sa, &ua.accesses), (sb, &ub.accesses));
+                    EdgeInfo::between(&precedence.ddg, &plan.transfers, earlier, later)
+                        .map(|dependence| dependence.is_hard())
+                };
+                if let Some(hard) = hard {
+                    edges.insert((a, b), UnitEdge { hard });
                 }
-            }
-        }
-
-        // A fusion group may not straddle a host time loop boundary: pin a
-        // hard edge between every pair of units with different loop
-        // membership (in seq order, matching the dependence edges above).
-        for a in 0..units.len() {
-            for b in 0..units.len() {
-                let (ua, ub) = (&units[a], &units[b]);
-                let (sa, sb) = (seq_of(ua), seq_of(ub));
-                if sa >= sb || ua.loop_id == ub.loop_id {
-                    continue;
-                }
-                edges.insert((a, b), UnitEdge { hard: true });
             }
         }
 

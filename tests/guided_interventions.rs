@@ -181,3 +181,31 @@ fn pipeline_runs_from_preloaded_metadata() {
     assert!(r.verification.expect("verified").passed());
     assert!(r.speedup > 1.0);
 }
+
+#[test]
+fn amend_decisions_must_keep_one_decision_per_launch() {
+    // The other three hooks are validated; this one used to reach the
+    // search-space builder's length assertion and panic the process.
+    type Amend = fn(&mut Vec<sf_analysis::FilterDecision>);
+    let drops: Amend = |ds| {
+        ds.pop();
+    };
+    let appends: Amend = |ds| ds.push(ds[0].clone());
+    for amend in [drops, appends] {
+        let hooks = Interventions {
+            amend_decisions: Some(Box::new(amend)),
+            ..Interventions::default()
+        };
+        let err = Pipeline::new(mitgcm().program, PipelineConfig::quick(DeviceSpec::k20x()))
+            .expect("valid")
+            .run_with(&hooks)
+            .expect_err("a decision vector of the wrong length is a configuration error");
+        assert_eq!(err.stage, Stage::Filter);
+        assert_eq!(err.class, stencilfuse::Recoverability::Fatal);
+        assert!(
+            matches!(err.kind, stencilfuse::ErrorKind::Config(_)),
+            "{err}"
+        );
+        assert_eq!(err.exit_code(), stencilfuse::error::EXIT_ANALYSIS);
+    }
+}

@@ -109,3 +109,33 @@ fn transformation_reduces_launch_count_for_fusion_driven_apps() {
         }
     }
 }
+
+#[test]
+fn scratch_reuse_next_to_a_time_loop_is_searched_as_codegen_will_emit_it() {
+    // `s` is written by k1 and k3 and read between them; the host then runs
+    // a time loop. Code generation pins every array to its base name under a
+    // host loop, so the search must see the `s` anti/output edges as hard —
+    // it used to relax them, fuse {k1..k4}, and have codegen reject the group
+    // (speedup 1.000 with a degradation; an error under `.strict()`).
+    let source = include_str!("inputs/scratch_reuse_looped.cu");
+    let program = sf_minicuda::parse_program(source).expect("probe parses");
+    let run = |cfg: PipelineConfig| Pipeline::new(program.clone(), cfg).expect("valid").run();
+    let r = run(PipelineConfig::quick(DeviceSpec::k20x())).expect("pipeline completes");
+    assert!(r.degradations().is_empty(), "{:?}", r.degradations());
+    assert!(r.verification.as_ref().expect("verification ran").passed());
+    assert!(r.speedup > 1.0, "expected speedup, got {:.3}", r.speedup);
+    // k2 → k3 is the anti edge on `s`; the k1 → k3 output edge is implied by
+    // the path through k2, so the drawn (transitively reduced) OEG omits it.
+    let anti = "k1 -> k2 [style=dashed, label=\"s\"]";
+    assert!(
+        r.oeg_dot.contains(anti),
+        "missing `{anti}` in:\n{}",
+        r.oeg_dot
+    );
+    let lines: Vec<&String> = r.reports.iter().flat_map(|rep| &rep.lines).collect();
+    assert!(
+        !lines.iter().any(|l| l.contains("redundant instance")),
+        "{lines:?}"
+    );
+    run(PipelineConfig::quick(DeviceSpec::k20x()).strict()).expect("nothing to be strict about");
+}

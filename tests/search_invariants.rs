@@ -1,21 +1,23 @@
 //! Invariants of the grouped GA: feasibility is preserved by every
 //! operator sequence, results are deterministic per seed, fitness never
-//! regresses across generations (elitism), and the winning grouping is
-//! always executable by the code generator.
+//! regresses across generations (elitism), the winning grouping is always
+//! executable by the code generator, and the space's precedence edges are
+//! the graphs stage's.
 
 use proptest::prelude::*;
+use sf_analysis::FilterDecision;
 use sf_apps::AppConfig;
 use sf_gpusim::device::DeviceSpec;
-use sf_gpusim::profiler::Profiler;
+use sf_gpusim::profiler::{Profiler, ProgramProfile};
+use sf_graphs::Precedence;
 use sf_minicuda::host::ExecutablePlan;
+use sf_minicuda::Program;
 use sf_search::{search, Individual, SearchConfig, SearchSpace};
 
-fn space_for(name: &str) -> (sf_apps::App, ExecutablePlan, SearchSpace) {
-    let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
-    let plan = ExecutablePlan::from_program(&app.program).expect("plan");
-    let device = DeviceSpec::k20x();
-    let profile = Profiler::analytic(device.clone())
-        .profile_with_plan(&app.program, &plan)
+/// The analytic profile and default filter decisions the spaces are built from.
+fn profiled(program: &Program, plan: &ExecutablePlan) -> (ProgramProfile, Vec<FilterDecision>) {
+    let profile = Profiler::analytic(DeviceSpec::k20x())
+        .profile_with_plan(program, plan)
         .expect("profile");
     let decisions = sf_analysis::filter::identify_targets(
         &profile.metadata.perf,
@@ -23,9 +25,69 @@ fn space_for(name: &str) -> (sf_apps::App, ExecutablePlan, SearchSpace) {
         &profile.metadata.device,
         &sf_analysis::filter::FilterConfig::default(),
     );
+    (profile, decisions)
+}
+
+fn space_for(name: &str) -> (sf_apps::App, ExecutablePlan, SearchSpace) {
+    let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
+    let plan = ExecutablePlan::from_program(&app.program).expect("plan");
+    let (profile, decisions) = profiled(&app.program, &plan);
+    let device = DeviceSpec::k20x();
     let space =
         SearchSpace::build(&app.program, &plan, &profile, &decisions, device).expect("space");
     (app, plan, space)
+}
+
+/// `SearchSpace::build` analyses the program itself; the pipeline builds the
+/// space from stage 3's precedence model. Both must be the same space, and
+/// its original-unit edges must be that model's OEG.
+#[test]
+fn unit_edges_are_the_graphs_stages_oeg() {
+    use sf_fuzz::{generate, GenConfig};
+    let looped = GenConfig {
+        p_time_loop: 1.0,
+        ..GenConfig::default()
+    };
+    let analogs = sf_apps::APP_NAMES.iter().map(|name| {
+        let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
+        (name.to_string(), app.program)
+    });
+    let corpora = [("flat", GenConfig::default()), ("looped", looped)];
+    let generated = corpora.iter().flat_map(|(corpus, cfg)| {
+        (0..100).map(move |seed| (format!("{corpus} seed {seed}"), generate(seed, cfg).program))
+    });
+    for (label, program) in analogs.chain(generated) {
+        let plan = ExecutablePlan::from_program(&program).expect("plan");
+        let (profile, decisions) = profiled(&program, &plan);
+        let device = DeviceSpec::k20x();
+        let precedence = Precedence::build(&program, &plan).expect("graphs");
+        let own = SearchSpace::build(&program, &plan, &profile, &decisions, device.clone())
+            .expect("self-built space");
+        let staged = SearchSpace::from_precedence(
+            &program,
+            &plan,
+            &profile,
+            &decisions,
+            device,
+            &precedence,
+        )
+        .expect("space from the graphs stage");
+        assert_eq!(own.units, staged.units, "{label}");
+        assert_eq!(own.edges, staged.edges, "{label}");
+        // Original units are the launches: apart from the space's own
+        // loop-boundary pins, their edges are the OEG's.
+        for a in 0..plan.launches.len() {
+            for b in a + 1..plan.launches.len() {
+                let hard = staged.edges.get(&(a, b)).map(|e| e.hard);
+                if staged.units[a].loop_id != staged.units[b].loop_id {
+                    assert_eq!(hard, Some(true), "{label}: loop boundary {a} | {b}");
+                } else {
+                    let oeg = precedence.oeg.edges.get(&(a, b)).map(|e| e.is_hard());
+                    assert_eq!(hard, oeg, "{label}: launches {a} → {b}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -161,7 +161,8 @@ fn tuned_temporal_rejection_degrades_to_untuned_temporal() {
         reject_tuned_groups: [0usize].into_iter().collect(),
         ..CodegenFaults::default()
     };
-    let out = transform_program_with(&p, &plan, &tplan, &faults).unwrap();
+    let instances = sf_graphs::Precedence::instances(&p, &plan).unwrap();
+    let out = transform_program_with(&p, &plan, &tplan, &instances, &faults).unwrap();
     assert_eq!(out.degradations.len(), 1);
     assert_eq!(
         out.degradations[0].action,
