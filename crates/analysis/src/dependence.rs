@@ -158,12 +158,6 @@ impl ArrayDependenceGraph {
         }
         out
     }
-
-    /// A kernel is fissionable when it has at least two components — i.e.
-    /// it has separable data arrays (§4.1).
-    pub fn is_separable(&self) -> bool {
-        self.components().len() > 1
-    }
 }
 
 /// Arrays that influence the value of `e`, directly or through tainted
@@ -217,7 +211,6 @@ __global__ void kern_a(const double* __restrict__ s, const double* __restrict__ 
     fn finds_separable_components() {
         let k = parse_kernel(FISSIONABLE).unwrap();
         let g = ArrayDependenceGraph::build(&k);
-        assert!(g.is_separable());
         let comps = g.components();
         assert_eq!(comps.len(), 2);
         assert!(comps.contains(&vec![
@@ -276,7 +269,6 @@ __global__ void k(const double* __restrict__ a, double* b, int n) {
     fn tight_kernel_is_not_separable() {
         let k = sf_minicuda::builder::jacobi3d_kernel("j", "u", "v");
         let g = ArrayDependenceGraph::build(&k);
-        assert!(!g.is_separable());
         assert_eq!(g.components(), vec![vec!["u".to_string(), "v".to_string()]]);
     }
 

@@ -234,18 +234,6 @@ pub struct MetadataBundle {
     pub device: DeviceMetadata,
 }
 
-impl MetadataBundle {
-    /// Look up perf metadata by static launch id.
-    pub fn perf_of(&self, seq: usize) -> Option<&PerfMetadata> {
-        self.perf.iter().find(|p| p.seq == seq)
-    }
-
-    /// Look up ops metadata by static launch id.
-    pub fn ops_of(&self, seq: usize) -> Option<&OpsMetadata> {
-        self.ops.iter().find(|o| o.seq == seq)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

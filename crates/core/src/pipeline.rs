@@ -18,8 +18,8 @@ use crate::config::{DegradePolicy, PipelineConfig, Stage};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
 use crate::faults::FaultPlan;
 use crate::report::StageReport;
-use crate::verify::{verify_equivalence_governed, Verification, VerifyFailure};
-use sf_core::{ResourceGovernor, ResourceKind};
+use crate::verify::{verify_executions, Execution, Side, Verification, VerifyFailure};
+use sf_core::{Accounted, ResourceGovernor, ResourceKind};
 use sf_analysis::filter::{identify_targets, FilterDecision};
 use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{
@@ -29,7 +29,7 @@ use sf_codegen::{
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_gpusim::robust::{RobustProfile, RobustProfiler};
-use sf_gpusim::Interpreter;
+use sf_gpusim::{GlobalMemory, Interpreter};
 use sf_graphs::{dot, Precedence};
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
@@ -255,6 +255,10 @@ struct Run<'a> {
     robust: RobustProfiler,
     reports: Vec<StageReport>,
     original_profile: Option<ProgramProfile>,
+    /// The final memory image of the original's functional profile, kept
+    /// for the verifier (see [`Run::keep_image`]) until verification ends
+    /// or the run finishes.
+    original_image: Option<Accounted<GlobalMemory>>,
     metadata: Option<MetadataBundle>,
     decisions: Vec<FilterDecision>,
     ddg_dot: String,
@@ -300,6 +304,7 @@ impl<'a> Run<'a> {
             robust,
             reports: Vec::new(),
             original_profile: None,
+            original_image: None,
             metadata: None,
             decisions: Vec::new(),
             ddg_dot: String::new(),
@@ -416,6 +421,20 @@ impl<'a> Run<'a> {
         } else {
             0
         }
+    }
+
+    /// Keep a functional profile's final memory image for the verifier,
+    /// held as an accounted `heap-bytes` charge. Nothing is kept when
+    /// verification is off, and an image the budget has no room for is
+    /// simply dropped: the verifier then executes that side itself.
+    fn keep_image(
+        &self,
+        image: Option<GlobalMemory>,
+        plan: &ExecutablePlan,
+    ) -> Option<Accounted<GlobalMemory>> {
+        let image = image.filter(|_| self.cfg.verify)?;
+        let bytes = GlobalMemory::plan_bytes(plan);
+        Accounted::new(image, &self.governor, ResourceKind::HeapBytes, bytes).ok()
     }
 
     /// Should the next profiler invocation fail by injection?
@@ -550,6 +569,7 @@ impl<'a> Run<'a> {
                         ));
                     }
                 }
+                self.original_image = self.keep_image(rp.image, plan);
                 rp.profile
             }
         };
@@ -1020,6 +1040,8 @@ impl<'a> Run<'a> {
         let Some(rp) = self.profile(r, what, reprofile)? else {
             return Ok(Next::KeepOriginal);
         };
+        let tplan = tplan.as_ref().expect("the re-profile executed this plan");
+        let transformed_image = self.keep_image(rp.image, tplan);
         if self.robust.is_active() && rp.transient_failures > 0 {
             r.line(format!(
                 "robust re-profiling: {} transient rep failure(s) retried \
@@ -1056,7 +1078,16 @@ impl<'a> Run<'a> {
         }
 
         let verification = if self.cfg.verify {
-            match self.verify(r, &transform.program)? {
+            let run = transformed_image.as_deref().map(|image| Execution {
+                image,
+                hazards: &transformed_profile.hazards,
+            });
+            let side = Side {
+                program: &transform.program,
+                plan: tplan,
+                run,
+            };
+            match self.verify(r, side)? {
                 Some(v) => Some(v),
                 None => return Ok(Next::KeepOriginal),
             }
@@ -1084,24 +1115,38 @@ impl<'a> Run<'a> {
         Ok(Next::Continue)
     }
 
-    /// Check the transformed program's output against the original's. The
-    /// governed verifier charges both memory images as accounted heap bytes
-    /// before materializing either, and both interpreter runs draw from what
-    /// the two profiles left of the scope's step budget — a hostile program
-    /// can neither OOM nor hang the verification. `Ok(None)` is a
-    /// keep-original rung, recorded in `r`.
+    /// Check the transformed program's output against the original's: the
+    /// verdict compares the two profiles' final images (both runs started
+    /// from the profiler's seed) and folds in both profiles' hazards. A side
+    /// no profile executed — analytic profile, preloaded metadata, an image
+    /// the heap budget refused — is executed by the governed verifier from
+    /// the same seed, its image charged before it exists and its run drawing
+    /// on what is left of the step budget, so a hostile program can neither
+    /// OOM nor hang the verification. The kept original image is released
+    /// here. `Ok(None)` is a keep-original rung, recorded in `r`.
     fn verify(
-        &self,
+        &mut self,
         r: &mut StageReport,
-        transformed: &Program,
+        transformed: Side,
     ) -> Result<Option<Verification>, PipelineError> {
+        let original_image = self.original_image.take();
         let trapped = self.faults.interpreter_trap;
         let outcome = if trapped {
             Err(VerifyFailure::Failed(
                 "injected interpreter trap during verification".to_string(),
             ))
         } else {
-            verify_equivalence_governed(self.program, transformed, 99, &self.governor)
+            let run = original_image.as_deref().map(|image| Execution {
+                image,
+                hazards: &made(&self.original_profile).hazards,
+            });
+            let original = Side {
+                program: self.program,
+                plan: self.plan,
+                run,
+            };
+            let seed = self.robust.inner.seed;
+            verify_executions(original, transformed, seed, &self.governor)
         };
         let failed = |kind| PipelineError::degradable(Stage::Codegen, kind);
         let (err, what, why) = match outcome {
@@ -1309,6 +1354,119 @@ void host() {
             .degradations()
             .iter()
             .any(|d| d.stage == Stage::Codegen));
+    }
+
+    /// Stage 1 of a run over `APP` (which keeps the original's image), then
+    /// its verifier handed the profile image of `APP`'s transform with
+    /// `edit` applied.
+    fn verify_edited_image(
+        config: PipelineConfig,
+        edit: impl Fn(&mut GlobalMemory),
+    ) -> (Result<Option<Verification>, PipelineError>, StageReport) {
+        let p = parse_program(APP).unwrap();
+        let quick = PipelineConfig::quick(DeviceSpec::k20x());
+        let transformed = Pipeline::new(p.clone(), quick).unwrap().run().unwrap().program;
+        assert_ne!(transformed, p, "APP fuses");
+        let tplan = ExecutablePlan::from_program(&transformed).unwrap();
+        let pipeline = Pipeline::new(p, config).unwrap();
+        let hooks = Interventions::default();
+        let mut run = Run::new(&pipeline, &hooks);
+        let mut r = StageReport::new(Stage::Metadata);
+        assert!(matches!(run.metadata(&mut r), Ok(Next::Continue)));
+        assert!(run.original_image.is_some(), "stage 1 keeps the original's image");
+        let rp = run.robust.profile_with_plan(&transformed, &tplan).unwrap();
+        let mut image = rp.image.expect("a functional profile");
+        edit(&mut image);
+        let side = Side {
+            program: &transformed,
+            plan: &tplan,
+            run: Some(Execution {
+                image: &image,
+                hazards: &rp.profile.hazards,
+            }),
+        };
+        let mut r = StageReport::new(Stage::Codegen);
+        let outcome = run.verify(&mut r, side);
+        assert!(run.original_image.is_none(), "verification releases the image");
+        (outcome, r)
+    }
+
+    #[test]
+    fn the_verdict_reads_the_kept_images() {
+        let quick = || PipelineConfig::quick(DeviceSpec::k20x());
+        let (outcome, r) = verify_edited_image(quick(), |_| {});
+        assert!(outcome.unwrap().unwrap().passed());
+        assert!(r.degradations.is_empty());
+
+        // One flipped element of the transformed program's image.
+        let flip = |image: &mut GlobalMemory| image.get_mut("c").unwrap().data[7] += 1.0;
+        let (outcome, r) = verify_edited_image(quick(), flip);
+        assert!(outcome.unwrap().is_none(), "a keep-original rung");
+        assert_eq!(r.degradations.len(), 1);
+        let d = &r.degradations[0];
+        assert_eq!(d.action, "kept the original program (verification failed)");
+        assert_eq!(d.reason, "output mismatch: max abs diff 1e0 in Some(\"c\")");
+
+        let err = verify_edited_image(quick().strict(), flip).0.unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::Verify(_)), "{err}");
+        assert_eq!(err.exit_code(), 7);
+    }
+
+    /// The original races across blocks: the profiles' hazards fail the
+    /// verification with the text the parent's second pair of runs gave.
+    #[test]
+    fn a_cross_block_read_fails_verification_from_the_profiles_hazards() {
+        const CROSS_BLOCK: &str = r#"
+__global__ void smear(double* a, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i >= 8 && i < nx && j < ny) { for (int k = 0; k < nz; k++) { a[k][j][i] = a[k][j][i - 8] * 0.5; } }
+}
+__global__ void scale(const double* __restrict__ u, double* b, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz; k++) { b[k][j][i] = u[k][j][i] * 2.0; } }
+}
+__global__ void shift(const double* __restrict__ b, double* c, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz; k++) { c[k][j][i] = b[k][j][i] + 1.0; } }
+}
+void host() {
+  int nx = 64; int ny = 32; int nz = 2;
+  double* a = cudaAlloc3D(nz, ny, nx);
+  double* u = cudaAlloc3D(nz, ny, nx);
+  double* b = cudaAlloc3D(nz, ny, nx);
+  double* c = cudaAlloc3D(nz, ny, nx);
+  cudaMemcpyH2D(a);
+  cudaMemcpyH2D(u);
+  smear<<<dim3(4, 4), dim3(16, 8)>>>(a, nx, ny, nz);
+  scale<<<dim3(4, 4), dim3(16, 8)>>>(u, b, nx, ny, nz);
+  shift<<<dim3(4, 4), dim3(16, 8)>>>(b, c, nx, ny, nz);
+  cudaMemcpyD2H(a);
+  cudaMemcpyD2H(c);
+}
+"#;
+        let p = parse_program(CROSS_BLOCK).unwrap();
+        let quick = || PipelineConfig::quick(DeviceSpec::k20x());
+        let result = Pipeline::new(p.clone(), quick()).unwrap().run().unwrap();
+        assert_eq!(result.program, p);
+        let profiled = result.original_profile.as_ref().unwrap().hazards.len();
+        assert_eq!(profiled, 16, "the stage-1 profile saw the race (capped per launch)");
+        let degradations = result.degradations();
+        assert_eq!(degradations.len(), 1, "{degradations:?}");
+        assert_eq!(
+            degradations[0].action,
+            "kept the original program (verification failed)"
+        );
+        assert_eq!(degradations[0].reason, "output mismatch: 32 hazard(s)");
+
+        let err = Pipeline::new(p, quick().strict()).unwrap().run().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "pipeline error [codegen stage, verify, degradable]: output mismatch: 32 hazard(s)"
+        );
+        assert_eq!(err.exit_code(), 7);
     }
 
     #[test]

@@ -2,6 +2,18 @@
 //! the original code base "for every single run" (§6.1.2). Both programs
 //! execute functionally on the simulator from identical seeded inputs and
 //! every device array is compared.
+//!
+//! One verifier, [`verify_executions`], compares two executions. Inside the
+//! pipeline each program runs **once** per compile: the functional profile
+//! of the original (stage 1) and of the transformed program (the stage-6
+//! re-profile) start from the profiler's seed with hazard detection on,
+//! so their final memory images and hazards are the verdict's inputs. The
+//! verifier executes only a side no profile executed — an analytic
+//! profile, a `--metadata` run, or an image the heap budget had no room to
+//! keep — through the same governed run, from the same seed.
+//! [`verify_equivalence`] is that comparison with both sides executed
+//! here; `sf-fuzz`'s `differential` oracle calls it at a seed of its own,
+//! which keeps an independent second opinion on every fuzzed compile.
 
 use sf_core::{Accounted, Limits, ResourceError, ResourceGovernor, ResourceKind};
 use sf_gpusim::{ExecErrorKind, GlobalMemory, Interpreter};
@@ -108,11 +120,76 @@ fn run_governed(
     }
 }
 
-/// [`verify_equivalence`] under a resource governor: both memory images
-/// are charged as accounted heap bytes *before* either is materialized,
-/// and both interpreter runs draw from the scope's step budget.
+/// One side of a verification: a program, its executable plan, and the
+/// functional run a profile already made of it, if one did.
+#[derive(Debug, Clone, Copy)]
+pub struct Side<'a> {
+    /// The program.
+    pub program: &'a Program,
+    /// Its executable plan.
+    pub plan: &'a ExecutablePlan,
+    /// A run from `seed_all(seed)` with hazard detection on — the seed the
+    /// verification is given; `None` makes the verifier execute this side.
+    pub run: Option<Execution<'a>>,
+}
+
+/// What one functional run left behind.
+#[derive(Debug, Clone, Copy)]
+pub struct Execution<'a> {
+    /// The final memory image.
+    pub image: &'a GlobalMemory,
+    /// The hazards the run reported.
+    pub hazards: &'a [String],
+}
+
+/// Compare two executions of the same seeded inputs, executing only the
+/// sides that arrive without a run. The images still to be made are
+/// charged as accounted heap bytes in one charge *before* any is
+/// materialized, and each run draws on the scope's step budget.
 /// Exhaustion is a structured [`VerifyFailure::Exhausted`], never an OOM
 /// or a hang.
+pub fn verify_executions(
+    original: Side,
+    transformed: Side,
+    seed: u64,
+    governor: &Arc<ResourceGovernor>,
+) -> Result<Verification, VerifyFailure> {
+    let sides = [("original", original), ("transformed", transformed)];
+    let image_bytes = sides
+        .iter()
+        .filter(|(_, side)| side.run.is_none())
+        .map(|(_, side)| GlobalMemory::plan_bytes(side.plan))
+        .sum();
+    let mut fresh = Accounted::build(governor, ResourceKind::HeapBytes, image_bytes, || {
+        sides.map(|(_, side)| {
+            side.run.is_none().then(|| {
+                let mut mem = GlobalMemory::from_plan(side.plan);
+                mem.seed_all(seed);
+                mem
+            })
+        })
+    })
+    .map_err(VerifyFailure::Exhausted)?;
+
+    let mut hazards = Vec::new();
+    for ((label, side), mem) in sides.iter().zip(fresh.iter_mut()) {
+        match (side.run, mem) {
+            (Some(run), _) => hazards.extend_from_slice(run.hazards),
+            (None, Some(mem)) => {
+                hazards.extend(run_governed(side.program, side.plan, mem, label, governor)?)
+            }
+            (None, None) => unreachable!("every side without a run got a fresh image"),
+        }
+    }
+    let image = |i: usize| {
+        let ran = sides[i].1.run.map(|run| run.image);
+        fresh[i].as_ref().or(ran).expect("every side has an image")
+    };
+    Ok(compare_images(image(0), image(1), hazards))
+}
+
+/// [`verify_equivalence`] under a resource governor: [`verify_executions`]
+/// with both programs executed here.
 pub fn verify_equivalence_governed(
     original: &Program,
     transformed: &Program,
@@ -123,25 +200,17 @@ pub fn verify_equivalence_governed(
         ExecutablePlan::from_program(original).map_err(|e| VerifyFailure::Failed(e.to_string()))?;
     let plan_b = ExecutablePlan::from_program(transformed)
         .map_err(|e| VerifyFailure::Failed(e.to_string()))?;
-    // Charge both images up front; the builder only runs when admitted.
-    let image_bytes = GlobalMemory::plan_bytes(&plan_a) + GlobalMemory::plan_bytes(&plan_b);
-    let mut images = Accounted::build(governor, ResourceKind::HeapBytes, image_bytes, || {
-        (GlobalMemory::from_plan(&plan_a), GlobalMemory::from_plan(&plan_b))
-    })
-    .map_err(VerifyFailure::Exhausted)?;
-    let (mem_a, mem_b) = &mut *images;
-    mem_a.seed_all(seed);
-    mem_b.seed_all(seed);
-
-    let mut hazards = run_governed(original, &plan_a, mem_a, "original", governor)?;
-    hazards.extend(run_governed(
-        transformed,
-        &plan_b,
-        mem_b,
-        "transformed",
+    let unexecuted = |program, plan| Side {
+        program,
+        plan,
+        run: None,
+    };
+    verify_executions(
+        unexecuted(original, &plan_a),
+        unexecuted(transformed, &plan_b),
+        seed,
         governor,
-    )?);
-    Ok(compare_images(mem_a, mem_b, hazards))
+    )
 }
 
 /// Run both programs with identical seeded inputs and compare all arrays:
@@ -372,6 +441,60 @@ void host() {
             panic!("expected a failed run, got {err:?}");
         };
         assert!(why.starts_with("transformed: execution error: out-of-bounds"), "{why}");
+    }
+
+    #[test]
+    fn a_side_that_already_ran_is_compared_not_executed() {
+        use sf_core::{Limits, ResourceGovernor, ResourceKind};
+        use sf_gpusim::Interpreter;
+        let p = parse_program(
+            r#"
+__global__ void k(double* a, int n) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  if (i < n) { a[i] = a[i] * 2.0; }
+}
+void host() {
+  int n = 64;
+  double* a = cudaAlloc1D(n);
+  k<<<2, 32>>>(a, n);
+}
+"#,
+        )
+        .unwrap();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let mut image = GlobalMemory::from_plan(&plan);
+        image.seed_all(3);
+        Interpreter::new(&p).run_plan(&plan, &mut image).unwrap();
+        let hazards = vec!["reported by the earlier run".to_string()];
+        let ran = Side {
+            program: &p,
+            plan: &plan,
+            run: Some(Execution {
+                image: &image,
+                hazards: &hazards,
+            }),
+        };
+        let unexecuted = Side { run: None, ..ran };
+
+        // One side ran: only the other is materialized and executed, and
+        // the earlier run's hazards are folded into the verdict.
+        let g = ResourceGovernor::new(Limits::unlimited());
+        let v = verify_executions(ran, unexecuted, 3, &g).unwrap();
+        assert_eq!((v.max_abs_diff, v.hazards.clone()), (0.0, hazards.clone()));
+        assert_eq!(g.used(ResourceKind::InterpreterSteps), 64);
+        assert_eq!(g.high_water(ResourceKind::HeapBytes), 64 * 8);
+
+        // Both ran: nothing executes and nothing is charged.
+        let g = ResourceGovernor::new(Limits::unlimited());
+        let v = verify_executions(ran, ran, 3, &g).unwrap();
+        assert_eq!(v.hazards.len(), 2);
+        assert_eq!(g.used(ResourceKind::InterpreterSteps), 0);
+        assert_eq!(g.high_water(ResourceKind::HeapBytes), 0);
+
+        // The executed side starts from the seed it is given: another seed
+        // than the earlier run's is a mismatch, not a pass.
+        let v = verify_executions(ran, unexecuted, 4, &g).unwrap();
+        assert!(v.max_abs_diff > 0.0);
     }
 
     /// Mutation test: swap the array bindings of one launch and assert the

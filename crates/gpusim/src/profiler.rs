@@ -3,9 +3,10 @@
 //! Profiling a program produces the per-launch performance metadata and
 //! operations metadata bundles of §3.2.1. A *functional* profile actually
 //! executes the program on the simulator (one instrumented run, as in the
-//! paper) to measure flops and warp divergence exactly; an analytic profile
-//! skips execution and uses the static estimates (useful for large
-//! problem sizes).
+//! paper) to measure flops and warp divergence exactly — and that run's
+//! final memory image is what the pipeline's verifier compares, so each
+//! program executes once per compile; an analytic profile skips execution
+//! and uses the static estimates (useful for large problem sizes).
 
 use crate::device::DeviceSpec;
 use crate::interp::{ExecError, Interpreter, LaunchStats};
@@ -171,9 +172,24 @@ impl Profiler {
         program: &Program,
         plan: &ExecutablePlan,
     ) -> Result<ProgramProfile, ProfileError> {
+        self.profile_with_image(program, plan).map(|(profile, _)| profile)
+    }
+
+    /// Profile with a pre-computed plan, handing back the final memory
+    /// image of the functional run beside the profile (`None` for an
+    /// analytic profile, which executes nothing). The run starts from
+    /// `seed_all(self.seed)` with hazard detection on, so the image and
+    /// [`ProgramProfile::hazards`] are exactly what a verification run
+    /// from the same seed would produce.
+    pub fn profile_with_image(
+        &self,
+        program: &Program,
+        plan: &ExecutablePlan,
+    ) -> Result<(ProgramProfile, Option<GlobalMemory>), ProfileError> {
         // Optional functional run (exact flops + divergence + hazards).
         let mut measured: Option<Vec<LaunchStats>> = None;
         let mut hazards = Vec::new();
+        let mut image = None;
         if self.functional {
             let mut mem = GlobalMemory::from_plan(plan);
             mem.seed_all(self.seed);
@@ -184,6 +200,7 @@ impl Profiler {
                 hazards.extend(s.hazards.iter().cloned());
             }
             measured = Some(stats);
+            image = Some(mem);
         }
         // Occurrences of each static launch in the dynamic trace.
         let mut occurrences: Vec<u64> = vec![0; plan.launches.len()];
@@ -320,7 +337,7 @@ impl Profiler {
             costs.push(cost);
         }
 
-        Ok(ProgramProfile {
+        let profile = ProgramProfile {
             metadata: MetadataBundle {
                 perf,
                 ops,
@@ -329,7 +346,8 @@ impl Profiler {
             costs,
             total_runtime_us: total_us,
             hazards,
-        })
+        };
+        Ok((profile, image))
     }
 }
 
@@ -369,6 +387,24 @@ mod tests {
         assert!(p0.dram_read_bytes > 0);
         // Memory-bound stencil: OI well under the Kepler ridge (~5.2).
         assert!(p0.operational_intensity() < 5.0);
+    }
+
+    #[test]
+    fn the_functional_run_hands_back_its_final_image() {
+        let p = jacobi_program();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let prof = Profiler::new(DeviceSpec::k20x());
+        let (profile, image) = prof.profile_with_image(&p, &plan).unwrap();
+        let mut mem = GlobalMemory::from_plan(&plan);
+        mem.seed_all(prof.seed);
+        Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
+        assert_eq!(image, Some(mem), "the image of a plain run from the profiler's seed");
+        let front = prof.profile_with_plan(&p, &plan).unwrap();
+        assert_eq!(profile.metadata.perf, front.metadata.perf);
+        let (_, none) = Profiler::analytic(DeviceSpec::k20x())
+            .profile_with_image(&p, &plan)
+            .unwrap();
+        assert!(none.is_none(), "an analytic profile executes nothing");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!    [`Confidence::Noisy`] / [`Confidence::Unreliable`] from its worst
 //!    relative dispersion, and tagged with a [`Provenance`].
 
+use crate::memory::GlobalMemory;
 use crate::noise::{Metric, NoiseModel};
 use crate::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_analysis::metadata::{Confidence, MeasureQuality, Provenance};
@@ -171,6 +172,9 @@ pub struct RobustProfile {
     pub remeasured_reps: u32,
     /// Total virtual backoff accumulated across retries, µs.
     pub virtual_backoff_us: u64,
+    /// Final memory image of the one functional run (repetitions only
+    /// resample its counters); `None` for an analytic profile.
+    pub image: Option<GlobalMemory>,
 }
 
 impl RobustProfile {
@@ -245,7 +249,7 @@ impl RobustProfiler {
         plan: &ExecutablePlan,
     ) -> Result<RobustProfile, ProfileError> {
         // The exact inner profile doubles as the analytic fallback.
-        let base = self.inner.profile_with_plan(program, plan)?;
+        let (base, image) = self.inner.profile_with_image(program, plan)?;
         if !self.is_active() {
             return Ok(RobustProfile {
                 profile: base,
@@ -254,6 +258,7 @@ impl RobustProfiler {
                 transient_failures: 0,
                 remeasured_reps: 0,
                 virtual_backoff_us: 0,
+                image,
             });
         }
 
@@ -390,6 +395,7 @@ impl RobustProfiler {
             transient_failures,
             remeasured_reps,
             virtual_backoff_us,
+            image,
         })
     }
 }
@@ -450,6 +456,13 @@ mod tests {
             assert!(noisy.measure.ci_low_us <= noisy.runtime_us);
             assert!(noisy.measure.ci_high_us >= noisy.runtime_us);
         }
+        // Noise resamples counters, never the run: the image is the exact one.
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let (_, exact_image) = Profiler::new(DeviceSpec::k20x())
+            .profile_with_image(&p, &plan)
+            .unwrap();
+        assert!(exact_image.is_some());
+        assert_eq!(robust.image, exact_image);
     }
 
     #[test]

@@ -146,19 +146,6 @@ impl BinaryOp {
         }
     }
 
-    /// True for `< <= > >= == !=`.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::Eq
-                | BinaryOp::Ne
-        )
-    }
-
     /// True for `+ - * / %`.
     pub fn is_arithmetic(self) -> bool {
         matches!(

@@ -205,11 +205,6 @@ impl ExecutablePlan {
     pub fn alloc(&self, name: &str) -> Option<&AllocInfo> {
         self.allocs.iter().find(|a| a.name == name)
     }
-
-    /// Total device memory footprint in bytes.
-    pub fn device_bytes(&self) -> usize {
-        self.allocs.iter().map(|a| a.size_bytes()).sum()
-    }
 }
 
 fn eval_host_stmts(

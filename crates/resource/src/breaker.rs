@@ -184,18 +184,6 @@ impl CircuitBreaker {
             .map(|cs| cs.state)
             .unwrap_or(BreakerState::Closed)
     }
-
-    /// Classes currently open, with remaining cooldown.
-    pub fn open_classes(&self, now_ms: u64) -> Vec<(String, u64)> {
-        let classes = self.classes.lock().expect("breaker lock poisoned");
-        let mut out: Vec<(String, u64)> = classes
-            .iter()
-            .filter(|(_, cs)| cs.state == BreakerState::Open)
-            .map(|(c, cs)| (c.clone(), cs.open_until_ms.saturating_sub(now_ms)))
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -276,6 +264,5 @@ mod tests {
         }
         assert_eq!(b.state("parse"), BreakerState::Open);
         assert_eq!(b.state("cache"), BreakerState::Closed);
-        assert_eq!(b.open_classes(10), vec![("parse".to_string(), 492)]);
     }
 }

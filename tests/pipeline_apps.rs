@@ -2,9 +2,10 @@
 //! automated pipeline at test scale, the transformed program is verified
 //! output-equivalent, and the paper's qualitative shapes hold.
 
-use sf_apps::{all_apps, AppConfig};
+use sf_apps::{all_apps, AppConfig, APP_NAMES};
 use sf_gpusim::device::DeviceSpec;
-use stencilfuse::{Pipeline, PipelineConfig};
+use sf_gpusim::profiler::Profiler;
+use stencilfuse::{verify_equivalence, Pipeline, PipelineConfig};
 
 fn run_app(name: &str) -> stencilfuse::TransformResult {
     let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
@@ -107,6 +108,29 @@ fn transformation_reduces_launch_count_for_fusion_driven_apps() {
                 app.paper.name
             );
         }
+    }
+}
+
+#[test]
+fn the_in_pipeline_verdict_is_an_independent_verify_at_the_profilers_seed() {
+    // The pipeline's verdict compares the two profiles' images instead of
+    // running both programs again; an independent `verify_equivalence` of
+    // the same pair from the same seed must agree field for field.
+    let seed = Profiler::new(DeviceSpec::k20x()).seed;
+    for name in APP_NAMES {
+        let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
+        let mut config = PipelineConfig::quick(DeviceSpec::k20x());
+        if name.ends_with("-ts") {
+            config = config.with_max_temporal(4);
+        }
+        let r = Pipeline::new(app.program.clone(), config)
+            .expect("valid program")
+            .run()
+            .expect("pipeline completes");
+        let transformed = &r.transform.as_ref().expect("codegen ran").program;
+        let independent = verify_equivalence(&app.program, transformed, seed).expect("runs");
+        assert_eq!(r.verification.as_ref(), Some(&independent), "{name}");
+        assert!(independent.passed(), "{name}: {independent:?}");
     }
 }
 

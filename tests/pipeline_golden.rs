@@ -9,8 +9,10 @@
 //! - the endings no seeded plan reaches, under both policies: exhausted
 //!   profiler retries, one tight cap per governed resource (the
 //!   population caps at two islands, so every search-budget rung fires),
-//!   a replay and a port on another device, a run with verification off
-//!   and a run from the full run's metadata bundle.
+//!   a `heap-bytes` cap with room for one memory image of the original
+//!   program but not for two, a replay and a port on another device, a
+//!   run with verification off and a run from the full run's metadata
+//!   bundle.
 //!
 //! One line per case in `tests/golden/pipeline/<app>.txt`. An `Ok` run
 //! records hashes of the printed program, the executed-or-planned plan
@@ -23,7 +25,11 @@
 //! meant to keep behaviour must leave it untouched. (One intended change
 //! since: the `cap-interpreter-steps-8-*` rows became the stage-1
 //! rejection when the functional profiles joined that budget; the rungs
-//! they used to reach are pinned in `tests/resource_governance.rs`.)
+//! they used to reach are pinned in `tests/resource_governance.rs`.) The
+//! `cap-heap-bytes-*` rows were generated at the parent of the change that
+//! lets the verifier compare the profiles' memory images: the image the
+//! profile keeps and the one the verifier then cannot make must add up to
+//! the same refusal the parent's two up-front images did.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`
@@ -31,6 +37,8 @@
 use sf_apps::{AppConfig, APP_NAMES};
 use sf_core::{Limits, ResourceKind};
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::GlobalMemory;
+use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::printer::print_program;
 use sf_minicuda::Program;
 use std::fmt::Write as _;
@@ -207,6 +215,10 @@ fn cases(name: &str) -> Vec<Case> {
             base.clone().with_islands(islands).with_budget(budget),
         );
     }
+    // Room for one memory image of the original program, not for two.
+    let image = GlobalMemory::plan_bytes(&ExecutablePlan::from_program(program).expect("plan"));
+    let budget = Limits::unlimited().cap(ResourceKind::HeapBytes, image);
+    both_policies(&format!("cap-heap-bytes-{image}"), base.clone().with_budget(budget));
     let mut k40 = PipelineConfig::quick(DeviceSpec::k40());
     k40.search = base.search.clone();
     out.push(case(

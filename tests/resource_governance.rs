@@ -10,16 +10,21 @@
 //!   runs the long wall-capped version through the binary);
 //! - budget exhaustion surfaces through the batch driver as a structured
 //!   failure that feeds the `resource-exhausted` breaker class;
-//! - the `interpreter-steps` budget covers every functional run, not only
-//!   the verifier's: too small for the original's profile is a front-door
-//!   rejection, too small for the runs after it keeps the original.
+//! - the `interpreter-steps` budget covers every functional run: too small
+//!   for the original's profile is a front-door rejection, too small for
+//!   the transformed program's re-profile keeps the original;
+//! - a verified functional compile executes each program once — the
+//!   verifier compares the two profiles' images — so it is charged
+//!   `original + transformed` steps, exactly what a `no-verify` compile is
+//!   (the verifier's own two runs used to double that).
 
-use sf_apps::{all_apps, AppConfig};
+use sf_apps::{all_apps, AppConfig, APP_NAMES};
 use sf_core::{BreakerConfig, Limits, ResourceKind};
 use sf_fuzz::{hostile, Archetype, SoakConfig, ARCHETYPES};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::Interpreter;
 use sf_minicuda::host::ExecutablePlan;
+use sf_minicuda::printer::print_program;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -280,8 +285,9 @@ fn a_step_budget_below_the_original_profile_is_rejected_at_the_front_door() {
         assert_eq!(err.exit_code(), 10);
     }
     // Nothing executes without a functional profile, so nothing is charged
-    // at admission: the same cap stops the verifier instead, which keeps
-    // the original program.
+    // at admission: the verifier has no profile image to compare and runs
+    // both programs itself, where the same cap stops it — keeping the
+    // original program.
     let mut analytic = steps_capped(steps - 1);
     analytic.functional_profile = false;
     let kept = Pipeline::new(program.clone(), analytic).unwrap().run().unwrap();
@@ -295,23 +301,22 @@ fn a_step_budget_the_original_profile_uses_up_keeps_the_original_program() {
     let free = Pipeline::new(program.clone(), steps_capped(u64::MAX)).unwrap().run().unwrap();
     assert_ne!(free.program, program, "the pair fuses when nothing is capped");
     let (original, transformed) = (static_steps(&program), static_steps(&free.program));
-    // Exactly what all four functional runs need is enough ...
-    let all = 2 * (original + transformed);
-    let enough = Pipeline::new(program.clone(), steps_capped(all)).unwrap().run().unwrap();
+    // One functional run per program — the two profiles, whose images the
+    // verifier compares — is enough for a verified compile ...
+    let both = original + transformed;
+    let enough = Pipeline::new(program.clone(), steps_capped(both)).unwrap().run().unwrap();
     assert_eq!(enough.program, free.program);
     assert!(enough.degradations().is_empty(), "{:?}", enough.degradations());
-    // ... and one step less stops at whichever run no longer fits: the
-    // re-profile, or either side of the verification.
-    for (cap, rung) in [
-        (original, "re-profile budget exhausted"),
-        (original + transformed, "verification budget exhausted"),
-        (all - 1, "verification budget exhausted"),
-    ] {
+    assert!(enough.verification.as_ref().is_some_and(|v| v.passed()));
+    // ... and anything less stops at the re-profile, the run that no
+    // longer fits.
+    for cap in [original, both - 1] {
         let kept = Pipeline::new(program.clone(), steps_capped(cap)).unwrap().run().unwrap();
         assert_eq!(kept.program, program, "cap {cap}");
         assert_eq!(kept.speedup, 1.0, "cap {cap}");
         let degradations = kept.degradations();
         assert_eq!(degradations.len(), 1, "cap {cap}: {degradations:?}");
+        let rung = "re-profile budget exhausted";
         assert!(degradations[0].action.contains(rung), "cap {cap}: {}", degradations[0].action);
         assert!(degradations[0].reason.contains("interpreter-steps"), "cap {cap}");
 
@@ -325,5 +330,53 @@ fn a_step_budget_the_original_profile_uses_up_keeps_the_original_program() {
                 if resource == "interpreter-steps" && *limit == cap),
             "cap {cap}: {err}"
         );
+    }
+}
+
+#[test]
+fn a_compile_executes_each_program_once_verified_or_not() {
+    // What the run's governor is charged, read off its step cap: a compile
+    // whose cap is exactly `plan_steps(original) + plan_steps(transformed)`
+    // runs as if uncapped (so nothing beyond that is charged), and one step
+    // less is refused at the re-profile (so that charge completes the sum).
+    // The parent charged a verified compile twice that: the verifier ran
+    // both programs again.
+    let domain = AppConfig {
+        nx: 32,
+        ny: 8,
+        nz: 2,
+        ..AppConfig::test()
+    };
+    for name in APP_NAMES {
+        let program = sf_apps::app_by_name(name, &domain).expect("known analog").program;
+        for verify in [true, false] {
+            let config = |cap: u64| {
+                let mut config = steps_capped(cap);
+                config.verify = verify;
+                if name.ends_with("-ts") {
+                    config = config.with_max_temporal(4);
+                }
+                config
+            };
+            let run = |cap| Pipeline::new(program.clone(), config(cap)).unwrap().run().unwrap();
+            let free = run(u64::MAX);
+            assert_eq!(free.verification.as_ref().map(|v| v.passed()), verify.then_some(true));
+            let transformed = &free.transform.as_ref().expect("codegen ran").program;
+            let both = static_steps(&program) + static_steps(transformed);
+
+            let exact = run(both);
+            let case = format!("{name}, verify {verify}, cap {both}");
+            assert_eq!(print_program(&exact.program), print_program(&free.program), "{case}");
+            assert_eq!(exact.degradations(), free.degradations(), "{case}");
+            assert_eq!(exact.verification, free.verification, "{case}");
+
+            let short = run(both - 1);
+            let last = short.degradations().last().map(|d| d.action.clone());
+            assert_eq!(
+                last.as_deref(),
+                Some("kept the original program (re-profile budget exhausted)"),
+                "{case}"
+            );
+        }
     }
 }
