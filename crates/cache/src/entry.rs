@@ -22,7 +22,8 @@
 //! Decoding never panics and classifies every failure so the store can
 //! report *why* an entry was quarantined.
 
-use crate::key::{fnv1a64, CacheKey};
+use crate::key::CacheKey;
+use sf_core::fnv1a64;
 use std::fmt;
 
 /// Cache schema version. Bumped on any incompatible change to the entry

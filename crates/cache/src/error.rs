@@ -11,7 +11,7 @@ pub enum CacheErrorKind {
     Io,
     /// Lock acquisition failed in a way that retrying may fix.
     Lock,
-    /// A simulated crash ([`crate::CacheFaults::kill_at_step`]) stopped the
+    /// A simulated crash ([`sf_core::CacheFaults::kill_at_step`]) stopped the
     /// write protocol mid-flight. Test-only: the store behaves exactly as
     /// if the process died at that write point.
     Killed,

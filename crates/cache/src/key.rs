@@ -10,19 +10,8 @@
 //! collision tripwire.
 
 use crate::entry::SCHEMA_VERSION;
+use sf_core::fnv1a64;
 use std::fmt;
-
-/// 64-bit FNV-1a. Small, dependency-free, deterministic across platforms;
-/// collision resistance is adequate for a cache whose read path verifies a
-/// per-entry material tripwire and whose payloads are self-validating.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A content hash identifying one (source, device, config) compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,14 +58,6 @@ impl fmt::Display for CacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn keys_separate_every_input() {

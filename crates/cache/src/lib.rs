@@ -22,21 +22,20 @@
 //!    new rung in the pipeline's degradation ladder:
 //!    *cache hit → cache recompile → normal pipeline*.
 //!
-//! Every failure mode is deterministically injectable through
-//! [`CacheFaults`] (torn write, bit flip, version skew, stale lock,
-//! kill-at-step), so the fuzzer and the crash-consistency tests can walk
-//! all recovery paths from a seed.
+//! Every failure mode is deterministically injectable through the store
+//! section of the one seeded fault plan ([`sf_core::CacheFaults`]: torn
+//! write, bit flip, version skew, stale lock, kill-at-step, ENOSPC, short
+//! write), handed in through [`StoreOptions::faults`], so the fuzzer and
+//! the crash-consistency tests can walk all recovery paths from a seed.
 
 pub mod atomic;
 pub mod entry;
 pub mod error;
-pub mod faults;
 pub mod key;
 pub mod store;
 
 pub use atomic::{atomic_write, atomic_write_with};
 pub use entry::{decode, encode, DecodeFailure, Entry, SCHEMA_VERSION};
 pub use error::{CacheError, CacheErrorKind};
-pub use faults::CacheFaults;
-pub use key::{fnv1a64, CacheKey};
+pub use key::CacheKey;
 pub use store::{Lookup, PlanStore, Published, StoreOptions, StoreStats};

@@ -44,16 +44,26 @@
 //! until the store fits. Eviction only ever unlinks *committed* entries:
 //! the entry just written, in-flight temp files, locks, and quarantined
 //! evidence are never victims.
+//!
+//! ## Fault injection
+//!
+//! A store reads the store section of the run's fault plan
+//! ([`sf_core::CacheFaults`], via [`StoreOptions::faults`]) in place. The
+//! corruption faults (torn write, bit flip, version skew) damage the entry
+//! a publish just committed, modelling what happens between the write and
+//! the next read; stale lock, kill-at-step, ENOSPC and short write strike
+//! inside the write protocol. Each armed fault fires once per store
+//! instance: one fired-set records which have.
 
-use crate::entry::{decode, encode, DecodeFailure, Entry};
+use crate::entry::{decode, encode, DecodeFailure, Entry, SCHEMA_VERSION};
 use crate::error::{CacheError, CacheErrorKind};
-use crate::faults::CacheFaults;
 use crate::key::CacheKey;
+use sf_core::CacheFaults;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, SystemTime};
 
 /// Result of a cache read.
@@ -116,7 +126,7 @@ pub struct StoreOptions {
     /// broken. `Duration::ZERO` makes every existing lock breakable, which
     /// single-threaded tests use to exercise the stale path directly.
     pub lock_timeout: Duration,
-    /// Seeded faults to inject into this store instance's operations.
+    /// The store section of the run's fault plan.
     pub faults: CacheFaults,
     /// Byte quota over the committed entry set. A publish that pushes the
     /// store past the quota evicts least-recently-used entries until it
@@ -129,7 +139,7 @@ impl Default for StoreOptions {
     fn default() -> StoreOptions {
         StoreOptions {
             lock_timeout: Duration::from_secs(10),
-            faults: CacheFaults::none(),
+            faults: CacheFaults::default(),
             quota_bytes: None,
         }
     }
@@ -146,12 +156,8 @@ pub struct PlanStore {
     /// Write-protocol step counter; the kill fault fires when it reaches
     /// `faults.kill_at_step`.
     write_step: AtomicU32,
-    /// One-shot latches so each armed fault fires exactly once.
-    kill_armed: AtomicBool,
-    corruption_armed: AtomicBool,
-    stale_lock_armed: AtomicBool,
-    enospc_armed: AtomicBool,
-    short_write_armed: AtomicBool,
+    /// One bit per one-shot fault (`FIRED_*`), set once it has fired.
+    fired: AtomicU8,
     /// Distinguishes quarantine filenames and lock tokens within a process.
     op_counter: AtomicU64,
     hits: AtomicU64,
@@ -196,13 +202,7 @@ impl PlanStore {
             faults: options.faults,
             quota_bytes: options.quota_bytes,
             write_step: AtomicU32::new(0),
-            kill_armed: AtomicBool::new(options.faults.kill_at_step.is_some()),
-            corruption_armed: AtomicBool::new(
-                options.faults.corrupt_entry(b"probe\n").is_some(),
-            ),
-            stale_lock_armed: AtomicBool::new(options.faults.stale_lock),
-            enospc_armed: AtomicBool::new(options.faults.enospc_write),
-            short_write_armed: AtomicBool::new(options.faults.short_write),
+            fired: AtomicU8::new(0),
             op_counter: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -310,14 +310,17 @@ impl PlanStore {
         }
     }
 
+    /// Fire the one-shot fault `bit` if `armed`: true only the first time.
+    fn fire(&self, armed: bool, bit: u8) -> bool {
+        armed && self.fired.fetch_or(bit, Ordering::Relaxed) & bit == 0
+    }
+
     /// One write-protocol step: advance the step counter and fire the kill
     /// fault when armed for this step. A fired kill leaves every file
     /// exactly as it is — temp files and locks leak, like a real crash.
     fn step(&self, what: &str) -> Result<(), CacheError> {
         let step = self.write_step.fetch_add(1, Ordering::Relaxed);
-        if self.faults.kill_at_step == Some(step)
-            && self.kill_armed.swap(false, Ordering::Relaxed)
-        {
+        if self.fire(self.faults.kill_at_step == Some(step), FIRED_KILL) {
             return Err(CacheError::new(
                 CacheErrorKind::Killed,
                 format!("simulated crash at write step {step} ({what})"),
@@ -335,7 +338,7 @@ impl PlanStore {
     /// tests then re-open and verify.
     pub fn publish(&self, key: &CacheKey, payload: &str) -> Result<Published, CacheError> {
         // Injected fault: a dead writer's lock planted before we start.
-        if self.stale_lock_armed.swap(false, Ordering::Relaxed) {
+        if self.fire(self.faults.stale_lock, FIRED_STALE_LOCK) {
             let _ = fs::write(self.lock_path(key), b"dead");
         }
 
@@ -392,12 +395,12 @@ impl PlanStore {
         // being written — never a committed one. The caller sees a plain
         // `Io` error (the lock is released on the way out) and falls back
         // to an uncached compile.
-        if self.enospc_armed.swap(false, Ordering::Relaxed) {
+        if self.fire(self.faults.enospc_write, FIRED_ENOSPC) {
             return Err(CacheError::io("injected ENOSPC: no space left on device")
                 .for_key(*key)
                 .at_path(tmp_path));
         }
-        let written = if self.short_write_armed.swap(false, Ordering::Relaxed) {
+        let written = if self.fire(self.faults.short_write, FIRED_SHORT_WRITE) {
             // The disk filled mid-write: a strict prefix reached the temp
             // file before the write call failed.
             let keep = bytes.len() / 2;
@@ -430,9 +433,11 @@ impl PlanStore {
 
         // Injected corruption faults strike the committed entry, modelling
         // damage that happens after the write and before the next read.
-        if self.corruption_armed.swap(false, Ordering::Relaxed) {
+        let f = &self.faults;
+        let corrupts = f.torn_write.is_some() || f.bit_flip.is_some() || f.version_skew;
+        if self.fire(corrupts, FIRED_CORRUPT) {
             if let Ok(clean) = fs::read(&entry_path) {
-                if let Some(damaged) = self.faults.corrupt_entry(&clean) {
+                if let Some(damaged) = corrupt_entry(&self.faults, &clean) {
                     let _ = fs::write(&entry_path, damaged);
                 }
             }
@@ -680,6 +685,45 @@ impl PlanStore {
     }
 }
 
+// The bits of a store's fired-set, one per one-shot fault.
+const FIRED_KILL: u8 = 1;
+const FIRED_CORRUPT: u8 = 2;
+const FIRED_STALE_LOCK: u8 = 4;
+const FIRED_ENOSPC: u8 = 8;
+const FIRED_SHORT_WRITE: u8 = 16;
+
+/// Apply the section's corruption faults to an encoded entry. Returns the
+/// corrupted bytes, or `None` when no corruption fault is armed. Pure and
+/// deterministic, so corruption tests can assert the exact damage.
+fn corrupt_entry(faults: &CacheFaults, bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut out = bytes.to_vec();
+    let mut applied = false;
+    if faults.version_skew {
+        // Rewrite only the version number on the magic line; the rest of
+        // the entry stays intact, which is exactly what a different-schema
+        // writer would leave behind.
+        if let Some(nl) = out.iter().position(|&b| b == b'\n') {
+            let skewed = format!("sfcache {}", SCHEMA_VERSION + 1);
+            out.splice(0..nl, skewed.into_bytes());
+            applied = true;
+        }
+    }
+    if let Some(bit) = faults.bit_flip {
+        if !out.is_empty() {
+            let bit = bit as usize % (out.len() * 8);
+            out[bit / 8] ^= 1 << (bit % 8);
+            applied = true;
+        }
+    }
+    if let Some(cut) = faults.torn_write {
+        // Always a strict prefix: `% len` never yields the full length.
+        let keep = cut as usize % out.len().max(1);
+        out.truncate(keep);
+        applied = true;
+    }
+    applied.then_some(out)
+}
+
 /// One committed entry file, as seen by quota accounting.
 #[derive(Debug)]
 struct CommittedEntry {
@@ -794,6 +838,32 @@ mod tests {
         assert_eq!(store.lookup(&k).unwrap().payload(), Some("payload"));
         assert_eq!(store.stats().recovered, 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corruption_is_detected_by_decode() {
+        let key = CacheKey::derive("s", "d", "c");
+        let clean = encode(&key, "{\"version\":1,\"x\":[1,2,3]}");
+        assert!(decode(&clean, Some(&key)).is_ok());
+
+        let torn = CacheFaults { torn_write: Some(17), ..CacheFaults::default() };
+        let bytes = corrupt_entry(&torn, &clean).unwrap();
+        assert!(bytes.len() < clean.len());
+        assert!(decode(&bytes, Some(&key)).is_err());
+
+        let flip = CacheFaults { bit_flip: Some(1234), ..CacheFaults::default() };
+        let bytes = corrupt_entry(&flip, &clean).unwrap();
+        assert_eq!(bytes.len(), clean.len());
+        assert!(decode(&bytes, Some(&key)).is_err());
+
+        let skew = CacheFaults { version_skew: true, ..CacheFaults::default() };
+        let bytes = corrupt_entry(&skew, &clean).unwrap();
+        match decode(&bytes, Some(&key)).unwrap_err() {
+            DecodeFailure::VersionSkew { found } => assert_eq!(found, SCHEMA_VERSION + 1),
+            other => panic!("expected version skew, got {other}"),
+        }
+
+        assert!(corrupt_entry(&CacheFaults::default(), &clean).is_none());
     }
 
     #[test]

@@ -7,11 +7,17 @@
 //! (unsupported structure, oversized halo, shared-memory overflow) falls
 //! back to emitting its members unfused, with a note in the report — the
 //! transformed program is always valid.
+//!
+//! The `codegen.transform` injection site reads the run's
+//! [`FaultPlan`] in place: `reject_groups`, `panic_groups` and
+//! `reject_tuned_groups` fire inside the isolated per-rung attempt, so
+//! every rung of the ladder can be driven from a seed.
 
 use crate::fission::{fission_kernel, FissionProduct};
 use crate::fuse::{fuse_group, CodegenError, FusedKernel, FusionReport};
 use crate::temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
 use crate::tuning::{fuse_group_tuned, TuneNote};
+use sf_core::FaultPlan;
 use sf_gpusim::isolate::isolated;
 use sf_graphs::{Ddg, Precedence};
 use sf_minicuda::ast::*;
@@ -46,20 +52,6 @@ pub struct GroupDegradation {
     pub reason: String,
     /// Failure mode of the highest rung that failed.
     pub failure: GroupFailure,
-}
-
-/// Injected codegen faults (deterministic testing of the degradation
-/// ladder). Production callers pass [`CodegenFaults::default`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CodegenFaults {
-    /// Group indices whose fusion attempts are rejected with an error.
-    pub reject_groups: BTreeSet<usize>,
-    /// Group indices whose fusion attempts panic.
-    pub panic_groups: BTreeSet<usize>,
-    /// Group indices whose *tuned* fusion attempts alone are rejected
-    /// (both the temporal-tuned and spatial-tuned rungs), so the ladder's
-    /// tuned → untuned descents fire deterministically.
-    pub reject_tuned_groups: BTreeSet<usize>,
 }
 
 /// How an emitted launch relates to a recorded host time loop.
@@ -161,12 +153,13 @@ pub fn transform_program(
     tplan: &TransformPlan,
 ) -> Result<TransformOutput, CodegenError> {
     let instances = Precedence::instances(original, plan).map_err(CodegenError)?;
-    transform_program_with(original, plan, tplan, &instances, &CodegenFaults::default())
+    transform_program_with(original, plan, tplan, &instances, &FaultPlan::none())
 }
 
 /// Apply a transformation plan under the array-instance numbering of
-/// `instances` (the program's DDG, as [`Precedence`] builds it), with fault
-/// injection at the per-group isolation boundary. Each multi-member group
+/// `instances` (the program's DDG, as [`Precedence`] builds it), with the
+/// codegen faults of `faults` injected at the per-group isolation boundary
+/// (production callers pass [`FaultPlan::none`]). Each multi-member group
 /// walks the degradation ladder: complex (tuned) fusion → simple (untuned)
 /// fusion → unfused members; a panic or rejection on one rung drops to the
 /// next, and every descent is recorded in
@@ -176,7 +169,7 @@ pub fn transform_program_with(
     plan: &ExecutablePlan,
     tplan: &TransformPlan,
     instances: &Ddg,
-    faults: &CodegenFaults,
+    faults: &FaultPlan,
 ) -> Result<TransformOutput, CodegenError> {
     tplan
         .validate(plan.launches.len())

@@ -31,8 +31,7 @@ pub use fission::{fission_kernel, FissionProduct};
 pub use fuse::{fuse_group, CodegenError, FusedKernel};
 pub use temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
 pub use hostgen::{
-    transform_program, transform_program_with, CodegenFaults, GroupDegradation, GroupFailure,
-    TransformOutput,
+    transform_program, transform_program_with, GroupDegradation, GroupFailure, TransformOutput,
 };
 // The plan IR lives in `sf-plan`; re-exported here so downstream crates can
 // keep importing the types from the stage that consumes them.

@@ -35,6 +35,10 @@
 //!   least-recently-used plans instead of growing without bound;
 //! - **publish retry** ([`BatchOptions::publish_retry`]) — transient store
 //!   failures (lock I/O) retry on the shared [`sf_core::retry`] ladder.
+//!
+//! Fault injection reaches the store through the base config: the driver
+//! arms its store with the `cache` section of [`PipelineConfig::faults`],
+//! the same plan whose other sections the pipeline reads.
 
 use crate::config::{PipelineConfig, Stage};
 use crate::error::PipelineError;
@@ -180,8 +184,6 @@ pub struct BatchOptions {
     pub request_budget: Duration,
     /// Store lock timeout (stale-lock breaking threshold).
     pub lock_timeout: Duration,
-    /// Seeded cache faults to arm the store with (testing / fuzzing).
-    pub cache_faults: sf_cache::CacheFaults,
     /// Poll the process-wide [`crate::shutdown`] flag between requests:
     /// once raised, not-yet-started requests are reported as
     /// [`BatchStatus::Cancelled`] while in-flight ones drain within their
@@ -212,7 +214,6 @@ impl Default for BatchOptions {
             queue_limit: 256,
             request_budget: Duration::from_secs(120),
             lock_timeout: Duration::from_secs(10),
-            cache_faults: sf_cache::CacheFaults::none(),
             honor_shutdown: false,
             checkpoint_dir: None,
             cache_quota: None,
@@ -298,7 +299,8 @@ pub struct BatchDriver {
 }
 
 impl BatchDriver {
-    /// Open (or create) the store at `cache_dir` and build a driver over it.
+    /// Open (or create) the store at `cache_dir` and build a driver over
+    /// it, the store armed with the store section of `config.faults`.
     pub fn new(
         cache_dir: impl Into<PathBuf>,
         config: PipelineConfig,
@@ -308,7 +310,7 @@ impl BatchDriver {
             cache_dir,
             StoreOptions {
                 lock_timeout: options.lock_timeout,
-                faults: options.cache_faults,
+                faults: config.faults.as_ref().map(|f| f.cache).unwrap_or_default(),
                 quota_bytes: options.cache_quota,
             },
         )?;

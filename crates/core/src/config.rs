@@ -2,6 +2,7 @@
 
 use sf_analysis::filter::FilterConfig;
 use sf_codegen::{CodegenMode, TransformPlan};
+use sf_core::FaultPlan;
 use sf_gpusim::device::DeviceSpec;
 use sf_search::SearchConfig;
 
@@ -101,9 +102,10 @@ pub struct PipelineConfig {
     /// Synthetic measurement noise applied to profiled metrics (`None` =
     /// exact measurements). Seeded and fully deterministic.
     pub noise: Option<sf_gpusim::noise::NoiseModel>,
-    /// Deterministic fault injection at stage boundaries (testing only;
-    /// `None` disables the injector entirely).
-    pub faults: Option<crate::faults::FaultPlan>,
+    /// Deterministic fault injection (testing only; `None` injects
+    /// nothing). The pipeline's stages read it, and a batch driver arms its
+    /// plan store with its `cache` section.
+    pub faults: Option<FaultPlan>,
     /// Write a search checkpoint here at every migration epoch (at any
     /// island count). Deliberately *not* part of [`Self::cache_fingerprint`]:
     /// where a run checkpoints cannot change the plan it produces.
@@ -184,7 +186,7 @@ impl PipelineConfig {
     }
 
     /// Arm the deterministic fault injector with a plan.
-    pub fn with_faults(mut self, plan: crate::faults::FaultPlan) -> PipelineConfig {
+    pub fn with_faults(mut self, plan: FaultPlan) -> PipelineConfig {
         self.faults = Some(plan);
         self
     }
@@ -262,7 +264,17 @@ impl PipelineConfig {
     /// costs a spurious cache miss, while a wrong hit would require two
     /// *different* configurations to render identically — which is exactly
     /// what distinct `Debug` output rules out.
+    ///
+    /// The fault plan's store section is left out, for the reason that
+    /// keeps [`Self::checkpoint_path`] out: a store fault cannot change the
+    /// compiled plan. A plan with store faults only fingerprints as no
+    /// plan, so a store armed with faults files its entries under the keys
+    /// a fault-free run reads.
     pub fn cache_fingerprint(&self) -> String {
+        let faults = self.faults.as_ref().map(|f| FaultPlan {
+            cache: sf_core::CacheFaults::default(),
+            ..f.clone()
+        });
         let preloaded_metadata = self
             .preloaded_metadata
             .as_ref()
@@ -286,7 +298,7 @@ impl PipelineConfig {
             self.profile_retries,
             self.profile_reps,
             self.noise,
-            self.faults,
+            faults.filter(|f| !f.is_empty()),
             self.budget,
             preloaded_metadata,
             preloaded_plan,
@@ -349,6 +361,41 @@ mod tests {
         // Checkpoint placement can never change the plan → excluded.
         assert_eq!(fp, base.clone().with_checkpoint("/tmp/x.ckpt").cache_fingerprint());
         assert_eq!(fp, base.clone().with_resume("/tmp/x.ckpt").cache_fingerprint());
+    }
+
+    /// The fault-free fingerprint the build before the fault plan moved
+    /// into `sf-core` produced: every plan cached by that build stays a
+    /// hit. A plan with store faults only must fingerprint the same.
+    #[test]
+    fn fault_free_fingerprint_is_pinned() {
+        const FAULT_FREE: &str = "device=k20x-4576dd2780694130;mode=Auto;fission=true;tuning=true;\
+            filter=FilterConfig { boundary_fraction: 0.1, detect_latency_bound: false, \
+            latency_slack: 6.5 };search=SearchConfig { population: 100, generations: 500, \
+            tournament: 3, elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, \
+            p_move: 0.25, p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, \
+            penalty_hard: 0.4, init_merges: 3, seed: 20150615, stagnation_window: 0, \
+            max_wall_ms: 0, max_evaluations: 0, eval_retries: 1, mode: Auto, \
+            block_tuning: false, islands: 1, migration_interval: 8, migrants: 2, \
+            max_temporal: 1 };functional=true;verify=true;until=None;degrade=Degrade;\
+            retries=2;reps=1;noise=None;faults=None;budget=unlimited;metadata=None;\
+            plan=None;port=None";
+        let base = PipelineConfig::automated(DeviceSpec::k20x());
+        assert_eq!(base.cache_fingerprint(), FAULT_FREE);
+        let store_only = FaultPlan {
+            cache: sf_core::CacheFaults {
+                bit_flip: Some(3),
+                kill_at_step: Some(2),
+                ..sf_core::CacheFaults::default()
+            },
+            ..FaultPlan::default()
+        };
+        assert_eq!(base.clone().with_faults(store_only.clone()).cache_fingerprint(), FAULT_FREE);
+        // A stage fault next to the store faults still changes the key.
+        let staged = FaultPlan {
+            interpreter_trap: true,
+            ..store_only
+        };
+        assert_ne!(base.with_faults(staged).cache_fingerprint(), FAULT_FREE);
     }
 
     #[test]

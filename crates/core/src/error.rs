@@ -106,7 +106,7 @@ pub enum ErrorKind {
         /// The configured cap.
         limit: u64,
     },
-    /// Injected by a [`crate::faults::FaultPlan`] at a stage boundary.
+    /// Injected by a [`sf_core::FaultPlan`] at a stage boundary.
     Injected(String),
     /// A panic caught at an isolation boundary (per-group codegen,
     /// per-candidate evaluation).

@@ -42,7 +42,6 @@ pub mod batch;
 pub mod cli;
 pub mod config;
 pub mod error;
-pub mod faults;
 pub mod pipeline;
 pub mod report;
 pub mod shutdown;
@@ -53,9 +52,11 @@ pub use batch::{
 };
 pub use config::{DegradePolicy, PipelineConfig, Stage};
 pub use error::{ErrorKind, PipelineError, Recoverability};
-pub use faults::FaultPlan;
 pub use pipeline::{Interventions, Pipeline, TransformResult};
 pub use report::{Degradation, StageReport};
+// The fault plan is `sf-core`'s; re-exported for callers that configure a
+// run through this crate alone.
+pub use sf_core::FaultPlan;
 pub use shutdown::{
     install_signal_handlers, request_shutdown, reset_shutdown_request, shutdown_requested,
 };

@@ -16,15 +16,13 @@
 
 use crate::config::{DegradePolicy, PipelineConfig, Stage};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
-use crate::faults::FaultPlan;
 use crate::report::StageReport;
 use crate::verify::{verify_executions, Execution, Side, Verification, VerifyFailure};
-use sf_core::{Accounted, ResourceGovernor, ResourceKind};
+use sf_core::{Accounted, FaultPlan, ResourceGovernor, ResourceKind};
 use sf_analysis::filter::{identify_targets, FilterDecision};
 use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{
-    transform_program_with, CodegenError, CodegenFaults, GroupFailure, TransformOutput,
-    TransformPlan,
+    transform_program_with, CodegenError, GroupFailure, TransformOutput, TransformPlan,
 };
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
@@ -235,6 +233,8 @@ struct Run<'a> {
     plan: &'a ExecutablePlan,
     cfg: &'a PipelineConfig,
     hooks: &'a Interventions<'a>,
+    /// The run's fault plan. Each stage reads its own fields in place; the
+    /// store section is the batch driver's, never read here.
     faults: FaultPlan,
     /// Injected transient profiler failures still to fire; each profiler
     /// invocation consumes one, so bounded retry eventually succeeds.
@@ -577,7 +577,13 @@ impl<'a> Run<'a> {
         if let Some(f) = &self.hooks.amend_metadata {
             f(&mut metadata);
         }
-        let corrupted_by_injection = self.faults.corrupt(&mut metadata);
+        let corrupted_by_injection = self.faults.corrupt_metadata;
+        if corrupted_by_injection {
+            for p in &mut metadata.perf {
+                p.runtime_us = f64::NAN;
+                p.occupancy = -1.0;
+            }
+        }
         if let Err(why) = validate_metadata(&metadata, plan.launches.len()) {
             let kind = if corrupted_by_injection {
                 ErrorKind::Injected(why.clone())
@@ -831,15 +837,23 @@ impl<'a> Run<'a> {
             total_runtime_us: original_profile.total_runtime_us,
             hazards: Vec::new(),
         };
-        let space = SearchSpace::from_precedence(
+        let space = match SearchSpace::from_precedence(
             program,
             plan,
             &search_profile,
             &self.decisions,
             cfg.device.clone(),
             made(&self.precedence),
-        )
-        .map_err(|e| PipelineError::from(e).at(Stage::Search))?;
+        ) {
+            Ok(space) => space,
+            // The fission pre-step generates and profiles code; a program
+            // it cannot transform keeps the original, as codegen would.
+            Err(e) => {
+                let err = PipelineError::from(e).at(Stage::Search);
+                let why = err.to_string();
+                return self.fall_back_to_original(r, err, "no search space", why);
+            }
+        };
         let mut search_cfg = cfg.search.clone();
         // The plan the search lowers must reflect this run's codegen
         // settings.
@@ -878,8 +892,7 @@ impl<'a> Run<'a> {
         // One driver for every run: `islands = 1` is the classic serial
         // GGA, under the same supervision, budgets and checkpointing.
         let opts = IslandOptions {
-            poison: self.faults.poison_evaluations.clone(),
-            faults: self.faults.islands.clone(),
+            faults: self.faults.clone(),
             checkpoint_path: cfg.checkpoint_path.clone(),
             resume_path: cfg.resume_path.clone(),
             seeds,
@@ -981,11 +994,6 @@ impl<'a> Run<'a> {
 
     // ---------------- stage 6: codegen ----------------
     fn codegen(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
-        let cg_faults = CodegenFaults {
-            reject_groups: self.faults.reject_groups.clone(),
-            panic_groups: self.faults.panic_groups.clone(),
-            reject_tuned_groups: self.faults.reject_tuned_groups.clone(),
-        };
         // Instance numbering is stage 3's. A replay ran no stage 3, so it
         // builds that half of the artifact (and no OEG, which it never reads).
         let instances = match &self.precedence {
@@ -996,7 +1004,7 @@ impl<'a> Run<'a> {
         };
         let transform = instances.and_then(|instances| {
             let tplan = made(&self.tplan);
-            transform_program_with(self.program, self.plan, tplan, &instances, &cg_faults)
+            transform_program_with(self.program, self.plan, tplan, &instances, &self.faults)
         });
         let transform = match transform {
             Ok(t) => t,
@@ -1180,7 +1188,7 @@ impl<'a> Run<'a> {
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::faults::FaultPlan;
+    use sf_core::IslandFaults;
     use sf_gpusim::device::DeviceSpec;
     use sf_minicuda::parse_program;
 
@@ -1492,9 +1500,9 @@ void host() {
     fn island_quarantine_degrades_but_still_produces_a_valid_result() {
         let p = parse_program(APP).unwrap();
         let faults = FaultPlan {
-            islands: sf_search::IslandFaults {
+            islands: IslandFaults {
                 panic_at: [(0usize, 1usize)].into_iter().collect(),
-                ..sf_search::IslandFaults::default()
+                ..IslandFaults::default()
             },
             ..FaultPlan::default()
         };
@@ -1532,9 +1540,9 @@ void host() {
 
         // Kill after the first checkpoint epoch, then resume.
         let kill_faults = FaultPlan {
-            islands: sf_search::IslandFaults {
+            islands: IslandFaults {
                 kill_at_epoch: Some(0),
-                ..sf_search::IslandFaults::default()
+                ..IslandFaults::default()
             },
             ..FaultPlan::default()
         };
@@ -1558,7 +1566,7 @@ void host() {
     #[test]
     fn island_faults_reach_one_island_runs() {
         let p = parse_program(APP).unwrap();
-        let run = |islands: sf_search::IslandFaults| {
+        let run = |islands: IslandFaults| {
             let faults = FaultPlan {
                 islands,
                 ..FaultPlan::default()
@@ -1575,9 +1583,9 @@ void host() {
 
         // The only island dies before scoring anything: the baseline plan
         // (all singletons) is the result, so the original kernels are kept.
-        let r = run(sf_search::IslandFaults {
+        let r = run(IslandFaults {
             panic_at: [(0, 0)].into_iter().collect(),
-            ..sf_search::IslandFaults::default()
+            ..IslandFaults::default()
         });
         assert_eq!(island_degradations(&r), 1);
         assert!(r.search.as_ref().unwrap().best.fusion_groups().is_empty());
@@ -1586,9 +1594,9 @@ void host() {
         // A stall after one completed epoch: the last-good elites merge,
         // and they already beat the baseline.
         let interval = SearchConfig::quick().migration_interval;
-        let r = run(sf_search::IslandFaults {
+        let r = run(IslandFaults {
             stall_at: [(0, interval + 1)].into_iter().collect(),
-            ..sf_search::IslandFaults::default()
+            ..IslandFaults::default()
         });
         assert_eq!(island_degradations(&r), 1);
         let search = r.search.as_ref().unwrap();
@@ -1597,9 +1605,9 @@ void host() {
         assert!(r.verification.as_ref().unwrap().passed());
 
         // A kill is a budget stop with the best plan so far, not a fault.
-        let r = run(sf_search::IslandFaults {
+        let r = run(IslandFaults {
             kill_at_epoch: Some(0),
-            ..sf_search::IslandFaults::default()
+            ..IslandFaults::default()
         });
         assert_eq!(island_degradations(&r), 0);
         let search = r.search.as_ref().unwrap();
@@ -1713,13 +1721,6 @@ void host() {
         assert!(!run.take_profiler_failure());
         assert!(!run.faults.interpreter_trap);
         assert!(!run.robust.is_active(), "no injected noise or rep failures");
-        let mut metadata = pipeline.run().unwrap().metadata.unwrap();
-        let pristine = metadata.clone();
-        assert!(!run.faults.corrupt(&mut metadata));
-        assert_eq!(
-            serde_json::to_string(&metadata).unwrap(),
-            serde_json::to_string(&pristine).unwrap()
-        );
     }
 
     #[test]

@@ -121,9 +121,9 @@ fn killed_search_resumes_at_every_epoch(name: &str, program: &Program, islands: 
     for epoch in 0..4 {
         let ckpt = tmp(&format!("{name}-i{islands}-epoch{epoch}.ckpt"));
         let killed_cfg = until_search().with_checkpoint(&ckpt).with_faults(FaultPlan {
-            islands: sf_search::IslandFaults {
+            islands: sf_core::IslandFaults {
                 kill_at_epoch: Some(epoch),
-                ..sf_search::IslandFaults::default()
+                ..sf_core::IslandFaults::default()
             },
             ..FaultPlan::default()
         });
@@ -166,7 +166,7 @@ fn one_island_killed_per_epoch_still_returns_a_verified_degraded_plan() {
     for (name, program) in apps() {
         // Panic island e at the first generation of epoch e: every epoch
         // loses one island, and by the last epoch all three are dead.
-        let mut faults = sf_search::IslandFaults::default();
+        let mut faults = sf_core::IslandFaults::default();
         for island in 0..3usize {
             faults.panic_at.insert(island, island * 2);
         }

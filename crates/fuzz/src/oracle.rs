@@ -609,7 +609,8 @@ fn check_noisy_profile(program: &Program, seed: u64) -> Result<(), OracleFailure
 /// serve the intact payload or quarantine-and-recover — a torn or flipped
 /// entry served as a hit would silently replay a wrong plan.
 fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
-    use sf_cache::{CacheErrorKind, CacheFaults, CacheKey, Lookup, PlanStore, StoreOptions};
+    use sf_cache::{CacheErrorKind, CacheKey, Lookup, PlanStore, StoreOptions};
+    use sf_core::CacheFaults;
     use std::time::Duration;
 
     let result = Pipeline::new(program.clone(), config(seed))
@@ -722,7 +723,7 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     }
     // "Reboot" clean (breaking any crash-leaked lock) and recover the slot.
     {
-        let store = match PlanStore::open_with(&dir, zero_timeout(CacheFaults::none())) {
+        let store = match PlanStore::open_with(&dir, zero_timeout(CacheFaults::default())) {
             Ok(s) => s,
             Err(e) => return fail("cache-fault-reopen", format!("reopen failed: {e}")),
         };
@@ -789,8 +790,8 @@ fn check_islands(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 
     // Seeded island faults (or, when the seed drew none, a guaranteed
     // panic) must degrade, never fail, and never hide a miscompile.
-    let mut island_faults = FaultPlan::seeded(seed).islands.clone();
-    if island_faults.is_empty() {
+    let mut island_faults = FaultPlan::seeded(seed).islands;
+    if island_faults == sf_core::IslandFaults::default() {
         island_faults
             .panic_at
             .insert((seed % 2) as usize, (seed % 3) as usize);
@@ -838,9 +839,9 @@ fn check_islands(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     let killed_cfg = island_cfg()
         .with_checkpoint(&ckpt)
         .with_faults(FaultPlan {
-            islands: sf_search::IslandFaults {
+            islands: sf_core::IslandFaults {
                 kill_at_epoch: Some(0),
-                ..sf_search::IslandFaults::default()
+                ..sf_core::IslandFaults::default()
             },
             ..FaultPlan::default()
         });

@@ -1,9 +1,10 @@
 //! The chaos-soak harness (`sf-fuzz --soak`): a long-running, fully seeded
 //! stress run that drives hostile and benign requests through the batch
-//! driver concurrently, with every fault family armed at once — seeded
-//! cache faults (torn writes, bit flips, kills, ENOSPC, short writes),
-//! seeded pipeline stage faults, a byte quota forcing eviction, a circuit
-//! breaker, and the service resource budget.
+//! driver concurrently, with every fault family armed at once — one
+//! seeded fault plan per chaos round, whose stage faults the pipeline reads
+//! and whose store faults (torn writes, bit flips, kills, ENOSPC, short
+//! writes) the driver arms its store with — plus a byte quota forcing
+//! eviction, a circuit breaker, and the service resource budget.
 //!
 //! The run is a sequence of "process lifetimes": each round opens a fresh
 //! [`BatchDriver`] over the *same* store directory (the crash/reboot
@@ -22,8 +23,7 @@
 
 use crate::hostile::{self, Archetype};
 use crate::{gen, oracle, GenConfig};
-use sf_cache::CacheFaults;
-use sf_core::{BreakerConfig, Limits, ResourceGovernor, RESOURCE_KINDS};
+use sf_core::{splitmix64, BreakerConfig, Limits, ResourceGovernor, RESOURCE_KINDS};
 use sf_minicuda::printer::print_program;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,15 +136,6 @@ impl SoakReport {
     }
 }
 
-/// SplitMix64 — the workspace's seeded-draw convention.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// How many benign programs ride in every round.
 const BENIGN: usize = 3;
 
@@ -153,13 +144,12 @@ const BENIGN: usize = 3;
 /// pass, so it rides along on every other chaos round.
 const CHEAP_BOMBS: [Archetype; 2] = [Archetype::ThousandLaunches, Archetype::HugeDomain];
 
-fn options(faults: CacheFaults, quota: u64) -> BatchOptions {
+fn options(quota: u64) -> BatchOptions {
     BatchOptions {
         queue_limit: 64,
         // Zero so locks leaked by simulated kills are broken on "reboot"
         // (the crash-recovery convention of the cache tests).
         lock_timeout: Duration::ZERO,
-        cache_faults: faults,
         cache_quota: Some(quota),
         breaker: Some(BreakerConfig::default()),
         ..BatchOptions::default()
@@ -176,8 +166,8 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
     let mut report = SoakReport::default();
 
     // Quota sized to hold a few plans: chaos rounds have per-round cache
-    // fingerprints (the fault plan is part of the key), so the namespace
-    // grows every round and the quota must actually evict.
+    // fingerprints (the plan's stage faults are part of the key), so the
+    // namespace grows every round and the quota must actually evict.
     let quota: u64 = 48 * 1024;
 
     // The benign corpus (seeded off the master seed) and the hostile mix.
@@ -194,7 +184,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
     // benign round must reproduce byte for byte.
     // ------------------------------------------------------------------
     let reference: HashMap<String, Option<String>> = {
-        let mut driver = BatchDriver::new(&cfg.dir, base_config(), options(CacheFaults::none(), quota))
+        let mut driver = BatchDriver::new(&cfg.dir, base_config(), options(quota))
             .map_err(|e| SoakViolation::new(usize::MAX, "reference-open", e.to_string()))?;
         for (name, source) in &corpus {
             driver
@@ -229,19 +219,15 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
         if wall_capped() {
             break;
         }
-        let round_seed = splitmix(&mut rng);
+        let round_seed = splitmix64(&mut rng);
         let chaos = round % 2 == 1;
+        // One plan arms both the pipeline and the driver's store.
         let config = if chaos {
             base_config().with_faults(FaultPlan::seeded(round_seed))
         } else {
             base_config()
         };
-        let cache_faults = if chaos {
-            CacheFaults::seeded(round_seed)
-        } else {
-            CacheFaults::none()
-        };
-        let mut driver = BatchDriver::new(&cfg.dir, config, options(cache_faults, quota))
+        let mut driver = BatchDriver::new(&cfg.dir, config, options(quota))
             .map_err(|e| SoakViolation::new(round, "round-open", e.to_string()))?;
 
         for (name, source) in &corpus {
@@ -352,7 +338,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
     // ------------------------------------------------------------------
     // Final reconciliation, fault-free.
     // ------------------------------------------------------------------
-    let mut driver = BatchDriver::new(&cfg.dir, base_config(), options(CacheFaults::none(), quota))
+    let mut driver = BatchDriver::new(&cfg.dir, base_config(), options(quota))
         .map_err(|e| SoakViolation::new(usize::MAX, "final-open", e.to_string()))?;
 
     // Double sweep: the first quarantines stragglers, the second must be

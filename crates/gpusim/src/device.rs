@@ -12,18 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use sf_analysis::metadata::DeviceMetadata;
-
-/// 64-bit FNV-1a over arbitrary bytes. Local copy (the cache crate has one
-/// too, but the dependency direction `sf-cache → sf-plan → sf-gpusim`
-/// forbids reusing it here); deterministic across platforms.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use sf_core::fnv1a64;
 
 /// A simulated GPU.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -411,13 +400,6 @@ mod tests {
         let mut edited = DeviceSpec::k20x();
         edited.smem_alloc_granularity = 128;
         assert_ne!(d.fingerprint(), edited.fingerprint());
-    }
-
-    #[test]
-    fn fnv_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }
 

@@ -594,7 +594,10 @@ void host() {
         // Poison every index any retry could reach: every candidate scores
         // POISONED_FITNESS, yet the search must run to a normal stop.
         let opts = IslandOptions {
-            poison: (0..20_000).collect(),
+            faults: sf_core::FaultPlan {
+                poison_evaluations: (0..20_000).collect(),
+                ..sf_core::FaultPlan::default()
+            },
             ..IslandOptions::default()
         };
         let r = search_islands(&space, &SearchConfig::quick(), &opts).result;
@@ -610,7 +613,10 @@ void host() {
         // succeed, so no candidate ends up poisoned and the outcome matches
         // the clean run.
         let opts = IslandOptions {
-            poison: BTreeSet::from([1u64, 7, 13]),
+            faults: sf_core::FaultPlan {
+                poison_evaluations: BTreeSet::from([1u64, 7, 13]),
+                ..sf_core::FaultPlan::default()
+            },
             ..IslandOptions::default()
         };
         let clean = search(&space, &SearchConfig::quick());

@@ -37,6 +37,11 @@
 //! At every migration epoch the full search state can be checkpointed
 //! ([`crate::checkpoint`]); a killed run resumed from its last checkpoint
 //! replays the exact trajectory of the uninterrupted run.
+//!
+//! The `search.islands` injection site reads the run's [`FaultPlan`]
+//! ([`IslandOptions::faults`]) in place: `poison_evaluations` panics chosen
+//! objective calls, and the plan's `islands` section panics or stalls an
+//! island at a generation, tears a checkpoint, or kills the run after one.
 
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, CHECKPOINT_VERSION,
@@ -51,8 +56,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Content, DeError, Deserialize, Serialize};
+use sf_core::FaultPlan;
 use sf_gpusim::isolate::isolated;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -72,40 +78,12 @@ pub struct SearchDegradation {
     pub reason: String,
 }
 
-/// Deterministic island faults, injected by the fault plan to exercise
-/// every supervision path from a seed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IslandFaults {
-    /// Island index → island-local generation at which its epoch panics.
-    pub panic_at: BTreeMap<usize, usize>,
-    /// Island index → island-local generation at which its epoch stalls
-    /// (reported as a supervision-budget overrun, not a panic).
-    pub stall_at: BTreeMap<usize, usize>,
-    /// Tear the checkpoint written at this epoch (truncated payload; the
-    /// next resume must detect and reject it).
-    pub torn_checkpoint_at_epoch: Option<usize>,
-    /// Simulate a crash: stop the search right after the checkpoint of
-    /// this epoch is written.
-    pub kill_at_epoch: Option<usize>,
-}
-
-impl IslandFaults {
-    /// True when no fault is armed.
-    pub fn is_empty(&self) -> bool {
-        self == &IslandFaults::default()
-    }
-}
-
 /// Knobs for one supervised island run.
 #[derive(Debug, Clone, Default)]
 pub struct IslandOptions {
-    /// Evaluation indices whose objective call panics inside the isolated
-    /// objective, exercising the poisoned-candidate path deterministically.
-    /// Evaluations are indexed `(island << 40) | island-local-count`, so a
-    /// one-island run's indices are simply its evaluation count.
-    pub poison: BTreeSet<u64>,
-    /// Seeded island faults.
-    pub faults: IslandFaults,
+    /// The run's fault plan: the search reads `poison_evaluations` and the
+    /// `islands` section.
+    pub faults: FaultPlan,
     /// Write a checkpoint here at every migration epoch.
     pub checkpoint_path: Option<PathBuf>,
     /// Resume from this checkpoint if it exists and verifies.
@@ -323,7 +301,7 @@ fn advance_epoch(
     gens: usize,
 ) -> Result<(), String> {
     let started = Instant::now();
-    let poison = &opts.poison;
+    let poison = &opts.faults.poison_evaluations;
     // The island's cost cache and scratch buffers, held for the whole
     // epoch: the generation loop below takes no lock.
     let mut pricer = engine.pricer(state.index);
@@ -347,13 +325,14 @@ fn advance_epoch(
             state.stop = Some(StopReason::BudgetExhausted);
             break;
         }
-        if opts.faults.stall_at.get(&state.index) == Some(&state.generations_run) {
+        let faults = &opts.faults.islands;
+        if faults.stall_at.get(&state.index) == Some(&state.generations_run) {
             return Err(format!(
                 "island {} stalled at generation {} and blew its supervision budget (injected)",
                 state.index, state.generations_run
             ));
         }
-        if opts.faults.panic_at.get(&state.index) == Some(&state.generations_run) {
+        if faults.panic_at.get(&state.index) == Some(&state.generations_run) {
             panic!(
                 "injected island fault: panic at generation {}",
                 state.generations_run
@@ -670,7 +649,7 @@ pub fn search_islands(
                 degradations: degradations.clone(),
                 islands: states.clone(),
             };
-            let torn = opts.faults.torn_checkpoint_at_epoch == Some(epoch);
+            let torn = opts.faults.islands.torn_checkpoint_at_epoch == Some(epoch);
             match save_checkpoint(path, &snapshot, torn) {
                 Ok(()) => checkpoints_written += 1,
                 Err(e) => degradations.push(SearchDegradation {
@@ -680,7 +659,7 @@ pub fn search_islands(
                 }),
             }
         }
-        if opts.faults.kill_at_epoch == Some(epoch) {
+        if opts.faults.islands.kill_at_epoch == Some(epoch) {
             killed_at_epoch = Some(epoch);
             break;
         }
@@ -788,6 +767,16 @@ pub fn search_islands(
 mod tests {
     use super::*;
     use crate::space::tests::space_for;
+    use sf_core::IslandFaults;
+    use std::collections::BTreeMap;
+
+    /// A plan whose only faults are `islands`.
+    fn island_faults(islands: IslandFaults) -> FaultPlan {
+        FaultPlan {
+            islands,
+            ..FaultPlan::default()
+        }
+    }
 
     const CHAIN4: &str = r#"
 __global__ void k1(const double* __restrict__ u, double* a, int nx, int ny, int nz) {
@@ -904,10 +893,10 @@ void host() {
         let space = space_for(CHAIN4);
         let cfg = island_config(3);
         let opts = IslandOptions {
-            faults: IslandFaults {
+            faults: island_faults(IslandFaults {
                 panic_at: BTreeMap::from([(1, 5)]),
                 ..IslandFaults::default()
-            },
+            }),
             ..IslandOptions::default()
         };
         let r = search_islands(&space, &cfg, &opts);
@@ -926,10 +915,10 @@ void host() {
         let space = space_for(CHAIN4);
         let cfg = island_config(2);
         let opts = IslandOptions {
-            faults: IslandFaults {
+            faults: island_faults(IslandFaults {
                 stall_at: BTreeMap::from([(0, 6)]),
                 ..IslandFaults::default()
-            },
+            }),
             ..IslandOptions::default()
         };
         let r = search_islands(&space, &cfg, &opts);
@@ -965,10 +954,10 @@ void host() {
                 cfg,
                 &IslandOptions {
                     checkpoint_path: Some(ckpt.clone()),
-                    faults: IslandFaults {
+                    faults: island_faults(IslandFaults {
                         kill_at_epoch: Some(epoch),
                         ..IslandFaults::default()
-                    },
+                    }),
                     ..IslandOptions::default()
                 },
             );
@@ -1008,11 +997,11 @@ void host() {
             &cfg,
             &IslandOptions {
                 checkpoint_path: Some(ckpt.clone()),
-                faults: IslandFaults {
+                faults: island_faults(IslandFaults {
                     torn_checkpoint_at_epoch: Some(1),
                     kill_at_epoch: Some(1),
                     ..IslandFaults::default()
-                },
+                }),
                 ..IslandOptions::default()
             },
         );
@@ -1112,10 +1101,10 @@ void host() {
         let space = space_for(CHAIN4);
         let cfg = island_config(2);
         let opts = IslandOptions {
-            faults: IslandFaults {
+            faults: island_faults(IslandFaults {
                 panic_at: BTreeMap::from([(0, 0), (1, 0)]),
                 ..IslandFaults::default()
-            },
+            }),
             ..IslandOptions::default()
         };
         let r = search_islands(&space, &cfg, &opts);

@@ -44,8 +44,7 @@ pub use genome::Individual;
 pub use gga::{lower_plan, search, SearchResult, StopReason};
 pub use port::raise_plan;
 pub use islands::{
-    search_islands, IslandFaults, IslandOptions, IslandSearchResult, IslandState,
-    SearchDegradation,
+    search_islands, IslandOptions, IslandSearchResult, IslandState, SearchDegradation,
 };
 pub use params::SearchConfig;
 pub use projection::{GroupKey, ProjectionEngine, ProjectionStats};

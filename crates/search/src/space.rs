@@ -9,7 +9,8 @@
 
 use sf_analysis::filter::FilterDecision;
 use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
-use sf_codegen::{transform_program_with, CodegenFaults};
+use sf_codegen::transform_program_with;
+use sf_core::FaultPlan;
 use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
@@ -224,7 +225,7 @@ impl SearchSpace {
                 plan,
                 &tplan,
                 &precedence.ddg,
-                &CodegenFaults::default(),
+                &FaultPlan::none(),
             )
             .map_err(|e| ProfileError::msg(e.0))?;
             let fission_plan = ExecutablePlan::from_program(&out.program)

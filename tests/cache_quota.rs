@@ -11,7 +11,8 @@
 //!   written, never a committed one.
 
 use proptest::prelude::*;
-use sf_cache::{CacheErrorKind, CacheFaults, CacheKey, Lookup, PlanStore, Published, StoreOptions};
+use sf_cache::{CacheErrorKind, CacheKey, Lookup, PlanStore, Published, StoreOptions};
+use sf_core::{splitmix64, CacheFaults, FaultPlan};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -24,15 +25,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("sf-cache-quota-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// SplitMix64 — the workspace's seeded-draw convention.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 proptest! {
@@ -66,10 +58,10 @@ proptest! {
         // (torn writes, bit flips, kills, ENOSPC, short writes, ...) and a
         // few operations; the drop is the crash/reboot boundary.
         for _round in 0..10 {
-            let faults = CacheFaults::seeded(splitmix(&mut rng));
+            let faults = FaultPlan::seeded(splitmix64(&mut rng)).cache;
             let store = PlanStore::open_with(&dir, options(faults)).unwrap();
             for _op in 0..4 {
-                let draw = splitmix(&mut rng);
+                let draw = splitmix64(&mut rng);
                 let (key, payload) = &universe[(draw % 10) as usize];
                 if draw.is_multiple_of(3) {
                     match store.lookup(key).unwrap() {
@@ -94,7 +86,7 @@ proptest! {
         // Reboot fault-free. The first sweep quarantines whatever the
         // corruption faults damaged; the second must be completely clean —
         // nothing torn may remain in the entry namespace.
-        let store = PlanStore::open_with(&dir, options(CacheFaults::none())).unwrap();
+        let store = PlanStore::open_with(&dir, options(CacheFaults::default())).unwrap();
         store.verify_integrity().unwrap();
         let (_, quarantined) = store.verify_integrity().unwrap();
         prop_assert_eq!(quarantined, 0, "second integrity sweep must be clean");
@@ -147,7 +139,7 @@ fn disk_full_during_eviction_pressure_never_loses_committed_entries() {
         )
         .unwrap()
     };
-    let store = open(CacheFaults::none());
+    let store = open(CacheFaults::default());
     store.publish(&keys[1], &payload).unwrap();
 
     // The disk fills while a third entry is being written: the publish
@@ -166,7 +158,7 @@ fn disk_full_during_eviction_pressure_never_loses_committed_entries() {
 
     // Disk freed: publishing again succeeds and eviction resumes, keeping
     // the just-written entry and the quota.
-    let store = open(CacheFaults::none());
+    let store = open(CacheFaults::default());
     assert_eq!(store.publish(&keys[3], &payload).unwrap(), Published::Stored);
     assert_eq!(store.lookup(&keys[3]).unwrap().payload(), Some(payload.as_str()));
     assert!(store.disk_usage() <= 2 * entry_len);

@@ -98,13 +98,13 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
                 interpreter_trap: trap == 0,
                 noise_seed: (noisy == 0).then_some(noise_seed),
                 rep_failures,
-                // Cache faults live in the store, not the pipeline; the
-                // batch/fuzz harnesses exercise them (tests/plan_cache.rs).
-                cache: sf_cache::CacheFaults::none(),
+                // Store faults are the batch driver's, not the pipeline's;
+                // the batch/fuzz harnesses exercise them (tests/plan_cache.rs).
+                cache: sf_core::CacheFaults::default(),
                 // Island faults reach every run (one search loop), but the
                 // island harnesses own them (tests/island_search.rs); here
                 // only the seeded plans below carry them.
-                islands: sf_search::IslandFaults::default(),
+                islands: sf_core::IslandFaults::default(),
             },
         )
 }

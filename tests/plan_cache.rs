@@ -15,7 +15,8 @@
 //!   (cache hit → cache recompile → normal pipeline).
 
 use proptest::prelude::*;
-use sf_cache::{CacheError, CacheErrorKind, CacheFaults, CacheKey, Lookup, PlanStore, Published, StoreOptions};
+use sf_cache::{CacheError, CacheErrorKind, CacheKey, Lookup, PlanStore, Published, StoreOptions};
+use sf_core::CacheFaults;
 use sf_gpusim::device::DeviceSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,7 +111,7 @@ fn quick_config() -> PipelineConfig {
 /// the crash-consistency contract for `key`/`payload`. Returns whether the
 /// entry survived the crash already committed.
 fn check_after_crash(dir: &PathBuf, key: &CacheKey, payload: &str) -> bool {
-    let store = PlanStore::open_with(dir, crash_options(CacheFaults::none())).expect("reopen");
+    let store = PlanStore::open_with(dir, crash_options(CacheFaults::default())).expect("reopen");
     // The store must be readable: either the write never became visible
     // (Miss), or it committed completely (Hit with *exactly* the payload),
     // or the partial write was detected and quarantined (Recovered). A torn
@@ -148,7 +149,7 @@ fn a_crash_at_every_write_step_leaves_the_store_readable() {
             &dir,
             crash_options(CacheFaults {
                 kill_at_step: Some(step),
-                ..CacheFaults::none()
+                ..CacheFaults::default()
             }),
         )
         .expect("open");
@@ -206,7 +207,7 @@ proptest! {
         let key = CacheKey::derive(&format!("source-{salt}"), "k20x", "cfg");
         let store = PlanStore::open_with(
             &dir,
-            crash_options(CacheFaults { kill_at_step: Some(step), ..CacheFaults::none() }),
+            crash_options(CacheFaults { kill_at_step: Some(step), ..CacheFaults::default() }),
         ).expect("open");
         match store.publish(&key, &payload) {
             Err(e) => prop_assert_eq!(e.kind, CacheErrorKind::Killed),
@@ -261,7 +262,7 @@ fn a_torn_write_is_quarantined_and_the_slot_recovers() {
         "torn",
         CacheFaults {
             torn_write: Some(7),
-            ..CacheFaults::none()
+            ..CacheFaults::default()
         },
         None, // truncation point decides torn vs corrupt; either is detected
     );
@@ -273,7 +274,7 @@ fn a_bit_flip_is_quarantined_and_the_slot_recovers() {
         "flip",
         CacheFaults {
             bit_flip: Some(0x5_0001),
-            ..CacheFaults::none()
+            ..CacheFaults::default()
         },
         None, // the flipped bit decides the decode failure class
     );
@@ -288,7 +289,7 @@ fn version_skew_is_reported_as_skew_not_corruption() {
         "skew",
         CacheFaults {
             version_skew: true,
-            ..CacheFaults::none()
+            ..CacheFaults::default()
         },
         Some("version-skew"),
     );
@@ -302,7 +303,7 @@ fn a_stale_lock_is_broken_not_waited_on() {
         &dir,
         crash_options(CacheFaults {
             stale_lock: true,
-            ..CacheFaults::none()
+            ..CacheFaults::default()
         }),
     )
     .expect("open");
@@ -498,11 +499,14 @@ fn injected_cache_faults_never_abort_the_batch() {
         // corrupted by the fault), the second reads whatever that left
         // behind and must recover rung by rung.
         for round in 0..2 {
+            let config = quick_config().with_faults(FaultPlan {
+                cache: faults,
+                ..FaultPlan::default()
+            });
             let mut driver = BatchDriver::new(
                 &dir,
-                quick_config(),
+                config,
                 BatchOptions {
-                    cache_faults: faults,
                     lock_timeout: Duration::ZERO,
                     ..BatchOptions::default()
                 },
@@ -530,6 +534,38 @@ fn injected_cache_faults_never_abort_the_batch() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn the_configs_store_faults_arm_the_drivers_store() {
+    // The driver arms its store from the config's fault plan, and store
+    // faults stay out of the cache key: the flipped entry is the one a
+    // fault-free driver over the same directory reads next.
+    let dir = scratch_dir("config-faults");
+    let run = |config: PipelineConfig| {
+        let mut driver = BatchDriver::new(&dir, config, BatchOptions::default()).expect("driver");
+        driver
+            .submit(BatchRequest::new("small", SMALL_APP))
+            .expect("admitted");
+        driver.run().outcomes.remove(0)
+    };
+    let flip = FaultPlan {
+        cache: CacheFaults {
+            bit_flip: Some(0x5_0001),
+            ..CacheFaults::default()
+        },
+        ..FaultPlan::default()
+    };
+    assert_eq!(run(quick_config().with_faults(flip)).status, BatchStatus::Compiled);
+    let clean = run(quick_config());
+    assert!(
+        matches!(clean.status, BatchStatus::Recovered(_)),
+        "the flipped entry was not read back: {:?}",
+        clean.status
+    );
+    let quarantined = std::fs::read_dir(dir.join("quarantine")).expect("quarantine/").count();
+    assert_eq!(quarantined, 1, "the flipped entry is kept as evidence");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
 //! degradation ladder must step down safely when temporal rungs fail.
 
 use sf_codegen::{
-    transform_program, transform_program_with, CodegenFaults, CodegenMode, GroupPlan, MemberRef,
-    TransformPlan,
+    transform_program, transform_program_with, CodegenMode, GroupPlan, MemberRef, TransformPlan,
 };
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::{GlobalMemory, Interpreter};
@@ -157,9 +156,9 @@ fn tuned_temporal_rejection_degrades_to_untuned_temporal() {
     let mut group = GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)]);
     group.temporal = 2;
     let tplan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, true, vec![group]);
-    let faults = CodegenFaults {
+    let faults = sf_core::FaultPlan {
         reject_tuned_groups: [0usize].into_iter().collect(),
-        ..CodegenFaults::default()
+        ..sf_core::FaultPlan::default()
     };
     let instances = sf_graphs::Precedence::instances(&p, &plan).unwrap();
     let out = transform_program_with(&p, &plan, &tplan, &instances, &faults).unwrap();
