@@ -1762,6 +1762,39 @@ void host() {
         let err = Pipeline::new(p, strict_cfg).unwrap().run().unwrap_err();
         assert_eq!(err.class, crate::error::Recoverability::Transient);
     }
+
+    /// An out-of-bounds access traps the same way on every run, so the
+    /// profile ladder does not retry it: the program executes once.
+    #[test]
+    fn a_trapping_profile_executes_once() {
+        // Only the last thread of the last block reads past `a`.
+        let source = APP.replacen("a[k][j][i] - b", "a[k][j + i / 63][i] - b", 1);
+        let p = parse_program(&source).unwrap();
+        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).strict();
+        let pipeline = Pipeline::new(p, cfg).unwrap();
+        let hooks = Interventions::default();
+        let run = Run::new(&pipeline, &hooks);
+        let steps = Cell::new(0);
+        let profile = || {
+            let interp = Interpreter::new(run.program);
+            let mut mem = GlobalMemory::from_plan(run.plan);
+            let outcome = interp.run_plan(run.plan, &mut mem);
+            steps.set(steps.get() + interp.steps_used());
+            outcome?;
+            run.robust.profile_with_plan(run.program, run.plan)
+        };
+        let mut r = StageReport::new(Stage::Metadata);
+        let err = run
+            .profile(&mut r, "no profile available", profile)
+            .unwrap_err();
+        assert_eq!(err.class, crate::error::Recoverability::Degradable, "{err}");
+        assert!(
+            err.to_string()
+                .contains("out-of-bounds access a[0, 32, 63]"),
+            "{err}"
+        );
+        assert_eq!(steps.get(), Interpreter::plan_steps(run.plan));
+    }
 }
 
 #[cfg(test)]

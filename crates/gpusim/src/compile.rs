@@ -1,16 +1,16 @@
 //! Kernel compilation: resolve variable names to slots and array names to
-//! table indices once per kernel, type the slots, and split every
-//! expression into the half that may run column-wise over the block and the
-//! half that must stay in thread order.
+//! table indices once per kernel, type the slots and expressions, and mark
+//! which statement parts may run column-wise over the block.
 //!
 //! **Slot typing.** A name whose every declaration in the kernel is `int`
 //! (scalar `int` parameters, `int` locals, `for` variables) is an *int
-//! slot*: assignments coerce to the declared type and an uninitialised
-//! declaration holds the declared type's zero, so such a slot is an `i64`
-//! for its whole life and the interpreter stores it as a column
-//! ([`CExpr::ISlot`]). Every other name — `double`/`float` scalars, and a
-//! name declared with two different types, which keeps each declaration's
-//! type for its own assignments — is a dynamically typed value slot
+//! slot*, and one whose every declaration is `double` or `float` is a
+//! *float slot*: assignments coerce to the declared type and an
+//! uninitialised declaration holds the declared type's zero, so such a slot
+//! holds one type for its whole life and the interpreter stores it as a
+//! column — `i64` ([`CExpr::ISlot`]) or `f64` ([`CExpr::FSlot`]). A name
+//! declared with two different types keeps each declaration's type for its
+//! own assignments, so it is a dynamically typed value slot
 //! ([`CExpr::Slot`]).
 //!
 //! **Pure-int subtrees.** A subtree built only from integer literals, int
@@ -18,10 +18,20 @@
 //! of those touches no counter, hazard log, memory cell or trap, so *when*
 //! it is evaluated is unobservable. [`compile`] replaces every maximal
 //! such subtree with [`CExpr::Col`] and emits a [`ColOp`] program that the
-//! interpreter runs once per statement execution over all lanes. `/` and
-//! `%` (they trap), unary `-` (it counts a flop), loads and anything
-//! float stay in the tree and are evaluated per thread, in thread order.
-//! Name lookups here hash; the interpreter's hot path does not.
+//! interpreter runs once per statement execution over all lanes.
+//!
+//! **Statically typed parts.** What is left — loads, float arithmetic,
+//! `/ %`, unary `-`, intrinsics — is observable, but when every node of a
+//! part has one type for every lane (`static_type`: no value slot, no
+//! ternary whose arms differ in type, no float operand of `&& ||`, no
+//! float index, no shared index of the wrong rank) the interpreter may
+//! evaluate it once over the active lanes and commit the counters only if
+//! no lane would trap or report a hazard. Such a right-hand side, store
+//! index or condition is marked `columns`; every other part runs per
+//! thread in thread order. A shared store whose right-hand side or index
+//! reads its own tile is never marked: the per-thread order of those reads
+//! and writes is what its hazard reports describe. Name lookups here hash;
+//! the interpreter's hot path does not.
 
 use crate::interp::ExecError;
 use sf_minicuda::ast::*;
@@ -32,6 +42,8 @@ use std::collections::HashMap;
 pub enum SlotRef {
     /// Column of the block's integer state (statically `int`).
     Int(u16),
+    /// Column of the block's float state (statically `double`/`float`).
+    Float(u16),
     /// Per-thread dynamically typed value slot.
     Val(u16),
 }
@@ -41,9 +53,17 @@ impl SlotRef {
     fn read(self) -> CExpr {
         match self {
             SlotRef::Int(s) => CExpr::ISlot(s),
+            SlotRef::Float(s) => CExpr::FSlot(s),
             SlotRef::Val(s) => CExpr::Slot(s),
         }
     }
+}
+
+/// The one type an expression has in every lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Ty {
+    Int,
+    Float,
 }
 
 /// An operand of a column operation: one `i64` per lane.
@@ -98,6 +118,8 @@ pub enum CExpr {
     Slot(u16),
     /// Int slot (column of the block's integer state).
     ISlot(u16),
+    /// Float slot (column of the block's float state).
+    FSlot(u16),
     Builtin(Builtin),
     /// Result register of a pure-int subtree the statement's column
     /// program computed.
@@ -127,10 +149,11 @@ pub enum CExpr {
 }
 
 /// A compiled statement. `cols` is the column program that runs over the
-/// whole block before the statement's per-thread part; the expressions
-/// read its results through [`CExpr::Col`]. A pure-int `If`/`For`
-/// condition, `For` init/step, or right-hand side of an int-slot `SetSlot`
-/// is always a bare `Col`.
+/// whole block before the statement's own part; the expressions read its
+/// results through [`CExpr::Col`]. A pure-int `If`/`For` condition, `For`
+/// init/step, or right-hand side of an int-slot `SetSlot` is always a bare
+/// `Col`. `columns` marks a part that is statically typed (module docs):
+/// for a store, its indices and right-hand side together.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum CStmt {
@@ -140,6 +163,7 @@ pub enum CStmt {
         ty: ScalarType,
         cols: Vec<ColOp>,
         e: CExpr,
+        columns: bool,
     },
     StoreGlobal {
         array: u16,
@@ -147,6 +171,7 @@ pub enum CStmt {
         op: AssignOp,
         cols: Vec<ColOp>,
         e: CExpr,
+        columns: bool,
     },
     StoreShared {
         tile: u16,
@@ -154,10 +179,12 @@ pub enum CStmt {
         op: AssignOp,
         cols: Vec<ColOp>,
         e: CExpr,
+        columns: bool,
     },
     If {
         cols: Vec<ColOp>,
         cond: CExpr,
+        columns: bool,
         then_body: Vec<CStmt>,
         else_body: Vec<CStmt>,
     },
@@ -167,6 +194,7 @@ pub enum CStmt {
         init: CExpr,
         cond_cols: Vec<ColOp>,
         cond: CExpr,
+        cond_columns: bool,
         step_cols: Vec<ColOp>,
         step: CExpr,
         body: Vec<CStmt>,
@@ -182,10 +210,16 @@ pub struct CompiledKernel {
     pub name: String,
     /// Number of scalar slots per thread (locals + scalar params).
     pub nslots: usize,
-    /// How many of them are int slots (columns); the rest are value slots.
+    /// How many of them are int slots and float slots (columns); the rest
+    /// are value slots.
     pub int_slots: usize,
+    pub float_slots: usize,
     /// Column registers the largest statement's column program needs.
     pub col_regs: usize,
+    /// Registers the largest column-wise part needs (module docs of
+    /// `interp`: a node evaluates into its register, its operands into the
+    /// ones above it).
+    pub part_regs: usize,
     /// Scalar parameter slots in parameter order.
     pub scalar_param_slots: Vec<(SlotRef, ScalarType)>,
     /// Array parameter names in parameter order (bound at launch).
@@ -193,6 +227,80 @@ pub struct CompiledKernel {
     /// Shared tiles: (extents, element count).
     pub tiles: Vec<(Vec<usize>, usize)>,
     pub body: Vec<CStmt>,
+}
+
+/// The type `e` has in every lane, or `None` when a lane's type depends on
+/// its values or the expression always traps (module docs: statically
+/// typed parts). `tiles` are the shared tiles' shapes, for the rank check.
+pub(crate) fn static_type(e: &CExpr, tiles: &[(Vec<usize>, usize)]) -> Option<Ty> {
+    use BinaryOp::*;
+    let ty = |e: &CExpr| static_type(e, tiles);
+    let ints = |es: &[CExpr]| es.iter().all(|i| ty(i) == Some(Ty::Int));
+    match e {
+        CExpr::I(_) | CExpr::ISlot(_) | CExpr::Builtin(_) | CExpr::Col(_) => Some(Ty::Int),
+        CExpr::F(_) | CExpr::FSlot(_) => Some(Ty::Float),
+        CExpr::Slot(_) => None,
+        CExpr::Global { idx, .. } => (idx.len() <= 4 && ints(idx)).then_some(Ty::Float),
+        CExpr::Shared { tile, idx } => {
+            (idx.len() == tiles[*tile as usize].0.len() && ints(idx)).then_some(Ty::Float)
+        }
+        CExpr::Un {
+            op: UnaryOp::Neg,
+            e,
+        } => ty(e),
+        CExpr::Un { e, .. } => ty(e).map(|_| Ty::Int),
+        CExpr::Bin { op, l, r } => match (ty(l)?, ty(r)?) {
+            (Ty::Int, Ty::Int) => Some(Ty::Int),
+            _ if matches!(op, And | Or) => None,
+            _ if op.is_arithmetic() => Some(Ty::Float),
+            _ => Some(Ty::Int),
+        },
+        CExpr::Call { args, .. } => args.iter().all(|a| ty(a).is_some()).then_some(Ty::Float),
+        CExpr::Ternary { c, t, e } => {
+            ty(c)?;
+            let t = ty(t)?;
+            (ty(e)? == t).then_some(t)
+        }
+    }
+}
+
+/// Registers a column-wise evaluation of `e` rooted at register `dst`
+/// needs: every node takes its own, and operand `j` of a node at `r` is
+/// evaluated at `r + 1 + j`.
+fn part_regs(e: &CExpr, dst: usize) -> usize {
+    let under = |es: &[CExpr]| {
+        es.iter()
+            .enumerate()
+            .map(|(j, x)| part_regs(x, dst + 1 + j))
+            .max()
+            .unwrap_or(0)
+    };
+    (dst + 1).max(match e {
+        CExpr::Global { idx, .. } | CExpr::Shared { idx, .. } => under(idx),
+        CExpr::Call { args, .. } => under(args),
+        CExpr::Un { e, .. } => part_regs(e, dst + 1),
+        CExpr::Bin { l, r, .. } => part_regs(l, dst + 1).max(part_regs(r, dst + 2)),
+        CExpr::Ternary { c, t, e } => part_regs(c, dst + 1)
+            .max(part_regs(t, dst + 2))
+            .max(part_regs(e, dst + 3)),
+        _ => 0,
+    })
+}
+
+/// Does `e` load from shared tile `tile`?
+fn reads_tile(e: &CExpr, tile: u16) -> bool {
+    let any = |es: &[CExpr]| es.iter().any(|x| reads_tile(x, tile));
+    match e {
+        CExpr::Shared { tile: t, idx } => *t == tile || any(idx),
+        CExpr::Global { idx, .. } => any(idx),
+        CExpr::Call { args, .. } => any(args),
+        CExpr::Un { e, .. } => reads_tile(e, tile),
+        CExpr::Bin { l, r, .. } => reads_tile(l, tile) || reads_tile(r, tile),
+        CExpr::Ternary { c, t, e } => {
+            reads_tile(c, tile) || reads_tile(t, tile) || reads_tile(e, tile)
+        }
+        _ => false,
+    }
 }
 
 /// May `e` be evaluated at any time, for any lane, with no observable
@@ -318,41 +426,52 @@ impl ColProgram {
     }
 }
 
+/// Which types a name is declared with: [`INT`] and/or [`FLOAT`] bits.
+type Declared = u8;
+const INT: Declared = 1;
+const FLOAT: Declared = 2;
+
+fn declared(ty: ScalarType) -> Declared {
+    match ty {
+        ScalarType::I32 => INT,
+        ScalarType::F32 | ScalarType::F64 => FLOAT,
+    }
+}
+
 struct Compiler<'k> {
     kernel: &'k Kernel,
-    /// Per declared name: is every one of its declarations `int`?
-    int_names: HashMap<&'k str, bool>,
+    /// Per declared name: the types of all of its declarations.
+    declared: HashMap<&'k str, Declared>,
     /// Each name's slot, and its declared type at the current point of
     /// the walk.
     slots: HashMap<String, (SlotRef, ScalarType)>,
     int_slots: u16,
+    float_slots: u16,
     val_slots: u16,
     col_regs: usize,
+    part_regs: usize,
     arrays: HashMap<String, u16>,
     tiles: HashMap<String, u16>,
     tile_shapes: Vec<(Vec<usize>, usize)>,
 }
 
-/// Record every declaration's type: a name is an int slot iff all of its
-/// declarations are `int`.
-fn scan_declarations<'k>(stmts: &'k [Stmt], int_names: &mut HashMap<&'k str, bool>) {
-    fn declare<'k>(int_names: &mut HashMap<&'k str, bool>, name: &'k str, ty: ScalarType) {
-        *int_names.entry(name).or_insert(true) &= ty == ScalarType::I32;
-    }
+/// Record every declaration's type: a name is an int (float) slot iff all
+/// of its declarations are `int` (`double`/`float`).
+fn scan_declarations<'k>(stmts: &'k [Stmt], names: &mut HashMap<&'k str, Declared>) {
     for s in stmts {
         match s {
-            Stmt::VarDecl { name, ty, .. } => declare(int_names, name, *ty),
+            Stmt::VarDecl { name, ty, .. } => *names.entry(name).or_insert(0) |= declared(*ty),
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                scan_declarations(then_body, int_names);
-                scan_declarations(else_body, int_names);
+                scan_declarations(then_body, names);
+                scan_declarations(else_body, names);
             }
             Stmt::For { var, body, .. } => {
-                declare(int_names, var, ScalarType::I32);
-                scan_declarations(body, int_names);
+                *names.entry(var).or_insert(0) |= INT;
+                scan_declarations(body, names);
             }
             _ => {}
         }
@@ -372,13 +491,14 @@ impl<'k> Compiler<'k> {
                 self.kernel.name
             )));
         }
-        let s = if self.int_names.get(name).copied().unwrap_or(false) {
-            self.int_slots += 1;
-            SlotRef::Int(self.int_slots - 1)
-        } else {
-            self.val_slots += 1;
-            SlotRef::Val(self.val_slots - 1)
-        };
+        let (count, slot): (_, fn(u16) -> SlotRef) =
+            match self.declared.get(name).copied().unwrap_or(0) {
+                INT => (&mut self.int_slots, SlotRef::Int),
+                FLOAT => (&mut self.float_slots, SlotRef::Float),
+                _ => (&mut self.val_slots, SlotRef::Val),
+            };
+        *count += 1;
+        let s = slot(*count - 1);
         self.slots.insert(name.to_string(), (s, ty));
         Ok(s)
     }
@@ -387,6 +507,22 @@ impl<'k> Compiler<'k> {
     fn finish(&mut self, program: ColProgram) -> Vec<ColOp> {
         self.col_regs = self.col_regs.max(program.regs);
         program.ops
+    }
+
+    /// Is the part made of `roots` (root `j` evaluated at register `j`)
+    /// statically typed, with every root but the last an index? Sizes the
+    /// register file when it is.
+    fn columns(&mut self, roots: &[&CExpr]) -> bool {
+        let Some((last, idx)) = roots.split_last() else {
+            return false;
+        };
+        let typed = |e: &CExpr| static_type(e, &self.tile_shapes);
+        if typed(last).is_none() || idx.iter().any(|i| typed(i) != Some(Ty::Int)) {
+            return false;
+        }
+        let regs = roots.iter().enumerate().map(|(j, e)| part_regs(e, j));
+        self.part_regs = self.part_regs.max(regs.max().unwrap_or(0));
+        true
     }
 
     fn exprs(&mut self, es: &[Expr]) -> Result<Vec<CExpr>, ExecError> {
@@ -445,19 +581,30 @@ impl<'k> Compiler<'k> {
         })
     }
 
-    /// `slot = e`, coerced to `ty`.
+    /// `slot = e`, coerced to `ty`. A value slot is assigned per thread.
     fn set_slot(&mut self, slot: SlotRef, ty: ScalarType, e: CExpr) -> CStmt {
         let mut p = ColProgram::default();
         let e = match slot {
             SlotRef::Int(_) => p.lower_whole(e),
-            SlotRef::Val(_) => p.lower(e),
+            SlotRef::Float(_) | SlotRef::Val(_) => p.lower(e),
         };
         CStmt::SetSlot {
             slot,
             ty,
             cols: self.finish(p),
+            columns: !matches!(slot, SlotRef::Val(_)) && self.columns(&[&e]),
             e,
         }
+    }
+
+    /// A whole-block part (a condition, a `for` init or step): its column
+    /// program, the lowered expression, and whether the rest is statically
+    /// typed.
+    fn whole_part(&mut self, e: CExpr) -> (Vec<ColOp>, CExpr, bool) {
+        let mut p = ColProgram::default();
+        let e = p.lower_whole(e);
+        let columns = self.columns(&[&e]);
+        (self.finish(p), e, columns)
     }
 
     fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<CStmt>, ExecError> {
@@ -512,24 +659,31 @@ impl<'k> Compiler<'k> {
                         LValue::Index { array, indices } => {
                             let idx = self.exprs(indices)?;
                             let mut p = ColProgram::default();
-                            let idx = idx.into_iter().map(|i| p.lower(i)).collect();
+                            let idx: Vec<CExpr> = idx.into_iter().map(|i| p.lower(i)).collect();
                             let e = p.lower(e);
                             let cols = self.finish(p);
+                            let roots: Vec<&CExpr> = idx.iter().chain([&e]).collect();
                             if let Some(&a) = self.arrays.get(array) {
+                                let columns = idx.len() <= 4 && self.columns(&roots);
                                 out.push(CStmt::StoreGlobal {
                                     array: a,
                                     idx,
                                     op: *op,
                                     cols,
                                     e,
+                                    columns,
                                 });
                             } else if let Some(&t) = self.tiles.get(array) {
+                                let columns = idx.len() == self.tile_shapes[t as usize].0.len()
+                                    && !roots.iter().any(|r| reads_tile(r, t))
+                                    && self.columns(&roots);
                                 out.push(CStmt::StoreShared {
                                     tile: t,
                                     idx,
                                     op: *op,
                                     cols,
                                     e,
+                                    columns,
                                 });
                             } else {
                                 return Err(ExecError::trap(format!(
@@ -545,14 +699,14 @@ impl<'k> Compiler<'k> {
                     then_body,
                     else_body,
                 } => {
-                    let mut p = ColProgram::default();
-                    let cond = p.lower_whole(self.expr(cond)?);
-                    let cols = self.finish(p);
+                    let cond = self.expr(cond)?;
+                    let (cols, cond, columns) = self.whole_part(cond);
                     let then_body = self.stmts(then_body)?;
                     let else_body = self.stmts(else_body)?;
                     out.push(CStmt::If {
                         cols,
                         cond,
+                        columns,
                         then_body,
                         else_body,
                     });
@@ -568,14 +722,12 @@ impl<'k> Compiler<'k> {
                     let slot = self.declare(var, ScalarType::I32)?;
                     let cond = self.expr(cond)?;
                     let step = self.expr(step)?;
-                    let mut lower_part = |e| {
-                        let mut p = ColProgram::default();
-                        let e = p.lower_whole(e);
-                        (self.finish(p), e)
-                    };
-                    let (init_cols, init) = lower_part(init);
-                    let (cond_cols, cond) = lower_part(cond);
-                    let (step_cols, step) = lower_part(step);
+                    // An init or step that is not a bare column (it traps,
+                    // loads or counts a flop) is rare enough to stay per
+                    // thread.
+                    let (init_cols, init, _) = self.whole_part(init);
+                    let (cond_cols, cond, cond_columns) = self.whole_part(cond);
+                    let (step_cols, step, _) = self.whole_part(step);
                     let body = self.stmts(body)?;
                     out.push(CStmt::For {
                         slot,
@@ -583,6 +735,7 @@ impl<'k> Compiler<'k> {
                         init,
                         cond_cols,
                         cond,
+                        cond_columns,
                         step_cols,
                         step,
                         body,
@@ -598,20 +751,22 @@ impl<'k> Compiler<'k> {
 
 /// Compile a kernel.
 pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
-    let mut int_names = HashMap::new();
+    let mut names = HashMap::new();
     for p in &kernel.params {
         if let Param::Scalar { name, ty } = p {
-            int_names.insert(name.as_str(), *ty == ScalarType::I32);
+            names.insert(name.as_str(), declared(*ty));
         }
     }
-    scan_declarations(&kernel.body, &mut int_names);
+    scan_declarations(&kernel.body, &mut names);
     let mut c = Compiler {
         kernel,
-        int_names,
+        declared: names,
         slots: HashMap::new(),
         int_slots: 0,
+        float_slots: 0,
         val_slots: 0,
         col_regs: 0,
+        part_regs: 0,
         arrays: HashMap::new(),
         tiles: HashMap::new(),
         tile_shapes: Vec::new(),
@@ -635,7 +790,9 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         name: kernel.name.clone(),
         nslots: c.slots.len(),
         int_slots: c.int_slots as usize,
+        float_slots: c.float_slots as usize,
         col_regs: c.col_regs,
+        part_regs: c.part_regs,
         scalar_param_slots,
         array_params,
         tiles: c.tile_shapes,
@@ -709,11 +866,19 @@ __global__ void c(double* a, int n) {
         let c = compile(&k).unwrap();
         assert_eq!(c.nslots, 2); // n, acc
 
-        // `acc += x` on a double stays a float assignment.
-        let CStmt::SetSlot { slot, ty, .. } = &c.body[1] else {
+        // `acc += x` on a double stays a float assignment to a float
+        // column, evaluated column-wise.
+        let CStmt::SetSlot {
+            slot, ty, columns, ..
+        } = &c.body[1]
+        else {
             panic!("expected acc += 2.0, got {:?}", c.body[1]);
         };
-        assert_eq!((*slot, *ty), (SlotRef::Val(0), ScalarType::F64));
+        assert_eq!(
+            (*slot, *ty, *columns),
+            (SlotRef::Float(0), ScalarType::F64, true)
+        );
+        assert_eq!(c.float_slots, 1);
     }
 
     #[test]
@@ -767,6 +932,68 @@ __global__ void k(double* a, int n) {
             matches!(&**arm, CExpr::Global { idx, .. } if idx[..] == [CExpr::Col(1)]),
             "{arm:?}"
         );
+    }
+
+    /// Which parts are marked `columns`: statically typed ones only, and
+    /// never a shared store that reads its own tile.
+    #[test]
+    fn statically_typed_parts_are_marked_columns() {
+        let k = parse_kernel(
+            r#"
+__global__ void k(double* a, int n, double x) {
+  __shared__ double s[64];
+  __shared__ double t[64];
+  int i = threadIdx.x;
+  double d = x * a[i] + sqrt(-x);
+  int m = 1;
+  double m = 0.5;
+  a[i] = (i > 2) ? a[i - 1] / 2 : -d;
+  a[i] = m + 1.0;
+  a[i] = (i > 2) ? 1 : 2.0;
+  a[i] = (x && 1) * 2.0;
+  a[x] = 1.0;
+  s[i] = t[i] * 2.0;
+  s[i] = s[63 - i];
+  if (a[i] > 0.0) { t[i] += 1; }
+}
+"#,
+        )
+        .unwrap();
+        let c = compile(&k).unwrap();
+        let columns = |s: &CStmt| match s {
+            CStmt::SetSlot { columns, .. }
+            | CStmt::StoreGlobal { columns, .. }
+            | CStmt::StoreShared { columns, .. }
+            | CStmt::If { columns, .. } => *columns,
+            other => panic!("unexpected {other:?}"),
+        };
+        let marks: Vec<bool> = c.body.iter().map(columns).collect();
+        assert_eq!(
+            marks,
+            [
+                true,  // int i
+                true,  // double d: float column, loads, an intrinsic
+                false, // int m: a value slot is assigned per thread
+                false, // double m
+                true,  // a ternary of two floats, `/` by an int
+                false, // reads the value slot m
+                false, // arms of two types
+                false, // a float operand of `&&`
+                false, // a float index
+                true,  // a shared store reading another tile
+                false, // a shared store reading its own tile
+                true,  // a float condition
+            ]
+        );
+        assert_eq!((c.int_slots, c.float_slots, c.nslots), (2, 2, 5));
+        let CStmt::If { then_body, .. } = &c.body[11] else {
+            panic!("expected the if, got {:?}", c.body[11]);
+        };
+        assert!(
+            columns(&then_body[0]),
+            "`t[i] += 1` reads t only through `+=`"
+        );
+        assert!(c.part_regs >= 4, "{}", c.part_regs);
     }
 
     #[test]

@@ -10,21 +10,46 @@
 //! timing model consumes.
 //!
 //! Kernels are compiled ([`crate::compile`]) to slot-resolved, slot-typed
-//! form before execution, and each statement executes in two halves:
+//! form before execution. Int and float slots are columns (`i64` / `f64`,
+//! one element per lane), `threadIdx` is a table built once per launch, and
+//! each statement executes in up to three steps:
 //!
 //! - its **column program** — the pure-int guard and index subtrees, which
 //!   touch no counter, hazard log, memory cell or trap — runs once over
-//!   all lanes of the block as tight loops on `i64` columns (int slots are
-//!   stored as columns, `threadIdx` is a table built once per launch);
-//! - everything observable — loads, stores, flop and access counters, the
-//!   hazard logs, traps, two-phase commit — runs **per thread in thread
-//!   order** in the one evaluator ([`Machine::eval`]), reading the integer
-//!   results from the columns.
+//!   all lanes of the block as tight loops on `i64` columns;
+//! - a **statically typed part** (a right-hand side, a store's indices, a
+//!   condition: `columns` in [`CStmt`]) is then evaluated once over the
+//!   active lanes. A node evaluates into its own register column and its
+//!   operands into the registers above it; arithmetic runs over every lane
+//!   of the block when at least half are active (such loops vectorise) and
+//!   over the active lanes' indices otherwise, loads only over the lanes
+//!   selected, and each ternary arm over the lanes that take it, so an
+//!   untaken arm never loads. Each index column is range-checked once (its
+//!   minimum and maximum over the active lanes). Flops and reads are
+//!   charged as *active lanes × ops* to a pending tally, and the hazard
+//!   checks run over the offsets in tight loops. The part **commits** —
+//!   tally, shared-read log, stores — only if no lane would trap (out of
+//!   bounds, an int `/ %` by zero or overflow) and no lane would report a
+//!   hazard the launch's list still has room for;
+//! - otherwise nothing was committed, and the statement runs **per thread
+//!   in thread order** from the unchanged state in the one evaluator
+//!   ([`Machine::eval`]), which is the only source of trap and hazard text.
+//!   So the lowest faulting thread is the one reported, and hazard strings,
+//!   their order and the cap of 16 are what thread-major evaluation always
+//!   produced. An untyped part (a value slot, a ternary whose arms differ
+//!   in type) always takes this path.
+//!
+//! Both paths pin which NaN a commutative `+`/`*` returns (`nan_first`),
+//! since a vectorised loop may hand the hardware the operands in the other
+//! order. The footprint sets are the one thing a part touches before it
+//! commits: inserting into a set is idempotent and the per-thread rerun
+//! reads a superset, so the result is the same.
 //!
 //! There is no unchecked mode: bounds, hazard and race checks run on every
-//! access at this speed. Block-sized state (columns, masks, tiles, the
-//! hazard logs) is pooled across statements, blocks and launches; bound
-//! arrays are checked out of [`GlobalMemory`] for the duration of a launch.
+//! access at this speed. Block-sized state (columns, registers, lane
+//! selections, masks, tiles, the hazard logs) is pooled across statements,
+//! blocks and launches; bound arrays are checked out of [`GlobalMemory`]
+//! for the duration of a launch.
 //!
 //! The interpreter also performs the checks the paper relies on:
 //! - output verification — callers compare memory images of original vs
@@ -264,7 +289,8 @@ impl<'p> Interpreter<'p> {
         // is the zero of its kind), arrays checked out of global memory.
         let mut base = BaseSlots {
             ints: vec![0; ck.int_slots],
-            vals: vec![Value::F(0.0); ck.nslots - ck.int_slots],
+            floats: vec![0.0; ck.float_slots],
+            vals: vec![Value::F(0.0); ck.nslots - ck.int_slots - ck.float_slots],
         };
         let mut bound: Vec<(String, DeviceArray)> = Vec::with_capacity(ck.array_params.len());
         let mut scalar_iter = ck.scalar_param_slots.iter();
@@ -303,8 +329,9 @@ impl<'p> Interpreter<'p> {
                     };
                     match (slot, v) {
                         (SlotRef::Int(c), Value::I(i)) => base.ints[c as usize] = i,
-                        (SlotRef::Int(_), Value::F(_)) => {
-                            unreachable!("an int slot's every declaration is `int`")
+                        (SlotRef::Float(c), Value::F(f)) => base.floats[c as usize] = f,
+                        (SlotRef::Int(_) | SlotRef::Float(_), _) => {
+                            unreachable!("a column slot's every declaration has its type")
                         }
                         (SlotRef::Val(s), v) => base.vals[s as usize] = v,
                     }
@@ -351,6 +378,7 @@ impl<'p> Interpreter<'p> {
             lanes,
             nvals: base.vals.len(),
             p: pools,
+            pending: Pending::default(),
             any_returned: false,
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
@@ -404,19 +432,20 @@ fn merge_stats(into: &mut LaunchStats, from: LaunchStats) {
 /// scalar arguments, zero elsewhere.
 struct BaseSlots {
     ints: Vec<i64>,
+    floats: Vec<f64>,
     vals: Vec<Value>,
 }
 
-/// One `i64` per lane: a constant, or a column.
+/// One value per lane: a constant, or a column.
 #[derive(Clone, Copy)]
-enum Lanes<'a> {
-    Const(i64),
-    Col(&'a [i64]),
+enum Lanes<'a, T = i64> {
+    Const(T),
+    Col(&'a [T]),
 }
 
-impl Lanes<'_> {
+impl<T: Copy> Lanes<'_, T> {
     #[inline]
-    fn at(self, t: usize) -> i64 {
+    fn at(self, t: usize) -> T {
         match self {
             Lanes::Const(c) => c,
             Lanes::Col(col) => col[t],
@@ -425,7 +454,7 @@ impl Lanes<'_> {
 }
 
 /// `dst[t] = f(a[t])` for every lane.
-fn map1(dst: &mut [i64], a: Lanes<'_>, f: impl Fn(i64) -> i64) {
+fn map1<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, f: impl Fn(T) -> U) {
     match a {
         Lanes::Const(x) => dst.fill(f(x)),
         Lanes::Col(a) => {
@@ -438,7 +467,7 @@ fn map1(dst: &mut [i64], a: Lanes<'_>, f: impl Fn(i64) -> i64) {
 
 /// `dst[t] = f(a[t], b[t])` for every lane; a constant operand is never
 /// materialised as a column.
-fn map2(dst: &mut [i64], a: Lanes<'_>, b: Lanes<'_>, f: impl Fn(i64, i64) -> i64) {
+fn map2<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, b: Lanes<'_, T>, f: impl Fn(T, T) -> U) {
     match (a, b) {
         (Lanes::Col(a), Lanes::Col(b)) => {
             for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
@@ -481,22 +510,265 @@ impl Geometry {
     }
 }
 
+/// Where a node of a statically typed part left its value: an int source
+/// the column program already provides, a float constant or slot, or the
+/// node's own register. A node's value is never in a register other than
+/// its own, which the next operand's evaluation may overwrite.
+#[derive(Clone, Copy)]
+enum Col {
+    Int(ColSrc),
+    ITmp(u16),
+    F(f64),
+    FSlot(u16),
+    FTmp(u16),
+}
+
+impl Col {
+    fn is_float(self) -> bool {
+        matches!(self, Col::F(_) | Col::FSlot(_) | Col::FTmp(_))
+    }
+}
+
+/// A part's evaluation found a lane that would trap or report a hazard:
+/// nothing was committed, and the statement runs per thread instead.
+struct Fallback;
+
+/// Read access to every column a [`Col`] names, with the part registers
+/// visible from `base` up (the ones above the node being computed).
+struct Files<'a> {
+    n: usize,
+    geom: Geometry,
+    icols: &'a [i64],
+    fcols: &'a [f64],
+    regs: &'a [i64],
+    tid: &'a [i64],
+    itmp: &'a [i64],
+    ftmp: &'a [f64],
+    base: usize,
+}
+
+impl<'a> Files<'a> {
+    fn int(&self, c: Col) -> Lanes<'a> {
+        let n = self.n;
+        match c {
+            Col::Int(ColSrc::Const(v)) => Lanes::Const(v),
+            Col::Int(ColSrc::Slot(s)) => Lanes::Col(&self.icols[s as usize * n..][..n]),
+            Col::Int(ColSrc::Builtin(b)) => self.geom.builtin(b, self.tid),
+            Col::Int(ColSrc::Reg(r)) => Lanes::Col(&self.regs[r as usize * n..][..n]),
+            Col::ITmp(r) => Lanes::Col(&self.itmp[(r as usize - self.base) * n..][..n]),
+            _ => unreachable!("a float where the part is typed int"),
+        }
+    }
+
+    fn float(&self, c: Col) -> Lanes<'a, f64> {
+        let n = self.n;
+        match c {
+            Col::F(v) => Lanes::Const(v),
+            Col::FSlot(s) => Lanes::Col(&self.fcols[s as usize * n..][..n]),
+            Col::FTmp(r) => Lanes::Col(&self.ftmp[(r as usize - self.base) * n..][..n]),
+            _ => unreachable!("an int operand reaches a float op unconverted"),
+        }
+    }
+
+    /// `c != 0` in lane `t`, whatever `c`'s type.
+    fn truthy(&self, c: Col) -> impl Fn(usize) -> bool + 'a {
+        let (i, f) = if c.is_float() {
+            (Lanes::Const(0), self.float(c))
+        } else {
+            (self.int(c), Lanes::Const(0.0))
+        };
+        move |t| i.at(t) != 0 || f.at(t) != 0.0
+    }
+}
+
+/// The lanes a part's node runs over, in order, and whether they are dense
+/// enough for loops over every lane of the block (which vectorise) to beat
+/// visiting just these.
+#[derive(Clone, Copy)]
+struct Sel<'m> {
+    idx: &'m [usize],
+    dense: bool,
+}
+
+impl<'m> Sel<'m> {
+    fn new(idx: &'m [usize], lanes: usize) -> Sel<'m> {
+        Sel {
+            idx,
+            dense: idx.len() * 2 >= lanes,
+        }
+    }
+
+    fn lanes(self) -> u64 {
+        self.idx.len() as u64
+    }
+
+    /// `dst[t] = f(a[t])` in the selected lanes (and, dense, in the others).
+    fn map1<T: Copy, U: Copy>(self, dst: &mut [U], a: Lanes<'_, T>, f: impl Fn(T) -> U) {
+        if self.dense {
+            return map1(dst, a, f);
+        }
+        for &t in self.idx {
+            dst[t] = f(a.at(t));
+        }
+    }
+
+    /// `dst[t] = f(a[t], b[t])` in the selected lanes (and, dense, in the
+    /// others).
+    fn map2<T: Copy, U: Copy>(
+        self,
+        dst: &mut [U],
+        a: Lanes<'_, T>,
+        b: Lanes<'_, T>,
+        f: impl Fn(T, T) -> U,
+    ) {
+        if self.dense {
+            return map2(dst, a, b, f);
+        }
+        for &t in self.idx {
+            dst[t] = f(a.at(t), b.at(t));
+        }
+    }
+}
+
+/// The flat offsets of lanes `idx`, in order, into `offs` (`ix` has one
+/// index column per extent); `None` when some lane's index is out of range
+/// (each index column's minimum and maximum over the lanes are checked
+/// once).
+fn offsets(
+    f: &Files<'_>,
+    ix: &[Col],
+    extents: &[usize],
+    idx: &[usize],
+    offs: &mut Vec<usize>,
+) -> Option<()> {
+    let mut dims = [Lanes::Const(0); 4];
+    for (d, &i) in dims.iter_mut().zip(ix) {
+        *d = f.int(i);
+    }
+    let dims = &dims[..ix.len()];
+    let (mut lo, mut hi) = ([i64::MAX; 4], [i64::MIN; 4]);
+    offs.clear();
+    offs.extend(idx.iter().map(|&t| {
+        let mut off = 0usize;
+        for (d, (&extent, dim)) in extents.iter().zip(dims).enumerate() {
+            let i = dim.at(t);
+            lo[d] = lo[d].min(i);
+            hi[d] = hi[d].max(i);
+            off = off.wrapping_mul(extent).wrapping_add(i as usize);
+        }
+        off
+    }));
+    let in_range = |d: usize| lo[d] >= 0 && (hi[d] as u64) < extents[d] as u64;
+    (idx.is_empty() || (0..ix.len()).all(in_range)).then_some(())
+}
+
+/// `scratch` = each selected lane's `(offset, value)`: the right-hand
+/// side, or `op` applied to it and the element `old` it replaces.
+fn fill_scratch(
+    scratch: &mut Vec<(usize, f64)>,
+    offs: &[usize],
+    rhs: Lanes<'_, f64>,
+    op: AssignOp,
+    sel: Sel<'_>,
+    old: impl Fn(usize) -> f64,
+) {
+    scratch.clear();
+    scratch.extend(sel.idx.iter().zip(offs).map(|(&t, &o)| {
+        let v = match op {
+            AssignOp::Assign => rhs.at(t),
+            _ => apply_assign(op, old(o), rhs.at(t)),
+        };
+        (o, v)
+    }));
+}
+
+/// Counters a part charges, committed only with the part.
+#[derive(Default)]
+struct Pending {
+    flops: u64,
+    global_reads: u64,
+    shared_reads: u64,
+}
+
 /// A shared-memory access log entry: the barrier epoch and warp of the last
 /// access to a tile cell. Epochs start at 1, so the default never matches.
 type LastAccess = (u64, u32);
+
+/// The warp lane `t` belongs to.
+fn warp(t: usize) -> u32 {
+    (t / 32) as u32
+}
+
+/// Would lane `t` race with the access `last` logged in barrier `epoch`?
+fn races(last: LastAccess, epoch: u64, t: usize) -> bool {
+    last.0 == epoch && last.1 != warp(t)
+}
+
+/// Every column a lane-wise loop reads or writes, apart from the tiles
+/// and logs so a part can borrow both.
+#[derive(Default)]
+struct Columns {
+    /// Int and float slots, one column each: `icols[slot * lanes + t]`.
+    icols: Vec<i64>,
+    fcols: Vec<f64>,
+    /// Column registers: `regs[reg * lanes + t]`.
+    regs: Vec<i64>,
+    /// `threadIdx.x`, `.y`, `.z` of every lane, built once per launch.
+    tid: Vec<i64>,
+    /// Part registers, an int and a float column each (a node writes the
+    /// one of its type).
+    itmp: Vec<i64>,
+    ftmp: Vec<f64>,
+}
+
+impl Columns {
+    /// A read view with the part registers from `base` up.
+    fn view(&self, n: usize, geom: Geometry, base: usize) -> Files<'_> {
+        Files {
+            n,
+            geom,
+            icols: &self.icols,
+            fcols: &self.fcols,
+            regs: &self.regs,
+            tid: &self.tid,
+            itmp: &self.itmp[base * n..],
+            ftmp: &self.ftmp[base * n..],
+            base,
+        }
+    }
+
+    /// Register `dst`'s int and float columns, and a read view of
+    /// everything else its operands may live in.
+    fn split(&mut self, n: usize, geom: Geometry, dst: u16) -> (&mut [i64], &mut [f64], Files<'_>) {
+        let base = dst as usize + 1;
+        let (ilo, ihi) = self.itmp.split_at_mut(base * n);
+        let (flo, fhi) = self.ftmp.split_at_mut(base * n);
+        let files = Files {
+            n,
+            geom,
+            icols: &self.icols,
+            fcols: &self.fcols,
+            regs: &self.regs,
+            tid: &self.tid,
+            itmp: ihi,
+            ftmp: fhi,
+            base,
+        };
+        (
+            &mut ilo[(base - 1) * n..],
+            &mut flo[(base - 1) * n..],
+            files,
+        )
+    }
+}
 
 /// Block-sized buffers, reused across statements, blocks and launches so
 /// the per-statement path allocates nothing once they are warm.
 #[derive(Default)]
 struct Pools {
-    /// Int slots, one column each: `icols[slot * lanes + t]`.
-    icols: Vec<i64>,
+    col: Columns,
     /// Value slots, thread-major: `vals[t * nvals + slot]`.
     vals: Vec<Value>,
-    /// Column registers: `regs[reg * lanes + t]`.
-    regs: Vec<i64>,
-    /// `threadIdx.x`, `.y`, `.z` of every lane, built once per launch.
-    tid: Vec<i64>,
     alive: Vec<bool>,
     /// The all-true block mask.
     full: Vec<bool>,
@@ -514,21 +786,33 @@ struct Pools {
     writers: Vec<Vec<u64>>,
     /// Two-phase store scratch: (offset, value).
     scratch: Vec<(usize, f64)>,
+    /// A part's offsets of one access, in lane order.
+    offs: Vec<usize>,
+    /// A part's shared reads `(tile, offset, warp)`, applied to the read
+    /// log when it commits.
+    reads: Vec<(u16, usize, u32)>,
+    /// A shared store's write-log entries as they were, to undo them when
+    /// a later lane finds a race.
+    undo: Vec<(usize, LastAccess)>,
+    /// Free list of lane selections.
+    sels: Vec<Vec<usize>>,
 }
 
 impl Pools {
     fn prepare_launch(&mut self, ck: &CompiledKernel, block: Dim3, arrays: usize) {
         let lanes = block.count() as usize;
-        self.icols.resize(ck.int_slots * lanes, 0);
-        self.regs.resize(ck.col_regs * lanes, 0);
-        self.full.clear();
-        self.full.resize(lanes, true);
-        self.tid.clear();
+        let c = &mut self.col;
+        c.icols.resize(ck.int_slots * lanes, 0);
+        c.fcols.resize(ck.float_slots * lanes, 0.0);
+        c.regs.resize(ck.col_regs * lanes, 0);
+        c.itmp.resize(ck.part_regs * lanes, 0);
+        c.ftmp.resize(ck.part_regs * lanes, 0.0);
+        c.tid.clear();
         for axis in [Axis::X, Axis::Y, Axis::Z] {
             for z in 0..block.z {
                 for y in 0..block.y {
                     for x in 0..block.x {
-                        self.tid.push(match axis {
+                        c.tid.push(match axis {
                             Axis::X => x,
                             Axis::Y => y,
                             Axis::Z => z,
@@ -537,6 +821,8 @@ impl Pools {
                 }
             }
         }
+        self.full.clear();
+        self.full.resize(lanes, true);
         self.tiles.resize_with(ck.tiles.len(), Vec::new);
         self.shared_writes.resize_with(ck.tiles.len(), Vec::new);
         self.shared_reads.resize_with(ck.tiles.len(), Vec::new);
@@ -563,6 +849,8 @@ struct Machine<'a> {
     /// Value slots per thread.
     nvals: usize,
     p: Pools,
+    /// The counters of the part being evaluated.
+    pending: Pending,
     /// Some thread of this block has executed `return`.
     any_returned: bool,
     fp_read: HashSet<(u16, usize)>,
@@ -579,7 +867,10 @@ impl Machine<'_> {
         self.p.alive.resize(self.lanes, true);
         self.any_returned = false;
         for (c, &v) in base.ints.iter().enumerate() {
-            self.p.icols[c * self.lanes..][..self.lanes].fill(v);
+            self.p.col.icols[c * self.lanes..][..self.lanes].fill(v);
+        }
+        for (c, &v) in base.floats.iter().enumerate() {
+            self.p.col.fcols[c * self.lanes..][..self.lanes].fill(v);
         }
         self.p.vals.clear();
         for _ in 0..self.lanes {
@@ -595,21 +886,21 @@ impl Machine<'_> {
     #[inline]
     fn slot(&self, t: usize, s: SlotRef) -> Value {
         match s {
-            SlotRef::Int(c) => Value::I(self.p.icols[c as usize * self.lanes + t]),
+            SlotRef::Int(c) => Value::I(self.p.col.icols[c as usize * self.lanes + t]),
+            SlotRef::Float(c) => Value::F(self.p.col.fcols[c as usize * self.lanes + t]),
             SlotRef::Val(s) => self.p.vals[t * self.nvals + s as usize],
         }
     }
 
     #[inline]
     fn set_slot(&mut self, t: usize, s: SlotRef, v: Value) {
-        match s {
-            // The typing rule the columns rely on: every assignment to an
-            // `int`-declared name is coerced to its declared type first.
-            SlotRef::Int(c) => match v {
-                Value::I(i) => self.p.icols[c as usize * self.lanes + t] = i,
-                Value::F(_) => unreachable!("int slot assigned {v:?}"),
-            },
-            SlotRef::Val(s) => self.p.vals[t * self.nvals + s as usize] = v,
+        // The typing rule the columns rely on: every assignment to a name
+        // is coerced to its declared type first.
+        match (s, v) {
+            (SlotRef::Int(c), Value::I(i)) => self.p.col.icols[c as usize * self.lanes + t] = i,
+            (SlotRef::Float(c), Value::F(f)) => self.p.col.fcols[c as usize * self.lanes + t] = f,
+            (SlotRef::Int(_) | SlotRef::Float(_), _) => unreachable!("{s:?} assigned {v:?}"),
+            (SlotRef::Val(s), v) => self.p.vals[t * self.nvals + s as usize] = v,
         }
     }
 
@@ -626,9 +917,9 @@ impl Machine<'_> {
         use BinaryOp::*;
         let n = self.lanes;
         let geom = self.geom;
-        let Pools {
+        let Columns {
             icols, regs, tid, ..
-        } = &mut self.p;
+        } = &mut self.p.col;
         for op in ops {
             let (ColOp::Copy { dst, .. }
             | ColOp::Not { dst, .. }
@@ -678,22 +969,39 @@ impl Machine<'_> {
         }
     }
 
-    /// `out[t] = among[t] && cond(t)`: a column condition in one pass,
-    /// anything else per thread in thread order.
+    /// `out[t] = among[t] && cond(t)`: a column condition in one pass, a
+    /// statically typed one as a part, anything else (or a part that falls
+    /// back) per thread in thread order.
     fn truth(
         &mut self,
         cond: &CExpr,
+        columns: bool,
         among: &[bool],
         out: &mut Vec<bool>,
     ) -> Result<(), ExecError> {
         out.clear();
         if let CExpr::Col(r) = cond {
-            let col = &self.p.regs[*r as usize * self.lanes..][..self.lanes];
+            let col = &self.p.col.regs[*r as usize * self.lanes..][..self.lanes];
             out.extend(among.iter().zip(col).map(|(&a, &c)| a && c != 0));
-        } else {
-            for (t, &a) in among.iter().enumerate() {
-                out.push(a && self.eval(cond, t)?.truthy());
+            return Ok(());
+        }
+        if columns {
+            let part = |m: &mut Self, sel: Sel<'_>| {
+                let c = m.col(cond, 0, sel)?;
+                let truthy = m.p.col.view(m.lanes, m.geom, 0).truthy(c);
+                out.resize(among.len(), false);
+                for &t in sel.idx {
+                    out[t] = truthy(t);
+                }
+                Ok(())
+            };
+            if self.part(among, part).is_ok() {
+                return Ok(());
             }
+            out.clear();
+        }
+        for (t, &a) in among.iter().enumerate() {
+            out.push(a && self.eval(cond, t)?.truthy());
         }
         Ok(())
     }
@@ -704,12 +1012,13 @@ impl Machine<'_> {
         slot: SlotRef,
         ty: ScalarType,
         e: &CExpr,
+        columns: bool,
         active: &[bool],
     ) -> Result<(), ExecError> {
         if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, e) {
             let n = self.lanes;
-            let dst = &mut self.p.icols[c as usize * n..][..n];
-            let src = &self.p.regs[*r as usize * n..][..n];
+            let dst = &mut self.p.col.icols[c as usize * n..][..n];
+            let src = &self.p.col.regs[*r as usize * n..][..n];
             for ((d, &s), &a) in dst.iter_mut().zip(src).zip(active) {
                 if a {
                     *d = s;
@@ -717,9 +1026,538 @@ impl Machine<'_> {
             }
             return Ok(());
         }
+        let part = |m: &mut Self, sel: Sel<'_>| {
+            let v = m.col(e, 0, sel)?;
+            m.assign_col(slot, v, sel);
+            Ok(())
+        };
+        if columns && self.part(active, part).is_ok() {
+            return Ok(());
+        }
         for t in (0..active.len()).filter(|&t| active[t]) {
             let v = coerce(self.eval(e, t)?, ty);
             self.set_slot(t, slot, v);
+        }
+        Ok(())
+    }
+
+    /// Write a part's value `v` (of the node at register 0) to the int or
+    /// float column `slot` in the selected lanes, coerced to its type.
+    fn assign_col(&mut self, slot: SlotRef, v: Col, sel: Sel<'_>) {
+        let n = self.lanes;
+        // Read the value from register 0 (or a constant): a slot column may
+        // be the very one assigned.
+        let v = match v {
+            Col::Int(ColSrc::Const(_)) | Col::F(_) | Col::ITmp(_) | Col::FTmp(_) => v,
+            _ => self.copy_to(v, 0),
+        };
+        let Columns {
+            icols,
+            fcols,
+            itmp,
+            ftmp,
+            ..
+        } = &mut self.p.col;
+        // Unlike a register, a slot keeps its value in every other lane.
+        let sel = Sel {
+            dense: false,
+            ..sel
+        };
+        let (int, float) = match v {
+            Col::Int(ColSrc::Const(c)) => (Lanes::Const(c), None),
+            Col::F(x) => (Lanes::Const(0), Some(Lanes::Const(x))),
+            Col::FTmp(_) => (Lanes::Const(0), Some(Lanes::Col(&ftmp[..n]))),
+            _ => (Lanes::Col(&itmp[..n]), None),
+        };
+        match (slot, float) {
+            (SlotRef::Int(c), None) => sel.map1(&mut icols[c as usize * n..][..n], int, |x| x),
+            (SlotRef::Int(c), Some(f)) => {
+                sel.map1(&mut icols[c as usize * n..][..n], f, |x| x as i64)
+            }
+            (SlotRef::Float(c), None) => {
+                sel.map1(&mut fcols[c as usize * n..][..n], int, |x| x as f64)
+            }
+            (SlotRef::Float(c), Some(f)) => sel.map1(&mut fcols[c as usize * n..][..n], f, |x| x),
+            (SlotRef::Val(_), _) => unreachable!("a value slot is assigned per thread"),
+        }
+    }
+
+    /// Materialise `v` into register `r` (of its type), so it no longer
+    /// names a slot column.
+    fn copy_to(&mut self, v: Col, r: u16) -> Col {
+        let (di, df, files) = self.p.col.split(self.lanes, self.geom, r);
+        if v.is_float() {
+            map1(df, files.float(v), |x| x);
+            Col::FTmp(r)
+        } else {
+            map1(di, files.int(v), |x| x);
+            Col::ITmp(r)
+        }
+    }
+
+    /// `v`, the value of the node at register `r`, as a float operand: an
+    /// int is converted into `r`'s float column.
+    fn as_float(&mut self, v: Col, r: u16, sel: Sel<'_>) -> Col {
+        match v {
+            Col::F(_) | Col::FSlot(_) | Col::FTmp(_) => v,
+            Col::Int(ColSrc::Const(c)) => Col::F(c as f64),
+            _ => {
+                let (di, df, files) = self.p.col.split(self.lanes, self.geom, r);
+                let ints = match v {
+                    Col::ITmp(_) => Lanes::Col(&*di),
+                    _ => files.int(v),
+                };
+                sel.map1(df, ints, |x| x as f64);
+                Col::FTmp(r)
+            }
+        }
+    }
+
+    /// Evaluate a statically typed part with `f` over `active`'s lanes. On
+    /// success its pending counters and shared reads are committed; on a
+    /// fallback nothing is, and the caller runs the statement per thread.
+    fn part<R>(
+        &mut self,
+        active: &[bool],
+        f: impl FnOnce(&mut Self, Sel<'_>) -> Result<R, Fallback>,
+    ) -> Result<R, Fallback> {
+        let mut idx = self.p.sels.pop().unwrap_or_default();
+        idx.clear();
+        idx.extend((0..active.len()).filter(|&t| active[t]));
+        self.pending = Pending::default();
+        self.p.reads.clear();
+        let done = match idx.is_empty() {
+            true => Err(Fallback),
+            false => f(self, Sel::new(&idx, self.lanes)),
+        };
+        self.p.sels.push(idx);
+        let r = done?;
+        let Pending {
+            flops,
+            global_reads,
+            shared_reads,
+        } = std::mem::take(&mut self.pending);
+        self.stats.flops += flops;
+        self.stats.global_reads += global_reads;
+        self.stats.shared_reads += shared_reads;
+        // The read log ends at each cell's last reader in thread order:
+        // the highest warp of the part's readers (pushed only with hazard
+        // detection on).
+        let (epoch, log) = (self.p.epoch, &mut self.p.shared_reads);
+        for &(tile, off, _) in &self.p.reads {
+            log[tile as usize][off] = LastAccess::default();
+        }
+        for &(tile, off, warp) in &self.p.reads {
+            let last = &mut log[tile as usize][off];
+            if last.0 != epoch || last.1 < warp {
+                *last = (epoch, warp);
+            }
+        }
+        Ok(r)
+    }
+
+    /// May a part skip hazard checks? Only when the launch's report list
+    /// is full: a hazard the per-thread evaluator finds then goes unrecorded.
+    fn hazard_room(&self) -> bool {
+        self.stats.hazards.len() < 16
+    }
+
+    /// Evaluate the statically typed `e` over `sel`'s lanes into register
+    /// `dst`, operand `j` of each node into the node's register `+ 1 + j`
+    /// (so a register above `dst` never outlives its node).
+    fn col(&mut self, e: &CExpr, dst: u16, sel: Sel<'_>) -> Result<Col, Fallback> {
+        use BinaryOp::*;
+        let (n, geom, lanes) = (self.lanes, self.geom, sel.lanes());
+        Ok(match e {
+            CExpr::I(v) => Col::Int(ColSrc::Const(*v)),
+            CExpr::F(v) => Col::F(*v),
+            CExpr::ISlot(s) => Col::Int(ColSrc::Slot(*s)),
+            CExpr::FSlot(s) => Col::FSlot(*s),
+            CExpr::Builtin(b) => Col::Int(ColSrc::Builtin(*b)),
+            CExpr::Col(r) => Col::Int(ColSrc::Reg(*r)),
+            CExpr::Slot(_) => unreachable!("a value slot is never statically typed"),
+            CExpr::Global { array, idx } => self.load_global(*array, idx, dst, sel)?,
+            CExpr::Shared { tile, idx } => self.load_shared(*tile, idx, dst, sel)?,
+            CExpr::Un { op, e } => {
+                let a = self.col(e, dst + 1, sel)?;
+                if *op == UnaryOp::Neg {
+                    self.pending.flops += lanes;
+                }
+                let (di, df, f) = self.p.col.split(n, geom, dst);
+                match (op, a.is_float()) {
+                    (UnaryOp::Neg, false) => sel.map1(di, f.int(a), i64::wrapping_neg),
+                    (UnaryOp::Neg, true) => {
+                        sel.map1(df, f.float(a), |x| -x);
+                        return Ok(Col::FTmp(dst));
+                    }
+                    (UnaryOp::Not, false) => sel.map1(di, f.int(a), |x| (x == 0) as i64),
+                    (UnaryOp::Not, true) => sel.map1(di, f.float(a), |x| (x == 0.0) as i64),
+                }
+                Col::ITmp(dst)
+            }
+            CExpr::Bin { op, l, r } => {
+                let a = self.col(l, dst + 1, sel)?;
+                let b = self.col(r, dst + 2, sel)?;
+                if !a.is_float() && !b.is_float() {
+                    let (d, _, f) = self.p.col.split(n, geom, dst);
+                    let (a, b) = (f.int(a), f.int(b));
+                    match op {
+                        Add => sel.map2(d, a, b, i64::wrapping_add),
+                        Sub => sel.map2(d, a, b, i64::wrapping_sub),
+                        Mul => sel.map2(d, a, b, i64::wrapping_mul),
+                        Lt => sel.map2(d, a, b, |x, y| (x < y) as i64),
+                        Le => sel.map2(d, a, b, |x, y| (x <= y) as i64),
+                        Gt => sel.map2(d, a, b, |x, y| (x > y) as i64),
+                        Ge => sel.map2(d, a, b, |x, y| (x >= y) as i64),
+                        Eq => sel.map2(d, a, b, |x, y| (x == y) as i64),
+                        Ne => sel.map2(d, a, b, |x, y| (x != y) as i64),
+                        And => sel.map2(d, a, b, |x, y| (x != 0 && y != 0) as i64),
+                        Or => sel.map2(d, a, b, |x, y| (x != 0 || y != 0) as i64),
+                        // Only the selected lanes divide: a zero divisor (or
+                        // an overflowing quotient) is the per-thread
+                        // evaluator's to report.
+                        Div | Rem => {
+                            let divide = if *op == Div {
+                                i64::checked_div
+                            } else {
+                                i64::checked_rem
+                            };
+                            for &t in sel.idx {
+                                d[t] = divide(a.at(t), b.at(t)).ok_or(Fallback)?;
+                            }
+                        }
+                    }
+                    return Ok(Col::ITmp(dst));
+                }
+                let a = self.as_float(a, dst + 1, sel);
+                let b = self.as_float(b, dst + 2, sel);
+                if op.is_arithmetic() {
+                    self.pending.flops += lanes;
+                }
+                let (di, df, f) = self.p.col.split(n, geom, dst);
+                let (a, b) = (f.float(a), f.float(b));
+                match op {
+                    Add => sel.map2(df, a, b, |x, y| nan_first(x, y, |x, y| x + y)),
+                    Sub => sel.map2(df, a, b, |x, y| x - y),
+                    Mul => sel.map2(df, a, b, |x, y| nan_first(x, y, |x, y| x * y)),
+                    Div => sel.map2(df, a, b, |x, y| x / y),
+                    Rem => sel.map2(df, a, b, |x, y| x % y),
+                    Lt => sel.map2(di, a, b, |x, y| (x < y) as i64),
+                    Le => sel.map2(di, a, b, |x, y| (x <= y) as i64),
+                    Gt => sel.map2(di, a, b, |x, y| (x > y) as i64),
+                    Ge => sel.map2(di, a, b, |x, y| (x >= y) as i64),
+                    Eq => sel.map2(di, a, b, |x, y| (x == y) as i64),
+                    Ne => sel.map2(di, a, b, |x, y| (x != y) as i64),
+                    And | Or => unreachable!("a float operand of `&&`/`||` is never typed"),
+                }
+                if op.is_arithmetic() {
+                    Col::FTmp(dst)
+                } else {
+                    Col::ITmp(dst)
+                }
+            }
+            CExpr::Call { fun, args } => {
+                let mut a = [Col::F(0.0); 3];
+                for (j, x) in args.iter().enumerate() {
+                    let r = dst + 1 + j as u16;
+                    let v = self.col(x, r, sel)?;
+                    a[j] = self.as_float(v, r, sel);
+                }
+                self.pending.flops += lanes * fun.flop_cost();
+                let (_, d, f) = self.p.col.split(n, geom, dst);
+                let [x, y, z] = a.map(|c| f.float(c));
+                match fun {
+                    Intrinsic::Sqrt => sel.map1(d, x, f64::sqrt),
+                    Intrinsic::Exp => sel.map1(d, x, f64::exp),
+                    Intrinsic::Log => sel.map1(d, x, f64::ln),
+                    Intrinsic::Fabs => sel.map1(d, x, f64::abs),
+                    Intrinsic::Min => sel.map2(d, x, y, f64::min),
+                    Intrinsic::Max => sel.map2(d, x, y, f64::max),
+                    Intrinsic::Pow => sel.map2(d, x, y, f64::powf),
+                    Intrinsic::Fma => {
+                        for &t in sel.idx {
+                            d[t] = x.at(t).mul_add(y.at(t), z.at(t));
+                        }
+                    }
+                    Intrinsic::Sin => sel.map1(d, x, f64::sin),
+                    Intrinsic::Cos => sel.map1(d, x, f64::cos),
+                }
+                Col::FTmp(dst)
+            }
+            CExpr::Ternary { c, t, e } => {
+                let cond = self.col(c, dst + 1, sel)?;
+                let mut taken = self.p.sels.pop().unwrap_or_default();
+                let mut not_taken = self.p.sels.pop().unwrap_or_default();
+                taken.clear();
+                not_taken.clear();
+                {
+                    let truthy = self.p.col.view(n, geom, dst as usize + 1).truthy(cond);
+                    for &lane in sel.idx {
+                        if truthy(lane) {
+                            taken.push(lane);
+                        } else {
+                            not_taken.push(lane);
+                        }
+                    }
+                }
+                let arms = self.arms(t, e, dst, sel, &taken, &not_taken);
+                self.p.sels.push(taken);
+                self.p.sels.push(not_taken);
+                arms?
+            }
+        })
+    }
+
+    /// A ternary's arms, each evaluated over the lanes that take it (an
+    /// arm no lane takes is not evaluated at all), selected into register
+    /// `dst`.
+    fn arms(
+        &mut self,
+        t: &CExpr,
+        e: &CExpr,
+        dst: u16,
+        sel: Sel<'_>,
+        taken: &[usize],
+        not_taken: &[usize],
+    ) -> Result<Col, Fallback> {
+        let n = self.lanes;
+        let arm = |m: &mut Self, x: &CExpr, r: u16, idx: &[usize]| {
+            let sub = Sel::new(idx, n);
+            (!idx.is_empty()).then(|| m.col(x, r, sub)).transpose()
+        };
+        let tv = arm(self, t, dst + 2, taken)?;
+        let ev = arm(self, e, dst + 3, not_taken)?;
+        let (di, df, f) = self.p.col.split(n, self.geom, dst);
+        match (tv, ev) {
+            (Some(a), Some(b)) if a.is_float() => {
+                let (a, b) = (f.float(a), f.float(b));
+                taken.iter().for_each(|&l| df[l] = a.at(l));
+                not_taken.iter().for_each(|&l| df[l] = b.at(l));
+            }
+            (Some(a), Some(b)) => {
+                let (a, b) = (f.int(a), f.int(b));
+                taken.iter().for_each(|&l| di[l] = a.at(l));
+                not_taken.iter().for_each(|&l| di[l] = b.at(l));
+            }
+            (Some(a), None) | (None, Some(a)) if a.is_float() => sel.map1(df, f.float(a), |x| x),
+            (Some(a), None) | (None, Some(a)) => sel.map1(di, f.int(a), |x| x),
+            (None, None) => unreachable!("a part selects at least one lane"),
+        }
+        Ok(match tv.or(ev) {
+            Some(a) if a.is_float() => Col::FTmp(dst),
+            _ => Col::ITmp(dst),
+        })
+    }
+
+    /// Evaluate an access's index columns at registers `first ..`.
+    fn indices(&mut self, idx: &[CExpr], first: u16, sel: Sel<'_>) -> Result<[Col; 4], Fallback> {
+        let mut ix = [Col::F(0.0); 4];
+        for (j, i) in idx.iter().enumerate() {
+            ix[j] = self.col(i, first + j as u16, sel)?;
+        }
+        Ok(ix)
+    }
+
+    /// Flatten `sel`'s lanes into `p.offs` from index columns `ix`
+    /// evaluated at registers `first ..`; an index out of range in some
+    /// lane is a fallback.
+    fn flatten(
+        &mut self,
+        ix: &[Col],
+        first: u16,
+        extents: &[usize],
+        sel: Sel<'_>,
+    ) -> Result<(), Fallback> {
+        let f = self.p.col.view(self.lanes, self.geom, first as usize);
+        offsets(&f, ix, extents, sel.idx, &mut self.p.offs).ok_or(Fallback)
+    }
+
+    /// A bound array's extents, when they have the access's rank (typed
+    /// global accesses have at most 4 indices).
+    fn shape(&self, array: u16, rank: usize) -> Result<[usize; 4], Fallback> {
+        let extents = &self.arrays[array as usize].1.info.extents;
+        if extents.len() != rank {
+            return Err(Fallback);
+        }
+        let mut shape = [0; 4];
+        shape[..rank].copy_from_slice(extents);
+        Ok(shape)
+    }
+
+    /// Would the reads at `p.offs` in `array` report a cross-block hazard?
+    fn global_hazard(&self, array: u16) -> bool {
+        if !self.detect_hazards || !self.hazard_room() {
+            return false;
+        }
+        let mine = self.block_linear + 1;
+        let writers = &self.p.writers[array as usize];
+        // An array nobody wrote this launch has an empty table.
+        !writers.is_empty()
+            && self
+                .p
+                .offs
+                .iter()
+                .any(|&o| writers[o] != 0 && writers[o] != mine)
+    }
+
+    fn load_global(
+        &mut self,
+        array: u16,
+        idx: &[CExpr],
+        dst: u16,
+        sel: Sel<'_>,
+    ) -> Result<Col, Fallback> {
+        let shape = self.shape(array, idx.len())?;
+        let ix = self.indices(idx, dst + 1, sel)?;
+        self.flatten(&ix[..idx.len()], dst + 1, &shape[..idx.len()], sel)?;
+        if self.global_hazard(array) {
+            return Err(Fallback);
+        }
+        let (_, d, _) = self.p.col.split(self.lanes, self.geom, dst);
+        let data = &self.arrays[array as usize].1.data;
+        for (&t, &o) in sel.idx.iter().zip(&self.p.offs) {
+            d[t] = data[o];
+        }
+        if self.track_footprint {
+            self.fp_read.extend(self.p.offs.iter().map(|&o| (array, o)));
+        }
+        self.pending.global_reads += sel.lanes();
+        Ok(Col::FTmp(dst))
+    }
+
+    fn load_shared(
+        &mut self,
+        tile: u16,
+        idx: &[CExpr],
+        dst: u16,
+        sel: Sel<'_>,
+    ) -> Result<Col, Fallback> {
+        let ix = self.indices(idx, dst + 1, sel)?;
+        let ck = self.ck;
+        self.flatten(&ix[..idx.len()], dst + 1, &ck.tiles[tile as usize].0, sel)?;
+        let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
+        if self.detect_hazards {
+            let writes = &self.p.shared_writes[tile as usize];
+            let epoch = self.p.epoch;
+            if self.hazard_room() && lanes().any(|(t, &o)| races(writes[o], epoch, t)) {
+                return Err(Fallback);
+            }
+            let reads = lanes().map(|(t, &o)| (tile, o, warp(t)));
+            self.p.reads.extend(reads);
+        }
+        let (_, d, _) = self.p.col.split(self.lanes, self.geom, dst);
+        let data = &self.p.tiles[tile as usize];
+        for (&t, &o) in sel.idx.iter().zip(&self.p.offs) {
+            d[t] = data[o];
+        }
+        self.pending.shared_reads += sel.lanes();
+        Ok(Col::FTmp(dst))
+    }
+
+    /// A store's indices at registers `0..rank` and its right-hand side,
+    /// as a float, at `rank`.
+    fn store_operands(
+        &mut self,
+        idx: &[CExpr],
+        e: &CExpr,
+        sel: Sel<'_>,
+    ) -> Result<([Col; 4], Col), Fallback> {
+        let ix = self.indices(idx, 0, sel)?;
+        let rank = idx.len() as u16;
+        let rhs = self.col(e, rank, sel)?;
+        Ok((ix, self.as_float(rhs, rank, sel)))
+    }
+
+    /// The part of a global store. On success `p.scratch` holds the
+    /// `(offset, value)` writes in lane order.
+    fn store_global_part(
+        &mut self,
+        array: u16,
+        idx: &[CExpr],
+        op: AssignOp,
+        e: &CExpr,
+        sel: Sel<'_>,
+    ) -> Result<(), Fallback> {
+        let shape = self.shape(array, idx.len())?;
+        let (ix, rhs) = self.store_operands(idx, e, sel)?;
+        self.flatten(&ix[..idx.len()], 0, &shape[..idx.len()], sel)?;
+        if op != AssignOp::Assign {
+            if self.global_hazard(array) {
+                return Err(Fallback);
+            }
+            if self.track_footprint {
+                self.fp_read.extend(self.p.offs.iter().map(|&o| (array, o)));
+            }
+            self.pending.global_reads += sel.lanes();
+        }
+        let rhs = self.p.col.view(self.lanes, self.geom, 0).float(rhs);
+        let data = &self.arrays[array as usize].1.data;
+        fill_scratch(&mut self.p.scratch, &self.p.offs, rhs, op, sel, |o| data[o]);
+        Ok(())
+    }
+
+    /// The part of a shared store (whose right-hand side and indices never
+    /// read its own tile — compile.rs): as [`Self::store_global_part`],
+    /// plus the write log, updated in lane order.
+    fn store_shared_part(
+        &mut self,
+        tile: u16,
+        idx: &[CExpr],
+        op: AssignOp,
+        e: &CExpr,
+        sel: Sel<'_>,
+    ) -> Result<(), Fallback> {
+        let (ix, rhs) = self.store_operands(idx, e, sel)?;
+        let (t, ck) = (tile as usize, self.ck);
+        self.flatten(&ix[..idx.len()], 0, &ck.tiles[t].0, sel)?;
+        let (epoch, room) = (self.p.epoch, self.hazard_room());
+        let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
+        if op != AssignOp::Assign {
+            self.pending.shared_reads += sel.lanes();
+            if self.detect_hazards {
+                // Each lane reads its own target cell: a read-after-write
+                // against the writes before the part.
+                let writes = &self.p.shared_writes[t];
+                if room && lanes().any(|(l, &o)| races(writes[o], epoch, l)) {
+                    return Err(Fallback);
+                }
+                let reads = lanes().map(|(l, &o)| (tile, o, warp(l)));
+                self.p.reads.extend(reads);
+            }
+        } else if self.detect_hazards && room {
+            // Write-after-read: nothing in the part reads this tile, so a
+            // cell's last reader is the one before the part. (With `op=`
+            // the lane's own read is the last one and never races.)
+            let last_reads = &self.p.shared_reads[t];
+            if lanes().any(|(l, &o)| races(last_reads[o], epoch, l)) {
+                return Err(Fallback);
+            }
+        }
+        let Pools {
+            col,
+            tiles,
+            shared_writes,
+            offs,
+            undo,
+            scratch,
+            ..
+        } = &mut self.p;
+        let rhs = col.view(self.lanes, self.geom, 0).float(rhs);
+        let data = &tiles[t];
+        fill_scratch(scratch, offs, rhs, op, sel, |o| data[o]);
+        // Write-write races, in lane order against the log as each lane
+        // leaves it; the log is restored if some lane races.
+        let log = &mut shared_writes[t];
+        undo.clear();
+        for (&l, &o) in sel.idx.iter().zip(offs.iter()) {
+            if room && races(log[o], epoch, l) {
+                for &(o, was) in undo.iter().rev() {
+                    log[o] = was;
+                }
+                return Err(Fallback);
+            }
+            undo.push((o, log[o]));
+            log[o] = (epoch, warp(l));
         }
         Ok(())
     }
@@ -789,10 +1627,16 @@ impl Machine<'_> {
             return Ok(());
         }
         match s {
-            CStmt::SetSlot { slot, ty, cols, e } => {
+            CStmt::SetSlot {
+                slot,
+                ty,
+                cols,
+                e,
+                columns,
+            } => {
                 self.count_warp_issue(active);
                 self.run_cols(cols);
-                self.assign(*slot, *ty, e, active)?;
+                self.assign(*slot, *ty, e, *columns, active)?;
             }
             CStmt::StoreGlobal {
                 array,
@@ -800,10 +1644,17 @@ impl Machine<'_> {
                 op,
                 cols,
                 e,
+                columns,
             } => {
                 self.count_warp_issue(active);
                 self.run_cols(cols);
-                self.store_global(*array, idx, *op, e, active)?;
+                let part =
+                    |m: &mut Self, sel: Sel<'_>| m.store_global_part(*array, idx, *op, e, sel);
+                if *columns && self.part(active, part).is_ok() {
+                    self.write_global(*array);
+                } else {
+                    self.store_global(*array, idx, *op, e, active)?;
+                }
             }
             CStmt::StoreShared {
                 tile,
@@ -811,21 +1662,29 @@ impl Machine<'_> {
                 op,
                 cols,
                 e,
+                columns,
             } => {
                 self.count_warp_issue(active);
                 self.run_cols(cols);
-                self.store_shared(*tile, idx, *op, e, active)?;
+                let part =
+                    |m: &mut Self, sel: Sel<'_>| m.store_shared_part(*tile, idx, *op, e, sel);
+                if *columns && self.part(active, part).is_ok() {
+                    self.write_shared(*tile);
+                } else {
+                    self.store_shared(*tile, idx, *op, e, active)?;
+                }
             }
             CStmt::If {
                 cols,
                 cond,
+                columns,
                 then_body,
                 else_body,
             } => {
                 self.count_warp_issue(active);
                 self.run_cols(cols);
                 let mut then_mask = self.take_mask();
-                self.truth(cond, active, &mut then_mask)?;
+                self.truth(cond, *columns, active, &mut then_mask)?;
                 let mut else_mask = self.take_mask();
                 else_mask.extend(active.iter().zip(&then_mask).map(|(&a, &t)| a && !t));
                 let divergent = self.record_branch(active, &then_mask);
@@ -845,13 +1704,14 @@ impl Machine<'_> {
                 init,
                 cond_cols,
                 cond,
+                cond_columns,
                 step_cols,
                 step,
                 body,
             } => {
                 self.count_warp_issue(active);
                 self.run_cols(init_cols);
-                self.assign(*slot, ScalarType::I32, init, active)?;
+                self.assign(*slot, ScalarType::I32, init, false, active)?;
                 // A new top-level sweep: reset the footprint window.
                 if uniform && self.track_footprint {
                     self.flush_footprint();
@@ -868,7 +1728,7 @@ impl Machine<'_> {
                         }
                     }
                     self.run_cols(cond_cols);
-                    self.truth(cond, &live, &mut iter_mask)?;
+                    self.truth(cond, *cond_columns, &live, &mut iter_mask)?;
                     let divergent = self.record_branch(active, &iter_mask);
                     if !iter_mask.iter().any(|&m| m) {
                         break;
@@ -908,8 +1768,8 @@ impl Machine<'_> {
     fn step(&mut self, slot: SlotRef, step: &CExpr, ran: &[bool]) -> Result<(), ExecError> {
         let n = self.lanes;
         if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, step) {
-            let var = &mut self.p.icols[c as usize * n..][..n];
-            let by = &self.p.regs[*r as usize * n..][..n];
+            let var = &mut self.p.col.icols[c as usize * n..][..n];
+            let by = &self.p.col.regs[*r as usize * n..][..n];
             for (((v, &d), &ran), &alive) in var.iter_mut().zip(by).zip(ran).zip(&self.p.alive) {
                 if ran && alive {
                     *v = v.wrapping_add(d);
@@ -994,11 +1854,19 @@ impl Machine<'_> {
             };
             scratch.push((off, v));
         }
+        self.p.scratch = scratch;
+        self.write_global(array);
+        Ok(())
+    }
+
+    /// The second phase of a global store: `p.scratch`'s writes, in order.
+    fn write_global(&mut self, array: u16) {
+        let scratch = &self.p.scratch;
         let data = &mut self.arrays[array as usize].1.data;
         if self.detect_hazards {
             let writers = &mut self.p.writers[array as usize];
             writers.resize(data.len(), 0);
-            for &(off, _) in &scratch {
+            for &(off, _) in scratch {
                 writers[off] = self.block_linear + 1;
             }
         }
@@ -1006,12 +1874,10 @@ impl Machine<'_> {
             self.fp_write
                 .extend(scratch.iter().map(|&(off, _)| (array, off)));
         }
-        for &(off, v) in &scratch {
+        for &(off, v) in scratch {
             data[off] = v;
         }
         self.stats.global_writes += scratch.len() as u64;
-        self.p.scratch = scratch;
-        Ok(())
     }
 
     /// Two-phase shared store with write-write race detection.
@@ -1059,12 +1925,18 @@ impl Machine<'_> {
             }
             scratch.push((off, v));
         }
-        for &(off, v) in &scratch {
-            self.p.tiles[tile as usize][off] = v;
-        }
-        self.stats.shared_writes += scratch.len() as u64;
         self.p.scratch = scratch;
+        self.write_shared(tile);
         Ok(())
+    }
+
+    /// The second phase of a shared store: `p.scratch`'s writes, in order.
+    fn write_shared(&mut self, tile: u16) {
+        let data = &mut self.p.tiles[tile as usize];
+        for &(off, v) in &self.p.scratch {
+            data[off] = v;
+        }
+        self.stats.shared_writes += self.p.scratch.len() as u64;
     }
 
     /// Shared read-after-write hazard: reading a tile cell that a
@@ -1115,8 +1987,9 @@ impl Machine<'_> {
             CExpr::F(v) => Value::F(*v),
             CExpr::Slot(s) => self.slot(t, SlotRef::Val(*s)),
             CExpr::ISlot(c) => self.slot(t, SlotRef::Int(*c)),
-            CExpr::Col(r) => Value::I(self.p.regs[*r as usize * self.lanes + t]),
-            CExpr::Builtin(b) => Value::I(self.geom.builtin(*b, &self.p.tid).at(t)),
+            CExpr::FSlot(c) => self.slot(t, SlotRef::Float(*c)),
+            CExpr::Col(r) => Value::I(self.p.col.regs[*r as usize * self.lanes + t]),
+            CExpr::Builtin(b) => Value::I(self.geom.builtin(*b, &self.p.col.tid).at(t)),
             CExpr::Global { array, idx } => {
                 let off = self.global_offset(*array, idx, t)?;
                 let v = self.arrays[*array as usize].1.data[off];
@@ -1211,9 +2084,9 @@ impl Machine<'_> {
             self.stats.flops += 1;
         }
         Ok(match op {
-            Add => Value::F(x + y),
+            Add => Value::F(nan_first(x, y, |x, y| x + y)),
             Sub => Value::F(x - y),
-            Mul => Value::F(x * y),
+            Mul => Value::F(nan_first(x, y, |x, y| x * y)),
             Div => Value::F(x / y),
             Rem => Value::F(x % y),
             Lt => Value::I((x < y) as i64),
@@ -1237,12 +2110,29 @@ fn coerce(v: Value, ty: ScalarType) -> Value {
     }
 }
 
+/// The element a compound store leaves: `old op rhs`, and with a NaN on
+/// each side the right-hand side's (see [`nan_first`]).
 fn apply_assign(op: AssignOp, old: f64, rhs: f64) -> f64 {
     match op {
         AssignOp::Assign => rhs,
-        AssignOp::AddAssign => old + rhs,
+        AssignOp::AddAssign => nan_first(rhs, old, |rhs, old| old + rhs),
         AssignOp::SubAssign => old - rhs,
-        AssignOp::MulAssign => old * rhs,
+        AssignOp::MulAssign => nan_first(rhs, old, |rhs, old| old * rhs),
+    }
+}
+
+/// `f(x, y)` for a commutative float op, but `x` itself when it is NaN.
+/// IEEE 754 leaves open which NaN operand a result carries and the
+/// hardware keeps its first, so two NaNs of different sign gave whichever
+/// the compiler happened to put first — and a vectorised column loop may
+/// put them the other way round. Pinning the choice keeps the result
+/// independent of code generation, identical in both evaluation paths.
+#[inline]
+fn nan_first(x: f64, y: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+    if x.is_nan() {
+        x
+    } else {
+        f(x, y)
     }
 }
 
@@ -1644,7 +2534,9 @@ void host() {
 #[cfg(test)]
 mod typing_and_column_tests {
     use super::*;
+    use crate::compile::Ty;
     use proptest::prelude::*;
+    use sf_minicuda::host::AllocInfo;
     use sf_minicuda::parse_program;
 
     fn run(src: &str) -> Result<(GlobalMemory, Vec<LaunchStats>), ExecError> {
@@ -1959,7 +2851,7 @@ void host() {
                 }],
             };
             let ck = compile(&kernel).unwrap();
-            let CStmt::SetSlot { slot, ty, cols, e } = &ck.body[0] else {
+            let CStmt::SetSlot { slot, ty, cols, e, columns } = &ck.body[0] else {
                 panic!("expected `int r = ...`, got {:?}", ck.body[0]);
             };
             prop_assert_eq!(e, &CExpr::Col(0), "a pure-int tree is one column");
@@ -1983,15 +2875,16 @@ void host() {
                 lanes,
                 nvals: 0,
                 p: pools,
+                pending: Pending::default(),
                 any_returned: false,
                 fp_read: HashSet::new(),
                 fp_write: HashSet::new(),
                 track_footprint: false,
                 detect_hazards: true,
             };
-            let base = BaseSlots { ints: vec![0; ck.int_slots], vals: Vec::new() };
+            let base = BaseSlots { ints: vec![0; ck.int_slots], floats: Vec::new(), vals: Vec::new() };
             m.reset_block(Dim3::new(2, 1, 1), 0, &base);
-            for v in &mut m.p.icols[..PARAMS.len() * lanes] {
+            for v in &mut m.p.col.icols[..PARAMS.len() * lanes] {
                 *v = rng.value();
             }
             let mask: Vec<bool> = (0..lanes).map(|_| rng.below(3) != 0).collect();
@@ -2001,14 +2894,449 @@ void host() {
                 .map(|t| m.eval(&plain, t).unwrap().as_i64().unwrap())
                 .collect();
             m.run_cols(cols);
-            prop_assert_eq!(&m.p.regs[..lanes], &scalar[..], "tree {:?}", tree);
+            prop_assert_eq!(&m.p.col.regs[..lanes], &scalar[..], "tree {:?}", tree);
 
-            m.assign(*slot, *ty, e, &mask).unwrap();
+            m.assign(*slot, *ty, e, *columns, &mask).unwrap();
             for t in 0..lanes {
                 let want = if mask[t] { scalar[t] } else { 0 };
                 prop_assert_eq!(m.slot(t, *slot), Value::I(want), "lane {}", t);
             }
             prop_assert_eq!(m.stats.flops, 0, "integer math is never a flop");
+        }
+    }
+
+    /// Float values worth meeting: ordinary, signed zeros, NaNs of both
+    /// signs, infinities.
+    fn float_value(rng: &mut Rng) -> f64 {
+        match rng.below(10) {
+            0 => f64::NAN,
+            1 => -f64::NAN,
+            2 => f64::INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            _ => (rng.below(2001) as f64 - 1000.0) / 250.0,
+        }
+    }
+
+    fn var(name: &str) -> Box<Expr> {
+        Box::new(Expr::Var(name.into()))
+    }
+
+    fn tid() -> Expr {
+        Expr::Builtin(Builtin::ThreadIdx(Axis::X))
+    }
+
+    fn bin(op: BinaryOp, l: Expr, r: Expr) -> Expr {
+        Expr::Binary {
+            op,
+            lhs: Box::new(l),
+            rhs: Box::new(r),
+        }
+    }
+
+    /// An int index: mostly near the lane's own, sometimes any int tree
+    /// (which is mostly out of range).
+    fn index(rng: &mut Rng, depth: u32) -> Expr {
+        match rng.below(4) {
+            0 => typed_tree(rng, Ty::Int, depth),
+            _ => bin(BinaryOp::Add, tid(), Expr::Int(rng.below(5) as i64)),
+        }
+    }
+
+    /// A random tree of static type `ty` over `int p0, p1`, `double f0,
+    /// f1`, loads of `a[5][32]`, `b[160]` and tile `s1[160]`, with every
+    /// node kind a part evaluates.
+    fn any_ty(rng: &mut Rng) -> Ty {
+        if rng.below(2) == 0 {
+            Ty::Int
+        } else {
+            Ty::Float
+        }
+    }
+
+    fn typed_tree(rng: &mut Rng, ty: Ty, depth: u32) -> Expr {
+        use BinaryOp::*;
+        if depth == 0 || rng.below(4) == 0 {
+            return match (ty, rng.below(4)) {
+                (Ty::Int, 0) => Expr::Int(rng.below(7) as i64 - 3),
+                (Ty::Int, 1) => tid(),
+                (Ty::Int, _) => *var(["p0", "p1"][rng.below(2) as usize]),
+                (Ty::Float, 0) => Expr::Float(float_value(rng)),
+                (Ty::Float, 1) => *var(["f0", "f1"][rng.below(2) as usize]),
+                (Ty::Float, 2) => Expr::Index {
+                    array: "a".into(),
+                    indices: vec![
+                        bin(Div, tid(), Expr::Int(32)),
+                        bin(Rem, index(rng, depth.saturating_sub(1)), Expr::Int(32)),
+                    ],
+                },
+                (Ty::Float, _) => Expr::Index {
+                    array: ["b", "s1"][rng.below(2) as usize].into(),
+                    indices: vec![index(rng, depth.saturating_sub(1))],
+                },
+            };
+        }
+        // A subtree of type `ty`, or of either type.
+        let sub = |rng: &mut Rng, ty: Option<Ty>| {
+            let ty = ty.unwrap_or_else(|| any_ty(rng));
+            Box::new(typed_tree(rng, ty, depth - 1))
+        };
+        match (ty, rng.below(6)) {
+            (_, 0) => Expr::Ternary {
+                cond: sub(rng, None),
+                then_val: sub(rng, Some(ty)),
+                else_val: sub(rng, Some(ty)),
+            },
+            (_, 1) => Expr::Unary {
+                op: UnaryOp::Neg,
+                operand: sub(rng, Some(ty)),
+            },
+            (Ty::Int, 2) => Expr::Unary {
+                op: UnaryOp::Not,
+                operand: sub(rng, None),
+            },
+            (Ty::Int, 3) => Expr::Binary {
+                op: [Lt, Le, Gt, Ge, Eq, Ne][rng.below(6) as usize],
+                lhs: sub(rng, None),
+                rhs: sub(rng, None),
+            },
+            (Ty::Int, _) => Expr::Binary {
+                op: [Add, Sub, Mul, Div, Rem, And, Or][rng.below(7) as usize],
+                lhs: sub(rng, Some(Ty::Int)),
+                rhs: sub(rng, Some(Ty::Int)),
+            },
+            (Ty::Float, 2) => {
+                let fun = [
+                    Intrinsic::Sqrt,
+                    Intrinsic::Exp,
+                    Intrinsic::Log,
+                    Intrinsic::Fabs,
+                    Intrinsic::Min,
+                    Intrinsic::Max,
+                    Intrinsic::Pow,
+                    Intrinsic::Fma,
+                    Intrinsic::Sin,
+                    Intrinsic::Cos,
+                ][rng.below(10) as usize];
+                Expr::Call {
+                    fun,
+                    args: (0..fun.arity()).map(|_| *sub(rng, None)).collect(),
+                }
+            }
+            (Ty::Float, _) => {
+                // At least one float operand makes the op float.
+                let (l, r) = match rng.below(3) {
+                    0 => (Ty::Float, Ty::Int),
+                    1 => (Ty::Int, Ty::Float),
+                    _ => (Ty::Float, Ty::Float),
+                };
+                Expr::Binary {
+                    op: [Add, Sub, Mul, Div, Rem][rng.below(5) as usize],
+                    lhs: sub(rng, Some(l)),
+                    rhs: sub(rng, Some(r)),
+                }
+            }
+        }
+    }
+
+    /// A random statement whose parts are statically typed: an assignment
+    /// to an int or float slot, a (compound) store to `a`, `b` or tile
+    /// `s0`, or an `if` on a typed condition that stores to `b`.
+    fn typed_stmt(rng: &mut Rng) -> Stmt {
+        let depth = 1 + rng.below(4) as u32;
+        let op = [
+            AssignOp::Assign,
+            AssignOp::AddAssign,
+            AssignOp::SubAssign,
+            AssignOp::MulAssign,
+        ][rng.below(4) as usize];
+        let assign = |target, op, value| Stmt::Assign { target, op, value };
+        match rng.below(7) {
+            0 => assign(
+                LValue::Var("f0".into()),
+                AssignOp::Assign,
+                typed_tree(rng, Ty::Float, depth),
+            ),
+            1 => {
+                let ty = any_ty(rng);
+                assign(
+                    LValue::Var("p0".into()),
+                    AssignOp::Assign,
+                    typed_tree(rng, ty, depth),
+                )
+            }
+            2 => {
+                let ty = any_ty(rng);
+                assign(LValue::Var("f1".into()), op, typed_tree(rng, ty, depth))
+            }
+            3 => {
+                let indices = vec![bin(BinaryOp::Div, tid(), Expr::Int(32)), index(rng, depth)];
+                let target = LValue::Index {
+                    array: "a".into(),
+                    indices,
+                };
+                assign(target, op, typed_tree(rng, Ty::Float, depth))
+            }
+            4 => {
+                let target = LValue::Index {
+                    array: "s0".into(),
+                    indices: vec![index(rng, depth)],
+                };
+                assign(target, op, typed_tree(rng, Ty::Float, depth))
+            }
+            5 => {
+                let store = |v: f64| Stmt::Assign {
+                    target: LValue::Index {
+                        array: "b".into(),
+                        indices: vec![tid()],
+                    },
+                    op: AssignOp::Assign,
+                    value: Expr::Float(v),
+                };
+                let ty = any_ty(rng);
+                Stmt::If {
+                    cond: typed_tree(rng, ty, depth),
+                    then_body: vec![store(1.0)],
+                    else_body: vec![store(2.0)],
+                }
+            }
+            _ => {
+                let target = LValue::Index {
+                    array: "b".into(),
+                    indices: vec![index(rng, depth)],
+                };
+                assign(target, op, typed_tree(rng, Ty::Float, depth))
+            }
+        }
+    }
+
+    /// `stmt` inside the kernel the float-column property runs: `m` is
+    /// declared `int` and then `double`, so it is a value slot.
+    fn float_kernel(stmt: Stmt) -> Kernel {
+        let scalar = |name: &str, ty| Param::Scalar {
+            name: name.into(),
+            ty,
+        };
+        let array = |name: &str| Param::Array {
+            name: name.into(),
+            elem: ScalarType::F64,
+            is_const: false,
+        };
+        let decl = |name: &str, ty| Stmt::VarDecl {
+            name: name.into(),
+            ty,
+            init: None,
+        };
+        let tile = |name: &str| Stmt::SharedDecl {
+            name: name.into(),
+            ty: ScalarType::F64,
+            extents: vec![160],
+        };
+        Kernel {
+            name: "k".into(),
+            params: vec![
+                array("a"),
+                array("b"),
+                scalar("p0", ScalarType::I32),
+                scalar("p1", ScalarType::I32),
+                scalar("f0", ScalarType::F64),
+                scalar("f1", ScalarType::F64),
+            ],
+            body: vec![
+                tile("s0"),
+                tile("s1"),
+                decl("m", ScalarType::I32),
+                decl("m", ScalarType::F64),
+                stmt,
+            ],
+        }
+    }
+
+    /// The same statement with every part sent to the per-thread evaluator.
+    fn per_thread(s: &CStmt) -> CStmt {
+        let mut s = s.clone();
+        let flip = |b: &mut Vec<CStmt>| *b = b.iter().map(per_thread).collect();
+        match &mut s {
+            CStmt::SetSlot { columns, .. }
+            | CStmt::StoreGlobal { columns, .. }
+            | CStmt::StoreShared { columns, .. } => *columns = false,
+            CStmt::If {
+                columns,
+                then_body,
+                else_body,
+                ..
+            } => {
+                *columns = false;
+                flip(then_body);
+                flip(else_body);
+            }
+            other => panic!("not generated: {other:?}"),
+        }
+        s
+    }
+
+    /// Everything a statement's execution can leave behind, floats as
+    /// bits. The footprint sets only count when the statement completes:
+    /// a trap ends the launch before they are reported.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        result: Result<(), ExecError>,
+        stats: LaunchStats,
+        arrays: Vec<Vec<u64>>,
+        tiles: Vec<Vec<u64>>,
+        logs: (Vec<Vec<LastAccess>>, Vec<Vec<LastAccess>>),
+        writers: Vec<Vec<u64>>,
+        ints: Vec<i64>,
+        floats: Vec<u64>,
+        vals: Vec<(bool, u64)>,
+        /// The read and write footprints.
+        footprint: Option<[Vec<(u16, usize)>; 2]>,
+    }
+
+    /// Execute `stmt` on one block whose whole state — memory, slots,
+    /// tiles, logs, hazard list, mask — is drawn from `seed`.
+    fn observe(ck: &CompiledKernel, stmt: &CStmt, seed: u64) -> Observed {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng(seed);
+        let block = Dim3::new(16 + rng.below(33) as u32, 1 + rng.below(2) as u32, 1);
+        let lanes = block.count() as usize;
+        let mut arrays: Vec<(String, DeviceArray)> = [("a", vec![5, 32]), ("b", vec![160])]
+            .into_iter()
+            .map(|(name, extents)| {
+                let info = AllocInfo {
+                    name: name.into(),
+                    elem: ScalarType::F64,
+                    extents,
+                };
+                let mut arr = DeviceArray::new(info);
+                arr.data.iter_mut().for_each(|x| *x = float_value(&mut rng));
+                (name.to_string(), arr)
+            })
+            .collect();
+        let mut pools = Pools::default();
+        pools.prepare_launch(ck, block, arrays.len());
+        let mut stats = LaunchStats::default();
+        let hazards = [0, 15, 16][rng.below(3) as usize];
+        stats.hazards = (0..hazards)
+            .map(|h| format!("earlier hazard {h}"))
+            .collect();
+        let detect_hazards = rng.below(4) != 0;
+        let mut m = Machine {
+            ck,
+            kernel_name: "k",
+            arrays: &mut arrays,
+            stats: &mut stats,
+            block_linear: 0,
+            geom: Geometry {
+                block_idx: Dim3::new(1, 0, 0),
+                block_dim: block,
+                grid_dim: Dim3::new(3, 1, 1),
+            },
+            lanes,
+            nvals: ck.nslots - ck.int_slots - ck.float_slots,
+            p: pools,
+            pending: Pending::default(),
+            any_returned: false,
+            fp_read: HashSet::new(),
+            fp_write: HashSet::new(),
+            track_footprint: rng.below(2) == 0,
+            detect_hazards,
+        };
+        let base = BaseSlots {
+            ints: vec![0; ck.int_slots],
+            floats: vec![0.0; ck.float_slots],
+            vals: vec![Value::F(0.0); m.nvals],
+        };
+        m.reset_block(Dim3::new(1, 0, 0), 1, &base);
+        for v in &mut m.p.col.icols {
+            *v = rng.below(44) as i64 - 3;
+        }
+        for v in &mut m.p.col.fcols {
+            *v = float_value(&mut rng);
+        }
+        for v in &mut m.p.vals {
+            *v = match rng.below(2) {
+                0 => Value::I(rng.below(9) as i64 - 4),
+                _ => Value::F(float_value(&mut rng)),
+            };
+        }
+        for tile in &mut m.p.tiles {
+            tile.iter_mut().for_each(|x| *x = float_value(&mut rng));
+        }
+        // The logs hold accesses from this barrier epoch and an older one,
+        // by any warp; the writers tables are empty or name this block,
+        // another block, or none.
+        let epoch = m.p.epoch;
+        for log in m.p.shared_writes.iter_mut().chain(&mut m.p.shared_reads) {
+            for entry in log.iter_mut() {
+                let sparse = rng.below(8) != 0;
+                *entry = (epoch - sparse as u64, rng.below(3) as u32);
+            }
+        }
+        for (w, (_, arr)) in m.p.writers.iter_mut().zip(m.arrays.iter()) {
+            if rng.below(2) == 0 {
+                *w = (0..arr.data.len())
+                    .map(|_| [0, 0, 0, 1, 2, 3][rng.below(6) as usize])
+                    .collect();
+            }
+        }
+        let density = 1 + rng.below(4);
+        let mask: Vec<bool> = (0..lanes).map(|_| rng.below(4) < density).collect();
+
+        let result = m.exec_stmt(stmt, &mask, true);
+        let footprint = [&m.fp_read, &m.fp_write].map(|set| {
+            let mut elems: Vec<_> = set.iter().copied().collect();
+            elems.sort_unstable();
+            elems
+        });
+        Observed {
+            footprint: result.is_ok().then_some(footprint),
+            result,
+            stats: m.stats.clone(),
+            arrays: m.arrays.iter().map(|(_, a)| bits(&a.data)).collect(),
+            tiles: m.p.tiles.iter().map(|t| bits(t)).collect(),
+            logs: (m.p.shared_writes.clone(), m.p.shared_reads.clone()),
+            writers: m.p.writers.clone(),
+            ints: m.p.col.icols.clone(),
+            floats: bits(&m.p.col.fcols),
+            vals: m
+                .p
+                .vals
+                .iter()
+                .map(|v| match v {
+                    Value::I(i) => (false, *i as u64),
+                    Value::F(f) => (true, f.to_bits()),
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+        /// A statement whose parts run column-wise leaves exactly what the
+        /// per-thread evaluator leaves — memory bits, every counter, the
+        /// hazard list, the trap message, the logs, the slots — for random
+        /// typed trees (in- and out-of-range loads, ternaries, intrinsics,
+        /// int and float columns, NaNs) under random masks and hazard
+        /// states.
+        #[test]
+        fn float_columns_agree_with_the_per_thread_evaluator(seed in 0u64..3000) {
+            let mut rng = Rng(seed);
+            let kernel = float_kernel(typed_stmt(&mut rng));
+            let ck = compile(&kernel).unwrap();
+            let stmt = ck.body.last().unwrap();
+            let typed = match stmt {
+                CStmt::SetSlot { columns, .. }
+                | CStmt::StoreGlobal { columns, .. }
+                | CStmt::StoreShared { columns, .. }
+                | CStmt::If { columns, .. } => *columns,
+                _ => false,
+            };
+            prop_assert!(typed, "the generator builds typed parts: {:?}", stmt);
+            let state = rng.next();
+            let columns = observe(&ck, stmt, state);
+            let reference = observe(&ck, &per_thread(stmt), state);
+            prop_assert_eq!(columns, reference, "{:?}", kernel.body.last());
         }
     }
 }

@@ -9,7 +9,7 @@
 //! and uses the static estimates (useful for large problem sizes).
 
 use crate::device::DeviceSpec;
-use crate::interp::{ExecError, Interpreter, LaunchStats};
+use crate::interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
 use crate::memory::GlobalMemory;
 use crate::timing::{LaunchCost, LaunchProfile, TimingModel};
 use sf_analysis::access::{self, KernelAccess};
@@ -83,10 +83,13 @@ impl std::error::Error for ProfileError {}
 
 impl From<ExecError> for ProfileError {
     fn from(e: ExecError) -> Self {
-        // Execution failures are the simulator's analog of a measurement run
-        // going wrong mid-flight; the retry machinery treats them as
-        // transient, matching the pipeline's historical classification.
-        ProfileError::transient(e.0)
+        match e.1 {
+            // The program is at fault (an out-of-bounds access, a division
+            // by zero, an unknown kernel): the same run traps the same way
+            // every time, so retrying cannot help.
+            ExecErrorKind::Trap => ProfileError::msg(e.0),
+            ExecErrorKind::StepBudget { .. } => ProfileError::transient(e.0),
+        }
     }
 }
 
