@@ -527,6 +527,13 @@ impl<'a> Run<'a> {
                         )),
                     ));
                 }
+                // Checked at the door: the ladder's restore below falls
+                // back to this same bundle, so no policy can absorb a bad
+                // one.
+                validate_metadata(bundle, plan.launches.len()).map_err(|why| {
+                    let why = format!("preloaded metadata: {why}");
+                    PipelineError::fatal(Stage::Metadata, ErrorKind::Config(why))
+                })?;
                 let total: f64 = bundle
                     .perf
                     .iter()

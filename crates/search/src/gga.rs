@@ -10,14 +10,16 @@
 //! The paper spends >90 % of its search in the objective. Here the
 //! projection is memoized (two cache probes per evaluation), so the
 //! operators — above all the feasibility check behind every move — are
-//! the search's cost. They therefore work in place on the flat genome
-//! over an island's reusable [`Quotient`]: a move is applied, checked, and
-//! on failure undone by writing back the few group ids it changed, with
-//! no genome clone and no allocation beyond the child itself. Every
-//! operator draws from the RNG in a fixed order, including draws whose
-//! result is then rejected: a given stream always yields the same child.
+//! the search's cost. They therefore work on the flat genome and its
+//! carried [`View`] over an island's reusable [`Quotient`] (see
+//! [`crate::genome`]): a merge is decided locally on the view, any other
+//! move proposes its groups, checks them without a regroup and commits
+//! them only if they pass, and a child is bred into buffers the island
+//! reuses every generation. Every operator draws from the RNG in a fixed
+//! order, including draws whose result is then rejected: a given stream
+//! always yields the same child.
 
-use crate::genome::{Groups, Individual, Quotient};
+use crate::genome::{Groups, Individual, Quotient, View};
 use crate::islands::{search_islands, IslandOptions};
 use crate::objective;
 use crate::params::SearchConfig;
@@ -151,54 +153,56 @@ pub fn lower_plan(
         })
         .collect();
     let mut plan = TransformPlan::new(space.device.clone(), mode, block_tuning, groups);
-    plan.projected_time_us = Some(objective::projected_time_us_with(
-        &mut pricer,
-        &mut q.groups,
-        ind,
-    ));
+    plan.projected_time_us = Some(objective::projected_time_us_with(&mut pricer, &q.groups));
     plan
 }
 
 /// Breed one offspring: tournament selection, optional group-injection
 /// crossover, then the fixed mutation sequence. The exact draw order is
 /// load-bearing: a given RNG stream always yields the same child.
+/// `views[i]` is `population[i]`'s view; the child is bred into `child`
+/// and its view into `view` (both buffers are overwritten).
+#[allow(clippy::too_many_arguments)] // the island's buffers, each its own
 pub(crate) fn breed(
     pricer: &mut Pricer<'_>,
     q: &mut Quotient<'_>,
     config: &SearchConfig,
     population: &[Individual],
+    views: &[View],
     scores: &[f64],
     rng: &mut SmallRng,
     fission_moves: &mut u64,
-) -> Individual {
+    child: &mut Individual,
+    view: &mut View,
+) {
     let a = tournament(scores, config.tournament, rng);
-    let mut child = if rng.gen_bool(config.crossover_rate) {
+    child.clone_from(&population[a]);
+    if rng.gen_bool(config.crossover_rate) {
         let b = tournament(scores, config.tournament, rng);
-        crossover(q, &population[a], &population[b], rng)
+        crossover(q, child, view, &views[a], &views[b], rng);
     } else {
-        population[a].clone()
-    };
+        view.clone_from(&views[a]);
+    }
     // Mutations.
     if rng.gen_bool(config.p_merge) {
-        mutate_merge(q, &mut child, rng);
+        mutate_merge(q, child, view, rng);
     }
     if rng.gen_bool(config.p_split) {
-        mutate_split(q, &mut child, rng);
+        mutate_split(q, child, view, rng);
     }
     if rng.gen_bool(config.p_move) {
-        mutate_move(q, &mut child, rng);
+        mutate_move(q, child, view, rng);
     }
     if config.p_fission > 0.0
         && rng.gen_bool(config.p_fission)
-        && mutate_fission(pricer, q, &mut child, rng)
+        && mutate_fission(pricer, q, child, view, rng)
     {
         *fission_moves += 1;
     }
     if config.p_defission > 0.0 && rng.gen_bool(config.p_defission) {
-        mutate_defission(q, &mut child, rng);
+        mutate_defission(q, child, view, rng);
     }
-    debug_assert!(q.feasible(&child));
-    child
+    debug_assert!(q.feasible(child));
 }
 
 /// Index of the best score — the *last* maximum on exact ties.
@@ -232,40 +236,45 @@ fn draw_fusion(groups: &Groups, rng: &mut SmallRng) -> Option<usize> {
     groups.fusions().nth(rng.gen_range(0..fusions))
 }
 
-/// Group-injection crossover: clone A, then try to impose a random fusion
-/// group of B onto the clone (re-grouping those members together when
-/// every one of them is active and the result stays feasible).
-fn crossover(
+/// Group-injection crossover on a clone of parent A (`child`; `a` is A's
+/// view): try to impose a random fusion group of B (read off B's view)
+/// onto it, re-grouping those members together when every one of them is
+/// active in the child and the result stays feasible. A donor that already
+/// is one of the child's groups only takes a fresh id. The child's view is
+/// left in `view`.
+pub(crate) fn crossover(
     q: &mut Quotient<'_>,
-    a: &Individual,
-    b: &Individual,
+    child: &mut Individual,
+    view: &mut View,
+    a: &View,
+    b: &View,
     rng: &mut SmallRng,
-) -> Individual {
-    let mut child = a.clone();
-    q.groups.regroup(b);
-    let Some(donor) = draw_fusion(&q.groups, rng) else {
-        return child;
-    };
-    let donor = q.groups.members(donor);
+) {
+    let donor = draw_fusion(&b.groups, rng).map(|k| b.groups.members(k));
     // All donor members must be active in the child (same fission state).
-    if !donor.iter().all(|&u| child.group(u).is_some()) {
-        return child;
-    }
-    q.picks.clear();
-    q.picks.extend_from_slice(donor);
-    let g = child.fresh_group_id();
-    for &u in &q.picks {
-        child.set_group(u, g);
-    }
-    if !q.feasible(&child) {
-        for &u in &q.picks {
-            child.set_group(u, a.group(u).expect("donor members are active"));
+    let donor = donor.filter(|donor| donor.iter().all(|&u| child.group(u).is_some()));
+    let injected = donor.is_some_and(|donor| {
+        let g = a.groups.fresh_gid();
+        let k = a.groups.index_of(donor[0]).expect("donor members are active");
+        if a.groups.members(k) == donor {
+            view.clone_from(a);
+            view.rename(child, k, g);
+            return true;
         }
+        q.proposal.regather(&a.groups, donor, g);
+        q.settle_gathered(child, view, donor, g)
+    });
+    if !injected {
+        view.clone_from(a);
     }
-    child
 }
 
-pub(crate) fn mutate_merge(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+pub(crate) fn mutate_merge(
+    q: &mut Quotient<'_>,
+    ind: &mut Individual,
+    view: &mut View,
+    rng: &mut SmallRng,
+) {
     let space = q.space();
     q.picks.clear();
     let eligible = ind.pairs().map(|(u, _)| u).filter(|&u| space.units[u].eligible);
@@ -278,36 +287,44 @@ pub(crate) fn mutate_merge(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut
     for _ in 0..4 {
         let x = q.picks[rng.gen_range(0..active)];
         let y = q.picks[rng.gen_range(0..active)];
-        if x != y && q.try_merge(ind, x, y) {
+        if x != y && q.try_merge_in(ind, view, x, y) {
             return;
         }
     }
 }
 
-fn mutate_split(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
-    q.groups.regroup(ind);
-    let Some(k) = draw_fusion(&q.groups, rng) else {
+pub(crate) fn mutate_split(
+    q: &mut Quotient<'_>,
+    ind: &mut Individual,
+    view: &mut View,
+    rng: &mut SmallRng,
+) {
+    let Some(k) = draw_fusion(&view.groups, rng) else {
         return;
     };
     // Move a random member out into a fresh singleton. Splitting the middle
     // of a flow chain out of its group creates a quotient cycle (the two
     // remaining halves wrap around the singleton), so check and revert.
-    let &victim = q.groups.members(k).choose(rng).expect("non-empty group");
-    let old = q.groups.gid(k);
-    ind.set_group(victim, ind.fresh_group_id());
-    if !q.feasible(ind) {
-        ind.set_group(victim, old);
-    }
+    let &victim = view.groups.members(k).choose(rng).expect("non-empty group");
+    let fresh = view.groups.fresh_gid();
+    q.try_gather(ind, view, &[victim], fresh);
 }
 
-fn mutate_move(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+/// Move a random member of a fusion group to another unit's group: split
+/// it out, then merge that group into the split-off singleton. One full
+/// check of the final state — the split alone may be cyclic, so the local
+/// merge rule has no feasible base here.
+pub(crate) fn mutate_move(
+    q: &mut Quotient<'_>,
+    ind: &mut Individual,
+    view: &mut View,
+    rng: &mut SmallRng,
+) {
     let space = q.space();
-    q.groups.regroup(ind);
-    let Some(k) = draw_fusion(&q.groups, rng) else {
+    let Some(k) = draw_fusion(&view.groups, rng) else {
         return;
     };
-    let &victim = q.groups.members(k).choose(rng).expect("non-empty group");
-    let old = q.groups.gid(k);
+    let &victim = view.groups.members(k).choose(rng).expect("non-empty group");
     q.picks.clear();
     let others = ind.pairs().map(|(u, _)| u).filter(|&u| u != victim);
     q.picks.extend(others.filter(|&u| space.units[u].eligible));
@@ -315,28 +332,46 @@ fn mutate_move(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
         return;
     }
     let target = q.picks[rng.gen_range(0..q.picks.len())];
-    ind.set_group(victim, ind.fresh_group_id());
-    if !q.try_merge(ind, victim, target) {
-        ind.set_group(victim, old);
+    // The victim and the rest of the target's group (which may be the
+    // victim's own) gather in a fresh group, all of them eligible or none.
+    let groups = &view.groups;
+    let j = groups.index_of(target).expect("targets are active");
+    let rest = groups.members(j).iter().copied().filter(|&u| u != victim);
+    let eligible = |u: usize| space.units[u].eligible;
+    if !eligible(victim) || !rest.clone().all(eligible) {
+        return;
     }
+    let fresh = groups.fresh_gid();
+    if j == k {
+        // The victim's own group, gathered again: it only takes a fresh id.
+        view.rename(ind, k, fresh);
+        return;
+    }
+    let mut units = std::mem::take(&mut q.picks);
+    units.clear();
+    units.extend(rest.clone().filter(|&u| u < victim));
+    units.push(victim);
+    units.extend(rest.filter(|&u| u > victim));
+    q.try_gather(ind, view, &units, fresh);
+    q.picks = units;
 }
 
 /// The lazy-fission move: preferentially split a member of a group whose
 /// shared-memory demand violates the capacity constraint (the dynamic
 /// penalty's relaxation); falls back to a random fissionable unit.
-fn mutate_fission(
+pub(crate) fn mutate_fission(
     pricer: &mut Pricer<'_>,
     q: &mut Quotient<'_>,
     ind: &mut Individual,
+    view: &mut View,
     rng: &mut SmallRng,
 ) -> bool {
     let space = q.space();
     let splittable = |&u: &usize| space.units[u].parent.is_none() && space.units[u].fissionable();
     // Find violating groups first.
-    q.groups.regroup(ind);
     q.picks.clear();
-    for k in 0..q.groups.len() {
-        let members = q.groups.members(k);
+    for k in 0..view.groups.len() {
+        let members = view.groups.members(k);
         if pricer.group_cost(members).smem_violation {
             q.picks.extend(members.iter().copied().filter(splittable));
         }
@@ -352,31 +387,40 @@ fn mutate_fission(
     let old_group = ind.group(victim);
     let saved = ind.clone();
     ind.fission(space, victim);
-    if !q.feasible(ind) {
+    let family = std::iter::once(victim).chain(space.units[victim].products.iter().copied());
+    q.propose(view, ind, family);
+    if !q.settle(view) {
         *ind = saved;
         return false;
     }
     // Try to put each product back into the old group (keeps the locality
     // the group had, minus the separable parts).
-    let rep = ind.pairs().find(|&(_, g)| Some(g) == old_group);
-    if let Some((rep, _)) = rep {
+    let rep = old_group.and_then(|g| view.groups.find(g));
+    if let Some(k) = rep {
+        let rep = view.groups.members(k)[0];
         for &p in &space.units[victim].products {
-            let _ = q.try_merge(ind, rep, p);
+            let _ = q.try_merge_in(ind, view, rep, p);
         }
     }
     true
 }
 
-fn mutate_defission(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallRng) {
+pub(crate) fn mutate_defission(
+    q: &mut Quotient<'_>,
+    ind: &mut Individual,
+    view: &mut View,
+    rng: &mut SmallRng,
+) {
     let space = q.space();
     if ind.fissioned().is_empty() {
         return;
     }
     let victim = ind.fissioned()[rng.gen_range(0..ind.fissioned().len())];
+    let products = &space.units[victim].products;
     // Only when all products are singletons (nothing is lost).
-    let all_single = space.units[victim].products.iter().all(|&p| {
-        let g = ind.group(p).expect("products of a fissioned unit are active");
-        ind.pairs().filter(|&(_, x)| x == g).count() == 1
+    let all_single = products.iter().all(|&p| {
+        let k = view.groups.index_of(p);
+        view.groups.members(k.expect("products of a fissioned unit are active")).len() == 1
     });
     if all_single {
         // The reunified original carries the union of its products' edges,
@@ -384,7 +428,8 @@ fn mutate_defission(q: &mut Quotient<'_>, ind: &mut Individual, rng: &mut SmallR
         // and revert.
         let saved = ind.clone();
         ind.defission(space, victim);
-        if !q.feasible(ind) {
+        q.propose(view, ind, std::iter::once(victim).chain(products.iter().copied()));
+        if !q.settle(view) {
             *ind = saved;
         }
     }
@@ -669,6 +714,18 @@ void host() {
 }
 "#;
 
+    /// [`crossover`] onto a clone of `a`.
+    fn crossover_of(
+        q: &mut Quotient<'_>,
+        a: &Individual,
+        b: &Individual,
+        rng: &mut SmallRng,
+    ) -> Individual {
+        let (mut child, parent, donor) = (a.clone(), q.view(a), q.view(b));
+        crossover(q, &mut child, &mut View::default(), &parent, &donor, rng);
+        child
+    }
+
     #[test]
     fn crossover_transplants_a_donor_group() {
         let space = space_for(PAIRS);
@@ -677,14 +734,14 @@ void host() {
         assert!(b.try_merge(&space, 2, 3)); // donor group {p3, p4}
         let mut rng = SmallRng::seed_from_u64(1);
         let mut q = Quotient::new(&space);
-        let child = crossover(&mut q, &a, &b, &mut rng);
+        let child = crossover_of(&mut q, &a, &b, &mut rng);
         assert!(child.feasible(&space));
         assert_eq!(child.group(2), child.group(3));
         // Crossover must not disturb unrelated units.
         assert_ne!(child.group(0), child.group(1));
         // And it is not destructive of the recipient's own groups:
         assert!(a.try_merge(&space, 0, 1));
-        let child2 = crossover(&mut q, &a, &b, &mut rng);
+        let child2 = crossover_of(&mut q, &a, &b, &mut rng);
         assert_eq!(child2.group(0), child2.group(1));
         assert_eq!(child2.group(2), child2.group(3));
     }
@@ -695,8 +752,9 @@ void host() {
         let mut ind = Individual::singletons(&space);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut q = Quotient::new(&space);
+        let mut view = q.view(&ind);
         for _ in 0..50 {
-            mutate_merge(&mut q, &mut ind, &mut rng);
+            mutate_merge(&mut q, &mut ind, &mut view, &mut rng);
             assert!(ind.feasible(&space));
         }
         // With 4 eligible independent units, merges must have happened.
@@ -711,8 +769,9 @@ void host() {
         assert!(ind.try_merge(&space, 2, 3));
         let mut rng = SmallRng::seed_from_u64(5);
         let mut q = Quotient::new(&space);
+        let mut view = q.view(&ind);
         for _ in 0..20 {
-            mutate_split(&mut q, &mut ind, &mut rng);
+            mutate_split(&mut q, &mut ind, &mut view, &mut rng);
             assert!(ind.feasible(&space));
         }
     }

@@ -46,7 +46,7 @@
 use crate::checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointLoad, CheckpointState, CHECKPOINT_VERSION,
 };
-use crate::genome::{Groups, Individual, Quotient};
+use crate::genome::{Individual, Quotient, View};
 use crate::gga::{self, SearchResult, StopReason};
 use crate::objective::{self, Penalty};
 use crate::params::SearchConfig;
@@ -60,6 +60,7 @@ use sf_core::FaultPlan;
 use sf_gpusim::isolate::isolated;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One rung of the search-stage degradation ladder: something went wrong,
@@ -245,59 +246,78 @@ fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
     order
 }
 
-/// Evaluate `state.population` serially, isolating panics per candidate:
+/// Evaluate the population whose views are `views` serially, isolating
+/// panics per candidate:
 /// every evaluation gets an island-local index (for deterministic fault
 /// injection); a candidate whose evaluation panics is retried up to
 /// `retries` times on fresh indices (so injected transient faults clear),
 /// then scored [`gga::POISONED_FITNESS`].
 fn evaluate_island(
     pricer: &mut Pricer<'_>,
-    groups: &mut Groups,
+    views: &[View],
     penalty: &Penalty,
     poison: &BTreeSet<u64>,
     retries: u32,
     state: &mut IslandState,
 ) -> Vec<f64> {
+    debug_assert_eq!(views.len(), state.population.len());
     let tag = (state.index as u64) << 40;
-    let population = std::mem::take(&mut state.population);
-    let mut one = |state: &mut IslandState, ind: &Individual| -> Result<f64, String> {
+    let mut one = |state: &mut IslandState, view: &View| -> Result<f64, String> {
         let idx = tag | state.evaluations;
         state.evaluations += 1;
         isolated(|| {
             if poison.contains(&idx) {
                 panic!("injected poisoned candidate at evaluation {idx}");
             }
-            objective::fitness_with(pricer, groups, ind, penalty)
+            objective::fitness_with(pricer, &view.groups, penalty)
         })
     };
-    let scores = population
+    views
         .iter()
-        .map(|ind| {
-            let mut outcome = one(state, ind);
+        .map(|view| {
+            let mut outcome = one(state, view);
             let mut budget = retries;
             while outcome.is_err() && budget > 0 {
                 budget -= 1;
-                outcome = one(state, ind);
+                outcome = one(state, view);
             }
             outcome.unwrap_or_else(|_| {
                 state.poisoned += 1;
                 gga::POISONED_FITNESS
             })
         })
-        .collect();
-    state.population = population;
-    scores
+        .collect()
+}
+
+/// What an island carries from epoch to epoch beside its state: each
+/// member's view, in population order, and the buffers the next
+/// generation is bred into. Never checkpointed — a fresh or resumed
+/// island builds its views once — and never read again once the island
+/// is quarantined.
+#[derive(Debug, Default)]
+struct Carried {
+    views: Vec<View>,
+    bred: Vec<Individual>,
+    bred_views: Vec<View>,
+}
+
+/// A live island's carried views and buffers.
+fn carried_of(lock: &mut Mutex<Carried>) -> &mut Carried {
+    lock.get_mut()
+        .expect("only a quarantined island's lock is poisoned, and the epoch loop skips it")
 }
 
 /// Advance one island through up to `gens` generations (one migration
-/// epoch). Runs inside the supervisor; an `Err` is a detected stall, a
-/// panic is caught by the caller's `isolated` wrapper — both quarantine.
+/// epoch). `carried.views[i]` is `state.population[i]`'s view, and still
+/// is on return. Runs inside the supervisor; an `Err` is a detected stall,
+/// a panic is caught by the caller's `isolated` wrapper — both quarantine.
 fn advance_epoch(
     engine: &ProjectionEngine<'_>,
     config: &SearchConfig,
     penalty: &Penalty,
     opts: &IslandOptions,
     state: &mut IslandState,
+    carried: &mut Carried,
     gens: usize,
 ) -> Result<(), String> {
     let started = Instant::now();
@@ -307,8 +327,13 @@ fn advance_epoch(
     let mut pricer = engine.pricer(state.index);
     let mut q = Quotient::new(engine.space());
     let retries = config.eval_retries;
+    let Carried {
+        views,
+        bred,
+        bred_views,
+    } = carried;
     if state.scores.is_empty() {
-        state.scores = evaluate_island(&mut pricer, &mut q.groups, penalty, poison, retries, state);
+        state.scores = evaluate_island(&mut pricer, views, penalty, poison, retries, state);
     }
     // Watchdog budgets, checked at generation boundaries only so the
     // trajectory for a given seed is unchanged — just where it stops.
@@ -341,26 +366,34 @@ fn advance_epoch(
 
         state.generations_run += 1;
         let prev_best = state.scores[gga::argmax(&state.scores)];
-        // Elites survive unchanged.
-        let mut next: Vec<Individual> = by_score(&state.scores)
-            .into_iter()
-            .take(config.elites.min(state.population.len()))
-            .map(|i| state.population[i].clone())
-            .collect();
         let shard = state.population.len();
-        while next.len() < shard {
-            next.push(gga::breed(
+        bred.resize_with(shard, Individual::default);
+        bred_views.resize_with(shard, View::default);
+        // Elites survive unchanged, views and all.
+        let elites = by_score(&state.scores).into_iter().take(config.elites.min(shard));
+        for (slot, i) in elites.enumerate() {
+            bred[slot].clone_from(&state.population[i]);
+            bred_views[slot].clone_from(&views[i]);
+        }
+        for slot in config.elites.min(shard)..shard {
+            gga::breed(
                 &mut pricer,
                 &mut q,
                 config,
                 &state.population,
+                views,
                 &state.scores,
                 &mut state.rng.0,
                 &mut state.fission_moves,
-            ));
+                &mut bred[slot],
+                &mut bred_views[slot],
+            );
         }
-        state.population = next;
-        state.scores = evaluate_island(&mut pricer, &mut q.groups, penalty, poison, retries, state);
+        // The next generation and its views take the place of the last,
+        // whose buffers the one after reuses.
+        std::mem::swap(&mut state.population, bred);
+        std::mem::swap(views, bred_views);
+        state.scores = evaluate_island(&mut pricer, views, penalty, poison, retries, state);
         let best = gga::argmax(&state.scores);
         state.history.push(state.scores[best]);
         state.retained_fissions += state.population[best].fissioned().len() as u64;
@@ -380,8 +413,32 @@ fn advance_epoch(
         state.stop = Some(StopReason::Converged);
     }
     state.wall_spent_us += started.elapsed().as_micros() as u64;
+    debug_assert_eq!(stale_view(&mut q, state, views), None);
     Ok(())
 }
+
+/// The first member of `state` whose carried view is not the one a
+/// rebuild gives, as `(member, reason)`; `None` when every view is current.
+fn stale_view(
+    q: &mut Quotient<'_>,
+    state: &IslandState,
+    views: &[View],
+) -> Option<(usize, String)> {
+    if views.len() != state.population.len() {
+        let lengths = format!("{} views for {} members", views.len(), state.population.len());
+        return Some((views.len().min(state.population.len()), lengths));
+    }
+    state.population.iter().zip(views).enumerate().find_map(|(i, (ind, view))| {
+        let fresh = q.view(ind);
+        (*view != fresh).then(|| (i, format!("carried {view:?}, rebuilt {fresh:?} for {ind:?}")))
+    })
+}
+
+/// Debug builds, and this crate's tests in any profile, check every
+/// island's carried views after every epoch: the epoch loop's rebuilds
+/// (seeds, a resumed checkpoint, migrants) are only sound if nothing else
+/// can leave a view behind its genome.
+const CHECK_VIEWS: bool = cfg!(any(test, debug_assertions));
 
 /// Refresh an island's last-good elite set from its current population.
 fn refresh_elites(config: &SearchConfig, state: &mut IslandState) {
@@ -401,15 +458,16 @@ fn refresh_elites(config: &SearchConfig, state: &mut IslandState) {
 /// Ring migration among alive islands: each sends copies of its top
 /// `migrants` to the next alive island, which replaces its worst members.
 /// Packets are collected from the pre-migration states first, so the
-/// result is independent of application order.
-fn migrate(config: &SearchConfig, states: &mut [IslandState]) {
+/// result is independent of application order. Returns the
+/// `(island, member)` slots a migrant took, whose views are now stale.
+fn migrate(config: &SearchConfig, states: &mut [IslandState]) -> Vec<(usize, usize)> {
     let alive: Vec<usize> = states
         .iter()
         .filter(|s| s.alive && !s.scores.is_empty())
         .map(|s| s.index)
         .collect();
     if alive.len() < 2 || config.migrants == 0 {
-        return;
+        return Vec::new();
     }
     let packets: Vec<(usize, Vec<(f64, Individual)>)> = alive
         .iter()
@@ -427,6 +485,7 @@ fn migrate(config: &SearchConfig, states: &mut [IslandState]) {
             (dest, payload)
         })
         .collect();
+    let mut arrived = Vec::new();
     for (dest, payload) in packets {
         let s = &mut states[dest];
         for (score, ind) in payload {
@@ -437,9 +496,11 @@ fn migrate(config: &SearchConfig, states: &mut [IslandState]) {
             {
                 s.population[worst] = ind;
                 s.scores[worst] = score;
+                arrived.push((dest, worst));
             }
         }
     }
+    arrived
 }
 
 /// Run the search: `config.islands` supervised islands (1 = the classic
@@ -482,10 +543,11 @@ pub fn search_islands(
     let engine = ProjectionEngine::with_islands(space, n);
     let mut q = Quotient::new(space);
     let singles = Individual::singletons(space);
+    let singles_view = q.view(&singles);
     // The baseline is isolated like any other evaluation; a poisoned
     // baseline scores 0 (no projection improvement claimed over it).
     let baseline_gflops = isolated(|| {
-        objective::fitness_with(&mut engine.pricer(0), &mut q.groups, &singles, &penalty)
+        objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, &penalty)
     })
     .unwrap_or(0.0);
     let interval = config.migration_interval.max(1);
@@ -523,6 +585,18 @@ pub fn search_islands(
         }
     }
 
+    // A resumed population's views are rebuilt once; a fresh one's are
+    // built with it. Each island's are carried behind a lock only so the
+    // parallel step can take them through a shared reference: nothing
+    // contends for it.
+    let mut views: Vec<Vec<View>> = match &states {
+        Some(states) => states
+            .iter()
+            .map(|s| s.population.iter().map(|ind| q.view(ind)).collect())
+            .collect(),
+        None => Vec::with_capacity(n),
+    };
+
     // ---- fresh start ----
     let mut states = states.unwrap_or_else(|| {
         let budgets = split_evenly(config.max_evaluations, n);
@@ -533,7 +607,9 @@ pub fn search_islands(
                 let shard = base + usize::from(i < rem);
                 let mut rng = SmallRng::seed_from_u64(island_seed(config.seed, i as u64));
                 let mut population = Vec::with_capacity(shard);
+                let mut island_views = Vec::with_capacity(shard);
                 population.push(singles.clone());
+                island_views.push(singles_view.clone());
                 if i == 0 {
                     // Elite injection (plan-port path): seeds land on one
                     // island so migration spreads them, never displacing
@@ -544,16 +620,20 @@ pub fn search_islands(
                         }
                         if q.feasible(seed) && !population.contains(seed) {
                             population.push(seed.clone());
+                            island_views.push(q.view(seed));
                         }
                     }
                 }
                 while population.len() < shard {
                     let mut ind = singles.clone();
+                    let mut view = singles_view.clone();
                     for _ in 0..config.init_merges {
-                        gga::mutate_merge(&mut q, &mut ind, &mut rng);
+                        gga::mutate_merge(&mut q, &mut ind, &mut view, &mut rng);
                     }
                     population.push(ind);
+                    island_views.push(view);
                 }
+                views.push(island_views);
                 IslandState {
                     index: i,
                     alive: true,
@@ -577,6 +657,11 @@ pub fn search_islands(
             .collect()
     });
 
+    let mut carried: Vec<Mutex<Carried>> = views
+        .into_iter()
+        .map(|views| Mutex::new(Carried { views, ..Carried::default() }))
+        .collect();
+
     // ---- epoch loop ----
     let mut epochs_run = 0usize;
     let mut checkpoints_written = 0usize;
@@ -592,20 +677,25 @@ pub fn search_islands(
 
         // Parallel supervised step: each island advances one epoch on a
         // clone of its state; a panic or stall discards the clone, so the
-        // quarantined island keeps its coherent epoch-start state.
-        let stepped: Vec<Result<IslandState, (usize, String)>> = states
+        // quarantined island keeps its coherent epoch-start state (what it
+        // carried is never read again). An island that does not run is
+        // left as it is (`None`).
+        let stepped: Vec<Result<Option<IslandState>, (usize, String)>> = states
             .par_iter()
             .map(|s| {
                 if !s.alive || s.stop.is_some() {
-                    return Ok(s.clone());
+                    return Ok(None);
                 }
                 let attempt = isolated(|| {
                     let mut next = s.clone();
-                    advance_epoch(&engine, config, &penalty, opts, &mut next, gens)
+                    let mut carried = carried[s.index]
+                        .lock()
+                        .expect("only a quarantined island's lock is poisoned, and it never runs again");
+                    advance_epoch(&engine, config, &penalty, opts, &mut next, &mut carried, gens)
                         .map(|()| next)
                 });
                 match attempt {
-                    Ok(Ok(next)) => Ok(next),
+                    Ok(Ok(next)) => Ok(Some(next)),
                     Ok(Err(stall)) => Err((s.index, stall)),
                     Err(panic_msg) => Err((s.index, format!("panicked: {panic_msg}"))),
                 }
@@ -613,7 +703,8 @@ pub fn search_islands(
             .collect();
         for outcome in stepped {
             match outcome {
-                Ok(next) => {
+                Ok(None) => {}
+                Ok(Some(next)) => {
                     let slot = next.index;
                     states[slot] = next;
                 }
@@ -629,10 +720,21 @@ pub fn search_islands(
             }
         }
 
-        migrate(config, &mut states);
+        for (island, member) in migrate(config, &mut states) {
+            let views = &mut carried_of(&mut carried[island]).views;
+            q.rebuild(&mut views[member], &states[island].population[member]);
+        }
         for s in states.iter_mut() {
             if s.alive {
                 refresh_elites(config, s);
+            }
+        }
+        if CHECK_VIEWS {
+            for s in states.iter().filter(|s| s.alive) {
+                let views = &carried_of(&mut carried[s.index]).views;
+                if let Some((member, why)) = stale_view(&mut q, s, views) {
+                    panic!("epoch {epoch}: island {} member {member}: {why}", s.index);
+                }
             }
         }
         epochs_run += 1;
@@ -1129,6 +1231,66 @@ void host() {
         // Same groups priced as on one shared cache; only who missed moved.
         let one = search_islands(&space, &island_config(1), &IslandOptions::default());
         assert!(first.result.projection.misses > one.result.projection.misses);
+    }
+
+    /// The epoch loop checks every island's carried views after every epoch
+    /// (`CHECK_VIEWS` is on in this crate's tests, in any profile), so each
+    /// run below panics if a member's view ever differs from a rebuild:
+    /// through migration at one and three islands, a run resumed from the
+    /// checkpoint of a kill at epoch 2, a seeded (`--port-plan`) start, and
+    /// poisoned evaluations that are retried.
+    #[test]
+    fn carried_views_survive_the_island_machinery() {
+        let space = space_for(CHAIN4);
+        let longer = |islands| SearchConfig {
+            generations: 24,
+            ..island_config(islands)
+        };
+        let run = |cfg: &SearchConfig, opts: &IslandOptions| {
+            let r = search_islands(&space, cfg, opts);
+            assert!(r.degradations.is_empty(), "{:?}", r.degradations);
+            r
+        };
+        for islands in [1, 3] {
+            assert_eq!(run(&longer(islands), &IslandOptions::default()).epochs_run, 6);
+        }
+
+        let dir = scratch("carried-views");
+        let ckpt = dir.join("search.ckpt");
+        let kill = IslandOptions {
+            checkpoint_path: Some(ckpt.clone()),
+            faults: island_faults(IslandFaults {
+                kill_at_epoch: Some(2),
+                ..IslandFaults::default()
+            }),
+            ..IslandOptions::default()
+        };
+        assert_eq!(run(&longer(3), &kill).killed_at_epoch, Some(2));
+        let resume = IslandOptions {
+            resume_path: Some(ckpt),
+            ..IslandOptions::default()
+        };
+        let resumed = run(&longer(3), &resume);
+        assert_eq!((resumed.resumed_from_epoch, resumed.epochs_run), (Some(2), 3));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut seed = Individual::singletons(&space);
+        assert!(seed.try_merge(&space, 0, 2) && seed.try_merge(&space, 1, 3));
+        let seeded = IslandOptions {
+            seeds: vec![seed],
+            ..IslandOptions::default()
+        };
+        run(&longer(1).for_port(), &seeded);
+
+        let poisoned = IslandOptions {
+            faults: FaultPlan {
+                poison_evaluations: BTreeSet::from([1, 7, 13, (1 << 40) | 3]),
+                ..FaultPlan::default()
+            },
+            ..IslandOptions::default()
+        };
+        let r = run(&longer(3), &poisoned);
+        assert_eq!(r.result.poisoned_evaluations, 0);
     }
 
     /// The fingerprint binds every checkpoint to its run, and it is built

@@ -304,22 +304,16 @@ fn repeat_of(space: &SearchSpace, members: &[usize]) -> f64 {
     repeats.max().unwrap_or(1) as f64
 }
 
-/// The penalized fitness of an individual: projected GFLOPS of the whole
-/// program under this grouping, scaled down per constraint violation.
-/// Groups are priced in ascending group id (the sums below are `f64`:
-/// their order is part of the result) through the island's `pricer`;
-/// `groups` is the caller's scratch.
-pub fn fitness_with(
-    pricer: &mut Pricer<'_>,
-    groups: &mut Groups,
-    ind: &Individual,
-    penalty: &Penalty,
-) -> f64 {
+/// The penalized fitness of a grouping: projected GFLOPS of the whole
+/// program under these `groups` (an individual's, see [`Groups`]), scaled
+/// down per constraint violation. Groups are priced in ascending group id,
+/// members ascending (the sums below are `f64`: their order is part of the
+/// result), through the island's `pricer`.
+pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, penalty: &Penalty) -> f64 {
     let space = pricer.space();
     let mut total_flops = 0.0f64;
     let mut total_time = 0.0f64;
     let mut scale = 1.0f64;
-    groups.regroup(ind);
     for k in 0..groups.len() {
         let members = groups.members(k);
         let repeat = repeat_of(space, members);
@@ -353,17 +347,19 @@ pub fn fitness_with(
 pub fn fitness(space: &SearchSpace, ind: &Individual, penalty: &Penalty) -> f64 {
     let engine = ProjectionEngine::new(space);
     let mut pricer = engine.pricer(0);
-    fitness_with(&mut pricer, &mut Groups::default(), ind, penalty)
+    fitness_with(&mut pricer, &groups_of(ind), penalty)
 }
 
-/// Projected end-to-end runtime (µs) of an individual, ignoring penalties.
-pub fn projected_time_us_with(
-    pricer: &mut Pricer<'_>,
-    groups: &mut Groups,
-    ind: &Individual,
-) -> f64 {
-    let space = pricer.space();
+/// `ind`'s groups, for the one-off wrappers.
+fn groups_of(ind: &Individual) -> Groups {
+    let mut groups = Groups::default();
     groups.regroup(ind);
+    groups
+}
+
+/// Projected end-to-end runtime (µs) of a grouping, ignoring penalties.
+pub fn projected_time_us_with(pricer: &mut Pricer<'_>, groups: &Groups) -> f64 {
+    let space = pricer.space();
     let times = (0..groups.len()).map(|k| {
         let members = groups.members(k);
         pricer.group_cost(members).time_us * repeat_of(space, members)
@@ -375,7 +371,7 @@ pub fn projected_time_us_with(
 pub fn projected_time_us(space: &SearchSpace, ind: &Individual) -> f64 {
     let engine = ProjectionEngine::new(space);
     let mut pricer = engine.pricer(0);
-    projected_time_us_with(&mut pricer, &mut Groups::default(), ind)
+    projected_time_us_with(&mut pricer, &groups_of(ind))
 }
 
 #[cfg(test)]

@@ -10,11 +10,12 @@
 //!
 //! Three entry points reach the rows: a driver request (which runs
 //! `Pipeline::run` the way `sfd` and `sfc --cache-dir` do), the guided
-//! mode's `Pipeline::run_with` for the one row only an intervention
+//! mode's `Pipeline::run_with` for the two rows only an intervention
 //! reaches, and `BatchDriver::new` for the store that will not open.
 //! Combinations no input, configuration or fault plan reaches are listed
 //! in ROADMAP item 5(a), not here.
 
+use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_core::{BreakerConfig, BreakerState, IslandFaults, Limits, ResourceKind};
 use sf_gpusim::device::DeviceSpec;
@@ -154,7 +155,7 @@ fn quick() -> PipelineConfig {
 }
 
 /// `DEMO`'s stage-1 metadata bundle, for the runs that skip profiling.
-fn demo_metadata() -> sf_analysis::metadata::MetadataBundle {
+fn demo_metadata() -> MetadataBundle {
     let mut config = quick();
     config.run_until = Some(Stage::Metadata);
     let run = Pipeline::new(parse_program(DEMO).expect("DEMO parses"), config)
@@ -186,6 +187,9 @@ enum Reach {
     /// `Pipeline::run_with` with the guided mode's filter intervention
     /// dropping one decision.
     DroppedDecision,
+    /// `Pipeline::run_with` with the guided mode's metadata intervention
+    /// giving the profiled bundle a negative runtime.
+    CorruptedAmendment,
     /// `BatchDriver::new` over a cache directory below a regular file.
     UnopenableStore,
 }
@@ -239,9 +243,11 @@ fn rows() -> Vec<Row> {
         row("parse",              Fatal,      Stage::Metadata,   3,  Some(Fatal),      request("__global__ void oops(", quick())),
         row("host-eval",          Fatal,      Stage::Metadata,   3,  Some(Fatal),      request(&demo_with("(q, f, nx,", "(q, f, nw,"), quick())),
         row("config",             Fatal,      Stage::Metadata,   4,  Some(Fatal),      request("void host() { int n = 4; double* a = cudaAlloc1D(n); }", quick())),
-        // The ladder's restore re-validates the bundle stage 1 started from
-        // — here the same broken one — so `Degrade` cannot absorb it.
-        row("config",             Degradable, Stage::Metadata,   4,  Some(Fatal),      request(DEMO, bad_metadata)),
+        // A preloaded bundle is checked at the door — the ladder would
+        // restore the same one — while a bad amendment of a profiled bundle
+        // is discarded for the profile under `Degrade`.
+        row("config",             Fatal,      Stage::Metadata,   4,  Some(Fatal),      request(DEMO, bad_metadata)),
+        row("config",             Degradable, Stage::Metadata,   4,  None,             Reach::CorruptedAmendment),
         row("config",             Fatal,      Stage::Filter,     4,  Some(Fatal),      Reach::DroppedDecision),
         row("config",             Fatal,      Stage::Search,     5,  Some(Fatal),      request(DEMO, quick().with_port_plan(out_of_range.clone()))),
         row("config",             Fatal,      Stage::NewGraphs,  6,  Some(Fatal),      request(DEMO, quick().with_plan(out_of_range))),
@@ -329,6 +335,22 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
                 .err()
                 .map(|e| (e, None))
         }
+        Reach::CorruptedAmendment => {
+            let hooks = Interventions {
+                amend_metadata: Some(Box::new(|bundle: &mut MetadataBundle| {
+                    bundle.perf[0].runtime_us = -1.0;
+                })),
+                ..Interventions::default()
+            };
+            let config = PipelineConfig {
+                degrade: policy,
+                ..quick()
+            };
+            Pipeline::new(parse_program(DEMO).expect("DEMO parses"), config)
+                .and_then(|p| p.run_with(&hooks))
+                .err()
+                .map(|e| (e, None))
+        }
         Reach::UnopenableStore => {
             let dir = scratch_dir("file");
             std::fs::create_dir_all(&dir).expect("scratch dir");
@@ -395,10 +417,11 @@ fn every_failure_is_reached_with_its_columns() {
         wrong.join("\n")
     );
 
-    // The closed set: 26 combinations. Two of them are reached twice — a
-    // trap and a refused access are both deterministic profile errors — so
-    // the count is pinned rather than the rows, and a lost combination
-    // still shows.
+    // The closed set: 26 combinations. Three of them are reached twice — a
+    // trap and a refused access are both deterministic profile errors, and
+    // an empty program and a bad preloaded bundle are both fatal
+    // configuration at stage 1 — so the count is pinned rather than the
+    // rows, and a lost combination still shows.
     let mut keys: Vec<_> = rows
         .iter()
         .map(|r| (r.kind, r.class.name(), r.stage))
