@@ -1,31 +1,53 @@
 #![warn(missing_docs)]
 //! # sf-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section (§6). The compiler's own speed is measured by the
-//! benchmark of record under `benchmark/`, not here.
+//! The paper's evaluation (§6) as one checked binary:
 //!
-//! | binary        | reproduces |
+//! ```sh
+//! sf-bench paper <experiment|all> [--scale test|full] [--device NAME]
+//! sf-bench inspect APP [--kernel K] [--scale test|full] [--device NAME]
+//! ```
+//!
+//! | experiment    | reproduces |
 //! |---------------|------------|
 //! | `table1`      | Table 1 — application attributes and transformation effect |
 //! | `table2`      | Table 2 — thread-block tuning occupancy |
-//! | `fig4_5`      | Figures 4–5 — speedups per app/mode/device |
+//! | `fig4_5`      | Figures 4–5 — speedups per app and variant (Figure 5: `--device k40`) |
 //! | `fig6`        | Figure 6 — SCALE-LES per-kernel runtimes, auto vs manual codegen |
-//! | `fig7`        | Figure 7 — HOMME per-kernel runtimes / divergence gap |
+//! | `fig7`        | Figure 7 — HOMME per-kernel runtimes, the divergence gap |
 //! | `fig8`        | Figure 8 — automated vs manual target filtering |
-//! | `convergence` | §6.1.2/§6.2.2 — GA convergence with/without filtering |
-//! | `smoke`       | quick end-to-end sanity run over all six apps |
+//! | `convergence` | §6.1.2 — GA convergence with and without filtering |
+//! | `ablation`    | §4.1 — no, lazy and eager fission |
+//! | `port`        | porting a plan across registry devices vs searching from scratch |
+//! | `temporal`    | temporal blocking (degree cap 4 vs 1) on every registry device |
 //!
-//! Each binary prints the rows/series the paper reports and appends a
-//! machine-readable JSON record under `results/`.
+//! Each experiment prints the rows the paper reports, then its shape
+//! claims ([`Claims`]): a gated claim that breaks fails the run and names
+//! its cell, a known-broken one is printed with the ROADMAP item that owns
+//! it. A full-scale run also writes `results/<name>.json`, stamped with the
+//! commit and the resolved configuration. One [`Harness`] serves the whole
+//! invocation, so each `(app, variant, device)` compiles once. The
+//! compiler's own speed is measured by the benchmark of record under
+//! `benchmark/`, not here.
 
-use sf_analysis::filter::FilterConfig;
-use sf_apps::App;
+pub mod paper;
+
+use serde_json::{json, Value};
+use sf_analysis::filter::{identify_targets, FilterConfig, FilterReason};
+use sf_apps::{App, AppConfig};
 use sf_gpusim::device::DeviceSpec;
-use stencilfuse::{Interventions, Pipeline, PipelineConfig, TransformResult};
+use sf_gpusim::profiler::Profiler;
+use sf_minicuda::host::ExecutablePlan;
+use sf_minicuda::Program;
+use sf_search::SearchSpace;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+use stencilfuse::{Pipeline, PipelineConfig, TransformResult};
 
-/// Which transformation variant to run — the bar groups of Figures 4–5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which transformation variant to run — the bar groups of Figures 4–5,
+/// plus the two configurations Figure 8 and the temporal study add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Kernel fusion only (the prior-work transformation).
     Fusion,
@@ -39,28 +61,17 @@ pub enum Variant {
     /// Programmer-guided: full framework plus the §6.2.2 interventions
     /// (expert codegen fixes, latency-bound filter fix).
     Guided,
-}
-
-impl Variant {
-    /// Display label matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::Fusion => "fusion",
-            Variant::FissionFusion => "fission+fusion",
-            Variant::Full => "fission+fusion+tuning",
-            Variant::Manual => "manual",
-            Variant::Guided => "guided",
-        }
-    }
-
-    /// All automated variants.
-    pub const AUTOMATED: [Variant; 3] = [Variant::Fusion, Variant::FissionFusion, Variant::Full];
+    /// Fusion + fission with the manual target filter (Figure 8's manual
+    /// column): latency-bound kernels are not targets.
+    ManualFilter,
+    /// The full framework with temporal blocking up to degree 4.
+    Temporal,
 }
 
 /// Benchmark-quality search budget: heavier than `SearchConfig::quick`, far
 /// lighter than the paper's 500×100 (the projection objective converges on
-/// our app sizes well before that; the convergence binary measures this).
-pub fn bench_search() -> sf_search::SearchConfig {
+/// our app sizes well before that; `paper convergence` measures this).
+pub(crate) fn bench_search() -> sf_search::SearchConfig {
     sf_search::SearchConfig {
         population: 60,
         generations: 240,
@@ -69,226 +80,245 @@ pub fn bench_search() -> sf_search::SearchConfig {
     }
 }
 
-/// Build the pipeline configuration for a variant.
-pub fn variant_config(variant: Variant, device: DeviceSpec) -> PipelineConfig {
+/// The pipeline configuration for a variant.
+pub(crate) fn variant_config(variant: Variant, device: DeviceSpec) -> PipelineConfig {
     let base = PipelineConfig {
         search: bench_search(),
         ..PipelineConfig::automated(device)
+    };
+    let latency_filter = FilterConfig {
+        detect_latency_bound: true,
+        ..FilterConfig::default()
     };
     match variant {
         Variant::Fusion => base.without_fission().without_tuning(),
         Variant::FissionFusion => base.without_tuning(),
         Variant::Full => base,
         Variant::Manual => base.manual_oracle().without_fission().without_tuning(),
-        Variant::Guided => {
-            let mut c = base.manual_oracle();
-            c.filter = FilterConfig {
-                detect_latency_bound: true,
-                ..FilterConfig::default()
-            };
-            c
+        Variant::Guided => PipelineConfig {
+            filter: latency_filter,
+            ..base.manual_oracle()
+        },
+        Variant::ManualFilter => PipelineConfig {
+            filter: latency_filter,
+            ..base.without_tuning()
+        },
+        Variant::Temporal => base.with_max_temporal(4),
+    }
+}
+
+/// The search space the pipeline's search stage would build for `program`:
+/// profiled by `profiler`, filtered with the default filter — or, when
+/// `unfiltered`, with every kernel a target (§3.2.2's rejected scenario).
+pub(crate) fn search_space(
+    program: &Program,
+    profiler: &Profiler,
+    unfiltered: bool,
+) -> SearchSpace {
+    let plan = ExecutablePlan::from_program(program).expect("app plan");
+    let profile = profiler.profile_with_plan(program, &plan).expect("profile");
+    let (meta, filter) = (&profile.metadata, FilterConfig::default());
+    let mut decisions = identify_targets(&meta.perf, &meta.ops, &meta.device, &filter);
+    if unfiltered {
+        for d in &mut decisions {
+            d.reason = FilterReason::Target;
         }
     }
+    let device = profiler.device.clone();
+    SearchSpace::build(program, &plan, &profile, &decisions, device).expect("search space")
 }
 
-/// Run one app under one variant.
-pub fn run_variant(app: &App, variant: Variant, device: DeviceSpec) -> TransformResult {
-    let cfg = variant_config(variant, device);
-    let pipeline = Pipeline::new(app.program.clone(), cfg).expect("valid app program");
-    pipeline
-        .run_with(&Interventions::default())
-        .expect("pipeline completes")
+/// The problem size of an invocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// The test suite's scaled-down analogs; writes nothing under `results/`.
+    Test,
+    /// The paper-sized analogs.
+    Full,
 }
 
-/// Assert-and-report helper: marks a measured value against an expectation.
-pub fn check(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        "MISMATCH"
-    }
+/// One compile and the wall time it took.
+pub struct Run {
+    /// The pipeline's result.
+    pub result: TransformResult,
+    /// Wall-clock seconds of the compile.
+    pub seconds: f64,
 }
 
-/// Write a JSON record to `results/<name>.json`.
-pub fn write_results(name: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(text) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, text);
-        eprintln!("[results written to {}]", path.display());
-    }
+/// What one invocation's experiments share: the scale, the device, and
+/// every `(app, variant, device)` compiled so far.
+pub struct Harness {
+    scale: Scale,
+    /// The app generators' configuration for the scale.
+    pub apps: AppConfig,
+    /// The device `--device` resolved to.
+    pub(crate) device: DeviceSpec,
+    runs: RefCell<HashMap<(String, Variant, String), Rc<Run>>>,
+    unverified: RefCell<Vec<String>>,
 }
 
-/// Parse `--scale test|full` style flags (default full).
-pub fn app_config_from_args() -> sf_apps::AppConfig {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--scale=test" || a == "test") {
-        sf_apps::AppConfig::test()
-    } else {
-        sf_apps::AppConfig::full()
-    }
-}
-
-/// Parse an optional `--device NAME` flag (default K20X), resolved
-/// case-insensitively through the device registry. An unknown name aborts
-/// with the registry's available-device listing — the same error path the
-/// `sfc`/`sfd` binaries use — instead of silently falling back.
-pub fn device_from_args() -> DeviceSpec {
-    let args: Vec<String> = std::env::args().collect();
-    let registry = sf_gpusim::DeviceRegistry::builtin();
-    let mut name: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if a == "--device" {
-            name = args.get(i + 1).cloned();
-        }
-        if let Some(n) = a.strip_prefix("--device=") {
-            name = Some(n.to_string());
-        }
-    }
-    match name {
-        Some(n) => registry.resolve(&n).unwrap_or_else(|e| {
-            eprintln!("bench: {e}");
-            std::process::exit(2);
-        }),
-        None => DeviceSpec::k20x(),
-    }
-}
-
-/// Verify a result and panic with context if the transformed program is not
-/// output-equivalent (the paper verifies every run).
-pub fn require_verified(app: &App, r: &TransformResult) {
-    if let Some(v) = &r.verification {
-        assert!(
-            v.passed(),
-            "{}: verification failed ({})",
-            app.paper.name,
-            v.failure().unwrap_or_else(|| "unknown".into())
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared logic for the per-kernel auto-vs-manual comparisons (Figs 6–7).
-// ---------------------------------------------------------------------
-
-use sf_codegen::{transform_program, CodegenMode, TransformPlan};
-use sf_gpusim::profiler::Profiler;
-use sf_minicuda::host::ExecutablePlan;
-use serde_json::json;
-use stencilfuse::verify_equivalence;
-
-/// Run one app's fusion plan through both code generators and print the
-/// per-fused-kernel runtime comparison (Figures 6 and 7).
-pub fn per_kernel_compare(app_name: &str, out_name: &str) {
-    let cfg = app_config_from_args();
-    let device = device_from_args();
-    let app = sf_apps::app_by_name(app_name, &cfg).expect("known app");
-    // One search (automated settings) fixes the fusion plan for both modes.
-    let r = run_variant(&app, Variant::FissionFusion, device.clone());
-    let groups = r.search.as_ref().expect("search ran").plan.groups.clone();
-    let plan = ExecutablePlan::from_program(&app.program).expect("app plan");
-
-    let mut rows = Vec::new();
-    println!(
-        "Figure {} style: per-kernel runtime of new {} kernels ({})",
-        if out_name == "fig6" { "6" } else { "7" },
-        app.paper.name,
-        device.name
-    );
-    println!(
-        "{:<12} {:>12} {:>12} {:>8}  members",
-        "kernel", "auto(us)", "manual(us)", "ratio"
-    );
-    let mut profiles = Vec::new();
-    for mode in [CodegenMode::Auto, CodegenMode::Manual] {
-        let tplan = TransformPlan::new(device.clone(), mode, false, groups.clone());
-        let out = transform_program(&app.program, &plan, &tplan).expect("codegen");
-        let v = verify_equivalence(&app.program, &out.program, 99).expect("runs");
-        assert!(v.passed(), "{mode:?} output mismatch: {v:?}");
-        let prof = Profiler::new(device.clone())
-            .profile(&out.program)
-            .expect("profile");
-        profiles.push((out, prof));
-    }
-    let (auto_out, auto_prof) = &profiles[0];
-    let (_, manual_prof) = &profiles[1];
-
-    // Pair fused kernels by name (same groups → same fused_<gi> naming).
-    let mut total_auto = 0.0;
-    let mut total_manual = 0.0;
-    for ap in &auto_prof.metadata.perf {
-        if !ap.kernel.starts_with("fused_") {
-            continue;
-        }
-        let Some(mp) = manual_prof
-            .metadata
-            .perf
-            .iter()
-            .find(|m| m.kernel == ap.kernel)
-        else {
-            continue;
+impl Harness {
+    /// A harness with nothing compiled yet.
+    pub fn new(scale: Scale, device: DeviceSpec) -> Harness {
+        let apps = match scale {
+            Scale::Test => AppConfig::test(),
+            Scale::Full => AppConfig::full(),
         };
-        let gi: usize = ap.kernel.trim_start_matches("fused_").parse().unwrap_or(0);
-        let members: Vec<String> = groups
-            .get(gi)
-            .map(|g| {
-                g.members
-                    .iter()
-                    .map(|m| {
-                        let base = plan.launches[m.seq].kernel.clone();
-                        match m.fission_component {
-                            Some(c) => format!("{base}.f{c}"),
-                            None => base,
-                        }
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        total_auto += ap.runtime_us;
-        total_manual += mp.runtime_us;
-        println!(
-            "{:<12} {:>12.1} {:>12.1} {:>8.2}  {}",
-            ap.kernel,
-            ap.runtime_us,
-            mp.runtime_us,
-            ap.runtime_us / mp.runtime_us.max(1e-9),
-            members.join("+")
-        );
-        rows.push(json!({
-            "kernel": ap.kernel,
-            "auto_us": ap.runtime_us,
-            "manual_us": mp.runtime_us,
-            "members": members,
-            "auto_divergent_evals": ap.divergent_evals,
-            "manual_divergent_evals": mp.divergent_evals,
-        }));
+        Harness {
+            scale,
+            apps,
+            device,
+            runs: RefCell::default(),
+            unverified: RefCell::default(),
+        }
     }
-    println!(
-        "total fused-kernel runtime: auto {:.1}us manual {:.1}us (manual/auto {:.1}%)",
-        total_auto,
-        total_manual,
-        100.0 * total_manual / total_auto.max(1e-9)
-    );
-    let fallback_groups: Vec<usize> = auto_out
-        .reports
-        .iter()
-        .enumerate()
-        .filter(|(_, rep)| !rep.merged)
-        .map(|(i, _)| i)
-        .collect();
-    println!(
-        "auto-mode groups concatenated without merging (the gap contributors): {:?}",
-        fallback_groups
-    );
-    write_results(
-        out_name,
-        &json!({
-            "app": app.paper.name,
-            "device": device.name,
-            "total_auto_us": total_auto,
-            "total_manual_us": total_manual,
-            "rows": rows,
-        }),
-    );
+
+    /// `app` under `variant` on the harness's device.
+    pub fn run(&self, app: &App, variant: Variant) -> Rc<Run> {
+        self.run_on(app, variant, &self.device)
+    }
+
+    /// `app` under `variant` on `device`, compiled on first use.
+    pub(crate) fn run_on(&self, app: &App, variant: Variant, device: &DeviceSpec) -> Rc<Run> {
+        let key = (app.paper.name.to_string(), variant, device.fingerprint());
+        if let Some(run) = self.runs.borrow().get(&key) {
+            return run.clone();
+        }
+        let what = format!("{} {variant:?} on {}", app.paper.name, device.name);
+        let t0 = std::time::Instant::now();
+        let result = self.compile(&what, &app.program, variant_config(variant, device.clone()));
+        let run = Rc::new(Run {
+            result,
+            seconds: t0.elapsed().as_secs_f64(),
+        });
+        self.runs.borrow_mut().insert(key, run.clone());
+        run
+    }
+
+    /// Compile `program` under `config`. A compile whose output fails
+    /// verification is kept, and named as `what` by
+    /// [`Self::take_unverified`].
+    pub(crate) fn compile(
+        &self,
+        what: &str,
+        program: &Program,
+        config: PipelineConfig,
+    ) -> TransformResult {
+        let result = Pipeline::new(program.clone(), config)
+            .expect("valid app program")
+            .run()
+            .expect("pipeline completes");
+        if let Some(v) = result.verification.as_ref().filter(|v| !v.passed()) {
+            let why = v.failure().unwrap_or_else(|| "unknown".into());
+            self.unverified.borrow_mut().push(format!("{what}: {why}"));
+        }
+        result
+    }
+
+    /// The compiles that failed verification since the last call.
+    pub fn take_unverified(&self) -> Vec<String> {
+        self.unverified.take()
+    }
+
+    /// At full scale, write `results/<name>.json`: `body` plus a `stamp` of
+    /// the commit and the resolved configuration. A test-scale run writes
+    /// nothing.
+    pub(crate) fn write(&self, name: &str, mut body: Value) {
+        if self.scale != Scale::Full {
+            return;
+        }
+        body["stamp"] = json!({
+            "commit": commit(),
+            "scale": "full",
+            "grid": [self.apps.nx, self.apps.ny, self.apps.nz],
+            "device": { "name": self.device.name, "fingerprint": self.device.fingerprint() },
+            "search": bench_search(),
+        });
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let path = dir.join(format!("{name}.json"));
+        let text = serde_json::to_string_pretty(&body).expect("a JSON value serializes");
+        match std::fs::create_dir_all(&dir).and_then(|_| std::fs::write(&path, text + "\n")) {
+            Ok(()) => eprintln!("[results written to results/{name}.json]"),
+            Err(e) => eprintln!("sf-bench: cannot write {}: {e}", path.display()),
+        }
+    }
+}
+
+/// The checkout's commit (`-dirty` when the tree has changes), or
+/// `unknown` outside a checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
+}
+
+/// The verdicts of one experiment's shape claims. A claim is checked row
+/// by row; each row it does not hold for is a *cell*, named so a reader can
+/// find it in the printed table.
+#[derive(Debug, Default)]
+pub struct Claims {
+    lines: Vec<String>,
+    broken: Vec<String>,
+}
+
+impl Claims {
+    /// A claim the experiment gates: each row it fails for fails the run.
+    pub fn gate<R>(
+        &mut self,
+        claim: &str,
+        rows: &[R],
+        holds: impl Fn(&R) -> bool,
+        cell: impl Fn(&R) -> String,
+    ) {
+        let cells: Vec<String> = rows.iter().filter(|r| !holds(r)).map(cell).collect();
+        self.lines.push(if cells.is_empty() {
+            format!("  ok     {claim}")
+        } else {
+            format!("  FAIL   {claim}: {}", cells.join("; "))
+        });
+        let broken = cells
+            .iter()
+            .map(|cell| format!("`{claim}` breaks at {cell}"));
+        self.broken.extend(broken);
+    }
+
+    /// A claim that does not hold today and that ROADMAP item `item` owns:
+    /// printed with the first row it fails for, never gated.
+    pub(crate) fn known<R>(
+        &mut self,
+        claim: &str,
+        item: &str,
+        rows: &[R],
+        holds: impl Fn(&R) -> bool,
+        cell: impl Fn(&R) -> String,
+    ) {
+        self.lines
+            .push(match rows.iter().find(|r| !holds(r)).map(cell) {
+                None => format!("  holds  {claim} (not gated: ROADMAP item {item})"),
+                Some(cell) => format!("  known  {claim}: breaks at {cell} (ROADMAP item {item})"),
+            });
+    }
+
+    /// The claim section of the experiment's output.
+    pub fn report(&self) -> String {
+        format!("shape claims:\n{}\n", self.lines.join("\n"))
+    }
+
+    /// `Ok` when every gated claim holds; otherwise one line per breaking
+    /// cell, naming the experiment, the claim and the cell.
+    pub fn verdict(&self, experiment: &str) -> Result<(), Vec<String>> {
+        if self.broken.is_empty() {
+            return Ok(());
+        }
+        let lines = self
+            .broken
+            .iter()
+            .map(|b| format!("paper {experiment}: {b}"));
+        Err(lines.collect())
+    }
 }
