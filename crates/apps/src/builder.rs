@@ -54,7 +54,8 @@ impl AppConfig {
 }
 
 /// The paper's published attributes for an application (Table 1 plus the
-/// speedup band of Figures 4–5), used by EXPERIMENTS.md comparisons.
+/// speedup band of Figures 4–5), which `sf-bench paper`
+/// (`crates/bench/src/paper.rs`) compares its measured rows against.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct PaperRow {

@@ -6,6 +6,9 @@ use sf_core::FaultPlan;
 use sf_gpusim::device::DeviceSpec;
 use sf_search::SearchConfig;
 
+/// Bounded retries for transient profiler failures.
+pub(crate) const PROFILE_RETRIES: u32 = 2;
+
 /// The pipeline stages, in order (the paper's Figure 2 workflow). The
 /// programmer can execute up to / from any stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -94,8 +97,6 @@ pub struct PipelineConfig {
     pub run_until: Option<Stage>,
     /// Degrade-or-fail policy for recoverable errors.
     pub degrade: DegradePolicy,
-    /// Bounded retries for transient profiler failures.
-    pub profile_retries: u32,
     /// Measurement repetitions per profiling invocation, aggregated with
     /// median + MAD outlier rejection (1 = single-shot exact profile).
     pub profile_reps: u32,
@@ -141,7 +142,6 @@ impl PipelineConfig {
             preloaded_plan: None,
             port_plan: None,
             degrade: DegradePolicy::Degrade,
-            profile_retries: 2,
             profile_reps: 1,
             noise: None,
             faults: None,
@@ -295,7 +295,7 @@ impl PipelineConfig {
             self.verify,
             self.run_until,
             self.degrade,
-            self.profile_retries,
+            PROFILE_RETRIES,
             self.profile_reps,
             self.noise,
             faults.filter(|f| !f.is_empty()),

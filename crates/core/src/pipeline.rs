@@ -14,7 +14,7 @@
 //! and the single exit, `Run::finish`, the only place a
 //! [`TransformResult`] is built.
 
-use crate::config::{DegradePolicy, PipelineConfig, Stage};
+use crate::config::{DegradePolicy, PipelineConfig, Stage, PROFILE_RETRIES};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
 use crate::report::StageReport;
 use crate::verify::{verify_executions, Execution, Side, Verification, VerifyFailure};
@@ -459,7 +459,7 @@ impl<'a> Run<'a> {
         // The shared retry ladder (sf_core::retry) — the same policy the
         // robust profiler and the batch driver's publish path run on.
         let policy = sf_core::RetryPolicy {
-            max_retries: self.cfg.profile_retries,
+            max_retries: PROFILE_RETRIES,
             ..sf_core::RetryPolicy::default()
         };
         let outcome = policy.run(
@@ -1160,8 +1160,7 @@ impl<'a> Run<'a> {
                 plan: self.plan,
                 run,
             };
-            let seed = self.robust.inner.seed;
-            verify_executions(original, transformed, seed, &self.governor)
+            verify_executions(original, transformed, Profiler::SEED, &self.governor)
         };
         let failed = |kind| PipelineError::degradable(Stage::Codegen, kind);
         let (err, what, why) = match outcome {
@@ -1738,7 +1737,7 @@ void host() {
             ..FaultPlan::default()
         };
         let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults);
-        assert_eq!(cfg.profile_retries, 2);
+        assert_eq!(PROFILE_RETRIES, 2);
         let result = Pipeline::new(p, cfg).unwrap().run().unwrap();
         // Retries absorbed the transient failures: full transform, no
         // degradation.

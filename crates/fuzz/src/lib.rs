@@ -3,8 +3,8 @@
 //!
 //! Generative differential testing for the stencilfuse pipeline: a seeded
 //! random stencil-program generator ([`gen`]), a pipeline-wide equivalence
-//! oracle ([`oracle`]), an automatic shrinker ([`shrink`]), and reproducer
-//! emission ([`repro`]).
+//! oracle ([`oracle`]), an automatic shrinker ([`shrink`](mod@shrink)), and
+//! reproducer emission ([`repro`]).
 //!
 //! The fuzzer's contract, per seed:
 //!

@@ -13,25 +13,24 @@
 //! own assignments, so it is a dynamically typed value slot
 //! ([`CExpr::Slot`]).
 //!
-//! **Pure-int subtrees.** A subtree built only from integer literals, int
-//! slots, builtins, wrapping `+ - *`, comparisons, `&& || !` and ternaries
-//! of those touches no counter, hazard log, memory cell or trap, so *when*
-//! it is evaluated is unobservable. [`compile`] replaces every maximal
-//! such subtree with [`CExpr::Col`] and emits a [`ColOp`] program that the
-//! interpreter runs once per statement execution over all lanes.
-//!
-//! **Statically typed parts.** What is left — loads, float arithmetic,
-//! `/ %`, unary `-`, intrinsics — is observable, but when every node of a
-//! part has one type for every lane (`static_type`: no value slot, no
-//! ternary whose arms differ in type, no float operand of `&& ||`, no
-//! float index, no shared index of the wrong rank) the interpreter may
-//! evaluate it once over the active lanes and commit the counters only if
-//! no lane would trap or report a hazard. Such a right-hand side, store
-//! index or condition is marked `columns`; every other part runs per
-//! thread in thread order. A shared store whose right-hand side or index
-//! reads its own tile is never marked: the per-thread order of those reads
-//! and writes is what its hazard reports describe. Name lookups here hash;
-//! the interpreter's hot path does not.
+//! **Statement parts.** Each right-hand side, store (its indices and
+//! right-hand side together), condition, and `for` init and step is a
+//! *part* with a [`Part`] marker. A part is `Pure` when it is built only
+//! from integer literals, int slots, builtins, wrapping `+ - *`,
+//! comparisons, `&& || !` and ternaries of those (`is_pure`): it touches no
+//! counter, hazard log, memory cell or trap, so *when* and in which lanes it
+//! is evaluated is unobservable, and the interpreter evaluates it over every
+//! lane of the block. A store is never `Pure`. What else may appear — loads,
+//! float arithmetic, `/ %`, unary `-`, intrinsics — is observable, but when
+//! every node of a part has one type for every lane (`static_type`: no
+//! value slot, no ternary whose arms differ in type, no float operand of
+//! `&& ||`, no float index, no shared index of the wrong rank) the part is
+//! `Typed`: the interpreter may evaluate it once over the active lanes and
+//! commit the counters only if no lane would trap or report a hazard. Every
+//! other part runs `PerThread`, in thread order. A shared store whose
+//! right-hand side or index reads its own tile is never `Typed`: the
+//! per-thread order of those reads and writes is what its hazard reports
+//! describe. Name lookups here hash; the interpreter's hot path does not.
 
 use crate::interp::ExecError;
 use sf_minicuda::ast::*;
@@ -66,48 +65,6 @@ pub(crate) enum Ty {
     Float,
 }
 
-/// An operand of a column operation: one `i64` per lane.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
-pub enum ColSrc {
-    Const(i64),
-    /// An int slot's column.
-    Slot(u16),
-    Builtin(Builtin),
-    /// A register written by an earlier op of the same program (always a
-    /// higher index than the reading op's `dst`).
-    Reg(u16),
-}
-
-/// One column-wise operation over every lane of the block.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
-pub enum ColOp {
-    Copy {
-        dst: u16,
-        a: ColSrc,
-    },
-    /// `! a` as 0/1.
-    Not {
-        dst: u16,
-        a: ColSrc,
-    },
-    /// Wrapping `+ - *`, comparisons and `&& ||` as 0/1 (never `/ %`).
-    Bin {
-        op: BinaryOp,
-        dst: u16,
-        a: ColSrc,
-        b: ColSrc,
-    },
-    /// `c != 0 ? t : e`.
-    Select {
-        dst: u16,
-        c: ColSrc,
-        t: ColSrc,
-        e: ColSrc,
-    },
-}
-
 /// A compiled expression with all names resolved.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
@@ -121,9 +78,6 @@ pub enum CExpr {
     /// Float slot (column of the block's float state).
     FSlot(u16),
     Builtin(Builtin),
-    /// Result register of a pure-int subtree the statement's column
-    /// program computed.
-    Col(u16),
     /// Global array element (index into the launch's bound-array table).
     Global { array: u16, idx: Vec<CExpr> },
     /// Shared tile element (index into the block's tile table).
@@ -148,12 +102,19 @@ pub enum CExpr {
     },
 }
 
-/// A compiled statement. `cols` is the column program that runs over the
-/// whole block before the statement's own part; the expressions read its
-/// results through [`CExpr::Col`]. A pure-int `If`/`For` condition, `For`
-/// init/step, or right-hand side of an int-slot `SetSlot` is always a bare
-/// `Col`. `columns` marks a part that is statically typed (module docs):
-/// for a store, its indices and right-hand side together.
+/// How the interpreter evaluates one statement part (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// Per thread in thread order, in the one evaluator.
+    PerThread,
+    /// Once over the active lanes, committed only if no lane would trap or
+    /// report a hazard.
+    Typed,
+    /// Once over every lane of the block, with nothing to commit.
+    Pure,
+}
+
+/// A compiled statement: its expressions and the [`Part`] each runs as.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum CStmt {
@@ -161,42 +122,37 @@ pub enum CStmt {
         slot: SlotRef,
         /// Declared type of the assigned name at this statement.
         ty: ScalarType,
-        cols: Vec<ColOp>,
         e: CExpr,
-        columns: bool,
+        part: Part,
     },
     StoreGlobal {
         array: u16,
         idx: Vec<CExpr>,
         op: AssignOp,
-        cols: Vec<ColOp>,
         e: CExpr,
-        columns: bool,
+        part: Part,
     },
     StoreShared {
         tile: u16,
         idx: Vec<CExpr>,
         op: AssignOp,
-        cols: Vec<ColOp>,
         e: CExpr,
-        columns: bool,
+        part: Part,
     },
     If {
-        cols: Vec<ColOp>,
         cond: CExpr,
-        columns: bool,
+        part: Part,
         then_body: Vec<CStmt>,
         else_body: Vec<CStmt>,
     },
     For {
         slot: SlotRef,
-        init_cols: Vec<ColOp>,
         init: CExpr,
-        cond_cols: Vec<ColOp>,
+        init_part: Part,
         cond: CExpr,
-        cond_columns: bool,
-        step_cols: Vec<ColOp>,
+        cond_part: Part,
         step: CExpr,
+        step_part: Part,
         body: Vec<CStmt>,
     },
     Sync,
@@ -214,8 +170,6 @@ pub struct CompiledKernel {
     /// are value slots.
     pub int_slots: usize,
     pub float_slots: usize,
-    /// Column registers the largest statement's column program needs.
-    pub col_regs: usize,
     /// Registers the largest column-wise part needs (module docs of
     /// `interp`: a node evaluates into its register, its operands into the
     /// ones above it).
@@ -237,7 +191,7 @@ pub(crate) fn static_type(e: &CExpr, tiles: &[(Vec<usize>, usize)]) -> Option<Ty
     let ty = |e: &CExpr| static_type(e, tiles);
     let ints = |es: &[CExpr]| es.iter().all(|i| ty(i) == Some(Ty::Int));
     match e {
-        CExpr::I(_) | CExpr::ISlot(_) | CExpr::Builtin(_) | CExpr::Col(_) => Some(Ty::Int),
+        CExpr::I(_) | CExpr::ISlot(_) | CExpr::Builtin(_) => Some(Ty::Int),
         CExpr::F(_) | CExpr::FSlot(_) => Some(Ty::Float),
         CExpr::Slot(_) => None,
         CExpr::Global { idx, .. } => (idx.len() <= 4 && ints(idx)).then_some(Ty::Float),
@@ -304,7 +258,7 @@ fn reads_tile(e: &CExpr, tile: u16) -> bool {
 }
 
 /// May `e` be evaluated at any time, for any lane, with no observable
-/// effect? (Module docs: pure-int subtrees.)
+/// effect? (Module docs: statement parts.)
 fn is_pure(e: &CExpr) -> bool {
     use BinaryOp::*;
     match e {
@@ -316,113 +270,6 @@ fn is_pure(e: &CExpr) -> bool {
         } => is_pure(e),
         CExpr::Ternary { c, t, e } => is_pure(c) && is_pure(t) && is_pure(e),
         _ => false,
-    }
-}
-
-/// Builds one statement part's column program. A subtree rooted at
-/// register `dst` evaluates its operands into `dst + 1 ..`, so ops only
-/// ever read registers above the one they write, and the roots of one
-/// program take consecutive registers from 0.
-#[derive(Default)]
-struct ColProgram {
-    ops: Vec<ColOp>,
-    roots: u16,
-    /// Registers used so far (the kernel-wide maximum sizes the pool).
-    regs: usize,
-}
-
-impl ColProgram {
-    fn emit(&mut self, e: &CExpr, dst: u16) -> ColSrc {
-        let op = match e {
-            CExpr::I(v) => return ColSrc::Const(*v),
-            CExpr::ISlot(s) => return ColSrc::Slot(*s),
-            CExpr::Builtin(b) => return ColSrc::Builtin(*b),
-            CExpr::Un { e, .. } => ColOp::Not {
-                dst,
-                a: self.emit(e, dst + 1),
-            },
-            CExpr::Bin { op, l, r } => ColOp::Bin {
-                op: *op,
-                dst,
-                a: self.emit(l, dst + 1),
-                b: self.emit(r, dst + 2),
-            },
-            CExpr::Ternary { c, t, e } => ColOp::Select {
-                dst,
-                c: self.emit(c, dst + 1),
-                t: self.emit(t, dst + 2),
-                e: self.emit(e, dst + 3),
-            },
-            _ => unreachable!("emit is only called on pure-int subtrees"),
-        };
-        self.push(dst, op)
-    }
-
-    fn push(&mut self, dst: u16, op: ColOp) -> ColSrc {
-        self.regs = self.regs.max(dst as usize + 1);
-        self.ops.push(op);
-        ColSrc::Reg(dst)
-    }
-
-    /// Put a pure-int `e` into a fresh root register (a bare leaf through
-    /// a copy, so the consumer always reads a register).
-    fn root(&mut self, e: &CExpr) -> CExpr {
-        let dst = self.roots;
-        self.roots += 1;
-        let a = self.emit(e, dst);
-        if !matches!(a, ColSrc::Reg(_)) {
-            self.push(dst, ColOp::Copy { dst, a });
-        }
-        CExpr::Col(dst)
-    }
-
-    /// Replace every maximal pure-int subtree of `e` that has at least
-    /// one operator with a register; leaves stay leaves.
-    fn lower(&mut self, e: CExpr) -> CExpr {
-        let leaf = matches!(e, CExpr::I(_) | CExpr::ISlot(_) | CExpr::Builtin(_));
-        if is_pure(&e) {
-            return if leaf { e } else { self.root(&e) };
-        }
-        let lower_all = |p: &mut Self, v: Vec<CExpr>| v.into_iter().map(|x| p.lower(x)).collect();
-        match e {
-            CExpr::Global { array, idx } => CExpr::Global {
-                array,
-                idx: lower_all(self, idx),
-            },
-            CExpr::Shared { tile, idx } => CExpr::Shared {
-                tile,
-                idx: lower_all(self, idx),
-            },
-            CExpr::Un { op, e } => CExpr::Un {
-                op,
-                e: Box::new(self.lower(*e)),
-            },
-            CExpr::Bin { op, l, r } => CExpr::Bin {
-                op,
-                l: Box::new(self.lower(*l)),
-                r: Box::new(self.lower(*r)),
-            },
-            CExpr::Call { fun, args } => CExpr::Call {
-                fun,
-                args: lower_all(self, args),
-            },
-            CExpr::Ternary { c, t, e } => CExpr::Ternary {
-                c: Box::new(self.lower(*c)),
-                t: Box::new(self.lower(*t)),
-                e: Box::new(self.lower(*e)),
-            },
-            leaf => leaf,
-        }
-    }
-
-    /// Lower an expression a whole-block loop consumes (a condition, or
-    /// what is assigned to an int slot): pure-int ⇒ a bare register.
-    fn lower_whole(&mut self, e: CExpr) -> CExpr {
-        if is_pure(&e) {
-            self.root(&e)
-        } else {
-            self.lower(e)
-        }
     }
 }
 
@@ -448,7 +295,6 @@ struct Compiler<'k> {
     int_slots: u16,
     float_slots: u16,
     val_slots: u16,
-    col_regs: usize,
     part_regs: usize,
     arrays: HashMap<String, u16>,
     tiles: HashMap<String, u16>,
@@ -503,26 +349,25 @@ impl<'k> Compiler<'k> {
         Ok(s)
     }
 
-    /// Finish one statement part's column program.
-    fn finish(&mut self, program: ColProgram) -> Vec<ColOp> {
-        self.col_regs = self.col_regs.max(program.regs);
-        program.ops
-    }
-
-    /// Is the part made of `roots` (root `j` evaluated at register `j`)
-    /// statically typed, with every root but the last an index? Sizes the
-    /// register file when it is.
-    fn columns(&mut self, roots: &[&CExpr]) -> bool {
+    /// How the part made of `roots` runs (root `j` evaluated at register
+    /// `j`; every root but the last an index). Sizes the register file
+    /// unless it runs per thread.
+    fn part(&mut self, roots: &[&CExpr]) -> Part {
         let Some((last, idx)) = roots.split_last() else {
-            return false;
+            return Part::PerThread;
         };
         let typed = |e: &CExpr| static_type(e, &self.tile_shapes);
         if typed(last).is_none() || idx.iter().any(|i| typed(i) != Some(Ty::Int)) {
-            return false;
+            return Part::PerThread;
         }
         let regs = roots.iter().enumerate().map(|(j, e)| part_regs(e, j));
         self.part_regs = self.part_regs.max(regs.max().unwrap_or(0));
-        true
+        // A store (a part with indices) writes memory: never pure.
+        if idx.is_empty() && is_pure(last) {
+            Part::Pure
+        } else {
+            Part::Typed
+        }
     }
 
     fn exprs(&mut self, es: &[Expr]) -> Result<Vec<CExpr>, ExecError> {
@@ -581,30 +426,18 @@ impl<'k> Compiler<'k> {
         })
     }
 
-    /// `slot = e`, coerced to `ty`. A value slot is assigned per thread.
-    fn set_slot(&mut self, slot: SlotRef, ty: ScalarType, e: CExpr) -> CStmt {
-        let mut p = ColProgram::default();
-        let e = match slot {
-            SlotRef::Int(_) => p.lower_whole(e),
-            SlotRef::Float(_) | SlotRef::Val(_) => p.lower(e),
-        };
-        CStmt::SetSlot {
-            slot,
-            ty,
-            cols: self.finish(p),
-            columns: !matches!(slot, SlotRef::Val(_)) && self.columns(&[&e]),
-            e,
+    /// How `e` is assigned to `slot`: a value slot is assigned per thread.
+    fn slot_part(&mut self, slot: SlotRef, e: &CExpr) -> Part {
+        match slot {
+            SlotRef::Val(_) => Part::PerThread,
+            SlotRef::Int(_) | SlotRef::Float(_) => self.part(&[e]),
         }
     }
 
-    /// A whole-block part (a condition, a `for` init or step): its column
-    /// program, the lowered expression, and whether the rest is statically
-    /// typed.
-    fn whole_part(&mut self, e: CExpr) -> (Vec<ColOp>, CExpr, bool) {
-        let mut p = ColProgram::default();
-        let e = p.lower_whole(e);
-        let columns = self.columns(&[&e]);
-        (self.finish(p), e, columns)
+    /// `slot = e`, coerced to `ty`.
+    fn set_slot(&mut self, slot: SlotRef, ty: ScalarType, e: CExpr) -> CStmt {
+        let part = self.slot_part(slot, &e);
+        CStmt::SetSlot { slot, ty, e, part }
     }
 
     fn stmts(&mut self, stmts: &[Stmt]) -> Result<Vec<CStmt>, ExecError> {
@@ -658,32 +491,32 @@ impl<'k> Compiler<'k> {
                         }
                         LValue::Index { array, indices } => {
                             let idx = self.exprs(indices)?;
-                            let mut p = ColProgram::default();
-                            let idx: Vec<CExpr> = idx.into_iter().map(|i| p.lower(i)).collect();
-                            let e = p.lower(e);
-                            let cols = self.finish(p);
                             let roots: Vec<&CExpr> = idx.iter().chain([&e]).collect();
                             if let Some(&a) = self.arrays.get(array) {
-                                let columns = idx.len() <= 4 && self.columns(&roots);
+                                let part = match idx.len() <= 4 {
+                                    true => self.part(&roots),
+                                    false => Part::PerThread,
+                                };
                                 out.push(CStmt::StoreGlobal {
                                     array: a,
                                     idx,
                                     op: *op,
-                                    cols,
                                     e,
-                                    columns,
+                                    part,
                                 });
                             } else if let Some(&t) = self.tiles.get(array) {
-                                let columns = idx.len() == self.tile_shapes[t as usize].0.len()
-                                    && !roots.iter().any(|r| reads_tile(r, t))
-                                    && self.columns(&roots);
+                                let batch = idx.len() == self.tile_shapes[t as usize].0.len()
+                                    && !roots.iter().any(|r| reads_tile(r, t));
+                                let part = match batch {
+                                    true => self.part(&roots),
+                                    false => Part::PerThread,
+                                };
                                 out.push(CStmt::StoreShared {
                                     tile: t,
                                     idx,
                                     op: *op,
-                                    cols,
                                     e,
-                                    columns,
+                                    part,
                                 });
                             } else {
                                 return Err(ExecError::trap(format!(
@@ -700,13 +533,12 @@ impl<'k> Compiler<'k> {
                     else_body,
                 } => {
                     let cond = self.expr(cond)?;
-                    let (cols, cond, columns) = self.whole_part(cond);
+                    let part = self.part(&[&cond]);
                     let then_body = self.stmts(then_body)?;
                     let else_body = self.stmts(else_body)?;
                     out.push(CStmt::If {
-                        cols,
                         cond,
-                        columns,
+                        part,
                         then_body,
                         else_body,
                     });
@@ -722,22 +554,23 @@ impl<'k> Compiler<'k> {
                     let slot = self.declare(var, ScalarType::I32)?;
                     let cond = self.expr(cond)?;
                     let step = self.expr(step)?;
-                    // An init or step that is not a bare column (it traps,
-                    // loads or counts a flop) is rare enough to stay per
-                    // thread.
-                    let (init_cols, init, _) = self.whole_part(init);
-                    let (cond_cols, cond, cond_columns) = self.whole_part(cond);
-                    let (step_cols, step, _) = self.whole_part(step);
+                    // The init is assigned like a declaration's; the step is
+                    // added to an int, so a float step traps per thread.
+                    let init_part = self.slot_part(slot, &init);
+                    let cond_part = self.part(&[&cond]);
+                    let step_part = match static_type(&step, &self.tile_shapes) {
+                        Some(Ty::Int) => self.slot_part(slot, &step),
+                        _ => Part::PerThread,
+                    };
                     let body = self.stmts(body)?;
                     out.push(CStmt::For {
                         slot,
-                        init_cols,
                         init,
-                        cond_cols,
+                        init_part,
                         cond,
-                        cond_columns,
-                        step_cols,
+                        cond_part,
                         step,
+                        step_part,
                         body,
                     });
                 }
@@ -765,7 +598,6 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         int_slots: 0,
         float_slots: 0,
         val_slots: 0,
-        col_regs: 0,
         part_regs: 0,
         arrays: HashMap::new(),
         tiles: HashMap::new(),
@@ -791,7 +623,6 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         nslots: c.slots.len(),
         int_slots: c.int_slots as usize,
         float_slots: c.float_slots as usize,
-        col_regs: c.col_regs,
         part_regs: c.part_regs,
         scalar_param_slots,
         array_params,
@@ -828,17 +659,40 @@ __global__ void s(const double* __restrict__ u, double* v, int nx, double c) {
         // slots: nx, c, i — nx and i are int columns.
         assert_eq!(c.nslots, 3);
         assert_eq!(c.int_slots, 2);
-        // `int i = ...` and `if (i < nx)` are whole-block column programs.
-        let CStmt::SetSlot { slot, cols, e, .. } = &c.body[0] else {
+        // `int i = ...` and `if (i < nx)` run over the whole block; the
+        // stores load and write memory.
+        let CStmt::SetSlot { slot, .. } = &c.body[0] else {
             panic!("expected the declaration of i, got {:?}", c.body[0]);
         };
         assert_eq!(*slot, SlotRef::Int(1));
-        assert_eq!((cols.len(), e), (2, &CExpr::Col(0)));
-        let CStmt::If { cols, cond, .. } = &c.body[1] else {
+        let CStmt::If { then_body, .. } = &c.body[1] else {
             panic!("expected the guard, got {:?}", c.body[1]);
         };
-        assert_eq!((cols.len(), cond), (1, &CExpr::Col(0)));
-        assert_eq!(c.col_regs, 2);
+        assert_eq!(parts(&c.body), [Part::Pure, Part::Pure]);
+        assert_eq!(parts(then_body), [Part::Typed, Part::Typed]);
+        assert_eq!(c.part_regs, 5, "`c * t[threadIdx.x]` at register 1");
+    }
+
+    /// Every part of `stmts` (a `for` gives its init, condition and step),
+    /// barriers skipped.
+    fn parts(stmts: &[CStmt]) -> Vec<Part> {
+        let mut out = Vec::new();
+        for s in stmts {
+            match s {
+                CStmt::SetSlot { part, .. }
+                | CStmt::StoreGlobal { part, .. }
+                | CStmt::StoreShared { part, .. }
+                | CStmt::If { part, .. } => out.push(*part),
+                CStmt::For {
+                    init_part,
+                    cond_part,
+                    step_part,
+                    ..
+                } => out.extend([*init_part, *cond_part, *step_part]),
+                CStmt::Sync | CStmt::Return => {}
+            }
+        }
+        out
     }
 
     #[test]
@@ -868,15 +722,12 @@ __global__ void c(double* a, int n) {
 
         // `acc += x` on a double stays a float assignment to a float
         // column, evaluated column-wise.
-        let CStmt::SetSlot {
-            slot, ty, columns, ..
-        } = &c.body[1]
-        else {
+        let CStmt::SetSlot { slot, ty, part, .. } = &c.body[1] else {
             panic!("expected acc += 2.0, got {:?}", c.body[1]);
         };
         assert_eq!(
-            (*slot, *ty, *columns),
-            (SlotRef::Float(0), ScalarType::F64, true)
+            (*slot, *ty, *part),
+            (SlotRef::Float(0), ScalarType::F64, Part::Typed)
         );
         assert_eq!(c.float_slots, 1);
     }
@@ -891,50 +742,47 @@ __global__ void k(double* a, int n) {
   int m = -i;
   double x = a[i + 1] * 2.0;
   a[(i < n) ? i : 0] = (i % 2 == 0) ? x : a[i - 1];
+  a[i] = i + 1;
+  if (i < n && !(i == 3) || n ? i * 2 : 0) { h = 1.5; }
+  if (i % 2) { x = 0; }
+  for (int j = 0; j < n; j++) { m = j; }
+  for (int j = n / 2; j < a[0]; j += -n) { m = 0; }
+  for (int j = 0; j < 2; j += 1.5) { m = 0; }
 }
 "#,
         )
         .unwrap();
         let c = compile(&k).unwrap();
-        let set = |n: usize| match &c.body[n] {
-            CStmt::SetSlot { cols, e, .. } => (cols.clone(), e.clone()),
-            other => panic!("expected a SetSlot, got {other:?}"),
-        };
-        // `n / 2` traps on zero and `-i` counts a flop: per thread.
-        assert!(set(1).0.is_empty() && matches!(set(1).1, CExpr::Bin { .. }));
-        assert!(set(2).0.is_empty() && matches!(set(2).1, CExpr::Un { .. }));
-        // The load stays in the tree; only its index is a column.
-        let (cols, e) = set(3);
-        assert_eq!(cols.len(), 1);
-        assert!(matches!(e, CExpr::Bin { .. }));
-        // Store: the index ternary is one column program (compare +
-        // select); `i % 2` keeps its comparison per thread while `i - 1`
-        // under the lazily evaluated arm is computed for every lane.
-        let CStmt::StoreGlobal { idx, cols, e, .. } = &c.body[4] else {
-            panic!("expected the store, got {:?}", c.body[4]);
-        };
-        assert_eq!(idx, &[CExpr::Col(0)]);
-        assert_eq!(cols.len(), 3);
-        let CExpr::Ternary {
-            c: cond, e: arm, ..
-        } = e
-        else {
-            panic!("expected a ternary, got {e:?}");
-        };
-        assert!(matches!(
-            **cond,
-            CExpr::Bin {
-                op: BinaryOp::Eq,
-                ..
-            }
-        ));
-        assert!(
-            matches!(&**arm, CExpr::Global { idx, .. } if idx[..] == [CExpr::Col(1)]),
-            "{arm:?}"
+        use Part::*;
+        assert_eq!(
+            parts(&c.body),
+            [
+                Pure,      // int i
+                Typed,     // `n / 2` traps on zero
+                Typed,     // `-i` counts a flop
+                Typed,     // a load and a float
+                Typed,     // `%`, loads
+                Typed,     // a store is never pure
+                Pure,      // `&& || !`, comparisons, a ternary
+                Typed,     // `%`
+                Pure,      // for: init,
+                Pure,      // condition
+                Pure,      // and step
+                Typed,     // `n / 2`
+                Typed,     // a load
+                Typed,     // unary `-`
+                Pure,      // for: init,
+                Pure,      // condition
+                PerThread, // and a float step, which traps per thread
+            ]
         );
+        let CStmt::If { then_body, .. } = &c.body[6] else {
+            panic!("expected the if, got {:?}", c.body[6]);
+        };
+        assert_eq!(parts(then_body), [Typed], "`h = 1.5` converts a float");
     }
 
-    /// Which parts are marked `columns`: statically typed ones only, and
+    /// Which parts are not per thread: statically typed ones only, and
     /// never a shared store that reads its own tile.
     #[test]
     fn statically_typed_parts_are_marked_columns() {
@@ -960,37 +808,31 @@ __global__ void k(double* a, int n, double x) {
         )
         .unwrap();
         let c = compile(&k).unwrap();
-        let columns = |s: &CStmt| match s {
-            CStmt::SetSlot { columns, .. }
-            | CStmt::StoreGlobal { columns, .. }
-            | CStmt::StoreShared { columns, .. }
-            | CStmt::If { columns, .. } => *columns,
-            other => panic!("unexpected {other:?}"),
-        };
-        let marks: Vec<bool> = c.body.iter().map(columns).collect();
+        use Part::*;
         assert_eq!(
-            marks,
+            parts(&c.body),
             [
-                true,  // int i
-                true,  // double d: float column, loads, an intrinsic
-                false, // int m: a value slot is assigned per thread
-                false, // double m
-                true,  // a ternary of two floats, `/` by an int
-                false, // reads the value slot m
-                false, // arms of two types
-                false, // a float operand of `&&`
-                false, // a float index
-                true,  // a shared store reading another tile
-                false, // a shared store reading its own tile
-                true,  // a float condition
+                Pure,      // int i
+                Typed,     // double d: float column, loads, an intrinsic
+                PerThread, // int m: a value slot is assigned per thread
+                PerThread, // double m
+                Typed,     // a ternary of two floats, `/` by an int
+                PerThread, // reads the value slot m
+                PerThread, // arms of two types
+                PerThread, // a float operand of `&&`
+                PerThread, // a float index
+                Typed,     // a shared store reading another tile
+                PerThread, // a shared store reading its own tile
+                Typed,     // a float condition
             ]
         );
         assert_eq!((c.int_slots, c.float_slots, c.nslots), (2, 2, 5));
         let CStmt::If { then_body, .. } = &c.body[11] else {
             panic!("expected the if, got {:?}", c.body[11]);
         };
-        assert!(
-            columns(&then_body[0]),
+        assert_eq!(
+            parts(then_body),
+            [Typed],
             "`t[i] += 1` reads t only through `+=`"
         );
         assert!(c.part_regs >= 4, "{}", c.part_regs);

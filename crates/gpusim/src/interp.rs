@@ -12,28 +12,31 @@
 //! Kernels are compiled ([`crate::compile`]) to slot-resolved, slot-typed
 //! form before execution. Int and float slots are columns (`i64` / `f64`,
 //! one element per lane), `threadIdx` is a table built once per launch, and
-//! each statement executes in up to three steps:
+//! each statement part (a right-hand side, a store's indices, a condition,
+//! a `for` init or step) runs in one of two evaluators, as its
+//! [`Part`] marker says:
 //!
-//! - its **column program** — the pure-int guard and index subtrees, which
-//!   touch no counter, hazard log, memory cell or trap — runs once over
-//!   all lanes of the block as tight loops on `i64` columns;
-//! - a **statically typed part** (a right-hand side, a store's indices, a
-//!   condition: `columns` in [`CStmt`]) is then evaluated once over the
-//!   active lanes. A node evaluates into its own register column and its
-//!   operands into the registers above it; arithmetic runs over every lane
-//!   of the block when at least half are active (such loops vectorise) and
-//!   over the active lanes' indices otherwise, loads only over the lanes
-//!   selected, and each ternary arm over the lanes that take it, so an
-//!   untaken arm never loads. Each index column is range-checked once (its
-//!   minimum and maximum over the active lanes). Flops and reads are
-//!   charged as *active lanes × ops* to a pending tally, and the hazard
-//!   checks run over the offsets in tight loops. The part **commits** —
-//!   tally, shared-read log, stores — only if no lane would trap (out of
-//!   bounds, an int `/ %` by zero or overflow) and no lane would report a
-//!   hazard the launch's list still has room for;
+//! - the **column evaluator** (`Machine::col`) evaluates a pure or
+//!   statically typed part once over a selection of lanes. A node evaluates
+//!   into its own register column and its operands into the registers
+//!   above it; arithmetic runs over every lane of the block when at least
+//!   half are selected (such loops vectorise) and over the selected lanes'
+//!   indices otherwise, loads only over the lanes selected, and each
+//!   ternary arm over the lanes that take it, so an untaken arm never
+//!   loads. A **pure** part (integer leaves, wrapping `+ - *`, comparisons,
+//!   `&& || !`, ternaries) touches no counter, hazard log, memory cell or
+//!   trap, so it runs over every lane of the block whatever the mask, and
+//!   its result is applied under the mask. A **typed** part runs over the
+//!   active lanes: each index column is range-checked once (its minimum and
+//!   maximum over the lanes), flops and reads are charged as *active lanes
+//!   × ops* to a pending tally, and the hazard checks run over the offsets
+//!   in tight loops. It **commits** — tally, shared-read log, stores — only
+//!   if no lane would trap (out of bounds, an int `/ %` by zero or
+//!   overflow) and no lane would report a hazard the launch's list still
+//!   has room for;
 //! - otherwise nothing was committed, and the statement runs **per thread
 //!   in thread order** from the unchanged state in the one evaluator
-//!   ([`Machine::eval`]), which is the only source of trap and hazard text.
+//!   (`Machine::eval`), which is the only source of trap and hazard text.
 //!   So the lowest faulting thread is the one reported, and hazard strings,
 //!   their order and the cap of 16 are what thread-major evaluation always
 //!   produced. An untyped part (a value slot, a ternary whose arms differ
@@ -60,7 +63,7 @@
 //!   different block in the same launch — invalid inter-block communication
 //!   that temporal blocking must avoid).
 
-use crate::compile::{compile, CExpr, CStmt, ColOp, ColSrc, CompiledKernel, SlotRef};
+use crate::compile::{compile, CExpr, CStmt, CompiledKernel, Part, SlotRef};
 use crate::memory::{DeviceArray, GlobalMemory};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg};
@@ -479,6 +482,15 @@ fn map2<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, b: Lanes<'_, T>, f: im
     }
 }
 
+/// `dst[t] = f(a[t])` in the lanes `mask` selects.
+fn masked<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, mask: &[bool], f: impl Fn(T) -> U) {
+    for (t, (d, &m)) in dst.iter_mut().zip(mask).enumerate() {
+        if m {
+            *d = f(a.at(t));
+        }
+    }
+}
+
 /// Where in the grid the executing block sits.
 #[derive(Clone, Copy)]
 struct Geometry {
@@ -510,13 +522,15 @@ impl Geometry {
     }
 }
 
-/// Where a node of a statically typed part left its value: an int source
-/// the column program already provides, a float constant or slot, or the
-/// node's own register. A node's value is never in a register other than
-/// its own, which the next operand's evaluation may overwrite.
+/// Where a node of a part left its value: a constant, a slot's column, a
+/// builtin, or the node's own register. A node's value is never in a
+/// register other than its own, which the next operand's evaluation may
+/// overwrite.
 #[derive(Clone, Copy)]
 enum Col {
-    Int(ColSrc),
+    I(i64),
+    ISlot(u16),
+    Builtin(Builtin),
     ITmp(u16),
     F(f64),
     FSlot(u16),
@@ -540,7 +554,6 @@ struct Files<'a> {
     geom: Geometry,
     icols: &'a [i64],
     fcols: &'a [f64],
-    regs: &'a [i64],
     tid: &'a [i64],
     itmp: &'a [i64],
     ftmp: &'a [f64],
@@ -551,10 +564,9 @@ impl<'a> Files<'a> {
     fn int(&self, c: Col) -> Lanes<'a> {
         let n = self.n;
         match c {
-            Col::Int(ColSrc::Const(v)) => Lanes::Const(v),
-            Col::Int(ColSrc::Slot(s)) => Lanes::Col(&self.icols[s as usize * n..][..n]),
-            Col::Int(ColSrc::Builtin(b)) => self.geom.builtin(b, self.tid),
-            Col::Int(ColSrc::Reg(r)) => Lanes::Col(&self.regs[r as usize * n..][..n]),
+            Col::I(v) => Lanes::Const(v),
+            Col::ISlot(s) => Lanes::Col(&self.icols[s as usize * n..][..n]),
+            Col::Builtin(b) => self.geom.builtin(b, self.tid),
             Col::ITmp(r) => Lanes::Col(&self.itmp[(r as usize - self.base) * n..][..n]),
             _ => unreachable!("a float where the part is typed int"),
         }
@@ -711,8 +723,6 @@ struct Columns {
     /// Int and float slots, one column each: `icols[slot * lanes + t]`.
     icols: Vec<i64>,
     fcols: Vec<f64>,
-    /// Column registers: `regs[reg * lanes + t]`.
-    regs: Vec<i64>,
     /// `threadIdx.x`, `.y`, `.z` of every lane, built once per launch.
     tid: Vec<i64>,
     /// Part registers, an int and a float column each (a node writes the
@@ -729,7 +739,6 @@ impl Columns {
             geom,
             icols: &self.icols,
             fcols: &self.fcols,
-            regs: &self.regs,
             tid: &self.tid,
             itmp: &self.itmp[base * n..],
             ftmp: &self.ftmp[base * n..],
@@ -748,7 +757,6 @@ impl Columns {
             geom,
             icols: &self.icols,
             fcols: &self.fcols,
-            regs: &self.regs,
             tid: &self.tid,
             itmp: ihi,
             ftmp: fhi,
@@ -772,6 +780,8 @@ struct Pools {
     alive: Vec<bool>,
     /// The all-true block mask.
     full: Vec<bool>,
+    /// Every lane's index: the selection a pure part runs over.
+    all: Vec<usize>,
     /// Free list of mask buffers.
     masks: Vec<Vec<bool>>,
     tiles: Vec<Vec<f64>>,
@@ -804,7 +814,6 @@ impl Pools {
         let c = &mut self.col;
         c.icols.resize(ck.int_slots * lanes, 0);
         c.fcols.resize(ck.float_slots * lanes, 0.0);
-        c.regs.resize(ck.col_regs * lanes, 0);
         c.itmp.resize(ck.part_regs * lanes, 0);
         c.ftmp.resize(ck.part_regs * lanes, 0.0);
         c.tid.clear();
@@ -823,6 +832,8 @@ impl Pools {
         }
         self.full.clear();
         self.full.resize(lanes, true);
+        self.all.clear();
+        self.all.extend(0..lanes);
         self.tiles.resize_with(ck.tiles.len(), Vec::new);
         self.shared_writes.resize_with(ck.tiles.len(), Vec::new);
         self.shared_reads.resize_with(ck.tiles.len(), Vec::new);
@@ -910,95 +921,40 @@ impl Machine<'_> {
         m
     }
 
-    /// Run a statement's column program: every op over every lane,
-    /// masked or not — nothing here can trap or be observed, and an unset
-    /// slot reads as 0.
-    fn run_cols(&mut self, ops: &[ColOp]) {
-        use BinaryOp::*;
-        let n = self.lanes;
-        let geom = self.geom;
-        let Columns {
-            icols, regs, tid, ..
-        } = &mut self.p.col;
-        for op in ops {
-            let (ColOp::Copy { dst, .. }
-            | ColOp::Not { dst, .. }
-            | ColOp::Bin { dst, .. }
-            | ColOp::Select { dst, .. }) = *op;
-            let dst = dst as usize;
-            // Operands live in registers above `dst` (compile.rs).
-            let (lo, hi) = regs.split_at_mut((dst + 1) * n);
-            let d = &mut lo[dst * n..];
-            let src = |s: ColSrc| match s {
-                ColSrc::Const(c) => Lanes::Const(c),
-                ColSrc::Slot(c) => Lanes::Col(&icols[c as usize * n..][..n]),
-                ColSrc::Builtin(b) => geom.builtin(b, tid),
-                ColSrc::Reg(r) => Lanes::Col(&hi[(r as usize - dst - 1) * n..][..n]),
-            };
-            match *op {
-                ColOp::Copy { a, .. } => map1(d, src(a), |x| x),
-                ColOp::Not { a, .. } => map1(d, src(a), |x| (x == 0) as i64),
-                ColOp::Bin { op, a, b, .. } => {
-                    let (a, b) = (src(a), src(b));
-                    match op {
-                        Add => map2(d, a, b, i64::wrapping_add),
-                        Sub => map2(d, a, b, i64::wrapping_sub),
-                        Mul => map2(d, a, b, i64::wrapping_mul),
-                        Lt => map2(d, a, b, |x, y| (x < y) as i64),
-                        Le => map2(d, a, b, |x, y| (x <= y) as i64),
-                        Gt => map2(d, a, b, |x, y| (x > y) as i64),
-                        Ge => map2(d, a, b, |x, y| (x >= y) as i64),
-                        Eq => map2(d, a, b, |x, y| (x == y) as i64),
-                        Ne => map2(d, a, b, |x, y| (x != y) as i64),
-                        And => map2(d, a, b, |x, y| (x != 0 && y != 0) as i64),
-                        Or => map2(d, a, b, |x, y| (x != 0 || y != 0) as i64),
-                        Div | Rem => unreachable!("`/` and `%` trap: never column ops"),
-                    }
-                }
-                ColOp::Select { c, t, e, .. } => {
-                    let (c, t, e) = (src(c), src(t), src(e));
-                    for (lane, d) in d.iter_mut().enumerate() {
-                        *d = if c.at(lane) != 0 {
-                            t.at(lane)
-                        } else {
-                            e.at(lane)
-                        };
-                    }
-                }
-            }
+    /// Evaluate the pure `e` into register 0 over every lane of the
+    /// block, masked or not: nothing in it can trap or be observed, and an
+    /// unset slot reads as 0.
+    fn pure(&mut self, e: &CExpr) -> Col {
+        let all = std::mem::take(&mut self.p.all);
+        let v = self.col(e, 0, Sel::new(&all, self.lanes));
+        self.p.all = all;
+        v.unwrap_or_else(|Fallback| unreachable!("a pure part never falls back"))
+    }
+
+    /// The value of the part `e` in `active`'s lanes, at register 0, when
+    /// `part` lets it run column-wise and it does not fall back.
+    fn value(&mut self, e: &CExpr, part: Part, active: &[bool]) -> Option<Col> {
+        match part {
+            Part::Pure => Some(self.pure(e)),
+            Part::Typed => self.part(active, |m, sel| m.col(e, 0, sel)).ok(),
+            Part::PerThread => None,
         }
     }
 
-    /// `out[t] = among[t] && cond(t)`: a column condition in one pass, a
-    /// statically typed one as a part, anything else (or a part that falls
-    /// back) per thread in thread order.
+    /// `out[t] = among[t] && cond(t)`, per thread in thread order when the
+    /// condition cannot run column-wise.
     fn truth(
         &mut self,
         cond: &CExpr,
-        columns: bool,
+        part: Part,
         among: &[bool],
         out: &mut Vec<bool>,
     ) -> Result<(), ExecError> {
         out.clear();
-        if let CExpr::Col(r) = cond {
-            let col = &self.p.col.regs[*r as usize * self.lanes..][..self.lanes];
-            out.extend(among.iter().zip(col).map(|(&a, &c)| a && c != 0));
+        if let Some(c) = self.value(cond, part, among) {
+            let truthy = self.p.col.view(self.lanes, self.geom, 0).truthy(c);
+            out.extend(among.iter().enumerate().map(|(t, &a)| a && truthy(t)));
             return Ok(());
-        }
-        if columns {
-            let part = |m: &mut Self, sel: Sel<'_>| {
-                let c = m.col(cond, 0, sel)?;
-                let truthy = m.p.col.view(m.lanes, m.geom, 0).truthy(c);
-                out.resize(among.len(), false);
-                for &t in sel.idx {
-                    out[t] = truthy(t);
-                }
-                Ok(())
-            };
-            if self.part(among, part).is_ok() {
-                return Ok(());
-            }
-            out.clear();
         }
         for (t, &a) in among.iter().enumerate() {
             out.push(a && self.eval(cond, t)?.truthy());
@@ -1012,26 +968,11 @@ impl Machine<'_> {
         slot: SlotRef,
         ty: ScalarType,
         e: &CExpr,
-        columns: bool,
+        part: Part,
         active: &[bool],
     ) -> Result<(), ExecError> {
-        if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, e) {
-            let n = self.lanes;
-            let dst = &mut self.p.col.icols[c as usize * n..][..n];
-            let src = &self.p.col.regs[*r as usize * n..][..n];
-            for ((d, &s), &a) in dst.iter_mut().zip(src).zip(active) {
-                if a {
-                    *d = s;
-                }
-            }
-            return Ok(());
-        }
-        let part = |m: &mut Self, sel: Sel<'_>| {
-            let v = m.col(e, 0, sel)?;
-            m.assign_col(slot, v, sel);
-            Ok(())
-        };
-        if columns && self.part(active, part).is_ok() {
+        if let Some(v) = self.value(e, part, active) {
+            self.assign_col(slot, v, active);
             return Ok(());
         }
         for t in (0..active.len()).filter(|&t| active[t]) {
@@ -1042,13 +983,13 @@ impl Machine<'_> {
     }
 
     /// Write a part's value `v` (of the node at register 0) to the int or
-    /// float column `slot` in the selected lanes, coerced to its type.
-    fn assign_col(&mut self, slot: SlotRef, v: Col, sel: Sel<'_>) {
+    /// float column `slot` in the active lanes, coerced to its type.
+    fn assign_col(&mut self, slot: SlotRef, v: Col, active: &[bool]) {
         let n = self.lanes;
         // Read the value from register 0 (or a constant): a slot column may
         // be the very one assigned.
         let v = match v {
-            Col::Int(ColSrc::Const(_)) | Col::F(_) | Col::ITmp(_) | Col::FTmp(_) => v,
+            Col::I(_) | Col::F(_) | Col::ITmp(_) | Col::FTmp(_) => v,
             _ => self.copy_to(v, 0),
         };
         let Columns {
@@ -1058,26 +999,25 @@ impl Machine<'_> {
             ftmp,
             ..
         } = &mut self.p.col;
-        // Unlike a register, a slot keeps its value in every other lane.
-        let sel = Sel {
-            dense: false,
-            ..sel
-        };
         let (int, float) = match v {
-            Col::Int(ColSrc::Const(c)) => (Lanes::Const(c), None),
+            Col::I(c) => (Lanes::Const(c), None),
             Col::F(x) => (Lanes::Const(0), Some(Lanes::Const(x))),
             Col::FTmp(_) => (Lanes::Const(0), Some(Lanes::Col(&ftmp[..n]))),
             _ => (Lanes::Col(&itmp[..n]), None),
         };
         match (slot, float) {
-            (SlotRef::Int(c), None) => sel.map1(&mut icols[c as usize * n..][..n], int, |x| x),
+            (SlotRef::Int(c), None) => {
+                masked(&mut icols[c as usize * n..][..n], int, active, |x| x)
+            }
             (SlotRef::Int(c), Some(f)) => {
-                sel.map1(&mut icols[c as usize * n..][..n], f, |x| x as i64)
+                masked(&mut icols[c as usize * n..][..n], f, active, |x| x as i64)
             }
             (SlotRef::Float(c), None) => {
-                sel.map1(&mut fcols[c as usize * n..][..n], int, |x| x as f64)
+                masked(&mut fcols[c as usize * n..][..n], int, active, |x| x as f64)
             }
-            (SlotRef::Float(c), Some(f)) => sel.map1(&mut fcols[c as usize * n..][..n], f, |x| x),
+            (SlotRef::Float(c), Some(f)) => {
+                masked(&mut fcols[c as usize * n..][..n], f, active, |x| x)
+            }
             (SlotRef::Val(_), _) => unreachable!("a value slot is assigned per thread"),
         }
     }
@@ -1100,7 +1040,7 @@ impl Machine<'_> {
     fn as_float(&mut self, v: Col, r: u16, sel: Sel<'_>) -> Col {
         match v {
             Col::F(_) | Col::FSlot(_) | Col::FTmp(_) => v,
-            Col::Int(ColSrc::Const(c)) => Col::F(c as f64),
+            Col::I(c) => Col::F(c as f64),
             _ => {
                 let (di, df, files) = self.p.col.split(self.lanes, self.geom, r);
                 let ints = match v {
@@ -1169,12 +1109,11 @@ impl Machine<'_> {
         use BinaryOp::*;
         let (n, geom, lanes) = (self.lanes, self.geom, sel.lanes());
         Ok(match e {
-            CExpr::I(v) => Col::Int(ColSrc::Const(*v)),
+            CExpr::I(v) => Col::I(*v),
             CExpr::F(v) => Col::F(*v),
-            CExpr::ISlot(s) => Col::Int(ColSrc::Slot(*s)),
+            CExpr::ISlot(s) => Col::ISlot(*s),
             CExpr::FSlot(s) => Col::FSlot(*s),
-            CExpr::Builtin(b) => Col::Int(ColSrc::Builtin(*b)),
-            CExpr::Col(r) => Col::Int(ColSrc::Reg(*r)),
+            CExpr::Builtin(b) => Col::Builtin(*b),
             CExpr::Slot(_) => unreachable!("a value slot is never statically typed"),
             CExpr::Global { array, idx } => self.load_global(*array, idx, dst, sel)?,
             CExpr::Shared { tile, idx } => self.load_shared(*tile, idx, dst, sel)?,
@@ -1627,30 +1566,21 @@ impl Machine<'_> {
             return Ok(());
         }
         match s {
-            CStmt::SetSlot {
-                slot,
-                ty,
-                cols,
-                e,
-                columns,
-            } => {
+            CStmt::SetSlot { slot, ty, e, part } => {
                 self.count_warp_issue(active);
-                self.run_cols(cols);
-                self.assign(*slot, *ty, e, *columns, active)?;
+                self.assign(*slot, *ty, e, *part, active)?;
             }
             CStmt::StoreGlobal {
                 array,
                 idx,
                 op,
-                cols,
                 e,
-                columns,
+                part,
             } => {
                 self.count_warp_issue(active);
-                self.run_cols(cols);
-                let part =
+                let store =
                     |m: &mut Self, sel: Sel<'_>| m.store_global_part(*array, idx, *op, e, sel);
-                if *columns && self.part(active, part).is_ok() {
+                if *part == Part::Typed && self.part(active, store).is_ok() {
                     self.write_global(*array);
                 } else {
                     self.store_global(*array, idx, *op, e, active)?;
@@ -1660,31 +1590,27 @@ impl Machine<'_> {
                 tile,
                 idx,
                 op,
-                cols,
                 e,
-                columns,
+                part,
             } => {
                 self.count_warp_issue(active);
-                self.run_cols(cols);
-                let part =
+                let store =
                     |m: &mut Self, sel: Sel<'_>| m.store_shared_part(*tile, idx, *op, e, sel);
-                if *columns && self.part(active, part).is_ok() {
+                if *part == Part::Typed && self.part(active, store).is_ok() {
                     self.write_shared(*tile);
                 } else {
                     self.store_shared(*tile, idx, *op, e, active)?;
                 }
             }
             CStmt::If {
-                cols,
                 cond,
-                columns,
+                part,
                 then_body,
                 else_body,
             } => {
                 self.count_warp_issue(active);
-                self.run_cols(cols);
                 let mut then_mask = self.take_mask();
-                self.truth(cond, *columns, active, &mut then_mask)?;
+                self.truth(cond, *part, active, &mut then_mask)?;
                 let mut else_mask = self.take_mask();
                 else_mask.extend(active.iter().zip(&then_mask).map(|(&a, &t)| a && !t));
                 let divergent = self.record_branch(active, &then_mask);
@@ -1700,18 +1626,16 @@ impl Machine<'_> {
             }
             CStmt::For {
                 slot,
-                init_cols,
                 init,
-                cond_cols,
+                init_part,
                 cond,
-                cond_columns,
-                step_cols,
+                cond_part,
                 step,
+                step_part,
                 body,
             } => {
                 self.count_warp_issue(active);
-                self.run_cols(init_cols);
-                self.assign(*slot, ScalarType::I32, init, false, active)?;
+                self.assign(*slot, ScalarType::I32, init, *init_part, active)?;
                 // A new top-level sweep: reset the footprint window.
                 if uniform && self.track_footprint {
                     self.flush_footprint();
@@ -1722,21 +1646,19 @@ impl Machine<'_> {
                 live.extend_from_slice(active);
                 let mut iter_mask = self.take_mask();
                 loop {
-                    if self.any_returned {
-                        for (l, &a) in live.iter_mut().zip(&self.p.alive) {
-                            *l &= a;
-                        }
-                    }
-                    self.run_cols(cond_cols);
-                    self.truth(cond, *cond_columns, &live, &mut iter_mask)?;
+                    self.truth(cond, *cond_part, &live, &mut iter_mask)?;
                     let divergent = self.record_branch(active, &iter_mask);
                     if !iter_mask.iter().any(|&m| m) {
                         break;
                     }
                     self.exec_stmts(body, &iter_mask, uniform && !divergent)?;
                     std::mem::swap(&mut live, &mut iter_mask);
-                    self.run_cols(step_cols);
-                    self.step(*slot, step, &live)?;
+                    if self.any_returned {
+                        for (l, &a) in live.iter_mut().zip(&self.p.alive) {
+                            *l &= a;
+                        }
+                    }
+                    self.step(*slot, step, *step_part, &live)?;
                 }
                 self.p.masks.push(live);
                 self.p.masks.push(iter_mask);
@@ -1763,26 +1685,39 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// `slot += step` in the lanes that ran the iteration and did not
-    /// return from it.
-    fn step(&mut self, slot: SlotRef, step: &CExpr, ran: &[bool]) -> Result<(), ExecError> {
+    /// `slot += step` in the lanes `ran`: those that ran the iteration and
+    /// did not return from it.
+    fn step(
+        &mut self,
+        slot: SlotRef,
+        step: &CExpr,
+        part: Part,
+        ran: &[bool],
+    ) -> Result<(), ExecError> {
         let n = self.lanes;
-        if let (SlotRef::Int(c), CExpr::Col(r)) = (slot, step) {
-            let var = &mut self.p.col.icols[c as usize * n..][..n];
-            let by = &self.p.col.regs[*r as usize * n..][..n];
-            for (((v, &d), &ran), &alive) in var.iter_mut().zip(by).zip(ran).zip(&self.p.alive) {
-                if ran && alive {
-                    *v = v.wrapping_add(d);
+        if let (SlotRef::Int(c), Some(by)) = (slot, self.value(step, part, ran)) {
+            // Read the step from register 0: it may read the slot.
+            let by = match by {
+                Col::I(_) | Col::ITmp(_) => by,
+                _ => self.copy_to(by, 0),
+            };
+            let Columns { icols, itmp, .. } = &mut self.p.col;
+            let by = match by {
+                Col::I(d) => Lanes::Const(d),
+                _ => Lanes::Col(&itmp[..n]),
+            };
+            let var = &mut icols[c as usize * n..][..n];
+            for (t, (v, &ran)) in var.iter_mut().zip(ran).enumerate() {
+                if ran {
+                    *v = v.wrapping_add(by.at(t));
                 }
             }
             return Ok(());
         }
         for t in (0..n).filter(|&t| ran[t]) {
-            if self.p.alive[t] {
-                let d = self.eval(step, t)?.as_i64()?;
-                let cur = self.slot(t, slot).as_i64()?;
-                self.set_slot(t, slot, Value::I(cur.wrapping_add(d)));
-            }
+            let d = self.eval(step, t)?.as_i64()?;
+            let cur = self.slot(t, slot).as_i64()?;
+            self.set_slot(t, slot, Value::I(cur.wrapping_add(d)));
         }
         Ok(())
     }
@@ -1988,7 +1923,6 @@ impl Machine<'_> {
             CExpr::Slot(s) => self.slot(t, SlotRef::Val(*s)),
             CExpr::ISlot(c) => self.slot(t, SlotRef::Int(*c)),
             CExpr::FSlot(c) => self.slot(t, SlotRef::Float(*c)),
-            CExpr::Col(r) => Value::I(self.p.col.regs[*r as usize * self.lanes + t]),
             CExpr::Builtin(b) => Value::I(self.geom.builtin(*b, &self.p.col.tid).at(t)),
             CExpr::Global { array, idx } => {
                 let off = self.global_offset(*array, idx, t)?;
@@ -2760,9 +2694,7 @@ void host() {
         }
     }
 
-    const PARAMS: [&str; 4] = ["p0", "p1", "p2", "p3"];
-
-    /// A random pure-int tree over the four `int` parameters.
+    /// A random pure-int tree over `int p0, p1` and the builtins.
     fn pure_tree(rng: &mut Rng, depth: u32) -> Expr {
         use BinaryOp::*;
         if depth == 0 || rng.below(5) == 0 {
@@ -2777,7 +2709,7 @@ void host() {
                         _ => Builtin::GridDim(axis),
                     })
                 }
-                _ => Expr::Var(PARAMS[rng.below(4) as usize].into()),
+                _ => *var(["p0", "p1"][rng.below(2) as usize]),
             };
         }
         let shape = rng.below(13);
@@ -2797,111 +2729,6 @@ void host() {
                 lhs: sub(),
                 rhs: sub(),
             },
-        }
-    }
-
-    /// The tree as the compiler resolves it, before any column lowering.
-    fn resolved(e: &Expr) -> CExpr {
-        let sub = |e: &Expr| Box::new(resolved(e));
-        match e {
-            Expr::Int(v) => CExpr::I(*v),
-            Expr::Builtin(b) => CExpr::Builtin(*b),
-            Expr::Var(name) => CExpr::ISlot(PARAMS.iter().position(|p| p == name).unwrap() as u16),
-            Expr::Unary { op, operand } => CExpr::Un {
-                op: *op,
-                e: sub(operand),
-            },
-            Expr::Binary { op, lhs, rhs } => CExpr::Bin {
-                op: *op,
-                l: sub(lhs),
-                r: sub(rhs),
-            },
-            Expr::Ternary {
-                cond,
-                then_val,
-                else_val,
-            } => CExpr::Ternary {
-                c: sub(cond),
-                t: sub(then_val),
-                e: sub(else_val),
-            },
-            other => unreachable!("not generated: {other:?}"),
-        }
-    }
-
-    proptest! {
-        /// Column evaluation of a pure-int tree equals the per-thread
-        /// evaluator on the unlowered tree in *every* lane — the columns
-        /// ignore the mask — and the masked assignment touches exactly the
-        /// active lanes.
-        #[test]
-        fn columns_agree_with_the_per_thread_evaluator(seed in 0u64..400) {
-            let mut rng = Rng(seed);
-            let tree = pure_tree(&mut rng, 5);
-            let kernel = Kernel {
-                name: "k".into(),
-                params: PARAMS
-                    .iter()
-                    .map(|p| Param::Scalar { name: p.to_string(), ty: ScalarType::I32 })
-                    .collect(),
-                body: vec![Stmt::VarDecl {
-                    name: "r".into(),
-                    ty: ScalarType::I32,
-                    init: Some(tree.clone()),
-                }],
-            };
-            let ck = compile(&kernel).unwrap();
-            let CStmt::SetSlot { slot, ty, cols, e, columns } = &ck.body[0] else {
-                panic!("expected `int r = ...`, got {:?}", ck.body[0]);
-            };
-            prop_assert_eq!(e, &CExpr::Col(0), "a pure-int tree is one column");
-
-            let block = Dim3::new(1 + rng.below(7) as u32, 1 + rng.below(5) as u32, 1 + rng.below(2) as u32);
-            let lanes = block.count() as usize;
-            let mut pools = Pools::default();
-            pools.prepare_launch(&ck, block, 0);
-            let mut stats = LaunchStats::default();
-            let mut m = Machine {
-                ck: &ck,
-                kernel_name: "k",
-                arrays: &mut [],
-                stats: &mut stats,
-                block_linear: 0,
-                geom: Geometry {
-                    block_idx: Dim3::new(0, 0, 0),
-                    block_dim: block,
-                    grid_dim: Dim3::new(3, 2, 2),
-                },
-                lanes,
-                nvals: 0,
-                p: pools,
-                pending: Pending::default(),
-                any_returned: false,
-                fp_read: HashSet::new(),
-                fp_write: HashSet::new(),
-                track_footprint: false,
-                detect_hazards: true,
-            };
-            let base = BaseSlots { ints: vec![0; ck.int_slots], floats: Vec::new(), vals: Vec::new() };
-            m.reset_block(Dim3::new(2, 1, 1), 0, &base);
-            for v in &mut m.p.col.icols[..PARAMS.len() * lanes] {
-                *v = rng.value();
-            }
-            let mask: Vec<bool> = (0..lanes).map(|_| rng.below(3) != 0).collect();
-
-            let plain = resolved(&tree);
-            let scalar: Vec<i64> = (0..lanes)
-                .map(|t| m.eval(&plain, t).unwrap().as_i64().unwrap())
-                .collect();
-            m.run_cols(cols);
-            prop_assert_eq!(&m.p.col.regs[..lanes], &scalar[..], "tree {:?}", tree);
-
-            m.assign(*slot, *ty, e, *columns, &mask).unwrap();
-            for t in 0..lanes {
-                let want = if mask[t] { scalar[t] } else { 0 };
-                prop_assert_eq!(m.slot(t, *slot), Value::I(want), "lane {}", t);
-            }
-            prop_assert_eq!(m.stats.flops, 0, "integer math is never a flop");
         }
     }
 
@@ -3039,9 +2866,48 @@ void host() {
         }
     }
 
-    /// A random statement whose parts are statically typed: an assignment
-    /// to an int or float slot, a (compound) store to `a`, `b` or tile
-    /// `s0`, or an `if` on a typed condition that stores to `b`.
+    /// A random pure-int tree, or a typed tree of type `ty` (either type
+    /// when `None`).
+    fn pure_or_typed(rng: &mut Rng, ty: Option<Ty>, depth: u32) -> Expr {
+        match rng.below(2) {
+            0 => pure_tree(rng, depth),
+            _ => {
+                let ty = ty.unwrap_or_else(|| any_ty(rng));
+                typed_tree(rng, ty, depth)
+            }
+        }
+    }
+
+    /// `for (int j = init; -4 < j && j < 4 && cond; j += 1 + (x != 0))`
+    /// over a one-statement body: at most eight iterations, with a typed or
+    /// pure init, condition and step.
+    fn for_stmt(rng: &mut Rng, depth: u32) -> Stmt {
+        use BinaryOp::*;
+        let j = || *var("j");
+        let bounds = bin(And, bin(Lt, Expr::Int(-4), j()), bin(Lt, j(), Expr::Int(4)));
+        let init = pure_or_typed(rng, None, depth);
+        let cond = bin(And, bounds, pure_or_typed(rng, Some(Ty::Int), depth));
+        let x = pure_or_typed(rng, None, depth);
+        let step = bin(Add, Expr::Int(1), bin(Ne, x, Expr::Int(0)));
+        let body = loop {
+            match typed_stmt(rng) {
+                Stmt::For { .. } => continue,
+                s => break vec![s],
+            }
+        };
+        Stmt::For {
+            var: "j".into(),
+            init,
+            cond,
+            step,
+            body,
+        }
+    }
+
+    /// A random statement whose parts are statically typed or pure: an
+    /// assignment to an int or float slot, a (compound) store to `a`, `b`
+    /// or tile `s0`, an `if` on a typed or pure condition that stores to
+    /// `b`, or a `for` loop.
     fn typed_stmt(rng: &mut Rng) -> Stmt {
         let depth = 1 + rng.below(4) as u32;
         let op = [
@@ -3051,7 +2917,7 @@ void host() {
             AssignOp::MulAssign,
         ][rng.below(4) as usize];
         let assign = |target, op, value| Stmt::Assign { target, op, value };
-        match rng.below(7) {
+        match rng.below(10) {
             0 => assign(
                 LValue::Var("f0".into()),
                 AssignOp::Assign,
@@ -3084,7 +2950,7 @@ void host() {
                 };
                 assign(target, op, typed_tree(rng, Ty::Float, depth))
             }
-            5 => {
+            5 | 6 => {
                 let store = |v: f64| Stmt::Assign {
                     target: LValue::Index {
                         array: "b".into(),
@@ -3093,13 +2959,17 @@ void host() {
                     op: AssignOp::Assign,
                     value: Expr::Float(v),
                 };
-                let ty = any_ty(rng);
                 Stmt::If {
-                    cond: typed_tree(rng, ty, depth),
+                    cond: pure_or_typed(rng, None, depth),
                     then_body: vec![store(1.0)],
                     else_body: vec![store(2.0)],
                 }
             }
+            7 => {
+                let target = ["p0", "p1"][rng.below(2) as usize];
+                assign(LValue::Var(target.into()), op, pure_tree(rng, depth))
+            }
+            8 => for_stmt(rng, depth),
             _ => {
                 let target = LValue::Index {
                     array: "b".into(),
@@ -3152,25 +3022,41 @@ void host() {
         }
     }
 
+    /// Every part of `s` itself (not of the statements it contains).
+    fn parts(s: &mut CStmt) -> Vec<&mut Part> {
+        match s {
+            CStmt::SetSlot { part, .. }
+            | CStmt::StoreGlobal { part, .. }
+            | CStmt::StoreShared { part, .. }
+            | CStmt::If { part, .. } => vec![part],
+            CStmt::For {
+                init_part,
+                cond_part,
+                step_part,
+                ..
+            } => vec![init_part, cond_part, step_part],
+            other => panic!("not generated: {other:?}"),
+        }
+    }
+
     /// The same statement with every part sent to the per-thread evaluator.
     fn per_thread(s: &CStmt) -> CStmt {
         let mut s = s.clone();
+        for part in parts(&mut s) {
+            *part = Part::PerThread;
+        }
         let flip = |b: &mut Vec<CStmt>| *b = b.iter().map(per_thread).collect();
         match &mut s {
-            CStmt::SetSlot { columns, .. }
-            | CStmt::StoreGlobal { columns, .. }
-            | CStmt::StoreShared { columns, .. } => *columns = false,
             CStmt::If {
-                columns,
                 then_body,
                 else_body,
                 ..
             } => {
-                *columns = false;
                 flip(then_body);
                 flip(else_body);
             }
-            other => panic!("not generated: {other:?}"),
+            CStmt::For { body, .. } => flip(body),
+            _ => {}
         }
         s
     }
@@ -3317,22 +3203,17 @@ void host() {
         /// per-thread evaluator leaves — memory bits, every counter, the
         /// hazard list, the trap message, the logs, the slots — for random
         /// typed trees (in- and out-of-range loads, ternaries, intrinsics,
-        /// int and float columns, NaNs) under random masks and hazard
-        /// states.
+        /// int and float columns, NaNs), pure-int trees (wrapping at the
+        /// extremes, every lane computed whatever the mask) and `for` loops
+        /// under random masks and hazard states.
         #[test]
         fn float_columns_agree_with_the_per_thread_evaluator(seed in 0u64..3000) {
             let mut rng = Rng(seed);
             let kernel = float_kernel(typed_stmt(&mut rng));
             let ck = compile(&kernel).unwrap();
             let stmt = ck.body.last().unwrap();
-            let typed = match stmt {
-                CStmt::SetSlot { columns, .. }
-                | CStmt::StoreGlobal { columns, .. }
-                | CStmt::StoreShared { columns, .. }
-                | CStmt::If { columns, .. } => *columns,
-                _ => false,
-            };
-            prop_assert!(typed, "the generator builds typed parts: {:?}", stmt);
+            let typed = parts(&mut stmt.clone()).iter().all(|p| **p != Part::PerThread);
+            prop_assert!(typed, "the generator builds typed or pure parts: {:?}", stmt);
             let state = rng.next();
             let columns = observe(&ck, stmt, state);
             let reference = observe(&ck, &per_thread(stmt), state);

@@ -139,17 +139,17 @@ pub struct Profiler {
     /// Run the program functionally (measured flops/divergence, hazard
     /// checks) in addition to the static analysis.
     pub functional: bool,
-    /// Seed for the functional run's input data.
-    pub seed: u64,
 }
 
 impl Profiler {
+    /// Seed for the functional run's input data.
+    pub const SEED: u64 = 42;
+
     /// A functional profiler on the given device.
     pub fn new(device: DeviceSpec) -> Profiler {
         Profiler {
             device,
             functional: true,
-            seed: 42,
         }
     }
 
@@ -158,7 +158,6 @@ impl Profiler {
         Profiler {
             device,
             functional: false,
-            seed: 42,
         }
     }
 
@@ -181,7 +180,7 @@ impl Profiler {
     /// Profile with a pre-computed plan, handing back the final memory
     /// image of the functional run beside the profile (`None` for an
     /// analytic profile, which executes nothing). The run starts from
-    /// `seed_all(self.seed)` with hazard detection on, so the image and
+    /// `seed_all(Self::SEED)` with hazard detection on, so the image and
     /// [`ProgramProfile::hazards`] are exactly what a verification run
     /// from the same seed would produce.
     pub fn profile_with_image(
@@ -195,7 +194,7 @@ impl Profiler {
         let mut image = None;
         if self.functional {
             let mut mem = GlobalMemory::from_plan(plan);
-            mem.seed_all(self.seed);
+            mem.seed_all(Self::SEED);
             let mut interp = Interpreter::new(program);
             interp.detect_hazards = true;
             let stats = interp.run_plan(plan, &mut mem)?;
@@ -399,7 +398,7 @@ mod tests {
         let prof = Profiler::new(DeviceSpec::k20x());
         let (profile, image) = prof.profile_with_image(&p, &plan).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        mem.seed_all(prof.seed);
+        mem.seed_all(Profiler::SEED);
         Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert_eq!(image, Some(mem), "the image of a plain run from the profiler's seed");
         let front = prof.profile_with_plan(&p, &plan).unwrap();

@@ -32,30 +32,15 @@ use sf_minicuda::host::ExecutablePlan;
 /// backoff constants on the same virtual clock.
 pub use sf_core::retry::RetryPolicy;
 
-/// Knobs for median/MAD aggregation and confidence classification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregationPolicy {
-    /// Reject samples farther than this many robust sigmas from the median.
-    pub outlier_mads: f64,
-    /// When more than this fraction of samples is rejected, the aggregate
-    /// is not trustworthy and collapses to the analytic estimate.
-    pub max_outlier_fraction: f64,
-    /// Relative dispersion at or below which a launch is [`Confidence::Stable`].
-    pub stable_dispersion: f64,
-    /// Relative dispersion above which a launch is [`Confidence::Unreliable`].
-    pub noisy_dispersion: f64,
-}
-
-impl Default for AggregationPolicy {
-    fn default() -> Self {
-        AggregationPolicy {
-            outlier_mads: 3.5,
-            max_outlier_fraction: 0.30,
-            stable_dispersion: 0.05,
-            noisy_dispersion: 0.30,
-        }
-    }
-}
+/// Reject samples farther than this many robust sigmas from the median.
+const OUTLIER_MADS: f64 = 3.5;
+/// When more than this fraction of samples is rejected, the aggregate is
+/// not trustworthy and collapses to the analytic estimate.
+const MAX_OUTLIER_FRACTION: f64 = 0.30;
+/// Relative dispersion at or below which a launch is [`Confidence::Stable`].
+const STABLE_DISPERSION: f64 = 0.05;
+/// Relative dispersion above which a launch is [`Confidence::Unreliable`].
+const NOISY_DISPERSION: f64 = 0.30;
 
 /// The result of robustly aggregating one metric's samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,13 +73,13 @@ fn median(sorted: &[f64]) -> f64 {
 
 /// Median + MAD robust aggregation of one metric's samples.
 ///
-/// Samples farther than `outlier_mads` robust sigmas from the median are
-/// rejected; if more than `max_outlier_fraction` of the samples go, or no
+/// Samples farther than `OUTLIER_MADS` robust sigmas from the median are
+/// rejected; if more than `MAX_OUTLIER_FRACTION` of the samples go, or no
 /// sample survives at all, the aggregate collapses to `analytic` and is
 /// flagged `fell_back`. The MAD is robust up to a 50% breakdown point, so
 /// contamination beyond the fraction cap is still *detected* (rejected
 /// fraction too high) even though the median itself would survive it.
-pub fn robust_aggregate(samples: &[f64], analytic: f64, policy: &AggregationPolicy) -> Aggregate {
+pub fn robust_aggregate(samples: &[f64], analytic: f64) -> Aggregate {
     if samples.is_empty() {
         return Aggregate {
             value: analytic,
@@ -118,7 +103,7 @@ pub fn robust_aggregate(samples: &[f64], analytic: f64, policy: &AggregationPoli
     let survivors: Vec<f64> = sorted
         .iter()
         .copied()
-        .filter(|v| (v - med).abs() <= policy.outlier_mads * sigma)
+        .filter(|v| (v - med).abs() <= OUTLIER_MADS * sigma)
         .collect();
     let rejected = (sorted.len() - survivors.len()) as u32;
     let rejected_fraction = rejected as f64 / sorted.len() as f64;
@@ -127,7 +112,7 @@ pub fn robust_aggregate(samples: &[f64], analytic: f64, policy: &AggregationPoli
     // quarantine a perfectly measurable launch. Always tolerate up to two
     // rejections; the fraction cap takes over once n is large enough for
     // the fraction to be meaningful.
-    let max_fraction = policy.max_outlier_fraction.max(2.0 / sorted.len() as f64);
+    let max_fraction = MAX_OUTLIER_FRACTION.max(2.0 / sorted.len() as f64);
     if survivors.is_empty() || rejected_fraction > max_fraction {
         return Aggregate {
             value: analytic,
@@ -201,10 +186,6 @@ pub struct RobustProfiler {
     pub reps: u32,
     /// Synthetic measurement noise, if any.
     pub noise: Option<NoiseModel>,
-    /// Retry policy for transient repetition failures.
-    pub retry: RetryPolicy,
-    /// Aggregation and classification knobs.
-    pub aggregation: AggregationPolicy,
     /// Fault injection: fail this many repetition attempts (consumed
     /// first, before the noise model's own transient draws) per profile
     /// call. Used by the pipeline's `FaultPlan`.
@@ -218,8 +199,6 @@ impl RobustProfiler {
             inner,
             reps: reps.max(1),
             noise,
-            retry: RetryPolicy::default(),
-            aggregation: AggregationPolicy::default(),
             forced_transients: 0,
         }
     }
@@ -268,6 +247,8 @@ impl RobustProfiler {
         let mut lost_reps = 0u32;
         let mut virtual_backoff_us = 0u64;
         let mut forced = self.forced_transients;
+        // Transient repetition failures retry on the shared policy.
+        let retry = RetryPolicy::default();
         // samples[seq][metric] — metric index matches `Metric::ALL`.
         let mut samples: Vec<[Vec<f64>; 4]> = vec![Default::default(); n_launches];
 
@@ -276,7 +257,7 @@ impl RobustProfiler {
             // either fails (forced fault or noise-model draw) or yields a
             // full set of per-launch samples.
             let mut succeeded = false;
-            for attempt in 0..=self.retry.max_retries {
+            for attempt in 0..=retry.max_retries {
                 let fails = if forced > 0 {
                     forced -= 1;
                     true
@@ -288,8 +269,8 @@ impl RobustProfiler {
                 };
                 if fails {
                     transient_failures += 1;
-                    if attempt < self.retry.max_retries {
-                        virtual_backoff_us += self.retry.backoff_us(attempt);
+                    if attempt < retry.max_retries {
+                        virtual_backoff_us += retry.backoff_us(attempt);
                     }
                     continue;
                 }
@@ -340,7 +321,7 @@ impl RobustProfiler {
                 perf.dram_write_bytes as f64,
             ];
             let aggs: Vec<Aggregate> = (0..4)
-                .map(|mi| robust_aggregate(&samples[seq][mi], truths[mi], &self.aggregation))
+                .map(|mi| robust_aggregate(&samples[seq][mi], truths[mi]))
                 .collect();
             let fell_back = aggs.iter().any(|a| a.fell_back);
             let rejected: u32 = aggs.iter().map(|a| a.rejected).sum();
@@ -351,9 +332,9 @@ impl RobustProfiler {
             // fallback flag: a counter that cannot be aggregated at all
             // makes the launch unreliable regardless of runtime scatter.
             let dispersion = rt.dispersion;
-            let confidence = if fell_back || dispersion > self.aggregation.noisy_dispersion {
+            let confidence = if fell_back || dispersion > NOISY_DISPERSION {
                 Confidence::Unreliable
-            } else if dispersion > self.aggregation.stable_dispersion {
+            } else if dispersion > STABLE_DISPERSION {
                 Confidence::Noisy
             } else {
                 Confidence::Stable
@@ -516,10 +497,9 @@ mod tests {
 
     #[test]
     fn aggregation_rejects_outliers() {
-        let pol = AggregationPolicy::default();
         let mut samples = vec![100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8];
         samples.push(600.0); // one wild outlier in 8 samples
-        let agg = robust_aggregate(&samples, 42.0, &pol);
+        let agg = robust_aggregate(&samples, 42.0);
         assert!(!agg.fell_back);
         assert_eq!(agg.rejected, 1);
         assert!((agg.value - 100.0).abs() < 1.0, "value {}", agg.value);
@@ -527,7 +507,7 @@ mod tests {
 
     #[test]
     fn empty_samples_collapse_to_analytic() {
-        let agg = robust_aggregate(&[], 42.0, &AggregationPolicy::default());
+        let agg = robust_aggregate(&[], 42.0);
         assert!(agg.fell_back);
         assert_eq!(agg.value, 42.0);
         assert_eq!(agg.samples, 0);
@@ -535,7 +515,7 @@ mod tests {
 
     #[test]
     fn all_equal_samples_have_zero_dispersion() {
-        let agg = robust_aggregate(&[5.0; 6], 1.0, &AggregationPolicy::default());
+        let agg = robust_aggregate(&[5.0; 6], 1.0);
         assert!(!agg.fell_back);
         assert_eq!(agg.value, 5.0);
         assert_eq!(agg.dispersion, 0.0);
@@ -568,7 +548,7 @@ mod tests {
             for s in samples.iter_mut().take(n_out) {
                 *s *= 8.0; // unmistakable outliers
             }
-            let agg = robust_aggregate(&samples, analytic, &AggregationPolicy::default());
+            let agg = robust_aggregate(&samples, analytic);
             if low_contamination {
                 prop_assert!(!agg.fell_back, "fell back at {n_out}/{n} outliers");
                 prop_assert!(

@@ -87,7 +87,7 @@ pub struct SearchResult {
     /// Why the run ended.
     pub stop_reason: StopReason,
     /// Candidates whose evaluation panicked and, after bounded retry, were
-    /// scored with [`POISONED_FITNESS`] instead of aborting the search.
+    /// scored with `POISONED_FITNESS` instead of aborting the search.
     pub poisoned_evaluations: u64,
 }
 

@@ -26,7 +26,7 @@
 //!    `seed ^ finalize(i·φ)` — island 0 continues the run seed's own
 //!    stream, so a one-island run is the plain seeded GGA. Inside an
 //!    island the rules are that GGA's: elites come from a stable
-//!    score-only sort, the generation's best is [`gga::argmax`] (the last
+//!    score-only sort, the generation's best is `gga::argmax` (the last
 //!    maximum) — goldens and cached plans pin both. The genome's total order
 //!    breaks fitness ties only where islands meet — migration and the
 //!    final merge — so the winning plan is byte-identical for a given

@@ -116,7 +116,7 @@ fn the_in_pipeline_verdict_is_an_independent_verify_at_the_profilers_seed() {
     // The pipeline's verdict compares the two profiles' images instead of
     // running both programs again; an independent `verify_equivalence` of
     // the same pair from the same seed must agree field for field.
-    let seed = Profiler::new(DeviceSpec::k20x()).seed;
+    let seed = Profiler::SEED;
     for name in APP_NAMES {
         let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
         let mut config = PipelineConfig::quick(DeviceSpec::k20x());
