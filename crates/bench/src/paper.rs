@@ -295,7 +295,7 @@ fn fig4_5_claims(rows: &[Fig45Row]) -> Claims {
     );
     claims.known(
         "fission never hurts (fission+fusion >= fusion)",
-        "1-2",
+        "2",
         rows,
         |r| r.fission_fusion >= r.fusion,
         |r| format!("{}: {:.3} < {:.3}", r.app, r.fission_fusion, r.fusion),

@@ -19,7 +19,7 @@ use sf_analysis::access::{AccessError, KernelAccess};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{HostValue, LaunchRecord, ResolvedArg};
 use sf_minicuda::visit;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A codegen-time error.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +125,104 @@ pub struct CanonMember {
     pub launch_y: i64,
 }
 
+/// What a member's own launch fixes before any renaming: the access
+/// analysis, the actual array each parameter binds, the evaluated guard
+/// and the sweep shape. Canonicalization and the fusion legality facts
+/// ([`crate::legality::MemberFacts`]) both start here, so the two cannot
+/// disagree about a member.
+#[derive(Debug)]
+pub(crate) struct Binding<'a> {
+    /// The access analysis of the original kernel (parameter names).
+    pub(crate) ka: KernelAccess,
+    /// `(parameter, actual array)` per array parameter, in parameter order.
+    arrays: Vec<(&'a str, &'a str)>,
+    pub(crate) guard: EvalGuard,
+    /// The one vertical sweep, or `None` when the member can only be
+    /// concatenated.
+    pub(crate) sweep: Option<SweepShape>,
+    launch_x: i64,
+    launch_y: i64,
+}
+
+/// A single-sweep member's literal vertical range and whether its sweep
+/// body nests another loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SweepShape {
+    pub(crate) k_lo: i64,
+    pub(crate) k_hi: i64,
+    pub(crate) has_inner: bool,
+}
+
+impl Binding<'_> {
+    /// The actual array a parameter binds.
+    /// (A name no parameter carries stands for itself.)
+    pub(crate) fn actual<'n>(&'n self, param: &'n str) -> &'n str {
+        let bound = self.arrays.iter().find(|(p, _)| *p == param);
+        bound.map_or(param, |(_, actual)| actual)
+    }
+}
+
+/// Bind a member's launch: check the arguments against the parameters,
+/// analyse the kernel, evaluate its guard and classify its sweep.
+pub(crate) fn bind<'a>(
+    kernel: &'a Kernel,
+    launch: &'a LaunchRecord,
+) -> Result<Binding<'a>, CanonError> {
+    if kernel.params.len() != launch.args.len() {
+        return Err(CanonError(format!(
+            "launch of `{}` passes {} args for {} params",
+            kernel.name,
+            launch.args.len(),
+            kernel.params.len()
+        )));
+    }
+    let ka = KernelAccess::analyze(kernel)?;
+    let mut scalar_env: HashMap<String, i64> = HashMap::new();
+    let mut arrays = Vec::new();
+    for (p, a) in kernel.params.iter().zip(&launch.args) {
+        match (p, a) {
+            (Param::Array { name, .. }, ResolvedArg::Array(actual)) => {
+                arrays.push((name.as_str(), actual.as_str()));
+            }
+            (Param::Scalar { name, .. }, ResolvedArg::Scalar(v)) => {
+                if let HostValue::Int(i) = v {
+                    scalar_env.insert(name.clone(), *i);
+                }
+            }
+            _ => {
+                return Err(CanonError(format!(
+                    "argument kind mismatch for `{}` of `{}`",
+                    p.name(),
+                    kernel.name
+                )))
+            }
+        }
+    }
+    let launch_x = (launch.grid.x as i64) * (launch.block.x as i64);
+    let launch_y = (launch.grid.y as i64) * (launch.block.y as i64);
+    let eval_b = |b: &Option<sf_analysis::access::Bnd>, default: i64| -> Result<i64, CanonError> {
+        match b {
+            Some(b) => Ok(b.eval(&scalar_env)?),
+            None => Ok(default),
+        }
+    };
+    let guard = EvalGuard {
+        x_lo: eval_b(&ka.guard.x_lo, 0)?.max(0),
+        x_hi: eval_b(&ka.guard.x_hi, launch_x)?.min(launch_x),
+        y_lo: eval_b(&ka.guard.y_lo, 0)?.max(0),
+        y_hi: eval_b(&ka.guard.y_hi, launch_y)?.min(launch_y),
+    };
+    let sweep = sweep_shape(&kernel.body, &ka, &scalar_env);
+    Ok(Binding {
+        ka,
+        arrays,
+        guard,
+        sweep,
+        launch_x,
+        launch_y,
+    })
+}
+
 /// Canonicalize one member. `canon_scalars` is the shared scalar
 /// environment across the group (canonical name → value); it accumulates
 /// the scalar parameters the fused kernel needs.
@@ -134,38 +232,40 @@ pub fn canonicalize(
     member_idx: usize,
     canon_scalars: &mut BTreeMap<String, HostValue>,
 ) -> Result<CanonMember, CanonError> {
-    if kernel.params.len() != launch.args.len() {
-        return Err(CanonError(format!(
-            "launch of `{}` passes {} args for {} params",
-            kernel.name,
-            launch.args.len(),
-            kernel.params.len()
-        )));
-    }
-    let ka_orig = KernelAccess::analyze(kernel)?;
-    let mut body = kernel.body.clone();
+    let binding = bind(kernel, launch)?;
+    Ok(canonicalize_bound(kernel, launch, binding, member_idx, canon_scalars))
+}
 
-    // Scalar values by original param name (for bound evaluation).
-    let mut scalar_env: std::collections::HashMap<String, i64> =
-        std::collections::HashMap::new();
+/// [`canonicalize`] a member whose launch is already bound.
+pub(crate) fn canonicalize_bound(
+    kernel: &Kernel,
+    launch: &LaunchRecord,
+    binding: Binding<'_>,
+    member_idx: usize,
+    canon_scalars: &mut BTreeMap<String, HostValue>,
+) -> CanonMember {
+    let Binding {
+        mut ka,
+        arrays: bound,
+        guard,
+        sweep,
+        launch_x,
+        launch_y,
+    } = binding;
+    let mut body = kernel.body.clone();
 
     // 1. Bind arrays and scalars.
     let mut arrays: Vec<ArrayBind> = Vec::new();
-    let mut array_rename: Vec<(String, String)> = Vec::new();
     let written = visit::arrays_written(&kernel.body);
     for (p, a) in kernel.params.iter().zip(&launch.args) {
         match (p, a) {
             (Param::Array { name, .. }, ResolvedArg::Array(actual)) => {
-                array_rename.push((name.clone(), actual.clone()));
                 arrays.push(ArrayBind {
                     actual: actual.clone(),
                     written: written.contains(name),
                 });
             }
             (Param::Scalar { name, .. }, ResolvedArg::Scalar(v)) => {
-                if let HostValue::Int(i) = v {
-                    scalar_env.insert(name.clone(), *i);
-                }
                 // Fold into the shared scalar environment.
                 let canon_name = match canon_scalars.get(name) {
                     Some(existing) if values_equal(existing, v) => name.clone(),
@@ -183,21 +283,15 @@ pub fn canonicalize(
                     visit::rename_var(&mut body, name, &canon_name);
                 }
             }
-            _ => {
-                return Err(CanonError(format!(
-                    "argument kind mismatch for `{}` of `{}`",
-                    p.name(),
-                    kernel.name
-                )))
-            }
+            _ => unreachable!("`bind` checked every argument's kind"),
         }
     }
     // Two-phase array rename through unique placeholders, in case an actual
     // array name collides with another parameter name.
-    for (i, (from, _)) in array_rename.iter().enumerate() {
+    for (i, (from, _)) in bound.iter().enumerate() {
         visit::rename_array(&mut body, from, &format!("__tmp_arr_{i}"));
     }
-    for (i, (_, to)) in array_rename.iter().enumerate() {
+    for (i, (_, to)) in bound.iter().enumerate() {
         visit::rename_array(&mut body, &format!("__tmp_arr_{i}"), to);
     }
 
@@ -270,37 +364,48 @@ pub fn canonicalize(
         visit::rename_var(&mut body, name, &format!("{name}_m{member_idx}"));
     }
 
-    // 4. Evaluate guard bounds.
-    let launch_x = (launch.grid.x as i64) * (launch.block.x as i64);
-    let launch_y = (launch.grid.y as i64) * (launch.block.y as i64);
-    let eval_b = |b: &Option<sf_analysis::access::Bnd>, default: i64| -> Result<i64, CanonError> {
-        match b {
-            Some(b) => Ok(b.eval(&scalar_env)?),
-            None => Ok(default),
-        }
-    };
-    let guard = EvalGuard {
-        x_lo: eval_b(&ka_orig.guard.x_lo, 0)?.max(0),
-        x_hi: eval_b(&ka_orig.guard.x_hi, launch_x)?.min(launch_x),
-        y_lo: eval_b(&ka_orig.guard.y_lo, 0)?.max(0),
-        y_hi: eval_b(&ka_orig.guard.y_hi, launch_y)?.min(launch_y),
-    };
-
-    // 5. Extract the single-sweep structure if the member has it.
+    // 4. The single-sweep structure, as `bind` classified it on the
+    //    original body: renaming and dropping declarations leave every
+    //    statement's kind where it was, so the same loop is found again.
     let mut hoisted = Vec::new();
-    let structure = extract_structure(&body, &ka_orig, &scalar_env, member_idx, &mut hoisted)?;
+    let structure = match sweep {
+        Some(SweepShape {
+            k_lo,
+            k_hi,
+            has_inner,
+        }) => {
+            let mut decls = Vec::new();
+            let Some(Stmt::For {
+                var,
+                body: loop_body,
+                ..
+            }) = find_sweep(&body, &mut decls)
+            else {
+                unreachable!("renaming keeps the sweep `bind` found")
+            };
+            hoisted = decls.into_iter().cloned().collect();
+            let mut sweep_body = loop_body.clone();
+            visit::rename_var(&mut sweep_body, var, "k");
+            MemberStructure::SingleSweep {
+                k_lo,
+                k_hi,
+                body: sweep_body,
+                has_inner,
+            }
+        }
+        None => MemberStructure::Fallback,
+    };
 
     // Map the access analysis to actual array names for offset queries.
-    let mut ka = ka_orig.clone();
     for sweep in &mut ka.sweeps {
         for acc in &mut sweep.accesses {
-            if let Some((_, actual)) = array_rename.iter().find(|(p, _)| p == &acc.array) {
-                acc.array = actual.clone();
+            if let Some((_, actual)) = bound.iter().find(|(p, _)| *p == acc.array) {
+                acc.array = actual.to_string();
             }
         }
     }
 
-    Ok(CanonMember {
+    CanonMember {
         seq: launch.seq,
         name: kernel.name.clone(),
         full_body: body,
@@ -311,37 +416,27 @@ pub fn canonicalize(
         ka,
         launch_x,
         launch_y,
-    })
+    }
 }
 
 fn values_equal(a: &HostValue, b: &HostValue) -> bool {
     a.as_f64() == b.as_f64()
 }
 
-/// Extract `decls... if (guard) { for (k) { body } }` (plus tolerated decl
-/// placement variants); anything else falls back.
-fn extract_structure(
-    body: &[Stmt],
-    ka: &KernelAccess,
-    scalar_env: &std::collections::HashMap<String, i64>,
-    member_idx: usize,
-    hoisted: &mut Vec<Stmt>,
-) -> Result<MemberStructure, CanonError> {
-    if ka.sweeps.len() != 1 || ka.sweeps[0].k_range.is_none() {
-        return Ok(MemberStructure::Fallback);
-    }
-    let mut sweep_loop: Option<&Stmt> = None;
-    let mut fallback = false;
-    // Walk the top level, descending through the guard.
+/// Find `decls... if (guard) { for (k) { body } }` (plus tolerated decl
+/// placement variants): the one vertical loop, with the declarations
+/// around it pushed to `hoisted`. `None` for anything else — a second
+/// loop, a statement outside the loop, an `else`, shared memory.
+fn find_sweep<'a>(body: &'a [Stmt], hoisted: &mut Vec<&'a Stmt>) -> Option<&'a Stmt> {
     fn scan<'a>(
         stmts: &'a [Stmt],
-        hoisted: &mut Vec<Stmt>,
+        hoisted: &mut Vec<&'a Stmt>,
         sweep_loop: &mut Option<&'a Stmt>,
         fallback: &mut bool,
     ) {
         for s in stmts {
             match s {
-                Stmt::VarDecl { .. } => hoisted.push(s.clone()),
+                Stmt::VarDecl { .. } => hoisted.push(s),
                 Stmt::SharedDecl { .. } => *fallback = true,
                 Stmt::If {
                     then_body,
@@ -366,24 +461,36 @@ fn extract_structure(
             }
         }
     }
+    let mut sweep_loop = None;
+    let mut fallback = false;
     scan(body, hoisted, &mut sweep_loop, &mut fallback);
-    let Some(Stmt::For {
+    sweep_loop.filter(|_| !fallback)
+}
+
+/// Classify the original body: a single sweep with literal bounds whose
+/// hoisted declarations do not read the loop variable, or `None`
+/// (fallback).
+fn sweep_shape(
+    body: &[Stmt],
+    ka: &KernelAccess,
+    scalar_env: &HashMap<String, i64>,
+) -> Option<SweepShape> {
+    if ka.sweeps.len() != 1 || ka.sweeps[0].k_range.is_none() {
+        return None;
+    }
+    let mut hoisted = Vec::new();
+    let Stmt::For {
         var,
         init,
         cond,
         body: loop_body,
         ..
-    }) = sweep_loop
+    } = find_sweep(body, &mut hoisted)?
     else {
-        hoisted.clear();
-        return Ok(MemberStructure::Fallback);
+        unreachable!("`find_sweep` returns a loop")
     };
-    if fallback {
-        hoisted.clear();
-        return Ok(MemberStructure::Fallback);
-    }
     // Hoisted declarations must not depend on the loop variable.
-    for h in hoisted.iter() {
+    for h in hoisted {
         let mut uses_k = false;
         if let Stmt::VarDecl { init: Some(e), .. } = h {
             visit::walk_expr(e, &mut |n| {
@@ -393,63 +500,25 @@ fn extract_structure(
             });
         }
         if uses_k {
-            hoisted.clear();
-            return Ok(MemberStructure::Fallback);
+            return None;
         }
     }
-    // Evaluate literal k bounds. The access analysis ran before renaming,
-    // so re-derive from the (renamed) loop header directly.
-    let strip = |e: &Expr| -> Option<i64> {
-        let b = sf_analysis::access::Bnd::parse(&unsuffix_expr(e, member_idx))?;
-        b.eval(scalar_env).ok()
-    };
-    let (Some(k_lo), Some(k_hi)) = (strip(init), strip_upper(cond, var, member_idx, scalar_env))
-    else {
-        hoisted.clear();
-        return Ok(MemberStructure::Fallback);
-    };
-    let mut sweep_body = loop_body.clone();
-    visit::rename_var(&mut sweep_body, var, "k");
-
-    let has_inner = {
-        let mut found = false;
-        visit::walk_stmts(&sweep_body, &mut |s| {
-            if matches!(s, Stmt::For { .. }) {
-                found = true;
-            }
-        });
-        found
-    };
-    Ok(MemberStructure::SingleSweep {
+    let k_lo = sf_analysis::access::Bnd::parse(init)?.eval(scalar_env).ok()?;
+    let k_hi = strip_upper(cond, var, scalar_env)?;
+    let mut has_inner = false;
+    visit::walk_stmts(loop_body, &mut |s| {
+        if matches!(s, Stmt::For { .. }) {
+            has_inner = true;
+        }
+    });
+    Some(SweepShape {
         k_lo,
         k_hi,
-        body: sweep_body,
         has_inner,
     })
 }
 
-/// Undo the `_m<idx>` scalar suffixing inside a bound expression so it can
-/// be evaluated against the original scalar environment. (Only scalar
-/// parameter names appear in bounds; they were renamed only on collision,
-/// in which case their value is identical anyway.)
-fn unsuffix_expr(e: &Expr, member_idx: usize) -> Expr {
-    let suffix = format!("_m{member_idx}");
-    let mut out = e.clone();
-    visit::rewrite_expr(&mut out, &mut |n| match n {
-        Expr::Var(v) if v.ends_with(&suffix) => {
-            Some(Expr::Var(v[..v.len() - suffix.len()].to_string()))
-        }
-        _ => None,
-    });
-    out
-}
-
-fn strip_upper(
-    cond: &Expr,
-    var: &str,
-    member_idx: usize,
-    scalar_env: &std::collections::HashMap<String, i64>,
-) -> Option<i64> {
+fn strip_upper(cond: &Expr, var: &str, scalar_env: &HashMap<String, i64>) -> Option<i64> {
     let Expr::Binary { op, lhs, rhs } = cond else {
         return None;
     };
@@ -457,7 +526,7 @@ fn strip_upper(
     if v != var {
         return None;
     }
-    let mut b = sf_analysis::access::Bnd::parse(&unsuffix_expr(rhs, member_idx))?;
+    let mut b = sf_analysis::access::Bnd::parse(rhs)?;
     match op {
         BinaryOp::Lt => {}
         BinaryOp::Le => b.off += 1,

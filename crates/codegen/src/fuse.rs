@@ -21,7 +21,7 @@
 //! warp branches).
 
 use crate::canon::{self, CanonMember, MemberStructure};
-use sf_analysis::access::{IdxBase, IdxPat};
+use crate::legality::{self, ArrayIds, Form, MemberFacts};
 use sf_minicuda::ast::*;
 use sf_minicuda::builder as b;
 use sf_minicuda::host::{Dim3, HostValue, LaunchRecord, ResolvedArg};
@@ -89,47 +89,10 @@ pub struct FusedKernel {
     pub report: FusionReport,
 }
 
-/// Per-read classification of a 3-D stencil access.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ReadOffset {
-    pub(crate) dk: i64,
-    pub(crate) dj: i64,
-    pub(crate) di: i64,
-    /// dk is an offset from the vertical loop variable (vs const plane).
-    pub(crate) vert: bool,
-}
-
-/// A staged array before a block shape sizes its tile.
-#[derive(Debug)]
-struct Tile {
-    array: String,
-    rx: i64,
-    ry: i64,
-    /// Producing member index for flow arrays; `None` = read-only staging.
-    producer: Option<usize>,
-}
-
-/// How the members combine, with what each form needs at emit time.
-#[derive(Debug)]
-enum Form {
-    /// All members share one vertical sweep; `ranges` holds each member's
-    /// `[k_lo, k_hi)`.
-    Merged {
-        ranges: Vec<(i64, i64)>,
-        tiles: Vec<Tile>,
-    },
-    /// Sweep-after-sweep concatenation: per member, whether its body
-    /// contains a barrier, and the shared memory the members declare
-    /// themselves (the generator adds none).
-    Concat {
-        has_barrier: Vec<bool>,
-        member_smem: usize,
-    },
-}
-
 /// Everything about a fusion group that does not depend on the thread-block
-/// shape: canonicalized members, flow arrays, staging radii, and every
-/// block-independent legality rule, checked once in [`GroupAnalysis::new`].
+/// shape: canonicalized members, staging radii, and the verdict of every
+/// block-independent legality rule, decided once in [`GroupAnalysis::new`]
+/// by [`crate::legality`]'s predicate.
 /// What remains per block is the tile footprint and three legality rules
 /// ([`GroupAnalysis::smem_bytes`]) and the code itself
 /// ([`GroupAnalysis::emit`]), so the tuner can price every candidate block
@@ -149,6 +112,8 @@ pub struct GroupAnalysis {
     need_x: i64,
     need_y: i64,
     form: Form,
+    /// Names of the arrays `form`'s tiles stage.
+    ids: ArrayIds,
 }
 
 /// Bytes of an `f64` tile covering `block` plus `rx`/`ry` halo cells per side.
@@ -184,8 +149,8 @@ pub fn fuse_group(
 }
 
 impl GroupAnalysis {
-    /// Canonicalize the members and check every legality rule that holds or
-    /// fails regardless of the block shape.
+    /// Check every legality rule that holds or fails regardless of the
+    /// block shape ([`crate::legality`]), then canonicalize the members.
     pub fn new(
         members: &[(&Kernel, &LaunchRecord)],
         mode: CodegenMode,
@@ -195,73 +160,27 @@ impl GroupAnalysis {
         if members.len() < 2 {
             return Err(CodegenError("fusion group needs at least 2 members".into()));
         }
+        // Decide from the members' facts; canonicalize only a group the
+        // predicate accepts.
+        let bound: Vec<_> = members.iter().map(|(k, l)| canon::bind(k, l)).collect();
+        let mut ids = ArrayIds::default();
+        let mut facts: Vec<MemberFacts> = members
+            .iter()
+            .zip(&bound)
+            .map(|((k, _), b)| MemberFacts::bound(k, b, &mut ids))
+            .collect();
+        ids.sort(&mut facts);
+        let (form, complex) = legality::form(&facts.iter().collect::<Vec<_>>(), mode, &ids)?;
         let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
-        let mut cms: Vec<CanonMember> = Vec::new();
-        for (idx, (k, l)) in members.iter().enumerate() {
-            cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
-        }
-
-        // Which members write / read each actual array (any sweep).
-        let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut readers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (mi, m) in cms.iter().enumerate() {
-            let mut w = BTreeSet::new();
-            let mut r = BTreeSet::new();
-            for sweep in &m.ka.sweeps {
-                for acc in &sweep.accesses {
-                    if acc.is_write {
-                        w.insert(acc.array.clone());
-                    } else {
-                        r.insert(acc.array.clone());
-                    }
-                }
-            }
-            for a in w {
-                writers.entry(a).or_default().push(mi);
-            }
-            for a in r {
-                readers.entry(a).or_default().push(mi);
-            }
-        }
-
-        // Flow arrays: written by one member, read by a *later* member. A read
-        // by an *earlier* member would observe pre-launch values in the
-        // original program but mid-launch values here — the caller must order
-        // members producer-first (anti-ordered groups are unfusable).
-        let mut flow_arrays: BTreeMap<String, usize> = BTreeMap::new();
-        for (a, ws) in &writers {
-            if let Some(rs) = readers.get(a) {
-                for &w in ws {
-                    if rs.iter().any(|&r| r < w) {
-                        return Err(CodegenError(format!(
-                            "member {w} overwrites `{a}` read by an earlier member; \
-                             anti-ordered group is unfusable"
-                        )));
-                    }
-                    if rs.iter().any(|&r| r > w) {
-                        if ws.len() > 1 {
-                            return Err(CodegenError(format!(
-                                "array `{a}` produced by multiple members; unfusable"
-                            )));
-                        }
-                        flow_arrays.insert(a.clone(), w);
-                    }
-                }
-            }
-        }
-
-        let merged_possible = cms.iter().all(|m| {
-            matches!(
-                &m.structure,
-                MemberStructure::SingleSweep { has_inner, .. }
-                    if mode == CodegenMode::Manual || !has_inner
-            )
-        });
-        let form = if merged_possible {
-            analyze_merged(&cms, &flow_arrays, &readers, &writers)?
-        } else {
-            analyze_concat(&cms, &flow_arrays)?
-        };
+        let cms: Vec<CanonMember> = members
+            .iter()
+            .zip(bound)
+            .enumerate()
+            .map(|(idx, ((k, l), b))| {
+                let b = b.expect("the predicate refuses a member that does not bind");
+                canon::canonicalize_bound(k, l, b, idx, &mut canon_scalars)
+            })
+            .collect();
         let (params, args) = build_params(&cms, &canon_scalars);
         Ok(GroupAnalysis {
             name: name.into(),
@@ -269,11 +188,12 @@ impl GroupAnalysis {
             smem_limit,
             need_x: cms.iter().map(|m| m.launch_x).max().unwrap_or(1),
             need_y: cms.iter().map(|m| m.launch_y).max().unwrap_or(1),
-            complex: !flow_arrays.is_empty(),
+            complex,
             cms,
             params,
             args,
             form,
+            ids,
         })
     }
 
@@ -291,7 +211,9 @@ impl GroupAnalysis {
                     if t.rx * 2 > bx || t.ry * 2 > by {
                         return Err(CodegenError(format!(
                             "halo radius of `{}` too large for block {}x{}",
-                            t.array, bx, by
+                            self.ids.name(t.array),
+                            bx,
+                            by
                         )));
                     }
                 }
@@ -336,7 +258,7 @@ impl GroupAnalysis {
                 let staged: Vec<StagedArray> = tiles
                     .iter()
                     .map(|t| StagedArray {
-                        array: t.array.clone(),
+                        array: self.ids.name(t.array).to_string(),
                         rx: t.rx,
                         ry: t.ry,
                         tile_bytes: tile_bytes(block, t.rx, t.ry),
@@ -553,282 +475,6 @@ impl GroupAnalysis {
         });
         Ok(body)
     }
-}
-
-/// Classify a member's reads of `array` across its sweeps.
-pub(crate) fn read_offsets(m: &CanonMember, array: &str) -> Result<Vec<ReadOffset>, CodegenError> {
-    let mut out = Vec::new();
-    for sweep in &m.ka.sweeps {
-        for acc in &sweep.accesses {
-            if acc.is_write || acc.array != array {
-                continue;
-            }
-            out.push(classify_3d(&acc.pats).ok_or_else(|| {
-                CodegenError(format!(
-                    "access to `{array}` in `{}` is not a canonical 3-D stencil access",
-                    m.name
-                ))
-            })?);
-        }
-    }
-    Ok(out)
-}
-
-pub(crate) fn classify_3d(pats: &[IdxPat]) -> Option<ReadOffset> {
-    // Rank 3 (k, j, i) or rank 4 with a leading inner-loop / constant axis
-    // (deep-nested tracer arrays): the stencil offsets live on the last
-    // three axes either way.
-    let tail = match pats.len() {
-        3 => pats,
-        4 => {
-            if !matches!(pats[0].base, IdxBase::Inner(_) | IdxBase::Const) {
-                return None;
-            }
-            &pats[1..]
-        }
-        _ => return None,
-    };
-    let (k, j, i) = (&tail[0], &tail[1], &tail[2]);
-    let vert = match k.base {
-        IdxBase::Vert => true,
-        IdxBase::Const => false,
-        _ => return None,
-    };
-    if j.base != IdxBase::Y || i.base != IdxBase::X {
-        return None;
-    }
-    Some(ReadOffset {
-        dk: k.off,
-        dj: j.off,
-        di: i.off,
-        vert,
-    })
-}
-
-/// Block-independent legality of sweep-after-sweep concatenation.
-fn analyze_concat(
-    cms: &[CanonMember],
-    flow_arrays: &BTreeMap<String, usize>,
-) -> Result<Form, CodegenError> {
-    // Safety: inter-member flow is only column-local (di == dj == 0), since
-    // members execute their full sweeps one after another per thread.
-    for (a, &producer) in flow_arrays {
-        for (mi, m) in cms.iter().enumerate() {
-            if mi <= producer {
-                continue;
-            }
-            for r in read_offsets(m, a)? {
-                if r.di != 0 || r.dj != 0 {
-                    return Err(CodegenError(format!(
-                        "flow array `{a}` read with lateral offsets by `{}` cannot be \
-                         fused by concatenation",
-                        m.name
-                    )));
-                }
-            }
-        }
-    }
-    let mut has_barrier = vec![false; cms.len()];
-    let mut member_smem = 0;
-    for (m, barrier) in cms.iter().zip(&mut has_barrier) {
-        visit::walk_stmts(&m.full_body, &mut |s| match s {
-            Stmt::SyncThreads => *barrier = true,
-            Stmt::SharedDecl { ty, extents, .. } => {
-                member_smem += extents.iter().product::<usize>() * ty.size_bytes();
-            }
-            _ => {}
-        });
-    }
-    Ok(Form::Concat {
-        has_barrier,
-        member_smem,
-    })
-}
-
-/// Block-independent legality and staging decisions of merged fusion.
-fn analyze_merged(
-    cms: &[CanonMember],
-    flow_arrays: &BTreeMap<String, usize>,
-    readers: &BTreeMap<String, Vec<usize>>,
-    writers: &BTreeMap<String, Vec<usize>>,
-) -> Result<Form, CodegenError> {
-    let ranges: Vec<(i64, i64)> = cms
-        .iter()
-        .map(|m| match &m.structure {
-            MemberStructure::SingleSweep { k_lo, k_hi, .. } => (*k_lo, *k_hi),
-            MemberStructure::Fallback => unreachable!("merged form requires single sweeps"),
-        })
-        .collect();
-
-    // ----- legality of flow (complex fusion) -----
-    for (a, &p) in flow_arrays {
-        let prod = &cms[p];
-        let (p_klo, p_khi) = ranges[p];
-        for (ci, cons) in cms.iter().enumerate() {
-            if ci <= p || !readers.get(a).map(|r| r.contains(&ci)).unwrap_or(false) {
-                continue;
-            }
-            let (c_klo, c_khi) = ranges[ci];
-            for r in read_offsets(cons, a)? {
-                if !r.vert {
-                    return Err(CodegenError(format!(
-                        "flow array `{a}` read at constant plane by `{}`; unfusable",
-                        cons.name
-                    )));
-                }
-                let lateral = r.di != 0 || r.dj != 0;
-                if r.dk > 0 {
-                    return Err(CodegenError(format!(
-                        "flow array `{a}` read at future plane (k+{}) by `{}`; unfusable",
-                        r.dk, cons.name
-                    )));
-                }
-                if r.dk < 0 && lateral {
-                    return Err(CodegenError(format!(
-                        "flow array `{a}` read at lateral offset of an earlier plane \
-                         by `{}`; unfusable",
-                        cons.name
-                    )));
-                }
-                if lateral {
-                    // Consumer's halo-shifted sites must lie inside the
-                    // producer's write domain.
-                    let g_c = &cons.guard;
-                    let g_p = &prod.guard;
-                    let inside = g_c.x_lo + r.di.min(0) >= g_p.x_lo
-                        && g_c.x_hi + r.di.max(0) <= g_p.x_hi
-                        && g_c.y_lo + r.dj.min(0) >= g_p.y_lo
-                        && g_c.y_hi + r.dj.max(0) <= g_p.y_hi;
-                    if !inside {
-                        return Err(CodegenError(format!(
-                            "consumer `{}` reads `{a}` outside producer domain; unfusable",
-                            cons.name
-                        )));
-                    }
-                }
-                // Producer must be active whenever the consumer needs it.
-                if c_klo + r.dk.min(0) < p_klo || c_khi > p_khi {
-                    return Err(CodegenError(format!(
-                        "consumer `{}` needs `{a}` outside producer's vertical range",
-                        cons.name
-                    )));
-                }
-            }
-        }
-        // No second-level halo: the producer may not read any group-produced
-        // array at a lateral offset.
-        for other in flow_arrays.keys() {
-            for r in read_offsets(&cms[p], other)? {
-                if r.di != 0 || r.dj != 0 {
-                    return Err(CodegenError(format!(
-                        "producer `{}` reads produced array `{other}` laterally; \
-                         second-level halo unsupported",
-                        cms[p].name
-                    )));
-                }
-            }
-        }
-    }
-
-    // ----- staging decisions -----
-    let mut tiles: Vec<Tile> = Vec::new();
-    let lateral_radius = |a: &str| -> Result<(i64, i64), CodegenError> {
-        let mut rx = 0;
-        let mut ry = 0;
-        for m in cms {
-            for r in read_offsets(m, a)? {
-                if r.vert && r.dk == 0 {
-                    rx = rx.max(r.di.abs());
-                    ry = ry.max(r.dj.abs());
-                }
-            }
-        }
-        Ok((rx, ry))
-    };
-    // Flow arrays with lateral consumers must be staged.
-    for (a, &p) in flow_arrays {
-        let needs_tile = cms.iter().enumerate().skip(p + 1).any(|(_, m)| {
-            read_offsets(m, a)
-                .map(|rs| {
-                    rs.iter()
-                        .any(|r| r.vert && r.dk == 0 && (r.di != 0 || r.dj != 0))
-                })
-                .unwrap_or(false)
-        });
-        if needs_tile {
-            // Tiling is only generated for rank-3 arrays.
-            let rank3 = cms.iter().all(|m| {
-                m.ka.sweeps.iter().all(|s| {
-                    s.accesses
-                        .iter()
-                        .filter(|acc| acc.array == *a)
-                        .all(|acc| acc.pats.len() == 3)
-                })
-            });
-            if !rank3 {
-                return Err(CodegenError(format!(
-                    "flow array `{a}` is not rank-3; lateral complex fusion unsupported"
-                )));
-            }
-            // Halo recomputation re-evaluates the producer's expression at
-            // laterally shifted sites. If the producer reads an array that
-            // some group member *writes*, the shifted read would cross into
-            // sites a neighboring block has not produced yet — unfusable.
-            // That includes the staged array itself: an in-place producer
-            // (`a = f(a)`) races with neighboring blocks' global updates
-            // when its halo sites are re-evaluated.
-            for sweep in &cms[p].ka.sweeps {
-                for acc in &sweep.accesses {
-                    if !acc.is_write && writers.contains_key(&acc.array) {
-                        return Err(CodegenError(format!(
-                            "producer `{}` of staged flow array `{a}` reads \
-                             group-written array `{}`; halo recomputation would \
-                             cross block boundaries — unfusable",
-                            cms[p].name, acc.array
-                        )));
-                    }
-                }
-            }
-            let (rx, ry) = lateral_radius(a)?;
-            tiles.push(Tile {
-                array: a.clone(),
-                rx,
-                ry,
-                producer: Some(p),
-            });
-        }
-    }
-    // Read-shared arrays (not written in the group) with ≥2 readers.
-    for (a, rs) in readers {
-        if writers.contains_key(a) || rs.len() < 2 {
-            continue;
-        }
-        // Only stage canonical rank-3 stencil reads at the current plane
-        // (4-D tracer arrays are never tiled).
-        let stageable = cms.iter().all(|m| {
-            m.ka.sweeps.iter().all(|s| {
-                s.accesses
-                    .iter()
-                    .filter(|acc| !acc.is_write && acc.array == *a)
-                    .all(|acc| acc.pats.len() == 3 && classify_3d(&acc.pats).is_some())
-            })
-        });
-        let any_current_plane = cms.iter().any(|m| {
-            read_offsets(m, a)
-                .map(|rs| rs.iter().any(|r| r.vert && r.dk == 0))
-                .unwrap_or(false)
-        });
-        if stageable && any_current_plane {
-            let (rx, ry) = lateral_radius(a)?;
-            tiles.push(Tile {
-                array: a.clone(),
-                rx,
-                ry,
-                producer: None,
-            });
-        }
-    }
-    Ok(Form::Merged { ranges, tiles })
 }
 
 pub(crate) fn tile_name(array: &str) -> String {

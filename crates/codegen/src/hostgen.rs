@@ -145,6 +145,139 @@ pub struct TransformOutput {
     pub plan: TransformPlan,
 }
 
+/// Where each launch's arrays live under a DDG's redundant-instance
+/// numbering (§3.2.3). Which arrays have more than one instance is decided
+/// where the numbering is built (`sf_graphs::precedence`), not here. Every
+/// instance but an array's last is its own allocation `{name}__i{inst}`;
+/// the *last* keeps the base name, so host D2H copies (and verification)
+/// observe the final values unchanged.
+pub struct Storage<'d> {
+    instances: &'d Ddg,
+    /// Highest instance of each array.
+    max_inst: BTreeMap<String, usize>,
+}
+
+impl<'d> Storage<'d> {
+    /// The storage `instances` numbers.
+    pub fn new(instances: &'d Ddg) -> Storage<'d> {
+        let mut max_inst: BTreeMap<String, usize> = BTreeMap::new();
+        for ((_, name), &inst) in instances
+            .read_instance
+            .iter()
+            .chain(instances.write_instance.iter())
+        {
+            let e = max_inst.entry(name.clone()).or_insert(0);
+            *e = (*e).max(inst);
+        }
+        Storage {
+            instances,
+            max_inst,
+        }
+    }
+
+    /// Rewrite a launch of `kernel` to the storage its array arguments
+    /// execute on — what the code generator reads a member as. The launch
+    /// is cloned only if some argument actually moves.
+    pub fn bind(&self, kernel: &Kernel, launch: &mut Cow<'_, LaunchRecord>) {
+        let written = visit::arrays_written(&kernel.body);
+        for (pi, p) in kernel.params.iter().enumerate().take(launch.args.len()) {
+            let (Param::Array { name, .. }, ResolvedArg::Array(actual)) = (p, &launch.args[pi])
+            else {
+                continue;
+            };
+            let instance_of = if written.contains(name) {
+                &self.instances.write_instance
+            } else {
+                &self.instances.read_instance
+            };
+            let inst = instance_of
+                .get(&(launch.seq, actual.clone()))
+                .copied()
+                .unwrap_or(0);
+            if self.max_inst.get(actual).copied().unwrap_or(0) != inst {
+                launch.to_mut().args[pi] = ResolvedArg::Array(format!("{actual}__i{inst}"));
+            }
+        }
+    }
+}
+
+/// What the generator reads a plan member as: its kernel (a fission
+/// product's own) and its launch, bound to [`Storage`]. Members borrow the
+/// original kernels and launches; only fission products, split once per
+/// kernel, are owned.
+pub struct Resolver<'p> {
+    original: &'p Program,
+    plan: &'p ExecutablePlan,
+    storage: &'p Storage<'p>,
+    fissions: BTreeMap<String, Vec<FissionProduct>>,
+}
+
+impl<'p> Resolver<'p> {
+    /// Resolve members of `plan`'s launches of `original`.
+    pub fn new(
+        original: &'p Program,
+        plan: &'p ExecutablePlan,
+        storage: &'p Storage<'p>,
+    ) -> Resolver<'p> {
+        Resolver {
+            original,
+            plan,
+            storage,
+            fissions: BTreeMap::new(),
+        }
+    }
+
+    /// The kernel and bound launch codegen fuses for `mref`.
+    pub fn resolve(
+        &mut self,
+        mref: &MemberRef,
+    ) -> Result<(Cow<'p, Kernel>, Cow<'p, LaunchRecord>), CodegenError> {
+        let launch = self
+            .plan
+            .launches
+            .get(mref.seq)
+            .ok_or_else(|| CodegenError(format!("unknown launch seq {}", mref.seq)))?;
+        let kernel = self
+            .original
+            .kernel(&launch.kernel)
+            .ok_or_else(|| CodegenError(format!("unknown kernel `{}`", launch.kernel)))?;
+        match mref.fission_component {
+            None => {
+                let mut l = Cow::Borrowed(launch);
+                self.storage.bind(kernel, &mut l);
+                Ok((Cow::Borrowed(kernel), l))
+            }
+            Some(c) => {
+                let prods = self
+                    .fissions
+                    .entry(kernel.name.clone())
+                    .or_insert_with(|| fission_kernel(kernel).unwrap_or_default());
+                let p = prods.get(c).ok_or_else(|| {
+                    CodegenError(format!(
+                        "kernel `{}` has no fission component {c}",
+                        kernel.name
+                    ))
+                })?;
+                let args: Vec<ResolvedArg> = p
+                    .kept_params
+                    .iter()
+                    .map(|&i| launch.args[i].clone())
+                    .collect();
+                let mut l = Cow::Owned(LaunchRecord {
+                    seq: launch.seq,
+                    kernel: p.kernel.name.clone(),
+                    grid: launch.grid,
+                    block: launch.block,
+                    args,
+                    repeat: launch.repeat,
+                });
+                self.storage.bind(&p.kernel, &mut l);
+                Ok((Cow::Owned(p.kernel.clone()), l))
+            }
+        }
+    }
+}
+
 /// Apply a transformation plan to a program, deriving the instance
 /// numbering from the program itself.
 pub fn transform_program(
@@ -188,98 +321,11 @@ pub fn transform_program_with(
         .enumerate()
         .flat_map(|(li, l)| l.seqs.iter().map(move |&s| (s, li)))
         .collect();
-    // Redundant array instances (§3.2.3): the DDG's instance numbering is
-    // materialized as real allocations so relaxed anti/output dependences
-    // stay sound. The *last* instance keeps the base name, so host D2H
-    // copies (and verification) observe the final values unchanged. Which
-    // arrays have more than one instance is decided where the numbering is
-    // built (`sf_graphs::precedence`), not here.
-    let mut max_inst: BTreeMap<String, usize> = BTreeMap::new();
-    for ((_, name), &inst) in instances
-        .read_instance
-        .iter()
-        .chain(instances.write_instance.iter())
-    {
-        let e = max_inst.entry(name.clone()).or_insert(0);
-        *e = (*e).max(inst);
-    }
-    let storage = |name: &str, inst: usize| -> String {
-        if max_inst.get(name).copied().unwrap_or(0) == inst {
-            name.to_string()
-        } else {
-            format!("{name}__i{inst}")
-        }
-    };
-    // Rewrite a launch's array arguments to the instance storages; the
-    // launch is cloned only if some argument actually moves.
-    let apply_instances = |kernel: &Kernel, launch: &mut Cow<'_, LaunchRecord>| {
-        let written = visit::arrays_written(&kernel.body);
-        for (pi, p) in kernel.params.iter().enumerate().take(launch.args.len()) {
-            let (Param::Array { name, .. }, ResolvedArg::Array(actual)) = (p, &launch.args[pi])
-            else {
-                continue;
-            };
-            let instance_of = if written.contains(name) {
-                &instances.write_instance
-            } else {
-                &instances.read_instance
-            };
-            let inst = instance_of
-                .get(&(launch.seq, actual.clone()))
-                .copied()
-                .unwrap_or(0);
-            let stored = storage(actual, inst);
-            if stored != *actual {
-                launch.to_mut().args[pi] = ResolvedArg::Array(stored);
-            }
-        }
-    };
-
-    // Fission products, computed lazily per kernel name. Members borrow the
-    // original kernels and launches; only fission products are owned.
-    let mut fissions: BTreeMap<String, Vec<FissionProduct>> = BTreeMap::new();
-    let mut resolve = |mref: &MemberRef| -> Result<Member<'_>, CodegenError> {
-        let launch = plan
-            .launches
-            .get(mref.seq)
-            .ok_or_else(|| CodegenError(format!("unknown launch seq {}", mref.seq)))?;
-        let kernel = original
-            .kernel(&launch.kernel)
-            .ok_or_else(|| CodegenError(format!("unknown kernel `{}`", launch.kernel)))?;
-        match mref.fission_component {
-            None => {
-                let mut l = Cow::Borrowed(launch);
-                apply_instances(kernel, &mut l);
-                Ok((Cow::Borrowed(kernel), l))
-            }
-            Some(c) => {
-                let prods = fissions
-                    .entry(kernel.name.clone())
-                    .or_insert_with(|| fission_kernel(kernel).unwrap_or_default());
-                let p = prods.get(c).ok_or_else(|| {
-                    CodegenError(format!(
-                        "kernel `{}` has no fission component {c}",
-                        kernel.name
-                    ))
-                })?;
-                let args: Vec<ResolvedArg> = p
-                    .kept_params
-                    .iter()
-                    .map(|&i| launch.args[i].clone())
-                    .collect();
-                let mut l = Cow::Owned(LaunchRecord {
-                    seq: launch.seq,
-                    kernel: p.kernel.name.clone(),
-                    grid: launch.grid,
-                    block: launch.block,
-                    args,
-                    repeat: launch.repeat,
-                });
-                apply_instances(&p.kernel, &mut l);
-                Ok((Cow::Owned(p.kernel.clone()), l))
-            }
-        }
-    };
+    // Redundant array instances (§3.2.3), materialized as real
+    // allocations so relaxed anti/output dependences stay sound.
+    let storage = Storage::new(instances);
+    let mut resolver = Resolver::new(original, plan, &storage);
+    let mut resolve = |mref: &MemberRef| resolver.resolve(mref);
 
     let mut new_kernels: Vec<Kernel> = Vec::new();
     let mut new_launches: Vec<EmittedLaunch> = Vec::new();
@@ -570,7 +616,7 @@ pub fn transform_program_with(
     }
 
     let new_kernel_count = new_launches.len();
-    let host = build_host(plan, &new_launches, &max_inst, &shadow_allocs)?;
+    let host = build_host(plan, &new_launches, &storage.max_inst, &shadow_allocs)?;
     Ok(TransformOutput {
         program: Program {
             kernels: new_kernels,

@@ -10,6 +10,9 @@
 //! - [`canon`] — canonicalize a fusion member: bind launch arguments,
 //!   unify thread-mapping variables, rename locals, literalize guard and
 //!   loop bounds.
+//! - [`legality`] — the block-independent fusion legality rules, one
+//!   pure predicate over per-member facts that codegen and the search
+//!   both ask.
 //! - [`fuse`] — generate fused kernels: no-fusion copies, *simple fusion*
 //!   (shared-memory staging of reused arrays, §5.5.2) and *complex fusion*
 //!   (barriers + halo recomputation / temporal blocking, §5.5.3), in both
@@ -24,6 +27,7 @@ pub mod canon;
 pub mod fission;
 pub mod fuse;
 pub mod hostgen;
+pub mod legality;
 pub mod temporal;
 pub mod tuning;
 
@@ -31,7 +35,8 @@ pub use fission::{fission_kernel, FissionProduct};
 pub use fuse::{fuse_group, CodegenError, FusedKernel};
 pub use temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
 pub use hostgen::{
-    transform_program, transform_program_with, GroupDegradation, GroupFailure, TransformOutput,
+    transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver,
+    Storage, TransformOutput,
 };
 // The plan IR lives in `sf-plan`; re-exported here so downstream crates can
 // keep importing the types from the stage that consumes them.

@@ -1021,6 +1021,19 @@ impl<'a> Run<'a> {
                 return self.fall_back_to_original(r, err, "code generation failed", why);
             }
         };
+        // A plan the search lowered never degrades to unfused: the search
+        // prices a group codegen would refuse as unfusable. Only an amended
+        // plan or an injected codegen fault takes the bottom rung.
+        let faults = &self.faults;
+        let injected = !faults.reject_groups.is_empty() || !faults.panic_groups.is_empty();
+        debug_assert!(
+            self.search.is_none()
+                || self.hooks.amend_plan.is_some()
+                || injected
+                || transform.fallbacks.is_empty(),
+            "codegen emitted groups of a search-lowered plan unfused: {:?}",
+            transform.fallbacks
+        );
         // Per-group degradation-ladder steps recorded by the generator.
         for d in &transform.degradations {
             let kind = match d.failure {

@@ -12,41 +12,44 @@
 //!    pipeline.
 //! 3. `pipeline-run` — a full `Degrade`-policy run must return `Ok`
 //!    (by contract, every degradable failure walks the ladder).
-//! 4. `hidden-miscompile` — no degradation step may be a verification
+//! 4. `search-legality` — the search prices a group codegen would not
+//!    fuse as unfusable, so no group of a fault-free run's plan may be
+//!    emitted unfused.
+//! 5. `hidden-miscompile` — no degradation step may be a verification
 //!    failure in disguise: under `Degrade`, a miscompile surfaces as
 //!    "kept the original program (verification failed)", which the
 //!    oracle treats as a codegen bug, not a degradation.
-//! 5. `pipeline-verification` — the pipeline's own verification, when
+//! 6. `pipeline-verification` — the pipeline's own verification, when
 //!    it ran, must pass.
-//! 6. `differential` — an *independent* `verify_equivalence` of the
+//! 7. `differential` — an *independent* `verify_equivalence` of the
 //!    result program against the original, with a different data seed
 //!    than the pipeline used.
-//! 7. `plan-roundtrip` — the executed [`TransformPlan`] must survive
+//! 8. `plan-roundtrip` — the executed [`TransformPlan`] must survive
 //!    JSON serialization unchanged.
-//! 8. `replay-run` / `replay-divergence` — re-running codegen from the
+//! 9. `replay-run` / `replay-divergence` — re-running codegen from the
 //!    emitted plan (`--from-plan` replay, stages 2–5 skipped) must
 //!    succeed and reproduce the transformed program byte-for-byte.
-//! 9. `ladder-*` — fault-injected runs must walk each degradation rung
-//!    (tuned → untuned, fused → unfused, verification trap → original)
-//!    and still end in a verified program or the untouched original.
-//! 10. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
+//! 10. `ladder-*` — fault-injected runs must walk each degradation rung
+//!     (tuned → untuned, fused → unfused, verification trap → original)
+//!     and still end in a verified program or the untouched original.
+//! 11. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
 //!     under seeded measurement noise (5 robust repetitions, standard
 //!     noise model) must still verify, be byte-identical across two runs
 //!     with the same seed, and never degrade below the original program
 //!     (modeled speedup ≥ 1).
-//! 11. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
+//! 12. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
 //!     must round-trip through the persistent plan cache and replay
 //!     byte-identically from the cached payload, and a store armed with
 //!     the seed's cache faults (torn write, bit flip, version skew, stale
 //!     lock, kill) must stay readable and recover the slot — corruption is
 //!     quarantined, never served and never fatal.
-//! 12. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
+//! 13. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
 //!     supervised island search must be deterministic (two runs agree
 //!     byte for byte), must *degrade* rather than fail under the seed's
 //!     island faults (panicked/stalled islands quarantined, no hidden
 //!     miscompile), and a search killed at a checkpoint epoch must resume
 //!     to the byte-identical program the uninterrupted run produces.
-//! 13. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
+//! 14. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
 //!     plan portability: the plan compiled on one registry device must
 //!     *refuse* to replay on every other device (a structured
 //!     device-mismatch, not a silent wrong-device projection), and
@@ -210,7 +213,17 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     };
 
-    // 4. hidden-miscompile
+    // 4. search-legality: the search only chooses groups codegen fuses,
+    //    so a fault-free run emits no group of its plan unfused.
+    if let Some((group, why)) = result.transform.as_ref().and_then(|t| t.fallbacks.first()) {
+        return Err(OracleFailure::new(
+            "search-legality",
+            format!("codegen emitted group {group} of the search's plan unfused: {why}"),
+        )
+        .with_plan(result.planned()));
+    }
+
+    // 5. hidden-miscompile
     for d in result.degradations() {
         if degradation_smells_like_miscompile(&d.action, &d.reason) {
             return Err(OracleFailure::new(
@@ -224,7 +237,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 5. pipeline-verification
+    // 6. pipeline-verification
     if let Some(v) = &result.verification {
         if !v.passed() {
             return Err(OracleFailure::new(
@@ -238,7 +251,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 6. differential (independent re-verification, different data seed)
+    // 7. differential (independent re-verification, different data seed)
     match verify_equivalence(program, &result.program, seed ^ 0xD1FF) {
         Err(e) => {
             return Err(OracleFailure::new(
@@ -260,7 +273,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         Ok(_) => {}
     }
 
-    // 7/8. plan round-trip + replay
+    // 8/9. plan round-trip + replay
     if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
         match TransformPlan::from_json(&plan.to_json()) {
             Err(e) => {
@@ -279,7 +292,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         check_replay(program, &result, plan, seed)?;
     }
 
-    // 9. degradation ladder under injected faults
+    // 10. degradation ladder under injected faults
     check_ladder(program, seed)?;
 
     Ok(())

@@ -36,8 +36,10 @@ use std::path::Path;
 /// old checkpoint is rejected, not misread. History: 1 = per-island
 /// mirror struct, millisecond wall counter, genome-order in-island
 /// ranking; 2 = the island state itself, microsecond wall counter, the
-/// serial GGA's score-only in-island ranking.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// serial GGA's score-only in-island ranking; 3 = the same layout, scored
+/// under codegen's fusion legality verdict (a group the code generator
+/// would not fuse projects to infinite time).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The complete search state written at a migration epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -276,7 +278,8 @@ pub(crate) mod tests {
         match load_checkpoint(&path, "fp") {
             CheckpointLoad::Rejected(reason) => {
                 assert!(reason.contains("schema version 1"), "{reason}");
-                assert!(reason.contains("speaks 2"), "{reason}");
+                let speaks = format!("speaks {CHECKPOINT_VERSION}");
+                assert!(reason.contains(&speaks), "{reason}");
             }
             other => panic!("expected rejection, got {other:?}"),
         }

@@ -123,6 +123,7 @@ pub fn lower_plan(
             // fitness function saw, so the plan records the decision the
             // search actually optimized for.
             let (fold, cost) = pricer.best_fold(members);
+            assert!(cost.fusable, "the search chose a group codegen will not fuse");
             // Members must be in *execution* order: products carry their
             // parent's seq (unit ids do not reflect host order).
             let mut mrefs: Vec<_> = members.iter().map(|&u| space.units[u].mref).collect();
@@ -530,6 +531,43 @@ void host() {
         result.plan.validate(4).expect("lowered plan is valid");
         // Every group carries the projection's cost annotation.
         assert!(result.plan.groups.iter().all(|g| g.projection.is_some()));
+    }
+
+    /// Two copy kernels (no flops at all), the consumer reading the
+    /// producer's output one plane ahead, which codegen will not fuse.
+    const COPY_AHEAD: &str = r#"
+__global__ void produce(const double* __restrict__ x, double* a, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz; k++) { a[k][j][i] = x[k][j][i]; } }
+}
+__global__ void consume(const double* __restrict__ a, double* b, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) { for (int k = 0; k < nz - 1; k++) { b[k][j][i] = a[k + 1][j][i]; } }
+}
+void host() {
+  int nx = 64; int ny = 32; int nz = 16;
+  double* x = cudaAlloc3D(nz, ny, nx);
+  double* a = cudaAlloc3D(nz, ny, nx);
+  double* b = cudaAlloc3D(nz, ny, nx);
+  produce<<<dim3(4, 4), dim3(16, 8)>>>(x, a, nx, ny, nz);
+  consume<<<dim3(4, 4), dim3(16, 8)>>>(a, b, nx, ny, nz);
+}
+"#;
+
+    #[test]
+    fn a_group_codegen_refuses_is_never_lowered() {
+        let space = space_for(COPY_AHEAD);
+        let engine = ProjectionEngine::new(&space);
+        let pair = engine.group_cost(&[0, 1]);
+        assert!(!pair.fusable);
+        assert_eq!(pair.time_us, f64::INFINITY);
+        // Every grouping projects 0 GFLOPS here, yet the fused pair (the
+        // smaller genome, which a tie would pick) must still lose.
+        let result = search(&space, &SearchConfig::quick());
+        assert!(result.best.fusion_groups().is_empty());
+        assert_eq!(result.plan.groups.len(), 2);
     }
 
     #[test]

@@ -511,17 +511,18 @@ pub fn search_islands(
     config: &SearchConfig,
     opts: &IslandOptions,
 ) -> IslandSearchResult {
-    // The temporal ceiling lives on the space (feasibility, projection and
-    // the fingerprint all consult it); stamp the configured value before
-    // anything reads it. At the default of 1 the space is untouched — the
-    // temporal dimension vanishes and the run is identical to a
-    // pre-temporal one.
+    // The temporal ceiling and the codegen mode live on the space
+    // (feasibility, projection and the fingerprint consult them); stamp the
+    // configured values before anything reads them. At the defaults (1,
+    // automated) the space is untouched — the temporal dimension vanishes
+    // and the run is identical to a pre-temporal one.
     let stamped;
-    let space = if space.max_temporal == config.max_temporal {
+    let space = if space.max_temporal == config.max_temporal && space.mode == config.mode {
         space
     } else {
         stamped = SearchSpace {
             max_temporal: config.max_temporal,
+            mode: config.mode,
             ..space.clone()
         };
         &stamped

@@ -65,6 +65,10 @@ pub struct GroupCost {
     /// Worst relative measurement dispersion among the members — a pure
     /// function of the member set, so it is safe to cache with the cost.
     pub max_dispersion: f64,
+    /// The code generator fuses the members at this degree. A spatial
+    /// group of two or more units it would refuse (and emit unfused)
+    /// projects to infinite time, so it never wins.
+    pub fusable: bool,
 }
 
 /// Project the cost of executing `members` as one fused kernel at temporal
@@ -77,7 +81,9 @@ pub struct GroupCost {
 /// redundant-recompute ratio — and the resulting time is amortized back to
 /// *per loop iteration*, so it compares directly against the spatial cost
 /// under the same host repeat weight. A degree whose accumulated halo no
-/// longer fits the block projects to infinite time (never selected).
+/// longer fits the block projects to infinite time (never selected), and
+/// so does a spatial group the code generator would not fuse
+/// ([`SearchSpace::fusable`]).
 pub fn group_cost(
     space: &SearchSpace,
     members: &[usize],
@@ -260,6 +266,11 @@ pub fn group_cost(
         .map(|u| u.perf.measure.dispersion)
         .fold(0.0, f64::max);
 
+    let fusable = fold > 1 || members.len() < 2 || space.fusable(members);
+    if !fusable {
+        time_us = f64::INFINITY;
+    }
+
     GroupCost {
         time_us,
         flops,
@@ -267,6 +278,7 @@ pub fn group_cost(
         smem_violation,
         fission_escape,
         max_dispersion,
+        fusable,
     }
 }
 
@@ -338,8 +350,10 @@ pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, penalty: &Penalty)
     if !total_time.is_finite() || total_time <= 0.0 {
         return 0.0;
     }
-    // GFLOPS = flops / (µs × 1e3).
-    (total_flops / (total_time * 1e3)) * scale
+    // GFLOPS = flops / (µs × 1e3). A program without flops still ranks
+    // its groupings by time: counting one flop keeps every grouping the
+    // code generator can emit above one it cannot (infinite time, 0).
+    (total_flops.max(1.0) / (total_time * 1e3)) * scale
 }
 
 /// Uncached convenience wrapper around [`fitness_with`] for one-off

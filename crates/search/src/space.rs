@@ -9,7 +9,8 @@
 
 use sf_analysis::filter::FilterDecision;
 use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
-use sf_codegen::transform_program_with;
+use sf_codegen::legality::{self, ArrayIds, MemberFacts};
+use sf_codegen::{transform_program_with, Storage};
 use sf_core::FaultPlan;
 use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_gpusim::device::DeviceSpec;
@@ -18,6 +19,7 @@ use sf_graphs::build::{all_accesses, LaunchAccesses};
 use sf_graphs::{EdgeInfo, Precedence};
 use sf_minicuda::ast::Program;
 use sf_minicuda::host::ExecutablePlan;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One schedulable unit: an original launch or a fission product.
@@ -103,6 +105,14 @@ pub struct SearchSpace {
     /// Highest temporal-blocking degree the search may assign to a
     /// whole-loop group (1 disables the dimension entirely).
     pub max_temporal: u32,
+    /// The codegen mode the lowered plan will be generated in (it decides
+    /// which members merge into one sweep, and so which rules apply).
+    pub mode: CodegenMode,
+    /// Per unit, what codegen's fusion legality rules read of it
+    /// ([`SearchSpace::fusable`]), computed once.
+    pub facts: Vec<MemberFacts>,
+    /// The arrays `facts` name.
+    pub arrays: ArrayIds,
 }
 
 impl SearchSpace {
@@ -127,6 +137,22 @@ impl SearchSpace {
         let covers = members.len() == body.len()
             && members.iter().all(|&m| count(members, m) == count(body, m));
         covers.then_some(li)
+    }
+
+    /// Whether the code generator fuses `members` (two or more units) into
+    /// one kernel: `sf_codegen`'s block-independent legality predicate,
+    /// asked of the members' facts in execution order.
+    pub fn fusable(&self, members: &[usize]) -> bool {
+        let mut ordered: Vec<(usize, Option<usize>, &MemberFacts)> = members
+            .iter()
+            .map(|&u| {
+                let m = self.units[u].mref;
+                (m.seq, m.fission_component, &self.facts[u])
+            })
+            .collect();
+        ordered.sort_unstable_by_key(|&(seq, component, _)| (seq, component));
+        let facts: Vec<&MemberFacts> = ordered.into_iter().map(|(_, _, f)| f).collect();
+        legality::check(&facts, self.mode, &self.arrays).is_ok()
     }
 
     /// Temporal degrees worth projecting for loop `li`: each `T` in
@@ -174,9 +200,17 @@ impl SearchSpace {
             .flat_map(|(li, l)| l.seqs.iter().map(move |&s| (s, li)))
             .collect();
 
+        // Codegen reads a member bound to the storage it executes on.
+        let storage = Storage::new(&precedence.ddg);
+        let mut arrays = ArrayIds::default();
+        let mut facts: Vec<MemberFacts> = Vec::new();
         let mut units: Vec<Unit> = Vec::new();
         for launch in &plan.launches {
             let seq = launch.seq;
+            let kernel = program.kernel(&launch.kernel).expect("kernel exists");
+            let mut bound = Cow::Borrowed(launch);
+            storage.bind(kernel, &mut bound);
+            facts.push(MemberFacts::of(kernel, &bound, &mut arrays));
             units.push(Unit {
                 id: seq,
                 label: format!("{}#{}", launch.kernel, seq),
@@ -239,6 +273,9 @@ impl SearchSpace {
                     continue;
                 };
                 let launch = &fission_plan.launches[idx];
+                // The pre-step emitted the product bound to its storage.
+                let kernel = out.program.kernel(&launch.kernel).expect("product emitted");
+                facts.push(MemberFacts::of(kernel, launch, &mut arrays));
                 let id = units.len();
                 units[*parent_seq].products.push(id);
                 // The pre-step program has redundant-instance storage names
@@ -321,6 +358,7 @@ impl SearchSpace {
             })
             .collect();
 
+        arrays.sort(&mut facts);
         let smem_limit = device.smem_per_block_max;
         Ok(SearchSpace {
             units,
@@ -329,6 +367,9 @@ impl SearchSpace {
             smem_limit,
             loops,
             max_temporal: 1,
+            mode: CodegenMode::Auto,
+            facts,
+            arrays,
         })
     }
 }
@@ -474,7 +515,9 @@ void host() {
                 units[id].products.clear();
             }
         }
+        let facts = vec![template.facts[1].clone(); units.len()];
         SearchSpace {
+            facts,
             units,
             edges: edges
                 .iter()

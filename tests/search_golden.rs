@@ -201,38 +201,63 @@ fn thawed(name: &str) -> PathBuf {
     to
 }
 
+/// The uninterrupted quick search of awp-odc on `islands` islands, and the
+/// same search resumed from the frozen checkpoint `name`.
+fn resumed_from(name: &str, islands: usize) -> (IslandSearchResult, IslandSearchResult) {
+    let space = space_for("awp-odc", DeviceSpec::k20x());
+    let config = SearchConfig::quick().with_islands(islands);
+    let golden = search_islands(&space, &config, &IslandOptions::default());
+    let ckpt = thawed(name);
+    let resumed = search_islands(
+        &space,
+        &config,
+        &IslandOptions {
+            resume_path: Some(ckpt.clone()),
+            ..IslandOptions::default()
+        },
+    );
+    let _ = std::fs::remove_file(&ckpt);
+    assert_eq!(
+        resumed.result.plan.to_json(),
+        golden.result.plan.to_json(),
+        "{name}: the run diverged from the uninterrupted one"
+    );
+    assert_eq!(resumed.result.best, golden.result.best, "{name}");
+    assert_eq!(resumed.result.history, golden.result.history, "{name}");
+    (golden, resumed)
+}
+
+/// Checkpoints the parent of the legality verdict wrote (schema version 2,
+/// quick budget, killed after epoch 2). Their scores were priced without
+/// codegen's verdict, so this build rejects them with their version named
+/// and restarts — and the restarted run emits the uninterrupted plan.
 #[test]
 fn parent_written_v2_checkpoints_resume_to_the_uninterrupted_plan() {
-    let space = space_for("awp-odc", DeviceSpec::k20x());
     for islands in [1usize, 3] {
-        let config = SearchConfig::quick().with_islands(islands);
-        let golden = search_islands(&space, &config, &IslandOptions::default());
-        let ckpt = thawed(&format!("awp-odc.i{islands}.ckpt"));
-        let resumed = search_islands(
-            &space,
-            &config,
-            &IslandOptions {
-                resume_path: Some(ckpt.clone()),
-                ..IslandOptions::default()
-            },
-        );
+        let name = format!("awp-odc.i{islands}.v2.ckpt");
+        let (_, restarted) = resumed_from(&name, islands);
+        assert_eq!(restarted.resumed_from_epoch, None, "{name}");
+        let reasons: Vec<&str> = restarted.degradations.iter().map(|d| d.reason.as_str()).collect();
         assert_eq!(
-            resumed.degradations,
-            vec![],
-            "islands={islands}: the parent's checkpoint was not accepted"
+            reasons,
+            ["checkpoint schema version 2 (this build speaks 3)"],
+            "{name}"
         );
-        assert_eq!(resumed.resumed_from_epoch, Some(2), "islands={islands}");
+    }
+}
+
+/// Checkpoints this build writes (schema version 3, quick budget, killed
+/// after epoch 2) resume to the uninterrupted plan.
+#[test]
+fn v3_checkpoints_resume_to_the_uninterrupted_plan() {
+    for islands in [1usize, 3] {
+        let name = format!("awp-odc.i{islands}.v3.ckpt");
+        let (golden, resumed) = resumed_from(&name, islands);
+        assert_eq!(resumed.degradations, vec![], "{name}: the checkpoint was not accepted");
+        assert_eq!(resumed.resumed_from_epoch, Some(2), "{name}");
         assert!(
             resumed.epochs_run < golden.epochs_run,
-            "islands={islands}: a mid-run checkpoint leaves epochs to run"
+            "{name}: a mid-run checkpoint leaves epochs to run"
         );
-        assert_eq!(
-            resumed.result.plan.to_json(),
-            golden.result.plan.to_json(),
-            "islands={islands}: resumed plan diverged from the uninterrupted run"
-        );
-        assert_eq!(resumed.result.best, golden.result.best, "islands={islands}");
-        assert_eq!(resumed.result.history, golden.result.history, "islands={islands}");
-        let _ = std::fs::remove_file(&ckpt);
     }
 }

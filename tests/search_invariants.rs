@@ -1,12 +1,14 @@
 //! Invariants of the grouped GA: feasibility is preserved by every
 //! operator sequence, results are deterministic per seed, fitness never
 //! regresses across generations (elitism), the winning grouping is always
-//! executable by the code generator, and the space's precedence edges are
-//! the graphs stage's.
+//! executable by the code generator, the space's precedence edges are the
+//! graphs stage's, and its fusion legality verdict is codegen's.
 
 use proptest::prelude::*;
 use sf_analysis::FilterDecision;
 use sf_apps::AppConfig;
+use sf_codegen::fuse::GroupAnalysis;
+use sf_codegen::{CodegenMode, Resolver, Storage};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{Profiler, ProgramProfile};
 use sf_graphs::Precedence;
@@ -201,5 +203,156 @@ proptest! {
             &sf_search::objective::Penalty::default(),
         );
         prop_assert!(f.is_finite() && f >= 0.0);
+    }
+}
+
+/// A program's search space with what codegen resolves its members
+/// against, under both codegen modes.
+struct Legality {
+    label: String,
+    program: Program,
+    plan: ExecutablePlan,
+    precedence: Precedence,
+    auto: SearchSpace,
+    manual: SearchSpace,
+    /// Unit ids in execution order (a product at its parent's position).
+    order: Vec<usize>,
+}
+
+/// The eight analogs and a flat and a looped generated corpus.
+fn legality_cases() -> &'static [Legality] {
+    use sf_fuzz::{generate, GenConfig};
+    static CASES: std::sync::OnceLock<Vec<Legality>> = std::sync::OnceLock::new();
+    CASES.get_or_init(|| {
+        let analogs = sf_apps::APP_NAMES.iter().map(|name| {
+            let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
+            (name.to_string(), app.program)
+        });
+        let looped = GenConfig {
+            p_time_loop: 1.0,
+            ..GenConfig::default()
+        };
+        let corpora = [("flat", GenConfig::default()), ("looped", looped)];
+        let generated = corpora.iter().flat_map(|(corpus, cfg)| {
+            (0..40).map(move |seed| (format!("{corpus} seed {seed}"), generate(seed, cfg).program))
+        });
+        analogs
+            .chain(generated)
+            .map(|(label, program)| {
+                let plan = ExecutablePlan::from_program(&program).expect("plan");
+                let (profile, decisions) = profiled(&program, &plan);
+                let precedence = Precedence::build(&program, &plan).expect("graphs");
+                let auto = SearchSpace::from_precedence(
+                    &program,
+                    &plan,
+                    &profile,
+                    &decisions,
+                    DeviceSpec::k20x(),
+                    &precedence,
+                )
+                .expect("space");
+                let manual = SearchSpace {
+                    mode: CodegenMode::Manual,
+                    ..auto.clone()
+                };
+                let mut order: Vec<usize> = (0..auto.units.len()).collect();
+                order.sort_by_key(|&u| {
+                    let m = auto.units[u].mref;
+                    (m.seq, m.fission_component)
+                });
+                Legality {
+                    label,
+                    program,
+                    plan,
+                    precedence,
+                    auto,
+                    manual,
+                    order,
+                }
+            })
+            .collect()
+    })
+}
+
+/// The search's verdict on `members` (unit ids in execution order), after
+/// checking that it is codegen's: `GroupAnalysis::new` on the members
+/// codegen resolves accepts them exactly when the search does.
+fn agreed_verdict(case: &Legality, members: &[usize], mode: CodegenMode) -> bool {
+    let space = match mode {
+        CodegenMode::Auto => &case.auto,
+        CodegenMode::Manual => &case.manual,
+    };
+    let storage = Storage::new(&case.precedence.ddg);
+    let mut resolver = Resolver::new(&case.program, &case.plan, &storage);
+    let resolved: Vec<_> = members
+        .iter()
+        .map(|&u| resolver.resolve(&space.units[u].mref).expect("resolves"))
+        .collect();
+    let refs: Vec<_> = resolved.iter().map(|(k, l)| (&**k, &**l)).collect();
+    let codegen = GroupAnalysis::new(&refs, mode, "g", space.smem_limit);
+    // The search asks with a group's unit ids ascending, as a genome
+    // holds them (products come after every original).
+    let mut ids = members.to_vec();
+    ids.sort_unstable();
+    let search = space.fusable(&ids);
+    assert_eq!(
+        search,
+        codegen.is_ok(),
+        "{}: members {members:?} ({mode:?}): codegen says {:?}",
+        case.label,
+        codegen.err()
+    );
+    search
+}
+
+/// Every window of two to four consecutive units of every analog, in both
+/// modes: the verdicts agree, and the predicate both accepts and refuses.
+#[test]
+fn the_search_refuses_exactly_the_groups_codegen_refuses_on_the_analogs() {
+    let (mut accepted, mut refused) = (0, 0);
+    for case in &legality_cases()[..sf_apps::APP_NAMES.len()] {
+        for width in 2..=4 {
+            for window in case.order.windows(width) {
+                for mode in [CodegenMode::Auto, CodegenMode::Manual] {
+                    if agreed_verdict(case, window, mode) {
+                        accepted += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Random subsets of a 16-unit stretch of execution order (originals
+    /// and fission products alike) of an analog or a generated program:
+    /// the search's verdict is `GroupAnalysis::new(..).is_ok()` on the
+    /// members codegen resolves.
+    #[test]
+    fn the_search_asks_codegens_legality_predicate(
+        case in 0usize..1000,
+        start in 0usize..1000,
+        mask in 3u32..65536,
+        manual in 0u8..2,
+    ) {
+        let cases = legality_cases();
+        let case = &cases[case % cases.len()];
+        let from = start % case.order.len();
+        let members: Vec<usize> = case.order[from..]
+            .iter()
+            .take(16)
+            .enumerate()
+            .filter(|&(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &u)| u)
+            .collect();
+        if members.len() >= 2 {
+            let mode = [CodegenMode::Auto, CodegenMode::Manual][manual as usize];
+            agreed_verdict(case, &members, mode);
+        }
     }
 }
