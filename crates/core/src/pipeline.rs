@@ -929,6 +929,13 @@ impl<'a> Run<'a> {
             result.fissions_per_generation,
             result.stop_reason.name()
         ));
+        let greedy = &result.greedy;
+        r.line(format!(
+            "greedy seed: {} groups, {:.2} µs projected; the winner is {:+.2}% over it",
+            greedy.individual.groups().len(),
+            greedy.time_us,
+            (result.best_gflops / greedy.gflops - 1.0) * 100.0
+        ));
         r.line(format!("lowered plan: {}", result.plan.summary()));
         r.line(format!(
             "projection cache: {} hits / {} misses ({:.1}% hit rate, {} distinct groups)",

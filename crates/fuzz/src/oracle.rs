@@ -15,41 +15,44 @@
 //! 4. `search-legality` — the search prices a group codegen would not
 //!    fuse as unfusable, so no group of a fault-free run's plan may be
 //!    emitted unfused.
-//! 5. `hidden-miscompile` — no degradation step may be a verification
+//! 5. `search-floor` — elitism keeps the first population's baseline and
+//!    greedy seed, so a fault-free run's plan projects at least the
+//!    fitness of both.
+//! 6. `hidden-miscompile` — no degradation step may be a verification
 //!    failure in disguise: under `Degrade`, a miscompile surfaces as
 //!    "kept the original program (verification failed)", which the
 //!    oracle treats as a codegen bug, not a degradation.
-//! 6. `pipeline-verification` — the pipeline's own verification, when
+//! 7. `pipeline-verification` — the pipeline's own verification, when
 //!    it ran, must pass.
-//! 7. `differential` — an *independent* `verify_equivalence` of the
+//! 8. `differential` — an *independent* `verify_equivalence` of the
 //!    result program against the original, with a different data seed
 //!    than the pipeline used.
-//! 8. `plan-roundtrip` — the executed [`TransformPlan`] must survive
+//! 9. `plan-roundtrip` — the executed [`TransformPlan`] must survive
 //!    JSON serialization unchanged.
-//! 9. `replay-run` / `replay-divergence` — re-running codegen from the
-//!    emitted plan (`--from-plan` replay, stages 2–5 skipped) must
-//!    succeed and reproduce the transformed program byte-for-byte.
-//! 10. `ladder-*` — fault-injected runs must walk each degradation rung
+//! 10. `replay-run` / `replay-divergence` — re-running codegen from the
+//!     emitted plan (`--from-plan` replay, stages 2–5 skipped) must
+//!     succeed and reproduce the transformed program byte-for-byte.
+//! 11. `ladder-*` — fault-injected runs must walk each degradation rung
 //!     (tuned → untuned, fused → unfused, verification trap → original)
 //!     and still end in a verified program or the untouched original.
-//! 11. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
+//! 12. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
 //!     under seeded measurement noise (5 robust repetitions, standard
 //!     noise model) must still verify, be byte-identical across two runs
 //!     with the same seed, and never degrade below the original program
 //!     (modeled speedup ≥ 1).
-//! 12. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
+//! 13. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
 //!     must round-trip through the persistent plan cache and replay
 //!     byte-identically from the cached payload, and a store armed with
 //!     the seed's cache faults (torn write, bit flip, version skew, stale
 //!     lock, kill) must stay readable and recover the slot — corruption is
 //!     quarantined, never served and never fatal.
-//! 13. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
+//! 14. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
 //!     supervised island search must be deterministic (two runs agree
 //!     byte for byte), must *degrade* rather than fail under the seed's
 //!     island faults (panicked/stalled islands quarantined, no hidden
 //!     miscompile), and a search killed at a checkpoint epoch must resume
 //!     to the byte-identical program the uninterrupted run produces.
-//! 14. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
+//! 15. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
 //!     plan portability: the plan compiled on one registry device must
 //!     *refuse* to replay on every other device (a structured
 //!     device-mismatch, not a silent wrong-device projection), and
@@ -223,7 +226,25 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         .with_plan(result.planned()));
     }
 
-    // 5. hidden-miscompile
+    // 5. search-floor: the baseline and the greedy seed stand in the first
+    //    population, and elitism never loses the best of it.
+    if let Some(search) = &result.search {
+        let floor = search.baseline_gflops.max(search.greedy.gflops);
+        let got = search.plan.projected_gflops.unwrap_or(f64::NEG_INFINITY);
+        if got.is_nan() || got < floor {
+            return Err(OracleFailure::new(
+                "search-floor",
+                format!(
+                    "the plan projects {got} GFLOPS, below the greedy seed's {} or the \
+                     baseline's {}",
+                    search.greedy.gflops, search.baseline_gflops
+                ),
+            )
+            .with_plan(Some(&search.plan)));
+        }
+    }
+
+    // 6. hidden-miscompile
     for d in result.degradations() {
         if degradation_smells_like_miscompile(&d.action, &d.reason) {
             return Err(OracleFailure::new(
@@ -237,7 +258,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 6. pipeline-verification
+    // 7. pipeline-verification
     if let Some(v) = &result.verification {
         if !v.passed() {
             return Err(OracleFailure::new(
@@ -251,7 +272,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 7. differential (independent re-verification, different data seed)
+    // 8. differential (independent re-verification, different data seed)
     match verify_equivalence(program, &result.program, seed ^ 0xD1FF) {
         Err(e) => {
             return Err(OracleFailure::new(
@@ -273,7 +294,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         Ok(_) => {}
     }
 
-    // 8/9. plan round-trip + replay
+    // 9/10. plan round-trip + replay
     if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
         match TransformPlan::from_json(&plan.to_json()) {
             Err(e) => {
@@ -292,7 +313,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         check_replay(program, &result, plan, seed)?;
     }
 
-    // 10. degradation ladder under injected faults
+    // 11. degradation ladder under injected faults
     check_ladder(program, seed)?;
 
     Ok(())

@@ -38,8 +38,10 @@ use std::path::Path;
 /// ranking; 2 = the island state itself, microsecond wall counter, the
 /// serial GGA's score-only in-island ranking; 3 = the same layout, scored
 /// under codegen's fusion legality verdict (a group the code generator
-/// would not fuse projects to infinite time).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// would not fuse projects to infinite time); 4 = the same layout, bred
+/// under lazy fission from a first population that holds the greedy
+/// fusion seeds.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The complete search state written at a migration epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -1511,9 +1511,15 @@ mod model_tests {
             let engine = ProjectionEngine::new(&space);
             let mut pricer = engine.pricer(0);
             let mut q = Quotient::new(&space);
+            // Fission is lazy, so one genome starts the way a fissioned
+            // greedy seed enters a population: every original split.
             let singles = Individual::singletons(&space);
-            let start = q.view(&singles);
-            let mut live = [(singles.clone(), start.clone()), (singles, start)];
+            let mut fissioned = singles.clone();
+            for unit in space.units.iter().filter(|u| u.fissionable()) {
+                fissioned.fission(&space, unit.id);
+            }
+            let (start, split) = (q.view(&singles), q.view(&fissioned));
+            let mut live = [(singles, start), (fissioned, split)];
             let units = space.units.len();
             for _ in 0..60 {
                 let [first, second] = &mut live;

@@ -24,6 +24,7 @@ use crate::islands::{search_islands, IslandOptions};
 use crate::objective;
 use crate::params::SearchConfig;
 use crate::projection::{Pricer, ProjectionEngine, ProjectionStats};
+use crate::seed::Greedy;
 use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -75,6 +76,8 @@ pub struct SearchResult {
     /// Projected GFLOPS of the all-singletons baseline and of the winner.
     pub baseline_gflops: f64,
     pub best_gflops: f64,
+    /// The greedy seed the first population held ([`crate::seed`]).
+    pub greedy: Greedy,
     /// Average number of fissioned kernels retained in the generation-best
     /// individual (the Table 1 "avg fissions per generation" analog: how
     /// actively the winning lineage uses fission).
@@ -357,9 +360,11 @@ pub(crate) fn mutate_move(
     q.picks = units;
 }
 
-/// The lazy-fission move: preferentially split a member of a group whose
+/// The lazy-fission move (§4.1): split a member of a group whose
 /// shared-memory demand violates the capacity constraint (the dynamic
-/// penalty's relaxation); falls back to a random fissionable unit.
+/// penalty's relaxation). A genome with no such group is not fissioned:
+/// where fission pays on its own, the fissioned greedy seed
+/// ([`crate::seed::greedy_seeds`]) brings it into the population.
 pub(crate) fn mutate_fission(
     pricer: &mut Pricer<'_>,
     q: &mut Quotient<'_>,
@@ -376,9 +381,6 @@ pub(crate) fn mutate_fission(
         if pricer.group_cost(members).smem_violation {
             q.picks.extend(members.iter().copied().filter(splittable));
         }
-    }
-    if q.picks.is_empty() {
-        q.picks.extend(ind.pairs().map(|(u, _)| u).filter(splittable));
     }
     if q.picks.is_empty() {
         return false;

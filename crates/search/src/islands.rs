@@ -51,6 +51,7 @@ use crate::gga::{self, SearchResult, StopReason};
 use crate::objective::{self, Penalty};
 use crate::params::SearchConfig;
 use crate::projection::{Pricer, ProjectionEngine, ProjectionStats};
+use crate::seed;
 use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -551,6 +552,11 @@ pub fn search_islands(
         objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, &penalty)
     })
     .unwrap_or(0.0);
+    // The greedy fusion champions, priced through island 0's cache so the
+    // first generation starts warm. A pure function of the space, so a
+    // resumed run rebuilds the same ones for its report.
+    let fission = config.p_fission > 0.0;
+    let champions = seed::greedy_seeds(&mut engine.pricer(0), &mut q, &penalty, fission);
     let interval = config.migration_interval.max(1);
     let total_epochs = config.generations.div_ceil(interval).max(1);
 
@@ -612,10 +618,11 @@ pub fn search_islands(
                 population.push(singles.clone());
                 island_views.push(singles_view.clone());
                 if i == 0 {
-                    // Elite injection (plan-port path): seeds land on one
-                    // island so migration spreads them, never displacing
-                    // the all-singletons baseline.
-                    for seed in &opts.seeds {
+                    // Elite injection: the port seeds, then the greedy
+                    // champions, land on one island so migration spreads
+                    // them, never displacing the all-singletons baseline.
+                    let greedy = champions.iter().map(|g| &g.individual);
+                    for seed in opts.seeds.iter().chain(greedy) {
                         if population.len() >= shard {
                             break;
                         }
@@ -833,6 +840,11 @@ pub fn search_islands(
         StopReason::Plateaued
     };
 
+    // The fitter seed stands for them in the report; the first on a tie.
+    let greedy = champions
+        .into_iter()
+        .reduce(|best, seed| if seed.gflops > best.gflops { seed } else { best })
+        .expect("every run has a greedy seed");
     let mut plan = gga::lower_plan(&engine, &best, config.mode, config.block_tuning);
     plan.projected_gflops = Some(best_gflops);
     let stats = engine.stats();
@@ -849,6 +861,7 @@ pub fn search_islands(
             history,
             baseline_gflops,
             best_gflops,
+            greedy,
             fissions_per_generation: retained as f64 / total_gens.max(1) as f64,
             fission_moves_per_generation: moves as f64 / total_gens.max(1) as f64,
             generations_run,

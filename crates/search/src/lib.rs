@@ -19,7 +19,8 @@
 //! The search space ([`space`]) is built from the profile metadata, the
 //!   filter decisions and the unit-level order-of-execution graph; the GA
 //!   ([`gga`]) uses Falkenauer-style group-level operators with
-//!   feasibility-preserving repair.
+//!   feasibility-preserving repair, starting from a population that holds
+//!   the untransformed baseline and greedy fusion champions ([`seed`]).
 //!
 //! There is one search driver, [`search_islands`]: the population shards
 //! into `islands` supervised islands ([`islands`]) — panic-isolated
@@ -35,6 +36,7 @@ pub mod objective;
 pub mod params;
 pub mod port;
 pub mod projection;
+pub mod seed;
 pub mod space;
 
 pub use checkpoint::{
@@ -48,4 +50,5 @@ pub use islands::{
 };
 pub use params::SearchConfig;
 pub use projection::{GroupKey, ProjectionEngine, ProjectionStats};
+pub use seed::Greedy;
 pub use space::{SearchSpace, Unit};

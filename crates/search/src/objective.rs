@@ -316,44 +316,76 @@ fn repeat_of(space: &SearchSpace, members: &[usize]) -> f64 {
     repeats.max().unwrap_or(1) as f64
 }
 
+/// One group's share of a grouping's fitness: its flops and time, each
+/// weighted by the group's host repeat, and the two factors its penalties
+/// scale the whole program's fitness by (1 where none applies).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Terms {
+    /// Flops × repeat.
+    pub flops: f64,
+    /// Projected µs × repeat (infinite for a group codegen refuses).
+    pub time_us: f64,
+    /// The shared-memory penalty: soft with a fission escape, else hard.
+    pub smem: f64,
+    /// The confidence-aware widening of a fusion.
+    pub dispersion: f64,
+}
+
+/// `members`' [`Terms`], priced through `pricer`.
+pub fn group_terms(pricer: &mut Pricer<'_>, members: &[usize], penalty: &Penalty) -> Terms {
+    let repeat = repeat_of(pricer.space(), members);
+    let cost = pricer.group_cost(members);
+    let smem = match (cost.smem_violation, cost.fission_escape) {
+        (false, _) => 1.0,
+        (true, true) => penalty.soft,
+        (true, false) => penalty.hard,
+    };
+    // Confidence-aware widening: only fusions (≥ 2 members) pay it —
+    // leaving a noisy kernel alone is the safe default, committing to a
+    // grouping on its numbers is not. Floored so even very noisy groups
+    // keep a nonzero fitness and can be compared.
+    let dispersion = if members.len() >= 2 && cost.max_dispersion > 0.0 {
+        (1.0 - penalty.noise_aversion * cost.max_dispersion).clamp(0.25, 1.0)
+    } else {
+        1.0
+    };
+    Terms {
+        flops: cost.flops as f64 * repeat,
+        time_us: cost.time_us * repeat,
+        smem,
+        dispersion,
+    }
+}
+
+/// Projected GFLOPS of a whole program from its summed [`Terms`] and the
+/// product of their factors.
+pub fn gflops(total_flops: f64, total_time_us: f64, scale: f64) -> f64 {
+    if !total_time_us.is_finite() || total_time_us <= 0.0 {
+        return 0.0;
+    }
+    // GFLOPS = flops / (µs × 1e3). A program without flops still ranks
+    // its groupings by time: counting one flop keeps every grouping the
+    // code generator can emit above one it cannot (infinite time, 0).
+    (total_flops.max(1.0) / (total_time_us * 1e3)) * scale
+}
+
 /// The penalized fitness of a grouping: projected GFLOPS of the whole
 /// program under these `groups` (an individual's, see [`Groups`]), scaled
 /// down per constraint violation. Groups are priced in ascending group id,
 /// members ascending (the sums below are `f64`: their order is part of the
 /// result), through the island's `pricer`.
 pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, penalty: &Penalty) -> f64 {
-    let space = pricer.space();
     let mut total_flops = 0.0f64;
     let mut total_time = 0.0f64;
     let mut scale = 1.0f64;
     for k in 0..groups.len() {
-        let members = groups.members(k);
-        let repeat = repeat_of(space, members);
-        let cost = pricer.group_cost(members);
-        total_flops += cost.flops as f64 * repeat;
-        total_time += cost.time_us * repeat;
-        if cost.smem_violation {
-            scale *= if cost.fission_escape {
-                penalty.soft
-            } else {
-                penalty.hard
-            };
-        }
-        // Confidence-aware widening: only fusions (≥ 2 members) pay it —
-        // leaving a noisy kernel alone is the safe default, committing to a
-        // grouping on its numbers is not. Floored so even very noisy groups
-        // keep a nonzero fitness and can be compared.
-        if members.len() >= 2 && cost.max_dispersion > 0.0 {
-            scale *= (1.0 - penalty.noise_aversion * cost.max_dispersion).clamp(0.25, 1.0);
-        }
+        let terms = group_terms(pricer, groups.members(k), penalty);
+        total_flops += terms.flops;
+        total_time += terms.time_us;
+        scale *= terms.smem;
+        scale *= terms.dispersion;
     }
-    if !total_time.is_finite() || total_time <= 0.0 {
-        return 0.0;
-    }
-    // GFLOPS = flops / (µs × 1e3). A program without flops still ranks
-    // its groupings by time: counting one flop keeps every grouping the
-    // code generator can emit above one it cannot (infinite time, 0).
-    (total_flops.max(1.0) / (total_time * 1e3)) * scale
+    gflops(total_flops, total_time, scale)
 }
 
 /// Uncached convenience wrapper around [`fitness_with`] for one-off
@@ -498,7 +530,7 @@ void host() {
 }
 
 #[cfg(test)]
-mod fission_benefit_tests {
+pub(crate) mod fission_benefit_tests {
     use super::*;
     use crate::genome::Individual;
     use crate::space::tests::space_for;
@@ -506,7 +538,7 @@ mod fission_benefit_tests {
     /// A fat kernel whose register pressure tanks occupancy: the objective
     /// must value its fission products above the original (the paper's
     /// fission-driven mechanism for AWP-ODC-GPU / B-CALM).
-    const FAT: &str = r#"
+    pub(crate) const FAT: &str = r#"
 __global__ void fat(const double* __restrict__ a, const double* __restrict__ b,
                     double* x, double* y, int nx, int ny, int nz) {
   int i = blockIdx.x * blockDim.x + threadIdx.x;

@@ -13,14 +13,14 @@
 //! and — at `islands = 1`, where they are a pure function of the
 //! trajectory — the projection cache's hit and miss counts.
 //!
-//! The fixture was generated at the commit *before* the genome became a
-//! flat vector and the projection cache per-island, so a change to the
-//! search's data structures that is meant to keep every trajectory must
-//! leave it untouched. The two `awp-odc.i{1,3}.ckpt` files beside it are
-//! version-2 checkpoints that same parent binary wrote (quick budget,
-//! killed after epoch 2); they must keep resuming to the plan the
-//! uninterrupted run emits. They are frozen bytes: nothing regenerates
-//! them.
+//! The fixture was last generated when the first population gained the
+//! greedy fusion seed, so a change to the search's data structures that
+//! is meant to keep every trajectory must leave it untouched. Beside it lie
+//! frozen checkpoints (quick budget, killed after epoch 2), one per schema
+//! version and island count (`awp-odc.i{1,3}.v{2,3,4}.ckpt`): the current
+//! version's must keep resuming to the plan the uninterrupted run emits,
+//! and every older one must be rejected with its version named. They are
+//! frozen bytes: nothing regenerates them.
 //!
 //! To regenerate the text fixture after an intentional change to the
 //! search: `UPDATE_GOLDEN=1 cargo test --release --test search_golden`
@@ -31,6 +31,7 @@ use sf_gpusim::profiler::Profiler;
 use sf_minicuda::host::ExecutablePlan;
 use sf_search::{
     raise_plan, search_islands, IslandOptions, IslandSearchResult, SearchConfig, SearchSpace,
+    CHECKPOINT_VERSION,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -227,31 +228,40 @@ fn resumed_from(name: &str, islands: usize) -> (IslandSearchResult, IslandSearch
     (golden, resumed)
 }
 
-/// Checkpoints the parent of the legality verdict wrote (schema version 2,
-/// quick budget, killed after epoch 2). Their scores were priced without
-/// codegen's verdict, so this build rejects them with their version named
-/// and restarts — and the restarted run emits the uninterrupted plan.
-#[test]
-fn parent_written_v2_checkpoints_resume_to_the_uninterrupted_plan() {
+/// Frozen checkpoints an older build wrote (quick budget, killed after
+/// epoch 2): this build rejects them with their `version` named and
+/// restarts — and the restarted run emits the uninterrupted plan.
+fn rejected_and_restarted(version: u32) {
     for islands in [1usize, 3] {
-        let name = format!("awp-odc.i{islands}.v2.ckpt");
+        let name = format!("awp-odc.i{islands}.v{version}.ckpt");
         let (_, restarted) = resumed_from(&name, islands);
         assert_eq!(restarted.resumed_from_epoch, None, "{name}");
         let reasons: Vec<&str> = restarted.degradations.iter().map(|d| d.reason.as_str()).collect();
-        assert_eq!(
-            reasons,
-            ["checkpoint schema version 2 (this build speaks 3)"],
-            "{name}"
-        );
+        let speaks = format!("checkpoint schema version {version} (this build speaks {CHECKPOINT_VERSION})");
+        assert_eq!(reasons, [speaks.as_str()], "{name}");
     }
 }
 
-/// Checkpoints this build writes (schema version 3, quick budget, killed
-/// after epoch 2) resume to the uninterrupted plan.
+/// Checkpoints the parent of the legality verdict wrote (schema version
+/// 2): their scores were priced without codegen's verdict.
+#[test]
+fn parent_written_v2_checkpoints_resume_to_the_uninterrupted_plan() {
+    rejected_and_restarted(2);
+}
+
+/// Checkpoints the parent of the greedy seed wrote (schema version 3):
+/// their populations were bred from a first generation without it.
 #[test]
 fn v3_checkpoints_resume_to_the_uninterrupted_plan() {
+    rejected_and_restarted(3);
+}
+
+/// Checkpoints this build writes (schema version 4, quick budget, killed
+/// after epoch 2) resume to the uninterrupted plan.
+#[test]
+fn v4_checkpoints_resume_to_the_uninterrupted_plan() {
     for islands in [1usize, 3] {
-        let name = format!("awp-odc.i{islands}.v3.ckpt");
+        let name = format!("awp-odc.i{islands}.v4.ckpt");
         let (golden, resumed) = resumed_from(&name, islands);
         assert_eq!(resumed.degradations, vec![], "{name}: the checkpoint was not accepted");
         assert_eq!(resumed.resumed_from_epoch, Some(2), "{name}");

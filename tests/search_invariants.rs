@@ -2,7 +2,8 @@
 //! operator sequence, results are deterministic per seed, fitness never
 //! regresses across generations (elitism), the winning grouping is always
 //! executable by the code generator, the space's precedence edges are the
-//! graphs stage's, and its fusion legality verdict is codegen's.
+//! graphs stage's, its fusion legality verdict is codegen's, and the
+//! greedy seed's incremental table merges what full re-pricing merges.
 
 use proptest::prelude::*;
 use sf_analysis::FilterDecision;
@@ -14,7 +15,11 @@ use sf_gpusim::profiler::{Profiler, ProgramProfile};
 use sf_graphs::Precedence;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
-use sf_search::{search, Individual, SearchConfig, SearchSpace};
+use sf_search::genome::{Groups, Quotient};
+use sf_search::objective::{fitness_with, Penalty};
+use sf_search::seed::{greedy, TIE};
+use sf_search::{search, Individual, ProjectionEngine, SearchConfig, SearchSpace};
+use std::collections::BTreeSet;
 
 /// The analytic profile and default filter decisions the spaces are built from.
 fn profiled(program: &Program, plan: &ExecutablePlan) -> (ProgramProfile, Vec<FilterDecision>) {
@@ -354,5 +359,115 @@ proptest! {
             let mode = [CodegenMode::Auto, CodegenMode::Manual][manual as usize];
             agreed_verdict(case, &members, mode);
         }
+    }
+}
+
+/// `case`'s automated space with only the originals `from..from + width`
+/// (and their fission products) eligible: a window the greedy seed may
+/// fuse in.
+fn window(case: &Legality, from: usize, width: usize) -> SearchSpace {
+    let mut space = case.auto.clone();
+    let originals = space.units.iter().filter(|u| u.parent.is_none()).count();
+    let from = from % originals;
+    for unit in &mut space.units {
+        unit.eligible &= (from..from + width).contains(&unit.parent.unwrap_or(unit.id));
+    }
+    space
+}
+
+/// The greedy seed's start: the originals, or with `fission` every
+/// eligible fissionable original replaced by its products.
+fn start(space: &SearchSpace, fission: bool) -> Individual {
+    let mut ind = Individual::singletons(space);
+    for unit in space.units.iter().filter(|u| fission && u.eligible && u.fissionable()) {
+        ind.fission(space, unit.id);
+    }
+    ind
+}
+
+/// The greedy seed without its table: every round re-prices every
+/// feasible pair of groups that share an array through `fitness_with`,
+/// and merges the first pair in key order within the tie factor of the
+/// round's best, while that best beats the current fitness by more than
+/// it. Returns the merges and the final genome.
+fn reference_greedy(
+    space: &SearchSpace,
+    penalty: &Penalty,
+    mut ind: Individual,
+) -> (Vec<(usize, usize)>, Individual) {
+    let engine = ProjectionEngine::new(space);
+    let mut pricer = engine.pricer(0);
+    let mut fitness = |ind: &Individual| {
+        let mut groups = Groups::default();
+        groups.regroup(ind);
+        fitness_with(&mut pricer, &groups, penalty)
+    };
+    let mut merges = Vec::new();
+    loop {
+        let current = fitness(&ind);
+        let groups: Vec<Vec<usize>> = ind.groups().into_iter().map(|(_, m)| m).collect();
+        let arrays: Vec<BTreeSet<&str>> = groups
+            .iter()
+            .map(|members| {
+                let names = members.iter().flat_map(|&u| space.units[u].ops.bytes_per_array.keys());
+                names.map(String::as_str).collect()
+            })
+            .collect();
+        let mut candidates = Vec::new();
+        for i in 0..groups.len() {
+            for j in i + 1..groups.len() {
+                if arrays[i].is_disjoint(&arrays[j]) {
+                    continue;
+                }
+                let (a, b) = (groups[i][0].min(groups[j][0]), groups[i][0].max(groups[j][0]));
+                let mut merged = ind.clone();
+                if merged.try_merge(space, a, b) {
+                    candidates.push(((a, b), fitness(&merged), merged));
+                }
+            }
+        }
+        candidates.sort_by_key(|c| c.0);
+        let best = candidates.iter().map(|c| c.1).fold(f64::NEG_INFINITY, f64::max);
+        if candidates.is_empty() || best <= current * (1.0 + TIE) {
+            return (merges, ind);
+        }
+        let (key, _, merged) = candidates
+            .into_iter()
+            .find(|c| c.1 * (1.0 + TIE) >= best)
+            .expect("the best ties itself");
+        merges.push(key);
+        ind = merged;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The greedy seed's incremental table is exact: on a 2–16-unit window
+    /// of an analog or a generated program, from the originals or from
+    /// every original fissioned, it merges what re-pricing every feasible
+    /// related pair each round merges, in the same order.
+    #[test]
+    fn the_greedy_seed_merges_what_full_repricing_merges(
+        analog in 0u8..2,
+        case in 0usize..1000,
+        start_at in 0usize..1000,
+        width in 2usize..=16,
+        fission in 0u8..2,
+    ) {
+        // Half the draws from the eight analogs, half from the corpora.
+        let (analogs, generated) = legality_cases().split_at(sf_apps::APP_NAMES.len());
+        let cases = if analog == 1 { analogs } else { generated };
+        let space = window(&cases[case % cases.len()], start_at, width);
+        let from = start(&space, fission == 1);
+        prop_assert!(from.feasible(&space), "every start is feasible");
+        let penalty = Penalty::default();
+        let engine = ProjectionEngine::new(&space);
+        let mut q = Quotient::new(&space);
+        let seed = greedy(&mut engine.pricer(0), &mut q, &penalty, from.clone());
+        let (merges, ind) = reference_greedy(&space, &penalty, from);
+        prop_assert_eq!(&seed.merges, &merges);
+        prop_assert_eq!(&seed.individual, &ind);
+        prop_assert!(seed.individual.feasible(&space));
     }
 }
