@@ -22,7 +22,7 @@
 
 use crate::roles::{Role, RoleMap};
 use sf_minicuda::ast::*;
-use sf_minicuda::host::{AllocInfo, HostValue, LaunchRecord, ResolvedArg};
+use sf_minicuda::host::{AllocInfo, Dim3, HostValue, LaunchRecord, ResolvedArg};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -827,23 +827,23 @@ pub type ScalarBindings = HashMap<String, i64>;
 /// Array bindings (param name → actual device array) of one launch.
 pub type ArrayBindings = HashMap<String, String>;
 
-/// Bind launch arguments to kernel parameters: scalar values and
+/// Bind one launch's arguments to kernel parameters: scalar values and
 /// param-name → actual-array mappings.
 pub fn bind_launch(
     kernel: &Kernel,
-    launch: &LaunchRecord,
+    args: &[ResolvedArg],
 ) -> Result<(ScalarBindings, ArrayBindings), AccessError> {
-    if kernel.params.len() != launch.args.len() {
+    if kernel.params.len() != args.len() {
         return Err(AccessError(format!(
             "launch of `{}` passes {} args for {} params",
             kernel.name,
-            launch.args.len(),
+            args.len(),
             kernel.params.len()
         )));
     }
     let mut scalars = HashMap::new();
     let mut arrays = HashMap::new();
-    for (p, a) in kernel.params.iter().zip(&launch.args) {
+    for (p, a) in kernel.params.iter().zip(args) {
         match (p, a) {
             (Param::Array { name, .. }, ResolvedArg::Array(actual)) => {
                 arrays.insert(name.clone(), actual.clone());
@@ -865,7 +865,9 @@ pub fn bind_launch(
     Ok((scalars, arrays))
 }
 
-/// Compute the DRAM traffic of one launch of an analyzed kernel.
+/// Compute the DRAM traffic of one launch of an analyzed kernel: the
+/// launch's arguments bound once ([`BoundTraffic::bind`]) and priced at its
+/// own shape.
 ///
 /// `alloc_of` resolves actual array names to allocation info.
 pub fn launch_traffic(
@@ -874,192 +876,375 @@ pub fn launch_traffic(
     launch: &LaunchRecord,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
 ) -> Result<Traffic, AccessError> {
-    let (scalars, array_map) = bind_launch(kernel, launch)?;
-    let mut t = Traffic::default();
+    Ok(BoundTraffic::bind(ka, kernel, &launch.args, alloc_of)?.traffic(launch.grid, launch.block))
+}
 
-    let bx = launch.block.x as i64;
-    let by = launch.block.y as i64;
+/// The launch-shape-independent half of a launch's traffic: arguments
+/// bound, guards, access regions, vertical and inner-loop ranges evaluated
+/// and allocations resolved, once. What is left per shape is
+/// [`BoundTraffic::at`], which prices any `(grid, block)` without
+/// allocating — so a block tuner can price every candidate shape of one
+/// kernel for the cost of a few loops over its blocks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundTraffic {
+    /// Actual arrays the groups below charge, in first-touch order.
+    arrays: Vec<String>,
+    sweeps: Vec<BoundSweep>,
+}
 
-    let z_blocks = launch.grid.z as u64;
+/// One sweep of a `BoundTraffic`.
+#[derive(Debug, Clone, PartialEq)]
+struct BoundSweep {
+    /// Sweep guard on the global x / y index (absent bounds open).
+    gx: (i64, i64),
+    gy: (i64, i64),
+    /// Vertical loop length; `None` for a planar sweep.
+    k_extent: Option<i64>,
+    flops_per_site: u64,
+    groups: Vec<BoundGroup>,
+}
 
-    for sweep in &ka.sweeps {
-        // Guard bounds in effect for this sweep.
-        let gx_lo = eval_opt(&sweep.guard.x_lo, &scalars, 0)?;
-        let gx_hi = eval_opt(&sweep.guard.x_hi, &scalars, i64::MAX)?;
-        let gy_lo = eval_opt(&sweep.guard.y_lo, &scalars, 0)?;
-        let gy_hi = eval_opt(&sweep.guard.y_hi, &scalars, i64::MAX)?;
+/// The accesses of one sweep to one array in one direction.
+#[derive(Debug, Clone, PartialEq)]
+struct BoundGroup {
+    /// Index into `BoundTraffic::arrays`.
+    array: usize,
+    is_write: bool,
+    elem_bytes: u64,
+    /// Some access's rank disagrees with the allocation: the whole array is
+    /// charged once, whatever the shape.
+    whole_bytes: Option<u64>,
+    accs: Vec<BoundAccess>,
+}
 
-        let (k_lo, k_hi) = match &sweep.k_range {
-            Some((lo, hi)) => (lo.eval(&scalars)?, hi.eval(&scalars)?),
-            None => (0, 1),
+/// One access: one evaluated axis per array axis.
+#[derive(Debug, Clone, PartialEq)]
+struct BoundAccess {
+    axes: Vec<BoundAxis>,
+}
+
+/// One index position of an access with everything shape-independent
+/// evaluated: which base it is affine in (as a tag comparable across
+/// accesses) and how its range follows from the block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BoundAxis {
+    tag: u32,
+    extent: i64,
+    range: AxisRange,
+}
+
+/// How one axis's range depends on the launch shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AxisRange {
+    /// The block's x (y) tile, clipped to `window` (sweep guard ∩ access
+    /// region), shifted by `off`.
+    X { window: (i64, i64), off: i64 },
+    Y { window: (i64, i64), off: i64 },
+    /// `threadIdx.x (y) + off`: the block's extent, shifted.
+    TidX(i64),
+    TidY(i64),
+    /// Independent of the shape (vertical, inner loop, constant, unknown).
+    Fixed(i64, i64),
+}
+
+/// Base tags: an `IdxBase` as a number, inner loops numbered from
+/// `TAG_INNER` in order of first appearance.
+const TAG_X: u32 = 0;
+const TAG_Y: u32 = 1;
+const TAG_VERT: u32 = 2;
+const TAG_TID_X: u32 = 3;
+const TAG_TID_Y: u32 = 4;
+const TAG_CONST: u32 = 5;
+const TAG_UNKNOWN: u32 = 6;
+const TAG_INNER: u32 = 7;
+
+/// Shape-dependent totals of one launch: [`Traffic`] without the
+/// per-array breakdown.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[allow(missing_docs)] // fields carry the names of `Traffic`'s
+pub struct TrafficTotals {
+    pub read_bytes: u64,
+    pub write_bytes: u64,
+    pub flops: u64,
+    pub sites: u64,
+}
+
+impl TrafficTotals {
+    /// Total DRAM bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.read_bytes + self.write_bytes
+    }
+}
+
+impl AxisRange {
+    /// The axis range in block `(gx, gy)` of a `bx`×`by` block, clipped to
+    /// the array.
+    fn at(self, gx: i64, gy: i64, bx: i64, by: i64, extent: i64) -> (i64, i64) {
+        let r = match self {
+            AxisRange::X { window, off } => shift(clip((gx * bx, (gx + 1) * bx), window), off),
+            AxisRange::Y { window, off } => shift(clip((gy * by, (gy + 1) * by), window), off),
+            AxisRange::TidX(off) => (off, bx + off),
+            AxisRange::TidY(off) => (off, by + off),
+            AxisRange::Fixed(lo, hi) => (lo, hi),
         };
-        let k_extent = (k_hi - k_lo).max(0);
+        clip(r, (0, extent))
+    }
+}
 
-        // Group accesses per (array, is_write). Each access contributes its
-        // own per-axis absolute range (its region guard applied), and the
-        // group footprint is the bounding box of the union per block.
-        let mut groups: HashMap<(String, bool), Vec<&ArrayAccess>> = HashMap::new();
-        for a in &sweep.accesses {
-            groups
-                .entry((a.array.clone(), a.is_write))
-                .or_default()
-                .push(a);
-        }
+fn shift(r: (i64, i64), off: i64) -> (i64, i64) {
+    (r.0 + off, r.1 + off)
+}
 
-        // Iteration sites for this sweep (whole launch).
-        let launch_x = bx * launch.grid.x as i64;
-        let launch_y = by * launch.grid.y as i64;
-        let site_x = range_len(clip(
-            (0, launch_x),
-            (gx_lo, gx_hi),
-        ));
-        let site_y = range_len(clip((0, launch_y), (gy_lo, gy_hi)));
-        t.sites += (site_x * site_y) as u64 * k_extent as u64 * z_blocks;
-        t.flops += sweep.flops_per_site
-            * (site_x * site_y) as u64
-            * k_extent.max(1) as u64
-            * z_blocks;
+impl BoundAccess {
+    /// Whether the access touches anything in block `(gx, gy)`.
+    fn active(&self, gx: i64, gy: i64, bx: i64, by: i64) -> bool {
+        self.axes
+            .iter()
+            .all(|a| range_len(a.range.at(gx, gy, bx, by, a.extent)) > 0)
+    }
+}
 
-        for ((param_array, is_write), accs) in groups {
-            let Some(actual) = array_map.get(&param_array) else {
-                continue;
+impl BoundTraffic {
+    /// Bind `args` (one launch's arguments) to `kernel`'s parameters and
+    /// evaluate everything about its traffic the launch shape leaves fixed.
+    pub fn bind(
+        ka: &KernelAccess,
+        kernel: &Kernel,
+        args: &[ResolvedArg],
+        alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+    ) -> Result<BoundTraffic, AccessError> {
+        let (scalars, array_map) = bind_launch(kernel, args)?;
+        let mut arrays: Vec<String> = Vec::new();
+        let mut inner_names: Vec<&str> = Vec::new();
+        let mut sweeps = Vec::with_capacity(ka.sweeps.len());
+        for sweep in &ka.sweeps {
+            let gx = (
+                eval_opt(&sweep.guard.x_lo, &scalars, 0)?,
+                eval_opt(&sweep.guard.x_hi, &scalars, i64::MAX)?,
+            );
+            let gy = (
+                eval_opt(&sweep.guard.y_lo, &scalars, 0)?,
+                eval_opt(&sweep.guard.y_hi, &scalars, i64::MAX)?,
+            );
+            let (k_lo, k_hi) = match &sweep.k_range {
+                Some((lo, hi)) => (lo.eval(&scalars)?, hi.eval(&scalars)?),
+                None => (0, 1),
             };
-            let Some(alloc) = alloc_of(actual) else {
-                return Err(AccessError(format!("unknown allocation `{actual}`")));
-            };
-            let rank = alloc.extents.len();
-            let conservative = accs.iter().any(|a| a.pats.len() != rank);
-
-            // Evaluate each access's region bounds once.
-            struct EvalRegion {
-                x: (i64, i64),
-                y: (i64, i64),
-                k: (i64, i64),
+            // Accesses per (array, direction), in first-access order.
+            let mut keyed: Vec<((&str, bool), Vec<&ArrayAccess>)> = Vec::new();
+            for a in &sweep.accesses {
+                let key = (a.array.as_str(), a.is_write);
+                match keyed.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, accs)) => accs.push(a),
+                    None => keyed.push((key, vec![a])),
+                }
             }
-            let mut regions = Vec::with_capacity(accs.len());
-            for a in &accs {
-                regions.push(EvalRegion {
-                    x: (
-                        eval_opt(&a.region.x_lo, &scalars, i64::MIN / 4)?,
-                        eval_opt(&a.region.x_hi, &scalars, i64::MAX / 4)?,
-                    ),
-                    y: (
-                        eval_opt(&a.region.y_lo, &scalars, i64::MIN / 4)?,
-                        eval_opt(&a.region.y_hi, &scalars, i64::MAX / 4)?,
-                    ),
-                    k: (
-                        eval_opt(&a.region.k_lo, &scalars, i64::MIN / 4)?,
-                        eval_opt(&a.region.k_hi, &scalars, i64::MAX / 4)?,
-                    ),
+            let mut groups = Vec::with_capacity(keyed.len());
+            for ((param_array, is_write), accs) in keyed {
+                let Some(actual) = array_map.get(param_array) else {
+                    continue;
+                };
+                let Some(alloc) = alloc_of(actual) else {
+                    return Err(AccessError(format!("unknown allocation `{actual}`")));
+                };
+                let array = match arrays.iter().position(|a| a == actual) {
+                    Some(i) => i,
+                    None => {
+                        arrays.push(actual.clone());
+                        arrays.len() - 1
+                    }
+                };
+                let elem_bytes = alloc.elem.size_bytes() as u64;
+                let rank = alloc.extents.len();
+                let whole = accs.iter().any(|a| a.pats.len() != rank);
+                let mut bound = Vec::with_capacity(accs.len());
+                for a in &accs {
+                    let region = |lo: &Option<Bnd>, hi: &Option<Bnd>| -> Result<_, AccessError> {
+                        Ok((
+                            eval_opt(lo, &scalars, i64::MIN / 4)?,
+                            eval_opt(hi, &scalars, i64::MAX / 4)?,
+                        ))
+                    };
+                    let rx = region(&a.region.x_lo, &a.region.x_hi)?;
+                    let ry = region(&a.region.y_lo, &a.region.y_hi)?;
+                    let rk = region(&a.region.k_lo, &a.region.k_hi)?;
+                    if whole {
+                        continue;
+                    }
+                    let mut axes = Vec::with_capacity(rank);
+                    for (ax, pat) in a.pats.iter().enumerate() {
+                        let extent = alloc.extents[ax] as i64;
+                        let off = pat.off;
+                        let (tag, range) = match &pat.base {
+                            IdxBase::X => {
+                                let window = (gx.0.max(rx.0), gx.1.min(rx.1));
+                                (TAG_X, AxisRange::X { window, off })
+                            }
+                            IdxBase::Y => {
+                                let window = (gy.0.max(ry.0), gy.1.min(ry.1));
+                                (TAG_Y, AxisRange::Y { window, off })
+                            }
+                            IdxBase::Vert => {
+                                let (lo, hi) = shift(clip((k_lo, k_hi), rk), off);
+                                (TAG_VERT, AxisRange::Fixed(lo, hi))
+                            }
+                            IdxBase::Inner(v) => {
+                                let tag = match inner_names.iter().position(|n| n == v) {
+                                    Some(i) => i,
+                                    None => {
+                                        inner_names.push(v);
+                                        inner_names.len() - 1
+                                    }
+                                };
+                                let range = match sweep.inner_loops.iter().find(|l| &l.var == v) {
+                                    Some(l) => shift((l.lo.eval(&scalars)?, l.hi.eval(&scalars)?), off),
+                                    None => (0, extent),
+                                };
+                                (TAG_INNER + tag as u32, AxisRange::Fixed(range.0, range.1))
+                            }
+                            IdxBase::TidX => (TAG_TID_X, AxisRange::TidX(off)),
+                            IdxBase::TidY => (TAG_TID_Y, AxisRange::TidY(off)),
+                            IdxBase::Const => (TAG_CONST, AxisRange::Fixed(off, off + 1)),
+                            IdxBase::Unknown => (TAG_UNKNOWN, AxisRange::Fixed(0, extent)),
+                        };
+                        axes.push(BoundAxis { tag, extent, range });
+                    }
+                    bound.push(BoundAccess { axes });
+                }
+                groups.push(BoundGroup {
+                    array,
+                    is_write,
+                    elem_bytes,
+                    whole_bytes: whole.then(|| alloc.len() as u64 * elem_bytes),
+                    accs: bound,
                 });
             }
+            sweeps.push(BoundSweep {
+                gx,
+                gy,
+                k_extent: sweep.k_range.as_ref().map(|_| (k_hi - k_lo).max(0)),
+                flops_per_site: sweep.flops_per_site,
+                groups,
+            });
+        }
+        Ok(BoundTraffic { arrays, sweeps })
+    }
 
-            let mut bytes_per_block_sum: u64 = 0;
-            if conservative {
-                bytes_per_block_sum = (alloc.len() * alloc.elem.size_bytes()) as u64;
-            } else {
-                // Sum footprints over all (x, y) blocks.
-                for gx in 0..launch.grid.x as i64 {
-                    for gy in 0..launch.grid.y as i64 {
-                        // Per-axis envelope: (base tag, lo, hi) with base
-                        // mismatches widening to the whole axis.
-                        let mut envelope: Vec<Option<(IdxBase, i64, i64)>> = vec![None; rank];
-                        for (a, reg) in accs.iter().zip(&regions) {
-                            let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(rank);
-                            let mut empty = false;
-                            for (ax, pat) in a.pats.iter().enumerate() {
-                                let extent = alloc.extents[ax] as i64;
-                                let r = match &pat.base {
-                                    IdxBase::X => {
-                                        let r = clip(
-                                            clip((gx * bx, (gx + 1) * bx), (gx_lo, gx_hi)),
-                                            reg.x,
-                                        );
-                                        (r.0 + pat.off, r.1 + pat.off)
-                                    }
-                                    IdxBase::Y => {
-                                        let r = clip(
-                                            clip((gy * by, (gy + 1) * by), (gy_lo, gy_hi)),
-                                            reg.y,
-                                        );
-                                        (r.0 + pat.off, r.1 + pat.off)
-                                    }
-                                    IdxBase::Vert => {
-                                        let r = clip((k_lo, k_hi), reg.k);
-                                        (r.0 + pat.off, r.1 + pat.off)
-                                    }
-                                    IdxBase::Inner(v) => {
-                                        match sweep.inner_loops.iter().find(|l| &l.var == v) {
-                                            Some(l) => (
-                                                l.lo.eval(&scalars)? + pat.off,
-                                                l.hi.eval(&scalars)? + pat.off,
-                                            ),
-                                            None => (0, extent),
-                                        }
-                                    }
-                                    IdxBase::TidX => (pat.off, bx + pat.off),
-                                    IdxBase::TidY => (pat.off, by + pat.off),
-                                    IdxBase::Const => (pat.off, pat.off + 1),
-                                    IdxBase::Unknown => (0, extent),
-                                };
-                                let r = clip(r, (0, extent));
-                                if range_len(r) == 0 {
-                                    empty = true;
-                                    break;
-                                }
-                                ranges.push(r);
-                            }
-                            if empty {
-                                continue;
-                            }
-                            for (ax, r) in ranges.into_iter().enumerate() {
-                                let extent = alloc.extents[ax] as i64;
-                                match &mut envelope[ax] {
-                                    slot @ None => {
-                                        *slot = Some((a.pats[ax].base.clone(), r.0, r.1));
-                                    }
-                                    Some((base, lo, hi)) => {
-                                        if *base != a.pats[ax].base {
-                                            *base = IdxBase::Unknown;
-                                            *lo = 0;
-                                            *hi = extent;
-                                        } else {
-                                            *lo = (*lo).min(r.0);
-                                            *hi = (*hi).max(r.1);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let mut elems: i64 = 1;
-                        for slot in &envelope {
-                            let len = match slot {
-                                None => 0,
-                                Some((_, lo, hi)) => (hi - lo).max(0),
-                            };
-                            elems *= len;
-                            if elems == 0 {
-                                break;
-                            }
-                        }
-                        bytes_per_block_sum +=
-                            (elems.max(0) as u64) * alloc.elem.size_bytes() as u64;
-                    }
-                }
-                bytes_per_block_sum *= z_blocks;
-            }
+    /// The vertical loop length of each sweep (0 for a planar sweep): the
+    /// operations metadata's loop sizes.
+    pub fn loop_sizes(&self) -> impl Iterator<Item = i64> + '_ {
+        self.sweeps.iter().map(|s| s.k_extent.unwrap_or(0))
+    }
 
-            let entry = t.per_array.entry(actual.clone()).or_insert((0, 0));
+    /// Total vertical iterations: the depth of the dependent-latency chain
+    /// each thread walks.
+    pub fn depth(&self) -> u64 {
+        self.loop_sizes().map(|n| n as u64).sum()
+    }
+
+    /// The launch's totals under `grid` × `block`, without allocating.
+    pub fn at(&self, grid: Dim3, block: Dim3) -> TrafficTotals {
+        self.fold(grid, block, |_, _, _| {})
+    }
+
+    /// The full [`Traffic`] under `grid` × `block`, per-array breakdown
+    /// included.
+    pub fn traffic(&self, grid: Dim3, block: Dim3) -> Traffic {
+        let mut per_array: HashMap<String, (u64, u64)> = HashMap::new();
+        let totals = self.fold(grid, block, |array, is_write, bytes| {
+            let entry = per_array.entry(self.arrays[array].clone()).or_insert((0, 0));
             if is_write {
-                entry.1 += bytes_per_block_sum;
-                t.write_bytes += bytes_per_block_sum;
+                entry.1 += bytes;
             } else {
-                entry.0 += bytes_per_block_sum;
-                t.read_bytes += bytes_per_block_sum;
+                entry.0 += bytes;
             }
+        });
+        Traffic {
+            read_bytes: totals.read_bytes,
+            write_bytes: totals.write_bytes,
+            per_array,
+            flops: totals.flops,
+            sites: totals.sites,
         }
     }
-    Ok(t)
+
+    /// Sum every sweep's sites, flops and group bytes under `grid` ×
+    /// `block`, handing each group's bytes to `each`.
+    fn fold(
+        &self,
+        grid: Dim3,
+        block: Dim3,
+        mut each: impl FnMut(usize, bool, u64),
+    ) -> TrafficTotals {
+        let mut t = TrafficTotals::default();
+        let z_blocks = grid.z as u64;
+        let launch_x = block.x as i64 * grid.x as i64;
+        let launch_y = block.y as i64 * grid.y as i64;
+        for sweep in &self.sweeps {
+            let site_x = range_len(clip((0, launch_x), sweep.gx));
+            let site_y = range_len(clip((0, launch_y), sweep.gy));
+            let k_extent = sweep.k_extent.unwrap_or(1);
+            t.sites += (site_x * site_y) as u64 * k_extent as u64 * z_blocks;
+            t.flops += sweep.flops_per_site
+                * (site_x * site_y) as u64
+                * k_extent.max(1) as u64
+                * z_blocks;
+            for g in &sweep.groups {
+                let bytes = match g.whole_bytes {
+                    Some(bytes) => bytes,
+                    None => g.elements(grid, block) * g.elem_bytes * z_blocks,
+                };
+                each(g.array, g.is_write, bytes);
+                if g.is_write {
+                    t.write_bytes += bytes;
+                } else {
+                    t.read_bytes += bytes;
+                }
+            }
+        }
+        t
+    }
+}
+
+impl BoundGroup {
+    /// Elements of the group's footprint summed over every (x, y) block:
+    /// per block, the per-axis bounding box of the accesses touching it,
+    /// an axis whose accesses disagree on their base widening to the whole
+    /// axis.
+    fn elements(&self, grid: Dim3, block: Dim3) -> u64 {
+        let (bx, by) = (block.x as i64, block.y as i64);
+        let rank = self.accs.first().map_or(0, |a| a.axes.len());
+        let mut sum = 0u64;
+        for gx in 0..grid.x as i64 {
+            for gy in 0..grid.y as i64 {
+                let mut elems: i64 = 1;
+                for ax in 0..rank {
+                    let mut envelope: Option<(u32, i64, i64)> = None;
+                    for a in self.accs.iter().filter(|a| a.active(gx, gy, bx, by)) {
+                        let axis = a.axes[ax];
+                        let r = axis.range.at(gx, gy, bx, by, axis.extent);
+                        envelope = Some(merge(envelope, axis, r));
+                    }
+                    elems *= envelope.map_or(0, |(_, lo, hi)| (hi - lo).max(0));
+                    if elems == 0 {
+                        break;
+                    }
+                }
+                sum += elems.max(0) as u64;
+            }
+        }
+        sum
+    }
+}
+
+/// Widen a per-axis envelope by one access's range; an access with another
+/// base widens it to the whole axis.
+fn merge(envelope: Option<(u32, i64, i64)>, axis: BoundAxis, r: (i64, i64)) -> (u32, i64, i64) {
+    match envelope {
+        None => (axis.tag, r.0, r.1),
+        Some((tag, _, _)) if tag != axis.tag => (TAG_UNKNOWN, 0, axis.extent),
+        Some((tag, lo, hi)) => (tag, lo.min(r.0), hi.max(r.1)),
+    }
 }
 
 fn eval_opt(

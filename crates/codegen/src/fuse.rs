@@ -248,6 +248,12 @@ impl GroupAnalysis {
         }
     }
 
+    /// The launch grid of the kernel [`GroupAnalysis::emit`] generates for
+    /// `block`.
+    pub fn grid(&self, block: Dim3) -> Dim3 {
+        grid_and_cover(self.need_x, self.need_y, block).0
+    }
+
     /// Generate the fused kernel for one block shape.
     pub fn emit(&self, block: Dim3) -> Result<FusedKernel, CodegenError> {
         let smem_bytes = self.smem_bytes(block)?;
@@ -586,6 +592,19 @@ pub(crate) fn halo_bands(wx: i64, wy: i64, bx: i64, by: i64) -> Vec<(i64, i64, V
         c if c < 0 => Some(b::lt(b::var(t), b::int(w))),
         _ => Some(b::ge(b::var(t), b::int(extent - w))),
     };
+    halo_sides(wx, wy)
+        .map(|(cx, cy)| {
+            let conds = side("tx", cx, wx, bx)
+                .into_iter()
+                .chain(side("ty", cy, wy, by));
+            (cx, cy, conds.collect())
+        })
+        .collect()
+}
+
+/// The sides `(cx, cy)` of [`halo_bands`], which do not depend on the
+/// block: edges before corners, only those a `wx`×`wy` halo has.
+pub(crate) fn halo_sides(wx: i64, wy: i64) -> impl Iterator<Item = (i64, i64)> {
     const SIDES: [(i64, i64); 8] = [
         (-1, 0),
         (1, 0),
@@ -598,14 +617,7 @@ pub(crate) fn halo_bands(wx: i64, wy: i64, bx: i64, by: i64) -> Vec<(i64, i64, V
     ];
     SIDES
         .into_iter()
-        .filter(|&(cx, cy)| (cx == 0 || wx > 0) && (cy == 0 || wy > 0))
-        .map(|(cx, cy)| {
-            let conds = side("tx", cx, wx, bx)
-                .into_iter()
-                .chain(side("ty", cy, wy, by));
-            (cx, cy, conds.collect())
-        })
-        .collect()
+        .filter(move |&(cx, cy)| (cx == 0 || wx > 0) && (cy == 0 || wy > 0))
 }
 
 /// Staging loads (main + halo) for one read-only shared array.
@@ -936,19 +948,22 @@ fn replace_write(stmts: &mut Vec<Stmt>, array: &str, tmp: &str, st: &StagedArray
     }
 }
 
-/// Substitute `i → i+di`, `j → j+dj` in an expression (two-phase through
-/// placeholders so the inserted `i`/`j` are not re-substituted).
+/// Substitute `i → i+di`, `j → j+dj` in an expression.
 pub(crate) fn shift_expr(e: &Expr, di: i64, dj: i64) -> Expr {
     let mut out = e.clone();
-    visit::rewrite_expr(&mut out, &mut |n| match n {
-        Expr::Var(v) if v == "i" => Some(Expr::Var("__si".into())),
-        Expr::Var(v) if v == "j" => Some(Expr::Var("__sj".into())),
-        _ => None,
-    });
-    visit::rewrite_expr(&mut out, &mut |n| match n {
-        Expr::Var(v) if v == "__si" => Some(b::offset(b::var("i"), di)),
-        Expr::Var(v) if v == "__sj" => Some(b::offset(b::var("j"), dj)),
-        _ => None,
-    });
+    shift_in_place(&mut out, di, dj);
     out
+}
+
+/// [`shift_expr`] in place. The rewrite replaces each `i`/`j` after visiting
+/// it, so an inserted `i`/`j` is never substituted again.
+pub(crate) fn shift_in_place(e: &mut Expr, di: i64, dj: i64) {
+    if (di, dj) == (0, 0) {
+        return;
+    }
+    visit::rewrite_expr(e, &mut |n| match n {
+        Expr::Var(v) if v == "i" => Some(b::offset(b::var("i"), di)),
+        Expr::Var(v) if v == "j" => Some(b::offset(b::var("j"), dj)),
+        _ => None,
+    });
 }

@@ -22,7 +22,7 @@ use sf_gpusim::isolate::isolated;
 use sf_graphs::{Ddg, Precedence};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{
-    Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg, TransferRecord,
+    AllocInfo, Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg, TransferRecord,
 };
 use sf_minicuda::visit;
 use sf_plan::{BlockDims, MemberRef, PrecedenceClass, TransformPlan};
@@ -439,6 +439,7 @@ pub fn transform_program_with(
                             &tplan.device,
                             fold,
                             &plan.allocs,
+                            &|array| declared_alloc(plan, array),
                         )
                         .map(|(t, n)| Fusion::Temporal(Box::new(t), Some(n), iters))
                     }
@@ -460,6 +461,7 @@ pub fn transform_program_with(
                         tplan.mode,
                         &name,
                         &tplan.device,
+                        &|array| declared_alloc(plan, array),
                     )
                     .map(|(f, n)| Fusion::Spatial(f, Some(n))),
                     Rung::Plain => fuse_group(
@@ -628,6 +630,28 @@ pub fn transform_program_with(
         degradations,
         new_kernel_count,
         plan: exec_plan,
+    })
+}
+
+/// The allocation [`build_host`] declares for `array`: a literal one, or a
+/// redundant instance `{base}__i{n}` or temporal shadow `{base}__tb`, each
+/// shaped like its base.
+fn declared_alloc(plan: &ExecutablePlan, array: &str) -> Option<AllocInfo> {
+    if let Some(a) = plan.alloc(array) {
+        return Some(a.clone());
+    }
+    let base = match array.strip_suffix("__tb") {
+        Some(base) => base,
+        None => {
+            let (base, inst) = array.rsplit_once("__i")?;
+            inst.parse::<usize>().ok()?;
+            base
+        }
+    };
+    let base = plan.alloc(base)?;
+    Some(AllocInfo {
+        name: array.to_string(),
+        ..base.clone()
     })
 }
 

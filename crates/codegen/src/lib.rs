@@ -18,8 +18,9 @@
 //!   (barriers + halo recomputation / temporal blocking, §5.5.3), in both
 //!   the automated flavor and the manual-oracle flavor whose two extra hand
 //!   optimizations the paper credits for the auto-vs-manual gap (§6.2.2).
-//! - [`tuning`] — thread-block-size tuning of generated kernels via the
-//!   occupancy calculator (§4.2).
+//! - [`tuning`] — thread-block-size tuning of generated kernels (§4.2):
+//!   candidates ranked by the profiler's modelled time, with the
+//!   occupancy calculator as a floor.
 //! - [`hostgen`] — assemble the whole transformed program: new kernels plus
 //!   the rewritten host section invoking them in OEG order (§5.5.4).
 

@@ -26,8 +26,8 @@
 
 use crate::canon::{self, CanonMember, MemberStructure};
 use crate::fuse::{
-    affine_off, decl_int, grid_and_cover, halo_bands, inline_locals, scalar_params, shift_expr,
-    stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
+    affine_off, decl_int, grid_and_cover, halo_bands, halo_sides, inline_locals, scalar_params,
+    shift_in_place, stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
 };
 use crate::tuning::{tune_block, TuneNote};
 use sf_gpusim::device::DeviceSpec;
@@ -69,6 +69,22 @@ struct Step {
     k_hi: i64,
 }
 
+/// One member-step of the fold and the halo it must still produce.
+struct FoldedStep {
+    /// Index into the member steps.
+    step: usize,
+    wx: i64,
+    wy: i64,
+}
+
+impl FoldedStep {
+    /// The regions [`emit_step`] generates: the main site, then one per
+    /// side of [`halo_sides`].
+    fn regions(&self) -> usize {
+        1 + halo_sides(self.wx, self.wy).count()
+    }
+}
+
 /// Everything about a temporal group that does not depend on the
 /// thread-block shape — member steps, accumulated halo, every
 /// block-independent legality rule — computed once by [`Self::new`]. Per
@@ -92,13 +108,11 @@ pub struct TemporalAnalysis {
     domain: [i64; 3],
     shadows: Vec<(String, Vec<usize>)>,
     steps: Vec<Step>,
+    /// The `fold · steps` member-steps in execution order.
+    folded: Vec<FoldedStep>,
     /// Accumulated halo `D = T · Σ r` per axis.
     dx: i64,
     dy: i64,
-    /// Launch coverage: the write-out must reach the full domain even when
-    /// a member's own launch under-covered it.
-    need_x: i64,
-    need_y: i64,
 }
 
 /// Fold `fold` iterations of the member chain into one kernel.
@@ -116,7 +130,9 @@ pub fn fuse_group_temporal(
     TemporalAnalysis::new(members, name, smem_limit, fold, allocs)?.emit(block)
 }
 
-/// Generate the temporal kernel at the occupancy-optimal block size.
+/// Generate the temporal kernel at the block the timing model prices
+/// fastest ([`crate::tuning`]); `alloc_of` resolves the arrays of its
+/// launch, shadows included.
 pub fn fuse_group_temporal_tuned(
     members: &[(&Kernel, &LaunchRecord)],
     initial_block: Dim3,
@@ -124,14 +140,16 @@ pub fn fuse_group_temporal_tuned(
     device: &DeviceSpec,
     fold: u32,
     allocs: &[AllocInfo],
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
 ) -> Result<(TemporalKernel, TuneNote), CodegenError> {
     let group = TemporalAnalysis::new(members, name, device.smem_per_block_max, fold, allocs)?;
     tune_block(
         initial_block,
         device,
+        alloc_of,
         |block| group.smem_bytes(block),
-        |block| group.emit(block),
-        |fused| &fused.kernel,
+        |block| group.grid(block),
+        |block, from| group.emit_reusing(block, from),
     )
 }
 
@@ -217,6 +235,23 @@ impl TemporalAnalysis {
             .map(|m| extract_step(m, &written, &canon_scalars, kz))
             .collect::<Result<_, _>>()?;
 
+        // Per-step halo widths: step s must produce values out to the sum of
+        // all *later* steps' tile-read radii — what is left of the
+        // accumulated halo after its own.
+        let dx = i64::from(fold) * steps.iter().map(|s| s.rx).sum::<i64>();
+        let dy = i64::from(fold) * steps.iter().map(|s| s.ry).sum::<i64>();
+        let (mut wx, mut wy) = (dx, dy);
+        let mut folded = Vec::with_capacity(fold as usize * steps.len());
+        for s in 0..fold as usize * steps.len() {
+            let step = &steps[s % steps.len()];
+            (wx, wy) = (wx - step.rx, wy - step.ry);
+            folded.push(FoldedStep {
+                step: s % steps.len(),
+                wx,
+                wy,
+            });
+        }
+
         let array = |name: String, is_const| Param::Array {
             name,
             elem: ScalarType::F64,
@@ -244,10 +279,8 @@ impl TemporalAnalysis {
             fold,
             smem_limit,
             members: cms.iter().map(|m| m.seq).collect(),
-            dx: i64::from(fold) * steps.iter().map(|s| s.rx).sum::<i64>(),
-            dy: i64::from(fold) * steps.iter().map(|s| s.ry).sum::<i64>(),
-            need_x: cms.iter().map(|m| m.launch_x).max().unwrap_or(1).max(nx),
-            need_y: cms.iter().map(|m| m.launch_y).max().unwrap_or(1).max(ny),
+            dx,
+            dy,
             params,
             args_a: args(touched.clone(), written.iter().map(shadow).collect()),
             args_b: args(touched.iter().map(entry_b).collect(), written.clone()),
@@ -258,6 +291,7 @@ impl TemporalAnalysis {
             written,
             domain: [kz, ny, nx],
             steps,
+            folded,
         })
     }
 
@@ -284,14 +318,41 @@ impl TemporalAnalysis {
         Ok(smem_bytes)
     }
 
+    /// The launch grid of the kernel [`TemporalAnalysis::emit`] generates
+    /// for `block`: it covers the domain, which the write-out must reach
+    /// even where a member's own launch under-covered it. A block lying
+    /// wholly past the domain would stage halo cells its clamps do not
+    /// guard, so none is launched.
+    pub fn grid(&self, block: Dim3) -> Dim3 {
+        let [_, ny, nx] = self.domain;
+        grid_and_cover(nx, ny, block).0
+    }
+
     /// Generate the temporal kernel for one block shape.
     pub fn emit(&self, block: Dim3) -> Result<TemporalKernel, CodegenError> {
+        self.emit_reusing(block, None)
+    }
+
+    /// [`Self::emit`], taking the folded right-hand sides — the bulk of the
+    /// kernel, and independent of the block — out of `from`, a kernel this
+    /// analysis emitted at another block, instead of building them again.
+    pub(crate) fn emit_reusing(
+        &self,
+        block: Dim3,
+        from: Option<TemporalKernel>,
+    ) -> Result<TemporalKernel, CodegenError> {
+        let reused = from.map(|k| self.take_values(k));
+        debug_assert!(
+            !matches!(reused, Some(None)),
+            "a kernel this analysis emitted holds its right-hand sides where it put them"
+        );
+        let mut reused = reused.flatten().map(Vec::into_iter);
         let smem_bytes = self.smem_bytes(block)?;
         let (fold, written, steps) = (self.fold, &self.written, &self.steps);
         let (dx, dy) = (self.dx, self.dy);
         let (bx, by) = (block.x as i64, block.y as i64);
         let [kz, ny, nx] = self.domain;
-        let (grid, _, _) = grid_and_cover(self.need_x, self.need_y, block);
+        let grid = self.grid(block);
 
         let staged: Vec<StagedArray> = written
             .iter()
@@ -324,14 +385,13 @@ impl TemporalAnalysis {
         }
         loop_body.push(Stmt::SyncThreads);
 
-        // Per-step halo widths: step s must produce values out to the sum of
-        // all *later* steps' tile-read radii — what is left of the
-        // accumulated halo after its own.
-        let (mut wx, mut wy) = (dx, dy);
-        for s in 0..fold as usize * steps.len() {
-            let step = &steps[s % steps.len()];
-            (wx, wy) = (wx - step.rx, wy - step.ry);
-            loop_body.extend(emit_step(step, written, wx, wy, dx, dy, bx, by, kz));
+        for f in &self.folded {
+            let step = &steps[f.step];
+            let value = |sx, sy| match &mut reused {
+                Some(values) => values.next().expect("one value per region"),
+                None => shifted_rhs(&step.rhs, written, sx, sy, dx, dy),
+            };
+            loop_body.extend(emit_step(step, f, value, (dx, dy), (bx, by), kz));
             loop_body.push(Stmt::SyncThreads);
         }
 
@@ -396,6 +456,33 @@ impl TemporalAnalysis {
             shadows: self.shadows.clone(),
             report,
         })
+    }
+
+    /// The folded right-hand sides of `from`, region by region, as
+    /// [`Self::emit_reusing`] consumes them: the time loop's body is the
+    /// staging, a barrier, each folded step's regions and a barrier, then
+    /// the write-out and a barrier. `None` if `from` is not laid out so.
+    fn take_values(&self, from: TemporalKernel) -> Option<Vec<Expr>> {
+        let Some(Stmt::For { body, .. }) = from.kernel.body.into_iter().last() else {
+            return None;
+        };
+        let steps: usize = self.folded.iter().map(|f| f.regions() + 1).sum();
+        let start = body.len().checked_sub(steps + 2)?;
+        let mut stmts = body.into_iter().skip(start);
+        let mut values = Vec::new();
+        for f in &self.folded {
+            for _ in 0..f.regions() {
+                let Stmt::If { then_body, .. } = stmts.next()? else {
+                    return None;
+                };
+                let Some(Stmt::Assign { value, .. }) = then_body.into_iter().next() else {
+                    return None;
+                };
+                values.push(value);
+            }
+            stmts.next()?;
+        }
+        Some(values)
     }
 }
 
@@ -628,19 +715,18 @@ fn extract_step(
 /// Emit one folded member-step: the main region plus up to eight shrinking
 /// halo-band regions, each computing the member's value at a laterally
 /// shifted site when that site lies inside the member's guard.
-#[allow(clippy::too_many_arguments)]
+/// `value(sx, sy)` is the member's right-hand side at the site shifted by
+/// `(sx, sy)`, asked for region by region.
 fn emit_step(
     step: &Step,
-    written: &[String],
-    wx: i64,
-    wy: i64,
-    dx: i64,
-    dy: i64,
-    bx: i64,
-    by: i64,
+    folded: &FoldedStep,
+    mut value: impl FnMut(i64, i64) -> Expr,
+    (dx, dy): (i64, i64),
+    (bx, by): (i64, i64),
     kz: i64,
 ) -> Vec<Stmt> {
     let mut out = Vec::new();
+    let (wx, wy) = (folded.wx, folded.wy);
     // (x-shift, y-shift, thread-side conditions selecting the region's
     // writer threads): the main region, then the halo bands.
     let bands = halo_bands(wx, wy, bx, by).into_iter();
@@ -662,7 +748,7 @@ fn emit_step(
         if step.k_hi < kz {
             conds.push(b::lt(b::var("k"), b::int(step.k_hi)));
         }
-        let value = shifted_rhs(&step.rhs, written, sx, sy, dx, dy);
+        let value = value(sx, sy);
         out.push(Stmt::If {
             cond: b::all(conds),
             then_body: vec![Stmt::Assign {
@@ -711,7 +797,8 @@ fn shifted_rhs(
             ],
         })
     });
-    shift_expr(&out, sx, sy)
+    shift_in_place(&mut out, sx, sy);
+    out
 }
 
 #[cfg(test)]
@@ -775,6 +862,30 @@ void host() {{
                 (p.kernel(&l.kernel).unwrap(), l)
             })
             .collect()
+    }
+
+    /// Re-emitting from a kernel emitted at another block takes its
+    /// right-hand sides instead of building them, and must generate exactly
+    /// what a fresh emission does.
+    #[test]
+    fn emitting_from_another_blocks_kernel_matches_a_fresh_emission() {
+        let (p, plan) = setup(8);
+        let members = group(&p, &plan);
+        let blocks = [Dim3::new(16, 8, 1), Dim3::new(8, 8, 1), Dim3::new(32, 16, 1)];
+        for fold in [2u32, 4] {
+            let analysis =
+                TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, fold, &plan.allocs)
+                    .unwrap();
+            let regions: usize = analysis.folded.iter().map(FoldedStep::regions).sum();
+            for from in blocks {
+                let values = analysis.take_values(analysis.emit(from).unwrap());
+                assert_eq!(values.map(|v| v.len()), Some(regions), "{from}");
+                for to in blocks {
+                    let reused = analysis.emit_reusing(to, Some(analysis.emit(from).unwrap()));
+                    assert_eq!(reused.unwrap(), analysis.emit(to).unwrap(), "{from} -> {to}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -917,25 +1028,33 @@ void host() {{
 
     /// The folded kernel pair must reproduce the original loop bit-exactly:
     /// run the original plan and a hand-built ping-pong host around the
-    /// temporal kernel, and compare every array.
+    /// temporal kernel, and compare every array. The last case launches
+    /// the members over twice the domain's rows and folds at a block whose
+    /// grid covers the domain only: blocks past it would stage halo rows
+    /// out of bounds.
     #[test]
     fn folded_pingpong_matches_the_original_loop() {
         use sf_gpusim::{GlobalMemory, Interpreter};
         use sf_minicuda::ast::{Dim3Expr, HostStmt, LaunchArg};
 
-        for fold in [2u32, 4] {
+        let exact = ("dim3(2, 2), dim3(16, 8)", Dim3::new(16, 8, 1));
+        let over = ("dim3(1, 1), dim3(32, 32)", Dim3::new(32, 4, 1));
+        for (fold, (launch, block)) in [(2u32, exact), (4, exact), (2, over)] {
             let steps = 8i64;
-            let (p, plan) = setup(steps);
+            let src = pingpong_src(steps).replace(exact.0, launch);
+            let p = parse_program(&src).unwrap();
+            let plan = ExecutablePlan::from_program(&p).unwrap();
             let members = group(&p, &plan);
             let tk = fuse_group_temporal(
                 &members,
-                Dim3::new(16, 8, 1),
+                block,
                 "temporal_0",
                 48 * 1024,
                 fold,
                 &plan.allocs,
             )
             .unwrap();
+            assert_eq!(tk.grid, Dim3::new(32 / block.x, 16 / block.y, 1));
 
             // Original result.
             let mut mem = GlobalMemory::from_plan(&plan);

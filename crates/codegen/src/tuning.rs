@@ -2,28 +2,54 @@
 //!
 //! Tuning happens at code-generation time, never inside the optimization
 //! algorithm, and it is *codeless*: a group is analysed once
-//! ([`GroupAnalysis`], [`crate::temporal::TemporalAnalysis`]), every
-//! candidate block shape is priced by the occupancy-calculator clone
-//! ([`best_block_size`]) without generating a kernel for it, and the kernel
-//! is emitted once more, at the winner.
+//! ([`GroupAnalysis`], [`crate::temporal::TemporalAnalysis`]), the kernel is
+//! emitted at the initial block, and every candidate shape of
+//! [`candidate_blocks`] is priced from that one kernel without generating
+//! another. The price is the modelled time an analytic profile charges the
+//! emitted launch: one [`LaunchPricer`], the profiler's own, is bound to the
+//! initial kernel's launch and asked the cost of each shape, with the
+//! analysis's shared-memory footprint for that shape, so the tuner and an
+//! analytic profile cannot disagree. A functional profile charges the same
+//! model with the flops and divergent branches the interpreter measures,
+//! which no codeless price can see (the analytic one counts estimated flops
+//! and no divergence); the fuzzer's `tuning-monotone` check holds the
+//! generated programs and the application analogs to the pipeline's own
+//! profile as well. The kernel is
+//! emitted once more, at the winner, reusing what the generator can of the
+//! first emission.
 //!
-//! The calculator needs two numbers per shape. Shared memory is the
-//! analysis's closed form `smem_bytes(block) = Σ (bx+2rx)(by+2ry)·8` over the
-//! staged tiles, or a rejection when the shape breaks a legality rule.
+//! Occupancy is a utilization proxy, not performance (the paper says so
+//! itself), so it is a floor here, not the objective. A candidate is
+//! admissible only if the analysis can generate it and it launches, its
+//! occupancy is at least the initial block's (so tuning never lowers
+//! occupancy, Table 2), and its padded coverage — grid × block threads — is
+//! at most the initial block's: the calculator counts every launched warp
+//! as resident, and a shape that pads a narrow domain with idle lanes would
+//! otherwise buy occupancy the hardware does not have. The tuner takes the
+//! admissible candidate priced strictly fastest (by a relative 1e-9), ties
+//! going to [`candidate_blocks`] order, and otherwise keeps the initial
+//! block.
+//!
 //! Registers are read off the kernel emitted at the initial block: the
 //! estimate counts array parameters, local declarations and tiles, and a
 //! block shape changes none of those — only literals in tile extents and
-//! halo guards. An emitted kernel that does not use what it was priced at is
-//! a [`CodegenError`]: the group goes down the degradation ladder instead of
-//! shipping a block the calculator never ranked.
+//! halo guards. A kernel whose shared memory is not what `smem_bytes`
+//! priced — the initial one, or the winner's declared tiles — is a
+//! [`CodegenError`]: the group goes down the degradation ladder instead of
+//! shipping a block the tuner never ranked. The winner is not analysed
+//! again: the fidelity oracle (`tests/tuning_equivalence.rs`) holds the
+//! kernel emitted at every legal shape to its price, and debug builds
+//! recheck its registers.
 
 use crate::fuse::{CodegenError, CodegenMode, FusedKernel, GroupAnalysis};
+use crate::temporal::TemporalKernel;
 use sf_analysis::access::KernelAccess;
 use sf_gpusim::device::DeviceSpec;
-use sf_gpusim::occupancy::{best_block_size, occupancy};
-use sf_gpusim::profiler::estimate_regs_per_thread;
-use sf_minicuda::ast::Kernel;
-use sf_minicuda::host::{Dim3, LaunchRecord};
+use sf_gpusim::occupancy::{candidate_blocks, occupancy};
+use sf_gpusim::profiler::{estimate_regs_per_thread, LaunchPricer};
+use sf_gpusim::timing::TimingModel;
+use sf_minicuda::ast::{Kernel, Stmt};
+use sf_minicuda::host::{AllocInfo, Dim3, LaunchRecord, ResolvedArg};
 
 /// The outcome of tuning one fused kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +60,50 @@ pub struct TuneNote {
     pub occupancy_after: f64,
     pub block_before: Dim3,
     pub block_after: Dim3,
+    /// Modelled time of one execution of the launch at each block, µs, as
+    /// an analytic profile charges it (infinite if the initial block cannot
+    /// launch).
+    pub us_before: f64,
+    pub us_after: f64,
     /// Whether the tuner changed the block shape.
     pub tuned: bool,
+}
+
+/// What the tuner reads off a generated kernel: the kernel and the launch
+/// the profiler will price (its grid and arguments).
+pub trait Emitted {
+    /// The generated kernel.
+    fn kernel(&self) -> &Kernel;
+    /// The launch grid.
+    fn grid(&self) -> Dim3;
+    /// The arguments of the priced launch.
+    fn args(&self) -> &[ResolvedArg];
+}
+
+impl Emitted for FusedKernel {
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+    fn grid(&self) -> Dim3 {
+        self.grid
+    }
+    fn args(&self) -> &[ResolvedArg] {
+        &self.args
+    }
+}
+
+/// A temporal kernel runs as a ping-pong pair of launches of one shape over
+/// equally shaped arrays; the pricer reads the first.
+impl Emitted for TemporalKernel {
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+    fn grid(&self) -> Dim3 {
+        self.grid
+    }
+    fn args(&self) -> &[ResolvedArg] {
+        &self.args_a
+    }
 }
 
 /// What the occupancy calculator reads off a generated kernel: estimated
@@ -64,66 +132,138 @@ fn occupancy_or_zero(device: &DeviceSpec, block: Dim3, regs: u32, smem: usize) -
     occupancy(device, block.count() as u32, regs, smem).map_or(0.0, |o| o.occupancy)
 }
 
-/// Emit a group at the occupancy-optimal block: once at `initial_block`
-/// (which fixes the register estimate), and once more at the shape
-/// [`best_block_size`] picks from `smem_bytes`, if that is a different one.
-pub(crate) fn tune_block<K>(
+/// Padded coverage of a launch: threads launched, idle lanes included.
+fn coverage(grid: Dim3, block: Dim3) -> u64 {
+    grid.count() * block.count()
+}
+
+/// Static shared memory of the tiles a generated kernel declares at its
+/// top level, where both generators place them, bytes.
+fn declared_smem(kernel: &Kernel) -> usize {
+    let tile = |s: &Stmt| match s {
+        Stmt::SharedDecl { ty, extents, .. } => extents.iter().product::<usize>() * ty.size_bytes(),
+        _ => 0,
+    };
+    kernel.body.iter().map(tile).sum()
+}
+
+/// Emit a group at the block the timing model prices fastest: once at
+/// `initial_block` (which fixes the registers and the priced launch), and
+/// once more at the admissible candidate priced strictly fastest, if there
+/// is one. `smem_bytes` and `grid_of` give a shape's shared-memory
+/// footprint (or the legality rule it breaks) and launch grid; `alloc_of`
+/// resolves the launch's arrays. `emit(block, from)` generates the kernel
+/// at `block`, free to reuse `from`, the kernel emitted at the initial
+/// block, when the winner replaces it.
+pub(crate) fn tune_block<K: Emitted>(
     initial_block: Dim3,
     device: &DeviceSpec,
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
     smem_bytes: impl Fn(Dim3) -> Result<usize, CodegenError>,
-    emit: impl Fn(Dim3) -> Result<K, CodegenError>,
-    kernel_of: impl Fn(&K) -> &Kernel,
+    grid_of: impl Fn(Dim3) -> Dim3,
+    emit: impl Fn(Dim3, Option<K>) -> Result<K, CodegenError>,
 ) -> Result<(K, TuneNote), CodegenError> {
-    // Emit at `block`; the kernel must use exactly what the block was priced at.
-    let emit_priced = |block: Dim3, regs: Option<u32>| {
-        let fused = emit(block)?;
-        let kernel = kernel_of(&fused);
-        let emitted = kernel_resources(kernel)?;
-        let priced = (regs.unwrap_or(emitted.0), smem_bytes(block)?);
-        if emitted != priced {
-            return Err(CodegenError(format!(
-                "`{}` at block {}x{} uses {} registers and {} B shared memory, \
-                 priced at {} and {} B",
-                kernel.name, block.x, block.y, emitted.0, emitted.1, priced.0, priced.1
-            )));
+    // The kernel at the initial block must use exactly the shared memory
+    // `smem_bytes` prices; its registers are what every shape is priced at.
+    let base = emit(initial_block, None)?;
+    let ka = KernelAccess::analyze(base.kernel()).map_err(|e| CodegenError(e.0))?;
+    let smem = ka.smem_bytes_per_block();
+    let priced = smem_bytes(initial_block)?;
+    if smem != priced {
+        return Err(CodegenError(format!(
+            "`{}` at block {}x{} uses {smem} B shared memory, priced at {priced} B",
+            base.kernel().name,
+            initial_block.x,
+            initial_block.y
+        )));
+    }
+    let model = TimingModel::new(device.clone());
+    let pricer = LaunchPricer::bind(&model, base.kernel(), &ka, base.args(), alloc_of)
+        .map_err(|e| CodegenError(e.0))?;
+    let regs = pricer.regs_per_thread();
+    let occupancy_before = occupancy_or_zero(device, initial_block, regs, smem);
+    let us_before = pricer
+        .cost(base.grid(), initial_block, smem)
+        .map_or(f64::INFINITY, |c| c.total_us());
+    let cover = coverage(base.grid(), initial_block);
+
+    let mut best: Option<(Dim3, f64, f64, usize)> = None;
+    for block in candidate_blocks(device) {
+        if block == initial_block {
+            continue;
         }
-        let occupancy = occupancy_or_zero(device, block, emitted.0, emitted.1);
-        Ok((fused, emitted.0, occupancy))
+        let Ok(smem) = smem_bytes(block) else {
+            continue;
+        };
+        let Some(occ) = occupancy(device, block.count() as u32, regs, smem) else {
+            continue;
+        };
+        let grid = grid_of(block);
+        if occ.occupancy < occupancy_before || coverage(grid, block) > cover {
+            continue;
+        }
+        let Some(cost) = pricer.cost(grid, block, smem) else {
+            continue;
+        };
+        let us = cost.total_us();
+        let to_beat = best.map_or(us_before, |(_, us, _, _)| us);
+        if us < to_beat * (1.0 - 1e-9) {
+            best = Some((block, us, occ.occupancy, smem));
+        }
+    }
+    let name = base.kernel().name.clone();
+    let fused = match best {
+        None => base,
+        Some((block, _, _, smem_after)) => {
+            let fused = emit(block, Some(base))?;
+            let declared = declared_smem(fused.kernel());
+            if declared != smem_after {
+                return Err(CodegenError(format!(
+                    "`{name}` at block {}x{} declares {declared} B shared memory, \
+                     priced at {smem_after} B",
+                    block.x, block.y
+                )));
+            }
+            debug_assert_eq!(
+                kernel_resources(fused.kernel()),
+                Ok((regs, smem_after)),
+                "`{name}` at block {block} does not use what it was priced at"
+            );
+            fused
+        }
     };
-    let (base, regs, occupancy_before) = emit_priced(initial_block, None)?;
-    let (block_after, _) = best_block_size(device, initial_block, regs, |b| smem_bytes(b).ok());
-    let tuned = block_after != initial_block;
-    let (best, occupancy_after) = if tuned {
-        let (best, _, occupancy_after) = emit_priced(block_after, Some(regs))?;
-        (best, occupancy_after)
-    } else {
-        (base, occupancy_before)
-    };
+    let (block_after, us_after, occupancy_after, _) =
+        best.unwrap_or((initial_block, us_before, occupancy_before, smem));
     let note = TuneNote {
-        kernel: kernel_of(&best).name.clone(),
+        kernel: name,
         occupancy_before,
         occupancy_after,
         block_before: initial_block,
         block_after,
-        tuned,
+        us_before,
+        us_after,
+        tuned: best.is_some(),
     };
-    Ok((best, note))
+    Ok((fused, note))
 }
 
-/// Generate a fused kernel at the occupancy-optimal block size.
+/// Generate a fused kernel at the block the timing model prices fastest;
+/// `alloc_of` resolves the fused launch's arrays.
 pub fn fuse_group_tuned(
     members: &[(&Kernel, &LaunchRecord)],
     initial_block: Dim3,
     mode: CodegenMode,
     name: &str,
     device: &DeviceSpec,
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
 ) -> Result<(FusedKernel, TuneNote), CodegenError> {
     let group = GroupAnalysis::new(members, mode, name, device.smem_per_block_max)?;
     tune_block(
         initial_block,
         device,
+        alloc_of,
         |block| group.smem_bytes(block),
-        |block| group.emit(block),
-        |fused| &fused.kernel,
+        |block| group.grid(block),
+        |block, _| group.emit(block),
     )
 }

@@ -6,6 +6,8 @@ use sf_codegen::{transform_program, CodegenMode, GroupPlan, MemberRef, Transform
 use sf_codegen::PrecedenceClass;
 use sf_gpusim::{GlobalMemory, Interpreter};
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::profiler::Profiler;
+use sf_minicuda::host::Dim3;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::{parse_program, Program};
 
@@ -417,7 +419,7 @@ void host() {
 }
 
 #[test]
-fn block_tuning_preserves_output_and_lifts_occupancy() {
+fn block_tuning_never_prices_slower_or_lowers_occupancy() {
     let p = parse_program(SIMPLE_PAIR).unwrap();
     let plan = ExecutablePlan::from_program(&p).unwrap();
     let tplan = TransformPlan::new(
@@ -431,9 +433,29 @@ fn block_tuning_preserves_output_and_lifts_occupancy() {
     );
     let out = transform_program(&p, &plan, &tplan).unwrap();
     assert_equivalent(&p, &out.program);
+    let untuned = TransformPlan {
+        block_tuning: false,
+        ..tplan.clone()
+    };
+    let untuned = transform_program(&p, &plan, &untuned).unwrap();
+    // The tuner's price is the analytic profile's; the pipeline profiles
+    // functionally by default, charging measured flops and divergence.
+    for profiler in [Profiler::analytic(DeviceSpec::k20x()), Profiler::new(DeviceSpec::k20x())] {
+        let time = |program: &Program| profiler.profile(program).unwrap().total_runtime_us;
+        assert!(time(&out.program) <= time(&untuned.program));
+    }
     assert_eq!(out.tuning.len(), 1);
     let note = &out.tuning[0];
-    assert!(note.occupancy_after >= note.occupancy_before - 1e-9);
+    assert!(note.occupancy_after >= note.occupancy_before, "{note:?}");
+    assert!(note.us_after <= note.us_before, "{note:?}");
+    assert!(note.us_before.is_finite(), "{note:?}");
+    let g = &out.plan.groups[0];
+    let tuned = g.tuned_block.expect("a fused group records its block");
+    assert_eq!(
+        Dim3::new(tuned.x, tuned.y, tuned.z),
+        note.block_after,
+        "the as-executed plan records the tuner's pick"
+    );
 }
 
 #[test]

@@ -1,46 +1,113 @@
-//! The block tuner prices candidate shapes from a resource model instead of
-//! generating a kernel per candidate. Two oracles keep that honest:
+//! The block tuner prices candidate shapes with the profiler's own launch
+//! pricer instead of generating a kernel per candidate. Two oracles keep
+//! that honest:
 //!
-//! - **equivalence** — the regenerate-and-measure loop the tuner replaced
-//!   lives on here, built from the public generators, and must pick the
-//!   same block and produce the same kernel, arguments, report and note for
-//!   every group the pipeline plans for every app analog on every registry
+//! - **equivalence** — the regenerate-and-price loop the tuner replaced
+//!   lives on here, built from the public generators and the profiler: emit
+//!   every legal candidate, price each emitted launch with an analytic
+//!   profile, keep those that neither lower occupancy nor launch more
+//!   threads, and take the strictly fastest. It must pick the same block
+//!   and produce the same kernel, arguments, report and note for every
+//!   group the pipeline plans for every app analog on every registry
 //!   device (and for every adjacent launch window, for breadth);
 //! - **fidelity** — for *every* legal candidate block, not just the winner,
-//!   the price (registers, shared bytes, occupancy) equals what the access
-//!   analysis measures on the kernel actually emitted at that block.
+//!   the price (registers, shared bytes, occupancy, modelled µs) equals
+//!   what the profiler measures on the kernel actually emitted at that
+//!   block.
 
 use proptest::prelude::*;
 use sf_analysis::access::KernelAccess;
 use sf_apps::{app_by_name, AppConfig, APP_NAMES};
 use sf_codegen::fuse::{fuse_group, FusedKernel, GroupAnalysis};
 use sf_codegen::temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalAnalysis};
-use sf_codegen::tuning::{fuse_group_tuned, kernel_occupancy, TuneNote};
+use sf_codegen::tuning::{fuse_group_tuned, kernel_occupancy, Emitted, TuneNote};
 use sf_codegen::{fission_kernel, CodegenError, CodegenMode, GroupPlan, MemberRef};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::occupancy::{candidate_blocks, occupancy};
-use sf_gpusim::profiler::estimate_regs_per_thread;
+use sf_gpusim::profiler::{estimate_regs_per_thread, LaunchPricer, Profiler};
 use sf_gpusim::registry::DeviceRegistry;
-use sf_minicuda::ast::Kernel;
-use sf_minicuda::host::{Dim3, ExecutablePlan, LaunchRecord, ResolvedArg};
+use sf_gpusim::TimingModel;
+use sf_minicuda::ast::{Dim3Expr, Expr, HostStmt, Kernel, LaunchArg};
+use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg};
 use sf_minicuda::{parse_program, Program};
 use stencilfuse::{Pipeline, PipelineConfig, Stage};
 
-/// The tuner as it was before it went codeless: regenerate the kernel for
-/// every candidate shape, measure each one's occupancy, keep the first
-/// strict improvement.
-fn regenerate_and_measure<K>(
-    name: &str,
+/// The modelled µs the profiler charges one execution of `fused` launched
+/// at `block`: an analytic profile of a program that declares `allocs` and
+/// the kernel's temporal shadows (shaped like their bases, as the host
+/// rewriter declares them) and launches the kernel once. `None` when the
+/// launch cannot execute.
+fn profiler_us<K: Emitted>(
+    fused: &K,
+    block: Dim3,
+    allocs: &[AllocInfo],
+    device: &DeviceSpec,
+) -> Option<f64> {
+    let alloc = |name: &str, base: &AllocInfo| HostStmt::Alloc {
+        name: name.to_string(),
+        elem: base.elem,
+        extents: base.extents.iter().map(|&e| Expr::Int(e as i64)).collect(),
+    };
+    let mut host: Vec<HostStmt> = allocs.iter().map(|a| alloc(&a.name, a)).collect();
+    for arg in fused.args() {
+        if let ResolvedArg::Array(name) = arg {
+            if name.ends_with("__tb") {
+                host.push(alloc(name, &declared(allocs, name).expect("shadowed base")));
+            }
+        }
+    }
+    let dim = |d: Dim3| Dim3Expr::literal(d.x as i64, d.y as i64, d.z as i64);
+    let args = fused.args().iter().map(|a| match a {
+        ResolvedArg::Array(n) => LaunchArg::Array(n.clone()),
+        ResolvedArg::Scalar(HostValue::Int(v)) => LaunchArg::Scalar(Expr::Int(*v)),
+        ResolvedArg::Scalar(HostValue::Float(v)) => LaunchArg::Scalar(Expr::Float(*v)),
+    });
+    host.push(HostStmt::Launch {
+        kernel: fused.kernel().name.clone(),
+        grid: dim(fused.grid()),
+        block: dim(block),
+        args: args.collect(),
+    });
+    let program = Program {
+        kernels: vec![fused.kernel().clone()],
+        host,
+    };
+    let profile = Profiler::analytic(device.clone()).profile(&program).ok()?;
+    Some(profile.costs[0].total_us())
+}
+
+/// The allocation the host rewriter declares for `name`: one of `allocs`,
+/// or a temporal shadow shaped like its base.
+fn declared(allocs: &[AllocInfo], name: &str) -> Option<AllocInfo> {
+    let base = name.strip_suffix("__tb").unwrap_or(name);
+    let a = allocs.iter().find(|a| a.name == base)?;
+    Some(AllocInfo {
+        name: name.to_string(),
+        ..a.clone()
+    })
+}
+
+/// Threads a launch runs, idle lanes included.
+fn coverage<K: Emitted>(fused: &K, block: Dim3) -> u64 {
+    fused.grid().count() * block.count()
+}
+
+/// The tuner as a regenerating loop: emit the kernel at every candidate
+/// shape, measure each one's occupancy and price it with the profiler,
+/// keep the candidates that neither lower occupancy nor launch more
+/// threads than the initial block, and take the strictly fastest (ties to
+/// the first).
+fn regenerate_and_price<K: Emitted>(
     initial_block: Dim3,
     device: &DeviceSpec,
+    allocs: &[AllocInfo],
     emit: impl Fn(Dim3) -> Result<K, CodegenError>,
-    kernel_of: impl Fn(&K) -> &Kernel,
 ) -> Result<(K, TuneNote), CodegenError> {
     let base = emit(initial_block)?;
-    let occ_before = kernel_occupancy(kernel_of(&base), initial_block, device)?;
-    let mut best = base;
-    let mut best_occ = occ_before;
-    let mut best_block = initial_block;
+    let occ_before = kernel_occupancy(base.kernel(), initial_block, device)?;
+    let us_before = profiler_us(&base, initial_block, allocs, device).unwrap_or(f64::INFINITY);
+    let cover = coverage(&base, initial_block);
+    let mut best: Option<(K, Dim3, f64, f64)> = None;
     for cand in candidate_blocks(device) {
         if cand == initial_block {
             continue;
@@ -48,22 +115,31 @@ fn regenerate_and_measure<K>(
         let Ok(fused) = emit(cand) else {
             continue;
         };
-        let Ok(occ) = kernel_occupancy(kernel_of(&fused), cand, device) else {
+        let Ok(occ) = kernel_occupancy(fused.kernel(), cand, device) else {
             continue;
         };
-        if occ > best_occ + 1e-9 {
-            best = fused;
-            best_occ = occ;
-            best_block = cand;
+        if occ == 0.0 || occ < occ_before || coverage(&fused, cand) > cover {
+            continue;
+        }
+        let Some(us) = profiler_us(&fused, cand, allocs, device) else {
+            continue;
+        };
+        let to_beat = best.as_ref().map_or(us_before, |b| b.2);
+        if us < to_beat * (1.0 - 1e-9) {
+            best = Some((fused, cand, us, occ));
         }
     }
+    let (best, block_after, us_after, occ_after) =
+        best.unwrap_or((base, initial_block, us_before, occ_before));
     let note = TuneNote {
-        kernel: name.to_string(),
+        kernel: best.kernel().name.clone(),
         occupancy_before: occ_before,
-        occupancy_after: best_occ,
+        occupancy_after: occ_after,
         block_before: initial_block,
-        block_after: best_block,
-        tuned: best_block != initial_block,
+        block_after,
+        us_before,
+        us_after,
+        tuned: block_after != initial_block,
     };
     Ok((best, note))
 }
@@ -118,31 +194,35 @@ struct Coverage {
     rejected: usize,
 }
 
-/// Tune a group spatially both ways — analytically and by regenerating —
+/// Tune a group spatially both ways — codelessly and by regenerating —
 /// and require one answer.
 fn tune_spatial(
     refs: &[(&Kernel, &LaunchRecord)],
     mode: CodegenMode,
     device: &DeviceSpec,
+    allocs: &[AllocInfo],
     what: &str,
 ) -> Result<(FusedKernel, TuneNote), CodegenError> {
     let initial = refs[0].1.block;
-    let tuned = fuse_group_tuned(refs, initial, mode, "fused_0", device);
-    let oracle = regenerate_and_measure(
-        "fused_0",
-        initial,
-        device,
-        |block| fuse_group(refs, block, mode, "fused_0", device.smem_per_block_max),
-        |fused| &fused.kernel,
-    );
+    let alloc_of = |name: &str| allocs.iter().find(|a| a.name == name).cloned();
+    let tuned = fuse_group_tuned(refs, initial, mode, "fused_0", device, &alloc_of);
+    let oracle = regenerate_and_price(initial, device, allocs, |block| {
+        fuse_group(refs, block, mode, "fused_0", device.smem_per_block_max)
+    });
     assert_eq!(tuned, oracle, "{what} on {} ({mode:?})", device.name);
     tuned
 }
 
 /// Spatial tuning of `members` must match the oracle in both codegen modes.
-fn check_spatial(members: &Members, device: &DeviceSpec, seen: &mut Coverage, what: &str) {
+fn check_spatial(
+    members: &Members,
+    plan: &ExecutablePlan,
+    device: &DeviceSpec,
+    seen: &mut Coverage,
+    what: &str,
+) {
     for mode in [CodegenMode::Auto, CodegenMode::Manual] {
-        match tune_spatial(&borrow(members), mode, device, what) {
+        match tune_spatial(&borrow(members), mode, device, &plan.allocs, what) {
             Ok((fused, note)) => {
                 if fused.report.merged {
                     seen.merged += 1;
@@ -168,14 +248,19 @@ fn check_temporal(
     let refs = borrow(members);
     let initial = members[0].1.block;
     let cap = device.smem_per_block_max;
-    let tuned = fuse_group_temporal_tuned(&refs, initial, "fused_0", device, fold, &plan.allocs);
-    let oracle = regenerate_and_measure(
-        "fused_0",
+    let alloc_of = |name: &str| declared(&plan.allocs, name);
+    let tuned = fuse_group_temporal_tuned(
+        &refs,
         initial,
+        "fused_0",
         device,
-        |block| fuse_group_temporal(&refs, block, "fused_0", cap, fold, &plan.allocs),
-        |fused| &fused.kernel,
+        fold,
+        &plan.allocs,
+        &alloc_of,
     );
+    let oracle = regenerate_and_price(initial, device, &plan.allocs, |block| {
+        fuse_group_temporal(&refs, block, "fused_0", cap, fold, &plan.allocs)
+    });
     assert_eq!(tuned, oracle, "{what} on {} (degree {fold})", device.name);
     match tuned {
         Ok((_, note)) => {
@@ -215,7 +300,7 @@ fn every_planned_group_tunes_as_the_regenerating_loop_did() {
                 }
                 let members = resolve(&program, &plan, group);
                 let what = format!("{name} group {gi}");
-                check_spatial(&members, device, &mut seen, &what);
+                check_spatial(&members, &plan, device, &mut seen, &what);
                 if group.temporal > 1 {
                     check_temporal(&members, &plan, group.temporal, device, &mut seen, &what);
                 }
@@ -247,7 +332,7 @@ fn adjacent_launch_windows_tune_as_the_regenerating_loop_did() {
                 for start in 0..plan.launches.len().saturating_sub(width - 1) {
                     let members: Members = (start..start + width).map(member).collect();
                     let what = format!("{name} launches {start}..{}", start + width);
-                    check_spatial(&members, &device, &mut seen, &what);
+                    check_spatial(&members, &plan, &device, &mut seen, &what);
                 }
             }
             for (li, host_loop) in plan.loops.iter().enumerate() {
@@ -442,7 +527,7 @@ fn each_block_dependent_rule_prices_candidates_out() {
     let cap = device.smem_per_block_max;
     let (domain, initial) = ((64, 32), Dim3::new(16, 8, 1));
     let spatial_agrees = |g: &Generated, device: &DeviceSpec| {
-        tune_spatial(&g.members(), CodegenMode::Auto, device, "generated group")
+        tune_spatial(&g.members(), CodegenMode::Auto, device, &g.plan.allocs, "generated group")
             .expect("the initial block is legal")
     };
 
@@ -520,13 +605,16 @@ fn each_block_dependent_rule_prices_candidates_out() {
 /// For the initial block and every candidate: a shape `smem_bytes` rejects
 /// is one `emit` rejects for the same reason, and a shape it prices is one
 /// whose emitted kernel measures exactly the price — the base kernel's
-/// registers, the predicted shared bytes, and hence the same occupancy.
-fn assert_prices_match<K>(
+/// registers, the predicted shared bytes, hence the same occupancy, and the
+/// modelled µs the base kernel's pricer quotes for the shape's grid, which
+/// the profiler charges the kernel emitted at that shape.
+fn assert_prices_match<K: Emitted>(
     device: &DeviceSpec,
     initial: Dim3,
+    allocs: &[AllocInfo],
     smem_bytes: impl Fn(Dim3) -> Result<usize, CodegenError>,
+    grid_of: impl Fn(Dim3) -> Dim3,
     emit: impl Fn(Dim3) -> Result<K, CodegenError>,
-    kernel_of: impl Fn(&K) -> &Kernel,
 ) {
     let measure = |kernel: &Kernel| {
         let ka = KernelAccess::analyze(kernel).expect("generated kernels analyze");
@@ -538,7 +626,12 @@ fn assert_prices_match<K>(
     let Ok(base) = emit(initial) else {
         return;
     };
-    let (regs, _) = measure(kernel_of(&base));
+    let (regs, _) = measure(base.kernel());
+    let model = TimingModel::new(device.clone());
+    let ka = KernelAccess::analyze(base.kernel()).expect("generated kernels analyze");
+    let alloc_of = |name: &str| declared(allocs, name);
+    let pricer = LaunchPricer::bind(&model, base.kernel(), &ka, base.args(), &alloc_of)
+        .expect("the base launch binds");
     let mut legal = 0;
     for block in std::iter::once(initial).chain(candidate_blocks(device)) {
         let emitted = emit(block);
@@ -546,11 +639,15 @@ fn assert_prices_match<K>(
             Err(reason) => assert_eq!(emitted.err(), Some(reason), "block {block:?}"),
             Ok(smem) => {
                 let fused = emitted.unwrap_or_else(|e| panic!("priced block {block:?}: {e}"));
-                let kernel = kernel_of(&fused);
+                let kernel = fused.kernel();
                 assert_eq!(measure(kernel), (regs, smem), "block {block:?}");
                 let predicted = occupancy(device, block.count() as u32, regs, smem)
                     .map_or(0.0, |o| o.occupancy);
                 assert_eq!(kernel_occupancy(kernel, block, device), Ok(predicted));
+                assert_eq!(grid_of(block), fused.grid(), "block {block:?}");
+                let priced = pricer.cost(grid_of(block), block, smem).map(|c| c.total_us());
+                let charged = profiler_us(&fused, block, allocs, device);
+                assert_eq!(priced, charged, "block {block:?}");
                 legal += 1;
             }
         }
@@ -589,9 +686,10 @@ proptest! {
         assert_prices_match(
             &device,
             block,
+            &g.plan.allocs,
             |b| analysis.smem_bytes(b),
+            |b| analysis.grid(b),
             |b| analysis.emit(b),
-            |fused| &fused.kernel,
         );
     }
 
@@ -619,9 +717,10 @@ proptest! {
         assert_prices_match(
             &device,
             initial,
+            &g.plan.allocs,
             |b| analysis.smem_bytes(b),
+            |b| analysis.grid(b),
             |b| analysis.emit(b),
-            |fused| &fused.kernel,
         );
     }
 
@@ -644,9 +743,10 @@ proptest! {
         assert_prices_match(
             &device,
             block,
+            &g.plan.allocs,
             |b| analysis.smem_bytes(b),
+            |b| analysis.grid(b),
             |b| analysis.emit(b),
-            |fused| &fused.kernel,
         );
     }
 }

@@ -4,6 +4,7 @@ use sf_analysis::filter::FilterConfig;
 use sf_codegen::{CodegenMode, TransformPlan};
 use sf_core::FaultPlan;
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::profiler::Profiler;
 use sf_search::SearchConfig;
 
 /// Bounded retries for transient profiler failures.
@@ -217,6 +218,17 @@ impl PipelineConfig {
     pub fn with_noise_seed(mut self, seed: u64) -> PipelineConfig {
         self.noise = Some(sf_gpusim::noise::NoiseModel::standard(seed));
         self
+    }
+
+    /// The profiler a run prices with (before any repetition or noise):
+    /// functional — the program executes on the interpreter, and measured
+    /// flops and divergence are charged — or analytic.
+    pub fn profiler(&self) -> Profiler {
+        if self.functional_profile {
+            Profiler::new(self.device.clone())
+        } else {
+            Profiler::analytic(self.device.clone())
+        }
     }
 
     /// Allow the search to fold whole-loop fusion groups up to temporal

@@ -280,13 +280,8 @@ impl<'a> Run<'a> {
     fn new(pipeline: &'a Pipeline, hooks: &'a Interventions<'a>) -> Run<'a> {
         let cfg = &pipeline.config;
         let faults = cfg.faults.clone().unwrap_or_default();
-        let profiler = if cfg.functional_profile {
-            Profiler::new(cfg.device.clone())
-        } else {
-            Profiler::analytic(cfg.device.clone())
-        };
         let robust = RobustProfiler::new(
-            profiler,
+            cfg.profiler(),
             cfg.profile_reps,
             cfg.noise
                 .clone()
@@ -1106,8 +1101,14 @@ impl<'a> Run<'a> {
         for t in &transform.tuning {
             if t.tuned {
                 r.line(format!(
-                    "tuned `{}` block {} → {} (occupancy {:.2} → {:.2})",
-                    t.kernel, t.block_before, t.block_after, t.occupancy_before, t.occupancy_after
+                    "tuned `{}` block {} → {} ({:.2} → {:.2} µs, occupancy {:.2} → {:.2})",
+                    t.kernel,
+                    t.block_before,
+                    t.block_after,
+                    t.us_before,
+                    t.us_after,
+                    t.occupancy_before,
+                    t.occupancy_after
                 ));
             }
         }

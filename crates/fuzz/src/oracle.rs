@@ -18,41 +18,48 @@
 //! 5. `search-floor` — elitism keeps the first population's baseline and
 //!    greedy seed, so a fault-free run's plan projects at least the
 //!    fitness of both.
-//! 6. `hidden-miscompile` — no degradation step may be a verification
+//! 6. `tuning-monotone` — block tuning never makes a kernel worse: the
+//!    executed plan re-emitted with tuning off must price each tuned
+//!    kernel's launches no faster, at no lower occupancy and with no fewer
+//!    launched threads than the tuned program does, and the tuned program
+//!    as a whole no slower. Both programs are priced by the run's own
+//!    profiler — functional, so the measured flops and divergence the
+//!    tuner's codeless (analytic) price cannot see are charged too.
+//! 7. `hidden-miscompile` — no degradation step may be a verification
 //!    failure in disguise: under `Degrade`, a miscompile surfaces as
 //!    "kept the original program (verification failed)", which the
 //!    oracle treats as a codegen bug, not a degradation.
-//! 7. `pipeline-verification` — the pipeline's own verification, when
+//! 8. `pipeline-verification` — the pipeline's own verification, when
 //!    it ran, must pass.
-//! 8. `differential` — an *independent* `verify_equivalence` of the
+//! 9. `differential` — an *independent* `verify_equivalence` of the
 //!    result program against the original, with a different data seed
 //!    than the pipeline used.
-//! 9. `plan-roundtrip` — the executed [`TransformPlan`] must survive
-//!    JSON serialization unchanged.
-//! 10. `replay-run` / `replay-divergence` — re-running codegen from the
+//! 10. `plan-roundtrip` — the executed [`TransformPlan`] must survive
+//!     JSON serialization unchanged.
+//! 11. `replay-run` / `replay-divergence` — re-running codegen from the
 //!     emitted plan (`--from-plan` replay, stages 2–5 skipped) must
 //!     succeed and reproduce the transformed program byte-for-byte.
-//! 11. `ladder-*` — fault-injected runs must walk each degradation rung
+//! 12. `ladder-*` — fault-injected runs must walk each degradation rung
 //!     (tuned → untuned, fused → unfused, verification trap → original)
 //!     and still end in a verified program or the untouched original.
-//! 12. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
+//! 13. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
 //!     under seeded measurement noise (5 robust repetitions, standard
 //!     noise model) must still verify, be byte-identical across two runs
 //!     with the same seed, and never degrade below the original program
 //!     (modeled speedup ≥ 1).
-//! 13. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
+//! 14. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
 //!     must round-trip through the persistent plan cache and replay
 //!     byte-identically from the cached payload, and a store armed with
 //!     the seed's cache faults (torn write, bit flip, version skew, stale
 //!     lock, kill) must stay readable and recover the slot — corruption is
 //!     quarantined, never served and never fatal.
-//! 14. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
+//! 15. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
 //!     supervised island search must be deterministic (two runs agree
 //!     byte for byte), must *degrade* rather than fail under the seed's
 //!     island faults (panicked/stalled islands quarantined, no hidden
 //!     miscompile), and a search killed at a checkpoint epoch must resume
 //!     to the byte-identical program the uninterrupted run produces.
-//! 15. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
+//! 16. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
 //!     plan portability: the plan compiled on one registry device must
 //!     *refuse* to replay on every other device (a structured
 //!     device-mismatch, not a silent wrong-device projection), and
@@ -60,7 +67,9 @@
 //!     program that passes the differential oracle and replays
 //!     byte-identically on its own device.
 
+use sf_codegen::transform_program;
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::profiler::Profiler;
 use sf_minicuda::ast::Program;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::printer::print_program;
@@ -116,10 +125,11 @@ pub struct OracleOptions {
     pub devices: bool,
     /// Run the `temporal-*` checks: with the temporal dimension enabled
     /// (degree caps 2 and 4) the pipeline must verify, agree with the
-    /// interpreter differentially, replay and re-run byte-identically,
-    /// never stamp a degree above the cap, and degrade (not miscompile)
-    /// under the fault ladder; a cap of 1 must reproduce the pre-temporal
-    /// schedule deterministically.
+    /// interpreter differentially, hold `tuning-monotone` with the tuned
+    /// temporal rung in play, replay and re-run byte-identically, never
+    /// stamp a degree above the cap, and degrade (not miscompile) under the
+    /// fault ladder; a cap of 1 must reproduce the pre-temporal schedule
+    /// deterministically.
     pub temporal: bool,
 }
 
@@ -244,7 +254,10 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 6. hidden-miscompile
+    // 6. tuning-monotone
+    check_tuning_monotone(program, &result, &config(seed).profiler())?;
+
+    // 7. hidden-miscompile
     for d in result.degradations() {
         if degradation_smells_like_miscompile(&d.action, &d.reason) {
             return Err(OracleFailure::new(
@@ -258,7 +271,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 7. pipeline-verification
+    // 8. pipeline-verification
     if let Some(v) = &result.verification {
         if !v.passed() {
             return Err(OracleFailure::new(
@@ -272,7 +285,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // 8. differential (independent re-verification, different data seed)
+    // 9. differential (independent re-verification, different data seed)
     match verify_equivalence(program, &result.program, seed ^ 0xD1FF) {
         Err(e) => {
             return Err(OracleFailure::new(
@@ -294,7 +307,7 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         Ok(_) => {}
     }
 
-    // 9/10. plan round-trip + replay
+    // 10/11. plan round-trip + replay
     if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
         match TransformPlan::from_json(&plan.to_json()) {
             Err(e) => {
@@ -313,9 +326,87 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         check_replay(program, &result, plan, seed)?;
     }
 
-    // 11. degradation ladder under injected faults
+    // 12. degradation ladder under injected faults
     check_ladder(program, seed)?;
 
+    Ok(())
+}
+
+/// Re-emit `result`'s executed plan with block tuning off and require the
+/// tuner's contract of the tuned program: profiled by `profiler` (the
+/// run's own), every launch of a tuned kernel prices no slower, runs at no
+/// lower occupancy and launches no more threads than the same launch at
+/// its initial block, and the whole program prices no slower.
+pub fn check_tuning_monotone(
+    program: &Program,
+    result: &TransformResult,
+    profiler: &Profiler,
+) -> Result<(), OracleFailure> {
+    let (Some(plan), Some(transform)) = (result.executed_plan(), &result.transform) else {
+        return Ok(());
+    };
+    if !plan.block_tuning || transform.tuning.is_empty() {
+        return Ok(());
+    }
+    let fail = |detail: String| {
+        OracleFailure::new("tuning-monotone", detail).with_plan(Some(plan))
+    };
+    let untuned_plan = TransformPlan {
+        block_tuning: false,
+        ..plan.clone()
+    };
+    let untuned = ExecutablePlan::from_program(program)
+        .map_err(|e| e.to_string())
+        .and_then(|exec| {
+            transform_program(program, &exec, &untuned_plan).map_err(|e| e.to_string())
+        })
+        .map_err(|e| fail(format!("the plan does not re-emit untuned: {e}")))?;
+    let profile = |p: &Program| {
+        let exec = ExecutablePlan::from_program(p).map_err(|e| e.to_string())?;
+        let profile = profiler.profile_with_plan(p, &exec).map_err(|e| e.to_string())?;
+        Ok::<_, String>((exec, profile))
+    };
+    let (tuned_exec, tuned) =
+        profile(&result.program).map_err(|e| fail(format!("tuned program: {e}")))?;
+    let (untuned_exec, untuned) =
+        profile(&untuned.program).map_err(|e| fail(format!("untuned program: {e}")))?;
+    for note in &transform.tuning {
+        let launches = |exec: &ExecutablePlan| -> Vec<usize> {
+            let of = exec.launches.iter().filter(|l| l.kernel == note.kernel);
+            of.map(|l| l.seq).collect()
+        };
+        let (after, before) = (launches(&tuned_exec), launches(&untuned_exec));
+        if after.len() != before.len() || after.is_empty() {
+            return Err(fail(format!(
+                "`{}` launches {} time(s) tuned, {} untuned",
+                note.kernel,
+                after.len(),
+                before.len()
+            )));
+        }
+        for (&a, &b) in after.iter().zip(&before) {
+            let (la, lb) = (&tuned_exec.launches[a], &untuned_exec.launches[b]);
+            let us = (tuned.costs[a].total_us(), untuned.costs[b].total_us());
+            let occ = (tuned.costs[a].occupancy, untuned.costs[b].occupancy);
+            let threads = (
+                la.grid.count() * la.block.count(),
+                lb.grid.count() * lb.block.count(),
+            );
+            if us.0 > us.1 || occ.0 < occ.1 || threads.0 > threads.1 {
+                return Err(fail(format!(
+                    "`{}` tuned to block {} prices {} µs at occupancy {} over {} threads; \
+                     at block {} it priced {} µs at occupancy {} over {} threads",
+                    note.kernel, la.block, us.0, occ.0, threads.0, lb.block, us.1, occ.1, threads.1
+                )));
+            }
+        }
+    }
+    if tuned.total_runtime_us > untuned.total_runtime_us {
+        return Err(fail(format!(
+            "the tuned program prices {} µs, untuned {} µs",
+            tuned.total_runtime_us, untuned.total_runtime_us
+        )));
+    }
     Ok(())
 }
 
@@ -500,6 +591,7 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
             }
             Ok(_) => {}
         }
+        check_tuning_monotone(program, &result, &config(seed).profiler())?;
         if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
             if plan.groups.iter().any(|g| g.temporal < 1 || g.temporal > cap) {
                 return Err(OracleFailure::new(

@@ -8,8 +8,9 @@
 //!   `deviceQuery` analog): built-ins for the published Kepler parameters
 //!   plus wavefront-64 AMD and Volta classes, user descriptor files, and
 //!   stable per-descriptor fingerprints; [`occupancy`] — a clone of the
-//!   CUDA occupancy calculator used by the paper's thread-block tuner
-//!   (§4.2), parametric in the descriptor's granularities and caps.
+//!   CUDA occupancy calculator and the candidate shapes of the paper's
+//!   thread-block tuner (§4.2), parametric in the descriptor's
+//!   granularities and caps.
 //! - [`interp`] — a *functional* SIMT interpreter: executes minicuda
 //!   kernels block-by-block with warp-level lockstep semantics, shared
 //!   memory tiles, `__syncthreads()` barriers, divergence accounting, and
@@ -22,7 +23,8 @@
 //!   launch overhead. The paper's measured speedups are driven by exactly
 //!   these mechanisms.
 //! - [`profiler`] — runs a program on a device and emits the per-kernel
-//!   performance metadata (the `nvprof` analog feeding §3.2.1).
+//!   performance metadata (the `nvprof` analog feeding §3.2.1); its
+//!   launch pricer is also what the block tuner ranks shapes with.
 //! - [`noise`] + [`robust`] — a seeded deterministic measurement-noise
 //!   model and the robust profiler that defeats it: k repetitions,
 //!   median/MAD aggregation with outlier rejection, deterministic retry

@@ -4,7 +4,9 @@
 //! thread slots, the register file, and shared memory. The paper's
 //! thread-block tuner (§4.2) "enumerates all possible sizes of thread block
 //! and substitutes in a series of equations using the same method as in the
-//! CUDA occupancy calculator tool"; [`best_block_size`] is that enumeration.
+//! CUDA occupancy calculator tool"; [`candidate_blocks`] is that
+//! enumeration, and the tuner (`sf_codegen::tuning`) keeps occupancy as a
+//! floor while it ranks the shapes by modelled time.
 
 use crate::device::DeviceSpec;
 use sf_minicuda::host::Dim3;
@@ -105,9 +107,9 @@ pub fn occupancy(
 /// Candidate 2-D block shapes enumerated by the tuner. The x extent stays a
 /// multiple of the warp size where possible (coalescing); the supported
 /// stencil class maps x to the contiguous axis. Halo-friendly shapes (wider
-/// y) come first: the tuner takes the first *strict* occupancy improvement,
-/// and among equal-occupancy shapes a thin y extent multiplies per-block
-/// halo traffic.
+/// y) come first: the tuner breaks a tie in modelled time by this order,
+/// and among equally fast shapes a thin y extent multiplies per-block halo
+/// traffic.
 pub fn candidate_blocks(device: &DeviceSpec) -> Vec<Dim3> {
     let mut out = Vec::new();
     for &by in &[8u32, 4, 16, 2, 32, 1] {
@@ -121,43 +123,6 @@ pub fn candidate_blocks(device: &DeviceSpec) -> Vec<Dim3> {
         }
     }
     out
-}
-
-/// Pick the block size with the highest occupancy for the given per-thread
-/// register use, where shared memory depends on the block shape (tile =
-/// block + halo) and `smem_of_block` answers `None` for a shape the kernel
-/// cannot be generated for. The original block is kept unless a candidate
-/// *strictly* improves occupancy — occupancy is a utilization proxy, not
-/// performance (§4.2), and a same-occupancy shape change can inflate
-/// per-block halo traffic. The occupancy is `None` only when neither the
-/// original nor any candidate can launch.
-pub fn best_block_size(
-    device: &DeviceSpec,
-    original: Dim3,
-    regs_per_thread: u32,
-    smem_of_block: impl Fn(Dim3) -> Option<usize>,
-) -> (Dim3, Option<OccupancyResult>) {
-    let occupancy_at = |block: Dim3| {
-        occupancy(
-            device,
-            block.count() as u32,
-            regs_per_thread,
-            smem_of_block(block)?,
-        )
-    };
-    let mut best = (original, occupancy_at(original));
-    for cand in candidate_blocks(device) {
-        let Some(occ) = occupancy_at(cand) else {
-            continue;
-        };
-        if best
-            .1
-            .is_none_or(|cur| occ.occupancy > cur.occupancy + 1e-9)
-        {
-            best = (cand, Some(occ));
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -198,41 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn tuner_improves_poor_block_choice() {
-        let d = DeviceSpec::k20x();
-        // An 8x2 block (16 threads) wastes thread slots badly.
-        let (best, occ) = best_block_size(&d, Dim3::new(8, 2, 1), 32, |_| Some(0));
-        assert!(occ.unwrap().occupancy > 0.9);
-        assert!(best.count() >= 128);
-    }
-
-    #[test]
-    fn tuner_respects_shape_dependent_smem() {
-        let d = DeviceSpec::k20x();
-        // Tile of (bx+2)(by+2) doubles: large blocks pay more shared memory.
-        let smem = |b: Dim3| ((b.x + 2) * (b.y + 2) * 8 * 3) as usize;
-        let (best, occ) = best_block_size(&d, Dim3::new(32, 4, 1), 40, |b| Some(smem(b)));
-        assert!(occ.unwrap().occupancy > 0.0);
-        assert!(smem(best) <= d.smem_per_block_max);
-    }
-
-    #[test]
-    fn tuner_skips_illegal_shapes() {
-        let d = DeviceSpec::k20x();
-        // Only 16-wide blocks can be generated: the pick is one of them.
-        let (best, occ) =
-            best_block_size(&d, Dim3::new(16, 1, 1), 32, |b| (b.x == 16).then_some(0));
-        assert_eq!(best.x, 16);
-        assert!(occ.unwrap().occupancy > 0.2);
-        // Nothing can be generated: the original stays, with no occupancy.
-        let original = Dim3::new(16, 8, 1);
-        assert_eq!(
-            best_block_size(&d, original, 32, |_| None),
-            (original, None)
-        );
-    }
-
-    #[test]
     fn occupancy_is_monotone_in_registers() {
         let d = DeviceSpec::k20x();
         let mut last = 2.0;
@@ -268,7 +198,6 @@ mod props {
     use super::*;
     use crate::registry::DeviceRegistry;
     use proptest::prelude::*;
-    use sf_minicuda::host::Dim3;
 
     fn registry_device() -> impl Strategy<Value = DeviceSpec> {
         let n = DeviceRegistry::builtin().devices().len();
@@ -344,37 +273,6 @@ mod props {
                 occupancy(&d, threads, regs, smem + 256),
             ) {
                 prop_assert!(b.occupancy <= a.occupancy + 1e-12);
-            }
-        }
-
-        /// The tuner's pick always fits the per-device block and
-        /// shared-memory caps, and never loses to the original shape.
-        #[test]
-        fn best_block_respects_device_caps(
-            d in registry_device(),
-            ox in 1u32..=64,
-            oy in 1u32..=16,
-            regs in 1u32..=128,
-            halo in 0u32..=4,
-            bytes_per_cell in 1usize..=24,
-        ) {
-            let smem = move |b: Dim3| {
-                ((b.x + 2 * halo) as usize) * ((b.y + 2 * halo) as usize) * bytes_per_cell
-            };
-            let original = Dim3::new(ox, oy, 1);
-            let orig_occ = occupancy(
-                &d,
-                (original.count() as u32).max(1),
-                regs,
-                smem(original),
-            );
-            let (best, occ) = best_block_size(&d, original, regs, |b| Some(smem(b)));
-            let occ = occ.expect("a one-warp candidate always launches");
-            prop_assert!(best.count() as u32 <= d.max_threads_per_block);
-            prop_assert!(smem(best) <= d.smem_per_block_max);
-            prop_assert!(occ.active_warps_per_sm <= d.max_warps_per_sm());
-            if let Some(orig) = orig_occ {
-                prop_assert!(occ.occupancy + 1e-12 >= orig.occupancy);
             }
         }
     }

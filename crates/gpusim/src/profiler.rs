@@ -12,11 +12,11 @@ use crate::device::DeviceSpec;
 use crate::interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
 use crate::memory::GlobalMemory;
 use crate::timing::{LaunchCost, LaunchProfile, TimingModel};
-use sf_analysis::access::{self, KernelAccess};
+use sf_analysis::access::{self, BoundTraffic, KernelAccess};
 use sf_analysis::metadata::{MetadataBundle, OpsMetadata, PerfMetadata};
 use sf_analysis::{flops, stencil};
 use sf_minicuda::ast::{Kernel, Program};
-use sf_minicuda::host::ExecutablePlan;
+use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, ResolvedArg};
 use std::collections::HashMap;
 
 /// A structured profiling error: what failed, which kernel launch was being
@@ -131,6 +131,95 @@ pub fn estimate_regs_per_thread(kernel: &Kernel, ka: &KernelAccess) -> u32 {
     (16 + 2 * arrays + (3 * locals) / 2 + 2 * tiles).min(255)
 }
 
+/// What a launch is charged for beyond its shape: DRAM bytes, flops and
+/// divergent branch evaluations per execution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(missing_docs)] // fields carry the names of `LaunchProfile`'s
+pub struct Charge {
+    pub dram_bytes: u64,
+    pub flops: u64,
+    pub divergent_evals: u64,
+}
+
+/// One launch of one kernel, bound once and priced at any shape: the one
+/// pricer behind both the profiler and the block tuner, so the two cannot
+/// disagree. [`LaunchPricer::bind`] evaluates everything the shape leaves
+/// fixed — the traffic binding, the latency-chain depth, the register
+/// estimate — and [`LaunchPricer::cost`] answers the modelled cost of one
+/// execution under any `(grid, block)` and shared-memory footprint.
+#[derive(Debug, Clone)]
+pub struct LaunchPricer<'m> {
+    model: &'m TimingModel,
+    traffic: BoundTraffic,
+    depth: u64,
+    regs: u32,
+}
+
+impl<'m> LaunchPricer<'m> {
+    /// Bind a launch of `kernel` (analysed as `ka`) with `args`; `alloc_of`
+    /// resolves the actual arrays.
+    pub fn bind(
+        model: &'m TimingModel,
+        kernel: &Kernel,
+        ka: &KernelAccess,
+        args: &[ResolvedArg],
+        alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+    ) -> Result<LaunchPricer<'m>, access::AccessError> {
+        let traffic = BoundTraffic::bind(ka, kernel, args, alloc_of)?;
+        Ok(LaunchPricer {
+            model,
+            depth: traffic.depth(),
+            traffic,
+            regs: estimate_regs_per_thread(kernel, ka),
+        })
+    }
+
+    /// The bound traffic.
+    pub fn traffic(&self) -> &BoundTraffic {
+        &self.traffic
+    }
+
+    /// Estimated registers per thread of the kernel.
+    pub fn regs_per_thread(&self) -> u32 {
+        self.regs
+    }
+
+    /// Modelled cost of one execution under `grid` × `block` with `smem`
+    /// bytes of shared memory per block, as an analytic profile charges it
+    /// (estimated flops, no divergence). `None` when the shape cannot
+    /// launch.
+    pub fn cost(&self, grid: Dim3, block: Dim3, smem: usize) -> Option<LaunchCost> {
+        let t = self.traffic.at(grid, block);
+        let charged = Charge {
+            dram_bytes: t.total_bytes(),
+            flops: t.flops,
+            divergent_evals: 0,
+        };
+        self.charge(grid, block, smem, charged)
+    }
+
+    /// Modelled cost of one execution under `grid` × `block` with `smem`
+    /// bytes of shared memory per block, charged `charged`.
+    pub fn charge(
+        &self,
+        grid: Dim3,
+        block: Dim3,
+        smem: usize,
+        charged: Charge,
+    ) -> Option<LaunchCost> {
+        self.model.launch_cost(&LaunchProfile {
+            dram_bytes: charged.dram_bytes,
+            flops: charged.flops,
+            blocks: grid.count(),
+            threads_per_block: block.count() as u32,
+            regs_per_thread: self.regs,
+            smem_per_block: smem,
+            divergent_evals: charged.divergent_evals,
+            depth: self.depth,
+        })
+    }
+}
+
 /// The profiler.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -241,23 +330,12 @@ impl Profiler {
             let ka = &analyses[&launch.kernel];
             let attribute =
                 |e: access::AccessError| ProfileError::from(e).for_kernel(&launch.kernel).at_seq(launch.seq);
-            let traffic = access::launch_traffic(ka, kernel, launch, &alloc_of).map_err(attribute)?;
-            let (scalars, _) = access::bind_launch(kernel, launch).map_err(attribute)?;
-
-            let regs = estimate_regs_per_thread(kernel, ka);
+            let pricer = LaunchPricer::bind(&model, kernel, ka, &launch.args, &alloc_of)
+                .map_err(attribute)?;
+            let traffic = pricer.traffic().traffic(launch.grid, launch.block);
+            let regs = pricer.regs_per_thread();
             let smem = ka.smem_bytes_per_block();
-
-            // Loop sizes and chain depth.
-            let mut loop_sizes = Vec::new();
-            let mut depth = 0u64;
-            for s in &ka.sweeps {
-                let ext = match &s.k_range {
-                    Some((lo, hi)) => (hi.eval(&scalars)? - lo.eval(&scalars)?).max(0),
-                    None => 0,
-                };
-                loop_sizes.push(ext);
-                depth += ext as u64;
-            }
+            let loop_sizes: Vec<i64> = pricer.traffic().loop_sizes().collect();
             let nest_depth = 1 + ka
                 .sweeps
                 .iter()
@@ -275,17 +353,12 @@ impl Profiler {
                 None => (traffic.flops, 0, 0.0),
             };
 
-            let profile = LaunchProfile {
+            let charged = Charge {
                 dram_bytes: traffic.total_bytes(),
                 flops: flops_exec,
-                blocks: launch.grid.count(),
-                threads_per_block: launch.block.count() as u32,
-                regs_per_thread: regs,
-                smem_per_block: smem,
                 divergent_evals,
-                depth,
             };
-            let cost = model.launch_cost(&profile).ok_or_else(|| {
+            let cost = pricer.charge(launch.grid, launch.block, smem, charged).ok_or_else(|| {
                 ProfileError::msg(format!(
                     "launch cannot execute on {} (block {} with {} B shared, {} regs)",
                     self.device.name, launch.block, smem, regs
@@ -407,6 +480,26 @@ mod tests {
             .profile_with_image(&p, &plan)
             .unwrap();
         assert!(none.is_none(), "an analytic profile executes nothing");
+    }
+
+    #[test]
+    fn the_pricer_charges_what_an_analytic_profile_does() {
+        let p = jacobi_program();
+        let plan = ExecutablePlan::from_program(&p).unwrap();
+        let device = DeviceSpec::k20x();
+        let profile = Profiler::analytic(device.clone()).profile(&p).unwrap();
+        let model = TimingModel::new(device);
+        let alloc_of = |n: &str| plan.alloc(n).cloned();
+        for launch in &plan.launches {
+            let kernel = p.kernel(&launch.kernel).unwrap();
+            let ka = KernelAccess::analyze(kernel).unwrap();
+            let pricer = LaunchPricer::bind(&model, kernel, &ka, &launch.args, &alloc_of).unwrap();
+            let cost = pricer.cost(launch.grid, launch.block, ka.smem_bytes_per_block());
+            assert_eq!(cost, Some(profile.costs[launch.seq]));
+            // A block the device cannot launch has no price.
+            let huge = Dim3::new(2048, 1, 1);
+            assert_eq!(pricer.cost(launch.grid, huge, 0), None);
+        }
     }
 
     #[test]

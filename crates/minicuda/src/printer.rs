@@ -68,7 +68,9 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
         Stmt::VarDecl { name, ty, init } => {
             match init {
                 Some(e) => {
-                    let _ = writeln!(out, "{} {name} = {};", ty.c_name(), print_expr(e));
+                    let _ = write!(out, "{} {name} = ", ty.c_name());
+                    write_expr(out, e);
+                    out.push_str(";\n");
                 }
                 None => {
                     let _ = writeln!(out, "{} {name};", ty.c_name());
@@ -80,20 +82,24 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
             let _ = writeln!(out, "__shared__ {} {name}{dims};", ty.c_name());
         }
         Stmt::Assign { target, op, value } => {
-            let _ = writeln!(
-                out,
-                "{} {} {};",
-                print_lvalue(target),
-                op.c_name(),
-                print_expr(value)
-            );
+            match target {
+                LValue::Var(n) => out.push_str(n),
+                LValue::Index { array, indices } => write_index(out, array, indices),
+            }
+            out.push(' ');
+            out.push_str(op.c_name());
+            out.push(' ');
+            write_expr(out, value);
+            out.push_str(";\n");
         }
         Stmt::If {
             cond,
             then_body,
             else_body,
         } => {
-            let _ = writeln!(out, "if ({}) {{", print_expr(cond));
+            out.push_str("if (");
+            write_expr(out, cond);
+            out.push_str(") {\n");
             for t in then_body {
                 print_stmt(out, t, level + 1);
             }
@@ -138,19 +144,6 @@ fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
     }
 }
 
-fn print_lvalue(lv: &LValue) -> String {
-    match lv {
-        LValue::Var(n) => n.clone(),
-        LValue::Index { array, indices } => {
-            let idx: String = indices
-                .iter()
-                .map(|e| format!("[{}]", print_expr(e)))
-                .collect();
-            format!("{array}{idx}")
-        }
-    }
-}
-
 /// Operator precedence for parenthesization; mirrors the parser's table.
 fn prec(e: &Expr) -> u8 {
     match e {
@@ -170,67 +163,91 @@ fn prec(e: &Expr) -> u8 {
 
 /// Print an expression with minimal parentheses.
 pub fn print_expr(e: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(&mut out, e);
+    out
+}
+
+/// [`print_expr`] appended to `out`: one buffer for the whole tree, where
+/// printing each subexpression to its own string copies a node's text once
+/// per enclosing level.
+fn write_expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::Int(v) => v.to_string(),
+        Expr::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
         Expr::Float(v) => {
-            let s = format!("{v}");
+            let start = out.len();
+            let _ = write!(out, "{v}");
             // Keep float literals parseable as floats.
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                s
-            } else {
-                format!("{s}.0")
+            let s = &out[start..];
+            if !(s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN")) {
+                out.push_str(".0");
             }
         }
-        Expr::Var(n) => n.clone(),
-        Expr::Index { array, indices } => {
-            let idx: String = indices
-                .iter()
-                .map(|i| format!("[{}]", print_expr(i)))
-                .collect();
-            format!("{array}{idx}")
-        }
-        Expr::Builtin(b) => b.c_name(),
+        Expr::Var(n) => out.push_str(n),
+        Expr::Index { array, indices } => write_index(out, array, indices),
+        Expr::Builtin(b) => out.push_str(&b.c_name()),
         Expr::Unary { op, operand } => {
-            let inner = if prec(operand) < 7 {
-                format!("({})", print_expr(operand))
-            } else {
-                print_expr(operand)
-            };
-            match op {
-                UnaryOp::Neg => format!("-{inner}"),
-                UnaryOp::Not => format!("!{inner}"),
-            }
+            out.push(match op {
+                UnaryOp::Neg => '-',
+                UnaryOp::Not => '!',
+            });
+            write_operand(out, operand, prec(operand) < 7);
         }
         Expr::Binary { op, lhs, rhs } => {
             let my = prec(e);
-            let l = if prec(lhs) < my {
-                format!("({})", print_expr(lhs))
-            } else {
-                print_expr(lhs)
-            };
+            write_operand(out, lhs, prec(lhs) < my);
+            out.push(' ');
+            out.push_str(op.c_name());
+            out.push(' ');
             // Right operand needs parens at equal precedence too (left
             // associativity), and always for non-commutative safety.
-            let r = if prec(rhs) <= my {
-                format!("({})", print_expr(rhs))
-            } else {
-                print_expr(rhs)
-            };
-            format!("{l} {} {r}", op.c_name())
+            write_operand(out, rhs, prec(rhs) <= my);
         }
         Expr::Call { fun, args } => {
-            let a = args.iter().map(print_expr).collect::<Vec<_>>().join(", ");
-            format!("{}({a})", fun.c_name())
+            out.push_str(fun.c_name());
+            out.push('(');
+            for (i, a) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(out, a);
+            }
+            out.push(')');
         }
         Expr::Ternary {
             cond,
             then_val,
             else_val,
-        } => format!(
-            "({}) ? ({}) : ({})",
-            print_expr(cond),
-            print_expr(then_val),
-            print_expr(else_val)
-        ),
+        } => {
+            write_operand(out, cond, true);
+            out.push_str(" ? ");
+            write_operand(out, then_val, true);
+            out.push_str(" : ");
+            write_operand(out, else_val, true);
+        }
+    }
+}
+
+/// `e`, parenthesized if `parens`.
+fn write_operand(out: &mut String, e: &Expr, parens: bool) {
+    if parens {
+        out.push('(');
+        write_expr(out, e);
+        out.push(')');
+    } else {
+        write_expr(out, e);
+    }
+}
+
+/// `array[i0][i1]…`.
+fn write_index(out: &mut String, array: &str, indices: &[Expr]) {
+    out.push_str(array);
+    for i in indices {
+        out.push('[');
+        write_expr(out, i);
+        out.push(']');
     }
 }
 

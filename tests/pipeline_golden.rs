@@ -29,7 +29,10 @@
 //! `cap-heap-bytes-*` rows were generated at the parent of the change that
 //! lets the verifier compare the profiles' memory images: the image the
 //! profile keeps and the one the verifier then cannot make must add up to
-//! the same refusal the parent's two up-front images did.
+//! the same refusal the parent's two up-front images did. The rows of the
+//! five spatial analogs were re-blessed when the block tuner began ranking
+//! shapes by modelled time: their tuned kernels and the codegen report's
+//! `tuned` lines (now with µs) moved, their errors did not.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`
