@@ -722,7 +722,7 @@ fn port(h: &Harness) -> Claims {
                 ..IslandOptions::default()
             };
             let port = search_islands(&space, &port_cfg, &opts).result;
-            let (islands, retries) = (port_cfg.islands, u64::from(port_cfg.eval_retries));
+            let islands = port_cfg.islands;
             let shard = port_cfg.population.div_ceil(islands) as u64;
             let (s_ev, p_ev) = (scratch.evaluations, port.evaluations);
             let ratio = p_ev as f64 / s_ev.max(1) as f64;
@@ -734,8 +734,7 @@ fn port(h: &Harness) -> Claims {
                 target_device: dev.clone(),
                 scratch_evaluations: s_ev,
                 port_evaluations: p_ev,
-                port_evaluation_cap: port_cfg.max_evaluations
-                    + islands as u64 * shard * (1 + retries),
+                port_evaluation_cap: port_cfg.max_evaluations + islands as u64 * shard,
                 scratch_gflops: s_gf,
                 port_gflops: p_gf,
                 unmodified_loss_pct: loss,

@@ -133,21 +133,6 @@ pub(crate) fn grid_and_cover(need_x: i64, need_y: i64, block: Dim3) -> (Dim3, i6
     (grid, (grid.x * block.x) as i64, (grid.y * block.y) as i64)
 }
 
-/// Fuse an ordered group of members into one kernel.
-///
-/// `members` pairs each kernel with the launch that invokes it, in host
-/// (OEG-compatible) order. `smem_limit` is the device's maximum static
-/// shared memory per block.
-pub fn fuse_group(
-    members: &[(&Kernel, &LaunchRecord)],
-    block: Dim3,
-    mode: CodegenMode,
-    name: &str,
-    smem_limit: usize,
-) -> Result<FusedKernel, CodegenError> {
-    GroupAnalysis::new(members, mode, name, smem_limit)?.emit(block)
-}
-
 impl GroupAnalysis {
     /// Check every legality rule that holds or fails regardless of the
     /// block shape ([`crate::legality`]), then canonicalize the members.

@@ -8,21 +8,29 @@
 //! back to emitting its members unfused, with a note in the report — the
 //! transformed program is always valid.
 //!
+//! Each multi-member group gets one isolated attempt per fusion kind —
+//! temporal (when the plan folds it), then spatial — and is emitted unfused
+//! when every attempt fails. An attempt tunes the block when the plan asks
+//! for it; a tuner that fails keeps the kernel emitted at the initial
+//! block ([`tune_block`]). No attempt is repeated: analysis and emission
+//! are deterministic, so a second try would fail the same way.
+//!
 //! The `codegen.transform` injection site reads the run's
-//! [`FaultPlan`] in place: `reject_groups`, `panic_groups` and
-//! `reject_tuned_groups` fire inside the isolated per-rung attempt, so
-//! every rung of the ladder can be driven from a seed.
+//! [`FaultPlan`] in place: `reject_groups` and `panic_groups` fire at the
+//! start of each isolated attempt and `reject_tuned_groups` inside the
+//! tuner, so every step of the ladder can be driven from a seed.
 
 use crate::fission::{fission_kernel, FissionProduct};
-use crate::fuse::{fuse_group, CodegenError, FusedKernel, FusionReport};
-use crate::temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
-use crate::tuning::{fuse_group_tuned, TuneNote};
+use crate::fuse::{CodegenError, FusedKernel, FusionReport, GroupAnalysis};
+use crate::temporal::{TemporalAnalysis, TemporalKernel};
+use crate::tuning::{tune_block, Analysis, TuneNote, Tuned};
 use sf_core::FaultPlan;
 use sf_gpusim::isolate::isolated;
 use sf_graphs::{Ddg, Precedence};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{
-    AllocInfo, Dim3, ExecutablePlan, HostValue, LaunchRecord, ResolvedArg, TransferRecord,
+    instance_name, parse_instance, AllocInfo, Dim3, ExecutablePlan, HostValue, LaunchRecord,
+    ResolvedArg, TransferRecord,
 };
 use sf_minicuda::visit;
 use sf_plan::{BlockDims, MemberRef, PrecedenceClass, TransformPlan};
@@ -41,16 +49,16 @@ pub enum GroupFailure {
 }
 
 /// One recorded step down the degradation ladder for a fusion group:
-/// complex (tuned) fusion → simple (untuned) fusion → unfused copies.
+/// temporal → spatial fusion, tuned → untuned block, or unfused copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupDegradation {
     /// Group index in the transformation plan.
     pub group: usize,
-    /// What the generator emitted instead of the failed rung.
+    /// What the generator emitted instead of what failed.
     pub action: String,
-    /// Why the higher rung failed.
+    /// Why the first attempt, or the tuner, failed.
     pub reason: String,
-    /// Failure mode of the highest rung that failed.
+    /// Failure mode of the first failure.
     pub failure: GroupFailure,
 }
 
@@ -98,26 +106,35 @@ impl EmittedLaunch {
 /// fission or instance renaming had to build new ones.
 type Member<'a> = (Cow<'a, Kernel>, Cow<'a, LaunchRecord>);
 
-/// One rung of the per-group degradation ladder, highest first.
+/// A fusion kind a group is attempted as, in ladder order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rung {
-    TemporalTuned,
+enum Kind {
     Temporal,
-    Tuned,
-    Plain,
-}
-
-impl Rung {
-    fn tuned(self) -> bool {
-        matches!(self, Rung::TemporalTuned | Rung::Tuned)
-    }
+    Spatial,
 }
 
 /// What a successful fusion attempt produced.
 enum Fusion {
-    Spatial(FusedKernel, Option<TuneNote>),
-    /// Temporal kernel, tuning note, and the `R / 2T` host iteration count.
-    Temporal(Box<TemporalKernel>, Option<TuneNote>, u64),
+    Spatial(FusedKernel),
+    /// Temporal kernel and the `R / 2T` host iteration count.
+    Temporal(Box<TemporalKernel>, u64),
+}
+
+/// Emit `analysis` at `initial_block`, and tune the block when the plan
+/// asks for it (`veto` rejects the tuned kernel by injection). `None` when
+/// the plan does not tune.
+fn emit_group<A: Analysis>(
+    analysis: &A,
+    initial_block: Dim3,
+    tplan: &TransformPlan,
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+    veto: Option<CodegenError>,
+) -> Result<(A::Kernel, Option<Tuned>), CodegenError> {
+    if !tplan.block_tuning {
+        return Ok((analysis.emit_from(initial_block, None)?, None));
+    }
+    let (kernel, tuned) = tune_block(analysis, initial_block, &tplan.device, alloc_of, veto)?;
+    Ok((kernel, Some(tuned)))
 }
 
 /// The transformed program plus reports.
@@ -195,7 +212,7 @@ impl<'d> Storage<'d> {
                 .copied()
                 .unwrap_or(0);
             if self.max_inst.get(actual).copied().unwrap_or(0) != inst {
-                launch.to_mut().args[pi] = ResolvedArg::Array(format!("{actual}__i{inst}"));
+                launch.to_mut().args[pi] = ResolvedArg::Array(instance_name(actual, inst));
             }
         }
     }
@@ -293,10 +310,12 @@ pub fn transform_program(
 /// `instances` (the program's DDG, as [`Precedence`] builds it), with the
 /// codegen faults of `faults` injected at the per-group isolation boundary
 /// (production callers pass [`FaultPlan::none`]). Each multi-member group
-/// walks the degradation ladder: complex (tuned) fusion → simple (untuned)
-/// fusion → unfused members; a panic or rejection on one rung drops to the
-/// next, and every descent is recorded in
-/// [`TransformOutput::degradations`]. The emitted program is always valid.
+/// walks the degradation ladder: temporal fusion (when the plan folds the
+/// group) → spatial fusion → unfused members, one isolated attempt per
+/// kind, each tuned when the plan asks and kept at its initial block when
+/// the tuner fails. A panic or rejection drops to the next kind, and every
+/// step down is recorded in [`TransformOutput::degradations`]. The emitted
+/// program is always valid.
 pub fn transform_program_with(
     original: &Program,
     plan: &ExecutablePlan,
@@ -412,9 +431,11 @@ pub fn transform_program_with(
             }
             Ok(rec.count / pair)
         };
-        // One isolated fusion attempt per rung: injected faults fire here,
-        // and a panic anywhere below poisons only this rung of this group.
-        let attempt = |rung: Rung| -> Result<Fusion, (GroupFailure, String)> {
+        // One isolated attempt per fusion kind: injected faults fire here,
+        // and a panic anywhere below poisons only this attempt.
+        let alloc_of = |array: &str| declared_alloc(plan, array);
+        let smem_limit = tplan.device.smem_per_block_max;
+        let attempt = |kind: Kind| -> Result<(Fusion, Option<Tuned>), (GroupFailure, String)> {
             let run = isolated(|| {
                 if faults.panic_groups.contains(&gi) {
                     panic!("injected codegen panic in group {gi}");
@@ -424,54 +445,30 @@ pub fn transform_program_with(
                         "injected codegen rejection in group {gi}"
                     )));
                 }
-                if rung.tuned() && faults.reject_tuned_groups.contains(&gi) {
-                    return Err(CodegenError(format!(
-                        "injected tuned-fusion rejection in group {gi}"
-                    )));
-                }
-                match rung {
-                    Rung::TemporalTuned => {
+                let veto = faults.reject_tuned_groups.contains(&gi).then(|| {
+                    CodegenError(format!("injected tuned-fusion rejection in group {gi}"))
+                });
+                match kind {
+                    Kind::Temporal => {
                         let iters = temporal_check()?;
-                        fuse_group_temporal_tuned(
+                        let analysis = TemporalAnalysis::new(
                             &member_refs,
-                            initial_block,
                             &name,
-                            &tplan.device,
+                            smem_limit,
                             fold,
                             &plan.allocs,
-                            &|array| declared_alloc(plan, array),
-                        )
-                        .map(|(t, n)| Fusion::Temporal(Box::new(t), Some(n), iters))
+                        )?;
+                        let (tk, tuned) =
+                            emit_group(&analysis, initial_block, tplan, &alloc_of, veto)?;
+                        Ok((Fusion::Temporal(Box::new(tk), iters), tuned))
                     }
-                    Rung::Temporal => {
-                        let iters = temporal_check()?;
-                        fuse_group_temporal(
-                            &member_refs,
-                            initial_block,
-                            &name,
-                            tplan.device.smem_per_block_max,
-                            fold,
-                            &plan.allocs,
-                        )
-                        .map(|t| Fusion::Temporal(Box::new(t), None, iters))
+                    Kind::Spatial => {
+                        let analysis =
+                            GroupAnalysis::new(&member_refs, tplan.mode, &name, smem_limit)?;
+                        let (fk, tuned) =
+                            emit_group(&analysis, initial_block, tplan, &alloc_of, veto)?;
+                        Ok((Fusion::Spatial(fk), tuned))
                     }
-                    Rung::Tuned => fuse_group_tuned(
-                        &member_refs,
-                        initial_block,
-                        tplan.mode,
-                        &name,
-                        &tplan.device,
-                        &|array| declared_alloc(plan, array),
-                    )
-                    .map(|(f, n)| Fusion::Spatial(f, Some(n))),
-                    Rung::Plain => fuse_group(
-                        &member_refs,
-                        initial_block,
-                        tplan.mode,
-                        &name,
-                        tplan.device.smem_per_block_max,
-                    )
-                    .map(|f| Fusion::Spatial(f, None)),
                 }
             });
             match run {
@@ -481,53 +478,61 @@ pub fn transform_program_with(
             }
         };
 
-        // Walk the ladder: temporal (tuned) fusion → temporal fusion →
-        // spatial (tuned) fusion → simple fusion → unfused.
-        let mut rungs: Vec<Rung> = Vec::new();
-        if fold > 1 {
-            if tplan.block_tuning {
-                rungs.push(Rung::TemporalTuned);
-            }
-            rungs.push(Rung::Temporal);
-        }
-        if tplan.block_tuning {
-            rungs.push(Rung::Tuned);
-        }
-        rungs.push(Rung::Plain);
-        let mut fused: Option<Fusion> = None;
+        // Walk the ladder: temporal fusion → spatial fusion → unfused.
+        let kinds: &[Kind] = if fold > 1 {
+            &[Kind::Temporal, Kind::Spatial]
+        } else {
+            &[Kind::Spatial]
+        };
         let mut first_failure: Option<(GroupFailure, String)> = None;
-        for (ri, &rung) in rungs.iter().enumerate() {
-            match attempt(rung) {
+        let mut fused: Option<(Fusion, Option<Tuned>)> = None;
+        for &kind in kinds {
+            match attempt(kind) {
                 Ok(v) => {
-                    if ri > 0 {
-                        let (failure, reason) =
-                            first_failure.clone().expect("a prior rung failed");
-                        let action = match rung {
-                            Rung::TemporalTuned => unreachable!("first rung"),
-                            Rung::Temporal => "fell back to untuned temporal fusion",
-                            Rung::Tuned => "fell back to spatial (tuned) fusion",
-                            Rung::Plain => "fell back to simple (untuned) fusion",
-                        };
-                        degradations.push(GroupDegradation {
-                            group: gi,
-                            action: action.into(),
-                            reason,
-                            failure,
-                        });
-                    }
                     fused = Some(v);
                     break;
                 }
                 Err(f) => {
-                    if first_failure.is_none() {
-                        first_failure = Some(f);
-                    }
+                    first_failure.get_or_insert(f);
                 }
             }
         }
+        let (fused, tuned) = fused.map_or((None, None), |(f, t)| (Some(f), t));
+        let (note, untuned) = match tuned {
+            Some(Ok(note)) => (Some(note), None),
+            Some(Err(why)) => (None, Some(why.0)),
+            None => (None, None),
+        };
+        // A fused group records one step: the failed attempt above it, or
+        // else the tuner's failure. An unfused one records its own below.
+        let step = match (&fused, &first_failure, untuned) {
+            (None, ..) | (Some(_), None, None) => None,
+            (Some(_), Some(failed), _) if note.is_some() => {
+                Some(("fell back to spatial (tuned) fusion", failed.clone()))
+            }
+            (Some(_), Some(failed), _) => {
+                Some(("fell back to simple (untuned) fusion", failed.clone()))
+            }
+            (Some(Fusion::Temporal(..)), None, Some(why)) => Some((
+                "fell back to untuned temporal fusion",
+                (GroupFailure::Rejected, why),
+            )),
+            (Some(Fusion::Spatial(_)), None, Some(why)) => Some((
+                "fell back to simple (untuned) fusion",
+                (GroupFailure::Rejected, why),
+            )),
+        };
+        if let Some((action, (failure, reason))) = step {
+            degradations.push(GroupDegradation {
+                group: gi,
+                action: action.into(),
+                reason,
+                failure,
+            });
+        }
         match fused {
-            Some(Fusion::Temporal(tk, note, iterations)) => {
-                let li = group_loop.expect("temporal rung validated loop membership");
+            Some(Fusion::Temporal(tk, iterations)) => {
+                let li = group_loop.expect("the temporal attempt validated loop membership");
                 let g = &mut exec_plan.groups[gi];
                 g.staged_arrays = tk.report.staged.iter().map(|s| s.array.clone()).collect();
                 g.precedence = PrecedenceClass::PrecedenceAware;
@@ -558,11 +563,11 @@ pub fn transform_program_with(
                     }),
                 });
             }
-            Some(Fusion::Spatial(fk, note)) => {
+            Some(Fusion::Spatial(fk)) => {
                 let g = &mut exec_plan.groups[gi];
                 // The as-executed plan reflects what was emitted: a group
-                // that requested temporal folding but landed on a spatial
-                // rung replays as spatial.
+                // that requested temporal folding but was fused spatially
+                // replays as spatial.
                 g.temporal = 1;
                 g.staged_arrays = fk.report.staged.iter().map(|s| s.array.clone()).collect();
                 g.precedence = if fk.report.complex
@@ -591,12 +596,13 @@ pub fn transform_program_with(
                 });
             }
             None => {
-                // Bottom rung: emit members unfused, in host (seq) order.
+                // Every attempt failed: emit members unfused, in host (seq)
+                // order.
                 let g = &mut exec_plan.groups[gi];
                 g.temporal = 1;
                 g.staged_arrays.clear();
                 g.tuned_block = None;
-                let (failure, reason) = first_failure.expect("every rung failed");
+                let (failure, reason) = first_failure.expect("every attempt failed");
                 fallbacks.push((gi, reason.clone()));
                 degradations.push(GroupDegradation {
                     group: gi,
@@ -642,11 +648,7 @@ fn declared_alloc(plan: &ExecutablePlan, array: &str) -> Option<AllocInfo> {
     }
     let base = match array.strip_suffix("__tb") {
         Some(base) => base,
-        None => {
-            let (base, inst) = array.rsplit_once("__i")?;
-            inst.parse::<usize>().ok()?;
-            base
-        }
+        None => parse_instance(array)?.0,
     };
     let base = plan.alloc(base)?;
     Some(AllocInfo {
@@ -677,7 +679,7 @@ fn build_host(
         let n = max_inst.get(&a.name).copied().unwrap_or(0);
         for inst in 0..n {
             host.push(HostStmt::Alloc {
-                name: format!("{}__i{inst}", a.name),
+                name: instance_name(&a.name, inst),
                 elem: a.elem,
                 extents: a.extents.iter().map(|&e| Expr::Int(e as i64)).collect(),
             });
@@ -710,7 +712,7 @@ fn build_host(
             let target = if n == 0 {
                 array.clone()
             } else {
-                format!("{array}__i0")
+                instance_name(array, 0)
             };
             host.push(HostStmt::CopyToDevice { array: target });
         }

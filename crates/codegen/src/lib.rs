@@ -33,8 +33,8 @@ pub mod temporal;
 pub mod tuning;
 
 pub use fission::{fission_kernel, FissionProduct};
-pub use fuse::{fuse_group, CodegenError, FusedKernel};
-pub use temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalKernel};
+pub use fuse::{CodegenError, FusedKernel, GroupAnalysis};
+pub use temporal::{TemporalAnalysis, TemporalKernel};
 pub use hostgen::{
     transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver,
     Storage, TransformOutput,

@@ -29,8 +29,6 @@ use crate::fuse::{
     affine_off, decl_int, grid_and_cover, halo_bands, halo_sides, inline_locals, scalar_params,
     shift_in_place, stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
 };
-use crate::tuning::{tune_block, TuneNote};
-use sf_gpusim::device::DeviceSpec;
 use sf_minicuda::ast::*;
 use sf_minicuda::builder as b;
 use sf_minicuda::host::{AllocInfo, Dim3, HostValue, LaunchRecord, ResolvedArg};
@@ -113,44 +111,6 @@ pub struct TemporalAnalysis {
     /// Accumulated halo `D = T · Σ r` per axis.
     dx: i64,
     dy: i64,
-}
-
-/// Fold `fold` iterations of the member chain into one kernel.
-///
-/// `members` is the loop body in host order; `allocs` supplies the concrete
-/// domain extents for staging clamps and write-out guards.
-pub fn fuse_group_temporal(
-    members: &[(&Kernel, &LaunchRecord)],
-    block: Dim3,
-    name: &str,
-    smem_limit: usize,
-    fold: u32,
-    allocs: &[AllocInfo],
-) -> Result<TemporalKernel, CodegenError> {
-    TemporalAnalysis::new(members, name, smem_limit, fold, allocs)?.emit(block)
-}
-
-/// Generate the temporal kernel at the block the timing model prices
-/// fastest ([`crate::tuning`]); `alloc_of` resolves the arrays of its
-/// launch, shadows included.
-pub fn fuse_group_temporal_tuned(
-    members: &[(&Kernel, &LaunchRecord)],
-    initial_block: Dim3,
-    name: &str,
-    device: &DeviceSpec,
-    fold: u32,
-    allocs: &[AllocInfo],
-    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
-) -> Result<(TemporalKernel, TuneNote), CodegenError> {
-    let group = TemporalAnalysis::new(members, name, device.smem_per_block_max, fold, allocs)?;
-    tune_block(
-        initial_block,
-        device,
-        alloc_of,
-        |block| group.smem_bytes(block),
-        |block| group.grid(block),
-        |block, from| group.emit_reusing(block, from),
-    )
 }
 
 impl TemporalAnalysis {
@@ -333,15 +293,15 @@ impl TemporalAnalysis {
         self.emit_reusing(block, None)
     }
 
-    /// [`Self::emit`], taking the folded right-hand sides — the bulk of the
-    /// kernel, and independent of the block — out of `from`, a kernel this
+    /// [`Self::emit`], copying the folded right-hand sides — the bulk of the
+    /// kernel, and independent of the block — from `from`, a kernel this
     /// analysis emitted at another block, instead of building them again.
     pub(crate) fn emit_reusing(
         &self,
         block: Dim3,
-        from: Option<TemporalKernel>,
+        from: Option<&TemporalKernel>,
     ) -> Result<TemporalKernel, CodegenError> {
-        let reused = from.map(|k| self.take_values(k));
+        let reused = from.map(|k| self.folded_values(k));
         debug_assert!(
             !matches!(reused, Some(None)),
             "a kernel this analysis emitted holds its right-hand sides where it put them"
@@ -458,27 +418,27 @@ impl TemporalAnalysis {
         })
     }
 
-    /// The folded right-hand sides of `from`, region by region, as
-    /// [`Self::emit_reusing`] consumes them: the time loop's body is the
+    /// Copies of the folded right-hand sides of `from`, region by region,
+    /// as [`Self::emit_reusing`] consumes them: the time loop's body is the
     /// staging, a barrier, each folded step's regions and a barrier, then
     /// the write-out and a barrier. `None` if `from` is not laid out so.
-    fn take_values(&self, from: TemporalKernel) -> Option<Vec<Expr>> {
-        let Some(Stmt::For { body, .. }) = from.kernel.body.into_iter().last() else {
+    fn folded_values(&self, from: &TemporalKernel) -> Option<Vec<Expr>> {
+        let Some(Stmt::For { body, .. }) = from.kernel.body.last() else {
             return None;
         };
         let steps: usize = self.folded.iter().map(|f| f.regions() + 1).sum();
         let start = body.len().checked_sub(steps + 2)?;
-        let mut stmts = body.into_iter().skip(start);
+        let mut stmts = body.iter().skip(start);
         let mut values = Vec::new();
         for f in &self.folded {
             for _ in 0..f.regions() {
                 let Stmt::If { then_body, .. } = stmts.next()? else {
                     return None;
                 };
-                let Some(Stmt::Assign { value, .. }) = then_body.into_iter().next() else {
+                let Some(Stmt::Assign { value, .. }) = then_body.first() else {
                     return None;
                 };
-                values.push(value);
+                values.push(value.clone());
             }
             stmts.next()?;
         }
@@ -878,10 +838,10 @@ void host() {{
                     .unwrap();
             let regions: usize = analysis.folded.iter().map(FoldedStep::regions).sum();
             for from in blocks {
-                let values = analysis.take_values(analysis.emit(from).unwrap());
+                let values = analysis.folded_values(&analysis.emit(from).unwrap());
                 assert_eq!(values.map(|v| v.len()), Some(regions), "{from}");
                 for to in blocks {
-                    let reused = analysis.emit_reusing(to, Some(analysis.emit(from).unwrap()));
+                    let reused = analysis.emit_reusing(to, Some(&analysis.emit(from).unwrap()));
                     assert_eq!(reused.unwrap(), analysis.emit(to).unwrap(), "{from} -> {to}");
                 }
             }
@@ -892,15 +852,9 @@ void host() {{
     fn folds_a_pingpong_pair() {
         let (p, plan) = setup(4);
         let members = group(&p, &plan);
-        let tk = fuse_group_temporal(
-            &members,
-            Dim3::new(16, 8, 1),
-            "temporal_0",
-            48 * 1024,
-            2,
-            &plan.allocs,
-        )
-        .unwrap();
+        let tk = TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, 2, &plan.allocs)
+            .and_then(|a| a.emit(Dim3::new(16, 8, 1)))
+            .unwrap();
         // Fold 2 of a (radius-1 + radius-1... the relax step is pointwise
         // on b): accumulated halo = 2 * (1 + 0) = 2 in each axis.
         assert_eq!(tk.report.staged.len(), 2);
@@ -996,15 +950,9 @@ void host() {{
             let p = parse_program(&src).unwrap();
             let plan = ExecutablePlan::from_program(&p).unwrap();
             let members = group(&p, &plan);
-            let err = fuse_group_temporal(
-                &members,
-                Dim3::new(16, 8, 1),
-                "temporal_0",
-                48 * 1024,
-                2,
-                &plan.allocs,
-            )
-            .unwrap_err();
+            let err = TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, 2, &plan.allocs)
+                .and_then(|a| a.emit(Dim3::new(16, 8, 1)))
+                .unwrap_err();
             assert!(
                 err.0.contains(why),
                 "`{body}`: expected `{why}`, got: {err}"
@@ -1014,15 +962,9 @@ void host() {{
         // A fold whose accumulated halo exceeds half the block is rejected.
         let (p, plan) = setup(16);
         let members = group(&p, &plan);
-        let err = fuse_group_temporal(
-            &members,
-            Dim3::new(16, 8, 1),
-            "temporal_0",
-            48 * 1024,
-            8,
-            &plan.allocs,
-        )
-        .unwrap_err();
+        let err = TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, 8, &plan.allocs)
+            .and_then(|a| a.emit(Dim3::new(16, 8, 1)))
+            .unwrap_err();
         assert!(err.0.contains("halo"), "{err}");
     }
 
@@ -1045,15 +987,9 @@ void host() {{
             let p = parse_program(&src).unwrap();
             let plan = ExecutablePlan::from_program(&p).unwrap();
             let members = group(&p, &plan);
-            let tk = fuse_group_temporal(
-                &members,
-                block,
-                "temporal_0",
-                48 * 1024,
-                fold,
-                &plan.allocs,
-            )
-            .unwrap();
+            let tk = TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, fold, &plan.allocs)
+                .and_then(|a| a.emit(block))
+                .unwrap();
             assert_eq!(tk.grid, Dim3::new(32 / block.x, 16 / block.y, 1));
 
             // Original result.

@@ -33,23 +33,28 @@
 //! Registers are read off the kernel emitted at the initial block: the
 //! estimate counts array parameters, local declarations and tiles, and a
 //! block shape changes none of those — only literals in tile extents and
-//! halo guards. A kernel whose shared memory is not what `smem_bytes`
-//! priced — the initial one, or the winner's declared tiles — is a
-//! [`CodegenError`]: the group goes down the degradation ladder instead of
-//! shipping a block the tuner never ranked. The winner is not analysed
-//! again: the fidelity oracle (`tests/tuning_equivalence.rs`) holds the
-//! kernel emitted at every legal shape to its price, and debug builds
-//! recheck its registers.
+//! halo guards. Tuning is one step of emitting a group, not a second
+//! attempt at it: once the kernel at the initial block exists, nothing the
+//! tuner does can lose it. Whatever fails after that — the initial kernel
+//! using other shared memory than `smem_bytes` priced, a launch the pricer
+//! cannot bind, a winner that fails to emit or declares other tiles than
+//! it was priced at, or an injected rejection
+//! (`FaultPlan::reject_tuned_groups`) — keeps the initial kernel, and
+//! [`tune_block`] says why, so the code generator records the step instead
+//! of shipping a block the tuner never ranked. The winner is
+//! not analysed again: the fidelity oracle (`tests/tuning_equivalence.rs`)
+//! holds the kernel emitted at every legal shape to its price, and debug
+//! builds recheck its registers.
 
-use crate::fuse::{CodegenError, CodegenMode, FusedKernel, GroupAnalysis};
-use crate::temporal::TemporalKernel;
+use crate::fuse::{CodegenError, FusedKernel, GroupAnalysis};
+use crate::temporal::{TemporalAnalysis, TemporalKernel};
 use sf_analysis::access::KernelAccess;
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::occupancy::{candidate_blocks, occupancy};
 use sf_gpusim::profiler::{estimate_regs_per_thread, LaunchPricer};
 use sf_gpusim::timing::TimingModel;
 use sf_minicuda::ast::{Kernel, Stmt};
-use sf_minicuda::host::{AllocInfo, Dim3, LaunchRecord, ResolvedArg};
+use sf_minicuda::host::{AllocInfo, Dim3, ResolvedArg};
 
 /// The outcome of tuning one fused kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +73,10 @@ pub struct TuneNote {
     /// Whether the tuner changed the block shape.
     pub tuned: bool,
 }
+
+/// What tuning made of a group emitted at its initial block: the note on
+/// the block it settled on, or why the initial kernel was kept.
+pub type Tuned = Result<TuneNote, CodegenError>;
 
 /// What the tuner reads off a generated kernel: the kernel and the launch
 /// the profiler will price (its grid and arguments).
@@ -103,6 +112,58 @@ impl Emitted for TemporalKernel {
     }
     fn args(&self) -> &[ResolvedArg] {
         &self.args_a
+    }
+}
+
+/// A group analysed once and emitted at any block shape: what the tuner
+/// prices and regenerates. [`GroupAnalysis`] (spatial fusion) and
+/// [`TemporalAnalysis`] (temporal blocking) are the two.
+pub trait Analysis {
+    /// The kernel the analysis generates.
+    type Kernel: Emitted;
+    /// Static shared memory of the kernel generated at `block`, or the
+    /// block-dependent legality rule `block` breaks.
+    fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError>;
+    /// The launch grid of the kernel generated at `block`.
+    fn grid(&self, block: Dim3) -> Dim3;
+    /// Generate the kernel at `block`, free to reuse what it can of
+    /// `from`, a kernel this analysis generated at another block.
+    fn emit_from(
+        &self,
+        block: Dim3,
+        from: Option<&Self::Kernel>,
+    ) -> Result<Self::Kernel, CodegenError>;
+}
+
+impl Analysis for GroupAnalysis {
+    type Kernel = FusedKernel;
+    fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
+        GroupAnalysis::smem_bytes(self, block)
+    }
+    fn grid(&self, block: Dim3) -> Dim3 {
+        GroupAnalysis::grid(self, block)
+    }
+    fn emit_from(&self, block: Dim3, _: Option<&FusedKernel>) -> Result<FusedKernel, CodegenError> {
+        self.emit(block)
+    }
+}
+
+/// The folded right-hand sides, the bulk of a temporal kernel, do not
+/// depend on the block, so a re-emission takes them from `from`.
+impl Analysis for TemporalAnalysis {
+    type Kernel = TemporalKernel;
+    fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
+        TemporalAnalysis::smem_bytes(self, block)
+    }
+    fn grid(&self, block: Dim3) -> Dim3 {
+        TemporalAnalysis::grid(self, block)
+    }
+    fn emit_from(
+        &self,
+        block: Dim3,
+        from: Option<&TemporalKernel>,
+    ) -> Result<TemporalKernel, CodegenError> {
+        self.emit_reusing(block, from)
     }
 }
 
@@ -150,25 +211,43 @@ fn declared_smem(kernel: &Kernel) -> usize {
 /// Emit a group at the block the timing model prices fastest: once at
 /// `initial_block` (which fixes the registers and the priced launch), and
 /// once more at the admissible candidate priced strictly fastest, if there
-/// is one. `smem_bytes` and `grid_of` give a shape's shared-memory
-/// footprint (or the legality rule it breaks) and launch grid; `alloc_of`
-/// resolves the launch's arrays. `emit(block, from)` generates the kernel
-/// at `block`, free to reuse `from`, the kernel emitted at the initial
-/// block, when the winner replaces it.
-pub(crate) fn tune_block<K: Emitted>(
+/// is one; `alloc_of` resolves the launch's arrays. Only the first
+/// emission can fail the group. Whatever fails after it — or `veto`, an
+/// injected rejection of the tuned kernel — keeps the kernel emitted at
+/// the initial block, and the [`Tuned`] verdict says why.
+pub fn tune_block<A: Analysis>(
+    analysis: &A,
     initial_block: Dim3,
     device: &DeviceSpec,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
-    smem_bytes: impl Fn(Dim3) -> Result<usize, CodegenError>,
-    grid_of: impl Fn(Dim3) -> Dim3,
-    emit: impl Fn(Dim3, Option<K>) -> Result<K, CodegenError>,
-) -> Result<(K, TuneNote), CodegenError> {
+    veto: Option<CodegenError>,
+) -> Result<(A::Kernel, Tuned), CodegenError> {
+    let base = analysis.emit_from(initial_block, None)?;
+    let retuned = match veto {
+        Some(why) => Err(why),
+        None => retune(analysis, &base, initial_block, device, alloc_of),
+    };
+    Ok(match retuned {
+        Ok((Some(winner), note)) => (winner, Ok(note)),
+        Ok((None, note)) => (base, Ok(note)),
+        Err(why) => (base, Err(why)),
+    })
+}
+
+/// Price every candidate shape against `base`, the kernel emitted at
+/// `initial_block`, and emit the winner, if there is one.
+fn retune<A: Analysis>(
+    analysis: &A,
+    base: &A::Kernel,
+    initial_block: Dim3,
+    device: &DeviceSpec,
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+) -> Result<(Option<A::Kernel>, TuneNote), CodegenError> {
     // The kernel at the initial block must use exactly the shared memory
     // `smem_bytes` prices; its registers are what every shape is priced at.
-    let base = emit(initial_block, None)?;
     let ka = KernelAccess::analyze(base.kernel()).map_err(|e| CodegenError(e.0))?;
     let smem = ka.smem_bytes_per_block();
-    let priced = smem_bytes(initial_block)?;
+    let priced = analysis.smem_bytes(initial_block)?;
     if smem != priced {
         return Err(CodegenError(format!(
             "`{}` at block {}x{} uses {smem} B shared memory, priced at {priced} B",
@@ -192,13 +271,13 @@ pub(crate) fn tune_block<K: Emitted>(
         if block == initial_block {
             continue;
         }
-        let Ok(smem) = smem_bytes(block) else {
+        let Ok(smem) = analysis.smem_bytes(block) else {
             continue;
         };
         let Some(occ) = occupancy(device, block.count() as u32, regs, smem) else {
             continue;
         };
-        let grid = grid_of(block);
+        let grid = analysis.grid(block);
         if occ.occupancy < occupancy_before || coverage(grid, block) > cover {
             continue;
         }
@@ -211,11 +290,11 @@ pub(crate) fn tune_block<K: Emitted>(
             best = Some((block, us, occ.occupancy, smem));
         }
     }
-    let name = base.kernel().name.clone();
-    let fused = match best {
-        None => base,
+    let name = &base.kernel().name;
+    let winner = match best {
+        None => None,
         Some((block, _, _, smem_after)) => {
-            let fused = emit(block, Some(base))?;
+            let fused = analysis.emit_from(block, Some(base))?;
             let declared = declared_smem(fused.kernel());
             if declared != smem_after {
                 return Err(CodegenError(format!(
@@ -229,13 +308,13 @@ pub(crate) fn tune_block<K: Emitted>(
                 Ok((regs, smem_after)),
                 "`{name}` at block {block} does not use what it was priced at"
             );
-            fused
+            Some(fused)
         }
     };
     let (block_after, us_after, occupancy_after, _) =
         best.unwrap_or((initial_block, us_before, occupancy_before, smem));
     let note = TuneNote {
-        kernel: name,
+        kernel: name.clone(),
         occupancy_before,
         occupancy_after,
         block_before: initial_block,
@@ -244,26 +323,5 @@ pub(crate) fn tune_block<K: Emitted>(
         us_after,
         tuned: best.is_some(),
     };
-    Ok((fused, note))
-}
-
-/// Generate a fused kernel at the block the timing model prices fastest;
-/// `alloc_of` resolves the fused launch's arrays.
-pub fn fuse_group_tuned(
-    members: &[(&Kernel, &LaunchRecord)],
-    initial_block: Dim3,
-    mode: CodegenMode,
-    name: &str,
-    device: &DeviceSpec,
-    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
-) -> Result<(FusedKernel, TuneNote), CodegenError> {
-    let group = GroupAnalysis::new(members, mode, name, device.smem_per_block_max)?;
-    tune_block(
-        initial_block,
-        device,
-        alloc_of,
-        |block| group.smem_bytes(block),
-        |block| group.grid(block),
-        |block, _| group.emit(block),
-    )
+    Ok((winner, note))
 }

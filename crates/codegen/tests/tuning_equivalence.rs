@@ -18,9 +18,9 @@
 use proptest::prelude::*;
 use sf_analysis::access::KernelAccess;
 use sf_apps::{app_by_name, AppConfig, APP_NAMES};
-use sf_codegen::fuse::{fuse_group, FusedKernel, GroupAnalysis};
-use sf_codegen::temporal::{fuse_group_temporal, fuse_group_temporal_tuned, TemporalAnalysis};
-use sf_codegen::tuning::{fuse_group_tuned, kernel_occupancy, Emitted, TuneNote};
+use sf_codegen::fuse::{FusedKernel, GroupAnalysis};
+use sf_codegen::temporal::TemporalAnalysis;
+use sf_codegen::tuning::{kernel_occupancy, tune_block, Analysis, Emitted, TuneNote};
 use sf_codegen::{fission_kernel, CodegenError, CodegenMode, GroupPlan, MemberRef};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::occupancy::{candidate_blocks, occupancy};
@@ -194,6 +194,18 @@ struct Coverage {
     rejected: usize,
 }
 
+/// Tune `analysis` codelessly: the kernel and its note, or the error that
+/// failed the group or kept its initial kernel.
+fn tune_codelessly<A: Analysis>(
+    analysis: Result<A, CodegenError>,
+    initial: Dim3,
+    device: &DeviceSpec,
+    alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+) -> Result<(A::Kernel, TuneNote), CodegenError> {
+    let (kernel, tuned) = tune_block(&analysis?, initial, device, alloc_of, None)?;
+    Ok((kernel, tuned?))
+}
+
 /// Tune a group spatially both ways — codelessly and by regenerating —
 /// and require one answer.
 fn tune_spatial(
@@ -205,10 +217,9 @@ fn tune_spatial(
 ) -> Result<(FusedKernel, TuneNote), CodegenError> {
     let initial = refs[0].1.block;
     let alloc_of = |name: &str| allocs.iter().find(|a| a.name == name).cloned();
-    let tuned = fuse_group_tuned(refs, initial, mode, "fused_0", device, &alloc_of);
-    let oracle = regenerate_and_price(initial, device, allocs, |block| {
-        fuse_group(refs, block, mode, "fused_0", device.smem_per_block_max)
-    });
+    let analysis = || GroupAnalysis::new(refs, mode, "fused_0", device.smem_per_block_max);
+    let tuned = tune_codelessly(analysis(), initial, device, &alloc_of);
+    let oracle = regenerate_and_price(initial, device, allocs, |block| analysis()?.emit(block));
     assert_eq!(tuned, oracle, "{what} on {} ({mode:?})", device.name);
     tuned
 }
@@ -249,17 +260,10 @@ fn check_temporal(
     let initial = members[0].1.block;
     let cap = device.smem_per_block_max;
     let alloc_of = |name: &str| declared(&plan.allocs, name);
-    let tuned = fuse_group_temporal_tuned(
-        &refs,
-        initial,
-        "fused_0",
-        device,
-        fold,
-        &plan.allocs,
-        &alloc_of,
-    );
+    let analysis = || TemporalAnalysis::new(&refs, "fused_0", cap, fold, &plan.allocs);
+    let tuned = tune_codelessly(analysis(), initial, device, &alloc_of);
     let oracle = regenerate_and_price(initial, device, &plan.allocs, |block| {
-        fuse_group_temporal(&refs, block, "fused_0", cap, fold, &plan.allocs)
+        analysis()?.emit(block)
     });
     assert_eq!(tuned, oracle, "{what} on {} (degree {fold})", device.name);
     match tuned {

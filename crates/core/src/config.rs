@@ -7,9 +7,6 @@ use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::Profiler;
 use sf_search::SearchConfig;
 
-/// Bounded retries for transient profiler failures.
-pub(crate) const PROFILE_RETRIES: u32 = 2;
-
 /// The pipeline stages, in order (the paper's Figure 2 workflow). The
 /// programmer can execute up to / from any stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -50,7 +47,7 @@ impl Stage {
 /// How the pipeline reacts to degradable failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradePolicy {
-    /// Walk the degradation ladder (complex fusion → simple fusion →
+    /// Walk the degradation ladder (temporal fusion → spatial fusion →
     /// unfused copies → original program) and record each step, so a run
     /// always produces a valid result. The default.
     #[default]
@@ -295,7 +292,7 @@ impl PipelineConfig {
         let port_plan = self.port_plan.as_ref().map(|p| p.to_json());
         format!(
             "device={};mode={:?};fission={};tuning={};filter={:?};search={:?};\
-             functional={};verify={};until={:?};degrade={:?};retries={};reps={};\
+             functional={};verify={};until={:?};degrade={:?};reps={};\
              noise={:?};faults={:?};budget={:?};metadata={:?};plan={:?};port={:?}",
             self.device.fingerprint(),
             self.mode,
@@ -307,7 +304,6 @@ impl PipelineConfig {
             self.verify,
             self.run_until,
             self.degrade,
-            PROFILE_RETRIES,
             self.profile_reps,
             self.noise,
             faults.filter(|f| !f.is_empty()),
@@ -375,9 +371,10 @@ mod tests {
         assert_eq!(fp, base.clone().with_resume("/tmp/x.ckpt").cache_fingerprint());
     }
 
-    /// The fault-free fingerprint the build before the fault plan moved
-    /// into `sf-core` produced: every plan cached by that build stays a
-    /// hit. A plan with store faults only must fingerprint the same.
+    /// The fault-free fingerprint, re-pinned when the profile retry count
+    /// (`retries=`) and the search's `eval_retries` left it: a change here
+    /// turns every cached plan into a miss. A plan with store faults only
+    /// must fingerprint the same.
     #[test]
     fn fault_free_fingerprint_is_pinned() {
         const FAULT_FREE: &str = "device=k20x-4576dd2780694130;mode=Auto;fission=true;tuning=true;\
@@ -386,11 +383,10 @@ mod tests {
             tournament: 3, elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, \
             p_move: 0.25, p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, \
             penalty_hard: 0.4, init_merges: 3, seed: 20150615, stagnation_window: 0, \
-            max_wall_ms: 0, max_evaluations: 0, eval_retries: 1, mode: Auto, \
-            block_tuning: false, islands: 1, migration_interval: 8, migrants: 2, \
-            max_temporal: 1 };functional=true;verify=true;until=None;degrade=Degrade;\
-            retries=2;reps=1;noise=None;faults=None;budget=unlimited;metadata=None;\
-            plan=None;port=None";
+            max_wall_ms: 0, max_evaluations: 0, mode: Auto, block_tuning: false, \
+            islands: 1, migration_interval: 8, migrants: 2, max_temporal: 1 };\
+            functional=true;verify=true;until=None;degrade=Degrade;reps=1;noise=None;\
+            faults=None;budget=unlimited;metadata=None;plan=None;port=None";
         let base = PipelineConfig::automated(DeviceSpec::k20x());
         assert_eq!(base.cache_fingerprint(), FAULT_FREE);
         let store_only = FaultPlan {

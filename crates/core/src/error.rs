@@ -36,12 +36,14 @@ pub enum Recoverability {
     /// No valid result can be produced; the run must stop.
     Fatal,
     /// A degraded-but-valid result exists: the driver walks the degradation
-    /// ladder (complex fusion → simple fusion → unfused copies → original
+    /// ladder (temporal fusion → spatial fusion → unfused copies → original
     /// program) instead of failing, unless running under
     /// [`crate::config::DegradePolicy::Strict`].
     Degradable,
-    /// Retrying the same operation may succeed (e.g. profiler noise); the
-    /// driver retries a bounded number of times before giving up.
+    /// The failure came from measurement conditions (e.g. every profiling
+    /// repetition lost to noise): a measurement under other conditions may
+    /// succeed. A run's conditions are seeded, so the pipeline does not
+    /// retry it; it degrades as a [`Recoverability::Degradable`] error does.
     Transient,
 }
 
@@ -235,11 +237,6 @@ impl PipelineError {
         PipelineError::new(stage, Recoverability::Degradable, kind)
     }
 
-    /// Transient error at `stage`.
-    pub fn transient(stage: Stage, kind: ErrorKind) -> PipelineError {
-        PipelineError::new(stage, Recoverability::Transient, kind)
-    }
-
     /// Re-attribute to a different stage (e.g. a profile error raised while
     /// evaluating search candidates belongs to the search stage).
     pub fn at(mut self, stage: Stage) -> PipelineError {
@@ -343,10 +340,10 @@ impl From<sf_minicuda::HostEvalError> for PipelineError {
 }
 
 /// Profile errors keep their own transience judgment: a measurement-run
-/// failure (simulator divergence, lost counters) is [`Recoverability::Transient`]
-/// and worth retrying; a deterministic one (unknown kernel, unlaunchable
-/// config) is [`Recoverability::Degradable`] — retrying cannot help, but the
-/// original program remains a valid degraded result. Kernel attribution
+/// failure (simulator divergence, lost counters) is [`Recoverability::Transient`];
+/// a deterministic one (unknown kernel, unlaunchable config) is
+/// [`Recoverability::Degradable`]. Either way the original program remains
+/// a valid degraded result. Kernel attribution
 /// carries over from the structured error.
 impl From<sf_gpusim::profiler::ProfileError> for PipelineError {
     fn from(e: sf_gpusim::profiler::ProfileError) -> Self {

@@ -3,7 +3,7 @@
 //! The driver maintains an *always-valid* invariant: under the default
 //! [`DegradePolicy::Degrade`] it returns either a verified transformed
 //! program or the original program unchanged. Recoverable failures walk a
-//! degradation ladder (complex fusion → simple fusion → unfused copies →
+//! degradation ladder (temporal fusion → spatial fusion → unfused copies →
 //! original program) and every step is recorded in the stage reports;
 //! [`DegradePolicy::Strict`] surfaces the first degradable error instead.
 //!
@@ -14,7 +14,7 @@
 //! and the single exit, `Run::finish`, the only place a
 //! [`TransformResult`] is built.
 
-use crate::config::{DegradePolicy, PipelineConfig, Stage, PROFILE_RETRIES};
+use crate::config::{DegradePolicy, PipelineConfig, Stage};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
 use crate::report::StageReport;
 use crate::verify::{verify_executions, Execution, Side, Verification, VerifyFailure};
@@ -36,7 +36,6 @@ use sf_search::{
     SearchSpace,
 };
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::sync::Arc;
 
 /// An intervention hook amending one stage artifact in place.
@@ -236,9 +235,6 @@ struct Run<'a> {
     /// The run's fault plan. Each stage reads its own fields in place; the
     /// store section is the batch driver's, never read here.
     faults: FaultPlan,
-    /// Injected transient profiler failures still to fire; each profiler
-    /// invocation consumes one, so bounded retry eventually succeeds.
-    profiler_failures_left: Cell<u32>,
     /// One request-scoped child of the process-wide governor per run.
     /// Every size this run is about to commit to is checked *before* the
     /// corresponding stage allocates or recurses, so a compile bomb
@@ -293,7 +289,6 @@ impl<'a> Run<'a> {
             plan: &pipeline.plan,
             cfg,
             hooks,
-            profiler_failures_left: Cell::new(faults.profiler_failures),
             faults,
             governor: ResourceGovernor::process().child(cfg.budget),
             robust,
@@ -432,62 +427,24 @@ impl<'a> Run<'a> {
         Accounted::new(image, &self.governor, ResourceKind::HeapBytes, bytes).ok()
     }
 
-    /// Should the next profiler invocation fail by injection?
-    fn take_profiler_failure(&self) -> bool {
-        let left = self.profiler_failures_left.get();
-        self.profiler_failures_left.set(left.saturating_sub(1));
-        left > 0
-    }
-
-    /// Profile with bounded retry for transient failures (including injected
-    /// ones). A deterministic (non-transient) profile error short-circuits:
-    /// retrying an unknown kernel or an unlaunchable configuration cannot
-    /// help. Without a profile the only valid result is the original
-    /// program: `Ok(None)` is that keep-original rung, recorded in `r`.
+    /// Profile once. A profile is a pure function of the program and the
+    /// run's fault plan — a trap, an unlaunchable configuration or the
+    /// robust profiler's lost repetitions come out the same on every call —
+    /// so nothing retries it. Without a profile the only valid result is
+    /// the original program: `Ok(None)` is that keep-original rung,
+    /// recorded in `r`.
     fn profile(
         &self,
         r: &mut StageReport,
         what: &str,
-        profile: impl Fn() -> Result<RobustProfile, ProfileError>,
+        profile: impl FnOnce() -> Result<RobustProfile, ProfileError>,
     ) -> Result<Option<RobustProfile>, PipelineError> {
-        let stage = r.stage;
-        // The shared retry ladder (sf_core::retry) — the same policy the
-        // robust profiler and the batch driver's publish path run on.
-        let policy = sf_core::RetryPolicy {
-            max_retries: PROFILE_RETRIES,
-            ..sf_core::RetryPolicy::default()
-        };
-        let outcome = policy.run(
-            |_| {
-                let injected = self.take_profiler_failure();
-                let result = if injected {
-                    Err(ProfileError::transient("injected transient profiler failure"))
-                } else {
-                    profile()
-                };
-                result.map_err(|e| {
-                    if injected {
-                        PipelineError::transient(stage, ErrorKind::Injected(e.to_string()))
-                    } else {
-                        PipelineError::from(e).at(stage)
-                    }
-                })
-            },
-            |err| err.class == Recoverability::Transient,
-        );
-        match outcome.result {
-            Ok(profiled) => {
-                if outcome.attempts > 1 {
-                    r.line(format!(
-                        "profiler recovered after {} transient failure(s)",
-                        outcome.attempts - 1
-                    ));
-                }
-                Ok(Some(profiled))
-            }
+        match profile() {
+            Ok(profiled) => Ok(Some(profiled)),
             Err(e) => {
-                let why = e.to_string();
-                self.fall_back_to_original(r, e, what, why).map(|_| None)
+                let err = PipelineError::from(e).at(r.stage);
+                let why = err.to_string();
+                self.fall_back_to_original(r, err, what, why).map(|_| None)
             }
         }
     }
@@ -512,16 +469,6 @@ impl<'a> Run<'a> {
             // programmer-amended) bundle and reconstruct the end-to-end
             // time from its per-launch runtimes.
             Some(bundle) => {
-                if bundle.perf.len() != plan.launches.len() {
-                    return Err(PipelineError::fatal(
-                        Stage::Metadata,
-                        ErrorKind::Config(format!(
-                            "preloaded metadata describes {} launches, program has {}",
-                            bundle.perf.len(),
-                            plan.launches.len()
-                        )),
-                    ));
-                }
                 // Checked at the door: the ladder's restore below falls
                 // back to this same bundle, so no policy can absorb a bad
                 // one.
@@ -1218,6 +1165,7 @@ mod tests {
     use sf_core::IslandFaults;
     use sf_gpusim::device::DeviceSpec;
     use sf_minicuda::parse_program;
+    use std::cell::Cell;
 
     const APP: &str = r#"
 __global__ void stage1(const double* __restrict__ u, double* a, int nx, int ny, int nz) {
@@ -1723,75 +1671,18 @@ void host() {
     }
 
     #[test]
-    fn injected_profiler_failures_are_consumed() {
-        let p = parse_program(APP).unwrap();
-        let faults = FaultPlan {
-            profiler_failures: 2,
-            ..FaultPlan::default()
-        };
-        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults);
-        let pipeline = Pipeline::new(p, cfg).unwrap();
-        let hooks = Interventions::default();
-        let run = Run::new(&pipeline, &hooks);
-        assert!(run.take_profiler_failure());
-        assert!(run.take_profiler_failure());
-        assert!(!run.take_profiler_failure());
-    }
-
-    #[test]
     fn a_run_without_a_fault_plan_injects_nothing() {
         let p = parse_program(APP).unwrap();
         let pipeline = Pipeline::new(p, PipelineConfig::quick(DeviceSpec::k20x())).unwrap();
         let hooks = Interventions::default();
         let run = Run::new(&pipeline, &hooks);
         assert!(run.faults.is_empty());
-        assert!(!run.take_profiler_failure());
         assert!(!run.faults.interpreter_trap);
         assert!(!run.robust.is_active(), "no injected noise or rep failures");
     }
 
-    #[test]
-    fn transient_profiler_failures_are_retried() {
-        let p = parse_program(APP).unwrap();
-        let faults = FaultPlan {
-            profiler_failures: 2,
-            ..FaultPlan::default()
-        };
-        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults);
-        assert_eq!(PROFILE_RETRIES, 2);
-        let result = Pipeline::new(p, cfg).unwrap().run().unwrap();
-        // Retries absorbed the transient failures: full transform, no
-        // degradation.
-        assert!(result.speedup > 1.0);
-        assert!(result.degradations().is_empty());
-        assert!(result.reports[0]
-            .lines
-            .iter()
-            .any(|l| l.contains("transient failure")));
-    }
-
-    #[test]
-    fn exhausted_profiler_retries_degrade_to_original() {
-        let p = parse_program(APP).unwrap();
-        let faults = FaultPlan {
-            profiler_failures: 10,
-            ..FaultPlan::default()
-        };
-        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(faults.clone());
-        let result = Pipeline::new(p.clone(), cfg).unwrap().run().unwrap();
-        assert_eq!(result.program, p);
-        assert_eq!(result.speedup, 1.0);
-        assert!(!result.degradations().is_empty());
-
-        let strict_cfg = PipelineConfig::quick(DeviceSpec::k20x())
-            .with_faults(faults)
-            .strict();
-        let err = Pipeline::new(p, strict_cfg).unwrap().run().unwrap_err();
-        assert_eq!(err.class, crate::error::Recoverability::Transient);
-    }
-
-    /// An out-of-bounds access traps the same way on every run, so the
-    /// profile ladder does not retry it: the program executes once.
+    /// An out-of-bounds access traps the same way on every run, so nothing
+    /// retries it: the program executes once.
     #[test]
     fn a_trapping_profile_executes_once() {
         // Only the last thread of the last block reads past `a`.
@@ -1821,6 +1712,36 @@ void host() {
             "{err}"
         );
         assert_eq!(steps.get(), Interpreter::plan_steps(run.plan));
+    }
+
+    /// Lost repetitions are drawn from the run's fault plan, and the draw
+    /// starts afresh on every call, so a second call would lose them again:
+    /// the profile is called once and the run keeps the original program.
+    #[test]
+    fn a_lost_reps_profile_executes_once() {
+        let p = parse_program(APP).unwrap();
+        let faults = FaultPlan {
+            rep_failures: 100,
+            ..FaultPlan::default()
+        };
+        let cfg = PipelineConfig::quick(DeviceSpec::k20x())
+            .with_faults(faults)
+            .strict();
+        let pipeline = Pipeline::new(p, cfg).unwrap();
+        let hooks = Interventions::default();
+        let run = Run::new(&pipeline, &hooks);
+        let calls = Cell::new(0);
+        let profile = || {
+            calls.set(calls.get() + 1);
+            run.robust.profile_with_plan(run.program, run.plan)
+        };
+        let mut r = StageReport::new(Stage::Metadata);
+        let err = run
+            .profile(&mut r, "no profile available", profile)
+            .unwrap_err();
+        assert_eq!(err.class, crate::error::Recoverability::Transient, "{err}");
+        assert!(err.to_string().contains("retries exhausted"), "{err}");
+        assert_eq!(calls.get(), 1);
     }
 }
 

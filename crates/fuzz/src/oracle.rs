@@ -449,8 +449,9 @@ fn check_ladder(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 }
 
 /// [`check_ladder`] with the temporal dimension capped at `max_temporal`
-/// (1 = the classic spatial-only ladder; above 1 the temporal rungs
-/// `TemporalTuned → Temporal → Tuned → Plain → unfused` are in play).
+/// (1 = the spatial-only ladder `spatial → unfused`; above 1 a folded
+/// group walks `temporal → spatial → unfused`, each attempt tuned and
+/// kept at its initial block when the tuner is rejected).
 fn check_ladder_at(program: &Program, seed: u64, max_temporal: u32) -> Result<(), OracleFailure> {
     let all: std::collections::BTreeSet<usize> = (0..8).collect();
     let names: [&'static str; 3] = if max_temporal > 1 {
@@ -483,7 +484,7 @@ fn check_ladder_at(program: &Program, seed: u64, max_temporal: u32) -> Result<()
     ];
     for (check, faults) in rungs {
         let mut cfg = config(seed).with_faults(faults).with_max_temporal(max_temporal);
-        // Exercise the tuned rung even on the tuned-reject pass.
+        // Tune every attempt, so the tuned-reject pass has a tuner to reject.
         cfg.block_tuning = true;
         let result = Pipeline::new(program.clone(), cfg)
             .and_then(|p| p.run())
@@ -518,7 +519,7 @@ fn check_ladder_at(program: &Program, seed: u64, max_temporal: u32) -> Result<()
 /// with an independent interpretation, stay within the cap, round-trip
 /// and replay its plan byte-for-byte, and re-run byte-identically
 /// (plans are byte-deterministic per seed). Finally the fault ladder is
-/// walked with the temporal rungs in play.
+/// walked with the temporal attempt in play.
 fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     let run = |check: &'static str, cap: u32| -> Result<TransformResult, OracleFailure> {
         Pipeline::new(program.clone(), config(seed).with_max_temporal(cap))
@@ -650,7 +651,7 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
     }
 
-    // The fault ladder with the temporal rungs in play.
+    // The fault ladder with the temporal attempt in play.
     check_ladder_at(program, seed, 2)
 }
 

@@ -4,7 +4,7 @@
 //! paper's experiments run entirely in double precision; element sizes still
 //! follow the declared type for traffic accounting.
 
-use sf_minicuda::host::{AllocInfo, ExecutablePlan};
+use sf_minicuda::host::{parse_instance, AllocInfo, ExecutablePlan};
 use std::collections::HashMap;
 
 /// One device array: extents (slowest-varying first) and row-major data.
@@ -130,15 +130,7 @@ impl GlobalMemory {
     pub fn seed_all(&mut self, salt: u64) {
         let names: Vec<String> = self.arrays.keys().cloned().collect();
         for name in names {
-            let base_name = match name.rfind("__i") {
-                Some(pos)
-                    if !name[pos + 3..].is_empty()
-                        && name[pos + 3..].chars().all(|c| c.is_ascii_digit()) =>
-                {
-                    &name[..pos]
-                }
-                _ => name.as_str(),
-            };
+            let base_name = parse_instance(&name).map_or(name.as_str(), |(base, _)| base);
             // FNV-1a over the base name, mixed with the salt.
             let mut h: u64 = 0xcbf29ce484222325 ^ salt.wrapping_mul(0x9E3779B97F4A7C15);
             for b in base_name.bytes() {

@@ -77,6 +77,23 @@ impl AllocInfo {
     }
 }
 
+/// The allocation holding instance `inst` of array `base` when a program's
+/// redundant array instances (§3.2.3) are materialized: `x`, 3 → `x__i3`.
+/// [`parse_instance`] reads it back.
+pub fn instance_name(base: &str, inst: usize) -> String {
+    format!("{base}__i{inst}")
+}
+
+/// The array and instance an [`instance_name`] names — `x__i3` →
+/// `("x", 3)` — or `None` for any other name.
+pub fn parse_instance(name: &str) -> Option<(&str, usize)> {
+    let (base, inst) = name.rsplit_once("__i")?;
+    if inst.is_empty() || !inst.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    Some((base, inst.parse().ok()?))
+}
+
 /// A concrete `dim3`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
@@ -473,6 +490,21 @@ mod tests {
 
     fn plan(src: &str) -> ExecutablePlan {
         ExecutablePlan::from_program(&parse_program(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn instance_names_round_trip_and_nothing_else_parses() {
+        assert_eq!(instance_name("x", 3), "x__i3");
+        assert_eq!(parse_instance("x__i3"), Some(("x", 3)));
+        assert_eq!(parse_instance("x__i"), None);
+        assert_eq!(parse_instance("x__ix"), None);
+        assert_eq!(parse_instance("a__i2__i0"), Some(("a__i2", 0)));
+        assert_eq!(
+            parse_instance(&instance_name("a__i2", 0)),
+            Some(("a__i2", 0))
+        );
+        assert_eq!(parse_instance("x"), None);
+        assert_eq!(parse_instance("x__tb"), None);
     }
 
     const BASE: &str = r#"

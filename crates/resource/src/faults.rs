@@ -6,13 +6,13 @@
 //! panic or an invalid program. Each injection site reads the plan it is
 //! handed, in place; sites are named by the benchmark's spans:
 //!
-//! | site                | fields                                                                |
-//! |---------------------|-----------------------------------------------------------------------|
-//! | `gpusim.profile`    | `corrupt_metadata`, `profiler_failures`, `noise_seed`, `rep_failures` |
-//! | `search.islands`    | `poison_evaluations`, the `islands` section                           |
-//! | `codegen.transform` | `reject_groups`, `panic_groups`, `reject_tuned_groups`                |
-//! | `core.verify`       | `interpreter_trap`                                                    |
-//! | `cache.publish`     | the `cache` section, which a batch driver arms its store with         |
+//! | site                | fields                                                        |
+//! |---------------------|---------------------------------------------------------------|
+//! | `gpusim.profile`    | `corrupt_metadata`, `noise_seed`, `rep_failures`              |
+//! | `search.islands`    | `poison_evaluations`, the `islands` section                   |
+//! | `codegen.transform` | `reject_groups`, `panic_groups`, `reject_tuned_groups`        |
+//! | `core.verify`       | `interpreter_trap`                                            |
+//! | `cache.publish`     | the `cache` section, which a batch driver arms its store with |
 //!
 //! The sections, [`CacheFaults`] and [`IslandFaults`], are plain data with
 //! no generator or emptiness test of their own: `Default` is "no faults".
@@ -21,7 +21,8 @@
 //! stream, and a new fault is only ever drawn after every existing draw, so
 //! every historical seed keeps its mix. Draws since the group sets are
 //! unconditional, so no later field depends on whether an earlier fault
-//! fired; the store section is one sub-seeded draw under the same rule.
+//! fired; the store section is one sub-seeded draw under the same rule. A
+//! retired field's draw stays in the stream, drawn and discarded.
 
 use crate::hash::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,18 +34,16 @@ pub struct FaultPlan {
     /// (non-finite runtimes), as if the profiler or a programmer amendment
     /// produced garbage.
     pub corrupt_metadata: bool,
-    /// `gpusim.profile`: fail this many profiler invocations (transient
-    /// errors) before letting them succeed.
-    pub profiler_failures: u32,
     /// `codegen.transform`: reject code generation for these fusion-group
     /// indices, as if the fuser found them infeasible.
     pub reject_groups: BTreeSet<usize>,
     /// `codegen.transform`: panic inside per-group code generation for
     /// these group indices (exercises the `catch_unwind` boundary).
     pub panic_groups: BTreeSet<usize>,
-    /// `codegen.transform`: reject only the *tuned* fusion attempts (both
-    /// the temporal-tuned and the spatial-tuned rung) for these group
-    /// indices, so the tuned → untuned rung fires deterministically.
+    /// `codegen.transform`: reject the block tuner's result for these group
+    /// indices, temporal or spatial, so the group keeps the kernel emitted
+    /// at its initial block and the tuned → untuned step fires
+    /// deterministically.
     pub reject_tuned_groups: BTreeSet<usize>,
     /// `search.islands`: panic inside the objective evaluation for these
     /// evaluation indices (a "poisoned candidate"). Evaluations are indexed
@@ -134,9 +133,11 @@ impl FaultPlan {
     /// generation targets stay small so they land inside short runs.
     pub fn seeded(mut seed: u64) -> FaultPlan {
         let s = &mut seed;
+        let corrupt_metadata = fires(s, 4, 0).is_some();
+        // The retired whole-profile failure count.
+        splitmix64(s);
         let mut plan = FaultPlan {
-            corrupt_metadata: fires(s, 4, 0).is_some(),
-            profiler_failures: (splitmix64(s) % 3) as u32,
+            corrupt_metadata,
             interpreter_trap: fires(s, 5, 0).is_some(),
             ..FaultPlan::default()
         };
@@ -204,7 +205,6 @@ mod tests {
                 0,
                 FaultPlan {
                     corrupt_metadata: false,
-                    profiler_failures: 0,
                     reject_groups: BTreeSet::from([3]),
                     panic_groups: BTreeSet::new(),
                     reject_tuned_groups: BTreeSet::from([1, 2]),
@@ -233,7 +233,6 @@ mod tests {
                 1,
                 FaultPlan {
                     corrupt_metadata: false,
-                    profiler_failures: 1,
                     reject_groups: BTreeSet::from([0, 1]),
                     panic_groups: BTreeSet::new(),
                     reject_tuned_groups: BTreeSet::from([1]),
@@ -262,7 +261,6 @@ mod tests {
                 7,
                 FaultPlan {
                     corrupt_metadata: false,
-                    profiler_failures: 0,
                     reject_groups: BTreeSet::new(),
                     panic_groups: BTreeSet::from([1]),
                     reject_tuned_groups: BTreeSet::from([0, 3]),
@@ -291,7 +289,6 @@ mod tests {
                 42,
                 FaultPlan {
                     corrupt_metadata: false,
-                    profiler_failures: 1,
                     reject_groups: BTreeSet::new(),
                     panic_groups: BTreeSet::from([2]),
                     reject_tuned_groups: BTreeSet::from([2]),
@@ -320,7 +317,6 @@ mod tests {
                 511,
                 FaultPlan {
                     corrupt_metadata: false,
-                    profiler_failures: 0,
                     reject_groups: BTreeSet::new(),
                     panic_groups: BTreeSet::new(),
                     reject_tuned_groups: BTreeSet::new(),
@@ -367,9 +363,8 @@ mod tests {
     fn every_fault_kind_is_reachable_over_a_seed_range() {
         type Fires = fn(&FaultPlan) -> bool;
         let plans: Vec<FaultPlan> = (0..512).map(FaultPlan::seeded).collect();
-        let kinds: [(&str, Fires); 20] = [
+        let kinds: [(&str, Fires); 19] = [
             ("corrupt_metadata", |p| p.corrupt_metadata),
-            ("profiler_failures", |p| p.profiler_failures > 0),
             ("reject_groups", |p| !p.reject_groups.is_empty()),
             ("panic_groups", |p| !p.panic_groups.is_empty()),
             ("reject_tuned_groups", |p| !p.reject_tuned_groups.is_empty()),
@@ -425,7 +420,6 @@ mod tests {
             #[test]
             fn seeded_plans_stay_in_bounds(seed in 0u64..u64::MAX) {
                 let p = FaultPlan::seeded(seed);
-                prop_assert!(p.profiler_failures < 3);
                 prop_assert!(p.rep_failures < 3);
                 prop_assert!(p.reject_groups.iter().all(|&g| g < 4));
                 prop_assert!(p.panic_groups.iter().all(|&g| g < 4));

@@ -40,8 +40,9 @@ use std::path::Path;
 /// under codegen's fusion legality verdict (a group the code generator
 /// would not fuse projects to infinite time); 4 = the same layout, bred
 /// under lazy fission from a first population that holds the greedy
-/// fusion seeds.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// fusion seeds; 5 = the same layout, fingerprinted without
+/// `eval_retries` (a poisoned evaluation is no longer retried).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The complete search state written at a migration epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

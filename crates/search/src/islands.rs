@@ -4,8 +4,8 @@
 //! sharded into `config.islands` islands that evolve independently and
 //! exchange elites at fixed migration epochs; the classic serial search is
 //! the `islands = 1` case of the same loop (one island, no migration), so
-//! budgets, poison retry, supervision and checkpointing behave the same
-//! whether or not the run is sharded.
+//! budgets, poisoned candidates, supervision and checkpointing behave the
+//! same whether or not the run is sharded.
 //!
 //! 1. **Parallel wall-clock.** Islands step through a whole migration
 //!    epoch concurrently (`rayon`), with objective evaluation *serial
@@ -248,41 +248,31 @@ fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
 }
 
 /// Evaluate the population whose views are `views` serially, isolating
-/// panics per candidate:
-/// every evaluation gets an island-local index (for deterministic fault
-/// injection); a candidate whose evaluation panics is retried up to
-/// `retries` times on fresh indices (so injected transient faults clear),
-/// then scored [`gga::POISONED_FITNESS`].
+/// panics per candidate: every evaluation gets an island-local index (for
+/// deterministic fault injection), and a candidate whose evaluation panics
+/// is scored `gga::POISONED_FITNESS`. The objective is a pure function of
+/// the candidate, so a second evaluation would panic again: none is made.
 fn evaluate_island(
     pricer: &mut Pricer<'_>,
     views: &[View],
     penalty: &Penalty,
     poison: &BTreeSet<u64>,
-    retries: u32,
     state: &mut IslandState,
 ) -> Vec<f64> {
     debug_assert_eq!(views.len(), state.population.len());
     let tag = (state.index as u64) << 40;
-    let mut one = |state: &mut IslandState, view: &View| -> Result<f64, String> {
-        let idx = tag | state.evaluations;
-        state.evaluations += 1;
-        isolated(|| {
-            if poison.contains(&idx) {
-                panic!("injected poisoned candidate at evaluation {idx}");
-            }
-            objective::fitness_with(pricer, &view.groups, penalty)
-        })
-    };
     views
         .iter()
         .map(|view| {
-            let mut outcome = one(state, view);
-            let mut budget = retries;
-            while outcome.is_err() && budget > 0 {
-                budget -= 1;
-                outcome = one(state, view);
-            }
-            outcome.unwrap_or_else(|_| {
+            let idx = tag | state.evaluations;
+            state.evaluations += 1;
+            isolated(|| {
+                if poison.contains(&idx) {
+                    panic!("injected poisoned candidate at evaluation {idx}");
+                }
+                objective::fitness_with(pricer, &view.groups, penalty)
+            })
+            .unwrap_or_else(|_| {
                 state.poisoned += 1;
                 gga::POISONED_FITNESS
             })
@@ -327,14 +317,13 @@ fn advance_epoch(
     // epoch: the generation loop below takes no lock.
     let mut pricer = engine.pricer(state.index);
     let mut q = Quotient::new(engine.space());
-    let retries = config.eval_retries;
     let Carried {
         views,
         bred,
         bred_views,
     } = carried;
     if state.scores.is_empty() {
-        state.scores = evaluate_island(&mut pricer, views, penalty, poison, retries, state);
+        state.scores = evaluate_island(&mut pricer, views, penalty, poison, state);
     }
     // Watchdog budgets, checked at generation boundaries only so the
     // trajectory for a given seed is unchanged — just where it stops.
@@ -394,7 +383,7 @@ fn advance_epoch(
         // whose buffers the one after reuses.
         std::mem::swap(&mut state.population, bred);
         std::mem::swap(views, bred_views);
-        state.scores = evaluate_island(&mut pricer, views, penalty, poison, retries, state);
+        state.scores = evaluate_island(&mut pricer, views, penalty, poison, state);
         let best = gga::argmax(&state.scores);
         state.history.push(state.scores[best]);
         state.retained_fissions += state.population[best].fissioned().len() as u64;
@@ -994,8 +983,7 @@ void host() {
             let r = search_islands(&space, &cfg, &IslandOptions::default());
             assert_eq!(r.result.stop_reason, StopReason::BudgetExhausted);
             let shard = cfg.population.div_ceil(islands) as u64;
-            let retries = u64::from(cfg.eval_retries);
-            let slack = islands as u64 * shard * (1 + retries);
+            let slack = islands as u64 * shard;
             assert!(
                 r.result.evaluations >= budget && r.result.evaluations <= budget + slack,
                 "islands={islands}: {} evaluations for budget {budget}",
@@ -1252,7 +1240,7 @@ void host() {
     /// run below panics if a member's view ever differs from a rebuild:
     /// through migration at one and three islands, a run resumed from the
     /// checkpoint of a kill at epoch 2, a seeded (`--port-plan`) start, and
-    /// poisoned evaluations that are retried.
+    /// poisoned evaluations.
     #[test]
     fn carried_views_survive_the_island_machinery() {
         let space = space_for(CHAIN4);
@@ -1304,7 +1292,7 @@ void host() {
             ..IslandOptions::default()
         };
         let r = run(&longer(3), &poisoned);
-        assert_eq!(r.result.poisoned_evaluations, 0);
+        assert_eq!(r.result.poisoned_evaluations, 4);
     }
 
     /// The fingerprint binds every checkpoint to its run, and it is built
@@ -1326,7 +1314,7 @@ void host() {
              elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, p_move: 0.25, \
              p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, penalty_hard: 0.4, \
              init_merges: 3, seed: 20150615, stagnation_window: 0, max_wall_ms: 0, \
-             max_evaluations: 0, eval_retries: 1, mode: Auto, block_tuning: false, \
+             max_evaluations: 0, mode: Auto, block_tuning: false, \
              islands: 2, migration_interval: 4, migrants: 1, \
              max_temporal: 1 } | units 4 edges 2 smem 49152";
         assert_eq!(
@@ -1345,7 +1333,7 @@ void host() {
              elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, p_move: 0.25, \
              p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, penalty_hard: 0.4, \
              init_merges: 3, seed: 20150615, stagnation_window: 6, max_wall_ms: 0, \
-             max_evaluations: 0, eval_retries: 1, mode: Auto, block_tuning: false, \
+             max_evaluations: 0, mode: Auto, block_tuning: false, \
              islands: 1, migration_interval: 8, migrants: 2, \
              max_temporal: 1 } | units 4 edges 2 smem 49152";
         let genomes = "[Individual { fissioned: {}, group_of: {0: 0, 1: 1} }, \

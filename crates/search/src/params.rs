@@ -46,9 +46,6 @@ pub struct SearchConfig {
     /// Watchdog: objective-evaluation budget (0 = unlimited), also checked
     /// at generation boundaries.
     pub max_evaluations: u64,
-    /// Bounded retry for a failed (transient) candidate evaluation before
-    /// the candidate is scored as poisoned.
-    pub eval_retries: u32,
     /// Codegen mode stamped into the lowered [`sf_plan::TransformPlan`]
     /// (automated vs programmer-guided run).
     pub mode: CodegenMode,
@@ -92,7 +89,6 @@ impl Default for SearchConfig {
             stagnation_window: 0,
             max_wall_ms: 0,
             max_evaluations: 0,
-            eval_retries: 1,
             mode: CodegenMode::Auto,
             block_tuning: false,
             islands: 1,
@@ -186,7 +182,6 @@ mod tests {
         let c = SearchConfig::default();
         assert_eq!(c.max_wall_ms, 0);
         assert_eq!(c.max_evaluations, 0);
-        assert!(c.eval_retries >= 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_graphs::build::{all_accesses, LaunchAccesses};
 use sf_graphs::{EdgeInfo, Precedence};
 use sf_minicuda::ast::Program;
-use sf_minicuda::host::ExecutablePlan;
+use sf_minicuda::host::{parse_instance, ExecutablePlan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -63,14 +63,7 @@ impl Unit {
 
 /// Strip a redundant-instance storage suffix (`x__i3` → `x`).
 fn debase(name: &str) -> String {
-    if let Some(pos) = name.rfind("__i") {
-        if name[pos + 3..].chars().all(|c| c.is_ascii_digit())
-            && !name[pos + 3..].is_empty()
-        {
-            return name[..pos].to_string();
-        }
-    }
-    name.to_string()
+    parse_instance(name).map_or(name, |(base, _)| base).to_string()
 }
 
 /// A precedence edge between units.

@@ -71,10 +71,10 @@ void host() {
 "#;
 
 /// Generate arbitrary fault plans, including mixes the seeded derivation
-/// never produces (e.g. profiler failures beyond the retry budget).
+/// never produces.
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     (
-        (0u8..4, 0u32..6, proptest::collection::vec(0usize..4, 0..3)),
+        (0u8..4, proptest::collection::vec(0usize..4, 0..3)),
         (
             proptest::collection::vec(0usize..4, 0..3),
             proptest::collection::vec(0u64..200, 0..4),
@@ -85,12 +85,11 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     )
         .prop_map(
             |(
-                (corrupt, profiler, reject),
+                (corrupt, reject),
                 (panic, poison, trap, reject_tuned),
                 (noisy, noise_seed, rep_failures),
             )| FaultPlan {
                 corrupt_metadata: corrupt == 0,
-                profiler_failures: profiler,
                 reject_groups: reject.into_iter().collect(),
                 panic_groups: panic.into_iter().collect(),
                 reject_tuned_groups: reject_tuned.into_iter().collect(),

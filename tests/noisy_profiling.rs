@@ -122,11 +122,11 @@ fn transient_rep_failures_never_abort_under_degrade() {
     let r = run("mitgcm", cfg);
     assert!(r.speedup >= 1.0);
 
-    // Stacked with whole-invocation failures beyond the retry budget the
-    // run still completes — at worst it keeps the original program.
+    // Losing every repetition (failures beyond the retry budget) fails
+    // the profile, and the run still completes — at worst it keeps the
+    // original program.
     let plan = FaultPlan {
-        rep_failures: 2,
-        profiler_failures: 10,
+        rep_failures: 100,
         noise_seed: Some(9),
         ..FaultPlan::default()
     };

@@ -6,8 +6,8 @@
 //! - the full run, and `run_until` = each of the five early stages;
 //! - a `with_plan` replay of the full run's executed plan;
 //! - `FaultPlan::seeded(0..32)` under `Degrade` and under `Strict`;
-//! - the endings no seeded plan reaches, under both policies: exhausted
-//!   profiler retries, one tight cap per governed resource (the
+//! - the endings no seeded plan reaches, under both policies: a profile
+//!   that loses every repetition, one tight cap per governed resource (the
 //!   population caps at two islands, so every search-budget rung fires),
 //!   a `heap-bytes` cap with room for one memory image of the original
 //!   program but not for two, a replay and a port on another device, a
@@ -32,7 +32,13 @@
 //! the same refusal the parent's two up-front images did. The rows of the
 //! five spatial analogs were re-blessed when the block tuner began ranking
 //! shapes by modelled time: their tuned kernels and the codegen report's
-//! `tuned` lines (now with µs) moved, their errors did not.
+//! `tuned` lines (now with µs) moved, their errors did not. The `fault-*`
+//! rows were re-blessed when nothing deterministic was retried any more:
+//! a seed whose plan drew the retired whole-profile failures lost the
+//! metadata report's recovery line, and a poisoned evaluation is scored at
+//! once (a search degradation, and under `Strict` a stop at the search
+//! stage); `profiler-exhausted-*` became `lost-reps-*`, the ending it
+//! stood for. Every other row passed untouched.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`
@@ -195,11 +201,11 @@ fn cases(name: &str) -> Vec<Case> {
         out.push(case(format!("{name}-degrade"), run(program, config.clone())));
         out.push(case(format!("{name}-strict"), run(program, config.strict())));
     };
-    let exhausted = FaultPlan {
-        profiler_failures: 10,
+    let lost_reps = FaultPlan {
+        rep_failures: 100,
         ..FaultPlan::default()
     };
-    both_policies("profiler-exhausted", base.clone().with_faults(exhausted));
+    both_policies("lost-reps", base.clone().with_faults(lost_reps));
     for (kind, cap) in [
         (ResourceKind::Launches, 1),
         (ResourceKind::PrecedenceDepth, 1),

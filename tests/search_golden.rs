@@ -17,7 +17,7 @@
 //! greedy fusion seed, so a change to the search's data structures that
 //! is meant to keep every trajectory must leave it untouched. Beside it lie
 //! frozen checkpoints (quick budget, killed after epoch 2), one per schema
-//! version and island count (`awp-odc.i{1,3}.v{2,3,4}.ckpt`): the current
+//! version and island count (`awp-odc.i{1,3}.v{2,3,4,5}.ckpt`): the current
 //! version's must keep resuming to the plan the uninterrupted run emits,
 //! and every older one must be rejected with its version named. They are
 //! frozen bytes: nothing regenerates them.
@@ -256,12 +256,19 @@ fn v3_checkpoints_resume_to_the_uninterrupted_plan() {
     rejected_and_restarted(3);
 }
 
-/// Checkpoints this build writes (schema version 4, quick budget, killed
-/// after epoch 2) resume to the uninterrupted plan.
+/// Checkpoints the parent of the retry removal wrote (schema version 4):
+/// their fingerprints carry the search's `eval_retries`.
 #[test]
 fn v4_checkpoints_resume_to_the_uninterrupted_plan() {
+    rejected_and_restarted(4);
+}
+
+/// Checkpoints this build writes (schema version 5, quick budget, killed
+/// after epoch 2) resume to the uninterrupted plan.
+#[test]
+fn v5_checkpoints_resume_to_the_uninterrupted_plan() {
     for islands in [1usize, 3] {
-        let name = format!("awp-odc.i{islands}.v4.ckpt");
+        let name = format!("awp-odc.i{islands}.v5.ckpt");
         let (golden, resumed) = resumed_from(&name, islands);
         assert_eq!(resumed.degradations, vec![], "{name}: the checkpoint was not accepted");
         assert_eq!(resumed.resumed_from_epoch, Some(2), "{name}");

@@ -12,7 +12,7 @@ use sf_analysis::access::{
     bind_launch, AccessError, ArrayAccess, Bnd, BoundTraffic, IdxBase, KernelAccess, Traffic,
 };
 use sf_apps::{app_by_name, AppConfig, APP_NAMES};
-use sf_codegen::{fuse_group, CodegenMode};
+use sf_codegen::{CodegenMode, GroupAnalysis};
 use sf_gpusim::occupancy::candidate_blocks;
 use sf_gpusim::registry::DeviceRegistry;
 use sf_minicuda::ast::{Kernel, Program};
@@ -330,13 +330,8 @@ fn binding_agrees_with_the_per_block_model_on_the_analogs_and_their_fusions() {
                 .iter()
                 .filter_map(|l| Some((app.program.kernel(&l.kernel)?, l)))
                 .collect();
-            let Ok(f) = fuse_group(
-                &members,
-                pair[0].block,
-                CodegenMode::Auto,
-                "fused",
-                48 * 1024,
-            ) else {
+            let analysis = GroupAnalysis::new(&members, CodegenMode::Auto, "fused", 48 * 1024);
+            let Ok(f) = analysis.and_then(|a| a.emit(pair[0].block)) else {
                 continue;
             };
             let launch = LaunchRecord {
