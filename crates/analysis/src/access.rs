@@ -50,10 +50,7 @@ pub struct Bnd {
 impl Bnd {
     /// A constant bound.
     pub fn constant(v: i64) -> Bnd {
-        Bnd {
-            base: None,
-            off: v,
-        }
+        Bnd { base: None, off: v }
     }
 
     /// A `param + off` bound.
@@ -361,7 +358,14 @@ fn walk_sweep_level(
                 }
                 // Not a recognizable guard: analyze both branches as flat
                 // statements (conservative).
-                collect_in_sweep(std::slice::from_ref(s), roles, arrays, floats, &mut flat, &[])?;
+                collect_in_sweep(
+                    std::slice::from_ref(s),
+                    roles,
+                    arrays,
+                    floats,
+                    &mut flat,
+                    &[],
+                )?;
             }
             Stmt::For {
                 var,
@@ -376,10 +380,12 @@ fn walk_sweep_level(
                         out.kernel
                     )));
                 }
-                let lo = Bnd::parse(init)
-                    .ok_or_else(|| AccessError(format!("unsupported loop bound in `{}`", out.kernel)))?;
-                let hi = parse_upper_bound(var, cond)
-                    .ok_or_else(|| AccessError(format!("unsupported loop cond in `{}`", out.kernel)))?;
+                let lo = Bnd::parse(init).ok_or_else(|| {
+                    AccessError(format!("unsupported loop bound in `{}`", out.kernel))
+                })?;
+                let hi = parse_upper_bound(var, cond).ok_or_else(|| {
+                    AccessError(format!("unsupported loop cond in `{}`", out.kernel))
+                })?;
                 roles.set_vert(var);
                 let mut sweep = Sweep {
                     guard: guard.clone(),
@@ -391,7 +397,14 @@ fn walk_sweep_level(
                 out.sweeps.push(sweep);
             }
             Stmt::Assign { .. } => {
-                collect_in_sweep(std::slice::from_ref(s), roles, arrays, floats, &mut flat, &[])?;
+                collect_in_sweep(
+                    std::slice::from_ref(s),
+                    roles,
+                    arrays,
+                    floats,
+                    &mut flat,
+                    &[],
+                )?;
             }
             Stmt::SyncThreads => {
                 flat.has_barrier = true;
@@ -435,7 +448,15 @@ fn collect_in_sweep(
     sweep: &mut Sweep,
     inner_stack: &[String],
 ) -> Result<(), AccessError> {
-    collect_in_region(stmts, roles, arrays, floats, sweep, inner_stack, &Guard::default())
+    collect_in_region(
+        stmts,
+        roles,
+        arrays,
+        floats,
+        sweep,
+        inner_stack,
+        &Guard::default(),
+    )
 }
 
 /// Like [`collect_in_sweep`] but carrying the region guard (per-segment
@@ -485,8 +506,7 @@ fn collect_in_region(
                         });
                         // Compound assignment also reads the target.
                         if *op != AssignOp::Assign {
-                            let pats =
-                                indices.iter().map(|i| classify_index(i, roles)).collect();
+                            let pats = indices.iter().map(|i| classify_index(i, roles)).collect();
                             sweep.accesses.push(ArrayAccess {
                                 array: array.clone(),
                                 pats,
@@ -520,11 +540,15 @@ fn collect_in_region(
                 };
                 let then_region = narrowed.as_ref().unwrap_or(region);
                 collect_in_region(
-                    then_body, roles, arrays, floats, sweep, inner_stack, then_region,
+                    then_body,
+                    roles,
+                    arrays,
+                    floats,
+                    sweep,
+                    inner_stack,
+                    then_region,
                 )?;
-                collect_in_region(
-                    else_body, roles, arrays, floats, sweep, inner_stack, region,
-                )?;
+                collect_in_region(else_body, roles, arrays, floats, sweep, inner_stack, region)?;
             }
             Stmt::For {
                 var,
@@ -631,10 +655,7 @@ pub fn expr_flops(e: &Expr, floats: &std::collections::HashSet<String>) -> u64 {
 }
 
 /// Type-aware flop counting: returns `(flops, is_float)`.
-pub fn expr_flops_typed(
-    e: &Expr,
-    floats: &std::collections::HashSet<String>,
-) -> (u64, bool) {
+pub fn expr_flops_typed(e: &Expr, floats: &std::collections::HashSet<String>) -> (u64, bool) {
     match e {
         Expr::Int(_) | Expr::Builtin(_) => (0, false),
         Expr::Float(_) => (0, true),
@@ -938,8 +959,14 @@ struct BoundAxis {
 enum AxisRange {
     /// The block's x (y) tile, clipped to `window` (sweep guard ∩ access
     /// region), shifted by `off`.
-    X { window: (i64, i64), off: i64 },
-    Y { window: (i64, i64), off: i64 },
+    X {
+        window: (i64, i64),
+        off: i64,
+    },
+    Y {
+        window: (i64, i64),
+        off: i64,
+    },
     /// `threadIdx.x (y) + off`: the block's extent, shifted.
     TidX(i64),
     TidY(i64),
@@ -1097,7 +1124,9 @@ impl BoundTraffic {
                                     }
                                 };
                                 let range = match sweep.inner_loops.iter().find(|l| &l.var == v) {
-                                    Some(l) => shift((l.lo.eval(&scalars)?, l.hi.eval(&scalars)?), off),
+                                    Some(l) => {
+                                        shift((l.lo.eval(&scalars)?, l.hi.eval(&scalars)?), off)
+                                    }
                                     None => (0, extent),
                                 };
                                 (TAG_INNER + tag as u32, AxisRange::Fixed(range.0, range.1))
@@ -1152,7 +1181,9 @@ impl BoundTraffic {
     pub fn traffic(&self, grid: Dim3, block: Dim3) -> Traffic {
         let mut per_array: HashMap<String, (u64, u64)> = HashMap::new();
         let totals = self.fold(grid, block, |array, is_write, bytes| {
-            let entry = per_array.entry(self.arrays[array].clone()).or_insert((0, 0));
+            let entry = per_array
+                .entry(self.arrays[array].clone())
+                .or_insert((0, 0));
             if is_write {
                 entry.1 += bytes;
             } else {
@@ -1185,10 +1216,8 @@ impl BoundTraffic {
             let site_y = range_len(clip((0, launch_y), sweep.gy));
             let k_extent = sweep.k_extent.unwrap_or(1);
             t.sites += (site_x * site_y) as u64 * k_extent as u64 * z_blocks;
-            t.flops += sweep.flops_per_site
-                * (site_x * site_y) as u64
-                * k_extent.max(1) as u64
-                * z_blocks;
+            t.flops +=
+                sweep.flops_per_site * (site_x * site_y) as u64 * k_extent.max(1) as u64 * z_blocks;
             for g in &sweep.groups {
                 let bytes = match g.whole_bytes {
                     Some(bytes) => bytes,

@@ -25,10 +25,7 @@ pub struct ArrayDependenceGraph {
 /// Flow-insensitive taint of local scalars by source arrays, iterated to a
 /// fixpoint (locals can feed locals). Public so the fission code generator
 /// can decide which local declarations belong to which component.
-pub fn local_taint(
-    body: &[Stmt],
-    arrays: &BTreeSet<String>,
-) -> BTreeMap<String, BTreeSet<String>> {
+pub fn local_taint(body: &[Stmt], arrays: &BTreeSet<String>) -> BTreeMap<String, BTreeSet<String>> {
     let mut taint: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     loop {
         let mut changed = false;

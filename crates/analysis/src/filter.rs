@@ -108,10 +108,10 @@ pub fn identify_targets(
             // every verdict derived from it, roofline included.
             let reason = if p.measure.confidence == Confidence::Unreliable {
                 FilterReason::Unreliable
-            } else if roofline::classify(p, device) == roofline::RooflineRegion::ComputeBound
-            {
+            } else if roofline::classify(p, device) == roofline::RooflineRegion::ComputeBound {
                 FilterReason::ComputeBound
-            } else if max_sites > 0 && (o.sites as f64) < config.boundary_fraction * max_sites as f64
+            } else if max_sites > 0
+                && (o.sites as f64) < config.boundary_fraction * max_sites as f64
             {
                 FilterReason::Boundary
             } else if config.detect_latency_bound

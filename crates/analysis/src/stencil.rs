@@ -51,12 +51,7 @@ pub fn stencil_shapes(ka: &KernelAccess) -> Vec<StencilShape> {
             radius: agg
                 .offsets
                 .iter()
-                .map(|axis| {
-                    axis.keys()
-                        .map(|o| o.abs())
-                        .max()
-                        .unwrap_or(0)
-                })
+                .map(|axis| axis.keys().map(|o| o.abs()).max().unwrap_or(0))
                 .collect(),
             points: agg.points.len(),
             written: agg.written,

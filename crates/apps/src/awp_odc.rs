@@ -18,8 +18,8 @@ pub fn build(cfg: &AppConfig) -> App {
     // 3 velocity + 6 stress components; staggered-grid material fields are
     // pre-averaged per component (so the fat kernels' parts are separable).
     for a in [
-        "vx", "vy", "vz", "xx", "yy", "zz", "xy", "xz", "yz", "rhox", "rhoy", "rhoz",
-        "lam1", "lam2", "lam3", "mu1", "mu2", "mu3",
+        "vx", "vy", "vz", "xx", "yy", "zz", "xy", "xz", "yz", "rhox", "rhoy", "rhoz", "lam1",
+        "lam2", "lam3", "mu1", "mu2", "mu3",
     ] {
         b.array(a);
     }
@@ -91,8 +91,7 @@ mod tests {
     fn full_scale_matches_paper_attributes() {
         let app = build(&AppConfig::full());
         assert_eq!(app.program.kernels.len(), 12);
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         // 18 fields/materials + r1 r2 + fs + src + szz_src + stf_out
         // + media_out = 25... src counted once; exact:
         assert_eq!(plan.allocs.len(), 25);

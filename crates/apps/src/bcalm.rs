@@ -15,8 +15,8 @@ pub fn build(cfg: &AppConfig) -> App {
 
     // E and H field components plus per-component material coefficients.
     for a in [
-        "ex", "ey", "ez", "hx", "hy", "hz", "cex", "cey", "cez", "chx", "chy", "chz",
-        "eps", "sigma", "srcf",
+        "ex", "ey", "ez", "hx", "hy", "hz", "cex", "cey", "cez", "chx", "chy", "chz", "eps",
+        "sigma", "srcf",
     ] {
         b.array(a);
     }
@@ -85,8 +85,7 @@ mod tests {
         let app = build(&AppConfig::full());
         // 2 fat + 3*2 pole + 9 pml + 6 disp = 23
         assert_eq!(app.program.kernels.len(), 23);
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         // 15 fields/coefs/materials + 3 jp + 3 cjp + 3 obs = 24.
         assert_eq!(plan.allocs.len(), 24);
     }

@@ -114,7 +114,10 @@ impl AppBuilder {
     /// Start recording a host time loop: every launch registered until the
     /// matching [`AppBuilder::end_time_loop`] lands inside the loop body.
     pub fn begin_time_loop(&mut self) {
-        assert!(self.loop_mark.is_none() && self.time_loop.is_none(), "one time loop per app");
+        assert!(
+            self.loop_mark.is_none() && self.time_loop.is_none(),
+            "one time loop per app"
+        );
         self.loop_mark = Some(self.launches.len());
     }
 
@@ -206,10 +209,7 @@ impl AppBuilder {
         }
         self.array(write);
         let expr = self.pointwise_expr(reads);
-        let body = self.standard_body(
-            0,
-            vec![b::vertical_loop(0, vec![b::store3(write, expr)])],
-        );
+        let body = self.standard_body(0, vec![b::vertical_loop(0, vec![b::store3(write, expr)])]);
         let kernel = Kernel {
             name: name.into(),
             params: b::params_3d(reads, &[write]),
@@ -253,10 +253,7 @@ impl AppBuilder {
         for r in extras {
             e = b::add(e, b::mul(b::flt(self.coef()), b::at3(r, 0, 0, 0)));
         }
-        let body = self.standard_body(
-            radius,
-            vec![b::vertical_loop(0, vec![b::store3(write, e)])],
-        );
+        let body = self.standard_body(radius, vec![b::vertical_loop(0, vec![b::store3(write, e)])]);
         let mut reads: Vec<&str> = vec![main];
         reads.extend(extras);
         let kernel = Kernel {
@@ -276,10 +273,7 @@ impl AppBuilder {
         }
         self.array(write);
         let expr = self.pointwise_expr(reads);
-        let body = self.standard_body(
-            1,
-            vec![b::vertical_loop(0, vec![b::store3(write, expr)])],
-        );
+        let body = self.standard_body(1, vec![b::vertical_loop(0, vec![b::store3(write, expr)])]);
         let kernel = Kernel {
             name: name.into(),
             params: b::params_3d(reads, &[write]),
@@ -487,16 +481,16 @@ impl AppBuilder {
             };
             e = Expr::Call {
                 fun: Intrinsic::Log,
-                args: vec![b::add(b::flt(1.5), Expr::Call {
-                    fun: Intrinsic::Fabs,
-                    args: vec![e],
-                })],
+                args: vec![b::add(
+                    b::flt(1.5),
+                    Expr::Call {
+                        fun: Intrinsic::Fabs,
+                        args: vec![e],
+                    },
+                )],
             };
         }
-        let body = self.standard_body(
-            0,
-            vec![b::vertical_loop(0, vec![b::store3(write, e)])],
-        );
+        let body = self.standard_body(0, vec![b::vertical_loop(0, vec![b::store3(write, e)])]);
         let kernel = Kernel {
             name: name.into(),
             params: b::params_3d(&[read], &[write]),

@@ -29,11 +29,7 @@ pub fn build(cfg: &AppConfig) -> App {
         }
         // Random thermal forcing: compute-bound transcendental kernels.
         for r in 0..cfg.stages(12) {
-            b.compute_bound(
-                &format!("noise_{s}_{r}"),
-                "dens",
-                &format!("rng_{s}_{r}"),
-            );
+            b.compute_bound(&format!("noise_{s}_{r}"), "dens", &format!("rng_{s}_{r}"));
         }
         // Cell / particle bookkeeping: boundary-sized kernels.
         for p in 0..cfg.stages(10) {
@@ -46,7 +42,11 @@ pub fn build(cfg: &AppConfig) -> App {
             let src = format!("fx_{}_{s}", ["dens", "velx", "vely", "velz"][d % 4]);
             let prm = format!("prm_{}", (s * 7 + d) % 20);
             b.array(&prm);
-            b.pointwise(&format!("diag_{s}_{d}"), &[&src, &prm], &format!("dg_{s}_{d}"));
+            b.pointwise(
+                &format!("diag_{s}_{d}"),
+                &[&src, &prm],
+                &format!("dg_{s}_{d}"),
+            );
         }
     }
 
@@ -54,12 +54,7 @@ pub fn build(cfg: &AppConfig) -> App {
     // register budget; the roofline test still classifies them as
     // memory-bound targets (the automated filter keeps them, §6.2.2).
     for l in 0..cfg.stages(6) {
-        b.latency_bound(
-            &format!("bond_{l}"),
-            "dens",
-            &format!("bd_{l}"),
-            96,
-        );
+        b.latency_bound(&format!("bond_{l}"), "dens", &format!("bd_{l}"), 96);
     }
 
     // Remaining boundary handling.
@@ -87,8 +82,7 @@ mod tests {
     fn full_scale_matches_paper_attributes() {
         let app = build(&AppConfig::full());
         // 3*(4*3 + 12 + 10 + 12) + 6 + 7 = 151... counted below.
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         assert_eq!(app.program.kernels.len(), plan.launches.len());
         assert_eq!(plan.launches.len(), 169);
         assert_eq!(plan.allocs.len(), 144);

@@ -60,9 +60,27 @@ pub fn build(cfg: &AppConfig) -> App {
         // kernels sharing the same spectral field — the Fig. 7 fusion
         // candidates.
         for (gi, field) in ["temp", "uvel", "vvel", "omega"].iter().enumerate() {
-            staggered(&mut b, &format!("grad_{field}_s{s}"), field, &format!("g{gi}_a"), cfg);
-            staggered(&mut b, &format!("div_{field}_s{s}"), field, &format!("g{gi}_b"), cfg);
-            staggered(&mut b, &format!("vort_{field}_s{s}"), field, &format!("g{gi}_c"), cfg);
+            staggered(
+                &mut b,
+                &format!("grad_{field}_s{s}"),
+                field,
+                &format!("g{gi}_a"),
+                cfg,
+            );
+            staggered(
+                &mut b,
+                &format!("div_{field}_s{s}"),
+                field,
+                &format!("g{gi}_b"),
+                cfg,
+            );
+            staggered(
+                &mut b,
+                &format!("vort_{field}_s{s}"),
+                field,
+                &format!("g{gi}_c"),
+                cfg,
+            );
         }
         // Fissionable vertical-remap kernels: two independent component
         // groups in one fat kernel.
@@ -113,8 +131,7 @@ mod tests {
         let app = build(&AppConfig::full());
         // 2*(4*3 + 1 + 2) + 9 + 4 = 43
         assert_eq!(app.program.kernels.len(), 43);
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         // 7 state + metdet + 12 g-work + 4 remap outs + 2 pwork + 4 pout
         // = 30 arrays
         assert_eq!(plan.allocs.len(), 30);

@@ -33,7 +33,14 @@ pub use builder::{App, AppBuilder, AppConfig, PaperRow};
 /// Canonical names of the six applications, in the paper's order, plus
 /// the two time-stepped temporal-blocking analogs (§5.5.3).
 pub const APP_NAMES: [&str; 8] = [
-    "scale-les", "homme", "fluam", "mitgcm", "awp-odc", "bcalm", "mitgcm-ts", "scale-les-ts",
+    "scale-les",
+    "homme",
+    "fluam",
+    "mitgcm",
+    "awp-odc",
+    "bcalm",
+    "mitgcm-ts",
+    "scale-les-ts",
 ];
 
 /// All six applications at a given configuration, in the paper's order.

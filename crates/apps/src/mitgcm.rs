@@ -18,7 +18,13 @@ pub fn build(cfg: &AppConfig) -> App {
     // chains over p/r/q work vectors (simple radius-1 stencils).
     let iters = cfg.stages(4);
     for it in 0..iters {
-        b.lateral_stencil(&format!("cg_lap_{it}"), "cg_p", &["mask", "hfac"], &format!("cg_q_{it}"), 1);
+        b.lateral_stencil(
+            &format!("cg_lap_{it}"),
+            "cg_p",
+            &["mask", "hfac"],
+            &format!("cg_q_{it}"),
+            1,
+        );
         b.interior_pointwise(&format!("cg_upd_x_{it}"), &["pres", "cg_p"], "pres");
         b.interior_pointwise(
             &format!("cg_upd_r_{it}"),
@@ -31,12 +37,22 @@ pub fn build(cfg: &AppConfig) -> App {
     // Momentum and tracer steps sharing velocity fields.
     for f in ["uvel", "vvel", "wvel"] {
         let cori = format!("cori_{f}");
-        b.pointwise(&format!("mom_rhs_{f}"), &[f, "pres", &cori, "taux"], &format!("gu_{f}"));
+        b.pointwise(
+            &format!("mom_rhs_{f}"),
+            &[f, "pres", &cori, "taux"],
+            &format!("gu_{f}"),
+        );
         b.lateral_stencil(&format!("mom_adv_{f}"), &format!("gu_{f}"), &[], f, 1);
     }
     for t in ["theta", "salt"] {
         let kappa = format!("kappa_{t}");
-        b.stencil(&format!("trc_{t}"), t, &["mask", &kappa], &format!("gt_{t}"), 1);
+        b.stencil(
+            &format!("trc_{t}"),
+            t,
+            &["mask", &kappa],
+            &format!("gt_{t}"),
+            1,
+        );
     }
 
     // Equation of state and vertical mixing: compute-bound (filtered).
@@ -98,8 +114,7 @@ mod tests {
     #[test]
     fn temporal_analog_records_one_time_loop() {
         let app = build_temporal(&AppConfig::full());
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         assert_eq!(app.program.kernels.len(), 4);
         let repeats: Vec<(i64, usize)> = app
             .program
@@ -127,8 +142,7 @@ mod tests {
         let app = build(&AppConfig::full());
         // 4*4 + 3*2 + 2 + 4 + 9 = 37
         assert_eq!(app.program.kernels.len(), 37);
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         // 7 fields + hfac + cg_p/cg_r + cg_q(4) + cori(3) + taux + gu(3)
         // + kappa(2) + gt(2) + rho(4) = 29.
         assert_eq!(plan.allocs.len(), 29, "{:?}", plan.allocs.len());

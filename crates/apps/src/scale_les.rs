@@ -40,11 +40,7 @@ pub fn build(cfg: &AppConfig) -> App {
             );
             // Update: interior pointwise read-modify-write of the variable
             // (its domain matches the tendency's write domain).
-            b.interior_pointwise(
-                &format!("update_{v}_s{s}"),
-                &[v, &format!("tend_{v}")],
-                v,
-            );
+            b.interior_pointwise(&format!("update_{v}_s{s}"), &[v, &format!("tend_{v}")], v);
         }
         // Deep-nested tracer advection (4-D fields): producer + consumer
         // pair sharing the tracer and density fields — the Figure 6 case.
@@ -54,7 +50,13 @@ pub fn build(cfg: &AppConfig) -> App {
 
     // Numerical diffusion: radius-2 stencils, one per variable.
     for v in VARS {
-        b.stencil(&format!("numdiff_{v}"), v, &["rcdx", "rcdy"], &format!("dif_{v}"), 2);
+        b.stencil(
+            &format!("numdiff_{v}"),
+            v,
+            &["rcdx", "rcdy"],
+            &format!("dif_{v}"),
+            2,
+        );
     }
 
     // Diagnostics: pointwise consumers sharing prognostic inputs.
@@ -62,7 +64,11 @@ pub fn build(cfg: &AppConfig) -> App {
     for d in 0..diags {
         let v1 = VARS[d % VARS.len()];
         let v2 = VARS[(d + 3) % VARS.len()];
-        b.pointwise(&format!("diag_{d}"), &[v1, v2, "gsqrt"], &format!("wk_{}", d % 13));
+        b.pointwise(
+            &format!("diag_{d}"),
+            &[v1, v2, "gsqrt"],
+            &format!("wk_{}", d % 13),
+        );
     }
 
     // Boundary kernels (filtered out as targets).
@@ -130,8 +136,7 @@ mod tests {
     #[test]
     fn temporal_analog_records_one_time_loop() {
         let app = build_temporal(&AppConfig::full());
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         assert_eq!(app.program.kernels.len(), 4);
         let repeats: Vec<(i64, usize)> = app
             .program
@@ -160,8 +165,7 @@ mod tests {
         let kernels = app.program.kernels.len();
         // 3*(10*3+2) + 10 + 15 + 15 + 6 = 142
         assert_eq!(kernels, 142, "kernel count");
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         assert_eq!(plan.launches.len(), 142);
         // Arrays: 10 vars + flux/tend per var (20) + metrics (5) + dif (10)
         // + qtrc/qtrc_t (2) + wk (13) + mpout (3) = 63.
@@ -171,8 +175,7 @@ mod tests {
     #[test]
     fn test_scale_is_smaller_but_valid() {
         let app = build(&AppConfig::test());
-        let plan =
-            sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
+        let plan = sf_minicuda::host::ExecutablePlan::from_program(&app.program).unwrap();
         assert!(plan.launches.len() < 80);
         assert!(!plan.launches.is_empty());
     }

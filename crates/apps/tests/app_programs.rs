@@ -41,12 +41,7 @@ fn apps_execute_functionally_without_hazards() {
             .run_plan(&plan, &mut mem)
             .unwrap_or_else(|e| panic!("{}: {e}", app.paper.name));
         for s in &stats {
-            assert!(
-                s.hazards.is_empty(),
-                "{}: {:?}",
-                app.paper.name,
-                s.hazards
-            );
+            assert!(s.hazards.is_empty(), "{}: {:?}", app.paper.name, s.hazards);
         }
     }
 }

@@ -34,25 +34,21 @@ pub fn atomic_write_with(
     step: &mut dyn FnMut(&'static str) -> Result<(), CacheError>,
 ) -> Result<(), CacheError> {
     step("create temp file")?;
-    let mut tmp = fs::File::create(tmp_path).map_err(|e| {
-        CacheError::io(format!("creating temp file: {e}")).at_path(tmp_path)
-    })?;
+    let mut tmp = fs::File::create(tmp_path)
+        .map_err(|e| CacheError::io(format!("creating temp file: {e}")).at_path(tmp_path))?;
 
     step("write payload")?;
-    tmp.write_all(bytes).map_err(|e| {
-        CacheError::io(format!("writing payload: {e}")).at_path(tmp_path)
-    })?;
+    tmp.write_all(bytes)
+        .map_err(|e| CacheError::io(format!("writing payload: {e}")).at_path(tmp_path))?;
 
     step("fsync temp file")?;
-    tmp.sync_all().map_err(|e| {
-        CacheError::io(format!("fsyncing payload: {e}")).at_path(tmp_path)
-    })?;
+    tmp.sync_all()
+        .map_err(|e| CacheError::io(format!("fsyncing payload: {e}")).at_path(tmp_path))?;
     drop(tmp);
 
     step("rename into place")?;
-    fs::rename(tmp_path, dest_path).map_err(|e| {
-        CacheError::io(format!("committing file: {e}")).at_path(dest_path)
-    })?;
+    fs::rename(tmp_path, dest_path)
+        .map_err(|e| CacheError::io(format!("committing file: {e}")).at_path(dest_path))?;
 
     step("fsync destination directory")?;
     if let Some(parent) = dest_path.parent() {
@@ -66,11 +62,7 @@ pub fn atomic_write_with(
 }
 
 /// [`atomic_write_with`] with no fault hook — the production path.
-pub fn atomic_write(
-    tmp_path: &Path,
-    dest_path: &Path,
-    bytes: &[u8],
-) -> Result<(), CacheError> {
+pub fn atomic_write(tmp_path: &Path, dest_path: &Path, bytes: &[u8]) -> Result<(), CacheError> {
     atomic_write_with(tmp_path, dest_path, bytes, &mut |_| Ok(()))
 }
 
@@ -81,10 +73,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sf-cache-atomic-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sf-cache-atomic-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir

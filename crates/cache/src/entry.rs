@@ -138,8 +138,7 @@ pub fn decode(bytes: &[u8], expect: Option<&CacheKey>) -> Result<Entry, DecodeFa
     }
     // The header is ASCII; decode only as far as we need so a payload
     // containing arbitrary bytes after truncation still classifies.
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| corrupt("entry is not valid UTF-8"))?;
+    let text = std::str::from_utf8(bytes).map_err(|_| corrupt("entry is not valid UTF-8"))?;
 
     let mut rest = text;
     let mut next_line = |what: &str| -> Result<&str, DecodeFailure> {
@@ -257,7 +256,10 @@ mod tests {
             // Any prefix must classify (usually Torn; a cut inside a header
             // line can read as Corrupt) — never panic, never succeed.
             assert!(
-                matches!(err, DecodeFailure::Torn { .. } | DecodeFailure::Corrupt { .. }),
+                matches!(
+                    err,
+                    DecodeFailure::Torn { .. } | DecodeFailure::Corrupt { .. }
+                ),
                 "cut at {cut}: {err}"
             );
         }
@@ -334,7 +336,10 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(torn("x").label(), "torn");
         assert_eq!(corrupt("x").label(), "corrupt");
-        assert_eq!(DecodeFailure::VersionSkew { found: 2 }.label(), "version-skew");
+        assert_eq!(
+            DecodeFailure::VersionSkew { found: 2 }.label(),
+            "version-skew"
+        );
         assert_eq!(
             DecodeFailure::KeyMismatch { found: key() }.label(),
             "key-mismatch"

@@ -221,7 +221,9 @@ impl PlanStore {
 
     /// Committed-entry path for `key`.
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
-        self.root.join("entries").join(format!("{}.plan", key.hex()))
+        self.root
+            .join("entries")
+            .join(format!("{}.plan", key.hex()))
     }
 
     fn lock_path(&self, key: &CacheKey) -> PathBuf {
@@ -247,10 +249,7 @@ impl PlanStore {
 
     /// Total bytes of committed entries — the set the quota governs.
     pub fn disk_usage(&self) -> u64 {
-        self.committed_entries()
-            .iter()
-            .map(|e| e.len)
-            .sum()
+        self.committed_entries().iter().map(|e| e.len).sum()
     }
 
     /// Read the entry for `key`. Never fails on a bad entry — bad entries
@@ -279,7 +278,10 @@ impl PlanStore {
             Err(reason) => {
                 let quarantined = self.quarantine(key, &path, &reason)?;
                 self.recovered.fetch_add(1, Ordering::Relaxed);
-                Ok(Lookup::Recovered { reason, quarantined })
+                Ok(Lookup::Recovered {
+                    reason,
+                    quarantined,
+                })
             }
         }
     }
@@ -501,7 +503,9 @@ impl PlanStore {
     /// quota is a hygiene property, and a failed unlink only leaves the
     /// store temporarily over budget until the next publish retries.
     fn enforce_quota(&self, protect: &CacheKey) {
-        let Some(quota) = self.quota_bytes else { return };
+        let Some(quota) = self.quota_bytes else {
+            return;
+        };
         let mut entries = self.committed_entries();
         let mut total: u64 = entries.iter().map(|e| e.len).sum();
 
@@ -519,12 +523,14 @@ impl PlanStore {
                 }
             }
         }
-        entries.sort_by(|a, b| match (last_seen.get(&a.hex), last_seen.get(&b.hex)) {
-            (Some(x), Some(y)) => x.cmp(y),
-            (None, Some(_)) => std::cmp::Ordering::Less,
-            (Some(_), None) => std::cmp::Ordering::Greater,
-            (None, None) => a.modified.cmp(&b.modified),
-        });
+        entries.sort_by(
+            |a, b| match (last_seen.get(&a.hex), last_seen.get(&b.hex)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (None, Some(_)) => std::cmp::Ordering::Less,
+                (Some(_), None) => std::cmp::Ordering::Greater,
+                (None, None) => a.modified.cmp(&b.modified),
+            },
+        );
 
         let protect_hex = protect.hex();
         for entry in &entries {
@@ -632,9 +638,7 @@ impl PlanStore {
             // No procfs on this platform: fall through to the age check.
         }
         match fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(modified) => modified
-                .elapsed()
-                .is_ok_and(|age| age >= self.lock_timeout),
+            Ok(modified) => modified.elapsed().is_ok_and(|age| age >= self.lock_timeout),
             // Vanished while we looked: treat as stale and let the
             // exclusive create decide.
             Err(_) => true,
@@ -646,9 +650,8 @@ impl PlanStore {
     /// and `sfd --verify` to prove the store is readable end to end.
     pub fn verify_integrity(&self) -> Result<(usize, usize), CacheError> {
         let entries_dir = self.root.join("entries");
-        let listing = fs::read_dir(&entries_dir).map_err(|e| {
-            CacheError::io(format!("listing entries: {e}")).at_path(entries_dir)
-        })?;
+        let listing = fs::read_dir(&entries_dir)
+            .map_err(|e| CacheError::io(format!("listing entries: {e}")).at_path(entries_dir))?;
         let mut valid = 0;
         let mut quarantined = 0;
         let mut files: Vec<PathBuf> = listing.flatten().map(|f| f.path()).collect();
@@ -777,10 +780,8 @@ mod tests {
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let n = DIR_SEQ.fetch_add(1, TestOrdering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "sf-cache-test-{}-{tag}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sf-cache-test-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -795,7 +796,10 @@ mod tests {
         let store = PlanStore::open(&dir).unwrap();
         let k = key();
         assert_eq!(store.lookup(&k).unwrap(), Lookup::Miss);
-        assert_eq!(store.publish(&k, "{\"plan\":1}").unwrap(), Published::Stored);
+        assert_eq!(
+            store.publish(&k, "{\"plan\":1}").unwrap(),
+            Published::Stored
+        );
         let hit = store.lookup(&k).unwrap();
         assert_eq!(hit.payload(), Some("{\"plan\":1}"));
         // Republishing the same key is a no-op.
@@ -804,7 +808,10 @@ mod tests {
             Published::AlreadyPresent
         );
         let s = store.stats();
-        assert_eq!((s.misses, s.hits, s.stored, s.already_present), (1, 1, 1, 1));
+        assert_eq!(
+            (s.misses, s.hits, s.stored, s.already_present),
+            (1, 1, 1, 1)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -822,7 +829,10 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         match store.lookup(&k).unwrap() {
-            Lookup::Recovered { reason, quarantined } => {
+            Lookup::Recovered {
+                reason,
+                quarantined,
+            } => {
                 assert_eq!(reason.label(), "corrupt");
                 assert!(quarantined.exists(), "evidence must survive");
                 assert!(
@@ -846,17 +856,26 @@ mod tests {
         let clean = encode(&key, "{\"version\":1,\"x\":[1,2,3]}");
         assert!(decode(&clean, Some(&key)).is_ok());
 
-        let torn = CacheFaults { torn_write: Some(17), ..CacheFaults::default() };
+        let torn = CacheFaults {
+            torn_write: Some(17),
+            ..CacheFaults::default()
+        };
         let bytes = corrupt_entry(&torn, &clean).unwrap();
         assert!(bytes.len() < clean.len());
         assert!(decode(&bytes, Some(&key)).is_err());
 
-        let flip = CacheFaults { bit_flip: Some(1234), ..CacheFaults::default() };
+        let flip = CacheFaults {
+            bit_flip: Some(1234),
+            ..CacheFaults::default()
+        };
         let bytes = corrupt_entry(&flip, &clean).unwrap();
         assert_eq!(bytes.len(), clean.len());
         assert!(decode(&bytes, Some(&key)).is_err());
 
-        let skew = CacheFaults { version_skew: true, ..CacheFaults::default() };
+        let skew = CacheFaults {
+            version_skew: true,
+            ..CacheFaults::default()
+        };
         let bytes = corrupt_entry(&skew, &clean).unwrap();
         match decode(&bytes, Some(&key)).unwrap_err() {
             DecodeFailure::VersionSkew { found } => assert_eq!(found, SCHEMA_VERSION + 1),
@@ -869,14 +888,37 @@ mod tests {
     #[test]
     fn injected_faults_corrupt_then_recover() {
         for (tag, faults) in [
-            ("torn", CacheFaults { torn_write: Some(31), ..CacheFaults::default() }),
-            ("flip", CacheFaults { bit_flip: Some(777), ..CacheFaults::default() }),
-            ("skew", CacheFaults { version_skew: true, ..CacheFaults::default() }),
+            (
+                "torn",
+                CacheFaults {
+                    torn_write: Some(31),
+                    ..CacheFaults::default()
+                },
+            ),
+            (
+                "flip",
+                CacheFaults {
+                    bit_flip: Some(777),
+                    ..CacheFaults::default()
+                },
+            ),
+            (
+                "skew",
+                CacheFaults {
+                    version_skew: true,
+                    ..CacheFaults::default()
+                },
+            ),
         ] {
             let dir = scratch_dir(tag);
-            let store =
-                PlanStore::open_with(&dir, StoreOptions { faults, ..StoreOptions::default() })
-                    .unwrap();
+            let store = PlanStore::open_with(
+                &dir,
+                StoreOptions {
+                    faults,
+                    ..StoreOptions::default()
+                },
+            )
+            .unwrap();
             let k = key();
             assert_eq!(store.publish(&k, "the payload").unwrap(), Published::Stored);
             // The fault struck after commit; the next read must recover.
@@ -899,7 +941,10 @@ mod tests {
         let store = PlanStore::open_with(
             &dir,
             StoreOptions {
-                faults: CacheFaults { stale_lock: true, ..CacheFaults::default() },
+                faults: CacheFaults {
+                    stale_lock: true,
+                    ..CacheFaults::default()
+                },
                 ..StoreOptions::default()
             },
         )
@@ -915,7 +960,10 @@ mod tests {
         // With a zero timeout every lock is breakable.
         let zero = PlanStore::open_with(
             &dir,
-            StoreOptions { lock_timeout: Duration::ZERO, ..StoreOptions::default() },
+            StoreOptions {
+                lock_timeout: Duration::ZERO,
+                ..StoreOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(zero.publish(&k2, "y").unwrap(), Published::Stored);
@@ -929,7 +977,10 @@ mod tests {
         // would be breakable after the sleep.
         let store = PlanStore::open_with(
             &dir,
-            StoreOptions { lock_timeout: Duration::from_millis(1), ..StoreOptions::default() },
+            StoreOptions {
+                lock_timeout: Duration::from_millis(1),
+                ..StoreOptions::default()
+            },
         )
         .unwrap();
 
@@ -969,7 +1020,10 @@ mod tests {
         // here and let both writers race the rename.
         let b = PlanStore::open_with(
             &dir,
-            StoreOptions { lock_timeout: Duration::from_millis(1), ..StoreOptions::default() },
+            StoreOptions {
+                lock_timeout: Duration::from_millis(1),
+                ..StoreOptions::default()
+            },
         )
         .unwrap();
         std::thread::sleep(Duration::from_millis(10));
@@ -991,7 +1045,9 @@ mod tests {
             })
             .collect();
         let outcomes: Vec<Published> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert!(outcomes.contains(&Published::Stored) || outcomes.contains(&Published::AlreadyPresent));
+        assert!(
+            outcomes.contains(&Published::Stored) || outcomes.contains(&Published::AlreadyPresent)
+        );
         assert_eq!(store.lookup(&k2).unwrap().payload(), Some("same payload"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -999,8 +1055,9 @@ mod tests {
     #[test]
     fn quota_evicts_least_recently_used_entries_only() {
         let dir = scratch_dir("quota");
-        let keys: Vec<CacheKey> =
-            (0..4).map(|i| CacheKey::derive(&format!("src {i}"), "dev", "cfg")).collect();
+        let keys: Vec<CacheKey> = (0..4)
+            .map(|i| CacheKey::derive(&format!("src {i}"), "dev", "cfg"))
+            .collect();
         let payload = "p".repeat(64); // same length => same entry size
 
         // Measure one entry's on-disk size, then reopen with room for 3.
@@ -1010,7 +1067,10 @@ mod tests {
         drop(probe);
         let store = PlanStore::open_with(
             &dir,
-            StoreOptions { quota_bytes: Some(3 * entry_len), ..StoreOptions::default() },
+            StoreOptions {
+                quota_bytes: Some(3 * entry_len),
+                ..StoreOptions::default()
+            },
         )
         .unwrap();
 
@@ -1026,7 +1086,11 @@ mod tests {
         store.publish(&keys[3], &payload).unwrap();
         assert_eq!(store.stats().evicted, 1);
         assert!(store.disk_usage() <= 3 * entry_len);
-        assert_eq!(store.lookup(&keys[1]).unwrap(), Lookup::Miss, "LRU entry evicted");
+        assert_eq!(
+            store.lookup(&keys[1]).unwrap(),
+            Lookup::Miss,
+            "LRU entry evicted"
+        );
         for k in [&keys[0], &keys[2], &keys[3]] {
             assert_eq!(store.lookup(k).unwrap().payload(), Some(payload.as_str()));
         }
@@ -1040,15 +1104,33 @@ mod tests {
     fn disk_full_faults_never_touch_committed_entries() {
         let dir = scratch_dir("enospc");
         let committed = key();
-        PlanStore::open(&dir).unwrap().publish(&committed, "committed").unwrap();
+        PlanStore::open(&dir)
+            .unwrap()
+            .publish(&committed, "committed")
+            .unwrap();
 
         for (tag, faults) in [
-            ("enospc", CacheFaults { enospc_write: true, ..CacheFaults::default() }),
-            ("short", CacheFaults { short_write: true, ..CacheFaults::default() }),
+            (
+                "enospc",
+                CacheFaults {
+                    enospc_write: true,
+                    ..CacheFaults::default()
+                },
+            ),
+            (
+                "short",
+                CacheFaults {
+                    short_write: true,
+                    ..CacheFaults::default()
+                },
+            ),
         ] {
             let store = PlanStore::open_with(
                 &dir,
-                StoreOptions { faults, ..StoreOptions::default() },
+                StoreOptions {
+                    faults,
+                    ..StoreOptions::default()
+                },
             )
             .unwrap();
             let victim = CacheKey::derive(tag, "dev", "cfg");
@@ -1058,7 +1140,10 @@ mod tests {
             // The failed entry never became visible; the committed entry
             // is intact; the store as a whole is clean.
             assert_eq!(store.lookup(&victim).unwrap(), Lookup::Miss, "{tag}");
-            assert_eq!(store.lookup(&committed).unwrap().payload(), Some("committed"));
+            assert_eq!(
+                store.lookup(&committed).unwrap().payload(),
+                Some("committed")
+            );
             let (_, quarantined) = store.verify_integrity().unwrap();
             assert_eq!(quarantined, 0, "{tag}: disk-full tore an entry");
             // The writer outlived its failed write, so it removed the
@@ -1103,11 +1188,17 @@ mod tests {
             // be fully readable; the entry is either absent or perfect.
             let store = PlanStore::open_with(
                 &dir,
-                StoreOptions { lock_timeout: Duration::ZERO, ..StoreOptions::default() },
+                StoreOptions {
+                    lock_timeout: Duration::ZERO,
+                    ..StoreOptions::default()
+                },
             )
             .unwrap();
             let (valid, quarantined) = store.verify_integrity().unwrap();
-            assert_eq!(quarantined, 0, "step {step}: torn entry escaped the protocol");
+            assert_eq!(
+                quarantined, 0,
+                "step {step}: torn entry escaped the protocol"
+            );
             match store.lookup(&k).unwrap() {
                 Lookup::Hit(e) => {
                     assert_eq!(e.payload, "payload", "step {step}");
@@ -1153,7 +1244,10 @@ mod tests {
         let (valid, quarantined) = store.verify_integrity().unwrap();
         assert_eq!((valid, quarantined), (1, 1));
         assert!(!misfiled.exists());
-        assert!(foreign.exists(), "foreign files are not the store's to move");
+        assert!(
+            foreign.exists(),
+            "foreign files are not the store's to move"
+        );
         assert_eq!(store.lookup(&k).unwrap().payload(), Some("good"));
         let _ = fs::remove_dir_all(&dir);
     }

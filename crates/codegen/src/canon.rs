@@ -233,7 +233,13 @@ pub fn canonicalize(
     canon_scalars: &mut BTreeMap<String, HostValue>,
 ) -> Result<CanonMember, CanonError> {
     let binding = bind(kernel, launch)?;
-    Ok(canonicalize_bound(kernel, launch, binding, member_idx, canon_scalars))
+    Ok(canonicalize_bound(
+        kernel,
+        launch,
+        binding,
+        member_idx,
+        canon_scalars,
+    ))
 }
 
 /// [`canonicalize`] a member whose launch is already bound.
@@ -332,8 +338,7 @@ pub(crate) fn canonicalize_bound(
             }
         }
     }
-    let mapping_var_names: Vec<String> =
-        mapping_renames.iter().map(|(n, _)| n.clone()).collect();
+    let mapping_var_names: Vec<String> = mapping_renames.iter().map(|(n, _)| n.clone()).collect();
     for (from, to) in &mapping_renames {
         if from != to {
             visit::rename_var(&mut body, from, to);
@@ -350,8 +355,7 @@ pub(crate) fn canonicalize_bound(
     let mut local_names: Vec<String> = Vec::new();
     visit::walk_stmts(&body, &mut |s| match s {
         Stmt::VarDecl { name, .. }
-            if !local_names.contains(name)
-                && !["i", "j", "tx", "ty"].contains(&name.as_str()) =>
+            if !local_names.contains(name) && !["i", "j", "tx", "ty"].contains(&name.as_str()) =>
         {
             local_names.push(name.clone());
         }
@@ -503,7 +507,9 @@ fn sweep_shape(
             return None;
         }
     }
-    let k_lo = sf_analysis::access::Bnd::parse(init)?.eval(scalar_env).ok()?;
+    let k_lo = sf_analysis::access::Bnd::parse(init)?
+        .eval(scalar_env)
+        .ok()?;
     let k_hi = strip_upper(cond, var, scalar_env)?;
     let mut has_inner = false;
     visit::walk_stmts(loop_body, &mut |s| {
@@ -748,7 +754,13 @@ void host() {
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut env = BTreeMap::new();
         let m = canonicalize(&p.kernels[0], &plan.launches[0], 0, &mut env).unwrap();
-        let MemberStructure::SingleSweep { has_inner, k_lo, k_hi, .. } = m.structure else {
+        let MemberStructure::SingleSweep {
+            has_inner,
+            k_lo,
+            k_hi,
+            ..
+        } = m.structure
+        else {
             panic!("expected single sweep, got {:?}", m.structure);
         };
         assert!(has_inner);

@@ -505,7 +505,10 @@ fn build_params(
             is_const: !written.contains(a),
         })
         .collect();
-    let mut args: Vec<ResolvedArg> = order.iter().map(|a| ResolvedArg::Array(a.clone())).collect();
+    let mut args: Vec<ResolvedArg> = order
+        .iter()
+        .map(|a| ResolvedArg::Array(a.clone()))
+        .collect();
     let (scalar_params, scalar_args) = scalar_params(canon_scalars);
     params.extend(scalar_params);
     args.extend(scalar_args);

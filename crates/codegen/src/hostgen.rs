@@ -330,7 +330,7 @@ pub fn transform_program_with(
         return Err(CodegenError(
             "host contains loops the transform cannot preserve \
              (non-launch statements or nesting inside a time loop)"
-            .into(),
+                .into(),
         ));
     }
     // seq → index of the recorded host time loop containing that launch.
@@ -570,9 +570,7 @@ pub fn transform_program_with(
                 // replays as spatial.
                 g.temporal = 1;
                 g.staged_arrays = fk.report.staged.iter().map(|s| s.array.clone()).collect();
-                g.precedence = if fk.report.complex
-                    || fk.report.staged.iter().any(|s| s.flow)
-                {
+                g.precedence = if fk.report.complex || fk.report.staged.iter().any(|s| s.flow) {
                     PrecedenceClass::PrecedenceAware
                 } else {
                     PrecedenceClass::Simple

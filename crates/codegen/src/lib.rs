@@ -34,11 +34,11 @@ pub mod tuning;
 
 pub use fission::{fission_kernel, FissionProduct};
 pub use fuse::{CodegenError, FusedKernel, GroupAnalysis};
-pub use temporal::{TemporalAnalysis, TemporalKernel};
 pub use hostgen::{
-    transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver,
-    Storage, TransformOutput,
+    transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver, Storage,
+    TransformOutput,
 };
+pub use temporal::{TemporalAnalysis, TemporalKernel};
 // The plan IR lives in `sf-plan`; re-exported here so downstream crates can
 // keep importing the types from the stage that consumes them.
 pub use sf_plan::{

@@ -498,7 +498,9 @@ fn extract_step(
                 }
                 local_defs.push((name.clone(), e.clone()));
             }
-            Stmt::VarDecl { name, init: None, .. } => {
+            Stmt::VarDecl {
+                name, init: None, ..
+            } => {
                 return Err(CodegenError(format!(
                     "member `{}` declares uninitialized local `{name}`; cannot inline",
                     m.name
@@ -584,9 +586,7 @@ fn extract_step(
     // shared scalars, and array reads; anything else cannot be shifted.
     let mut bad: Option<String> = None;
     visit::walk_expr(&rhs, &mut |e| match e {
-        Expr::Var(n)
-            if n != "i" && n != "j" && n != "k" && !canon_scalars.contains_key(n) =>
-        {
+        Expr::Var(n) if n != "i" && n != "j" && n != "k" && !canon_scalars.contains_key(n) => {
             bad.get_or_insert_with(|| format!("variable `{n}`"));
         }
         Expr::Builtin(_) => {
@@ -641,15 +641,10 @@ fn extract_step(
             });
             return;
         }
-        let (Some(dj), Some(di)) = (
-            affine_off(&indices[1], "j"),
-            affine_off(&indices[2], "i"),
-        ) else {
+        let (Some(dj), Some(di)) = (affine_off(&indices[1], "j"), affine_off(&indices[2], "i"))
+        else {
             err.get_or_insert_with(|| {
-                format!(
-                    "member `{}` reads `{array}` at a non-affine site",
-                    m.name
-                )
+                format!("member `{}` reads `{array}` at a non-affine site", m.name)
             });
             return;
         };
@@ -731,14 +726,7 @@ fn emit_step(
 /// Rewrite a step's RHS for evaluation at site `(i+sx, j+sy)`: reads of
 /// group-written arrays become tile accesses (absorbing the shift into the
 /// tile index), then the remaining global reads shift laterally.
-fn shifted_rhs(
-    rhs: &Expr,
-    written: &[String],
-    sx: i64,
-    sy: i64,
-    dx: i64,
-    dy: i64,
-) -> Expr {
+fn shifted_rhs(rhs: &Expr, written: &[String], sx: i64, sy: i64, dx: i64, dy: i64) -> Expr {
     let mut out = rhs.clone();
     visit::rewrite_expr(&mut out, &mut |e| {
         let Expr::Index { array, indices } = e else {
@@ -831,7 +819,11 @@ void host() {{
     fn emitting_from_another_blocks_kernel_matches_a_fresh_emission() {
         let (p, plan) = setup(8);
         let members = group(&p, &plan);
-        let blocks = [Dim3::new(16, 8, 1), Dim3::new(8, 8, 1), Dim3::new(32, 16, 1)];
+        let blocks = [
+            Dim3::new(16, 8, 1),
+            Dim3::new(8, 8, 1),
+            Dim3::new(32, 16, 1),
+        ];
         for fold in [2u32, 4] {
             let analysis =
                 TemporalAnalysis::new(&members, "temporal_0", 48 * 1024, fold, &plan.allocs)
@@ -842,7 +834,11 @@ void host() {{
                 assert_eq!(values.map(|v| v.len()), Some(regions), "{from}");
                 for to in blocks {
                     let reused = analysis.emit_reusing(to, Some(&analysis.emit(from).unwrap()));
-                    assert_eq!(reused.unwrap(), analysis.emit(to).unwrap(), "{from} -> {to}");
+                    assert_eq!(
+                        reused.unwrap(),
+                        analysis.emit(to).unwrap(),
+                        "{from} -> {to}"
+                    );
                 }
             }
         }

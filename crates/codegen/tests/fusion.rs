@@ -2,11 +2,11 @@
 //! the same memory image as the original when executed functionally on the
 //! simulator (the paper verifies output on every run, §6.1.2).
 
-use sf_codegen::{transform_program, CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_codegen::PrecedenceClass;
-use sf_gpusim::{GlobalMemory, Interpreter};
+use sf_codegen::{transform_program, CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::Profiler;
+use sf_gpusim::{GlobalMemory, Interpreter};
 use sf_minicuda::host::Dim3;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::{parse_program, Program};
@@ -21,7 +21,9 @@ fn assert_equivalent(original: &Program, transformed: &Program) {
     mem_b.seed_all(99);
     let mut interp_a = Interpreter::new(original);
     interp_a.detect_hazards = true;
-    let stats_a = interp_a.run_plan(&plan_a, &mut mem_a).expect("original runs");
+    let stats_a = interp_a
+        .run_plan(&plan_a, &mut mem_a)
+        .expect("original runs");
     let mut interp_b = Interpreter::new(transformed);
     interp_b.detect_hazards = true;
     let stats_b = interp_b
@@ -100,7 +102,10 @@ fn simple_fusion_preserves_output() {
     let p = parse_program(SIMPLE_PAIR).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
@@ -124,7 +129,10 @@ fn simple_fusion_reduces_traffic_and_launches() {
     let p = parse_program(SIMPLE_PAIR).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     let prof = Profiler::analytic(DeviceSpec::k20x());
@@ -187,7 +195,10 @@ fn complex_fusion_preserves_output() {
     let p = parse_program(FLOW_PAIR).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
@@ -214,7 +225,10 @@ fn complex_fusion_generated_source_is_valid_minicuda() {
     let p = parse_program(FLOW_PAIR).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     // Unparse and reparse the whole transformed program.
@@ -265,7 +279,10 @@ void host() {
 #[test]
 fn deep_nest_auto_falls_back_manual_merges() {
     let p = parse_program(DEEP_PAIR).unwrap();
-    let groups = vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])];
+    let groups = vec![GroupPlan::of(vec![
+        MemberRef::original(0),
+        MemberRef::original(1),
+    ])];
     let auto = transform(&p, groups.clone(), CodegenMode::Auto);
     assert!(auto.fallbacks.is_empty());
     assert!(!auto.reports[0].merged, "auto must not merge deep nests");
@@ -333,10 +350,10 @@ void host() {
 fn manual_guard_coalescing_cuts_divergence() {
     let p = parse_program(GUARDED_TRIO).unwrap();
     let groups = vec![GroupPlan::of(vec![
-            MemberRef::original(0),
-            MemberRef::original(1),
-            MemberRef::original(2),
-        ])];
+        MemberRef::original(0),
+        MemberRef::original(1),
+        MemberRef::original(2),
+    ])];
     let auto = transform(&p, groups.clone(), CodegenMode::Auto);
     let manual = transform(&p, groups, CodegenMode::Manual);
     assert_equivalent(&p, &auto.program);
@@ -440,7 +457,10 @@ fn block_tuning_never_prices_slower_or_lowers_occupancy() {
     let untuned = transform_program(&p, &plan, &untuned).unwrap();
     // The tuner's price is the analytic profile's; the pipeline profiles
     // functionally by default, charging measured flops and divergence.
-    for profiler in [Profiler::analytic(DeviceSpec::k20x()), Profiler::new(DeviceSpec::k20x())] {
+    for profiler in [
+        Profiler::analytic(DeviceSpec::k20x()),
+        Profiler::new(DeviceSpec::k20x()),
+    ] {
         let time = |program: &Program| profiler.profile(program).unwrap().total_runtime_us;
         assert!(time(&out.program) <= time(&untuned.program));
     }
@@ -491,7 +511,10 @@ void host() {
     let p = parse_program(src).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert_eq!(out.fallbacks.len(), 1);
@@ -545,7 +568,10 @@ void host() {
     let p = parse_program(src).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
@@ -594,7 +620,10 @@ fn anti_ordered_group_is_rejected() {
     let p = parse_program(FLOW_PAIR).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(1), MemberRef::original(0)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(1),
+            MemberRef::original(0),
+        ])],
         CodegenMode::Auto,
     );
     assert_eq!(out.fallbacks.len(), 1);
@@ -647,11 +676,18 @@ void host() {
     let p = parse_program(src).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
-    let staged = out.reports[0].staged.iter().find(|s| s.array == "f").unwrap();
+    let staged = out.reports[0]
+        .staged
+        .iter()
+        .find(|s| s.array == "f")
+        .unwrap();
     assert_eq!((staged.rx, staged.ry), (2, 2));
     assert_equivalent(&p, &out.program);
 }
@@ -690,7 +726,10 @@ void host() {
     let p = parse_program(src).unwrap();
     let out = transform(
         &p,
-        vec![GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)])],
+        vec![GroupPlan::of(vec![
+            MemberRef::original(0),
+            MemberRef::original(1),
+        ])],
         CodegenMode::Auto,
     );
     assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);

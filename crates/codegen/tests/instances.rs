@@ -18,8 +18,12 @@ fn verify(original: &Program, transformed: &Program) {
     let mut mem_b = GlobalMemory::from_plan(&plan_b);
     mem_a.seed_all(5);
     mem_b.seed_all(5);
-    Interpreter::new(original).run_plan(&plan_a, &mut mem_a).unwrap();
-    Interpreter::new(transformed).run_plan(&plan_b, &mut mem_b).unwrap();
+    Interpreter::new(original)
+        .run_plan(&plan_a, &mut mem_a)
+        .unwrap();
+    Interpreter::new(transformed)
+        .run_plan(&plan_b, &mut mem_b)
+        .unwrap();
     for (name, diff) in mem_a.max_abs_diff(&mem_b) {
         assert!(diff == 0.0, "array `{name}` differs by {diff}");
     }

@@ -531,8 +531,14 @@ fn each_block_dependent_rule_prices_candidates_out() {
     let cap = device.smem_per_block_max;
     let (domain, initial) = ((64, 32), Dim3::new(16, 8, 1));
     let spatial_agrees = |g: &Generated, device: &DeviceSpec| {
-        tune_spatial(&g.members(), CodegenMode::Auto, device, &g.plan.allocs, "generated group")
-            .expect("the initial block is legal")
+        tune_spatial(
+            &g.members(),
+            CodegenMode::Auto,
+            device,
+            &g.plan.allocs,
+            "generated group",
+        )
+        .expect("the initial block is legal")
     };
 
     // Halo wider than half the block: radius 3 needs at least 6 rows.
@@ -649,7 +655,9 @@ fn assert_prices_match<K: Emitted>(
                     .map_or(0.0, |o| o.occupancy);
                 assert_eq!(kernel_occupancy(kernel, block, device), Ok(predicted));
                 assert_eq!(grid_of(block), fused.grid(), "block {block:?}");
-                let priced = pricer.cost(grid_of(block), block, smem).map(|c| c.total_us());
+                let priced = pricer
+                    .cost(grid_of(block), block, smem)
+                    .map(|c| c.total_us());
                 let charged = profiler_us(&fused, block, allocs, device);
                 assert_eq!(priced, charged, "block {block:?}");
                 legal += 1;

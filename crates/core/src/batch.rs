@@ -316,8 +316,8 @@ impl BatchDriver {
         )?;
         let fingerprint = Arc::new(config.cache_fingerprint());
         let device = Arc::new(config.device.fingerprint());
-        let cache_enabled = config.preloaded_plan.is_none()
-            && config.run_until.is_none_or(|s| s >= Stage::Codegen);
+        let cache_enabled =
+            config.preloaded_plan.is_none() && config.run_until.is_none_or(|s| s >= Stage::Codegen);
         let breaker = options.breaker.map(CircuitBreaker::new);
         Ok(BatchDriver {
             store: Arc::new(store),

@@ -232,7 +232,8 @@ fn main() {
     if let Some(path) = args.value(&EMIT_PARAMS) {
         let text = serde_json::to_string_pretty(&sf_search::SearchConfig::default())
             .expect("serializable");
-        std::fs::write(path, text).unwrap_or_else(|e| usage_error(format_args!("write {path}: {e}")));
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| usage_error(format_args!("write {path}: {e}")));
         println!("default GA parameter file written to {path}");
         return;
     }
@@ -273,19 +274,24 @@ fn main() {
     // both fall back to plain compilation, as does a store that will not
     // open. Every cache misfortune is a note on stderr, never a failure;
     // the final exit code 8 reports that a recovery happened.
-    let cacheable = config.preloaded_plan.is_none()
-        && config.run_until.is_none_or(|s| s >= Stage::Codegen);
-    let cache = args.value(&CACHE_DIR).filter(|_| cacheable).and_then(|dir| {
-        let store = PlanStore::open(dir)
-            .map_err(|e| eprintln!("sfc: cannot open cache at {dir} ({e}); compiling without it"))
-            .ok()?;
-        let key = CacheKey::derive(
-            &sf_minicuda::printer::print_program(&program),
-            &config.device.fingerprint(),
-            &config.cache_fingerprint(),
-        );
-        Some((store, key))
-    });
+    let cacheable =
+        config.preloaded_plan.is_none() && config.run_until.is_none_or(|s| s >= Stage::Codegen);
+    let cache = args
+        .value(&CACHE_DIR)
+        .filter(|_| cacheable)
+        .and_then(|dir| {
+            let store = PlanStore::open(dir)
+                .map_err(|e| {
+                    eprintln!("sfc: cannot open cache at {dir} ({e}); compiling without it")
+                })
+                .ok()?;
+            let key = CacheKey::derive(
+                &sf_minicuda::printer::print_program(&program),
+                &config.device.fingerprint(),
+                &config.cache_fingerprint(),
+            );
+            Some((store, key))
+        });
     let served = compile_through_cache(
         cache.as_ref().map(|(store, key)| (store, key)),
         program,
@@ -378,12 +384,36 @@ mod tests {
     #[test]
     fn the_option_tables_are_the_whole_surface() {
         let mut parent = [
-            "-o", "--device", "--device-file", "--mode", "--no-fission", "--no-tuning", "--until",
-            "--params", "--emit-params", "--emit-ddg", "--emit-oeg", "--emit-new-oeg",
-            "--emit-metadata", "--metadata", "--emit-plan", "--from-plan", "--port-plan",
-            "--cache-dir", "--profile-reps", "--noise-seed", "--islands", "--checkpoint",
-            "--resume", "--kill-at-epoch", "--max-temporal", "--mem-budget", "--report",
-            "--no-verify", "--quick", "--strict",
+            "-o",
+            "--device",
+            "--device-file",
+            "--mode",
+            "--no-fission",
+            "--no-tuning",
+            "--until",
+            "--params",
+            "--emit-params",
+            "--emit-ddg",
+            "--emit-oeg",
+            "--emit-new-oeg",
+            "--emit-metadata",
+            "--metadata",
+            "--emit-plan",
+            "--from-plan",
+            "--port-plan",
+            "--cache-dir",
+            "--profile-reps",
+            "--noise-seed",
+            "--islands",
+            "--checkpoint",
+            "--resume",
+            "--kill-at-epoch",
+            "--max-temporal",
+            "--mem-budget",
+            "--report",
+            "--no-verify",
+            "--quick",
+            "--strict",
         ];
         let mut flags: Vec<&str> = SFC.iter().chain(cli::SHARED).map(|o| o.flag).collect();
         parent.sort_unstable();
@@ -392,7 +422,12 @@ mod tests {
         let usage = usage();
         for opt in SFC.iter().chain(cli::SHARED) {
             let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
-            assert_eq!(usage.matches(head.trim_end()).count(), 1, "{} in:\n{usage}", opt.flag);
+            assert_eq!(
+                usage.matches(head.trim_end()).count(),
+                1,
+                "{} in:\n{usage}",
+                opt.flag
+            );
             let argv = [opt.flag].into_iter().chain(opt.value.map(|_| "1"));
             let args = cli::parse(argv.map(String::from), TABLES).expect(opt.flag);
             assert!(args.has(opt), "{}", opt.flag);

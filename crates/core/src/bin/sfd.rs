@@ -130,7 +130,10 @@ fn main() {
         print!("{}", usage());
         return;
     }
-    if let Some(jobs) = args.at_least_one::<usize>(&JOBS).unwrap_or_else(|e| usage_error(e)) {
+    if let Some(jobs) = args
+        .at_least_one::<usize>(&JOBS)
+        .unwrap_or_else(|e| usage_error(e))
+    {
         // The vendored rayon shim sizes its per-call worker set from this,
         // like upstream's global pool.
         std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
@@ -162,7 +165,10 @@ fn main() {
     let options = batch_options(&args).unwrap_or_else(|e| usage_error(e));
     if let Some(dir) = &options.checkpoint_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            fail(format_args!("cannot create checkpoint dir {}: {e}", dir.display()))
+            fail(format_args!(
+                "cannot create checkpoint dir {}: {e}",
+                dir.display()
+            ))
         });
     }
     stencilfuse::install_signal_handlers();
@@ -186,7 +192,8 @@ fn main() {
     }
     let out_dir = args.value(&OUT_DIR);
     if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(format_args!("cannot create {dir}: {e}")));
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| fail(format_args!("cannot create {dir}: {e}")));
     }
 
     for (input, device) in inputs {
@@ -243,7 +250,10 @@ fn main() {
             }
             BatchStatus::Cancelled => {
                 cancelled = true;
-                eprintln!("sfd: {} cancelled by shutdown (safe to resubmit)", outcome.name);
+                eprintln!(
+                    "sfd: {} cancelled by shutdown (safe to resubmit)",
+                    outcome.name
+                );
             }
             _ => {}
         }
@@ -294,10 +304,25 @@ mod tests {
     #[test]
     fn the_option_tables_are_the_whole_surface() {
         let mut parent = [
-            "--cache-dir", "--out-dir", "--device", "--device-file", "--quick", "--jobs",
-            "--islands", "--max-temporal", "--checkpoint-dir", "--queue-limit", "--budget-secs",
-            "--mem-budget", "--cache-quota", "--breaker", "--breaker-cooldown-ms", "--no-verify",
-            "--strict", "--verify-store", "--report",
+            "--cache-dir",
+            "--out-dir",
+            "--device",
+            "--device-file",
+            "--quick",
+            "--jobs",
+            "--islands",
+            "--max-temporal",
+            "--checkpoint-dir",
+            "--queue-limit",
+            "--budget-secs",
+            "--mem-budget",
+            "--cache-quota",
+            "--breaker",
+            "--breaker-cooldown-ms",
+            "--no-verify",
+            "--strict",
+            "--verify-store",
+            "--report",
         ];
         let mut flags: Vec<&str> = SFD.iter().chain(cli::SHARED).map(|o| o.flag).collect();
         parent.sort_unstable();
@@ -306,7 +331,12 @@ mod tests {
         let usage = usage();
         for opt in SFD.iter().chain(cli::SHARED) {
             let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
-            assert_eq!(usage.matches(head.trim_end()).count(), 1, "{} in:\n{usage}", opt.flag);
+            assert_eq!(
+                usage.matches(head.trim_end()).count(),
+                1,
+                "{} in:\n{usage}",
+                opt.flag
+            );
             let argv = [opt.flag].into_iter().chain(opt.value.map(|_| "1"));
             let args = cli::parse(argv.map(String::from), TABLES).expect(opt.flag);
             assert!(args.has(opt), "{}", opt.flag);

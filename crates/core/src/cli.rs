@@ -60,7 +60,12 @@ pub struct Opt {
 impl Opt {
     /// A flag that takes no value.
     pub const fn switch(flag: &'static str, help: &'static str) -> Opt {
-        Opt { flag, value: None, what: "", help }
+        Opt {
+            flag,
+            value: None,
+            what: "",
+            help,
+        }
     }
 
     /// A flag that takes one value.
@@ -70,7 +75,12 @@ impl Opt {
         what: &'static str,
         help: &'static str,
     ) -> Opt {
-        Opt { flag, value: Some(metavar), what, help }
+        Opt {
+            flag,
+            value: Some(metavar),
+            what,
+            help,
+        }
     }
 
     /// Parse one value of this option into its own type, so a value that
@@ -171,7 +181,9 @@ pub fn parse(
             .find(|opt| opt.flag == name)
             .ok_or_else(|| format!("unknown argument `{arg}`"))?;
         let value = match opt.value {
-            Some(_) => argv.next().ok_or_else(|| format!("missing value for {arg}"))?,
+            Some(_) => argv
+                .next()
+                .ok_or_else(|| format!("missing value for {arg}"))?,
             None => String::new(),
         };
         items.push((Some(opt), value));
@@ -191,7 +203,9 @@ impl Parsed {
 
     /// The positional arguments, in order.
     pub fn positionals(&self) -> impl Iterator<Item = &str> {
-        self.iter().filter(|(opt, _)| opt.is_none()).map(|(_, text)| text)
+        self.iter()
+            .filter(|(opt, _)| opt.is_none())
+            .map(|(_, text)| text)
     }
 
     /// Every value given for `opt`, in order (repeatable flags).
@@ -265,7 +279,9 @@ pub fn usage(synopsis: &str, tables: &[&[Opt]], footer: &str) -> String {
 
 /// The device registry the run resolves names in: the built-ins plus every
 /// `--device-file`, in command-line order.
-pub fn device_registry(args: &Parsed) -> Result<DeviceRegistry, sf_gpusim::registry::RegistryError> {
+pub fn device_registry(
+    args: &Parsed,
+) -> Result<DeviceRegistry, sf_gpusim::registry::RegistryError> {
     let mut registry = DeviceRegistry::builtin();
     for path in args.values(&DEVICE_FILE) {
         registry.load_file(std::path::Path::new(path))?;
@@ -323,8 +339,10 @@ mod tests {
     #[test]
     fn arguments_keep_their_order_with_interleaved_positionals() {
         let args = parsed(&["a.cu", "--device", "v100", "b.cu", "--quick", "c.cu"]).unwrap();
-        let seen: Vec<(Option<&str>, &str)> =
-            args.iter().map(|(opt, text)| (opt.map(|o| o.flag), text)).collect();
+        let seen: Vec<(Option<&str>, &str)> = args
+            .iter()
+            .map(|(opt, text)| (opt.map(|o| o.flag), text))
+            .collect();
         assert_eq!(
             seen,
             [
@@ -335,12 +353,24 @@ mod tests {
                 (None, "c.cu"),
             ]
         );
-        assert_eq!(args.positionals().collect::<Vec<_>>(), ["a.cu", "b.cu", "c.cu"]);
+        assert_eq!(
+            args.positionals().collect::<Vec<_>>(),
+            ["a.cu", "b.cu", "c.cu"]
+        );
     }
 
     #[test]
     fn repeatable_flags_keep_every_value_and_the_last_one_wins() {
-        let args = parsed(&["--seed", "7", "--islands", "2", "--seed", "9", "--islands", "4"]);
+        let args = parsed(&[
+            "--seed",
+            "7",
+            "--islands",
+            "2",
+            "--seed",
+            "9",
+            "--islands",
+            "4",
+        ]);
         let args = args.unwrap();
         assert_eq!(args.values(&SEED).collect::<Vec<_>>(), ["7", "9"]);
         assert_eq!(args.value(&SEED), Some("9"));
@@ -367,8 +397,14 @@ mod tests {
 
     #[test]
     fn structural_errors_name_the_argument() {
-        assert_eq!(parsed(&["a.cu", "--seed"]).unwrap_err(), "missing value for --seed");
-        assert_eq!(parsed(&["--frob", "1"]).unwrap_err(), "unknown argument `--frob`");
+        assert_eq!(
+            parsed(&["a.cu", "--seed"]).unwrap_err(),
+            "missing value for --seed"
+        );
+        assert_eq!(
+            parsed(&["--frob", "1"]).unwrap_err(),
+            "unknown argument `--frob`"
+        );
         assert_eq!(parsed(&["-x"]).unwrap_err(), "unknown argument `-x`");
         // Without HELP in the tables, -h is just an unknown argument.
         let err = parse(["-h".to_string()], &[SHARED]).unwrap_err();
@@ -433,17 +469,36 @@ mod tests {
         assert_eq!(config.search.population, 24, "the preset");
         assert_eq!(config.search.generations, 7, "the file over the preset");
         assert_eq!(config.search.islands, 3, "the flag over the file");
-        assert_eq!(config.search.max_temporal, 2, "the file where no flag speaks");
+        assert_eq!(
+            config.search.max_temporal, 2,
+            "the file where no flag speaks"
+        );
         assert!(config.verify && config.budget.is_unlimited());
 
-        let args = parsed(&["--no-verify", "--strict", "--mem-budget", "1M", "--max-temporal", "4"]);
+        let args = parsed(&[
+            "--no-verify",
+            "--strict",
+            "--mem-budget",
+            "1M",
+            "--max-temporal",
+            "4",
+        ]);
         let config = pipeline_config(&args.unwrap(), DeviceSpec::k20x(), file).unwrap();
-        assert_eq!(config.search.population, 100, "no preset: the paper's budget");
+        assert_eq!(
+            config.search.population, 100,
+            "no preset: the paper's budget"
+        );
         assert_eq!(config.search.max_temporal, 4);
         assert!(!config.verify);
         assert_eq!(config.degrade, crate::config::DegradePolicy::Strict);
-        assert_eq!(config.budget.limit(sf_core::ResourceKind::HeapBytes), Some(1 << 20));
-        assert_eq!(config.budget.limit(sf_core::ResourceKind::Launches), Some(512));
+        assert_eq!(
+            config.budget.limit(sf_core::ResourceKind::HeapBytes),
+            Some(1 << 20)
+        );
+        assert_eq!(
+            config.budget.limit(sf_core::ResourceKind::Launches),
+            Some(512)
+        );
 
         let args = parsed(&["--islands", "0"]).unwrap();
         assert!(pipeline_config(&args, DeviceSpec::k20x(), file).is_err());

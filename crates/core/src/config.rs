@@ -329,7 +329,11 @@ mod tests {
     fn cache_fingerprint_separates_plan_relevant_fields() {
         let base = PipelineConfig::automated(DeviceSpec::k20x());
         let fp = base.cache_fingerprint();
-        assert_eq!(fp, base.clone().cache_fingerprint(), "fingerprint is stable");
+        assert_eq!(
+            fp,
+            base.clone().cache_fingerprint(),
+            "fingerprint is stable"
+        );
         assert_ne!(fp, base.clone().without_tuning().cache_fingerprint());
         assert_ne!(fp, base.clone().without_fission().cache_fingerprint());
         assert_ne!(fp, base.clone().manual_oracle().cache_fingerprint());
@@ -356,7 +360,9 @@ mod tests {
             DeviceSpec::k20x(),
             CodegenMode::Auto,
             false,
-            vec![sf_codegen::GroupPlan::singleton(sf_codegen::MemberRef::original(0))],
+            vec![sf_codegen::GroupPlan::singleton(
+                sf_codegen::MemberRef::original(0),
+            )],
         );
         assert_ne!(fp, base.clone().with_port_plan(seed).cache_fingerprint());
         // Budgets steer the degradation ladder → included.
@@ -367,8 +373,16 @@ mod tests {
                 .cache_fingerprint()
         );
         // Checkpoint placement can never change the plan → excluded.
-        assert_eq!(fp, base.clone().with_checkpoint("/tmp/x.ckpt").cache_fingerprint());
-        assert_eq!(fp, base.clone().with_resume("/tmp/x.ckpt").cache_fingerprint());
+        assert_eq!(
+            fp,
+            base.clone()
+                .with_checkpoint("/tmp/x.ckpt")
+                .cache_fingerprint()
+        );
+        assert_eq!(
+            fp,
+            base.clone().with_resume("/tmp/x.ckpt").cache_fingerprint()
+        );
     }
 
     /// The fault-free fingerprint, re-pinned when the profile retry count
@@ -397,7 +411,12 @@ mod tests {
             },
             ..FaultPlan::default()
         };
-        assert_eq!(base.clone().with_faults(store_only.clone()).cache_fingerprint(), FAULT_FREE);
+        assert_eq!(
+            base.clone()
+                .with_faults(store_only.clone())
+                .cache_fingerprint(),
+            FAULT_FREE
+        );
         // A stage fault next to the store faults still changes the key.
         let staged = FaultPlan {
             interpreter_trap: true,

@@ -353,8 +353,7 @@ impl From<sf_gpusim::profiler::ProfileError> for PipelineError {
         } else {
             Recoverability::Degradable
         };
-        let mut err =
-            PipelineError::new(Stage::Metadata, class, ErrorKind::Profile(Box::new(e)));
+        let mut err = PipelineError::new(Stage::Metadata, class, ErrorKind::Profile(Box::new(e)));
         err.kernel = kernel;
         err
     }
@@ -410,8 +409,7 @@ mod tests {
 
     #[test]
     fn conversions_preserve_source_and_defaults() {
-        let e: PipelineError =
-            sf_gpusim::profiler::ProfileError::transient("sim diverged").into();
+        let e: PipelineError = sf_gpusim::profiler::ProfileError::transient("sim diverged").into();
         assert_eq!(e.stage, Stage::Metadata);
         assert_eq!(e.class, Recoverability::Transient);
         let src = e.source().expect("typed source retained");
@@ -503,17 +501,42 @@ mod tests {
         // one column per stage in `Stage::ALL` order.
         let staged = [4, 4, 4, 5, 6, 6];
         let rows = [
-            (ErrorKind::Parse(sf_minicuda::ParseError::new("expected `;`", 1, 1)), [3; 6]),
-            (ErrorKind::HostEval(sf_minicuda::HostEvalError("unbound `n`".into())), [3; 6]),
-            (ErrorKind::Profile(Box::new(sf_gpusim::profiler::ProfileError::msg("lost"))), staged),
-            (ErrorKind::Codegen(sf_codegen::CodegenError("bad group".into())), staged),
+            (
+                ErrorKind::Parse(sf_minicuda::ParseError::new("expected `;`", 1, 1)),
+                [3; 6],
+            ),
+            (
+                ErrorKind::HostEval(sf_minicuda::HostEvalError("unbound `n`".into())),
+                [3; 6],
+            ),
+            (
+                ErrorKind::Profile(Box::new(sf_gpusim::profiler::ProfileError::msg("lost"))),
+                staged,
+            ),
+            (
+                ErrorKind::Codegen(sf_codegen::CodegenError("bad group".into())),
+                staged,
+            ),
             (ErrorKind::Graph("cycle".into()), staged),
             (ErrorKind::Verify("mismatch".into()), [7; 6]),
             (ErrorKind::Config("empty".into()), staged),
-            (ErrorKind::DeviceMismatch { plan: "a".into(), configured: "b".into() }, [9; 6]),
-            (ErrorKind::Cache(Box::new(CacheError::new(CacheErrorKind::Io, "disk full"))), staged),
             (
-                ErrorKind::ResourceExhausted { resource: "launches".into(), used: 2, limit: 1 },
+                ErrorKind::DeviceMismatch {
+                    plan: "a".into(),
+                    configured: "b".into(),
+                },
+                [9; 6],
+            ),
+            (
+                ErrorKind::Cache(Box::new(CacheError::new(CacheErrorKind::Io, "disk full"))),
+                staged,
+            ),
+            (
+                ErrorKind::ResourceExhausted {
+                    resource: "launches".into(),
+                    used: 2,
+                    limit: 1,
+                },
                 [10; 6],
             ),
             (ErrorKind::Injected("fault".into()), staged),

@@ -18,12 +18,12 @@ use crate::config::{DegradePolicy, PipelineConfig, Stage};
 use crate::error::{ErrorKind, PipelineError, Recoverability};
 use crate::report::StageReport;
 use crate::verify::{verify_executions, Execution, Side, Verification, VerifyFailure};
-use sf_core::{Accounted, FaultPlan, ResourceGovernor, ResourceKind};
 use sf_analysis::filter::{identify_targets, FilterDecision};
 use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{
     transform_program_with, CodegenError, GroupFailure, TransformOutput, TransformPlan,
 };
+use sf_core::{Accounted, FaultPlan, ResourceGovernor, ResourceKind};
 use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_gpusim::robust::{RobustProfile, RobustProfiler};
@@ -460,7 +460,11 @@ impl<'a> Run<'a> {
     fn metadata(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
         let (program, plan, cfg) = (self.program, self.plan, self.cfg);
         self.admit(r.stage, ResourceKind::Launches, plan.trace.len() as u64)?;
-        self.admit(r.stage, ResourceKind::IrStatements, program.statement_count())?;
+        self.admit(
+            r.stage,
+            ResourceKind::IrStatements,
+            program.statement_count(),
+        )?;
         let cells = sf_gpusim::GlobalMemory::plan_cells(plan);
         self.admit(r.stage, ResourceKind::DomainCells, cells)?;
 
@@ -570,9 +574,9 @@ impl<'a> Run<'a> {
     /// preloaded plan replays straight into codegen instead, so a prior run
     /// can be reproduced without re-searching.
     fn replay(&mut self, pplan: &TransformPlan) -> Result<(), PipelineError> {
-        pplan
-            .validate(self.plan.launches.len())
-            .map_err(|e| PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string())))?;
+        pplan.validate(self.plan.launches.len()).map_err(|e| {
+            PipelineError::fatal(Stage::NewGraphs, ErrorKind::Config(e.to_string()))
+        })?;
         // Replaying a plan on a different device would silently project
         // and codegen with the wrong device model; reject it as a
         // structured mismatch (the port path re-targets explicitly).
@@ -744,7 +748,11 @@ impl<'a> Run<'a> {
         let genome_bytes = 48u64 * self.plan.launches.len() as u64;
         let over = |cfg: &SearchConfig| {
             let bytes = cfg.population as u64 * genome_bytes * cfg.islands.max(1) as u64;
-            (bytes, self.governor.would_exceed(ResourceKind::PopulationBytes, bytes))
+            (
+                bytes,
+                self.governor
+                    .would_exceed(ResourceKind::PopulationBytes, bytes),
+            )
         };
         if let (_, Some(e)) = over(search_cfg) {
             let (err, reason) = budget(e);
@@ -1138,7 +1146,11 @@ impl<'a> Run<'a> {
                     "output mismatch: {}",
                     v.failure().unwrap_or_else(|| "unknown".into())
                 );
-                (failed(ErrorKind::Verify(why.clone())), "verification failed", why)
+                (
+                    failed(ErrorKind::Verify(why.clone())),
+                    "verification failed",
+                    why,
+                )
             }
             Err(VerifyFailure::Exhausted(e)) => {
                 let why = e.to_string();
@@ -1348,7 +1360,11 @@ void host() {
     ) -> (Result<Option<Verification>, PipelineError>, StageReport) {
         let p = parse_program(APP).unwrap();
         let quick = PipelineConfig::quick(DeviceSpec::k20x());
-        let transformed = Pipeline::new(p.clone(), quick).unwrap().run().unwrap().program;
+        let transformed = Pipeline::new(p.clone(), quick)
+            .unwrap()
+            .run()
+            .unwrap()
+            .program;
         assert_ne!(transformed, p, "APP fuses");
         let tplan = ExecutablePlan::from_program(&transformed).unwrap();
         let pipeline = Pipeline::new(p, config).unwrap();
@@ -1356,7 +1372,10 @@ void host() {
         let mut run = Run::new(&pipeline, &hooks);
         let mut r = StageReport::new(Stage::Metadata);
         assert!(matches!(run.metadata(&mut r), Ok(Next::Continue)));
-        assert!(run.original_image.is_some(), "stage 1 keeps the original's image");
+        assert!(
+            run.original_image.is_some(),
+            "stage 1 keeps the original's image"
+        );
         let rp = run.robust.profile_with_plan(&transformed, &tplan).unwrap();
         let mut image = rp.image.expect("a functional profile");
         edit(&mut image);
@@ -1370,7 +1389,10 @@ void host() {
         };
         let mut r = StageReport::new(Stage::Codegen);
         let outcome = run.verify(&mut r, side);
-        assert!(run.original_image.is_none(), "verification releases the image");
+        assert!(
+            run.original_image.is_none(),
+            "verification releases the image"
+        );
         (outcome, r)
     }
 
@@ -1435,7 +1457,10 @@ void host() {
         let result = Pipeline::new(p.clone(), quick()).unwrap().run().unwrap();
         assert_eq!(result.program, p);
         let profiled = result.original_profile.as_ref().unwrap().hazards.len();
-        assert_eq!(profiled, 16, "the stage-1 profile saw the race (capped per launch)");
+        assert_eq!(
+            profiled, 16,
+            "the stage-1 profile saw the race (capped per launch)"
+        );
         let degradations = result.degradations();
         assert_eq!(degradations.len(), 1, "{degradations:?}");
         assert_eq!(
@@ -1444,7 +1469,10 @@ void host() {
         );
         assert_eq!(degradations[0].reason, "output mismatch: 32 hazard(s)");
 
-        let err = Pipeline::new(p, quick().strict()).unwrap().run().unwrap_err();
+        let err = Pipeline::new(p, quick().strict())
+            .unwrap()
+            .run()
+            .unwrap_err();
         assert_eq!(
             err.to_string(),
             "pipeline error [codegen stage, verify, degradable]: output mismatch: 32 hazard(s)"
@@ -1456,7 +1484,10 @@ void host() {
     fn island_search_runs_end_to_end_and_is_deterministic() {
         let p = parse_program(APP).unwrap();
         let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_islands(2);
-        let r1 = Pipeline::new(p.clone(), cfg.clone()).unwrap().run().unwrap();
+        let r1 = Pipeline::new(p.clone(), cfg.clone())
+            .unwrap()
+            .run()
+            .unwrap();
         let r2 = Pipeline::new(p, cfg).unwrap().run().unwrap();
         assert!(r1.verification.as_ref().unwrap().passed());
         assert!(r1.degradations().is_empty());
@@ -1511,7 +1542,10 @@ void host() {
         let ckpt = dir.join("search.ckpt");
 
         let base = PipelineConfig::quick(DeviceSpec::k20x()).with_islands(2);
-        let golden = Pipeline::new(p.clone(), base.clone()).unwrap().run().unwrap();
+        let golden = Pipeline::new(p.clone(), base.clone())
+            .unwrap()
+            .run()
+            .unwrap();
 
         // Kill after the first checkpoint epoch, then resume.
         let kill_faults = FaultPlan {
@@ -1521,10 +1555,7 @@ void host() {
             },
             ..FaultPlan::default()
         };
-        let killed_cfg = base
-            .clone()
-            .with_checkpoint(&ckpt)
-            .with_faults(kill_faults);
+        let killed_cfg = base.clone().with_checkpoint(&ckpt).with_faults(kill_faults);
         let _ = Pipeline::new(p.clone(), killed_cfg).unwrap().run().unwrap();
         assert!(ckpt.exists());
 
@@ -1662,7 +1693,11 @@ void host() {
         .unwrap()
         .run()
         .unwrap();
-        assert!(governed.degradations().is_empty(), "{:?}", governed.degradations());
+        assert!(
+            governed.degradations().is_empty(),
+            "{:?}",
+            governed.degradations()
+        );
         assert_eq!(
             print_program(&base.program),
             print_program(&governed.program),
@@ -1814,7 +1849,11 @@ void host() {
             .run()
             .unwrap();
         let plan = result.executed_plan().expect("plan emitted");
-        assert!(plan.groups.iter().all(|g| g.temporal == 1), "{:?}", plan.groups);
+        assert!(
+            plan.groups.iter().all(|g| g.temporal == 1),
+            "{:?}",
+            plan.groups
+        );
         assert!(result.verification.unwrap().passed());
         // The loop-carried hard edge forbids fusing the pair spatially, so
         // both kernels survive untouched.
@@ -1825,7 +1864,10 @@ void host() {
     fn temporal_runs_are_deterministic() {
         let p = parse_program(PINGPONG).unwrap();
         let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_max_temporal(4);
-        let a = Pipeline::new(p.clone(), cfg.clone()).unwrap().run().unwrap();
+        let a = Pipeline::new(p.clone(), cfg.clone())
+            .unwrap()
+            .run()
+            .unwrap();
         let b = Pipeline::new(p, cfg).unwrap().run().unwrap();
         assert_eq!(
             sf_minicuda::printer::print_program(&a.program),

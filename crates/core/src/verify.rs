@@ -109,7 +109,9 @@ fn run_governed(
         Err(e) => Err(match e.1 {
             ExecErrorKind::StepBudget { .. } => VerifyFailure::Exhausted(ResourceError {
                 resource: ResourceKind::InterpreterSteps,
-                used: governor.used(ResourceKind::InterpreterSteps).saturating_add(used),
+                used: governor
+                    .used(ResourceKind::InterpreterSteps)
+                    .saturating_add(used),
                 limit: governor
                     .limits()
                     .limit(ResourceKind::InterpreterSteps)
@@ -225,7 +227,11 @@ pub fn verify_equivalence(
 }
 
 /// Fold two finished memory images into a [`Verification`] verdict.
-fn compare_images(mem_a: &GlobalMemory, mem_b: &GlobalMemory, hazards: Vec<String>) -> Verification {
+fn compare_images(
+    mem_a: &GlobalMemory,
+    mem_b: &GlobalMemory,
+    hazards: Vec<String>,
+) -> Verification {
     let mut max_abs_diff = 0.0f64;
     let mut worst_array = None;
     let mut nan_arrays = Vec::new();
@@ -411,7 +417,11 @@ void host() {
         assert!(v.passed());
         // Two 64-element f64 images were charged and credited back.
         assert_eq!(g.high_water(ResourceKind::HeapBytes), 2 * 64 * 8);
-        assert_eq!(g.used(ResourceKind::HeapBytes), 0, "images credited on drop");
+        assert_eq!(
+            g.used(ResourceKind::HeapBytes),
+            0,
+            "images credited on drop"
+        );
         assert_eq!(g.used(ResourceKind::InterpreterSteps), 2 * 64);
 
         // A heap budget below two images rejects before materialization.
@@ -423,8 +433,7 @@ void host() {
         assert_eq!(e.resource, ResourceKind::HeapBytes);
 
         // A step budget below one run stops the interpreter mid-flight.
-        let g =
-            ResourceGovernor::new(Limits::unlimited().cap(ResourceKind::InterpreterSteps, 50));
+        let g = ResourceGovernor::new(Limits::unlimited().cap(ResourceKind::InterpreterSteps, 50));
         let err = verify_equivalence_governed(&p, &p, 3, &g).unwrap_err();
         let VerifyFailure::Exhausted(e) = err else {
             panic!("expected exhaustion, got {err:?}");
@@ -440,7 +449,10 @@ void host() {
         let VerifyFailure::Failed(why) = err else {
             panic!("expected a failed run, got {err:?}");
         };
-        assert!(why.starts_with("transformed: execution error: out-of-bounds"), "{why}");
+        assert!(
+            why.starts_with("transformed: execution error: out-of-bounds"),
+            "{why}"
+        );
     }
 
     #[test]

@@ -114,7 +114,11 @@ fn shutdown_mid_batch_keeps_the_report_complete_and_the_cache_untorn() {
     for o in &report.outcomes {
         match &o.status {
             BatchStatus::Hit | BatchStatus::Compiled | BatchStatus::Recovered(_) => {
-                assert!(o.output.is_some(), "{}: drained requests finish fully", o.name);
+                assert!(
+                    o.output.is_some(),
+                    "{}: drained requests finish fully",
+                    o.name
+                );
             }
             BatchStatus::Cancelled => assert!(o.output.is_none()),
             other => panic!("{}: unexpected status {other:?}", o.name),

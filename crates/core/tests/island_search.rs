@@ -87,8 +87,14 @@ fn emitted_plans_are_byte_identical_across_thread_counts() {
                 plans.push(std::fs::read_to_string(&plan).unwrap());
             }
             assert!(!plans[0].is_empty(), "{name}: a plan was emitted");
-            assert_eq!(plans[0], plans[1], "{name} --islands {islands}: 1 vs 2 threads");
-            assert_eq!(plans[0], plans[2], "{name} --islands {islands}: 1 vs 8 threads");
+            assert_eq!(
+                plans[0], plans[1],
+                "{name} --islands {islands}: 1 vs 2 threads"
+            );
+            assert_eq!(
+                plans[0], plans[2],
+                "{name} --islands {islands}: 1 vs 8 threads"
+            );
         }
     }
 }
@@ -120,13 +126,15 @@ fn killed_search_resumes_at_every_epoch(name: &str, program: &Program, islands: 
     // right after each one and resume from the snapshot it left.
     for epoch in 0..4 {
         let ckpt = tmp(&format!("{name}-i{islands}-epoch{epoch}.ckpt"));
-        let killed_cfg = until_search().with_checkpoint(&ckpt).with_faults(FaultPlan {
-            islands: sf_core::IslandFaults {
-                kill_at_epoch: Some(epoch),
-                ..sf_core::IslandFaults::default()
-            },
-            ..FaultPlan::default()
-        });
+        let killed_cfg = until_search()
+            .with_checkpoint(&ckpt)
+            .with_faults(FaultPlan {
+                islands: sf_core::IslandFaults {
+                    kill_at_epoch: Some(epoch),
+                    ..sf_core::IslandFaults::default()
+                },
+                ..FaultPlan::default()
+            });
         run(killed_cfg, program);
         assert!(ckpt.exists(), "{name}: epoch {epoch} left a checkpoint");
 
@@ -193,10 +201,7 @@ fn one_island_killed_per_epoch_still_returns_a_verified_degraded_plan() {
                 d.reason
             );
         }
-        let verification = result
-            .verification
-            .as_ref()
-            .expect(name);
+        let verification = result.verification.as_ref().expect(name);
         assert!(
             verification.passed(),
             "{name}: the degraded search still produced a verified program"

@@ -178,9 +178,8 @@ fn plan_replay_reproduces_output_byte_for_byte() {
         .expect("sfc runs");
     assert!(status.success());
     // The emitted plan parses, validates, and records the transformation.
-    let tplan =
-        sf_codegen::TransformPlan::from_json(&std::fs::read_to_string(&plan).unwrap())
-            .expect("emitted plan parses");
+    let tplan = sf_codegen::TransformPlan::from_json(&std::fs::read_to_string(&plan).unwrap())
+        .expect("emitted plan parses");
     assert!(!tplan.groups.is_empty());
     // Replay: no search, byte-identical output.
     let replay = tmp("demo_plan_replay.cu");
@@ -257,7 +256,10 @@ fn noisy_profiling_is_deterministic_across_cli_runs() {
         outputs.push(std::fs::read_to_string(&out).unwrap());
         plans.push(std::fs::read_to_string(&plan).unwrap());
     }
-    assert_eq!(outputs[0], outputs[1], "same noise seed, different programs");
+    assert_eq!(
+        outputs[0], outputs[1],
+        "same noise seed, different programs"
+    );
     assert_eq!(plans[0], plans[1], "same noise seed, different plans");
 
     // Bad values are usage errors.
@@ -322,7 +324,10 @@ fn cache_dir_serves_recovers_and_degrades() {
     assert_eq!(code, Some(8), "{stderr}");
     assert!(stderr.contains("sfc: quarantined cache entry"), "{stderr}");
     assert_eq!(recovered, cold);
-    assert_eq!(std::fs::read_dir(cache.join("quarantine")).unwrap().count(), 1);
+    assert_eq!(
+        std::fs::read_dir(cache.join("quarantine")).unwrap().count(),
+        1
+    );
     // The recompile republished: the next run is a clean hit again.
     let (code, again, _) = compile("again", &cache);
     assert_eq!((code, again), (Some(0), cold.clone()));
@@ -356,7 +361,14 @@ fn explicit_flags_override_the_parameter_file_which_overrides_quick() {
     let ckpt = tmp("demo_precedence.ckpt");
     let resolved = |flags: &[&str]| {
         let out = sfc()
-            .args([input.to_str().unwrap(), "--until", "search", "--report", "-o", "/dev/null"])
+            .args([
+                input.to_str().unwrap(),
+                "--until",
+                "search",
+                "--report",
+                "-o",
+                "/dev/null",
+            ])
             .args(["--checkpoint", ckpt.to_str().unwrap()])
             .args(flags)
             .output()
@@ -394,14 +406,26 @@ fn explicit_flags_override_the_parameter_file_which_overrides_quick() {
 #[test]
 fn zero_counts_extra_inputs_and_bad_sizes_are_usage_errors() {
     for (args, complaint) in [
-        (&["never-read.cu", "--profile-reps", "0"][..], "sfc: repetition count must be at least 1\n"),
-        (&["never-read.cu", "--islands", "0"], "sfc: island count must be at least 1\n"),
-        (&["a.cu", "--quick", "b.cu"], "sfc: takes one input file, got `a.cu` and `b.cu`\n"),
+        (
+            &["never-read.cu", "--profile-reps", "0"][..],
+            "sfc: repetition count must be at least 1\n",
+        ),
+        (
+            &["never-read.cu", "--islands", "0"],
+            "sfc: island count must be at least 1\n",
+        ),
+        (
+            &["a.cu", "--quick", "b.cu"],
+            "sfc: takes one input file, got `a.cu` and `b.cu`\n",
+        ),
         (
             &["never-read.cu", "--mem-budget", "12Q"],
             "sfc: bad memory budget `12Q` (digits with optional K/M/G)\n",
         ),
-        (&["never-read.cu", "--device"], "sfc: missing value for --device\n"),
+        (
+            &["never-read.cu", "--device"],
+            "sfc: missing value for --device\n",
+        ),
     ] {
         let out = sfc().args(args).output().expect("sfc runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -415,11 +439,23 @@ fn zero_counts_extra_inputs_and_bad_sizes_are_usage_errors() {
 /// input is required and documents every flag.
 #[test]
 fn help_lists_every_flag_and_the_precedence_rule() {
-    let out = sfc().args(["--help", "--no-such-flag"]).output().expect("sfc runs");
+    let out = sfc()
+        .args(["--help", "--no-such-flag"])
+        .output()
+        .expect("sfc runs");
     assert_eq!(out.status.code(), Some(0));
     let help = String::from_utf8_lossy(&out.stdout);
-    for flag in ["-o FILE", "--params FILE", "--islands N", "--mem-budget SIZE", "--strict"] {
+    for flag in [
+        "-o FILE",
+        "--params FILE",
+        "--islands N",
+        "--mem-budget SIZE",
+        "--strict",
+    ] {
         assert!(help.contains(&format!("\n  {flag}")), "{flag}: {help}");
     }
-    assert!(help.contains("the preset (--quick) < the parameter file"), "{help}");
+    assert!(
+        help.contains("the preset (--quick) < the parameter file"),
+        "{help}"
+    );
 }

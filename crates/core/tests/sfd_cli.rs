@@ -43,7 +43,12 @@ fn out_of_range_numeric_flags_are_usage_errors() {
         .arg("--verify-store")
         .output()
         .expect("sfd runs");
-    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
     let _ = std::fs::remove_dir_all(&store);
 }
 
@@ -56,7 +61,10 @@ fn out_of_range_numeric_flags_are_usage_errors() {
 fn zero_jobs_bad_sizes_and_unused_device_names_are_usage_errors() {
     let store = std::env::temp_dir().join(format!("sfd-cli-devices-{}", std::process::id()));
     for (args, complaint) in [
-        (&["--jobs", "0", "never-read.cu"][..], "sfd: job count must be at least 1\n"),
+        (
+            &["--jobs", "0", "never-read.cu"][..],
+            "sfd: job count must be at least 1\n",
+        ),
         (
             &["--mem-budget", "12Q", "never-read.cu"],
             "sfd: bad memory budget `12Q` (digits with optional K/M/G)\n",
@@ -69,8 +77,14 @@ fn zero_jobs_bad_sizes_and_unused_device_names_are_usage_errors() {
             &["never-read.cu", "--device", "nosuch"],
             "sfd: unknown device `nosuch` (available: k20x, k40, hawaii, v100)\n",
         ),
-        (&["--verify-store", "--device", "nosuch"], "sfd: unknown device `nosuch`"),
-        (&["never-read.cu", "--device"], "sfd: missing value for --device\n"),
+        (
+            &["--verify-store", "--device", "nosuch"],
+            "sfd: unknown device `nosuch`",
+        ),
+        (
+            &["never-read.cu", "--device"],
+            "sfd: missing value for --device\n",
+        ),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_sfd"))
             .arg("--cache-dir")

@@ -150,7 +150,11 @@ impl Gen<'_> {
     fn pick_any(&mut self, not: &[&String]) -> String {
         let pool: Vec<&String> = self.arrays.iter().filter(|a| !not.contains(a)).collect();
         if pool.is_empty() {
-            return self.arrays.choose(&mut self.rng).expect("non-empty array pool").clone();
+            return self
+                .arrays
+                .choose(&mut self.rng)
+                .expect("non-empty array pool")
+                .clone();
         }
         (*pool.choose(&mut self.rng).unwrap()).clone()
     }
@@ -170,7 +174,14 @@ impl Gen<'_> {
         e
     }
 
-    fn finish(&mut self, name: &str, reads: Vec<String>, writes: Vec<String>, radius: i64, inner: Vec<Stmt>) -> (Kernel, Vec<String>) {
+    fn finish(
+        &mut self,
+        name: &str,
+        reads: Vec<String>,
+        writes: Vec<String>,
+        radius: i64,
+        inner: Vec<Stmt>,
+    ) -> (Kernel, Vec<String>) {
         let read_refs: Vec<&str> = reads.iter().map(String::as_str).collect();
         let write_refs: Vec<&str> = writes.iter().map(String::as_str).collect();
         let kernel = Kernel {
@@ -188,7 +199,13 @@ impl Gen<'_> {
     /// A foldable time-loop step: lateral star stencil of `radius` that
     /// reads only the current k-plane of `read` and writes the interior of
     /// `write` — the shape the temporal transform can fold.
-    fn lateral_step(&mut self, name: &str, read: &str, write: &str, radius: i64) -> (Kernel, Vec<String>) {
+    fn lateral_step(
+        &mut self,
+        name: &str,
+        read: &str,
+        write: &str,
+        radius: i64,
+    ) -> (Kernel, Vec<String>) {
         let mut e = b::mul(b::flt(self.coef()), b::at3(read, 0, 0, 0));
         for d in 1..=radius {
             let ring = [
@@ -237,7 +254,13 @@ impl Gen<'_> {
                 }
                 reads.dedup();
                 let e = self.pointwise_expr(&reads);
-                self.finish(name, reads, vec![write.clone()], 0, vec![b::vertical_loop(0, vec![b::store3(&write, e)])])
+                self.finish(
+                    name,
+                    reads,
+                    vec![write.clone()],
+                    0,
+                    vec![b::vertical_loop(0, vec![b::store3(&write, e)])],
+                )
             }
             // Volumetric star stencil, radius 1..=max_radius.
             25..=44 => {
@@ -284,7 +307,13 @@ impl Gen<'_> {
                 let write = self.pick_write(&[]);
                 let read = self.pick_read(&[&write]);
                 let e = self.pointwise_expr(std::slice::from_ref(&read));
-                self.finish(name, vec![read], vec![write.clone()], 1, vec![b::vertical_loop(0, vec![b::store3(&write, e)])])
+                self.finish(
+                    name,
+                    vec![read],
+                    vec![write.clone()],
+                    1,
+                    vec![b::vertical_loop(0, vec![b::store3(&write, e)])],
+                )
             }
             // Fat kernel: two independent pointwise parts (fission fodder).
             65..=76 => {
@@ -301,15 +330,27 @@ impl Gen<'_> {
                     reads,
                     vec![w1.clone(), w2.clone()],
                     0,
-                    vec![b::vertical_loop(0, vec![b::store3(&w1, e1), b::store3(&w2, e2)])],
+                    vec![b::vertical_loop(
+                        0,
+                        vec![b::store3(&w1, e1), b::store3(&w2, e2)],
+                    )],
                 )
             }
             // In-place pointwise update: a self dependence cycle. Reads
             // stay at offset 0 so the update is race-free within a launch.
             77..=84 => {
                 let a = self.pick_write(&[]);
-                let e = b::add(b::mul(b::flt(self.coef()), b::at3(&a, 0, 0, 0)), b::flt(self.coef()));
-                self.finish(name, vec![a.clone()], vec![a.clone()], 0, vec![b::vertical_loop(0, vec![b::store3(&a, e)])])
+                let e = b::add(
+                    b::mul(b::flt(self.coef()), b::at3(&a, 0, 0, 0)),
+                    b::flt(self.coef()),
+                );
+                self.finish(
+                    name,
+                    vec![a.clone()],
+                    vec![a.clone()],
+                    0,
+                    vec![b::vertical_loop(0, vec![b::store3(&a, e)])],
+                )
             }
             // Boundary kernel: writes the k=0 plane from the k=1 plane of
             // the same array (no vertical sweep).
@@ -341,7 +382,13 @@ impl Gen<'_> {
                         )],
                     };
                 }
-                self.finish(name, vec![read], vec![write.clone()], 0, vec![b::vertical_loop(0, vec![b::store3(&write, e)])])
+                self.finish(
+                    name,
+                    vec![read],
+                    vec![write.clone()],
+                    0,
+                    vec![b::vertical_loop(0, vec![b::store3(&write, e)])],
+                )
             }
             // Latency-bound kernel: a chain of flop-free locals.
             _ => {
@@ -360,7 +407,13 @@ impl Gen<'_> {
                     acc = b::var(&t);
                 }
                 stmts.push(b::store3(&write, acc));
-                self.finish(name, vec![read], vec![write.clone()], 0, vec![b::vertical_loop(0, stmts)])
+                self.finish(
+                    name,
+                    vec![read],
+                    vec![write.clone()],
+                    0,
+                    vec![b::vertical_loop(0, stmts)],
+                )
             }
         }
     }
@@ -376,7 +429,9 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> Generated {
     };
     let n_arrays = g.rng.gen_range(2usize..=cfg.max_arrays.max(2));
     g.arrays = (0..n_arrays).map(|i| format!("a{i}")).collect();
-    let n_kernels = g.rng.gen_range(cfg.min_kernels..=cfg.max_kernels.max(cfg.min_kernels));
+    let n_kernels = g
+        .rng
+        .gen_range(cfg.min_kernels..=cfg.max_kernels.max(cfg.min_kernels));
     let domain = *cfg.domains.choose(&mut g.rng).expect("non-empty domains");
     let block = *cfg.blocks.choose(&mut g.rng).expect("non-empty blocks");
     // Guarded so a zero probability draws nothing: the classic corpus
@@ -422,17 +477,25 @@ fn generate_looped(mut g: Gen, seed: u64, domain: (i64, i64, i64), block: (i64, 
     // Trip counts exercise the divisibility rule (2T must divide the trip
     // count): 8 admits degrees 2 and 4, 12 admits only 2, 4 admits only 2,
     // and 6 admits neither even degree.
-    let steps = *[4i64, 6, 8, 12].choose(&mut g.rng).expect("non-empty steps");
+    let steps = *[4i64, 6, 8, 12]
+        .choose(&mut g.rng)
+        .expect("non-empty steps");
     // The loop nucleus ping-pongs between up to three arrays.
     while g.arrays.len() < 3 {
         let next = format!("a{}", g.arrays.len());
         g.arrays.push(next);
     }
-    let (p, q, r) = (g.arrays[0].clone(), g.arrays[1].clone(), g.arrays[2].clone());
+    let (p, q, r) = (
+        g.arrays[0].clone(),
+        g.arrays[1].clone(),
+        g.arrays[2].clone(),
+    );
 
     let mut kernels: Vec<Kernel> = Vec::new();
     let mut body: Vec<(String, Vec<String>)> = Vec::new();
-    let emit = |kernels: &mut Vec<Kernel>, list: &mut Vec<(String, Vec<String>)>, (k, args): (Kernel, Vec<String>)| {
+    let emit = |kernels: &mut Vec<Kernel>,
+                list: &mut Vec<(String, Vec<String>)>,
+                (k, args): (Kernel, Vec<String>)| {
         list.push((k.name.clone(), args));
         kernels.push(k);
     };
@@ -455,7 +518,10 @@ fn generate_looped(mut g: Gen, seed: u64, domain: (i64, i64, i64), block: (i64, 
         // In-place member rides in the loop: the fold must be rejected
         // (loop-carried self dependence) and the ladder must degrade.
         60..=74 => {
-            let e = b::add(b::mul(b::flt(g.coef()), b::at3(&p, 0, 0, 0)), b::flt(g.coef()));
+            let e = b::add(
+                b::mul(b::flt(g.coef()), b::at3(&p, 0, 0, 0)),
+                b::flt(g.coef()),
+            );
             let decay = g.finish(
                 "decay",
                 vec![p.clone()],
@@ -563,10 +629,16 @@ mod tests {
     #[test]
     fn seeds_cover_distinct_programs() {
         let cfg = GenConfig::default();
-        let mut printed: Vec<String> = (0..20).map(|s| print_program(&generate(s, &cfg).program)).collect();
+        let mut printed: Vec<String> = (0..20)
+            .map(|s| print_program(&generate(s, &cfg).program))
+            .collect();
         printed.sort();
         printed.dedup();
-        assert!(printed.len() > 10, "only {} distinct programs in 20 seeds", printed.len());
+        assert!(
+            printed.len() > 10,
+            "only {} distinct programs in 20 seeds",
+            printed.len()
+        );
     }
 
     #[test]
@@ -624,7 +696,8 @@ mod tests {
         for seed in 0..60u64 {
             let g = generate(seed, &cfg);
             let names: Vec<&str> = g.program.kernels.iter().map(|k| k.name.as_str()).collect();
-            saw_pingpong |= names.contains(&"step_ab") && names.contains(&"step_ba") && !names.contains(&"bc");
+            saw_pingpong |=
+                names.contains(&"step_ab") && names.contains(&"step_ba") && !names.contains(&"bc");
             saw_inplace |= names.contains(&"decay");
             saw_boundary |= names.contains(&"bc");
             saw_rotation |= names.contains(&"rot_pq");

@@ -287,7 +287,11 @@ mod tests {
         // it until the budget is gone.
         let started = std::time::Instant::now();
         check(Archetype::HugeGrid).expect("rejected");
-        assert!(started.elapsed().as_secs() < 5, "huge-grid took {:?}", started.elapsed());
+        assert!(
+            started.elapsed().as_secs() < 5,
+            "huge-grid took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

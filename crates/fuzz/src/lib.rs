@@ -71,7 +71,9 @@ pub fn fuzz_seed_with(
     );
     // Re-run the oracle on the shrunk program so the reported detail and
     // plan belong to the minimized reproducer, not the original.
-    let final_failure = check_program_with(&small, seed, opts).err().unwrap_or(failure);
+    let final_failure = check_program_with(&small, seed, opts)
+        .err()
+        .unwrap_or(failure);
     Some((final_failure, small))
 }
 
@@ -186,15 +188,19 @@ mod sabotage_tests {
         );
         let out = transform_program(&original, &plan, &tplan).expect("fusion succeeds");
         let fused = out.program;
-        let has_sync = fused
-            .kernels
-            .iter()
-            .any(|k| kernel_has_sync(&k.body));
-        assert!(has_sync, "fused producer→stencil-consumer must stage behind a barrier");
+        let has_sync = fused.kernels.iter().any(|k| kernel_has_sync(&k.body));
+        assert!(
+            has_sync,
+            "fused producer→stencil-consumer must stage behind a barrier"
+        );
 
         // Correct fusion verifies cleanly, hazards included.
         let good = verify_equivalence(&original, &fused, 7).expect("interpretable");
-        assert!(good.passed(), "correct fusion must verify: {:?}", good.failure());
+        assert!(
+            good.passed(),
+            "correct fusion must verify: {:?}",
+            good.failure()
+        );
 
         // Sabotage: drop the staging barrier (same effect as swapping the
         // staging/barrier order in the fuser) — the oracle must now see a

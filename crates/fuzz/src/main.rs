@@ -169,7 +169,12 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
     }
     if args.has(&SOAK) {
         let seed = seeds.first().copied().unwrap_or(1);
-        return Ok(run_soak_cli(seed, soak_rounds, max_wall_secs, args.value(&SOAK_DIR)));
+        return Ok(run_soak_cli(
+            seed,
+            soak_rounds,
+            max_wall_secs,
+            args.value(&SOAK_DIR),
+        ));
     }
     if seeds.is_empty() {
         return Err("no seeds given (use --seed or --seed-range)".into());
@@ -216,7 +221,10 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
             &small,
             failure.plan_json.as_deref(),
         ) {
-            Ok(paths) => eprintln!("seed {seed}: reproducer written to {}", paths.source.display()),
+            Ok(paths) => eprintln!(
+                "seed {seed}: reproducer written to {}",
+                paths.source.display()
+            ),
             Err(e) => eprintln!("seed {seed}: could not write reproducer: {e}"),
         }
     }
@@ -267,13 +275,22 @@ mod tests {
         assert_eq!(run_err(&["--seed"]), "missing value for --seed");
         assert_eq!(run_err(&["--seed", "x"]), "bad seed `x`");
         assert_eq!(run_err(&["--seed-range", "5..5"]), "empty range `5..5`");
-        assert_eq!(run_err(&["--frobnicate"]), "unknown argument `--frobnicate`");
+        assert_eq!(
+            run_err(&["--frobnicate"]),
+            "unknown argument `--frobnicate`"
+        );
         assert_eq!(run_err(&["stray"]), "unknown argument `stray`");
         // sf-fuzz has no --help: its usage is what every error prints.
         assert_eq!(run_err(&["--help"]), "unknown argument `--help`");
         // A bad value is an error whichever mode would have read it.
-        assert_eq!(run_err(&["--seed", "1", "--soak-rounds", "x"]), "bad round count `x`");
-        assert_eq!(run_err(&["--hostile", "--max-wall-secs", "-1"]), "bad duration `-1`");
+        assert_eq!(
+            run_err(&["--seed", "1", "--soak-rounds", "x"]),
+            "bad round count `x`"
+        );
+        assert_eq!(
+            run_err(&["--hostile", "--max-wall-secs", "-1"]),
+            "bad duration `-1`"
+        );
     }
 
     #[test]
@@ -310,8 +327,14 @@ mod tests {
     fn parses_hostile_and_soak_modes() {
         assert!(parse(&["--hostile"]).has(&HOSTILE));
         let a = parse(&["--emit-hostile", "deep-chain"]);
-        assert_eq!(a.value(&EMIT_HOSTILE).and_then(Archetype::from_name), Some(Archetype::DeepChain));
-        assert_eq!(run_err(&["--emit-hostile", "nope"]), "unknown archetype `nope`");
+        assert_eq!(
+            a.value(&EMIT_HOSTILE).and_then(Archetype::from_name),
+            Some(Archetype::DeepChain)
+        );
+        assert_eq!(
+            run_err(&["--emit-hostile", "nope"]),
+            "unknown archetype `nope`"
+        );
         let a = parse(&[
             "--soak",
             "--seed",
@@ -332,7 +355,14 @@ mod tests {
 
     #[test]
     fn parses_cap_and_dir() {
-        let a = parse(&["--seed", "1", "--repro-dir", "/tmp/x", "--max-wall-secs", "60"]);
+        let a = parse(&[
+            "--seed",
+            "1",
+            "--repro-dir",
+            "/tmp/x",
+            "--max-wall-secs",
+            "60",
+        ]);
         assert_eq!(a.number::<u64>(&MAX_WALL_SECS), Ok(Some(60)));
         assert_eq!(a.value(&REPRO_DIR), Some("/tmp/x"));
     }
@@ -361,12 +391,23 @@ mod tests {
         let usage = cli::usage(SYNOPSIS, TABLES, "");
         for opt in FUZZ {
             let head = format!("  {} {}", opt.flag, opt.value.unwrap_or_default());
-            assert!(usage.contains(head.trim_end()), "{} undocumented:\n{usage}", opt.flag);
-            let argv: Vec<&str> = [opt.flag].into_iter().chain(opt.value.map(|_| "1")).collect();
+            assert!(
+                usage.contains(head.trim_end()),
+                "{} undocumented:\n{usage}",
+                opt.flag
+            );
+            let argv: Vec<&str> = [opt.flag]
+                .into_iter()
+                .chain(opt.value.map(|_| "1"))
+                .collect();
             assert!(parse(&argv).has(opt), "{} does not parse", opt.flag);
         }
         for archetype in ARCHETYPES {
-            assert!(usage.contains(archetype.name()), "{} not listed", archetype.name());
+            assert!(
+                usage.contains(archetype.name()),
+                "{} not listed",
+                archetype.name()
+            );
         }
     }
 }

@@ -214,7 +214,12 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     // 3. pipeline-run
     let pipeline = match Pipeline::new(program.clone(), config(seed)) {
         Ok(p) => p,
-        Err(e) => return Err(OracleFailure::new("pipeline-run", format!("pipeline rejected the program: {e}"))),
+        Err(e) => {
+            return Err(OracleFailure::new(
+                "pipeline-run",
+                format!("pipeline rejected the program: {e}"),
+            ))
+        }
     };
     let result = match pipeline.run() {
         Ok(r) => r,
@@ -311,8 +316,11 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
         match TransformPlan::from_json(&plan.to_json()) {
             Err(e) => {
-                return Err(OracleFailure::new("plan-roundtrip", format!("plan JSON does not parse back: {e}"))
-                    .with_plan(Some(plan)))
+                return Err(OracleFailure::new(
+                    "plan-roundtrip",
+                    format!("plan JSON does not parse back: {e}"),
+                )
+                .with_plan(Some(plan)))
             }
             Ok(back) if &back != plan => {
                 return Err(OracleFailure::new(
@@ -348,9 +356,7 @@ pub fn check_tuning_monotone(
     if !plan.block_tuning || transform.tuning.is_empty() {
         return Ok(());
     }
-    let fail = |detail: String| {
-        OracleFailure::new("tuning-monotone", detail).with_plan(Some(plan))
-    };
+    let fail = |detail: String| OracleFailure::new("tuning-monotone", detail).with_plan(Some(plan));
     let untuned_plan = TransformPlan {
         block_tuning: false,
         ..plan.clone()
@@ -363,7 +369,9 @@ pub fn check_tuning_monotone(
         .map_err(|e| fail(format!("the plan does not re-emit untuned: {e}")))?;
     let profile = |p: &Program| {
         let exec = ExecutablePlan::from_program(p).map_err(|e| e.to_string())?;
-        let profile = profiler.profile_with_plan(p, &exec).map_err(|e| e.to_string())?;
+        let profile = profiler
+            .profile_with_plan(p, &exec)
+            .map_err(|e| e.to_string())?;
         Ok::<_, String>((exec, profile))
     };
     let (tuned_exec, tuned) =
@@ -422,7 +430,8 @@ fn check_replay(
     let replay = Pipeline::new(program.clone(), replay_cfg)
         .and_then(|p| p.run())
         .map_err(|e| {
-            OracleFailure::new("replay-run", format!("plan replay failed: {e}")).with_plan(Some(plan))
+            OracleFailure::new("replay-run", format!("plan replay failed: {e}"))
+                .with_plan(Some(plan))
         })?;
     let first = print_program(&result.program);
     let second = print_program(&replay.program);
@@ -455,7 +464,11 @@ fn check_ladder(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 fn check_ladder_at(program: &Program, seed: u64, max_temporal: u32) -> Result<(), OracleFailure> {
     let all: std::collections::BTreeSet<usize> = (0..8).collect();
     let names: [&'static str; 3] = if max_temporal > 1 {
-        ["temporal-ladder-tuned-reject", "temporal-ladder-reject", "temporal-ladder-panic"]
+        [
+            "temporal-ladder-tuned-reject",
+            "temporal-ladder-reject",
+            "temporal-ladder-panic",
+        ]
     } else {
         ["ladder-tuned-reject", "ladder-reject", "ladder-panic"]
     };
@@ -483,12 +496,19 @@ fn check_ladder_at(program: &Program, seed: u64, max_temporal: u32) -> Result<()
         ),
     ];
     for (check, faults) in rungs {
-        let mut cfg = config(seed).with_faults(faults).with_max_temporal(max_temporal);
+        let mut cfg = config(seed)
+            .with_faults(faults)
+            .with_max_temporal(max_temporal);
         // Tune every attempt, so the tuned-reject pass has a tuner to reject.
         cfg.block_tuning = true;
         let result = Pipeline::new(program.clone(), cfg)
             .and_then(|p| p.run())
-            .map_err(|e| OracleFailure::new(check, format!("faulted run did not degrade, it failed: {e}")))?;
+            .map_err(|e| {
+                OracleFailure::new(
+                    check,
+                    format!("faulted run did not degrade, it failed: {e}"),
+                )
+            })?;
         for d in result.degradations() {
             if degradation_smells_like_miscompile(&d.action, &d.reason) {
                 return Err(OracleFailure::new(
@@ -524,9 +544,7 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     let run = |check: &'static str, cap: u32| -> Result<TransformResult, OracleFailure> {
         Pipeline::new(program.clone(), config(seed).with_max_temporal(cap))
             .and_then(|p| p.run())
-            .map_err(|e| {
-                OracleFailure::new(check, format!("temporal run (cap {cap}) failed: {e}"))
-            })
+            .map_err(|e| OracleFailure::new(check, format!("temporal run (cap {cap}) failed: {e}")))
     };
 
     // Cap 1: the pre-temporal schedule, byte-deterministic, degree-free.
@@ -594,7 +612,11 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
         check_tuning_monotone(program, &result, &config(seed).profiler())?;
         if let Some(plan) = result.executed_plan().or_else(|| result.planned()) {
-            if plan.groups.iter().any(|g| g.temporal < 1 || g.temporal > cap) {
+            if plan
+                .groups
+                .iter()
+                .any(|g| g.temporal < 1 || g.temporal > cap)
+            {
                 return Err(OracleFailure::new(
                     "temporal-cap",
                     format!("plan stamped a degree outside 1..={cap}"),
@@ -622,8 +644,11 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
             let replay = Pipeline::new(program.clone(), replay_cfg)
                 .and_then(|p| p.run())
                 .map_err(|e| {
-                    OracleFailure::new("temporal-replay", format!("temporal plan replay failed: {e}"))
-                        .with_plan(Some(plan))
+                    OracleFailure::new(
+                        "temporal-replay",
+                        format!("temporal plan replay failed: {e}"),
+                    )
+                    .with_plan(Some(plan))
                 })?;
             if print_program(&result.program) != print_program(&replay.program) {
                 return Err(OracleFailure::new(
@@ -663,7 +688,9 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 /// measurement noise is seeded, so nondeterminism here is a pipeline bug.
 fn check_noisy_profile(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     let noisy_cfg = || {
-        let mut cfg = config(seed).with_profile_reps(5).with_noise_seed(seed ^ 0x6e6f_6973);
+        let mut cfg = config(seed)
+            .with_profile_reps(5)
+            .with_noise_seed(seed ^ 0x6e6f_6973);
         cfg.faults = Some(FaultPlan {
             rep_failures: 1,
             ..FaultPlan::default()
@@ -673,9 +700,7 @@ fn check_noisy_profile(program: &Program, seed: u64) -> Result<(), OracleFailure
     let run = |check: &'static str| -> Result<TransformResult, OracleFailure> {
         Pipeline::new(program.clone(), noisy_cfg())
             .and_then(|p| p.run())
-            .map_err(|e| {
-                OracleFailure::new(check, format!("noisy Degrade-policy run failed: {e}"))
-            })
+            .map_err(|e| OracleFailure::new(check, format!("noisy Degrade-policy run failed: {e}")))
     };
     let first = run("noisy-run")?;
     for d in first.degradations() {
@@ -748,10 +773,7 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     };
     let payload = plan.to_json();
     let key = CacheKey::derive(&print_program(program), "k20x", "fuzz-oracle");
-    let dir = std::env::temp_dir().join(format!(
-        "sf-fuzz-cache-{}-{seed}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("sf-fuzz-cache-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let zero_timeout = |faults: CacheFaults| StoreOptions {
         lock_timeout: Duration::ZERO,
@@ -774,14 +796,27 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         }
         let served = match store.lookup(&key) {
             Ok(Lookup::Hit(entry)) => entry.payload,
-            other => return fail("cache-roundtrip", format!("lookup after publish: {other:?}")),
+            other => {
+                return fail(
+                    "cache-roundtrip",
+                    format!("lookup after publish: {other:?}"),
+                )
+            }
         };
         if served != payload {
-            return fail("cache-roundtrip", "served payload differs from published".into());
+            return fail(
+                "cache-roundtrip",
+                "served payload differs from published".into(),
+            );
         }
         let cached = match TransformPlan::from_json(&served) {
             Ok(p) => p,
-            Err(e) => return fail("cache-replay", format!("cached payload does not parse: {e}")),
+            Err(e) => {
+                return fail(
+                    "cache-replay",
+                    format!("cached payload does not parse: {e}"),
+                )
+            }
         };
         let replay = match Pipeline::new(program.clone(), config(seed).with_plan(cached))
             .and_then(|p| p.run())
@@ -803,7 +838,12 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
     {
         let store = match PlanStore::open_with(&dir, zero_timeout(faults)) {
             Ok(s) => s,
-            Err(e) => return fail("cache-fault-open", format!("faulted store did not open: {e}")),
+            Err(e) => {
+                return fail(
+                    "cache-fault-open",
+                    format!("faulted store did not open: {e}"),
+                )
+            }
         };
         // A publish that fails under a live process (a full disk) is an
         // environment condition, not a serving failure: the batch driver
@@ -818,7 +858,10 @@ fn check_plan_cache(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         // not serve bytes that differ from the published payload.
         match store.lookup(&key) {
             Ok(Lookup::Hit(entry)) if entry.payload != payload => {
-                return fail("cache-fault-integrity", "corrupted payload served as a hit".into())
+                return fail(
+                    "cache-fault-integrity",
+                    "corrupted payload served as a hit".into(),
+                )
             }
             Ok(Lookup::Recovered { reason, .. }) if failed_alive => {
                 return fail(
@@ -889,11 +932,12 @@ fn check_islands(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         cfg.search.migrants = 1;
         cfg
     };
-    let run = |check: &'static str, cfg: PipelineConfig| -> Result<TransformResult, OracleFailure> {
-        Pipeline::new(program.clone(), cfg)
-            .and_then(|p| p.run())
-            .map_err(|e| OracleFailure::new(check, format!("island run failed: {e}")))
-    };
+    let run =
+        |check: &'static str, cfg: PipelineConfig| -> Result<TransformResult, OracleFailure> {
+            Pipeline::new(program.clone(), cfg)
+                .and_then(|p| p.run())
+                .map_err(|e| OracleFailure::new(check, format!("island run failed: {e}")))
+        };
 
     // Determinism across runs (and, in CI, across RAYON_NUM_THREADS —
     // thread count is an env var, so the matrix lives in separate
@@ -963,15 +1007,13 @@ fn check_islands(program: &Program, seed: u64) -> Result<(), OracleFailure> {
         let _ = std::fs::remove_dir_all(&dir);
         r.map_err(|f| f.with_plan(first.executed_plan().or_else(|| first.planned())))
     };
-    let killed_cfg = island_cfg()
-        .with_checkpoint(&ckpt)
-        .with_faults(FaultPlan {
-            islands: sf_core::IslandFaults {
-                kill_at_epoch: Some(0),
-                ..sf_core::IslandFaults::default()
-            },
-            ..FaultPlan::default()
-        });
+    let killed_cfg = island_cfg().with_checkpoint(&ckpt).with_faults(FaultPlan {
+        islands: sf_core::IslandFaults {
+            kill_at_epoch: Some(0),
+            ..sf_core::IslandFaults::default()
+        },
+        ..FaultPlan::default()
+    });
     if let Err(f) = run("islands-resume", killed_cfg) {
         return finish(Err(f));
     }

@@ -76,7 +76,12 @@ mod tests {
     #[test]
     fn repro_text_parses_back_to_the_same_program() {
         let g = generate(17, &GenConfig::default());
-        let text = render_repro(17, "differential", "max abs diff 1e0 in \"a1\"\nsecond line", &g.program);
+        let text = render_repro(
+            17,
+            "differential",
+            "max abs diff 1e0 in \"a1\"\nsecond line",
+            &g.program,
+        );
         assert!(text.contains("// seed:   17"));
         assert!(text.contains("--seed 17"));
         assert!(
@@ -92,7 +97,8 @@ mod tests {
         let g = generate(23, &GenConfig::default());
         let dir = std::env::temp_dir().join("sf-fuzz-repro-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = write_repro(&dir, 23, "plan-roundtrip", "detail", &g.program, Some("{}")).unwrap();
+        let paths =
+            write_repro(&dir, 23, "plan-roundtrip", "detail", &g.program, Some("{}")).unwrap();
         assert!(paths.source.exists());
         assert!(paths.plan.as_ref().unwrap().exists());
         let _ = std::fs::remove_dir_all(&dir);

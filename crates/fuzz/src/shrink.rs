@@ -65,7 +65,9 @@ fn gc(mut p: Program) -> Program {
     p.kernels.retain(|k| live_kernels.contains(&k.name));
     p.host.retain(|s| match s {
         HostStmt::Alloc { name, .. } => live_arrays.contains(name),
-        HostStmt::CopyToDevice { array } | HostStmt::CopyToHost { array } => live_arrays.contains(array),
+        HostStmt::CopyToDevice { array } | HostStmt::CopyToHost { array } => {
+            live_arrays.contains(array)
+        }
         _ => true,
     });
     p
@@ -77,7 +79,9 @@ fn count_assigns(stmts: &[Stmt]) -> usize {
         .map(|s| match s {
             Stmt::Assign { .. } => 1,
             Stmt::If {
-                then_body, else_body, ..
+                then_body,
+                else_body,
+                ..
             } => count_assigns(then_body) + count_assigns(else_body),
             Stmt::For { body, .. } => count_assigns(body),
             _ => 0,
@@ -99,7 +103,9 @@ fn remove_assign(stmts: &mut Vec<Stmt>, n: &mut usize) -> bool {
         } else {
             let removed = match &mut stmts[i] {
                 Stmt::If {
-                    then_body, else_body, ..
+                    then_body,
+                    else_body,
+                    ..
                 } => remove_assign(then_body, n) || remove_assign(else_body, n),
                 Stmt::For { body, .. } => remove_assign(body, n),
                 _ => false,

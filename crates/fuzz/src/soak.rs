@@ -258,7 +258,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
                 return Err(SoakViolation::new(
                     round,
                     "no-panic",
-                    format!("request `{}` surfaced a caught panic: {:?}", o.name, o.error),
+                    format!(
+                        "request `{}` surfaced a caught panic: {:?}",
+                        o.name, o.error
+                    ),
                 ));
             }
             if matches!(o.status, BatchStatus::Recovered(_)) {
@@ -285,7 +288,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
                     return Err(SoakViolation::new(
                         round,
                         "hostile-attribution",
-                        format!("bomb `{}` failed as `{label}`, not `resource-exhausted`", o.name),
+                        format!(
+                            "bomb `{}` failed as `{label}`, not `resource-exhausted`",
+                            o.name
+                        ),
                     ));
                 }
                 report.hostile_rejected += 1;
@@ -294,9 +300,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
                 // failure tolerated (faults are armed), panic already
                 // excluded above.
                 match o.status {
-                    BatchStatus::Failed | BatchStatus::OverBudget => {
-                        report.tolerated_failures += 1
-                    }
+                    BatchStatus::Failed | BatchStatus::OverBudget => report.tolerated_failures += 1,
                     _ => {}
                 }
             } else {
@@ -317,7 +321,10 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, SoakViolation> {
                     return Err(SoakViolation::new(
                         round,
                         "benign-identity",
-                        format!("benign `{}` produced a plan differing from the reference", o.name),
+                        format!(
+                            "benign `{}` produced a plan differing from the reference",
+                            o.name
+                        ),
                     ));
                 }
                 report.benign_identical += 1;
@@ -461,7 +468,10 @@ mod tests {
         };
         let report = run_soak(&cfg).unwrap_or_else(|v| panic!("soak violation: {v}"));
         assert_eq!(report.rounds, 4);
-        assert!(report.benign_identical >= 3 * 3, "reference + 2 benign rounds + final");
+        assert!(
+            report.benign_identical >= 3 * 3,
+            "reference + 2 benign rounds + final"
+        );
         assert!(report.hostile_rejected >= 2, "chaos rounds carry bombs");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -79,9 +79,15 @@ pub enum CExpr {
     FSlot(u16),
     Builtin(Builtin),
     /// Global array element (index into the launch's bound-array table).
-    Global { array: u16, idx: Vec<CExpr> },
+    Global {
+        array: u16,
+        idx: Vec<CExpr>,
+    },
     /// Shared tile element (index into the block's tile table).
-    Shared { tile: u16, idx: Vec<CExpr> },
+    Shared {
+        tile: u16,
+        idx: Vec<CExpr>,
+    },
     Un {
         op: UnaryOp,
         e: Box<CExpr>,
@@ -697,10 +703,7 @@ __global__ void s(const double* __restrict__ u, double* v, int nx, double c) {
 
     #[test]
     fn rejects_unknown_names() {
-        let k = parse_kernel(
-            "__global__ void b(double* a, int n) { a[0] = zzz; }",
-        )
-        .unwrap();
+        let k = parse_kernel("__global__ void b(double* a, int n) { a[0] = zzz; }").unwrap();
         assert!(compile(&k).is_err());
     }
 

@@ -236,7 +236,9 @@ impl DeviceSpec {
         ];
         for (field, v) in positive_f64 {
             if !v.is_finite() || v <= 0.0 {
-                return Err(format!("device `{name}`: {field} must be positive and finite"));
+                return Err(format!(
+                    "device `{name}`: {field} must be positive and finite"
+                ));
             }
         }
         let nonneg_f64 = [

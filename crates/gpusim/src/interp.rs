@@ -2137,8 +2137,13 @@ void host() {
         let (nx, ny) = (16usize, 8usize);
         let at = |k: usize, j: usize, i: usize| u[(k * ny + j) * nx + i];
         let expect = 0.4 * at(1, 1, 1)
-            + 0.1 * (at(1, 1, 2) + at(1, 1, 0) + at(1, 2, 1) + at(1, 0, 1) + at(2, 1, 1)
-                + at(0, 1, 1));
+            + 0.1
+                * (at(1, 1, 2)
+                    + at(1, 1, 0)
+                    + at(1, 2, 1)
+                    + at(1, 0, 1)
+                    + at(2, 1, 1)
+                    + at(0, 1, 1));
         let got = v[(ny + 1) * nx + 1];
         assert!((got - expect).abs() < 1e-12, "got {got}, want {expect}");
     }
@@ -2327,20 +2332,30 @@ void host() {
         interp.detect_hazards = true;
         let stats = interp.run_plan(&plan, &mut mem).unwrap();
         assert!(
-            stats[0].hazards.iter().any(|h| h.contains("read-after-write without barrier")),
+            stats[0]
+                .hazards
+                .iter()
+                .any(|h| h.contains("read-after-write without barrier")),
             "hazards: {:?}",
             stats[0].hazards
         );
 
         // The same kernel with the barrier in place is hazard-free.
-        let fixed = broken.replace("s[threadIdx.x] = a[i];", "s[threadIdx.x] = a[i];\n  __syncthreads();");
+        let fixed = broken.replace(
+            "s[threadIdx.x] = a[i];",
+            "s[threadIdx.x] = a[i];\n  __syncthreads();",
+        );
         let p = parse_program(&fixed).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
         let mut interp = Interpreter::new(&p);
         interp.detect_hazards = true;
         let stats = interp.run_plan(&plan, &mut mem).unwrap();
-        assert!(stats[0].hazards.is_empty(), "hazards: {:?}", stats[0].hazards);
+        assert!(
+            stats[0].hazards.is_empty(),
+            "hazards: {:?}",
+            stats[0].hazards
+        );
     }
 
     /// The converse direction: a folded multi-step kernel that *overwrites*
@@ -2375,7 +2390,10 @@ void host() {
         interp.detect_hazards = true;
         let stats = interp.run_plan(&plan, &mut mem).unwrap();
         assert!(
-            stats[0].hazards.iter().any(|h| h.contains("write-after-read without barrier")),
+            stats[0]
+                .hazards
+                .iter()
+                .any(|h| h.contains("write-after-read without barrier")),
             "hazards: {:?}",
             stats[0].hazards
         );
@@ -2391,7 +2409,11 @@ void host() {
         let mut interp = Interpreter::new(&p);
         interp.detect_hazards = true;
         let stats = interp.run_plan(&plan, &mut mem).unwrap();
-        assert!(stats[0].hazards.is_empty(), "hazards: {:?}", stats[0].hazards);
+        assert!(
+            stats[0].hazards.is_empty(),
+            "hazards: {:?}",
+            stats[0].hazards
+        );
     }
 
     #[test]

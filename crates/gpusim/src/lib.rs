@@ -44,10 +44,10 @@ pub mod robust;
 pub mod timing;
 
 pub use device::DeviceSpec;
-pub use registry::DeviceRegistry;
 pub use interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
 pub use memory::GlobalMemory;
 pub use noise::NoiseModel;
 pub use occupancy::OccupancyResult;
+pub use registry::DeviceRegistry;
 pub use robust::{RobustProfile, RobustProfiler};
 pub use timing::TimingModel;

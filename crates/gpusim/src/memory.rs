@@ -37,11 +37,7 @@ impl DeviceArray {
             return None;
         }
         let mut off = 0usize;
-        for ((&i, &extent), &stride) in idx
-            .iter()
-            .zip(&self.info.extents)
-            .zip(&self.strides)
-        {
+        for ((&i, &extent), &stride) in idx.iter().zip(&self.info.extents).zip(&self.strides) {
             if i < 0 || i as usize >= extent {
                 return None;
             }

@@ -135,8 +135,9 @@ impl NoiseModel {
         }
         let mut v = true_value * (1.0 + self.jitter * self.gaussian(&base)).max(0.05);
         if self.uniform(&[base[0], base[1], base[2], 0x0071e2]) < self.outlier_rate {
-            let f = 2.0 + (self.outlier_scale - 2.0).max(0.0)
-                * self.uniform(&[base[0], base[1], base[2], 0x0071e3]);
+            let f = 2.0
+                + (self.outlier_scale - 2.0).max(0.0)
+                    * self.uniform(&[base[0], base[1], base[2], 0x0071e3]);
             v *= f;
         }
         Some(v)
@@ -158,10 +159,7 @@ mod tests {
         for rep in 0..10 {
             for seq in 0..4 {
                 for m in Metric::ALL {
-                    assert_eq!(
-                        n.sample(rep, seq, m, 100.0),
-                        n.sample(rep, seq, m, 100.0)
-                    );
+                    assert_eq!(n.sample(rep, seq, m, 100.0), n.sample(rep, seq, m, 100.0));
                 }
             }
         }
@@ -171,8 +169,12 @@ mod tests {
     fn different_seeds_decorrelate() {
         let a = NoiseModel::standard(1);
         let b = NoiseModel::standard(2);
-        let va: Vec<_> = (0..32).map(|r| a.sample(r, 0, Metric::RuntimeUs, 100.0)).collect();
-        let vb: Vec<_> = (0..32).map(|r| b.sample(r, 0, Metric::RuntimeUs, 100.0)).collect();
+        let va: Vec<_> = (0..32)
+            .map(|r| a.sample(r, 0, Metric::RuntimeUs, 100.0))
+            .collect();
+        let vb: Vec<_> = (0..32)
+            .map(|r| b.sample(r, 0, Metric::RuntimeUs, 100.0))
+            .collect();
         assert_ne!(va, vb);
     }
 
@@ -200,10 +202,16 @@ mod tests {
                 Some(_) => {}
             }
         }
-        assert!(outliers > 5, "expected heavy-tailed outliers, got {outliers}");
+        assert!(
+            outliers > 5,
+            "expected heavy-tailed outliers, got {outliers}"
+        );
         assert!(drops > 1, "expected dropped counters, got {drops}");
         let transients = (0..400).filter(|&r| n.rep_fails(r, 0)).count();
-        assert!(transients > 15, "expected transient failures, got {transients}");
+        assert!(
+            transients > 15,
+            "expected transient failures, got {transients}"
+        );
     }
 
     #[test]

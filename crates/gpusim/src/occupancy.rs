@@ -72,10 +72,7 @@ pub fn occupancy(
     let smem_alloc = if smem_per_block == 0 {
         0
     } else {
-        round_up(
-            smem_per_block as u32,
-            device.smem_alloc_granularity as u32,
-        ) as usize
+        round_up(smem_per_block as u32, device.smem_alloc_granularity as u32) as usize
     };
     let by_smem = device
         .smem_per_sm

@@ -252,8 +252,8 @@ impl Profiler {
 
     /// Profile a program: one instrumented run plus static analysis.
     pub fn profile(&self, program: &Program) -> Result<ProgramProfile, ProfileError> {
-        let plan = ExecutablePlan::from_program(program)
-            .map_err(|e| ProfileError::msg(e.to_string()))?;
+        let plan =
+            ExecutablePlan::from_program(program).map_err(|e| ProfileError::msg(e.to_string()))?;
         self.profile_with_plan(program, &plan)
     }
 
@@ -263,7 +263,8 @@ impl Profiler {
         program: &Program,
         plan: &ExecutablePlan,
     ) -> Result<ProgramProfile, ProfileError> {
-        self.profile_with_image(program, plan).map(|(profile, _)| profile)
+        self.profile_with_image(program, plan)
+            .map(|(profile, _)| profile)
     }
 
     /// Profile with a pre-computed plan, handing back the final memory
@@ -328,8 +329,11 @@ impl Profiler {
                     .at_seq(launch.seq)
             })?;
             let ka = &analyses[&launch.kernel];
-            let attribute =
-                |e: access::AccessError| ProfileError::from(e).for_kernel(&launch.kernel).at_seq(launch.seq);
+            let attribute = |e: access::AccessError| {
+                ProfileError::from(e)
+                    .for_kernel(&launch.kernel)
+                    .at_seq(launch.seq)
+            };
             let pricer = LaunchPricer::bind(&model, kernel, ka, &launch.args, &alloc_of)
                 .map_err(attribute)?;
             let traffic = pricer.traffic().traffic(launch.grid, launch.block);
@@ -348,7 +352,11 @@ impl Profiler {
                 Some(stats) => {
                     let occ = occurrences[launch.seq].max(1);
                     let s = &stats[launch.seq];
-                    (s.flops / occ, s.divergent_evals / occ, s.divergence_fraction())
+                    (
+                        s.flops / occ,
+                        s.divergent_evals / occ,
+                        s.divergence_fraction(),
+                    )
                 }
                 None => (traffic.flops, 0, 0.0),
             };
@@ -358,14 +366,16 @@ impl Profiler {
                 flops: flops_exec,
                 divergent_evals,
             };
-            let cost = pricer.charge(launch.grid, launch.block, smem, charged).ok_or_else(|| {
-                ProfileError::msg(format!(
-                    "launch cannot execute on {} (block {} with {} B shared, {} regs)",
-                    self.device.name, launch.block, smem, regs
-                ))
-                .for_kernel(&launch.kernel)
-                .at_seq(launch.seq)
-            })?;
+            let cost = pricer
+                .charge(launch.grid, launch.block, smem, charged)
+                .ok_or_else(|| {
+                    ProfileError::msg(format!(
+                        "launch cannot execute on {} (block {} with {} B shared, {} regs)",
+                        self.device.name, launch.block, smem, regs
+                    ))
+                    .for_kernel(&launch.kernel)
+                    .at_seq(launch.seq)
+                })?;
             let runtime_us = cost.total_us();
             total_us += runtime_us * launch.repeat as f64;
 
@@ -473,7 +483,11 @@ mod tests {
         let mut mem = GlobalMemory::from_plan(&plan);
         mem.seed_all(Profiler::SEED);
         Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
-        assert_eq!(image, Some(mem), "the image of a plain run from the profiler's seed");
+        assert_eq!(
+            image,
+            Some(mem),
+            "the image of a plain run from the profiler's seed"
+        );
         let front = prof.profile_with_plan(&p, &plan).unwrap();
         assert_eq!(profile.metadata.perf, front.metadata.perf);
         let (_, none) = Profiler::analytic(DeviceSpec::k20x())

@@ -194,8 +194,7 @@ mod tests {
         let mut r = DeviceRegistry::empty();
         let one = serde_json::to_string(&DeviceSpec::v100()).unwrap();
         assert_eq!(r.extend_from_json(&one).unwrap(), 1);
-        let many =
-            serde_json::to_string(&vec![DeviceSpec::k20x(), DeviceSpec::hawaii()]).unwrap();
+        let many = serde_json::to_string(&vec![DeviceSpec::k20x(), DeviceSpec::hawaii()]).unwrap();
         assert_eq!(r.extend_from_json(&many).unwrap(), 2);
         assert_eq!(r.names(), ["v100", "k20x", "hawaii"]);
         // Round-tripped descriptors keep their fingerprints.

@@ -128,7 +128,11 @@ pub fn robust_aggregate(samples: &[f64], analytic: f64) -> Aggregate {
     let mut sdev: Vec<f64> = survivors.iter().map(|v| (v - value).abs()).collect();
     sdev.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
     let ssigma = 1.4826 * median(&sdev);
-    let dispersion = if value.abs() > 0.0 { ssigma / value.abs() } else { 0.0 };
+    let dispersion = if value.abs() > 0.0 {
+        ssigma / value.abs()
+    } else {
+        0.0
+    };
     // Standard error of a median ≈ 1.2533 σ/√n; ±1.96 SE gives ~95%.
     let half = 1.96 * 1.2533 * ssigma / (survivors.len() as f64).sqrt();
     Aggregate {
@@ -216,8 +220,8 @@ impl RobustProfiler {
 
     /// Robustly profile a program.
     pub fn profile(&self, program: &Program) -> Result<RobustProfile, ProfileError> {
-        let plan = ExecutablePlan::from_program(program)
-            .map_err(|e| ProfileError::msg(e.to_string()))?;
+        let plan =
+            ExecutablePlan::from_program(program).map_err(|e| ProfileError::msg(e.to_string()))?;
         self.profile_with_plan(program, &plan)
     }
 
@@ -353,9 +357,8 @@ impl RobustProfiler {
             perf.dram_read_bytes = aggs[2].value.round().max(0.0) as u64;
             perf.dram_write_bytes = aggs[3].value.round().max(0.0) as u64;
             perf.gflops = perf.flops as f64 / rt.value.max(1e-12) / 1e3;
-            perf.eff_bw_gbps = (perf.dram_read_bytes + perf.dram_write_bytes) as f64
-                / rt.value.max(1e-12)
-                / 1e3;
+            perf.eff_bw_gbps =
+                (perf.dram_read_bytes + perf.dram_write_bytes) as f64 / rt.value.max(1e-12) / 1e3;
             perf.measure = MeasureQuality {
                 samples: rt.samples,
                 outliers_rejected: rejected,
@@ -411,7 +414,13 @@ mod tests {
         let robust = RobustProfiler::new(inner, 1, None).profile(&p).unwrap();
         assert_eq!(robust.reps, 1);
         assert_eq!(robust.profile.total_runtime_us, exact.total_runtime_us);
-        for (a, b) in robust.profile.metadata.perf.iter().zip(&exact.metadata.perf) {
+        for (a, b) in robust
+            .profile
+            .metadata
+            .perf
+            .iter()
+            .zip(&exact.metadata.perf)
+        {
             assert_eq!(a, b);
         }
     }
@@ -424,7 +433,13 @@ mod tests {
         let robust = RobustProfiler::new(inner, 9, Some(NoiseModel::standard(3)))
             .profile(&p)
             .unwrap();
-        for (noisy, truth) in robust.profile.metadata.perf.iter().zip(&exact.metadata.perf) {
+        for (noisy, truth) in robust
+            .profile
+            .metadata
+            .perf
+            .iter()
+            .zip(&exact.metadata.perf)
+        {
             let rel = (noisy.runtime_us - truth.runtime_us).abs() / truth.runtime_us;
             assert!(
                 rel < 0.15,
@@ -450,9 +465,13 @@ mod tests {
     fn robust_profiles_are_seed_deterministic() {
         let p = jacobi_program();
         let mk = || {
-            RobustProfiler::new(Profiler::new(DeviceSpec::k20x()), 7, Some(NoiseModel::standard(9)))
-                .profile(&p)
-                .unwrap()
+            RobustProfiler::new(
+                Profiler::new(DeviceSpec::k20x()),
+                7,
+                Some(NoiseModel::standard(9)),
+            )
+            .profile(&p)
+            .unwrap()
         };
         let a = mk();
         let b = mk();

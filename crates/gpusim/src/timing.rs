@@ -21,8 +21,8 @@
 
 use crate::device::DeviceSpec;
 use crate::occupancy::{self, OccupancyResult};
-use sf_minicuda::host::Dim3;
 use serde::{Deserialize, Serialize};
+use sf_minicuda::host::Dim3;
 
 /// Inputs describing one launch for timing purposes.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,8 +164,7 @@ impl TimingModel {
         // Unhidden latency: each vertical iteration of each wave pays the
         // DRAM round trip scaled by how far occupancy is below the hiding
         // threshold.
-        let unhidden =
-            (1.0 - occ.occupancy / self.device.bw_saturation_occupancy).max(0.0);
+        let unhidden = (1.0 - occ.occupancy / self.device.bw_saturation_occupancy).max(0.0);
         let waves = (p.blocks as f64
             / (self.device.sm_count as f64 * occ.active_blocks_per_sm as f64))
             .ceil()

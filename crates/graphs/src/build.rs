@@ -71,8 +71,7 @@ pub fn launch_accesses(
             if param_writes.contains(name) {
                 out.writes.insert(actual.clone());
                 if let (Some(t), Some(f)) = (&traffic, alloc_of) {
-                    if let (Some(&(_, wbytes)), Some(alloc)) =
-                        (t.per_array.get(actual), f(actual))
+                    if let (Some(&(_, wbytes)), Some(alloc)) = (t.per_array.get(actual), f(actual))
                     {
                         if wbytes as usize >= alloc.size_bytes() {
                             out.full_writes.insert(actual.clone());

@@ -61,8 +61,8 @@ impl Ddg {
         let mut node_of: BTreeMap<DdgNode, usize> = BTreeMap::new();
 
         let intern = |nodes: &mut Vec<DdgNode>,
-                          node_of: &mut BTreeMap<DdgNode, usize>,
-                          n: DdgNode|
+                      node_of: &mut BTreeMap<DdgNode, usize>,
+                      n: DdgNode|
          -> usize {
             if let Some(&i) = node_of.get(&n) {
                 return i;

@@ -40,10 +40,7 @@ pub fn oeg_to_dot(oeg: &Oeg, group_of: Option<&[usize]>) -> String {
         }
         for (g, seqs) in members {
             if seqs.len() > 1 {
-                let _ = writeln!(
-                    out,
-                    "  subgraph cluster_{g} {{ style=dotted; color=red;"
-                );
+                let _ = writeln!(out, "  subgraph cluster_{g} {{ style=dotted; color=red;");
                 for s in seqs {
                     let _ = writeln!(out, "    k{s};");
                 }
@@ -157,7 +154,11 @@ mod tests {
     }
 
     fn sample_oeg() -> Oeg {
-        let accs = vec![acc(&["a"], &["b"]), acc(&["b"], &["c"]), acc(&["a"], &["d"])];
+        let accs = vec![
+            acc(&["a"], &["b"]),
+            acc(&["b"], &["c"]),
+            acc(&["a"], &["d"]),
+        ];
         let ddg = Ddg::build(&accs);
         Oeg::build(
             vec!["k0".into(), "k1".into(), "k2".into()],

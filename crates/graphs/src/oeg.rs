@@ -165,9 +165,7 @@ impl Oeg {
 
     /// Successors of a node.
     pub fn successors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.edges
-            .range((i, 0)..(i + 1, 0))
-            .map(|(&(_, j), _)| j)
+        self.edges.range((i, 0)..(i + 1, 0)).map(|(&(_, j), _)| j)
     }
 
     /// Is there a path i ⇝ j (i must be < j since edges go forward)?

@@ -484,7 +484,8 @@ pub enum LaunchArg {
 
 /// A statement in the host section.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[allow(missing_docs)]
+// variant fields are self-describing
 // Host sections are a handful of statements; boxing `Launch` to shrink the
 // enum would complicate every construction and match site for no gain.
 #[allow(clippy::large_enum_variant)]

@@ -249,7 +249,10 @@ pub fn stencil7(input: &str, center_w: f64, neighbor_w: f64) -> Expr {
         .into_iter()
         .reduce(add)
         .expect("non-empty neighbor list");
-    add(mul(flt(center_w), at3(input, 0, 0, 0)), mul(flt(neighbor_w), sum))
+    add(
+        mul(flt(center_w), at3(input, 0, 0, 0)),
+        mul(flt(neighbor_w), sum),
+    )
 }
 
 /// A full 3-D Jacobi-style kernel writing `out = stencil7(in)` on the

@@ -44,9 +44,7 @@ impl HostValue {
     pub fn as_i64(self) -> Result<i64, HostEvalError> {
         match self {
             HostValue::Int(v) => Ok(v),
-            HostValue::Float(v) => Err(HostEvalError(format!(
-                "expected integer, found float {v}"
-            ))),
+            HostValue::Float(v) => Err(HostEvalError(format!("expected integer, found float {v}"))),
         }
     }
 }

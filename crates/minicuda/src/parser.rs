@@ -93,10 +93,7 @@ impl Parser {
                 Tok::KwGlobal => {
                     let k = self.parse_kernel()?;
                     if kernels.iter().any(|e| e.name == k.name) {
-                        return Err(self.err(format!(
-                            "duplicate kernel definition `{}`",
-                            k.name
-                        )));
+                        return Err(self.err(format!("duplicate kernel definition `{}`", k.name)));
                     }
                     kernels.push(k);
                 }
@@ -580,9 +577,7 @@ impl Parser {
                         "cudaAlloc3D" => 3,
                         "cudaAlloc4D" => 4,
                         other => {
-                            return Err(
-                                self.err(format!("expected cudaAllocND, found `{other}`"))
-                            )
+                            return Err(self.err(format!("expected cudaAllocND, found `{other}`")))
                         }
                     };
                     self.expect(Tok::LParen)?;
@@ -838,26 +833,32 @@ __global__ void tile(double* a, int nx) {
 
     #[test]
     fn precedence_is_c_like() {
-        let k = parse_kernel(
-            "__global__ void p(double* a) { a[0] = 1.0 + 2.0 * 3.0; }",
-        )
-        .unwrap();
+        let k = parse_kernel("__global__ void p(double* a) { a[0] = 1.0 + 2.0 * 3.0; }").unwrap();
         let Stmt::Assign { value, .. } = &k.body[0] else {
             panic!()
         };
         // Must parse as 1 + (2*3).
-        let Expr::Binary { op: BinaryOp::Add, rhs, .. } = value else {
+        let Expr::Binary {
+            op: BinaryOp::Add,
+            rhs,
+            ..
+        } = value
+        else {
             panic!("expected top-level add, got {value:?}")
         };
-        assert!(matches!(**rhs, Expr::Binary { op: BinaryOp::Mul, .. }));
+        assert!(matches!(
+            **rhs,
+            Expr::Binary {
+                op: BinaryOp::Mul,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn ternary_parses() {
-        let k = parse_kernel(
-            "__global__ void p(double* a, int n) { a[0] = n > 0 ? 1.0 : 2.0; }",
-        )
-        .unwrap();
+        let k = parse_kernel("__global__ void p(double* a, int n) { a[0] = n > 0 ? 1.0 : 2.0; }")
+            .unwrap();
         let Stmt::Assign { value, .. } = &k.body[0] else {
             panic!()
         };
@@ -873,16 +874,21 @@ __global__ void tile(double* a, int nx) {
 
     #[test]
     fn compound_assignment() {
-        let k =
-            parse_kernel("__global__ void p(double* a, int i) { a[i] += 2.0; a[i] *= 3.0; }")
-                .unwrap();
+        let k = parse_kernel("__global__ void p(double* a, int i) { a[i] += 2.0; a[i] *= 3.0; }")
+            .unwrap();
         assert!(matches!(
             &k.body[0],
-            Stmt::Assign { op: AssignOp::AddAssign, .. }
+            Stmt::Assign {
+                op: AssignOp::AddAssign,
+                ..
+            }
         ));
         assert!(matches!(
             &k.body[1],
-            Stmt::Assign { op: AssignOp::MulAssign, .. }
+            Stmt::Assign {
+                op: AssignOp::MulAssign,
+                ..
+            }
         ));
     }
 

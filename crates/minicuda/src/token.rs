@@ -40,16 +40,16 @@ pub enum Tok {
     Colon,
 
     // Operators
-    Assign,    // =
-    PlusEq,    // +=
-    MinusEq,   // -=
-    StarEq,    // *=
+    Assign,  // =
+    PlusEq,  // +=
+    MinusEq, // -=
+    StarEq,  // *=
     Plus,
     Minus,
     Star,
     Slash,
     Percent,
-    PlusPlus,  // ++
+    PlusPlus,   // ++
     MinusMinus, // --
     Lt,
     Le,

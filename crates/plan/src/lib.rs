@@ -46,9 +46,7 @@ pub const PLAN_VERSION_COMPAT: u32 = 2;
 
 /// One member of a fusion group: an original launch, or one fission product
 /// of it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MemberRef {
     /// Static launch id in the original plan.
     pub seq: usize,
@@ -589,7 +587,12 @@ mod tests {
         );
         assert!(mixed.validate(1).is_err());
         // Empty group.
-        let empty = TransformPlan::new(device(), CodegenMode::Auto, false, vec![GroupPlan::default()]);
+        let empty = TransformPlan::new(
+            device(),
+            CodegenMode::Auto,
+            false,
+            vec![GroupPlan::default()],
+        );
         assert!(empty.validate(1).is_err());
         // Tampered fission declaration.
         let mut bad = demo_plan();
@@ -633,7 +636,10 @@ mod tests {
         // Unknown field nested inside a group.
         let nested = text.replacen("\"precedence\"", "\"bogus\": 3, \"precedence\"", 1);
         let err = TransformPlan::from_json(&nested).unwrap_err();
-        assert!(err.0.contains("unknown field `plan.groups[0].bogus`"), "{err}");
+        assert!(
+            err.0.contains("unknown field `plan.groups[0].bogus`"),
+            "{err}"
+        );
 
         // Duplicate field (last-writer-wins parsers silently drop one).
         let dup = text.replacen(
@@ -642,7 +648,10 @@ mod tests {
             1,
         );
         let err = TransformPlan::from_json(&dup).unwrap_err();
-        assert!(err.0.contains("duplicate field `plan.block_tuning`"), "{err}");
+        assert!(
+            err.0.contains("duplicate field `plan.block_tuning`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -698,10 +707,13 @@ mod tests {
 
     #[test]
     fn v2_upgrade_still_rejects_unknown_fields() {
-        let text = as_v2_json(&demo_plan())
-            .replacen("\"precedence\"", "\"bogus\": 3, \"precedence\"", 1);
+        let text =
+            as_v2_json(&demo_plan()).replacen("\"precedence\"", "\"bogus\": 3, \"precedence\"", 1);
         let err = TransformPlan::from_json(&text).unwrap_err();
-        assert!(err.0.contains("unknown field `plan.groups[0].bogus`"), "{err}");
+        assert!(
+            err.0.contains("unknown field `plan.groups[0].bogus`"),
+            "{err}"
+        );
 
         // A v2 plan spelling `temporal` is a contradiction, not an upgrade.
         let text = as_v2_json(&demo_plan()).replacen(

@@ -116,7 +116,8 @@ impl CircuitBreaker {
                 }
                 BreakerState::HalfOpen => {}
             }
-            if cs.state == BreakerState::HalfOpen && cs.probes_admitted >= self.config.half_open_probes
+            if cs.state == BreakerState::HalfOpen
+                && cs.probes_admitted >= self.config.half_open_probes
             {
                 let wait = self.config.cooldown_ms;
                 if blocked.as_ref().is_none_or(|(_, w)| wait < *w) {

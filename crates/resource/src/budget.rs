@@ -602,7 +602,8 @@ mod tests {
         g.record_peak(ResourceKind::Launches, 85).unwrap();
         g.record_peak(ResourceKind::PrecedenceDepth, 12).unwrap();
         g.record_peak(ResourceKind::IrStatements, 900).unwrap();
-        g.record_peak(ResourceKind::DomainCells, 48 * 24 * 10 * 6).unwrap();
+        g.record_peak(ResourceKind::DomainCells, 48 * 24 * 10 * 6)
+            .unwrap();
         g.charge(ResourceKind::HeapBytes, 8 << 20).unwrap();
     }
 }

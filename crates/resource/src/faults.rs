@@ -151,17 +151,22 @@ impl FaultPlan {
             plan.poison_evaluations.insert(splitmix64(s) % 200);
         }
         for _ in 0..splitmix64(s) % 3 {
-            plan.reject_tuned_groups.insert((splitmix64(s) % 4) as usize);
+            plan.reject_tuned_groups
+                .insert((splitmix64(s) % 4) as usize);
         }
         plan.noise_seed = fires(s, 3, 0);
         plan.rep_failures = (splitmix64(s) % 3) as u32;
         plan.cache = store_faults(splitmix64(s));
         let islands = &mut plan.islands;
         if let Some(d) = fires(s, 4, 0) {
-            islands.panic_at.insert((d % 4) as usize, ((d >> 8) % 12) as usize);
+            islands
+                .panic_at
+                .insert((d % 4) as usize, ((d >> 8) % 12) as usize);
         }
         if let Some(d) = fires(s, 5, 0) {
-            islands.stall_at.insert((d % 4) as usize, ((d >> 8) % 12) as usize);
+            islands
+                .stall_at
+                .insert((d % 4) as usize, ((d >> 8) % 12) as usize);
         }
         islands.torn_checkpoint_at_epoch = fires(s, 6, 0).map(|d| (d % 4) as usize);
         islands.kill_at_epoch = fires(s, 6, 0).map(|d| (d % 4) as usize);

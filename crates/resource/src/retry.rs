@@ -113,7 +113,13 @@ mod tests {
     fn run_retries_transients_on_the_virtual_clock() {
         let p = RetryPolicy::default();
         let out = p.run(
-            |attempt| if attempt < 2 { Err("transient") } else { Ok(attempt) },
+            |attempt| {
+                if attempt < 2 {
+                    Err("transient")
+                } else {
+                    Ok(attempt)
+                }
+            },
             |_| true,
         );
         assert_eq!(out.result.unwrap(), 2);

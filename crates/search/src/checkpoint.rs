@@ -96,13 +96,13 @@ struct VersionProbe {
 /// Atomically commit `state` to `path`. `torn` injects a torn write (the
 /// payload is truncated before the — still atomic — commit), modelling a
 /// crash that the checksum must catch at the next load.
-pub fn save_checkpoint(
-    path: &Path,
-    state: &CheckpointState,
-    torn: bool,
-) -> Result<(), CacheError> {
-    let payload = serde_json::to_string(state)
-        .map_err(|e| CacheError::new(sf_cache::CacheErrorKind::Io, format!("encoding checkpoint: {e}")))?;
+pub fn save_checkpoint(path: &Path, state: &CheckpointState, torn: bool) -> Result<(), CacheError> {
+    let payload = serde_json::to_string(state).map_err(|e| {
+        CacheError::new(
+            sf_cache::CacheErrorKind::Io,
+            format!("encoding checkpoint: {e}"),
+        )
+    })?;
     let mut bytes = encode(&checkpoint_key(&state.fingerprint), &payload);
     if torn {
         // A torn write loses the file's tail; keep the header so the
@@ -139,7 +139,9 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
                 probe.version
             ))
         }
-        Err(e) => return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}")),
+        Err(e) => {
+            return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}"))
+        }
     }
     if entry.key != checkpoint_key(fingerprint) {
         return CheckpointLoad::Rejected(
@@ -148,7 +150,9 @@ pub fn load_checkpoint(path: &Path, fingerprint: &str) -> CheckpointLoad {
     }
     let state: CheckpointState = match serde_json::from_str(&entry.payload) {
         Ok(s) => s,
-        Err(e) => return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}")),
+        Err(e) => {
+            return CheckpointLoad::Rejected(format!("checkpoint payload does not parse: {e}"))
+        }
     };
     if state.fingerprint != fingerprint {
         return CheckpointLoad::Rejected(
@@ -178,10 +182,7 @@ pub(crate) mod tests {
     }
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sf-search-ckpt-{}-{tag}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("sf-search-ckpt-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

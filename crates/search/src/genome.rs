@@ -280,7 +280,10 @@ impl Serialize for Individual {
         let pairs = self.pairs().map(|(u, g)| (u.serialize(), g.serialize()));
         Content::Map(vec![
             (Content::Str("fissioned".into()), self.fissioned.serialize()),
-            (Content::Str("group_of".into()), Content::Map(pairs.collect())),
+            (
+                Content::Str("group_of".into()),
+                Content::Map(pairs.collect()),
+            ),
         ])
     }
 }
@@ -513,7 +516,10 @@ impl Groups {
 
     /// Index of the group holding `unit`, `None` when it is not active.
     pub fn index_of(&self, unit: usize) -> Option<usize> {
-        self.data[..self.table].get(unit).copied().filter(|&k| k != INACTIVE)
+        self.data[..self.table]
+            .get(unit)
+            .copied()
+            .filter(|&k| k != INACTIVE)
     }
 
     /// Indices of the groups with at least two members, ascending.
@@ -543,7 +549,10 @@ impl PartialEq for Groups {
     fn eq(&self, other: &Groups) -> bool {
         fn active(groups: &Groups) -> &[usize] {
             let table = &groups.data[..groups.table];
-            &table[..table.iter().rposition(|&k| k != INACTIVE).map_or(0, |u| u + 1)]
+            &table[..table
+                .iter()
+                .rposition(|&k| k != INACTIVE)
+                .map_or(0, |u| u + 1)]
         }
         self.size == other.size
             && self.data[self.table..] == other.data[other.table..]
@@ -765,7 +774,8 @@ impl<'a> Quotient<'a> {
     ) -> bool {
         self.moved.clear();
         for &u in units {
-            self.moved.push(ind.group(u).expect("gathered units are active"));
+            self.moved
+                .push(ind.group(u).expect("gathered units are active"));
             ind.set_group(u, gid);
         }
         if self.settle(view) {
@@ -914,7 +924,11 @@ impl<'a> Quotient<'a> {
         // Ineligible units stay singletons.
         let space = self.space;
         let merging = |&(_, g): &(usize, usize)| g == ga || g == gb;
-        if ind.pairs().filter(merging).any(|(u, _)| !space.units[u].eligible) {
+        if ind
+            .pairs()
+            .filter(merging)
+            .any(|(u, _)| !space.units[u].eligible)
+        {
             return false;
         }
         self.moved.clear();
@@ -1403,7 +1417,11 @@ mod model_tests {
 
         fn check(&self, space: &SearchSpace, q: &mut Quotient<'_>) {
             let (flat, model) = (&self.flat, &self.model);
-            assert_eq!(q.feasible(flat), model.feasible(space), "feasible: {flat:?}");
+            assert_eq!(
+                q.feasible(flat),
+                model.feasible(space),
+                "feasible: {flat:?}"
+            );
             assert_eq!(flat.feasible(space), model.feasible(space));
             assert_eq!(flat.topo_order(space), model.topo_order(space), "{flat:?}");
             let order = q.topo_order(flat);
@@ -1422,7 +1440,10 @@ mod model_tests {
             }
             let pairs: Vec<(usize, usize)> = model.group_of.iter().map(|(&u, &g)| (u, g)).collect();
             assert_eq!(flat.pairs().collect::<Vec<_>>(), pairs);
-            assert_eq!(flat.active_units(), model.group_of.keys().copied().collect::<Vec<_>>());
+            assert_eq!(
+                flat.active_units(),
+                model.group_of.keys().copied().collect::<Vec<_>>()
+            );
             let fissioned: Vec<usize> = model.fissioned.iter().copied().collect();
             assert_eq!(flat.fissioned(), fissioned);
             assert_eq!(flat.fresh_group_id(), model.fresh_group_id());
@@ -1487,7 +1508,11 @@ mod model_tests {
         let mut reference = ind.clone();
         let expected = q.try_merge(&mut reference, a, b);
         let mut tree = model_of(ind);
-        assert_eq!(tree.try_merge(space, a, b), expected, "model merge({a}, {b}) of {ind:?}");
+        assert_eq!(
+            tree.try_merge(space, a, b),
+            expected,
+            "model merge({a}, {b}) of {ind:?}"
+        );
         let local = q.try_merge_in(ind, view, a, b);
         assert_eq!(local, expected, "local merge({a}, {b}) of {before:?}");
         assert_eq!(*ind, reference);
@@ -1571,13 +1596,25 @@ mod model_tests {
     fn a_path_through_a_third_group_forbids_a_merge_either_way() {
         // 0 → 1 → 2: the ends are joined through 1, neighbours directly.
         let chain = synthetic_space(3, &[], &[(0, 1, false), (1, 2, false)], &[]);
-        let cases = [(0, 2, false), (2, 0, false), (0, 1, true), (1, 0, true), (2, 1, true)];
+        let cases = [
+            (0, 2, false),
+            (2, 0, false),
+            (0, 1, true),
+            (1, 0, true),
+            (2, 1, true),
+        ];
         for (a, b, feasible) in cases {
             assert_eq!(merged(&chain, &[], a, b), feasible, "merge({a}, {b})");
         }
         // 0 → {1, 2} → 3 → 4, and 0 → 4 directly: the third group on the
         // path is a fused one, and the direct edge does not make it legal.
-        let edges = [(0, 1, false), (1, 2, false), (2, 3, false), (3, 4, false), (0, 4, false)];
+        let edges = [
+            (0, 1, false),
+            (1, 2, false),
+            (2, 3, false),
+            (3, 4, false),
+            (0, 4, false),
+        ];
         let space = synthetic_space(5, &[], &edges, &[]);
         for (a, b) in [(0, 3), (3, 0), (0, 4), (4, 0), (2, 4), (4, 1)] {
             assert!(!merged(&space, &[(1, 2)], a, b), "merge({a}, {b})");
@@ -1591,7 +1628,13 @@ mod model_tests {
     fn a_merge_into_or_out_of_an_exact_cover_keeps_the_temporal_exemption_right() {
         // 0 before a loop over {1, 2, 3}; 1 → 3 is the loop-carried hard
         // edge, which only a group covering the whole body may hold.
-        let edges = [(0, 1, true), (0, 2, true), (1, 2, false), (2, 3, false), (1, 3, true)];
+        let edges = [
+            (0, 1, true),
+            (0, 2, true),
+            (1, 2, false),
+            (2, 3, false),
+            (1, 3, true),
+        ];
         for cap in 1..=4 {
             let mut space = synthetic_space(4, &[], &edges, &[vec![1, 2, 3]]);
             space.max_temporal = cap;
@@ -1652,7 +1695,11 @@ mod model_tests {
         let space = synthetic_space(units, &[], &edges, &[]);
         let mut flat = Individual::singletons(&space);
         let mut model = model::Individual::singletons(&space);
-        let (moved, into) = if merge_ends { (groups, 0) } else { (groups, groups - 1) };
+        let (moved, into) = if merge_ends {
+            (groups, 0)
+        } else {
+            (groups, groups - 1)
+        };
         flat.set_group(moved, into);
         model.group_of.insert(moved, into);
         (space, flat, model)
@@ -1667,7 +1714,11 @@ mod model_tests {
                 q.groups.regroup(&flat);
                 assert_eq!(q.groups.len(), groups);
                 let acyclic = !merge_ends || groups == 1;
-                assert_eq!(q.feasible(&flat), acyclic, "{groups} groups, ends {merge_ends}");
+                assert_eq!(
+                    q.feasible(&flat),
+                    acyclic,
+                    "{groups} groups, ends {merge_ends}"
+                );
                 assert_eq!(model.feasible(&space), acyclic);
                 let order = flat.topo_order(&space);
                 assert_eq!(order, model.topo_order(&space));
@@ -1730,10 +1781,16 @@ mod model_tests {
             "Individual { fissioned: {0}, group_of: {1: 2, 2: 2, 3: 3} }"
         );
         let json = serde_json::to_string(&ind).unwrap();
-        assert_eq!(json, r#"{"fissioned": [0],"group_of": [[1,2],[2,2],[3,3]]}"#);
+        assert_eq!(
+            json,
+            r#"{"fissioned": [0],"group_of": [[1,2],[2,2],[3,3]]}"#
+        );
         assert_eq!(serde_json::from_str::<Individual>(&json).unwrap(), ind);
         let empty = Individual::from_parts([], []);
-        assert_eq!(format!("{empty:?}"), "Individual { fissioned: {}, group_of: {} }");
+        assert_eq!(
+            format!("{empty:?}"),
+            "Individual { fissioned: {}, group_of: {} }"
+        );
         let json = serde_json::to_string(&empty).unwrap();
         assert_eq!(serde_json::from_str::<Individual>(&json).unwrap(), empty);
     }

@@ -126,7 +126,10 @@ pub fn lower_plan(
             // fitness function saw, so the plan records the decision the
             // search actually optimized for.
             let (fold, cost) = pricer.best_fold(members);
-            assert!(cost.fusable, "the search chose a group codegen will not fuse");
+            assert!(
+                cost.fusable,
+                "the search chose a group codegen will not fuse"
+            );
             // Members must be in *execution* order: products carry their
             // parent's seq (unit ids do not reflect host order).
             let mut mrefs: Vec<_> = members.iter().map(|&u| space.units[u].mref).collect();
@@ -138,11 +141,10 @@ pub fn lower_plan(
             // whole-loop temporal candidates, whose ping-pong anti
             // dependences codegen legalizes with shadow arrays; every other
             // edge is a soft flow/anti dependence handled with staging.)
-            gp.precedence = if members.iter().any(|&a| {
-                members
-                    .iter()
-                    .any(|&b| space.edges.contains_key(&(a, b)))
-            }) {
+            gp.precedence = if members
+                .iter()
+                .any(|&a| members.iter().any(|&b| space.edges.contains_key(&(a, b))))
+            {
                 PrecedenceClass::PrecedenceAware
             } else {
                 PrecedenceClass::Simple
@@ -259,7 +261,10 @@ pub(crate) fn crossover(
     let donor = donor.filter(|donor| donor.iter().all(|&u| child.group(u).is_some()));
     let injected = donor.is_some_and(|donor| {
         let g = a.groups.fresh_gid();
-        let k = a.groups.index_of(donor[0]).expect("donor members are active");
+        let k = a
+            .groups
+            .index_of(donor[0])
+            .expect("donor members are active");
         if a.groups.members(k) == donor {
             view.clone_from(a);
             view.rename(child, k, g);
@@ -281,7 +286,10 @@ pub(crate) fn mutate_merge(
 ) {
     let space = q.space();
     q.picks.clear();
-    let eligible = ind.pairs().map(|(u, _)| u).filter(|&u| space.units[u].eligible);
+    let eligible = ind
+        .pairs()
+        .map(|(u, _)| u)
+        .filter(|&u| space.units[u].eligible);
     q.picks.extend(eligible);
     let active = q.picks.len();
     if active < 2 {
@@ -423,7 +431,10 @@ pub(crate) fn mutate_defission(
     // Only when all products are singletons (nothing is lost).
     let all_single = products.iter().all(|&p| {
         let k = view.groups.index_of(p);
-        view.groups.members(k.expect("products of a fissioned unit are active")).len() == 1
+        view.groups
+            .members(k.expect("products of a fissioned unit are active"))
+            .len()
+            == 1
     });
     if all_single {
         // The reunified original carries the union of its products' edges,
@@ -431,7 +442,11 @@ pub(crate) fn mutate_defission(
         // and revert.
         let saved = ind.clone();
         ind.defission(space, victim);
-        q.propose(view, ind, std::iter::once(victim).chain(products.iter().copied()));
+        q.propose(
+            view,
+            ind,
+            std::iter::once(victim).chain(products.iter().copied()),
+        );
         if !q.settle(view) {
             *ind = saved;
         }
@@ -876,7 +891,12 @@ void host() {
         // The ping-pong pair must end up in one whole-loop group with a
         // temporal degree above the identity: the folded projection saves
         // the intermediate round-trip, so the argmin picks it.
-        let fused: Vec<_> = result.plan.groups.iter().filter(|g| g.is_fusion()).collect();
+        let fused: Vec<_> = result
+            .plan
+            .groups
+            .iter()
+            .filter(|g| g.is_fusion())
+            .collect();
         assert_eq!(fused.len(), 1, "groups: {:?}", result.plan.groups);
         assert_eq!(fused[0].members.len(), 2);
         assert!(

@@ -360,7 +360,9 @@ fn advance_epoch(
         bred.resize_with(shard, Individual::default);
         bred_views.resize_with(shard, View::default);
         // Elites survive unchanged, views and all.
-        let elites = by_score(&state.scores).into_iter().take(config.elites.min(shard));
+        let elites = by_score(&state.scores)
+            .into_iter()
+            .take(config.elites.min(shard));
         for (slot, i) in elites.enumerate() {
             bred[slot].clone_from(&state.population[i]);
             bred_views[slot].clone_from(&views[i]);
@@ -415,13 +417,27 @@ fn stale_view(
     views: &[View],
 ) -> Option<(usize, String)> {
     if views.len() != state.population.len() {
-        let lengths = format!("{} views for {} members", views.len(), state.population.len());
+        let lengths = format!(
+            "{} views for {} members",
+            views.len(),
+            state.population.len()
+        );
         return Some((views.len().min(state.population.len()), lengths));
     }
-    state.population.iter().zip(views).enumerate().find_map(|(i, (ind, view))| {
-        let fresh = q.view(ind);
-        (*view != fresh).then(|| (i, format!("carried {view:?}, rebuilt {fresh:?} for {ind:?}")))
-    })
+    state
+        .population
+        .iter()
+        .zip(views)
+        .enumerate()
+        .find_map(|(i, (ind, view))| {
+            let fresh = q.view(ind);
+            (*view != fresh).then(|| {
+                (
+                    i,
+                    format!("carried {view:?}, rebuilt {fresh:?} for {ind:?}"),
+                )
+            })
+        })
 }
 
 /// Debug builds, and this crate's tests in any profile, check every
@@ -481,9 +497,7 @@ fn migrate(config: &SearchConfig, states: &mut [IslandState]) -> Vec<(usize, usi
         for (score, ind) in payload {
             let order = rank_desc(&s.scores, &s.population);
             let worst = *order.last().expect("non-empty island");
-            if score > s.scores[worst]
-                || (score == s.scores[worst] && ind < s.population[worst])
-            {
+            if score > s.scores[worst] || (score == s.scores[worst] && ind < s.population[worst]) {
                 s.population[worst] = ind;
                 s.scores[worst] = score;
                 arrived.push((dest, worst));
@@ -524,10 +538,7 @@ pub fn search_islands(
         ..Penalty::default()
     };
     // Clamp so every island holds at least two individuals.
-    let n = config
-        .islands
-        .max(1)
-        .min((config.population / 2).max(1));
+    let n = config.islands.max(1).min((config.population / 2).max(1));
     // One projection engine for the whole run: the timing model is built
     // once, and group costs are memoized across individuals and
     // generations, per island. The driver prices through island 0's cache.
@@ -537,10 +548,9 @@ pub fn search_islands(
     let singles_view = q.view(&singles);
     // The baseline is isolated like any other evaluation; a poisoned
     // baseline scores 0 (no projection improvement claimed over it).
-    let baseline_gflops = isolated(|| {
-        objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, &penalty)
-    })
-    .unwrap_or(0.0);
+    let baseline_gflops =
+        isolated(|| objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, &penalty))
+            .unwrap_or(0.0);
     // The greedy fusion champions, priced through island 0's cache so the
     // first generation starts warm. A pure function of the space, so a
     // resumed run rebuilds the same ones for its report.
@@ -656,7 +666,12 @@ pub fn search_islands(
 
     let mut carried: Vec<Mutex<Carried>> = views
         .into_iter()
-        .map(|views| Mutex::new(Carried { views, ..Carried::default() }))
+        .map(|views| {
+            Mutex::new(Carried {
+                views,
+                ..Carried::default()
+            })
+        })
         .collect();
 
     // ---- epoch loop ----
@@ -664,9 +679,7 @@ pub fn search_islands(
     let mut checkpoints_written = 0usize;
     let mut killed_at_epoch = None;
     for epoch in start_epoch..total_epochs {
-        let runnable = states
-            .iter()
-            .any(|s| s.alive && s.stop.is_none());
+        let runnable = states.iter().any(|s| s.alive && s.stop.is_none());
         if !runnable {
             break;
         }
@@ -685,11 +698,19 @@ pub fn search_islands(
                 }
                 let attempt = isolated(|| {
                     let mut next = s.clone();
-                    let mut carried = carried[s.index]
-                        .lock()
-                        .expect("only a quarantined island's lock is poisoned, and it never runs again");
-                    advance_epoch(&engine, config, &penalty, opts, &mut next, &mut carried, gens)
-                        .map(|()| next)
+                    let mut carried = carried[s.index].lock().expect(
+                        "only a quarantined island's lock is poisoned, and it never runs again",
+                    );
+                    advance_epoch(
+                        &engine,
+                        config,
+                        &penalty,
+                        opts,
+                        &mut next,
+                        &mut carried,
+                        gens,
+                    )
+                    .map(|()| next)
                 });
                 match attempt {
                     Ok(Ok(next)) => Ok(Some(next)),
@@ -709,8 +730,7 @@ pub fn search_islands(
                     states[index].alive = false;
                     degradations.push(SearchDegradation {
                         scope: format!("island {index}"),
-                        action: "quarantined the island; its last-good elites still merge"
-                            .into(),
+                        action: "quarantined the island; its last-good elites still merge".into(),
                         reason,
                     });
                 }
@@ -779,7 +799,11 @@ pub fn search_islands(
                 .into_iter()
                 .collect()
         } else {
-            s.elite_scores.iter().copied().zip(s.elites.iter()).collect()
+            s.elite_scores
+                .iter()
+                .copied()
+                .zip(s.elites.iter())
+                .collect()
         };
         for (score, ind) in pool {
             let better = match best {
@@ -832,7 +856,13 @@ pub fn search_islands(
     // The fitter seed stands for them in the report; the first on a tie.
     let greedy = champions
         .into_iter()
-        .reduce(|best, seed| if seed.gflops > best.gflops { seed } else { best })
+        .reduce(|best, seed| {
+            if seed.gflops > best.gflops {
+                seed
+            } else {
+                best
+            }
+        })
         .expect("every run has a greedy seed");
     let mut plan = gga::lower_plan(&engine, &best, config.mode, config.block_tuning);
     plan.projected_gflops = Some(best_gflops);
@@ -935,10 +965,8 @@ void host() {
     }
 
     fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sf-search-islands-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sf-search-islands-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -1008,7 +1036,10 @@ void host() {
         assert_eq!(r.degradations[0].scope, "island 1");
         assert!(r.degradations[0].reason.contains("panicked"));
         assert!(r.result.best.feasible(&space));
-        r.result.plan.validate(4).expect("degraded run still lowers");
+        r.result
+            .plan
+            .validate(4)
+            .expect("degraded run still lowers");
         // Supervision reports must never read like a miscompile.
         assert!(!r.degradations[0].action.contains("verification failed"));
         assert!(!r.degradations[0].reason.contains("output mismatch"));
@@ -1036,8 +1067,7 @@ void host() {
     }
 
     #[test]
-    fn kill_and_resume_reproduces_the_uninterrupted_plan_at_every_epoch(
-    ) {
+    fn kill_and_resume_reproduces_the_uninterrupted_plan_at_every_epoch() {
         let space = space_for(CHAIN4);
         for islands in [1, 3] {
             kill_and_resume_at_every_epoch(&space, &island_config(islands));
@@ -1181,7 +1211,9 @@ void host() {
         assert_eq!(resumed.resumed_from_epoch, None);
         assert_eq!(resumed.degradations.len(), 1);
         assert_eq!(resumed.degradations[0].scope, "search checkpoint");
-        assert!(resumed.degradations[0].action.contains("restarted the search from scratch"));
+        assert!(resumed.degradations[0]
+            .action
+            .contains("restarted the search from scratch"));
         assert!(resumed.degradations[0].reason.contains("schema version 1"));
         assert_eq!(plan_bytes(&resumed), plan_bytes(&golden));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1254,7 +1286,10 @@ void host() {
             r
         };
         for islands in [1, 3] {
-            assert_eq!(run(&longer(islands), &IslandOptions::default()).epochs_run, 6);
+            assert_eq!(
+                run(&longer(islands), &IslandOptions::default()).epochs_run,
+                6
+            );
         }
 
         let dir = scratch("carried-views");
@@ -1273,7 +1308,10 @@ void host() {
             ..IslandOptions::default()
         };
         let resumed = run(&longer(3), &resume);
-        assert_eq!((resumed.resumed_from_epoch, resumed.epochs_run), (Some(2), 3));
+        assert_eq!(
+            (resumed.resumed_from_epoch, resumed.epochs_run),
+            (Some(2), 3)
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         let mut seed = Individual::singletons(&space);

@@ -44,11 +44,11 @@ pub use checkpoint::{
 };
 pub use genome::Individual;
 pub use gga::{lower_plan, search, SearchResult, StopReason};
-pub use port::raise_plan;
 pub use islands::{
     search_islands, IslandOptions, IslandSearchResult, IslandState, SearchDegradation,
 };
 pub use params::SearchConfig;
+pub use port::raise_plan;
 pub use projection::{GroupKey, ProjectionEngine, ProjectionStats};
 pub use seed::Greedy;
 pub use space::{SearchSpace, Unit};

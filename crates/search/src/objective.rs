@@ -157,10 +157,11 @@ pub fn group_cost(
         .map(|u| u.ops.loop_sizes.iter().sum::<i64>().max(0) as u64)
         .max()
         .unwrap_or(1);
-    let regs: u32 = (16 + units
-        .iter()
-        .map(|u| u.perf.regs_per_thread.saturating_sub(16))
-        .sum::<u32>())
+    let regs: u32 = (16
+        + units
+            .iter()
+            .map(|u| u.perf.regs_per_thread.saturating_sub(16))
+            .sum::<u32>())
     .min(255);
     let blocks = units.iter().map(|u| u.blocks).max().unwrap_or(1);
     let threads = units
@@ -210,7 +211,9 @@ pub fn group_cost(
                     .fold((0i64, 0i64), |acc, (ry, rx)| (acc.0.max(ry), acc.1.max(rx)))
             })
             .collect();
-        let (sum_ry, sum_rx) = radii.iter().fold((0i64, 0i64), |a, r| (a.0 + r.0, a.1 + r.1));
+        let (sum_ry, sum_rx) = radii
+            .iter()
+            .fold((0i64, 0i64), |a, r| (a.0 + r.0, a.1 + r.1));
         let (dy, dx) = (i64::from(fold) * sum_ry, i64::from(fold) * sum_rx);
         if 2 * dx >= bx.0 || 2 * dy >= bx.1 {
             // The accumulated halo no longer fits the block: the code

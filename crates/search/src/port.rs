@@ -25,8 +25,7 @@ use std::collections::BTreeMap;
 /// individual is always feasible, possibly dropping back toward singletons
 /// where the old grouping cannot be expressed.
 pub fn raise_plan(space: &SearchSpace, plan: &TransformPlan) -> Individual {
-    let by_mref: BTreeMap<MemberRef, usize> =
-        space.units.iter().map(|u| (u.mref, u.id)).collect();
+    let by_mref: BTreeMap<MemberRef, usize> = space.units.iter().map(|u| (u.mref, u.id)).collect();
     let mut ind = Individual::singletons(space);
 
     // Re-apply fissions; a launch the new space cannot fission stays whole.
@@ -118,7 +117,12 @@ void host() {
             let space = space_for_device(CHAIN, dev.clone());
             let raised = raise_plan(&space, &plan);
             assert!(raised.feasible(&space), "infeasible on {}", dev.name);
-            assert_eq!(raised.fusion_groups().len(), 1, "lost group on {}", dev.name);
+            assert_eq!(
+                raised.fusion_groups().len(),
+                1,
+                "lost group on {}",
+                dev.name
+            );
             // Seeded search accepts and keeps determinism.
             let cfg = SearchConfig::quick().for_port();
             let opts = IslandOptions {
@@ -140,7 +144,9 @@ void host() {
         let engine = ProjectionEngine::new(&space);
         let mut plan = lower_plan(&engine, &ind, CodegenMode::Auto, false);
         // A member the program does not have is skipped, not fatal.
-        plan.groups[0].members.push(sf_plan::MemberRef::original(99));
+        plan.groups[0]
+            .members
+            .push(sf_plan::MemberRef::original(99));
         let raised = raise_plan(&space, &plan);
         assert!(raised.feasible(&space));
         assert_eq!(raised.fusion_groups().len(), 1);

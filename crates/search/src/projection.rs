@@ -232,7 +232,9 @@ impl<'a> ProjectionEngine<'a> {
     /// Current counters: lookups summed over the islands, entries counted
     /// once however many islands cached them.
     pub fn stats(&self) -> ProjectionStats {
-        let caches: Vec<_> = (0..self.caches.len()).map(|i| self.pricer(i).cache).collect();
+        let caches: Vec<_> = (0..self.caches.len())
+            .map(|i| self.pricer(i).cache)
+            .collect();
         let singles = (0..self.space.units.len())
             .filter(|&u| caches.iter().any(|c| c.singles[u].is_some()))
             .count();
@@ -416,7 +418,10 @@ void host() {
         }
         engine.pricer(1).group_cost(&[0, 2]);
         // The engine's own lookups go through island 0's cache.
-        assert_eq!(engine.group_cost(&[1, 0]), engine.pricer(1).group_cost(&[0, 1]));
+        assert_eq!(
+            engine.group_cost(&[1, 0]),
+            engine.pricer(1).group_cost(&[0, 1])
+        );
         let s = engine.stats();
         // Island 0 missed {0,1} and {2} once each; island 1 missed both
         // again, then {0,2}; every repeat was a hit.

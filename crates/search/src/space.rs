@@ -12,13 +12,13 @@ use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
 use sf_codegen::legality::{self, ArrayIds, MemberFacts};
 use sf_codegen::{transform_program_with, Storage};
 use sf_core::FaultPlan;
-use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_graphs::build::{all_accesses, LaunchAccesses};
 use sf_graphs::{EdgeInfo, Precedence};
 use sf_minicuda::ast::Program;
 use sf_minicuda::host::{parse_instance, ExecutablePlan};
+use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -63,7 +63,9 @@ impl Unit {
 
 /// Strip a redundant-instance storage suffix (`x__i3` → `x`).
 fn debase(name: &str) -> String {
-    parse_instance(name).map_or(name, |(base, _)| base).to_string()
+    parse_instance(name)
+        .map_or(name, |(base, _)| base)
+        .to_string()
 }
 
 /// A precedence edge between units.
@@ -247,20 +249,15 @@ impl SearchSpace {
         if any_products {
             let tplan =
                 TransformPlan::new(device.clone(), CodegenMode::Auto, false, fission_groups);
-            let out = transform_program_with(
-                program,
-                plan,
-                &tplan,
-                &precedence.ddg,
-                &FaultPlan::none(),
-            )
-            .map_err(|e| ProfileError::msg(e.0))?;
+            let out =
+                transform_program_with(program, plan, &tplan, &precedence.ddg, &FaultPlan::none())
+                    .map_err(|e| ProfileError::msg(e.0))?;
             let fission_plan = ExecutablePlan::from_program(&out.program)
                 .map_err(|e| ProfileError::msg(e.to_string()))?;
-            let fission_profile =
-                Profiler::analytic(device.clone()).profile_with_plan(&out.program, &fission_plan)?;
-            let fission_accesses = all_accesses(&out.program, &fission_plan.launches)
-                .map_err(ProfileError::msg)?;
+            let fission_profile = Profiler::analytic(device.clone())
+                .profile_with_plan(&out.program, &fission_plan)?;
+            let fission_accesses =
+                all_accesses(&out.program, &fission_plan.launches).map_err(ProfileError::msg)?;
             for (idx, owner) in product_owner.iter().enumerate() {
                 let Some((parent_seq, component)) = owner else {
                     continue;

@@ -20,10 +20,13 @@ fn main() {
     let app = fluam::build(&AppConfig::test());
 
     // Automated filter: latency-bound kernels slip through.
-    let auto = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid program")
-        .run()
-        .expect("automated run");
+    let auto = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid program")
+    .run()
+    .expect("automated run");
     let auto_targets = auto.decisions.iter().filter(|d| d.is_target()).count();
     let md = auto.metadata.as_ref().expect("metadata");
     let slipped: Vec<&str> = auto
@@ -49,10 +52,13 @@ fn main() {
         })),
         ..Interventions::default()
     };
-    let guided = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid program")
-        .run_with(&hooks)
-        .expect("guided run");
+    let guided = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid program")
+    .run_with(&hooks)
+    .expect("guided run");
     let guided_targets = guided.decisions.iter().filter(|d| d.is_target()).count();
 
     println!(

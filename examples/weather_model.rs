@@ -38,10 +38,13 @@ fn main() {
     );
 
     // --- Step 2: fully automated transformation.
-    let auto = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid program")
-        .run()
-        .expect("automated run");
+    let auto = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid program")
+    .run()
+    .expect("automated run");
     println!(
         "automated:          speedup {:.3}x, {} launches -> {}",
         auto.speedup,

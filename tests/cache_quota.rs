@@ -21,8 +21,7 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("sf-cache-quota-{}-{tag}-{n}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sf-cache-quota-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -119,8 +118,9 @@ proptest! {
 #[test]
 fn disk_full_during_eviction_pressure_never_loses_committed_entries() {
     let dir = scratch_dir("enospc-pressure");
-    let keys: Vec<CacheKey> =
-        (0..4).map(|i| CacheKey::derive(&format!("k{i}"), "dev", "cfg")).collect();
+    let keys: Vec<CacheKey> = (0..4)
+        .map(|i| CacheKey::derive(&format!("k{i}"), "dev", "cfg"))
+        .collect();
     let payload = "q".repeat(64);
 
     // Fill a small store to its quota.
@@ -145,8 +145,14 @@ fn disk_full_during_eviction_pressure_never_loses_committed_entries() {
     // The disk fills while a third entry is being written: the publish
     // fails, and both committed entries are still there, byte-identical.
     for faults in [
-        CacheFaults { enospc_write: true, ..CacheFaults::default() },
-        CacheFaults { short_write: true, ..CacheFaults::default() },
+        CacheFaults {
+            enospc_write: true,
+            ..CacheFaults::default()
+        },
+        CacheFaults {
+            short_write: true,
+            ..CacheFaults::default()
+        },
     ] {
         let store = open(faults);
         let err = store.publish(&keys[2], &payload).unwrap_err();
@@ -159,8 +165,14 @@ fn disk_full_during_eviction_pressure_never_loses_committed_entries() {
     // Disk freed: publishing again succeeds and eviction resumes, keeping
     // the just-written entry and the quota.
     let store = open(CacheFaults::default());
-    assert_eq!(store.publish(&keys[3], &payload).unwrap(), Published::Stored);
-    assert_eq!(store.lookup(&keys[3]).unwrap().payload(), Some(payload.as_str()));
+    assert_eq!(
+        store.publish(&keys[3], &payload).unwrap(),
+        Published::Stored
+    );
+    assert_eq!(
+        store.lookup(&keys[3]).unwrap().payload(),
+        Some(payload.as_str())
+    );
     assert!(store.disk_usage() <= 2 * entry_len);
     assert!(store.stats().evicted >= 1, "quota pressure must evict");
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,8 +6,8 @@
 
 use sf_gpusim::device::DeviceSpec;
 use sf_minicuda::parse_program;
-use stencilfuse::{FaultPlan, Pipeline, PipelineConfig, TransformResult};
 use std::collections::BTreeSet;
+use stencilfuse::{FaultPlan, Pipeline, PipelineConfig, TransformResult};
 
 /// The fault-injection harness's three-stage producer/consumer app:
 /// fusible, so every codegen-stage rung has a target.
@@ -61,7 +61,10 @@ fn assert_valid(result: &TransformResult) {
     let original = parse_program(APP).expect("app parses");
     match &result.verification {
         Some(v) => assert!(v.passed(), "failed verification escaped: {v:?}"),
-        None => assert_eq!(result.program, original, "unverified result must be the original"),
+        None => assert_eq!(
+            result.program, original,
+            "unverified result must be the original"
+        ),
     }
     assert!(result.speedup >= 1.0, "speedup {}", result.speedup);
 }
@@ -77,7 +80,11 @@ fn rung0_tuned_fusion_succeeds_without_degradation() {
     );
     assert!(result.verification.as_ref().expect("verified").passed());
     assert!(result.speedup > 1.0, "fusion should win on this app");
-    assert_ne!(result.program, parse_program(APP).unwrap(), "program was transformed");
+    assert_ne!(
+        result.program,
+        parse_program(APP).unwrap(),
+        "program was transformed"
+    );
 }
 
 /// Rung 1 — tuned fusion rejected, simple (untuned) fusion still works.
@@ -98,7 +105,11 @@ fn rung1_tuned_rejection_falls_back_to_untuned_fusion() {
     // The untuned attempt succeeds, so the program is still transformed
     // and verified.
     assert!(result.verification.as_ref().expect("verified").passed());
-    assert_ne!(result.program, parse_program(APP).unwrap(), "fusion still applied");
+    assert_ne!(
+        result.program,
+        parse_program(APP).unwrap(),
+        "fusion still applied"
+    );
     assert_valid(&result);
 }
 
@@ -148,7 +159,10 @@ fn rung3_verification_trap_keeps_the_original() {
         ..FaultPlan::default()
     });
     let original = parse_program(APP).expect("app parses");
-    assert_eq!(result.program, original, "trap must keep the original program");
+    assert_eq!(
+        result.program, original,
+        "trap must keep the original program"
+    );
     assert!(
         result
             .degradations()

@@ -321,7 +321,12 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
             let outcome = driver.run().outcomes.remove(0);
             let _ = std::fs::remove_dir_all(&dir);
             let failed = outcome.status == BatchStatus::Failed;
-            failed.then(|| (outcome.error.expect("a failed request's error"), Some(driver)))
+            failed.then(|| {
+                (
+                    outcome.error.expect("a failed request's error"),
+                    Some(driver),
+                )
+            })
         }
         Reach::DroppedDecision => {
             let hooks = Interventions {

@@ -131,7 +131,10 @@ fn assert_always_valid(source: &str, plan: &FaultPlan) {
 
     // Verified transform, or the original program unchanged.
     match &result.verification {
-        Some(v) => assert!(v.passed(), "failed verification escaped: {v:?}\nplan: {plan:?}"),
+        Some(v) => assert!(
+            v.passed(),
+            "failed verification escaped: {v:?}\nplan: {plan:?}"
+        ),
         None => assert_eq!(
             result.program, program,
             "unverified result must be the unchanged original\nplan: {plan:?}"
@@ -148,7 +151,10 @@ fn assert_always_valid(source: &str, plan: &FaultPlan) {
 fn run_once(source: &str, plan: &FaultPlan) -> TransformResult {
     let program = parse_program(source).expect("app parses");
     let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_faults(plan.clone());
-    Pipeline::new(program, cfg).expect("pipeline").run().expect("degrade-mode run")
+    Pipeline::new(program, cfg)
+        .expect("pipeline")
+        .run()
+        .expect("degrade-mode run")
 }
 
 proptest! {

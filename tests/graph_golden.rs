@@ -10,8 +10,8 @@
 
 use sf_fuzz::{generate, GenConfig};
 use sf_gpusim::device::DeviceSpec;
-use stencilfuse::{Pipeline, PipelineConfig, Stage};
 use std::path::PathBuf;
+use stencilfuse::{Pipeline, PipelineConfig, Stage};
 
 const GOLDEN_SEEDS: [u64; 2] = [2, 9];
 

@@ -32,10 +32,13 @@ fn dot_artifacts_are_parseable() {
 #[test]
 fn new_oeg_dot_shows_fusion_clusters() {
     let app = mitgcm();
-    let r = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid")
-        .run()
-        .expect("pipeline runs");
+    let r = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid")
+    .run()
+    .expect("pipeline runs");
     let parsed = dot::parse_oeg_dot(&r.new_oeg_dot).expect("new OEG parses");
     assert!(
         parsed.groups.values().any(|g| g.len() > 1),
@@ -105,10 +108,13 @@ fn amend_metadata_can_force_compute_bound() {
         })),
         ..Interventions::default()
     };
-    let r = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid")
-        .run_with(&hooks)
-        .expect("pipeline runs");
+    let r = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid")
+    .run_with(&hooks)
+    .expect("pipeline runs");
     let d = r
         .decisions
         .iter()

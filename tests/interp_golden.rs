@@ -121,7 +121,11 @@ fn diff(path: &str, golden: &Value, actual: &Value, out: &mut Vec<String>) {
         }
         (Value::Array(g), Value::Array(a)) => {
             if g.len() != a.len() {
-                out.push(format!("{path}: {} entries, golden has {}", a.len(), g.len()));
+                out.push(format!(
+                    "{path}: {} entries, golden has {}",
+                    a.len(),
+                    g.len()
+                ));
             }
             for (n, (gv, av)) in g.iter().zip(a).enumerate() {
                 diff(&format!("{path}[{n}]"), gv, av, out);
@@ -367,6 +371,11 @@ fn interpreter_observables_match_goldens() {
         failures.is_empty(),
         "the interpreter's observables moved ({} field(s)):\n{}",
         failures.len(),
-        failures.iter().take(40).cloned().collect::<Vec<_>>().join("\n")
+        failures
+            .iter()
+            .take(40)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }

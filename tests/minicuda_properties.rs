@@ -48,7 +48,10 @@ fn arb_kernel() -> impl Strategy<Value = Kernel> {
 fn host_for(kernels: &[&str]) -> Vec<HostStmt> {
     b::simple_host(
         &["u", "v"],
-        &kernels.iter().map(|k| (*k, vec!["u", "v"])).collect::<Vec<_>>(),
+        &kernels
+            .iter()
+            .map(|k| (*k, vec!["u", "v"]))
+            .collect::<Vec<_>>(),
         (32, 16, 8),
         (16, 8),
     )

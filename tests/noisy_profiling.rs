@@ -57,7 +57,11 @@ fn noisy_runs_are_byte_identical_across_repeats() {
 /// transformed device times (tuned, untuned).
 fn replayed_times(name: &str, plan: &TransformPlan) -> (f64, f64) {
     let replay = |plan: TransformPlan| {
-        run(name, PipelineConfig::quick(DeviceSpec::k20x()).with_plan(plan)).transformed_time_us
+        run(
+            name,
+            PipelineConfig::quick(DeviceSpec::k20x()).with_plan(plan),
+        )
+        .transformed_time_us
     };
     let untuned = TransformPlan {
         block_tuning: false,
@@ -79,16 +83,26 @@ fn noisy_plan_verifies_and_projects_close_to_noise_free() {
             noisy.verification.as_ref().expect("verified").passed(),
             "{name}: plan chosen under noise must still verify"
         );
-        assert!(noisy.speedup >= 1.0, "{name}: noisy run degraded below original");
+        assert!(
+            noisy.speedup >= 1.0,
+            "{name}: noisy run degraded below original"
+        );
 
         // Project both plans under noise-free measurement by replaying them.
         // The search ranks plans untuned (the tuner runs after it), so its
         // robustness is the untuned drift; tuning may only help each plan.
-        let (base_tuned, base_untuned) =
-            replayed_times(name, baseline.executed_plan().expect("baseline executed a plan"));
-        let (noisy_tuned, noisy_untuned) =
-            replayed_times(name, noisy.executed_plan().expect("noisy run executed a plan"));
-        assert_eq!(base_tuned, baseline.transformed_time_us, "{name}: replay reproduces");
+        let (base_tuned, base_untuned) = replayed_times(
+            name,
+            baseline.executed_plan().expect("baseline executed a plan"),
+        );
+        let (noisy_tuned, noisy_untuned) = replayed_times(
+            name,
+            noisy.executed_plan().expect("noisy run executed a plan"),
+        );
+        assert_eq!(
+            base_tuned, baseline.transformed_time_us,
+            "{name}: replay reproduces"
+        );
         for (which, tuned, untuned) in [
             ("noise-free", base_tuned, base_untuned),
             ("noisy", noisy_tuned, noisy_untuned),

@@ -9,8 +9,11 @@ use stencilfuse::{verify_equivalence, Pipeline, PipelineConfig};
 
 fn run_app(name: &str) -> stencilfuse::TransformResult {
     let app = sf_apps::app_by_name(name, &AppConfig::test()).expect("known app");
-    let pipeline = Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-        .expect("valid program");
+    let pipeline = Pipeline::new(
+        app.program.clone(),
+        PipelineConfig::quick(DeviceSpec::k20x()),
+    )
+    .expect("valid program");
     pipeline.run().expect("pipeline completes")
 }
 
@@ -89,9 +92,11 @@ fn transformation_reduces_launch_count_for_fusion_driven_apps() {
     // the fusion-driven apps only.
     for app in all_apps(&AppConfig::test()) {
         let before = app.program.static_launches().len();
-        let pipeline =
-            Pipeline::new(app.program.clone(), PipelineConfig::quick(DeviceSpec::k20x()))
-                .expect("valid program");
+        let pipeline = Pipeline::new(
+            app.program.clone(),
+            PipelineConfig::quick(DeviceSpec::k20x()),
+        )
+        .expect("valid program");
         let r = pipeline.run().expect("pipeline completes");
         let after = r.program.static_launches().len();
         if app.paper.fission_driven {

@@ -85,7 +85,10 @@ fn rendered_artifacts(r: &TransformResult) -> String {
     if let Some(plan) = r.planned() {
         let _ = write!(out, "|{}", plan.to_json());
     }
-    for profile in [&r.original_profile, &r.transformed_profile].into_iter().flatten() {
+    for profile in [&r.original_profile, &r.transformed_profile]
+        .into_iter()
+        .flatten()
+    {
         let _ = write!(out, "|{:016x}", profile.total_runtime_us.to_bits());
     }
     if let Some(v) = &r.verification {
@@ -186,20 +189,38 @@ fn cases(name: &str) -> Vec<Case> {
     for stage in &Stage::ALL[..5] {
         let mut config = base.clone();
         config.run_until = Some(*stage);
-        out.push(case(format!("until-{}", stage.name()), run(program, config)));
+        out.push(case(
+            format!("until-{}", stage.name()),
+            run(program, config),
+        ));
     }
     let plan = replayed.expect("the full run produced a plan to replay");
-    out.push(case("replay".into(), run(program, base.clone().with_plan(plan.clone()))));
+    out.push(case(
+        "replay".into(),
+        run(program, base.clone().with_plan(plan.clone())),
+    ));
     for seed in 0..FAULT_SEEDS {
         let faulted = base.clone().with_faults(FaultPlan::seeded(seed));
-        out.push(case(format!("fault-{seed:02}-degrade"), run(program, faulted.clone())));
-        out.push(case(format!("fault-{seed:02}-strict"), run(program, faulted.strict())));
+        out.push(case(
+            format!("fault-{seed:02}-degrade"),
+            run(program, faulted.clone()),
+        ));
+        out.push(case(
+            format!("fault-{seed:02}-strict"),
+            run(program, faulted.strict()),
+        ));
     }
 
     // The ways a run can end that no seeded fault plan reaches.
     let mut both_policies = |name: &str, config: PipelineConfig| {
-        out.push(case(format!("{name}-degrade"), run(program, config.clone())));
-        out.push(case(format!("{name}-strict"), run(program, config.strict())));
+        out.push(case(
+            format!("{name}-degrade"),
+            run(program, config.clone()),
+        ));
+        out.push(case(
+            format!("{name}-strict"),
+            run(program, config.strict()),
+        ));
     };
     let lost_reps = FaultPlan {
         rep_failures: 100,
@@ -217,7 +238,11 @@ fn cases(name: &str) -> Vec<Case> {
         // Two islands only where the ladder's "one island" rung takes them
         // away again: a search that really runs on two reports projection
         // cache counters that race by one.
-        let islands = if kind == ResourceKind::PopulationBytes { 2 } else { 1 };
+        let islands = if kind == ResourceKind::PopulationBytes {
+            2
+        } else {
+            1
+        };
         let budget = Limits::unlimited().cap(kind, cap);
         both_policies(
             &format!("cap-{}-{cap}", kind.name()),
@@ -227,14 +252,20 @@ fn cases(name: &str) -> Vec<Case> {
     // Room for one memory image of the original program, not for two.
     let image = GlobalMemory::plan_bytes(&ExecutablePlan::from_program(program).expect("plan"));
     let budget = Limits::unlimited().cap(ResourceKind::HeapBytes, image);
-    both_policies(&format!("cap-heap-bytes-{image}"), base.clone().with_budget(budget));
+    both_policies(
+        &format!("cap-heap-bytes-{image}"),
+        base.clone().with_budget(budget),
+    );
     let mut k40 = PipelineConfig::quick(DeviceSpec::k40());
     k40.search = base.search.clone();
     out.push(case(
         "replay-on-another-device".into(),
         run(program, k40.clone().with_plan(plan.clone())),
     ));
-    out.push(case("port-to-k40".into(), run(program, k40.with_port_plan(plan))));
+    out.push(case(
+        "port-to-k40".into(),
+        run(program, k40.with_port_plan(plan)),
+    ));
     let mut unverified = base.clone();
     unverified.verify = false;
     out.push(case("no-verify".into(), run(program, unverified)));
@@ -250,7 +281,10 @@ fn check_app(name: &str, update: bool) -> Vec<String> {
     let path = golden_dir().join(format!("{name}.txt"));
     if update {
         std::fs::create_dir_all(golden_dir()).expect("mkdir tests/golden/pipeline");
-        let text: String = actual.iter().map(|(n, d, _)| format!("{n}\t{d}\n")).collect();
+        let text: String = actual
+            .iter()
+            .map(|(n, d, _)| format!("{n}\t{d}\n"))
+            .collect();
         std::fs::write(&path, text).expect("write golden");
         return Vec::new();
     }
@@ -296,6 +330,11 @@ fn pipeline_outcomes_match_goldens() {
         failures.is_empty(),
         "{} pipeline outcome(s) moved:\n{}",
         failures.len(),
-        failures.iter().take(6).cloned().collect::<Vec<_>>().join("\n")
+        failures
+            .iter()
+            .take(6)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n")
     );
 }

@@ -240,7 +240,11 @@ fn check_fault_recovers(name: &str, faults: CacheFaults, expect_reason: Option<&
             if let Some(expected) = expect_reason {
                 assert_eq!(reason.label(), expected, "fault {name}");
             }
-            let stem = quarantined.file_name().unwrap().to_string_lossy().into_owned();
+            let stem = quarantined
+                .file_name()
+                .unwrap()
+                .to_string_lossy()
+                .into_owned();
             assert!(
                 quarantined.exists(),
                 "quarantine must preserve the evidence ({stem})"
@@ -321,8 +325,7 @@ fn cache_errors_surface_on_the_recoverability_ladder() {
     let transient: stencilfuse::PipelineError =
         CacheError::new(CacheErrorKind::Lock, "held").into();
     assert_eq!(transient.class, stencilfuse::Recoverability::Transient);
-    let degradable: stencilfuse::PipelineError =
-        CacheError::new(CacheErrorKind::Io, "torn").into();
+    let degradable: stencilfuse::PipelineError = CacheError::new(CacheErrorKind::Io, "torn").into();
     assert_eq!(degradable.class, stencilfuse::Recoverability::Degradable);
 }
 
@@ -354,7 +357,10 @@ fn warm_batch_replay_is_byte_identical_to_cold() {
     // plan and program are byte-identical to the cold run's.
     let warm = run(SMALL_APP);
     assert_eq!(warm.outcomes[0].status, BatchStatus::Hit);
-    assert_eq!(warm.outcomes[0].plan_json.as_deref(), Some(cold_plan.as_str()));
+    assert_eq!(
+        warm.outcomes[0].plan_json.as_deref(),
+        Some(cold_plan.as_str())
+    );
     assert_eq!(warm.outcomes[0].output.as_deref(), Some(cold_out.as_str()));
     assert_eq!(warm.stats.hits, 1);
 
@@ -396,7 +402,10 @@ fn checkpoint_placement_shares_one_cache_entry() {
 
     let cold = run(&dir, Some(ckpts.clone()));
     assert_eq!(cold.status, BatchStatus::Compiled);
-    assert!(ckpts.join("mitgcm.ckpt").exists(), "the cold run checkpointed");
+    assert!(
+        ckpts.join("mitgcm.ckpt").exists(),
+        "the cold run checkpointed"
+    );
     let warm = run(&dir, None);
     assert_eq!(warm.status, BatchStatus::Hit);
     assert_eq!(warm.plan_json, cold.plan_json);
@@ -556,14 +565,19 @@ fn the_configs_store_faults_arm_the_drivers_store() {
         },
         ..FaultPlan::default()
     };
-    assert_eq!(run(quick_config().with_faults(flip)).status, BatchStatus::Compiled);
+    assert_eq!(
+        run(quick_config().with_faults(flip)).status,
+        BatchStatus::Compiled
+    );
     let clean = run(quick_config());
     assert!(
         matches!(clean.status, BatchStatus::Recovered(_)),
         "the flipped entry was not read back: {:?}",
         clean.status
     );
-    let quarantined = std::fs::read_dir(dir.join("quarantine")).expect("quarantine/").count();
+    let quarantined = std::fs::read_dir(dir.join("quarantine"))
+        .expect("quarantine/")
+        .count();
     assert_eq!(quarantined, 1, "the flipped entry is kept as evidence");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -651,7 +665,11 @@ fn cache_quota_evicts_old_plans_but_requests_always_succeed() {
     // quota: the first plan is evicted, but the request itself succeeds.
     let variant = SMALL_APP.replace("* 0.5", "* 0.25");
     let report = run("second", &variant);
-    assert!(report.stats.evicted >= 1, "quota must evict: {:?}", report.stats);
+    assert!(
+        report.stats.evicted >= 1,
+        "quota must evict: {:?}",
+        report.stats
+    );
     // The evicted program compiles cold again — an eviction is a miss,
     // never an error or a torn entry.
     let again = run("first-again", SMALL_APP);

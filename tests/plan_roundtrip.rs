@@ -133,7 +133,10 @@ fn v2_plan_upgrades_and_replays_identically() {
 
     let upgraded = TransformPlan::from_json(&v2).expect("v2 plan decodes");
     assert!(upgraded.groups.iter().all(|g| g.temporal == 1));
-    assert_eq!(upgraded, executed, "upgrade must yield the identity degrees");
+    assert_eq!(
+        upgraded, executed,
+        "upgrade must yield the identity degrees"
+    );
 
     let second = Pipeline::new(
         app.program.clone(),
@@ -167,8 +170,7 @@ fn replayed_plan_reproduces_the_run_exactly() {
 
         // Round trip through JSON exactly as `sfc --emit-plan`/`--from-plan` do.
         let rehydrated = TransformPlan::from_json(&executed.to_json()).expect("round trips");
-        let replay_cfg =
-            PipelineConfig::quick(DeviceSpec::k20x()).with_plan(rehydrated);
+        let replay_cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_plan(rehydrated);
         let second = Pipeline::new(app.program.clone(), replay_cfg)
             .expect("valid")
             .run()

@@ -22,7 +22,10 @@ fn checked_in_reproducers_pass_the_oracle() {
         .collect();
     entries.sort();
     for path in entries {
-        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or_default();
         let seed: u64 = name
             .parse()
             .unwrap_or_else(|_| panic!("repro file `{}` is not named <seed>.sfir", path.display()));
@@ -30,12 +33,7 @@ fn checked_in_reproducers_pass_the_oracle() {
         let program = parse_program(&src)
             .unwrap_or_else(|e| panic!("repro `{}` no longer parses: {e}", path.display()));
         if let Err(f) = check_program(&program, seed) {
-            failures.push(format!(
-                "{}: [{}] {}",
-                path.display(),
-                f.check,
-                f.detail
-            ));
+            failures.push(format!("{}: [{}] {}", path.display(), f.check, f.detail));
         }
     }
     assert!(

@@ -139,7 +139,10 @@ fn bombs_through_the_batch_driver_feed_the_resource_breaker_class() {
     let rejected = driver
         .submit(BatchRequest::new("bomb-3", source))
         .expect_err("breaker must be open after repeated resource failures");
-    assert_eq!(rejected.breaker_class.as_deref(), Some("resource-exhausted"));
+    assert_eq!(
+        rejected.breaker_class.as_deref(),
+        Some("resource-exhausted")
+    );
     assert!(rejected.retry_after_ms.is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -159,7 +162,10 @@ fn soak_holds_its_invariants_in_process() {
     };
     let report = sf_fuzz::run_soak(&cfg).unwrap_or_else(|v| panic!("soak violation: {v}"));
     assert_eq!(report.rounds, 2);
-    assert!(report.hostile_rejected >= 2, "the chaos round carries bombs");
+    assert!(
+        report.hostile_rejected >= 2,
+        "the chaos round carries bombs"
+    );
     assert!(
         report.benign_identical >= 6,
         "reference round, benign round, and the final reconciliation"
@@ -213,7 +219,12 @@ void host() {
     b.submit(BatchRequest::new("b", source)).unwrap();
     let (ra, rb) = (a.run(), b.run());
     for (tag, rep) in [("a", &ra), ("b", &rb)] {
-        assert_eq!(rep.failures(), 0, "driver {tag} failed: {:?}", rep.summary());
+        assert_eq!(
+            rep.failures(),
+            0,
+            "driver {tag} failed: {:?}",
+            rep.summary()
+        );
     }
     // Whichever ran second was served from (or raced cleanly with) the
     // first's publish; both plans must agree byte for byte.
@@ -270,10 +281,21 @@ fn steps_capped(cap: u64) -> PipelineConfig {
 fn a_step_budget_below_the_original_profile_is_rejected_at_the_front_door() {
     let program = sf_minicuda::parse_program(FUSABLE_PAIR).unwrap();
     let steps = static_steps(&program);
-    assert_eq!(steps, 2 * 16 * 128, "two launches of 16 blocks x 128 threads");
+    assert_eq!(
+        steps,
+        2 * 16 * 128,
+        "two launches of 16 blocks x 128 threads"
+    );
     for config in [steps_capped(steps - 1), steps_capped(steps - 1).strict()] {
-        let err = Pipeline::new(program.clone(), config).unwrap().run().unwrap_err();
-        assert_eq!((err.stage, err.class), (Stage::Metadata, Recoverability::Fatal), "{err}");
+        let err = Pipeline::new(program.clone(), config)
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            (err.stage, err.class),
+            (Stage::Metadata, Recoverability::Fatal),
+            "{err}"
+        );
         assert_eq!(
             err.kind,
             ErrorKind::ResourceExhausted {
@@ -290,41 +312,74 @@ fn a_step_budget_below_the_original_profile_is_rejected_at_the_front_door() {
     // original program.
     let mut analytic = steps_capped(steps - 1);
     analytic.functional_profile = false;
-    let kept = Pipeline::new(program.clone(), analytic).unwrap().run().unwrap();
+    let kept = Pipeline::new(program.clone(), analytic)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(kept.program, program);
-    assert!(kept.degradations().iter().any(|d| d.action.contains("verification budget")));
+    assert!(kept
+        .degradations()
+        .iter()
+        .any(|d| d.action.contains("verification budget")));
 }
 
 #[test]
 fn a_step_budget_the_original_profile_uses_up_keeps_the_original_program() {
     let program = sf_minicuda::parse_program(FUSABLE_PAIR).unwrap();
-    let free = Pipeline::new(program.clone(), steps_capped(u64::MAX)).unwrap().run().unwrap();
-    assert_ne!(free.program, program, "the pair fuses when nothing is capped");
+    let free = Pipeline::new(program.clone(), steps_capped(u64::MAX))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_ne!(
+        free.program, program,
+        "the pair fuses when nothing is capped"
+    );
     let (original, transformed) = (static_steps(&program), static_steps(&free.program));
     // One functional run per program — the two profiles, whose images the
     // verifier compares — is enough for a verified compile ...
     let both = original + transformed;
-    let enough = Pipeline::new(program.clone(), steps_capped(both)).unwrap().run().unwrap();
+    let enough = Pipeline::new(program.clone(), steps_capped(both))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(enough.program, free.program);
-    assert!(enough.degradations().is_empty(), "{:?}", enough.degradations());
+    assert!(
+        enough.degradations().is_empty(),
+        "{:?}",
+        enough.degradations()
+    );
     assert!(enough.verification.as_ref().is_some_and(|v| v.passed()));
     // ... and anything less stops at the re-profile, the run that no
     // longer fits.
     for cap in [original, both - 1] {
-        let kept = Pipeline::new(program.clone(), steps_capped(cap)).unwrap().run().unwrap();
+        let kept = Pipeline::new(program.clone(), steps_capped(cap))
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(kept.program, program, "cap {cap}");
         assert_eq!(kept.speedup, 1.0, "cap {cap}");
         let degradations = kept.degradations();
         assert_eq!(degradations.len(), 1, "cap {cap}: {degradations:?}");
         let rung = "re-profile budget exhausted";
-        assert!(degradations[0].action.contains(rung), "cap {cap}: {}", degradations[0].action);
-        assert!(degradations[0].reason.contains("interpreter-steps"), "cap {cap}");
+        assert!(
+            degradations[0].action.contains(rung),
+            "cap {cap}: {}",
+            degradations[0].action
+        );
+        assert!(
+            degradations[0].reason.contains("interpreter-steps"),
+            "cap {cap}"
+        );
 
         let err = Pipeline::new(program.clone(), steps_capped(cap).strict())
             .unwrap()
             .run()
             .unwrap_err();
-        assert_eq!((err.stage, err.class), (Stage::Codegen, Recoverability::Degradable), "{err}");
+        assert_eq!(
+            (err.stage, err.class),
+            (Stage::Codegen, Recoverability::Degradable),
+            "{err}"
+        );
         assert!(
             matches!(&err.kind, ErrorKind::ResourceExhausted { resource, limit, .. }
                 if resource == "interpreter-steps" && *limit == cap),
@@ -348,7 +403,9 @@ fn a_compile_executes_each_program_once_verified_or_not() {
         ..AppConfig::test()
     };
     for name in APP_NAMES {
-        let program = sf_apps::app_by_name(name, &domain).expect("known analog").program;
+        let program = sf_apps::app_by_name(name, &domain)
+            .expect("known analog")
+            .program;
         for verify in [true, false] {
             let config = |cap: u64| {
                 let mut config = steps_capped(cap);
@@ -358,15 +415,27 @@ fn a_compile_executes_each_program_once_verified_or_not() {
                 }
                 config
             };
-            let run = |cap| Pipeline::new(program.clone(), config(cap)).unwrap().run().unwrap();
+            let run = |cap| {
+                Pipeline::new(program.clone(), config(cap))
+                    .unwrap()
+                    .run()
+                    .unwrap()
+            };
             let free = run(u64::MAX);
-            assert_eq!(free.verification.as_ref().map(|v| v.passed()), verify.then_some(true));
+            assert_eq!(
+                free.verification.as_ref().map(|v| v.passed()),
+                verify.then_some(true)
+            );
             let transformed = &free.transform.as_ref().expect("codegen ran").program;
             let both = static_steps(&program) + static_steps(transformed);
 
             let exact = run(both);
             let case = format!("{name}, verify {verify}, cap {both}");
-            assert_eq!(print_program(&exact.program), print_program(&free.program), "{case}");
+            assert_eq!(
+                print_program(&exact.program),
+                print_program(&free.program),
+                "{case}"
+            );
             assert_eq!(exact.degradations(), free.degradations(), "{case}");
             assert_eq!(exact.verification, free.verification, "{case}");
 

@@ -75,7 +75,11 @@ fn history_rle(history: &[f64]) -> String {
 }
 
 fn digest(r: &IslandSearchResult) -> String {
-    assert!(r.degradations.is_empty(), "clean run degraded: {:?}", r.degradations);
+    assert!(
+        r.degradations.is_empty(),
+        "clean run degraded: {:?}",
+        r.degradations
+    );
     let s = &r.result;
     let mut line = format!(
         "best={} fitness={:016x} evaluations={} generations={} stop={} \
@@ -89,7 +93,11 @@ fn digest(r: &IslandSearchResult) -> String {
         s.fissions_per_generation.to_bits(),
     );
     if r.islands == 1 {
-        let _ = write!(line, " hits={} misses={}", s.projection.hits, s.projection.misses);
+        let _ = write!(
+            line,
+            " hits={} misses={}",
+            s.projection.hits, s.projection.misses
+        );
     }
     let _ = write!(line, " history={}", history_rle(&s.history));
     line
@@ -103,7 +111,10 @@ fn cases(app: &str) -> Vec<(String, String)> {
     }
     let mut out = Vec::new();
     for cap in caps {
-        for (budget, base) in [("quick", SearchConfig::quick()), ("default", SearchConfig::default())] {
+        for (budget, base) in [
+            ("quick", SearchConfig::quick()),
+            ("default", SearchConfig::default()),
+        ] {
             for islands in [1usize, 4] {
                 let config = SearchConfig {
                     max_temporal: cap,
@@ -236,8 +247,13 @@ fn rejected_and_restarted(version: u32) {
         let name = format!("awp-odc.i{islands}.v{version}.ckpt");
         let (_, restarted) = resumed_from(&name, islands);
         assert_eq!(restarted.resumed_from_epoch, None, "{name}");
-        let reasons: Vec<&str> = restarted.degradations.iter().map(|d| d.reason.as_str()).collect();
-        let speaks = format!("checkpoint schema version {version} (this build speaks {CHECKPOINT_VERSION})");
+        let reasons: Vec<&str> = restarted
+            .degradations
+            .iter()
+            .map(|d| d.reason.as_str())
+            .collect();
+        let speaks =
+            format!("checkpoint schema version {version} (this build speaks {CHECKPOINT_VERSION})");
         assert_eq!(reasons, [speaks.as_str()], "{name}");
     }
 }
@@ -270,7 +286,11 @@ fn v5_checkpoints_resume_to_the_uninterrupted_plan() {
     for islands in [1usize, 3] {
         let name = format!("awp-odc.i{islands}.v5.ckpt");
         let (golden, resumed) = resumed_from(&name, islands);
-        assert_eq!(resumed.degradations, vec![], "{name}: the checkpoint was not accepted");
+        assert_eq!(
+            resumed.degradations,
+            vec![],
+            "{name}: the checkpoint was not accepted"
+        );
         assert_eq!(resumed.resumed_from_epoch, Some(2), "{name}");
         assert!(
             resumed.epochs_run < golden.epochs_run,

@@ -110,8 +110,7 @@ fn best_individual_is_feasible_and_codegen_executable() {
             .expect("lowered plan is valid");
         let out = sf_codegen::transform_program(&app.program, &plan, &result.plan)
             .expect("codegen succeeds");
-        let v = stencilfuse::verify_equivalence(&app.program, &out.program, 7)
-            .expect("both run");
+        let v = stencilfuse::verify_equivalence(&app.program, &out.program, 7).expect("both run");
         assert!(v.passed(), "{name}: {v:?}");
     }
 }
@@ -328,7 +327,10 @@ fn the_search_refuses_exactly_the_groups_codegen_refuses_on_the_analogs() {
             }
         }
     }
-    assert!(accepted > 0 && refused > 0, "{accepted} accepted, {refused} refused");
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
 }
 
 proptest! {
@@ -379,7 +381,11 @@ fn window(case: &Legality, from: usize, width: usize) -> SearchSpace {
 /// eligible fissionable original replaced by its products.
 fn start(space: &SearchSpace, fission: bool) -> Individual {
     let mut ind = Individual::singletons(space);
-    for unit in space.units.iter().filter(|u| fission && u.eligible && u.fissionable()) {
+    for unit in space
+        .units
+        .iter()
+        .filter(|u| fission && u.eligible && u.fissionable())
+    {
         ind.fission(space, unit.id);
     }
     ind
@@ -409,7 +415,9 @@ fn reference_greedy(
         let arrays: Vec<BTreeSet<&str>> = groups
             .iter()
             .map(|members| {
-                let names = members.iter().flat_map(|&u| space.units[u].ops.bytes_per_array.keys());
+                let names = members
+                    .iter()
+                    .flat_map(|&u| space.units[u].ops.bytes_per_array.keys());
                 names.map(String::as_str).collect()
             })
             .collect();
@@ -419,7 +427,10 @@ fn reference_greedy(
                 if arrays[i].is_disjoint(&arrays[j]) {
                     continue;
                 }
-                let (a, b) = (groups[i][0].min(groups[j][0]), groups[i][0].max(groups[j][0]));
+                let (a, b) = (
+                    groups[i][0].min(groups[j][0]),
+                    groups[i][0].max(groups[j][0]),
+                );
                 let mut merged = ind.clone();
                 if merged.try_merge(space, a, b) {
                     candidates.push(((a, b), fitness(&merged), merged));
@@ -427,7 +438,10 @@ fn reference_greedy(
             }
         }
         candidates.sort_by_key(|c| c.0);
-        let best = candidates.iter().map(|c| c.1).fold(f64::NEG_INFINITY, f64::max);
+        let best = candidates
+            .iter()
+            .map(|c| c.1)
+            .fold(f64::NEG_INFINITY, f64::max);
         if candidates.is_empty() || best <= current * (1.0 + TIE) {
             return (merges, ind);
         }

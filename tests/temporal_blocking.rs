@@ -70,7 +70,9 @@ fn assert_equivalent(original: &Program, transformed: &Program) {
     mem_b.seed_all(99);
     let mut interp_a = Interpreter::new(original);
     interp_a.detect_hazards = true;
-    let stats_a = interp_a.run_plan(&plan_a, &mut mem_a).expect("original runs");
+    let stats_a = interp_a
+        .run_plan(&plan_a, &mut mem_a)
+        .expect("original runs");
     let mut interp_b = Interpreter::new(transformed);
     interp_b.detect_hazards = true;
     let stats_b = interp_b
@@ -111,7 +113,11 @@ fn temporal_fold_preserves_output_bit_exactly() {
         let tplan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, false, vec![group]);
         let out = transform_program(&p, &plan, &tplan).unwrap();
         assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
-        assert!(out.degradations.is_empty(), "degradations: {:?}", out.degradations);
+        assert!(
+            out.degradations.is_empty(),
+            "degradations: {:?}",
+            out.degradations
+        );
         // One fused kernel, launched twice (a→shadows, shadows→a) per host
         // iteration; the loop collapses from 8 to 8 / (2 * fold) iterations.
         assert_eq!(out.program.kernels.len(), 1);
@@ -189,10 +195,10 @@ fn indivisible_trip_count_falls_back_inside_the_loop() {
         !out.degradations.is_empty(),
         "expected the temporal rung to reject"
     );
-    assert!(out
-        .fallbacks
-        .iter()
-        .any(|(g, reason)| *g == 0 && reason.contains("divide the trip count")),
+    assert!(
+        out.fallbacks
+            .iter()
+            .any(|(g, reason)| *g == 0 && reason.contains("divide the trip count")),
         "fallbacks: {:?}",
         out.fallbacks
     );
@@ -230,7 +236,11 @@ fn temporal_codegen_matches_golden_snapshots() {
         group.temporal = fold;
         let tplan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, false, vec![group]);
         let out = transform_program(&p, &plan, &tplan).unwrap();
-        assert!(out.degradations.is_empty(), "degradations: {:?}", out.degradations);
+        assert!(
+            out.degradations.is_empty(),
+            "degradations: {:?}",
+            out.degradations
+        );
         assert_golden(
             &format!("pingpong_temporal_{fold}.cu"),
             &sf_minicuda::printer::print_program(&out.program),
@@ -259,8 +269,7 @@ mod cost_model {
             &profile.metadata.device,
             &sf_analysis::filter::FilterConfig::default(),
         );
-        let mut space =
-            SearchSpace::build(&p, &plan, &profile, &decisions, device).expect("space");
+        let mut space = SearchSpace::build(&p, &plan, &profile, &decisions, device).expect("space");
         space.max_temporal = max_temporal;
         space
     }
