@@ -21,7 +21,7 @@
 //! warp branches).
 
 use crate::canon::{self, CanonMember, MemberStructure};
-use crate::legality::{self, ArrayIds, Form, MemberFacts};
+use crate::legality::{self, ArrayIds, Decision, Form, MemberFacts};
 use sf_minicuda::ast::*;
 use sf_minicuda::builder as b;
 use sf_minicuda::host::{Dim3, HostValue, LaunchRecord, ResolvedArg};
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Codegen failure: the group cannot be fused soundly (the caller treats
 /// the group as infeasible and falls back to unfused kernels).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodegenError(pub String);
 
 impl std::fmt::Display for CodegenError {
@@ -92,7 +92,7 @@ pub struct FusedKernel {
 /// Everything about a fusion group that does not depend on the thread-block
 /// shape: canonicalized members, staging radii, and the verdict of every
 /// block-independent legality rule, decided once in [`GroupAnalysis::new`]
-/// by [`crate::legality`]'s predicate.
+/// by [`crate::legality::check`].
 /// What remains per block is the tile footprint and three legality rules
 /// ([`GroupAnalysis::smem_bytes`]) and the code itself
 /// ([`GroupAnalysis::emit`]), so the tuner can price every candidate block
@@ -106,13 +106,11 @@ pub struct GroupAnalysis {
     /// The fused kernel's parameters and the arguments binding them.
     params: Vec<Param>,
     args: Vec<ResolvedArg>,
-    /// Some array flows between members (complex fusion).
-    complex: bool,
     /// Thread coverage the members' own launches need.
     need_x: i64,
     need_y: i64,
-    form: Form,
-    /// Names of the arrays `form`'s tiles stage.
+    decision: Decision,
+    /// Names of the arrays `decision`'s tiles stage.
     ids: ArrayIds,
 }
 
@@ -146,7 +144,7 @@ impl GroupAnalysis {
             return Err(CodegenError("fusion group needs at least 2 members".into()));
         }
         // Decide from the members' facts; canonicalize only a group the
-        // predicate accepts.
+        // decision accepts.
         let bound: Vec<_> = members.iter().map(|(k, l)| canon::bind(k, l)).collect();
         let mut ids = ArrayIds::default();
         let mut facts: Vec<MemberFacts> = members
@@ -155,14 +153,14 @@ impl GroupAnalysis {
             .map(|((k, _), b)| MemberFacts::bound(k, b, &mut ids))
             .collect();
         ids.sort(&mut facts);
-        let (form, complex) = legality::form(&facts.iter().collect::<Vec<_>>(), mode, &ids)?;
+        let decision = legality::check(&facts.iter().collect::<Vec<_>>(), mode, &ids)?;
         let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
         let cms: Vec<CanonMember> = members
             .iter()
             .zip(bound)
             .enumerate()
             .map(|(idx, ((k, l), b))| {
-                let b = b.expect("the predicate refuses a member that does not bind");
+                let b = b.expect("the decision refuses a member that does not bind");
                 canon::canonicalize_bound(k, l, b, idx, &mut canon_scalars)
             })
             .collect();
@@ -173,11 +171,10 @@ impl GroupAnalysis {
             smem_limit,
             need_x: cms.iter().map(|m| m.launch_x).max().unwrap_or(1),
             need_y: cms.iter().map(|m| m.launch_y).max().unwrap_or(1),
-            complex,
             cms,
             params,
             args,
-            form,
+            decision,
             ids,
         })
     }
@@ -188,7 +185,7 @@ impl GroupAnalysis {
     /// the block, a footprint over the device cap, or a member whose
     /// barriers would need a bounds guard under the padded coverage.
     pub fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
-        match &self.form {
+        match &self.decision.form {
             Form::Merged { tiles, .. } => {
                 let (bx, by) = (block.x as i64, block.y as i64);
                 // Halo must fit in half a block on each side.
@@ -202,7 +199,7 @@ impl GroupAnalysis {
                         )));
                     }
                 }
-                let smem_bytes: usize = tiles.iter().map(|t| tile_bytes(block, t.rx, t.ry)).sum();
+                let smem_bytes = self.decision.footprint(block);
                 if smem_bytes > self.smem_limit {
                     return Err(CodegenError(format!(
                         "group needs {smem_bytes} B shared memory, device limit {} B",
@@ -244,7 +241,8 @@ impl GroupAnalysis {
         let smem_bytes = self.smem_bytes(block)?;
         let (grid, cover_x, cover_y) = grid_and_cover(self.need_x, self.need_y, block);
         let members = self.cms.iter().map(|m| m.seq).collect();
-        let (body, report) = match &self.form {
+        let complex = self.decision.complex;
+        let (body, report) = match &self.decision.form {
             Form::Merged { ranges, tiles } => {
                 let staged: Vec<StagedArray> = tiles
                     .iter()
@@ -260,12 +258,12 @@ impl GroupAnalysis {
                 let body = self.merged_body(ranges, &staged, block, cover_x, cover_y)?;
                 let report = FusionReport {
                     members,
-                    complex: self.complex,
+                    complex,
                     merged: true,
                     smem_bytes,
                     notes: vec![format!(
                         "{} fusion of {} members; {} staged arrays, {} B shared memory",
-                        if self.complex { "complex" } else { "simple" },
+                        if complex { "complex" } else { "simple" },
                         self.cms.len(),
                         staged.len(),
                         smem_bytes
@@ -278,7 +276,7 @@ impl GroupAnalysis {
                 let report = FusionReport {
                     members,
                     staged: Vec::new(),
-                    complex: self.complex,
+                    complex,
                     merged: false,
                     smem_bytes: 0,
                     notes: vec![

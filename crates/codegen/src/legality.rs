@@ -1,24 +1,23 @@
-//! Block-independent fusion legality: one pure predicate over per-member
+//! Block-independent fusion legality: one pure function over per-member
 //! facts.
 //!
 //! A member's [`MemberFacts`] are what its own launch fixes — the arrays
 //! it reads and writes with their canonical read offsets, its evaluated
 //! guard and vertical range, its sweep structure, its barriers and shared
 //! declarations, or why it does not canonicalize. [`check`] decides from
-//! the members' facts alone whether the code generator fuses them:
-//! member order, producers, the merged-versus-concatenated choice and
-//! every rule of either form. [`crate::fuse::GroupAnalysis::new`] takes
-//! its staging decisions from the same decision, and the search asks
-//! [`check`] of facts it computed once per unit, so a group the search
-//! prices is a group codegen emits. What is left per block shape (tile
-//! footprint, halo width, barrier guards) is
-//! [`crate::fuse::GroupAnalysis::smem_bytes`]'s.
+//! the members' facts alone whether and how the code generator fuses them
+//! — member order, producers, the merged-versus-concatenated choice, every
+//! rule of either form, and the tiles a merged group stages (its
+//! [`Decision`]). [`crate::fuse::GroupAnalysis::new`] emits from that
+//! decision and the search prices it, from facts it computed once per
+//! unit. What is left per block shape (halo width, device cap, barrier
+//! guards) is [`crate::fuse::GroupAnalysis::smem_bytes`]'s.
 
 use crate::canon::{self, EvalGuard, SweepShape};
-use crate::fuse::CodegenError;
+use crate::fuse::{tile_bytes, CodegenError};
 use sf_analysis::access::{IdxBase, IdxPat};
 use sf_minicuda::ast::{Kernel, Stmt};
-use sf_minicuda::host::LaunchRecord;
+use sf_minicuda::host::{Dim3, LaunchRecord};
 use sf_minicuda::visit;
 use sf_plan::CodegenMode;
 use std::collections::HashMap;
@@ -42,7 +41,7 @@ impl ArrayIds {
     }
 
     /// The array an id stands for.
-    pub(crate) fn name(&self, id: u32) -> &str {
+    pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
     }
 
@@ -244,14 +243,16 @@ impl Shape {
     }
 }
 
-/// A staged array before a block shape sizes its tile.
+/// A staged array before a block shape sizes its tile: the array (an id of
+/// the [`ArrayIds`] [`check`] was given), its halo cells per side along x
+/// and y, and a flow array's producing member (`None`: read-only staging).
 #[derive(Debug)]
-pub(crate) struct Tile {
-    pub(crate) array: u32,
-    pub(crate) rx: i64,
-    pub(crate) ry: i64,
-    /// Producing member index for flow arrays; `None` = read-only staging.
-    pub(crate) producer: Option<usize>,
+#[allow(missing_docs)] // fields carry descriptive names; see the type doc
+pub struct Tile {
+    pub array: u32,
+    pub rx: i64,
+    pub ry: i64,
+    pub producer: Option<usize>,
 }
 
 /// How the members combine, with what each form needs at emit time.
@@ -272,34 +273,46 @@ pub(crate) enum Form {
     },
 }
 
-/// Whether the code generator fuses `members`, given in execution order:
-/// `Ok` exactly when [`crate::fuse::GroupAnalysis::new`] accepts their
-/// kernels and launches, otherwise its rejection.
+/// How the code generator fuses a group it accepts: the form its members
+/// combine in, with the tiles a merged group stages.
+#[derive(Debug)]
+pub struct Decision {
+    pub(crate) form: Form,
+    /// Some array flows between members (complex fusion).
+    pub(crate) complex: bool,
+}
+
+impl Decision {
+    /// The arrays the fused kernel stages in shared memory, in array id
+    /// order; none for a concatenated group.
+    pub fn tiles(&self) -> &[Tile] {
+        match &self.form {
+            Form::Merged { tiles, .. } => tiles,
+            Form::Concat { .. } => &[],
+        }
+    }
+
+    /// Bytes of the staged tiles at `block`: `Σ (bx+2rx)(by+2ry)·8`.
+    pub fn footprint(&self, block: Dim3) -> usize {
+        let tiles = self.tiles().iter();
+        tiles.map(|t| tile_bytes(block, t.rx, t.ry)).sum()
+    }
+}
+
+/// Whether and how the code generator fuses `members`, given in execution
+/// order: the [`Decision`] exactly when
+/// [`crate::fuse::GroupAnalysis::new`] accepts their kernels and launches,
+/// otherwise its rejection.
 pub fn check(
     members: &[&MemberFacts],
     mode: CodegenMode,
     ids: &ArrayIds,
-) -> Result<(), CodegenError> {
+) -> Result<Decision, CodegenError> {
     let group = Group::of(members, ids)?;
     let flows = group.flows()?;
-    if flows.is_empty() {
-        // No array flows between members: only canonicalization and the
-        // ordering rule (checked above) can refuse the group.
-        return Ok(());
-    }
-    group.form(&flows, mode).map(drop)
-}
-
-/// [`check`], and on success the form the members combine in and whether
-/// some array flows between them (complex fusion).
-pub(crate) fn form(
-    members: &[&MemberFacts],
-    mode: CodegenMode,
-    ids: &ArrayIds,
-) -> Result<(Form, bool), CodegenError> {
-    let group = Group::of(members, ids)?;
-    let flows = group.flows()?;
-    Ok((group.form(&flows, mode)?, !flows.is_empty()))
+    let form = group.form(&flows, mode)?;
+    let complex = !flows.is_empty();
+    Ok(Decision { form, complex })
 }
 
 /// A member whose facts canonicalized.

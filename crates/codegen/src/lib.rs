@@ -11,8 +11,8 @@
 //!   unify thread-mapping variables, rename locals, literalize guard and
 //!   loop bounds.
 //! - [`legality`] — the block-independent fusion legality rules, one
-//!   pure predicate over per-member facts that codegen and the search
-//!   both ask.
+//!   pure decision over per-member facts (refused, or the tiles the group
+//!   stages) that codegen emits from and the search prices.
 //! - [`fuse`] — generate fused kernels: no-fusion copies, *simple fusion*
 //!   (shared-memory staging of reused arrays, §5.5.2) and *complex fusion*
 //!   (barriers + halo recomputation / temporal blocking, §5.5.3), in both
@@ -38,7 +38,7 @@ pub use hostgen::{
     transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver, Storage,
     TransformOutput,
 };
-pub use temporal::{TemporalAnalysis, TemporalKernel};
+pub use temporal::{TemporalAnalysis, TemporalChain, TemporalKernel};
 // The plan IR lives in `sf-plan`; re-exported here so downstream crates can
 // keep importing the types from the stage that consumes them.
 pub use sf_plan::{

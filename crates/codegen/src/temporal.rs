@@ -58,10 +58,6 @@ struct Step {
     target: String,
     /// Fully inlined right-hand side (locals and hoisted decls substituted).
     rhs: Expr,
-    /// Lateral tile-read radii (reads of group-written arrays only; global
-    /// reads of read-only inputs are exact at any shift).
-    rx: i64,
-    ry: i64,
     guard: canon::EvalGuard,
     k_lo: i64,
     k_hi: i64,
@@ -83,8 +79,63 @@ impl FoldedStep {
     }
 }
 
+/// What a temporal fold of a member chain stages, known without its code,
+/// its degree or its block. [`TemporalAnalysis`] emits from it and the
+/// search prices it, through one halo and footprint rule
+/// ([`TemporalChain::smem_bytes`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TemporalChain {
+    /// Per member step, in chain order, the lateral radii `(rx, ry)` of its
+    /// reads of group-written arrays (global reads of read-only inputs are
+    /// exact at any shift).
+    pub radii: Vec<(i64, i64)>,
+    /// Arrays some member writes, in first-use order: one tile each.
+    pub written: Vec<String>,
+}
+
+impl TemporalChain {
+    /// The chain [`TemporalAnalysis::new`] folds `members` (given in
+    /// loop-body order, their arguments bound to the storage they execute
+    /// on) by at any degree, or its refusal.
+    pub fn new(
+        members: &[(&Kernel, &LaunchRecord)],
+        allocs: &[AllocInfo],
+    ) -> Result<TemporalChain, CodegenError> {
+        let analysis = TemporalAnalysis::new(members, "", usize::MAX, 2, allocs)?;
+        Ok(analysis.chain)
+    }
+
+    /// The accumulated halo `D = T · Σ r` per axis at degree `fold`.
+    pub fn halo(&self, fold: u32) -> (i64, i64) {
+        let rx: i64 = self.radii.iter().map(|r| r.0).sum();
+        let ry: i64 = self.radii.iter().map(|r| r.1).sum();
+        (i64::from(fold) * rx, i64::from(fold) * ry)
+    }
+
+    /// Static shared memory of the fold at degree `fold` for `block` — one
+    /// `(bx+2dx)(by+2dy)·8` tile per written array — or the rule `block`
+    /// breaks: an accumulated halo wider than half the block on an axis
+    /// (`2·D > b`), or a footprint over the device's `cap`.
+    pub fn smem_bytes(&self, fold: u32, block: Dim3, cap: usize) -> Result<usize, CodegenError> {
+        let (bx, by) = (block.x as i64, block.y as i64);
+        let (dx, dy) = self.halo(fold);
+        if 2 * dx > bx || 2 * dy > by {
+            return Err(CodegenError(format!(
+                "accumulated temporal halo {dx}x{dy} too large for block {bx}x{by}"
+            )));
+        }
+        let smem_bytes = self.written.len() * tile_bytes(block, dx, dy);
+        if smem_bytes > cap {
+            return Err(CodegenError(format!(
+                "temporal group needs {smem_bytes} B shared memory, device limit {cap} B"
+            )));
+        }
+        Ok(smem_bytes)
+    }
+}
+
 /// Everything about a temporal group that does not depend on the
-/// thread-block shape — member steps, accumulated halo, every
+/// thread-block shape — its [`TemporalChain`], member steps, every
 /// block-independent legality rule — computed once by [`Self::new`]. Per
 /// block there remain the tile footprint with its two legality rules
 /// ([`Self::smem_bytes`]) and the code ([`Self::emit`]).
@@ -99,8 +150,7 @@ pub struct TemporalAnalysis {
     params: Vec<Param>,
     args_a: Vec<ResolvedArg>,
     args_b: Vec<ResolvedArg>,
-    /// Arrays some member writes, in first-use order.
-    written: Vec<String>,
+    chain: TemporalChain,
     /// The uniform `[kz, ny, nx]` extents of every touched array, and the
     /// shadow arrays of that shape the host must allocate.
     domain: [i64; 3],
@@ -108,9 +158,6 @@ pub struct TemporalAnalysis {
     steps: Vec<Step>,
     /// The `fold · steps` member-steps in execution order.
     folded: Vec<FoldedStep>,
-    /// Accumulated halo `D = T · Σ r` per axis.
-    dx: i64,
-    dy: i64,
 }
 
 impl TemporalAnalysis {
@@ -190,21 +237,20 @@ impl TemporalAnalysis {
         }
 
         // Extract each member's step form.
-        let steps: Vec<Step> = cms
+        let (steps, radii): (Vec<Step>, _) = cms
             .iter()
             .map(|m| extract_step(m, &written, &canon_scalars, kz))
             .collect::<Result<_, _>>()?;
+        let chain = TemporalChain { radii, written };
 
         // Per-step halo widths: step s must produce values out to the sum of
         // all *later* steps' tile-read radii — what is left of the
         // accumulated halo after its own.
-        let dx = i64::from(fold) * steps.iter().map(|s| s.rx).sum::<i64>();
-        let dy = i64::from(fold) * steps.iter().map(|s| s.ry).sum::<i64>();
-        let (mut wx, mut wy) = (dx, dy);
+        let (mut wx, mut wy) = chain.halo(fold);
         let mut folded = Vec::with_capacity(fold as usize * steps.len());
         for s in 0..fold as usize * steps.len() {
-            let step = &steps[s % steps.len()];
-            (wx, wy) = (wx - step.rx, wy - step.ry);
+            let (rx, ry) = chain.radii[s % steps.len()];
+            (wx, wy) = (wx - rx, wy - ry);
             folded.push(FoldedStep {
                 step: s % steps.len(),
                 wx,
@@ -212,6 +258,7 @@ impl TemporalAnalysis {
             });
         }
 
+        let written = &chain.written;
         let array = |name: String, is_const| Param::Array {
             name,
             elem: ScalarType::F64,
@@ -239,8 +286,6 @@ impl TemporalAnalysis {
             fold,
             smem_limit,
             members: cms.iter().map(|m| m.seq).collect(),
-            dx,
-            dy,
             params,
             args_a: args(touched.clone(), written.iter().map(shadow).collect()),
             args_b: args(touched.iter().map(entry_b).collect(), written.clone()),
@@ -248,34 +293,18 @@ impl TemporalAnalysis {
                 .iter()
                 .map(|a| (shadow(a), extents.clone()))
                 .collect(),
-            written,
             domain: [kz, ny, nx],
             steps,
             folded,
+            chain,
         })
     }
 
     /// Static shared memory of the kernel [`TemporalAnalysis::emit`]
-    /// generates for `block` — one `(bx+2dx)(by+2dy)·8` tile per written
-    /// array — or the block-dependent legality rule `block` breaks: an
-    /// accumulated halo wider than half the block, or a footprint over the
-    /// device cap.
+    /// generates for `block`, or the rule `block` breaks: its chain's
+    /// [`TemporalChain::smem_bytes`] at the analysis' degree and device cap.
     pub fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
-        let (bx, by) = (block.x as i64, block.y as i64);
-        let (dx, dy) = (self.dx, self.dy);
-        if 2 * dx > bx || 2 * dy > by {
-            return Err(CodegenError(format!(
-                "accumulated temporal halo {dx}x{dy} too large for block {bx}x{by}"
-            )));
-        }
-        let smem_bytes = self.written.len() * tile_bytes(block, dx, dy);
-        if smem_bytes > self.smem_limit {
-            return Err(CodegenError(format!(
-                "temporal group needs {smem_bytes} B shared memory, device limit {} B",
-                self.smem_limit
-            )));
-        }
-        Ok(smem_bytes)
+        self.chain.smem_bytes(self.fold, block, self.smem_limit)
     }
 
     /// The launch grid of the kernel [`TemporalAnalysis::emit`] generates
@@ -308,8 +337,8 @@ impl TemporalAnalysis {
         );
         let mut reused = reused.flatten().map(Vec::into_iter);
         let smem_bytes = self.smem_bytes(block)?;
-        let (fold, written, steps) = (self.fold, &self.written, &self.steps);
-        let (dx, dy) = (self.dx, self.dy);
+        let (fold, written, steps) = (self.fold, &self.chain.written, &self.steps);
+        let (dx, dy) = self.chain.halo(fold);
         let (bx, by) = (block.x as i64, block.y as i64);
         let [kz, ny, nx] = self.domain;
         let grid = self.grid(block);
@@ -447,13 +476,13 @@ impl TemporalAnalysis {
 }
 
 /// Validate one member against the temporal legality rules and extract its
-/// step form (fully inlined RHS + tile-read radii).
+/// step form (fully inlined RHS) and its lateral tile-read radii `(rx, ry)`.
 fn extract_step(
     m: &CanonMember,
     written: &[String],
     canon_scalars: &BTreeMap<String, HostValue>,
     kz: i64,
-) -> Result<Step, CodegenError> {
+) -> Result<(Step, (i64, i64)), CodegenError> {
     let MemberStructure::SingleSweep {
         k_lo,
         k_hi,
@@ -656,15 +685,14 @@ fn extract_step(
     if let Some(e) = err {
         return Err(CodegenError(e));
     }
-    Ok(Step {
+    let step = Step {
         target: target.to_string(),
         rhs,
-        rx,
-        ry,
         guard: m.guard,
         k_lo: *k_lo,
         k_hi: *k_hi,
-    })
+    };
+    Ok((step, (rx, ry)))
 }
 
 /// Emit one folded member-step: the main region plus up to eight shrinking

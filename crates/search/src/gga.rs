@@ -29,6 +29,7 @@ use crate::space::SearchSpace;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use sf_codegen::legality::Tile;
 use sf_plan::{CodegenMode, GroupPlan, GroupProjection, PrecedenceClass, TransformPlan};
 
 /// Why the search stopped.
@@ -149,7 +150,7 @@ pub fn lower_plan(
             } else {
                 PrecedenceClass::Simple
             };
-            gp.staged_arrays = objective::staged_arrays(space, members);
+            gp.staged_arrays = staged_arrays(space, members, fold);
             gp.projection = Some(GroupProjection {
                 time_us: cost.time_us,
                 flops: cost.flops,
@@ -161,6 +162,23 @@ pub fn lower_plan(
     let mut plan = TransformPlan::new(space.device.clone(), mode, block_tuning, groups);
     plan.projected_time_us = Some(objective::projected_time_us_with(&mut pricer, &q.groups));
     plan
+}
+
+/// The arrays codegen stages for `members` at temporal degree `fold`: the
+/// tiles of their [`SearchSpace::decision`], or every array the chain writes.
+fn staged_arrays(space: &SearchSpace, members: &[usize], fold: u32) -> Vec<String> {
+    match space
+        .temporal_group(members)
+        .map(|li| &space.loops[li].chain)
+    {
+        Some(Ok(chain)) if fold > 1 => chain.written.clone(),
+        _ if members.len() < 2 => Vec::new(),
+        _ => {
+            let decision = space.decision(members).expect("a lowered group is fusable");
+            let name = |t: &Tile| space.arrays.name(t.array).to_string();
+            decision.tiles().iter().map(name).collect()
+        }
+    }
 }
 
 /// Breed one offspring: tournament selection, optional group-injection

@@ -15,7 +15,8 @@
 use crate::genome::{Groups, Individual};
 use crate::projection::{Pricer, ProjectionEngine};
 use crate::space::SearchSpace;
-use sf_gpusim::timing::{LaunchProfile, TimingModel};
+use sf_gpusim::timing::{LaunchProfile, TemporalFold, TimingModel};
+use sf_minicuda::host::Dim3;
 
 /// Relative penalty multipliers for constraint violations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,25 +66,33 @@ pub struct GroupCost {
     /// Worst relative measurement dispersion among the members — a pure
     /// function of the member set, so it is safe to cache with the cost.
     pub max_dispersion: f64,
-    /// The code generator fuses the members at this degree. A spatial
-    /// group of two or more units it would refuse (and emit unfused)
-    /// projects to infinite time, so it never wins.
+    /// The code generator fuses the members at this degree. A group it
+    /// would refuse (and emit unfused) projects to infinite time, so it
+    /// never wins.
     pub fusable: bool,
+}
+
+/// The block a group's price assumes: 32 wide, as deep as its first
+/// member's threads allow. The one guess left in the price (codegen's tuner
+/// picks its own block); the spatial tiles and the temporal rule use it.
+pub fn assumed_block(space: &SearchSpace, members: &[usize]) -> Dim3 {
+    let threads = members
+        .first()
+        .map_or(256, |&m| space.units[m].threads_per_block.max(32));
+    Dim3::new(32, threads / 32, 1)
 }
 
 /// Project the cost of executing `members` as one fused kernel at temporal
 /// degree `fold`.
 ///
-/// At `fold == 1` this is the plain spatial projection. At higher degrees
-/// the group is costed as one temporally folded launch covering `fold`
-/// host loop iterations — staged reads are paid once (inflated by the
-/// grown halo), writes land once, flops multiply by the degree and the
-/// redundant-recompute ratio — and the resulting time is amortized back to
-/// *per loop iteration*, so it compares directly against the spatial cost
-/// under the same host repeat weight. A degree whose accumulated halo no
-/// longer fits the block projects to infinite time (never selected), and
-/// so does a spatial group the code generator would not fuse
-/// ([`SearchSpace::fusable`]).
+/// What the kernel stages is codegen's decision, asked, not re-derived: at
+/// `fold == 1` the tiles of [`SearchSpace::decision`]; at higher degrees
+/// one folded launch of the loop's [`sf_codegen::TemporalChain`] covering
+/// `fold` host iterations — staged reads paid once (inflated by the grown
+/// halo), writes once, flops times the degree and the recompute ratio —
+/// amortized back to *per loop iteration*, so it compares directly with
+/// the spatial cost under the same host repeat weight. A group or degree
+/// codegen refuses (at the [`assumed_block`]) projects to infinite time.
 pub fn group_cost(
     space: &SearchSpace,
     members: &[usize],
@@ -96,59 +105,31 @@ pub fn group_cost(
     // Per-array maxima across members.
     let mut reads: BTreeMap<&str, u64> = BTreeMap::new();
     let mut writes: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut read_count: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut written_in_group: BTreeMap<&str, usize> = BTreeMap::new();
-    for (pos, u) in units.iter().enumerate() {
+    for u in &units {
         for (a, (r, w)) in &u.ops.bytes_per_array {
             if *r > 0 {
                 let e = reads.entry(a).or_insert(0);
                 *e = (*e).max(*r);
-                *read_count.entry(a).or_insert(0) += 1;
             }
             if *w > 0 {
                 let e = writes.entry(a).or_insert(0);
                 *e = (*e).max(*w);
-                written_in_group.entry(a).or_insert(pos);
             }
         }
     }
-
-    let mut read_dram: u64 = 0;
-    let mut write_dram: u64 = 0;
-    let mut smem_bytes: usize = 0;
-    let bx = units
-        .first()
-        .map(|u| {
-            // The canonical 2-D block: x stays 32-ish in the supported
-            // class; derive from threads (approximate shape 32 × t/32).
-            let t = u.threads_per_block.max(32);
-            (32i64, (t / 32) as i64)
+    // A read of an array the group writes is served on chip but for its
+    // halo.
+    let read_dram: u64 = reads
+        .iter()
+        .map(|(a, &r)| {
+            if writes.contains_key(a) {
+                (r as f64 * FLOW_HALO_FRACTION) as u64
+            } else {
+                r
+            }
         })
-        .unwrap_or((32, 8));
-    for (a, &r) in &reads {
-        let flow = written_in_group.contains_key(a);
-        let shared_read = read_count[a] >= 2 || flow;
-        if flow {
-            read_dram += (r as f64 * FLOW_HALO_FRACTION) as u64;
-        } else {
-            read_dram += r;
-        }
-        // Tile estimate for staged arrays (3-D shapes only).
-        if shared_read && units.len() > 1 {
-            let radius = units
-                .iter()
-                .flat_map(|u| &u.ops.shapes)
-                .filter(|s| s.array == *a && s.rank == 3)
-                .map(|s| (s.radius[1], s.radius[2]))
-                .fold((0i64, 0i64), |acc, (ry, rx)| (acc.0.max(ry), acc.1.max(rx)));
-            let (ry, rx) = radius;
-            smem_bytes += ((bx.1 + 2 * ry) * (bx.0 + 2 * rx) * 8) as usize;
-        }
-    }
-    for &w in writes.values() {
-        write_dram += w;
-    }
-    let dram_bytes = read_dram + write_dram;
+        .sum();
+    let write_dram: u64 = writes.values().sum();
 
     let flops: u64 = units.iter().map(|u| u.perf.flops).sum();
     let divergent: u64 = units.iter().map(|u| u.perf.divergent_evals).sum();
@@ -169,148 +150,86 @@ pub fn group_cost(
         .map(|u| u.threads_per_block)
         .max()
         .unwrap_or(128);
-
-    let mut smem_violation = smem_bytes > space.smem_limit;
-    let fission_escape = units.iter().any(|u| {
-        let original = u.parent.map_or(u.id, |p| p);
-        space.units[original].fissionable() && u.mref.fission_component.is_none()
-    });
-
-    // For timing, clamp shared memory into the launchable range; the
-    // violation is handled by the penalty, not by an unlaunchable config.
-    let clamped_smem = smem_bytes.min(space.smem_limit);
-    let profile = LaunchProfile {
-        dram_bytes,
+    let mut profile = LaunchProfile {
+        dram_bytes: read_dram + write_dram,
         flops,
         blocks,
         threads_per_block: threads,
         regs_per_thread: regs,
-        smem_per_block: clamped_smem,
+        smem_per_block: 0,
         divergent_evals: divergent,
         depth,
     };
-    let mut time_us = model
-        .launch_cost(&profile)
-        .map(|c| c.total_us())
-        .unwrap_or(f64::INFINITY);
+    let launch_us = |profile: &LaunchProfile| {
+        let cost = model.launch_cost(profile);
+        cost.map(|c| c.total_us()).unwrap_or(f64::INFINITY)
+    };
 
-    if fold > 1 {
-        // Execution order of the folded steps: member unit ids ascend with
-        // host sequence order (temporal groups never contain fission
-        // products, see `SearchSpace::temporal_group`).
-        let mut ordered = units.clone();
-        ordered.sort_by_key(|u| u.id);
-        let radii: Vec<(i64, i64)> = ordered
-            .iter()
-            .map(|u| {
-                u.ops
-                    .shapes
-                    .iter()
-                    .filter(|s| s.rank == 3 && s.read)
-                    .map(|s| (s.radius[1], s.radius[2]))
-                    .fold((0i64, 0i64), |acc, (ry, rx)| (acc.0.max(ry), acc.1.max(rx)))
-            })
-            .collect();
-        let (sum_ry, sum_rx) = radii
-            .iter()
-            .fold((0i64, 0i64), |a, r| (a.0 + r.0, a.1 + r.1));
-        let (dy, dx) = (i64::from(fold) * sum_ry, i64::from(fold) * sum_rx);
-        if 2 * dx >= bx.0 || 2 * dy >= bx.1 {
-            // The accumulated halo no longer fits the block: the code
-            // generator rejects this geometry, so the degree must never
-            // win the argmin.
-            time_us = f64::INFINITY;
-        } else {
-            let base_area = (bx.0 * bx.1) as f64;
-            let halo_area = ((bx.0 + 2 * dx) * (bx.1 + 2 * dy)) as f64;
+    let block = assumed_block(space, members);
+    // The time and shared bytes of the kernel codegen emits, `None` if it
+    // refuses to.
+    let priced = if fold == 1 {
+        let smem_bytes = match members.len() {
+            0 | 1 => Some(0),
+            _ => space.decision(members).ok().map(|d| d.footprint(block)),
+        };
+        // For timing, clamp shared memory into the launchable range; the
+        // violation is handled by the penalty, not by an unlaunchable config.
+        smem_bytes.map(|smem_bytes| {
+            profile.smem_per_block = smem_bytes.min(space.smem_limit);
+            (launch_us(&profile), smem_bytes)
+        })
+    } else {
+        let chain = space
+            .temporal_group(members)
+            .and_then(|li| space.loops[li].chain.as_ref().ok());
+        chain.and_then(|chain| {
+            let smem_bytes = chain.smem_bytes(fold, block, space.smem_limit).ok()?;
+            let (bx, by) = (i64::from(block.x), i64::from(block.y));
+            let (dx, dy) = chain.halo(fold);
+            let base_area = (bx * by) as f64;
+            let halo_area = ((bx + 2 * dx) * (by + 2 * dy)) as f64;
             // Step `s` computes the region every later step still needs:
             // the region widths are suffix sums of the per-step radii.
+            let radii = &chain.radii;
             let steps = fold as usize * radii.len();
             let mut recompute_sum = 0.0;
-            let (mut wy, mut wx) = (0i64, 0i64);
+            let (mut wx, mut wy) = (0i64, 0i64);
             for s in (0..steps).rev() {
-                recompute_sum += ((bx.0 + 2 * wx) * (bx.1 + 2 * wy)) as f64;
-                let (ry, rx) = radii[s % radii.len()];
-                wy += ry;
+                recompute_sum += ((bx + 2 * wx) * (by + 2 * wy)) as f64;
+                let (rx, ry) = radii[s % radii.len()];
                 wx += rx;
+                wy += ry;
             }
-            // Only the arrays written inside the group are staged through
-            // shared tiles sized to the full accumulated halo.
-            let t_smem = writes.len() * (((bx.0 + 2 * dx) * (bx.1 + 2 * dy)) as usize) * 8;
-            smem_bytes = t_smem;
-            smem_violation = t_smem > space.smem_limit;
-            if smem_violation {
-                // Unlike spatial staging (a soft penalty the code generator
-                // can still launch), an over-limit temporal tile is a hard
-                // structural reject in codegen — the degree must never win
-                // the argmin.
-                time_us = f64::INFINITY;
-            } else {
-                let tf = sf_gpusim::timing::TemporalFold {
-                    fold,
-                    halo_read_ratio: halo_area / base_area,
-                    recompute_ratio: recompute_sum / (steps as f64 * base_area),
-                    smem_per_block: t_smem,
-                };
-                let folded = profile.folded(read_dram, write_dram, &tf);
-                // One folded launch covers `fold` host iterations: amortize
-                // so the cost compares per-iteration against the spatial
-                // rung.
-                time_us = model
-                    .launch_cost(&folded)
-                    .map(|c| c.total_us() / f64::from(fold))
-                    .unwrap_or(f64::INFINITY);
-            }
-        }
-    }
-
-    let max_dispersion = units
-        .iter()
-        .map(|u| u.perf.measure.dispersion)
-        .fold(0.0, f64::max);
-
-    let fusable = fold > 1 || members.len() < 2 || space.fusable(members);
-    if !fusable {
-        time_us = f64::INFINITY;
-    }
+            let tf = TemporalFold {
+                fold,
+                halo_read_ratio: halo_area / base_area,
+                recompute_ratio: recompute_sum / (steps as f64 * base_area),
+                smem_per_block: smem_bytes,
+            };
+            // One folded launch covers `fold` host iterations: amortize so
+            // the cost compares per-iteration against the spatial rung.
+            let folded = profile.folded(read_dram, write_dram, &tf);
+            Some((launch_us(&folded) / f64::from(fold), smem_bytes))
+        })
+    };
+    let (time_us, smem_bytes) = priced.unwrap_or((f64::INFINITY, 0));
 
     GroupCost {
         time_us,
         flops,
         smem_bytes,
-        smem_violation,
-        fission_escape,
-        max_dispersion,
-        fusable,
+        smem_violation: smem_bytes > space.smem_limit,
+        fission_escape: units.iter().any(|u| {
+            let original = u.parent.map_or(u.id, |p| p);
+            space.units[original].fissionable() && u.mref.fission_component.is_none()
+        }),
+        max_dispersion: units
+            .iter()
+            .map(|u| u.perf.measure.dispersion)
+            .fold(0.0, f64::max),
+        fusable: priced.is_some(),
     }
-}
-
-/// The arrays the projection expects the code generator to stage in shared
-/// memory for this group, mirroring the staging rule in [`group_cost`]: an
-/// input read by at least two members, or one consumed from a value
-/// produced inside the group. Singleton groups stage nothing.
-pub fn staged_arrays(space: &SearchSpace, members: &[usize]) -> Vec<String> {
-    use std::collections::{BTreeMap, BTreeSet};
-    if members.len() < 2 {
-        return Vec::new();
-    }
-    let mut read_count: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut written: BTreeSet<&str> = BTreeSet::new();
-    for &m in members {
-        for (a, (r, w)) in &space.units[m].ops.bytes_per_array {
-            if *r > 0 {
-                *read_count.entry(a).or_insert(0) += 1;
-            }
-            if *w > 0 {
-                written.insert(a);
-            }
-        }
-    }
-    read_count
-        .iter()
-        .filter(|(a, &c)| c >= 2 || written.contains(*a))
-        .map(|(a, _)| (*a).to_string())
-        .collect()
 }
 
 /// Host repeat weight of a group: its most-repeated member's.
@@ -474,8 +393,17 @@ void host() {
         let pair = engine.group_cost(&[0, 1]);
         assert!(pair.smem_bytes > 0, "staged u must charge a tile");
         assert!(!pair.smem_violation);
-        assert_eq!(staged_arrays(&space, &[0, 1]), vec!["u".to_string()]);
-        assert!(staged_arrays(&space, &[0]).is_empty());
+        let staged = space.decision(&[0, 1]).unwrap();
+        let names: Vec<&str> = staged
+            .tiles()
+            .iter()
+            .map(|t| space.arrays.name(t.array))
+            .collect();
+        assert_eq!(names, ["u"]);
+        assert_eq!(
+            pair.smem_bytes,
+            staged.footprint(assumed_block(&space, &[0, 1]))
+        );
     }
 
     #[test]

@@ -9,15 +9,15 @@
 
 use sf_analysis::filter::FilterDecision;
 use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
-use sf_codegen::legality::{self, ArrayIds, MemberFacts};
-use sf_codegen::{transform_program_with, Storage};
+use sf_codegen::legality::{self, ArrayIds, Decision, MemberFacts};
+use sf_codegen::{transform_program_with, CodegenError, Storage, TemporalChain};
 use sf_core::FaultPlan;
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_graphs::build::{all_accesses, LaunchAccesses};
 use sf_graphs::{EdgeInfo, Precedence};
-use sf_minicuda::ast::Program;
-use sf_minicuda::host::{parse_instance, ExecutablePlan};
+use sf_minicuda::ast::{Kernel, Program};
+use sf_minicuda::host::{parse_instance, ExecutablePlan, LaunchRecord};
 use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -83,6 +83,8 @@ pub struct LoopSpan {
     pub count: u64,
     /// Original unit ids of the loop body, in body order.
     pub units: Vec<usize>,
+    /// What codegen stages to fold the body, or why it never folds it.
+    pub chain: Result<TemporalChain, CodegenError>,
 }
 
 /// The complete search space.
@@ -104,7 +106,7 @@ pub struct SearchSpace {
     /// which members merge into one sweep, and so which rules apply).
     pub mode: CodegenMode,
     /// Per unit, what codegen's fusion legality rules read of it
-    /// ([`SearchSpace::fusable`]), computed once.
+    /// ([`SearchSpace::decision`]), computed once.
     pub facts: Vec<MemberFacts>,
     /// The arrays `facts` name.
     pub arrays: ArrayIds,
@@ -134,10 +136,10 @@ impl SearchSpace {
         covers.then_some(li)
     }
 
-    /// Whether the code generator fuses `members` (two or more units) into
-    /// one kernel: `sf_codegen`'s block-independent legality predicate,
-    /// asked of the members' facts in execution order.
-    pub fn fusable(&self, members: &[usize]) -> bool {
+    /// Whether and how the code generator fuses `members` (two or more
+    /// units) into one kernel: `sf_codegen`'s block-independent
+    /// [`legality::check`], asked of the members' facts in execution order.
+    pub fn decision(&self, members: &[usize]) -> Result<Decision, CodegenError> {
         let mut ordered: Vec<(usize, Option<usize>, &MemberFacts)> = members
             .iter()
             .map(|&u| {
@@ -147,7 +149,7 @@ impl SearchSpace {
             .collect();
         ordered.sort_unstable_by_key(|&(seq, component, _)| (seq, component));
         let facts: Vec<&MemberFacts> = ordered.into_iter().map(|(_, _, f)| f).collect();
-        legality::check(&facts, self.mode, &self.arrays).is_ok()
+        legality::check(&facts, self.mode, &self.arrays)
     }
 
     /// Temporal degrees worth projecting for loop `li`: each `T` in
@@ -197,15 +199,23 @@ impl SearchSpace {
 
         // Codegen reads a member bound to the storage it executes on.
         let storage = Storage::new(&precedence.ddg);
+        let bound: Vec<(&Kernel, Cow<'_, LaunchRecord>)> = plan
+            .launches
+            .iter()
+            .map(|launch| {
+                let kernel = program.kernel(&launch.kernel).expect("kernel exists");
+                let mut bound = Cow::Borrowed(launch);
+                storage.bind(kernel, &mut bound);
+                (kernel, bound)
+            })
+            .collect();
         let mut arrays = ArrayIds::default();
         let mut facts: Vec<MemberFacts> = Vec::new();
         let mut units: Vec<Unit> = Vec::new();
         for launch in &plan.launches {
             let seq = launch.seq;
-            let kernel = program.kernel(&launch.kernel).expect("kernel exists");
-            let mut bound = Cow::Borrowed(launch);
-            storage.bind(kernel, &mut bound);
-            facts.push(MemberFacts::of(kernel, &bound, &mut arrays));
+            let (kernel, bound) = &bound[seq];
+            facts.push(MemberFacts::of(kernel, bound, &mut arrays));
             units.push(Unit {
                 id: seq,
                 label: format!("{}#{}", launch.kernel, seq),
@@ -230,7 +240,7 @@ impl SearchSpace {
         let mut product_owner: Vec<Option<(usize, usize)>> = Vec::new(); // per synthetic launch: (parent seq, component)
         for launch in &plan.launches {
             let seq = launch.seq;
-            let kernel = program.kernel(&launch.kernel).expect("kernel exists");
+            let kernel = bound[seq].0;
             let components = decisions[seq]
                 .is_target()
                 .then(|| sf_codegen::fission_kernel(kernel))
@@ -277,9 +287,6 @@ impl SearchSpace {
                     .into_iter()
                     .map(|(k, v)| (debase(&k), v))
                     .collect();
-                for sh in &mut ops.shapes {
-                    sh.array = debase(&sh.array);
-                }
                 let acc = &fission_accesses[idx];
                 let accesses = LaunchAccesses {
                     reads: acc.reads.iter().map(|a| debase(a)).collect(),
@@ -342,9 +349,13 @@ impl SearchSpace {
         let loops = plan
             .loops
             .iter()
-            .map(|l| LoopSpan {
-                count: l.count,
-                units: l.seqs.clone(),
+            .map(|l| {
+                let body: Vec<_> = l.seqs.iter().map(|&s| (bound[s].0, &*bound[s].1)).collect();
+                LoopSpan {
+                    count: l.count,
+                    units: l.seqs.clone(),
+                    chain: TemporalChain::new(&body, &plan.allocs),
+                }
             })
             .collect();
 
@@ -518,6 +529,7 @@ void host() {
                 .map(|l| LoopSpan {
                     count: 8,
                     units: l.clone(),
+                    chain: Err(CodegenError("no kernels".into())),
                 })
                 .collect(),
             ..template.clone()

@@ -16,7 +16,7 @@ use sf_graphs::Precedence;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use sf_search::genome::{Groups, Quotient};
-use sf_search::objective::{fitness_with, Penalty};
+use sf_search::objective::{assumed_block, fitness_with, Penalty};
 use sf_search::seed::{greedy, TIE};
 use sf_search::{search, Individual, ProjectionEngine, SearchConfig, SearchSpace};
 use std::collections::BTreeSet;
@@ -280,7 +280,10 @@ fn legality_cases() -> &'static [Legality] {
 
 /// The search's verdict on `members` (unit ids in execution order), after
 /// checking that it is codegen's: `GroupAnalysis::new` on the members
-/// codegen resolves accepts them exactly when the search does.
+/// codegen resolves accepts them exactly when the search does, and the
+/// tiles the search prices (array, `rx`, `ry`) are the ones codegen's
+/// kernel stages — at the search's assumed block, or where codegen refuses
+/// that block, at the first member's own launch block.
 fn agreed_verdict(case: &Legality, members: &[usize], mode: CodegenMode) -> bool {
     let space = match mode {
         CodegenMode::Auto => &case.auto,
@@ -298,15 +301,37 @@ fn agreed_verdict(case: &Legality, members: &[usize], mode: CodegenMode) -> bool
     // holds them (products come after every original).
     let mut ids = members.to_vec();
     ids.sort_unstable();
-    let search = space.fusable(&ids);
+    let search = space.decision(&ids);
     assert_eq!(
-        search,
+        search.is_ok(),
         codegen.is_ok(),
         "{}: members {members:?} ({mode:?}): codegen says {:?}",
         case.label,
         codegen.err()
     );
-    search
+    let (Ok(search), Ok(codegen)) = (search, codegen) else {
+        return false;
+    };
+    let blocks = [assumed_block(space, &ids), refs[0].1.block];
+    let kernel = blocks.into_iter().find_map(|b| codegen.emit(b).ok());
+    let kernel = kernel.expect("codegen emits the group at one of the blocks");
+    let staged: Vec<_> = kernel
+        .report
+        .staged
+        .iter()
+        .map(|s| (s.array.as_str(), s.rx, s.ry))
+        .collect();
+    let priced: Vec<_> = search
+        .tiles()
+        .iter()
+        .map(|t| (space.arrays.name(t.array), t.rx, t.ry))
+        .collect();
+    assert_eq!(
+        priced, staged,
+        "{}: members {members:?} ({mode:?})",
+        case.label
+    );
+    true
 }
 
 /// Every window of two to four consecutive units of every analog, in both

@@ -6,11 +6,16 @@
 use sf_codegen::{
     transform_program, transform_program_with, CodegenMode, GroupPlan, MemberRef, TransformPlan,
 };
+use sf_codegen::{Resolver, Storage, TemporalAnalysis};
 use sf_gpusim::device::DeviceSpec;
+use sf_gpusim::profiler::Profiler;
 use sf_gpusim::{GlobalMemory, Interpreter};
+use sf_graphs::Precedence;
 use sf_minicuda::ast::HostStmt;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::{parse_program, Program};
+use sf_search::objective::assumed_block;
+use sf_search::{ProjectionEngine, SearchSpace};
 
 /// A ping-pong Jacobi pair inside a host time loop: `step_ab` reads `a`
 /// and writes `b`, `step_ba` reads `b` and writes `a`. The star offset
@@ -362,6 +367,85 @@ mod cost_model {
             prop_assert!(c.time_us.is_infinite());
         }
     }
+}
+
+/// The search's verdict on every fold of every time loop of `program` at
+/// degrees 2..=4 — finite projected time or not — is codegen's:
+/// `TemporalAnalysis::new(..).smem_bytes(block)` at the block the search
+/// assumes. Returns the verdicts.
+fn agreed_fold_verdicts(program: &Program, label: &str) -> Vec<bool> {
+    let plan = ExecutablePlan::from_program(program).expect("plan");
+    let precedence = Precedence::build(program, &plan).expect("graphs");
+    let device = DeviceSpec::k20x();
+    let profile = Profiler::analytic(device.clone())
+        .profile_with_plan(program, &plan)
+        .expect("profile");
+    let decisions = sf_analysis::filter::identify_targets(
+        &profile.metadata.perf,
+        &profile.metadata.ops,
+        &profile.metadata.device,
+        &sf_analysis::filter::FilterConfig::default(),
+    );
+    let mut space =
+        SearchSpace::from_precedence(program, &plan, &profile, &decisions, device, &precedence)
+            .expect("space");
+    space.max_temporal = 4;
+    let engine = ProjectionEngine::new(&space);
+    let storage = Storage::new(&precedence.ddg);
+    let mut resolver = Resolver::new(program, &plan, &storage);
+    let mut verdicts = Vec::new();
+    for (li, span) in space.loops.iter().enumerate() {
+        if space.temporal_group(&span.units).is_none() {
+            continue;
+        }
+        let resolved: Vec<_> = span
+            .units
+            .iter()
+            .map(|&u| resolver.resolve(&space.units[u].mref).expect("resolves"))
+            .collect();
+        let refs: Vec<_> = resolved.iter().map(|(k, l)| (&**k, &**l)).collect();
+        let block = assumed_block(&space, &span.units);
+        for fold in 2..=4 {
+            let priced = engine.group_cost_at(&span.units, fold).time_us.is_finite();
+            let codegen = TemporalAnalysis::new(&refs, "t", space.smem_limit, fold, &plan.allocs)
+                .and_then(|a| a.smem_bytes(block));
+            assert_eq!(
+                priced,
+                codegen.is_ok(),
+                "{label} loop {li} at degree {fold}, block {block}: codegen says {codegen:?}"
+            );
+            verdicts.push(priced);
+        }
+    }
+    verdicts
+}
+
+#[test]
+fn the_search_prices_a_fold_exactly_when_codegen_emits_it() {
+    for name in ["mitgcm-ts", "scale-les-ts"] {
+        let app = sf_apps::app_by_name(name, &sf_apps::AppConfig::test()).expect("known app");
+        assert!(
+            !agreed_fold_verdicts(&app.program, name).is_empty(),
+            "{name} has no loop"
+        );
+    }
+    // Radius-1 members on a 32 × 8 block: degree 2 accumulates a halo of
+    // exactly half the block's height (2·D == b), which codegen folds and
+    // the search must not price out; degree 4 does not fit.
+    let src = pingpong(8).replace("dim3(2, 1), dim3(32, 32)", "dim3(2, 4), dim3(32, 8)");
+    let p = parse_program(&src).unwrap();
+    assert_eq!(
+        agreed_fold_verdicts(&p, "half-block halo"),
+        [true, false, false]
+    );
+    let plan = ExecutablePlan::from_program(&p).unwrap();
+    let mut group = GroupPlan::of(vec![MemberRef::original(0), MemberRef::original(1)]);
+    group.temporal = 2;
+    let tplan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, false, vec![group]);
+    let out = transform_program(&p, &plan, &tplan).unwrap();
+    assert!(out.degradations.is_empty(), "{:?}", out.degradations);
+    assert_eq!(out.plan.groups[0].temporal, 2);
+    assert_equivalent(&p, &out.program);
 }
 
 #[test]
