@@ -637,10 +637,10 @@ pub fn transform_program_with(
     })
 }
 
-/// The allocation [`build_host`] declares for `array`: a literal one, or a
+/// The allocation the emitted host declares for `array`: a literal one, or a
 /// redundant instance `{base}__i{n}` or temporal shadow `{base}__tb`, each
 /// shaped like its base.
-fn declared_alloc(plan: &ExecutablePlan, array: &str) -> Option<AllocInfo> {
+pub fn declared_alloc(plan: &ExecutablePlan, array: &str) -> Option<AllocInfo> {
     if let Some(a) = plan.alloc(array) {
         return Some(a.clone());
     }

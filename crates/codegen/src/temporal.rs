@@ -29,6 +29,7 @@ use crate::fuse::{
     affine_off, decl_int, grid_and_cover, halo_bands, halo_sides, inline_locals, scalar_params,
     shift_in_place, stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
 };
+use sf_gpusim::timing::TemporalFold;
 use sf_minicuda::ast::*;
 use sf_minicuda::builder as b;
 use sf_minicuda::host::{AllocInfo, Dim3, HostValue, LaunchRecord, ResolvedArg};
@@ -82,7 +83,8 @@ impl FoldedStep {
 /// What a temporal fold of a member chain stages, known without its code,
 /// its degree or its block. [`TemporalAnalysis`] emits from it and the
 /// search prices it, through one halo and footprint rule
-/// ([`TemporalChain::smem_bytes`]).
+/// ([`TemporalChain::smem_bytes`]) and one statement of the folded steps'
+/// halo widths ([`TemporalChain::geometry`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemporalChain {
     /// Per member step, in chain order, the lateral radii `(rx, ry)` of its
@@ -131,6 +133,50 @@ impl TemporalChain {
             )));
         }
         Ok(smem_bytes)
+    }
+
+    /// The `fold · steps` member-steps of the fold at degree `fold`, in
+    /// execution order. Step s must produce values out to the sum of all
+    /// *later* steps' tile-read radii — what is left of the accumulated
+    /// halo after its own.
+    fn folded(&self, fold: u32) -> impl Iterator<Item = FoldedStep> + '_ {
+        let (mut wx, mut wy) = self.halo(fold);
+        let n = self.radii.len();
+        (0..fold as usize * n).map(move |s| {
+            let (rx, ry) = self.radii[s % n];
+            (wx, wy) = (wx - rx, wy - ry);
+            FoldedStep {
+                step: s % n,
+                wx,
+                wy,
+            }
+        })
+    }
+
+    /// The cost geometry of the fold at degree `fold` for `block`: the
+    /// staged reads' halo-area ratio at the accumulated halo, the mean
+    /// widened region its folded steps recompute (the per-step halo widths
+    /// [`TemporalAnalysis`] emits them at), and [`Self::smem_bytes`] — or
+    /// the rule `block` breaks.
+    pub fn geometry(
+        &self,
+        fold: u32,
+        block: Dim3,
+        cap: usize,
+    ) -> Result<TemporalFold, CodegenError> {
+        let smem_per_block = self.smem_bytes(fold, block, cap)?;
+        let (bx, by) = (i64::from(block.x), i64::from(block.y));
+        let area = |wx: i64, wy: i64| ((bx + 2 * wx) * (by + 2 * wy)) as f64;
+        let base_area = area(0, 0);
+        let (dx, dy) = self.halo(fold);
+        let recomputed: f64 = self.folded(fold).map(|f| area(f.wx, f.wy)).sum();
+        let steps = fold as usize * self.radii.len();
+        Ok(TemporalFold {
+            fold,
+            halo_read_ratio: area(dx, dy) / base_area,
+            recompute_ratio: recomputed / (steps as f64 * base_area),
+            smem_per_block,
+        })
     }
 }
 
@@ -243,20 +289,7 @@ impl TemporalAnalysis {
             .collect::<Result<_, _>>()?;
         let chain = TemporalChain { radii, written };
 
-        // Per-step halo widths: step s must produce values out to the sum of
-        // all *later* steps' tile-read radii — what is left of the
-        // accumulated halo after its own.
-        let (mut wx, mut wy) = chain.halo(fold);
-        let mut folded = Vec::with_capacity(fold as usize * steps.len());
-        for s in 0..fold as usize * steps.len() {
-            let (rx, ry) = chain.radii[s % steps.len()];
-            (wx, wy) = (wx - rx, wy - ry);
-            folded.push(FoldedStep {
-                step: s % steps.len(),
-                wx,
-                wy,
-            });
-        }
+        let folded = chain.folded(fold).collect();
 
         let written = &chain.written;
         let array = |name: String, is_const| Param::Array {

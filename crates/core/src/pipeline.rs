@@ -787,24 +787,17 @@ impl<'a> Run<'a> {
     fn search(&mut self, r: &mut StageReport) -> Result<Next, PipelineError> {
         let (program, plan, cfg) = (self.program, self.plan, self.cfg);
         // The search consumes the (possibly programmer-amended) metadata.
-        let original_profile = made(&self.original_profile);
-        let search_profile = ProgramProfile {
-            metadata: made(&self.metadata).clone(),
-            costs: original_profile.costs.clone(),
-            total_runtime_us: original_profile.total_runtime_us,
-            hazards: Vec::new(),
-        };
         let space = match SearchSpace::from_precedence(
             program,
             plan,
-            &search_profile,
+            made(&self.metadata),
             &self.decisions,
             cfg.device.clone(),
             made(&self.precedence),
         ) {
             Ok(space) => space,
-            // The fission pre-step generates and profiles code; a program
-            // it cannot transform keeps the original, as codegen would.
+            // The fission pre-step prices each product alone; a product
+            // the profiler cannot price keeps the original.
             Err(e) => {
                 let err = PipelineError::from(e).at(Stage::Search);
                 let why = err.to_string();

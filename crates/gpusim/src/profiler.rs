@@ -16,7 +16,7 @@ use sf_analysis::access::{self, BoundTraffic, KernelAccess};
 use sf_analysis::metadata::{MetadataBundle, OpsMetadata, PerfMetadata};
 use sf_analysis::{flops, stencil};
 use sf_minicuda::ast::{Kernel, Program};
-use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, ResolvedArg};
+use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, LaunchRecord, ResolvedArg};
 use std::collections::HashMap;
 
 /// A structured profiling error: what failed, which kernel launch was being
@@ -314,111 +314,31 @@ impl Profiler {
             }
         }
 
-        let model = TimingModel::new(self.device.clone());
         let alloc_of = |n: &str| plan.alloc(n).cloned();
-
         let mut perf = Vec::new();
         let mut ops = Vec::new();
         let mut costs = Vec::new();
         let mut total_us = 0.0;
-
         for launch in &plan.launches {
             let kernel = program.kernel(&launch.kernel).ok_or_else(|| {
                 ProfileError::msg("unknown kernel")
                     .for_kernel(&launch.kernel)
                     .at_seq(launch.seq)
             })?;
+            let stats = measured
+                .as_ref()
+                .map(|stats| (&stats[launch.seq], occurrences[launch.seq].max(1)));
             let ka = &analyses[&launch.kernel];
-            let attribute = |e: access::AccessError| {
-                ProfileError::from(e)
-                    .for_kernel(&launch.kernel)
-                    .at_seq(launch.seq)
-            };
-            let pricer = LaunchPricer::bind(&model, kernel, ka, &launch.args, &alloc_of)
-                .map_err(attribute)?;
-            let traffic = pricer.traffic().traffic(launch.grid, launch.block);
-            let regs = pricer.regs_per_thread();
-            let smem = ka.smem_bytes_per_block();
-            let loop_sizes: Vec<i64> = pricer.traffic().loop_sizes().collect();
-            let nest_depth = 1 + ka
-                .sweeps
+            let (p, mut o, cost) = self.profile_launch(kernel, ka, launch, &alloc_of, stats)?;
+            total_us += p.runtime_us * launch.repeat as f64;
+            o.shared_arrays = launch
+                .array_args()
                 .iter()
-                .map(|s| s.inner_loops.len())
-                .max()
-                .unwrap_or(0);
-
-            // Measured or estimated divergence / flops.
-            let (flops_exec, divergent_evals, div_fraction) = match &measured {
-                Some(stats) => {
-                    let occ = occurrences[launch.seq].max(1);
-                    let s = &stats[launch.seq];
-                    (
-                        s.flops / occ,
-                        s.divergent_evals / occ,
-                        s.divergence_fraction(),
-                    )
-                }
-                None => (traffic.flops, 0, 0.0),
-            };
-
-            let charged = Charge {
-                dram_bytes: traffic.total_bytes(),
-                flops: flops_exec,
-                divergent_evals,
-            };
-            let cost = pricer
-                .charge(launch.grid, launch.block, smem, charged)
-                .ok_or_else(|| {
-                    ProfileError::msg(format!(
-                        "launch cannot execute on {} (block {} with {} B shared, {} regs)",
-                        self.device.name, launch.block, smem, regs
-                    ))
-                    .for_kernel(&launch.kernel)
-                    .at_seq(launch.seq)
-                })?;
-            let runtime_us = cost.total_us();
-            total_us += runtime_us * launch.repeat as f64;
-
-            perf.push(PerfMetadata {
-                kernel: launch.kernel.clone(),
-                seq: launch.seq,
-                runtime_us,
-                gflops: flops_exec as f64 / runtime_us.max(1e-12) / 1e3,
-                eff_bw_gbps: traffic.total_bytes() as f64 / runtime_us.max(1e-12) / 1e3,
-                smem_per_block: smem,
-                regs_per_thread: regs,
-                active_threads: launch.grid.count() * launch.block.count(),
-                active_blocks_per_sm: cost.active_blocks_per_sm,
-                occupancy: cost.occupancy,
-                dram_read_bytes: traffic.read_bytes,
-                dram_write_bytes: traffic.write_bytes,
-                flops: flops_exec,
-                divergent_evals,
-                divergence: div_fraction,
-                measure: Default::default(),
-            });
-            ops.push(OpsMetadata {
-                kernel: launch.kernel.clone(),
-                seq: launch.seq,
-                shapes: stencil::stencil_shapes(ka),
-                sweeps: ka.sweeps.len(),
-                loop_sizes,
-                nest_depth,
-                sites: traffic.sites,
-                shared_arrays: launch
-                    .array_args()
-                    .iter()
-                    .filter(|a| users.get(**a).map(|u| u.len() > 1).unwrap_or(false))
-                    .map(|a| a.to_string())
-                    .collect(),
-                flops_per_array: flops::flops_per_array(kernel),
-                access_stride: 1,
-                bytes_per_array: traffic
-                    .per_array
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect(),
-            });
+                .filter(|a| users.get(**a).map(|u| u.len() > 1).unwrap_or(false))
+                .map(|a| a.to_string())
+                .collect();
+            perf.push(p);
+            ops.push(o);
             costs.push(cost);
         }
 
@@ -433,6 +353,95 @@ impl Profiler {
             hazards,
         };
         Ok((profile, image))
+    }
+
+    /// The metadata and modelled cost of one launch of `kernel` (analysed
+    /// as `ka`), priced alone: `alloc_of` resolves its arrays, and
+    /// `measured` carries the functional run's statistics with the
+    /// launch's occurrence count (`None` charges the analytic estimate).
+    /// Which arrays other launches share is a whole-program fact, so
+    /// [`OpsMetadata::shared_arrays`] is left empty.
+    pub fn profile_launch(
+        &self,
+        kernel: &Kernel,
+        ka: &KernelAccess,
+        launch: &LaunchRecord,
+        alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
+        measured: Option<(&LaunchStats, u64)>,
+    ) -> Result<(PerfMetadata, OpsMetadata, LaunchCost), ProfileError> {
+        let attribute = |e: ProfileError| e.for_kernel(&launch.kernel).at_seq(launch.seq);
+        let model = TimingModel::new(self.device.clone());
+        let pricer = LaunchPricer::bind(&model, kernel, ka, &launch.args, alloc_of)
+            .map_err(|e| attribute(e.into()))?;
+        let traffic = pricer.traffic().traffic(launch.grid, launch.block);
+        let regs = pricer.regs_per_thread();
+        let smem = ka.smem_bytes_per_block();
+        let nest_depth = 1 + ka
+            .sweeps
+            .iter()
+            .map(|s| s.inner_loops.len())
+            .max()
+            .unwrap_or(0);
+
+        // Measured or estimated divergence / flops.
+        let (flops_exec, divergent_evals, div_fraction) = match measured {
+            Some((s, occ)) => (
+                s.flops / occ,
+                s.divergent_evals / occ,
+                s.divergence_fraction(),
+            ),
+            None => (traffic.flops, 0, 0.0),
+        };
+        let charged = Charge {
+            dram_bytes: traffic.total_bytes(),
+            flops: flops_exec,
+            divergent_evals,
+        };
+        let cost = pricer
+            .charge(launch.grid, launch.block, smem, charged)
+            .ok_or_else(|| {
+                attribute(ProfileError::msg(format!(
+                    "launch cannot execute on {} (block {} with {} B shared, {} regs)",
+                    self.device.name, launch.block, smem, regs
+                )))
+            })?;
+        let runtime_us = cost.total_us();
+        let perf = PerfMetadata {
+            kernel: launch.kernel.clone(),
+            seq: launch.seq,
+            runtime_us,
+            gflops: flops_exec as f64 / runtime_us.max(1e-12) / 1e3,
+            eff_bw_gbps: traffic.total_bytes() as f64 / runtime_us.max(1e-12) / 1e3,
+            smem_per_block: smem,
+            regs_per_thread: regs,
+            active_threads: launch.grid.count() * launch.block.count(),
+            active_blocks_per_sm: cost.active_blocks_per_sm,
+            occupancy: cost.occupancy,
+            dram_read_bytes: traffic.read_bytes,
+            dram_write_bytes: traffic.write_bytes,
+            flops: flops_exec,
+            divergent_evals,
+            divergence: div_fraction,
+            measure: Default::default(),
+        };
+        let ops = OpsMetadata {
+            kernel: launch.kernel.clone(),
+            seq: launch.seq,
+            shapes: stencil::stencil_shapes(ka),
+            sweeps: ka.sweeps.len(),
+            loop_sizes: pricer.traffic().loop_sizes().collect(),
+            nest_depth,
+            sites: traffic.sites,
+            shared_arrays: Vec::new(),
+            flops_per_array: flops::flops_per_array(kernel),
+            access_stride: 1,
+            bytes_per_array: traffic
+                .per_array
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+        };
+        Ok((perf, ops, cost))
     }
 }
 

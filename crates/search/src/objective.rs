@@ -15,7 +15,7 @@
 use crate::genome::{Groups, Individual};
 use crate::projection::{Pricer, ProjectionEngine};
 use crate::space::SearchSpace;
-use sf_gpusim::timing::{LaunchProfile, TemporalFold, TimingModel};
+use sf_gpusim::timing::{LaunchProfile, TimingModel};
 use sf_minicuda::host::Dim3;
 
 /// Relative penalty multipliers for constraint violations.
@@ -88,8 +88,9 @@ pub fn assumed_block(space: &SearchSpace, members: &[usize]) -> Dim3 {
 /// What the kernel stages is codegen's decision, asked, not re-derived: at
 /// `fold == 1` the tiles of [`SearchSpace::decision`]; at higher degrees
 /// one folded launch of the loop's [`sf_codegen::TemporalChain`] covering
-/// `fold` host iterations — staged reads paid once (inflated by the grown
-/// halo), writes once, flops times the degree and the recompute ratio —
+/// `fold` host iterations, at its [`geometry`](sf_codegen::TemporalChain::geometry)
+/// — staged reads paid once (inflated by the grown halo), writes once,
+/// flops times the degree and the recompute ratio —
 /// amortized back to *per loop iteration*, so it compares directly with
 /// the spatial cost under the same host repeat weight. A group or degree
 /// codegen refuses (at the [`assumed_block`]) projects to infinite time.
@@ -184,33 +185,11 @@ pub fn group_cost(
             .temporal_group(members)
             .and_then(|li| space.loops[li].chain.as_ref().ok());
         chain.and_then(|chain| {
-            let smem_bytes = chain.smem_bytes(fold, block, space.smem_limit).ok()?;
-            let (bx, by) = (i64::from(block.x), i64::from(block.y));
-            let (dx, dy) = chain.halo(fold);
-            let base_area = (bx * by) as f64;
-            let halo_area = ((bx + 2 * dx) * (by + 2 * dy)) as f64;
-            // Step `s` computes the region every later step still needs:
-            // the region widths are suffix sums of the per-step radii.
-            let radii = &chain.radii;
-            let steps = fold as usize * radii.len();
-            let mut recompute_sum = 0.0;
-            let (mut wx, mut wy) = (0i64, 0i64);
-            for s in (0..steps).rev() {
-                recompute_sum += ((bx + 2 * wx) * (by + 2 * wy)) as f64;
-                let (rx, ry) = radii[s % radii.len()];
-                wx += rx;
-                wy += ry;
-            }
-            let tf = TemporalFold {
-                fold,
-                halo_read_ratio: halo_area / base_area,
-                recompute_ratio: recompute_sum / (steps as f64 * base_area),
-                smem_per_block: smem_bytes,
-            };
+            let tf = chain.geometry(fold, block, space.smem_limit).ok()?;
             // One folded launch covers `fold` host iterations: amortize so
             // the cost compares per-iteration against the spatial rung.
             let folded = profile.folded(read_dram, write_dram, &tf);
-            Some((launch_us(&folded) / f64::from(fold), smem_bytes))
+            Some((launch_us(&folded) / f64::from(fold), tf.smem_per_block))
         })
     };
     let (time_us, smem_bytes) = priced.unwrap_or((f64::INFINITY, 0));

@@ -1,25 +1,28 @@
 //! The search space: units (original target launches plus their precomputed
 //! fission products), their metadata, and the unit-level precedence graph.
 //!
-//! The *lazy fission pre-step* lives here: every eligible launch whose
-//! kernel has separable data arrays is fissioned once, the products are
-//! profiled (analytically — the codeless objective only needs metadata),
-//! and the products join the unit list. The GA starts with the originals
+//! The *lazy fission pre-step* lives here. Every unit is read through
+//! codegen's [`Resolver`] — the kernel and storage-bound launch codegen
+//! emits for it — originals and the fission products of each eligible
+//! launch whose kernel has separable data arrays alike. Each product is
+//! priced alone from its launch ([`Profiler::profile_launch`], analytically:
+//! the codeless objective only needs metadata) and joins the unit list; no
+//! program is transformed or executed. The GA starts with the originals
 //! active; a fission move swaps an original for its products.
 
+use sf_analysis::access::KernelAccess;
 use sf_analysis::filter::FilterDecision;
-use sf_analysis::metadata::{OpsMetadata, PerfMetadata};
+use sf_analysis::metadata::{MetadataBundle, OpsMetadata, PerfMetadata};
+use sf_codegen::hostgen::declared_alloc;
 use sf_codegen::legality::{self, ArrayIds, Decision, MemberFacts};
-use sf_codegen::{transform_program_with, CodegenError, Storage, TemporalChain};
-use sf_core::FaultPlan;
+use sf_codegen::{CodegenError, Resolver, Storage, TemporalChain};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
-use sf_graphs::build::{all_accesses, LaunchAccesses};
+use sf_graphs::build::{launch_accesses, LaunchAccesses};
 use sf_graphs::{EdgeInfo, Precedence};
-use sf_minicuda::ast::{Kernel, Program};
-use sf_minicuda::host::{parse_instance, ExecutablePlan, LaunchRecord};
-use sf_plan::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
-use std::borrow::Cow;
+use sf_minicuda::ast::Program;
+use sf_minicuda::host::{parse_instance, ExecutablePlan};
+use sf_plan::{CodegenMode, MemberRef};
 use std::collections::BTreeMap;
 
 /// One schedulable unit: an original launch or a fission product.
@@ -172,18 +175,19 @@ impl SearchSpace {
         device: DeviceSpec,
     ) -> Result<SearchSpace, ProfileError> {
         let precedence = Precedence::build(program, plan).map_err(ProfileError::msg)?;
-        Self::from_precedence(program, plan, profile, decisions, device, &precedence)
+        let metadata = &profile.metadata;
+        Self::from_precedence(program, plan, metadata, decisions, device, &precedence)
     }
 
     /// Build the space over the precedence model the graphs stage made of
     /// `(program, plan)`: units take its access sets, unit edges its
-    /// dependence rule.
+    /// dependence rule, and the original launches `metadata`'s rows.
     ///
     /// `decisions` must be parallel to `plan.launches`.
     pub fn from_precedence(
         program: &Program,
         plan: &ExecutablePlan,
-        profile: &ProgramProfile,
+        metadata: &MetadataBundle,
         decisions: &[FilterDecision],
         device: DeviceSpec,
         precedence: &Precedence,
@@ -197,25 +201,23 @@ impl SearchSpace {
             .flat_map(|(li, l)| l.seqs.iter().map(move |&s| (s, li)))
             .collect();
 
-        // Codegen reads a member bound to the storage it executes on.
+        // Every unit is read as codegen reads the member: its kernel (a
+        // fission product's own) and its launch bound to the storage it
+        // executes on.
         let storage = Storage::new(&precedence.ddg);
-        let bound: Vec<(&Kernel, Cow<'_, LaunchRecord>)> = plan
+        let mut resolver = Resolver::new(program, plan, &storage);
+        let bound: Vec<_> = plan
             .launches
             .iter()
-            .map(|launch| {
-                let kernel = program.kernel(&launch.kernel).expect("kernel exists");
-                let mut bound = Cow::Borrowed(launch);
-                storage.bind(kernel, &mut bound);
-                (kernel, bound)
-            })
-            .collect();
+            .map(|launch| resolver.resolve(&MemberRef::original(launch.seq)))
+            .collect::<Result<_, _>>()
+            .map_err(|e| ProfileError::msg(e.0))?;
         let mut arrays = ArrayIds::default();
         let mut facts: Vec<MemberFacts> = Vec::new();
         let mut units: Vec<Unit> = Vec::new();
         for launch in &plan.launches {
             let seq = launch.seq;
-            let (kernel, bound) = &bound[seq];
-            facts.push(MemberFacts::of(kernel, bound, &mut arrays));
+            facts.push(MemberFacts::of(&bound[seq].0, &bound[seq].1, &mut arrays));
             units.push(Unit {
                 id: seq,
                 label: format!("{}#{}", launch.kernel, seq),
@@ -223,8 +225,8 @@ impl SearchSpace {
                 parent: None,
                 products: Vec::new(),
                 eligible: decisions[seq].is_target(),
-                perf: profile.metadata.perf[seq].clone(),
-                ops: profile.metadata.ops[seq].clone(),
+                perf: metadata.perf[seq].clone(),
+                ops: metadata.ops[seq].clone(),
                 accesses: accesses[seq].clone(),
                 blocks: launch.grid.count(),
                 threads_per_block: launch.block.count() as u32,
@@ -234,75 +236,43 @@ impl SearchSpace {
         }
 
         // ---- lazy fission pre-step ----
-        // Build one synthetic program with every fissionable target split,
-        // profile it analytically, and register the products as units.
-        let mut fission_groups: Vec<GroupPlan> = Vec::new();
-        let mut product_owner: Vec<Option<(usize, usize)>> = Vec::new(); // per synthetic launch: (parent seq, component)
-        for launch in &plan.launches {
-            let seq = launch.seq;
-            let kernel = bound[seq].0;
-            let components = decisions[seq]
-                .is_target()
-                .then(|| sf_codegen::fission_kernel(kernel))
-                .flatten();
-            if let Some(components) = components {
-                for c in 0..components.len() {
-                    fission_groups.push(GroupPlan::singleton(MemberRef::product(seq, c)));
-                    product_owner.push(Some((seq, c)));
-                }
-            } else {
-                fission_groups.push(GroupPlan::singleton(MemberRef::original(seq)));
-                product_owner.push(None);
-            }
-        }
-        let any_products = product_owner.iter().any(|o| o.is_some());
-        if any_products {
-            let tplan =
-                TransformPlan::new(device.clone(), CodegenMode::Auto, false, fission_groups);
-            let out =
-                transform_program_with(program, plan, &tplan, &precedence.ddg, &FaultPlan::none())
-                    .map_err(|e| ProfileError::msg(e.0))?;
-            let fission_plan = ExecutablePlan::from_program(&out.program)
-                .map_err(|e| ProfileError::msg(e.to_string()))?;
-            let fission_profile = Profiler::analytic(device.clone())
-                .profile_with_plan(&out.program, &fission_plan)?;
-            let fission_accesses =
-                all_accesses(&out.program, &fission_plan.launches).map_err(ProfileError::msg)?;
-            for (idx, owner) in product_owner.iter().enumerate() {
-                let Some((parent_seq, component)) = owner else {
-                    continue;
-                };
-                let launch = &fission_plan.launches[idx];
-                // The pre-step emitted the product bound to its storage.
-                let kernel = out.program.kernel(&launch.kernel).expect("product emitted");
-                facts.push(MemberFacts::of(kernel, launch, &mut arrays));
-                let id = units.len();
-                units[*parent_seq].products.push(id);
-                // The pre-step program has redundant-instance storage names
-                // (`x__i0`); normalize back to base names so product units
-                // compare like-for-like with original units.
-                let mut ops = fission_profile.metadata.ops[idx].clone();
+        // Every fissionable target's products join the unit list, each
+        // priced alone from its own launch (analytically — the codeless
+        // objective only needs metadata).
+        let profiler = Profiler::analytic(device.clone());
+        let alloc_of = |array: &str| declared_alloc(plan, array);
+        for seq in (0..plan.launches.len()).filter(|&seq| decisions[seq].is_target()) {
+            let product = |c| resolver.resolve(&MemberRef::product(seq, c)).ok();
+            for (component, (kernel, launch)) in (0..).map_while(product).enumerate() {
+                facts.push(MemberFacts::of(&kernel, &launch, &mut arrays));
+                let ka = KernelAccess::analyze(&kernel)?;
+                let (mut perf, mut ops, _) =
+                    profiler.profile_launch(&kernel, &ka, &launch, &alloc_of, None)?;
+                // A product runs on redundant-instance storage (`x__i0`);
+                // normalize back to base names so product units compare
+                // like-for-like with original units.
                 ops.bytes_per_array = ops
                     .bytes_per_array
                     .into_iter()
                     .map(|(k, v)| (debase(&k), v))
                     .collect();
-                let acc = &fission_accesses[idx];
+                let acc = launch_accesses(&kernel, &launch, None);
                 let accesses = LaunchAccesses {
                     reads: acc.reads.iter().map(|a| debase(a)).collect(),
                     writes: acc.writes.iter().map(|a| debase(a)).collect(),
                     full_writes: acc.full_writes.iter().map(|a| debase(a)).collect(),
                 };
-                // Products are profiled analytically, but their trust level
+                // Products are priced analytically, but their trust level
                 // is bounded by the parent's measurements: fission must not
                 // launder a noisy kernel into a "clean" product.
-                let mut perf = fission_profile.metadata.perf[idx].clone();
-                perf.measure = units[*parent_seq].perf.measure;
+                perf.measure = units[seq].perf.measure;
+                let id = units.len();
+                units[seq].products.push(id);
                 units.push(Unit {
                     id,
-                    label: format!("{}#{}", launch.kernel, parent_seq),
-                    mref: MemberRef::product(*parent_seq, *component),
-                    parent: Some(*parent_seq),
+                    label: format!("{}#{}", launch.kernel, seq),
+                    mref: MemberRef::product(seq, component),
+                    parent: Some(seq),
                     products: Vec::new(),
                     eligible: true,
                     perf,
@@ -310,8 +280,8 @@ impl SearchSpace {
                     accesses,
                     blocks: launch.grid.count(),
                     threads_per_block: launch.block.count() as u32,
-                    repeat: units[*parent_seq].repeat,
-                    loop_id: units[*parent_seq].loop_id,
+                    repeat: units[seq].repeat,
+                    loop_id: units[seq].loop_id,
                 });
             }
         }
@@ -350,7 +320,11 @@ impl SearchSpace {
             .loops
             .iter()
             .map(|l| {
-                let body: Vec<_> = l.seqs.iter().map(|&s| (bound[s].0, &*bound[s].1)).collect();
+                let body: Vec<_> = l
+                    .seqs
+                    .iter()
+                    .map(|&s| (&*bound[s].0, &*bound[s].1))
+                    .collect();
                 LoopSpan {
                     count: l.count,
                     units: l.seqs.clone(),
@@ -419,16 +393,129 @@ void host() {
     }
 
     pub(crate) fn space_for_device(src: &str, device: DeviceSpec) -> SearchSpace {
-        let p = parse_program(src).unwrap();
-        let plan = ExecutablePlan::from_program(&p).unwrap();
-        let profile = Profiler::analytic(device.clone()).profile(&p).unwrap();
+        space_of(&parse_program(src).unwrap(), device)
+    }
+
+    fn space_of(p: &Program, device: DeviceSpec) -> SearchSpace {
+        let plan = ExecutablePlan::from_program(p).unwrap();
+        let profile = Profiler::analytic(device.clone()).profile(p).unwrap();
         let decisions = identify_targets(
             &profile.metadata.perf,
             &profile.metadata.ops,
             &profile.metadata.device,
             &FilterConfig::default(),
         );
-        SearchSpace::build(&p, &plan, &profile, &decisions, device).unwrap()
+        SearchSpace::build(p, &plan, &profile, &decisions, device).unwrap()
+    }
+
+    /// Each product unit, priced alone from the launch codegen's resolver
+    /// binds, reads as the whole program codegen emits when it fissions
+    /// every fissionable target does under an analytic profile — the way
+    /// the space once read its products. The emitted program numbers its
+    /// launches afresh and knows which arrays other launches share, so
+    /// `seq` and `shared_arrays` are the only fields taken from the unit.
+    /// Returns the number of products checked and how many of them run on
+    /// a redundant array instance.
+    fn products_read_as_the_fissioned_program(p: &Program) -> (usize, usize) {
+        use sf_codegen::transform_program_with;
+        use sf_core::FaultPlan;
+        use sf_graphs::build::all_accesses;
+        use sf_plan::{GroupPlan, TransformPlan};
+
+        let device = DeviceSpec::k20x();
+        let space = space_of(p, device.clone());
+        let plan = ExecutablePlan::from_program(p).unwrap();
+        let originals = space.units.iter().filter(|u| u.parent.is_none());
+        let members: Vec<(usize, MemberRef)> = originals
+            .flat_map(|u| match u.fissionable() {
+                true => u
+                    .products
+                    .iter()
+                    .map(|&id| (id, space.units[id].mref))
+                    .collect(),
+                false => vec![(u.id, u.mref)],
+            })
+            .collect();
+        let groups = members
+            .iter()
+            .map(|&(_, m)| GroupPlan::singleton(m))
+            .collect();
+        let tplan = TransformPlan::new(device.clone(), CodegenMode::Auto, false, groups);
+        let ddg = Precedence::build(p, &plan).unwrap().ddg;
+        let out = transform_program_with(p, &plan, &tplan, &ddg, &FaultPlan::none()).unwrap();
+        let emitted = ExecutablePlan::from_program(&out.program).unwrap();
+        let oracle = Profiler::analytic(device)
+            .profile_with_plan(&out.program, &emitted)
+            .unwrap()
+            .metadata;
+        let accesses = all_accesses(&out.program, &emitted.launches).unwrap();
+        assert_eq!(emitted.launches.len(), members.len());
+        let debased =
+            |set: &std::collections::BTreeSet<String>| set.iter().map(|a| debase(a)).collect();
+        let (mut checked, mut instanced) = (0, 0);
+        for (idx, &(id, mref)) in members.iter().enumerate() {
+            if mref.fission_component.is_none() {
+                continue;
+            }
+            let unit = &space.units[id];
+            let perf = PerfMetadata {
+                seq: unit.perf.seq,
+                ..oracle.perf[idx].clone()
+            };
+            assert_eq!(unit.perf, perf, "{}", unit.label);
+            let ops = OpsMetadata {
+                seq: unit.ops.seq,
+                shared_arrays: unit.ops.shared_arrays.clone(),
+                ..oracle.ops[idx].clone()
+            };
+            let bytes = &ops.bytes_per_array;
+            instanced += usize::from(bytes.keys().any(|a| parse_instance(a).is_some()));
+            let bytes_per_array = bytes.iter().map(|(a, &v)| (debase(a), v)).collect();
+            let expected = OpsMetadata {
+                bytes_per_array,
+                ..ops
+            };
+            assert_eq!(unit.ops, expected, "{}", unit.label);
+            let acc = &accesses[idx];
+            let expected = LaunchAccesses {
+                reads: debased(&acc.reads),
+                writes: debased(&acc.writes),
+                full_writes: debased(&acc.full_writes),
+            };
+            assert_eq!(unit.accesses, expected, "{}", unit.label);
+            checked += 1;
+        }
+        (checked, instanced)
+    }
+
+    #[test]
+    fn a_product_priced_alone_reads_as_the_fissioned_program() {
+        let fat = parse_program(crate::objective::fission_benefit_tests::FAT).unwrap();
+        assert_eq!(products_read_as_the_fissioned_program(&fat), (2, 0));
+        // `over` rewrites `a` after `reader` consumed it, so `pair`'s
+        // product writing `a` runs on the redundant instance `a__i0`.
+        let over = r#"
+__global__ void over(const double* __restrict__ y, double* a, int nx, int ny, int nz) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  int j = blockIdx.y * blockDim.y + threadIdx.y;
+  if (i < nx && j < ny) {
+    for (int k = 0; k < nz; k++) {
+      a[k][j][i] = y[k][j][i] * 3.0;
+    }
+  }
+}
+"#;
+        let reader = "  reader<<<dim3(2, 2), dim3(16, 8)>>>(a, c, nx, ny, nz);\n";
+        let launch = "  over<<<dim3(2, 2), dim3(16, 8)>>>(y, a, nx, ny, nz);\n";
+        let host = SRC.replace(reader, &format!("{reader}{launch}"));
+        let instanced = parse_program(&format!("{over}{host}")).unwrap();
+        assert_eq!(products_read_as_the_fissioned_program(&instanced), (2, 1));
+        let config = sf_apps::AppConfig::test();
+        let products: usize = (sf_apps::APP_NAMES.iter())
+            .map(|name| sf_apps::app_by_name(name, &config).unwrap().program)
+            .map(|program| products_read_as_the_fissioned_program(&program).0)
+            .sum();
+        assert!(products > 0, "no analog has a fission product");
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn unit_edges_are_the_graphs_stages_oeg() {
         let staged = SearchSpace::from_precedence(
             &program,
             &plan,
-            &profile,
+            &profile.metadata,
             &decisions,
             device,
             &precedence,
@@ -249,7 +249,7 @@ fn legality_cases() -> &'static [Legality] {
                 let auto = SearchSpace::from_precedence(
                     &program,
                     &plan,
-                    &profile,
+                    &profile.metadata,
                     &decisions,
                     DeviceSpec::k20x(),
                     &precedence,

@@ -386,9 +386,15 @@ fn agreed_fold_verdicts(program: &Program, label: &str) -> Vec<bool> {
         &profile.metadata.device,
         &sf_analysis::filter::FilterConfig::default(),
     );
-    let mut space =
-        SearchSpace::from_precedence(program, &plan, &profile, &decisions, device, &precedence)
-            .expect("space");
+    let mut space = SearchSpace::from_precedence(
+        program,
+        &plan,
+        &profile.metadata,
+        &decisions,
+        device,
+        &precedence,
+    )
+    .expect("space");
     space.max_temporal = 4;
     let engine = ProjectionEngine::new(&space);
     let storage = Storage::new(&precedence.ddg);
