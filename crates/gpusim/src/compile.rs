@@ -31,6 +31,15 @@
 //! right-hand side or index reads its own tile is never `Typed`: the
 //! per-thread order of those reads and writes is what its hazard reports
 //! describe. Name lookups here hash; the interpreter's hot path does not.
+//!
+//! **Guard conjuncts.** A `Pure` `if` condition inside a `for` body may run
+//! many times per block, and most of what it tests does not change between
+//! runs. Its top-level `&&` operands are *conjuncts* ([`Conjunct`]),
+//! interned across the kernel so structurally equal ones share an id, each
+//! with the int slots it reads; the `if` carries their ids, and the
+//! interpreter keeps one truth column per conjunct and recomputes it only
+//! when the block changes or a slot it reads is written. An `if` outside
+//! every loop runs at most once per block and keeps no ids.
 
 use crate::interp::ExecError;
 use sf_minicuda::ast::*;
@@ -148,6 +157,10 @@ pub enum CStmt {
     If {
         cond: CExpr,
         part: Part,
+        /// Ids of the condition's conjuncts ([`CompiledKernel::conjuncts`]),
+        /// when it is memoized (module docs); empty when `cond` runs as
+        /// `part` says.
+        conjuncts: Vec<u32>,
         then_body: Vec<CStmt>,
         else_body: Vec<CStmt>,
     },
@@ -186,7 +199,19 @@ pub struct CompiledKernel {
     pub array_params: Vec<String>,
     /// Shared tiles: (extents, element count).
     pub tiles: Vec<(Vec<usize>, usize)>,
+    /// The memoized guard conjuncts, indexed by the ids `CStmt::If` holds.
+    pub conjuncts: Vec<Conjunct>,
     pub body: Vec<CStmt>,
+}
+
+/// One top-level `&&` operand of a memoized guard (module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Conjunct {
+    /// The pure expression.
+    pub expr: CExpr,
+    /// The int slots it reads, each once: a write to one of them makes its
+    /// truth column stale.
+    pub reads: Vec<u16>,
 }
 
 /// The type `e` has in every lane, or `None` when a lane's type depends on
@@ -279,6 +304,39 @@ fn is_pure(e: &CExpr) -> bool {
     }
 }
 
+/// The top-level `&&` operands of `e`, left to right.
+fn split_and<'e>(e: &'e CExpr, out: &mut Vec<&'e CExpr>) {
+    match e {
+        CExpr::Bin {
+            op: BinaryOp::And,
+            l,
+            r,
+        } => {
+            split_and(l, out);
+            split_and(r, out);
+        }
+        _ => out.push(e),
+    }
+}
+
+/// Add the int slots the pure `e` reads to `out`, each once.
+fn int_reads(e: &CExpr, out: &mut Vec<u16>) {
+    match e {
+        CExpr::ISlot(s) if !out.contains(s) => out.push(*s),
+        CExpr::Un { e, .. } => int_reads(e, out),
+        CExpr::Bin { l, r, .. } => {
+            int_reads(l, out);
+            int_reads(r, out);
+        }
+        CExpr::Ternary { c, t, e } => {
+            int_reads(c, out);
+            int_reads(t, out);
+            int_reads(e, out);
+        }
+        _ => {}
+    }
+}
+
 /// Which types a name is declared with: [`INT`] and/or [`FLOAT`] bits.
 type Declared = u8;
 const INT: Declared = 1;
@@ -305,6 +363,9 @@ struct Compiler<'k> {
     arrays: HashMap<String, u16>,
     tiles: HashMap<String, u16>,
     tile_shapes: Vec<(Vec<usize>, usize)>,
+    /// `for` bodies the walk is inside.
+    loop_depth: u32,
+    conjuncts: Vec<Conjunct>,
 }
 
 /// Record every declaration's type: a name is an int (float) slot iff all
@@ -374,6 +435,27 @@ impl<'k> Compiler<'k> {
         } else {
             Part::Typed
         }
+    }
+
+    /// The ids of the pure `cond`'s conjuncts, each interned: a
+    /// structurally equal conjunct seen before keeps its id.
+    fn intern_conjuncts(&mut self, cond: &CExpr) -> Vec<u32> {
+        let mut ops = Vec::new();
+        split_and(cond, &mut ops);
+        ops.into_iter()
+            .map(|e| {
+                if let Some(id) = self.conjuncts.iter().position(|c| c.expr == *e) {
+                    return id as u32;
+                }
+                let mut reads = Vec::new();
+                int_reads(e, &mut reads);
+                self.conjuncts.push(Conjunct {
+                    expr: e.clone(),
+                    reads,
+                });
+                self.conjuncts.len() as u32 - 1
+            })
+            .collect()
     }
 
     fn exprs(&mut self, es: &[Expr]) -> Result<Vec<CExpr>, ExecError> {
@@ -540,11 +622,16 @@ impl<'k> Compiler<'k> {
                 } => {
                     let cond = self.expr(cond)?;
                     let part = self.part(&[&cond]);
+                    let conjuncts = match part == Part::Pure && self.loop_depth > 0 {
+                        true => self.intern_conjuncts(&cond),
+                        false => Vec::new(),
+                    };
                     let then_body = self.stmts(then_body)?;
                     let else_body = self.stmts(else_body)?;
                     out.push(CStmt::If {
                         cond,
                         part,
+                        conjuncts,
                         then_body,
                         else_body,
                     });
@@ -568,7 +655,10 @@ impl<'k> Compiler<'k> {
                         Some(Ty::Int) => self.slot_part(slot, &step),
                         _ => Part::PerThread,
                     };
+                    // An error ends the compile, depth and all.
+                    self.loop_depth += 1;
                     let body = self.stmts(body)?;
+                    self.loop_depth -= 1;
                     out.push(CStmt::For {
                         slot,
                         init,
@@ -608,6 +698,8 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         arrays: HashMap::new(),
         tiles: HashMap::new(),
         tile_shapes: Vec::new(),
+        loop_depth: 0,
+        conjuncts: Vec::new(),
     };
     let mut scalar_param_slots = Vec::new();
     let mut array_params = Vec::new();
@@ -633,6 +725,7 @@ pub fn compile(kernel: &Kernel) -> Result<CompiledKernel, ExecError> {
         scalar_param_slots,
         array_params,
         tiles: c.tile_shapes,
+        conjuncts: c.conjuncts,
         body,
     })
 }
@@ -699,6 +792,41 @@ __global__ void s(const double* __restrict__ u, double* v, int nx, double c) {
             }
         }
         out
+    }
+
+    /// Only a pure `if` inside a loop is memoized; its `&&` conjuncts are
+    /// interned across the kernel, each with the int slots it reads.
+    #[test]
+    fn guards_inside_loops_carry_interned_conjuncts() {
+        let k = parse_kernel(
+            r#"
+__global__ void g(double* a, int nx, int nz) {
+  int i = threadIdx.x;
+  if (i < nx && i > 0) { a[i] = 1.0; }
+  for (int k = 0; k < nz; k++) {
+    if (i < nx && (i > 0 && k < i)) { a[i] = 2.0; }
+    if (k < i && i < nx) { a[i] = 3.0; }
+    if (a[i] > 0.0) { a[i] = 4.0; }
+  }
+}
+"#,
+        )
+        .unwrap();
+        let c = compile(&k).unwrap();
+        let ids = |s: &CStmt| match s {
+            CStmt::If { conjuncts, .. } => conjuncts.clone(),
+            other => panic!("expected an if, got {other:?}"),
+        };
+        assert!(ids(&c.body[1]).is_empty(), "outside every loop");
+        let CStmt::For { body, .. } = &c.body[2] else {
+            panic!("expected the loop, got {:?}", c.body[2]);
+        };
+        assert_eq!(ids(&body[0]), [0, 1, 2], "split through nested `&&`");
+        assert_eq!(ids(&body[1]), [2, 0], "the same conjuncts keep their ids");
+        assert!(ids(&body[2]).is_empty(), "a typed condition");
+        // Slots: nx 0, nz 1, i 2, k 3.
+        let reads: Vec<&[u16]> = c.conjuncts.iter().map(|j| &j.reads[..]).collect();
+        assert_eq!(reads, [&[2, 0][..], &[2], &[3, 2]]);
     }
 
     #[test]

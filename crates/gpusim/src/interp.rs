@@ -42,6 +42,22 @@
 //!   produced. An untyped part (a value slot, a ternary whose arms differ
 //!   in type) always takes this path.
 //!
+//! **Memoized guards.** A pure `if` condition inside a `for` body carries
+//! the ids of its top-level `&&` conjuncts ([`crate::compile`]). The pools
+//! keep one truth column per conjunct, computed over every lane of the
+//! block and stamped with the tick of a clock that is monotonic over the
+//! interpreter's life, like the barrier epoch. The clock also stamps each
+//! block's start (so a new block or launch invalidates every column) and,
+//! in a kernel that has conjuncts, each write of an int slot (`assign_col`,
+//! `set_slot`, `step`). A column
+//! is fresh while its stamp is later than the block's start and than the
+//! last write of every slot its conjunct reads: one that reads only
+//! loop-invariant slots, builtins and scalar parameters is computed once
+//! per block, one that reads the loop variable or a slot the body assigns
+//! again after each write. The then-mask is the active mask ANDed with the
+//! columns. A pure part has no observable effect, so when it is computed
+//! is unobservable, and nothing a run reports moves.
+//!
 //! Both paths pin which NaN a commutative `+`/`*` returns (`nan_first`),
 //! since a vectorised loop may hand the hardware the operands in the other
 //! order. The footprint sets are the one thing a part touches before it
@@ -543,6 +559,15 @@ impl Col {
     }
 }
 
+/// Which sides of an `if` some active lane takes, and whether some warp
+/// splits.
+#[derive(Default)]
+struct Branch {
+    divergent: bool,
+    taken: bool,
+    not_taken: bool,
+}
+
 /// A part's evaluation found a lane that would trap or report a hazard:
 /// nothing was committed, and the statement runs per thread instead.
 struct Fallback;
@@ -806,6 +831,17 @@ struct Pools {
     undo: Vec<(usize, LastAccess)>,
     /// Free list of lane selections.
     sels: Vec<Vec<usize>>,
+    /// One truth column per guard conjunct of the launch's kernel,
+    /// `memo[id * lanes + t]`, and the tick of the clock each was computed
+    /// at (module docs: memoized guards).
+    memo: Vec<bool>,
+    memo_at: Vec<u64>,
+    /// Per int slot, the tick of its last write.
+    written: Vec<u64>,
+    /// Monotonic over the interpreter's life, like the barrier epoch.
+    clock: u64,
+    /// The tick the executing block started at.
+    block_start: u64,
 }
 
 impl Pools {
@@ -844,6 +880,30 @@ impl Pools {
         self.writers.resize_with(arrays, Vec::new);
         for w in &mut self.writers {
             w.clear();
+        }
+        // Stale until computed: every tick so far precedes the first
+        // block's start.
+        self.memo.resize(ck.conjuncts.len() * lanes, false);
+        self.memo_at.resize(ck.conjuncts.len(), 0);
+        // A kernel without conjuncts keeps no write stamps.
+        let stamped = if ck.conjuncts.is_empty() {
+            0
+        } else {
+            ck.int_slots
+        };
+        self.written.resize(stamped, 0);
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Int slot `slot` was written: every truth column computed from it
+    /// is stale.
+    fn wrote(&mut self, slot: u16) {
+        if (slot as usize) < self.written.len() {
+            self.written[slot as usize] = self.tick();
         }
     }
 }
@@ -892,6 +952,7 @@ impl Machine<'_> {
             tile.resize(*len, 0.0);
         }
         self.p.epoch += 1;
+        self.p.block_start = self.p.tick();
     }
 
     #[inline]
@@ -908,7 +969,10 @@ impl Machine<'_> {
         // The typing rule the columns rely on: every assignment to a name
         // is coerced to its declared type first.
         match (s, v) {
-            (SlotRef::Int(c), Value::I(i)) => self.p.col.icols[c as usize * self.lanes + t] = i,
+            (SlotRef::Int(c), Value::I(i)) => {
+                self.p.col.icols[c as usize * self.lanes + t] = i;
+                self.p.wrote(c);
+            }
             (SlotRef::Float(c), Value::F(f)) => self.p.col.fcols[c as usize * self.lanes + t] = f,
             (SlotRef::Int(_) | SlotRef::Float(_), _) => unreachable!("{s:?} assigned {v:?}"),
             (SlotRef::Val(s), v) => self.p.vals[t * self.nvals + s as usize] = v,
@@ -962,6 +1026,32 @@ impl Machine<'_> {
         Ok(())
     }
 
+    /// `out[t] = among[t]` and every conjunct `ids` names true in lane
+    /// `t`. A conjunct's truth column is recomputed, over every lane, only
+    /// when it is stale: computed before the block started or before a
+    /// slot it reads was last written.
+    fn guard(&mut self, ids: &[u32], among: &[bool], out: &mut Vec<bool>) {
+        let (ck, n) = (self.ck, self.lanes);
+        out.clear();
+        out.extend_from_slice(among);
+        for &id in ids {
+            let (conj, id) = (&ck.conjuncts[id as usize], id as usize);
+            let at = self.p.memo_at[id];
+            let fresh = at > self.p.block_start
+                && conj.reads.iter().all(|&s| self.p.written[s as usize] < at);
+            if !fresh {
+                let v = self.pure(&conj.expr);
+                let Pools { col, memo, .. } = &mut self.p;
+                let v = col.view(n, self.geom, 0).int(v);
+                map1(&mut memo[id * n..][..n], v, |x| x != 0);
+                self.p.memo_at[id] = self.p.tick();
+            }
+            for (o, &m) in out.iter_mut().zip(&self.p.memo[id * n..][..n]) {
+                *o &= m;
+            }
+        }
+    }
+
     /// `slot = e` coerced to `ty`, in the active lanes.
     fn assign(
         &mut self,
@@ -1007,10 +1097,12 @@ impl Machine<'_> {
         };
         match (slot, float) {
             (SlotRef::Int(c), None) => {
-                masked(&mut icols[c as usize * n..][..n], int, active, |x| x)
+                masked(&mut icols[c as usize * n..][..n], int, active, |x| x);
+                self.p.wrote(c);
             }
             (SlotRef::Int(c), Some(f)) => {
-                masked(&mut icols[c as usize * n..][..n], f, active, |x| x as i64)
+                masked(&mut icols[c as usize * n..][..n], f, active, |x| x as i64);
+                self.p.wrote(c);
             }
             (SlotRef::Float(c), None) => {
                 masked(&mut fcols[c as usize * n..][..n], int, active, |x| x as f64)
@@ -1509,27 +1601,37 @@ impl Machine<'_> {
         }
     }
 
-    /// Record whether a branch diverged within any warp.
-    fn record_branch(&mut self, active: &[bool], taken: &[bool]) -> bool {
-        let mut any_div = false;
+    /// One pass over a branch's lanes, whose `taken` holds active lanes
+    /// only: the per-warp branch counters, which sides some lane takes, and
+    /// the else mask (`active && !taken`) when one is asked for.
+    fn branch(
+        &mut self,
+        active: &[bool],
+        taken: &[bool],
+        mut else_mask: Option<&mut Vec<bool>>,
+    ) -> Branch {
+        let mut out = Branch::default();
         for (active, taken) in active.chunks(32).zip(taken.chunks(32)) {
-            let mut saw_active = false;
-            let mut saw_taken = false;
-            let mut saw_not = false;
-            for (&a, &t) in active.iter().zip(taken) {
-                saw_active |= a;
-                saw_taken |= a && t;
-                saw_not |= a && !t;
-            }
-            if saw_active {
-                self.stats.branch_evals += 1;
-                if saw_taken && saw_not {
-                    self.stats.divergent_evals += 1;
-                    any_div = true;
+            let (mut t, mut e) = (false, false);
+            for (&a, &th) in active.iter().zip(taken) {
+                let not = a && !th;
+                t |= th;
+                e |= not;
+                if let Some(m) = else_mask.as_deref_mut() {
+                    m.push(not);
                 }
             }
+            if t || e {
+                self.stats.branch_evals += 1;
+                if t && e {
+                    self.stats.divergent_evals += 1;
+                    out.divergent = true;
+                }
+            }
+            out.taken |= t;
+            out.not_taken |= e;
         }
-        any_div
+        out
     }
 
     fn flush_footprint(&mut self) {
@@ -1605,20 +1707,25 @@ impl Machine<'_> {
             CStmt::If {
                 cond,
                 part,
+                conjuncts,
                 then_body,
                 else_body,
             } => {
                 self.count_warp_issue(active);
                 let mut then_mask = self.take_mask();
-                self.truth(cond, *part, active, &mut then_mask)?;
+                if conjuncts.is_empty() {
+                    self.truth(cond, *part, active, &mut then_mask)?;
+                } else {
+                    self.guard(conjuncts, active, &mut then_mask);
+                }
                 let mut else_mask = self.take_mask();
-                else_mask.extend(active.iter().zip(&then_mask).map(|(&a, &t)| a && !t));
-                let divergent = self.record_branch(active, &then_mask);
-                let sub_uniform = uniform && !divergent;
-                if then_mask.iter().any(|&m| m) {
+                let fill_else = (!else_body.is_empty()).then_some(&mut else_mask);
+                let split = self.branch(active, &then_mask, fill_else);
+                let sub_uniform = uniform && !split.divergent;
+                if split.taken {
                     self.exec_stmts(then_body, &then_mask, sub_uniform)?;
                 }
-                if else_mask.iter().any(|&m| m) {
+                if split.not_taken && !else_body.is_empty() {
                     self.exec_stmts(else_body, &else_mask, sub_uniform)?;
                 }
                 self.p.masks.push(then_mask);
@@ -1647,11 +1754,11 @@ impl Machine<'_> {
                 let mut iter_mask = self.take_mask();
                 loop {
                     self.truth(cond, *cond_part, &live, &mut iter_mask)?;
-                    let divergent = self.record_branch(active, &iter_mask);
-                    if !iter_mask.iter().any(|&m| m) {
+                    let split = self.branch(active, &iter_mask, None);
+                    if !split.taken {
                         break;
                     }
-                    self.exec_stmts(body, &iter_mask, uniform && !divergent)?;
+                    self.exec_stmts(body, &iter_mask, uniform && !split.divergent)?;
                     std::mem::swap(&mut live, &mut iter_mask);
                     if self.any_returned {
                         for (l, &a) in live.iter_mut().zip(&self.p.alive) {
@@ -1712,6 +1819,7 @@ impl Machine<'_> {
                     *v = v.wrapping_add(by.at(t));
                 }
             }
+            self.p.wrote(c);
             return Ok(());
         }
         for t in (0..n).filter(|&t| ran[t]) {
@@ -2716,8 +2824,8 @@ void host() {
         }
     }
 
-    /// A random pure-int tree over `int p0, p1` and the builtins.
-    fn pure_tree(rng: &mut Rng, depth: u32) -> Expr {
+    /// A random pure-int tree over the int slots `names` and the builtins.
+    fn pure_tree(rng: &mut Rng, depth: u32, names: &[&str]) -> Expr {
         use BinaryOp::*;
         if depth == 0 || rng.below(5) == 0 {
             return match rng.below(4) {
@@ -2731,11 +2839,11 @@ void host() {
                         _ => Builtin::GridDim(axis),
                     })
                 }
-                _ => *var(["p0", "p1"][rng.below(2) as usize]),
+                _ => *var(names[rng.below(names.len() as u64) as usize]),
             };
         }
         let shape = rng.below(13);
-        let mut sub = || Box::new(pure_tree(rng, depth - 1));
+        let mut sub = || Box::new(pure_tree(rng, depth - 1, names));
         match shape {
             0 => Expr::Unary {
                 op: UnaryOp::Not,
@@ -2892,7 +3000,7 @@ void host() {
     /// when `None`).
     fn pure_or_typed(rng: &mut Rng, ty: Option<Ty>, depth: u32) -> Expr {
         match rng.below(2) {
-            0 => pure_tree(rng, depth),
+            0 => pure_tree(rng, depth, &["p0", "p1"]),
             _ => {
                 let ty = ty.unwrap_or_else(|| any_ty(rng));
                 typed_tree(rng, ty, depth)
@@ -2989,7 +3097,11 @@ void host() {
             }
             7 => {
                 let target = ["p0", "p1"][rng.below(2) as usize];
-                assign(LValue::Var(target.into()), op, pure_tree(rng, depth))
+                assign(
+                    LValue::Var(target.into()),
+                    op,
+                    pure_tree(rng, depth, &["p0", "p1"]),
+                )
             }
             8 => for_stmt(rng, depth),
             _ => {
@@ -3240,6 +3352,225 @@ void host() {
             let columns = observe(&ck, stmt, state);
             let reference = observe(&ck, &per_thread(stmt), state);
             prop_assert_eq!(columns, reference, "{:?}", kernel.body.last());
+        }
+    }
+
+    /// `array[g] = array[g] * k + c`: which lanes ran it, and how often,
+    /// shows in the element's bits.
+    fn mark(array: &str, k: f64, c: f64) -> Stmt {
+        let at = || Expr::Index {
+            array: array.into(),
+            indices: vec![*var("g")],
+        };
+        let value = bin(BinaryOp::Mul, at(), Expr::Float(k));
+        Stmt::Assign {
+            target: LValue::Index {
+                array: array.into(),
+                indices: vec![*var("g")],
+            },
+            op: AssignOp::Assign,
+            value: bin(BinaryOp::Add, value, Expr::Float(c)),
+        }
+    }
+
+    /// An assignment to `q`: pure, typed int, typed float (all three
+    /// column-wise), or per thread (it reads the value slot `m`).
+    fn assign_q(rng: &mut Rng) -> Stmt {
+        use BinaryOp::*;
+        let (q, j) = (|| *var("q"), || *var("j"));
+        let value = match rng.below(4) {
+            0 => bin(Add, q(), j()),
+            1 => bin(
+                Rem,
+                bin(Add, bin(Mul, q(), Expr::Int(3)), j()),
+                Expr::Int(7),
+            ),
+            2 => bin(Sub, q(), bin(Mul, j(), Expr::Float(1.5))),
+            _ => bin(Sub, *var("m"), q()),
+        };
+        Stmt::Assign {
+            target: LValue::Var("q".into()),
+            op: AssignOp::Assign,
+            value,
+        }
+    }
+
+    /// `for (int j = -2 .. 0; j < 3; j += 1 or m)` over a guard, then more
+    /// guards or assignments to `q`. Each guard's `&&` conjuncts are drawn
+    /// from `pool` (so guards repeat them); it marks `a`, some also `b` in
+    /// their else branch, and may assign `q`. The body ends by recording
+    /// `q` in `b`. The step `m` (which holds 1) runs per thread, `1`
+    /// column-wise.
+    fn guarded_loop(rng: &mut Rng, pool: &[Expr]) -> Stmt {
+        let mut body = Vec::new();
+        for s in 0..2 + rng.below(4) {
+            if s > 0 && rng.below(4) == 0 {
+                body.push(assign_q(rng));
+                continue;
+            }
+            let cond = (0..1 + rng.below(4))
+                .map(|_| pool[rng.below(pool.len() as u64) as usize].clone())
+                .reduce(|l, r| bin(BinaryOp::And, l, r))
+                .expect("at least one conjunct");
+            let c = s as f64 + 1.0;
+            let mut then_body = vec![mark("a", 3.0, c)];
+            if rng.below(2) == 0 {
+                then_body.push(assign_q(rng));
+            }
+            let else_body = match rng.below(2) {
+                0 => vec![mark("b", 2.0, c)],
+                _ => Vec::new(),
+            };
+            body.push(Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            });
+        }
+        body.push(Stmt::Assign {
+            target: LValue::Index {
+                array: "b".into(),
+                indices: vec![*var("g")],
+            },
+            op: AssignOp::AddAssign,
+            value: *var("q"),
+        });
+        Stmt::For {
+            var: "j".into(),
+            init: Expr::Int(rng.below(3) as i64 - 2),
+            cond: bin(BinaryOp::Lt, *var("j"), Expr::Int(3)),
+            step: [Expr::Int(1), *var("m")][rng.below(2) as usize].clone(),
+            body,
+        }
+    }
+
+    /// Two launches of two or three blocks each (different shapes and
+    /// scalar arguments) of a kernel of one or two guarded loops. The
+    /// conjunct pool reads the loop-invariant `p0`, `p1`, `g` and the
+    /// builtins, the loop variable `j`, and `q`, which the loops reassign
+    /// under partial masks.
+    fn guarded_program(rng: &mut Rng) -> Program {
+        let mut launch = || {
+            let (blocks, x, y) = (2 + rng.below(2), 16 + rng.below(33), 1 + rng.below(2));
+            let (p0, p1) = (rng.below(7) as i64 - 3, rng.below(7) as i64 - 3);
+            format!("  k<<<{blocks}, dim3({x}, {y})>>>(a, b, {p0}, {p1});\n")
+        };
+        let launches = launch() + &launch();
+        let src = format!(
+            "__global__ void k(double* a, double* b, int p0, int p1) {{ }}\n\
+             void host() {{\n  int n = 320;\n  double* a = cudaAlloc1D(n);\n  \
+             double* b = cudaAlloc1D(n);\n{launches}}}\n"
+        );
+        let mut program = parse_program(&src).unwrap();
+        let names: [&[&str]; 4] = [&["p0", "p1", "g"], &["j", "p0"], &["q", "p1"], &["j", "q"]];
+        let pool: Vec<Expr> = (0..2 + rng.below(6))
+            .map(|_| {
+                let names = names[rng.below(4) as usize];
+                let op = [Lt, Le, Gt, Ge, Eq, Ne][rng.below(6) as usize];
+                bin(op, pure_tree(rng, 2, names), pure_tree(rng, 2, names))
+            })
+            .collect();
+        use BinaryOp::*;
+        let decl = |name: &str, ty, init| Stmt::VarDecl {
+            name: name.into(),
+            ty,
+            init: Some(init),
+        };
+        let b = |axis| Expr::Builtin(axis);
+        // g = (blockIdx.x * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x
+        let row = bin(
+            Add,
+            bin(
+                Mul,
+                b(Builtin::BlockIdx(Axis::X)),
+                b(Builtin::BlockDim(Axis::Y)),
+            ),
+            b(Builtin::ThreadIdx(Axis::Y)),
+        );
+        let g = bin(Add, bin(Mul, row, b(Builtin::BlockDim(Axis::X))), tid());
+        let mut body = vec![
+            // `m` is declared with two types: a value slot, holding int 1.
+            decl("m", ScalarType::F64, Expr::Float(0.5)),
+            decl("m", ScalarType::I32, Expr::Int(1)),
+            decl("g", ScalarType::I32, g),
+            decl("q", ScalarType::I32, bin(Sub, tid(), *var("p0"))),
+        ];
+        for _ in 0..1 + rng.below(2) {
+            body.push(guarded_loop(rng, &pool));
+        }
+        program.kernels[0].body = body;
+        program
+    }
+
+    /// Every `if` of `stmts` with its conjunct ids dropped: each condition
+    /// is evaluated whole, as its part says, every time it runs.
+    fn strip_conjuncts(stmts: &mut [CStmt]) {
+        for s in stmts {
+            match s {
+                CStmt::If {
+                    conjuncts,
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    conjuncts.clear();
+                    strip_conjuncts(then_body);
+                    strip_conjuncts(else_body);
+                }
+                CStmt::For { body, .. } => strip_conjuncts(body),
+                _ => {}
+            }
+        }
+    }
+
+    /// What a run leaves: every launch's counters (or the trap) and the
+    /// memory image's bits.
+    type Run = (Result<Vec<LaunchStats>, ExecError>, Vec<Vec<u64>>);
+
+    /// Run `program` with `ck` as its kernel, hazards and footprints on.
+    fn run_with(program: &Program, ck: CompiledKernel, seed: u64) -> Run {
+        let plan = ExecutablePlan::from_program(program).unwrap();
+        let mut mem = GlobalMemory::from_plan(&plan);
+        mem.seed_all(seed);
+        let mut interp = Interpreter::new(program);
+        interp.detect_hazards = true;
+        interp.track_footprint = true;
+        interp
+            .compiled
+            .borrow_mut()
+            .insert(ck.name.clone(), Rc::new(ck));
+        let stats = interp.run_plan(&plan, &mut mem);
+        let bits = ["a", "b"].map(|name| {
+            let data = &mem.get(name).unwrap().data;
+            data.iter().map(|x| x.to_bits()).collect()
+        });
+        (stats, bits.to_vec())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        /// A kernel whose guards are memoized leaves exactly what the same
+        /// compiled kernel leaves when every guard is evaluated whole —
+        /// memory bits, every launch's counters, hazards and footprints —
+        /// over two launches of several blocks, with conjuncts that read
+        /// loop-invariant slots and builtins, the loop variable (stepped
+        /// column-wise or per thread), and a slot the loop body reassigns
+        /// under a partial mask column-wise or per thread.
+        #[test]
+        fn memoized_guards_agree_with_evaluating_every_condition(seed in 0u64..3000) {
+            let mut rng = Rng(seed);
+            let program = guarded_program(&mut rng);
+            let ck = compile(&program.kernels[0]).unwrap();
+            prop_assert!(!ck.conjuncts.is_empty(), "the loops hold pure guards");
+            let mut whole = ck.clone();
+            strip_conjuncts(&mut whole.body);
+            let state = rng.next();
+            prop_assert_eq!(
+                run_with(&program, ck, state),
+                run_with(&program, whole, state),
+                "{:?}",
+                program.kernels[0].body
+            );
         }
     }
 }
