@@ -35,9 +35,7 @@ fn apps_execute_functionally_without_hazards() {
         let plan = ExecutablePlan::from_program(&app.program).expect("plan");
         let mut mem = sf_gpusim::GlobalMemory::from_plan(&plan);
         mem.seed_all(3);
-        let mut interp = sf_gpusim::Interpreter::new(&app.program);
-        interp.detect_hazards = true;
-        let stats = interp
+        let stats = sf_gpusim::Interpreter::new(&app.program)
             .run_plan(&plan, &mut mem)
             .unwrap_or_else(|e| panic!("{}: {e}", app.paper.name));
         for s in &stats {

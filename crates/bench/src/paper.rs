@@ -294,7 +294,7 @@ fn fig4_5_claims(rows: &[Fig45Row]) -> Claims {
     );
     claims.known(
         "fission never hurts (fission+fusion >= fusion)",
-        "2",
+        "5",
         rows,
         |r| r.fission_fusion >= r.fusion,
         |r| format!("{}: {:.3} < {:.3}", r.app, r.fission_fusion, r.fusion),
@@ -661,7 +661,7 @@ fn ablation(h: &Harness) -> Claims {
     );
     claims.known(
         "lazy projects no worse than eager at the same budget",
-        "2",
+        "5",
         &rows,
         |r| r.lazy.projected_gflops >= r.eager.projected_gflops,
         |r| gflops(r, "lazy", &r.lazy, "eager", &r.eager),

@@ -15,7 +15,7 @@
 //!   the "aligning code segments to the same loop boundaries by offsetting
 //!   indices" step, done in literal space).
 
-use sf_analysis::access::{AccessError, KernelAccess};
+use sf_analysis::access::{AccessError, KernelAccess, Sweep};
 use sf_minicuda::ast::*;
 use sf_minicuda::host::{HostValue, LaunchRecord, ResolvedArg};
 use sf_minicuda::visit;
@@ -471,22 +471,24 @@ fn find_sweep<'a>(body: &'a [Stmt], hoisted: &mut Vec<&'a Stmt>) -> Option<&'a S
     sweep_loop.filter(|_| !fallback)
 }
 
-/// Classify the original body: a single sweep with literal bounds whose
-/// hoisted declarations do not read the loop variable, or `None`
-/// (fallback).
+/// Classify the original body: a single sweep whose bounds (as the access
+/// analysis parsed them) evaluate and whose hoisted declarations do not
+/// read the loop variable, or `None` (fallback).
 fn sweep_shape(
     body: &[Stmt],
     ka: &KernelAccess,
     scalar_env: &HashMap<String, i64>,
 ) -> Option<SweepShape> {
-    if ka.sweeps.len() != 1 || ka.sweeps[0].k_range.is_none() {
+    let [Sweep {
+        k_range: Some((lo, hi)),
+        ..
+    }] = ka.sweeps.as_slice()
+    else {
         return None;
-    }
+    };
     let mut hoisted = Vec::new();
     let Stmt::For {
         var,
-        init,
-        cond,
         body: loop_body,
         ..
     } = find_sweep(body, &mut hoisted)?
@@ -507,10 +509,6 @@ fn sweep_shape(
             return None;
         }
     }
-    let k_lo = sf_analysis::access::Bnd::parse(init)?
-        .eval(scalar_env)
-        .ok()?;
-    let k_hi = strip_upper(cond, var, scalar_env)?;
     let mut has_inner = false;
     visit::walk_stmts(loop_body, &mut |s| {
         if matches!(s, Stmt::For { .. }) {
@@ -518,27 +516,10 @@ fn sweep_shape(
         }
     });
     Some(SweepShape {
-        k_lo,
-        k_hi,
+        k_lo: lo.eval(scalar_env).ok()?,
+        k_hi: hi.eval(scalar_env).ok()?,
         has_inner,
     })
-}
-
-fn strip_upper(cond: &Expr, var: &str, scalar_env: &HashMap<String, i64>) -> Option<i64> {
-    let Expr::Binary { op, lhs, rhs } = cond else {
-        return None;
-    };
-    let Expr::Var(v) = &**lhs else { return None };
-    if v != var {
-        return None;
-    }
-    let mut b = sf_analysis::access::Bnd::parse(rhs)?;
-    match op {
-        BinaryOp::Lt => {}
-        BinaryOp::Le => b.off += 1,
-        _ => return None,
-    }
-    b.eval(scalar_env).ok()
 }
 
 #[cfg(test)]

@@ -1107,9 +1107,7 @@ void host() {{
             let mut tmem = GlobalMemory::from_plan(&tplan);
             tmem.get_mut("a").unwrap().data.copy_from_slice(&a0);
             tmem.get_mut("b").unwrap().data.copy_from_slice(&b0);
-            let mut interp = Interpreter::new(&tp);
-            interp.detect_hazards = true;
-            let stats = interp.run_plan(&tplan, &mut tmem).unwrap();
+            let stats = Interpreter::new(&tp).run_plan(&tplan, &mut tmem).unwrap();
             for s in &stats {
                 assert!(s.hazards.is_empty(), "fold {fold}: hazards {:?}", s.hazards);
             }

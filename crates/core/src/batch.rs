@@ -33,8 +33,8 @@
 //!   backpressure until the cooldown (then half-open probes) passes;
 //! - **cache quota** ([`BatchOptions::cache_quota`]) — the store evicts
 //!   least-recently-used plans instead of growing without bound;
-//! - **publish retry** ([`BatchOptions::publish_retry`]) — transient store
-//!   failures (lock I/O) retry on the shared [`sf_core::retry`] ladder.
+//! - **publish retry** — transient store failures (lock I/O) retry on
+//!   the one [`sf_core::retry`] schedule.
 //!
 //! Fault injection reaches the store through the base config: the driver
 //! arms its store with the `cache` section of [`PipelineConfig::faults`],
@@ -46,7 +46,7 @@ use crate::pipeline::{Interventions, Pipeline, TransformResult};
 use rayon::prelude::*;
 use sf_cache::{CacheKey, Lookup, PlanStore, Published, StoreOptions};
 use sf_codegen::TransformPlan;
-use sf_core::{BreakerConfig, CircuitBreaker, RetryPolicy};
+use sf_core::{BreakerConfig, CircuitBreaker};
 use sf_gpusim::device::DeviceSpec;
 use sf_minicuda::Program;
 use std::fmt;
@@ -203,9 +203,6 @@ pub struct BatchOptions {
     /// until the cooldown (then half-open probes) passes. `None` disables
     /// the breaker (every request is admitted up to the queue limit).
     pub breaker: Option<BreakerConfig>,
-    /// Retry ladder for transient plan-publish failures (the shared
-    /// [`sf_core::retry`] policy; backoff is virtual, never a sleep).
-    pub publish_retry: RetryPolicy,
 }
 
 impl Default for BatchOptions {
@@ -218,7 +215,6 @@ impl Default for BatchOptions {
             checkpoint_dir: None,
             cache_quota: None,
             breaker: None,
-            publish_retry: RetryPolicy::default(),
         }
     }
 }
@@ -469,18 +465,9 @@ impl BatchDriver {
             (Arc::clone(&self.fingerprint), Arc::clone(&self.device))
         };
         let cache_enabled = self.cache_enabled;
-        let publish_retry = self.options.publish_retry;
         let req = request.clone();
         std::thread::spawn(move || {
-            let outcome = process(
-                &store,
-                &config,
-                &fingerprint,
-                &device,
-                cache_enabled,
-                publish_retry,
-                &req,
-            );
+            let outcome = process(&store, &config, &fingerprint, &device, cache_enabled, &req);
             let _ = tx.send(outcome);
         });
         match rx.recv_timeout(self.options.request_budget) {
@@ -517,7 +504,6 @@ fn process(
     fingerprint: &str,
     device: &str,
     cache_enabled: bool,
-    publish_retry: RetryPolicy,
     request: &BatchRequest,
 ) -> BatchOutcome {
     let mut outcome = BatchOutcome {
@@ -540,12 +526,7 @@ fn process(
     };
     let canonical = sf_minicuda::printer::print_program(&program);
     let key = CacheKey::derive(&canonical, device, fingerprint);
-    let served = compile_through_cache(
-        cache_enabled.then_some((store, &key)),
-        program,
-        base,
-        publish_retry,
-    );
+    let served = compile_through_cache(cache_enabled.then_some((store, &key)), program, base);
     outcome.status = served.status;
     outcome.plan_json = served.plan_json;
     if !served.notes.is_empty() {
@@ -588,7 +569,6 @@ pub fn compile_through_cache(
     cache: Option<(&PlanStore, &CacheKey)>,
     program: Program,
     config: &PipelineConfig,
-    publish_retry: RetryPolicy,
 ) -> Served {
     let run = |program: Program, config: PipelineConfig| {
         Pipeline::new(program, config).and_then(|p| p.run_with(&Interventions::default()))
@@ -652,9 +632,9 @@ pub fn compile_through_cache(
         .or_else(|| result.planned())
         .map(|plan| plan.to_json());
     if let (Some((store, key)), Some(payload)) = (cache, &plan_json) {
-        // Transient store trouble (lock I/O) retries on the shared
-        // ladder; deterministic failures short-circuit.
-        let retried = publish_retry.run(
+        // Transient store trouble (lock I/O) retries on the one schedule;
+        // deterministic failures short-circuit.
+        let retried = sf_core::retry::run(
             |_| store.publish(key, payload),
             sf_cache::CacheError::is_transient,
         );

@@ -296,7 +296,6 @@ fn main() {
         cache.as_ref().map(|(store, key)| (store, key)),
         program,
         &config,
-        sf_core::RetryPolicy::default(),
     );
     for note in &served.notes {
         eprintln!("sfc: {note}");

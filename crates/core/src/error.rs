@@ -40,11 +40,6 @@ pub enum Recoverability {
     /// program) instead of failing, unless running under
     /// [`crate::config::DegradePolicy::Strict`].
     Degradable,
-    /// The failure came from measurement conditions (e.g. every profiling
-    /// repetition lost to noise): a measurement under other conditions may
-    /// succeed. A run's conditions are seeded, so the pipeline does not
-    /// retry it; it degrades as a [`Recoverability::Degradable`] error does.
-    Transient,
 }
 
 impl Recoverability {
@@ -53,7 +48,6 @@ impl Recoverability {
         match self {
             Recoverability::Fatal => "fatal",
             Recoverability::Degradable => "degradable",
-            Recoverability::Transient => "transient",
         }
     }
 }
@@ -339,21 +333,14 @@ impl From<sf_minicuda::HostEvalError> for PipelineError {
     }
 }
 
-/// Profile errors keep their own transience judgment: a measurement-run
-/// failure (simulator divergence, lost counters) is [`Recoverability::Transient`];
-/// a deterministic one (unknown kernel, unlaunchable config) is
-/// [`Recoverability::Degradable`]. Either way the original program remains
-/// a valid degraded result. Kernel attribution
-/// carries over from the structured error.
+/// Profile errors are degradable: whatever failed the measurement (a trap,
+/// an exhausted step budget, every repetition lost), the original program
+/// remains a valid degraded result. Kernel attribution carries over from
+/// the structured error.
 impl From<sf_gpusim::profiler::ProfileError> for PipelineError {
     fn from(e: sf_gpusim::profiler::ProfileError) -> Self {
         let kernel = e.kernel.clone();
-        let class = if e.transient {
-            Recoverability::Transient
-        } else {
-            Recoverability::Degradable
-        };
-        let mut err = PipelineError::new(Stage::Metadata, class, ErrorKind::Profile(Box::new(e)));
+        let mut err = PipelineError::degradable(Stage::Metadata, ErrorKind::Profile(Box::new(e)));
         err.kernel = kernel;
         err
     }
@@ -386,19 +373,15 @@ impl From<sf_core::ResourceError> for PipelineError {
 }
 
 /// Cache errors attach to the `NewGraphs` stage — the point where a cached
-/// plan substitutes for the search artifacts on the replay path. Lock
-/// contention is transient (another writer may finish; re-reading works);
-/// everything else is degradable: the pipeline just compiles without the
-/// cache, which is the `cache hit → cache recompile → normal pipeline`
-/// rung of the degradation ladder.
+/// plan substitutes for the search artifacts on the replay path — and are
+/// degradable: the pipeline just compiles without the cache, which is the
+/// `cache hit → cache recompile → normal pipeline` rung of the degradation
+/// ladder. Lock contention is the one store failure worth another attempt,
+/// and the publish retry asks [`sf_cache::CacheError::is_transient`]
+/// directly.
 impl From<sf_cache::CacheError> for PipelineError {
     fn from(e: sf_cache::CacheError) -> Self {
-        let class = if e.is_transient() {
-            Recoverability::Transient
-        } else {
-            Recoverability::Degradable
-        };
-        PipelineError::new(Stage::NewGraphs, class, ErrorKind::Cache(Box::new(e)))
+        PipelineError::degradable(Stage::NewGraphs, ErrorKind::Cache(Box::new(e)))
     }
 }
 
@@ -409,9 +392,9 @@ mod tests {
 
     #[test]
     fn conversions_preserve_source_and_defaults() {
-        let e: PipelineError = sf_gpusim::profiler::ProfileError::transient("sim diverged").into();
+        let e: PipelineError = sf_gpusim::profiler::ProfileError::msg("sim diverged").into();
         assert_eq!(e.stage, Stage::Metadata);
-        assert_eq!(e.class, Recoverability::Transient);
+        assert_eq!(e.class, Recoverability::Degradable);
         let src = e.source().expect("typed source retained");
         assert_eq!(src.to_string(), "profile error: sim diverged");
 
@@ -444,21 +427,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_errors_map_onto_the_recoverability_ladder() {
+    fn cache_errors_are_degradable() {
         use sf_cache::{CacheError, CacheErrorKind};
 
-        // Lock contention: worth retrying / re-reading.
-        let e: PipelineError = CacheError::new(CacheErrorKind::Lock, "lock held").into();
-        assert_eq!(e.class, Recoverability::Transient);
-        assert_eq!(e.stage, Stage::NewGraphs);
-        assert_eq!(e.kind.label(), "cache");
-        assert!(e.to_string().contains("lock held"), "{e}");
-        let src = e.source().expect("typed source retained");
-        assert!(src.to_string().contains("[lock]"), "{src}");
-
-        // Anything else: compile without the cache (degradable).
-        let e: PipelineError = CacheError::new(CacheErrorKind::Io, "disk full").into();
-        assert_eq!(e.class, Recoverability::Degradable);
+        // Every store failure compiles without the cache (degradable).
+        for kind in [CacheErrorKind::Lock, CacheErrorKind::Io] {
+            let e: PipelineError = CacheError::new(kind, "store trouble").into();
+            assert_eq!(e.class, Recoverability::Degradable);
+            assert_eq!(e.stage, Stage::NewGraphs);
+            assert_eq!(e.kind.label(), "cache");
+            assert!(e.to_string().contains("store trouble"), "{e}");
+            let src = e.source().expect("typed source retained");
+            assert!(src.to_string().contains(kind.label()), "{src}");
+        }
     }
 
     #[test]
@@ -554,24 +535,18 @@ mod tests {
 
     #[test]
     fn reattribution_moves_stage() {
-        let e: PipelineError = sf_gpusim::profiler::ProfileError::transient("noise").into();
+        let e: PipelineError = sf_gpusim::profiler::ProfileError::msg("noise").into();
         assert_eq!(e.at(Stage::Search).stage, Stage::Search);
     }
 
     #[test]
-    fn profile_error_transience_and_attribution_carry_over() {
-        let deterministic = sf_gpusim::profiler::ProfileError::msg("unknown kernel")
+    fn profile_error_attribution_carries_over() {
+        let e: PipelineError = sf_gpusim::profiler::ProfileError::msg("unknown kernel")
             .for_kernel("step3")
-            .at_seq(3);
-        let e: PipelineError = deterministic.into();
+            .at_seq(3)
+            .into();
         assert_eq!(e.class, Recoverability::Degradable);
         assert_eq!(e.kernel.as_deref(), Some("step3"));
         assert!(e.to_string().contains("kernel `step3`"));
-
-        let transient =
-            sf_gpusim::profiler::ProfileError::transient("counter lost").for_kernel("step1");
-        let e: PipelineError = transient.into();
-        assert_eq!(e.class, Recoverability::Transient);
-        assert_eq!(e.kernel.as_deref(), Some("step1"));
     }
 }

@@ -1767,7 +1767,7 @@ void host() {
         let err = run
             .profile(&mut r, "no profile available", profile)
             .unwrap_err();
-        assert_eq!(err.class, crate::error::Recoverability::Transient, "{err}");
+        assert_eq!(err.class, crate::error::Recoverability::Degradable, "{err}");
         assert!(err.to_string().contains("retries exhausted"), "{err}");
         assert_eq!(calls.get(), 1);
     }

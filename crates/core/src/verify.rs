@@ -95,7 +95,6 @@ fn run_governed(
     governor: &Arc<ResourceGovernor>,
 ) -> Result<Vec<String>, VerifyFailure> {
     let mut interp = Interpreter::new(program);
-    interp.detect_hazards = true;
     interp.step_limit = governor.remaining(ResourceKind::InterpreterSteps);
     let outcome = interp.run_plan(plan, mem);
     let used = interp.steps_used();

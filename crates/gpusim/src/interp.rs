@@ -64,11 +64,11 @@
 //! commits: inserting into a set is idempotent and the per-thread rerun
 //! reads a superset, so the result is the same.
 //!
-//! There is no unchecked mode: bounds, hazard and race checks run on every
-//! access at this speed. Block-sized state (columns, registers, lane
-//! selections, masks, tiles, the hazard logs) is pooled across statements,
-//! blocks and launches; bound arrays are checked out of [`GlobalMemory`]
-//! for the duration of a launch.
+//! There is no unchecked mode and no switch for one: bounds, hazard and
+//! race checks run on every access of every run. Block-sized state
+//! (columns, registers, lane selections, masks, tiles, the hazard logs) is
+//! pooled across statements, blocks and launches; bound arrays are checked
+//! out of [`GlobalMemory`] for the duration of a launch.
 //!
 //! The interpreter also performs the checks the paper relies on:
 //! - output verification — callers compare memory images of original vs
@@ -169,11 +169,11 @@ pub struct LaunchStats {
     /// Threads launched.
     pub threads: u64,
     /// Unique global elements read / written per (block, sweep) window —
-    /// the footprint the DRAM traffic model predicts (tracked only when
-    /// `track_footprint` is set).
+    /// the footprint the DRAM traffic model predicts, counted only when
+    /// [`Interpreter::track_footprint`] is set (0 otherwise).
     pub footprint_read_elems: u64,
     pub footprint_write_elems: u64,
-    /// Race / hazard reports (capped at 16).
+    /// Race / hazard reports (capped at 16); every run checks for them.
     pub hazards: Vec<String>,
 }
 
@@ -197,11 +197,11 @@ impl LaunchStats {
 /// The interpreter for one program.
 pub struct Interpreter<'p> {
     program: &'p Program,
-    /// Track per-(block, sweep) unique-element footprints (slower; used by
-    /// validation tests on small grids).
+    /// Track per-(block, sweep) unique-element footprints (slower): the
+    /// oracle the DRAM traffic model is tested against, on small grids.
+    /// The interpreter's one switch — hazard, race and bounds checks are
+    /// not optional.
     pub track_footprint: bool,
-    /// Detect cross-block read-after-write hazards (slower).
-    pub detect_hazards: bool,
     /// Step budget across every launch this interpreter runs: one step
     /// per (block × thread) unit of work, charged before the block
     /// executes. `None` = unbounded. Exhaustion is a structured
@@ -220,7 +220,6 @@ impl<'p> Interpreter<'p> {
         Interpreter {
             program,
             track_footprint: false,
-            detect_hazards: false,
             step_limit: None,
             steps_used: std::cell::Cell::new(0),
             compiled: RefCell::new(HashMap::new()),
@@ -402,7 +401,6 @@ impl<'p> Interpreter<'p> {
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
             track_footprint: self.track_footprint,
-            detect_hazards: self.detect_hazards,
         };
 
         let mut run = || {
@@ -927,7 +925,6 @@ struct Machine<'a> {
     fp_read: HashSet<(u16, usize)>,
     fp_write: HashSet<(u16, usize)>,
     track_footprint: bool,
-    detect_hazards: bool,
 }
 
 impl Machine<'_> {
@@ -1173,8 +1170,7 @@ impl Machine<'_> {
         self.stats.global_reads += global_reads;
         self.stats.shared_reads += shared_reads;
         // The read log ends at each cell's last reader in thread order:
-        // the highest warp of the part's readers (pushed only with hazard
-        // detection on).
+        // the highest warp of the part's readers.
         let (epoch, log) = (self.p.epoch, &mut self.p.shared_reads);
         for &(tile, off, _) in &self.p.reads {
             log[tile as usize][off] = LastAccess::default();
@@ -1417,7 +1413,7 @@ impl Machine<'_> {
 
     /// Would the reads at `p.offs` in `array` report a cross-block hazard?
     fn global_hazard(&self, array: u16) -> bool {
-        if !self.detect_hazards || !self.hazard_room() {
+        if !self.hazard_room() {
             return false;
         }
         let mine = self.block_linear + 1;
@@ -1467,15 +1463,13 @@ impl Machine<'_> {
         let ck = self.ck;
         self.flatten(&ix[..idx.len()], dst + 1, &ck.tiles[tile as usize].0, sel)?;
         let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
-        if self.detect_hazards {
-            let writes = &self.p.shared_writes[tile as usize];
-            let epoch = self.p.epoch;
-            if self.hazard_room() && lanes().any(|(t, &o)| races(writes[o], epoch, t)) {
-                return Err(Fallback);
-            }
-            let reads = lanes().map(|(t, &o)| (tile, o, warp(t)));
-            self.p.reads.extend(reads);
+        let writes = &self.p.shared_writes[tile as usize];
+        let epoch = self.p.epoch;
+        if self.hazard_room() && lanes().any(|(t, &o)| races(writes[o], epoch, t)) {
+            return Err(Fallback);
         }
+        let reads = lanes().map(|(t, &o)| (tile, o, warp(t)));
+        self.p.reads.extend(reads);
         let (_, d, _) = self.p.col.split(self.lanes, self.geom, dst);
         let data = &self.p.tiles[tile as usize];
         for (&t, &o) in sel.idx.iter().zip(&self.p.offs) {
@@ -1545,17 +1539,15 @@ impl Machine<'_> {
         let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
         if op != AssignOp::Assign {
             self.pending.shared_reads += sel.lanes();
-            if self.detect_hazards {
-                // Each lane reads its own target cell: a read-after-write
-                // against the writes before the part.
-                let writes = &self.p.shared_writes[t];
-                if room && lanes().any(|(l, &o)| races(writes[o], epoch, l)) {
-                    return Err(Fallback);
-                }
-                let reads = lanes().map(|(l, &o)| (tile, o, warp(l)));
-                self.p.reads.extend(reads);
+            // Each lane reads its own target cell: a read-after-write
+            // against the writes before the part.
+            let writes = &self.p.shared_writes[t];
+            if room && lanes().any(|(l, &o)| races(writes[o], epoch, l)) {
+                return Err(Fallback);
             }
-        } else if self.detect_hazards && room {
+            let reads = lanes().map(|(l, &o)| (tile, o, warp(l)));
+            self.p.reads.extend(reads);
+        } else if room {
             // Write-after-read: nothing in the part reads this tile, so a
             // cell's last reader is the one before the part. (With `op=`
             // the lane's own read is the last one and never races.)
@@ -1906,12 +1898,10 @@ impl Machine<'_> {
     fn write_global(&mut self, array: u16) {
         let scratch = &self.p.scratch;
         let data = &mut self.arrays[array as usize].1.data;
-        if self.detect_hazards {
-            let writers = &mut self.p.writers[array as usize];
-            writers.resize(data.len(), 0);
-            for &(off, _) in scratch {
-                writers[off] = self.block_linear + 1;
-            }
+        let writers = &mut self.p.writers[array as usize];
+        writers.resize(data.len(), 0);
+        for &(off, _) in scratch {
+            writers[off] = self.block_linear + 1;
         }
         if self.track_footprint {
             self.fp_write
@@ -1960,7 +1950,7 @@ impl Machine<'_> {
             // warp consumed since the last barrier is racing on real
             // hardware even though lockstep execution sees the old value.
             let last_read = self.p.shared_reads[tile as usize][off];
-            if self.detect_hazards && last_read.0 == here.0 && last_read.1 != here.1 {
+            if last_read.0 == here.0 && last_read.1 != here.1 {
                 self.stats.add_hazard(format!(
                     "shared write-after-read without barrier on tile {tile}[{off}] in `{}`",
                     self.kernel_name
@@ -1988,9 +1978,6 @@ impl Machine<'_> {
     /// without this check a missing `__syncthreads()` between staging
     /// writes and consumer reads would go undetected).
     fn note_shared_read(&mut self, tile: u16, off: usize, t: usize) {
-        if !self.detect_hazards {
-            return;
-        }
         let here: LastAccess = (self.p.epoch, (t / 32) as u32);
         let last_write = self.p.shared_writes[tile as usize][off];
         if last_write.0 == here.0 && last_write.1 != here.1 {
@@ -2004,18 +1991,16 @@ impl Machine<'_> {
 
     fn note_global_read(&mut self, array: u16, off: usize) {
         self.stats.global_reads += 1;
-        if self.detect_hazards {
-            // An array nobody wrote this launch has an empty table.
-            let writer = self.p.writers[array as usize]
-                .get(off)
-                .copied()
-                .unwrap_or(0);
-            if writer != 0 && writer != self.block_linear + 1 {
-                self.stats.add_hazard(format!(
-                    "cross-block read-after-write hazard on {}[{off}] in `{}`",
-                    self.arrays[array as usize].0, self.kernel_name
-                ));
-            }
+        // An array nobody wrote this launch has an empty table.
+        let writer = self.p.writers[array as usize]
+            .get(off)
+            .copied()
+            .unwrap_or(0);
+        if writer != 0 && writer != self.block_linear + 1 {
+            self.stats.add_hazard(format!(
+                "cross-block read-after-write hazard on {}[{off}] in `{}`",
+                self.arrays[array as usize].0, self.kernel_name
+            ));
         }
         if self.track_footprint {
             self.fp_read.insert((array, off));
@@ -2190,8 +2175,7 @@ mod tests {
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
         mem.seed_all(42);
-        let interp = Interpreter::new(&p);
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         (mem, stats)
     }
 
@@ -2214,8 +2198,7 @@ void host() {
         let mut mem = GlobalMemory::from_plan(&plan);
         mem.fill_with("x", |i| i as f64);
         mem.fill_with("y", |i| 1.0 + i as f64);
-        let interp = Interpreter::new(&p);
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         let y = &mem.get("y").unwrap().data;
         for (i, yi) in y.iter().enumerate().take(100) {
             assert_eq!(*yi, 2.0 * i as f64 + 1.0 + i as f64);
@@ -2408,9 +2391,7 @@ void host() {
         let p = parse_program(src).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert!(!stats[0].hazards.is_empty());
     }
 
@@ -2436,9 +2417,7 @@ void host() {
         let p = parse_program(broken).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert!(
             stats[0]
                 .hazards
@@ -2456,9 +2435,7 @@ void host() {
         let p = parse_program(&fixed).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert!(
             stats[0].hazards.is_empty(),
             "hazards: {:?}",
@@ -2494,9 +2471,7 @@ void host() {
         let p = parse_program(broken).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert!(
             stats[0]
                 .hazards
@@ -2514,9 +2489,7 @@ void host() {
         let p = parse_program(&fixed).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
-        let stats = interp.run_plan(&plan, &mut mem).unwrap();
+        let stats = Interpreter::new(&p).run_plan(&plan, &mut mem).unwrap();
         assert!(
             stats[0].hazards.is_empty(),
             "hazards: {:?}",
@@ -2607,8 +2580,7 @@ mod typing_and_column_tests {
         let p = parse_program(src).unwrap();
         let plan = ExecutablePlan::from_program(&p).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
-        let mut interp = Interpreter::new(&p);
-        interp.detect_hazards = true;
+        let interp = Interpreter::new(&p);
         let stats = interp.run_plan(&plan, &mut mem)?;
         Ok((mem, stats))
     }
@@ -3240,7 +3212,6 @@ void host() {
         stats.hazards = (0..hazards)
             .map(|h| format!("earlier hazard {h}"))
             .collect();
-        let detect_hazards = rng.below(4) != 0;
         let mut m = Machine {
             ck,
             kernel_name: "k",
@@ -3260,7 +3231,6 @@ void host() {
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
             track_footprint: rng.below(2) == 0,
-            detect_hazards,
         };
         let base = BaseSlots {
             ints: vec![0; ck.int_slots],
@@ -3527,13 +3497,12 @@ void host() {
     /// memory image's bits.
     type Run = (Result<Vec<LaunchStats>, ExecError>, Vec<Vec<u64>>);
 
-    /// Run `program` with `ck` as its kernel, hazards and footprints on.
+    /// Run `program` with `ck` as its kernel, footprints on.
     fn run_with(program: &Program, ck: CompiledKernel, seed: u64) -> Run {
         let plan = ExecutablePlan::from_program(program).unwrap();
         let mut mem = GlobalMemory::from_plan(&plan);
         mem.seed_all(seed);
         let mut interp = Interpreter::new(program);
-        interp.detect_hazards = true;
         interp.track_footprint = true;
         interp
             .compiled

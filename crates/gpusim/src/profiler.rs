@@ -9,7 +9,7 @@
 //! and uses the static estimates (useful for large problem sizes).
 
 use crate::device::DeviceSpec;
-use crate::interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
+use crate::interp::{ExecError, Interpreter, LaunchStats};
 use crate::memory::GlobalMemory;
 use crate::timing::{LaunchCost, LaunchProfile, TimingModel};
 use sf_analysis::access::{self, BoundTraffic, KernelAccess};
@@ -19,8 +19,8 @@ use sf_minicuda::ast::{Kernel, Program};
 use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, LaunchRecord, ResolvedArg};
 use std::collections::HashMap;
 
-/// A structured profiling error: what failed, which kernel launch was being
-/// measured (when known), and whether retrying the measurement could help.
+/// A structured profiling error: what failed and which kernel launch was
+/// being measured (when known).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileError {
     /// Human-readable description of the failure.
@@ -29,28 +29,15 @@ pub struct ProfileError {
     pub kernel: Option<String>,
     /// Static launch sequence number being profiled, if known.
     pub seq: Option<usize>,
-    /// Whether the failure is transient — a property of the measurement run
-    /// (simulator divergence, injected counter loss) rather than of the
-    /// program itself, so retrying may succeed.
-    pub transient: bool,
 }
 
 impl ProfileError {
-    /// A deterministic profiling error (retrying will fail the same way).
+    /// A profiling error with no attribution yet.
     pub fn msg(message: impl Into<String>) -> ProfileError {
         ProfileError {
             message: message.into(),
             kernel: None,
             seq: None,
-            transient: false,
-        }
-    }
-
-    /// A transient measurement failure: retrying may succeed.
-    pub fn transient(message: impl Into<String>) -> ProfileError {
-        ProfileError {
-            transient: true,
-            ..ProfileError::msg(message)
         }
     }
 
@@ -82,14 +69,11 @@ impl std::fmt::Display for ProfileError {
 impl std::error::Error for ProfileError {}
 
 impl From<ExecError> for ProfileError {
+    /// A trap (an out-of-bounds access, a division by zero, an unknown
+    /// kernel) and an exhausted step budget are both properties of the
+    /// program: the same run fails the same way every time.
     fn from(e: ExecError) -> Self {
-        match e.1 {
-            // The program is at fault (an out-of-bounds access, a division
-            // by zero, an unknown kernel): the same run traps the same way
-            // every time, so retrying cannot help.
-            ExecErrorKind::Trap => ProfileError::msg(e.0),
-            ExecErrorKind::StepBudget { .. } => ProfileError::transient(e.0),
-        }
+        ProfileError::msg(e.0)
     }
 }
 
@@ -270,9 +254,9 @@ impl Profiler {
     /// Profile with a pre-computed plan, handing back the final memory
     /// image of the functional run beside the profile (`None` for an
     /// analytic profile, which executes nothing). The run starts from
-    /// `seed_all(Self::SEED)` with hazard detection on, so the image and
-    /// [`ProgramProfile::hazards`] are exactly what a verification run
-    /// from the same seed would produce.
+    /// `seed_all(Self::SEED)`, so the image and [`ProgramProfile::hazards`]
+    /// are exactly what a verification run from the same seed would
+    /// produce.
     pub fn profile_with_image(
         &self,
         program: &Program,
@@ -285,9 +269,7 @@ impl Profiler {
         if self.functional {
             let mut mem = GlobalMemory::from_plan(plan);
             mem.seed_all(Self::SEED);
-            let mut interp = Interpreter::new(program);
-            interp.detect_hazards = true;
-            let stats = interp.run_plan(plan, &mut mem)?;
+            let stats = Interpreter::new(program).run_plan(plan, &mut mem)?;
             for s in &stats {
                 hazards.extend(s.hazards.iter().cloned());
             }
@@ -539,8 +521,6 @@ mod tests {
     fn profile_errors_carry_attribution() {
         let e = ProfileError::msg("boom").for_kernel("k").at_seq(3);
         assert_eq!(e.to_string(), "profile error: boom (kernel `k`, launch #3)");
-        assert!(!e.transient);
-        assert!(ProfileError::transient("counter lost").transient);
         assert_eq!(
             ProfileError::msg("plain").to_string(),
             "profile error: plain"

@@ -10,9 +10,9 @@
 //!
 //! 1. one exact inner profile supplies the analytic fallback values;
 //! 2. each repetition draws noisy samples per launch and metric (a
-//!    repetition can fail transiently and is retried with exponential
-//!    backoff on a *virtual* clock — no wall-time sleeps, fully
-//!    deterministic);
+//!    repetition can fail transiently and is retried on the one
+//!    [`sf_core::retry`] schedule, whose backoff clock is *virtual* — no
+//!    wall-time sleeps, fully deterministic);
 //! 3. per launch and metric, samples are aggregated with a median + MAD
 //!    outlier rejection ([`robust_aggregate`]); when too many samples are
 //!    rejected the metric collapses to the analytic estimate;
@@ -26,11 +26,6 @@ use crate::profiler::{ProfileError, Profiler, ProgramProfile};
 use sf_analysis::metadata::{Confidence, MeasureQuality, Provenance};
 use sf_minicuda::ast::Program;
 use sf_minicuda::host::ExecutablePlan;
-
-/// The shared retry policy, re-exported from [`sf_core::retry`] — the
-/// robust profiler and the batch driver run the same bounded exponential
-/// backoff constants on the same virtual clock.
-pub use sf_core::retry::RetryPolicy;
 
 /// Reject samples farther than this many robust sigmas from the median.
 const OUTLIER_MADS: f64 = 3.5;
@@ -251,42 +246,39 @@ impl RobustProfiler {
         let mut lost_reps = 0u32;
         let mut virtual_backoff_us = 0u64;
         let mut forced = self.forced_transients;
-        // Transient repetition failures retry on the shared policy.
-        let retry = RetryPolicy::default();
         // samples[seq][metric] — metric index matches `Metric::ALL`.
         let mut samples: Vec<[Vec<f64>; 4]> = vec![Default::default(); n_launches];
 
         for rep in 0..self.reps {
-            // Retry loop for transient repetition failures: the attempt
-            // either fails (forced fault or noise-model draw) or yields a
-            // full set of per-launch samples.
-            let mut succeeded = false;
-            for attempt in 0..=retry.max_retries {
-                let fails = if forced > 0 {
-                    forced -= 1;
-                    true
-                } else {
-                    self.noise
-                        .as_ref()
-                        .map(|n| n.rep_fails(rep, attempt))
-                        .unwrap_or(false)
-                };
-                if fails {
-                    transient_failures += 1;
-                    if attempt < retry.max_retries {
-                        virtual_backoff_us += retry.backoff_us(attempt);
+            // An attempt either fails transiently (forced fault or
+            // noise-model draw) or yields a full set of per-launch samples.
+            let retried = sf_core::retry::run(
+                |attempt| {
+                    let fails = if forced > 0 {
+                        forced -= 1;
+                        true
+                    } else {
+                        self.noise
+                            .as_ref()
+                            .is_some_and(|n| n.rep_fails(rep, attempt))
+                    };
+                    if fails {
+                        Err(())
+                    } else {
+                        Ok(())
                     }
-                    continue;
-                }
-                if attempt > 0 {
-                    remeasured_reps += 1;
-                }
-                succeeded = true;
-                break;
-            }
-            if !succeeded {
+                },
+                |_| true,
+            );
+            virtual_backoff_us += retried.virtual_backoff_us;
+            if retried.result.is_err() {
+                transient_failures += retried.attempts;
                 lost_reps += 1;
                 continue;
+            }
+            transient_failures += retried.attempts - 1;
+            if retried.attempts > 1 {
+                remeasured_reps += 1;
             }
             for (seq, perf) in base.metadata.perf.iter().enumerate() {
                 let truths = [
@@ -308,7 +300,7 @@ impl RobustProfiler {
         }
 
         if lost_reps == self.reps {
-            return Err(ProfileError::transient(format!(
+            return Err(ProfileError::msg(format!(
                 "all {} profiling repetition(s) failed transiently (retries exhausted, {} µs virtual backoff)",
                 self.reps, virtual_backoff_us
             )));
@@ -495,23 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_on_every_rep_is_a_transient_error() {
+    fn exhausted_retries_on_every_rep_lose_the_profile() {
         let p = jacobi_program();
-        // One rep, default 3 retries → 4 forced failures exhaust it.
+        // One rep, 3 retries → 4 forced failures exhaust it.
         let err = RobustProfiler::new(Profiler::new(DeviceSpec::k20x()), 1, None)
             .with_forced_transients(4)
             .profile(&p)
             .unwrap_err();
-        assert!(err.transient, "exhaustion is a transient error: {err}");
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_bounded() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_us(0), 100);
-        assert_eq!(r.backoff_us(1), 200);
-        assert_eq!(r.backoff_us(2), 400);
-        assert_eq!(r.backoff_us(30), r.max_backoff_us);
+        assert!(
+            err.message.starts_with(
+                "all 1 profiling repetition(s) failed transiently (retries exhausted, 700 µs"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! - [`budget`] — a hierarchical, thread-safe [`ResourceGovernor`] with
 //!   per-request and process-wide accounting, high-water marks, and the
 //!   [`Accounted`] RAII wrapper for big allocations.
-//! - [`retry`] — the one [`RetryPolicy`] (bounded exponential backoff on a
-//!   virtual clock) previously duplicated between the robust profiler and
-//!   the batch driver.
+//! - [`retry`] — the one retry schedule (bounded exponential backoff on a
+//!   virtual clock) the robust profiler and the plan-store publish share.
 //! - [`breaker`] — a per-failure-class [`CircuitBreaker`] with a sliding
 //!   failure window, cooldown, and half-open probes, driven by an
 //!   injectable millisecond clock so every transition is unit-testable.
@@ -35,4 +34,4 @@ pub use budget::{
 };
 pub use faults::{CacheFaults, FaultPlan, IslandFaults};
 pub use hash::{fnv1a64, splitmix64};
-pub use retry::{RetryOutcome, RetryPolicy};
+pub use retry::RetryOutcome;

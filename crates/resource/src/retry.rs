@@ -1,86 +1,61 @@
-//! The one bounded-exponential-backoff retry policy.
+//! The one bounded-exponential-backoff retry schedule.
 //!
-//! Previously the robust profiler and the batch driver each carried their
-//! own retry constants; this module is the single source of truth. The
-//! backoff clock is *virtual*: [`RetryPolicy::run`] never sleeps, it
-//! accumulates the microseconds a real deployment would have waited, so
-//! retry behavior is deterministic and unit-testable to the microsecond.
+//! The robust profiler's repetitions and the plan store's publishes retry
+//! on this schedule: [`MAX_RETRIES`] retries after the first attempt, a
+//! backoff of [`BASE_BACKOFF_US`] doubling per retry up to
+//! [`MAX_BACKOFF_US`]. The backoff clock is *virtual*: [`run`] never
+//! sleeps, it accumulates the microseconds a real deployment would have
+//! waited, so retry behavior is deterministic and unit-testable to the
+//! microsecond.
 
-/// Bounded exponential backoff (the retry ladder of the robust profiler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (so `max_retries + 1` attempts).
-    pub max_retries: u32,
-    /// Backoff before the first retry, µs.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling, µs.
-    pub max_backoff_us: u64,
+/// Retries after the first attempt (so `MAX_RETRIES + 1` attempts).
+pub const MAX_RETRIES: u32 = 3;
+/// Backoff before the first retry, µs.
+pub const BASE_BACKOFF_US: u64 = 100;
+/// Backoff ceiling, µs.
+pub const MAX_BACKOFF_US: u64 = 10_000;
+
+/// The virtual backoff before retrying attempt `attempt` (0-based),
+/// exponential with a ceiling.
+pub fn backoff_us(attempt: u32) -> u64 {
+    let factor = 1u64 << attempt.min(20);
+    BASE_BACKOFF_US.saturating_mul(factor).min(MAX_BACKOFF_US)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff_us: 100,
-            max_backoff_us: 10_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Never retry.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The virtual backoff before retrying attempt `attempt` (0-based),
-    /// exponential with a ceiling.
-    pub fn backoff_us(&self, attempt: u32) -> u64 {
-        let factor = 1u64 << attempt.min(20);
-        self.base_backoff_us
-            .saturating_mul(factor)
-            .min(self.max_backoff_us)
-    }
-
-    /// Run `op` with bounded retry on transient failures. `op` receives
-    /// the 0-based attempt index; `retryable` decides whether an error is
-    /// worth another attempt (a deterministic failure short-circuits).
-    pub fn run<T, E>(
-        &self,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-        mut retryable: impl FnMut(&E) -> bool,
-    ) -> RetryOutcome<T, E> {
-        let mut virtual_backoff_us = 0u64;
-        let mut attempts = 0u32;
-        let mut last: Option<E> = None;
-        for attempt in 0..=self.max_retries {
-            attempts = attempt + 1;
-            match op(attempt) {
-                Ok(v) => {
-                    return RetryOutcome {
-                        result: Ok(v),
-                        attempts,
-                        virtual_backoff_us,
-                    }
-                }
-                Err(e) => {
-                    let retry = retryable(&e) && attempt < self.max_retries;
-                    last = Some(e);
-                    if !retry {
-                        break;
-                    }
-                    virtual_backoff_us += self.backoff_us(attempt);
+/// Run `op` with bounded retry on transient failures. `op` receives the
+/// 0-based attempt index; `retryable` decides whether an error is worth
+/// another attempt (a deterministic failure short-circuits).
+pub fn run<T, E>(
+    mut op: impl FnMut(u32) -> Result<T, E>,
+    mut retryable: impl FnMut(&E) -> bool,
+) -> RetryOutcome<T, E> {
+    let mut virtual_backoff_us = 0u64;
+    let mut attempts = 0u32;
+    let mut last: Option<E> = None;
+    for attempt in 0..=MAX_RETRIES {
+        attempts = attempt + 1;
+        match op(attempt) {
+            Ok(v) => {
+                return RetryOutcome {
+                    result: Ok(v),
+                    attempts,
+                    virtual_backoff_us,
                 }
             }
+            Err(e) => {
+                let retry = retryable(&e) && attempt < MAX_RETRIES;
+                last = Some(e);
+                if !retry {
+                    break;
+                }
+                virtual_backoff_us += backoff_us(attempt);
+            }
         }
-        RetryOutcome {
-            result: Err(last.expect("at least one attempt ran")),
-            attempts,
-            virtual_backoff_us,
-        }
+    }
+    RetryOutcome {
+        result: Err(last.expect("at least one attempt ran")),
+        attempts,
+        virtual_backoff_us,
     }
 }
 
@@ -90,7 +65,7 @@ impl RetryPolicy {
 pub struct RetryOutcome<T, E> {
     /// The last attempt's result.
     pub result: Result<T, E>,
-    /// Attempts actually made (1 ..= max_retries + 1).
+    /// Attempts actually made (1 ..= `MAX_RETRIES + 1`).
     pub attempts: u32,
     /// Total virtual backoff accumulated between attempts, µs.
     pub virtual_backoff_us: u64,
@@ -102,17 +77,15 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_bounded() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_us(0), 100);
-        assert_eq!(p.backoff_us(1), 200);
-        assert_eq!(p.backoff_us(2), 400);
-        assert_eq!(p.backoff_us(30), 10_000);
+        assert_eq!(backoff_us(0), 100);
+        assert_eq!(backoff_us(1), 200);
+        assert_eq!(backoff_us(2), 400);
+        assert_eq!(backoff_us(30), 10_000);
     }
 
     #[test]
     fn run_retries_transients_on_the_virtual_clock() {
-        let p = RetryPolicy::default();
-        let out = p.run(
+        let out = run(
             |attempt| {
                 if attempt < 2 {
                     Err("transient")
@@ -130,9 +103,8 @@ mod tests {
 
     #[test]
     fn deterministic_failures_short_circuit() {
-        let p = RetryPolicy::default();
         let mut calls = 0;
-        let out: RetryOutcome<(), &str> = p.run(
+        let out: RetryOutcome<(), &str> = run(
             |_| {
                 calls += 1;
                 Err("fatal")
@@ -146,20 +118,18 @@ mod tests {
 
     #[test]
     fn exhausted_retries_return_the_last_error() {
-        let p = RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        };
         let mut calls = 0;
-        let out: RetryOutcome<(), String> = p.run(
+        let out: RetryOutcome<(), String> = run(
             |a| {
                 calls += 1;
                 Err(format!("t{a}"))
             },
             |_| true,
         );
-        assert_eq!(calls, 3);
-        assert_eq!(out.result.unwrap_err(), "t2");
-        assert_eq!(out.virtual_backoff_us, 100 + 200);
+        assert_eq!(calls, 4);
+        assert_eq!(out.attempts, 4);
+        assert_eq!(out.result.unwrap_err(), "t3");
+        // No backoff after the last attempt: 100 + 200 + 400.
+        assert_eq!(out.virtual_backoff_us, 700);
     }
 }

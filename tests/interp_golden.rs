@@ -3,8 +3,8 @@
 //! field per static launch, the hazard strings, `steps_used`, and a hash
 //! of every array's bits — for the original *and* the transformed program
 //! of all eight application analogs (`PipelineConfig::quick` on the K20X,
-//! degree cap 4 on the `-ts` pair), with `detect_hazards` off and on and
-//! `track_footprint` on.
+//! degree cap 4 on the `-ts` pair): one run per program, with the hazard
+//! checks every run makes and `track_footprint` on.
 //!
 //! `edges.json` pins the same observables — plus the trap message and the
 //! memory image a trapping run leaves — for small kernels built around the
@@ -68,13 +68,12 @@ fn launch_json(kernel: &str, s: &LaunchStats) -> Value {
 
 /// One functional run of `program` from seeded inputs. A run that traps
 /// records the message in place of the launches (and the image it left).
-fn run_json(program: &Program, detect_hazards: bool) -> Value {
+fn run_json(program: &Program) -> Value {
     let plan = ExecutablePlan::from_program(program).expect("executable plan");
     let mut mem = GlobalMemory::from_plan(&plan);
     mem.seed_all(42);
     let mut interp = Interpreter::new(program);
     interp.track_footprint = true;
-    interp.detect_hazards = detect_hazards;
     let outcome = match interp.run_plan(&plan, &mut mem) {
         Ok(stats) => {
             let launches: Vec<Value> = plan
@@ -97,13 +96,6 @@ fn run_json(program: &Program, detect_hazards: bool) -> Value {
     run.insert(outcome.0.into(), outcome.1);
     run.insert("arrays".into(), Value::Object(arrays));
     Value::Object(run)
-}
-
-fn program_json(program: &Program) -> Value {
-    json!({
-        "hazards_off": run_json(program, false),
-        "hazards_on": run_json(program, true),
-    })
 }
 
 /// Collect `path: golden != actual` for every leaf that differs.
@@ -149,8 +141,8 @@ fn check_app(name: &str, update: bool) -> Vec<String> {
         .expect("pipeline completes");
     let actual = json!({
         "app": name,
-        "original": program_json(&app.program),
-        "transformed": program_json(&result.program),
+        "original": run_json(&app.program),
+        "transformed": run_json(&result.program),
     });
     check_golden(name, &actual, update)
 }
@@ -335,10 +327,7 @@ fn edge_cases_match_golden() {
     let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let mut cases = Map::new();
     for (case, body, launch, n) in EDGES {
-        cases.insert(
-            case.to_string(),
-            program_json(&edge_program(body, launch, *n)),
-        );
+        cases.insert(case.to_string(), run_json(&edge_program(body, launch, *n)));
     }
     let failures = check_golden("edges", &Value::Object(cases), update);
     assert!(

@@ -38,7 +38,9 @@
 //! metadata report's recovery line, and a poisoned evaluation is scored at
 //! once (a search degradation, and under `Strict` a stop at the search
 //! stage); `profiler-exhausted-*` became `lost-reps-*`, the ending it
-//! stood for. Every other row passed untouched.
+//! stood for. Every other row passed untouched. The `lost-reps-*` rows were
+//! re-blessed again when the transient class was retired: a lost profile
+//! is degradable, so its class and the degradation line naming it moved.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`

@@ -320,13 +320,20 @@ fn a_stale_lock_is_broken_not_waited_on() {
 
 #[test]
 fn cache_errors_surface_on_the_recoverability_ladder() {
-    // Lock contention is transient (retryable); everything else degrades
-    // to a fresh compile. The batch driver and sfc rely on this mapping.
-    let transient: stencilfuse::PipelineError =
-        CacheError::new(CacheErrorKind::Lock, "held").into();
-    assert_eq!(transient.class, stencilfuse::Recoverability::Transient);
-    let degradable: stencilfuse::PipelineError = CacheError::new(CacheErrorKind::Io, "torn").into();
-    assert_eq!(degradable.class, stencilfuse::Recoverability::Degradable);
+    // The publish retry of the batch driver and `sfc --cache-dir` retries
+    // exactly the store failures `is_transient` names: lock contention.
+    let kinds = [
+        CacheErrorKind::Lock,
+        CacheErrorKind::Io,
+        CacheErrorKind::Killed,
+    ];
+    for kind in kinds {
+        let e = CacheError::new(kind, "held");
+        assert_eq!(e.is_transient(), kind == CacheErrorKind::Lock, "{e}");
+        // As a pipeline error, every store failure degrades to a fresh compile.
+        let e: stencilfuse::PipelineError = e.into();
+        assert_eq!(e.class, stencilfuse::Recoverability::Degradable);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -73,14 +73,10 @@ fn assert_equivalent(original: &Program, transformed: &Program) {
     let mut mem_b = GlobalMemory::from_plan(&plan_b);
     mem_a.seed_all(99);
     mem_b.seed_all(99);
-    let mut interp_a = Interpreter::new(original);
-    interp_a.detect_hazards = true;
-    let stats_a = interp_a
+    let stats_a = Interpreter::new(original)
         .run_plan(&plan_a, &mut mem_a)
         .expect("original runs");
-    let mut interp_b = Interpreter::new(transformed);
-    interp_b.detect_hazards = true;
-    let stats_b = interp_b
+    let stats_b = Interpreter::new(transformed)
         .run_plan(&plan_b, &mut mem_b)
         .expect("transformed runs");
     for s in stats_a.iter().chain(&stats_b) {
