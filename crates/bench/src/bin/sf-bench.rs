@@ -132,8 +132,8 @@ fn inspect(harness: &Harness, name: &str, kernel: Option<&str>) {
                 rep.members, rep.merged, rep.complex, rep.smem_bytes
             );
         }
-        for (gi, why) in &t.fallbacks {
-            println!("  fallback group {gi}: {why}");
+        for d in t.unfused() {
+            println!("  fallback group {}: {}", d.group, d.reason);
         }
     }
     if let Some(prof) = &r.transformed_profile {

@@ -19,6 +19,9 @@
 //! with deep nests into the shared loop anyway, and coalescing consecutive
 //! segments with identical guards into a single branch (fewer divergent
 //! warp branches).
+//!
+//! [`FusedKernel`] is the one kernel code generation emits: a temporal fold
+//! ([`crate::temporal`]) is one more with its [`PingPong`] data set.
 
 use crate::canon::{self, CanonMember, MemberStructure};
 use crate::legality::{self, ArrayIds, Decision, Form, MemberFacts};
@@ -78,15 +81,30 @@ pub struct FusionReport {
     pub notes: Vec<String>,
 }
 
-/// The generated kernel plus its launch configuration.
+/// The generated kernel plus its launch configuration — the one kernel
+/// both generators emit, spatial fusion and a temporal fold alike.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct FusedKernel {
     pub kernel: Kernel,
     pub grid: Dim3,
     pub block: Dim3,
+    /// The launch's arguments; a fold's odd launch (originals → shadows).
     pub args: Vec<ResolvedArg>,
     pub report: FusionReport,
+    /// Set when the kernel folds a host time loop ([`crate::temporal`]).
+    pub fold: Option<PingPong>,
+}
+
+/// What a temporal fold launches besides [`FusedKernel::args`]: the host
+/// runs `R / 2T` iterations of the odd launch and an even one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PingPong {
+    /// Arguments of the even launches (shadows → originals).
+    pub args_even: Vec<ResolvedArg>,
+    /// Shadow arrays the host must allocate: `(name, extents)`. The odd
+    /// launch writes them fully, so no H2D copy is needed.
+    pub shadows: Vec<(String, Vec<usize>)>,
 }
 
 /// Everything about a fusion group that does not depend on the thread-block
@@ -298,6 +316,7 @@ impl GroupAnalysis {
             block,
             args: self.args.clone(),
             report,
+            fold: None,
         })
     }
 

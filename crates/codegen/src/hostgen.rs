@@ -15,6 +15,12 @@
 //! block ([`tune_block`]). No attempt is repeated: analysis and emission
 //! are deterministic, so a second try would fail the same way.
 //!
+//! Either kind yields a [`FusedKernel`], and one arm emits it: a fold's
+//! [`crate::fuse::PingPong`] adds the shadow allocations and turns the
+//! launch into a ping-pong pair over `R / 2T` host iterations. Each group
+//! records at most one [`GroupDegradation`], the rung it stood on and why;
+//! a group emitted unfused records [`EMITTED_UNFUSED`].
+//!
 //! The `codegen.transform` injection site reads the run's
 //! [`FaultPlan`] in place: `reject_groups` and `panic_groups` fire at the
 //! start of each isolated attempt and `reject_tuned_groups` inside the
@@ -22,7 +28,7 @@
 
 use crate::fission::{fission_kernel, FissionProduct};
 use crate::fuse::{CodegenError, FusedKernel, FusionReport, GroupAnalysis};
-use crate::temporal::{TemporalAnalysis, TemporalKernel};
+use crate::temporal::TemporalAnalysis;
 use crate::tuning::{tune_block, Analysis, TuneNote, Tuned};
 use sf_core::FaultPlan;
 use sf_gpusim::isolate::isolated;
@@ -62,6 +68,10 @@ pub struct GroupDegradation {
     pub failure: GroupFailure,
 }
 
+/// The action of a group every fusion attempt failed for: the bottom rung
+/// of the codegen ladder.
+pub const EMITTED_UNFUSED: &str = "emitted members unfused";
+
 /// How an emitted launch relates to a recorded host time loop.
 #[derive(Debug, Clone, PartialEq)]
 enum LoopCtx {
@@ -71,10 +81,10 @@ enum LoopCtx {
     Plain { loop_id: usize },
     /// The launch is the first half of a temporally folded ping-pong pair:
     /// the regenerator emits `R / 2T` iterations of this launch followed by
-    /// the same kernel with `args_b` (shadows → originals).
+    /// the same kernel with `args_even` (shadows → originals).
     TemporalPair {
         loop_id: usize,
-        args_b: Vec<ResolvedArg>,
+        args_even: Vec<ResolvedArg>,
         iterations: u64,
     },
 }
@@ -113,13 +123,6 @@ enum Kind {
     Spatial,
 }
 
-/// What a successful fusion attempt produced.
-enum Fusion {
-    Spatial(FusedKernel),
-    /// Temporal kernel and the `R / 2T` host iteration count.
-    Temporal(Box<TemporalKernel>, u64),
-}
-
 /// Emit `analysis` at `initial_block`, and tune the block when the plan
 /// asks for it (`veto` rejects the tuned kernel by injection). `None` when
 /// the plan does not tune.
@@ -129,7 +132,7 @@ fn emit_group<A: Analysis>(
     tplan: &TransformPlan,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
     veto: Option<CodegenError>,
-) -> Result<(A::Kernel, Option<Tuned>), CodegenError> {
+) -> Result<(FusedKernel, Option<Tuned>), CodegenError> {
     if !tplan.block_tuning {
         return Ok((analysis.emit_from(initial_block, None)?, None));
     }
@@ -146,11 +149,9 @@ pub struct TransformOutput {
     pub reports: Vec<FusionReport>,
     /// Block-tuning notes per fused kernel.
     pub tuning: Vec<TuneNote>,
-    /// Groups the fusion generator rejected, with the reason; their members
-    /// were emitted unfused.
-    pub fallbacks: Vec<(usize, String)>,
-    /// Every step down the degradation ladder taken while generating code
-    /// (includes the groups in `fallbacks`, plus tuned→untuned descents).
+    /// Every step down the degradation ladder taken while generating code,
+    /// at most one per group; a group every fusion attempt failed for
+    /// records [`EMITTED_UNFUSED`] ([`TransformOutput::unfused`]).
     pub degradations: Vec<GroupDegradation>,
     /// Number of kernels in the new program that replace the targets (the
     /// Table 1 "new kernels" count).
@@ -160,6 +161,15 @@ pub struct TransformOutput {
     /// tuner settled on, and the observed precedence class. Groups that fell
     /// back to unfused members have their fusion annotations cleared.
     pub plan: TransformPlan,
+}
+
+impl TransformOutput {
+    /// The steps of the groups whose members were emitted unfused.
+    pub fn unfused(&self) -> impl Iterator<Item = &GroupDegradation> {
+        self.degradations
+            .iter()
+            .filter(|d| d.action == EMITTED_UNFUSED)
+    }
 }
 
 /// Where each launch's arrays live under a DDG's redundant-instance
@@ -351,7 +361,6 @@ pub fn transform_program_with(
     let mut shadow_allocs: Vec<(String, Vec<usize>)> = Vec::new();
     let mut reports = Vec::new();
     let mut tuning = Vec::new();
-    let mut fallbacks = Vec::new();
     let mut degradations: Vec<GroupDegradation> = Vec::new();
     // The as-executed plan starts as the input and is re-annotated group by
     // group with what the generator actually emitted.
@@ -404,7 +413,7 @@ pub fn transform_program_with(
         // entire recorded host time loop, member order must match the loop
         // body, and the ping-pong pair must divide the trip count.
         let fold = group.temporal.max(1);
-        let temporal_check = || -> Result<u64, CodegenError> {
+        let temporal_check = || -> Result<(), CodegenError> {
             let li = group_loop.ok_or_else(|| {
                 CodegenError(format!(
                     "group {gi} requests temporal degree {fold} but its \
@@ -429,13 +438,13 @@ pub fn transform_program_with(
                     rec.count, rec.var
                 )));
             }
-            Ok(rec.count / pair)
+            Ok(())
         };
         // One isolated attempt per fusion kind: injected faults fire here,
         // and a panic anywhere below poisons only this attempt.
         let alloc_of = |array: &str| declared_alloc(plan, array);
         let smem_limit = tplan.device.smem_per_block_max;
-        let attempt = |kind: Kind| -> Result<(Fusion, Option<Tuned>), (GroupFailure, String)> {
+        let attempt = |kind: Kind| -> Result<(FusedKernel, Option<Tuned>), (GroupFailure, String)> {
             let run = isolated(|| {
                 if faults.panic_groups.contains(&gi) {
                     panic!("injected codegen panic in group {gi}");
@@ -450,7 +459,7 @@ pub fn transform_program_with(
                 });
                 match kind {
                     Kind::Temporal => {
-                        let iters = temporal_check()?;
+                        temporal_check()?;
                         let analysis = TemporalAnalysis::new(
                             &member_refs,
                             &name,
@@ -458,16 +467,12 @@ pub fn transform_program_with(
                             fold,
                             &plan.allocs,
                         )?;
-                        let (tk, tuned) =
-                            emit_group(&analysis, initial_block, tplan, &alloc_of, veto)?;
-                        Ok((Fusion::Temporal(Box::new(tk), iters), tuned))
+                        emit_group(&analysis, initial_block, tplan, &alloc_of, veto)
                     }
                     Kind::Spatial => {
                         let analysis =
                             GroupAnalysis::new(&member_refs, tplan.mode, &name, smem_limit)?;
-                        let (fk, tuned) =
-                            emit_group(&analysis, initial_block, tplan, &alloc_of, veto)?;
-                        Ok((Fusion::Spatial(fk), tuned))
+                        emit_group(&analysis, initial_block, tplan, &alloc_of, veto)
                     }
                 }
             });
@@ -484,40 +489,31 @@ pub fn transform_program_with(
         } else {
             &[Kind::Spatial]
         };
-        let mut first_failure: Option<(GroupFailure, String)> = None;
-        let mut fused: Option<(Fusion, Option<Tuned>)> = None;
-        for &kind in kinds {
-            match attempt(kind) {
-                Ok(v) => {
-                    fused = Some(v);
-                    break;
-                }
-                Err(f) => {
-                    first_failure.get_or_insert(f);
-                }
-            }
-        }
-        let (fused, tuned) = fused.map_or((None, None), |(f, t)| (Some(f), t));
-        let (note, untuned) = match tuned {
+        let mut failures = Vec::new();
+        let fused = kinds
+            .iter()
+            .find_map(|&kind| attempt(kind).map_err(|f| failures.push(f)).ok());
+        let (fused, tuned) = fused.unzip();
+        let (note, untuned) = match tuned.flatten() {
             Some(Ok(note)) => (Some(note), None),
             Some(Err(why)) => (None, Some(why.0)),
             None => (None, None),
         };
-        // A fused group records one step: the failed attempt above it, or
-        // else the tuner's failure. An unfused one records its own below.
-        let step = match (&fused, &first_failure, untuned) {
-            (None, ..) | (Some(_), None, None) => None,
+        // The one step the group records — the rung it stood on, and why:
+        // the first failed attempt, or else the tuner's failure.
+        let failed = failures.into_iter().next();
+        let step = match (&fused, failed, untuned) {
+            (None, failed, _) => Some((EMITTED_UNFUSED, failed.expect("every attempt failed"))),
+            (Some(_), None, None) => None,
             (Some(_), Some(failed), _) if note.is_some() => {
-                Some(("fell back to spatial (tuned) fusion", failed.clone()))
+                Some(("fell back to spatial (tuned) fusion", failed))
             }
-            (Some(_), Some(failed), _) => {
-                Some(("fell back to simple (untuned) fusion", failed.clone()))
-            }
-            (Some(Fusion::Temporal(..)), None, Some(why)) => Some((
+            (Some(_), Some(failed), _) => Some(("fell back to simple (untuned) fusion", failed)),
+            (Some(fk), None, Some(why)) if fk.fold.is_some() => Some((
                 "fell back to untuned temporal fusion",
                 (GroupFailure::Rejected, why),
             )),
-            (Some(Fusion::Spatial(_)), None, Some(why)) => Some((
+            (Some(_), None, Some(why)) => Some((
                 "fell back to simple (untuned) fusion",
                 (GroupFailure::Rejected, why),
             )),
@@ -530,95 +526,64 @@ pub fn transform_program_with(
                 failure,
             });
         }
-        match fused {
-            Some(Fusion::Temporal(tk, iterations)) => {
-                let li = group_loop.expect("the temporal attempt validated loop membership");
-                let g = &mut exec_plan.groups[gi];
-                g.staged_arrays = tk.report.staged.iter().map(|s| s.array.clone()).collect();
-                g.precedence = PrecedenceClass::PrecedenceAware;
-                g.tuned_block = Some(BlockDims {
-                    x: tk.block.x,
-                    y: tk.block.y,
-                    z: tk.block.z,
-                });
-                reports.push(tk.report.clone());
-                if let Some(n) = note {
-                    tuning.push(n);
-                }
-                for (sname, extents) in &tk.shadows {
-                    if !shadow_allocs.iter().any(|(n, _)| n == sname) {
-                        shadow_allocs.push((sname.clone(), extents.clone()));
+        let g = &mut exec_plan.groups[gi];
+        let Some(fk) = fused else {
+            // Every attempt failed: emit members unfused, in host (seq)
+            // order.
+            g.temporal = 1;
+            g.staged_arrays.clear();
+            g.tuned_block = None;
+            let mut resolved = resolved;
+            resolved.sort_by_key(|(_, l)| l.seq);
+            for (k, l) in resolved {
+                let ctx = loop_of
+                    .get(&l.seq)
+                    .map(|&li| LoopCtx::Plain { loop_id: li });
+                push_kernel(&mut new_kernels, k);
+                new_launches.push(EmittedLaunch::of(l.into_owned(), ctx));
+            }
+            continue;
+        };
+        // The as-executed plan reflects what was emitted: a group that
+        // requested temporal folding but was fused spatially replays as
+        // spatial.
+        g.temporal = if fk.fold.is_some() { fold } else { 1 };
+        g.staged_arrays = fk.report.staged.iter().map(|s| s.array.clone()).collect();
+        g.precedence = if fk.report.complex || fk.report.staged.iter().any(|s| s.flow) {
+            PrecedenceClass::PrecedenceAware
+        } else {
+            PrecedenceClass::Simple
+        };
+        g.tuned_block = Some(BlockDims {
+            x: fk.block.x,
+            y: fk.block.y,
+            z: fk.block.z,
+        });
+        reports.push(fk.report);
+        tuning.extend(note);
+        let ctx = group_loop.map(|loop_id| match fk.fold {
+            Some(pingpong) => {
+                for shadow in pingpong.shadows {
+                    if !shadow_allocs.iter().any(|(n, _)| *n == shadow.0) {
+                        shadow_allocs.push(shadow);
                     }
                 }
-                push_kernel(&mut new_kernels, Cow::Owned(tk.kernel));
-                new_launches.push(EmittedLaunch {
-                    kernel: name,
-                    grid: tk.grid,
-                    block: tk.block,
-                    args: tk.args_a,
-                    ctx: Some(LoopCtx::TemporalPair {
-                        loop_id: li,
-                        args_b: tk.args_b,
-                        iterations,
-                    }),
-                });
-            }
-            Some(Fusion::Spatial(fk)) => {
-                let g = &mut exec_plan.groups[gi];
-                // The as-executed plan reflects what was emitted: a group
-                // that requested temporal folding but was fused spatially
-                // replays as spatial.
-                g.temporal = 1;
-                g.staged_arrays = fk.report.staged.iter().map(|s| s.array.clone()).collect();
-                g.precedence = if fk.report.complex || fk.report.staged.iter().any(|s| s.flow) {
-                    PrecedenceClass::PrecedenceAware
-                } else {
-                    PrecedenceClass::Simple
-                };
-                g.tuned_block = Some(BlockDims {
-                    x: fk.block.x,
-                    y: fk.block.y,
-                    z: fk.block.z,
-                });
-                reports.push(fk.report.clone());
-                if let Some(n) = note {
-                    tuning.push(n);
-                }
-                push_kernel(&mut new_kernels, Cow::Owned(fk.kernel));
-                new_launches.push(EmittedLaunch {
-                    kernel: name,
-                    grid: fk.grid,
-                    block: fk.block,
-                    args: fk.args,
-                    ctx: group_loop.map(|li| LoopCtx::Plain { loop_id: li }),
-                });
-            }
-            None => {
-                // Every attempt failed: emit members unfused, in host (seq)
-                // order.
-                let g = &mut exec_plan.groups[gi];
-                g.temporal = 1;
-                g.staged_arrays.clear();
-                g.tuned_block = None;
-                let (failure, reason) = first_failure.expect("every attempt failed");
-                fallbacks.push((gi, reason.clone()));
-                degradations.push(GroupDegradation {
-                    group: gi,
-                    action: "emitted members unfused".into(),
-                    reason,
-                    failure,
-                });
-                let mut resolved = resolved;
-                resolved.sort_by_key(|(_, l)| l.seq);
-                for (k, l) in resolved {
-                    let ctx = loop_of
-                        .get(&l.seq)
-                        .map(|&li| LoopCtx::Plain { loop_id: li });
-                    push_kernel(&mut new_kernels, k);
-                    new_launches.push(EmittedLaunch::of(l.into_owned(), ctx));
+                LoopCtx::TemporalPair {
+                    loop_id,
+                    args_even: pingpong.args_even,
+                    iterations: plan.loops[loop_id].count / (2 * fold as u64),
                 }
             }
-        }
+            None => LoopCtx::Plain { loop_id },
+        });
+        push_kernel(&mut new_kernels, Cow::Owned(fk.kernel));
+        new_launches.push(EmittedLaunch {
+            kernel: name,
+            grid: fk.grid,
+            block: fk.block,
+            args: fk.args,
+            ctx,
+        });
     }
 
     let new_kernel_count = new_launches.len();
@@ -630,7 +595,6 @@ pub fn transform_program_with(
         },
         reports,
         tuning,
-        fallbacks,
         degradations,
         new_kernel_count,
         plan: exec_plan,
@@ -739,7 +703,7 @@ fn build_host(
             }
             Some(LoopCtx::TemporalPair {
                 loop_id,
-                args_b,
+                args_even,
                 iterations,
             }) => {
                 if !done.insert(*loop_id) {
@@ -752,7 +716,7 @@ fn build_host(
                 host.push(HostStmt::Repeat {
                     var: plan.loops[*loop_id].var.clone(),
                     count: Expr::Int(*iterations as i64),
-                    body: vec![stmt(l, &l.args), stmt(l, args_b)],
+                    body: vec![stmt(l, &l.args), stmt(l, args_even)],
                 });
                 i += 1;
             }

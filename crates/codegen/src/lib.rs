@@ -33,12 +33,12 @@ pub mod temporal;
 pub mod tuning;
 
 pub use fission::{fission_kernel, FissionProduct};
-pub use fuse::{CodegenError, FusedKernel, GroupAnalysis};
+pub use fuse::{CodegenError, FusedKernel, GroupAnalysis, PingPong};
 pub use hostgen::{
     transform_program, transform_program_with, GroupDegradation, GroupFailure, Resolver, Storage,
-    TransformOutput,
+    TransformOutput, EMITTED_UNFUSED,
 };
-pub use temporal::{TemporalAnalysis, TemporalChain, TemporalKernel};
+pub use temporal::{TemporalAnalysis, TemporalChain};
 // The plan IR lives in `sf-plan`; re-exported here so downstream crates can
 // keep importing the types from the stage that consumes them.
 pub use sf_plan::{

@@ -13,7 +13,9 @@
 //! arrays (`X__tb`), and the host runs `R / 2T` iterations of a ping-pong
 //! pair — originals → shadows, shadows → originals — which requires the
 //! fold to divide the trip count evenly as `2T | R` so the final state ends
-//! in the original arrays.
+//! in the original arrays. The kernel is a [`FusedKernel`] like any fused
+//! group's: its `args` bind the odd launch, and its `fold` ([`PingPong`])
+//! holds the even launch's arguments and the shadows the host allocates.
 //!
 //! Legality here is stricter than spatial fusion: every member must be a
 //! flat single-sweep stencil that writes exactly one array at the canonical
@@ -27,7 +29,8 @@
 use crate::canon::{self, CanonMember, MemberStructure};
 use crate::fuse::{
     affine_off, decl_int, grid_and_cover, halo_bands, halo_sides, inline_locals, scalar_params,
-    shift_in_place, stage_loads, tile_bytes, tile_name, CodegenError, FusionReport, StagedArray,
+    shift_in_place, stage_loads, tile_bytes, tile_name, CodegenError, FusedKernel, FusionReport,
+    PingPong, StagedArray,
 };
 use sf_gpusim::timing::TemporalFold;
 use sf_minicuda::ast::*;
@@ -35,23 +38,6 @@ use sf_minicuda::builder as b;
 use sf_minicuda::host::{AllocInfo, Dim3, HostValue, LaunchRecord, ResolvedArg};
 use sf_minicuda::visit;
 use std::collections::BTreeMap;
-
-/// The generated temporal kernel plus both ping-pong argument vectors.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
-pub struct TemporalKernel {
-    pub kernel: Kernel,
-    pub grid: Dim3,
-    pub block: Dim3,
-    /// Arguments of the odd invocations (originals → shadows).
-    pub args_a: Vec<ResolvedArg>,
-    /// Arguments of the even invocations (shadows → originals).
-    pub args_b: Vec<ResolvedArg>,
-    /// Shadow arrays the host must allocate: `(name, extents)`. They are
-    /// fully written by the first invocation, so no H2D copy is needed.
-    pub shadows: Vec<(String, Vec<usize>)>,
-    pub report: FusionReport,
-}
 
 /// One member of the temporal chain after legality extraction.
 struct Step {
@@ -191,16 +177,15 @@ pub struct TemporalAnalysis {
     smem_limit: usize,
     /// Launch sequence numbers of the members, in chain order.
     members: Vec<usize>,
-    /// Parameters (touched arrays, an `__out` per written array, scalars)
-    /// and their arguments on the odd (originals → shadows) and even launches.
+    /// Parameters (touched arrays, an `__out` per written array, scalars),
+    /// their arguments on the odd launch (originals → shadows), and the
+    /// even launch's with the shadows of the uniform domain.
     params: Vec<Param>,
-    args_a: Vec<ResolvedArg>,
-    args_b: Vec<ResolvedArg>,
+    args: Vec<ResolvedArg>,
+    pingpong: PingPong,
     chain: TemporalChain,
-    /// The uniform `[kz, ny, nx]` extents of every touched array, and the
-    /// shadow arrays of that shape the host must allocate.
+    /// The uniform `[kz, ny, nx]` extents of every touched array.
     domain: [i64; 3],
-    shadows: Vec<(String, Vec<usize>)>,
     steps: Vec<Step>,
     /// The `fold · steps` member-steps in execution order.
     folded: Vec<FoldedStep>,
@@ -320,12 +305,14 @@ impl TemporalAnalysis {
             smem_limit,
             members: cms.iter().map(|m| m.seq).collect(),
             params,
-            args_a: args(touched.clone(), written.iter().map(shadow).collect()),
-            args_b: args(touched.iter().map(entry_b).collect(), written.clone()),
-            shadows: written
-                .iter()
-                .map(|a| (shadow(a), extents.clone()))
-                .collect(),
+            args: args(touched.clone(), written.iter().map(shadow).collect()),
+            pingpong: PingPong {
+                args_even: args(touched.iter().map(entry_b).collect(), written.clone()),
+                shadows: written
+                    .iter()
+                    .map(|a| (shadow(a), extents.clone()))
+                    .collect(),
+            },
             domain: [kz, ny, nx],
             steps,
             folded,
@@ -350,8 +337,9 @@ impl TemporalAnalysis {
         grid_and_cover(nx, ny, block).0
     }
 
-    /// Generate the temporal kernel for one block shape.
-    pub fn emit(&self, block: Dim3) -> Result<TemporalKernel, CodegenError> {
+    /// Generate the temporal kernel for one block shape: a [`FusedKernel`]
+    /// whose `fold` holds the even launch and the shadows.
+    pub fn emit(&self, block: Dim3) -> Result<FusedKernel, CodegenError> {
         self.emit_reusing(block, None)
     }
 
@@ -361,8 +349,8 @@ impl TemporalAnalysis {
     pub(crate) fn emit_reusing(
         &self,
         block: Dim3,
-        from: Option<&TemporalKernel>,
-    ) -> Result<TemporalKernel, CodegenError> {
+        from: Option<&FusedKernel>,
+    ) -> Result<FusedKernel, CodegenError> {
         let reused = from.map(|k| self.folded_values(k));
         debug_assert!(
             !matches!(reused, Some(None)),
@@ -465,7 +453,7 @@ impl TemporalAnalysis {
                 staged.len(),
             )],
         };
-        Ok(TemporalKernel {
+        Ok(FusedKernel {
             kernel: Kernel {
                 name: self.name.clone(),
                 params: self.params.clone(),
@@ -473,10 +461,9 @@ impl TemporalAnalysis {
             },
             grid,
             block,
-            args_a: self.args_a.clone(),
-            args_b: self.args_b.clone(),
-            shadows: self.shadows.clone(),
+            args: self.args.clone(),
             report,
+            fold: Some(self.pingpong.clone()),
         })
     }
 
@@ -484,7 +471,7 @@ impl TemporalAnalysis {
     /// as [`Self::emit_reusing`] consumes them: the time loop's body is the
     /// staging, a barrier, each folded step's regions and a barrier, then
     /// the write-out and a barrier. `None` if `from` is not laid out so.
-    fn folded_values(&self, from: &TemporalKernel) -> Option<Vec<Expr>> {
+    fn folded_values(&self, from: &FusedKernel) -> Option<Vec<Expr>> {
         let Some(Stmt::For { body, .. }) = from.kernel.body.last() else {
             return None;
         };
@@ -917,11 +904,12 @@ void host() {{
         assert_eq!(tk.report.staged.len(), 2);
         assert_eq!(tk.report.staged[0].rx, 2);
         assert_eq!(tk.report.staged[0].ry, 2);
-        assert_eq!(tk.shadows.len(), 2);
-        assert!(tk.shadows.iter().any(|(n, _)| n == "a__tb"));
-        assert!(tk.shadows.iter().any(|(n, _)| n == "b__tb"));
+        let pingpong = tk.fold.as_ref().unwrap();
+        assert_eq!(pingpong.shadows.len(), 2);
+        assert!(pingpong.shadows.iter().any(|(n, _)| n == "a__tb"));
+        assert!(pingpong.shadows.iter().any(|(n, _)| n == "b__tb"));
         // Both arg vectors bind the same params with swapped storage.
-        assert_eq!(tk.args_a.len(), tk.args_b.len());
+        assert_eq!(tk.args.len(), pingpong.args_even.len());
         let txt = sf_minicuda::printer::print_kernel(&tk.kernel);
         assert!(txt.contains("s_a"), "{txt}");
         assert!(txt.contains("s_b"), "{txt}");
@@ -1083,7 +1071,8 @@ void host() {{
                     extents: a.extents.iter().map(|&e| Expr::Int(e as i64)).collect(),
                 });
             }
-            for (n, ex) in &tk.shadows {
+            let pingpong = tk.fold.as_ref().unwrap();
+            for (n, ex) in &pingpong.shadows {
                 host.push(HostStmt::Alloc {
                     name: n.clone(),
                     elem: ScalarType::F64,
@@ -1095,7 +1084,7 @@ void host() {{
             host.push(HostStmt::Repeat {
                 var: "t".into(),
                 count: Expr::Int(steps / (2 * fold as i64)),
-                body: vec![launch(&tk.args_a), launch(&tk.args_b)],
+                body: vec![launch(&tk.args), launch(&pingpong.args_even)],
             });
             host.push(HostStmt::CopyToHost { array: "a".into() });
             host.push(HostStmt::CopyToHost { array: "b".into() });

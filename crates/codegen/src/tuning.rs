@@ -2,7 +2,8 @@
 //!
 //! Tuning happens at code-generation time, never inside the optimization
 //! algorithm, and it is *codeless*: a group is analysed once
-//! ([`GroupAnalysis`], [`crate::temporal::TemporalAnalysis`]), the kernel is
+//! ([`GroupAnalysis`], [`crate::temporal::TemporalAnalysis`]), the kernel —
+//! a [`FusedKernel`] either way, a fold priced by its odd launch — is
 //! emitted at the initial block, and every candidate shape of
 //! [`candidate_blocks`] is priced from that one kernel without generating
 //! another. The price is the modelled time an analytic profile charges the
@@ -47,14 +48,14 @@
 //! builds recheck its registers.
 
 use crate::fuse::{CodegenError, FusedKernel, GroupAnalysis};
-use crate::temporal::{TemporalAnalysis, TemporalKernel};
+use crate::temporal::TemporalAnalysis;
 use sf_analysis::access::KernelAccess;
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::occupancy::{candidate_blocks, occupancy};
 use sf_gpusim::profiler::{estimate_regs_per_thread, LaunchPricer};
 use sf_gpusim::timing::TimingModel;
 use sf_minicuda::ast::{Kernel, Stmt};
-use sf_minicuda::host::{AllocInfo, Dim3, ResolvedArg};
+use sf_minicuda::host::{AllocInfo, Dim3};
 
 /// The outcome of tuning one fused kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,49 +79,11 @@ pub struct TuneNote {
 /// the block it settled on, or why the initial kernel was kept.
 pub type Tuned = Result<TuneNote, CodegenError>;
 
-/// What the tuner reads off a generated kernel: the kernel and the launch
-/// the profiler will price (its grid and arguments).
-pub trait Emitted {
-    /// The generated kernel.
-    fn kernel(&self) -> &Kernel;
-    /// The launch grid.
-    fn grid(&self) -> Dim3;
-    /// The arguments of the priced launch.
-    fn args(&self) -> &[ResolvedArg];
-}
-
-impl Emitted for FusedKernel {
-    fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-    fn grid(&self) -> Dim3 {
-        self.grid
-    }
-    fn args(&self) -> &[ResolvedArg] {
-        &self.args
-    }
-}
-
-/// A temporal kernel runs as a ping-pong pair of launches of one shape over
-/// equally shaped arrays; the pricer reads the first.
-impl Emitted for TemporalKernel {
-    fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-    fn grid(&self) -> Dim3 {
-        self.grid
-    }
-    fn args(&self) -> &[ResolvedArg] {
-        &self.args_a
-    }
-}
-
 /// A group analysed once and emitted at any block shape: what the tuner
 /// prices and regenerates. [`GroupAnalysis`] (spatial fusion) and
-/// [`TemporalAnalysis`] (temporal blocking) are the two.
+/// [`TemporalAnalysis`] (temporal blocking) are the two; both emit a
+/// [`FusedKernel`], whose first launch the tuner prices.
 pub trait Analysis {
-    /// The kernel the analysis generates.
-    type Kernel: Emitted;
     /// Static shared memory of the kernel generated at `block`, or the
     /// block-dependent legality rule `block` breaks.
     fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError>;
@@ -131,12 +94,11 @@ pub trait Analysis {
     fn emit_from(
         &self,
         block: Dim3,
-        from: Option<&Self::Kernel>,
-    ) -> Result<Self::Kernel, CodegenError>;
+        from: Option<&FusedKernel>,
+    ) -> Result<FusedKernel, CodegenError>;
 }
 
 impl Analysis for GroupAnalysis {
-    type Kernel = FusedKernel;
     fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
         GroupAnalysis::smem_bytes(self, block)
     }
@@ -151,7 +113,6 @@ impl Analysis for GroupAnalysis {
 /// The folded right-hand sides, the bulk of a temporal kernel, do not
 /// depend on the block, so a re-emission takes them from `from`.
 impl Analysis for TemporalAnalysis {
-    type Kernel = TemporalKernel;
     fn smem_bytes(&self, block: Dim3) -> Result<usize, CodegenError> {
         TemporalAnalysis::smem_bytes(self, block)
     }
@@ -161,8 +122,8 @@ impl Analysis for TemporalAnalysis {
     fn emit_from(
         &self,
         block: Dim3,
-        from: Option<&TemporalKernel>,
-    ) -> Result<TemporalKernel, CodegenError> {
+        from: Option<&FusedKernel>,
+    ) -> Result<FusedKernel, CodegenError> {
         self.emit_reusing(block, from)
     }
 }
@@ -221,7 +182,7 @@ pub fn tune_block<A: Analysis>(
     device: &DeviceSpec,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
     veto: Option<CodegenError>,
-) -> Result<(A::Kernel, Tuned), CodegenError> {
+) -> Result<(FusedKernel, Tuned), CodegenError> {
     let base = analysis.emit_from(initial_block, None)?;
     let retuned = match veto {
         Some(why) => Err(why),
@@ -238,33 +199,31 @@ pub fn tune_block<A: Analysis>(
 /// `initial_block`, and emit the winner, if there is one.
 fn retune<A: Analysis>(
     analysis: &A,
-    base: &A::Kernel,
+    base: &FusedKernel,
     initial_block: Dim3,
     device: &DeviceSpec,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
-) -> Result<(Option<A::Kernel>, TuneNote), CodegenError> {
+) -> Result<(Option<FusedKernel>, TuneNote), CodegenError> {
     // The kernel at the initial block must use exactly the shared memory
     // `smem_bytes` prices; its registers are what every shape is priced at.
-    let ka = KernelAccess::analyze(base.kernel()).map_err(|e| CodegenError(e.0))?;
+    let ka = KernelAccess::analyze(&base.kernel).map_err(|e| CodegenError(e.0))?;
     let smem = ka.smem_bytes_per_block();
     let priced = analysis.smem_bytes(initial_block)?;
     if smem != priced {
         return Err(CodegenError(format!(
             "`{}` at block {}x{} uses {smem} B shared memory, priced at {priced} B",
-            base.kernel().name,
-            initial_block.x,
-            initial_block.y
+            base.kernel.name, initial_block.x, initial_block.y
         )));
     }
     let model = TimingModel::new(device.clone());
-    let pricer = LaunchPricer::bind(&model, base.kernel(), &ka, base.args(), alloc_of)
+    let pricer = LaunchPricer::bind(&model, &base.kernel, &ka, &base.args, alloc_of)
         .map_err(|e| CodegenError(e.0))?;
     let regs = pricer.regs_per_thread();
     let occupancy_before = occupancy_or_zero(device, initial_block, regs, smem);
     let us_before = pricer
-        .cost(base.grid(), initial_block, smem)
+        .cost(base.grid, initial_block, smem)
         .map_or(f64::INFINITY, |c| c.total_us());
-    let cover = coverage(base.grid(), initial_block);
+    let cover = coverage(base.grid, initial_block);
 
     let mut best: Option<(Dim3, f64, f64, usize)> = None;
     for block in candidate_blocks(device) {
@@ -290,12 +249,12 @@ fn retune<A: Analysis>(
             best = Some((block, us, occ.occupancy, smem));
         }
     }
-    let name = &base.kernel().name;
+    let name = &base.kernel.name;
     let winner = match best {
         None => None,
         Some((block, _, _, smem_after)) => {
             let fused = analysis.emit_from(block, Some(base))?;
-            let declared = declared_smem(fused.kernel());
+            let declared = declared_smem(&fused.kernel);
             if declared != smem_after {
                 return Err(CodegenError(format!(
                     "`{name}` at block {}x{} declares {declared} B shared memory, \
@@ -304,7 +263,7 @@ fn retune<A: Analysis>(
                 )));
             }
             debug_assert_eq!(
-                kernel_resources(fused.kernel()),
+                kernel_resources(&fused.kernel),
                 Ok((regs, smem_after)),
                 "`{name}` at block {block} does not use what it was priced at"
             );

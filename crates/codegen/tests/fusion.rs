@@ -46,12 +46,7 @@ fn transform(
     let out = transform_program(original, &plan, &tplan).unwrap();
     // Degradation reasons are shown to the user verbatim: a string literal
     // that lost its line-continuation backslash shows up as a run of spaces.
-    for reason in out
-        .degradations
-        .iter()
-        .map(|d| &d.reason)
-        .chain(out.fallbacks.iter().map(|(_, reason)| reason))
-    {
+    for reason in out.degradations.iter().map(|d| &d.reason) {
         assert!(
             !reason.contains("  "),
             "reason with a run of spaces: {reason:?}"
@@ -104,7 +99,7 @@ fn simple_fusion_preserves_output() {
         ])],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert_eq!(out.reports.len(), 1);
     assert!(out.reports[0].merged);
     assert!(!out.reports[0].complex);
@@ -197,7 +192,7 @@ fn complex_fusion_preserves_output() {
         ])],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert!(out.reports[0].complex);
     assert!(out.reports[0].merged);
     // The produced array f must be staged with halo.
@@ -280,7 +275,7 @@ fn deep_nest_auto_falls_back_manual_merges() {
         MemberRef::original(1),
     ])];
     let auto = transform(&p, groups.clone(), CodegenMode::Auto);
-    assert!(auto.fallbacks.is_empty());
+    assert_eq!(auto.unfused().count(), 0);
     assert!(!auto.reports[0].merged, "auto must not merge deep nests");
     assert_equivalent(&p, &auto.program);
 
@@ -425,7 +420,7 @@ void host() {
         ],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert_equivalent(&p, &out.program);
     // The fused group stages the shared input x.
     assert!(out.reports[0].staged.iter().any(|s| s.array == "x"));
@@ -513,8 +508,9 @@ void host() {
         ])],
         CodegenMode::Auto,
     );
-    assert_eq!(out.fallbacks.len(), 1);
-    assert!(out.fallbacks[0].1.contains("future plane"));
+    let unfused: Vec<_> = out.unfused().collect();
+    assert_eq!(unfused.len(), 1);
+    assert!(unfused[0].reason.contains("future plane"));
     // The executed plan clears the fusion annotations of the fallen-back
     // group.
     assert!(out.plan.groups[0].staged_arrays.is_empty());
@@ -570,7 +566,7 @@ void host() {
         ])],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert!(out.reports[0].complex);
     assert_equivalent(&p, &out.program);
 }
@@ -599,7 +595,7 @@ fn in_place_producer_of_a_staged_array_is_rejected() {
         ])],
         CodegenMode::Auto,
     );
-    assert_eq!(out.fallbacks.len(), 1);
+    assert_eq!(out.unfused().count(), 1);
     assert_eq!(
         out.degradations[0].reason,
         "producer `flux` of staged flow array `f` reads group-written array `f`; halo \
@@ -622,9 +618,10 @@ fn anti_ordered_group_is_rejected() {
         ])],
         CodegenMode::Auto,
     );
-    assert_eq!(out.fallbacks.len(), 1);
+    let unfused: Vec<_> = out.unfused().collect();
+    assert_eq!(unfused.len(), 1);
     assert_eq!(
-        out.fallbacks[0].1,
+        unfused[0].reason,
         "member 1 overwrites `f` read by an earlier member; anti-ordered group is unfusable"
     );
     // The fallback still emits a correct program... in the group's stated
@@ -678,7 +675,7 @@ void host() {
         ])],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     let staged = out.reports[0]
         .staged
         .iter()
@@ -728,7 +725,7 @@ void host() {
         ])],
         CodegenMode::Auto,
     );
-    assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert!(out.reports[0].merged);
     let text = sf_minicuda::printer::print_kernel(&out.program.kernels[0]);
     assert!(

@@ -131,7 +131,7 @@ fn instance_relaxation_enables_cross_chain_fusion() {
         ],
     );
     let out = transform_program(&p, &plan, &tplan).unwrap();
-    assert!(out.fallbacks.is_empty(), "{:?}", out.fallbacks);
+    assert_eq!(out.unfused().count(), 0, "{:?}", out.degradations);
     assert_eq!(out.reports.len(), 2);
     assert!(out.reports.iter().all(|r| r.merged && r.complex));
     verify(&p, &out.program);

@@ -20,7 +20,7 @@ use sf_analysis::access::KernelAccess;
 use sf_apps::{app_by_name, AppConfig, APP_NAMES};
 use sf_codegen::fuse::{FusedKernel, GroupAnalysis};
 use sf_codegen::temporal::TemporalAnalysis;
-use sf_codegen::tuning::{kernel_occupancy, tune_block, Analysis, Emitted, TuneNote};
+use sf_codegen::tuning::{kernel_occupancy, tune_block, Analysis, TuneNote};
 use sf_codegen::{fission_kernel, CodegenError, CodegenMode, GroupPlan, MemberRef};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::occupancy::{candidate_blocks, occupancy};
@@ -37,8 +37,8 @@ use stencilfuse::{Pipeline, PipelineConfig, Stage};
 /// the kernel's temporal shadows (shaped like their bases, as the host
 /// rewriter declares them) and launches the kernel once. `None` when the
 /// launch cannot execute.
-fn profiler_us<K: Emitted>(
-    fused: &K,
+fn profiler_us(
+    fused: &FusedKernel,
     block: Dim3,
     allocs: &[AllocInfo],
     device: &DeviceSpec,
@@ -49,7 +49,7 @@ fn profiler_us<K: Emitted>(
         extents: base.extents.iter().map(|&e| Expr::Int(e as i64)).collect(),
     };
     let mut host: Vec<HostStmt> = allocs.iter().map(|a| alloc(&a.name, a)).collect();
-    for arg in fused.args() {
+    for arg in &fused.args {
         if let ResolvedArg::Array(name) = arg {
             if name.ends_with("__tb") {
                 host.push(alloc(name, &declared(allocs, name).expect("shadowed base")));
@@ -57,19 +57,19 @@ fn profiler_us<K: Emitted>(
         }
     }
     let dim = |d: Dim3| Dim3Expr::literal(d.x as i64, d.y as i64, d.z as i64);
-    let args = fused.args().iter().map(|a| match a {
+    let args = fused.args.iter().map(|a| match a {
         ResolvedArg::Array(n) => LaunchArg::Array(n.clone()),
         ResolvedArg::Scalar(HostValue::Int(v)) => LaunchArg::Scalar(Expr::Int(*v)),
         ResolvedArg::Scalar(HostValue::Float(v)) => LaunchArg::Scalar(Expr::Float(*v)),
     });
     host.push(HostStmt::Launch {
-        kernel: fused.kernel().name.clone(),
-        grid: dim(fused.grid()),
+        kernel: fused.kernel.name.clone(),
+        grid: dim(fused.grid),
         block: dim(block),
         args: args.collect(),
     });
     let program = Program {
-        kernels: vec![fused.kernel().clone()],
+        kernels: vec![fused.kernel.clone()],
         host,
     };
     let profile = Profiler::analytic(device.clone()).profile(&program).ok()?;
@@ -88,8 +88,8 @@ fn declared(allocs: &[AllocInfo], name: &str) -> Option<AllocInfo> {
 }
 
 /// Threads a launch runs, idle lanes included.
-fn coverage<K: Emitted>(fused: &K, block: Dim3) -> u64 {
-    fused.grid().count() * block.count()
+fn coverage(fused: &FusedKernel, block: Dim3) -> u64 {
+    fused.grid.count() * block.count()
 }
 
 /// The tuner as a regenerating loop: emit the kernel at every candidate
@@ -97,17 +97,17 @@ fn coverage<K: Emitted>(fused: &K, block: Dim3) -> u64 {
 /// keep the candidates that neither lower occupancy nor launch more
 /// threads than the initial block, and take the strictly fastest (ties to
 /// the first).
-fn regenerate_and_price<K: Emitted>(
+fn regenerate_and_price(
     initial_block: Dim3,
     device: &DeviceSpec,
     allocs: &[AllocInfo],
-    emit: impl Fn(Dim3) -> Result<K, CodegenError>,
-) -> Result<(K, TuneNote), CodegenError> {
+    emit: impl Fn(Dim3) -> Result<FusedKernel, CodegenError>,
+) -> Result<(FusedKernel, TuneNote), CodegenError> {
     let base = emit(initial_block)?;
-    let occ_before = kernel_occupancy(base.kernel(), initial_block, device)?;
+    let occ_before = kernel_occupancy(&base.kernel, initial_block, device)?;
     let us_before = profiler_us(&base, initial_block, allocs, device).unwrap_or(f64::INFINITY);
     let cover = coverage(&base, initial_block);
-    let mut best: Option<(K, Dim3, f64, f64)> = None;
+    let mut best: Option<(FusedKernel, Dim3, f64, f64)> = None;
     for cand in candidate_blocks(device) {
         if cand == initial_block {
             continue;
@@ -115,7 +115,7 @@ fn regenerate_and_price<K: Emitted>(
         let Ok(fused) = emit(cand) else {
             continue;
         };
-        let Ok(occ) = kernel_occupancy(fused.kernel(), cand, device) else {
+        let Ok(occ) = kernel_occupancy(&fused.kernel, cand, device) else {
             continue;
         };
         if occ == 0.0 || occ < occ_before || coverage(&fused, cand) > cover {
@@ -132,7 +132,7 @@ fn regenerate_and_price<K: Emitted>(
     let (best, block_after, us_after, occ_after) =
         best.unwrap_or((base, initial_block, us_before, occ_before));
     let note = TuneNote {
-        kernel: best.kernel().name.clone(),
+        kernel: best.kernel.name.clone(),
         occupancy_before: occ_before,
         occupancy_after: occ_after,
         block_before: initial_block,
@@ -201,7 +201,7 @@ fn tune_codelessly<A: Analysis>(
     initial: Dim3,
     device: &DeviceSpec,
     alloc_of: &dyn Fn(&str) -> Option<AllocInfo>,
-) -> Result<(A::Kernel, TuneNote), CodegenError> {
+) -> Result<(FusedKernel, TuneNote), CodegenError> {
     let (kernel, tuned) = tune_block(&analysis?, initial, device, alloc_of, None)?;
     Ok((kernel, tuned?))
 }
@@ -618,13 +618,13 @@ fn each_block_dependent_rule_prices_candidates_out() {
 /// registers, the predicted shared bytes, hence the same occupancy, and the
 /// modelled µs the base kernel's pricer quotes for the shape's grid, which
 /// the profiler charges the kernel emitted at that shape.
-fn assert_prices_match<K: Emitted>(
+fn assert_prices_match(
     device: &DeviceSpec,
     initial: Dim3,
     allocs: &[AllocInfo],
     smem_bytes: impl Fn(Dim3) -> Result<usize, CodegenError>,
     grid_of: impl Fn(Dim3) -> Dim3,
-    emit: impl Fn(Dim3) -> Result<K, CodegenError>,
+    emit: impl Fn(Dim3) -> Result<FusedKernel, CodegenError>,
 ) {
     let measure = |kernel: &Kernel| {
         let ka = KernelAccess::analyze(kernel).expect("generated kernels analyze");
@@ -636,11 +636,11 @@ fn assert_prices_match<K: Emitted>(
     let Ok(base) = emit(initial) else {
         return;
     };
-    let (regs, _) = measure(base.kernel());
+    let (regs, _) = measure(&base.kernel);
     let model = TimingModel::new(device.clone());
-    let ka = KernelAccess::analyze(base.kernel()).expect("generated kernels analyze");
+    let ka = KernelAccess::analyze(&base.kernel).expect("generated kernels analyze");
     let alloc_of = |name: &str| declared(allocs, name);
-    let pricer = LaunchPricer::bind(&model, base.kernel(), &ka, base.args(), &alloc_of)
+    let pricer = LaunchPricer::bind(&model, &base.kernel, &ka, &base.args, &alloc_of)
         .expect("the base launch binds");
     let mut legal = 0;
     for block in std::iter::once(initial).chain(candidate_blocks(device)) {
@@ -649,12 +649,12 @@ fn assert_prices_match<K: Emitted>(
             Err(reason) => assert_eq!(emitted.err(), Some(reason), "block {block:?}"),
             Ok(smem) => {
                 let fused = emitted.unwrap_or_else(|e| panic!("priced block {block:?}: {e}"));
-                let kernel = fused.kernel();
+                let kernel = &fused.kernel;
                 assert_eq!(measure(kernel), (regs, smem), "block {block:?}");
                 let predicted = occupancy(device, block.count() as u32, regs, smem)
                     .map_or(0.0, |o| o.occupancy);
                 assert_eq!(kernel_occupancy(kernel, block, device), Ok(predicted));
-                assert_eq!(grid_of(block), fused.grid(), "block {block:?}");
+                assert_eq!(grid_of(block), fused.grid, "block {block:?}");
                 let priced = pricer
                     .cost(grid_of(block), block, smem)
                     .map(|c| c.total_us());

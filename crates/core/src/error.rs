@@ -1,7 +1,7 @@
 //! Structured pipeline errors.
 //!
 //! Every failure the pipeline can surface carries (a) the [`Stage`] it
-//! occurred in, (b) the offending kernel / fusion group / array when one is
+//! occurred in, (b) the offending kernel or fusion group when one is
 //! known, (c) a [`Recoverability`] class that tells the driver how to react,
 //! and (d) an [`ErrorKind`] that preserves the typed source error losslessly
 //! (reachable through [`std::error::Error::source`]).
@@ -204,12 +204,10 @@ pub struct PipelineError {
     pub kernel: Option<String>,
     /// Offending fusion group index, when known.
     pub group: Option<usize>,
-    /// Offending device array, when known.
-    pub array: Option<String>,
 }
 
 impl PipelineError {
-    /// New error with no kernel/group/array attribution.
+    /// New error with no kernel/group attribution.
     pub fn new(stage: Stage, class: Recoverability, kind: ErrorKind) -> PipelineError {
         PipelineError {
             stage,
@@ -217,7 +215,6 @@ impl PipelineError {
             kind,
             kernel: None,
             group: None,
-            array: None,
         }
     }
 
@@ -238,21 +235,9 @@ impl PipelineError {
         self
     }
 
-    /// Attach the offending kernel.
-    pub fn for_kernel(mut self, kernel: impl Into<String>) -> PipelineError {
-        self.kernel = Some(kernel.into());
-        self
-    }
-
     /// Attach the offending fusion group.
     pub fn for_group(mut self, group: usize) -> PipelineError {
         self.group = Some(group);
-        self
-    }
-
-    /// Attach the offending array.
-    pub fn for_array(mut self, array: impl Into<String>) -> PipelineError {
-        self.array = Some(array.into());
         self
     }
 
@@ -294,9 +279,6 @@ impl fmt::Display for PipelineError {
         }
         if let Some(g) = &self.group {
             write!(f, " group {g}")?;
-        }
-        if let Some(a) = &self.array {
-            write!(f, " array `{a}`")?;
         }
         write!(f, ": {}", self.kind.message())
     }
@@ -414,15 +396,12 @@ mod tests {
             Stage::Codegen,
             ErrorKind::Panic("index out of bounds".into()),
         )
-        .for_kernel("fused_k2_k3")
-        .for_group(2)
-        .for_array("flux");
-        assert_eq!(e.kernel.as_deref(), Some("fused_k2_k3"));
+        .for_group(2);
+        assert_eq!(e.group, Some(2));
         let text = e.to_string();
         assert!(text.contains("codegen stage"));
         assert!(text.contains("degradable"));
         assert!(text.contains("group 2"));
-        assert!(text.contains("array `flux`"));
         assert!(text.contains("index out of bounds"));
     }
 

@@ -980,9 +980,9 @@ impl<'a> Run<'a> {
             self.search.is_none()
                 || self.hooks.amend_plan.is_some()
                 || injected
-                || transform.fallbacks.is_empty(),
+                || transform.unfused().next().is_none(),
             "codegen emitted groups of a search-lowered plan unfused: {:?}",
-            transform.fallbacks
+            transform.degradations
         );
         // Per-group degradation-ladder steps recorded by the generator.
         for d in &transform.degradations {
@@ -1032,9 +1032,10 @@ impl<'a> Run<'a> {
             "{} new kernels generated; modeled device time {:.1} µs",
             transform.new_kernel_count, transformed_profile.total_runtime_us
         ));
-        for (gi, why) in &transform.fallbacks {
+        for d in transform.unfused() {
             r.hint(format!(
-                "group {gi} could not be fused and fell back to unfused members: {why}"
+                "group {} could not be fused and fell back to unfused members: {}",
+                d.group, d.reason
             ));
         }
         for rep in &transform.reports {

@@ -329,7 +329,7 @@ void host() {
 "#;
         let original = parse_program(src).unwrap();
         let mut mutant = original.clone();
-        let kernel = mutant.kernel_mut("k").unwrap();
+        let kernel = mutant.kernels.iter_mut().find(|k| k.name == "k").unwrap();
         let Some(Stmt::Assign { value, .. }) = kernel.body.get_mut(1) else {
             panic!("expected the array store at body[1], got {:?}", kernel.body);
         };

@@ -233,10 +233,13 @@ fn check_core(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 
     // 4. search-legality: the search only chooses groups codegen fuses,
     //    so a fault-free run emits no group of its plan unfused.
-    if let Some((group, why)) = result.transform.as_ref().and_then(|t| t.fallbacks.first()) {
+    if let Some(d) = result.transform.as_ref().and_then(|t| t.unfused().next()) {
         return Err(OracleFailure::new(
             "search-legality",
-            format!("codegen emitted group {group} of the search's plan unfused: {why}"),
+            format!(
+                "codegen emitted group {} of the search's plan unfused: {}",
+                d.group, d.reason
+            ),
         )
         .with_plan(result.planned()));
     }

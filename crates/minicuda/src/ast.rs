@@ -535,11 +535,6 @@ impl Program {
         self.kernels.iter().find(|k| k.name == name)
     }
 
-    /// Mutable kernel lookup.
-    pub fn kernel_mut(&mut self, name: &str) -> Option<&mut Kernel> {
-        self.kernels.iter_mut().find(|k| k.name == name)
-    }
-
     /// Total IR statement count: every kernel-body statement (recursing
     /// through `if`/`for` bodies) plus every host statement (recursing
     /// through `Repeat` bodies). This is the program's IR-size measure for

@@ -201,3 +201,72 @@ fn rungs_do_not_bleed_into_each_other() {
         "a fully rejected group never reports a tuned fallback"
     );
 }
+
+/// [`APP`]'s three launches inside a host time loop of `steps` iterations:
+/// a chain the temporal rung folds when `2T` divides `steps`, and the
+/// spatial rung fuses either way.
+fn looped_app(steps: u64) -> String {
+    let launches = "  stage1<<<dim3(4, 4), dim3(16, 8)>>>(u, a, nx, ny, nz);\n  \
+                    stage2<<<dim3(4, 4), dim3(16, 8)>>>(u, b, nx, ny, nz);\n  \
+                    stage3<<<dim3(4, 4), dim3(16, 8)>>>(a, b, c, nx, ny, nz);\n";
+    APP.replace(
+        launches,
+        &format!("  for (int t = 0; t < {steps}; t++) {{\n{launches}  }}\n"),
+    )
+}
+
+/// Every codegen rung a fused group can stand on, one row each: the loop's
+/// trip count, the group's temporal degree, the injected faults, and the
+/// one step the generator records — its action, its reason and how the
+/// failed attempt failed. A refused temporal attempt is the 2T = 4 pair
+/// that does not divide a trip count of 6. The pipeline hints "could not
+/// be fused" for exactly the groups emitted unfused.
+#[test]
+fn every_codegen_rung_records_its_step() {
+    use sf_codegen::{CodegenMode, GroupFailure, GroupPlan, MemberRef, TransformPlan};
+
+    let one = || -> BTreeSet<usize> { [0].into() };
+    let refused = "needs the ping-pong pair (2T = 4 steps) to divide the trip count 6";
+    let vetoed = "injected tuned-fusion rejection in group 0";
+    #[rustfmt::skip]
+    let rows: [(u64, u32, FaultPlan, &str, &str, bool); 5] = [
+        (6, 2, FaultPlan::none(), "fell back to spatial (tuned) fusion", refused, false),
+        (6, 2, FaultPlan { reject_tuned_groups: one(), ..FaultPlan::default() },
+            "fell back to simple (untuned) fusion", refused, false),
+        (4, 2, FaultPlan { reject_tuned_groups: one(), ..FaultPlan::default() },
+            "fell back to untuned temporal fusion", vetoed, false),
+        (4, 1, FaultPlan { reject_tuned_groups: one(), ..FaultPlan::default() },
+            "fell back to simple (untuned) fusion", vetoed, false),
+        (4, 2, FaultPlan { reject_groups: one(), ..FaultPlan::default() },
+            "emitted members unfused", "injected codegen rejection in group 0", true),
+    ];
+    for (steps, temporal, faults, action, reason, unfused) in rows {
+        let row = format!("{steps} steps, degree {temporal}, {action}");
+        let program = parse_program(&looped_app(steps)).expect("app parses");
+        let mut group = GroupPlan::of((0..3).map(MemberRef::original).collect());
+        group.temporal = temporal;
+        let plan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, true, vec![group]);
+        let cfg = PipelineConfig::quick(DeviceSpec::k20x())
+            .with_plan(plan)
+            .with_faults(faults);
+        let result = Pipeline::new(program, cfg)
+            .expect("pipeline")
+            .run()
+            .expect("degrade-mode run succeeds");
+        let steps_taken = &result.transform.as_ref().expect("codegen ran").degradations;
+        assert_eq!(steps_taken.len(), 1, "{row}: {steps_taken:?}");
+        let d = &steps_taken[0];
+        assert_eq!((d.group, d.action.as_str()), (0, action), "{row}");
+        assert!(d.reason.contains(reason), "{row}: {}", d.reason);
+        assert_eq!(d.failure, GroupFailure::Rejected, "{row}");
+        let hinted: Vec<&String> = result
+            .reports
+            .iter()
+            .flat_map(|r| &r.hints)
+            .filter(|h| h.contains("could not be fused"))
+            .collect();
+        assert_eq!(hinted.len(), usize::from(unfused), "{row}: {hinted:?}");
+        assert!(hinted.iter().all(|h| h.starts_with("group 0 ")), "{row}");
+        assert!(result.verification.as_ref().expect("verified").passed());
+    }
+}

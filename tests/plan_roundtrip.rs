@@ -104,52 +104,41 @@ proptest! {
 }
 
 /// Version-2 plans (the schema before the temporal degree existed) must
-/// keep replaying: a v2 file is a v3 file minus every `temporal` field
-/// with the version restamped, and decoding one upgrades every group to
-/// the identity degree and reproduces the exact program the v3 plan does.
+/// keep replaying. `tests/golden/compat/` freezes the `mitgcm-ts` analog's
+/// plan at `--quick --max-temporal 1` three ways: as version 3, as version
+/// 2 (no `temporal` field), and as version 1 (no device fingerprint
+/// either). The v2 file decodes to its v3 twin with every group at the
+/// identity degree, both replay to the same program, and v1 is refused
+/// with its version named.
 #[test]
 fn v2_plan_upgrades_and_replays_identically() {
-    let app = sf_apps::app_by_name("mitgcm", &AppConfig::test()).expect("known app");
-    let first = Pipeline::new(
-        app.program.clone(),
-        PipelineConfig::quick(DeviceSpec::k20x()),
-    )
-    .expect("valid")
-    .run()
-    .expect("pipeline runs");
-    let executed = first.executed_plan().expect("codegen ran").clone();
-    assert!(executed.groups.iter().all(|g| g.temporal == 1));
-
-    // Regress the serialized plan to schema v2 the way an old build wrote
-    // it: no group carries a `temporal` field and the version says 2.
-    let v3 = executed.to_json();
-    let v2: String = v3
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"temporal\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-        .replacen("\"version\": 3", "\"version\": 2", 1);
-    assert_ne!(v2, v3, "the regression surgery must change the text");
-
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compat");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("frozen plan");
+    let v2 = read("v2.plan.json");
+    assert!(!v2.contains("\"temporal\""), "a v2 plan has no degrees");
+    let twin = TransformPlan::from_json(&read("v3.plan.json")).expect("v3 plan decodes");
     let upgraded = TransformPlan::from_json(&v2).expect("v2 plan decodes");
     assert!(upgraded.groups.iter().all(|g| g.temporal == 1));
+    assert_eq!(upgraded, twin, "upgrade must yield the identity degrees");
+
+    let app = sf_apps::app_by_name("mitgcm-ts", &AppConfig::test()).expect("known app");
+    let replay = |plan: TransformPlan| {
+        let cfg = PipelineConfig::quick(DeviceSpec::k20x()).with_plan(plan);
+        let result = Pipeline::new(app.program.clone(), cfg)
+            .expect("valid")
+            .run()
+            .expect("replay runs");
+        assert!(result.verification.expect("verified").passed());
+        print_program(&result.program)
+    };
     assert_eq!(
-        upgraded, executed,
-        "upgrade must yield the identity degrees"
+        replay(twin),
+        replay(upgraded),
+        "v2-upgraded replay diverges from its v3 twin's"
     );
 
-    let second = Pipeline::new(
-        app.program.clone(),
-        PipelineConfig::quick(DeviceSpec::k20x()).with_plan(upgraded),
-    )
-    .expect("valid")
-    .run()
-    .expect("v2 replay runs");
-    assert_eq!(
-        print_program(&first.program),
-        print_program(&second.program),
-        "v2-upgraded replay diverges from the original run"
-    );
+    let v1 = TransformPlan::from_json(&read("v1.plan.json")).expect_err("v1 is refused");
+    assert!(v1.0.contains("plan version 1"), "{v1}");
 }
 
 /// Full-pipeline replay: the as-executed plan from a complete run, fed

@@ -113,7 +113,6 @@ fn temporal_fold_preserves_output_bit_exactly() {
         group.temporal = fold;
         let tplan = TransformPlan::new(DeviceSpec::k20x(), CodegenMode::Auto, false, vec![group]);
         let out = transform_program(&p, &plan, &tplan).unwrap();
-        assert!(out.fallbacks.is_empty(), "fallbacks: {:?}", out.fallbacks);
         assert!(
             out.degradations.is_empty(),
             "degradations: {:?}",
@@ -197,11 +196,10 @@ fn indivisible_trip_count_falls_back_inside_the_loop() {
         "expected the temporal rung to reject"
     );
     assert!(
-        out.fallbacks
-            .iter()
-            .any(|(g, reason)| *g == 0 && reason.contains("divide the trip count")),
-        "fallbacks: {:?}",
-        out.fallbacks
+        out.unfused()
+            .any(|d| d.group == 0 && d.reason.contains("divide the trip count")),
+        "degradations: {:?}",
+        out.degradations
     );
     // The as-executed plan records the group as not temporally folded.
     assert_eq!(out.plan.groups[0].temporal, 1);
