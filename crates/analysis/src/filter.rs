@@ -13,31 +13,23 @@ use crate::metadata::{Confidence, DeviceMetadata, KernelClass, OpsMetadata, Perf
 use crate::roofline;
 use serde::{Deserialize, Serialize};
 
+/// A kernel is a boundary kernel when its iteration-site count is below
+/// this fraction of the largest site count among the program's kernels.
+pub const BOUNDARY_FRACTION: f64 = 0.10;
+
+/// Runtime must exceed `LATENCY_SLACK × max(mem_time, compute_time)` to flag
+/// a kernel latency-bound. The threshold discriminates genuine overlap
+/// problems (long dependent load chains) from kernels that are merely
+/// occupancy-limited by register pressure — the latter sit around 2–4× the
+/// roofline bound and *should* stay fusion/fission targets.
+pub const LATENCY_SLACK: f64 = 6.5;
+
 /// Filtering knobs. Defaults follow the paper's automated behavior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FilterConfig {
-    /// A kernel is a boundary kernel when its iteration-site count is below
-    /// this fraction of the largest site count among the program's kernels.
-    pub boundary_fraction: f64,
     /// Detect latency-bound kernels (programmer-guided mode only; the
     /// automated filter leaves this off, reproducing the Fluam anomaly).
     pub detect_latency_bound: bool,
-    /// Runtime must exceed `latency_slack × max(mem_time, compute_time)` to
-    /// flag a kernel latency-bound. The threshold discriminates genuine
-    /// overlap problems (long dependent load chains) from kernels that are
-    /// merely occupancy-limited by register pressure — the latter sit around
-    /// 2–4× the roofline bound and *should* stay fusion/fission targets.
-    pub latency_slack: f64,
-}
-
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            boundary_fraction: 0.10,
-            detect_latency_bound: false,
-            latency_slack: 6.5,
-        }
-    }
 }
 
 /// Why a kernel was excluded (or kept).
@@ -110,12 +102,10 @@ pub fn identify_targets(
                 FilterReason::Unreliable
             } else if roofline::classify(p, device) == roofline::RooflineRegion::ComputeBound {
                 FilterReason::ComputeBound
-            } else if max_sites > 0
-                && (o.sites as f64) < config.boundary_fraction * max_sites as f64
-            {
+            } else if max_sites > 0 && (o.sites as f64) < BOUNDARY_FRACTION * max_sites as f64 {
                 FilterReason::Boundary
             } else if config.detect_latency_bound
-                && roofline::is_latency_bound(p, device, config.latency_slack)
+                && roofline::is_latency_bound(p, device, LATENCY_SLACK)
             {
                 FilterReason::LatencyBound
             } else {
@@ -235,7 +225,6 @@ mod tests {
             &d,
             &FilterConfig {
                 detect_latency_bound: true,
-                ..FilterConfig::default()
             },
         );
         assert_eq!(guided[0].reason, FilterReason::LatencyBound);

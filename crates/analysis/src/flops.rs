@@ -2,7 +2,6 @@
 //! to each data array (part of the paper's operations metadata: "FLOPs
 //! related to each data array").
 
-use crate::roles::RoleMap;
 use sf_minicuda::ast::*;
 use sf_minicuda::visit;
 use std::collections::BTreeMap;
@@ -18,7 +17,6 @@ pub fn flops_per_array(kernel: &Kernel) -> BTreeMap<String, u64> {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let _roles = RoleMap::infer(&kernel.body);
     let floats = crate::access::float_locals(&kernel.body);
     visit::walk_stmts(&kernel.body, &mut |s| {
         if let Stmt::Assign {

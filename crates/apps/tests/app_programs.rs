@@ -117,7 +117,6 @@ fn fluam_latency_kernels_fool_only_the_auto_filter() {
         &profile.metadata.device,
         &FilterConfig {
             detect_latency_bound: true,
-            ..FilterConfig::default()
         },
     );
     let bond_auto = auto

@@ -88,7 +88,6 @@ pub(crate) fn variant_config(variant: Variant, device: DeviceSpec) -> PipelineCo
     };
     let latency_filter = FilterConfig {
         detect_latency_bound: true,
-        ..FilterConfig::default()
     };
     match variant {
         Variant::Fusion => base.without_fission().without_tuning(),

@@ -89,8 +89,7 @@ impl TemporalChain {
         members: &[(&Kernel, &LaunchRecord)],
         allocs: &[AllocInfo],
     ) -> Result<TemporalChain, CodegenError> {
-        let analysis = TemporalAnalysis::new(members, "", usize::MAX, 2, allocs)?;
-        Ok(analysis.chain)
+        Ok(extract(members, allocs)?.chain)
     }
 
     /// The accumulated halo `D = T · Σ r` per axis at degree `fold`.
@@ -201,82 +200,17 @@ impl TemporalAnalysis {
         fold: u32,
         allocs: &[AllocInfo],
     ) -> Result<TemporalAnalysis, CodegenError> {
-        if members.len() < 2 {
-            return Err(CodegenError(
-                "temporal group needs at least 2 members".into(),
-            ));
-        }
         if fold < 2 {
             return Err(CodegenError(format!(
                 "temporal fold degree must be >= 2, got {fold}"
             )));
         }
-        let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
-        let mut cms: Vec<CanonMember> = Vec::new();
-        for (idx, (k, l)) in members.iter().enumerate() {
-            cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
-        }
-
-        // Touched arrays in first-use order; written subset.
-        let mut touched: Vec<String> = Vec::new();
-        let mut written: Vec<String> = Vec::new();
-        for m in &cms {
-            for ab in &m.arrays {
-                if !touched.contains(&ab.actual) {
-                    touched.push(ab.actual.clone());
-                }
-                if ab.written && !written.contains(&ab.actual) {
-                    written.push(ab.actual.clone());
-                }
-            }
-        }
-
-        // Uniform rank-3 extents across every touched array.
-        let mut extents: Option<Vec<usize>> = None;
-        for a in &touched {
-            let info = allocs
-                .iter()
-                .find(|al| &al.name == a)
-                .ok_or_else(|| CodegenError(format!("no allocation for array `{a}`")))?;
-            if info.extents.len() != 3 {
-                return Err(CodegenError(format!(
-                    "array `{a}` is rank-{}; temporal folding needs rank-3 domains",
-                    info.extents.len()
-                )));
-            }
-            match &extents {
-                None => extents = Some(info.extents.clone()),
-                Some(e) if *e == info.extents => {}
-                Some(e) => {
-                    return Err(CodegenError(format!(
-                        "array `{a}` extents {:?} differ from {:?}; temporal folding \
-                         needs a uniform domain",
-                        info.extents, e
-                    )))
-                }
-            }
-        }
-        let extents = extents.expect("non-empty group");
+        let parts = extract(members, allocs)?;
+        let (touched, extents) = (&parts.touched, &parts.extents);
         let (kz, ny, nx) = (extents[0] as i64, extents[1] as i64, extents[2] as i64);
-        for a in &written {
-            let shadow = format!("{a}__tb");
-            if allocs.iter().any(|al| al.name == shadow) {
-                return Err(CodegenError(format!(
-                    "shadow array name `{shadow}` collides with an existing allocation"
-                )));
-            }
-        }
+        let folded = parts.chain.folded(fold).collect();
 
-        // Extract each member's step form.
-        let (steps, radii): (Vec<Step>, _) = cms
-            .iter()
-            .map(|m| extract_step(m, &written, &canon_scalars, kz))
-            .collect::<Result<_, _>>()?;
-        let chain = TemporalChain { radii, written };
-
-        let folded = chain.folded(fold).collect();
-
-        let written = &chain.written;
+        let written = &parts.chain.written;
         let array = |name: String, is_const| Param::Array {
             name,
             elem: ScalarType::F64,
@@ -290,7 +224,7 @@ impl TemporalAnalysis {
                 a.clone()
             }
         };
-        let (scalar_params, scalar_args) = scalar_params(&canon_scalars);
+        let (scalar_params, scalar_args) = scalar_params(&parts.canon_scalars);
         let mut params: Vec<Param> = touched.iter().map(|a| array(a.clone(), true)).collect();
         params.extend(written.iter().map(|a| array(format!("{a}__out"), false)));
         params.extend(scalar_params);
@@ -303,7 +237,7 @@ impl TemporalAnalysis {
             name: name.into(),
             fold,
             smem_limit,
-            members: cms.iter().map(|m| m.seq).collect(),
+            members: parts.seqs,
             params,
             args: args(touched.clone(), written.iter().map(shadow).collect()),
             pingpong: PingPong {
@@ -314,9 +248,9 @@ impl TemporalAnalysis {
                     .collect(),
             },
             domain: [kz, ny, nx],
-            steps,
+            steps: parts.steps,
             folded,
-            chain,
+            chain: parts.chain,
         })
     }
 
@@ -493,6 +427,105 @@ impl TemporalAnalysis {
         }
         Some(values)
     }
+}
+
+/// A member chain canonicalized and checked against every rule that holds
+/// or fails regardless of the fold degree and the block: what
+/// [`TemporalChain::new`] and [`TemporalAnalysis::new`] both start from.
+struct Extracted {
+    /// Launch sequence numbers of the members, in chain order.
+    seqs: Vec<usize>,
+    canon_scalars: BTreeMap<String, HostValue>,
+    /// Arrays some member touches, in first-use order.
+    touched: Vec<String>,
+    /// The uniform `[kz, ny, nx]` extents of every touched array.
+    extents: Vec<usize>,
+    steps: Vec<Step>,
+    chain: TemporalChain,
+}
+
+/// Canonicalize `members`, collect the arrays they touch and write, check
+/// the uniform rank-3 extents and the shadow names, and extract each
+/// member's step form.
+fn extract(
+    members: &[(&Kernel, &LaunchRecord)],
+    allocs: &[AllocInfo],
+) -> Result<Extracted, CodegenError> {
+    if members.len() < 2 {
+        return Err(CodegenError(
+            "temporal group needs at least 2 members".into(),
+        ));
+    }
+    let mut canon_scalars: BTreeMap<String, HostValue> = BTreeMap::new();
+    let mut cms: Vec<CanonMember> = Vec::new();
+    for (idx, (k, l)) in members.iter().enumerate() {
+        cms.push(canon::canonicalize(k, l, idx, &mut canon_scalars)?);
+    }
+
+    // Touched arrays in first-use order; written subset.
+    let mut touched: Vec<String> = Vec::new();
+    let mut written: Vec<String> = Vec::new();
+    for m in &cms {
+        for ab in &m.arrays {
+            if !touched.contains(&ab.actual) {
+                touched.push(ab.actual.clone());
+            }
+            if ab.written && !written.contains(&ab.actual) {
+                written.push(ab.actual.clone());
+            }
+        }
+    }
+
+    // Uniform rank-3 extents across every touched array.
+    let mut extents: Option<Vec<usize>> = None;
+    for a in &touched {
+        let info = allocs
+            .iter()
+            .find(|al| &al.name == a)
+            .ok_or_else(|| CodegenError(format!("no allocation for array `{a}`")))?;
+        if info.extents.len() != 3 {
+            return Err(CodegenError(format!(
+                "array `{a}` is rank-{}; temporal folding needs rank-3 domains",
+                info.extents.len()
+            )));
+        }
+        match &extents {
+            None => extents = Some(info.extents.clone()),
+            Some(e) if *e == info.extents => {}
+            Some(e) => {
+                return Err(CodegenError(format!(
+                    "array `{a}` extents {:?} differ from {:?}; temporal folding \
+                     needs a uniform domain",
+                    info.extents, e
+                )))
+            }
+        }
+    }
+    let extents = extents.expect("non-empty group");
+    let kz = extents[0] as i64;
+    for a in &written {
+        let shadow = format!("{a}__tb");
+        if allocs.iter().any(|al| al.name == shadow) {
+            return Err(CodegenError(format!(
+                "shadow array name `{shadow}` collides with an existing allocation"
+            )));
+        }
+    }
+
+    // Extract each member's step form.
+    let (steps, radii): (Vec<Step>, _) = cms
+        .iter()
+        .map(|m| extract_step(m, &written, &canon_scalars, kz))
+        .collect::<Result<_, _>>()?;
+    let chain = TemporalChain { radii, written };
+    Ok(Extracted {
+        seqs: cms.iter().map(|m| m.seq).collect(),
+        canon_scalars,
+        touched,
+        extents,
+        steps,
+        chain,
+    })
 }
 
 /// Validate one member against the temporal legality rules and extract its

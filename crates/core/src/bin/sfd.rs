@@ -115,7 +115,6 @@ fn batch_options(args: &cli::Parsed) -> Result<BatchOptions, String> {
         options.breaker = Some(sf_core::BreakerConfig {
             threshold: threshold.unwrap_or(default.threshold),
             cooldown_ms: cooldown_ms.unwrap_or(default.cooldown_ms),
-            ..default
         });
     }
     // Graceful shutdown: SIGINT/SIGTERM stop admission, drain in-flight

@@ -386,14 +386,15 @@ mod tests {
     }
 
     /// The fault-free fingerprint, re-pinned when the profile retry count
-    /// (`retries=`) and the search's `eval_retries` left it: a change here
-    /// turns every cached plan into a miss. A plan with store faults only
+    /// (`retries=`) and the search's `eval_retries` left it, and again when
+    /// the filter's two thresholds became constants: a change here turns
+    /// every cached plan into a miss. A plan with store faults only
     /// must fingerprint the same.
     #[test]
     fn fault_free_fingerprint_is_pinned() {
         const FAULT_FREE: &str = "device=k20x-4576dd2780694130;mode=Auto;fission=true;tuning=true;\
-            filter=FilterConfig { boundary_fraction: 0.1, detect_latency_bound: false, \
-            latency_slack: 6.5 };search=SearchConfig { population: 100, generations: 500, \
+            filter=FilterConfig { detect_latency_bound: false };\
+            search=SearchConfig { population: 100, generations: 500, \
             tournament: 3, elites: 4, crossover_rate: 0.7, p_merge: 0.5, p_split: 0.15, \
             p_move: 0.25, p_fission: 0.15, p_defission: 0.05, penalty_soft: 0.85, \
             penalty_hard: 0.4, init_merges: 3, seed: 20150615, stagnation_window: 0, \

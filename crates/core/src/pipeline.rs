@@ -51,8 +51,6 @@ pub struct Interventions<'a> {
     /// Amend the target-filter decisions after stage 2 (e.g. exclude the
     /// latency-bound Fluam kernels, §6.2.2).
     pub amend_decisions: Hook<'a, Vec<FilterDecision>>,
-    /// Amend the GA parameter file before the search runs.
-    pub amend_search_config: Hook<'a, SearchConfig>,
     /// Amend the lowered transform plan (the "new OEG") before code
     /// generation.
     pub amend_plan: Hook<'a, TransformPlan>,
@@ -811,9 +809,6 @@ impl<'a> Run<'a> {
         search_cfg.block_tuning = cfg.block_tuning;
         if !cfg.enable_fission {
             search_cfg = search_cfg.without_fission();
-        }
-        if let Some(f) = &self.hooks.amend_search_config {
-            f(&mut search_cfg);
         }
         let Some(population_bytes) = self.admit_search(r, &mut search_cfg)? else {
             return Ok(Next::KeepOriginal);

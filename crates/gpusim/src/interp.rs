@@ -2035,7 +2035,7 @@ impl Machine<'_> {
                     UnaryOp::Neg => {
                         self.stats.flops += 1;
                         match v {
-                            Value::I(i) => Value::I(-i),
+                            Value::I(i) => Value::I(i.wrapping_neg()),
                             Value::F(f) => Value::F(-f),
                         }
                     }
@@ -2087,13 +2087,15 @@ impl Machine<'_> {
                     if y == 0 {
                         return Err(ExecError::trap("integer division by zero"));
                     }
-                    Value::I(x / y)
+                    let q = x.checked_div(y);
+                    Value::I(q.ok_or_else(|| ExecError::trap("integer division overflow"))?)
                 }
                 Rem => {
                     if y == 0 {
                         return Err(ExecError::trap("integer remainder by zero"));
                     }
-                    Value::I(x % y)
+                    let r = x.checked_rem(y);
+                    Value::I(r.ok_or_else(|| ExecError::trap("integer remainder overflow"))?)
                 }
                 Lt => Value::I((x < y) as i64),
                 Le => Value::I((x <= y) as i64),
@@ -2671,6 +2673,39 @@ mod typing_and_column_tests {
         // and the lowest thread still wins across threads.
         let err = run(&kernel_on_a("  a[i + 60] = 1 / (i - 2);")).unwrap_err();
         assert_eq!(err.0, "integer division by zero");
+    }
+
+    /// `MIN / -1` and `MIN % -1` trap like a zero divisor: in a typed part,
+    /// whose columns leave the overflowing lane to the per-thread
+    /// evaluator, and in a per-thread part. Negation wraps in both, as the
+    /// typed `+`, `-` and `*` do.
+    #[test]
+    fn integer_division_overflow_traps() {
+        const MIN: &str = "  int m = -9223372036854775807 - 1;\n  int d = -1;\n";
+        let typed = |stmt: &str| kernel_on_a(&format!("{MIN}  a[i] = 1.0 + {stmt};"));
+        // `m` declared with two types lives in a per-thread value slot.
+        let per_thread = |stmt: &str| {
+            kernel_on_a(&format!(
+                "{MIN}  {stmt}\n  a[i] = 1.0 * m;\n  double m = 0.5;"
+            ))
+        };
+        for (src, trap) in [
+            (typed("m / d"), "integer division overflow"),
+            (typed("m % d"), "integer remainder overflow"),
+            (per_thread("m = m / d;"), "integer division overflow"),
+            (per_thread("m = m % d;"), "integer remainder overflow"),
+        ] {
+            let err = run(&src).unwrap_err();
+            assert_eq!(
+                (err.0.as_str(), err.1),
+                (trap, ExecErrorKind::Trap),
+                "{src}"
+            );
+        }
+        for src in [typed("-m"), per_thread("m = -m;")] {
+            let (mem, _) = run(&src).unwrap();
+            assert_eq!(mem.get("a").unwrap().data[0], i64::MIN as f64, "{src}");
+        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! DOT emission and parsing.
+//! DOT emission.
 //!
 //! The framework emits both graphs as DOT files the programmer can render
-//! with GraphViz and *amend* (§3.2.3–3.2.4: "the programmer ... can amend
-//! the OEG DOT file and have another run"). The parser accepts the emitted
-//! dialect back, so the pipeline's intervention point is a real file-level
-//! round trip.
+//! with GraphViz (§3.2.3–3.2.4). DOT is output only: an amended grouping
+//! comes back as a transform plan (`--from-plan`, the `amend_plan` hook).
 
 use crate::ddg::{Ddg, DdgNode};
 use crate::oeg::{EdgeKind, Oeg};
@@ -76,69 +74,6 @@ pub fn oeg_to_dot(oeg: &Oeg, group_of: Option<&[usize]>) -> String {
     out
 }
 
-/// A programmer-amended OEG read back from DOT: the node set with any
-/// grouping clusters, plus the explicit precedence edges. Only the dialect
-/// emitted by [`oeg_to_dot`] is accepted.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ParsedOeg {
-    /// Node seqs in file order.
-    pub nodes: Vec<usize>,
-    /// Edges (i, j).
-    pub edges: Vec<(usize, usize)>,
-    /// Cluster groupings: group id → member seqs.
-    pub groups: BTreeMap<usize, Vec<usize>>,
-}
-
-/// Parse the OEG DOT dialect emitted by [`oeg_to_dot`].
-pub fn parse_oeg_dot(src: &str) -> Result<ParsedOeg, String> {
-    let mut out = ParsedOeg::default();
-    let mut current_cluster: Option<usize> = None;
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty()
-            || line.starts_with("digraph")
-            || line.starts_with('}')
-            || line.starts_with("rankdir")
-        {
-            if line.starts_with('}') && current_cluster.is_some() {
-                current_cluster = None;
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("subgraph cluster_") {
-            let id: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            let g = id
-                .parse::<usize>()
-                .map_err(|_| format!("line {}: bad cluster id", lineno + 1))?;
-            current_cluster = Some(g);
-            out.groups.entry(g).or_default();
-            continue;
-        }
-        let node_id = |tok: &str| -> Result<usize, String> {
-            tok.trim()
-                .trim_start_matches('k')
-                .trim_end_matches(';')
-                .parse::<usize>()
-                .map_err(|_| format!("line {}: bad node `{tok}`", lineno + 1))
-        };
-        if let Some((from, to)) = line.split_once("->") {
-            let i = node_id(from)?;
-            let j = node_id(to.split('[').next().unwrap_or(to))?;
-            out.edges.push((i, j));
-        } else if line.starts_with('k') {
-            let seq = node_id(line.split('[').next().unwrap_or(line))?;
-            if let Some(g) = current_cluster {
-                out.groups.entry(g).or_default().push(seq);
-            } else if !out.nodes.contains(&seq) {
-                out.nodes.push(seq);
-            }
-        } else if line.starts_with('}') {
-            current_cluster = None;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,15 +114,18 @@ mod tests {
     }
 
     #[test]
-    fn oeg_dot_round_trips() {
+    fn oeg_dot_draws_edges_and_fusion_clusters() {
         let oeg = sample_oeg();
         let dot = oeg_to_dot(&oeg, Some(&[0, 0, 1]));
-        let parsed = parse_oeg_dot(&dot).unwrap();
-        assert_eq!(parsed.edges, vec![(0, 1)]);
-        // Cluster 0 holds k0 and k1.
-        assert_eq!(parsed.groups[&0], vec![0, 1]);
-        // Nodes k0..k2 all present (k2 outside clusters).
-        assert!(parsed.nodes.contains(&2));
+        let edges: Vec<&str> = dot.lines().filter(|l| l.contains(" -> ")).collect();
+        assert_eq!(edges, ["  k0 -> k1 [style=solid, label=\"b\"];"]);
+        // Cluster 0 holds k0 and k1; the singleton group draws no cluster.
+        assert!(dot
+            .contains("  subgraph cluster_0 { style=dotted; color=red;\n    k0;\n    k1;\n  }\n"));
+        assert!(!dot.contains("cluster_1"));
+        for seq in 0..3 {
+            assert!(dot.contains(&format!("  k{seq} [shape=box, label=\"k{seq}#{seq}\"];")));
+        }
     }
 
     #[test]
@@ -197,10 +135,5 @@ mod tests {
         let oeg = Oeg::build(vec!["a".into(), "b".into()], &accs, &ddg, &[]);
         let dot = oeg_to_dot(&oeg, None);
         assert!(dot.contains("style=dashed")); // anti
-    }
-
-    #[test]
-    fn parse_rejects_garbage_nodes() {
-        assert!(parse_oeg_dot("digraph OEG {\n  kX -> k1;\n}").is_err());
     }
 }

@@ -382,7 +382,10 @@ pub fn eval_host_expr(
         Expr::Unary { op, operand } => {
             let v = eval_host_expr(operand, env)?;
             match (op, v) {
-                (UnaryOp::Neg, HostValue::Int(v)) => HostValue::Int(-v),
+                (UnaryOp::Neg, HostValue::Int(v)) => HostValue::Int(
+                    v.checked_neg()
+                        .ok_or_else(|| HostEvalError("integer overflow".into()))?,
+                ),
                 (UnaryOp::Neg, HostValue::Float(v)) => HostValue::Float(-v),
                 (UnaryOp::Not, HostValue::Int(v)) => HostValue::Int((v == 0) as i64),
                 (UnaryOp::Not, HostValue::Float(_)) => {
@@ -532,6 +535,40 @@ void host() {{
             p.launches[0].args[1],
             ResolvedArg::Scalar(HostValue::Int(64))
         );
+    }
+
+    /// Integer overflow is an error wherever the host evaluates it:
+    /// negation, `MIN * -1`, and `MIN / -1` or `MIN % -1`.
+    #[test]
+    fn host_integer_overflow_is_an_error() {
+        let env = HashMap::from([
+            ("m".to_string(), HostValue::Int(i64::MIN)),
+            ("d".to_string(), HostValue::Int(-1)),
+        ]);
+        let var = |n: &str| Box::new(Expr::Var(n.into()));
+        let neg = Expr::Unary {
+            op: UnaryOp::Neg,
+            operand: var("m"),
+        };
+        let binary = |op| Expr::Binary {
+            op,
+            lhs: var("m"),
+            rhs: var("d"),
+        };
+        for e in [
+            neg,
+            binary(BinaryOp::Mul),
+            binary(BinaryOp::Div),
+            binary(BinaryOp::Rem),
+        ] {
+            let err = eval_host_expr(&e, &env).unwrap_err();
+            assert_eq!(err.0, "integer overflow", "{e:?}");
+        }
+        let neg_d = Expr::Unary {
+            op: UnaryOp::Neg,
+            operand: var("d"),
+        };
+        assert_eq!(eval_host_expr(&neg_d, &env).unwrap(), HostValue::Int(1));
     }
 
     #[test]

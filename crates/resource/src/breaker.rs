@@ -2,11 +2,11 @@
 //!
 //! The batch driver records every structured failure under its error-class
 //! label. When one class accumulates [`BreakerConfig::threshold`] failures
-//! inside a sliding window, that class's breaker trips open and the driver
-//! applies backpressure (`Rejected { retry_after_ms }`) to *new* requests
-//! until the cooldown elapses; then a bounded number of half-open probe
-//! requests are admitted — a probe success closes the breaker, a probe
-//! failure re-opens it for another cooldown.
+//! inside a sliding window of [`WINDOW_MS`], that class's breaker trips open
+//! and the driver applies backpressure (`Rejected { retry_after_ms }`) to
+//! *new* requests until the cooldown elapses; then half-open probe requests
+//! are admitted, [`HALF_OPEN_PROBES`] of them — a probe success closes the
+//! breaker, a probe failure re-opens it for another cooldown.
 //!
 //! All methods take `now_ms` from the caller, so tests drive the breaker
 //! on a virtual clock and every transition is deterministic.
@@ -14,26 +14,26 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+/// Sliding failure window, ms.
+pub const WINDOW_MS: u64 = 60_000;
+
+/// Requests admitted while half-open.
+pub const HALF_OPEN_PROBES: u32 = 1;
+
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Failures of one class within the window that trip it open.
     pub threshold: u32,
-    /// Sliding failure window, ms.
-    pub window_ms: u64,
     /// How long a tripped class stays open before probing, ms.
     pub cooldown_ms: u64,
-    /// Requests admitted while half-open.
-    pub half_open_probes: u32,
 }
 
 impl Default for BreakerConfig {
     fn default() -> BreakerConfig {
         BreakerConfig {
             threshold: 5,
-            window_ms: 60_000,
             cooldown_ms: 10_000,
-            half_open_probes: 1,
         }
     }
 }
@@ -116,9 +116,7 @@ impl CircuitBreaker {
                 }
                 BreakerState::HalfOpen => {}
             }
-            if cs.state == BreakerState::HalfOpen
-                && cs.probes_admitted >= self.config.half_open_probes
-            {
+            if cs.state == BreakerState::HalfOpen && cs.probes_admitted >= HALF_OPEN_PROBES {
                 let wait = self.config.cooldown_ms;
                 if blocked.as_ref().is_none_or(|(_, w)| wait < *w) {
                     blocked = Some((class.clone(), wait));
@@ -153,7 +151,7 @@ impl CircuitBreaker {
             BreakerState::Open => {}
             BreakerState::Closed => {
                 cs.failures.push(now_ms);
-                let cutoff = now_ms.saturating_sub(self.config.window_ms);
+                let cutoff = now_ms.saturating_sub(WINDOW_MS);
                 cs.failures.retain(|&t| t >= cutoff);
                 if cs.failures.len() as u32 >= self.config.threshold {
                     cs.state = BreakerState::Open;
@@ -194,9 +192,7 @@ mod tests {
     fn breaker() -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
             threshold: 3,
-            window_ms: 1_000,
             cooldown_ms: 500,
-            half_open_probes: 1,
         })
     }
 
@@ -219,8 +215,8 @@ mod tests {
         let b = breaker();
         b.record_failure("cache", 0);
         b.record_failure("cache", 10);
-        // 2000 is past the window; the first two failures age out.
-        b.record_failure("cache", 2_000);
+        // Past the window the first two failures age out.
+        b.record_failure("cache", WINDOW_MS + 20);
         assert_eq!(b.state("cache"), BreakerState::Closed);
     }
 

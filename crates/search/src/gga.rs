@@ -666,7 +666,6 @@ void host() {
         let r = search_islands(&space, &cfg, &IslandOptions::default());
         assert_eq!(r.result.stop_reason, StopReason::BudgetExhausted);
         assert!(r.result.generations_run < cfg.generations);
-        assert!(r.island_wall_ms[0] >= cfg.max_wall_ms);
         assert!(r.result.best.feasible(&space));
     }
 

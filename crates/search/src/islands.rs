@@ -48,7 +48,7 @@ use crate::checkpoint::{
 };
 use crate::genome::{Individual, Quotient, View};
 use crate::gga::{self, SearchResult, StopReason};
-use crate::objective::{self, Penalty};
+use crate::objective;
 use crate::params::SearchConfig;
 use crate::projection::{Pricer, ProjectionEngine, ProjectionStats};
 use crate::seed;
@@ -118,14 +118,6 @@ pub struct IslandSearchResult {
     pub resumed_from_epoch: Option<usize>,
     /// Set when an injected kill fault stopped the run early.
     pub killed_at_epoch: Option<usize>,
-    /// Per-island busy time (whole milliseconds of the microseconds spent
-    /// inside `advance_epoch`), indexed by island. The island critical
-    /// path — `max` of these plus
-    /// whatever the driver spends migrating/merging/checkpointing — is the
-    /// search-stage wall time on a machine with one free worker per
-    /// island; the benchmark harness uses it to report island speedup
-    /// independently of how many cores the measuring host happens to have.
-    pub island_wall_ms: Vec<u64>,
 }
 
 /// An island's private RNG stream. Serializes as the generator's four raw
@@ -255,7 +247,7 @@ fn rank_desc(scores: &[f64], population: &[Individual]) -> Vec<usize> {
 fn evaluate_island(
     pricer: &mut Pricer<'_>,
     views: &[View],
-    penalty: &Penalty,
+    config: &SearchConfig,
     poison: &BTreeSet<u64>,
     state: &mut IslandState,
 ) -> Vec<f64> {
@@ -270,7 +262,7 @@ fn evaluate_island(
                 if poison.contains(&idx) {
                     panic!("injected poisoned candidate at evaluation {idx}");
                 }
-                objective::fitness_with(pricer, &view.groups, penalty)
+                objective::fitness_with(pricer, &view.groups, config)
             })
             .unwrap_or_else(|_| {
                 state.poisoned += 1;
@@ -305,7 +297,6 @@ fn carried_of(lock: &mut Mutex<Carried>) -> &mut Carried {
 fn advance_epoch(
     engine: &ProjectionEngine<'_>,
     config: &SearchConfig,
-    penalty: &Penalty,
     opts: &IslandOptions,
     state: &mut IslandState,
     carried: &mut Carried,
@@ -323,7 +314,7 @@ fn advance_epoch(
         bred_views,
     } = carried;
     if state.scores.is_empty() {
-        state.scores = evaluate_island(&mut pricer, views, penalty, poison, state);
+        state.scores = evaluate_island(&mut pricer, views, config, poison, state);
     }
     // Watchdog budgets, checked at generation boundaries only so the
     // trajectory for a given seed is unchanged — just where it stops.
@@ -385,7 +376,7 @@ fn advance_epoch(
         // whose buffers the one after reuses.
         std::mem::swap(&mut state.population, bred);
         std::mem::swap(views, bred_views);
-        state.scores = evaluate_island(&mut pricer, views, penalty, poison, state);
+        state.scores = evaluate_island(&mut pricer, views, config, poison, state);
         let best = gga::argmax(&state.scores);
         state.history.push(state.scores[best]);
         state.retained_fissions += state.population[best].fissioned().len() as u64;
@@ -532,11 +523,6 @@ pub fn search_islands(
         &stamped
     };
     let fingerprint = run_fingerprint(space, config, &opts.seeds);
-    let penalty = Penalty {
-        soft: config.penalty_soft,
-        hard: config.penalty_hard,
-        ..Penalty::default()
-    };
     // Clamp so every island holds at least two individuals.
     let n = config.islands.max(1).min((config.population / 2).max(1));
     // One projection engine for the whole run: the timing model is built
@@ -549,13 +535,12 @@ pub fn search_islands(
     // The baseline is isolated like any other evaluation; a poisoned
     // baseline scores 0 (no projection improvement claimed over it).
     let baseline_gflops =
-        isolated(|| objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, &penalty))
+        isolated(|| objective::fitness_with(&mut engine.pricer(0), &singles_view.groups, config))
             .unwrap_or(0.0);
     // The greedy fusion champions, priced through island 0's cache so the
     // first generation starts warm. A pure function of the space, so a
     // resumed run rebuilds the same ones for its report.
-    let fission = config.p_fission > 0.0;
-    let champions = seed::greedy_seeds(&mut engine.pricer(0), &mut q, &penalty, fission);
+    let champions = seed::greedy_seeds(&mut engine.pricer(0), &mut q, config);
     let interval = config.migration_interval.max(1);
     let total_epochs = config.generations.div_ceil(interval).max(1);
 
@@ -701,16 +686,8 @@ pub fn search_islands(
                     let mut carried = carried[s.index].lock().expect(
                         "only a quarantined island's lock is poisoned, and it never runs again",
                     );
-                    advance_epoch(
-                        &engine,
-                        config,
-                        &penalty,
-                        opts,
-                        &mut next,
-                        &mut carried,
-                        gens,
-                    )
-                    .map(|()| next)
+                    advance_epoch(&engine, config, opts, &mut next, &mut carried, gens)
+                        .map(|()| next)
                 });
                 match attempt {
                     Ok(Ok(next)) => Ok(Some(next)),
@@ -894,7 +871,6 @@ pub fn search_islands(
         checkpoints_written,
         resumed_from_epoch,
         killed_at_epoch,
-        island_wall_ms: states.iter().map(|s| s.wall_spent_us / 1000).collect(),
     }
 }
 

@@ -13,39 +13,21 @@
 //! are penalized hard.
 
 use crate::genome::{Groups, Individual};
+use crate::params::SearchConfig;
 use crate::projection::{Pricer, ProjectionEngine};
 use crate::space::SearchSpace;
 use sf_gpusim::timing::{LaunchProfile, TimingModel};
 use sf_minicuda::host::Dim3;
 
-/// Relative penalty multipliers for constraint violations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
-pub struct Penalty {
-    /// Per shared-memory violation with a fission escape (C_SM relaxation).
-    pub soft: f64,
-    /// Per violation without one.
-    pub hard: f64,
-    /// Confidence-aware widening: how strongly a multi-member group is
-    /// discounted per unit of measurement dispersion among its members. A
-    /// fusion justified by noisy numbers may be justified by jitter alone,
-    /// so the search hedges toward groupings backed by stable measurements.
-    /// 0 disables the widening. The default is a hedge, not a veto: under
-    /// the standard noise model (~10% runtime jitter) it discounts a fused
-    /// group by a few percent — enough to break ties toward stable
-    /// evidence, not enough to reject a clearly profitable fusion.
-    pub noise_aversion: f64,
-}
-
-impl Default for Penalty {
-    fn default() -> Self {
-        Penalty {
-            soft: 0.85,
-            hard: 0.40,
-            noise_aversion: 0.35,
-        }
-    }
-}
+/// Confidence-aware widening: how strongly a multi-member group is
+/// discounted per unit of measurement dispersion among its members. A
+/// fusion justified by noisy numbers may be justified by jitter alone, so
+/// the search hedges toward groupings backed by stable measurements. It is
+/// a hedge, not a veto: under the standard noise model (~10% runtime
+/// jitter) it discounts a fused group by a few percent — enough to break
+/// ties toward stable evidence, not enough to reject a clearly profitable
+/// fusion.
+pub const NOISE_AVERSION: f64 = 0.35;
 
 /// Fraction of an array's read traffic that survives as halo overhead when
 /// the read is served from a shared-memory tile filled by an earlier fused
@@ -232,21 +214,22 @@ pub struct Terms {
     pub dispersion: f64,
 }
 
-/// `members`' [`Terms`], priced through `pricer`.
-pub fn group_terms(pricer: &mut Pricer<'_>, members: &[usize], penalty: &Penalty) -> Terms {
+/// `members`' [`Terms`], priced through `pricer` under `config`'s penalty
+/// weights.
+pub fn group_terms(pricer: &mut Pricer<'_>, members: &[usize], config: &SearchConfig) -> Terms {
     let repeat = repeat_of(pricer.space(), members);
     let cost = pricer.group_cost(members);
     let smem = match (cost.smem_violation, cost.fission_escape) {
         (false, _) => 1.0,
-        (true, true) => penalty.soft,
-        (true, false) => penalty.hard,
+        (true, true) => config.penalty_soft,
+        (true, false) => config.penalty_hard,
     };
     // Confidence-aware widening: only fusions (≥ 2 members) pay it —
     // leaving a noisy kernel alone is the safe default, committing to a
     // grouping on its numbers is not. Floored so even very noisy groups
     // keep a nonzero fitness and can be compared.
     let dispersion = if members.len() >= 2 && cost.max_dispersion > 0.0 {
-        (1.0 - penalty.noise_aversion * cost.max_dispersion).clamp(0.25, 1.0)
+        (1.0 - NOISE_AVERSION * cost.max_dispersion).clamp(0.25, 1.0)
     } else {
         1.0
     };
@@ -275,12 +258,12 @@ pub fn gflops(total_flops: f64, total_time_us: f64, scale: f64) -> f64 {
 /// down per constraint violation. Groups are priced in ascending group id,
 /// members ascending (the sums below are `f64`: their order is part of the
 /// result), through the island's `pricer`.
-pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, penalty: &Penalty) -> f64 {
+pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, config: &SearchConfig) -> f64 {
     let mut total_flops = 0.0f64;
     let mut total_time = 0.0f64;
     let mut scale = 1.0f64;
     for k in 0..groups.len() {
-        let terms = group_terms(pricer, groups.members(k), penalty);
+        let terms = group_terms(pricer, groups.members(k), config);
         total_flops += terms.flops;
         total_time += terms.time_us;
         scale *= terms.smem;
@@ -291,10 +274,10 @@ pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, penalty: &Penalty)
 
 /// Uncached convenience wrapper around [`fitness_with`] for one-off
 /// evaluations; the search proper shares one engine across the whole run.
-pub fn fitness(space: &SearchSpace, ind: &Individual, penalty: &Penalty) -> f64 {
+pub fn fitness(space: &SearchSpace, ind: &Individual, config: &SearchConfig) -> f64 {
     let engine = ProjectionEngine::new(space);
     let mut pricer = engine.pricer(0);
-    fitness_with(&mut pricer, &groups_of(ind), penalty)
+    fitness_with(&mut pricer, &groups_of(ind), config)
 }
 
 /// `ind`'s groups, for the one-off wrappers.
@@ -352,10 +335,10 @@ void host() {
     fn fusing_shared_readers_improves_fitness() {
         let space = space_for(SHARED_READERS);
         let singles = Individual::singletons(&space);
-        let f0 = fitness(&space, &singles, &Penalty::default());
+        let f0 = fitness(&space, &singles, &SearchConfig::default());
         let mut fused = singles.clone();
         assert!(fused.try_merge(&space, 0, 1));
-        let f1 = fitness(&space, &fused, &Penalty::default());
+        let f1 = fitness(&space, &fused, &SearchConfig::default());
         assert!(
             f1 > f0,
             "fused fitness {f1} must beat singleton fitness {f0}"
@@ -390,10 +373,10 @@ void host() {
         let mut space = space_for(SHARED_READERS);
         let mut fused = Individual::singletons(&space);
         assert!(fused.try_merge(&space, 0, 1));
-        let clean = fitness(&space, &fused, &Penalty::default());
+        let clean = fitness(&space, &fused, &SearchConfig::default());
         // The same fusion justified by noisy measurements is worth less.
         space.units[0].perf.measure.dispersion = 0.20;
-        let noisy = fitness(&space, &fused, &Penalty::default());
+        let noisy = fitness(&space, &fused, &SearchConfig::default());
         assert!(
             noisy < clean,
             "noisy fusion {noisy} must score below clean fusion {clean}"
@@ -403,20 +386,12 @@ void host() {
         let s_clean = {
             let mut s2 = space_for(SHARED_READERS);
             s2.units[0].perf.measure.dispersion = 0.0;
-            fitness(&s2, &Individual::singletons(&s2), &Penalty::default())
+            fitness(&s2, &Individual::singletons(&s2), &SearchConfig::default())
         };
-        let s_noisy = fitness(&space, &singles, &Penalty::default());
+        let s_noisy = fitness(&space, &singles, &SearchConfig::default());
         assert_eq!(s_noisy, s_clean);
-        // Turning the knob off restores the clean score.
-        let off = fitness(
-            &space,
-            &fused,
-            &Penalty {
-                noise_aversion: 0.0,
-                ..Penalty::default()
-            },
-        );
-        assert_eq!(off, clean);
+        // The discount is exactly the widening factor.
+        assert_eq!(noisy, clean * (1.0 - NOISE_AVERSION * 0.20));
     }
 
     #[test]
@@ -433,8 +408,8 @@ void host() {
     fn fitness_is_deterministic() {
         let space = space_for(SHARED_READERS);
         let ind = Individual::singletons(&space);
-        let a = fitness(&space, &ind, &Penalty::default());
-        let b = fitness(&space, &ind, &Penalty::default());
+        let a = fitness(&space, &ind, &SearchConfig::default());
+        let b = fitness(&space, &ind, &SearchConfig::default());
         assert_eq!(a, b);
     }
 }
@@ -495,10 +470,10 @@ void host() {
         // Low occupancy before fission.
         assert!(space.units[0].perf.occupancy < 0.5);
         let original = Individual::singletons(&space);
-        let f0 = fitness(&space, &original, &Penalty::default());
+        let f0 = fitness(&space, &original, &SearchConfig::default());
         let mut split = original.clone();
         split.fission(&space, 0);
-        let f1 = fitness(&space, &split, &Penalty::default());
+        let f1 = fitness(&space, &split, &SearchConfig::default());
         assert!(
             f1 > f0,
             "fission must improve projected GFLOPS ({f1:.2} vs {f0:.2})"
@@ -565,8 +540,8 @@ void host() {
         let mut fused = Individual::singletons(&space);
         assert!(fused.try_merge(&space, 0, 1));
         let singles = Individual::singletons(&space);
-        let f_fused = fitness(&space, &fused, &Penalty::default());
-        let f_single = fitness(&space, &singles, &Penalty::default());
+        let f_fused = fitness(&space, &fused, &SearchConfig::default());
+        let f_single = fitness(&space, &singles, &SearchConfig::default());
         assert!(
             f_fused < f_single,
             "violating fusion must be penalized below singletons \
@@ -582,19 +557,19 @@ void host() {
         let gentle = fitness(
             &space,
             &fused,
-            &Penalty {
-                soft: 0.9,
-                hard: 0.9,
-                ..Penalty::default()
+            &SearchConfig {
+                penalty_soft: 0.9,
+                penalty_hard: 0.9,
+                ..SearchConfig::default()
             },
         );
         let harsh = fitness(
             &space,
             &fused,
-            &Penalty {
-                soft: 0.4,
-                hard: 0.4,
-                ..Penalty::default()
+            &SearchConfig {
+                penalty_soft: 0.4,
+                penalty_hard: 0.4,
+                ..SearchConfig::default()
             },
         );
         assert!(gentle > harsh);

@@ -4,13 +4,22 @@
 //! default parameter file provided."
 //!
 //! `SearchConfig` serializes to/from JSON so the pipeline can emit the
-//! default file and the programmer can amend it between stages.
+//! default file (`sfc --emit-params`) and the programmer can amend it and
+//! pass it back (`sfc --params`).
 
 use serde::{Deserialize, Serialize};
 use sf_plan::CodegenMode;
 
 /// GA configuration. Defaults follow the paper's evaluation settings
 /// (population 100, 500 generations).
+///
+/// This is the one home of the search's settings, penalty weights
+/// included: the objective, the greedy seeds and the island loop read them
+/// here. A pipeline run overwrites `mode` and `block_tuning` with its own
+/// (`sfc --mode`, `--no-tuning`), and zeroes the fission rates under
+/// `--no-fission`, so a parameter file's values for those never reach the
+/// search: `sfc --emit-params` writes `"block_tuning": false` although a
+/// default run tunes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct SearchConfig {
@@ -29,7 +38,8 @@ pub struct SearchConfig {
     /// Lazy fission / defission move probabilities (0 disables fission).
     pub p_fission: f64,
     pub p_defission: f64,
-    /// Penalty multipliers (soft = with fission escape, hard = without).
+    /// Shared-memory penalty multipliers (§4.1): soft for a violating group
+    /// with a fission escape, hard for one without.
     pub penalty_soft: f64,
     pub penalty_hard: f64,
     /// Random-merge steps used to seed each initial individual.
@@ -47,9 +57,10 @@ pub struct SearchConfig {
     /// at generation boundaries.
     pub max_evaluations: u64,
     /// Codegen mode stamped into the lowered [`sf_plan::TransformPlan`]
-    /// (automated vs programmer-guided run).
+    /// (automated vs programmer-guided run); a pipeline run sets it.
     pub mode: CodegenMode,
-    /// Whether the lowered plan requests block-size tuning from codegen.
+    /// Whether the lowered plan requests block-size tuning from codegen; a
+    /// pipeline run sets it.
     pub block_tuning: bool,
     /// Number of islands the population is sharded into. Every run goes
     /// through the one supervised island loop (`crate::islands`): 1 is the

@@ -35,10 +35,11 @@
 //! smallest unit of the other) order, where "maximal" is within the same
 //! factor `1 + 1e-12` of the round's best — so rounding in the running
 //! totals never decides a tie, and a seed is a pure function of the space,
-//! the penalty and its start.
+//! the penalty weights and its start.
 
 use crate::genome::{Individual, Quotient, View};
-use crate::objective::{self, group_terms, Penalty, Terms};
+use crate::objective::{self, group_terms, Terms};
+use crate::params::SearchConfig;
 use crate::projection::Pricer;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -114,14 +115,13 @@ fn key(a: usize, b: usize) -> (usize, usize) {
 }
 
 /// A run's greedy seeds: the climb from the originals and, when the run
-/// may fission and the program is fission-driven — replacing every
-/// fissionable original by its products projects better than the original
-/// program — the climb from that fissioned program.
+/// may fission (`config.p_fission > 0`) and the program is fission-driven —
+/// replacing every fissionable original by its products projects better
+/// than the original program — the climb from that fissioned program.
 pub fn greedy_seeds(
     pricer: &mut Pricer<'_>,
     q: &mut Quotient<'_>,
-    penalty: &Penalty,
-    fission: bool,
+    config: &SearchConfig,
 ) -> Vec<Greedy> {
     let space = pricer.space();
     let originals = Individual::singletons(space);
@@ -130,12 +130,13 @@ pub fn greedy_seeds(
         fissioned.fission(space, unit.id);
     }
     let mut fitness =
-        |ind: &Individual| objective::fitness_with(pricer, &q.view(ind).groups, penalty);
-    let fission_driven =
-        fission && fissioned != originals && fitness(&fissioned) > fitness(&originals);
-    let mut seeds = vec![greedy(pricer, q, penalty, originals)];
+        |ind: &Individual| objective::fitness_with(pricer, &q.view(ind).groups, config);
+    let fission_driven = config.p_fission > 0.0
+        && fissioned != originals
+        && fitness(&fissioned) > fitness(&originals);
+    let mut seeds = vec![greedy(pricer, q, config, originals)];
     if fission_driven {
-        seeds.push(greedy(pricer, q, penalty, fissioned));
+        seeds.push(greedy(pricer, q, config, fissioned));
     }
     seeds
 }
@@ -146,7 +147,7 @@ pub fn greedy_seeds(
 pub fn greedy(
     pricer: &mut Pricer<'_>,
     q: &mut Quotient<'_>,
-    penalty: &Penalty,
+    config: &SearchConfig,
     start: Individual,
 ) -> Greedy {
     let space = pricer.space();
@@ -171,7 +172,7 @@ pub fn greedy(
     for k in 0..view.groups.len() {
         let members = view.groups.members(k);
         debug_assert_eq!(members.len(), 1, "the climb starts from singletons");
-        let t = group_terms(pricer, members, penalty);
+        let t = group_terms(pricer, members, config);
         totals.add(&t);
         terms[members[0]] = Some(t);
     }
@@ -203,7 +204,7 @@ pub fn greedy(
         union.extend_from_slice(of(b));
         union.sort_unstable();
         unions_priced += 1;
-        group_terms(pricer, &union, penalty)
+        group_terms(pricer, &union, config)
     };
     for &a in &eligible {
         for &b in related[a].range(a + 1..) {
@@ -252,7 +253,7 @@ pub fn greedy(
         related[a] = neighbours;
     }
 
-    let gflops = objective::fitness_with(pricer, &view.groups, penalty);
+    let gflops = objective::fitness_with(pricer, &view.groups, config);
     let time_us = objective::projected_time_us_with(pricer, &view.groups);
     Greedy {
         individual: ind,
@@ -343,7 +344,7 @@ void host() {
         greedy(
             &mut pricer,
             &mut q,
-            &Penalty::default(),
+            &SearchConfig::default(),
             Individual::singletons(space),
         )
     }
@@ -358,7 +359,8 @@ void host() {
         let mut pricer = engine.pricer(0);
         let mut q = Quotient::new(&space);
         let singles = q.view(&Individual::singletons(&space));
-        let baseline = objective::fitness_with(&mut pricer, &singles.groups, &Penalty::default());
+        let baseline =
+            objective::fitness_with(&mut pricer, &singles.groups, &SearchConfig::default());
         assert!(seed.gflops > baseline, "{} vs {baseline}", seed.gflops);
         assert_eq!(seed, run(&space), "the seed is a function of the space");
     }
@@ -368,22 +370,21 @@ void host() {
         let space = space_for(crate::objective::fission_benefit_tests::FAT);
         let engine = ProjectionEngine::new(&space);
         let mut q = Quotient::new(&space);
-        let mut seeds =
-            |fission| greedy_seeds(&mut engine.pricer(0), &mut q, &Penalty::default(), fission);
-        let fissioned: Vec<Vec<usize>> = seeds(true)
+        let mut seeds = |config: SearchConfig| greedy_seeds(&mut engine.pricer(0), &mut q, &config);
+        let fissioned: Vec<Vec<usize>> = seeds(SearchConfig::default())
             .iter()
             .map(|s| s.individual.fissioned().to_vec())
             .collect();
         assert_eq!(fissioned, [vec![], vec![0]]);
         assert_eq!(
-            seeds(false).len(),
+            seeds(SearchConfig::default().without_fission()).len(),
             1,
             "a fusion-only run climbs from the originals alone"
         );
         let plain = space_for(CHAIN4);
         let engine = ProjectionEngine::new(&plain);
         let mut q = Quotient::new(&plain);
-        let seeds = greedy_seeds(&mut engine.pricer(0), &mut q, &Penalty::default(), true);
+        let seeds = greedy_seeds(&mut engine.pricer(0), &mut q, &SearchConfig::default());
         assert_eq!(seeds.len(), 1, "nothing to fission");
     }
 

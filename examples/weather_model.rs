@@ -7,12 +7,12 @@
 //! Uses the SCALE-LES analog (the paper's headline application: 142
 //! kernels, 63 arrays at full scale) and demonstrates the programmer-guided
 //! workflow of §3.2: run stage by stage, inspect the DOT graphs and stage
-//! reports, amend the GA parameter file, and compare automated vs guided
-//! outcomes.
+//! reports, give the GA its own parameter file, and compare automated vs
+//! guided outcomes.
 
 use sf_apps::{scale_les, AppConfig};
 use sf_gpusim::device::DeviceSpec;
-use stencilfuse::{Interventions, Pipeline, PipelineConfig, Stage};
+use stencilfuse::{Pipeline, PipelineConfig, Stage};
 
 fn main() {
     // Scaled-down instance so the example runs in seconds.
@@ -55,17 +55,12 @@ fn main() {
     // --- Step 3: programmer-guided run: give the GA a larger budget via
     // the parameter file and use the expert code generator (the §6.2.2
     // interventions that closed the auto-vs-manual gap).
-    let guided_cfg = PipelineConfig::quick(DeviceSpec::k20x()).manual_oracle();
-    let hooks = Interventions {
-        amend_search_config: Some(Box::new(|sc: &mut sf_search::SearchConfig| {
-            sc.population = 48;
-            sc.generations = 120;
-        })),
-        ..Interventions::default()
-    };
+    let mut guided_cfg = PipelineConfig::quick(DeviceSpec::k20x()).manual_oracle();
+    guided_cfg.search.population = 48;
+    guided_cfg.search.generations = 120;
     let guided = Pipeline::new(app.program.clone(), guided_cfg)
         .expect("valid program")
-        .run_with(&hooks)
+        .run()
         .expect("guided run");
     println!(
         "programmer-guided:  speedup {:.3}x, {} launches -> {}",

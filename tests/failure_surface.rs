@@ -145,6 +145,10 @@ fn out_of_bounds() -> String {
     )
 }
 
+/// `DEMO` whose `flux` adds `MIN / -1`, which overflows: the interpreter
+/// traps, as it does on a zero divisor, instead of panicking.
+const INT_OVERFLOW: &str = include_str!("inputs/int_overflow.cu");
+
 /// `flux` sweeps every other plane, which the access analysis refuses.
 fn strided_sweep() -> String {
     demo_with(
@@ -263,6 +267,7 @@ fn rows() -> Vec<Row> {
         row("graph",              Fatal,      Stage::Graphs,     4,  Some(Fatal),      request(&demo_with("upd<<<", "nokernel<<<"), unknown_kernel)),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             fault(lost_reps)),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             request(&out_of_bounds(), quick().strict())),
+        row("profile",            Degradable, Stage::Metadata,   4,  None,             request(INT_OVERFLOW, quick().strict())),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             request(&strided_sweep(), quick().strict())),
         row("profile",            Degradable, Stage::Codegen,    6,  None,             request(&strided_sweep(), replayed_without_profile())),
         row("profile",            Degradable, Stage::Codegen,    6,  None,             request(&out_of_bounds(), replayed_without_profile())),
@@ -299,9 +304,7 @@ fn one_strike() -> BatchOptions {
     BatchOptions {
         breaker: Some(BreakerConfig {
             threshold: 1,
-            window_ms: 60_000,
             cooldown_ms: 60_000,
-            half_open_probes: 1,
         }),
         ..BatchOptions::default()
     }
@@ -430,10 +433,11 @@ fn every_failure_is_reached_with_its_columns() {
     );
 
     // The closed set: 22 combinations. Some are reached more than once — a
-    // trap, a refused access and lost repetitions are all degradable
-    // profile errors, and an empty program and a bad or short preloaded
-    // bundle are all fatal configuration at stage 1 — so the count is
-    // pinned rather than the rows, and a lost combination still shows.
+    // trap (out of bounds or an integer overflow), a refused access and
+    // lost repetitions are all degradable profile errors, and an empty
+    // program and a bad or short preloaded bundle are all fatal
+    // configuration at stage 1 — so the count is pinned rather than the
+    // rows, and a lost combination still shows.
     let mut keys: Vec<_> = rows
         .iter()
         .map(|r| (r.kind, r.class.name(), r.stage))

@@ -602,9 +602,7 @@ fn breaker_trips_on_repeated_failures_and_rejects_with_retry_after() {
         BatchOptions {
             breaker: Some(sf_core::BreakerConfig {
                 threshold: 2,
-                window_ms: 60_000,
                 cooldown_ms: 10_000,
-                half_open_probes: 1,
             }),
             ..BatchOptions::default()
         },
@@ -681,5 +679,66 @@ fn cache_quota_evicts_old_plans_but_requests_always_succeed() {
     // never an error or a torn entry.
     let again = run("first-again", SMALL_APP);
     assert!(again.stats.misses >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Cache envelopes a released build wrote keep serving. `tests/golden/
+/// compat/store/` freezes the store `sfd --cache-quota 1M --quick` left
+/// after compiling `failure_surface.rs`'s `DEMO` once: one committed entry
+/// and the quota journal its publish appended to.
+#[test]
+fn a_frozen_store_is_served_and_evicted_in_its_journals_order() {
+    let frozen = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compat/store");
+    let stem = "ade493c17d0174f4";
+    let bytes = std::fs::read(frozen.join(format!("entries/{stem}.plan"))).expect("frozen entry");
+    let journal = std::fs::read(frozen.join("journal")).expect("frozen journal");
+    let entry = sf_cache::decode(&bytes, None).expect("the frozen entry decodes");
+    assert_eq!(entry.key.hex(), stem);
+    sf_plan::TransformPlan::from_json(&entry.payload).expect("its payload is a plan");
+    assert_eq!(sf_cache::encode(&entry.key, &entry.payload), bytes);
+
+    // A scratch copy, with a newer entry the journal never names beside the
+    // frozen one and a quota with room for two: publishing a third evicts
+    // the unjournaled entry although the frozen one is older by mtime —
+    // the frozen journal decides.
+    let dir = scratch_dir("compat");
+    let entries = dir.join("entries");
+    std::fs::create_dir_all(&entries).expect("scratch store");
+    std::fs::write(dir.join("journal"), &journal).expect("copy the journal");
+    std::fs::write(entries.join(format!("{stem}.plan")), &bytes).expect("copy the entry");
+    let old = std::time::SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000);
+    let copied = std::fs::File::options()
+        .write(true)
+        .open(entries.join(format!("{stem}.plan")));
+    copied
+        .and_then(|f| f.set_modified(old))
+        .expect("age the frozen entry");
+    let key = |n: u8| CacheKey::derive(&format!("program {n}"), "k20x", "compat");
+    let (unjournaled, published) = (key(1), key(2));
+    let envelope = sf_cache::encode(&unjournaled, &entry.payload);
+    std::fs::write(entries.join(format!("{unjournaled}.plan")), &envelope).expect("unjournaled");
+    let options = StoreOptions {
+        quota_bytes: Some(2 * bytes.len().max(envelope.len()) as u64 + 1),
+        ..StoreOptions::default()
+    };
+    let store = PlanStore::open_with(&dir, options).expect("the frozen store opens");
+    let publish = store.publish(&published, &entry.payload).expect("publish");
+    assert_eq!((publish, store.stats().evicted), (Published::Stored, 1));
+    let mut appended = journal;
+    appended.extend_from_slice(format!("{published}\n").as_bytes());
+    assert_eq!(
+        std::fs::read(dir.join("journal")).expect("journal"),
+        appended
+    );
+    assert_eq!(store.lookup(&unjournaled).expect("lookup"), Lookup::Miss);
+    assert_eq!(
+        store.lookup(&entry.key).expect("lookup"),
+        Lookup::Hit(entry)
+    );
+    assert!(store
+        .lookup(&published)
+        .expect("lookup")
+        .payload()
+        .is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }

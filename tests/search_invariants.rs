@@ -16,7 +16,7 @@ use sf_graphs::Precedence;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
 use sf_search::genome::{Groups, Quotient};
-use sf_search::objective::{assumed_block, fitness_with, Penalty};
+use sf_search::objective::{assumed_block, fitness_with};
 use sf_search::seed::{greedy, TIE};
 use sf_search::{search, Individual, ProjectionEngine, SearchConfig, SearchSpace};
 use std::collections::BTreeSet;
@@ -201,11 +201,7 @@ proptest! {
             prop_assert!(ind.feasible(&space), "move broke feasibility");
         }
         // Fitness must be finite and non-negative for any feasible state.
-        let f = sf_search::objective::fitness(
-            &space,
-            &ind,
-            &sf_search::objective::Penalty::default(),
-        );
+        let f = sf_search::objective::fitness(&space, &ind, &SearchConfig::default());
         prop_assert!(f.is_finite() && f >= 0.0);
     }
 }
@@ -423,7 +419,7 @@ fn start(space: &SearchSpace, fission: bool) -> Individual {
 /// it. Returns the merges and the final genome.
 fn reference_greedy(
     space: &SearchSpace,
-    penalty: &Penalty,
+    config: &SearchConfig,
     mut ind: Individual,
 ) -> (Vec<(usize, usize)>, Individual) {
     let engine = ProjectionEngine::new(space);
@@ -431,7 +427,7 @@ fn reference_greedy(
     let mut fitness = |ind: &Individual| {
         let mut groups = Groups::default();
         groups.regroup(ind);
-        fitness_with(&mut pricer, &groups, penalty)
+        fitness_with(&mut pricer, &groups, config)
     };
     let mut merges = Vec::new();
     loop {
@@ -500,11 +496,11 @@ proptest! {
         let space = window(&cases[case % cases.len()], start_at, width);
         let from = start(&space, fission == 1);
         prop_assert!(from.feasible(&space), "every start is feasible");
-        let penalty = Penalty::default();
+        let config = SearchConfig::default();
         let engine = ProjectionEngine::new(&space);
         let mut q = Quotient::new(&space);
-        let seed = greedy(&mut engine.pricer(0), &mut q, &penalty, from.clone());
-        let (merges, ind) = reference_greedy(&space, &penalty, from);
+        let seed = greedy(&mut engine.pricer(0), &mut q, &config, from.clone());
+        let (merges, ind) = reference_greedy(&space, &config, from);
         prop_assert_eq!(&seed.merges, &merges);
         prop_assert_eq!(&seed.individual, &ind);
         prop_assert!(seed.individual.feasible(&space));
