@@ -634,7 +634,7 @@ fn collect_expr(
 
 /// Names of all float-typed local variables in a kernel body
 /// (flow-insensitive; minicuda kernels do not shadow).
-pub fn float_locals(body: &[Stmt]) -> std::collections::HashSet<String> {
+pub(crate) fn float_locals(body: &[Stmt]) -> std::collections::HashSet<String> {
     let mut out = std::collections::HashSet::new();
     sf_minicuda::visit::walk_stmts(body, &mut |s| {
         if let Stmt::VarDecl { name, ty, .. } = s {
@@ -650,12 +650,15 @@ pub fn float_locals(body: &[Stmt]) -> std::collections::HashSet<String> {
 /// index arithmetic is free; only operations on floating operands count
 /// (array elements, float literals, float locals, intrinsic results).
 /// Returns the flop count; see [`expr_flops_typed`] for the float-ness too.
-pub fn expr_flops(e: &Expr, floats: &std::collections::HashSet<String>) -> u64 {
+pub(crate) fn expr_flops(e: &Expr, floats: &std::collections::HashSet<String>) -> u64 {
     expr_flops_typed(e, floats).0
 }
 
 /// Type-aware flop counting: returns `(flops, is_float)`.
-pub fn expr_flops_typed(e: &Expr, floats: &std::collections::HashSet<String>) -> (u64, bool) {
+pub(crate) fn expr_flops_typed(
+    e: &Expr,
+    floats: &std::collections::HashSet<String>,
+) -> (u64, bool) {
     match e {
         Expr::Int(_) | Expr::Builtin(_) => (0, false),
         Expr::Float(_) => (0, true),

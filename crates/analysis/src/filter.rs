@@ -169,14 +169,8 @@ mod tests {
         OpsMetadata {
             kernel: format!("k{seq}"),
             seq,
-            shapes: vec![],
-            sweeps: 1,
             loop_sizes: vec![32],
-            nest_depth: 1,
             sites,
-            shared_arrays: vec![],
-            flops_per_array: BTreeMap::new(),
-            access_stride: 1,
             bytes_per_array: BTreeMap::new(),
         }
     }

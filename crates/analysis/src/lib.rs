@@ -13,8 +13,6 @@
 //! - [`access`] — sweep and access-pattern extraction: stencil offsets per
 //!   array, guard bounds, iteration domains, and the per-block DRAM
 //!   footprint model used for traffic accounting.
-//! - [`stencil`] — stencil-shape summaries (radius per axis, point count).
-//! - [`flops`] — analytic floating-point operation counts.
 //! - [`roofline`] — operational intensity and the Roofline classifier used
 //!   to exclude compute-bound kernels (§3.2.2).
 //! - [`filter`] — target-kernel identification (excluding compute-bound and
@@ -25,11 +23,9 @@
 pub mod access;
 pub mod dependence;
 pub mod filter;
-pub mod flops;
 pub mod metadata;
 pub mod roles;
 pub mod roofline;
-pub mod stencil;
 
 pub use access::{AccessError, ArrayAccess, IdxBase, IdxPat, KernelAccess, Sweep};
 pub use filter::{FilterDecision, FilterReason};

@@ -127,48 +127,18 @@ impl Default for MeasureQuality {
     }
 }
 
-/// Stencil-shape summary for one array in one kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
-pub struct StencilShape {
-    pub array: String,
-    /// Number of array dimensions at the access sites.
-    pub rank: usize,
-    /// Neighborhood radius per axis (max |offset|), slowest axis first.
-    pub radius: Vec<i64>,
-    /// Number of distinct stencil points.
-    pub points: usize,
-    /// Whether the kernel writes this array.
-    pub written: bool,
-    /// Whether the kernel reads this array.
-    pub read: bool,
-}
-
-/// Per-kernel operations metadata from static analysis: stencil shapes,
-/// loop sizes, access strides, shared arrays, FLOPs per array (§3.2.1).
+/// Per-launch operations metadata from static analysis (§3.2.1): the loop
+/// sizes, iteration sites and DRAM bytes per array the filter and the
+/// search read.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct OpsMetadata {
     pub kernel: String,
     pub seq: usize,
-    /// Stencil shape per accessed array.
-    pub shapes: Vec<StencilShape>,
-    /// Number of sweeps (top-level vertical loops / planar statement groups).
-    pub sweeps: usize,
     /// Evaluated vertical loop sizes per sweep (0 for planar sweeps).
     pub loop_sizes: Vec<i64>,
-    /// Deepest loop-nest depth (1 = single vertical loop).
-    pub nest_depth: usize,
     /// Iteration sites per execution.
     pub sites: u64,
-    /// Arrays (actual names) this launch shares with at least one other
-    /// launch in the program.
-    pub shared_arrays: Vec<String>,
-    /// FLOPs attributable to statements writing each array.
-    pub flops_per_array: BTreeMap<String, u64>,
-    /// The access stride along the fastest-varying axis (1 for the
-    /// supported coalesced stencil class).
-    pub access_stride: i64,
     /// DRAM bytes per actual array (read, write) for one execution —
     /// consumed by the codeless performance-projection objective.
     pub bytes_per_array: BTreeMap<String, (u64, u64)>,

@@ -66,7 +66,8 @@ stencilfuse::option_table! {
              replaces the preset's search budget, and explicit\n\
              flags (--islands, --max-temporal, ...) override it");
         EMIT_PARAMS = Opt::valued("--emit-params", "FILE", "parameter file",
-            "write the default GA parameter file and exit");
+            "write the GA parameters a default run searches\n\
+             with and exit");
         EMIT_DDG = Opt::valued("--emit-ddg", "FILE", "DDG",
             "write the data dependency graph as DOT");
         EMIT_OEG = Opt::valued("--emit-oeg", "FILE", "OEG",
@@ -230,8 +231,8 @@ fn main() {
         return;
     }
     if let Some(path) = args.value(&EMIT_PARAMS) {
-        let text = serde_json::to_string_pretty(&sf_search::SearchConfig::default())
-            .expect("serializable");
+        let params = PipelineConfig::automated(DeviceSpec::k20x()).search_config();
+        let text = serde_json::to_string_pretty(&params).expect("serializable");
         std::fs::write(path, text)
             .unwrap_or_else(|e| usage_error(format_args!("write {path}: {e}")));
         println!("default GA parameter file written to {path}");

@@ -164,6 +164,23 @@ impl PipelineConfig {
         self
     }
 
+    /// The parameters this run searches with: [`Self::search`] stamped
+    /// with the run's codegen settings (`mode`, `block_tuning`) so the plan
+    /// the search lowers reflects them, and with the fission rates zeroed
+    /// when fission is off.
+    pub fn search_config(&self) -> SearchConfig {
+        let search = SearchConfig {
+            mode: self.mode,
+            block_tuning: self.block_tuning,
+            ..self.search.clone()
+        };
+        if self.enable_fission {
+            search
+        } else {
+            search.without_fission()
+        }
+    }
+
     /// Disable block tuning.
     pub fn without_tuning(mut self) -> PipelineConfig {
         self.block_tuning = false;

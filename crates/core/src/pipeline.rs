@@ -802,14 +802,7 @@ impl<'a> Run<'a> {
                 return self.fall_back_to_original(r, err, "no search space", why);
             }
         };
-        let mut search_cfg = cfg.search.clone();
-        // The plan the search lowers must reflect this run's codegen
-        // settings.
-        search_cfg.mode = cfg.mode;
-        search_cfg.block_tuning = cfg.block_tuning;
-        if !cfg.enable_fission {
-            search_cfg = search_cfg.without_fission();
-        }
+        let mut search_cfg = cfg.search_config();
         let Some(population_bytes) = self.admit_search(r, &mut search_cfg)? else {
             return Ok(Next::KeepOriginal);
         };

@@ -71,39 +71,42 @@ fn transforms_emits_artifacts_and_verifies() {
     assert_eq!(bundle.perf.len(), 2);
 }
 
+/// Runs `sfc` on DEMO with `args` and returns its `-o` output.
+fn demo_output(name: &str, args: &[&str]) -> String {
+    let input = tmp(&format!("{name}.cu"));
+    std::fs::write(&input, DEMO).unwrap();
+    let out = tmp(&format!("{name}_out.cu"));
+    let status = sfc()
+        .arg(&input)
+        .args(args)
+        .arg("-o")
+        .arg(&out)
+        .status()
+        .expect("sfc runs");
+    assert!(status.success(), "sfc {args:?}");
+    std::fs::read_to_string(&out).unwrap()
+}
+
 #[test]
 fn metadata_round_trip_via_cli() {
-    let input = tmp("demo2.cu");
-    std::fs::write(&input, DEMO).unwrap();
     let md = tmp("demo2_md.json");
-    // First run: metadata only.
-    let status = sfc()
-        .args([
-            input.to_str().unwrap(),
-            "--quick",
-            "--until",
-            "metadata",
-            "--emit-metadata",
-            md.to_str().unwrap(),
-            "-o",
-            tmp("demo2_null.cu").to_str().unwrap(),
-        ])
-        .status()
-        .expect("sfc runs");
-    assert!(status.success());
-    // Second run: from the emitted metadata.
-    let out = sfc()
-        .args([
-            input.to_str().unwrap(),
-            "--quick",
-            "--metadata",
-            md.to_str().unwrap(),
-            "-o",
-            tmp("demo2_fused.cu").to_str().unwrap(),
-        ])
-        .status()
-        .expect("sfc runs");
-    assert!(out.success());
+    let md = md.to_str().unwrap();
+    let direct = demo_output("demo2_direct", &["--quick"]);
+    // First run: metadata only. Second run: from the emitted metadata.
+    demo_output(
+        "demo2_md",
+        &["--quick", "--until", "metadata", "--emit-metadata", md],
+    );
+    let replayed = demo_output("demo2_replay", &["--quick", "--metadata", md]);
+    assert_eq!(replayed, direct, "the round trip changed the output");
+    // A bundle an older build wrote, with operations metadata fields this
+    // build no longer reads, still loads and gives the same output.
+    let frozen = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/compat/demo.metadata.json"
+    );
+    let old = demo_output("demo2_frozen", &["--quick", "--metadata", frozen]);
+    assert_eq!(old, direct, "the frozen bundle changed the output");
 }
 
 #[test]
@@ -216,7 +219,9 @@ fn plan_replay_reproduces_output_byte_for_byte() {
 }
 
 #[test]
-fn emit_params_writes_default_file() {
+fn emit_params_writes_what_a_default_run_searches_with() {
+    use sf_gpusim::device::DeviceSpec;
+    use stencilfuse::{Pipeline, PipelineConfig};
     let path = tmp("params.json");
     let status = sfc()
         .args(["--emit-params", path.to_str().unwrap()])
@@ -225,7 +230,14 @@ fn emit_params_writes_default_file() {
     assert!(status.success());
     let cfg: sf_search::SearchConfig =
         serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(cfg.population, 100);
+    let default = PipelineConfig::automated(DeviceSpec::k20x());
+    assert_eq!(cfg, default.search_config());
+    // The stamped settings are the ones the plan of a default run carries.
+    let program = sf_minicuda::parse_program(DEMO).unwrap();
+    let run = Pipeline::new(program, default).unwrap().run().unwrap();
+    let plan = run.planned().expect("a default run searches");
+    assert_eq!((cfg.block_tuning, cfg.mode), (plan.block_tuning, plan.mode));
+    assert!(cfg.block_tuning, "a default run tunes");
 }
 
 #[test]

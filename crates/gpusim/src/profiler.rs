@@ -14,7 +14,6 @@ use crate::memory::GlobalMemory;
 use crate::timing::{LaunchCost, LaunchProfile, TimingModel};
 use sf_analysis::access::{self, BoundTraffic, KernelAccess};
 use sf_analysis::metadata::{MetadataBundle, OpsMetadata, PerfMetadata};
-use sf_analysis::{flops, stencil};
 use sf_minicuda::ast::{Kernel, Program};
 use sf_minicuda::host::{AllocInfo, Dim3, ExecutablePlan, LaunchRecord, ResolvedArg};
 use std::collections::HashMap;
@@ -288,14 +287,6 @@ impl Profiler {
             analyses.insert(k.name.clone(), KernelAccess::analyze(k)?);
         }
 
-        // Which actual arrays are used by more than one static launch.
-        let mut users: HashMap<String, Vec<usize>> = HashMap::new();
-        for l in &plan.launches {
-            for a in l.array_args() {
-                users.entry(a.to_string()).or_default().push(l.seq);
-            }
-        }
-
         let alloc_of = |n: &str| plan.alloc(n).cloned();
         let mut perf = Vec::new();
         let mut ops = Vec::new();
@@ -311,14 +302,8 @@ impl Profiler {
                 .as_ref()
                 .map(|stats| (&stats[launch.seq], occurrences[launch.seq].max(1)));
             let ka = &analyses[&launch.kernel];
-            let (p, mut o, cost) = self.profile_launch(kernel, ka, launch, &alloc_of, stats)?;
+            let (p, o, cost) = self.profile_launch(kernel, ka, launch, &alloc_of, stats)?;
             total_us += p.runtime_us * launch.repeat as f64;
-            o.shared_arrays = launch
-                .array_args()
-                .iter()
-                .filter(|a| users.get(**a).map(|u| u.len() > 1).unwrap_or(false))
-                .map(|a| a.to_string())
-                .collect();
             perf.push(p);
             ops.push(o);
             costs.push(cost);
@@ -341,8 +326,6 @@ impl Profiler {
     /// as `ka`), priced alone: `alloc_of` resolves its arrays, and
     /// `measured` carries the functional run's statistics with the
     /// launch's occurrence count (`None` charges the analytic estimate).
-    /// Which arrays other launches share is a whole-program fact, so
-    /// [`OpsMetadata::shared_arrays`] is left empty.
     pub fn profile_launch(
         &self,
         kernel: &Kernel,
@@ -358,12 +341,6 @@ impl Profiler {
         let traffic = pricer.traffic().traffic(launch.grid, launch.block);
         let regs = pricer.regs_per_thread();
         let smem = ka.smem_bytes_per_block();
-        let nest_depth = 1 + ka
-            .sweeps
-            .iter()
-            .map(|s| s.inner_loops.len())
-            .max()
-            .unwrap_or(0);
 
         // Measured or estimated divergence / flops.
         let (flops_exec, divergent_evals, div_fraction) = match measured {
@@ -409,14 +386,8 @@ impl Profiler {
         let ops = OpsMetadata {
             kernel: launch.kernel.clone(),
             seq: launch.seq,
-            shapes: stencil::stencil_shapes(ka),
-            sweeps: ka.sweeps.len(),
             loop_sizes: pricer.traffic().loop_sizes().collect(),
-            nest_depth,
             sites: traffic.sites,
-            shared_arrays: Vec::new(),
-            flops_per_array: flops::flops_per_array(kernel),
-            access_stride: 1,
             bytes_per_array: traffic
                 .per_array
                 .iter()
@@ -525,15 +496,6 @@ mod tests {
             ProfileError::msg("plain").to_string(),
             "profile error: plain"
         );
-    }
-
-    #[test]
-    fn shared_arrays_detected() {
-        let p = jacobi_program();
-        let out = Profiler::new(DeviceSpec::k20x()).profile(&p).unwrap();
-        // v is written by step1 and read by step2.
-        assert_eq!(out.metadata.ops[0].shared_arrays, vec!["v".to_string()]);
-        assert_eq!(out.metadata.ops[1].shared_arrays, vec!["v".to_string()]);
     }
 
     #[test]

@@ -15,11 +15,11 @@ use sf_plan::CodegenMode;
 ///
 /// This is the one home of the search's settings, penalty weights
 /// included: the objective, the greedy seeds and the island loop read them
-/// here. A pipeline run overwrites `mode` and `block_tuning` with its own
-/// (`sfc --mode`, `--no-tuning`), and zeroes the fission rates under
-/// `--no-fission`, so a parameter file's values for those never reach the
-/// search: `sfc --emit-params` writes `"block_tuning": false` although a
-/// default run tunes.
+/// here. A pipeline run stamps `mode` and `block_tuning` with its own
+/// (`sfc --mode`, `--no-tuning`) and zeroes the fission rates under
+/// `--no-fission` (`PipelineConfig::search_config`), so a parameter file's
+/// values for those never reach the search. `sfc --emit-params` writes the
+/// stamped parameters of a default run, so its `"block_tuning"` is `true`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[allow(missing_docs)] // fields/variants carry descriptive names; see the type doc
 pub struct SearchConfig {

@@ -412,8 +412,7 @@ void host() {
     /// binds, reads as the whole program codegen emits when it fissions
     /// every fissionable target does under an analytic profile — the way
     /// the space once read its products. The emitted program numbers its
-    /// launches afresh and knows which arrays other launches share, so
-    /// `seq` and `shared_arrays` are the only fields taken from the unit.
+    /// launches afresh, so `seq` is the only field taken from the unit.
     /// Returns the number of products checked and how many of them run on
     /// a redundant array instance.
     fn products_read_as_the_fissioned_program(p: &Program) -> (usize, usize) {
@@ -465,7 +464,6 @@ void host() {
             assert_eq!(unit.perf, perf, "{}", unit.label);
             let ops = OpsMetadata {
                 seq: unit.ops.seq,
-                shared_arrays: unit.ops.shared_arrays.clone(),
                 ..oracle.ops[idx].clone()
             };
             let bytes = &ops.bytes_per_array;

@@ -41,6 +41,10 @@
 //! stood for. Every other row passed untouched. The `lost-reps-*` rows were
 //! re-blessed again when the transient class was retired: a lost profile
 //! is degradable, so its class and the degradation line naming it moved.
+//! The `artifacts` column of every row that carries a metadata bundle was
+//! re-blessed when the operations metadata dropped the six summaries no
+//! stage read (stencil shapes, sweeps, nest depth, shared arrays, FLOPs
+//! per array, access stride); no other column of any row moved.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`

@@ -15,12 +15,13 @@
 //!
 //! The fixture was last generated when the first population gained the
 //! greedy fusion seed, so a change to the search's data structures that
-//! is meant to keep every trajectory must leave it untouched. Beside it lie
-//! frozen checkpoints (quick budget, killed after epoch 2), one per schema
-//! version and island count (`awp-odc.i{1,3}.v{2,3,4,5}.ckpt`): the current
-//! version's must keep resuming to the plan the uninterrupted run emits,
-//! and every older one must be rejected with its version named. They are
-//! frozen bytes: nothing regenerates them.
+//! is meant to keep every trajectory must leave it untouched.
+//! `tests/golden/compat/checkpoints/` holds frozen checkpoints (quick
+//! budget, killed after epoch 2), one per schema version and island count
+//! (`awp-odc.i{1,3}.v{1,2,3,4,5}.ckpt`): the current version's must keep
+//! resuming to the plan the uninterrupted run emits, and every older one
+//! must be rejected with its version named. They are frozen bytes: nothing
+//! regenerates them.
 //!
 //! To regenerate the text fixture after an intentional change to the
 //! search: `UPDATE_GOLDEN=1 cargo test --release --test search_golden`
@@ -203,13 +204,14 @@ trajectories_match_the_parent_generated_fixture! {
     scale_les_ts_trajectories: "scale-les-ts",
 }
 
-/// Copy a frozen checkpoint out of the fixture directory (a resume may
+/// Copy a frozen checkpoint out of the compat corpus (a resume may
 /// rewrite nothing, but the fixture must not depend on that).
 fn thawed(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sf-search-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let to = dir.join(name);
-    std::fs::copy(golden_dir().join(name), &to).expect("frozen checkpoint present");
+    let frozen = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compat/checkpoints");
+    std::fs::copy(frozen.join(name), &to).expect("frozen checkpoint present");
     to
 }
 
@@ -258,24 +260,32 @@ fn rejected_and_restarted(version: u32) {
     }
 }
 
+/// Checkpoints the parent of the one-driver search wrote (schema version
+/// 1): per-island mirror structs with a millisecond wall counter, ranked
+/// in genome order.
+#[test]
+fn v1_checkpoints_are_rejected_and_restart_to_the_uninterrupted_plan() {
+    rejected_and_restarted(1);
+}
+
 /// Checkpoints the parent of the legality verdict wrote (schema version
 /// 2): their scores were priced without codegen's verdict.
 #[test]
-fn parent_written_v2_checkpoints_resume_to_the_uninterrupted_plan() {
+fn v2_checkpoints_are_rejected_and_restart_to_the_uninterrupted_plan() {
     rejected_and_restarted(2);
 }
 
 /// Checkpoints the parent of the greedy seed wrote (schema version 3):
 /// their populations were bred from a first generation without it.
 #[test]
-fn v3_checkpoints_resume_to_the_uninterrupted_plan() {
+fn v3_checkpoints_are_rejected_and_restart_to_the_uninterrupted_plan() {
     rejected_and_restarted(3);
 }
 
 /// Checkpoints the parent of the retry removal wrote (schema version 4):
 /// their fingerprints carry the search's `eval_retries`.
 #[test]
-fn v4_checkpoints_resume_to_the_uninterrupted_plan() {
+fn v4_checkpoints_are_rejected_and_restart_to_the_uninterrupted_plan() {
     rejected_and_restarted(4);
 }
 
