@@ -37,7 +37,7 @@
 //! runs. Its top-level `&&` operands are *conjuncts* ([`Conjunct`]),
 //! interned across the kernel so structurally equal ones share an id, each
 //! with the int slots it reads; the `if` carries their ids, and the
-//! interpreter keeps one truth column per conjunct and recomputes it only
+//! interpreter keeps one truth mask per conjunct and recomputes it only
 //! when the block changes or a slot it reads is written. An `if` outside
 //! every loop runs at most once per block and keeps no ids.
 
@@ -210,7 +210,7 @@ pub struct Conjunct {
     /// The pure expression.
     pub expr: CExpr,
     /// The int slots it reads, each once: a write to one of them makes its
-    /// truth column stale.
+    /// truth mask stale.
     pub reads: Vec<u16>,
 }
 

@@ -14,26 +14,35 @@
 //! one element per lane), `threadIdx` is a table built once per launch, and
 //! each statement part (a right-hand side, a store's indices, a condition,
 //! a `for` init or step) runs in one of two evaluators, as its
-//! [`Part`] marker says:
+//! [`Part`] marker says.
+//!
+//! **Lane masks** are bitsets of a fixed capacity: 1024 lanes (CUDA's
+//! threads per block, which the host plan enforces too) in 64-lane words,
+//! lane `t` at bit `t % 64` of word `t / 64`. Liveness, guards, branch and
+//! warp counting and a part's lane selection work a word at a time; a
+//! launch whose block holds more lanes traps before it runs.
 //!
 //! - the **column evaluator** (`Machine::col`) evaluates a pure or
-//!   statically typed part once over a selection of lanes. A node evaluates
-//!   into its own register column and its operands into the registers
-//!   above it; arithmetic runs over every lane of the block when at least
-//!   half are selected (such loops vectorise) and over the selected lanes'
-//!   indices otherwise, loads only over the lanes selected, and each
-//!   ternary arm over the lanes that take it, so an untaken arm never
-//!   loads. A **pure** part (integer leaves, wrapping `+ - *`, comparisons,
-//!   `&& || !`, ternaries) touches no counter, hazard log, memory cell or
-//!   trap, so it runs over every lane of the block whatever the mask, and
-//!   its result is applied under the mask. A **typed** part runs over the
-//!   active lanes: each index column is range-checked once (its minimum and
-//!   maximum over the lanes), flops and reads are charged as *active lanes
-//!   × ops* to a pending tally, and the hazard checks run over the offsets
-//!   in tight loops. It **commits** — tally, shared-read log, stores — only
-//!   if no lane would trap (out of bounds, an int `/ %` by zero or
-//!   overflow) and no lane would report a hazard the launch's list still
-//!   has room for;
+//!   statically typed part once over a *selection* of lanes. A node
+//!   evaluates into its own register column and its operands into the
+//!   registers above it. Registers are compacted over the selection: entry
+//!   `i` belongs to its `i`-th lane, so arithmetic, index flattening and the
+//!   range check are dense loops over the selected lanes only. A selection
+//!   of every lane reads slot and `threadIdx` columns in place; any other
+//!   gathers each such column once per part, at its first leaf, into a leaf
+//!   column. Loads and stores are the only scatters, through the flattened
+//!   offsets; each ternary arm runs over the lanes that take it, so an
+//!   untaken arm never loads. A **pure** part (integer leaves, wrapping
+//!   `+ - *`, comparisons, `&& || !`, ternaries) touches no counter, hazard
+//!   log, memory cell or trap, so it runs over every lane of the block
+//!   whatever the mask, and its result is applied under the mask. A
+//!   **typed** part runs over the active lanes: each index column is
+//!   range-checked in the pass that flattens it, flops and reads are charged
+//!   as *active lanes × ops* to a pending tally, and the hazard checks run
+//!   over the offsets in tight loops. It **commits** — tally, shared-read
+//!   log, stores — only if no lane would trap (out of bounds, an int `/ %`
+//!   by zero or overflow) and no lane would report a hazard the launch's
+//!   list still has room for;
 //! - otherwise nothing was committed, and the statement runs **per thread
 //!   in thread order** from the unchanged state in the one evaluator
 //!   (`Machine::eval`), which is the only source of trap and hazard text.
@@ -42,21 +51,30 @@
 //!   produced. An untyped part (a value slot, a ternary whose arms differ
 //!   in type) always takes this path.
 //!
+//! **Shared-memory logs** hold one word per tile cell, for its last writer
+//! and its last reader: a tick of the interpreter's clock (monotonic over
+//! its life) above the access's warp (`stamp`). A barrier or a new block
+//! starts an epoch at a fresh tick, and an access races with a logged one
+//! that is later than the epoch's start and from another warp. A typed part
+//! stamps all its accesses with one tick of its own and stages each shared
+//! read as one word (cell and warp); on commit each cell takes the larger
+//! of its stamp and the part's, which is the part's reader of the highest
+//! warp — the last in thread order — since every logged stamp is older.
+//!
 //! **Memoized guards.** A pure `if` condition inside a `for` body carries
 //! the ids of its top-level `&&` conjuncts ([`crate::compile`]). The pools
-//! keep one truth column per conjunct, computed over every lane of the
-//! block and stamped with the tick of a clock that is monotonic over the
-//! interpreter's life, like the barrier epoch. The clock also stamps each
-//! block's start (so a new block or launch invalidates every column) and,
+//! keep one truth mask per conjunct, computed over every lane of the block
+//! and stamped with a tick of the same clock. The clock also stamps each
+//! block's start (so a new block or launch invalidates every mask) and,
 //! in a kernel that has conjuncts, each write of an int slot (`assign_col`,
-//! `set_slot`, `step`). A column
-//! is fresh while its stamp is later than the block's start and than the
-//! last write of every slot its conjunct reads: one that reads only
-//! loop-invariant slots, builtins and scalar parameters is computed once
-//! per block, one that reads the loop variable or a slot the body assigns
-//! again after each write. The then-mask is the active mask ANDed with the
-//! columns. A pure part has no observable effect, so when it is computed
-//! is unobservable, and nothing a run reports moves.
+//! `set_slot`, `step`). A mask is fresh while its stamp is later than the
+//! block's start and than the last write of every slot its conjunct reads:
+//! one that reads only loop-invariant slots, builtins and scalar parameters
+//! is computed once per block, one that reads the loop variable or a slot
+//! the body assigns again after each write. The then-mask is the active
+//! mask ANDed with the conjuncts' masks. A pure part has no observable
+//! effect, so when it is computed is unobservable, and nothing a run
+//! reports moves.
 //!
 //! Both paths pin which NaN a commutative `+`/`*` returns (`nan_first`),
 //! since a vectorised loop may hand the hardware the operands in the other
@@ -66,9 +84,9 @@
 //!
 //! There is no unchecked mode and no switch for one: bounds, hazard and
 //! race checks run on every access of every run. Block-sized state
-//! (columns, registers, lane selections, masks, tiles, the hazard logs) is
-//! pooled across statements, blocks and launches; bound arrays are checked
-//! out of [`GlobalMemory`] for the duration of a launch.
+//! (columns, registers, lane selections, tiles, the hazard logs) is pooled
+//! across statements, blocks and launches; bound arrays are checked out of
+//! [`GlobalMemory`] for the duration of a launch.
 //!
 //! The interpreter also performs the checks the paper relies on:
 //! - output verification — callers compare memory images of original vs
@@ -374,11 +392,17 @@ impl<'p> Interpreter<'p> {
         base: &BaseSlots,
         bound: &mut [(String, DeviceArray)],
     ) -> Result<LaunchStats, ExecError> {
+        let lanes = launch.block.count() as usize;
+        if lanes > MAX_LANES {
+            return Err(ExecError::trap(format!(
+                "block of {lanes} threads in `{}` exceeds the interpreter's limit of {MAX_LANES}",
+                launch.kernel
+            )));
+        }
         let mut stats = LaunchStats {
             threads: launch.grid.count() * launch.block.count(),
             ..LaunchStats::default()
         };
-        let lanes = launch.block.count() as usize;
         let mut pools = self.pools.take();
         pools.prepare_launch(ck, launch.block, bound.len());
 
@@ -397,6 +421,8 @@ impl<'p> Interpreter<'p> {
             nvals: base.vals.len(),
             p: pools,
             pending: Pending::default(),
+            full: Mask::first(lanes),
+            alive: Mask::first(lanes),
             any_returned: false,
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
@@ -410,9 +436,8 @@ impl<'p> Interpreter<'p> {
                     for bx in 0..launch.grid.x {
                         self.charge_steps(lanes as u64)?;
                         machine.reset_block(Dim3::new(bx, by, bz), block_linear, base);
-                        let full = std::mem::take(&mut machine.p.full);
+                        let full = machine.full;
                         machine.exec_stmts(&ck.body, &full, true)?;
-                        machine.p.full = full;
                         if machine.track_footprint {
                             machine.flush_footprint();
                         }
@@ -453,7 +478,102 @@ struct BaseSlots {
     vals: Vec<Value>,
 }
 
-/// One value per lane: a constant, or a column.
+/// The most lanes a block may have: CUDA's 1024 threads per block, the
+/// limit the host plan enforces too. Every lane mask has this capacity.
+const MAX_LANES: usize = 1024;
+
+/// A set of lanes of one block, one bit per lane: lane `t` is bit `t % 64`
+/// of word `t / 64`. Bits at and above the block's lane count are clear.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Mask([u64; MAX_LANES / 64]);
+
+impl Mask {
+    const EMPTY: Mask = Mask([0; MAX_LANES / 64]);
+
+    /// Lanes `0..n`.
+    fn first(n: usize) -> Mask {
+        let mut m = Mask::EMPTY;
+        for (w, word) in m.0.iter_mut().enumerate() {
+            *word = match n.saturating_sub(w * 64) {
+                r if r >= 64 => u64::MAX,
+                r => (1 << r) - 1,
+            };
+        }
+        m
+    }
+
+    /// The lanes `t` of the block's `n` where `f(a[t], b[t])` holds.
+    fn of(a: Lanes<'_>, b: Lanes<'_>, n: usize, f: impl Fn(i64, i64) -> bool) -> Mask {
+        let mut m = Mask::EMPTY;
+        for (w, word) in m.0.iter_mut().enumerate().take(n.div_ceil(64)) {
+            let t0 = w * 64;
+            let bit = |t: usize| (f(a.at(t), b.at(t)) as u64) << (t - t0);
+            *word = (t0..n.min(t0 + 64)).fold(0, |bits, t| bits | bit(t));
+        }
+        m
+    }
+
+    fn any(&self) -> bool {
+        self.0.iter().any(|&w| w != 0)
+    }
+
+    fn set(&mut self, t: usize) {
+        self.0[t / 64] |= 1 << (t % 64);
+    }
+
+    fn and(mut self, other: &Mask) -> Mask {
+        for (w, &o) in self.0.iter_mut().zip(&other.0) {
+            *w &= o;
+        }
+        self
+    }
+
+    fn and_not(mut self, other: &Mask) -> Mask {
+        for (w, &o) in self.0.iter_mut().zip(&other.0) {
+            *w &= !o;
+        }
+        self
+    }
+
+    /// The lanes in the set, in increasing order.
+    fn ones(&self) -> Ones<'_> {
+        Ones {
+            words: &self.0,
+            w: 0,
+            bits: self.0[0],
+        }
+    }
+
+    /// How many 32-lane warps have a lane in the set.
+    fn warps(&self) -> u64 {
+        let halves = |w: u64| (w as u32 != 0) as u64 + ((w >> 32) != 0) as u64;
+        self.0.iter().map(|&w| halves(w)).sum()
+    }
+}
+
+/// [`Mask::ones`]: word `w`'s bits not yet visited are `bits`.
+struct Ones<'a> {
+    words: &'a [u64],
+    w: usize,
+    bits: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.w += 1;
+            self.bits = *self.words.get(self.w)?;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.w * 64 + b)
+    }
+}
+
+/// One value per entry: a constant, or a column.
 #[derive(Clone, Copy)]
 enum Lanes<'a, T = i64> {
     Const(T),
@@ -462,15 +582,15 @@ enum Lanes<'a, T = i64> {
 
 impl<T: Copy> Lanes<'_, T> {
     #[inline]
-    fn at(self, t: usize) -> T {
+    fn at(self, i: usize) -> T {
         match self {
             Lanes::Const(c) => c,
-            Lanes::Col(col) => col[t],
+            Lanes::Col(col) => col[i],
         }
     }
 }
 
-/// `dst[t] = f(a[t])` for every lane.
+/// `dst[i] = f(a[i])` for every entry of `dst`.
 fn map1<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, f: impl Fn(T) -> U) {
     match a {
         Lanes::Const(x) => dst.fill(f(x)),
@@ -482,8 +602,8 @@ fn map1<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, f: impl Fn(T) -> U) {
     }
 }
 
-/// `dst[t] = f(a[t], b[t])` for every lane; a constant operand is never
-/// materialised as a column.
+/// `dst[i] = f(a[i], b[i])` for every entry of `dst`; a constant operand is
+/// never materialised as a column.
 fn map2<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, b: Lanes<'_, T>, f: impl Fn(T, T) -> U) {
     match (a, b) {
         (Lanes::Col(a), Lanes::Col(b)) => {
@@ -496,11 +616,56 @@ fn map2<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, b: Lanes<'_, T>, f: im
     }
 }
 
-/// `dst[t] = f(a[t])` in the lanes `mask` selects.
-fn masked<T: Copy, U: Copy>(dst: &mut [U], a: Lanes<'_, T>, mask: &[bool], f: impl Fn(T) -> U) {
-    for (t, (d, &m)) in dst.iter_mut().zip(mask).enumerate() {
-        if m {
-            *d = f(a.at(t));
+/// `x < y` as 1 or 0, from the sign of `x - y` corrected for overflow
+/// (Hacker's Delight 2-12). It has no branch and no 64-bit signed compare,
+/// which the baseline x86-64 target lacks in vector form, so a loop of
+/// these can vectorise.
+#[inline]
+fn lt(x: i64, y: i64) -> i64 {
+    let d = x.wrapping_sub(y);
+    ((d ^ ((x ^ y) & (d ^ x))) >> 63) & 1
+}
+
+/// `dst[i] = col[lanes[i]]` for every entry of `dst`.
+fn gather<T: Copy>(dst: &mut [T], col: &[T], lanes: &[usize]) {
+    for (d, &t) in dst.iter_mut().zip(lanes) {
+        *d = col[t];
+    }
+}
+
+/// `dst[t] = f(v)` in each lane `t` of `active`, where `v` is `a`'s entry
+/// for the lane: its `i`-th for the `i`-th lane of `active` when `a` is
+/// `compact`ed over `active`'s lanes, its `t`-th when `a` spans the block.
+/// A word of 64 active lanes is one contiguous loop.
+fn scatter<T: Copy, U: Copy>(
+    dst: &mut [U],
+    a: Lanes<'_, T>,
+    active: &Mask,
+    compact: bool,
+    f: impl Fn(T) -> U,
+) {
+    let mut i = 0;
+    for (w, &word) in active.0.iter().enumerate() {
+        let t0 = w * 64;
+        let from = if compact { i } else { t0 };
+        i += word.count_ones() as usize;
+        match (word, a) {
+            (0, _) => {}
+            (u64::MAX, Lanes::Const(x)) => dst[t0..t0 + 64].fill(f(x)),
+            (u64::MAX, Lanes::Col(col)) => {
+                for (d, &x) in dst[t0..t0 + 64].iter_mut().zip(&col[from..from + 64]) {
+                    *d = f(x);
+                }
+            }
+            (mut bits, _) => {
+                let mut from = from;
+                while bits != 0 {
+                    let t = t0 + bits.trailing_zeros() as usize;
+                    dst[t] = f(a.at(if compact { from } else { t }));
+                    from += 1;
+                    bits &= bits - 1;
+                }
+            }
         }
     }
 }
@@ -536,24 +701,32 @@ impl Geometry {
     }
 }
 
-/// Where a node of a part left its value: a constant, a slot's column, a
-/// builtin, or the node's own register. A node's value is never in a
-/// register other than its own, which the next operand's evaluation may
-/// overwrite.
+/// Where a node of a part left its value: a constant; a slot's or
+/// `threadIdx`'s column, read in place when the part runs over every lane
+/// of the block ([`Space::Block`]) and gathered once per part into a leaf
+/// column otherwise ([`Space::Part`]); or the node's own register. A
+/// node's value is never in a register other than its own, which the next
+/// operand's evaluation may overwrite.
 #[derive(Clone, Copy)]
 enum Col {
     I(i64),
     ISlot(u16),
-    Builtin(Builtin),
+    Tid(Axis),
+    /// Int leaf `id`: int slot `id`, or `threadIdx` axis `id - int_slots`.
+    ILeaf(u16),
     ITmp(u16),
     F(f64),
     FSlot(u16),
+    FLeaf(u16),
     FTmp(u16),
 }
 
 impl Col {
     fn is_float(self) -> bool {
-        matches!(self, Col::F(_) | Col::FSlot(_) | Col::FTmp(_))
+        matches!(
+            self,
+            Col::F(_) | Col::FSlot(_) | Col::FLeaf(_) | Col::FTmp(_)
+        )
     }
 }
 
@@ -571,13 +744,16 @@ struct Branch {
 struct Fallback;
 
 /// Read access to every column a [`Col`] names, with the part registers
-/// visible from `base` up (the ones above the node being computed).
+/// visible from `base` up (the ones above the node being computed). A slot
+/// column holds the block's `n` lanes; a register holds up to `n` entries,
+/// one per lane of the selection it was computed over.
 struct Files<'a> {
     n: usize,
-    geom: Geometry,
     icols: &'a [i64],
     fcols: &'a [f64],
     tid: &'a [i64],
+    ileaf: &'a [i64],
+    fleaf: &'a [f64],
     itmp: &'a [i64],
     ftmp: &'a [f64],
     base: usize,
@@ -589,7 +765,8 @@ impl<'a> Files<'a> {
         match c {
             Col::I(v) => Lanes::Const(v),
             Col::ISlot(s) => Lanes::Col(&self.icols[s as usize * n..][..n]),
-            Col::Builtin(b) => self.geom.builtin(b, self.tid),
+            Col::Tid(axis) => Lanes::Col(&self.tid[axis as usize * n..][..n]),
+            Col::ILeaf(id) => Lanes::Col(&self.ileaf[id as usize * n..][..n]),
             Col::ITmp(r) => Lanes::Col(&self.itmp[(r as usize - self.base) * n..][..n]),
             _ => unreachable!("a float where the part is typed int"),
         }
@@ -600,12 +777,13 @@ impl<'a> Files<'a> {
         match c {
             Col::F(v) => Lanes::Const(v),
             Col::FSlot(s) => Lanes::Col(&self.fcols[s as usize * n..][..n]),
+            Col::FLeaf(s) => Lanes::Col(&self.fleaf[s as usize * n..][..n]),
             Col::FTmp(r) => Lanes::Col(&self.ftmp[(r as usize - self.base) * n..][..n]),
             _ => unreachable!("an int operand reaches a float op unconverted"),
         }
     }
 
-    /// `c != 0` in lane `t`, whatever `c`'s type.
+    /// `c != 0` in entry `i`, whatever `c`'s type.
     fn truthy(&self, c: Col) -> impl Fn(usize) -> bool + 'a {
         let (i, f) = if c.is_float() {
             (Lanes::Const(0), self.float(c))
@@ -616,102 +794,87 @@ impl<'a> Files<'a> {
     }
 }
 
-/// The lanes a part's node runs over, in order, and whether they are dense
-/// enough for loops over every lane of the block (which vectorise) to beat
-/// visiting just these.
+/// The lanes a part's node runs over, in increasing order. Its registers
+/// are compacted: entry `i` belongs to lane `lanes[i]`.
 #[derive(Clone, Copy)]
 struct Sel<'m> {
-    idx: &'m [usize],
-    dense: bool,
+    lanes: &'m [usize],
+    space: Space,
 }
 
-impl<'m> Sel<'m> {
-    fn new(idx: &'m [usize], lanes: usize) -> Sel<'m> {
-        Sel {
-            idx,
-            dense: idx.len() * 2 >= lanes,
-        }
-    }
+/// Where a [`Sel`]'s slot and `threadIdx` leaves are read from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Space {
+    /// `lanes` is every lane of the block: entry `i` is lane `i`, and a
+    /// column is read in place.
+    Block,
+    /// The lanes of a part that are not every lane: a column is gathered
+    /// into its leaf column once per part, at the first leaf that reads it.
+    Part,
+    /// The lanes taking a ternary's arm: a column is gathered into the
+    /// leaf's own register.
+    Arm,
+}
 
-    fn lanes(self) -> u64 {
-        self.idx.len() as u64
-    }
-
-    /// `dst[t] = f(a[t])` in the selected lanes (and, dense, in the others).
-    fn map1<T: Copy, U: Copy>(self, dst: &mut [U], a: Lanes<'_, T>, f: impl Fn(T) -> U) {
-        if self.dense {
-            return map1(dst, a, f);
-        }
-        for &t in self.idx {
-            dst[t] = f(a.at(t));
-        }
-    }
-
-    /// `dst[t] = f(a[t], b[t])` in the selected lanes (and, dense, in the
-    /// others).
-    fn map2<T: Copy, U: Copy>(
-        self,
-        dst: &mut [U],
-        a: Lanes<'_, T>,
-        b: Lanes<'_, T>,
-        f: impl Fn(T, T) -> U,
-    ) {
-        if self.dense {
-            return map2(dst, a, b, f);
-        }
-        for &t in self.idx {
-            dst[t] = f(a.at(t), b.at(t));
-        }
+impl Sel<'_> {
+    /// The entries of the selection's registers.
+    fn k(self) -> usize {
+        self.lanes.len()
     }
 }
 
-/// The flat offsets of lanes `idx`, in order, into `offs` (`ix` has one
-/// index column per extent); `None` when some lane's index is out of range
-/// (each index column's minimum and maximum over the lanes are checked
-/// once).
+/// The flat offsets of a selection's `k` entries, in order, into `offs`
+/// (`ix` has one index column per extent); `None` when some entry's index
+/// is out of range. One pass per index column checks and accumulates; an
+/// offset built from an index out of range is never used.
 fn offsets(
     f: &Files<'_>,
     ix: &[Col],
     extents: &[usize],
-    idx: &[usize],
+    k: usize,
     offs: &mut Vec<usize>,
 ) -> Option<()> {
-    let mut dims = [Lanes::Const(0); 4];
-    for (d, &i) in dims.iter_mut().zip(ix) {
-        *d = f.int(i);
-    }
-    let dims = &dims[..ix.len()];
-    let (mut lo, mut hi) = ([i64::MAX; 4], [i64::MIN; 4]);
     offs.clear();
-    offs.extend(idx.iter().map(|&t| {
-        let mut off = 0usize;
-        for (d, (&extent, dim)) in extents.iter().zip(dims).enumerate() {
-            let i = dim.at(t);
-            lo[d] = lo[d].min(i);
-            hi[d] = hi[d].max(i);
-            off = off.wrapping_mul(extent).wrapping_add(i as usize);
+    offs.resize(k, 0);
+    for (&c, &extent) in ix.iter().zip(extents) {
+        // A negative index reads as a huge unsigned one.
+        let out = |i: i64| i as u64 >= extent as u64;
+        match f.int(c) {
+            Lanes::Const(i) => {
+                if out(i) {
+                    return None;
+                }
+                offs.iter_mut().for_each(|o| *o = *o * extent + i as usize);
+            }
+            Lanes::Col(col) => {
+                let mut any_out = false;
+                for (o, &i) in offs.iter_mut().zip(&col[..k]) {
+                    any_out |= out(i);
+                    *o = o.wrapping_mul(extent).wrapping_add(i as usize);
+                }
+                if any_out {
+                    return None;
+                }
+            }
         }
-        off
-    }));
-    let in_range = |d: usize| lo[d] >= 0 && (hi[d] as u64) < extents[d] as u64;
-    (idx.is_empty() || (0..ix.len()).all(in_range)).then_some(())
+    }
+    Some(())
 }
 
-/// `scratch` = each selected lane's `(offset, value)`: the right-hand
-/// side, or `op` applied to it and the element `old` it replaces.
+/// `scratch` = each entry's `(offset, value)`: the right-hand side, or `op`
+/// applied to it and the element `old` it replaces.
 fn fill_scratch(
     scratch: &mut Vec<(usize, f64)>,
     offs: &[usize],
     rhs: Lanes<'_, f64>,
     op: AssignOp,
-    sel: Sel<'_>,
     old: impl Fn(usize) -> f64,
 ) {
     scratch.clear();
-    scratch.extend(sel.idx.iter().zip(offs).map(|(&t, &o)| {
+    scratch.extend(offs.iter().enumerate().map(|(i, &o)| {
         let v = match op {
-            AssignOp::Assign => rhs.at(t),
-            _ => apply_assign(op, old(o), rhs.at(t)),
+            AssignOp::Assign => rhs.at(i),
+            _ => apply_assign(op, old(o), rhs.at(i)),
         };
         (o, v)
     }));
@@ -725,18 +888,21 @@ struct Pending {
     shared_reads: u64,
 }
 
-/// A shared-memory access log entry: the barrier epoch and warp of the last
-/// access to a tile cell. Epochs start at 1, so the default never matches.
-type LastAccess = (u64, u32);
+/// Bits of a stamp that hold the warp; a block has at most 32 warps.
+const WARP_BITS: u32 = 8;
 
-/// The warp lane `t` belongs to.
-fn warp(t: usize) -> u32 {
-    (t / 32) as u32
+/// A shared-memory log entry, one word per tile cell: the clock tick of
+/// the last access above [`WARP_BITS`], its lane's warp below. `high` may
+/// also be a cell index, which is how a part stages its reads.
+fn stamp(high: u64, t: usize) -> u64 {
+    high << WARP_BITS | (t / 32) as u64
 }
 
-/// Would lane `t` race with the access `last` logged in barrier `epoch`?
-fn races(last: LastAccess, epoch: u64, t: usize) -> bool {
-    last.0 == epoch && last.1 != warp(t)
+/// Would lane `t` race with the access `last` logged? Only an access by
+/// another warp since the barrier epoch began at tick `epoch` does. The
+/// zero stamp is older than every epoch.
+fn races(last: u64, epoch: u64, t: usize) -> bool {
+    last >> WARP_BITS > epoch && last & ((1 << WARP_BITS) - 1) != (t / 32) as u64
 }
 
 /// Every column a lane-wise loop reads or writes, apart from the tiles
@@ -748,46 +914,70 @@ struct Columns {
     fcols: Vec<f64>,
     /// `threadIdx.x`, `.y`, `.z` of every lane, built once per launch.
     tid: Vec<i64>,
+    /// The leaf columns of the part being evaluated, gathered over its
+    /// lanes: the int slots then the three `threadIdx` axes, and the float
+    /// slots, `lanes` entries apart.
+    ileaf: Vec<i64>,
+    fleaf: Vec<f64>,
     /// Part registers, an int and a float column each (a node writes the
-    /// one of its type).
+    /// one of its type), `lanes` entries apart.
     itmp: Vec<i64>,
     ftmp: Vec<f64>,
 }
 
 impl Columns {
     /// A read view with the part registers from `base` up.
-    fn view(&self, n: usize, geom: Geometry, base: usize) -> Files<'_> {
+    fn view(&self, n: usize, base: usize) -> Files<'_> {
         Files {
             n,
-            geom,
             icols: &self.icols,
             fcols: &self.fcols,
             tid: &self.tid,
+            ileaf: &self.ileaf,
+            fleaf: &self.fleaf,
             itmp: &self.itmp[base * n..],
             ftmp: &self.ftmp[base * n..],
             base,
         }
     }
 
-    /// Register `dst`'s int and float columns, and a read view of
-    /// everything else its operands may live in.
-    fn split(&mut self, n: usize, geom: Geometry, dst: u16) -> (&mut [i64], &mut [f64], Files<'_>) {
+    /// The int and float slot columns, and a read view of everything else
+    /// (leaves, registers and `threadIdx`) to fill them from.
+    fn split_slots(&mut self, n: usize) -> (&mut [i64], &mut [f64], Files<'_>) {
+        let files = Files {
+            n,
+            icols: &[],
+            fcols: &[],
+            tid: &self.tid,
+            ileaf: &self.ileaf,
+            fleaf: &self.fleaf,
+            itmp: &self.itmp,
+            ftmp: &self.ftmp,
+            base: 0,
+        };
+        (&mut self.icols, &mut self.fcols, files)
+    }
+
+    /// The first `k` entries of register `dst`'s int and float columns,
+    /// and a read view of everything else its operands may live in.
+    fn split(&mut self, n: usize, k: usize, dst: u16) -> (&mut [i64], &mut [f64], Files<'_>) {
         let base = dst as usize + 1;
         let (ilo, ihi) = self.itmp.split_at_mut(base * n);
         let (flo, fhi) = self.ftmp.split_at_mut(base * n);
         let files = Files {
             n,
-            geom,
             icols: &self.icols,
             fcols: &self.fcols,
             tid: &self.tid,
+            ileaf: &self.ileaf,
+            fleaf: &self.fleaf,
             itmp: ihi,
             ftmp: fhi,
             base,
         };
         (
-            &mut ilo[(base - 1) * n..],
-            &mut flo[(base - 1) * n..],
+            &mut ilo[(base - 1) * n..][..k],
+            &mut flo[(base - 1) * n..][..k],
             files,
         )
     }
@@ -800,20 +990,21 @@ struct Pools {
     col: Columns,
     /// Value slots, thread-major: `vals[t * nvals + slot]`.
     vals: Vec<Value>,
-    alive: Vec<bool>,
-    /// The all-true block mask.
-    full: Vec<bool>,
     /// Every lane's index: the selection a pure part runs over.
     all: Vec<usize>,
-    /// Free list of mask buffers.
-    masks: Vec<Vec<bool>>,
-    tiles: Vec<Vec<f64>>,
-    /// Last writer / last reader of every tile cell.
-    shared_writes: Vec<Vec<LastAccess>>,
-    shared_reads: Vec<Vec<LastAccess>>,
-    /// Barrier epoch, monotonic over the interpreter's life: a new block is
-    /// a new epoch, so the logs above are never cleared.
+    /// Where each shared tile starts in `smem` and the logs, and (last)
+    /// where the tiles end.
+    tile_base: Vec<usize>,
+    /// Every tile's cells, one tile after the other.
+    smem: Vec<f64>,
+    /// Last writer / last reader of every tile cell ([`stamp`]).
+    shared_writes: Vec<u64>,
+    shared_reads: Vec<u64>,
+    /// The tick the barrier epoch began at. The clock is monotonic over
+    /// the interpreter's life, so the logs above are never cleared.
     epoch: u64,
+    /// The tick the part being evaluated stamps its shared accesses with.
+    now: u64,
     /// Per bound array, `1 + block_linear` of the last block that wrote
     /// each element this launch (0 = none); empty until the first write.
     writers: Vec<Vec<u64>>,
@@ -821,22 +1012,23 @@ struct Pools {
     scratch: Vec<(usize, f64)>,
     /// A part's offsets of one access, in lane order.
     offs: Vec<usize>,
-    /// A part's shared reads `(tile, offset, warp)`, applied to the read
-    /// log when it commits.
-    reads: Vec<(u16, usize, u32)>,
-    /// A shared store's write-log entries as they were, to undo them when
-    /// a later lane finds a race.
-    undo: Vec<(usize, LastAccess)>,
+    /// A part's shared reads, each its cell (`tile_base` included) and the
+    /// reader's warp packed as [`stamp`] packs a tick: the read log takes
+    /// them when the part commits.
+    reads: Vec<u64>,
     /// Free list of lane selections.
     sels: Vec<Vec<usize>>,
-    /// One truth column per guard conjunct of the launch's kernel,
-    /// `memo[id * lanes + t]`, and the tick of the clock each was computed
-    /// at (module docs: memoized guards).
-    memo: Vec<bool>,
+    /// Per leaf column (the int ones, then the float ones), the tick of
+    /// the part it was gathered for.
+    leaf_at: Vec<u64>,
+    /// One truth mask per guard conjunct of the launch's kernel, and the
+    /// tick of the clock each was computed at (module docs: memoized
+    /// guards).
+    memo: Vec<Mask>,
     memo_at: Vec<u64>,
     /// Per int slot, the tick of its last write.
     written: Vec<u64>,
-    /// Monotonic over the interpreter's life, like the barrier epoch.
+    /// Monotonic over the interpreter's life.
     clock: u64,
     /// The tick the executing block started at.
     block_start: u64,
@@ -848,8 +1040,12 @@ impl Pools {
         let c = &mut self.col;
         c.icols.resize(ck.int_slots * lanes, 0);
         c.fcols.resize(ck.float_slots * lanes, 0.0);
+        c.ileaf.resize((ck.int_slots + 3) * lanes, 0);
+        c.fleaf.resize(ck.float_slots * lanes, 0.0);
         c.itmp.resize(ck.part_regs * lanes, 0);
         c.ftmp.resize(ck.part_regs * lanes, 0.0);
+        // Stale until gathered: every tick so far precedes the first part.
+        self.leaf_at.resize(ck.int_slots + 3 + ck.float_slots, 0);
         c.tid.clear();
         for axis in [Axis::X, Axis::Y, Axis::Z] {
             for z in 0..block.z {
@@ -864,24 +1060,27 @@ impl Pools {
                 }
             }
         }
-        self.full.clear();
-        self.full.resize(lanes, true);
         self.all.clear();
         self.all.extend(0..lanes);
-        self.tiles.resize_with(ck.tiles.len(), Vec::new);
-        self.shared_writes.resize_with(ck.tiles.len(), Vec::new);
-        self.shared_reads.resize_with(ck.tiles.len(), Vec::new);
-        for (n, (_, len)) in ck.tiles.iter().enumerate() {
-            self.shared_writes[n].resize(*len, LastAccess::default());
-            self.shared_reads[n].resize(*len, LastAccess::default());
+        self.tile_base.clear();
+        let mut cells = 0;
+        for (_, len) in &ck.tiles {
+            self.tile_base.push(cells);
+            cells += len;
         }
+        self.tile_base.push(cells);
+        self.smem.resize(cells, 0.0);
+        // A previous launch's stamps are all older than this launch's
+        // first epoch.
+        self.shared_writes.resize(cells, 0);
+        self.shared_reads.resize(cells, 0);
         self.writers.resize_with(arrays, Vec::new);
         for w in &mut self.writers {
             w.clear();
         }
         // Stale until computed: every tick so far precedes the first
         // block's start.
-        self.memo.resize(ck.conjuncts.len() * lanes, false);
+        self.memo.resize(ck.conjuncts.len(), Mask::EMPTY);
         self.memo_at.resize(ck.conjuncts.len(), 0);
         // A kernel without conjuncts keeps no write stamps.
         let stamped = if ck.conjuncts.is_empty() {
@@ -897,8 +1096,8 @@ impl Pools {
         self.clock
     }
 
-    /// Int slot `slot` was written: every truth column computed from it
-    /// is stale.
+    /// Int slot `slot` was written: every truth mask computed from it is
+    /// stale.
     fn wrote(&mut self, slot: u16) {
         if (slot as usize) < self.written.len() {
             self.written[slot as usize] = self.tick();
@@ -920,6 +1119,9 @@ struct Machine<'a> {
     p: Pools,
     /// The counters of the part being evaluated.
     pending: Pending,
+    /// Every lane of the block, and those that have not returned.
+    full: Mask,
+    alive: Mask,
     /// Some thread of this block has executed `return`.
     any_returned: bool,
     fp_read: HashSet<(u16, usize)>,
@@ -931,8 +1133,7 @@ impl Machine<'_> {
     fn reset_block(&mut self, block_idx: Dim3, block_linear: u64, base: &BaseSlots) {
         self.geom.block_idx = block_idx;
         self.block_linear = block_linear;
-        self.p.alive.clear();
-        self.p.alive.resize(self.lanes, true);
+        self.alive = self.full;
         self.any_returned = false;
         for (c, &v) in base.ints.iter().enumerate() {
             self.p.col.icols[c * self.lanes..][..self.lanes].fill(v);
@@ -944,12 +1145,9 @@ impl Machine<'_> {
         for _ in 0..self.lanes {
             self.p.vals.extend_from_slice(&base.vals);
         }
-        for (tile, (_, len)) in self.p.tiles.iter_mut().zip(&self.ck.tiles) {
-            tile.clear();
-            tile.resize(*len, 0.0);
-        }
-        self.p.epoch += 1;
-        self.p.block_start = self.p.tick();
+        self.p.smem.fill(0.0);
+        self.p.epoch = self.p.tick();
+        self.p.block_start = self.p.epoch;
     }
 
     #[inline]
@@ -976,77 +1174,102 @@ impl Machine<'_> {
         }
     }
 
-    fn take_mask(&mut self) -> Vec<bool> {
-        let mut m = self.p.masks.pop().unwrap_or_default();
-        m.clear();
-        m
-    }
-
-    /// Evaluate the pure `e` into register 0 over every lane of the
+    /// Evaluate the pure `e` into register `dst` over every lane of the
     /// block, masked or not: nothing in it can trap or be observed, and an
     /// unset slot reads as 0.
-    fn pure(&mut self, e: &CExpr) -> Col {
+    fn pure(&mut self, e: &CExpr, dst: u16) -> Col {
         let all = std::mem::take(&mut self.p.all);
-        let v = self.col(e, 0, Sel::new(&all, self.lanes));
+        let sel = Sel {
+            lanes: &all,
+            space: Space::Block,
+        };
+        let v = self.col(e, dst, sel);
         self.p.all = all;
         v.unwrap_or_else(|Fallback| unreachable!("a pure part never falls back"))
     }
 
-    /// The value of the part `e` in `active`'s lanes, at register 0, when
-    /// `part` lets it run column-wise and it does not fall back.
-    fn value(&mut self, e: &CExpr, part: Part, active: &[bool]) -> Option<Col> {
+    /// The lanes of the block where the pure `e` is not 0. A comparison at
+    /// its root packs its operands straight into the mask.
+    fn pure_mask(&mut self, e: &CExpr) -> Mask {
+        use BinaryOp::*;
+        let n = self.lanes;
+        if let CExpr::Bin {
+            op: op @ (Lt | Le | Gt | Ge | Eq | Ne),
+            l,
+            r,
+        } = e
+        {
+            let (a, b) = (self.pure(l, 1), self.pure(r, 2));
+            let f = self.p.col.view(n, 1);
+            let (a, b) = (f.int(a), f.int(b));
+            return match op {
+                Lt => Mask::of(a, b, n, |x, y| x < y),
+                Le => Mask::of(a, b, n, |x, y| x <= y),
+                Gt => Mask::of(a, b, n, |x, y| x > y),
+                Ge => Mask::of(a, b, n, |x, y| x >= y),
+                Eq => Mask::of(a, b, n, |x, y| x == y),
+                _ => Mask::of(a, b, n, |x, y| x != y),
+            };
+        }
+        let v = self.pure(e, 0);
+        let v = self.p.col.view(n, 0).int(v);
+        Mask::of(v, Lanes::Const(0), n, |x, _| x != 0)
+    }
+
+    /// The value of the part `e` at register 0, when `part` lets it run
+    /// column-wise and it does not fall back. A `Pure` part's value spans
+    /// the block; a `Typed` part's is compacted over `active`'s lanes.
+    fn value(&mut self, e: &CExpr, part: Part, active: &Mask) -> Option<Col> {
         match part {
-            Part::Pure => Some(self.pure(e)),
+            Part::Pure => Some(self.pure(e, 0)),
             Part::Typed => self.part(active, |m, sel| m.col(e, 0, sel)).ok(),
             Part::PerThread => None,
         }
     }
 
-    /// `out[t] = among[t] && cond(t)`, per thread in thread order when the
-    /// condition cannot run column-wise.
-    fn truth(
-        &mut self,
-        cond: &CExpr,
-        part: Part,
-        among: &[bool],
-        out: &mut Vec<bool>,
-    ) -> Result<(), ExecError> {
-        out.clear();
+    /// The lanes of `among` where `cond` holds, per thread in thread order
+    /// when the condition cannot run column-wise.
+    fn truth(&mut self, cond: &CExpr, part: Part, among: &Mask) -> Result<Mask, ExecError> {
+        if part == Part::Pure {
+            return Ok(self.pure_mask(cond).and(among));
+        }
+        let mut out = Mask::EMPTY;
         if let Some(c) = self.value(cond, part, among) {
-            let truthy = self.p.col.view(self.lanes, self.geom, 0).truthy(c);
-            out.extend(among.iter().enumerate().map(|(t, &a)| a && truthy(t)));
-            return Ok(());
+            let truthy = self.p.col.view(self.lanes, 0).truthy(c);
+            for (i, t) in among.ones().enumerate() {
+                if truthy(i) {
+                    out.set(t);
+                }
+            }
+            return Ok(out);
         }
-        for (t, &a) in among.iter().enumerate() {
-            out.push(a && self.eval(cond, t)?.truthy());
+        for t in among.ones() {
+            if self.eval(cond, t)?.truthy() {
+                out.set(t);
+            }
         }
-        Ok(())
+        Ok(out)
     }
 
-    /// `out[t] = among[t]` and every conjunct `ids` names true in lane
-    /// `t`. A conjunct's truth column is recomputed, over every lane, only
-    /// when it is stale: computed before the block started or before a
-    /// slot it reads was last written.
-    fn guard(&mut self, ids: &[u32], among: &[bool], out: &mut Vec<bool>) {
-        let (ck, n) = (self.ck, self.lanes);
-        out.clear();
-        out.extend_from_slice(among);
+    /// The lanes of `among` where every conjunct `ids` names holds. A
+    /// conjunct's truth mask is recomputed, over every lane, only when it
+    /// is stale: computed before the block started or before a slot it
+    /// reads was last written.
+    fn guard(&mut self, ids: &[u32], among: &Mask) -> Mask {
+        let ck = self.ck;
+        let mut out = *among;
         for &id in ids {
             let (conj, id) = (&ck.conjuncts[id as usize], id as usize);
             let at = self.p.memo_at[id];
             let fresh = at > self.p.block_start
                 && conj.reads.iter().all(|&s| self.p.written[s as usize] < at);
             if !fresh {
-                let v = self.pure(&conj.expr);
-                let Pools { col, memo, .. } = &mut self.p;
-                let v = col.view(n, self.geom, 0).int(v);
-                map1(&mut memo[id * n..][..n], v, |x| x != 0);
+                self.p.memo[id] = self.pure_mask(&conj.expr);
                 self.p.memo_at[id] = self.p.tick();
             }
-            for (o, &m) in out.iter_mut().zip(&self.p.memo[id * n..][..n]) {
-                *o &= m;
-            }
+            out = out.and(&self.p.memo[id]);
         }
+        out
     }
 
     /// `slot = e` coerced to `ty`, in the active lanes.
@@ -1056,65 +1279,67 @@ impl Machine<'_> {
         ty: ScalarType,
         e: &CExpr,
         part: Part,
-        active: &[bool],
+        active: &Mask,
     ) -> Result<(), ExecError> {
         if let Some(v) = self.value(e, part, active) {
-            self.assign_col(slot, v, active);
+            self.assign_col(slot, v, active, part == Part::Typed);
             return Ok(());
         }
-        for t in (0..active.len()).filter(|&t| active[t]) {
+        for t in active.ones() {
             let v = coerce(self.eval(e, t)?, ty);
             self.set_slot(t, slot, v);
         }
         Ok(())
     }
 
-    /// Write a part's value `v` (of the node at register 0) to the int or
-    /// float column `slot` in the active lanes, coerced to its type.
-    fn assign_col(&mut self, slot: SlotRef, v: Col, active: &[bool]) {
+    /// Write a part's value `v` (of the node at register 0, `compact`ed
+    /// over `active`'s lanes or spanning the block) to the int or float
+    /// column `slot` in the active lanes, coerced to its type.
+    fn assign_col(&mut self, slot: SlotRef, v: Col, active: &Mask, compact: bool) {
         let n = self.lanes;
-        // Read the value from register 0 (or a constant): a slot column may
-        // be the very one assigned.
+        // A slot column may be the very one assigned: read it from
+        // register 0 instead.
         let v = match v {
-            Col::I(_) | Col::F(_) | Col::ITmp(_) | Col::FTmp(_) => v,
-            _ => self.copy_to(v, 0),
+            Col::ISlot(_) | Col::FSlot(_) => self.copy_to(v, 0),
+            _ => v,
         };
-        let Columns {
-            icols,
-            fcols,
-            itmp,
-            ftmp,
-            ..
-        } = &mut self.p.col;
-        let (int, float) = match v {
-            Col::I(c) => (Lanes::Const(c), None),
-            Col::F(x) => (Lanes::Const(0), Some(Lanes::Const(x))),
-            Col::FTmp(_) => (Lanes::Const(0), Some(Lanes::Col(&ftmp[..n]))),
-            _ => (Lanes::Col(&itmp[..n]), None),
+        let (icols, fcols, files) = self.p.col.split_slots(n);
+        let (int, float) = match v.is_float() {
+            true => (Lanes::Const(0), Some(files.float(v))),
+            false => (files.int(v), None),
         };
         match (slot, float) {
             (SlotRef::Int(c), None) => {
-                masked(&mut icols[c as usize * n..][..n], int, active, |x| x);
+                scatter(
+                    &mut icols[c as usize * n..][..n],
+                    int,
+                    active,
+                    compact,
+                    |x| x,
+                );
                 self.p.wrote(c);
             }
             (SlotRef::Int(c), Some(f)) => {
-                masked(&mut icols[c as usize * n..][..n], f, active, |x| x as i64);
+                let col = &mut icols[c as usize * n..][..n];
+                scatter(col, f, active, compact, |x| x as i64);
                 self.p.wrote(c);
             }
             (SlotRef::Float(c), None) => {
-                masked(&mut fcols[c as usize * n..][..n], int, active, |x| x as f64)
+                let col = &mut fcols[c as usize * n..][..n];
+                scatter(col, int, active, compact, |x| x as f64)
             }
             (SlotRef::Float(c), Some(f)) => {
-                masked(&mut fcols[c as usize * n..][..n], f, active, |x| x)
+                scatter(&mut fcols[c as usize * n..][..n], f, active, compact, |x| x)
             }
             (SlotRef::Val(_), _) => unreachable!("a value slot is assigned per thread"),
         }
     }
 
-    /// Materialise `v` into register `r` (of its type), so it no longer
-    /// names a slot column.
+    /// Materialise `v`, a column spanning the block, into register `r` (of
+    /// its type), so it no longer names a slot column.
     fn copy_to(&mut self, v: Col, r: u16) -> Col {
-        let (di, df, files) = self.p.col.split(self.lanes, self.geom, r);
+        let n = self.lanes;
+        let (di, df, files) = self.p.col.split(n, n, r);
         if v.is_float() {
             map1(df, files.float(v), |x| x);
             Col::FTmp(r)
@@ -1124,20 +1349,81 @@ impl Machine<'_> {
         }
     }
 
-    /// `v`, the value of the node at register `r`, as a float operand: an
-    /// int is converted into `r`'s float column.
-    fn as_float(&mut self, v: Col, r: u16, sel: Sel<'_>) -> Col {
+    /// `v`, the value of the node at register `r` over `k` entries, as a
+    /// float operand: an int is converted into `r`'s float column.
+    fn as_float(&mut self, v: Col, r: u16, k: usize) -> Col {
         match v {
-            Col::F(_) | Col::FSlot(_) | Col::FTmp(_) => v,
+            _ if v.is_float() => v,
             Col::I(c) => Col::F(c as f64),
             _ => {
-                let (di, df, files) = self.p.col.split(self.lanes, self.geom, r);
+                let (di, df, files) = self.p.col.split(self.lanes, k, r);
                 let ints = match v {
                     Col::ITmp(_) => Lanes::Col(&*di),
                     _ => files.int(v),
                 };
-                sel.map1(df, ints, |x| x as f64);
+                map1(df, ints, |x| x as f64);
                 Col::FTmp(r)
+            }
+        }
+    }
+
+    /// A slot or `threadIdx` column `c` as the leaf at register `dst` of a
+    /// part over `sel`, read where `sel`'s [`Space`] says.
+    fn leaf(&mut self, c: Col, dst: u16, sel: Sel<'_>) -> Col {
+        let (n, k, ints) = (self.lanes, sel.k(), self.ck.int_slots);
+        match sel.space {
+            Space::Block => c,
+            Space::Part => {
+                // Leaf columns and their stamps: the int slots, the three
+                // `threadIdx` axes, then the float slots.
+                let (leaf, id) = match c {
+                    Col::ISlot(s) => (Col::ILeaf(s), s as usize),
+                    Col::Tid(axis) => {
+                        let id = ints + axis as usize;
+                        (Col::ILeaf(id as u16), id)
+                    }
+                    Col::FSlot(s) => (Col::FLeaf(s), ints + 3 + s as usize),
+                    _ => unreachable!("a leaf is a slot or `threadIdx`"),
+                };
+                if self.p.leaf_at[id] != self.p.now {
+                    self.p.leaf_at[id] = self.p.now;
+                    let Columns {
+                        icols,
+                        fcols,
+                        tid,
+                        ileaf,
+                        fleaf,
+                        ..
+                    } = &mut self.p.col;
+                    let (src, lanes) = (|i: u16| i as usize * n, sel.lanes);
+                    match (c, leaf) {
+                        (Col::ISlot(s), Col::ILeaf(l)) => {
+                            gather(&mut ileaf[src(l)..][..k], &icols[src(s)..], lanes)
+                        }
+                        (Col::Tid(axis), Col::ILeaf(l)) => {
+                            gather(&mut ileaf[src(l)..][..k], &tid[src(axis as u16)..], lanes)
+                        }
+                        (_, Col::FLeaf(s)) => {
+                            gather(&mut fleaf[src(s)..][..k], &fcols[src(s)..], lanes)
+                        }
+                        _ => unreachable!("the leaf of a column"),
+                    }
+                }
+                leaf
+            }
+            Space::Arm => {
+                let (di, df, f) = self.p.col.split(n, k, dst);
+                if c.is_float() {
+                    if let Lanes::Col(col) = f.float(c) {
+                        gather(df, col, sel.lanes);
+                    }
+                    Col::FTmp(dst)
+                } else {
+                    if let Lanes::Col(col) = f.int(c) {
+                        gather(di, col, sel.lanes);
+                    }
+                    Col::ITmp(dst)
+                }
             }
         }
     }
@@ -1147,19 +1433,30 @@ impl Machine<'_> {
     /// fallback nothing is, and the caller runs the statement per thread.
     fn part<R>(
         &mut self,
-        active: &[bool],
+        active: &Mask,
         f: impl FnOnce(&mut Self, Sel<'_>) -> Result<R, Fallback>,
     ) -> Result<R, Fallback> {
-        let mut idx = self.p.sels.pop().unwrap_or_default();
-        idx.clear();
-        idx.extend((0..active.len()).filter(|&t| active[t]));
+        let full = *active == self.full;
+        let (idx, space) = if full {
+            (std::mem::take(&mut self.p.all), Space::Block)
+        } else {
+            let mut idx = self.p.sels.pop().unwrap_or_default();
+            idx.clear();
+            idx.extend(active.ones());
+            (idx, Space::Part)
+        };
         self.pending = Pending::default();
         self.p.reads.clear();
+        self.p.now = self.p.tick();
         let done = match idx.is_empty() {
             true => Err(Fallback),
-            false => f(self, Sel::new(&idx, self.lanes)),
+            false => f(self, Sel { lanes: &idx, space }),
         };
-        self.p.sels.push(idx);
+        if full {
+            self.p.all = idx;
+        } else {
+            self.p.sels.push(idx);
+        }
         let r = done?;
         let Pending {
             flops,
@@ -1169,17 +1466,14 @@ impl Machine<'_> {
         self.stats.flops += flops;
         self.stats.global_reads += global_reads;
         self.stats.shared_reads += shared_reads;
-        // The read log ends at each cell's last reader in thread order:
-        // the highest warp of the part's readers.
-        let (epoch, log) = (self.p.epoch, &mut self.p.shared_reads);
-        for &(tile, off, _) in &self.p.reads {
-            log[tile as usize][off] = LastAccess::default();
-        }
-        for &(tile, off, warp) in &self.p.reads {
-            let last = &mut log[tile as usize][off];
-            if last.0 != epoch || last.1 < warp {
-                *last = (epoch, warp);
-            }
+        // Each cell's last reader in thread order is the part's reader of
+        // the highest warp, and every stamp already logged is older than
+        // the part's tick: the larger stamp wins.
+        let (log, mask) = (&mut self.p.shared_reads, (1 << WARP_BITS) - 1);
+        let now = self.p.now << WARP_BITS;
+        for &read in &self.p.reads {
+            let cell = &mut log[(read >> WARP_BITS) as usize];
+            *cell = (*cell).max(now | read & mask);
         }
         Ok(r)
     }
@@ -1195,13 +1489,16 @@ impl Machine<'_> {
     /// (so a register above `dst` never outlives its node).
     fn col(&mut self, e: &CExpr, dst: u16, sel: Sel<'_>) -> Result<Col, Fallback> {
         use BinaryOp::*;
-        let (n, geom, lanes) = (self.lanes, self.geom, sel.lanes());
+        let (n, k) = (self.lanes, sel.k());
+        let lanes = k as u64;
         Ok(match e {
             CExpr::I(v) => Col::I(*v),
             CExpr::F(v) => Col::F(*v),
-            CExpr::ISlot(s) => Col::ISlot(*s),
-            CExpr::FSlot(s) => Col::FSlot(*s),
-            CExpr::Builtin(b) => Col::Builtin(*b),
+            CExpr::ISlot(s) => self.leaf(Col::ISlot(*s), dst, sel),
+            CExpr::FSlot(s) => self.leaf(Col::FSlot(*s), dst, sel),
+            CExpr::Builtin(Builtin::ThreadIdx(axis)) => self.leaf(Col::Tid(*axis), dst, sel),
+            // Every other builtin is uniform over the block.
+            CExpr::Builtin(b) => Col::I(self.geom.builtin(*b, &[]).at(0)),
             CExpr::Slot(_) => unreachable!("a value slot is never statically typed"),
             CExpr::Global { array, idx } => self.load_global(*array, idx, dst, sel)?,
             CExpr::Shared { tile, idx } => self.load_shared(*tile, idx, dst, sel)?,
@@ -1210,15 +1507,15 @@ impl Machine<'_> {
                 if *op == UnaryOp::Neg {
                     self.pending.flops += lanes;
                 }
-                let (di, df, f) = self.p.col.split(n, geom, dst);
+                let (di, df, f) = self.p.col.split(n, k, dst);
                 match (op, a.is_float()) {
-                    (UnaryOp::Neg, false) => sel.map1(di, f.int(a), i64::wrapping_neg),
+                    (UnaryOp::Neg, false) => map1(di, f.int(a), i64::wrapping_neg),
                     (UnaryOp::Neg, true) => {
-                        sel.map1(df, f.float(a), |x| -x);
+                        map1(df, f.float(a), |x| -x);
                         return Ok(Col::FTmp(dst));
                     }
-                    (UnaryOp::Not, false) => sel.map1(di, f.int(a), |x| (x == 0) as i64),
-                    (UnaryOp::Not, true) => sel.map1(di, f.float(a), |x| (x == 0.0) as i64),
+                    (UnaryOp::Not, false) => map1(di, f.int(a), |x| (x == 0) as i64),
+                    (UnaryOp::Not, true) => map1(di, f.float(a), |x| (x == 0.0) as i64),
                 }
                 Col::ITmp(dst)
             }
@@ -1226,20 +1523,20 @@ impl Machine<'_> {
                 let a = self.col(l, dst + 1, sel)?;
                 let b = self.col(r, dst + 2, sel)?;
                 if !a.is_float() && !b.is_float() {
-                    let (d, _, f) = self.p.col.split(n, geom, dst);
+                    let (d, _, f) = self.p.col.split(n, k, dst);
                     let (a, b) = (f.int(a), f.int(b));
                     match op {
-                        Add => sel.map2(d, a, b, i64::wrapping_add),
-                        Sub => sel.map2(d, a, b, i64::wrapping_sub),
-                        Mul => sel.map2(d, a, b, i64::wrapping_mul),
-                        Lt => sel.map2(d, a, b, |x, y| (x < y) as i64),
-                        Le => sel.map2(d, a, b, |x, y| (x <= y) as i64),
-                        Gt => sel.map2(d, a, b, |x, y| (x > y) as i64),
-                        Ge => sel.map2(d, a, b, |x, y| (x >= y) as i64),
-                        Eq => sel.map2(d, a, b, |x, y| (x == y) as i64),
-                        Ne => sel.map2(d, a, b, |x, y| (x != y) as i64),
-                        And => sel.map2(d, a, b, |x, y| (x != 0 && y != 0) as i64),
-                        Or => sel.map2(d, a, b, |x, y| (x != 0 || y != 0) as i64),
+                        Add => map2(d, a, b, i64::wrapping_add),
+                        Sub => map2(d, a, b, i64::wrapping_sub),
+                        Mul => map2(d, a, b, i64::wrapping_mul),
+                        Lt => map2(d, a, b, lt),
+                        Le => map2(d, a, b, |x, y| 1 - lt(y, x)),
+                        Gt => map2(d, a, b, |x, y| lt(y, x)),
+                        Ge => map2(d, a, b, |x, y| 1 - lt(x, y)),
+                        Eq => map2(d, a, b, |x, y| (x == y) as i64),
+                        Ne => map2(d, a, b, |x, y| (x != y) as i64),
+                        And => map2(d, a, b, |x, y| (x != 0 && y != 0) as i64),
+                        Or => map2(d, a, b, |x, y| (x != 0 || y != 0) as i64),
                         // Only the selected lanes divide: a zero divisor (or
                         // an overflowing quotient) is the per-thread
                         // evaluator's to report.
@@ -1249,32 +1546,32 @@ impl Machine<'_> {
                             } else {
                                 i64::checked_rem
                             };
-                            for &t in sel.idx {
-                                d[t] = divide(a.at(t), b.at(t)).ok_or(Fallback)?;
+                            for (i, d) in d.iter_mut().enumerate() {
+                                *d = divide(a.at(i), b.at(i)).ok_or(Fallback)?;
                             }
                         }
                     }
                     return Ok(Col::ITmp(dst));
                 }
-                let a = self.as_float(a, dst + 1, sel);
-                let b = self.as_float(b, dst + 2, sel);
+                let a = self.as_float(a, dst + 1, k);
+                let b = self.as_float(b, dst + 2, k);
                 if op.is_arithmetic() {
                     self.pending.flops += lanes;
                 }
-                let (di, df, f) = self.p.col.split(n, geom, dst);
+                let (di, df, f) = self.p.col.split(n, k, dst);
                 let (a, b) = (f.float(a), f.float(b));
                 match op {
-                    Add => sel.map2(df, a, b, |x, y| nan_first(x, y, |x, y| x + y)),
-                    Sub => sel.map2(df, a, b, |x, y| x - y),
-                    Mul => sel.map2(df, a, b, |x, y| nan_first(x, y, |x, y| x * y)),
-                    Div => sel.map2(df, a, b, |x, y| x / y),
-                    Rem => sel.map2(df, a, b, |x, y| x % y),
-                    Lt => sel.map2(di, a, b, |x, y| (x < y) as i64),
-                    Le => sel.map2(di, a, b, |x, y| (x <= y) as i64),
-                    Gt => sel.map2(di, a, b, |x, y| (x > y) as i64),
-                    Ge => sel.map2(di, a, b, |x, y| (x >= y) as i64),
-                    Eq => sel.map2(di, a, b, |x, y| (x == y) as i64),
-                    Ne => sel.map2(di, a, b, |x, y| (x != y) as i64),
+                    Add => map2(df, a, b, |x, y| nan_first(x, y, |x, y| x + y)),
+                    Sub => map2(df, a, b, |x, y| x - y),
+                    Mul => map2(df, a, b, |x, y| nan_first(x, y, |x, y| x * y)),
+                    Div => map2(df, a, b, |x, y| x / y),
+                    Rem => map2(df, a, b, |x, y| x % y),
+                    Lt => map2(di, a, b, |x, y| (x < y) as i64),
+                    Le => map2(di, a, b, |x, y| (x <= y) as i64),
+                    Gt => map2(di, a, b, |x, y| (x > y) as i64),
+                    Ge => map2(di, a, b, |x, y| (x >= y) as i64),
+                    Eq => map2(di, a, b, |x, y| (x == y) as i64),
+                    Ne => map2(di, a, b, |x, y| (x != y) as i64),
                     And | Or => unreachable!("a float operand of `&&`/`||` is never typed"),
                 }
                 if op.is_arithmetic() {
@@ -1288,42 +1585,43 @@ impl Machine<'_> {
                 for (j, x) in args.iter().enumerate() {
                     let r = dst + 1 + j as u16;
                     let v = self.col(x, r, sel)?;
-                    a[j] = self.as_float(v, r, sel);
+                    a[j] = self.as_float(v, r, k);
                 }
                 self.pending.flops += lanes * fun.flop_cost();
-                let (_, d, f) = self.p.col.split(n, geom, dst);
+                let (_, d, f) = self.p.col.split(n, k, dst);
                 let [x, y, z] = a.map(|c| f.float(c));
                 match fun {
-                    Intrinsic::Sqrt => sel.map1(d, x, f64::sqrt),
-                    Intrinsic::Exp => sel.map1(d, x, f64::exp),
-                    Intrinsic::Log => sel.map1(d, x, f64::ln),
-                    Intrinsic::Fabs => sel.map1(d, x, f64::abs),
-                    Intrinsic::Min => sel.map2(d, x, y, f64::min),
-                    Intrinsic::Max => sel.map2(d, x, y, f64::max),
-                    Intrinsic::Pow => sel.map2(d, x, y, f64::powf),
+                    Intrinsic::Sqrt => map1(d, x, f64::sqrt),
+                    Intrinsic::Exp => map1(d, x, f64::exp),
+                    Intrinsic::Log => map1(d, x, f64::ln),
+                    Intrinsic::Fabs => map1(d, x, f64::abs),
+                    Intrinsic::Min => map2(d, x, y, f64::min),
+                    Intrinsic::Max => map2(d, x, y, f64::max),
+                    Intrinsic::Pow => map2(d, x, y, f64::powf),
                     Intrinsic::Fma => {
-                        for &t in sel.idx {
-                            d[t] = x.at(t).mul_add(y.at(t), z.at(t));
+                        for (i, d) in d.iter_mut().enumerate() {
+                            *d = x.at(i).mul_add(y.at(i), z.at(i));
                         }
                     }
-                    Intrinsic::Sin => sel.map1(d, x, f64::sin),
-                    Intrinsic::Cos => sel.map1(d, x, f64::cos),
+                    Intrinsic::Sin => map1(d, x, f64::sin),
+                    Intrinsic::Cos => map1(d, x, f64::cos),
                 }
                 Col::FTmp(dst)
             }
             CExpr::Ternary { c, t, e } => {
                 let cond = self.col(c, dst + 1, sel)?;
+                // The entries taking each arm.
                 let mut taken = self.p.sels.pop().unwrap_or_default();
                 let mut not_taken = self.p.sels.pop().unwrap_or_default();
                 taken.clear();
                 not_taken.clear();
                 {
-                    let truthy = self.p.col.view(n, geom, dst as usize + 1).truthy(cond);
-                    for &lane in sel.idx {
-                        if truthy(lane) {
-                            taken.push(lane);
+                    let truthy = self.p.col.view(n, dst as usize + 1).truthy(cond);
+                    for i in 0..k {
+                        if truthy(i) {
+                            taken.push(i);
                         } else {
-                            not_taken.push(lane);
+                            not_taken.push(i);
                         }
                     }
                 }
@@ -1335,9 +1633,11 @@ impl Machine<'_> {
         })
     }
 
-    /// A ternary's arms, each evaluated over the lanes that take it (an
-    /// arm no lane takes is not evaluated at all), selected into register
-    /// `dst`.
+    /// A ternary's arms, each evaluated over the entries of `sel` that take
+    /// it (an arm no lane takes is not evaluated at all; a literal needs no
+    /// lanes), selected into register `dst`. An arm every entry takes is
+    /// evaluated at `dst` itself: the condition's value is no longer
+    /// needed.
     fn arms(
         &mut self,
         t: &CExpr,
@@ -1347,33 +1647,44 @@ impl Machine<'_> {
         taken: &[usize],
         not_taken: &[usize],
     ) -> Result<Col, Fallback> {
-        let n = self.lanes;
-        let arm = |m: &mut Self, x: &CExpr, r: u16, idx: &[usize]| {
-            let sub = Sel::new(idx, n);
-            (!idx.is_empty()).then(|| m.col(x, r, sub)).transpose()
+        if not_taken.is_empty() {
+            return self.col(t, dst, sel);
+        }
+        if taken.is_empty() {
+            return self.col(e, dst, sel);
+        }
+        let arm = |m: &mut Self, x: &CExpr, r: u16, entries: &[usize]| {
+            if let CExpr::I(_) | CExpr::F(_) = x {
+                return m.col(x, r, sel);
+            }
+            let mut lanes = m.p.sels.pop().unwrap_or_default();
+            lanes.clear();
+            lanes.extend(entries.iter().map(|&i| sel.lanes[i]));
+            let sel = Sel {
+                lanes: &lanes,
+                space: Space::Arm,
+            };
+            let v = m.col(x, r, sel);
+            m.p.sels.push(lanes);
+            v
         };
         let tv = arm(self, t, dst + 2, taken)?;
         let ev = arm(self, e, dst + 3, not_taken)?;
-        let (di, df, f) = self.p.col.split(n, self.geom, dst);
-        match (tv, ev) {
-            (Some(a), Some(b)) if a.is_float() => {
-                let (a, b) = (f.float(a), f.float(b));
-                taken.iter().for_each(|&l| df[l] = a.at(l));
-                not_taken.iter().for_each(|&l| df[l] = b.at(l));
+        let (di, df, f) = self.p.col.split(self.lanes, sel.k(), dst);
+        fn merge<T: Copy>(d: &mut [T], v: Lanes<'_, T>, entries: &[usize]) {
+            for (j, &i) in entries.iter().enumerate() {
+                d[i] = v.at(j);
             }
-            (Some(a), Some(b)) => {
-                let (a, b) = (f.int(a), f.int(b));
-                taken.iter().for_each(|&l| di[l] = a.at(l));
-                not_taken.iter().for_each(|&l| di[l] = b.at(l));
-            }
-            (Some(a), None) | (None, Some(a)) if a.is_float() => sel.map1(df, f.float(a), |x| x),
-            (Some(a), None) | (None, Some(a)) => sel.map1(di, f.int(a), |x| x),
-            (None, None) => unreachable!("a part selects at least one lane"),
         }
-        Ok(match tv.or(ev) {
-            Some(a) if a.is_float() => Col::FTmp(dst),
-            _ => Col::ITmp(dst),
-        })
+        if tv.is_float() {
+            merge(df, f.float(tv), taken);
+            merge(df, f.float(ev), not_taken);
+            Ok(Col::FTmp(dst))
+        } else {
+            merge(di, f.int(tv), taken);
+            merge(di, f.int(ev), not_taken);
+            Ok(Col::ITmp(dst))
+        }
     }
 
     /// Evaluate an access's index columns at registers `first ..`.
@@ -1385,7 +1696,7 @@ impl Machine<'_> {
         Ok(ix)
     }
 
-    /// Flatten `sel`'s lanes into `p.offs` from index columns `ix`
+    /// Flatten `sel`'s entries into `p.offs` from index columns `ix`
     /// evaluated at registers `first ..`; an index out of range in some
     /// lane is a fallback.
     fn flatten(
@@ -1395,8 +1706,8 @@ impl Machine<'_> {
         extents: &[usize],
         sel: Sel<'_>,
     ) -> Result<(), Fallback> {
-        let f = self.p.col.view(self.lanes, self.geom, first as usize);
-        offsets(&f, ix, extents, sel.idx, &mut self.p.offs).ok_or(Fallback)
+        let f = self.p.col.view(self.lanes, first as usize);
+        offsets(&f, ix, extents, sel.k(), &mut self.p.offs).ok_or(Fallback)
     }
 
     /// A bound array's extents, when they have the access's rank (typed
@@ -1440,15 +1751,15 @@ impl Machine<'_> {
         if self.global_hazard(array) {
             return Err(Fallback);
         }
-        let (_, d, _) = self.p.col.split(self.lanes, self.geom, dst);
+        let (_, d, _) = self.p.col.split(self.lanes, sel.k(), dst);
         let data = &self.arrays[array as usize].1.data;
-        for (&t, &o) in sel.idx.iter().zip(&self.p.offs) {
-            d[t] = data[o];
+        for (d, &o) in d.iter_mut().zip(&self.p.offs) {
+            *d = data[o];
         }
         if self.track_footprint {
             self.fp_read.extend(self.p.offs.iter().map(|&o| (array, o)));
         }
-        self.pending.global_reads += sel.lanes();
+        self.pending.global_reads += sel.k() as u64;
         Ok(Col::FTmp(dst))
     }
 
@@ -1462,20 +1773,20 @@ impl Machine<'_> {
         let ix = self.indices(idx, dst + 1, sel)?;
         let ck = self.ck;
         self.flatten(&ix[..idx.len()], dst + 1, &ck.tiles[tile as usize].0, sel)?;
-        let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
-        let writes = &self.p.shared_writes[tile as usize];
-        let epoch = self.p.epoch;
+        let (epoch, base) = (self.p.epoch, self.p.tile_base[tile as usize]);
+        let lanes = || sel.lanes.iter().copied().zip(&self.p.offs);
+        let writes = &self.p.shared_writes[base..];
         if self.hazard_room() && lanes().any(|(t, &o)| races(writes[o], epoch, t)) {
             return Err(Fallback);
         }
-        let reads = lanes().map(|(t, &o)| (tile, o, warp(t)));
+        let reads = lanes().map(|(t, &o)| stamp((base + o) as u64, t));
         self.p.reads.extend(reads);
-        let (_, d, _) = self.p.col.split(self.lanes, self.geom, dst);
-        let data = &self.p.tiles[tile as usize];
-        for (&t, &o) in sel.idx.iter().zip(&self.p.offs) {
-            d[t] = data[o];
+        let (_, d, _) = self.p.col.split(self.lanes, sel.k(), dst);
+        let data = &self.p.smem[base..];
+        for (d, &o) in d.iter_mut().zip(&self.p.offs) {
+            *d = data[o];
         }
-        self.pending.shared_reads += sel.lanes();
+        self.pending.shared_reads += sel.k() as u64;
         Ok(Col::FTmp(dst))
     }
 
@@ -1490,7 +1801,7 @@ impl Machine<'_> {
         let ix = self.indices(idx, 0, sel)?;
         let rank = idx.len() as u16;
         let rhs = self.col(e, rank, sel)?;
-        Ok((ix, self.as_float(rhs, rank, sel)))
+        Ok((ix, self.as_float(rhs, rank, sel.k())))
     }
 
     /// The part of a global store. On success `p.scratch` holds the
@@ -1513,11 +1824,11 @@ impl Machine<'_> {
             if self.track_footprint {
                 self.fp_read.extend(self.p.offs.iter().map(|&o| (array, o)));
             }
-            self.pending.global_reads += sel.lanes();
+            self.pending.global_reads += sel.k() as u64;
         }
-        let rhs = self.p.col.view(self.lanes, self.geom, 0).float(rhs);
+        let rhs = self.p.col.view(self.lanes, 0).float(rhs);
         let data = &self.arrays[array as usize].1.data;
-        fill_scratch(&mut self.p.scratch, &self.p.offs, rhs, op, sel, |o| data[o]);
+        fill_scratch(&mut self.p.scratch, &self.p.offs, rhs, op, |o| data[o]);
         Ok(())
     }
 
@@ -1535,93 +1846,77 @@ impl Machine<'_> {
         let (ix, rhs) = self.store_operands(idx, e, sel)?;
         let (t, ck) = (tile as usize, self.ck);
         self.flatten(&ix[..idx.len()], 0, &ck.tiles[t].0, sel)?;
-        let (epoch, room) = (self.p.epoch, self.hazard_room());
-        let lanes = || sel.idx.iter().copied().zip(&self.p.offs);
+        let (epoch, now, room) = (self.p.epoch, self.p.now, self.hazard_room());
+        let base = self.p.tile_base[t];
+        let lanes = || sel.lanes.iter().copied().zip(&self.p.offs);
         if op != AssignOp::Assign {
-            self.pending.shared_reads += sel.lanes();
+            self.pending.shared_reads += sel.k() as u64;
             // Each lane reads its own target cell: a read-after-write
             // against the writes before the part.
-            let writes = &self.p.shared_writes[t];
+            let writes = &self.p.shared_writes[base..];
             if room && lanes().any(|(l, &o)| races(writes[o], epoch, l)) {
                 return Err(Fallback);
             }
-            let reads = lanes().map(|(l, &o)| (tile, o, warp(l)));
+            let reads = lanes().map(|(l, &o)| stamp((base + o) as u64, l));
             self.p.reads.extend(reads);
         } else if room {
             // Write-after-read: nothing in the part reads this tile, so a
             // cell's last reader is the one before the part. (With `op=`
             // the lane's own read is the last one and never races.)
-            let last_reads = &self.p.shared_reads[t];
+            let last_reads = &self.p.shared_reads[base..];
             if lanes().any(|(l, &o)| races(last_reads[o], epoch, l)) {
                 return Err(Fallback);
             }
         }
         let Pools {
             col,
-            tiles,
+            smem,
             shared_writes,
             offs,
-            undo,
             scratch,
             ..
         } = &mut self.p;
-        let rhs = col.view(self.lanes, self.geom, 0).float(rhs);
-        let data = &tiles[t];
-        fill_scratch(scratch, offs, rhs, op, sel, |o| data[o]);
+        let rhs = col.view(self.lanes, 0).float(rhs);
+        let data = &smem[base..];
+        fill_scratch(scratch, offs, rhs, op, |o| data[o]);
         // Write-write races, in lane order against the log as each lane
-        // leaves it; the log is restored if some lane races.
-        let log = &mut shared_writes[t];
-        undo.clear();
-        for (&l, &o) in sel.idx.iter().zip(offs.iter()) {
+        // leaves it. A racing lane falls back without undoing the stamps
+        // before it: each is its cell's writers' one warp (a second warp
+        // would have raced), and the rerun writes that warp again, in this
+        // epoch, before any later lane looks.
+        let log = &mut shared_writes[base..];
+        for (&l, &o) in sel.lanes.iter().zip(offs.iter()) {
             if room && races(log[o], epoch, l) {
-                for &(o, was) in undo.iter().rev() {
-                    log[o] = was;
-                }
                 return Err(Fallback);
             }
-            undo.push((o, log[o]));
-            log[o] = (epoch, warp(l));
+            log[o] = stamp(now, l);
         }
         Ok(())
     }
 
-    fn count_warp_issue(&mut self, mask: &[bool]) {
-        for warp in mask.chunks(32) {
-            if warp.iter().any(|&m| m) {
-                self.stats.warp_instructions += 1;
-            }
-        }
+    fn count_warp_issue(&mut self, mask: &Mask) {
+        self.stats.warp_instructions += mask.warps();
     }
 
-    /// One pass over a branch's lanes, whose `taken` holds active lanes
-    /// only: the per-warp branch counters, which sides some lane takes, and
-    /// the else mask (`active && !taken`) when one is asked for.
-    fn branch(
-        &mut self,
-        active: &[bool],
-        taken: &[bool],
-        mut else_mask: Option<&mut Vec<bool>>,
-    ) -> Branch {
+    /// The per-warp branch counters of an `if` or a loop test over
+    /// `active`, whose `taken` lanes are active ones, and which sides some
+    /// lane takes.
+    fn branch(&mut self, active: &Mask, taken: &Mask) -> Branch {
         let mut out = Branch::default();
-        for (active, taken) in active.chunks(32).zip(taken.chunks(32)) {
-            let (mut t, mut e) = (false, false);
-            for (&a, &th) in active.iter().zip(taken) {
-                let not = a && !th;
-                t |= th;
-                e |= not;
-                if let Some(m) = else_mask.as_deref_mut() {
-                    m.push(not);
+        for (&a, &th) in active.0.iter().zip(&taken.0) {
+            let not = a & !th;
+            for half in [0, 32] {
+                let (t, e) = ((th >> half) as u32, (not >> half) as u32);
+                if t | e != 0 {
+                    self.stats.branch_evals += 1;
+                    if t != 0 && e != 0 {
+                        self.stats.divergent_evals += 1;
+                        out.divergent = true;
+                    }
                 }
             }
-            if t || e {
-                self.stats.branch_evals += 1;
-                if t && e {
-                    self.stats.divergent_evals += 1;
-                    out.divergent = true;
-                }
-            }
-            out.taken |= t;
-            out.not_taken |= e;
+            out.taken |= th != 0;
+            out.not_taken |= not != 0;
         }
         out
     }
@@ -1633,21 +1928,13 @@ impl Machine<'_> {
         self.fp_write.clear();
     }
 
-    fn exec_stmts(
-        &mut self,
-        stmts: &[CStmt],
-        mask: &[bool],
-        uniform: bool,
-    ) -> Result<(), ExecError> {
+    fn exec_stmts(&mut self, stmts: &[CStmt], mask: &Mask, uniform: bool) -> Result<(), ExecError> {
         for s in stmts {
             // Combine the control mask with liveness (identical until some
             // thread returns).
             if self.any_returned {
-                let mut active = self.take_mask();
-                active.extend(mask.iter().zip(&self.p.alive).map(|(&m, &a)| m && a));
-                let done = self.exec_stmt(s, &active, uniform);
-                self.p.masks.push(active);
-                done?;
+                let active = mask.and(&self.alive);
+                self.exec_stmt(s, &active, uniform)?;
             } else {
                 self.exec_stmt(s, mask, uniform)?;
             }
@@ -1655,8 +1942,8 @@ impl Machine<'_> {
         Ok(())
     }
 
-    fn exec_stmt(&mut self, s: &CStmt, active: &[bool], uniform: bool) -> Result<(), ExecError> {
-        if !active.iter().any(|&a| a) {
+    fn exec_stmt(&mut self, s: &CStmt, active: &Mask, uniform: bool) -> Result<(), ExecError> {
+        if !active.any() {
             return Ok(());
         }
         match s {
@@ -1704,24 +1991,20 @@ impl Machine<'_> {
                 else_body,
             } => {
                 self.count_warp_issue(active);
-                let mut then_mask = self.take_mask();
-                if conjuncts.is_empty() {
-                    self.truth(cond, *part, active, &mut then_mask)?;
+                let then_mask = if conjuncts.is_empty() {
+                    self.truth(cond, *part, active)?
                 } else {
-                    self.guard(conjuncts, active, &mut then_mask);
-                }
-                let mut else_mask = self.take_mask();
-                let fill_else = (!else_body.is_empty()).then_some(&mut else_mask);
-                let split = self.branch(active, &then_mask, fill_else);
+                    self.guard(conjuncts, active)
+                };
+                let split = self.branch(active, &then_mask);
                 let sub_uniform = uniform && !split.divergent;
                 if split.taken {
                     self.exec_stmts(then_body, &then_mask, sub_uniform)?;
                 }
                 if split.not_taken && !else_body.is_empty() {
+                    let else_mask = active.and_not(&then_mask);
                     self.exec_stmts(else_body, &else_mask, sub_uniform)?;
                 }
-                self.p.masks.push(then_mask);
-                self.p.masks.push(else_mask);
             }
             CStmt::For {
                 slot,
@@ -1739,28 +2022,21 @@ impl Machine<'_> {
                 if uniform && self.track_footprint {
                     self.flush_footprint();
                 }
-                // Lanes still looping, and those of them running this
-                // iteration.
-                let mut live = self.take_mask();
-                live.extend_from_slice(active);
-                let mut iter_mask = self.take_mask();
+                // Lanes still looping.
+                let mut live = *active;
                 loop {
-                    self.truth(cond, *cond_part, &live, &mut iter_mask)?;
-                    let split = self.branch(active, &iter_mask, None);
+                    let iter_mask = self.truth(cond, *cond_part, &live)?;
+                    let split = self.branch(active, &iter_mask);
                     if !split.taken {
                         break;
                     }
                     self.exec_stmts(body, &iter_mask, uniform && !split.divergent)?;
-                    std::mem::swap(&mut live, &mut iter_mask);
+                    live = iter_mask;
                     if self.any_returned {
-                        for (l, &a) in live.iter_mut().zip(&self.p.alive) {
-                            *l &= a;
-                        }
+                        live = live.and(&self.alive);
                     }
                     self.step(*slot, step, *step_part, &live)?;
                 }
-                self.p.masks.push(live);
-                self.p.masks.push(iter_mask);
                 if uniform && self.track_footprint {
                     self.flush_footprint();
                 }
@@ -1772,12 +2048,10 @@ impl Machine<'_> {
                     ));
                 }
                 self.count_warp_issue(active);
-                self.p.epoch += 1;
+                self.p.epoch = self.p.tick();
             }
             CStmt::Return => {
-                for (alive, &a) in self.p.alive.iter_mut().zip(active) {
-                    *alive &= !a;
-                }
+                self.alive = self.alive.and_not(active);
                 self.any_returned = true;
             }
         }
@@ -1791,30 +2065,27 @@ impl Machine<'_> {
         slot: SlotRef,
         step: &CExpr,
         part: Part,
-        ran: &[bool],
+        ran: &Mask,
     ) -> Result<(), ExecError> {
         let n = self.lanes;
         if let (SlotRef::Int(c), Some(by)) = (slot, self.value(step, part, ran)) {
-            // Read the step from register 0: it may read the slot.
+            // Read the step from register 0 when it is a slot column: it
+            // may be the loop variable's.
             let by = match by {
-                Col::I(_) | Col::ITmp(_) => by,
-                _ => self.copy_to(by, 0),
+                Col::ISlot(_) => self.copy_to(by, 0),
+                _ => by,
             };
-            let Columns { icols, itmp, .. } = &mut self.p.col;
-            let by = match by {
-                Col::I(d) => Lanes::Const(d),
-                _ => Lanes::Col(&itmp[..n]),
-            };
+            let (icols, _, files) = self.p.col.split_slots(n);
+            let by = files.int(by);
             let var = &mut icols[c as usize * n..][..n];
-            for (t, (v, &ran)) in var.iter_mut().zip(ran).enumerate() {
-                if ran {
-                    *v = v.wrapping_add(by.at(t));
-                }
+            let compact = part == Part::Typed;
+            for (i, t) in ran.ones().enumerate() {
+                var[t] = var[t].wrapping_add(by.at(if compact { i } else { t }));
             }
             self.p.wrote(c);
             return Ok(());
         }
-        for t in (0..n).filter(|&t| ran[t]) {
+        for t in ran.ones() {
             let d = self.eval(step, t)?.as_i64()?;
             let cur = self.slot(t, slot).as_i64()?;
             self.set_slot(t, slot, Value::I(cur.wrapping_add(d)));
@@ -1873,11 +2144,11 @@ impl Machine<'_> {
         idx: &[CExpr],
         op: AssignOp,
         e: &CExpr,
-        active: &[bool],
+        active: &Mask,
     ) -> Result<(), ExecError> {
         let mut scratch = std::mem::take(&mut self.p.scratch);
         scratch.clear();
-        for t in (0..active.len()).filter(|&t| active[t]) {
+        for t in active.ones() {
             let rhs = self.eval(e, t)?;
             let off = self.global_offset(array, idx, t)?;
             let v = if op == AssignOp::Assign {
@@ -1920,11 +2191,12 @@ impl Machine<'_> {
         idx: &[CExpr],
         op: AssignOp,
         e: &CExpr,
-        active: &[bool],
+        active: &Mask,
     ) -> Result<(), ExecError> {
         let mut scratch = std::mem::take(&mut self.p.scratch);
         scratch.clear();
-        for t in (0..active.len()).filter(|&t| active[t]) {
+        let base = self.p.tile_base[tile as usize];
+        for t in active.ones() {
             let rhs = self.eval(e, t)?;
             let off = self.shared_offset(tile, idx, t)?;
             let v = if op == AssignOp::Assign {
@@ -1932,12 +2204,12 @@ impl Machine<'_> {
             } else {
                 self.stats.shared_reads += 1;
                 self.note_shared_read(tile, off, t);
-                apply_assign(op, self.p.tiles[tile as usize][off], rhs.as_f64())
+                apply_assign(op, self.p.smem[base + off], rhs.as_f64())
             };
             // Same-epoch write from a different warp → race.
-            let here: LastAccess = (self.p.epoch, (t / 32) as u32);
-            let last_write = &mut self.p.shared_writes[tile as usize][off];
-            if last_write.0 == here.0 && last_write.1 != here.1 {
+            let (here, epoch) = (stamp(self.p.tick(), t), self.p.epoch);
+            let last_write = &mut self.p.shared_writes[base + off];
+            if races(*last_write, epoch, t) {
                 self.stats.add_hazard(format!(
                     "shared write-write race on tile {tile}[{off}] in `{}`",
                     self.kernel_name
@@ -1949,8 +2221,7 @@ impl Machine<'_> {
             // multi-phase kernel that overwrites a tile cell some other
             // warp consumed since the last barrier is racing on real
             // hardware even though lockstep execution sees the old value.
-            let last_read = self.p.shared_reads[tile as usize][off];
-            if last_read.0 == here.0 && last_read.1 != here.1 {
+            if races(self.p.shared_reads[base + off], epoch, t) {
                 self.stats.add_hazard(format!(
                     "shared write-after-read without barrier on tile {tile}[{off}] in `{}`",
                     self.kernel_name
@@ -1965,7 +2236,7 @@ impl Machine<'_> {
 
     /// The second phase of a shared store: `p.scratch`'s writes, in order.
     fn write_shared(&mut self, tile: u16) {
-        let data = &mut self.p.tiles[tile as usize];
+        let data = &mut self.p.smem[self.p.tile_base[tile as usize]..];
         for &(off, v) in &self.p.scratch {
             data[off] = v;
         }
@@ -1978,15 +2249,14 @@ impl Machine<'_> {
     /// without this check a missing `__syncthreads()` between staging
     /// writes and consumer reads would go undetected).
     fn note_shared_read(&mut self, tile: u16, off: usize, t: usize) {
-        let here: LastAccess = (self.p.epoch, (t / 32) as u32);
-        let last_write = self.p.shared_writes[tile as usize][off];
-        if last_write.0 == here.0 && last_write.1 != here.1 {
+        let cell = self.p.tile_base[tile as usize] + off;
+        if races(self.p.shared_writes[cell], self.p.epoch, t) {
             self.stats.add_hazard(format!(
                 "shared read-after-write without barrier on tile {tile}[{off}] in `{}`",
                 self.kernel_name
             ));
         }
-        self.p.shared_reads[tile as usize][off] = here;
+        self.p.shared_reads[cell] = stamp(self.p.tick(), t);
     }
 
     fn note_global_read(&mut self, array: u16, off: usize) {
@@ -2027,7 +2297,7 @@ impl Machine<'_> {
                 let off = self.shared_offset(*tile, idx, t)?;
                 self.stats.shared_reads += 1;
                 self.note_shared_read(*tile, off, t);
-                Value::F(self.p.tiles[*tile as usize][off])
+                Value::F(self.p.smem[self.p.tile_base[*tile as usize] + off])
             }
             CExpr::Un { op, e } => {
                 let v = self.eval(e, t)?;
@@ -2754,6 +3024,48 @@ mod typing_and_column_tests {
         assert_eq!(err.to_string(), format!("execution error: {}", err.0));
     }
 
+    /// A write-write race between lanes 60–63 (warp 1, the first mask word)
+    /// and 64–67 (warp 2, the second) of a 512-lane block: the typed store
+    /// falls back, and the per-thread rerun reports each cell at its second
+    /// writer, in thread order.
+    #[test]
+    fn a_race_across_a_mask_word_boundary_reports_in_thread_order() {
+        let src = "__global__ void k(const double* __restrict__ a, double* b, int n) {\n  \
+                   __shared__ double s[64];\n  int i = threadIdx.x;\n  \
+                   if (i >= 60 && i < 68) { s[(67 - i) % 4] = a[i]; }\n}\n\
+                   void host() {\n  int n = 512;\n  double* a = cudaAlloc1D(n);\n  \
+                   double* b = cudaAlloc1D(n);\n  k<<<1, 512>>>(a, b, n);\n}\n";
+        let stats = run(src).unwrap().1.remove(0);
+        let race = |c| format!("shared write-write race on tile 0[{c}] in `k`");
+        assert_eq!(stats.hazards, [3, 2, 1, 0].map(race));
+        // `int i` and the `if` issue in all 16 warps, the store in two.
+        assert_eq!(
+            (stats.shared_writes, stats.warp_instructions),
+            (8, 16 + 16 + 2)
+        );
+    }
+
+    /// A block above the lane masks' capacity is a trap, charged no steps,
+    /// with every array back in global memory.
+    #[test]
+    fn a_block_above_the_lane_capacity_traps() {
+        let p = parse_program(&kernel_on_a("  a[i] = 1.0;")).unwrap();
+        let mut plan = ExecutablePlan::from_program(&p).unwrap();
+        plan.launches[0].block = Dim3::new(MAX_LANES as u32 + 1, 1, 1);
+        let mut mem = GlobalMemory::from_plan(&plan);
+        let interp = Interpreter::new(&p);
+        let err = interp.run_plan(&plan, &mut mem).unwrap_err();
+        assert_eq!(
+            (err.0.as_str(), err.1),
+            (
+                "block of 1025 threads in `k` exceeds the interpreter's limit of 1024",
+                ExecErrorKind::Trap
+            )
+        );
+        assert_eq!(interp.steps_used(), 0);
+        assert!(mem.get("a").is_some());
+    }
+
     #[test]
     fn step_budget_exhaustion_is_structured() {
         let src = kernel_on_a("  a[i] = 1.0;").replace("k<<<1, 32>>>", "k<<<2, 32>>>");
@@ -3203,15 +3515,18 @@ void host() {
     }
 
     /// Everything a statement's execution can leave behind, floats as
-    /// bits. The footprint sets only count when the statement completes:
+    /// bits. A log entry shows as the warp of an access in the current
+    /// barrier epoch, or `None`: the clock ticks the two evaluators stamp
+    /// with differ, and nothing but the epoch test and the warp ever reads
+    /// them. The footprint sets only count when the statement completes:
     /// a trap ends the launch before they are reported.
     #[derive(Debug, PartialEq)]
     struct Observed {
         result: Result<(), ExecError>,
         stats: LaunchStats,
         arrays: Vec<Vec<u64>>,
-        tiles: Vec<Vec<u64>>,
-        logs: (Vec<Vec<LastAccess>>, Vec<Vec<LastAccess>>),
+        smem: Vec<u64>,
+        logs: (Vec<Option<u64>>, Vec<Option<u64>>),
         writers: Vec<Vec<u64>>,
         ints: Vec<i64>,
         floats: Vec<u64>,
@@ -3220,12 +3535,24 @@ void host() {
         footprint: Option<[Vec<(u16, usize)>; 2]>,
     }
 
+    /// A block shape: 16–48 × 1–2 lanes; above 64 lanes and never a
+    /// multiple of 64 (an odd 17–47 × 4–12); or 1024 lanes. `threadIdx.x`
+    /// stays below 48, so the generators' indices stay mostly in range.
+    fn block_shape(rng: &mut Rng) -> (u64, u64, u64) {
+        match rng.below(4) {
+            0 | 1 => (16 + rng.below(33), 1 + rng.below(2), 1),
+            2 => (17 + 2 * rng.below(16), 4 + rng.below(9), 1),
+            _ => (32, 8, 4),
+        }
+    }
+
     /// Execute `stmt` on one block whose whole state — memory, slots,
     /// tiles, logs, hazard list, mask — is drawn from `seed`.
     fn observe(ck: &CompiledKernel, stmt: &CStmt, seed: u64) -> Observed {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = Rng(seed);
-        let block = Dim3::new(16 + rng.below(33) as u32, 1 + rng.below(2) as u32, 1);
+        let (x, y, z) = block_shape(&mut rng);
+        let block = Dim3::new(x as u32, y as u32, z as u32);
         let lanes = block.count() as usize;
         let mut arrays: Vec<(String, DeviceArray)> = [("a", vec![5, 32]), ("b", vec![160])]
             .into_iter()
@@ -3262,6 +3589,8 @@ void host() {
             nvals: ck.nslots - ck.int_slots - ck.float_slots,
             p: pools,
             pending: Pending::default(),
+            full: Mask::first(lanes),
+            alive: Mask::first(lanes),
             any_returned: false,
             fp_read: HashSet::new(),
             fp_write: HashSet::new(),
@@ -3285,18 +3614,17 @@ void host() {
                 _ => Value::F(float_value(&mut rng)),
             };
         }
-        for tile in &mut m.p.tiles {
-            tile.iter_mut().for_each(|x| *x = float_value(&mut rng));
+        for x in &mut m.p.smem {
+            *x = float_value(&mut rng);
         }
         // The logs hold accesses from this barrier epoch and an older one,
-        // by any warp; the writers tables are empty or name this block,
-        // another block, or none.
-        let epoch = m.p.epoch;
-        for log in m.p.shared_writes.iter_mut().chain(&mut m.p.shared_reads) {
-            for entry in log.iter_mut() {
-                let sparse = rng.below(8) != 0;
-                *entry = (epoch - sparse as u64, rng.below(3) as u32);
-            }
+        // by any warp of the block; the writers tables are empty or name
+        // this block, another block, or none.
+        let (epoch, now) = (m.p.epoch, m.p.tick());
+        let warps = lanes.div_ceil(32) as u64;
+        for entry in m.p.shared_writes.iter_mut().chain(&mut m.p.shared_reads) {
+            let tick = if rng.below(8) != 0 { epoch } else { now };
+            *entry = stamp(tick, 32 * rng.below(warps) as usize);
         }
         for (w, (_, arr)) in m.p.writers.iter_mut().zip(m.arrays.iter()) {
             if rng.below(2) == 0 {
@@ -3305,10 +3633,27 @@ void host() {
                     .collect();
             }
         }
-        let density = 1 + rng.below(4);
-        let mask: Vec<bool> = (0..lanes).map(|_| rng.below(4) < density).collect();
+        // From one lane in sixteen to every lane, sometimes with a whole
+        // 64-lane word off.
+        let density = [1, 4, 8, 12, 16][rng.below(5) as usize];
+        let mut mask = Mask::EMPTY;
+        for t in 0..lanes {
+            if rng.below(16) < density {
+                mask.set(t);
+            }
+        }
+        if rng.below(4) == 0 {
+            mask.0[rng.below(lanes.div_ceil(64) as u64) as usize] = 0;
+        }
 
         let result = m.exec_stmt(stmt, &mask, true);
+        let epoch = m.p.epoch;
+        let in_epoch = |log: &[u64]| -> Vec<Option<u64>> {
+            let warp = |s: u64| s & ((1 << WARP_BITS) - 1);
+            log.iter()
+                .map(|&s| (s >> WARP_BITS > epoch).then(|| warp(s)))
+                .collect()
+        };
         let footprint = [&m.fp_read, &m.fp_write].map(|set| {
             let mut elems: Vec<_> = set.iter().copied().collect();
             elems.sort_unstable();
@@ -3319,8 +3664,8 @@ void host() {
             result,
             stats: m.stats.clone(),
             arrays: m.arrays.iter().map(|(_, a)| bits(&a.data)).collect(),
-            tiles: m.p.tiles.iter().map(|t| bits(t)).collect(),
-            logs: (m.p.shared_writes.clone(), m.p.shared_reads.clone()),
+            smem: bits(&m.p.smem),
+            logs: (in_epoch(&m.p.shared_writes), in_epoch(&m.p.shared_reads)),
             writers: m.p.writers.clone(),
             ints: m.p.col.icols.clone(),
             floats: bits(&m.p.col.fcols),
@@ -3449,21 +3794,29 @@ void host() {
         }
     }
 
-    /// Two launches of two or three blocks each (different shapes and
-    /// scalar arguments) of a kernel of one or two guarded loops. The
+    /// Two launches of two or three blocks each (the first's shape from
+    /// `block_shape`, the second's 16–48 × 1–2, different scalar
+    /// arguments) of a kernel of one or two guarded loops. The
     /// conjunct pool reads the loop-invariant `p0`, `p1`, `g` and the
     /// builtins, the loop variable `j`, and `q`, which the loops reassign
     /// under partial masks.
     fn guarded_program(rng: &mut Rng) -> Program {
-        let mut launch = || {
-            let (blocks, x, y) = (2 + rng.below(2), 16 + rng.below(33), 1 + rng.below(2));
+        let launch = |rng: &mut Rng, (x, y, z)| {
+            let blocks = 2 + rng.below(2);
             let (p0, p1) = (rng.below(7) as i64 - 3, rng.below(7) as i64 - 3);
-            format!("  k<<<{blocks}, dim3({x}, {y})>>>(a, b, {p0}, {p1});\n")
+            let call = format!("  k<<<{blocks}, dim3({x}, {y}, {z})>>>(a, b, {p0}, {p1});\n");
+            (call, blocks * x * y * z)
         };
-        let launches = launch() + &launch();
+        // The second launch's block is a small one: the large shapes cost
+        // the per-thread reference most.
+        let shape = block_shape(rng);
+        let (first, m) = launch(rng, shape);
+        let small = (16 + rng.below(33), 1 + rng.below(2), 1);
+        let (second, n) = launch(rng, small);
+        let (launches, n) = (first + &second, m.max(n));
         let src = format!(
             "__global__ void k(double* a, double* b, int p0, int p1) {{ }}\n\
-             void host() {{\n  int n = 320;\n  double* a = cudaAlloc1D(n);\n  \
+             void host() {{\n  int n = {n};\n  double* a = cudaAlloc1D(n);\n  \
              double* b = cudaAlloc1D(n);\n{launches}}}\n"
         );
         let mut program = parse_program(&src).unwrap();
@@ -3482,17 +3835,14 @@ void host() {
             init: Some(init),
         };
         let b = |axis| Expr::Builtin(axis);
-        // g = (blockIdx.x * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x
-        let row = bin(
-            Add,
-            bin(
-                Mul,
-                b(Builtin::BlockIdx(Axis::X)),
-                b(Builtin::BlockDim(Axis::Y)),
-            ),
-            b(Builtin::ThreadIdx(Axis::Y)),
-        );
-        let g = bin(Add, bin(Mul, row, b(Builtin::BlockDim(Axis::X))), tid());
+        // g = ((blockIdx.x * blockDim.z + threadIdx.z) * blockDim.y
+        //       + threadIdx.y) * blockDim.x + threadIdx.x
+        let nest = |outer, axis| {
+            let scaled = bin(Mul, outer, b(Builtin::BlockDim(axis)));
+            bin(Add, scaled, b(Builtin::ThreadIdx(axis)))
+        };
+        let plane = nest(b(Builtin::BlockIdx(Axis::X)), Axis::Z);
+        let g = nest(nest(plane, Axis::Y), Axis::X);
         let mut body = vec![
             // `m` is declared with two types: a value slot, holding int 1.
             decl("m", ScalarType::F64, Expr::Float(0.5)),
