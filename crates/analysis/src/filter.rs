@@ -9,7 +9,7 @@
 //! kernels that the roofline test mistakes for memory-bound (the Fluam
 //! anomaly of §6.2.2).
 
-use crate::metadata::{Confidence, DeviceMetadata, KernelClass, OpsMetadata, PerfMetadata};
+use crate::metadata::{DeviceMetadata, KernelClass, OpsMetadata, PerfMetadata};
 use crate::roofline;
 use serde::{Deserialize, Serialize};
 
@@ -43,10 +43,6 @@ pub enum FilterReason {
     Boundary,
     /// Excluded: latency-bound (guided mode only).
     LatencyBound,
-    /// Excluded: the robust profiler classified its measurements
-    /// [`Confidence::Unreliable`], so any roofline verdict would rest on
-    /// numbers that are mostly noise. Quarantined from the fusion space.
-    Unreliable,
 }
 
 /// The filter decision for one kernel invocation.
@@ -75,7 +71,6 @@ impl FilterDecision {
             FilterReason::ComputeBound => KernelClass::ComputeBound,
             FilterReason::Boundary => KernelClass::Boundary,
             FilterReason::LatencyBound => KernelClass::LatencyBound,
-            FilterReason::Unreliable => KernelClass::Unreliable,
         }
     }
 }
@@ -96,11 +91,8 @@ pub fn identify_targets(
         .map(|(p, o)| {
             debug_assert_eq!(p.seq, o.seq);
             let oi = p.operational_intensity();
-            // Quarantine comes first: an unreliable measurement invalidates
-            // every verdict derived from it, roofline included.
-            let reason = if p.measure.confidence == Confidence::Unreliable {
-                FilterReason::Unreliable
-            } else if roofline::classify(p, device) == roofline::RooflineRegion::ComputeBound {
+            let reason = if roofline::classify(p, device) == roofline::RooflineRegion::ComputeBound
+            {
                 FilterReason::ComputeBound
             } else if max_sites > 0 && (o.sites as f64) < BOUNDARY_FRACTION * max_sites as f64 {
                 FilterReason::Boundary
@@ -161,7 +153,6 @@ mod tests {
             flops,
             divergent_evals: 0,
             divergence: 0.0,
-            measure: Default::default(),
         }
     }
 
@@ -190,19 +181,6 @@ mod tests {
         assert_eq!(out[2].reason, FilterReason::Boundary);
         assert!(out[0].is_target());
         assert!(!out[1].is_target());
-    }
-
-    #[test]
-    fn unreliable_measurements_are_quarantined_first() {
-        let d = device();
-        // Would be a clean memory-bound target, but the robust profiler
-        // marked its measurements untrustworthy.
-        let mut p = perf(0, 1_000_000, 1_000_000, 10.0);
-        p.measure.confidence = Confidence::Unreliable;
-        let out = identify_targets(&[p], &[ops(0, 1_000_000)], &d, &FilterConfig::default());
-        assert_eq!(out[0].reason, FilterReason::Unreliable);
-        assert!(!out[0].is_target());
-        assert_eq!(out[0].class(), KernelClass::Unreliable);
     }
 
     #[test]

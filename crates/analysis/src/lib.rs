@@ -29,7 +29,5 @@ pub mod roofline;
 
 pub use access::{AccessError, ArrayAccess, IdxBase, IdxPat, KernelAccess, Sweep};
 pub use filter::{FilterDecision, FilterReason};
-pub use metadata::{
-    Confidence, DeviceMetadata, KernelClass, MeasureQuality, OpsMetadata, PerfMetadata, Provenance,
-};
+pub use metadata::{DeviceMetadata, KernelClass, OpsMetadata, PerfMetadata};
 pub use roles::{Role, RoleMap};

@@ -43,8 +43,6 @@ pub struct PerfMetadata {
     pub divergent_evals: u64,
     /// Fraction of warp branch evaluations that diverged, in [0, 1].
     pub divergence: f64,
-    /// Measurement-quality summary: how trustworthy the numbers above are.
-    pub measure: MeasureQuality,
 }
 
 impl PerfMetadata {
@@ -55,74 +53,6 @@ impl PerfMetadata {
             f64::INFINITY
         } else {
             self.flops as f64 / bytes
-        }
-    }
-}
-
-/// Confidence classification of one launch's measurements, derived from the
-/// worst relative dispersion across its aggregated metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Confidence {
-    /// Low dispersion: the measurement can be trusted as-is.
-    Stable,
-    /// Noticeable run-to-run scatter: usable, but plans built on it should
-    /// hedge (the search widens its fusion penalty for such kernels).
-    Noisy,
-    /// Too few surviving samples or excessive scatter: the numbers are not
-    /// trustworthy and the kernel is quarantined out of the fusion space.
-    Unreliable,
-}
-
-/// Where an aggregated metric value came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Provenance {
-    /// Aggregated from profiled repetitions on the first attempt.
-    Measured,
-    /// Measured, but at least one repetition hit a transient profiler
-    /// failure and was retried.
-    Remeasured,
-    /// Robust aggregation rejected too many samples (or none survived);
-    /// the value collapsed to the analytic model's estimate.
-    AnalyticFallback,
-    /// Classified [`Confidence::Unreliable`]: the value is reported but the
-    /// launch is excluded from transformation decisions.
-    Quarantined,
-}
-
-/// Measurement-quality summary attached to every [`PerfMetadata`] row by
-/// the robust profiler: sample counts, dispersion, a confidence interval on
-/// the runtime, and the confidence/provenance classification downstream
-/// stages key off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MeasureQuality {
-    /// Profiling repetitions that produced a usable sample.
-    pub samples: u32,
-    /// Samples rejected as outliers across all aggregated metrics.
-    pub outliers_rejected: u32,
-    /// Worst relative dispersion across metrics (robust sigma / median).
-    pub dispersion: f64,
-    /// Lower bound of the ~95% confidence interval on `runtime_us`.
-    pub ci_low_us: f64,
-    /// Upper bound of the ~95% confidence interval on `runtime_us`.
-    pub ci_high_us: f64,
-    /// Confidence classification derived from `dispersion` and `samples`.
-    pub confidence: Confidence,
-    /// Where the aggregated values came from.
-    pub provenance: Provenance,
-}
-
-impl Default for MeasureQuality {
-    /// The single-shot exact-measurement default: one sample, zero
-    /// dispersion, a degenerate confidence interval, fully trusted.
-    fn default() -> Self {
-        MeasureQuality {
-            samples: 1,
-            outliers_rejected: 0,
-            dispersion: 0.0,
-            ci_low_us: 0.0,
-            ci_high_us: 0.0,
-            confidence: Confidence::Stable,
-            provenance: Provenance::Measured,
         }
     }
 }
@@ -189,9 +119,6 @@ pub enum KernelClass {
     /// Latency-bound (poor compute/memory overlap): *looks* memory-bound to
     /// the roofline test; only a programmer-guided filter excludes it.
     LatencyBound,
-    /// Measurements too noisy to trust ([`Confidence::Unreliable`]):
-    /// quarantined out of the fusion space regardless of its roofline class.
-    Unreliable,
 }
 
 /// The bundle of metadata for one program on one device: what stage 1 of
@@ -225,7 +152,6 @@ mod tests {
             flops: 5_000_000,
             divergent_evals: 0,
             divergence: 0.0,
-            measure: MeasureQuality::default(),
         }
     }
 
@@ -241,32 +167,6 @@ mod tests {
         p.dram_read_bytes = 0;
         p.dram_write_bytes = 0;
         assert!(p.operational_intensity().is_infinite());
-    }
-
-    #[test]
-    fn measure_quality_defaults_to_trusted_single_shot() {
-        let q = MeasureQuality::default();
-        assert_eq!(q.samples, 1);
-        assert_eq!(q.confidence, Confidence::Stable);
-        assert_eq!(q.provenance, Provenance::Measured);
-        assert_eq!(q.dispersion, 0.0);
-    }
-
-    #[test]
-    fn measure_quality_round_trips_through_json() {
-        let mut p = sample_perf();
-        p.measure = MeasureQuality {
-            samples: 5,
-            outliers_rejected: 1,
-            dispersion: 0.12,
-            ci_low_us: 90.0,
-            ci_high_us: 110.0,
-            confidence: Confidence::Noisy,
-            provenance: Provenance::Remeasured,
-        };
-        let s = serde_json::to_string(&p).unwrap();
-        let p2: PerfMetadata = serde_json::from_str(&s).unwrap();
-        assert_eq!(p, p2);
     }
 
     #[test]

@@ -80,7 +80,6 @@ mod tests {
             flops,
             divergent_evals: 0,
             divergence: 0.0,
-            measure: Default::default(),
         }
     }
 

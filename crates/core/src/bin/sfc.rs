@@ -97,13 +97,6 @@ stencilfuse::option_table! {
              replays the cached plan like --from-plan, a miss runs\n\
              the pipeline and publishes the plan; corruption is\n\
              quarantined and recompiled (exit code 8 reports it)");
-        PROFILE_REPS = Opt::valued("--profile-reps", "N", "repetition count",
-            "profile with N repetitions and robust (median + MAD)\n\
-             aggregation; reports per-kernel measurement confidence");
-        NOISE_SEED = Opt::valued("--noise-seed", "N", "noise seed",
-            "inject the standard seeded measurement-noise model\n\
-             (jitter, outliers, dropped counters, transients); the\n\
-             same seed reproduces the same measurements exactly");
         CHECKPOINT = Opt::valued("--checkpoint", "FILE", "checkpoint file",
             "atomically snapshot the search state to FILE at every\n\
              migration epoch (crash-safe: temp + fsync + rename);\n\
@@ -191,12 +184,6 @@ fn configure(args: &Parsed, device: DeviceSpec) -> Result<PipelineConfig, String
     }
     if args.has(&NO_TUNING) {
         config = config.without_tuning();
-    }
-    if let Some(reps) = args.at_least_one(&PROFILE_REPS)? {
-        config = config.with_profile_reps(reps);
-    }
-    if let Some(seed) = args.number(&NOISE_SEED)? {
-        config = config.with_noise_seed(seed);
     }
     // --resume first: it also arms checkpointing at the same path, and an
     // explicit --checkpoint then redirects where new snapshots land.
@@ -378,9 +365,10 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The accepted flag set is the one the parent commit's hand-written
-    /// usage listed, every flag is in the generated usage with its
-    /// metavar, and every flag parses with a sample value.
+    /// The accepted flag set is the one the hand-written usage listed,
+    /// less the retired `--profile-reps` and `--noise-seed`; every flag is
+    /// in the generated usage with its metavar, and every flag parses with
+    /// a sample value.
     #[test]
     fn the_option_tables_are_the_whole_surface() {
         let mut parent = [
@@ -402,8 +390,6 @@ mod tests {
             "--from-plan",
             "--port-plan",
             "--cache-dir",
-            "--profile-reps",
-            "--noise-seed",
             "--islands",
             "--checkpoint",
             "--resume",

@@ -22,7 +22,7 @@
 //!   what `sfd`'s positional `--device` scope and `sf-fuzz`'s seed list
 //!   read; a repeated single-valued flag's last occurrence wins;
 //! - a flag that takes a value takes the next argument whatever it looks
-//!   like (`--noise-seed -3` is a bad seed, not a missing value); a lone
+//!   like (`--kill-at-epoch -3` is a bad epoch, not a missing value); a lone
 //!   `-` is a positional, and a legal value (stdin/stdout);
 //! - `-h`/`--help` ends parsing, so a binary can print its usage and exit
 //!   0 whatever follows;

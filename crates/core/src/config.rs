@@ -95,12 +95,6 @@ pub struct PipelineConfig {
     pub run_until: Option<Stage>,
     /// Degrade-or-fail policy for recoverable errors.
     pub degrade: DegradePolicy,
-    /// Measurement repetitions per profiling invocation, aggregated with
-    /// median + MAD outlier rejection (1 = single-shot exact profile).
-    pub profile_reps: u32,
-    /// Synthetic measurement noise applied to profiled metrics (`None` =
-    /// exact measurements). Seeded and fully deterministic.
-    pub noise: Option<sf_gpusim::noise::NoiseModel>,
     /// Deterministic fault injection (testing only; `None` injects
     /// nothing). The pipeline's stages read it, and a batch driver arms its
     /// plan store with its `cache` section.
@@ -140,8 +134,6 @@ impl PipelineConfig {
             preloaded_plan: None,
             port_plan: None,
             degrade: DegradePolicy::Degrade,
-            profile_reps: 1,
-            noise: None,
             faults: None,
             checkpoint_path: None,
             resume_path: None,
@@ -221,22 +213,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Profile with `reps` repetitions per invocation (robust aggregation).
-    pub fn with_profile_reps(mut self, reps: u32) -> PipelineConfig {
-        self.profile_reps = reps.max(1);
-        self
-    }
-
-    /// Inject the standard seeded measurement-noise model (10% jitter, 5%
-    /// outliers, dropped counters, transient repetition failures).
-    pub fn with_noise_seed(mut self, seed: u64) -> PipelineConfig {
-        self.noise = Some(sf_gpusim::noise::NoiseModel::standard(seed));
-        self
-    }
-
-    /// The profiler a run prices with (before any repetition or noise):
-    /// functional — the program executes on the interpreter, and measured
-    /// flops and divergence are charged — or analytic.
+    /// The profiler a run prices with: functional — the program executes
+    /// on the interpreter, and measured flops and divergence are charged —
+    /// or analytic.
     pub fn profiler(&self) -> Profiler {
         if self.functional_profile {
             Profiler::new(self.device.clone())
@@ -309,8 +288,8 @@ impl PipelineConfig {
         let port_plan = self.port_plan.as_ref().map(|p| p.to_json());
         format!(
             "device={};mode={:?};fission={};tuning={};filter={:?};search={:?};\
-             functional={};verify={};until={:?};degrade={:?};reps={};\
-             noise={:?};faults={:?};budget={:?};metadata={:?};plan={:?};port={:?}",
+             functional={};verify={};until={:?};degrade={:?};faults={:?};\
+             budget={:?};metadata={:?};plan={:?};port={:?}",
             self.device.fingerprint(),
             self.mode,
             self.enable_fission,
@@ -321,8 +300,6 @@ impl PipelineConfig {
             self.verify,
             self.run_until,
             self.degrade,
-            self.profile_reps,
-            self.noise,
             faults.filter(|f| !f.is_empty()),
             self.budget,
             preloaded_metadata,
@@ -354,7 +331,6 @@ mod tests {
         assert_ne!(fp, base.clone().without_tuning().cache_fingerprint());
         assert_ne!(fp, base.clone().without_fission().cache_fingerprint());
         assert_ne!(fp, base.clone().manual_oracle().cache_fingerprint());
-        assert_ne!(fp, base.clone().with_noise_seed(7).cache_fingerprint());
         assert_ne!(fp, base.clone().strict().cache_fingerprint());
         let mut until = base.clone();
         until.run_until = Some(Stage::Search);
@@ -403,10 +379,11 @@ mod tests {
     }
 
     /// The fault-free fingerprint, re-pinned when the profile retry count
-    /// (`retries=`) and the search's `eval_retries` left it, and again when
-    /// the filter's two thresholds became constants: a change here turns
-    /// every cached plan into a miss. A plan with store faults only
-    /// must fingerprint the same.
+    /// (`retries=`) and the search's `eval_retries` left it, when the
+    /// filter's two thresholds became constants, and when the profile
+    /// repetition count and noise model (`reps=`, `noise=`) left it: a
+    /// change here turns every cached plan into a miss. A plan with store
+    /// faults only must fingerprint the same.
     #[test]
     fn fault_free_fingerprint_is_pinned() {
         const FAULT_FREE: &str = "device=k20x-4576dd2780694130;mode=Auto;fission=true;tuning=true;\
@@ -417,8 +394,8 @@ mod tests {
             penalty_hard: 0.4, init_merges: 3, seed: 20150615, stagnation_window: 0, \
             max_wall_ms: 0, max_evaluations: 0, mode: Auto, block_tuning: false, \
             islands: 1, migration_interval: 8, migrants: 2, max_temporal: 1 };\
-            functional=true;verify=true;until=None;degrade=Degrade;reps=1;noise=None;\
-            faults=None;budget=unlimited;metadata=None;plan=None;port=None";
+            functional=true;verify=true;until=None;degrade=Degrade;faults=None;\
+            budget=unlimited;metadata=None;plan=None;port=None";
         let base = PipelineConfig::automated(DeviceSpec::k20x());
         assert_eq!(base.cache_fingerprint(), FAULT_FREE);
         let store_only = FaultPlan {

@@ -316,7 +316,7 @@ impl From<sf_minicuda::HostEvalError> for PipelineError {
 }
 
 /// Profile errors are degradable: whatever failed the measurement (a trap,
-/// an exhausted step budget, every repetition lost), the original program
+/// an exhausted step budget, an unlaunchable configuration), the original program
 /// remains a valid degraded result. Kernel attribution carries over from
 /// the structured error.
 impl From<sf_gpusim::profiler::ProfileError> for PipelineError {

@@ -24,9 +24,7 @@ use sf_codegen::{
     transform_program_with, CodegenError, GroupFailure, TransformOutput, TransformPlan,
 };
 use sf_core::{Accounted, FaultPlan, ResourceGovernor, ResourceKind};
-use sf_gpusim::noise::NoiseModel;
 use sf_gpusim::profiler::{ProfileError, Profiler, ProgramProfile};
-use sf_gpusim::robust::{RobustProfile, RobustProfiler};
 use sf_gpusim::{GlobalMemory, Interpreter};
 use sf_graphs::{dot, Precedence};
 use sf_minicuda::host::ExecutablePlan;
@@ -241,12 +239,9 @@ struct Run<'a> {
     /// exhausting the process. With the default unlimited budget every
     /// check is a no-op.
     governor: Arc<ResourceGovernor>,
-    /// Owns repetition, noise injection, retry with virtual backoff, and
-    /// median+MAD aggregation. With one rep, no noise, and no injected rep
-    /// failures it is a strict passthrough. Both programs are profiled
-    /// through it, so the original/transformed comparison is apples to
-    /// apples: both sides see the same measurement conditions.
-    robust: RobustProfiler,
+    /// Profiles both programs, one exact run each, so the
+    /// original/transformed comparison is apples to apples.
+    profiler: Profiler,
     reports: Vec<StageReport>,
     original_profile: Option<ProgramProfile>,
     /// The final memory image of the original's functional profile, kept
@@ -274,14 +269,6 @@ impl<'a> Run<'a> {
     fn new(pipeline: &'a Pipeline, hooks: &'a Interventions<'a>) -> Run<'a> {
         let cfg = &pipeline.config;
         let faults = cfg.faults.clone().unwrap_or_default();
-        let robust = RobustProfiler::new(
-            cfg.profiler(),
-            cfg.profile_reps,
-            cfg.noise
-                .clone()
-                .or_else(|| faults.noise_seed.map(NoiseModel::standard)),
-        )
-        .with_forced_transients(faults.rep_failures);
         Run {
             program: &pipeline.program,
             plan: &pipeline.plan,
@@ -289,7 +276,7 @@ impl<'a> Run<'a> {
             hooks,
             faults,
             governor: ResourceGovernor::process().child(cfg.budget),
-            robust,
+            profiler: cfg.profiler(),
             reports: Vec::new(),
             original_profile: None,
             original_image: None,
@@ -425,18 +412,17 @@ impl<'a> Run<'a> {
         Accounted::new(image, &self.governor, ResourceKind::HeapBytes, bytes).ok()
     }
 
-    /// Profile once. A profile is a pure function of the program and the
-    /// run's fault plan — a trap, an unlaunchable configuration or the
-    /// robust profiler's lost repetitions come out the same on every call —
+    /// Profile once. A profile is a pure function of the program — a trap
+    /// or an unlaunchable configuration comes out the same on every call —
     /// so nothing retries it. Without a profile the only valid result is
     /// the original program: `Ok(None)` is that keep-original rung,
     /// recorded in `r`.
-    fn profile(
+    fn profile<T>(
         &self,
         r: &mut StageReport,
         what: &str,
-        profile: impl FnOnce() -> Result<RobustProfile, ProfileError>,
-    ) -> Result<Option<RobustProfile>, PipelineError> {
+        profile: impl FnOnce() -> Result<T, ProfileError>,
+    ) -> Result<Option<T>, PipelineError> {
         match profile() {
             Ok(profiled) => Ok(Some(profiled)),
             Err(e) => {
@@ -498,30 +484,13 @@ impl<'a> Run<'a> {
                 // bundle, the other arm, executes nothing.)
                 let steps = self.profile_steps(plan);
                 self.admit(r.stage, ResourceKind::InterpreterSteps, steps)?;
-                let profile = || self.robust.profile_with_plan(program, plan);
-                let Some(rp) = self.profile(r, "no profile available", profile)? else {
+                let profile = || self.profiler.profile_with_image(program, plan);
+                let Some((profiled, image)) = self.profile(r, "no profile available", profile)?
+                else {
                     return Ok(Next::KeepOriginal);
                 };
-                if self.robust.is_active() {
-                    r.line(format!(
-                        "robust profiling: {} repetition(s), {} lost, \
-                         {} transient rep failure(s) retried ({} µs virtual backoff)",
-                        rp.reps, rp.lost_reps, rp.transient_failures, rp.virtual_backoff_us
-                    ));
-                    let (stable, noisy, unreliable) = rp.confidence_counts();
-                    r.line(format!(
-                        "measurement confidence: {stable} stable, {noisy} noisy, \
-                         {unreliable} unreliable"
-                    ));
-                    if unreliable > 0 {
-                        r.hint(format!(
-                            "{unreliable} launch(es) with unreliable measurements \
-                             will be quarantined from the fusion space"
-                        ));
-                    }
-                }
-                self.original_image = self.keep_image(rp.image, plan);
-                rp.profile
+                self.original_image = self.keep_image(image, plan);
+                profiled
             }
         };
         let mut metadata = original_profile.metadata.clone();
@@ -1000,22 +969,14 @@ impl<'a> Run<'a> {
         }
         let reprofile = || {
             let tplan = tplan.as_ref().map_err(ProfileError::clone)?;
-            self.robust.profile_with_plan(&transform.program, tplan)
+            self.profiler.profile_with_image(&transform.program, tplan)
         };
         let what = "transformed program could not be profiled";
-        let Some(rp) = self.profile(r, what, reprofile)? else {
+        let Some((transformed_profile, image)) = self.profile(r, what, reprofile)? else {
             return Ok(Next::KeepOriginal);
         };
         let tplan = tplan.as_ref().expect("the re-profile executed this plan");
-        let transformed_image = self.keep_image(rp.image, tplan);
-        if self.robust.is_active() && rp.transient_failures > 0 {
-            r.line(format!(
-                "robust re-profiling: {} transient rep failure(s) retried \
-                 ({} µs virtual backoff)",
-                rp.transient_failures, rp.virtual_backoff_us
-            ));
-        }
-        let transformed_profile = rp.profile;
+        let transformed_image = self.keep_image(image, tplan);
         r.line(format!(
             "{} new kernels generated; modeled device time {:.1} µs",
             transform.new_kernel_count, transformed_profile.total_runtime_us
@@ -1358,15 +1319,18 @@ void host() {
             run.original_image.is_some(),
             "stage 1 keeps the original's image"
         );
-        let rp = run.robust.profile_with_plan(&transformed, &tplan).unwrap();
-        let mut image = rp.image.expect("a functional profile");
+        let (profile, image) = run
+            .profiler
+            .profile_with_image(&transformed, &tplan)
+            .unwrap();
+        let mut image = image.expect("a functional profile");
         edit(&mut image);
         let side = Side {
             program: &transformed,
             plan: &tplan,
             run: Some(Execution {
                 image: &image,
-                hazards: &rp.profile.hazards,
+                hazards: &profile.hazards,
             }),
         };
         let mut r = StageReport::new(Stage::Codegen);
@@ -1695,7 +1659,6 @@ void host() {
         let run = Run::new(&pipeline, &hooks);
         assert!(run.faults.is_empty());
         assert!(!run.faults.interpreter_trap);
-        assert!(!run.robust.is_active(), "no injected noise or rep failures");
     }
 
     /// An out-of-bounds access traps the same way on every run, so nothing
@@ -1716,7 +1679,7 @@ void host() {
             let outcome = interp.run_plan(run.plan, &mut mem);
             steps.set(steps.get() + interp.steps_used());
             outcome?;
-            run.robust.profile_with_plan(run.program, run.plan)
+            run.profiler.profile_with_plan(run.program, run.plan)
         };
         let mut r = StageReport::new(Stage::Metadata);
         let err = run
@@ -1729,36 +1692,6 @@ void host() {
             "{err}"
         );
         assert_eq!(steps.get(), Interpreter::plan_steps(run.plan));
-    }
-
-    /// Lost repetitions are drawn from the run's fault plan, and the draw
-    /// starts afresh on every call, so a second call would lose them again:
-    /// the profile is called once and the run keeps the original program.
-    #[test]
-    fn a_lost_reps_profile_executes_once() {
-        let p = parse_program(APP).unwrap();
-        let faults = FaultPlan {
-            rep_failures: 100,
-            ..FaultPlan::default()
-        };
-        let cfg = PipelineConfig::quick(DeviceSpec::k20x())
-            .with_faults(faults)
-            .strict();
-        let pipeline = Pipeline::new(p, cfg).unwrap();
-        let hooks = Interventions::default();
-        let run = Run::new(&pipeline, &hooks);
-        let calls = Cell::new(0);
-        let profile = || {
-            calls.set(calls.get() + 1);
-            run.robust.profile_with_plan(run.program, run.plan)
-        };
-        let mut r = StageReport::new(Stage::Metadata);
-        let err = run
-            .profile(&mut r, "no profile available", profile)
-            .unwrap_err();
-        assert_eq!(err.class, crate::error::Recoverability::Degradable, "{err}");
-        assert!(err.to_string().contains("retries exhausted"), "{err}");
-        assert_eq!(calls.get(), 1);
     }
 }
 

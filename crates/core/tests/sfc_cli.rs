@@ -99,8 +99,10 @@ fn metadata_round_trip_via_cli() {
     );
     let replayed = demo_output("demo2_replay", &["--quick", "--metadata", md]);
     assert_eq!(replayed, direct, "the round trip changed the output");
-    // A bundle an older build wrote, with operations metadata fields this
-    // build no longer reads, still loads and gives the same output.
+    // A bundle an older build wrote, with operations metadata fields and a
+    // per-launch `measure` object (the retired robust profiler's sample
+    // counts and confidence) this build no longer reads, still loads and
+    // gives the same output.
     let frozen = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/compat/demo.metadata.json"
@@ -139,6 +141,24 @@ fn usage_errors_exit_with_2() {
         Some(2),
         "unreadable input exits with 2"
     );
+
+    // A bad value is a usage error, and a flag takes the next argument
+    // whatever it looks like: a negative value is a bad value, not a
+    // missing one.
+    let input = tmp("demo_bad_values.cu");
+    std::fs::write(&input, DEMO).unwrap();
+    for (flag, value, complaint) in [
+        ("--islands", "lots", "sfc: bad island count `lots`"),
+        ("--kill-at-epoch", "-3", "sfc: bad epoch `-3`"),
+    ] {
+        let out = sfc()
+            .args([input.to_str().unwrap(), flag, value])
+            .output()
+            .expect("sfc runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with(complaint), "{flag} {value}: {err}");
+    }
 }
 
 #[test]
@@ -238,53 +258,6 @@ fn emit_params_writes_what_a_default_run_searches_with() {
     let plan = run.planned().expect("a default run searches");
     assert_eq!((cfg.block_tuning, cfg.mode), (plan.block_tuning, plan.mode));
     assert!(cfg.block_tuning, "a default run tunes");
-}
-
-#[test]
-fn noisy_profiling_is_deterministic_across_cli_runs() {
-    let input = tmp("demo_noise.cu");
-    std::fs::write(&input, DEMO).unwrap();
-    let mut outputs = Vec::new();
-    let mut plans = Vec::new();
-    for run in 0..2 {
-        let out = tmp(&format!("demo_noise_{run}.cu"));
-        let plan = tmp(&format!("demo_noise_{run}_plan.json"));
-        let status = sfc()
-            .args([
-                input.to_str().unwrap(),
-                "--quick",
-                "--profile-reps",
-                "5",
-                "--noise-seed",
-                "1234",
-                "-o",
-                out.to_str().unwrap(),
-                "--emit-plan",
-                plan.to_str().unwrap(),
-            ])
-            .status()
-            .expect("sfc runs");
-        assert!(status.success());
-        outputs.push(std::fs::read_to_string(&out).unwrap());
-        plans.push(std::fs::read_to_string(&plan).unwrap());
-    }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "same noise seed, different programs"
-    );
-    assert_eq!(plans[0], plans[1], "same noise seed, different plans");
-
-    // Bad values are usage errors.
-    let out = sfc()
-        .args([input.to_str().unwrap(), "--profile-reps", "lots"])
-        .output()
-        .expect("sfc runs");
-    assert_eq!(out.status.code(), Some(2));
-    let out = sfc()
-        .args([input.to_str().unwrap(), "--noise-seed", "-3"])
-        .output()
-        .expect("sfc runs");
-    assert_eq!(out.status.code(), Some(2));
 }
 
 /// `--cache-dir` runs the batch driver's ladder: a cold run publishes, a
@@ -419,11 +392,7 @@ fn explicit_flags_override_the_parameter_file_which_overrides_quick() {
 fn zero_counts_extra_inputs_and_bad_sizes_are_usage_errors() {
     for (args, complaint) in [
         (
-            &["never-read.cu", "--profile-reps", "0"][..],
-            "sfc: repetition count must be at least 1\n",
-        ),
-        (
-            &["never-read.cu", "--islands", "0"],
+            &["never-read.cu", "--islands", "0"][..],
             "sfc: island count must be at least 1\n",
         ),
         (

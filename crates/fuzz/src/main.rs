@@ -30,7 +30,6 @@ stencilfuse::option_table! {
             "write shrunk reproducers here (default tests/repros)");
         MAX_WALL_SECS = Opt::valued("--max-wall-secs", "S", "duration",
             "stop starting new seeds (or soak rounds) after S seconds");
-        NOISE = Opt::switch("--noise", "add the noisy-profiling checks");
         CACHE = Opt::switch("--cache", "add the plan-cache checks (seeded store faults)");
         ISLANDS = Opt::switch("--islands", "add the island-search checks (faults, kill/resume)");
         DEVICES = Opt::switch("--devices", "add the cross-device replay/port checks");
@@ -50,7 +49,7 @@ stencilfuse::option_table! {
 const TABLES: &[&[Opt]] = &[FUZZ];
 
 const SYNOPSIS: &str = "sf-fuzz [--seed N]... [--seed-range A..B] [--repro-dir DIR] \
-[--max-wall-secs S] [--noise] [--cache] [--islands] [--devices] [--temporal]
+[--max-wall-secs S] [--cache] [--islands] [--devices] [--temporal]
      | sf-fuzz --hostile
      | sf-fuzz --emit-hostile ARCHETYPE
      | sf-fuzz --soak [--seed N] [--soak-rounds R] [--soak-dir DIR] [--max-wall-secs S]";
@@ -189,7 +188,6 @@ fn run(argv: Vec<String>) -> Result<ExitCode, String> {
         GenConfig::default()
     };
     let opts = OracleOptions {
-        noise: args.has(&NOISE),
         cache: args.has(&CACHE),
         islands: args.has(&ISLANDS),
         devices: args.has(&DEVICES),
@@ -294,12 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_noise_flag() {
-        assert!(parse(&["--seed", "1", "--noise"]).has(&NOISE));
-        assert!(!parse(&["--seed", "1"]).has(&NOISE));
-    }
-
-    #[test]
     fn parses_cache_flag() {
         assert!(parse(&["--seed", "1", "--cache"]).has(&CACHE));
         assert!(!parse(&["--seed", "1"]).has(&CACHE));
@@ -367,8 +359,8 @@ mod tests {
         assert_eq!(a.value(&REPRO_DIR), Some("/tmp/x"));
     }
 
-    /// The accepted flag set is the parent's, every flag is documented in
-    /// the generated usage, and every flag parses with a sample value.
+    /// The accepted flag set is the parent's less the retired `--noise`,
+    /// every flag is documented in the generated usage, and every flag parses with a sample value.
     #[test]
     fn the_option_table_is_the_whole_surface() {
         let parent = [
@@ -376,7 +368,6 @@ mod tests {
             "--seed-range",
             "--repro-dir",
             "--max-wall-secs",
-            "--noise",
             "--cache",
             "--islands",
             "--devices",

@@ -42,24 +42,19 @@
 //! 12. `ladder-*` — fault-injected runs must walk each degradation rung
 //!     (tuned → untuned, fused → unfused, verification trap → original)
 //!     and still end in a verified program or the untouched original.
-//! 13. `noisy-*` (opt-in via [`OracleOptions::noise`]) — a plan chosen
-//!     under seeded measurement noise (5 robust repetitions, standard
-//!     noise model) must still verify, be byte-identical across two runs
-//!     with the same seed, and never degrade below the original program
-//!     (modeled speedup ≥ 1).
-//! 14. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
+//! 13. `cache-*` (opt-in via [`OracleOptions::cache`]) — the emitted plan
 //!     must round-trip through the persistent plan cache and replay
 //!     byte-identically from the cached payload, and a store armed with
 //!     the seed's cache faults (torn write, bit flip, version skew, stale
 //!     lock, kill) must stay readable and recover the slot — corruption is
 //!     quarantined, never served and never fatal.
-//! 15. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
+//! 14. `islands-*` (opt-in via [`OracleOptions::islands`]) — the
 //!     supervised island search must be deterministic (two runs agree
 //!     byte for byte), must *degrade* rather than fail under the seed's
 //!     island faults (panicked/stalled islands quarantined, no hidden
 //!     miscompile), and a search killed at a checkpoint epoch must resume
 //!     to the byte-identical program the uninterrupted run produces.
-//! 16. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
+//! 15. `devices-*` (opt-in via [`OracleOptions::devices`]) — cross-device
 //!     plan portability: the plan compiled on one registry device must
 //!     *refuse* to replay on every other device (a structured
 //!     device-mismatch, not a silent wrong-device projection), and
@@ -107,9 +102,6 @@ impl OracleFailure {
 /// Which optional oracle checks to run on top of the always-on core.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleOptions {
-    /// Run the `noisy-*` checks: robust profiling under a seeded
-    /// measurement-noise model must stay deterministic and sound.
-    pub noise: bool,
     /// Run the `cache-*` checks: the plan cache must round-trip the
     /// emitted plan, replay it byte-identically, and survive the seed's
     /// injected cache faults without serving corruption or failing.
@@ -164,9 +156,6 @@ pub fn check_program_with(
     opts: OracleOptions,
 ) -> Result<(), OracleFailure> {
     check_core(program, seed)?;
-    if opts.noise {
-        check_noisy_profile(program, seed)?;
-    }
     if opts.cache {
         check_plan_cache(program, seed)?;
     }
@@ -681,80 +670,6 @@ fn check_temporal(program: &Program, seed: u64) -> Result<(), OracleFailure> {
 
     // The fault ladder with the temporal attempt in play.
     check_ladder_at(program, seed, 2)
-}
-
-/// Opt-in noise check: run the pipeline under the standard seeded noise
-/// model with 5 robust repetitions and one per-rep transient, twice with
-/// identical configuration. The plan chosen under noise must verify (or
-/// fall back to the untouched original), the modeled speedup must stay
-/// monotone (never below 1), and the two runs must agree byte for byte —
-/// measurement noise is seeded, so nondeterminism here is a pipeline bug.
-fn check_noisy_profile(program: &Program, seed: u64) -> Result<(), OracleFailure> {
-    let noisy_cfg = || {
-        let mut cfg = config(seed)
-            .with_profile_reps(5)
-            .with_noise_seed(seed ^ 0x6e6f_6973);
-        cfg.faults = Some(FaultPlan {
-            rep_failures: 1,
-            ..FaultPlan::default()
-        });
-        cfg
-    };
-    let run = |check: &'static str| -> Result<TransformResult, OracleFailure> {
-        Pipeline::new(program.clone(), noisy_cfg())
-            .and_then(|p| p.run())
-            .map_err(|e| OracleFailure::new(check, format!("noisy Degrade-policy run failed: {e}")))
-    };
-    let first = run("noisy-run")?;
-    for d in first.degradations() {
-        if degradation_smells_like_miscompile(&d.action, &d.reason) {
-            return Err(OracleFailure::new(
-                "noisy-miscompile",
-                format!(
-                    "noisy run hid a verification failure: {} ({})",
-                    d.action, d.reason
-                ),
-            )
-            .with_plan(first.executed_plan().or_else(|| first.planned())));
-        }
-    }
-    let verified = first.verification.as_ref().is_some_and(|v| v.passed());
-    let kept_original = first.program == *program;
-    if !verified && !kept_original {
-        return Err(OracleFailure::new(
-            "noisy-verification",
-            "plan chosen under noise produced an unverified program that is not the original"
-                .to_string(),
-        )
-        .with_plan(first.executed_plan().or_else(|| first.planned())));
-    }
-    if first.speedup < 1.0 {
-        return Err(OracleFailure::new(
-            "noisy-monotonic",
-            format!(
-                "noisy run degraded below the original program (modeled speedup {:.3})",
-                first.speedup
-            ),
-        )
-        .with_plan(first.executed_plan().or_else(|| first.planned())));
-    }
-    // Determinism: same seed, same noise, same plan, same bytes.
-    let second = run("noisy-run")?;
-    if print_program(&first.program) != print_program(&second.program) {
-        return Err(OracleFailure::new(
-            "noisy-determinism",
-            "two runs with the same noise seed produced different programs".to_string(),
-        )
-        .with_plan(first.executed_plan().or_else(|| first.planned())));
-    }
-    if first.executed_plan() != second.executed_plan() {
-        return Err(OracleFailure::new(
-            "noisy-determinism",
-            "two runs with the same noise seed executed different plans".to_string(),
-        )
-        .with_plan(first.executed_plan().or_else(|| first.planned())));
-    }
-    Ok(())
 }
 
 /// Opt-in cache check: the persistent plan cache must be a faithful,

@@ -2,7 +2,7 @@
 //! # sf-gpusim
 //!
 //! A GPU execution substrate standing in for the Kepler K20X / K40 boards
-//! the paper evaluates on. Three cooperating pieces:
+//! the paper evaluates on. Four cooperating pieces:
 //!
 //! - [`device`] + [`registry`] — data-driven device descriptors (the
 //!   `deviceQuery` analog): built-ins for the published Kepler parameters
@@ -24,30 +24,23 @@
 //!   these mechanisms.
 //! - [`profiler`] — runs a program on a device and emits the per-kernel
 //!   performance metadata (the `nvprof` analog feeding §3.2.1); its
-//!   launch pricer is also what the block tuner ranks shapes with.
-//! - [`noise`] + [`robust`] — a seeded deterministic measurement-noise
-//!   model and the robust profiler that defeats it: k repetitions,
-//!   median/MAD aggregation with outlier rejection, deterministic retry
-//!   with a virtual backoff clock, and Stable/Noisy/Unreliable
-//!   confidence classification per launch.
+//!   launch pricer is also what the block tuner ranks shapes with. The
+//!   simulator is exact, so one profile is one run: there is nothing to
+//!   repeat or aggregate.
 
 pub mod compile;
 pub mod device;
 pub mod interp;
 pub mod isolate;
 pub mod memory;
-pub mod noise;
 pub mod occupancy;
 pub mod profiler;
 pub mod registry;
-pub mod robust;
 pub mod timing;
 
 pub use device::DeviceSpec;
 pub use interp::{ExecError, ExecErrorKind, Interpreter, LaunchStats};
 pub use memory::GlobalMemory;
-pub use noise::NoiseModel;
 pub use occupancy::OccupancyResult;
 pub use registry::DeviceRegistry;
-pub use robust::{RobustProfile, RobustProfiler};
 pub use timing::TimingModel;

@@ -381,7 +381,6 @@ impl Profiler {
             flops: flops_exec,
             divergent_evals,
             divergence: div_fraction,
-            measure: Default::default(),
         };
         let ops = OpsMetadata {
             kernel: launch.kernel.clone(),

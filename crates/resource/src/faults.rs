@@ -8,7 +8,7 @@
 //!
 //! | site                | fields                                                        |
 //! |---------------------|---------------------------------------------------------------|
-//! | `gpusim.profile`    | `corrupt_metadata`, `noise_seed`, `rep_failures`              |
+//! | `gpusim.profile`    | `corrupt_metadata`                                            |
 //! | `search.islands`    | `poison_evaluations`, the `islands` section                   |
 //! | `codegen.transform` | `reject_groups`, `panic_groups`, `reject_tuned_groups`        |
 //! | `core.verify`       | `interpreter_trap`                                            |
@@ -53,13 +53,6 @@ pub struct FaultPlan {
     /// `core.verify`: make the verification interpreter trap instead of
     /// producing output.
     pub interpreter_trap: bool,
-    /// `gpusim.profile`: run under the standard measurement-noise model
-    /// with this seed, as if the profiler ran on a loaded machine.
-    pub noise_seed: Option<u64>,
-    /// `gpusim.profile`: fail this many individual profiling *repetitions*
-    /// inside the robust profiler on each invocation (per-rep transients,
-    /// retried with virtual backoff).
-    pub rep_failures: u32,
     /// `cache.publish`: the plan store's faults. The pipeline never reads
     /// them (a store fault cannot change a compiled plan); the batch driver
     /// arms its store with them.
@@ -154,8 +147,9 @@ impl FaultPlan {
             plan.reject_tuned_groups
                 .insert((splitmix64(s) % 4) as usize);
         }
-        plan.noise_seed = fires(s, 3, 0);
-        plan.rep_failures = (splitmix64(s) % 3) as u32;
+        // The retired measurement-noise seed and repetition failure count.
+        fires(s, 3, 0);
+        splitmix64(s);
         plan.cache = store_faults(splitmix64(s));
         let islands = &mut plan.islands;
         if let Some(d) = fires(s, 4, 0) {
@@ -215,8 +209,6 @@ mod tests {
                     reject_tuned_groups: BTreeSet::from([1, 2]),
                     poison_evaluations: BTreeSet::from([140]),
                     interpreter_trap: false,
-                    noise_seed: None,
-                    rep_failures: 0,
                     cache: CacheFaults {
                         torn_write: Some(1060389376),
                         bit_flip: None,
@@ -243,8 +235,6 @@ mod tests {
                     reject_tuned_groups: BTreeSet::from([1]),
                     poison_evaluations: BTreeSet::from([120]),
                     interpreter_trap: true,
-                    noise_seed: None,
-                    rep_failures: 2,
                     cache: CacheFaults {
                         torn_write: None,
                         bit_flip: None,
@@ -271,8 +261,6 @@ mod tests {
                     reject_tuned_groups: BTreeSet::from([0, 3]),
                     poison_evaluations: BTreeSet::from([182, 185]),
                     interpreter_trap: false,
-                    noise_seed: Some(66150282585327027),
-                    rep_failures: 1,
                     cache: CacheFaults {
                         torn_write: None,
                         bit_flip: None,
@@ -299,8 +287,6 @@ mod tests {
                     reject_tuned_groups: BTreeSet::from([2]),
                     poison_evaluations: BTreeSet::from([108]),
                     interpreter_trap: false,
-                    noise_seed: None,
-                    rep_failures: 1,
                     cache: CacheFaults {
                         torn_write: Some(2578525853),
                         bit_flip: None,
@@ -327,8 +313,6 @@ mod tests {
                     reject_tuned_groups: BTreeSet::new(),
                     poison_evaluations: BTreeSet::new(),
                     interpreter_trap: true,
-                    noise_seed: None,
-                    rep_failures: 1,
                     cache: CacheFaults {
                         torn_write: Some(4169210372),
                         bit_flip: None,
@@ -368,15 +352,13 @@ mod tests {
     fn every_fault_kind_is_reachable_over_a_seed_range() {
         type Fires = fn(&FaultPlan) -> bool;
         let plans: Vec<FaultPlan> = (0..512).map(FaultPlan::seeded).collect();
-        let kinds: [(&str, Fires); 19] = [
+        let kinds: [(&str, Fires); 17] = [
             ("corrupt_metadata", |p| p.corrupt_metadata),
             ("reject_groups", |p| !p.reject_groups.is_empty()),
             ("panic_groups", |p| !p.panic_groups.is_empty()),
             ("reject_tuned_groups", |p| !p.reject_tuned_groups.is_empty()),
             ("poison_evaluations", |p| !p.poison_evaluations.is_empty()),
             ("interpreter_trap", |p| p.interpreter_trap),
-            ("noise_seed", |p| p.noise_seed.is_some()),
-            ("rep_failures", |p| p.rep_failures > 0),
             ("cache.torn_write", |p| p.cache.torn_write.is_some()),
             ("cache.bit_flip", |p| p.cache.bit_flip.is_some()),
             ("cache.version_skew", |p| p.cache.version_skew),
@@ -425,7 +407,6 @@ mod tests {
             #[test]
             fn seeded_plans_stay_in_bounds(seed in 0u64..u64::MAX) {
                 let p = FaultPlan::seeded(seed);
-                prop_assert!(p.rep_failures < 3);
                 prop_assert!(p.reject_groups.iter().all(|&g| g < 4));
                 prop_assert!(p.panic_groups.iter().all(|&g| g < 4));
                 prop_assert!(p.reject_tuned_groups.iter().all(|&g| g < 4));

@@ -8,7 +8,7 @@
 //!   per-request and process-wide accounting, high-water marks, and the
 //!   [`Accounted`] RAII wrapper for big allocations.
 //! - [`retry`] — the one retry schedule (bounded exponential backoff on a
-//!   virtual clock) the robust profiler and the plan-store publish share.
+//!   virtual clock) of the plan store's transient publish failures.
 //! - [`breaker`] — a per-failure-class [`CircuitBreaker`] with a sliding
 //!   failure window, cooldown, and half-open probes, driven by an
 //!   injectable millisecond clock so every transition is unit-testable.

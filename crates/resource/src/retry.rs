@@ -1,7 +1,7 @@
 //! The one bounded-exponential-backoff retry schedule.
 //!
-//! The robust profiler's repetitions and the plan store's publishes retry
-//! on this schedule: [`MAX_RETRIES`] retries after the first attempt, a
+//! The plan store's publishes retry transient I/O failures on this
+//! schedule: [`MAX_RETRIES`] retries after the first attempt, a
 //! backoff of [`BASE_BACKOFF_US`] doubling per retry up to
 //! [`MAX_BACKOFF_US`]. The backoff clock is *virtual*: [`run`] never
 //! sleeps, it accumulates the microseconds a real deployment would have

@@ -19,16 +19,6 @@ use crate::space::SearchSpace;
 use sf_gpusim::timing::{LaunchProfile, TimingModel};
 use sf_minicuda::host::Dim3;
 
-/// Confidence-aware widening: how strongly a multi-member group is
-/// discounted per unit of measurement dispersion among its members. A
-/// fusion justified by noisy numbers may be justified by jitter alone, so
-/// the search hedges toward groupings backed by stable measurements. It is
-/// a hedge, not a veto: under the standard noise model (~10% runtime
-/// jitter) it discounts a fused group by a few percent — enough to break
-/// ties toward stable evidence, not enough to reject a clearly profitable
-/// fusion.
-pub const NOISE_AVERSION: f64 = 0.35;
-
 /// Fraction of an array's read traffic that survives as halo overhead when
 /// the read is served from a shared-memory tile filled by an earlier fused
 /// segment.
@@ -45,9 +35,6 @@ pub struct GroupCost {
     pub smem_violation: bool,
     /// A member of the violating group can be fissioned.
     pub fission_escape: bool,
-    /// Worst relative measurement dispersion among the members — a pure
-    /// function of the member set, so it is safe to cache with the cost.
-    pub max_dispersion: f64,
     /// The code generator fuses the members at this degree. A group it
     /// would refuse (and emit unfused) projects to infinite time, so it
     /// never wins.
@@ -185,10 +172,6 @@ pub fn group_cost(
             let original = u.parent.map_or(u.id, |p| p);
             space.units[original].fissionable() && u.mref.fission_component.is_none()
         }),
-        max_dispersion: units
-            .iter()
-            .map(|u| u.perf.measure.dispersion)
-            .fold(0.0, f64::max),
         fusable: priced.is_some(),
     }
 }
@@ -200,8 +183,8 @@ fn repeat_of(space: &SearchSpace, members: &[usize]) -> f64 {
 }
 
 /// One group's share of a grouping's fitness: its flops and time, each
-/// weighted by the group's host repeat, and the two factors its penalties
-/// scale the whole program's fitness by (1 where none applies).
+/// weighted by the group's host repeat, and the factor its shared-memory
+/// penalty scales the whole program's fitness by (1 where none applies).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Terms {
     /// Flops × repeat.
@@ -210,8 +193,6 @@ pub struct Terms {
     pub time_us: f64,
     /// The shared-memory penalty: soft with a fission escape, else hard.
     pub smem: f64,
-    /// The confidence-aware widening of a fusion.
-    pub dispersion: f64,
 }
 
 /// `members`' [`Terms`], priced through `pricer` under `config`'s penalty
@@ -224,20 +205,10 @@ pub fn group_terms(pricer: &mut Pricer<'_>, members: &[usize], config: &SearchCo
         (true, true) => config.penalty_soft,
         (true, false) => config.penalty_hard,
     };
-    // Confidence-aware widening: only fusions (≥ 2 members) pay it —
-    // leaving a noisy kernel alone is the safe default, committing to a
-    // grouping on its numbers is not. Floored so even very noisy groups
-    // keep a nonzero fitness and can be compared.
-    let dispersion = if members.len() >= 2 && cost.max_dispersion > 0.0 {
-        (1.0 - NOISE_AVERSION * cost.max_dispersion).clamp(0.25, 1.0)
-    } else {
-        1.0
-    };
     Terms {
         flops: cost.flops as f64 * repeat,
         time_us: cost.time_us * repeat,
         smem,
-        dispersion,
     }
 }
 
@@ -267,7 +238,6 @@ pub fn fitness_with(pricer: &mut Pricer<'_>, groups: &Groups, config: &SearchCon
         total_flops += terms.flops;
         total_time += terms.time_us;
         scale *= terms.smem;
-        scale *= terms.dispersion;
     }
     gflops(total_flops, total_time, scale)
 }
@@ -366,42 +336,6 @@ void host() {
             pair.smem_bytes,
             staged.footprint(assumed_block(&space, &[0, 1]))
         );
-    }
-
-    #[test]
-    fn dispersion_widens_the_penalty_for_fused_groups() {
-        let mut space = space_for(SHARED_READERS);
-        let mut fused = Individual::singletons(&space);
-        assert!(fused.try_merge(&space, 0, 1));
-        let clean = fitness(&space, &fused, &SearchConfig::default());
-        // The same fusion justified by noisy measurements is worth less.
-        space.units[0].perf.measure.dispersion = 0.20;
-        let noisy = fitness(&space, &fused, &SearchConfig::default());
-        assert!(
-            noisy < clean,
-            "noisy fusion {noisy} must score below clean fusion {clean}"
-        );
-        // Singletons pay no widening: solo kernels are the safe default.
-        let singles = Individual::singletons(&space);
-        let s_clean = {
-            let mut s2 = space_for(SHARED_READERS);
-            s2.units[0].perf.measure.dispersion = 0.0;
-            fitness(&s2, &Individual::singletons(&s2), &SearchConfig::default())
-        };
-        let s_noisy = fitness(&space, &singles, &SearchConfig::default());
-        assert_eq!(s_noisy, s_clean);
-        // The discount is exactly the widening factor.
-        assert_eq!(noisy, clean * (1.0 - NOISE_AVERSION * 0.20));
-    }
-
-    #[test]
-    fn group_cost_tracks_worst_member_dispersion() {
-        let mut space = space_for(SHARED_READERS);
-        space.units[0].perf.measure.dispersion = 0.08;
-        space.units[1].perf.measure.dispersion = 0.17;
-        let engine = ProjectionEngine::new(&space);
-        assert_eq!(engine.group_cost(&[0]).max_dispersion, 0.08);
-        assert_eq!(engine.group_cost(&[0, 1]).max_dispersion, 0.17);
     }
 
     #[test]

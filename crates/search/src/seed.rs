@@ -81,7 +81,7 @@ impl Totals {
         } else {
             self.infinite += 1;
         }
-        self.scale *= terms.smem * terms.dispersion;
+        self.scale *= terms.smem;
     }
 
     /// These totals with the groups priced `a` and `b` replaced by their
@@ -94,7 +94,7 @@ impl Totals {
             } else {
                 self.infinite -= 1;
             }
-            self.scale /= part.smem * part.dispersion;
+            self.scale /= part.smem;
         }
         self.add(ab);
         self

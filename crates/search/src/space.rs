@@ -246,7 +246,7 @@ impl SearchSpace {
             for (component, (kernel, launch)) in (0..).map_while(product).enumerate() {
                 facts.push(MemberFacts::of(&kernel, &launch, &mut arrays));
                 let ka = KernelAccess::analyze(&kernel)?;
-                let (mut perf, mut ops, _) =
+                let (perf, mut ops, _) =
                     profiler.profile_launch(&kernel, &ka, &launch, &alloc_of, None)?;
                 // A product runs on redundant-instance storage (`x__i0`);
                 // normalize back to base names so product units compare
@@ -262,10 +262,6 @@ impl SearchSpace {
                     writes: acc.writes.iter().map(|a| debase(a)).collect(),
                     full_writes: acc.full_writes.iter().map(|a| debase(a)).collect(),
                 };
-                // Products are priced analytically, but their trust level
-                // is bounded by the parent's measurements: fission must not
-                // launder a noisy kernel into a "clean" product.
-                perf.measure = units[seq].perf.measure;
                 let id = units.len();
                 units[seq].products.push(id);
                 units.push(Unit {

@@ -244,10 +244,6 @@ fn rows() -> Vec<Row> {
         islands: IslandFaults { panic_at: [(0, 0)].into(), ..IslandFaults::default() },
         ..FaultPlan::none()
     };
-    // Every repetition of every profile call fails: the robust profiler's
-    // retries run out, and the profile is lost.
-    let lost_reps = FaultPlan { rep_failures: 100, ..FaultPlan::none() };
-    let replayed_lost_reps = replayed_without_profile().with_faults(lost_reps.clone());
 
     vec![
         //   kind                  class       stage              exit under Degrade  reach
@@ -265,13 +261,11 @@ fn rows() -> Vec<Row> {
         row("config",             Fatal,      Stage::NewGraphs,  6,  Some(Fatal),      request(DEMO, quick().with_plan(out_of_range))),
         row("device-mismatch",    Fatal,      Stage::NewGraphs,  9,  Some(Fatal),      request(DEMO, quick().with_plan(singletons(DeviceSpec::k40(), [0, 1])))),
         row("graph",              Fatal,      Stage::Graphs,     4,  Some(Fatal),      request(&demo_with("upd<<<", "nokernel<<<"), unknown_kernel)),
-        row("profile",            Degradable, Stage::Metadata,   4,  None,             fault(lost_reps)),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             request(&out_of_bounds(), quick().strict())),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             request(INT_OVERFLOW, quick().strict())),
         row("profile",            Degradable, Stage::Metadata,   4,  None,             request(&strided_sweep(), quick().strict())),
         row("profile",            Degradable, Stage::Codegen,    6,  None,             request(&strided_sweep(), replayed_without_profile())),
         row("profile",            Degradable, Stage::Codegen,    6,  None,             request(&out_of_bounds(), replayed_without_profile())),
-        row("profile",            Degradable, Stage::Codegen,    6,  None,             request(DEMO, replayed_lost_reps)),
         row("codegen",            Degradable, Stage::Codegen,    6,  None,             fault(FaultPlan { reject_groups: [0].into(), ..FaultPlan::none() })),
         row("codegen",            Degradable, Stage::Codegen,    6,  None,             request(OPAQUE_LOOP_FISSION, quick().strict())),
         row("verify",             Degradable, Stage::Codegen,    7,  None,             request(CROSS_BLOCK, quick().strict())),
@@ -433,8 +427,8 @@ fn every_failure_is_reached_with_its_columns() {
     );
 
     // The closed set: 22 combinations. Some are reached more than once — a
-    // trap (out of bounds or an integer overflow), a refused access and
-    // lost repetitions are all degradable profile errors, and an empty
+    // trap (out of bounds or an integer overflow) and a refused access are
+    // both degradable profile errors, and an empty
     // program and a bad or short preloaded bundle are all fatal
     // configuration at stage 1 — so the count is pinned rather than the
     // rows, and a lost combination still shows.

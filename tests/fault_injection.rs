@@ -81,22 +81,15 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
             0u8..5,
             proptest::collection::vec(0usize..4, 0..3),
         ),
-        (0u8..3, 0u64..1000, 0u32..3),
     )
         .prop_map(
-            |(
-                (corrupt, reject),
-                (panic, poison, trap, reject_tuned),
-                (noisy, noise_seed, rep_failures),
-            )| FaultPlan {
+            |((corrupt, reject), (panic, poison, trap, reject_tuned))| FaultPlan {
                 corrupt_metadata: corrupt == 0,
                 reject_groups: reject.into_iter().collect(),
                 panic_groups: panic.into_iter().collect(),
                 reject_tuned_groups: reject_tuned.into_iter().collect(),
                 poison_evaluations: poison.into_iter().collect(),
                 interpreter_trap: trap == 0,
-                noise_seed: (noisy == 0).then_some(noise_seed),
-                rep_failures,
                 // Store faults are the batch driver's, not the pipeline's;
                 // the batch/fuzz harnesses exercise them (tests/plan_cache.rs).
                 cache: sf_core::CacheFaults::default(),

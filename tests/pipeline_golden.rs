@@ -6,13 +6,12 @@
 //! - the full run, and `run_until` = each of the five early stages;
 //! - a `with_plan` replay of the full run's executed plan;
 //! - `FaultPlan::seeded(0..32)` under `Degrade` and under `Strict`;
-//! - the endings no seeded plan reaches, under both policies: a profile
-//!   that loses every repetition, one tight cap per governed resource (the
-//!   population caps at two islands, so every search-budget rung fires),
-//!   a `heap-bytes` cap with room for one memory image of the original
-//!   program but not for two, a replay and a port on another device, a
-//!   run with verification off and a run from the full run's metadata
-//!   bundle.
+//! - the endings no seeded plan reaches, under both policies: one tight
+//!   cap per governed resource (the population caps at two islands, so
+//!   every search-budget rung fires), a `heap-bytes` cap with room for one
+//!   memory image of the original program but not for two, a replay and a
+//!   port on another device, a run with verification off and a run from
+//!   the full run's metadata bundle.
 //!
 //! One line per case in `tests/golden/pipeline/<app>.txt`. An `Ok` run
 //! records hashes of the printed program, the executed-or-planned plan
@@ -44,7 +43,14 @@
 //! The `artifacts` column of every row that carries a metadata bundle was
 //! re-blessed when the operations metadata dropped the six summaries no
 //! stage read (stencil shapes, sweeps, nest depth, shared arrays, FLOPs
-//! per array, access stride); no other column of any row moved.
+//! per array, access stride); no other column of any row moved. The
+//! fixture was re-blessed when a profile became one exact run: the
+//! `fault-*` rows of the seeds whose plans drew a measurement-noise seed
+//! or repetition failures moved, the `lost-reps-*` rows went with the lost
+//! repetitions, and the `artifacts` column of every row that carries a
+//! metadata bundle moved because its launches lost their `measure`
+//! objects. Every row equals the parent's for the same plan with those two
+//! fault fields cleared and the `measure` objects left out of the bundle.
 //!
 //! To regenerate after an intentional change to a report line, a
 //! degradation or a plan: `UPDATE_GOLDEN=1 cargo test --test pipeline_golden`
@@ -228,11 +234,6 @@ fn cases(name: &str) -> Vec<Case> {
             run(program, config.strict()),
         ));
     };
-    let lost_reps = FaultPlan {
-        rep_failures: 100,
-        ..FaultPlan::default()
-    };
-    both_policies("lost-reps", base.clone().with_faults(lost_reps));
     for (kind, cap) in [
         (ResourceKind::Launches, 1),
         (ResourceKind::PrecedenceDepth, 1),
