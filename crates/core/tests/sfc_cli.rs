@@ -260,6 +260,50 @@ fn emit_params_writes_what_a_default_run_searches_with() {
     assert!(cfg.block_tuning, "a default run tunes");
 }
 
+/// Profiling is one exact run, so two searches of the same input emit the
+/// same program and plan; the noise flags a noisy profiler once took are
+/// unknown arguments, not silently ignored ones.
+#[test]
+fn noisy_profiling_is_deterministic_across_cli_runs() {
+    let input = tmp("demo_noise.cu");
+    std::fs::write(&input, DEMO).unwrap();
+    let mut outputs = Vec::new();
+    let mut plans = Vec::new();
+    for run in 0..2 {
+        let out = tmp(&format!("demo_noise_{run}.cu"));
+        let plan = tmp(&format!("demo_noise_{run}_plan.json"));
+        let status = sfc()
+            .args([
+                input.to_str().unwrap(),
+                "--quick",
+                "-o",
+                out.to_str().unwrap(),
+                "--emit-plan",
+                plan.to_str().unwrap(),
+            ])
+            .status()
+            .expect("sfc runs");
+        assert!(status.success());
+        outputs.push(std::fs::read_to_string(&out).unwrap());
+        plans.push(std::fs::read_to_string(&plan).unwrap());
+    }
+    assert_eq!(outputs[0], outputs[1], "same input, different programs");
+    assert_eq!(plans[0], plans[1], "same input, different plans");
+
+    for (flag, value) in [("--profile-reps", "5"), ("--noise-seed", "1234")] {
+        let out = sfc()
+            .args([input.to_str().unwrap(), flag, value])
+            .output()
+            .expect("sfc runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with(&format!("sfc: unknown argument `{flag}`")),
+            "{flag}: {err}"
+        );
+    }
+}
+
 /// `--cache-dir` runs the batch driver's ladder: a cold run publishes, a
 /// warm run replays the same bytes, a damaged entry is quarantined and
 /// recompiled (exit 8), and a store that cannot be opened only costs the
