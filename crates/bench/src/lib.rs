@@ -39,9 +39,9 @@ use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::profiler::Profiler;
 use sf_minicuda::host::ExecutablePlan;
 use sf_minicuda::Program;
-use sf_search::SearchSpace;
+use sf_search::{SearchConfig, SearchSpace};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use stencilfuse::{Pipeline, PipelineConfig, TransformResult};
 
@@ -71,12 +71,12 @@ pub enum Variant {
 /// Benchmark-quality search budget: heavier than `SearchConfig::quick`, far
 /// lighter than the paper's 500×100 (the projection objective converges on
 /// our app sizes well before that; `paper convergence` measures this).
-pub(crate) fn bench_search() -> sf_search::SearchConfig {
-    sf_search::SearchConfig {
+pub(crate) fn bench_search() -> SearchConfig {
+    SearchConfig {
         population: 60,
         generations: 240,
         stagnation_window: 60,
-        ..sf_search::SearchConfig::default()
+        ..SearchConfig::default()
     }
 }
 
@@ -219,20 +219,42 @@ impl Harness {
         self.unverified.take()
     }
 
-    /// At full scale, write `results/<name>.json`: `body` plus a `stamp` of
-    /// the commit and the resolved configuration. A test-scale run writes
-    /// nothing.
-    pub(crate) fn write(&self, name: &str, mut body: Value) {
-        if self.scale != Scale::Full {
-            return;
-        }
-        body["stamp"] = json!({
+    /// A stamp entry for `variant`: its name and the parameters its
+    /// search runs with.
+    pub(crate) fn searched_with(&self, variant: Variant) -> (String, SearchConfig) {
+        let config = variant_config(variant, self.device.clone());
+        (format!("{variant:?}"), config.search_config())
+    }
+
+    /// The commit and the resolved configuration behind an experiment's
+    /// rows: `searches` names each search they came from, with the
+    /// parameters it ran with.
+    pub(crate) fn stamp(
+        &self,
+        searches: impl IntoIterator<Item = (String, SearchConfig)>,
+    ) -> Value {
+        let searches: BTreeMap<String, SearchConfig> = searches.into_iter().collect();
+        json!({
             "commit": commit(),
             "scale": "full",
             "grid": [self.apps.nx, self.apps.ny, self.apps.nz],
             "device": { "name": self.device.name, "fingerprint": self.device.fingerprint() },
-            "search": bench_search(),
-        });
+            "search": searches,
+        })
+    }
+
+    /// At full scale, write `results/<name>.json`: `body` plus its
+    /// [`Self::stamp`]. A test-scale run writes nothing.
+    pub(crate) fn write(
+        &self,
+        name: &str,
+        mut body: Value,
+        searches: impl IntoIterator<Item = (String, SearchConfig)>,
+    ) {
+        if self.scale != Scale::Full {
+            return;
+        }
+        body["stamp"] = self.stamp(searches);
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         let path = dir.join(format!("{name}.json"));
         let text = serde_json::to_string_pretty(&body).expect("a JSON value serializes");
@@ -319,5 +341,38 @@ impl Claims {
             .iter()
             .map(|b| format!("paper {experiment}: {b}"));
         Err(lines.collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each variant is stamped with the parameters its own search ran
+    /// with, not the shared budget: a tuned variant says so, and the
+    /// temporal one carries its degree cap.
+    #[test]
+    fn a_stamp_records_what_each_variant_searched_with() {
+        let h = Harness::new(Scale::Test, DeviceSpec::k20x());
+        let variants = [
+            Variant::Full,
+            Variant::FissionFusion,
+            Variant::Manual,
+            Variant::Temporal,
+        ];
+        let stamp = h.stamp(variants.map(|v| h.searched_with(v)));
+        let search = &stamp["search"];
+        assert_eq!(
+            search["Full"]["block_tuning"].as_bool(),
+            Some(true),
+            "{stamp}"
+        );
+        assert_eq!(
+            search["FissionFusion"]["block_tuning"].as_bool(),
+            Some(false)
+        );
+        assert_eq!(search["Manual"]["mode"].as_str(), Some("Manual"));
+        assert_eq!(search["Temporal"]["max_temporal"].as_u64(), Some(4));
+        assert_eq!(search["Full"]["max_temporal"].as_u64(), Some(1));
     }
 }

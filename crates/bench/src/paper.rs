@@ -104,7 +104,11 @@ fn table1(h: &Harness) -> Claims {
             speedup: r.speedup,
         });
     }
-    h.write("table1", json!({ "rows": rows }));
+    h.write(
+        "table1",
+        json!({ "rows": rows }),
+        [h.searched_with(Variant::Full)],
+    );
     table1_claims(&rows)
 }
 
@@ -170,7 +174,11 @@ fn table2(h: &Harness) -> Claims {
             avg_occupancy_after: after,
         });
     }
-    h.write("table2", json!({ "rows": rows }));
+    h.write(
+        "table2",
+        json!({ "rows": rows }),
+        [h.searched_with(Variant::Full)],
+    );
     table2_claims(&rows)
 }
 
@@ -238,7 +246,18 @@ fn fig4_5(h: &Harness) -> Claims {
         rows.push(row);
     }
     let name = format!("fig4_5_{}", h.device.name.to_lowercase());
-    h.write(&name, json!({ "rows": rows }));
+    let variants = [
+        Variant::Fusion,
+        Variant::FissionFusion,
+        Variant::Full,
+        Variant::Manual,
+        Variant::Guided,
+    ];
+    h.write(
+        &name,
+        json!({ "rows": rows }),
+        variants.map(|v| h.searched_with(v)),
+    );
     fig4_5_claims(&rows)
 }
 
@@ -383,7 +402,10 @@ fn per_kernel(h: &Harness, name: &str, figure: &str) -> PerKernel {
     println!("auto-mode groups concatenated without merging (the gap contributors): {gap:?}");
     let body = json!({ "app": app_name, "total_auto_us": a, "total_manual_us": m,
                        "concatenated_groups": gap, "rows": rows });
-    h.write(&format!("fig{figure}"), body);
+    // The replay runs no search: both sides execute the one plan the
+    // fission+fusion search chose.
+    let searched = h.searched_with(Variant::FissionFusion);
+    h.write(&format!("fig{figure}"), body, [searched]);
     k
 }
 
@@ -466,7 +488,8 @@ fn fig8(h: &Harness) -> Claims {
             targets_manual: tm,
         });
     }
-    h.write("fig8", json!({ "rows": rows }));
+    let searches = [Variant::FissionFusion, Variant::ManualFilter].map(|v| h.searched_with(v));
+    h.write("fig8", json!({ "rows": rows }), searches);
     let mut claims = Claims::default();
     claims.known(
         "only Fluam's speedup depends on the filter",
@@ -534,7 +557,8 @@ fn convergence(h: &Harness) -> Claims {
             best_unfiltered: unfiltered.best_gflops,
         });
     }
-    h.write("convergence", json!({ "rows": rows }));
+    let searched = ("filtered and unfiltered".to_string(), cfg);
+    h.write("convergence", json!({ "rows": rows }), [searched]);
     let mut claims = Claims::default();
     claims.gate(
         "the unfiltered search converges no faster (paper: 2.5x slower)",
@@ -647,7 +671,9 @@ fn ablation(h: &Harness) -> Claims {
         }
         rows.push(row);
     }
-    h.write("ablation", json!({ "rows": rows }));
+    // Eager compiles the pre-split program under the fusion-only variant.
+    let searches = [Variant::Fusion, Variant::FissionFusion].map(|v| h.searched_with(v));
+    h.write("ablation", json!({ "rows": rows }), searches);
     ablation_claims(&rows)
 }
 
@@ -750,7 +776,14 @@ fn port(h: &Harness) -> Claims {
             });
         }
     }
-    h.write("BENCH_port", json!({ "rows": rows }));
+    let searches = [
+        ("source and scratch".to_string(), cfg.clone()),
+        (
+            "port, max_evaluations a third of the row's scratch_evaluations".to_string(),
+            cfg.for_port(),
+        ),
+    ];
+    h.write("BENCH_port", json!({ "rows": rows }), searches);
     let mut claims = Claims::default();
     claims.gate(
         "the port keeps its budget (a third of scratch, checked per generation)",
@@ -837,7 +870,8 @@ fn temporal(h: &Harness) -> Claims {
             });
         }
     }
-    h.write("BENCH_temporal", json!({ "rows": rows }));
+    let searches = [Variant::Full, Variant::Temporal].map(|v| h.searched_with(v));
+    h.write("BENCH_temporal", json!({ "rows": rows }), searches);
     let mut claims = Claims::default();
     let cell = |r: &TemporalRow, what: String| format!("{} on {}: {what}", r.app, r.device);
     claims.gate(

@@ -26,11 +26,6 @@
 //!
 //! The driver also protects itself:
 //!
-//! - **circuit breaker** ([`BatchOptions::breaker`]) — every structured
-//!   failure is recorded under its error-class label; a class that fails
-//!   repeatedly inside the sliding window trips its breaker and new
-//!   submissions are rejected with [`Rejected::retry_after_ms`]
-//!   backpressure until the cooldown (then half-open probes) passes;
 //! - **cache quota** ([`BatchOptions::cache_quota`]) — the store evicts
 //!   least-recently-used plans instead of growing without bound;
 //! - **publish retry** — transient store failures (lock I/O) retry on
@@ -46,13 +41,12 @@ use crate::pipeline::{Interventions, Pipeline, TransformResult};
 use rayon::prelude::*;
 use sf_cache::{CacheKey, Lookup, PlanStore, Published, StoreOptions};
 use sf_codegen::TransformPlan;
-use sf_core::{BreakerConfig, CircuitBreaker};
 use sf_gpusim::device::DeviceSpec;
 use sf_minicuda::Program;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One program to compile.
 #[derive(Debug, Clone)]
@@ -140,36 +134,23 @@ pub struct BatchOutcome {
     pub cache_note: Option<String>,
 }
 
-/// A submission rejected by bounded admission — either the queue is full
-/// or a failure class's circuit breaker is open. Either way the caller
-/// must drain (run) or back off — the driver never grows unbounded and
-/// never keeps feeding a failure mode that is actively tripping.
+/// A submission rejected by bounded admission: the queue is full. The
+/// caller must drain (run) or back off — the driver never grows unbounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rejected {
     /// The rejected request's name.
     pub name: String,
-    /// The configured queue limit that was hit (queue-full rejections).
+    /// The configured queue limit that was hit.
     pub queue_limit: usize,
-    /// The failure class whose breaker is open (breaker rejections).
-    pub breaker_class: Option<String>,
-    /// Suggested backoff before resubmitting, ms (breaker rejections).
-    pub retry_after_ms: Option<u64>,
 }
 
 impl fmt::Display for Rejected {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (&self.breaker_class, self.retry_after_ms) {
-            (Some(class), Some(wait)) => write!(
-                f,
-                "request `{}` rejected: `{class}` circuit breaker open; retry after {wait} ms",
-                self.name
-            ),
-            _ => write!(
-                f,
-                "request `{}` rejected: queue full ({} pending); run the batch or back off",
-                self.name, self.queue_limit
-            ),
-        }
+        write!(
+            f,
+            "request `{}` rejected: queue full ({} pending); run the batch or back off",
+            self.name, self.queue_limit
+        )
     }
 }
 
@@ -198,11 +179,6 @@ pub struct BatchOptions {
     /// Byte quota on the plan store: past it, least-recently-used entries
     /// are evicted on publish (`sfd --cache-quota`). `None` = unbounded.
     pub cache_quota: Option<u64>,
-    /// Per-failure-class circuit breaker. When a class trips,
-    /// [`BatchDriver::submit`] rejects with [`Rejected::retry_after_ms`]
-    /// until the cooldown (then half-open probes) passes. `None` disables
-    /// the breaker (every request is admitted up to the queue limit).
-    pub breaker: Option<BreakerConfig>,
 }
 
 impl Default for BatchOptions {
@@ -214,7 +190,6 @@ impl Default for BatchOptions {
             honor_shutdown: false,
             checkpoint_dir: None,
             cache_quota: None,
-            breaker: None,
         }
     }
 }
@@ -288,10 +263,6 @@ pub struct BatchDriver {
     /// so only runs that reach codegen produce a replayable plan.
     cache_enabled: bool,
     queue: Vec<BatchRequest>,
-    /// Per-failure-class self-protection (see [`BatchOptions::breaker`]).
-    breaker: Option<CircuitBreaker>,
-    /// Millisecond origin for the breaker's clock.
-    epoch: Instant,
 }
 
 impl BatchDriver {
@@ -314,7 +285,6 @@ impl BatchDriver {
         let device = Arc::new(config.device.fingerprint());
         let cache_enabled =
             config.preloaded_plan.is_none() && config.run_until.is_none_or(|s| s >= Stage::Codegen);
-        let breaker = options.breaker.map(CircuitBreaker::new);
         Ok(BatchDriver {
             store: Arc::new(store),
             config,
@@ -323,19 +293,7 @@ impl BatchDriver {
             device,
             cache_enabled,
             queue: Vec::new(),
-            breaker,
-            epoch: Instant::now(),
         })
-    }
-
-    /// Milliseconds since the driver was created — the breaker's clock.
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// The breaker's view of a failure class (testing / introspection).
-    pub fn breaker_state(&self, class: &str) -> Option<sf_core::BreakerState> {
-        self.breaker.as_ref().map(|b| b.state(class))
     }
 
     /// The underlying store (stats, integrity checks).
@@ -348,27 +306,12 @@ impl BatchDriver {
         self.queue.len()
     }
 
-    /// Admit a request, or reject it when the queue is at its limit or a
-    /// failure class's circuit breaker is open (backpressure with a
-    /// suggested retry delay — the caller backs off instead of feeding an
-    /// actively-failing class).
+    /// Admit a request, or reject it when the queue is at its limit.
     pub fn submit(&mut self, request: BatchRequest) -> Result<usize, Rejected> {
-        if let Some(breaker) = &self.breaker {
-            if let Err((class, retry_after_ms)) = breaker.admit(self.now_ms()) {
-                return Err(Rejected {
-                    name: request.name,
-                    queue_limit: self.options.queue_limit,
-                    breaker_class: Some(class),
-                    retry_after_ms: Some(retry_after_ms),
-                });
-            }
-        }
         if self.queue.len() >= self.options.queue_limit {
             return Err(Rejected {
                 name: request.name,
                 queue_limit: self.options.queue_limit,
-                breaker_class: None,
-                retry_after_ms: None,
             });
         }
         self.queue.push(request);
@@ -383,27 +326,6 @@ impl BatchDriver {
             .par_iter()
             .map(|request| self.process_with_budget(request))
             .collect();
-        // Feed the breaker: structured failures accumulate under their
-        // error-class label; a success while a class is half-open closes
-        // it. Cancelled requests never ran, so they count as neither.
-        if let Some(breaker) = &self.breaker {
-            let now = self.now_ms();
-            for outcome in &outcomes {
-                match &outcome.status {
-                    BatchStatus::Failed => {
-                        let class = outcome
-                            .error
-                            .as_ref()
-                            .map(|e| e.kind.label())
-                            .unwrap_or("unknown");
-                        breaker.record_failure(class, now);
-                    }
-                    BatchStatus::OverBudget => breaker.record_failure("over-budget", now),
-                    BatchStatus::Cancelled => {}
-                    _ => breaker.record_success(now),
-                }
-            }
-        }
         BatchReport {
             outcomes,
             stats: self.store.stats(),

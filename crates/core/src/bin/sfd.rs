@@ -60,13 +60,6 @@ stencilfuse::option_table! {
             "bound the plan store at SIZE bytes (K/M/G suffixes):\n\
              past it, least-recently-used entries are evicted on\n\
              publish; committed entries are never corrupted");
-        BREAKER = Opt::valued("--breaker", "N", "breaker threshold",
-            "trip a failure class's circuit breaker after N\n\
-             failures in a minute; tripped classes reject new\n\
-             submissions with a retry-after hint until the\n\
-             cooldown and a half-open probe pass");
-        BREAKER_COOLDOWN_MS = Opt::valued("--breaker-cooldown-ms", "MS", "breaker cooldown",
-            "how long a tripped class stays open (default 10000)");
         VERIFY_STORE = Opt::switch("--verify-store",
             "integrity-scan the cache (quarantining bad entries),\n\
              print the result, and exit");
@@ -108,15 +101,6 @@ fn batch_options(args: &cli::Parsed) -> Result<BatchOptions, String> {
     }
     options.checkpoint_dir = args.value(&CHECKPOINT_DIR).map(Into::into);
     options.cache_quota = args.bytes(&CACHE_QUOTA)?;
-    let threshold = args.at_least_one(&BREAKER)?;
-    let cooldown_ms = args.number(&BREAKER_COOLDOWN_MS)?;
-    if threshold.is_some() || cooldown_ms.is_some() {
-        let default = sf_core::BreakerConfig::default();
-        options.breaker = Some(sf_core::BreakerConfig {
-            threshold: threshold.unwrap_or(default.threshold),
-            cooldown_ms: cooldown_ms.unwrap_or(default.cooldown_ms),
-        });
-    }
     // Graceful shutdown: SIGINT/SIGTERM stop admission, drain in-flight
     // work, and report everything (exit code 3).
     options.honor_shutdown = true;
@@ -297,9 +281,10 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// The accepted flag set is the one the parent commit's hand-written
-    /// usage listed, every flag is in the generated usage with its
-    /// metavar, and every flag parses with a sample value.
+    /// The accepted flag set is the one the hand-written usage listed,
+    /// less the retired `--breaker` and `--breaker-cooldown-ms`; every flag
+    /// is in the generated usage with its metavar, and every flag parses
+    /// with a sample value.
     #[test]
     fn the_option_tables_are_the_whole_surface() {
         let mut parent = [
@@ -316,8 +301,6 @@ mod tests {
             "--budget-secs",
             "--mem-budget",
             "--cache-quota",
-            "--breaker",
-            "--breaker-cooldown-ms",
             "--no-verify",
             "--strict",
             "--verify-store",

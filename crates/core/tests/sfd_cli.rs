@@ -11,15 +11,12 @@ fn out_of_range_numeric_flags_are_usage_errors() {
     let past_u64 = "18446744073709551617";
     for (flag, value, complaint) in [
         ("--max-temporal", past_u32, "bad temporal degree"),
-        ("--breaker", past_u32, "bad breaker threshold"),
         ("--jobs", past_u64, "bad job count"),
         ("--islands", past_u64, "bad island count"),
         ("--queue-limit", past_u64, "bad queue limit"),
         ("--budget-secs", past_u64, "bad budget"),
-        ("--breaker-cooldown-ms", past_u64, "bad breaker cooldown"),
         ("--max-temporal", "-1", "bad temporal degree"),
         ("--max-temporal", "0", "temporal degree must be at least 1"),
-        ("--breaker", "0", "breaker threshold must be at least 1"),
         ("--islands", "0", "island count must be at least 1"),
     ] {
         let run = Command::new(env!("CARGO_BIN_EXE_sfd"))
@@ -37,7 +34,7 @@ fn out_of_range_numeric_flags_are_usage_errors() {
     // The largest values that do fit are still accepted.
     let store = std::env::temp_dir().join(format!("sfd-cli-tests-{}", std::process::id()));
     let run = Command::new(env!("CARGO_BIN_EXE_sfd"))
-        .args(["--max-temporal", "4294967295", "--breaker", "4294967295"])
+        .args(["--max-temporal", "4294967295"])
         .arg("--cache-dir")
         .arg(&store)
         .arg("--verify-store")
@@ -97,4 +94,23 @@ fn zero_jobs_bad_sizes_and_unused_device_names_are_usage_errors() {
         assert!(stderr.starts_with(complaint), "{args:?}: {stderr}");
     }
     assert!(!store.exists(), "nothing was opened on a usage error");
+}
+
+/// The retired circuit-breaker flags are unknown arguments now: `sfd`
+/// compiles one batch per process, so nothing could ever trip the breaker
+/// they configured.
+#[test]
+fn the_retired_breaker_flags_are_unknown_arguments() {
+    for (flag, value) in [("--breaker", "3"), ("--breaker-cooldown-ms", "5")] {
+        let run = Command::new(env!("CARGO_BIN_EXE_sfd"))
+            .args([flag, value, "x.cu"])
+            .output()
+            .expect("sfd runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("sfd: unknown argument `{flag}`")),
+            "{flag} {value}: {stderr}"
+        );
+    }
 }

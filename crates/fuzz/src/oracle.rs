@@ -61,6 +61,21 @@
 //!     porting it (`--port-plan`) to each other device must produce a
 //!     program that passes the differential oracle and replays
 //!     byte-identically on its own device.
+//! 16. `temporal-*` (opt-in via [`OracleOptions::temporal`]) — the
+//!     pipeline with temporal blocking live, in this order:
+//!     `temporal-identity` (two degree-cap-1 runs agree byte for byte and
+//!     stamp no degree above 1); then for caps 2 and 4: `temporal-run`
+//!     (the `Degrade` run succeeds), `temporal-miscompile` (no
+//!     degradation hides a verification failure), `temporal-verification`
+//!     (the result verifies or is the original), `temporal-differential`
+//!     (an independent interpretation agrees), `tuning-monotone` (as in
+//!     6, with the tuned temporal rung in play), `temporal-cap` (no group
+//!     stamped above the cap), `temporal-plan-roundtrip`,
+//!     `temporal-replay` (the plan replays to the same program) and
+//!     `temporal-determinism` (a second run gives the same program and
+//!     plan bytes); last, `temporal-ladder-tuned-reject`,
+//!     `temporal-ladder-reject` and `temporal-ladder-panic` walk the
+//!     fault ladder of 12 at cap 2 (`temporal → spatial → unfused`).
 
 use sf_codegen::transform_program;
 use sf_gpusim::device::DeviceSpec;

@@ -4,7 +4,7 @@
 //! seeded fault plan per chaos round, whose stage faults the pipeline reads
 //! and whose store faults (torn writes, bit flips, kills, ENOSPC, short
 //! writes) the driver arms its store with — plus a byte quota forcing
-//! eviction, a circuit breaker, and the service resource budget.
+//! eviction and the service resource budget.
 //!
 //! The run is a sequence of "process lifetimes": each round opens a fresh
 //! [`BatchDriver`] over the *same* store directory (the crash/reboot
@@ -23,7 +23,7 @@
 
 use crate::hostile::{self, Archetype};
 use crate::{gen, oracle, GenConfig};
-use sf_core::{splitmix64, BreakerConfig, Limits, ResourceGovernor, RESOURCE_KINDS};
+use sf_core::{splitmix64, Limits, ResourceGovernor, RESOURCE_KINDS};
 use sf_minicuda::printer::print_program;
 use std::collections::HashMap;
 use std::fmt;
@@ -151,7 +151,6 @@ fn options(quota: u64) -> BatchOptions {
         // (the crash-recovery convention of the cache tests).
         lock_timeout: Duration::ZERO,
         cache_quota: Some(quota),
-        breaker: Some(BreakerConfig::default()),
         ..BatchOptions::default()
     }
 }

@@ -99,8 +99,10 @@ pub struct CacheFaults {
 pub struct IslandFaults {
     /// Island index → island-local generation at which its epoch panics.
     pub panic_at: BTreeMap<usize, usize>,
-    /// Island index → island-local generation at which its epoch stalls
-    /// (reported as a supervision-budget overrun, not a panic).
+    /// Island index → island-local generation at which its epoch stalls:
+    /// the epoch ends with an error (its reason says "stalled") that the
+    /// supervisor quarantines as it does a panic. No wall-clock budget is
+    /// involved.
     pub stall_at: BTreeMap<usize, usize>,
     /// Tear the checkpoint written at this epoch (truncated payload; the
     /// next resume must detect and reject it).

@@ -16,12 +16,17 @@
 //!    (one lock, taken before the first generation), so islands share
 //!    nothing mutable while they run.
 //! 2. **Supervision.** Every island epoch runs under
-//!    [`sf_gpusim::isolate::isolated`]. An island that panics or stalls
-//!    is *quarantined*: its epoch-start state is frozen, its last-good
+//!    [`sf_gpusim::isolate::isolated`]. An island that panics is
+//!    *quarantined*: its epoch-start state is frozen, its last-good
 //!    elites still enter the final merge, and the incident is reported as
 //!    a [`SearchDegradation`] — the search degrades to fewer islands (at
 //!    `islands = 1`: to the last-good elites, or the untransformed
-//!    baseline) instead of aborting.
+//!    baseline) instead of aborting. Nothing quarantines an island for
+//!    taking too long (the wall-clock watchdog only stops the search):
+//!    the only "stall" is the injected
+//!    [`IslandFaults::stall_at`](sf_core::IslandFaults::stall_at), which
+//!    ends the island's epoch with an error that is quarantined exactly as
+//!    a panic is.
 //! 3. **Determinism.** Island `i` owns the RNG stream
 //!    `seed ^ finalize(i·φ)` — island 0 continues the run seed's own
 //!    stream, so a one-island run is the plain seeded GGA. Inside an
@@ -292,8 +297,9 @@ fn carried_of(lock: &mut Mutex<Carried>) -> &mut Carried {
 
 /// Advance one island through up to `gens` generations (one migration
 /// epoch). `carried.views[i]` is `state.population[i]`'s view, and still
-/// is on return. Runs inside the supervisor; an `Err` is a detected stall,
-/// a panic is caught by the caller's `isolated` wrapper — both quarantine.
+/// is on return. Runs inside the supervisor; an `Err` is an injected
+/// stall, a panic is caught by the caller's `isolated` wrapper — both
+/// quarantine.
 fn advance_epoch(
     engine: &ProjectionEngine<'_>,
     config: &SearchConfig,

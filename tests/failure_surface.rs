@@ -1,12 +1,10 @@
 //! The failure surface as one table: every `(ErrorKind, Recoverability,
 //! Stage)` a run can end in, each reached through a product entry point
 //! with a fault plan, an input program or a configuration — and nothing
-//! else. A row pins five columns: `kind.label()`, the class, the stage,
-//! `PipelineError::exit_code()`, and the class name a `BatchDriver`'s
-//! circuit breaker records the failure under (`sfd` runs every request
-//! through one). A sixth pins what the same reach does under `Degrade`:
-//! a non-fatal row is reached under `Strict`, and the ladder must absorb
-//! it under `Degrade` unless the row says otherwise.
+//! else. A row pins four columns: `kind.label()`, the class, the stage and
+//! `PipelineError::exit_code()`. A fifth pins what the same reach does
+//! under `Degrade`: a non-fatal row is reached under `Strict`, and the
+//! ladder must absorb it under `Degrade` unless the row says otherwise.
 //!
 //! Three entry points reach the rows: a driver request (which runs
 //! `Pipeline::run` the way `sfd` and `sfc --cache-dir` do), the guided
@@ -18,7 +16,7 @@
 
 use sf_analysis::metadata::MetadataBundle;
 use sf_codegen::{CodegenMode, GroupPlan, MemberRef, TransformPlan};
-use sf_core::{BreakerConfig, BreakerState, IslandFaults, Limits, ResourceKind};
+use sf_core::{IslandFaults, Limits, ResourceKind};
 use sf_gpusim::device::DeviceSpec;
 use sf_gpusim::Interpreter;
 use sf_minicuda::host::ExecutablePlan;
@@ -207,9 +205,6 @@ struct Row {
     class: Recoverability,
     stage: Stage,
     exit: i32,
-    /// The class the driver's breaker counts the failure under; `None`
-    /// where no driver request can reach the row.
-    breaker: Option<&'static str>,
     /// How the same reach ends under `Degrade`: `None` when the ladder
     /// absorbs it, else the class of the error (same kind and stage).
     degrade: Option<Recoverability>,
@@ -219,10 +214,7 @@ struct Row {
 #[rustfmt::skip]
 fn rows() -> Vec<Row> {
     let request = |source: &str, config| Reach::Request(source.into(), Box::new(config));
-    let row = |kind, class, stage, exit, degrade, reach| {
-        let breaker = matches!(reach, Reach::Request(..)).then_some(kind);
-        Row { kind, class, stage, exit, breaker, degrade, reach }
-    };
+    let row = |kind, class, stage, exit, degrade, reach| Row { kind, class, stage, exit, degrade, reach };
     let fault = |faults| request(DEMO, quick().with_faults(faults).strict());
     let cap = |kind, cap| quick().with_budget(Limits::unlimited().cap(kind, cap));
 
@@ -293,20 +285,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A breaker that opens on the first failure of a class.
-fn one_strike() -> BatchOptions {
-    BatchOptions {
-        breaker: Some(BreakerConfig {
-            threshold: 1,
-            cooldown_ms: 60_000,
-        }),
-        ..BatchOptions::default()
-    }
-}
-
 /// Where `reach` ends under `policy`: `None` when the run completed, else
-/// the error and the driver that saw it (when one did).
-fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<BatchDriver>)> {
+/// the error.
+fn reach(reach: &Reach, policy: DegradePolicy) -> Option<PipelineError> {
     match reach {
         Reach::Request(source, config) => {
             let config = PipelineConfig {
@@ -314,19 +295,15 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
                 ..PipelineConfig::clone(config)
             };
             let dir = scratch_dir("request");
-            let mut driver = BatchDriver::new(&dir, config, one_strike()).expect("store opens");
+            let mut driver =
+                BatchDriver::new(&dir, config, BatchOptions::default()).expect("store opens");
             driver
                 .submit(BatchRequest::new("row", source.as_str()))
                 .expect("admitted");
             let outcome = driver.run().outcomes.remove(0);
             let _ = std::fs::remove_dir_all(&dir);
             let failed = outcome.status == BatchStatus::Failed;
-            failed.then(|| {
-                (
-                    outcome.error.expect("a failed request's error"),
-                    Some(driver),
-                )
-            })
+            failed.then(|| outcome.error.expect("a failed request's error"))
         }
         Reach::DroppedDecision => {
             let hooks = Interventions {
@@ -342,7 +319,6 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
             Pipeline::new(parse_program(DEMO).expect("DEMO parses"), config)
                 .and_then(|p| p.run_with(&hooks))
                 .err()
-                .map(|e| (e, None))
         }
         Reach::CorruptedAmendment => {
             let hooks = Interventions {
@@ -358,7 +334,6 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
             Pipeline::new(parse_program(DEMO).expect("DEMO parses"), config)
                 .and_then(|p| p.run_with(&hooks))
                 .err()
-                .map(|e| (e, None))
         }
         Reach::UnopenableStore => {
             let dir = scratch_dir("file");
@@ -371,7 +346,7 @@ fn reach(reach: &Reach, policy: DegradePolicy) -> Option<(PipelineError, Option<
             };
             let opened = BatchDriver::new(&file, config, BatchOptions::default());
             let _ = std::fs::remove_dir_all(&dir);
-            opened.err().map(|e| (e, None))
+            opened.err()
         }
     }
 }
@@ -382,25 +357,19 @@ fn check(row: &Row) -> Vec<String> {
     let mut wrong = Vec::new();
     match reach(&row.reach, DegradePolicy::Strict) {
         None => wrong.push(format!("{name}: the run completed under Strict")),
-        Some((e, driver)) => {
+        Some(e) => {
             let seen = (e.kind.label(), e.class, e.stage, e.exit_code());
             if seen != (row.kind, row.class, row.stage, row.exit) {
                 wrong.push(format!("{name}: reached {seen:?} ({e})"));
-            }
-            if let Some(class) = row.breaker {
-                let state = driver.as_ref().and_then(|d| d.breaker_state(class));
-                if state != Some(BreakerState::Open) {
-                    wrong.push(format!("{name}: the breaker did not record `{class}`"));
-                }
             }
         }
     }
     match (reach(&row.reach, DegradePolicy::Degrade), row.degrade) {
         (None, None) => {}
-        (Some((e, _)), Some(class))
+        (Some(e), Some(class))
             if (e.kind.label(), e.class, e.stage) == (row.kind, class, row.stage) => {}
         (None, Some(_)) => wrong.push(format!("{name}: completed under Degrade")),
-        (Some((e, _)), _) => wrong.push(format!("{name}: under Degrade: {e}")),
+        (Some(e), _) => wrong.push(format!("{name}: under Degrade: {e}")),
     }
     wrong
 }
@@ -444,14 +413,14 @@ fn every_failure_is_reached_with_its_columns() {
     assert_eq!(kinds.len(), 12, "{kinds:?}");
 }
 
-/// The breaker's one class that is not an error kind: a request past its
+/// The one driver failure that is not an error kind: a request past its
 /// wall-clock budget.
 #[test]
 fn an_over_budget_request_is_counted_as_over_budget() {
     let dir = scratch_dir("budget");
     let options = BatchOptions {
         request_budget: Duration::from_nanos(1),
-        ..one_strike()
+        ..BatchOptions::default()
     };
     let mut driver = BatchDriver::new(&dir, quick(), options).expect("store opens");
     driver
@@ -463,10 +432,6 @@ fn an_over_budget_request_is_counted_as_over_budget() {
         outcome.error.is_none(),
         "no error kind: {:?}",
         outcome.error
-    );
-    assert_eq!(
-        driver.breaker_state("over-budget"),
-        Some(BreakerState::Open)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

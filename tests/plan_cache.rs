@@ -590,50 +590,8 @@ fn the_configs_store_faults_arm_the_drivers_store() {
 }
 
 // ---------------------------------------------------------------------------
-// Self-protection: circuit breaker and cache quota.
+// Self-protection: cache quota.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn breaker_trips_on_repeated_failures_and_rejects_with_retry_after() {
-    let dir = scratch_dir("breaker");
-    let mut driver = BatchDriver::new(
-        &dir,
-        quick_config(),
-        BatchOptions {
-            breaker: Some(sf_core::BreakerConfig {
-                threshold: 2,
-                cooldown_ms: 10_000,
-            }),
-            ..BatchOptions::default()
-        },
-    )
-    .expect("driver");
-
-    // Two structurally-bad requests: both fail under the `parse` class.
-    driver
-        .submit(BatchRequest::new("bad1", "__global__ void oops("))
-        .expect("admitted while closed");
-    driver
-        .submit(BatchRequest::new("bad2", "__global__ void argh{"))
-        .expect("admitted while closed");
-    let report = driver.run();
-    assert_eq!(report.failures(), 2);
-    assert_eq!(
-        driver.breaker_state("parse"),
-        Some(sf_core::BreakerState::Open)
-    );
-
-    // The class tripped: new submissions get backpressure with a retry
-    // hint and the tripped class's name, instead of feeding the failure.
-    let rejected = driver
-        .submit(BatchRequest::new("next", SMALL_APP))
-        .expect_err("breaker must reject while open");
-    assert_eq!(rejected.breaker_class.as_deref(), Some("parse"));
-    assert!(rejected.retry_after_ms.is_some());
-    let text = rejected.to_string();
-    assert!(text.contains("retry after"), "{text}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
 
 #[test]
 fn cache_quota_evicts_old_plans_but_requests_always_succeed() {
